@@ -26,8 +26,9 @@ Assertions are layered by flakiness, as everywhere in this harness:
   loop nest lowering is bitwise-safe by construction).
 * **wall-clock, soft** — the acceptance target is >= 5x over the parallel
   backend on warm flushes (measured ~5-10x single-core).  Missing the
-  target warns loudly instead of flaking CI; the hard floor guards against
-  catastrophic regression only.
+  target warns loudly instead of flaking CI; the 1.5x floor guards against
+  catastrophic regression only, and fails only under
+  ``REPRO_BENCH_STRICT=1`` (it warns otherwise).
 """
 
 import time
@@ -43,7 +44,7 @@ from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
-from conftest import record_table
+from conftest import record_table, wall_clock_floor
 
 GRID = 1200
 ITERATIONS = 20
@@ -173,8 +174,37 @@ def test_native_backend_beats_parallel_on_heat_equation(benchmark, tmp_path):
             "(noisy host?)",
             stacklevel=1,
         )
-    # Hard floor: compiled loop nests must never lose to interpreted tiles.
-    assert speedup > 1.5
+    # Compiled loop nests must never lose to interpreted tiles.
+    wall_clock_floor("E15", speedup, 1.5, "native over parallel on the stencil")
+
+
+@requires_compiler
+def test_default_cache_directory_serves_every_launch_without_fallbacks():
+    """The warm-path proof CI re-runs under a ``REPRO_CC`` that only fails.
+
+    Unlike its siblings this one uses the user-level artifact directory
+    (``~/.cache/repro-codegen`` or ``REPRO_CODEGEN_CACHE``), the one CI
+    restores between runs.  After any earlier run has populated it, a fresh
+    process — even one whose compiler exits 1 on every call — must find the
+    kernels *and* the kernel runtime there: zero fallbacks, and threaded
+    launches wherever a runtime exists.  Deterministic asserts only.
+    """
+    clear_memory_cache()
+    with config_override(codegen_threads=2):
+        native = Session(backend="native", optimize=True)
+        grid = heat_equation(grid_size=256, iterations=4, session=native).to_numpy()
+        stats = native.stats_history[-1]
+        runtime = native.engine.backend.native_runtime
+    oracle = Session(backend="parallel", optimize=True)
+    assert stats.native_fallbacks == 0
+    assert stats.native_kernel_launches > 0
+    assert stats.native_compiles + stats.native_disk_hits + stats.native_memory_hits > 0
+    assert runtime in ("compiled", "disk", "memory", "serial")
+    if runtime != "serial":
+        assert stats.native_mt_launches > 0
+    assert np.array_equal(
+        grid, heat_equation(grid_size=256, iterations=4, session=oracle).to_numpy()
+    )
 
 
 def _build_chain():
@@ -263,4 +293,4 @@ def test_native_backend_beats_parallel_on_elementwise_chain(benchmark, tmp_path)
             "(noisy host?)",
             stacklevel=1,
         )
-    assert speedup > 1.5
+    wall_clock_floor("E15", speedup, 1.5, "native over parallel on the fused chain")

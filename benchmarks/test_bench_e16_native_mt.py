@@ -18,9 +18,10 @@ Assertions are layered by flakiness, as everywhere in this harness:
   Element-wise results are bit-identical across thread counts and to the
   unoptimized oracle; reduction results stay within the established
   reduction contract (tree combines legitimately reassociate).
-* **wall-clock, soft-ish** — on a multi-core host, warm threaded-native
-  must beat warm single-thread native with a hard >= 1.3x floor (soft
-  target 2.5x warns loudly).  The comparison is skipped on single-core
+* **wall-clock, soft** — on a multi-core host, warm threaded-native must
+  beat warm single-thread native by >= 1.3x (a failure under
+  ``REPRO_BENCH_STRICT=1``, a warning otherwise; the soft target 2.5x
+  always warns).  The comparison is skipped on single-core
   hosts, where an in-kernel thread split cannot win by construction.
 """
 
@@ -40,7 +41,7 @@ from repro.runtime.tiling import TiledMapStep
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
-from conftest import record_table
+from conftest import record_table, wall_clock_floor
 
 GRID = 1200
 ITERATIONS = 20
@@ -147,9 +148,12 @@ def test_threaded_native_beats_single_thread_on_heat_equation(benchmark, tmp_pat
             "(few cores? noisy host?)",
             stacklevel=1,
         )
-    assert speedup >= HARD_FLOOR, (
-        f"threaded native ({threaded_seconds * 1e3:.1f} ms) must beat "
-        f"single-thread native ({single_seconds * 1e3:.1f} ms) by >= {HARD_FLOOR}x"
+    wall_clock_floor(
+        "E16",
+        speedup,
+        HARD_FLOOR,
+        f"threaded native ({threaded_seconds * 1e3:.1f} ms) over "
+        f"single-thread native ({single_seconds * 1e3:.1f} ms)",
     )
 
 

@@ -18,9 +18,10 @@ Assertions are layered by flakiness, as everywhere in this harness:
   shards actually launched multi-process, and ``dist_payload_bytes`` is
   **zero** — the "descriptors only, never array payloads" claim is a
   counter, not a code-reading exercise.
-* **wall-clock, soft-ish** — on a multi-core host, warm multi-worker must
-  beat warm single-worker with a hard >= 1.5x floor (soft target 2.5x
-  warns loudly).  Skipped on single-core hosts, where a process split
+* **wall-clock, soft** — on a multi-core host, warm multi-worker must beat
+  warm single-worker by >= 1.5x (a failure under ``REPRO_BENCH_STRICT=1``,
+  a warning otherwise; the soft target 2.5x always warns).  Skipped on
+  single-core hosts, where a process split
   cannot win by construction.
 """
 
@@ -35,7 +36,7 @@ from repro.frontend.session import Session
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
-from conftest import record_table
+from conftest import record_table, wall_clock_floor
 
 GRID = 512
 ITERATIONS = 10
@@ -217,7 +218,10 @@ def test_multi_worker_beats_single_worker_on_heat_equation(benchmark):
             "(few cores? noisy host?)",
             stacklevel=1,
         )
-    assert speedup >= HARD_FLOOR, (
-        f"{WORKERS}-worker dist ({multi_seconds * 1e3:.1f} ms) must beat "
-        f"single-worker dist ({single_seconds * 1e3:.1f} ms) by >= {HARD_FLOOR}x"
+    wall_clock_floor(
+        "E17",
+        speedup,
+        HARD_FLOOR,
+        f"{WORKERS}-worker dist ({multi_seconds * 1e3:.1f} ms) over "
+        f"single-worker dist ({single_seconds * 1e3:.1f} ms)",
     )

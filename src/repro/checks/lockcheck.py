@@ -14,13 +14,20 @@ rank  lock                                     where
 2     engine backend-resolution lock           ``ExecutionEngine._backend_lock``
 3     buffer-pool lock (leaf)                  ``BufferPool._lock``
 3     codegen module lock + digest latch       ``repro.codegen.cache._lock``
+4     kernel-runtime launch mutex (C, leaf)    ``repro_rt_launch_mu``
 ====  =======================================  ==============================
+
+(The last row lives in generated C — the process-wide worker pool's launch
+mutex, taken inside one GIL-releasing foreign call that takes nothing else
+— so it is documented here but out of an AST lint's sight.)
 
 This module machine-checks that discipline instead of trusting prose.  It
 parses every file under ``src/repro``, extracts the static lock-acquisition
 nesting graph (``with`` statements over recognised lock expressions,
 ``.acquire()`` calls, plus one level of interprocedural summary
-propagation for same-class/same-module calls), and reports:
+propagation for same-class/same-module calls — including methods handed to
+another call as a thunk, such as the resolvers ``prepare_plan`` gives the
+tile pool while it holds the plan lock), and reports:
 
 * **upward edges** — acquiring a lock of *smaller* rank while holding a
   larger one (sibling, equal-rank nesting is allowed; the hierarchy only
@@ -71,6 +78,7 @@ KNOWN_CALL_RANKS: Dict[str, Tuple[str, int]] = {
     "plan_cache": ("plan-cache", 2),
     # codegen artifact lookup -> module lock + per-digest latch
     "get_compiled_kernel": ("codegen-module", LEAF_RANK),
+    "resolve_runtime": ("codegen-module", LEAF_RANK),
 }
 
 #: Callee names that must never run under a leaf lock: host allocation,
@@ -194,6 +202,19 @@ def _call_name(func: ast.expr) -> Optional[str]:
     return None
 
 
+def _callable_ref(expr: ast.expr) -> Optional[Tuple[str, str]]:
+    """``self.method`` / ``function`` as a summary key, else ``None``."""
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    ):
+        return ("self", expr.attr)
+    if isinstance(expr, ast.Name):
+        return ("module", expr.id)
+    return None
+
+
 def _known_call_rank(func: ast.expr) -> Optional[_Lock]:
     """Cross-module calls with a known lock footprint (see table above)."""
     name = _call_name(func)
@@ -308,17 +329,13 @@ class _FileAnalyzer:
                         ),
                     )
                 )
-        # Interprocedural references: self.method() and module-level func()
-        ref: Optional[Tuple[str, str]] = None
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-        ):
-            ref = ("self", func.attr)
-        elif isinstance(func, ast.Name):
-            ref = ("module", func.id)
-        if ref is not None:
+        # Interprocedural references: self.method() and module-level func().
+        # A method or function passed *as an argument* (a functools.partial,
+        # a thunk for a worker pool) runs while this thread holds its locks
+        # and waits, so it is judged as if it were called here.
+        for ref in map(_callable_ref, [func, *node.args]):
+            if ref is None:
+                continue
             summary.calls.add(ref)
             if held:
                 self.deferred.append(

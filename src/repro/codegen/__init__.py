@@ -5,7 +5,9 @@ loop-nest IR (:mod:`repro.codegen.loopir`), emits portable C99 from it
 (:mod:`repro.codegen.emit_c`), compiles the result with the host C
 compiler (:mod:`repro.codegen.compiler`) and caches one shared library per
 *canonical kernel form* both in-process and on disk
-(:mod:`repro.codegen.cache`).  The :class:`~repro.runtime.native.NativeBackend`
+(:mod:`repro.codegen.cache`) — plus, once per process, the one kernel
+runtime artifact whose worker pool every threaded launch goes through
+(:func:`repro.codegen.cache.resolve_runtime`).  The :class:`~repro.runtime.native.NativeBackend`
 drives it; everything here is backend-agnostic and free of runtime state.
 """
 

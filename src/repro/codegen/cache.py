@@ -22,8 +22,12 @@ the same architecture without coherence protocols:
   artifact is discarded and recompiled — corruption can cost a compile,
   never correctness.
 
-A warm disk cache therefore serves a cold process with **zero compiler
-invocations**, which is the property the E15 benchmark asserts.
+The **kernel runtime artifact** (the worker pool every kernel launches
+through; :func:`resolve_runtime`) lives in the same store under the same
+rules, and resolving it doubles as the toolchain probe.  A warm disk cache
+therefore serves a cold process with **zero compiler invocations** — no
+kernel compile, no runtime compile, no probe — which is the property the
+E15 benchmark asserts.
 """
 
 from __future__ import annotations
@@ -37,25 +41,35 @@ import shutil
 import sys
 import tempfile
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.codegen.compiler import (
     CodegenError,
     CompiledKernel,
+    CompiledRuntime,
     CompilerUnavailable,
     compile_flags,
     compile_shared_library,
     find_c_compiler,
 )
+from repro.codegen.emit_c import emit_runtime_source
 
 #: Bump to invalidate every cached artifact when the ABI of generated
 #: kernels changes (argument layout, symbol name, helper semantics).
-#: Schema 2: every artifact additionally exports ``repro_kernel_mt`` (the
-#: chunked entry point with a runtime ``nthreads`` argument) and may embed
-#: a persistent pthread worker pool; reduction artifacts join the store.
-ARTIFACT_SCHEMA = 2
+#: Schema 3: ``repro_kernel_mt`` takes the runtime's launch function as a
+#: fifth argument and no kernel artifact embeds a worker pool — a schema-2
+#: artifact called under this ABI would ignore it and spawn its own.
+ARTIFACT_SCHEMA = 3
 
-_memory_cache: Dict[str, CompiledKernel] = {}
+#: The runtime is a fixed 100-line translation unit; -O2 is plenty.
+RUNTIME_OPT_LEVEL = 2
+
+#: digest → loaded artifact (kernels and the runtime alike).
+_memory_cache: Dict[str, object] = {}
+#: (cache dir, use_disk) → (runtime or None, mode): what resolve_runtime
+#: found, so a host without a threading toolchain is probed once, not once
+#: per kernel form.  Guarded by _lock; dropped with the kernel memo.
+_runtime_memo: Dict[Tuple[str, bool], Tuple[Optional[CompiledRuntime], str]] = {}
 _lock = threading.Lock()
 #: Per-digest latches for compiles currently in flight; guarded by _lock.
 _inflight: Dict[str, threading.Event] = {}
@@ -75,13 +89,14 @@ def resolve_cache_dir(configured: Optional[str] = None) -> str:
 def artifact_digest(source: str, opt_level: int, mt_mode: str = "serial") -> str:
     """Content digest identifying one compiled artifact.
 
-    Covers the generated source, the compiler flags (including the
-    threading mode's ``-pthread``/``-fopenmp``) and the host ABI (platform
-    + machine + pointer width), so a shared cache directory can never serve
+    Covers the generated source, the compiler flags (including the runtime
+    artifact's ``-pthread``/``-fopenmp``) and the host ABI (platform +
+    machine + pointer width), so a shared cache directory can never serve
     an artifact compiled for a different target or under different
-    semantics-relevant flags.  The runtime thread *count* is deliberately
-    absent: ``nthreads`` is an argument of ``repro_kernel_mt``, so one
-    artifact serves every thread count.
+    semantics-relevant flags.  Kernel artifacts always digest as
+    ``"serial"``: neither the threading mode nor the thread *count* (an
+    argument of ``repro_kernel_mt``) reaches their source or flags, so one
+    artifact serves every mode and every count.
     """
     hasher = hashlib.blake2b(digest_size=20)
     abi = (
@@ -97,9 +112,10 @@ def artifact_digest(source: str, opt_level: int, mt_mode: str = "serial") -> str
 
 
 def clear_memory_cache() -> None:
-    """Drop every in-process loaded kernel (tests and cold-start simulation)."""
+    """Drop every in-process loaded artifact (tests and cold-start simulation)."""
     with _lock:
         _memory_cache.clear()
+        _runtime_memo.clear()
 
 
 def memory_cache_size() -> int:
@@ -132,7 +148,7 @@ def _sha256_file(path: str) -> str:
     return hasher.hexdigest()
 
 
-def _load_from_disk(cache_dir: str, digest: str) -> Optional[CompiledKernel]:
+def _load_from_disk(cache_dir: str, digest: str, loader: Callable = CompiledKernel):
     """Load a verified artifact, or ``None`` (discarding anything corrupt)."""
     so_path, meta_path, _ = _artifact_paths(cache_dir, digest)
     if not (os.path.isfile(so_path) and os.path.isfile(meta_path)):
@@ -157,7 +173,7 @@ def _load_from_disk(cache_dir: str, digest: str) -> Optional[CompiledKernel]:
         _discard_artifact(cache_dir, digest)
         return None
     try:
-        return CompiledKernel(so_path)
+        return loader(so_path)
     except CodegenError:
         _discard_artifact(cache_dir, digest)
         return None
@@ -171,8 +187,13 @@ def _atomic_write(path: str, data: bytes, temp_tag: str) -> None:
 
 
 def _compile_to_disk(
-    cache_dir: str, digest: str, source: str, opt_level: int, mt_mode: str = "serial"
-) -> CompiledKernel:
+    cache_dir: str,
+    digest: str,
+    source: str,
+    opt_level: int,
+    mt_mode: str = "serial",
+    loader: Callable = CompiledKernel,
+):
     os.makedirs(cache_dir, exist_ok=True)
     so_path, meta_path, c_path = _artifact_paths(cache_dir, digest)
     tag = f"{os.getpid()}.{next(_temp_counter)}"
@@ -202,12 +223,15 @@ def _compile_to_disk(
                 os.unlink(leftover)
             except OSError:
                 pass
-    return CompiledKernel(so_path)
+    return loader(so_path)
 
 
 def _compile_in_memory(
-    source: str, opt_level: int, mt_mode: str = "serial"
-) -> CompiledKernel:
+    source: str,
+    opt_level: int,
+    mt_mode: str = "serial",
+    loader: Callable = CompiledKernel,
+):
     """Compile without touching the cache dir (``codegen_disk_cache_enabled=False``)."""
     workdir = tempfile.mkdtemp(prefix="repro-codegen-")
     try:
@@ -216,7 +240,7 @@ def _compile_in_memory(
         with open(c_path, "w", encoding="utf-8") as handle:
             handle.write(source)
         compile_shared_library(c_path, so_path, opt_level, mt_mode=mt_mode)
-        return CompiledKernel(so_path)
+        return loader(so_path)
     finally:
         # The dynamic loader keeps the mapping alive after unlink (POSIX),
         # so the working directory can go away immediately.
@@ -229,11 +253,15 @@ def get_compiled_kernel(
     cache_dir: Optional[str] = None,
     use_disk: bool = True,
     mt_mode: str = "serial",
-) -> Tuple[CompiledKernel, str]:
-    """Resolve source to a loaded kernel: memory → disk → compile.
+    loader: Callable = CompiledKernel,
+) -> Tuple[object, str]:
+    """Resolve source to a loaded artifact: memory → disk → compile.
 
     Returns ``(kernel, outcome)`` with ``outcome`` one of ``"memory"``,
     ``"disk"`` or ``"compiled"`` so callers can maintain honest counters.
+    ``loader`` turns a verified ``.so`` path into the loaded object
+    (:class:`CompiledKernel`, or :class:`CompiledRuntime` for the runtime
+    artifact); ``mt_mode`` adds that artifact's threading flags.
 
     Raises
     ------
@@ -264,16 +292,18 @@ def get_compiled_kernel(
         kernel = None
         outcome = "compiled"
         if use_disk:
-            kernel = _load_from_disk(directory, digest)
+            kernel = _load_from_disk(directory, digest, loader)
             if kernel is not None:
                 outcome = "disk"
         if kernel is None:
             if find_c_compiler() is None:
                 raise CompilerUnavailable("no C compiler (cc/gcc/clang) found on PATH")
             if use_disk:
-                kernel = _compile_to_disk(directory, digest, source, opt_level, mt_mode)
+                kernel = _compile_to_disk(
+                    directory, digest, source, opt_level, mt_mode, loader
+                )
             else:
-                kernel = _compile_in_memory(source, opt_level, mt_mode)
+                kernel = _compile_in_memory(source, opt_level, mt_mode, loader)
         with _lock:
             _memory_cache[digest] = kernel
         return kernel, outcome
@@ -281,3 +311,41 @@ def get_compiled_kernel(
         with _lock:
             _inflight.pop(digest, None)
         latch.set()
+
+
+def resolve_runtime(
+    cache_dir: Optional[str] = None, use_disk: bool = True
+) -> Tuple[Optional[CompiledRuntime], str, str]:
+    """The process's kernel runtime: ``(runtime, mode, outcome)``.
+
+    The first of ``pthread`` → ``openmp`` whose runtime artifact resolves
+    through :func:`get_compiled_kernel` (same digest, sidecar, atomic
+    publication, verify-on-read and compile-once latch as any kernel) wins;
+    ``outcome`` is that resolve's ``"compiled" | "disk" | "memory"``.  When
+    neither resolves — no compiler and nothing on disk, or a toolchain that
+    builds neither form — the result is ``(None, "serial", "serial")`` and
+    kernels run their chunked entry point on the caller.
+    """
+    key = (resolve_cache_dir(cache_dir), bool(use_disk))
+    with _lock:
+        known = _runtime_memo.get(key)
+    if known is not None:
+        return known[0], known[1], "memory" if known[0] is not None else "serial"
+    found: Tuple[Optional[CompiledRuntime], str, str] = (None, "serial", "serial")
+    for mode in ("pthread", "openmp"):
+        try:
+            runtime, outcome = get_compiled_kernel(
+                emit_runtime_source(mode),
+                opt_level=RUNTIME_OPT_LEVEL,
+                cache_dir=cache_dir,
+                use_disk=use_disk,
+                mt_mode=mode,
+                loader=CompiledRuntime,
+            )
+        except CodegenError:
+            continue
+        found = (runtime, mode, outcome)
+        break
+    with _lock:
+        _runtime_memo[key] = found[:2]
+    return found

@@ -17,10 +17,9 @@ import ctypes
 import os
 import shutil
 import subprocess
-import tempfile
 from typing import Optional, Tuple
 
-from repro.codegen.emit_c import KERNEL_SYMBOL, MT_KERNEL_SYMBOL
+from repro.codegen.emit_c import KERNEL_SYMBOL, MT_KERNEL_SYMBOL, RT_LAUNCH_SYMBOL
 
 
 class CodegenError(Exception):
@@ -56,10 +55,10 @@ def find_c_compiler() -> Optional[str]:
     return _compiler_cache[1]
 
 
-#: Extra compiler/linker flags per in-kernel threading mode.  ``pthread``
-#: compiles the artifact's persistent worker pool; ``openmp`` is the
-#: fallback for toolchains without ``-pthread``; ``serial`` threads nothing
-#: (the mt entry point still exists and runs the whole nest on the caller).
+#: Extra compiler/linker flags per threading mode.  Only the kernel runtime
+#: artifact is ever compiled under ``pthread`` (its persistent worker pool)
+#: or ``openmp`` (the fallback for toolchains without ``-pthread``); kernel
+#: artifacts contain no threading code and always compile as ``serial``.
 _MT_FLAGS = {
     "pthread": ("-pthread",),
     "openmp": ("-fopenmp",),
@@ -81,71 +80,17 @@ def compile_flags(opt_level: int, mt_mode: str = "serial") -> Tuple[str, ...]:
     ) + _MT_FLAGS[mt_mode]
 
 
-#: Minimal probe sources: compiling (and linking) one of these as a shared
-#: library is exactly the toolchain contract the matching emission mode
-#: relies on, so a successful probe cannot produce an uncompilable kernel.
-_MT_PROBE_SOURCE = {
-    "pthread": (
-        "#include <pthread.h>\n"
-        "static void *probe_worker(void *arg) { return arg; }\n"
-        "int repro_probe(void) {\n"
-        "    pthread_t tid;\n"
-        "    if (pthread_create(&tid, 0, probe_worker, 0)) return 1;\n"
-        "    pthread_join(tid, 0);\n"
-        "    return 0;\n"
-        "}\n"
-    ),
-    "openmp": (
-        "int repro_probe(void) {\n"
-        "    int total = 0;\n"
-        "    int index;\n"
-        "#pragma omp parallel for reduction(+:total)\n"
-        "    for (index = 0; index < 4; ++index) total += index;\n"
-        "    return total;\n"
-        "}\n"
-    ),
-}
+def select_mt_mode(cache_dir: Optional[str] = None, use_disk: bool = True) -> str:
+    """The in-kernel threading mode of this process's kernel runtime.
 
-_mt_mode_cache: Optional[str] = None
-
-
-def _probe_mt_mode(compiler: str, mode: str) -> bool:
-    workdir = tempfile.mkdtemp(prefix="repro-mt-probe-")
-    try:
-        c_path = os.path.join(workdir, "probe.c")
-        so_path = os.path.join(workdir, "probe.so")
-        with open(c_path, "w", encoding="utf-8") as handle:
-            handle.write(_MT_PROBE_SOURCE[mode])
-        try:
-            compile_shared_library(c_path, so_path, 0, compiler, mt_mode=mode)
-        except CodegenError:
-            return False
-        return True
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
-def select_mt_mode() -> str:
-    """The best in-kernel threading mode this host's toolchain supports.
-
-    ``pthread`` when ``-pthread`` compiles and links, else ``openmp`` when
-    ``-fopenmp`` does, else ``serial``.  Probed once per process (toolchains
-    do not change mid-run); the result changes the emitted source and the
-    compile flags, both of which join the artifact digest.
+    ``pthread`` when the pthread runtime artifact resolves, else ``openmp``
+    when the OpenMP one does, else ``serial``.  Resolving the runtime *is*
+    the toolchain probe: a process over a warm cache directory reads the
+    mode from a verified disk artifact and spawns no compiler.
     """
-    global _mt_mode_cache
-    if _mt_mode_cache is None:
-        compiler = find_c_compiler()
-        if compiler is None:
-            _mt_mode_cache = "serial"
-        else:
-            for mode in ("pthread", "openmp"):
-                if _probe_mt_mode(compiler, mode):
-                    _mt_mode_cache = mode
-                    break
-            else:
-                _mt_mode_cache = "serial"
-    return _mt_mode_cache
+    from repro.codegen.cache import resolve_runtime  # cache imports this module
+
+    return resolve_runtime(cache_dir, use_disk)[1]
 
 
 def compile_shared_library(
@@ -207,15 +152,33 @@ class CompiledKernel:
             ctypes.POINTER(ctypes.c_int64),
         )
         self.fn.restype = None
-        # Every schema-2 artifact exports the chunked entry point; hand-fed
-        # sources (tests, probes) may not, so its absence merely disables
-        # the one-call multi-thread launch path for this kernel.
+        # Every generated artifact exports the chunked entry point; hand-fed
+        # sources (tests) may not, so its absence merely disables the
+        # one-call multi-thread launch path for this kernel.
         self.fn_mt = getattr(self._library, MT_KERNEL_SYMBOL, None)
         if self.fn_mt is not None:
-            self.fn_mt.argtypes = (
-                ctypes.POINTER(ctypes.c_int64),
-                ctypes.POINTER(ctypes.c_void_p),
-                ctypes.POINTER(ctypes.c_int64),
+            self.fn_mt.argtypes = self.fn.argtypes + (
                 ctypes.c_int32,
+                ctypes.c_void_p,  # the runtime's launch function, or null
             )
             self.fn_mt.restype = None
+
+
+class CompiledRuntime:
+    """The loaded kernel runtime artifact: the process's one worker pool.
+
+    ``launch`` is the address of its ``repro_rt_launch``, passed as the
+    last argument of every ``repro_kernel_mt`` call.  The library handle is
+    kept so the address outlives every launchable that captured it.
+    """
+
+    __slots__ = ("path", "_library", "launch")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        try:
+            self._library = ctypes.CDLL(path)
+            entry = getattr(self._library, RT_LAUNCH_SYMBOL)
+        except (OSError, AttributeError) as exc:
+            raise CodegenError(f"cannot load kernel runtime {path}: {exc}") from None
+        self.launch = ctypes.cast(entry, ctypes.c_void_p)

@@ -8,7 +8,8 @@ exporting two symbols::
                       const int64_t *strides /* slot-major, in bytes  */)
 
     void repro_kernel_mt(const int64_t *dims, char **ptrs,
-                         const int64_t *strides, int32_t nthreads)
+                         const int64_t *strides, int32_t nthreads,
+                         repro_launch_fn launch)
 
 Geometry is entirely runtime: the artifact is compiled once per canonical
 kernel *form* and launched with whatever extents, pointers and strides the
@@ -16,17 +17,21 @@ current tile supplies.  ``ptrs[i]`` already includes the view's element
 offset; ``strides[i * rank + d]`` is slot ``i``'s byte stride along loop
 dimension ``d``.
 
-``repro_kernel_mt`` is the chunked entry point: it block-partitions the
-outermost loop into up to ``nthreads`` row ranges and runs them on a
-persistent in-artifact pthread pool (``mt_mode="pthread"``), an OpenMP
-parallel-for (``"openmp"``), or serially on the caller (``"serial"``).
-``nthreads`` is a *runtime* argument — it never enters the artifact digest,
-so one compiled artifact serves every thread count.  The emission mode
-changes the source text (and the compile flags), so it does.
+``repro_kernel_mt`` is the chunked entry point: it clamps ``nthreads`` to
+the row count and hands the artifact's chunk function to ``launch`` — the
+``repro_rt_launch`` of the process's one **kernel runtime artifact**
+(:func:`emit_runtime_source`), which block-partitions the outermost loop
+and runs the row ranges on its persistent pthread pool (``"pthread"``) or
+an OpenMP parallel-for (``"openmp"``).  A null ``launch`` runs the whole
+nest on the caller.  Kernel artifacts therefore contain no threading code,
+no ``<pthread.h>`` and no undefined symbol: they are the same source, the
+same flags and the same digest under every threading mode, and one
+compiled artifact serves every thread count.
 :class:`~repro.codegen.loopir.ReduceNest` forms get their own translation
 unit via :func:`emit_reduce_source` with the same two-symbol ABI; threaded
-reductions collect per-chunk partials and tree-combine them pairwise in the
-tiled parallel backend's fixed order.
+reductions collect per-chunk partials through the launch's scratch lane and
+tree-combine them pairwise, inside the artifact, in the tiled parallel
+backend's fixed order.
 
 Two emission decisions carry the performance win:
 
@@ -63,10 +68,13 @@ from repro.codegen.loopir import Cast, Literal, Load, LoopNest, Op, ReduceNest, 
 KERNEL_SYMBOL = "repro_kernel"
 
 #: Exported chunked entry point: same geometry arguments plus a runtime
-#: thread count.  One call covers the whole step; the artifact partitions
-#: the outermost splittable loop internally (pthread pool, OpenMP, or a
-#: straight serial call, depending on the emission mode).
+#: thread count and the runtime artifact's launch function.  One call
+#: covers the whole step; the runtime partitions the outermost splittable
+#: loop and calls back into the artifact's chunk function per row range.
 MT_KERNEL_SYMBOL = "repro_kernel_mt"
+
+#: The one symbol the kernel runtime artifact exports.
+RT_LAUNCH_SYMBOL = "repro_rt_launch"
 
 #: Hard cap on in-kernel chunks; bounds the pool and the partial arrays.
 MT_MAX_PARTS = 64
@@ -79,60 +87,80 @@ _CTYPE = {
     "BH_FLOAT64": "double",
 }
 
-#: Fixed helper preamble shared by every artifact.  The float max/min keep
-#: NumPy's NaN propagation (fmax/fmin would drop it); the mod helpers
-#: replicate npy_divmod's floored remainder, including the signed-zero rule
-#: and the integer guards NumPy applies before hitting C's division traps.
-_PREAMBLE = """\
-#include <stdint.h>
-#include <math.h>
-
-static inline double repro_max_f64(double a, double b) { return (a > b || a != a) ? a : b; }
-static inline double repro_min_f64(double a, double b) { return (a < b || a != a) ? a : b; }
-static inline float repro_max_f32(float a, float b) { return (a > b || a != a) ? a : b; }
-static inline float repro_min_f32(float a, float b) { return (a < b || a != a) ? a : b; }
-
-static inline double repro_mod_f64(double a, double b) {
-    double r = fmod(a, b);
-    if (r != 0.0) { if ((b < 0.0) != (r < 0.0)) r += b; }
-    else { r = copysign(0.0, b); }
+_FLOAT_MOD = """\
+static inline {t} repro_mod_{tag}({t} a, {t} b) {{
+    {t} r = fmod{f}(a, b);
+    if (r != 0.0{f}) {{ if ((b < 0.0{f}) != (r < 0.0{f})) r += b; }}
+    else {{ r = copysign{f}(0.0{f}, b); }}
     return r;
-}
-static inline float repro_mod_f32(float a, float b) {
-    float r = fmodf(a, b);
-    if (r != 0.0f) { if ((b < 0.0f) != (r < 0.0f)) r += b; }
-    else { r = copysignf(0.0f, b); }
-    return r;
-}
-static inline int64_t repro_mod_i64(int64_t a, int64_t b) {
-    int64_t r;
+}}"""
+
+_INT_MOD = """\
+static inline {t} repro_mod_{tag}({t} a, {t} b) {{
+    {t} r;
     if (b == 0 || b == -1) return 0;
     r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
-}
-static inline int32_t repro_mod_i32(int32_t a, int32_t b) {
-    int32_t r;
-    if (b == 0 || b == -1) return 0;
-    r = a % b;
-    if (r != 0 && ((r < 0) != (b < 0))) r += b;
-    return r;
-}
-"""
+}}"""
 
-_MOD_HELPER = {
-    "BH_FLOAT64": "repro_mod_f64",
-    "BH_FLOAT32": "repro_mod_f32",
-    "BH_INT64": "repro_mod_i64",
-    "BH_INT32": "repro_mod_i32",
+_MINMAX = "static inline {t} repro_{kind}_{tag}({t} a, {t} b) {{ return (a {op} b || a != a) ? a : b; }}"
+
+#: Helper functions a nest may reference, by name; an artifact carries only
+#: the ones it uses.  The float max/min keep NumPy's NaN propagation
+#: (fmax/fmin would drop it); the mod helpers replicate npy_divmod's floored
+#: remainder, including the signed-zero rule and the integer guards NumPy
+#: applies before hitting C's division traps.
+_HELPERS = {
+    **{
+        f"repro_{kind}_{tag}": _MINMAX.format(t=t, kind=kind, tag=tag, op=op)
+        for kind, op in (("max", ">"), ("min", "<"))
+        for tag, t in (("f64", "double"), ("f32", "float"))
+    },
+    "repro_mod_f64": _FLOAT_MOD.format(t="double", tag="f64", f=""),
+    "repro_mod_f32": _FLOAT_MOD.format(t="float", tag="f32", f="f"),
+    "repro_mod_i64": _INT_MOD.format(t="int64_t", tag="i64"),
+    "repro_mod_i32": _INT_MOD.format(t="int32_t", tag="i32"),
 }
 
-_MINMAX_HELPER = {
-    ("max", "BH_FLOAT64"): "repro_max_f64",
-    ("max", "BH_FLOAT32"): "repro_max_f32",
-    ("min", "BH_FLOAT64"): "repro_min_f64",
-    ("min", "BH_FLOAT32"): "repro_min_f32",
-}
+#: Every ``<math.h>`` name emission can produce (the ``f``-suffixed float
+#: variants contain these as substrings).
+_MATH_TOKENS = ("fmod", "copysign", "fabs", "sqrt", "NAN", "INFINITY")
+
+_CHUNK_ARGS = "const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop"
+
+#: The launch ABI shared by kernel artifacts and the runtime artifact: the
+#: runtime calls ``run`` once per row range; ``scratch`` is that chunk's
+#: lane of the caller's scratch array (how reductions collect partials).
+_ABI_TYPES = f"""\
+typedef void (*repro_chunk_fn)({_CHUNK_ARGS}, void *scratch);
+typedef int (*repro_launch_fn)(repro_chunk_fn run, const int64_t *dims, char **ptrs, const int64_t *strides, int64_t rows, int parts, void *scratch, int64_t scratch_stride);"""
+
+_MT_DEFINE = f"#define REPRO_MT_MAX_PARTS {MT_MAX_PARTS}"
+
+#: The loop nest is optimised once: inlined, -O3 vectorised it again in
+#: every entry point that calls it, which was most of a kernel's compile.
+_NOINLINE_DEFINE = """\
+#if defined(__GNUC__)
+#define REPRO_NOINLINE __attribute__((noinline))
+#else
+#define REPRO_NOINLINE
+#endif"""
+
+
+def _assemble(banner: str, code: List[str]) -> str:
+    """Prefix ``code`` with exactly the headers and helpers it references."""
+    text = "\n".join(code)
+    helpers = [body for name, body in _HELPERS.items() if name in text]
+    lines = [banner, "#include <stdint.h>"]
+    if any(token in part for part in [text] + helpers for token in _MATH_TOKENS):
+        lines.append("#include <math.h>")
+    lines += [""] + helpers + [_MT_DEFINE, _NOINLINE_DEFINE, _ABI_TYPES, "", text]
+    return "\n".join(lines) + "\n"
+
+
+#: dtype → the suffix of its ``repro_mod_*`` / ``repro_max_*`` helpers.
+_HELPER_TAG = {"BH_FLOAT64": "f64", "BH_FLOAT32": "f32", "BH_INT64": "i64", "BH_INT32": "i32"}
 
 _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _COMPARE_SYMBOL = {"gt": ">", "ge": ">=", "lt": "<", "le": "<=", "eq": "==", "ne": "!="}
@@ -186,6 +214,13 @@ def _expr_c(expr) -> str:
     raise TypeError(f"unknown IR expression {expr!r}")
 
 
+def _minmax_c(kind: str, dtype_name: str, a: str, b: str) -> str:
+    if dtype_name in ("BH_FLOAT64", "BH_FLOAT32"):  # NaN-propagating helpers
+        return f"repro_{kind}_{_HELPER_TAG[dtype_name]}({a}, {b})"
+    symbol = ">" if kind == "max" else "<"
+    return f"((({a}) {symbol} ({b})) ? ({a}) : ({b}))"
+
+
 def _op_c(op: Op) -> str:
     args = [_expr_c(arg) for arg in op.args]
     kind = op.kind
@@ -194,13 +229,9 @@ def _op_c(op: Op) -> str:
     if kind in _COMPARE_SYMBOL:
         return f"(({args[0]}) {_COMPARE_SYMBOL[kind]} ({args[1]}))"
     if kind in ("max", "min"):
-        helper = _MINMAX_HELPER.get((kind, op.dtype_name))
-        if helper is not None:
-            return f"{helper}({args[0]}, {args[1]})"
-        symbol = ">" if kind == "max" else "<"
-        return f"((({args[0]}) {symbol} ({args[1]})) ? ({args[0]}) : ({args[1]}))"
+        return _minmax_c(kind, op.dtype_name, args[0], args[1])
     if kind == "mod":
-        return f"{_MOD_HELPER[op.dtype_name]}({args[0]}, {args[1]})"
+        return f"repro_mod_{_HELPER_TAG[op.dtype_name]}({args[0]}, {args[1]})"
     if kind == "neg":
         return f"(-({args[0]}))"
     if kind == "abs":
@@ -322,63 +353,62 @@ class _BodyEmitter:
 
 
 # ---------------------------------------------------------------------------
-# In-kernel threading scaffolding
+# The kernel runtime artifact
 # ---------------------------------------------------------------------------
 
-_MT_DEFINE = f"#define REPRO_MT_MAX_PARTS {MT_MAX_PARTS}"
-
-#: Persistent worker pool compiled into every pthread-mode artifact.  The
-#: pool's threads are detached and live for the process: launches after the
-#: first pay no thread start-up.  ``repro_mt_launch_mu`` serializes whole
-#: launches, so concurrent callers of one artifact queue up rather than
+#: Persistent worker pool of the pthread-mode runtime.  The pool's threads
+#: are detached and live for the process: launches after the first pay no
+#: thread start-up, and because every kernel artifact launches through this
+#: one pool a process holds at most ``nthreads - 1`` of them however many
+#: kernel forms it has compiled.  ``repro_rt_launch_mu`` serializes whole
+#: launches process-wide, so concurrent callers queue up rather than
 #: interleave task generations; the inner mutex + generation counter is the
 #: arm/ack handshake with the workers.
-_MT_POOL = """\
+_RT_PTHREAD = """\
 #include <pthread.h>
 
 typedef struct {
+    repro_chunk_fn run;
     const int64_t *dims;
     char **ptrs;
     const int64_t *strides;
     int64_t start;
     int64_t stop;
     void *scratch;
-} repro_mt_task;
+} repro_rt_task;
 
-static void repro_mt_run(const repro_mt_task *task);
+static pthread_mutex_t repro_rt_launch_mu = PTHREAD_MUTEX_INITIALIZER;
+static pthread_mutex_t repro_rt_mu = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t repro_rt_wake = PTHREAD_COND_INITIALIZER;
+static pthread_cond_t repro_rt_done = PTHREAD_COND_INITIALIZER;
+static repro_rt_task repro_rt_tasks[REPRO_MT_MAX_PARTS];
+static unsigned long repro_rt_generation = 0;
+static int repro_rt_workers = 0;
+static int repro_rt_armed = 0;
+static int repro_rt_pending = 0;
 
-static pthread_mutex_t repro_mt_launch_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_mutex_t repro_mt_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t repro_mt_wake = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t repro_mt_done = PTHREAD_COND_INITIALIZER;
-static repro_mt_task repro_mt_tasks[REPRO_MT_MAX_PARTS];
-static unsigned long repro_mt_generation = 0;
-static int repro_mt_workers = 0;
-static int repro_mt_armed = 0;
-static int repro_mt_pending = 0;
-
-static void *repro_mt_worker(void *arg)
+static void *repro_rt_worker(void *arg)
 {
     const int slot = (int)(intptr_t)arg;
     unsigned long seen = 0;
     for (;;) {
-        repro_mt_task task;
+        repro_rt_task task;
         int armed;
-        pthread_mutex_lock(&repro_mt_mu);
-        while (repro_mt_generation == seen)
-            pthread_cond_wait(&repro_mt_wake, &repro_mt_mu);
-        seen = repro_mt_generation;
-        armed = slot < repro_mt_armed;
+        pthread_mutex_lock(&repro_rt_mu);
+        while (repro_rt_generation == seen)
+            pthread_cond_wait(&repro_rt_wake, &repro_rt_mu);
+        seen = repro_rt_generation;
+        armed = slot < repro_rt_armed;
         if (armed)
-            task = repro_mt_tasks[slot];
-        pthread_mutex_unlock(&repro_mt_mu);
+            task = repro_rt_tasks[slot];
+        pthread_mutex_unlock(&repro_rt_mu);
         if (!armed)
             continue;
-        repro_mt_run(&task);
-        pthread_mutex_lock(&repro_mt_mu);
-        if (--repro_mt_pending == 0)
-            pthread_cond_signal(&repro_mt_done);
-        pthread_mutex_unlock(&repro_mt_mu);
+        task.run(task.dims, task.ptrs, task.strides, task.start, task.stop, task.scratch);
+        pthread_mutex_lock(&repro_rt_mu);
+        if (--repro_rt_pending == 0)
+            pthread_cond_signal(&repro_rt_done);
+        pthread_mutex_unlock(&repro_rt_mu);
     }
     return 0;
 }
@@ -390,37 +420,40 @@ static void *repro_mt_worker(void *arg)
  * scratch + i * scratch_stride (how reductions collect partials).  Returns
  * the number of chunks actually run: thread creation can fall short on a
  * constrained host, in which case the split shrinks to what exists. */
-static int repro_mt_launch(const int64_t *dims, char **ptrs,
-                           const int64_t *strides, int64_t rows, int parts,
-                           void *scratch, int64_t scratch_stride)
+int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
+                    const int64_t *strides, int64_t rows, int parts,
+                    void *scratch, int64_t scratch_stride)
 {
-    repro_mt_task own;
+    repro_rt_task own;
     int64_t chunk, extra, cursor;
     int index;
-    pthread_mutex_lock(&repro_mt_launch_mu);
-    pthread_mutex_lock(&repro_mt_mu);
-    while (repro_mt_workers < parts - 1) {
+    if (parts > REPRO_MT_MAX_PARTS)
+        parts = REPRO_MT_MAX_PARTS;
+    pthread_mutex_lock(&repro_rt_launch_mu);
+    pthread_mutex_lock(&repro_rt_mu);
+    while (repro_rt_workers < parts - 1) {
         pthread_t tid;
         pthread_attr_t attr;
         if (pthread_attr_init(&attr) != 0)
             break;
         pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
-        if (pthread_create(&tid, &attr, repro_mt_worker,
-                           (void *)(intptr_t)repro_mt_workers) != 0) {
+        if (pthread_create(&tid, &attr, repro_rt_worker,
+                           (void *)(intptr_t)repro_rt_workers) != 0) {
             pthread_attr_destroy(&attr);
             break;
         }
         pthread_attr_destroy(&attr);
-        repro_mt_workers++;
+        repro_rt_workers++;
     }
-    if (parts - 1 > repro_mt_workers)
-        parts = repro_mt_workers + 1;
+    if (parts - 1 > repro_rt_workers)
+        parts = repro_rt_workers + 1;
     chunk = rows / parts;
     extra = rows % parts;
     cursor = 0;
     for (index = 0; index < parts; ++index) {
         const int64_t count = chunk + (index < extra ? 1 : 0);
-        repro_mt_task *task = index == 0 ? &own : &repro_mt_tasks[index - 1];
+        repro_rt_task *task = index == 0 ? &own : &repro_rt_tasks[index - 1];
+        task->run = run;
         task->dims = dims;
         task->ptrs = ptrs;
         task->strides = strides;
@@ -430,20 +463,68 @@ static int repro_mt_launch(const int64_t *dims, char **ptrs,
             scratch == 0 ? 0 : (char *)scratch + (int64_t)index * scratch_stride;
         cursor += count;
     }
-    repro_mt_armed = parts - 1;
-    repro_mt_pending = parts - 1;
-    repro_mt_generation++;
-    pthread_cond_broadcast(&repro_mt_wake);
-    pthread_mutex_unlock(&repro_mt_mu);
-    repro_mt_run(&own);
-    pthread_mutex_lock(&repro_mt_mu);
-    while (repro_mt_pending != 0)
-        pthread_cond_wait(&repro_mt_done, &repro_mt_mu);
-    pthread_mutex_unlock(&repro_mt_mu);
-    pthread_mutex_unlock(&repro_mt_launch_mu);
+    repro_rt_armed = parts - 1;
+    repro_rt_pending = parts - 1;
+    repro_rt_generation++;
+    pthread_cond_broadcast(&repro_rt_wake);
+    pthread_mutex_unlock(&repro_rt_mu);
+    run(dims, ptrs, strides, own.start, own.stop, own.scratch);
+    pthread_mutex_lock(&repro_rt_mu);
+    while (repro_rt_pending != 0)
+        pthread_cond_wait(&repro_rt_done, &repro_rt_mu);
+    pthread_mutex_unlock(&repro_rt_mu);
+    pthread_mutex_unlock(&repro_rt_launch_mu);
     return parts;
 }
 """
+
+#: The OpenMP-mode runtime: the same partition, one parallel-for.
+_RT_OPENMP = """\
+int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
+                    const int64_t *strides, int64_t rows, int parts,
+                    void *scratch, int64_t scratch_stride)
+{
+    const int64_t chunk = rows / parts;
+    const int64_t extra = rows % parts;
+    int index;
+#pragma omp parallel for schedule(static) num_threads(parts)
+    for (index = 0; index < parts; ++index) {
+        const int64_t start = (int64_t)index * chunk + (index < extra ? index : extra);
+        const int64_t stop = start + chunk + (index < extra ? 1 : 0);
+        run(dims, ptrs, strides, start, stop,
+            scratch == 0 ? 0 : (char *)scratch + (int64_t)index * scratch_stride);
+    }
+    return parts;
+}
+"""
+
+_RT_BODY = {"pthread": _RT_PTHREAD, "openmp": _RT_OPENMP}
+
+
+def emit_runtime_source(mt_mode: str) -> str:
+    """The kernel runtime artifact for one threading mode.
+
+    Compiled once per cache directory and loaded once per process; every
+    kernel artifact receives its ``repro_rt_launch`` as the ``launch``
+    argument of ``repro_kernel_mt``.  There is no ``"serial"`` runtime: a
+    host whose toolchain builds neither form launches with a null pointer.
+    """
+    return _assemble(
+        f"/* Generated by repro.codegen; the {mt_mode} kernel runtime. */",
+        [_RT_BODY[mt_mode]],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Kernel entry points
+# ---------------------------------------------------------------------------
+
+_BODY_HEAD = f"static REPRO_NOINLINE void repro_kernel_body({_CHUNK_ARGS})"
+
+_MT_ENTRY_HEAD = (
+    f"void {MT_KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, "
+    "const int64_t *strides, int32_t nthreads, repro_launch_fn launch)"
+)
 
 
 def _mt_clamp_lines(part_dim: int) -> List[str]:
@@ -455,72 +536,39 @@ def _mt_clamp_lines(part_dim: int) -> List[str]:
     ]
 
 
-def _mt_body_entry(mt_mode: str, part_dim: int) -> List[str]:
-    """The chunked entry point for a body-style kernel (maps and axis
-    reductions): splits ``dims[part_dim]`` into row ranges and hands each to
-    ``repro_kernel_body``."""
-    head = [
-        f"void {MT_KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides, int32_t nthreads)",
+def _body_entries(part_dim: int) -> List[str]:
+    """Both entry points of a body-style kernel (maps and axis reductions):
+    the serial one runs ``repro_kernel_body`` over every row of
+    ``dims[part_dim]``, the chunked one hands it to ``launch`` per row range."""
+    return [
+        f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
         "{",
-    ]
-    if mt_mode == "serial":
-        return head + [
-            "    (void)nthreads;",
-            f"    repro_kernel_body(dims, ptrs, strides, 0, dims[{part_dim}]);",
-            "}",
-        ]
-    clamp = _mt_clamp_lines(part_dim) + [
-        "    if (parts <= 1) {",
+        f"    repro_kernel_body(dims, ptrs, strides, 0, dims[{part_dim}]);",
+        "}",
+        "",
+        f"static void repro_kernel_chunk({_CHUNK_ARGS}, void *scratch)",
+        "{",
+        "    (void)scratch;",
+        "    repro_kernel_body(dims, ptrs, strides, row_start, row_stop);",
+        "}",
+        "",
+        _MT_ENTRY_HEAD,
+        "{",
+        *_mt_clamp_lines(part_dim),
+        "    if (parts <= 1 || launch == 0)",
         "        repro_kernel_body(dims, ptrs, strides, 0, rows);",
-        "        return;",
-        "    }",
-    ]
-    if mt_mode == "pthread":
-        return [
-            "static void repro_mt_run(const repro_mt_task *task)",
-            "{",
-            "    repro_kernel_body(task->dims, task->ptrs, task->strides, task->start, task->stop);",
-            "}",
-            "",
-        ] + head + clamp + [
-            "    repro_mt_launch(dims, ptrs, strides, rows, parts, 0, 0);",
-            "}",
-        ]
-    return head + clamp + [
-        "    {",
-        "        const int64_t chunk = rows / parts;",
-        "        const int64_t extra = rows % parts;",
-        "        int index;",
-        "#if defined(_OPENMP)",
-        "#pragma omp parallel for schedule(static) num_threads(parts)",
-        "#endif",
-        "        for (index = 0; index < parts; ++index) {",
-        "            const int64_t start = (int64_t)index * chunk + (index < extra ? index : extra);",
-        "            const int64_t stop = start + chunk + (index < extra ? 1 : 0);",
-        "            repro_kernel_body(dims, ptrs, strides, start, stop);",
-        "        }",
-        "    }",
+        "    else",
+        "        launch(repro_kernel_chunk, dims, ptrs, strides, rows, parts, 0, 0);",
         "}",
     ]
 
 
-def emit_kernel_source(nest: LoopNest, mt_mode: str = "serial") -> str:
+def emit_kernel_source(nest: LoopNest) -> str:
     """Emit the complete, deterministic C source for one loop nest."""
     rank = nest.rank
     num_slots = nest.num_slots
     itemsizes = [dtypes.from_name(name).itemsize for name in nest.slot_dtypes]
-    lines = [
-        "/* Generated by repro.codegen; one artifact per canonical kernel form. */",
-        _PREAMBLE,
-        _MT_DEFINE,
-        "",
-    ]
-    if mt_mode == "pthread":
-        lines.append(_MT_POOL)
-    lines += [
-        "static void repro_kernel_body(const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop)",
-        "{",
-    ]
+    lines = [_BODY_HEAD, "{"]
     if rank == 1:
         lines.append("    (void)dims;")
     for depth in range(1, rank):
@@ -543,17 +591,12 @@ def emit_kernel_source(nest: LoopNest, mt_mode: str = "serial") -> str:
     lines.append("    } else {")
     lines.extend("    " + text for text in _BodyEmitter(nest, contiguous=False).emit())
     lines.append("    }")
-    lines.append("}")
-    lines += [
-        "",
-        f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
-        "{",
-        "    repro_kernel_body(dims, ptrs, strides, 0, dims[0]);",
-        "}",
-        "",
-    ]
-    lines += _mt_body_entry(mt_mode, 0)
-    return "\n".join(lines) + "\n"
+    lines += ["}", ""]
+    lines += _body_entries(0)
+    return _assemble(
+        "/* Generated by repro.codegen; one artifact per canonical kernel form. */",
+        lines,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +611,7 @@ def _combine_c(kind: str, dtype_name: str, a: str, b: str) -> str:
         return f"(({a}) + ({b}))"
     if kind == "mul":
         return f"(({a}) * ({b}))"
-    helper = _MINMAX_HELPER.get((kind, dtype_name))
-    if helper is not None:
-        return f"{helper}({a}, {b})"
-    symbol = ">" if kind == "max" else "<"
-    return f"((({a}) {symbol} ({b})) ? ({a}) : ({b}))"
+    return _minmax_c(kind, dtype_name, a, b)
 
 
 _TREE_COMBINE_COMMENT = (
@@ -608,14 +647,14 @@ def _acc_load(nest: "ReduceNest", address: str) -> str:
     return load
 
 
-def _emit_reduce_combine(nest: "ReduceNest", mt_mode: str) -> List[str]:
+def _emit_reduce_combine(nest: "ReduceNest") -> List[str]:
     """A rank-1 full reduction: serial fold + partials-combining mt entry."""
     acc = _CTYPE[nest.acc_dtype]
     fold_step = _combine_c(
         nest.kind, nest.acc_dtype, "acc", _acc_load(nest, "p0 + i * s0")
     )
-    lines = [
-        f"static {acc} repro_kernel_fold(const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop)",
+    return [
+        f"static REPRO_NOINLINE {acc} repro_kernel_fold({_CHUNK_ARGS})",
         "{",
         "    char * const p0 = ptrs[0];",
         "    const int64_t s0 = strides[0];",
@@ -637,52 +676,25 @@ def _emit_reduce_combine(nest: "ReduceNest", mt_mode: str) -> List[str]:
         "    repro_kernel_store(ptrs, repro_kernel_fold(dims, ptrs, strides, 0, dims[0]));",
         "}",
         "",
-    ]
-    if mt_mode == "pthread":
-        lines += [
-            "static void repro_mt_run(const repro_mt_task *task)",
-            "{",
-            f"    *({acc} *)task->scratch = repro_kernel_fold(task->dims, task->ptrs, task->strides, task->start, task->stop);",
-            "}",
-            "",
-        ]
-    head = [
-        f"void {MT_KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides, int32_t nthreads)",
+        f"static void repro_kernel_chunk({_CHUNK_ARGS}, void *scratch)",
         "{",
-    ] + _mt_clamp_lines(0) + [
-        "    if (parts <= 1) {",
+        f"    *({acc} *)scratch = repro_kernel_fold(dims, ptrs, strides, row_start, row_stop);",
+        "}",
+        "",
+        _MT_ENTRY_HEAD,
+        "{",
+        *_mt_clamp_lines(0),
+        "    if (parts <= 1 || launch == 0) {",
         f"        {KERNEL_SYMBOL}(dims, ptrs, strides);",
         "        return;",
         "    }",
         "    {",
         f"        {acc} partials[REPRO_MT_MAX_PARTS];",
-        "        int count;",
+        f"        int count = launch(repro_kernel_chunk, dims, ptrs, strides, rows, parts, partials, (int64_t)sizeof({acc}));",
+        *_tree_combine_lines(nest),
+        "    }",
+        "}",
     ]
-    if mt_mode == "pthread":
-        body = [
-            f"        count = repro_mt_launch(dims, ptrs, strides, rows, parts, partials, (int64_t)sizeof({acc}));",
-        ]
-    else:
-        body = [
-            "        const int64_t chunk = rows / parts;",
-            "        const int64_t extra = rows % parts;",
-            "        int index;",
-        ]
-        if mt_mode == "openmp":
-            body += [
-                "#if defined(_OPENMP)",
-                "#pragma omp parallel for schedule(static) num_threads(parts)",
-                "#endif",
-            ]
-        body += [
-            "        for (index = 0; index < parts; ++index) {",
-            "            const int64_t start = (int64_t)index * chunk + (index < extra ? index : extra);",
-            "            const int64_t stop = start + chunk + (index < extra ? 1 : 0);",
-            "            partials[index] = repro_kernel_fold(dims, ptrs, strides, start, stop);",
-            "        }",
-            "        count = parts;",
-        ]
-    return lines + head + body + _tree_combine_lines(nest) + ["    }", "}"]
 
 
 def _emit_reduce_body(nest: "ReduceNest") -> List[str]:
@@ -691,10 +703,7 @@ def _emit_reduce_body(nest: "ReduceNest") -> List[str]:
     rank, axis, part = nest.rank, nest.axis, nest.part_axis
     acc = _CTYPE[nest.acc_dtype]
     loop_axes = [part] + [d for d in range(rank) if d not in (part, axis)]
-    lines = [
-        "static void repro_kernel_body(const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop)",
-        "{",
-    ]
+    lines = [_BODY_HEAD, "{"]
     for d in sorted(set(loop_axes[1:] + [axis])):
         lines.append(f"    const int64_t n{d} = dims[{d}];")
     lines.append("    char * const p0 = ptrs[0];")
@@ -732,7 +741,7 @@ def _emit_reduce_body(nest: "ReduceNest") -> List[str]:
     return lines
 
 
-def emit_reduce_source(nest: ReduceNest, mt_mode: str = "serial") -> str:
+def emit_reduce_source(nest: ReduceNest) -> str:
     """Emit the complete, deterministic C source for one reduction nest.
 
     ABI: ``dims`` holds the *source* extents (``nest.rank`` entries);
@@ -740,25 +749,11 @@ def emit_reduce_source(nest: ReduceNest, mt_mode: str = "serial") -> str:
     strides (``rank`` entries) followed by the output's byte strides aligned
     to source axes, with a zero in the reduced axis's lane.
     """
-    lines = [
-        "/* Generated by repro.codegen; one artifact per canonical reduction form. */",
-        _PREAMBLE,
-        _MT_DEFINE,
-        "",
-    ]
-    if mt_mode == "pthread":
-        lines.append(_MT_POOL)
     if nest.combine:
-        lines += _emit_reduce_combine(nest, mt_mode)
+        lines = _emit_reduce_combine(nest)
     else:
-        lines += _emit_reduce_body(nest)
-        lines += [
-            "",
-            f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
-            "{",
-            f"    repro_kernel_body(dims, ptrs, strides, 0, dims[{nest.part_axis}]);",
-            "}",
-            "",
-        ]
-        lines += _mt_body_entry(mt_mode, nest.part_axis)
-    return "\n".join(lines) + "\n"
+        lines = _emit_reduce_body(nest) + [""] + _body_entries(nest.part_axis)
+    return _assemble(
+        "/* Generated by repro.codegen; one artifact per canonical reduction form. */",
+        lines,
+    )

@@ -19,10 +19,17 @@ Caching is three-layered:
 3. the on-disk ``.so`` store, shared across processes and sessions.
 
 Plans pre-compile their tiled map steps at plan time
-(:meth:`prepare_plan`), so a warm plan-cache flush performs **zero**
-lowering walks and zero compiler invocations.  Compile/cache outcomes are
-counted cumulatively on the backend and windowed into each execution's
-:class:`~repro.runtime.instrumentation.ExecutionStats`.
+(:meth:`prepare_plan`, distinct forms concurrently), so a warm plan-cache
+flush performs **zero** lowering walks and zero compiler invocations.
+Compile/cache outcomes are counted cumulatively on the backend and windowed
+into each execution's :class:`~repro.runtime.instrumentation.ExecutionStats`.
+
+Threaded launches go through the process's one **kernel runtime artifact**
+(:func:`repro.codegen.cache.resolve_runtime`): every launchable captures
+its ``repro_rt_launch`` and passes it to the kernel's ``repro_kernel_mt``,
+so all kernel forms share one worker pool and one launch mutex.  How the
+runtime was obtained is ``NativeBackend.native_runtime``; it is not a
+kernel and never counts as a compile or a disk hit.
 """
 
 from __future__ import annotations
@@ -31,15 +38,17 @@ import ctypes
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.bytecode.view import View
 from repro.codegen.cache import (
     get_compiled_kernel,
     memory_cache_size,
     resolve_cache_dir,
+    resolve_runtime,
 )
-from repro.codegen.compiler import CodegenError, select_mt_mode
+from repro.codegen.compiler import CodegenError
 from repro.codegen.emit_c import emit_kernel_source, emit_reduce_source
 from repro.codegen.loopir import (
     LoopNest,
@@ -67,6 +76,7 @@ class NativeKernelLaunch:
     __slots__ = (
         "_fn",
         "_fn_mt",
+        "_runtime",
         "_rank",
         "_itemsizes",
         "_dims_type",
@@ -81,17 +91,14 @@ class NativeKernelLaunch:
     single_pass = True
 
     def __init__(
-        self,
-        compiled,
-        nest: LoopNest,
-        slots: Sequence[View],
-        mt_mode: str = "serial",
+        self, compiled, nest: LoopNest, slots: Sequence[View], runtime=None
     ) -> None:
         self._fn = compiled.fn
-        # The chunked entry point threads inside the artifact only in
-        # pthread/openmp emission; a serial-mode artifact's mt symbol is a
-        # plain forward, so multi-thread launches keep the per-tile path.
-        self._fn_mt = compiled.fn_mt if mt_mode != "serial" else None
+        # The chunked entry point threads only through a runtime's launch
+        # function; without one (serial toolchain) it would run the nest on
+        # the caller, so multi-thread launches keep the per-tile path.
+        self._fn_mt = compiled.fn_mt if runtime is not None else None
+        self._runtime = runtime
         self._rank = nest.rank
         self._itemsizes = tuple(view.dtype.itemsize for view in slots)
         #: Slots the compiled kernel keeps in registers: no storage is
@@ -131,10 +138,12 @@ class NativeKernelLaunch:
     def launch_mt(
         self, memory: MemoryManager, views: Sequence[View], nthreads: int
     ) -> None:
-        """Run the whole step as ONE foreign call; the artifact splits the
-        outermost loop across its persistent worker pool."""
+        """Run the whole step as ONE foreign call; the runtime splits the
+        outermost loop across the process's persistent worker pool."""
         dims, pointers, strides = self._marshal(memory, views)
-        self._fn_mt(dims, pointers, strides, ctypes.c_int32(nthreads))
+        self._fn_mt(
+            dims, pointers, strides, ctypes.c_int32(nthreads), self._runtime.launch
+        )
 
 
 class NativeReduceLaunch:
@@ -146,11 +155,21 @@ class NativeReduceLaunch:
     aligned to source axes with a zero lane at the reduced axis.
     """
 
-    __slots__ = ("_fn", "_fn_mt", "_rank", "_axis", "_dims_type", "_ptrs_type", "_strides_type")
+    __slots__ = (
+        "_fn",
+        "_fn_mt",
+        "_runtime",
+        "_rank",
+        "_axis",
+        "_dims_type",
+        "_ptrs_type",
+        "_strides_type",
+    )
 
-    def __init__(self, compiled, nest: ReduceNest, mt_mode: str = "serial") -> None:
+    def __init__(self, compiled, nest: ReduceNest, runtime=None) -> None:
         self._fn = compiled.fn
-        self._fn_mt = compiled.fn_mt if mt_mode != "serial" else None
+        self._fn_mt = compiled.fn_mt if runtime is not None else None
+        self._runtime = runtime
         self._rank = nest.rank
         self._axis = nest.axis
         self._dims_type = ctypes.c_int64 * nest.rank
@@ -188,7 +207,9 @@ class NativeReduceLaunch:
                 out_position += 1
         packed = self._strides_type(*strides)
         if self._fn_mt is not None and nthreads > 1:
-            self._fn_mt(dims, pointers, packed, ctypes.c_int32(nthreads))
+            self._fn_mt(
+                dims, pointers, packed, ctypes.c_int32(nthreads), self._runtime.launch
+            )
             return True
         self._fn(dims, pointers, packed)
         return False
@@ -223,6 +244,10 @@ class NativeBackend(ParallelBackend):
         self.native_slots_elided = 0
         self.native_cache_hits = 0
         self.native_cache_misses = 0
+        #: How this backend first obtained the kernel runtime artifact:
+        #: "compiled" | "disk" | "memory", "serial" when the toolchain
+        #: builds none, ``None`` until a kernel form needed it.
+        self.native_runtime: Optional[str] = None
         # Open stats window: counters snapshot taken when the engine first
         # touches the backend for a flush (prepare_plan), closed by
         # execute/execute_plan so plan-stage compiles land in that flush's
@@ -244,15 +269,14 @@ class NativeBackend(ParallelBackend):
     # ------------------------------------------------------------------ #
 
     def _codegen_signature(self, config) -> tuple:
-        # The threading *mode* changes the emitted source and flags, so it
-        # is part of the signature; the thread *count* is a runtime
-        # argument of the artifact and deliberately is not.
+        # Everything a launchable's artifacts depend on.  Neither the
+        # threading mode nor the thread count is here: kernels are
+        # mode-agnostic and a launchable keeps the runtime it captured.
         return (
             config.codegen_enabled,
             resolve_cache_dir(config.codegen_cache_dir),
             int(config.codegen_opt_level),
             config.codegen_disk_cache_enabled,
-            select_mt_mode() if config.codegen_enabled else "serial",
             config.codegen_reductions_enabled,
         )
 
@@ -275,25 +299,14 @@ class NativeBackend(ParallelBackend):
             threads = fallback
         return max(1, int(threads))
 
-    def _native_launch(
-        self,
-        key: tuple,
-        slots: Sequence[View],
-        instructions,
-        local_slots: frozenset = frozenset(),
-    ) -> Optional[NativeKernelLaunch]:
-        """Resolve a kernel form to a compiled launchable, or ``None``.
+    def _cached_launch(self, cache_key: tuple, config, lower: Callable):
+        """The launchable cached under ``cache_key``, built on a miss.
 
-        ``None`` — cached as such — means the form has no native lowering
-        (or compilation failed); the caller uses the interpreted template.
-        ``local_slots`` (plan-time liveness, part of the cache key) names
-        slots whose stores the compiled kernel elides entirely.
+        ``lower()`` returns the form's C source and a ``bind(compiled,
+        runtime=...)`` constructor, or raises :class:`LoweringError`.  ``None``
+        — cached as such — means the form has no native lowering (or
+        compilation failed); the caller uses the interpreted path.
         """
-        config = self._effective_config()
-        if not config.codegen_enabled:
-            return None
-        signature = self._codegen_signature(config)
-        cache_key = (key, local_slots, signature)
         with self._cache_lock:
             if cache_key in self._native_cache:
                 self._native_cache.move_to_end(cache_key)
@@ -303,26 +316,27 @@ class NativeBackend(ParallelBackend):
         # Lowering and compilation run outside the lock; concurrent misses
         # of one form may both walk here, but the process-wide digest memo
         # latches the actual compile to exactly one of them.
-        launch: Optional[NativeKernelLaunch] = None
-        outcome = None
+        launch = outcome = runtime_outcome = None
         try:
-            nest = lower_kernel(instructions, local_slots)
-            mt_mode = select_mt_mode()
-            source = emit_kernel_source(nest, mt_mode=mt_mode)
+            source, bind = lower()
+            runtime, _, runtime_outcome = resolve_runtime(
+                config.codegen_cache_dir, config.codegen_disk_cache_enabled
+            )
             compiled, outcome = get_compiled_kernel(
                 source,
                 opt_level=config.codegen_opt_level,
                 cache_dir=config.codegen_cache_dir,
                 use_disk=config.codegen_disk_cache_enabled,
-                mt_mode=mt_mode,
             )
-            launch = NativeKernelLaunch(compiled, nest, slots, mt_mode)
+            launch = bind(compiled, runtime=runtime)
         except (LoweringError, CodegenError):
             # No lowering, no compiler, or a toolchain failure: degrade to
             # the interpreted template — and remember, so the next launch
             # of this form pays one dict lookup instead of re-diagnosing.
             launch = None
         with self._cache_lock:
+            if self.native_runtime is None:
+                self.native_runtime = runtime_outcome
             if outcome == "compiled":
                 self.native_compiles += 1
             elif outcome == "disk":
@@ -334,69 +348,70 @@ class NativeBackend(ParallelBackend):
                 while len(self._native_cache) > self._native_capacity:
                     self._native_cache.popitem(last=False)
             return self._native_cache[cache_key]
+
+    def _native_launch(
+        self,
+        key: tuple,
+        slots: Sequence[View],
+        instructions,
+        local_slots: frozenset = frozenset(),
+    ) -> Optional[NativeKernelLaunch]:
+        """Resolve a kernel form to a compiled launchable, or ``None``.
+
+        ``local_slots`` (plan-time liveness, part of the cache key) names
+        slots whose stores the compiled kernel elides entirely.
+        """
+        config = self._effective_config()
+        if not config.codegen_enabled:
+            return None
+
+        def lower():
+            nest = lower_kernel(instructions, local_slots)
+            return emit_kernel_source(nest), partial(
+                NativeKernelLaunch, nest=nest, slots=slots
+            )
+
+        cache_key = (key, local_slots, self._codegen_signature(config))
+        return self._cached_launch(cache_key, config, lower)
+
+    @staticmethod
+    def _reduce_key(instruction, step: TiledReduceStep) -> tuple:
+        """Structural key of a tiled reduction (opcode, dtypes, rank, axis,
+        tiling shape): one artifact serves every rebind and every array
+        size of the same canonical reduction."""
+        source = instruction.inputs[0]
+        return (
+            "reduce",
+            instruction.opcode,
+            source.dtype.name,
+            instruction.out.dtype.name,
+            len(source.shape),
+            int(instruction.constants[0].value),
+            step.combine,
+            step.tile_axis,
+        )
 
     def _native_reduce_launch(
         self, instruction, step: TiledReduceStep
     ) -> Optional[NativeReduceLaunch]:
         """Resolve a tiled reduction to a compiled launchable, or ``None``.
 
-        Shares the backend LRU with map forms; the key is structural
-        (opcode, dtypes, rank, axis, tiling shape), so one artifact serves
-        every rebind and every array size of the same canonical reduction.
+        Shares the backend LRU with map forms.
         """
         config = self._effective_config()
         if not (config.codegen_enabled and config.codegen_reductions_enabled):
             return None
-        source = instruction.inputs[0]
-        out = instruction.out
-        if out is None:
-            return None
-        signature = self._codegen_signature(config)
-        key = (
-            "reduce",
-            instruction.opcode,
-            source.dtype.name,
-            out.dtype.name,
-            len(source.shape),
-            int(instruction.constants[0].value),
-            step.combine,
-            step.tile_axis,
-        )
-        cache_key = (key, frozenset(), signature)
-        with self._cache_lock:
-            if cache_key in self._native_cache:
-                self._native_cache.move_to_end(cache_key)
-                self.native_cache_hits += 1
-                return self._native_cache[cache_key]
-            self.native_cache_misses += 1
-        launch: Optional[NativeReduceLaunch] = None
-        outcome = None
-        try:
+
+        def lower():
             nest = lower_reduction(instruction, step.combine, step.tile_axis)
-            mt_mode = select_mt_mode()
-            source_c = emit_reduce_source(nest, mt_mode=mt_mode)
-            compiled, outcome = get_compiled_kernel(
-                source_c,
-                opt_level=config.codegen_opt_level,
-                cache_dir=config.codegen_cache_dir,
-                use_disk=config.codegen_disk_cache_enabled,
-                mt_mode=mt_mode,
-            )
-            launch = NativeReduceLaunch(compiled, nest, mt_mode)
-        except (LoweringError, CodegenError):
-            launch = None
-        with self._cache_lock:
-            if outcome == "compiled":
-                self.native_compiles += 1
-            elif outcome == "disk":
-                self.native_disk_hits += 1
-            elif outcome == "memory":
-                self.native_memory_hits += 1
-            if cache_key not in self._native_cache:
-                self._native_cache[cache_key] = launch
-                while len(self._native_cache) > self._native_capacity:
-                    self._native_cache.popitem(last=False)
-            return self._native_cache[cache_key]
+            return emit_reduce_source(nest), partial(NativeReduceLaunch, nest=nest)
+
+        cache_key = (
+            self._reduce_key(instruction, step),
+            frozenset(),
+            self._codegen_signature(config),
+        )
+        return self._cached_launch(cache_key, config, lower)
 
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
@@ -419,13 +434,14 @@ class NativeBackend(ParallelBackend):
         """Collapse a multi-thread launch of a chunk-capable compiled
         kernel into ONE ``repro_kernel_mt`` call.
 
-        The artifact block-partitions the outermost loop over its
-        persistent in-kernel pool, so the whole fused step costs a single
+        The runtime block-partitions the outermost loop over the process's
+        persistent worker pool, so the whole fused step costs a single
         ctypes round (which releases the GIL) regardless of thread count.
         Hazard analysis already happened at plan time: only splittable
         nests become :class:`TiledMapStep`s, and serial-hazard nests never
-        reach this seam.  Interpreted templates, serial-mode artifacts and
-        single-thread launches keep the inherited per-tile machinery.
+        reach this seam.  Interpreted templates, launchables bound without
+        a runtime and single-thread launches keep the inherited per-tile
+        machinery.
         """
         if isinstance(launcher, NativeKernelLaunch) and launcher.supports_mt:
             nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
@@ -471,7 +487,8 @@ class NativeBackend(ParallelBackend):
 
         Pre-compilation at plan time means a warm plan replay launches
         straight into cached artifacts; the ``native_signature`` stamp
-        makes the warm path skip even the per-step slot walks.
+        makes the warm path skip even the per-step slot walks.  A form that
+        occurs twice is resolved once here and hits the LRU at launch.
         """
         if self._window_start is None:
             self._window_start = self._counters_snapshot()
@@ -484,18 +501,30 @@ class NativeBackend(ParallelBackend):
             signature = (self._codegen_signature(config), plan.tiling_signature)
             if plan.native_signature == signature:
                 return
+            resolvers: Dict[tuple, Callable] = {}
             for step in plan.tiling.steps:
-                if isinstance(step, TiledReduceStep):
-                    self._native_reduce_launch(plan.optimized[step.index], step)
-                    continue
-                if not isinstance(step, TiledMapStep):
-                    continue
                 instruction = plan.optimized[step.index]
-                instructions = (
-                    instruction.kernel if instruction.is_fused() else (instruction,)
-                )
-                key, slots, _ = prepare_kernel_launch(instructions)
-                self._native_launch(key, slots, instructions, step.local_slots)
+                if isinstance(step, TiledReduceStep):
+                    form = self._reduce_key(instruction, step)
+                    resolve = partial(self._native_reduce_launch, instruction, step)
+                elif isinstance(step, TiledMapStep):
+                    instructions = (
+                        instruction.kernel if instruction.is_fused() else (instruction,)
+                    )
+                    key, slots, _ = prepare_kernel_launch(instructions)
+                    form = (key, step.local_slots)
+                    resolve = partial(
+                        self._native_launch, key, slots, instructions, step.local_slots
+                    )
+                else:
+                    continue
+                resolvers.setdefault(form, resolve)
+            # Distinct forms resolve concurrently on the tile pool: a compile
+            # is a subprocess wait and an artifact load is hashing + dlopen,
+            # both of which release the GIL.  The pool threads take only the
+            # backend cache lock and the codegen latch, never the plan lock
+            # this thread holds.
+            self._scatter(list(resolvers.values()), self.num_threads())
             plan.native_signature = signature
 
     # ------------------------------------------------------------------ #

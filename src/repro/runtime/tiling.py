@@ -143,12 +143,18 @@ def slice_view(view: View, span: TileSpan, axis: int = 0) -> View:
 def resolve_num_threads(config: Optional[Config] = None) -> int:
     """The effective parallel worker count for ``config``.
 
-    ``parallel_num_threads`` when set, otherwise the host's CPU count.
+    ``parallel_num_threads`` when set, otherwise the number of CPUs this
+    process may run on — the scheduler affinity mask where the platform has
+    one (a container or ``taskset`` restricted to 2 of 64 CPUs gets 2
+    threads), ``os.cpu_count()`` elsewhere.
     """
     config = config if config is not None else get_config()
     threads = config.parallel_num_threads
     if threads is None:
-        threads = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
     return max(1, int(threads))
 
 

@@ -77,7 +77,9 @@ class Config:
         Maximum number of execution plans the engine's LRU plan cache holds.
     parallel_num_threads:
         Worker-thread count used by the tiled parallel backend.  ``None``
-        (the default) resolves to ``os.cpu_count()`` at execution time.
+        (the default) resolves at execution time to the number of CPUs the
+        process may run on: ``len(os.sched_getaffinity(0))`` where the
+        platform has it, ``os.cpu_count()`` otherwise.
     parallel_tile_elements:
         Target number of elements per tile when the parallel backend splits
         a fused kernel or reduction into cache-sized contiguous tiles.
@@ -124,8 +126,8 @@ class Config:
         in-process cache amortizes them.
     codegen_threads:
         Thread count passed to compiled kernels' ``repro_kernel_mt`` entry
-        point (in-kernel chunking across the artifact's persistent worker
-        pool).  ``None`` defers to the ``REPRO_CODEGEN_THREADS``
+        point (chunking across the process's one persistent worker pool,
+        the kernel runtime artifact's).  ``None`` defers to the ``REPRO_CODEGEN_THREADS``
         environment variable and then to the parallel worker count.  This
         is a *runtime* argument of the artifact — changing it never
         recompiles or invalidates cached kernels.

@@ -30,6 +30,28 @@ class TestRealTree:
             "the code and a clean report proves nothing"
         )
 
+    def test_concurrent_prepare_plan_is_in_the_lint_s_sight(self):
+        """The plan lock is held while pool threads resolve kernel forms;
+        the lint must follow those thunks into the locks they take (the
+        backend cache lock and the codegen latch — never anything ranked
+        above the plan lock)."""
+        import ast
+
+        from repro.checks.lockcheck import LockCheckReport, _FileAnalyzer
+        import repro.runtime.native as native
+
+        analyzer = _FileAnalyzer(native.__file__, LockCheckReport())
+        with open(native.__file__, encoding="utf-8") as handle:
+            analyzer.analyze(ast.parse(handle.read()))
+        under_plan_lock = {
+            call.ref
+            for class_name, call in analyzer.deferred
+            if class_name == "NativeBackend" and ("plan", 2) in call.held
+        }
+        assert ("self", "_native_launch") in under_plan_lock
+        assert ("self", "_native_reduce_launch") in under_plan_lock
+        assert ("self", "_scatter") in under_plan_lock
+
     def test_cli_exits_zero_on_the_real_tree(self):
         assert main([]) == 0
 
@@ -52,6 +74,16 @@ class TestFixtures:
         assert not report.ok
         assert any(
             v.kind == "upward-edge" and "_refill" in v.message
+            for v in report.violations
+        )
+
+    def test_edge_through_a_thunk_handed_to_a_pool_detected(self):
+        # The shape of NativeBackend.prepare_plan: resolvers are wrapped in
+        # functools.partial and scattered while the caller holds a lock.
+        report = run_lockcheck([_fixture("thunk_under_lock.py")])
+        assert not report.ok
+        assert any(
+            v.kind == "upward-edge" and "_resolve" in v.message
             for v in report.violations
         )
 

@@ -25,7 +25,13 @@ from repro.codegen.cache import (
     get_compiled_kernel,
     memory_cache_size,
 )
-from repro.codegen.compiler import CompilerUnavailable
+from repro.codegen.compiler import (
+    CompiledKernel,
+    CompiledRuntime,
+    CompilerUnavailable,
+    select_mt_mode,
+)
+from repro.codegen.emit_c import emit_runtime_source
 
 requires_compiler = pytest.mark.skipif(
     find_c_compiler() is None, reason="no C compiler on this host"
@@ -42,6 +48,47 @@ def _source(tag: str) -> str:
         "    (void)dims; (void)ptrs; (void)strides;\n"
         "}\n"
     )
+
+
+class _Kind:
+    """One kind of stored artifact: how to make a source and how to resolve it.
+
+    The store treats a kernel and the kernel runtime alike; the corruption
+    and race tests below run over both.
+    """
+
+    def __init__(self, make_source, mt_mode, loader):
+        self.source = make_source
+        self.mt_mode = mt_mode
+        self.loader = loader
+
+    @property
+    def resolve_args(self):
+        return {"mt_mode": self.mt_mode, "loader": self.loader}
+
+    def digest(self, source):
+        return artifact_digest(source, 2, mt_mode=self.mt_mode)
+
+
+_KERNEL = _Kind(_source, "serial", CompiledKernel)
+
+
+def _runtime_kind():
+    mode = select_mt_mode()
+    if mode == "serial":
+        pytest.skip("toolchain builds no kernel runtime")
+    # A trailing comment gives each test its own digest, as ``tag`` does
+    # for kernels.
+    return _Kind(
+        lambda tag: emit_runtime_source(mode) + f"/* cache-test runtime: {tag} */\n",
+        mode,
+        CompiledRuntime,
+    )
+
+
+@pytest.fixture(params=["kernel", "runtime"])
+def kind(request):
+    return _KERNEL if request.param == "kernel" else _runtime_kind()
 
 
 @pytest.fixture(autouse=True)
@@ -85,40 +132,55 @@ class TestCacheLifecycle:
         source = _source("optlevel")
         assert artifact_digest(source, 0) != artifact_digest(source, 2)
 
-    def test_mt_mode_changes_the_digest(self):
-        # The threading mode changes the compile flags (-pthread/-fopenmp),
-        # so artifacts built under different modes may never alias; the
-        # thread *count* is a runtime argument and has no digest input.
-        source = _source("mtmode")
+    def test_runtime_mode_changes_the_digest(self):
+        # The runtime's threading mode changes its source and its compile
+        # flags (-pthread/-fopenmp), so runtimes built under different
+        # modes may never alias.
         digests = {
-            mode: artifact_digest(source, 2, mt_mode=mode)
-            for mode in ("serial", "pthread", "openmp")
+            mode: artifact_digest(emit_runtime_source(mode), 2, mt_mode=mode)
+            for mode in ("pthread", "openmp")
         }
-        assert len(set(digests.values())) == 3
+        assert len(set(digests.values())) == 2
+        source = _source("mtmode")
+        assert artifact_digest(source, 2, mt_mode="pthread") != artifact_digest(source, 2)
 
     def test_mt_symbol_binding_is_optional(self, tmp_path):
-        # Hand-written kernels (and any pre-ABI source) without the
-        # chunked symbol load fine; fn_mt is simply absent.
+        # Hand-written kernels without the chunked symbol load fine; fn_mt
+        # is simply absent.
         kernel, _ = _compile(_source("nomtsymbol"), tmp_path)
         assert kernel.fn is not None
         assert kernel.fn_mt is None
 
-    def test_mt_symbol_binds_when_exported(self, tmp_path):
+    def test_mt_symbol_binds_and_calls_the_launch_it_is_given(self, tmp_path):
+        import ctypes
+
         source = (
             "#include <stdint.h>\n"
+            "typedef int (*launch_fn)(int64_t);\n"
             "void repro_kernel(const int64_t *dims, char **ptrs,\n"
             "                  const int64_t *strides) {\n"
             "    (void)dims; (void)ptrs; (void)strides;\n"
             "}\n"
             "void repro_kernel_mt(const int64_t *dims, char **ptrs,\n"
-            "                     const int64_t *strides, int32_t nthreads) {\n"
-            "    (void)nthreads;\n"
-            "    repro_kernel(dims, ptrs, strides);\n"
+            "                     const int64_t *strides, int32_t nthreads,\n"
+            "                     launch_fn launch) {\n"
+            "    (void)ptrs; (void)strides;\n"
+            "    if (launch != 0) launch(dims[0] + nthreads);\n"
             "}\n"
         )
         kernel, _ = _compile(source, tmp_path)
         assert kernel.fn is not None
         assert kernel.fn_mt is not None
+        seen = []
+        callback = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)(
+            lambda value: seen.append(value) or 0
+        )
+        dims = (ctypes.c_int64 * 1)(40)
+        no_ptrs = (ctypes.c_void_p * 1)()
+        no_strides = (ctypes.c_int64 * 1)()
+        kernel.fn_mt(dims, no_ptrs, no_strides, 2, ctypes.cast(callback, ctypes.c_void_p))
+        kernel.fn_mt(dims, no_ptrs, no_strides, 2, None)  # null launch: no call
+        assert seen == [42]
 
     def test_disk_cache_disabled_writes_nothing(self, tmp_path):
         _, outcome = _compile(_source("nodisk"), tmp_path, use_disk=False)
@@ -143,43 +205,51 @@ class TestCorruption:
     name and would hand back the stale mapping.
     """
 
-    def _damaged_reload(self, tmp_path, tag, damage):
-        source = _source(tag)
-        _compile_in_subprocess(source, tmp_path)
-        digest = artifact_digest(source, 2)
-        paths = _artifact_paths(str(tmp_path), digest)
+    def _damaged_reload(self, tmp_path, kind, tag, damage, loads=None):
+        source = kind.source(tag)
+        _compile_in_subprocess(source, tmp_path, kind)
+        paths = _artifact_paths(str(tmp_path), kind.digest(source))
         damage(*paths)
-        kernel, outcome = _compile(source, tmp_path)
+        loader = kind.loader
+        if loads is not None:
+            # Record every library the reader hands to the dynamic loader.
+            def loader(path):
+                loads.append(path)
+                return kind.loader(path)
+
+        artifact, outcome = _compile(
+            source, tmp_path, mt_mode=kind.mt_mode, loader=loader
+        )
         assert outcome == "compiled", "damaged artifact must recompile, not load"
-        assert kernel.fn is not None
+        assert isinstance(artifact, kind.loader)
         # The store healed: a cold reader now gets a verified disk hit.
         clear_memory_cache()
-        _, outcome = _compile(source, tmp_path)
+        _, outcome = _compile(source, tmp_path, **kind.resolve_args)
         assert outcome == "disk"
 
-    def test_truncated_library(self, tmp_path):
+    def test_truncated_library(self, tmp_path, kind):
         def truncate(so_path, meta_path, c_path):
             size = os.path.getsize(so_path)
             with open(so_path, "r+b") as handle:
                 handle.truncate(size // 2)
 
-        self._damaged_reload(tmp_path, "truncated", truncate)
+        self._damaged_reload(tmp_path, kind, "truncated", truncate)
 
-    def test_emptied_library(self, tmp_path):
+    def test_emptied_library(self, tmp_path, kind):
         def empty(so_path, meta_path, c_path):
             open(so_path, "wb").close()
 
-        self._damaged_reload(tmp_path, "emptied", empty)
+        self._damaged_reload(tmp_path, kind, "emptied", empty)
 
-    def test_bit_rot_hash_mismatch(self, tmp_path):
+    def test_bit_rot_hash_mismatch(self, tmp_path, kind):
         def flip(so_path, meta_path, c_path):
             with open(so_path, "r+b") as handle:
                 handle.seek(0, os.SEEK_END)
                 handle.write(b"\x00garbage")
 
-        self._damaged_reload(tmp_path, "bitrot", flip)
+        self._damaged_reload(tmp_path, kind, "bitrot", flip)
 
-    def test_garbage_library_with_matching_hash(self, tmp_path):
+    def test_garbage_library_with_matching_hash(self, tmp_path, kind):
         # The sidecar verifies, but the loader must still reject the blob:
         # dlopen failure is the last line of defence.
         import hashlib
@@ -193,50 +263,53 @@ class TestCorruption:
             with open(meta_path, "w") as handle:
                 json.dump(meta, handle)
 
-        self._damaged_reload(tmp_path, "forged", forge)
+        self._damaged_reload(tmp_path, kind, "forged", forge)
 
-    def test_missing_sidecar(self, tmp_path):
+    def test_missing_sidecar(self, tmp_path, kind):
         def drop(so_path, meta_path, c_path):
             os.unlink(meta_path)
 
-        self._damaged_reload(tmp_path, "nosidecar", drop)
+        self._damaged_reload(tmp_path, kind, "nosidecar", drop)
 
-    def test_unparseable_sidecar(self, tmp_path):
+    def test_unparseable_sidecar(self, tmp_path, kind):
         def scribble(so_path, meta_path, c_path):
             with open(meta_path, "w") as handle:
                 handle.write("{not json")
 
-        self._damaged_reload(tmp_path, "badjson", scribble)
+        self._damaged_reload(tmp_path, kind, "badjson", scribble)
 
-    def test_schema_drift(self, tmp_path):
+    def test_schema_drift(self, tmp_path, kind):
         def bump(so_path, meta_path, c_path):
             meta = json.loads(open(meta_path).read())
             meta["schema"] = ARTIFACT_SCHEMA + 1
             with open(meta_path, "w") as handle:
                 json.dump(meta, handle)
 
-        self._damaged_reload(tmp_path, "schema", bump)
+        self._damaged_reload(tmp_path, kind, "schema", bump)
 
-    def test_previous_schema_artifacts_are_discarded(self, tmp_path):
-        """A store restored from before the mt ABI must fully recompile.
+    def test_schema_2_artifacts_are_discarded_never_loaded(self, tmp_path, kind):
+        """A store restored from before the shared runtime must fully recompile.
 
-        Schema-1 artifacts export only ``repro_kernel``; dlopen'ing one
-        under the current ABI would hand the backend a library without the
-        chunked entry point.  The version gate must treat them exactly
-        like corruption: discard, recompile, republish under the current
-        schema.
+        A schema-2 kernel embeds its own worker pool and takes a four
+        argument ``repro_kernel_mt``; dlopen'ing one under the current ABI
+        would silently spawn a pool per kernel again.  The version gate
+        treats a schema-2 sidecar — even next to a perfectly valid library
+        — exactly like corruption: discard, recompile, republish.
         """
+        assert ARTIFACT_SCHEMA == 3
 
         def downgrade(so_path, meta_path, c_path):
             meta = json.loads(open(meta_path).read())
-            meta["schema"] = ARTIFACT_SCHEMA - 1
+            meta["schema"] = 2
             with open(meta_path, "w") as handle:
                 json.dump(meta, handle)
 
-        self._damaged_reload(tmp_path, "oldschema", downgrade)
-        # _damaged_reload already proved recompile + healed disk hit; the
-        # republished sidecar must carry the current schema.
-        digest = artifact_digest(_source("oldschema"), 2)
+        loads = []
+        self._damaged_reload(tmp_path, kind, "oldschema", downgrade, loads)
+        # Exactly one library reached the loader, and only after the
+        # schema-2 sidecar had been replaced by a freshly published one.
+        assert len(loads) == 1
+        digest = kind.digest(kind.source("oldschema"))
         _, meta_path, _ = _artifact_paths(str(tmp_path), digest)
         assert json.loads(open(meta_path).read())["schema"] == ARTIFACT_SCHEMA
 
@@ -260,10 +333,15 @@ class TestCorruption:
 _RACER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.codegen.cache import get_compiled_kernel
+from repro.codegen import cache
 source = open({source_path!r}).read()
-kernel, outcome = get_compiled_kernel(source, cache_dir={cache_dir!r})
-assert kernel.fn is not None
+artifact, outcome = cache.get_compiled_kernel(
+    source,
+    cache_dir={cache_dir!r},
+    mt_mode={mt_mode!r},
+    loader=getattr(cache, {loader!r}),
+)
+assert isinstance(artifact, getattr(cache, {loader!r}))
 print(outcome)
 """
 
@@ -272,16 +350,23 @@ _SRC_ROOT = os.path.abspath(
 )
 
 
-def _compile_in_subprocess(source: str, cache_dir, tmp_dir=None) -> str:
+def _racer_script(source_path, cache_dir, kind) -> str:
+    return _RACER.format(
+        src=_SRC_ROOT,
+        source_path=str(source_path),
+        cache_dir=str(cache_dir),
+        mt_mode=kind.mt_mode,
+        loader=kind.loader.__name__,
+    )
+
+
+def _compile_in_subprocess(source: str, cache_dir, kind) -> str:
     """Populate ``cache_dir`` with ``source``'s artifact from a cold process."""
-    tmp_dir = tmp_dir if tmp_dir is not None else cache_dir
-    source_path = os.path.join(str(tmp_dir), "kernel_source.c.txt")
+    source_path = os.path.join(str(cache_dir), "kernel_source.c.txt")
     os.makedirs(str(cache_dir), exist_ok=True)
     with open(source_path, "w") as handle:
         handle.write(source)
-    script = _RACER.format(
-        src=_SRC_ROOT, source_path=source_path, cache_dir=str(cache_dir)
-    )
+    script = _racer_script(source_path, cache_dir, kind)
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
@@ -292,8 +377,8 @@ def _compile_in_subprocess(source: str, cache_dir, tmp_dir=None) -> str:
 
 @requires_compiler
 class TestConcurrency:
-    def test_racing_processes_compile_the_same_form(self, tmp_path):
-        """Two cold processes, one kernel form, one shared cache directory.
+    def test_racing_processes_compile_the_same_form(self, tmp_path, kind):
+        """Two cold processes, one artifact, one shared cache directory.
 
         Whatever the interleaving — both compile, or one wins the rename
         race and the other reads it — both must end with a working kernel,
@@ -301,13 +386,9 @@ class TestConcurrency:
         litter).
         """
         source_path = tmp_path / "kernel_source.c.txt"
-        source_path.write_text(_source("race"))
+        source_path.write_text(kind.source("race"))
         cache_dir = tmp_path / "cache"
-        script = _RACER.format(
-            src=_SRC_ROOT,
-            source_path=str(source_path),
-            cache_dir=str(cache_dir),
-        )
+        script = _racer_script(source_path, cache_dir, kind)
         racers = [
             subprocess.Popen(
                 [sys.executable, "-c", script],
@@ -325,6 +406,6 @@ class TestConcurrency:
         assert all(outcome in ("compiled", "disk") for outcome in outcomes)
         # The surviving store is coherent: this process loads it verified.
         clear_memory_cache()
-        _, outcome = _compile(source_path.read_text(), cache_dir)
+        _, outcome = _compile(source_path.read_text(), cache_dir, **kind.resolve_args)
         assert outcome == "disk"
         assert not [name for name in os.listdir(cache_dir) if ".tmp" in name]

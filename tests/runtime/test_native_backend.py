@@ -8,11 +8,21 @@ whole-step launch, and instruction-local slot elision.
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
 from repro.codegen import clear_memory_cache, find_c_compiler
+from repro.codegen.cache import get_compiled_kernel
+from repro.codegen.compiler import CodegenError, CompiledRuntime
+from repro.codegen.emit_c import emit_runtime_source
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.native import NativeBackend
@@ -54,6 +64,27 @@ def build_chain(length=LENGTH, ops=6):
     builder.sync(a)
     builder.sync(b)
     return builder.build(), a, b
+
+
+def build_distinct_forms(count):
+    """``count`` map steps that lower to ``count`` different kernel forms:
+    different lengths keep them from fusing, different chain lengths make
+    their loop bodies differ."""
+    builder = ProgramBuilder()
+    outputs = []
+    for index in range(count):
+        vector = builder.new_vector(LENGTH + 16 * index)
+        other = builder.new_vector(LENGTH + 16 * index)
+        builder.identity(vector, 0.5)
+        builder.identity(other, 1.25)
+        for step in range(index + 1):
+            if step % 2 == 0:
+                builder.multiply(vector, vector, other)
+            else:
+                builder.add(vector, vector, other)
+        builder.sync(vector)
+        outputs.append(vector)
+    return builder.build(), outputs
 
 
 def _oracle(program, views):
@@ -508,3 +539,236 @@ class TestPlanInteraction:
             assert backend._window_start is None
             result = backend.execute(program)  # subsequent runs still window
         assert result.stats.native_kernel_launches > 0
+
+
+def _process_threads() -> int:
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    pytest.skip("no Threads: line in /proc/self/status")
+
+
+def _force_runtime_mode(monkeypatch, mode):
+    """Make the backend resolve the ``mode`` runtime whatever the host prefers."""
+
+    def forced(cache_dir=None, use_disk=True):
+        if mode == "serial":
+            return None, "serial", "serial"
+        try:
+            runtime, outcome = get_compiled_kernel(
+                emit_runtime_source(mode),
+                cache_dir=cache_dir,
+                use_disk=use_disk,
+                mt_mode=mode,
+                loader=CompiledRuntime,
+            )
+        except CodegenError:
+            pytest.skip(f"toolchain cannot build the {mode} runtime")
+        return runtime, mode, outcome
+
+    monkeypatch.setattr("repro.runtime.native.resolve_runtime", forced)
+
+
+#: Runs one threaded native flush against ``cache_dir`` in a cold process
+#: and prints what the backend counted.
+_FLUSH_SCRIPT = """
+import json, sys
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {tests!r})
+from runtime.test_native_backend import TINY_TILES, build_chain
+from repro.runtime.engine import ExecutionEngine
+from repro.utils.config import config_override
+
+program, a, b = build_chain()
+with config_override(**TINY_TILES, codegen_cache_dir={cache_dir!r}, codegen_threads=2):
+    engine = ExecutionEngine(backend="native", optimize=True)
+    stats = engine.execute(program).stats
+print(json.dumps({{
+    "compiles": stats.native_compiles,
+    "disk_hits": stats.native_disk_hits,
+    "fallbacks": stats.native_fallbacks,
+    "mt_launches": stats.native_mt_launches,
+    "runtime": engine.backend.native_runtime,
+}}))
+"""
+
+_TESTS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _flush_in_subprocess(cache_dir, **env):
+    script = _FLUSH_SCRIPT.format(
+        src=os.path.join(os.path.dirname(_TESTS_ROOT), "src"),
+        tests=_TESTS_ROOT,
+        cache_dir=cache_dir,
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=180,
+        env=dict(os.environ, **env),
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+@requires_compiler
+class TestSharedRuntime:
+    """One kernel runtime artifact per process: pool, probe and ABI."""
+
+    def test_warm_cache_directory_serves_a_process_without_a_compiler(
+        self, cache_dir, tmp_path
+    ):
+        """A second process over a populated cache forks no ``cc`` at all —
+        no kernel compile, no runtime compile, no toolchain probe — and still
+        launches threaded."""
+        cold = _flush_in_subprocess(cache_dir)
+        if cold["runtime"] == "serial":
+            pytest.skip("toolchain builds no kernel runtime")
+        assert cold["runtime"] == "compiled" and cold["compiles"] >= 1
+        log = tmp_path / "cc.log"
+        shim = tmp_path / "failing-cc"
+        shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
+        shim.chmod(0o755)
+        warm = _flush_in_subprocess(cache_dir, REPRO_CC=str(shim))
+        assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
+        assert warm["compiles"] == 0
+        assert warm["disk_hits"] == cold["compiles"]
+        assert warm["fallbacks"] == 0
+        assert warm["mt_launches"] > 0
+        assert warm["runtime"] == "disk"
+
+    def test_pool_threads_are_bounded_per_process_not_per_kernel(self, cache_dir):
+        """K kernel forms launched at n threads hold n - 1 pool threads."""
+        program, outputs = build_distinct_forms(8)
+        expected = _oracle(program, outputs)
+        before = _process_threads()
+        with config_override(
+            **TINY_TILES,
+            parallel_num_threads=1,  # no Python-side tile pool in the count
+            codegen_threads=4,
+            codegen_cache_dir=cache_dir,
+        ):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            result = engine.execute(program)
+            if engine.backend.native_runtime == "serial":
+                pytest.skip("toolchain builds no kernel runtime")
+        assert result.stats.native_compiles >= 8
+        assert result.stats.native_mt_launches >= 8
+        assert _process_threads() - before <= 3
+        for view, want in zip(outputs, expected):
+            assert np.array_equal(result.value(view), want)
+
+    def test_kernel_artifacts_are_the_same_under_every_threading_mode(
+        self, tmp_path, monkeypatch
+    ):
+        """Same kernel digests and sources whichever runtime launches them;
+        only the runtime artifact differs, and a kernel library links
+        against no threading runtime."""
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        kernels = {}
+        for mode in ("pthread", "openmp", "serial"):
+            clear_memory_cache()
+            _force_runtime_mode(monkeypatch, mode)
+            directory = tmp_path / mode
+            with config_override(
+                **TINY_TILES, codegen_cache_dir=str(directory), codegen_threads=3
+            ):
+                engine = ExecutionEngine(backend="native", optimize=True)
+                result = engine.execute(program)
+            assert result.stats.native_fallbacks == 0
+            assert (result.stats.native_mt_launches > 0) == (mode != "serial")
+            assert np.array_equal(result.value(a), expected[0])
+            assert np.array_equal(result.value(b), expected[1])
+            kernels[mode] = {
+                name: (directory / name).read_text()
+                for name in os.listdir(directory)
+                if name.endswith(".c") and "repro_rt_launch" not in (directory / name).read_text()
+            }
+            assert kernels[mode], "no kernel artifact was written"
+            assert len(os.listdir(directory)) == 3 * (len(kernels[mode]) + (mode != "serial"))
+        assert kernels["pthread"] == kernels["openmp"] == kernels["serial"]
+        for name, text in kernels["pthread"].items():
+            assert "pthread" not in text and "omp" not in text
+            if shutil.which("nm"):
+                undefined = subprocess.run(
+                    ["nm", "-D", "--undefined-only", str(tmp_path / "pthread" / name[:-2]) + ".so"],
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+                assert "pthread_" not in undefined and "GOMP" not in undefined
+
+    def test_without_a_runtime_threaded_launches_keep_the_per_tile_path(
+        self, cache_dir, monkeypatch
+    ):
+        _force_runtime_mode(monkeypatch, "serial")
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        with config_override(
+            **TINY_TILES,
+            parallel_num_threads=2,
+            codegen_threads=4,
+            codegen_cache_dir=cache_dir,
+        ):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            result = engine.execute(program)
+        step = next(
+            s for s in engine.last_plan.tiling.steps if isinstance(s, TiledMapStep)
+        )
+        assert engine.backend.native_runtime == "serial"
+        assert result.stats.native_mt_launches == 0
+        assert result.stats.native_fallbacks == 0
+        assert result.stats.tiles_executed == len(step.spans)
+        assert np.array_equal(result.value(a), expected[0])
+        assert np.array_equal(result.value(b), expected[1])
+
+    def test_runtime_outcome_is_reported_and_never_counted_as_a_kernel(self, cache_dir):
+        program, a, b = build_chain()
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            first = ExecutionEngine(backend="native", optimize=True)
+            cold = first.execute(program)
+            clear_memory_cache()
+            second = ExecutionEngine(backend="native", optimize=True)
+            disk = second.execute(program)
+            third = ExecutionEngine(backend="native", optimize=True)
+            third.execute(program)
+        if first.backend.native_runtime == "serial":
+            pytest.skip("toolchain builds no kernel runtime")
+        assert first.backend.native_runtime == "compiled"
+        assert second.backend.native_runtime == "disk"
+        assert third.backend.native_runtime == "memory"
+        # The runtime is in neither count: a disk-warm engine restores
+        # exactly the kernels the cold one compiled.
+        assert disk.stats.native_compiles == 0
+        assert disk.stats.native_disk_hits == cold.stats.native_compiles
+
+    def test_distinct_forms_of_one_plan_resolve_concurrently(self, cache_dir, monkeypatch):
+        """prepare_plan hands a plan's distinct kernel forms to the tile
+        pool: two resolves must be inside the artifact cache at once."""
+        import repro.runtime.native as native_module
+
+        barrier = threading.Barrier(2, timeout=30)
+        resolving_threads = set()
+        real = native_module.get_compiled_kernel
+
+        def rendezvous(source, **kwargs):
+            resolving_threads.add(threading.current_thread().name)
+            barrier.wait()  # BrokenBarrierError here = the resolves were serial
+            return real(source, **kwargs)
+
+        program, outputs = build_distinct_forms(2)
+        expected = _oracle(program, outputs)
+        with config_override(
+            **TINY_TILES, parallel_num_threads=2, codegen_cache_dir=cache_dir
+        ):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            monkeypatch.setattr(native_module, "get_compiled_kernel", rendezvous)
+            result = engine.execute(program)
+        assert result.stats.native_compiles == 2
+        assert result.stats.native_fallbacks == 0
+        assert any(name.startswith("repro-tile") for name in resolving_threads)
+        for view, want in zip(outputs, expected):
+            assert np.array_equal(result.value(view), want)

@@ -1,5 +1,9 @@
 """Tests for the tile decomposition and the tiled parallel backend."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,10 @@ from repro.runtime.tiling import (
     spans_for,
 )
 from repro.utils.config import config_override, get_config
+
+_SRC_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src")
+)
 
 
 def elementwise_program(length=64, ops=4):
@@ -350,6 +358,27 @@ class TestParallelExecution:
         with config_override(parallel_num_threads=5):
             assert backend.num_threads() == 5
         assert ParallelBackend().num_threads() >= 1
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no affinity mask on this platform"
+    )
+    def test_default_thread_width_follows_the_affinity_mask(self):
+        # In a subprocess: pinning the test runner itself would narrow
+        # every later test.  One allowed CPU means one thread, however
+        # many the host has.
+        script = (
+            "import os, sys\n"
+            f"sys.path.insert(0, {_SRC_ROOT!r})\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from repro.runtime.parallel import ParallelBackend\n"
+            "from repro.runtime.tiling import resolve_num_threads\n"
+            "print(resolve_num_threads(), ParallelBackend().num_threads())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "1"]
 
     def test_set_backend_releases_the_previous_pool(self):
         backend = ParallelBackend(num_threads=2)

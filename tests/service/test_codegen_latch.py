@@ -1,10 +1,13 @@
 """Regression tests for the codegen compile-once latch.
 
-Two properties, both load-bearing for the multi-tenant service:
+Three properties, all load-bearing for the multi-tenant service:
 
 * **Compile-once per digest**: concurrent resolvers of the same generated
   source dedupe to exactly one compiler invocation; the losers wait on the
   per-digest latch and report a ``"memory"`` outcome.
+* **One runtime per process**: the kernel runtime artifact goes through the
+  same latch, so tenants whose first kernels arrive together build (or
+  load) the shared worker pool exactly once.
 * **No cross-digest serialization**: the module lock is held only for dict
   surgery, never across a compile — resolvers of *distinct* digests run
   their compilers concurrently.  (The naive fix — holding the module lock
@@ -53,7 +56,7 @@ class TestCompileOnceLatch:
         started = threading.Event()
         release = threading.Event()
 
-        def fake_compile(source, opt_level, mt_mode):
+        def fake_compile(source, opt_level, mt_mode, loader):
             with compile_lock:
                 compiles.append(source)
             started.set()
@@ -89,6 +92,57 @@ class TestCompileOnceLatch:
         assert sorted(outcomes) == ["compiled", "memory", "memory", "memory"]
         assert all(kernel is kernels[0] for kernel in kernels)
 
+    def test_concurrent_tenants_resolve_one_runtime(self, fresh_cache, monkeypatch):
+        # Four first-kernel resolves at once: one runtime compile, and every
+        # caller is handed the same loaded runtime (one pool per process).
+        compiles = []
+        release = threading.Event()
+
+        def fake_compile(source, opt_level, mt_mode, loader):
+            compiles.append((mt_mode, loader))
+            release.wait()
+            return FakeCompiled(source)
+
+        monkeypatch.setattr(cache, "_compile_in_memory", fake_compile)
+        found = []
+        record = threading.Lock()
+
+        def resolve():
+            result = cache.resolve_runtime(use_disk=False)
+            with record:
+                found.append(result)
+
+        threads = [threading.Thread(target=resolve) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        release_timer = threading.Timer(0.1, release.set)
+        release_timer.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        release_timer.join()
+
+        assert compiles == [("pthread", cache.CompiledRuntime)]
+        assert len(found) == 4
+        assert all(runtime is found[0][0] for runtime, _, _ in found)
+        assert {mode for _, mode, _ in found} == {"pthread"}
+        assert sorted(outcome for _, _, outcome in found).count("compiled") == 1
+        # Served from the memo from now on, and dropped with it.
+        assert cache.resolve_runtime(use_disk=False)[2] == "memory"
+        cache.clear_memory_cache()
+        assert cache.resolve_runtime(use_disk=False)[2] == "compiled"
+
+    def test_unbuildable_runtime_is_probed_once(self, fresh_cache, monkeypatch):
+        attempts = []
+
+        def failing_compile(source, opt_level, mt_mode, loader):
+            attempts.append(mt_mode)
+            raise CodegenError("toolchain builds no threading runtime")
+
+        monkeypatch.setattr(cache, "_compile_in_memory", failing_compile)
+        assert cache.resolve_runtime(use_disk=False) == (None, "serial", "serial")
+        assert cache.resolve_runtime(use_disk=False) == (None, "serial", "serial")
+        assert attempts == ["pthread", "openmp"]
+
     def test_distinct_digests_compile_concurrently(self, fresh_cache, monkeypatch):
         # Both compilers must be inside their invocation at the same time.
         # Under the old design (module lock held across the compile) the
@@ -96,7 +150,7 @@ class TestCompileOnceLatch:
         # times out, and this test fails instead of deadlocking.
         barrier = threading.Barrier(2, timeout=10)
 
-        def fake_compile(source, opt_level, mt_mode):
+        def fake_compile(source, opt_level, mt_mode, loader):
             barrier.wait()
             return FakeCompiled(source)
 
@@ -131,7 +185,7 @@ class TestCompileOnceLatch:
         fail_first = threading.Event()
         fail_first.set()
 
-        def flaky_compile(source, opt_level, mt_mode):
+        def flaky_compile(source, opt_level, mt_mode, loader):
             with attempt_lock:
                 attempts.append(source)
                 should_fail = fail_first.is_set()
@@ -174,7 +228,7 @@ class TestCompileOnceLatch:
         monkeypatch.setattr(
             cache,
             "_compile_in_memory",
-            lambda source, opt_level, mt_mode: FakeCompiled(source),
+            lambda source, opt_level, mt_mode, loader: FakeCompiled(source),
         )
         source = unique_source("lifecycle")
         kernel, outcome = cache.get_compiled_kernel(source, use_disk=False)

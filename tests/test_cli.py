@@ -316,6 +316,7 @@ class TestStatsJson:
             "compiles",
             "kernel_launches",
             "fallbacks",
+            "runtime",
         ):
             assert key in codegen, key
 
