@@ -162,7 +162,7 @@ def test_memory_plan_aliases_batch_temporaries(benchmark):
     # Find the big batch's plan in the cache (the trailing free-only flush
     # may own last_plan): pick the plan with the most aliasing.
     plans = [
-        plan for plan in session.engine.plan_cache._plans.values()
+        plan for plan in session.engine.plan_cache.values()
         if plan.memory_plan is not None
     ]
     assert plans

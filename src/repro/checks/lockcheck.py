@@ -8,10 +8,10 @@ rank  lock                                     where
 ====  =======================================  ==============================
 0     admission condition variable             ``AdmissionController._cond``
 1     engine in-flight latch                   ``ExecutionEngine._inflight_lock``
-2     plan-cache lock                          ``PlanCache._lock``
 2     plan lock                                ``ExecutionPlan.lock``
 2     backend cache lock                       ``*._cache_lock``
 2     engine backend-resolution lock           ``ExecutionEngine._backend_lock``
+3     LRU lock (leaf; every cache instance)    ``BoundedLRU._lock``
 3     buffer-pool lock (leaf)                  ``BufferPool._lock``
 3     codegen module lock + digest latch       ``repro.codegen.cache._lock``
 4     kernel-runtime launch mutex (C, leaf)    ``repro_rt_launch_mu``
@@ -68,14 +68,20 @@ ATTRIBUTE_RANKS: Dict[str, Tuple[str, int]] = {
 
 #: ``self._lock`` is rank-ambiguous: the class decides.
 CLASS_LOCK_RANKS: Dict[str, Tuple[str, int]] = {
-    "PlanCache": ("plan-cache", 2),
+    "BoundedLRU": ("lru", LEAF_RANK),
+    "PlanCache": ("lru", LEAF_RANK),  # BoundedLRU subclass, same lock
     "BufferPool": ("buffer-pool", LEAF_RANK),
 }
 
 #: Cross-module calls whose lock footprint the summaries cannot see.
 KNOWN_CALL_RANKS: Dict[str, Tuple[str, int]] = {
-    # self.plan_cache.get/put/peek/... -> the plan-cache lock
-    "plan_cache": ("plan-cache", 2),
+    # self.<cache>.get/put/peek/setdefault/... on a BoundedLRU instance ->
+    # its leaf lock
+    "plan_cache": ("lru", LEAF_RANK),
+    "_adhoc_plans": ("lru", LEAF_RANK),
+    "_native_cache": ("lru", LEAF_RANK),
+    "_schedule_cache": ("lru", LEAF_RANK),
+    "_pricing_plans": ("lru", LEAF_RANK),
     # codegen artifact lookup -> module lock + per-digest latch
     "get_compiled_kernel": ("codegen-module", LEAF_RANK),
     "resolve_runtime": ("codegen-module", LEAF_RANK),

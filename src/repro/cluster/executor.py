@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
@@ -25,6 +24,7 @@ from repro.runtime.simulator import (
 )
 from repro.utils.config import get_config
 from repro.utils.errors import ClusterError
+from repro.utils.lru import BoundedLRU
 
 
 @dataclass
@@ -101,12 +101,10 @@ class ClusterExecutor(Backend):
         # count): iterative workloads re-price the same partitioned program
         # every round, and scaling curves re-price it per worker count —
         # both reuse the cached breakdown instead of re-walking the program.
-        # Bounded LRU, like the engine's plan cache: executors live as long
-        # as their engine, which keeps the backend instance across flushes.
-        self._pricing_plans: "OrderedDict[Tuple[str, int], ClusterStats]" = OrderedDict()
-        self._pricing_plan_capacity = max(1, get_config().plan_cache_size)
-        self.pricing_plan_hits = 0
-        self.pricing_plan_misses = 0
+        # Bounded and locked, like the engine's plan cache: executors live
+        # as long as their engine, which keeps the backend instance across
+        # flushes and shares it between tenant threads.
+        self._pricing_plans = BoundedLRU(max(1, get_config().plan_cache_size))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -139,17 +137,11 @@ class ClusterExecutor(Backend):
         key = (program_fingerprint(program), workers)
         cached = self._pricing_plans.get(key)
         if cached is not None:
-            self._pricing_plans.move_to_end(key)
-            self.pricing_plan_hits += 1
             return cached
-        self.pricing_plan_misses += 1
         stats = ClusterStats(num_workers=workers)
         for instruction in program:
             self._price_instruction(instruction, stats, workers)
-        self._pricing_plans[key] = stats
-        while len(self._pricing_plans) > self._pricing_plan_capacity:
-            self._pricing_plans.popitem(last=False)
-        return stats
+        return self._pricing_plans.setdefault(key, stats)
 
     def cache_stats(self) -> Dict[str, int]:
         """Pricing-plan cache counters for this executor.
@@ -158,11 +150,7 @@ class ClusterExecutor(Backend):
         merges backend counters into its own plan-cache statistics, and the
         pricing cache is a different cache.
         """
-        stats = {
-            "pricing_plan_hits": self.pricing_plan_hits,
-            "pricing_plan_misses": self.pricing_plan_misses,
-            "pricing_plan_size": len(self._pricing_plans),
-        }
+        stats = self._pricing_plans.stats("pricing_plan_")
         # Priced-vs-measured communication time: the distributed backend
         # feeds the process-wide meter (model prediction at launch, worker
         # timings at completion); exposing both here makes cost-model drift

@@ -23,7 +23,6 @@ import atexit
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from multiprocessing import connection, get_context
 from typing import Dict, List, Optional, Tuple
 
@@ -250,10 +249,10 @@ class DistributedBackend(ParallelBackend):
     """Plan execution sharded across a pool of worker processes.
 
     Subclasses the tiled parallel backend for its plan integration (tile
-    decomposition at prepare time, the plan-less schedule/tiling LRU) and
-    replaces the launch layer: tiled steps go to worker processes over the
-    control channel instead of to threads, serial steps run on the master
-    against the same shared-memory storage.
+    decomposition at prepare time, plan-less programs wrapped in ordinary
+    plans) and replaces the launch layer: tiled steps go to worker
+    processes over the control channel instead of to threads, serial steps
+    run on the master against the same shared-memory storage.
     """
 
     name = "dist"
@@ -268,8 +267,6 @@ class DistributedBackend(ParallelBackend):
         self.halo_exchanges_total = 0
         self.payload_bytes_total = 0
         self.loads_shipped = 0
-        # Plan-less dist-plan LRU rides the same capacity as the tiling LRU.
-        self._dist_plan_cache: "OrderedDict[tuple, DistPlan]" = OrderedDict()
 
     def num_workers(self) -> int:
         if self._configured_workers is not None:
@@ -311,25 +308,7 @@ class DistributedBackend(ParallelBackend):
         # slot buffer cannot be two shared-memory segments at once.  Stale
         # directives from another backend's flush must not leak in either.
         memory.apply_plan(None)
-        return self._run(program, plan.tiling, memory, dist_plan=plan.dist_plan)
-
-    def _plan_less_dist_plan(
-        self, program, tiling: TileDecomposition, workers: int
-    ) -> DistPlan:
-        key = (program_fingerprint(program),) + self._dist_signature()
-        with self._cache_lock:
-            cached = self._dist_plan_cache.get(key)
-            if cached is not None:
-                self._dist_plan_cache.move_to_end(key)
-                return cached
-        dist_plan = build_dist_plan(program, tiling, workers)._with_token(
-            fingerprint_of_key(key)
-        )
-        with self._cache_lock:
-            self._dist_plan_cache[key] = dist_plan
-            while len(self._dist_plan_cache) > self._tiling_capacity:
-                self._dist_plan_cache.popitem(last=False)
-        return dist_plan
+        return self._run(program, plan.tiling, memory, plan.dist_plan)
 
     # ------------------------------------------------------------------ #
     # Adoption: arrays become shared-memory residents
@@ -365,13 +344,10 @@ class DistributedBackend(ParallelBackend):
         self,
         program,
         tiling: TileDecomposition,
-        memory: Optional[MemoryManager],
-        dist_plan: Optional[DistPlan] = None,
+        memory: MemoryManager,
+        dist_plan: DistPlan,
     ) -> ExecutionResult:
-        memory = memory if memory is not None else MemoryManager()
-        workers = self.num_workers()
-        if dist_plan is None or dist_plan.num_workers != workers:
-            dist_plan = self._plan_less_dist_plan(program, tiling, workers)
+        workers = dist_plan.num_workers
         stats = ExecutionStats(backend_name=self.name)
         stats.dist_workers_used = workers
         start = time.perf_counter()

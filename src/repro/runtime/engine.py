@@ -46,13 +46,6 @@ from repro.runtime.plan import (
 from repro.utils.config import get_config
 
 
-def _fusion_schedule_of(report):
-    """The fusion schedule the pipeline's fusion pass recorded, if any."""
-    from repro.core.schedule import fusion_schedule_of
-
-    return fusion_schedule_of(report)
-
-
 class ExecutionEngine:
     """Fingerprints, plans and executes byte-code programs.
 
@@ -175,29 +168,24 @@ class ExecutionEngine:
         backend = self.backend
         plan_started = time.perf_counter()
         hit = False
-        miss = False
         plan = None
-        uncached_report = None
-        if not self.optimize_enabled:
+        if self.optimize_enabled:
+            executable, plan, hit = self._plan(program, backend)
+        else:
+            # The direct path: the differential oracle runs here, so the
+            # reference never depends on the plan machinery it checks.
             self.last_report = None
             self.last_plan = None
             executable = program
-        elif not get_config().plan_cache_enabled:
-            report = self._build_pipeline().run(program)
-            self.last_report = report
-            self.last_plan = None
-            executable = report.optimized
-            uncached_report = report
-        else:
-            executable, plan, hit, miss = self._plan(program, backend)
         plan_seconds = time.perf_counter() - plan_started
+        miss = plan is not None and not hit
 
         # Plan checks already charged to this plan belong to earlier
         # flushes; the delta after execution is what this flush paid.  (A
         # concurrent flush replaying the same shared plan may skew the
         # delta by its own checks — per-flush stats are observability, the
         # authoritative totals live in ``cache_stats()``.)
-        plan_checks_before = plan.plan_checks_run if plan is not None and not miss else 0
+        plan_checks_before = plan.plan_checks_run if hit else 0
 
         pool_before = memory.pool_counters() if memory is not None else None
         if memory is not None:
@@ -215,10 +203,8 @@ class ExecutionEngine:
         stats.plan_time_seconds = plan_seconds
         stats.plan_cache_hits += 1 if hit else 0
         stats.plan_cache_misses += 1 if miss else 0
-        if miss and plan is not None and plan.report is not None:
+        if miss and plan.report is not None:
             stats.ir_checks_run += plan.report.ir_checks_run
-        elif uncached_report is not None:
-            stats.ir_checks_run += uncached_report.ir_checks_run
         if plan is not None:
             stats.plan_checks_run += max(0, plan.plan_checks_run - plan_checks_before)
         self._capture_memory_stats(stats, result.memory, pool_before, plan)
@@ -244,17 +230,8 @@ class ExecutionEngine:
         if memory_plan is not None:
             stats.planned_peak_bytes = memory_plan.planned_peak_bytes
 
-    def _plan(self, program: Program, backend: Backend):
-        """Stage 2: resolve an execution plan for ``program``.
-
-        Returns ``(executable program, plan, hit, miss)``.  Lookup-or-build
-        is guarded by a per-cache-key in-flight latch: the first flush of a
-        fingerprint claims the builder role, every concurrent flush of the
-        same key waits on its latch and then replays the published plan (a
-        cross-session hit).  If the builder fails, waiters wake, find no
-        plan, and compete to build it themselves — the latch can therefore
-        never deadlock a fingerprint on one failed compile.
-        """
+    def _fingerprint(self, program: Program, backend: Backend):
+        """Stage 1: ``(fingerprint, canonical bases, plan-cache key)``."""
         key, bases = canonical_program_key(program)
         fingerprint = fingerprint_of_key(key)
         cache_key = (
@@ -263,13 +240,49 @@ class ExecutionEngine:
             self._pipeline_signature(),
             config_signature(),
         )
+        return fingerprint, bases, cache_key
+
+    def _publish_plan(
+        self, backend: Backend, cache_key: tuple, fingerprint: str, bases, report
+    ) -> ExecutionPlan:
+        """Wrap ``report`` in a backend-prepared plan and cache it."""
+        from repro.core.schedule import fusion_schedule_of
+
+        report.fingerprint = fingerprint
+        plan = ExecutionPlan(
+            fingerprint=fingerprint,
+            backend_name=backend.name,
+            source_bases=bases,
+            optimized=report.optimized,
+            report=report,
+            fusion_schedule=fusion_schedule_of(report),
+        )
+        # Plan-time backend preparation (e.g. tile decomposition): paid
+        # once here, replayed for free on every hit.
+        backend.prepare_plan(plan)
+        self.plan_cache.put(cache_key, plan)
+        self.plans_built += 1
+        return plan
+
+    def _plan(self, program: Program, backend: Backend):
+        """Stage 2: resolve an execution plan for ``program``.
+
+        Returns ``(executable program, plan, hit)``.  Lookup-or-build
+        is guarded by a per-cache-key in-flight latch: the first flush of a
+        fingerprint claims the builder role, every concurrent flush of the
+        same key waits on its latch and then replays the published plan (a
+        cross-session hit).  If the builder fails, waiters wake, find no
+        plan, and compete to build it themselves — the latch can therefore
+        never deadlock a fingerprint on one failed compile.
+        """
+        fingerprint, bases, cache_key = self._fingerprint(program, backend)
         while True:
             plan = self.plan_cache.get(cache_key)
             if plan is not None:
                 self.last_plan = plan
                 report = plan.report
                 self.last_report = report.replayed() if report is not None else None
-                return plan.bind(bases), plan, True, False
+                return plan.bind(bases), plan, True
             with self._inflight_lock:
                 waiting_on = self._inflight.get(cache_key)
                 if waiting_on is None:
@@ -284,27 +297,14 @@ class ExecutionEngine:
             waiting_on.wait()
         try:
             report = self._build_pipeline().run(program)
-            report.fingerprint = fingerprint
-            plan = ExecutionPlan(
-                fingerprint=fingerprint,
-                backend_name=backend.name,
-                source_bases=bases,
-                optimized=report.optimized,
-                report=report,
-                fusion_schedule=_fusion_schedule_of(report),
-            )
-            # Plan-time backend preparation (e.g. tile decomposition): paid
-            # on the miss, replayed for free on every hit.
-            backend.prepare_plan(plan)
-            self.plan_cache.put(cache_key, plan)
-            self.plans_built += 1
+            plan = self._publish_plan(backend, cache_key, fingerprint, bases, report)
         finally:
             with self._inflight_lock:
                 self._inflight.pop(cache_key, None)
             latch.set()
         self.last_plan = plan
         self.last_report = report
-        return report.optimized, plan, False, True
+        return report.optimized, plan, False
 
     def prime(self, program: Program, report) -> ExecutionPlan:
         """Seed the plan cache with an already-computed optimization report.
@@ -316,27 +316,8 @@ class ExecutionEngine:
         structurally identical program hit it normally.
         """
         backend = self.backend
-        key, bases = canonical_program_key(program)
-        fingerprint = fingerprint_of_key(key)
-        report.fingerprint = fingerprint
-        plan = ExecutionPlan(
-            fingerprint=fingerprint,
-            backend_name=backend.name,
-            source_bases=bases,
-            optimized=report.optimized,
-            report=report,
-            fusion_schedule=_fusion_schedule_of(report),
-        )
-        backend.prepare_plan(plan)
-        cache_key = (
-            fingerprint,
-            backend.name,
-            self._pipeline_signature(),
-            config_signature(),
-        )
-        self.plan_cache.put(cache_key, plan)
-        self.plans_built += 1
-        return plan
+        fingerprint, bases, cache_key = self._fingerprint(program, backend)
+        return self._publish_plan(backend, cache_key, fingerprint, bases, report)
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -12,171 +13,141 @@ from repro.bytecode.view import View
 from repro.runtime.memory import MemoryManager
 
 
+def _stat(default=0, merge: str = "sum", export: Optional[str] = None):
+    """Declare one numeric statistic — the only place it is spelled.
+
+    ``merge`` is how :meth:`ExecutionStats.merge` folds two records
+    (``"sum"`` or ``"max"``); ``export`` is its :meth:`ExecutionStats.as_dict`
+    key when that differs from the attribute name.
+    """
+    return field(default=default, metadata={"merge": merge, "export": export})
+
+
 @dataclass
 class ExecutionStats:
     """Counters describing one program execution.
 
-    Attributes
-    ----------
-    instructions_executed:
-        Number of byte-codes executed, counting fused payload instructions.
-    kernel_launches:
-        Number of kernel launches — every top-level non-system instruction
-        is one launch; a fused instruction is a single launch.
-    elements_processed:
-        Total output elements produced across all launches.
-    bytes_read / bytes_written:
-        Memory traffic estimate derived from operand view sizes.
-    opcode_counts:
-        Histogram of executed op-codes.
-    wall_time_seconds:
-        Measured wall-clock execution time.
-    simulated_time_seconds:
-        Device-model time (only filled in by the simulated backend).
-    plan_time_seconds:
-        Middleware overhead of the flush: fingerprinting plus either the
-        optimization pipeline (plan-cache miss) or the plan rebind (hit).
-    plan_cache_hits / plan_cache_misses:
-        Whether this execution reused a cached execution plan (filled in by
-        the :class:`~repro.runtime.engine.ExecutionEngine`; sums meaningfully
-        under :meth:`merge`).
-    kernel_cache_hits / kernel_cache_misses:
-        Compiled-kernel cache outcomes during this execution (filled in by
-        the fusing JIT).
-    native_compiles:
-        C compiler invocations during this execution (native backend; a
-        warm artifact cache keeps this at zero).
-    native_disk_hits / native_memory_hits:
-        Compiled artifacts served from the on-disk cache versus the
-        in-process loaded-kernel cache.
-    native_kernel_launches:
-        Tiled map steps that executed through compiled native loops.
-    native_fallbacks:
-        Tiled map steps that fell back to interpreted kernel templates
-        (unsupported op-codes/dtypes, aliasing hazards, compile failure or
-        codegen disabled).
-    native_mt_launches:
-        Map steps (and compiled reductions) that ran as ONE
-        ``repro_kernel_mt`` call, with the thread split performed inside
-        the compiled artifact instead of by per-tile Python launches.
-    native_reductions_compiled:
-        Tiled reductions that executed through a compiled reduction
-        kernel.
-    native_reduction_fallbacks:
-        Tiled reductions that ran on the interpreted tiled paths instead
-        (no lowering for the form, compile failure, or
-        ``codegen_reductions_enabled`` off).
-    native_slots_elided:
-        Kernel-local slots whose storage compiled launches elided
-        entirely this execution (counted per launched step).
-    tiles_executed:
-        Number of tiles launched by the tiled parallel backend.
-    tiled_instructions:
-        Byte-codes that executed through the tiled path (fused payload
-        instructions counted individually).
-    serial_fallbacks:
-        Non-system instructions the parallel backend had to execute
-        serially (generators, linear algebra, non-splittable kernels).
-    threads_used:
-        Worker-thread count of the parallel backend for this execution
-        (zero for other backends; :meth:`merge` keeps the maximum).
-    pool_hits / pool_misses:
-        Buffer-pool outcomes during this execution: how many base-array
-        materializations were served from recycled storage versus fresh
-        host allocations (filled in by the
-        :class:`~repro.runtime.engine.ExecutionEngine`).
-    pool_bytes_reused:
-        Bytes of storage served from recycled buffers this execution.
-    planned_peak_bytes:
-        The memory plan's simulated peak footprint for this execution
-        (zero when planning was disabled; :meth:`merge` keeps the
-        maximum).
-    actual_peak_bytes:
-        The memory manager's measured high-water mark after this
-        execution (:meth:`merge` keeps the maximum).
-    ir_checks_run:
-        Between-pass IR checks paid compiling this flush's plan (zero on
-        plan-cache hits and with ``check_ir`` off; filled in by the
-        :class:`~repro.runtime.engine.ExecutionEngine`).
-    ir_check_failures:
-        IR-check violations attributed to this flush.  A violation aborts
-        the flush with an :class:`~repro.utils.errors.IRCheckError` before
-        statistics are returned, so this stays zero on successful flushes;
-        the field exists so merged/serialized stats share one schema with
-        the process-wide counters in ``cache_stats()``.
-    plan_checks_run:
-        Plan-artifact soundness checks (memory plan, tiling) run for this
-        flush (filled in by the engine; non-zero only under ``check_ir``).
-    dist_workers_used:
-        Worker-process count of the distributed backend for this execution
-        (zero for other backends; :meth:`merge` keeps the maximum).
-    dist_shard_launches:
-        Shard launch frames sent to worker processes (one per participating
-        worker per distributed step; never an empty shard).
-    dist_halo_exchanges:
-        Halo fetches stencil shards performed (one per stencil base per
-        participating worker per launch).
-    dist_halo_bytes:
-        Bytes those halo fetches copied between shared-memory regions.
-    dist_control_frames / dist_control_bytes:
-        Control-channel traffic this execution: every frame exchanged with
-        the pool and its pickled size.  This is the *entire* wire cost of
-        the hot path.
-    dist_payload_bytes:
-        Bytes of NumPy array payload detected inside control frames.  The
-        design invariant is that arrays travel only through shared memory,
-        so this must stay zero; it is counted (not assumed) so the warm
-        path's zero-copy claim is a measured fact.
-    dist_bytes_migrated:
-        Bytes copied from ordinary host storage into shared-memory
-        segments when the backend adopted pre-existing arrays (zero on
-        warm flushes — residency persists).
-    backend_name:
-        Which backend produced these statistics.
+    Every numeric statistic is declared once, with :func:`_stat`;
+    :meth:`merge` and :meth:`as_dict` are derived from the declarations.
     """
 
-    instructions_executed: int = 0
-    kernel_launches: int = 0
-    elements_processed: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
+    #: Number of byte-codes executed, counting fused payload instructions.
+    instructions_executed: int = _stat(export="instructions")
+    #: Number of kernel launches — every top-level non-system instruction
+    #: is one launch; a fused instruction is a single launch.
+    kernel_launches: int = _stat(export="kernels")
+    #: Total output elements produced across all launches.
+    elements_processed: int = _stat(export="elements")
+    #: Memory traffic estimate derived from operand view sizes.
+    bytes_read: int = _stat()
+    bytes_written: int = _stat()
+    #: Histogram of executed op-codes.
     opcode_counts: Dict[OpCode, int] = field(default_factory=dict)
-    wall_time_seconds: float = 0.0
-    simulated_time_seconds: float = 0.0
-    plan_time_seconds: float = 0.0
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    kernel_cache_hits: int = 0
-    kernel_cache_misses: int = 0
-    native_compiles: int = 0
-    native_disk_hits: int = 0
-    native_memory_hits: int = 0
-    native_kernel_launches: int = 0
-    native_fallbacks: int = 0
-    native_mt_launches: int = 0
-    native_reductions_compiled: int = 0
-    native_reduction_fallbacks: int = 0
-    native_slots_elided: int = 0
-    tiles_executed: int = 0
-    tiled_instructions: int = 0
-    serial_fallbacks: int = 0
-    threads_used: int = 0
-    pool_hits: int = 0
-    pool_misses: int = 0
-    pool_bytes_reused: int = 0
-    planned_peak_bytes: int = 0
-    actual_peak_bytes: int = 0
-    ir_checks_run: int = 0
-    ir_check_failures: int = 0
-    plan_checks_run: int = 0
-    dist_workers_used: int = 0
-    dist_shard_launches: int = 0
-    dist_halo_exchanges: int = 0
-    dist_halo_bytes: int = 0
-    dist_control_frames: int = 0
-    dist_control_bytes: int = 0
-    dist_payload_bytes: int = 0
-    dist_bytes_migrated: int = 0
+    #: Measured wall-clock execution time.
+    wall_time_seconds: float = _stat(0.0, export="wall_time_s")
+    #: Device-model time (only filled in by the simulated backend).
+    simulated_time_seconds: float = _stat(0.0, export="simulated_time_s")
+    #: Middleware overhead of the flush: fingerprinting plus either the
+    #: optimization pipeline (plan-cache miss) or the plan rebind (hit).
+    plan_time_seconds: float = _stat(0.0, export="plan_time_s")
+    #: Whether this execution reused a cached execution plan (filled in by
+    #: the :class:`~repro.runtime.engine.ExecutionEngine`; sums meaningfully
+    #: under :meth:`merge`).
+    plan_cache_hits: int = _stat()
+    plan_cache_misses: int = _stat()
+    #: Compiled-kernel cache outcomes during this execution (filled in by
+    #: the fusing JIT).
+    kernel_cache_hits: int = _stat()
+    kernel_cache_misses: int = _stat()
+    #: C compiler invocations during this execution (native backend; a
+    #: warm artifact cache keeps this at zero).
+    native_compiles: int = _stat()
+    #: Compiled artifacts served from the on-disk cache versus the
+    #: in-process loaded-kernel cache.
+    native_disk_hits: int = _stat()
+    native_memory_hits: int = _stat()
+    #: Tiled map steps that executed through compiled native loops.
+    native_kernel_launches: int = _stat()
+    #: Tiled map steps that fell back to interpreted kernel templates
+    #: (unsupported op-codes/dtypes, aliasing hazards, compile failure or
+    #: codegen disabled).
+    native_fallbacks: int = _stat()
+    #: Map steps (and compiled reductions) that ran as ONE
+    #: ``repro_kernel_mt`` call, with the thread split performed inside
+    #: the compiled artifact instead of by per-tile Python launches.
+    native_mt_launches: int = _stat()
+    #: Tiled reductions that executed through a compiled reduction kernel.
+    native_reductions_compiled: int = _stat()
+    #: Tiled reductions that ran on the interpreted tiled paths instead
+    #: (no lowering for the form, compile failure, or
+    #: ``codegen_reductions_enabled`` off).
+    native_reduction_fallbacks: int = _stat()
+    #: Kernel-local slots whose storage compiled launches elided
+    #: entirely this execution (counted per launched step).
+    native_slots_elided: int = _stat()
+    #: Number of tiles launched by the tiled parallel backend.
+    tiles_executed: int = _stat()
+    #: Byte-codes that executed through the tiled path (fused payload
+    #: instructions counted individually).
+    tiled_instructions: int = _stat()
+    #: Non-system instructions the parallel backend had to execute
+    #: serially (generators, linear algebra, non-splittable kernels).
+    serial_fallbacks: int = _stat()
+    #: Worker-thread count of the parallel backend for this execution
+    #: (zero for other backends).
+    threads_used: int = _stat(merge="max")
+    #: Buffer-pool outcomes during this execution: how many base-array
+    #: materializations were served from recycled storage versus fresh
+    #: host allocations (filled in by the
+    #: :class:`~repro.runtime.engine.ExecutionEngine`).
+    pool_hits: int = _stat()
+    pool_misses: int = _stat()
+    #: Bytes of storage served from recycled buffers this execution.
+    pool_bytes_reused: int = _stat()
+    #: The memory plan's simulated peak footprint for this execution
+    #: (zero when planning was disabled).
+    planned_peak_bytes: int = _stat(merge="max")
+    #: The memory manager's measured high-water mark after this execution.
+    actual_peak_bytes: int = _stat(merge="max")
+    #: Between-pass IR checks paid compiling this flush's plan (zero on
+    #: plan-cache hits and with ``check_ir`` off; filled in by the
+    #: :class:`~repro.runtime.engine.ExecutionEngine`).
+    ir_checks_run: int = _stat()
+    #: IR-check violations attributed to this flush.  A violation aborts
+    #: the flush with an :class:`~repro.utils.errors.IRCheckError` before
+    #: statistics are returned, so this stays zero on successful flushes;
+    #: the field exists so merged/serialized stats share one schema with
+    #: the process-wide counters in ``cache_stats()``.
+    ir_check_failures: int = _stat()
+    #: Plan-artifact soundness checks (memory plan, tiling) run for this
+    #: flush (filled in by the engine; non-zero only under ``check_ir``).
+    plan_checks_run: int = _stat()
+    #: Worker-process count of the distributed backend for this execution
+    #: (zero for other backends).
+    dist_workers_used: int = _stat(merge="max")
+    #: Shard launch frames sent to worker processes (one per participating
+    #: worker per distributed step; never an empty shard).
+    dist_shard_launches: int = _stat()
+    #: Halo fetches stencil shards performed (one per stencil base per
+    #: participating worker per launch).
+    dist_halo_exchanges: int = _stat()
+    #: Bytes those halo fetches copied between shared-memory regions.
+    dist_halo_bytes: int = _stat()
+    #: Control-channel traffic this execution: every frame exchanged with
+    #: the pool and its pickled size.  This is the *entire* wire cost of
+    #: the hot path.
+    dist_control_frames: int = _stat()
+    dist_control_bytes: int = _stat()
+    #: Bytes of NumPy array payload detected inside control frames.  The
+    #: design invariant is that arrays travel only through shared memory,
+    #: so this must stay zero; it is counted (not assumed) so the warm
+    #: path's zero-copy claim is a measured fact.
+    dist_payload_bytes: int = _stat()
+    #: Bytes copied from ordinary host storage into shared-memory
+    #: segments when the backend adopted pre-existing arrays (zero on
+    #: warm flushes — residency persists).
+    dist_bytes_migrated: int = _stat()
+    #: Which backend produced these statistics.
     backend_name: str = ""
 
     def record_instruction(self, opcode: OpCode) -> None:
@@ -186,47 +157,9 @@ class ExecutionStats:
 
     def merge(self, other: "ExecutionStats") -> "ExecutionStats":
         """Fold another stats record into this one (in place) and return self."""
-        self.instructions_executed += other.instructions_executed
-        self.kernel_launches += other.kernel_launches
-        self.elements_processed += other.elements_processed
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.wall_time_seconds += other.wall_time_seconds
-        self.simulated_time_seconds += other.simulated_time_seconds
-        self.plan_time_seconds += other.plan_time_seconds
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.kernel_cache_hits += other.kernel_cache_hits
-        self.kernel_cache_misses += other.kernel_cache_misses
-        self.native_compiles += other.native_compiles
-        self.native_disk_hits += other.native_disk_hits
-        self.native_memory_hits += other.native_memory_hits
-        self.native_kernel_launches += other.native_kernel_launches
-        self.native_fallbacks += other.native_fallbacks
-        self.native_mt_launches += other.native_mt_launches
-        self.native_reductions_compiled += other.native_reductions_compiled
-        self.native_reduction_fallbacks += other.native_reduction_fallbacks
-        self.native_slots_elided += other.native_slots_elided
-        self.tiles_executed += other.tiles_executed
-        self.tiled_instructions += other.tiled_instructions
-        self.serial_fallbacks += other.serial_fallbacks
-        self.threads_used = max(self.threads_used, other.threads_used)
-        self.pool_hits += other.pool_hits
-        self.pool_misses += other.pool_misses
-        self.pool_bytes_reused += other.pool_bytes_reused
-        self.planned_peak_bytes = max(self.planned_peak_bytes, other.planned_peak_bytes)
-        self.actual_peak_bytes = max(self.actual_peak_bytes, other.actual_peak_bytes)
-        self.ir_checks_run += other.ir_checks_run
-        self.ir_check_failures += other.ir_check_failures
-        self.plan_checks_run += other.plan_checks_run
-        self.dist_workers_used = max(self.dist_workers_used, other.dist_workers_used)
-        self.dist_shard_launches += other.dist_shard_launches
-        self.dist_halo_exchanges += other.dist_halo_exchanges
-        self.dist_halo_bytes += other.dist_halo_bytes
-        self.dist_control_frames += other.dist_control_frames
-        self.dist_control_bytes += other.dist_control_bytes
-        self.dist_payload_bytes += other.dist_payload_bytes
-        self.dist_bytes_migrated += other.dist_bytes_migrated
+        for name, _, policy in NUMERIC_STATS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(self, name, max(mine, theirs) if policy == "max" else mine + theirs)
         for opcode, count in other.opcode_counts.items():
             self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + count
         return self
@@ -238,49 +171,16 @@ class ExecutionStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict summary used by benchmark reporting."""
-        return {
-            "instructions": self.instructions_executed,
-            "kernels": self.kernel_launches,
-            "elements": self.elements_processed,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "wall_time_s": self.wall_time_seconds,
-            "simulated_time_s": self.simulated_time_seconds,
-            "plan_time_s": self.plan_time_seconds,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "kernel_cache_hits": self.kernel_cache_hits,
-            "kernel_cache_misses": self.kernel_cache_misses,
-            "native_compiles": self.native_compiles,
-            "native_disk_hits": self.native_disk_hits,
-            "native_memory_hits": self.native_memory_hits,
-            "native_kernel_launches": self.native_kernel_launches,
-            "native_fallbacks": self.native_fallbacks,
-            "native_mt_launches": self.native_mt_launches,
-            "native_reductions_compiled": self.native_reductions_compiled,
-            "native_reduction_fallbacks": self.native_reduction_fallbacks,
-            "native_slots_elided": self.native_slots_elided,
-            "tiles_executed": self.tiles_executed,
-            "tiled_instructions": self.tiled_instructions,
-            "serial_fallbacks": self.serial_fallbacks,
-            "threads_used": self.threads_used,
-            "pool_hits": self.pool_hits,
-            "pool_misses": self.pool_misses,
-            "pool_bytes_reused": self.pool_bytes_reused,
-            "planned_peak_bytes": self.planned_peak_bytes,
-            "actual_peak_bytes": self.actual_peak_bytes,
-            "ir_checks_run": self.ir_checks_run,
-            "ir_check_failures": self.ir_check_failures,
-            "plan_checks_run": self.plan_checks_run,
-            "dist_workers_used": self.dist_workers_used,
-            "dist_shard_launches": self.dist_shard_launches,
-            "dist_halo_exchanges": self.dist_halo_exchanges,
-            "dist_halo_bytes": self.dist_halo_bytes,
-            "dist_control_frames": self.dist_control_frames,
-            "dist_control_bytes": self.dist_control_bytes,
-            "dist_payload_bytes": self.dist_payload_bytes,
-            "dist_bytes_migrated": self.dist_bytes_migrated,
-        }
+        return {export: getattr(self, name) for name, export, _ in NUMERIC_STATS}
+
+
+#: ``(attribute, as_dict key, merge policy)`` of every numeric statistic,
+#: in declaration order.
+NUMERIC_STATS = tuple(
+    (spec.name, spec.metadata["export"] or spec.name, spec.metadata["merge"])
+    for spec in dataclasses.fields(ExecutionStats)
+    if "merge" in spec.metadata
+)
 
 
 @dataclass

@@ -21,7 +21,6 @@ launched with each kernel's concrete views.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.bytecode.program import Program
@@ -32,6 +31,7 @@ from repro.runtime.kernel import Kernel, KernelTemplate
 from repro.runtime.memory import MemoryManager
 from repro.utils.config import get_config
 from repro.utils.locking import ContendedLock
+from repro.utils.lru import BoundedLRU
 
 
 class FusingJIT(Backend):
@@ -47,8 +47,8 @@ class FusingJIT(Backend):
         )
         self._interpreter = NumPyInterpreter()
         self._kernel_cache: Dict[tuple, KernelTemplate] = {}
-        # Covers both backend-local caches and their counters: concurrent
-        # sessions sharing one engine share this instance too.
+        # Covers the kernel cache and its counters: concurrent sessions
+        # sharing one engine share this instance too.
         self._cache_lock = ContendedLock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -56,8 +56,7 @@ class FusingJIT(Backend):
         # warm plan-cache replays hand this backend the same (already
         # scheduled) program every flush, and the schedule is structural, so
         # one dependency-graph analysis serves them all.
-        self._schedule_cache: "OrderedDict[tuple, object]" = OrderedDict()
-        self._schedule_capacity = max(1, get_config().plan_cache_size)
+        self._schedule_cache = BoundedLRU(max(1, get_config().plan_cache_size))
 
     def _template(self, kernel: Kernel) -> KernelTemplate:
         key = kernel.structural_key()
@@ -81,6 +80,7 @@ class FusingJIT(Backend):
             "kernel_cache_hits": self.cache_hits,
             "kernel_cache_misses": self.cache_misses,
             "kernel_cache_size": len(self._kernel_cache),
+            **self._schedule_cache.stats("schedule_cache_"),
             "backend_lock_contentions": self._cache_lock.contentions,
         }
 
@@ -100,16 +100,11 @@ class FusingJIT(Backend):
             config.fusion_cost_threshold,
             self.max_kernel_size,
         )
-        with self._cache_lock:
-            schedule = self._schedule_cache.get(key)
-            if schedule is not None:
-                self._schedule_cache.move_to_end(key)
+        schedule = self._schedule_cache.get(key)
         if schedule is None:
-            schedule = compute_schedule(program, max_kernel_size=self.max_kernel_size)
-            with self._cache_lock:
-                schedule = self._schedule_cache.setdefault(key, schedule)
-                while len(self._schedule_cache) > self._schedule_capacity:
-                    self._schedule_cache.popitem(last=False)
+            schedule = self._schedule_cache.setdefault(
+                key, compute_schedule(program, max_kernel_size=self.max_kernel_size)
+            )
         return schedule.partition(program)
 
     def execute(

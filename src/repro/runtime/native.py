@@ -37,7 +37,6 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from collections import OrderedDict
 from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
@@ -61,6 +60,7 @@ from repro.runtime.kernel import prepare_kernel_launch
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
+from repro.utils.lru import BoundedLRU
 
 
 class NativeKernelLaunch:
@@ -215,6 +215,24 @@ class NativeReduceLaunch:
         return False
 
 
+#: Cumulative backend counters that are windowed into each execution's
+#: ``ExecutionStats`` (same attribute names there) and reported by
+#: ``cache_stats``.
+_WINDOWED_COUNTERS = (
+    "native_compiles",
+    "native_disk_hits",
+    "native_memory_hits",
+    "native_kernel_launches",
+    "native_fallbacks",
+    "native_mt_launches",
+    "native_reductions_compiled",
+    "native_reduction_fallbacks",
+    "native_slots_elided",
+)
+
+_MISSING = object()
+
+
 class NativeBackend(ParallelBackend):
     """Tiled executor that compiles eligible kernel forms to native code."""
 
@@ -227,30 +245,17 @@ class NativeBackend(ParallelBackend):
     ) -> None:
         super().__init__(num_threads=num_threads, tile_elements=tile_elements)
         # Structural kernel key (+ codegen signature) → NativeKernelLaunch,
-        # or None for forms with no bitwise-safe lowering; LRU-bounded like
-        # the engine's plan cache.
-        self._native_cache: "OrderedDict[tuple, Optional[NativeKernelLaunch]]" = (
-            OrderedDict()
-        )
-        self._native_capacity = 256
-        self.native_compiles = 0
-        self.native_disk_hits = 0
-        self.native_memory_hits = 0
-        self.native_kernel_launches = 0
-        self.native_fallbacks = 0
-        self.native_mt_launches = 0
-        self.native_reductions_compiled = 0
-        self.native_reduction_fallbacks = 0
-        self.native_slots_elided = 0
-        self.native_cache_hits = 0
-        self.native_cache_misses = 0
+        # or None for forms with no bitwise-safe lowering.
+        self._native_cache = BoundedLRU(256)
+        for counter in _WINDOWED_COUNTERS:
+            setattr(self, counter, 0)
         #: How this backend first obtained the kernel runtime artifact:
         #: "compiled" | "disk" | "memory", "serial" when the toolchain
         #: builds none, ``None`` until a kernel form needed it.
         self.native_runtime: Optional[str] = None
         # Open stats window: counters snapshot taken when the engine first
         # touches the backend for a flush (prepare_plan), closed by
-        # execute/execute_plan so plan-stage compiles land in that flush's
+        # execute_plan so plan-stage compiles land in that flush's
         # ExecutionStats.  Thread-local, because a service multiplexes many
         # concurrent flushes over this one instance and each flush's window
         # opens and closes on its own thread — a shared slot would tear.
@@ -263,6 +268,11 @@ class NativeBackend(ParallelBackend):
     @_window_start.setter
     def _window_start(self, value: Optional[tuple]) -> None:
         self._windows.start = value
+
+    @property
+    def native_cache_misses(self) -> int:
+        """Launch-cache lookups that had to lower (or re-diagnose) a form."""
+        return self._native_cache.misses
 
     # ------------------------------------------------------------------ #
     # Codegen resolution
@@ -307,16 +317,13 @@ class NativeBackend(ParallelBackend):
         — cached as such — means the form has no native lowering (or
         compilation failed); the caller uses the interpreted path.
         """
-        with self._cache_lock:
-            if cache_key in self._native_cache:
-                self._native_cache.move_to_end(cache_key)
-                self.native_cache_hits += 1
-                return self._native_cache[cache_key]
-            self.native_cache_misses += 1
-        # Lowering and compilation run outside the lock; concurrent misses
+        launch = self._native_cache.get(cache_key, _MISSING)
+        if launch is not _MISSING:
+            return launch
+        # Lowering and compilation run outside any lock; concurrent misses
         # of one form may both walk here, but the process-wide digest memo
         # latches the actual compile to exactly one of them.
-        launch = outcome = runtime_outcome = None
+        outcome = runtime_outcome = None
         try:
             source, bind = lower()
             runtime, _, runtime_outcome = resolve_runtime(
@@ -343,11 +350,7 @@ class NativeBackend(ParallelBackend):
                 self.native_disk_hits += 1
             elif outcome == "memory":
                 self.native_memory_hits += 1
-            if cache_key not in self._native_cache:
-                self._native_cache[cache_key] = launch
-                while len(self._native_cache) > self._native_capacity:
-                    self._native_cache.popitem(last=False)
-            return self._native_cache[cache_key]
+        return self._native_cache.setdefault(cache_key, launch)
 
     def _native_launch(
         self,
@@ -532,17 +535,7 @@ class NativeBackend(ParallelBackend):
     # ------------------------------------------------------------------ #
 
     def _counters_snapshot(self) -> tuple:
-        return (
-            self.native_compiles,
-            self.native_disk_hits,
-            self.native_memory_hits,
-            self.native_kernel_launches,
-            self.native_fallbacks,
-            self.native_mt_launches,
-            self.native_reductions_compiled,
-            self.native_reduction_fallbacks,
-            self.native_slots_elided,
-        )
+        return tuple(getattr(self, counter) for counter in _WINDOWED_COUNTERS)
 
     def _close_window(self, stats) -> None:
         start = self._window_start
@@ -550,15 +543,8 @@ class NativeBackend(ParallelBackend):
         if start is None:
             return
         now = self._counters_snapshot()
-        stats.native_compiles += now[0] - start[0]
-        stats.native_disk_hits += now[1] - start[1]
-        stats.native_memory_hits += now[2] - start[2]
-        stats.native_kernel_launches += now[3] - start[3]
-        stats.native_fallbacks += now[4] - start[4]
-        stats.native_mt_launches += now[5] - start[5]
-        stats.native_reductions_compiled += now[6] - start[6]
-        stats.native_reduction_fallbacks += now[7] - start[7]
-        stats.native_slots_elided += now[8] - start[8]
+        for counter, before, after in zip(_WINDOWED_COUNTERS, start, now):
+            setattr(stats, counter, getattr(stats, counter) + after - before)
 
     def execute_plan(self, plan, program, memory=None):
         if self._window_start is None:
@@ -571,38 +557,13 @@ class NativeBackend(ParallelBackend):
         self._close_window(result.stats)
         return result
 
-    def execute(self, program, memory=None):
-        if self._window_start is None:
-            self._window_start = self._counters_snapshot()
-        try:
-            result = super().execute(program, memory)
-        except BaseException:
-            self._window_start = None
-            raise
-        self._close_window(result.stats)
-        return result
-
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
 
     def cache_stats(self) -> Dict[str, int]:
         stats = super().cache_stats()
-        stats.update(
-            {
-                "native_compiles": self.native_compiles,
-                "native_disk_hits": self.native_disk_hits,
-                "native_memory_hits": self.native_memory_hits,
-                "native_kernel_launches": self.native_kernel_launches,
-                "native_fallbacks": self.native_fallbacks,
-                "native_mt_launches": self.native_mt_launches,
-                "native_reductions_compiled": self.native_reductions_compiled,
-                "native_reduction_fallbacks": self.native_reduction_fallbacks,
-                "native_slots_elided": self.native_slots_elided,
-                "native_cache_hits": self.native_cache_hits,
-                "native_cache_misses": self.native_cache_misses,
-                "native_cache_size": len(self._native_cache),
-                "native_loaded_artifacts": memory_cache_size(),
-            }
-        )
+        stats.update(zip(_WINDOWED_COUNTERS, self._counters_snapshot()))
+        stats.update(self._native_cache.stats("native_cache_"))
+        stats["native_loaded_artifacts"] = memory_cache_size()
         return stats

@@ -26,14 +26,16 @@ streaming full arrays once per byte-code.
 The tile decomposition itself is computed **once at plan time** (see
 :meth:`prepare_plan`) and cached inside the
 :class:`~repro.runtime.plan.ExecutionPlan`, so warm flushes through the
-engine's plan cache pay zero re-tiling cost; plan-less executions amortize
-through a backend-local fingerprint-keyed LRU instead.
+engine's plan cache pay zero re-tiling cost.  A plan-less
+:meth:`~ParallelBackend.execute` is not a second implementation: it wraps
+the program in an ordinary plan, kept in a backend-owned
+:class:`~repro.runtime.plan.PlanCache`, and runs it through
+:meth:`~ParallelBackend.execute_plan`.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
@@ -50,7 +52,12 @@ from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.kernel import KernelTemplate, prepare_kernel_launch
 from repro.runtime.memory import MemoryManager
 from repro.runtime.memplan import bind_memory_plan
-from repro.runtime.plan import program_fingerprint
+from repro.runtime.plan import (
+    ExecutionPlan,
+    PlanCache,
+    canonical_program_key,
+    fingerprint_of_key,
+)
 from repro.runtime.tiling import (
     SerialStep,
     TileDecomposition,
@@ -94,19 +101,13 @@ class ParallelBackend(Backend):
         self._template_cache: Dict[tuple, KernelTemplate] = {}
         self.template_hits = 0
         self.template_misses = 0
-        # (fusion schedule, decomposition) pairs for plan-less executions,
-        # keyed by (fingerprint, tiling- and scheduling-relevant config);
-        # plans carry their own decomposition of the already-scheduled
-        # optimized program.
-        self._tiling_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._tiling_capacity = max(1, get_config().plan_cache_size)
-        self.tiling_hits = 0
-        self.tiling_misses = 0
-        # One lock covers the backend-local caches (templates, tilings,
-        # their counters) and pool construction: concurrent sessions
-        # sharing this instance mutate them only under it.  Template and
-        # schedule *construction* happens outside the lock; a rare
-        # duplicate build is benign, a corrupted LRU is not.
+        # Plans for programs handed to ``execute`` without one; reported as
+        # ``tiling_cache_*``.
+        self._adhoc_plans = PlanCache(max(1, get_config().plan_cache_size))
+        # One lock covers the template cache, its counters and pool
+        # construction: concurrent sessions sharing this instance mutate
+        # them only under it.  Template *construction* happens outside the
+        # lock; a rare duplicate build is benign, a corrupted dict is not.
         self._cache_lock = ContendedLock()
 
     # ------------------------------------------------------------------ #
@@ -202,54 +203,48 @@ class ParallelBackend(Backend):
     def execute(
         self, program: Program, memory: Optional[MemoryManager] = None
     ) -> ExecutionResult:
-        """Execute without a plan; schedules and decompositions amortize via a local LRU.
+        """Execute without a plan, by building (or replaying) an ordinary one.
 
         Plan-less programs have not been through the optimizer's fusion
-        pass, so the backend runs the shared fusion-scheduling seam itself:
-        the (structural) schedule clusters fusable byte-codes into kernels,
-        and the tile decomposition is computed over the scheduled program.
-        Both artifacts are cached by fingerprint; only the cheap linear
-        materialization onto the concrete program is paid per execution.
+        pass, so the backend runs the shared fusion-scheduling seam itself
+        and plans the scheduled program exactly as the engine plans an
+        optimized one: :meth:`prepare_plan` attaches the same artifacts,
+        :meth:`execute_plan` runs them.  Repeated flushes of one structure
+        pay only the linear rebind.  Concurrent first executions of one
+        fingerprint may both build; the later ``put`` wins, which is benign.
         """
         from repro.core.schedule import compute_schedule, schedule_signature
 
         config = self._effective_config()
-        key = (
-            (program_fingerprint(program),)
-            + self._tiling_signature()
-            + schedule_signature(config)
+        key, bases = canonical_program_key(program)
+        fingerprint = fingerprint_of_key(key)
+        # The schedule is baked into the plan's program, so its knobs key
+        # the cache; every other artifact re-validates its own signature in
+        # ``prepare_plan``.
+        cache_key = (
+            (fingerprint,) + self._tiling_signature() + schedule_signature(config)
         )
-        with self._cache_lock:
-            cached = self._tiling_cache.get(key)
-            if cached is not None:
-                self._tiling_cache.move_to_end(key)
-                self.tiling_hits += 1
-            else:
-                self.tiling_misses += 1
-        if cached is not None:
-            schedule, tiling = cached
-            executable = schedule.materialize(program)
-        else:
-            # Analysis runs outside the lock: concurrent first executions
-            # of one fingerprint may both pay it, but the insert is atomic.
+        plan = self._adhoc_plans.get(cache_key)
+        if plan is None:
             schedule = compute_schedule(program, config)
-            executable = schedule.materialize(program)
-            tiling = decompose(executable, config)
-            with self._cache_lock:
-                self._tiling_cache[key] = (schedule, tiling)
-                while len(self._tiling_cache) > self._tiling_capacity:
-                    self._tiling_cache.popitem(last=False)
-        return self._run(executable, tiling, memory)
+            plan = ExecutionPlan(
+                fingerprint=fingerprint,
+                backend_name=self.name,
+                source_bases=bases,
+                optimized=schedule.materialize(program),
+                fusion_schedule=schedule,
+            )
+            self.prepare_plan(plan)
+            self._adhoc_plans.put(cache_key, plan)
+        return self.execute_plan(plan, plan.bind(bases), memory)
 
     def cache_stats(self) -> Dict[str, int]:
-        """Tile-template and decomposition cache counters."""
+        """Tile-template and plan-less plan cache counters."""
         return {
             "tile_template_hits": self.template_hits,
             "tile_template_misses": self.template_misses,
             "tile_template_size": len(self._template_cache),
-            "tiling_cache_hits": self.tiling_hits,
-            "tiling_cache_misses": self.tiling_misses,
-            "tiling_cache_size": len(self._tiling_cache),
+            **self._adhoc_plans.stats("tiling_cache_"),
             "backend_lock_contentions": self._cache_lock.contentions,
         }
 
@@ -261,9 +256,8 @@ class ParallelBackend(Backend):
         self,
         program: Program,
         tiling: TileDecomposition,
-        memory: Optional[MemoryManager],
+        memory: MemoryManager,
     ) -> ExecutionResult:
-        memory = memory if memory is not None else MemoryManager()
         stats = ExecutionStats(backend_name=self.name)
         threads = self.num_threads()
         stats.threads_used = threads

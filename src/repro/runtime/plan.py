@@ -18,8 +18,9 @@ This module provides the three pieces that make flushes cacheable:
   optimization report and the canonical base enumeration it was derived
   from.  :meth:`ExecutionPlan.bind` rebinds the plan onto the base arrays of
   a new, structurally identical program in one linear pass — no optimizer.
-* :class:`PlanCache` — a bounded LRU mapping cache keys to plans, with
-  hit/miss/eviction counters surfaced through the execution statistics.
+* :class:`PlanCache` — the shared :class:`~repro.utils.lru.BoundedLRU`
+  mapping cache keys to plans, with hit/miss/eviction counters surfaced
+  through the execution statistics.
 
 Batch splitting (formerly ``repro.runtime.scheduler``) also lives here: a
 flush batch is the unit a plan describes, so "how much program does a plan
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,7 +42,7 @@ from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.utils.config import Config, get_config
 from repro.utils.errors import ExecutionError
-from repro.utils.locking import ContendedLock
+from repro.utils.lru import BoundedLRU
 
 
 # --------------------------------------------------------------------------- #
@@ -411,84 +411,35 @@ class ExecutionPlan:
 # --------------------------------------------------------------------------- #
 
 
-class PlanCache:
+class PlanCache(BoundedLRU):
     """A bounded LRU cache of :class:`ExecutionPlan` objects.
 
-    Keys are whatever the engine derives them from (program fingerprint plus
-    backend name, pipeline signature and configuration signature); the cache
-    itself only requires them to be hashable.
+    Keys are whatever the owner derives them from (the engine: program
+    fingerprint plus backend name, pipeline signature and configuration
+    signature); the cache itself only requires them to be hashable.
 
-    The cache is thread-safe: lookup (with its LRU reordering), insertion,
-    eviction and the counters all mutate under one internal lock, so many
-    sessions sharing one engine — the multi-tenant service — can never
-    corrupt the recency order or lose hit/miss updates.  Contended
-    acquisitions are counted and surfaced in :meth:`stats`.
+    All of the mechanism — bounding, recency, the lock that lets many
+    sessions share one engine, the counters — is
+    :class:`~repro.utils.lru.BoundedLRU`'s; this subclass only counts
+    per-plan reuse and names the statistics.
     """
 
     def __init__(self, max_plans: Optional[int] = None) -> None:
-        self.max_plans = (
+        super().__init__(
             max_plans if max_plans is not None else get_config().plan_cache_size
         )
-        if self.max_plans < 1:
-            raise ValueError(f"plan cache needs room for at least one plan, got {self.max_plans}")
-        self._plans: "OrderedDict[tuple, ExecutionPlan]" = OrderedDict()
-        self._lock = ContendedLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
 
     def get(self, key) -> Optional[ExecutionPlan]:
         """Look up a plan, counting the hit/miss and refreshing recency."""
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.misses += 1
-                return None
-            self._plans.move_to_end(key)
-            self.hits += 1
-            plan.hits += 1
+            plan = super().get(key)
+            if plan is not None:
+                plan.hits += 1
             return plan
 
-    def peek(self, key) -> Optional[ExecutionPlan]:
-        """Look up a plan without touching recency or the counters.
-
-        The engine's in-flight latch re-checks the cache after waiting for
-        a concurrent builder; that second look must not inflate the hit
-        statistics the stress suite asserts on.
-        """
-        with self._lock:
-            return self._plans.get(key)
-
-    def put(self, key, plan: ExecutionPlan) -> None:
-        """Insert a plan, evicting the least recently used entry if full."""
-        with self._lock:
-            if key in self._plans:
-                self._plans.move_to_end(key)
-            self._plans[key] = plan
-            while len(self._plans) > self.max_plans:
-                self._plans.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every cached plan (counters are preserved)."""
-        with self._lock:
-            self._plans.clear()
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for reporting: hits, misses, evictions, current size."""
-        with self._lock:
-            return {
-                "plan_cache_hits": self.hits,
-                "plan_cache_misses": self.misses,
-                "plan_cache_evictions": self.evictions,
-                "plan_cache_size": len(self._plans),
-                "plan_cache_capacity": self.max_plans,
-                "plan_cache_contentions": self._lock.contentions,
-            }
+    def stats(self, prefix: str = "plan_cache_") -> Dict[str, int]:
+        """Counters for reporting: hits, misses, evictions, size, capacity."""
+        return super().stats(prefix)
 
 
 # --------------------------------------------------------------------------- #

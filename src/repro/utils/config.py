@@ -27,8 +27,10 @@ class Config:
     Attributes
     ----------
     default_backend:
-        Name of the backend the front-end uses when none is given.  One of
-        ``"interpreter"``, ``"jit"`` or ``"simulator"``.
+        Name of the backend the front-end uses when none is given: any
+        name registered in :mod:`repro.runtime.backend` (built in:
+        ``"interpreter"``, ``"jit"``, ``"parallel"``, ``"native"``,
+        ``"simulator"``, ``"cluster"``, ``"dist"``).
     optimize:
         Whether the front-end runs the optimization pipeline before
         executing a flushed program.
@@ -69,10 +71,6 @@ class Config:
         scheduler's analysis.
     fixed_point_max_iterations:
         Safety bound on the pipeline's iterate-to-fixed-point loop.
-    plan_cache_enabled:
-        Whether the execution engine caches optimized execution plans keyed
-        by program fingerprint and replays them on structurally identical
-        flushes.
     plan_cache_size:
         Maximum number of execution plans the engine's LRU plan cache holds.
     parallel_num_threads:
@@ -192,7 +190,6 @@ class Config:
     fusion_scheduler: str = "dag"
     fusion_cost_threshold: float = 0.0
     fixed_point_max_iterations: int = 16
-    plan_cache_enabled: bool = True
     plan_cache_size: int = 128
     parallel_num_threads: Optional[int] = None
     parallel_tile_elements: int = 65536

@@ -8,7 +8,7 @@ import threading
 
 class PlanCache:
     def __init__(self):
-        self._lock = threading.Lock()  # rank 2
+        self._lock = threading.Lock()  # rank 3 (leaf)
 
     def get(self):
         with self._lock:

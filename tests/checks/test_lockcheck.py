@@ -51,6 +51,10 @@ class TestRealTree:
         assert ("self", "_native_launch") in under_plan_lock
         assert ("self", "_native_reduce_launch") in under_plan_lock
         assert ("self", "_scatter") in under_plan_lock
+        # ...and what those thunks take is ranked: the backend cache lock
+        # (counters) and the launch cache's LRU leaf, both below the plan lock.
+        resolver = analyzer.summaries[("NativeBackend", "_cached_launch")]
+        assert {("backend-cache", 2), ("lru", 3)} <= resolver.acquires
 
     def test_cli_exits_zero_on_the_real_tree(self):
         assert main([]) == 0

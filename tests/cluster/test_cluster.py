@@ -8,6 +8,7 @@ from repro.bytecode.base import BaseArray
 from repro.cluster import ClusterExecutor, CommunicationModel, partition_length, partition_view
 from repro.core.pipeline import optimize
 from repro.runtime.interpreter import NumPyInterpreter
+from repro.utils.config import config_override
 from repro.utils.errors import ClusterError
 from repro.workloads import elementwise_chain, linear_solve_program, repeated_constant_add
 
@@ -175,3 +176,26 @@ class TestClusterExecutor:
         result = ClusterExecutor(num_workers=2).execute(program)
         assert result.stats.simulated_time_seconds > 0
         assert np.all(result.value(out) == 2.0)
+
+
+class TestPricingCacheUnderThreads:
+    def test_concurrent_estimates_keep_the_cache_and_counters_exact(self, thread_hammer):
+        """The shared-engine service multiplexes tenant threads over one
+        executor: four threads re-pricing four programs through a one-entry
+        pricing cache must neither corrupt it (the unlocked ``OrderedDict``
+        raised ``KeyError`` in ``move_to_end``) nor lose a counter update."""
+        with config_override(plan_cache_size=1):
+            executor = ClusterExecutor(num_workers=4, comm=CommunicationModel())
+        programs = [repeated_constant_add(8, repeats)[0] for repeats in (1, 2, 3, 4)]
+        threads, lookups = 4, 10000
+
+        def body(offset: int) -> None:
+            for step in range(lookups):
+                executor.estimate(programs[(step + offset) % len(programs)])
+
+        thread_hammer(threads, body)
+        stats = executor.cache_stats()
+        assert stats["pricing_plan_hits"] + stats["pricing_plan_misses"] == (
+            threads * lookups
+        )
+        assert stats["pricing_plan_size"] == 1

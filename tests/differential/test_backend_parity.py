@@ -336,3 +336,73 @@ def test_optimization_levels_agree_per_backend():
                     _assert_close(
                         actual, expected, f"{backend} optimized vs plain, output {index}"
                     )
+
+
+#: Backends whose plan-less ``execute`` wraps the program in an ordinary
+#: plan and rides ``execute_plan``.
+TILED_BACKENDS = ("parallel", "native", "dist")
+
+
+def _count_calls(monkeypatch, target: str, calls: dict) -> None:
+    """Wrap the function at dotted path ``target`` so each call is counted."""
+    module_path, name = target.rsplit(".", 1)
+    module = __import__(module_path, fromlist=[name])
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("backend_name", TILED_BACKENDS)
+@pytest.mark.parametrize("seed", (3, 1003))
+def test_planless_execution_is_the_planned_path(backend_name, seed, monkeypatch):
+    """``backend.execute(p)`` and an engine flush of the same scheduled
+    program run the same steps: bitwise-equal outputs, equal tile / native
+    launch / shard launch counts — and the second plan-less call re-derives
+    nothing (no tiling, no shard planning, no lowering)."""
+    from repro.runtime.backend import get_backend
+
+    generator = random_elementwise_program if seed < 1000 else random_mixed_program
+    calls: dict = {}
+    for target in (
+        "repro.runtime.parallel.decompose",
+        "repro.dist.backend.build_dist_plan",
+        "repro.runtime.native.lower_kernel",
+        "repro.runtime.native.lower_reduction",
+    ):
+        _count_calls(monkeypatch, target, calls)
+    # With only the fusion pass enabled the engine plans exactly the program
+    # the backend schedules for itself.
+    with config_override(**TINY_TILES, enabled_passes=["fusion"]):
+        program, synced = generator(seed)
+        planned = ExecutionEngine(backend=backend_name, optimize=True).execute(program)
+        expected = [planned.value(view) for view in synced]
+
+        backend = get_backend(backend_name)
+        results = []
+        for _ in range(2):
+            program, synced = generator(seed)  # fresh bases, same structure
+            after_first = dict(calls)
+            result = backend.execute(program)
+            results.append(result)
+            for index, (view, reference) in enumerate(zip(synced, expected)):
+                _assert_bitwise(
+                    result.value(view), reference, f"{backend_name} plan-less, output {index}"
+                )
+    for result in results:
+        for counter in ("tiles_executed", "native_kernel_launches", "dist_shard_launches"):
+            assert getattr(result.stats, counter) == getattr(planned.stats, counter), counter
+    assert planned.stats.tiles_executed > 0, "nothing tiled; the comparison is vacuous"
+    assert calls == after_first, "the second plan-less call re-derived plan artifacts"
+    # Non-vacuity: the planned flush and the first plan-less call each did
+    # derive them, once.
+    assert calls["decompose"] == 2
+    if backend_name == "dist":
+        assert calls["build_dist_plan"] == 2
+    if backend_name == "native":
+        assert calls["lower_kernel"] >= 2
+    cache = backend.cache_stats()
+    assert (cache["tiling_cache_misses"], cache["tiling_cache_hits"]) == (1, 1)

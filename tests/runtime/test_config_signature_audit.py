@@ -34,9 +34,8 @@ EXEMPT_FIELDS = {
     # Toggles whether the pipeline runs at all; unoptimized flushes bypass
     # the plan cache entirely rather than reading stale optimized plans.
     "optimize",
-    # Cache administration: enabling/disabling or resizing the plan cache
-    # changes *whether* plans are cached, never what a cached plan contains.
-    "plan_cache_enabled",
+    # Cache administration: resizing the plan cache changes *which* plans
+    # stay cached, never what a cached plan contains.
     "plan_cache_size",
     # Service-layer admission and pooling knobs: they gate *when* a flush
     # is allowed to run and how freed buffers recycle between tenants,

@@ -280,17 +280,6 @@ class TestExecutionEngine:
         result = engine.execute(chain_program()[0])
         assert result.stats.plan_cache_hits == 1
 
-    def test_plan_cache_can_be_disabled(self):
-        engine = ExecutionEngine(backend="interpreter", optimize=True)
-        with config_override(plan_cache_enabled=False):
-            for _ in range(2):
-                program, out = chain_program()
-                result = engine.execute(program)
-                assert np.all(result.value(out) == 3.0)
-                assert result.stats.plan_cache_hits == 0
-                assert result.stats.plan_cache_misses == 0
-        assert engine.cache_stats()["plan_cache_size"] == 0
-
     def test_unoptimized_execution_bypasses_planning(self):
         engine = ExecutionEngine(backend="interpreter", optimize=False)
         program, out = chain_program()

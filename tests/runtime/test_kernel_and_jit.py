@@ -228,11 +228,13 @@ class TestFusingJIT:
         # round; the dependency-graph analysis must not be re-paid.
         jit = FusingJIT()
         jit.execute(chain_program(length=5)[0])
-        assert len(jit._schedule_cache) == 1
+        assert jit.cache_stats()["schedule_cache_size"] == 1
         jit.execute(chain_program(length=5)[0])  # fresh bases, same structure
-        assert len(jit._schedule_cache) == 1
+        stats = jit.cache_stats()
+        assert stats["schedule_cache_size"] == 1
+        assert stats["schedule_cache_hits"] == 1
         jit.execute(chain_program(length=7)[0])
-        assert len(jit._schedule_cache) == 2
+        assert jit.cache_stats()["schedule_cache_size"] == 2
 
     def test_respects_preexisting_fused_instructions(self):
         program, vector = chain_program(length=3)

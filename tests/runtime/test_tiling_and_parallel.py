@@ -461,11 +461,7 @@ class TestPlanTimeTiling:
     def test_planless_executions_cache_decompositions(self):
         backend = ParallelBackend()
         program, _ = elementwise_program(length=512)
-        with config_override(
-            plan_cache_enabled=False,
-            parallel_tile_elements=64,
-            parallel_serial_threshold=8,
-        ):
+        with config_override(parallel_tile_elements=64, parallel_serial_threshold=8):
             backend.execute(program.copy())
             backend.execute(program.copy())
         stats = backend.cache_stats()

@@ -1,4 +1,4 @@
-"""Tests for configuration, timing helpers and the error hierarchy."""
+"""Tests for configuration, timing helpers, the shared LRU and the error hierarchy."""
 
 import time
 
@@ -17,6 +17,7 @@ from repro.utils import (
     set_config,
 )
 from repro.utils.errors import ParseError
+from repro.utils.lru import BoundedLRU
 
 
 class TestConfig:
@@ -93,6 +94,89 @@ class TestTimers:
         second.add("b", 3.0)
         first.merge(second)
         assert first.segments == {"a": 3.0, "b": 3.0}
+
+
+class TestBoundedLRU:
+    def test_evicts_least_recently_used_first(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1  # refreshes "a": "b" is now the oldest
+        lru.put("c", 3)
+        assert lru.peek("b") is None
+        assert lru.values() == [1, 3]
+        assert len(lru) == 2
+        assert lru.evictions == 1
+
+    def test_put_replaces_and_refreshes(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        lru.put("a", 10)
+        lru.put("c", 3)
+        assert lru.peek("a") == 10
+        assert lru.peek("b") is None
+
+    def test_peek_is_silent(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.peek("a") == 1
+        assert lru.peek("missing", "default") == "default"
+        assert (lru.hits, lru.misses) == (0, 0)
+        lru.put("c", 3)  # "a" was peeked, not refreshed: it is evicted
+        assert lru.peek("a") is None
+
+    def test_a_cached_none_is_a_hit(self):
+        lru = BoundedLRU(2)
+        sentinel = object()
+        assert lru.get("form", sentinel) is sentinel
+        lru.put("form", None)
+        assert lru.get("form", sentinel) is None
+        assert (lru.hits, lru.misses) == (1, 1)
+
+    def test_setdefault_keeps_the_first_value(self):
+        lru = BoundedLRU(1)
+        first, second = object(), object()
+        assert lru.setdefault("key", first) is first
+        assert lru.setdefault("key", second) is first
+        assert lru.setdefault("other", second) is second  # evicts "key"
+        assert lru.peek("key") is None
+        assert lru.evictions == 1
+
+    def test_rejects_empty_capacity(self):
+        with pytest.raises(ValueError):
+            BoundedLRU(0)
+
+    def test_clear_keeps_counters_and_stats_are_prefixed(self):
+        lru = BoundedLRU(3)
+        lru.put("a", 1)
+        lru.get("a")
+        lru.get("b")
+        lru.clear()
+        assert lru.stats("demo_") == {
+            "demo_hits": 1,
+            "demo_misses": 1,
+            "demo_evictions": 0,
+            "demo_size": 0,
+            "demo_capacity": 3,
+            "demo_contentions": 0,
+        }
+
+    def test_counters_exact_under_thread_hammer(self, thread_hammer):
+        lru = BoundedLRU(4)
+        threads, lookups = 8, 4000
+
+        def body(offset: int) -> None:
+            for step in range(lookups):
+                key = (step + offset) % 16
+                if lru.get(key) is None:
+                    lru.setdefault(key, key + 1)
+
+        thread_hammer(threads, body)
+        assert lru.hits + lru.misses == threads * lookups
+        assert len(lru) == 4
+        assert lru.evictions >= 16 - 4  # 16 keys through 4 slots
 
 
 class TestErrorHierarchy:
