@@ -51,7 +51,7 @@ from repro.runtime.plan import (
     program_base_order,
     program_fingerprint,
 )
-from repro.runtime.tiling import TileDecomposition
+from repro.runtime.tiling import combine_partials
 from repro.utils.config import get_config
 from repro.utils.errors import DistributedExecutionError
 
@@ -261,11 +261,9 @@ class DistributedBackend(ParallelBackend):
         super().__init__()
         self._configured_workers = num_workers
         self._comm: Optional[CommunicationModel] = None
-        # Backend-lifetime counters for cache_stats (per-flush deltas live
-        # on ExecutionStats).
-        self.shard_launches_total = 0
-        self.halo_exchanges_total = 0
-        self.payload_bytes_total = 0
+        # Every completed flush's record, folded in under the cache lock;
+        # ``cache_stats`` reports its ``dist_*`` counters.
+        self._totals = ExecutionStats(backend_name=self.name)
         self.loads_shipped = 0
 
     def num_workers(self) -> int:
@@ -308,7 +306,7 @@ class DistributedBackend(ParallelBackend):
         # slot buffer cannot be two shared-memory segments at once.  Stale
         # directives from another backend's flush must not leak in either.
         memory.apply_plan(None)
-        return self._run(program, plan.tiling, memory, plan.dist_plan)
+        return self._run(program, plan, memory)
 
     # ------------------------------------------------------------------ #
     # Adoption: arrays become shared-memory residents
@@ -340,27 +338,23 @@ class DistributedBackend(ParallelBackend):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def _run(
-        self,
-        program,
-        tiling: TileDecomposition,
-        memory: MemoryManager,
-        dist_plan: DistPlan,
-    ) -> ExecutionResult:
+    def _run(self, program, plan, memory: MemoryManager) -> ExecutionResult:
+        dist_plan: DistPlan = plan.dist_plan
         workers = dist_plan.num_workers
         stats = ExecutionStats(backend_name=self.name)
         stats.dist_workers_used = workers
         start = time.perf_counter()
         store = _get_store()
         try:
-            self._run_sharded(program, tiling, dist_plan, memory, stats, store, workers)
+            self._run_sharded(
+                program, plan.tiling, dist_plan, memory, stats, store, workers
+            )
         except WorkerDiedError:
             _discard_pool(workers)
             raise
         stats.wall_time_seconds = time.perf_counter() - start
-        self.shard_launches_total += stats.dist_shard_launches
-        self.halo_exchanges_total += stats.dist_halo_exchanges
-        self.payload_bytes_total += stats.dist_payload_bytes
+        with self._cache_lock:
+            self._totals.merge(stats)
         return ExecutionResult(memory=memory, stats=stats)
 
     def _run_sharded(
@@ -418,15 +412,10 @@ class DistributedBackend(ParallelBackend):
             for shard_step in dist_plan.steps:
                 instruction = program[shard_step.index]
                 if isinstance(shard_step, MasterStep):
-                    if not instruction.is_system():
-                        stats.serial_fallbacks += 1
-                    self._interpreter._execute_instruction(
-                        instruction, memory, stats, top_level=True
-                    )
-                    continue
-                if isinstance(shard_step, MapShardStep):
+                    self._run_serial(instruction, memory, stats)
+                elif isinstance(shard_step, MapShardStep):
                     self._launch_map_shards(
-                        pool, dist_plan, shard_step, instruction, memory, stats
+                        pool, dist_plan, shard_step, instruction, stats
                     )
                 else:
                     self._launch_reduce_shards(
@@ -444,18 +433,11 @@ class DistributedBackend(ParallelBackend):
                 store.release(scratch_name)
 
     def _launch_map_shards(
-        self, pool, dist_plan, step: MapShardStep, instruction, memory, stats
+        self, pool, dist_plan, step: MapShardStep, instruction, stats
     ) -> None:
-        # Master-side accounting mirrors the parallel backend's map path.
-        instructions = (
-            instruction.kernel if instruction.is_fused() else (instruction,)
-        )
-        stats.kernel_launches += 1
-        if instruction.is_fused():
-            stats.record_instruction(instruction.opcode)
-        for inner in instructions:
-            stats.record_instruction(inner.opcode)
-            self._interpreter._account_traffic(inner, memory, stats)
+        fused = instruction if instruction.is_fused() else None
+        instructions = instruction.kernel if fused else (instruction,)
+        stats.record_launch(instructions, fused)
         stats.tiled_instructions += len(instructions)
         participants = len(step.shards)
         comm = self._comm_model()
@@ -483,9 +465,7 @@ class DistributedBackend(ParallelBackend):
         scratch_name,
         stats,
     ) -> None:
-        stats.kernel_launches += 1
-        stats.record_instruction(instruction.opcode)
-        self._interpreter._account_traffic(instruction, memory, stats)
+        stats.record_launch((instruction,))
         participants = [
             worker_id
             for worker_id, assignment in enumerate(step.assignments)
@@ -501,28 +481,13 @@ class DistributedBackend(ParallelBackend):
             reply = pool.recv(worker_id, stats)
             self._fold_complete(reply, step.index, stats)
         if step.combine:
-            # Master-side pairwise combine in the parallel backend's fixed
-            # order: spans depend only on tiling configuration, so the
-            # result is bitwise identical at any worker count.
-            from repro.bytecode.opcodes import REDUCE_TO_ELEMENTWISE, opcode_info
-
-            source_view = instruction.inputs[0]
-            elementwise_op = REDUCE_TO_ELEMENTWISE[instruction.opcode]
-            ufunc = getattr(np, opcode_info(elementwise_op).numpy_name)
-            dtype = source_view.base.dtype.np_dtype
+            # Spans depend only on tiling configuration and the combine
+            # order only on the span count, so the result is bitwise
+            # identical at any worker count.
+            dtype = instruction.inputs[0].base.dtype.np_dtype
             scratch = store.buffer(scratch_name)
             partials = scratch[: len(step.spans) * dtype.itemsize].view(dtype)
-            values = [partials[position] for position in range(len(step.spans))]
-            while len(values) > 1:
-                combined = [
-                    ufunc(values[i], values[i + 1])
-                    for i in range(0, len(values) - 1, 2)
-                ]
-                if len(values) % 2:
-                    combined.append(values[-1])
-                values = combined
-            out = memory.view_array(instruction.out)
-            np.copyto(out, np.asarray(values[0]).reshape(out.shape), casting="unsafe")
+            combine_partials(memory, instruction, partials)
 
     def _fold_complete(self, reply: dict, step_index: int, stats) -> None:
         if reply["kind"] != "complete" or reply["step"] != step_index:
@@ -557,9 +522,9 @@ class DistributedBackend(ParallelBackend):
         stats.update(
             {
                 "dist_workers_spawned": _WORKERS_SPAWNED,
-                "dist_shard_launches": self.shard_launches_total,
-                "dist_halo_exchanges": self.halo_exchanges_total,
-                "dist_payload_bytes": self.payload_bytes_total,
+                "dist_shard_launches": self._totals.dist_shard_launches,
+                "dist_halo_exchanges": self._totals.dist_halo_exchanges,
+                "dist_payload_bytes": self._totals.dist_payload_bytes,
                 "dist_loads_shipped": self.loads_shipped,
             }
         )

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bytecode.base import BaseArray
-from repro.bytecode.opcodes import REDUCE_TO_ELEMENTWISE, opcode_info
 from repro.bytecode.view import View
 from repro.dist.planner import HaloSpec, MapShardStep, ReduceShardStep
 from repro.dist.protocol import (
@@ -48,7 +47,7 @@ from repro.dist.protocol import (
 )
 from repro.dist.shardstore import _close_quietly, attach_segment
 from repro.runtime.kernel import prepare_kernel_launch
-from repro.runtime.tiling import TileSpan, slice_view
+from repro.runtime.tiling import TileSpan, reduce_tile, slice_view
 
 #: Worker-side attachment cache cap: segments beyond this are re-attached
 #: on demand (bounds stale attachments when the master recycles heavily).
@@ -404,31 +403,17 @@ class _Worker:
                 f"worker {self.worker_id} launched for reduce step with no spans"
             )
         instruction = loaded.program[step.index]
-        source_view, axis_constant = instruction.inputs
-        axis = int(axis_constant.value)
-        elementwise_op = REDUCE_TO_ELEMENTWISE[instruction.opcode]
-        ufunc = getattr(np, opcode_info(elementwise_op).numpy_name)
-        out_view = instruction.out
-        if not step.combine:
-            for position in positions:
-                span = step.spans[position]
-                source = self.memory.view_array(
-                    slice_view(source_view, span, axis=step.tile_axis)
+        partials = None
+        if step.combine:
+            if self.scratch is None:
+                raise ProtocolError(
+                    "combine reduction launched without a scratch segment"
                 )
-                out = self.memory.view_array(slice_view(out_view, span, axis=0))
-                reduced = ufunc.reduce(source, axis=axis)
-                np.copyto(
-                    out, np.asarray(reduced).reshape(out.shape), casting="unsafe"
-                )
-            return
-        if self.scratch is None:
-            raise ProtocolError("combine reduction launched without a scratch segment")
-        dtype = source_view.base.dtype.np_dtype
-        partials = self.scratch[: len(step.spans) * dtype.itemsize].view(dtype)
+            dtype = instruction.inputs[0].base.dtype.np_dtype
+            partials = self.scratch[: len(step.spans) * dtype.itemsize].view(dtype)
+        # The thread tier's tile body, over this worker's share of the spans.
         for position in positions:
-            span = step.spans[position]
-            source = self.memory.view_array(slice_view(source_view, span))
-            partials[position] = ufunc.reduce(source, axis=0)
+            reduce_tile(self.memory, instruction, step, position, partials)
 
 
 def worker_main(worker_id: int, conn) -> None:

@@ -45,8 +45,9 @@ class Session:
         ----------
         backend:
             Backend instance or registered backend name (``"interpreter"``,
-            ``"jit"``, ``"parallel"``, ``"simulator"``, ``"cluster"``);
-            defaults to the configuration's ``default_backend``.
+            ``"jit"``, ``"parallel"``, ``"native"``, ``"simulator"``,
+            ``"cluster"``, ``"dist"``); defaults to the configuration's
+            ``default_backend``.
             ``Session(backend="parallel")`` executes flushes on the tiled
             multi-threaded backend.
         optimize:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
+from repro.bytecode.operand import is_view
 from repro.bytecode.view import View
 from repro.runtime.memory import MemoryManager
 
@@ -154,6 +156,30 @@ class ExecutionStats:
         """Count one executed instruction of ``opcode``."""
         self.instructions_executed += 1
         self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + 1
+
+    def record_launch(
+        self, instructions: Sequence[Instruction], fused: Optional[Instruction] = None
+    ) -> None:
+        """Count one kernel launch — the only place launch accounting is written.
+
+        ``instructions`` are the byte-codes the launch executes; ``fused`` is
+        the ``BH_FUSED`` byte-code they are the payload of, when there is one
+        (it enters the histogram beside them).  The traffic estimate is the
+        same on every tier: each output view's elements and bytes, each
+        input view's bytes.
+        """
+        self.kernel_launches += 1
+        if fused is not None:
+            self.record_instruction(fused.opcode)
+        for instruction in instructions:
+            self.record_instruction(instruction.opcode)
+            out = instruction.out
+            if out is not None:
+                self.elements_processed += out.nelem
+                self.bytes_written += out.nbytes
+            for operand in instruction.inputs:
+                if is_view(operand):
+                    self.bytes_read += operand.nbytes
 
     def merge(self, other: "ExecutionStats") -> "ExecutionStats":
         """Fold another stats record into this one (in place) and return self."""

@@ -64,7 +64,7 @@ class NumPyInterpreter(Backend):
         stats = ExecutionStats(backend_name=self.name)
         start = time.perf_counter()
         for instruction in program:
-            self._execute_instruction(instruction, memory, stats, top_level=True)
+            self._execute_instruction(instruction, memory, stats)
         stats.wall_time_seconds = time.perf_counter() - start
         return ExecutionResult(memory=memory, stats=stats)
 
@@ -73,45 +73,25 @@ class NumPyInterpreter(Backend):
     # ------------------------------------------------------------------ #
 
     def _execute_instruction(
-        self,
-        instruction: Instruction,
-        memory: MemoryManager,
-        stats: ExecutionStats,
-        top_level: bool,
-    ) -> None:
-        opcode = instruction.opcode
-        stats.record_instruction(opcode)
-        if opcode is OpCode.BH_FUSED:
-            if top_level:
-                stats.kernel_launches += 1
-            for inner in instruction.kernel or ():
-                self._execute_instruction(inner, memory, stats, top_level=False)
-            return
-        if instruction.is_system():
-            self._execute_system(instruction, memory)
-            return
-        if top_level:
-            stats.kernel_launches += 1
-        self._account_traffic(instruction, memory, stats)
-        try:
-            self._dispatch(instruction, memory)
-        except ExecutionError:
-            raise
-        except Exception as exc:
-            raise ExecutionError(
-                f"failed executing {instruction.opcode.value}: {exc}"
-            ) from exc
-
-    def _account_traffic(
         self, instruction: Instruction, memory: MemoryManager, stats: ExecutionStats
     ) -> None:
-        out = instruction.out
-        if out is not None:
-            stats.elements_processed += out.nelem
-            stats.bytes_written += out.nbytes
-        for operand in instruction.inputs:
-            if is_view(operand):
-                stats.bytes_read += operand.nbytes
+        """Execute one top-level byte-code; a fused one is a single launch."""
+        if instruction.is_system():
+            stats.record_instruction(instruction.opcode)
+            self._execute_system(instruction, memory)
+            return
+        fused = instruction if instruction.is_fused() else None
+        payload = (instruction.kernel or ()) if fused else (instruction,)
+        stats.record_launch(payload, fused)
+        for inner in payload:
+            try:
+                self._dispatch(inner, memory)
+            except ExecutionError:
+                raise
+            except Exception as exc:
+                raise ExecutionError(
+                    f"failed executing {inner.opcode.value}: {exc}"
+                ) from exc
 
     def _execute_system(self, instruction: Instruction, memory: MemoryManager) -> None:
         if instruction.opcode is OpCode.BH_FREE:

@@ -27,10 +27,9 @@ from repro.bytecode.program import Program
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.interpreter import NumPyInterpreter
-from repro.runtime.kernel import Kernel, KernelTemplate
+from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, Kernel, cached_kernel_launch
 from repro.runtime.memory import MemoryManager
 from repro.utils.config import get_config
-from repro.utils.locking import ContendedLock
 from repro.utils.lru import BoundedLRU
 
 
@@ -46,43 +45,31 @@ class FusingJIT(Backend):
             else get_config().fusion_max_kernel_size
         )
         self._interpreter = NumPyInterpreter()
-        self._kernel_cache: Dict[tuple, KernelTemplate] = {}
-        # Covers the kernel cache and its counters: concurrent sessions
-        # sharing one engine share this instance too.
-        self._cache_lock = ContendedLock()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # Compiled templates by structural key; its own counters are the
+        # backend's cumulative ``kernel_cache_*`` (concurrent sessions
+        # sharing one engine share this instance too).
+        self._kernels = BoundedLRU(KERNEL_CACHE_CAPACITY)
         # Fusion schedules keyed by (fingerprint, schedule-relevant config):
         # warm plan-cache replays hand this backend the same (already
         # scheduled) program every flush, and the schedule is structural, so
         # one dependency-graph analysis serves them all.
         self._schedule_cache = BoundedLRU(max(1, get_config().plan_cache_size))
 
-    def _template(self, kernel: Kernel) -> KernelTemplate:
-        key = kernel.structural_key()
-        with self._cache_lock:
-            cached = self._kernel_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-        from repro.runtime.kernel import compile_kernel_template
+    @property
+    def cache_hits(self) -> int:
+        return self._kernels.hits
 
-        # Compiled outside the lock; a concurrent miss of the same form
-        # loses the setdefault race and adopts the winner's template.
-        template = compile_kernel_template(kernel.instructions)
-        with self._cache_lock:
-            return self._kernel_cache.setdefault(key, template)
+    @property
+    def cache_misses(self) -> int:
+        return self._kernels.misses
 
     def cache_stats(self) -> Dict[str, int]:
         """Cumulative compiled-kernel cache counters for this backend."""
-        return {
-            "kernel_cache_hits": self.cache_hits,
-            "kernel_cache_misses": self.cache_misses,
-            "kernel_cache_size": len(self._kernel_cache),
-            **self._schedule_cache.stats("schedule_cache_"),
-            "backend_lock_contentions": self._cache_lock.contentions,
-        }
+        stats = self._kernels.stats("kernel_cache_")
+        stats.update(self._schedule_cache.stats("schedule_cache_"))
+        # The kernel cache's lock is the only one this backend owns.
+        stats["backend_lock_contentions"] = stats["kernel_cache_contentions"]
+        return stats
 
     def _partition(self, program: Program) -> List[object]:
         """Launch units for ``program`` via the shared scheduling seam."""
@@ -112,31 +99,22 @@ class FusingJIT(Backend):
     ) -> ExecutionResult:
         memory = memory if memory is not None else MemoryManager()
         stats = ExecutionStats(backend_name=self.name)
-        hits_before, misses_before = self.cache_hits, self.cache_misses
         start = time.perf_counter()
         for item in self._partition(program):
             if isinstance(item, Kernel):
                 self._execute_kernel(item, memory, stats)
             else:
-                self._interpreter._execute_instruction(item, memory, stats, top_level=True)
+                self._interpreter._execute_instruction(item, memory, stats)
         stats.wall_time_seconds = time.perf_counter() - start
-        stats.kernel_cache_hits = self.cache_hits - hits_before
-        stats.kernel_cache_misses = self.cache_misses - misses_before
         return ExecutionResult(memory=memory, stats=stats)
 
     def _execute_kernel(self, kernel: Kernel, memory: MemoryManager, stats: ExecutionStats) -> None:
-        stats.kernel_launches += 1
-        if kernel.source is not None:
-            # The kernel unwraps a pre-fused byte-code: keep the instruction
-            # accounting identical to interpreting it (BH_FUSED + payload).
-            stats.record_instruction(kernel.source.opcode)
-        for instruction in kernel.instructions:
-            stats.record_instruction(instruction.opcode)
-            out = instruction.out
-            if out is not None:
-                stats.elements_processed += out.nelem
-                stats.bytes_written += out.nbytes
-            for view in instruction.reads():
-                stats.bytes_read += view.nbytes
-        template = self._template(kernel)
-        template(memory, kernel.slot_views())
+        # A kernel that unwraps a pre-fused byte-code is accounted exactly
+        # like interpreting it (BH_FUSED + payload).
+        stats.record_launch(kernel.instructions, kernel.source)
+        slots, template, hit = cached_kernel_launch(self._kernels, kernel.instructions)
+        if hit:
+            stats.kernel_cache_hits += 1
+        else:
+            stats.kernel_cache_misses += 1
+        template(memory, slots)

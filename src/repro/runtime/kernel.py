@@ -239,6 +239,29 @@ def prepare_kernel_launch(instructions: Sequence[Instruction]):
     return key, slots, lambda: _compile_template(key, specs)
 
 
+#: Entries every kernel-form cache holds (the JIT's and the tiled backends'
+#: template caches, the native launch cache).
+KERNEL_CACHE_CAPACITY = 256
+
+
+def cached_kernel_launch(cache, instructions: Sequence[Instruction], prepared=None):
+    """``(slot views, template, hit)`` for one launch through ``cache``.
+
+    ``cache`` is the caller's :class:`~repro.utils.lru.BoundedLRU` of
+    templates by structural key.  ``prepared`` is the caller's own
+    :func:`prepare_kernel_launch` result when it has already paid the walk
+    (the native backend keys its compiled launchables by the same key).
+    """
+    key, slots, make_template = prepared or prepare_kernel_launch(instructions)
+    template = cache.get(key)
+    hit = template is not None
+    if not hit:
+        # Built outside the cache's lock; a concurrent miss of the same
+        # form adopts whichever template was published first.
+        template = cache.setdefault(key, make_template())
+    return slots, template, hit
+
+
 def _compile_template(key: tuple, specs) -> KernelTemplate:
     steps = [_compile_step(instruction, refs) for instruction, refs in specs]
     num_slots = 0

@@ -21,8 +21,11 @@ Caching is three-layered:
 Plans pre-compile their tiled map steps at plan time
 (:meth:`prepare_plan`, distinct forms concurrently), so a warm plan-cache
 flush performs **zero** lowering walks and zero compiler invocations.
-Compile/cache outcomes are counted cumulatively on the backend and windowed
-into each execution's :class:`~repro.runtime.instrumentation.ExecutionStats`.
+Every ``native_*`` counter increment lands, at the site it happens, on the
+backend's cumulative record and on exactly one flush's
+:class:`~repro.runtime.instrumentation.ExecutionStats`; plan-stage
+resolution has no flush yet, so its outcomes are parked on the plan for the
+first execution of that plan to report.
 
 Threaded launches go through the process's one **kernel runtime artifact**
 (:func:`repro.codegen.cache.resolve_runtime`): every launchable captures
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
@@ -56,7 +58,12 @@ from repro.codegen.loopir import (
     lower_kernel,
     lower_reduction,
 )
-from repro.runtime.kernel import prepare_kernel_launch
+from repro.runtime.instrumentation import NUMERIC_STATS, ExecutionStats
+from repro.runtime.kernel import (
+    KERNEL_CACHE_CAPACITY,
+    cached_kernel_launch,
+    prepare_kernel_launch,
+)
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
@@ -215,20 +222,12 @@ class NativeReduceLaunch:
         return False
 
 
-#: Cumulative backend counters that are windowed into each execution's
-#: ``ExecutionStats`` (same attribute names there) and reported by
-#: ``cache_stats``.
-_WINDOWED_COUNTERS = (
-    "native_compiles",
-    "native_disk_hits",
-    "native_memory_hits",
-    "native_kernel_launches",
-    "native_fallbacks",
-    "native_mt_launches",
-    "native_reductions_compiled",
-    "native_reduction_fallbacks",
-    "native_slots_elided",
-)
+#: ``get_compiled_kernel`` outcome -> the counter it bumps.
+_OUTCOME_COUNTERS = {
+    "compiled": "native_compiles",
+    "disk": "native_disk_hits",
+    "memory": "native_memory_hits",
+}
 
 _MISSING = object()
 
@@ -246,28 +245,25 @@ class NativeBackend(ParallelBackend):
         super().__init__(num_threads=num_threads, tile_elements=tile_elements)
         # Structural kernel key (+ codegen signature) → NativeKernelLaunch,
         # or None for forms with no bitwise-safe lowering.
-        self._native_cache = BoundedLRU(256)
-        for counter in _WINDOWED_COUNTERS:
-            setattr(self, counter, 0)
+        self._native_cache = BoundedLRU(KERNEL_CACHE_CAPACITY)
+        # The cumulative ``native_*`` counters ``cache_stats`` reports.
+        self._totals = ExecutionStats(backend_name=self.name)
         #: How this backend first obtained the kernel runtime artifact:
         #: "compiled" | "disk" | "memory", "serial" when the toolchain
         #: builds none, ``None`` until a kernel form needed it.
         self.native_runtime: Optional[str] = None
-        # Open stats window: counters snapshot taken when the engine first
-        # touches the backend for a flush (prepare_plan), closed by
-        # execute_plan so plan-stage compiles land in that flush's
-        # ExecutionStats.  Thread-local, because a service multiplexes many
-        # concurrent flushes over this one instance and each flush's window
-        # opens and closes on its own thread — a shared slot would tear.
-        self._windows = threading.local()
+
+    def _count(self, stats: ExecutionStats, **increments: int) -> None:
+        """Add to one flush's record and to the cumulative one, together."""
+        with self._cache_lock:
+            for record in (stats, self._totals):
+                for counter, amount in increments.items():
+                    setattr(record, counter, getattr(record, counter) + amount)
 
     @property
-    def _window_start(self) -> Optional[tuple]:
-        return getattr(self._windows, "start", None)
-
-    @_window_start.setter
-    def _window_start(self, value: Optional[tuple]) -> None:
-        self._windows.start = value
+    def native_compiles(self) -> int:
+        """C compiler invocations over this backend's lifetime."""
+        return self._totals.native_compiles
 
     @property
     def native_cache_misses(self) -> int:
@@ -309,7 +305,7 @@ class NativeBackend(ParallelBackend):
             threads = fallback
         return max(1, int(threads))
 
-    def _cached_launch(self, cache_key: tuple, config, lower: Callable):
+    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
         """The launchable cached under ``cache_key``, built on a miss.
 
         ``lower()`` returns the form's C source and a ``bind(compiled,
@@ -344,12 +340,8 @@ class NativeBackend(ParallelBackend):
         with self._cache_lock:
             if self.native_runtime is None:
                 self.native_runtime = runtime_outcome
-            if outcome == "compiled":
-                self.native_compiles += 1
-            elif outcome == "disk":
-                self.native_disk_hits += 1
-            elif outcome == "memory":
-                self.native_memory_hits += 1
+        if outcome is not None:
+            self._count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
         return self._native_cache.setdefault(cache_key, launch)
 
     def _native_launch(
@@ -357,12 +349,14 @@ class NativeBackend(ParallelBackend):
         key: tuple,
         slots: Sequence[View],
         instructions,
-        local_slots: frozenset = frozenset(),
+        local_slots: frozenset,
+        stats: ExecutionStats,
     ) -> Optional[NativeKernelLaunch]:
         """Resolve a kernel form to a compiled launchable, or ``None``.
 
         ``local_slots`` (plan-time liveness, part of the cache key) names
-        slots whose stores the compiled kernel elides entirely.
+        slots whose stores the compiled kernel elides entirely; ``stats``
+        receives the compile/cache outcome of a launch-cache miss.
         """
         config = self._effective_config()
         if not config.codegen_enabled:
@@ -375,7 +369,7 @@ class NativeBackend(ParallelBackend):
             )
 
         cache_key = (key, local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower)
+        return self._cached_launch(cache_key, config, lower, stats)
 
     @staticmethod
     def _reduce_key(instruction, step: TiledReduceStep) -> tuple:
@@ -395,7 +389,7 @@ class NativeBackend(ParallelBackend):
         )
 
     def _native_reduce_launch(
-        self, instruction, step: TiledReduceStep
+        self, instruction, step: TiledReduceStep, stats: ExecutionStats
     ) -> Optional[NativeReduceLaunch]:
         """Resolve a tiled reduction to a compiled launchable, or ``None``.
 
@@ -414,24 +408,25 @@ class NativeBackend(ParallelBackend):
             frozenset(),
             self._codegen_signature(config),
         )
-        return self._cached_launch(cache_key, config, lower)
+        return self._cached_launch(cache_key, config, lower, stats)
 
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
     # ------------------------------------------------------------------ #
 
-    def _map_launcher(self, instructions, step=None):
-        key, slots, make_template = prepare_kernel_launch(instructions)
-        local_slots = getattr(step, "local_slots", frozenset())
-        launch = self._native_launch(key, slots, instructions, local_slots)
-        if launch is not None:
-            with self._cache_lock:
-                self.native_kernel_launches += 1
-                self.native_slots_elided += len(launch.elided_slots)
-            return slots, launch
-        with self._cache_lock:
-            self.native_fallbacks += 1
-        return slots, self._resolve_template(key, make_template)
+    def _map_launcher(self, instructions, step, stats):
+        prepared = prepare_kernel_launch(instructions)
+        key, slots, _ = prepared
+        launch = self._native_launch(key, slots, instructions, step.local_slots, stats)
+        if launch is None:
+            self._count(stats, native_fallbacks=1)
+            return cached_kernel_launch(self._templates, instructions, prepared)[:2]
+        self._count(
+            stats,
+            native_kernel_launches=1,
+            native_slots_elided=len(launch.elided_slots),
+        )
+        return slots, launch
 
     def _launch_map(self, launcher, slots, step, memory, stats, threads) -> None:
         """Collapse a multi-thread launch of a chunk-capable compiled
@@ -451,8 +446,7 @@ class NativeBackend(ParallelBackend):
             if nthreads > 1:
                 stats.tiles_executed += 1
                 launcher.launch_mt(memory, slots, nthreads)
-                with self._cache_lock:
-                    self.native_mt_launches += 1
+                self._count(stats, native_mt_launches=1)
                 return
         super()._launch_map(launcher, slots, step, memory, stats, threads)
 
@@ -466,23 +460,19 @@ class NativeBackend(ParallelBackend):
         lower (or with reductions disabled) fall back to the inherited
         interpreted tiled paths, counted as reduction fallbacks.
         """
-        launch = self._native_reduce_launch(instruction, step)
+        launch = self._native_reduce_launch(instruction, step, stats)
         source_view = instruction.inputs[0]
         if launch is not None and 0 not in source_view.shape:
-            stats.kernel_launches += 1
-            stats.record_instruction(instruction.opcode)
-            self._interpreter._account_traffic(instruction, memory, stats)
+            stats.record_launch((instruction,))
             stats.tiled_instructions += 1
             stats.tiles_executed += 1
             nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
             used_mt = launch(memory, source_view, instruction.out, nthreads)
-            with self._cache_lock:
-                self.native_reductions_compiled += 1
-                if used_mt:
-                    self.native_mt_launches += 1
+            self._count(
+                stats, native_reductions_compiled=1, native_mt_launches=int(used_mt)
+            )
             return
-        with self._cache_lock:
-            self.native_reduction_fallbacks += 1
+        self._count(stats, native_reduction_fallbacks=1)
         super()._run_reduce(instruction, step, memory, stats, threads)
 
     def prepare_plan(self, plan) -> None:
@@ -492,9 +482,11 @@ class NativeBackend(ParallelBackend):
         straight into cached artifacts; the ``native_signature`` stamp
         makes the warm path skip even the per-step slot walks.  A form that
         occurs twice is resolved once here and hits the LRU at launch.
+
+        No flush exists yet, so the resolution outcomes — counted
+        cumulatively as they happen — are parked on the plan for its first
+        execution to report.
         """
-        if self._window_start is None:
-            self._window_start = self._counters_snapshot()
         super().prepare_plan(plan)
         config = self._effective_config()
         with plan.lock:
@@ -504,12 +496,17 @@ class NativeBackend(ParallelBackend):
             signature = (self._codegen_signature(config), plan.tiling_signature)
             if plan.native_signature == signature:
                 return
+            if plan.native_prepare_stats is None:
+                plan.native_prepare_stats = ExecutionStats()
+            parked = plan.native_prepare_stats
             resolvers: Dict[tuple, Callable] = {}
             for step in plan.tiling.steps:
                 instruction = plan.optimized[step.index]
                 if isinstance(step, TiledReduceStep):
                     form = self._reduce_key(instruction, step)
-                    resolve = partial(self._native_reduce_launch, instruction, step)
+                    resolve = partial(
+                        self._native_reduce_launch, instruction, step, parked
+                    )
                 elif isinstance(step, TiledMapStep):
                     instructions = (
                         instruction.kernel if instruction.is_fused() else (instruction,)
@@ -517,7 +514,12 @@ class NativeBackend(ParallelBackend):
                     key, slots, _ = prepare_kernel_launch(instructions)
                     form = (key, step.local_slots)
                     resolve = partial(
-                        self._native_launch, key, slots, instructions, step.local_slots
+                        self._native_launch,
+                        key,
+                        slots,
+                        instructions,
+                        step.local_slots,
+                        parked,
                     )
                 else:
                     continue
@@ -530,31 +532,13 @@ class NativeBackend(ParallelBackend):
             self._scatter(list(resolvers.values()), self.num_threads())
             plan.native_signature = signature
 
-    # ------------------------------------------------------------------ #
-    # Per-execution stats windows
-    # ------------------------------------------------------------------ #
-
-    def _counters_snapshot(self) -> tuple:
-        return tuple(getattr(self, counter) for counter in _WINDOWED_COUNTERS)
-
-    def _close_window(self, stats) -> None:
-        start = self._window_start
-        self._window_start = None
-        if start is None:
-            return
-        now = self._counters_snapshot()
-        for counter, before, after in zip(_WINDOWED_COUNTERS, start, now):
-            setattr(stats, counter, getattr(stats, counter) + after - before)
-
     def execute_plan(self, plan, program, memory=None):
-        if self._window_start is None:
-            self._window_start = self._counters_snapshot()
-        try:
-            result = super().execute_plan(plan, program, memory)
-        except BaseException:
-            self._window_start = None
-            raise
-        self._close_window(result.stats)
+        """Execute (inherited) and report any parked plan-stage outcomes."""
+        result = super().execute_plan(plan, program, memory)
+        with plan.lock:
+            parked, plan.native_prepare_stats = plan.native_prepare_stats, None
+        if parked is not None:
+            result.stats.merge(parked)
         return result
 
     # ------------------------------------------------------------------ #
@@ -563,7 +547,11 @@ class NativeBackend(ParallelBackend):
 
     def cache_stats(self) -> Dict[str, int]:
         stats = super().cache_stats()
-        stats.update(zip(_WINDOWED_COUNTERS, self._counters_snapshot()))
+        stats.update(
+            (name, getattr(self._totals, name))
+            for name, _, _ in NUMERIC_STATS
+            if name.startswith("native_")
+        )
         stats.update(self._native_cache.stats("native_cache_"))
         stats["native_loaded_artifacts"] = memory_cache_size()
         return stats

@@ -37,19 +37,17 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.bytecode.instruction import Instruction
-from repro.bytecode.opcodes import REDUCE_TO_ELEMENTWISE, opcode_info
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.cluster.partition import partition_length
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.interpreter import NumPyInterpreter
-from repro.runtime.kernel import KernelTemplate, prepare_kernel_launch
+from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, cached_kernel_launch
 from repro.runtime.memory import MemoryManager
 from repro.runtime.memplan import bind_memory_plan
 from repro.runtime.plan import (
@@ -64,12 +62,15 @@ from repro.runtime.tiling import (
     TiledMapStep,
     TiledReduceStep,
     TileSpan,
+    combine_partials,
     decompose,
+    reduce_tile,
     resolve_num_threads,
     slice_view,
 )
 from repro.utils.config import get_config
 from repro.utils.locking import ContendedLock
+from repro.utils.lru import BoundedLRU
 
 
 class ParallelBackend(Backend):
@@ -98,16 +99,14 @@ class ParallelBackend(Backend):
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_size = 0
         self._interpreter = NumPyInterpreter()
-        self._template_cache: Dict[tuple, KernelTemplate] = {}
-        self.template_hits = 0
-        self.template_misses = 0
+        # Interpreted kernel templates by structural key; reported as
+        # ``tile_template_*``.
+        self._templates = BoundedLRU(KERNEL_CACHE_CAPACITY)
         # Plans for programs handed to ``execute`` without one; reported as
         # ``tiling_cache_*``.
         self._adhoc_plans = PlanCache(max(1, get_config().plan_cache_size))
-        # One lock covers the template cache, its counters and pool
-        # construction: concurrent sessions sharing this instance mutate
-        # them only under it.  Template *construction* happens outside the
-        # lock; a rare duplicate build is benign, a corrupted dict is not.
+        # Covers pool construction and the subclasses' cumulative counters:
+        # concurrent sessions sharing this instance mutate them only under it.
         self._cache_lock = ContendedLock()
 
     # ------------------------------------------------------------------ #
@@ -198,7 +197,7 @@ class ParallelBackend(Backend):
         self.prepare_plan(plan)
         memory = memory if memory is not None else MemoryManager()
         bind_memory_plan(plan, program, memory)
-        return self._run(program, plan.tiling, memory)
+        return self._run(program, plan, memory)
 
     def execute(
         self, program: Program, memory: Optional[MemoryManager] = None
@@ -241,9 +240,7 @@ class ParallelBackend(Backend):
     def cache_stats(self) -> Dict[str, int]:
         """Tile-template and plan-less plan cache counters."""
         return {
-            "tile_template_hits": self.template_hits,
-            "tile_template_misses": self.template_misses,
-            "tile_template_size": len(self._template_cache),
+            **self._templates.stats("tile_template_"),
             **self._adhoc_plans.stats("tiling_cache_"),
             "backend_lock_contentions": self._cache_lock.contentions,
         }
@@ -252,30 +249,29 @@ class ParallelBackend(Backend):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def _run(
-        self,
-        program: Program,
-        tiling: TileDecomposition,
-        memory: MemoryManager,
-    ) -> ExecutionResult:
+    def _run(self, program: Program, plan, memory: MemoryManager) -> ExecutionResult:
         stats = ExecutionStats(backend_name=self.name)
         threads = self.num_threads()
         stats.threads_used = threads
         start = time.perf_counter()
-        for step in tiling.steps:
+        for step in plan.tiling.steps:
             instruction = program[step.index]
             if isinstance(step, SerialStep):
-                if not instruction.is_system():
-                    stats.serial_fallbacks += 1
-                self._interpreter._execute_instruction(
-                    instruction, memory, stats, top_level=True
-                )
+                self._run_serial(instruction, memory, stats)
             elif isinstance(step, TiledMapStep):
                 self._run_map(instruction, step, memory, stats, threads)
             else:
                 self._run_reduce(instruction, step, memory, stats, threads)
         stats.wall_time_seconds = time.perf_counter() - start
         return ExecutionResult(memory=memory, stats=stats)
+
+    def _run_serial(
+        self, instruction: Instruction, memory: MemoryManager, stats: ExecutionStats
+    ) -> None:
+        """Execute one non-tiled step whole, in program order, on this thread."""
+        if not instruction.is_system():
+            stats.serial_fallbacks += 1
+        self._interpreter._execute_instruction(instruction, memory, stats)
 
     def _scatter(self, tasks: List, threads: int) -> None:
         """Run thunks across the pool in contiguous blocks; serial when moot.
@@ -310,14 +306,10 @@ class ParallelBackend(Backend):
         stats: ExecutionStats,
         threads: int,
     ) -> None:
-        instructions = instruction.kernel if instruction.is_fused() else (instruction,)
-        stats.kernel_launches += 1
-        if instruction.is_fused():
-            stats.record_instruction(instruction.opcode)
-        for inner in instructions:
-            stats.record_instruction(inner.opcode)
-            self._interpreter._account_traffic(inner, memory, stats)
-        slots, launcher = self._map_launcher(instructions, step)
+        fused = instruction if instruction.is_fused() else None
+        instructions = instruction.kernel if fused else (instruction,)
+        stats.record_launch(instructions, fused)
+        slots, launcher = self._map_launcher(instructions, step, stats)
         # Allocate every base up front: worker threads must never mutate
         # the memory manager.  Slots the launcher elides (kernel-local
         # temporaries a compiled kernel keeps in registers) never
@@ -364,33 +356,18 @@ class ParallelBackend(Backend):
 
         self._scatter([tile_task(span) for span in spans], threads)
 
-    def _map_launcher(self, instructions, step=None):
+    def _map_launcher(self, instructions, step, stats):
         """Resolve one tiled map step to ``(slot views, launcher)``.
 
         The launcher is called once per tile with the tile-sliced slot
-        views.  One canonical walk yields both the cache key and the
-        launch views; template compilation happens only on a key miss.
-        The native backend overrides this seam to substitute a compiled
-        loop nest when the kernel form lowers to C; ``step`` carries the
-        plan-time liveness that decides which slots such a kernel may keep
-        out of memory (unused by the interpreted templates).
+        views.  The native backend overrides this seam to substitute a
+        compiled loop nest when the kernel form lowers to C: ``step``
+        carries the plan-time liveness that decides which slots such a
+        kernel may keep out of memory, ``stats`` is the flush's record for
+        its launch/fallback counters (both unused by the interpreted
+        templates).
         """
-        key, slots, make_template = prepare_kernel_launch(instructions)
-        return slots, self._resolve_template(key, make_template)
-
-    def _resolve_template(self, key, make_template) -> KernelTemplate:
-        """Interpreted-template cache lookup shared with subclasses."""
-        with self._cache_lock:
-            template = self._template_cache.get(key)
-            if template is not None:
-                self.template_hits += 1
-                return template
-            self.template_misses += 1
-        template = make_template()
-        with self._cache_lock:
-            # A concurrent miss may have published first; keep one winner
-            # so every future launch shares a single template object.
-            return self._template_cache.setdefault(key, template)
+        return cached_kernel_launch(self._templates, instructions)[:2]
 
     def _run_reduce(
         self,
@@ -400,59 +377,20 @@ class ParallelBackend(Backend):
         stats: ExecutionStats,
         threads: int,
     ) -> None:
-        stats.kernel_launches += 1
-        stats.record_instruction(instruction.opcode)
-        self._interpreter._account_traffic(instruction, memory, stats)
-        source_view, axis_constant = instruction.inputs
-        axis = int(axis_constant.value)
-        elementwise_op = REDUCE_TO_ELEMENTWISE[instruction.opcode]
-        ufunc = getattr(np, opcode_info(elementwise_op).numpy_name)
-        out_view = instruction.out
-        memory.allocate(source_view.base)
-        memory.allocate(out_view.base)
-        spans = step.spans
-        stats.tiles_executed += len(spans)
+        stats.record_launch((instruction,))
+        memory.allocate(instruction.inputs[0].base)
+        memory.allocate(instruction.out.base)
+        tiles = len(step.spans)
+        stats.tiles_executed += tiles
         stats.tiled_instructions += 1
-
-        if not step.combine:
-            # Each tile reduces its own rows into a disjoint output slice;
-            # within a slice the element order matches the serial
-            # reduction, so results are bit-identical.
-            def slice_task(span: TileSpan):
-                def run() -> None:
-                    source = memory.view_array(
-                        slice_view(source_view, span, axis=step.tile_axis)
-                    )
-                    out = memory.view_array(slice_view(out_view, span, axis=0))
-                    reduced = ufunc.reduce(source, axis=axis)
-                    np.copyto(out, np.asarray(reduced).reshape(out.shape), casting="unsafe")
-
-                return run
-
-            self._scatter([slice_task(span) for span in spans], threads)
-            return
-
-        # Full 1-D reduction: one partial per tile, tree-combined.
-        partials: List[Optional[np.ndarray]] = [None] * len(spans)
-
-        def partial_task(position: int, span: TileSpan):
-            def run() -> None:
-                source = memory.view_array(slice_view(source_view, span))
-                partials[position] = ufunc.reduce(source, axis=0)
-
-            return run
-
+        # Full 1-D reductions yield one partial per tile, tree-combined.
+        partials = [None] * tiles if step.combine else None
         self._scatter(
-            [partial_task(position, span) for position, span in enumerate(spans)],
+            [
+                partial(reduce_tile, memory, instruction, step, position, partials)
+                for position in range(tiles)
+            ],
             threads,
         )
-        values = partials
-        while len(values) > 1:
-            combined = [
-                ufunc(values[i], values[i + 1]) for i in range(0, len(values) - 1, 2)
-            ]
-            if len(values) % 2:
-                combined.append(values[-1])
-            values = combined
-        out = memory.view_array(out_view)
-        np.copyto(out, np.asarray(values[0]).reshape(out.shape), casting="unsafe")
+        if step.combine:
+            combine_partials(memory, instruction, partials)

@@ -305,6 +305,10 @@ class ExecutionPlan:
     #: pre-compiled this plan's kernels under; lets warm replays skip the
     #: per-step kernel-form walks entirely.
     native_signature: Optional[tuple] = None
+    #: Compile/disk/memory outcomes of plan-stage kernel resolution that no
+    #: flush has reported yet (an ``ExecutionStats``); parked under ``lock``
+    #: for the first execution of this plan to take.
+    native_prepare_stats: Optional[object] = None
     #: Shard descriptors (per-step worker shards, halo specifications and
     #: reduction span assignments) the distributed backend planned for this
     #: plan.  Structural like ``tiling`` — spans and canonical base

@@ -40,7 +40,10 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.bytecode.instruction import Instruction
+from repro.bytecode.opcodes import REDUCE_TO_ELEMENTWISE, opcode_info
 from repro.bytecode.operand import is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
@@ -138,6 +141,55 @@ def slice_view(view: View, span: TileSpan, axis: int = 0) -> View:
     offset = view.offset + span.start * view.strides[axis]
     shape = view.shape[:axis] + (span.count,) + view.shape[axis + 1 :]
     return View(view.base, offset, shape, view.strides)
+
+
+def _reduction_ufunc(instruction: Instruction):
+    return getattr(np, opcode_info(REDUCE_TO_ELEMENTWISE[instruction.opcode]).numpy_name)
+
+
+def reduce_tile(
+    memory, instruction: Instruction, step, position: int, partials=None
+) -> None:
+    """Reduce tile ``position`` of a tiled reduction (thread or worker process).
+
+    Disjoint-slice form (``step.combine`` false): the tile reduces its own
+    rows of the source into its own slice of the output; within a slice the
+    element order matches the serial reduction, so results are
+    bit-identical.  Partial form (full 1-D reductions): the tile's span
+    folds to one value stored at ``partials[position]`` for
+    :func:`combine_partials`.
+    """
+    source_view, axis_constant = instruction.inputs
+    ufunc = _reduction_ufunc(instruction)
+    span = step.spans[position]
+    if step.combine:
+        source = memory.view_array(slice_view(source_view, span))
+        partials[position] = ufunc.reduce(source, axis=0)
+        return
+    source = memory.view_array(slice_view(source_view, span, axis=step.tile_axis))
+    out = memory.view_array(slice_view(instruction.out, span, axis=0))
+    reduced = ufunc.reduce(source, axis=int(axis_constant.value))
+    np.copyto(out, np.asarray(reduced).reshape(out.shape), casting="unsafe")
+
+
+def combine_partials(memory, instruction: Instruction, partials) -> None:
+    """Fold per-tile partials pairwise into the reduction's output.
+
+    The tree's shape depends only on how many partials there are — the
+    plan's spans, never who produced them — so thread and process tiers
+    agree bitwise at any worker count.
+    """
+    ufunc = _reduction_ufunc(instruction)
+    values = list(partials)
+    while len(values) > 1:
+        combined = [
+            ufunc(values[i], values[i + 1]) for i in range(0, len(values) - 1, 2)
+        ]
+        if len(values) % 2:
+            combined.append(values[-1])
+        values = combined
+    out = memory.view_array(instruction.out)
+    np.copyto(out, np.asarray(values[0]).reshape(out.shape), casting="unsafe")
 
 
 def resolve_num_threads(config: Optional[Config] = None) -> int:

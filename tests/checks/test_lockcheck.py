@@ -55,6 +55,11 @@ class TestRealTree:
         # (counters) and the launch cache's LRU leaf, both below the plan lock.
         resolver = analyzer.summaries[("NativeBackend", "_cached_launch")]
         assert {("backend-cache", 2), ("lru", 3)} <= resolver.acquires
+        # The outcome those thunks park on the plan is added under the
+        # backend cache lock, by the one method that counts anything.
+        counter = analyzer.summaries[("NativeBackend", "_count")]
+        assert counter.acquires == {("backend-cache", 2)}
+        assert ("self", "_count") in resolver.calls
 
     def test_cli_exits_zero_on_the_real_tree(self):
         assert main([]) == 0

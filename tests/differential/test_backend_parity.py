@@ -338,6 +338,37 @@ def test_optimization_levels_agree_per_backend():
                     )
 
 
+#: Every tier that executes for real; all of them count a launch through
+#: ``ExecutionStats.record_launch``.
+EXECUTING_BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
+
+
+@pytest.mark.parametrize("seed", ELEMENTWISE_SEEDS[:6] + MIXED_SEEDS[:6])
+def test_launch_accounting_is_identical_on_every_tier(seed):
+    """One engine-planned program, five tiers: the same launches, byte-codes,
+    elements and traffic, and the same op-code histogram — how a tier runs a
+    launch (template, tiles, compiled loop, worker shards) never changes what
+    the launch is counted as."""
+    generator = random_elementwise_program if seed < 1000 else random_mixed_program
+    program, _ = generator(seed)
+    records = {}
+    with config_override(**TINY_TILES):
+        for backend in EXECUTING_BACKENDS:
+            stats = ExecutionEngine(backend=backend, optimize=True).execute(program).stats
+            records[backend] = (
+                stats.instructions_executed,
+                stats.kernel_launches,
+                stats.elements_processed,
+                stats.bytes_read,
+                stats.bytes_written,
+                dict(stats.opcode_counts),
+            )
+    reference = records["interpreter"]
+    assert reference[1] > 0 and reference[3] > 0, "nothing launched; vacuous"
+    for backend in EXECUTING_BACKENDS[1:]:
+        assert records[backend] == reference, backend
+
+
 #: Backends whose plan-less ``execute`` wraps the program in an ordinary
 #: plan and rides ``execute_plan``.
 TILED_BACKENDS = ("parallel", "native", "dist")

@@ -236,6 +236,32 @@ class TestFusingJIT:
         jit.execute(chain_program(length=7)[0])
         assert jit.cache_stats()["schedule_cache_size"] == 2
 
+    @pytest.mark.parametrize(
+        "backend, prefix", [("jit", "kernel_cache_"), ("parallel", "tile_template_")]
+    )
+    def test_template_caches_are_bounded(self, backend, prefix):
+        """Kernel forms carry their constants, so a loop over ``x * i + 1.5``
+        is a new form every flush: the template cache must evict, not grow
+        with the flush count."""
+        from repro.runtime.engine import ExecutionEngine
+
+        engine = ExecutionEngine(backend=backend, optimize=True)
+        with config_override(parallel_tile_elements=16, parallel_serial_threshold=4):
+            for index in range(400):
+                builder = ProgramBuilder()
+                vector = builder.new_vector(32)
+                builder.identity(vector, 1)
+                builder.multiply(vector, vector, float(index))
+                builder.add(vector, vector, 1.5)
+                builder.sync(vector)
+                result = engine.execute(builder.build())
+        assert np.all(result.value(vector) == 399.0 + 1.5)
+        stats = engine.cache_stats()
+        assert stats[prefix + "misses"] == 400
+        assert stats[prefix + "size"] <= stats[prefix + "capacity"] < 400
+        assert stats[prefix + "evictions"] == 400 - stats[prefix + "size"]
+        assert prefix + "contentions" in stats and "backend_lock_contentions" in stats
+
     def test_respects_preexisting_fused_instructions(self):
         program, vector = chain_program(length=3)
         kernel = [item for item in partition_into_kernels(program) if isinstance(item, Kernel)][0]

@@ -215,7 +215,7 @@ class TestCompileCounters:
 
     def test_direct_execute_without_engine_windows_stats(self, cache_dir):
         # Backend.execute without the engine's prepare_plan stage must
-        # still open and close its own counter window.
+        # still report its own plan-stage compiles.
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             backend = get_backend("native")
@@ -517,6 +517,29 @@ class TestPlanInteraction:
         assert backend.native_cache_misses == misses
         assert backend.native_compiles == compiles
 
+    def test_bare_prepare_plan_attributes_nothing_to_an_unrelated_flush(self, cache_dir):
+        """Plan-stage compiles are cumulative at once and reported by the
+        first execution of *that plan* — not by whatever this thread
+        flushes next."""
+        from repro.core.pipeline import default_pipeline
+
+        outcomes = ("native_compiles", "native_disk_hits", "native_memory_hits")
+        chain, _, _ = build_chain()
+        other = build_distinct_forms(2)[0]
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            engine.execute(chain)
+            before = engine.backend.native_compiles
+            engine.prime(other, default_pipeline().run(other))  # prepare_plan, no flush
+            primed = engine.backend.native_compiles - before
+            assert primed >= 1, "priming compiled nothing; the test is vacuous"
+            unrelated = engine.execute(build_chain()[0]).stats
+            first = engine.execute(other).stats
+            second = engine.execute(build_distinct_forms(2)[0]).stats
+        assert [getattr(unrelated, name) for name in outcomes] == [0, 0, 0]
+        assert first.plan_cache_hits == 1 and first.native_compiles == primed
+        assert [getattr(second, name) for name in outcomes] == [0, 0, 0]
+
     def test_codegen_toggle_misses_the_plan_cache(self, cache_dir):
         # codegen_enabled is in the config signature: flipping it must
         # compile a fresh plan, not replay one prepared under the other
@@ -536,9 +559,13 @@ class TestPlanInteraction:
             backend = get_backend("native")
             with pytest.raises(Exception):
                 backend.execute_plan(object(), program)  # malformed plan
-            assert backend._window_start is None
-            result = backend.execute(program)  # subsequent runs still window
+            # There is no window to reset any more: the next run's record
+            # is exactly what that run did, which is all the backend did.
+            result = backend.execute(program)
+            cumulative = backend.cache_stats()
         assert result.stats.native_kernel_launches > 0
+        for counter in ("native_kernel_launches", "native_compiles", "native_fallbacks"):
+            assert getattr(result.stats, counter) == cumulative[counter], counter
 
 
 def _process_threads() -> int:

@@ -22,7 +22,9 @@ from repro.runtime.tiling import (
     TiledMapStep,
     TiledReduceStep,
     TileSpan,
+    combine_partials,
     decompose,
+    reduce_tile,
     slice_view,
     spans_for,
 )
@@ -398,6 +400,79 @@ class TestParallelExecution:
         assert pool_b is not pool_a
         backend.close()
         assert backend._pool is None
+
+
+class TestSharedReduceBody:
+    """``reduce_tile`` / ``combine_partials``: the one tile body and the one
+    combine tree the thread tier, the dist worker and the dist master run."""
+
+    @pytest.mark.parametrize("axis, tile_axis", [(0, 1), (1, 0)])
+    def test_disjoint_slices_are_bitwise_the_serial_reduction(self, axis, tile_axis):
+        builder = ProgramBuilder()
+        matrix = builder.new_matrix(12, 8)
+        out = builder.new_vector(8 if axis == 0 else 12)
+        builder.add_reduce(out, matrix, axis=axis)
+        program = builder.build()
+        instruction = program[0]
+        data = np.random.default_rng(7).standard_normal((12, 8)) * 1e3
+        # 24-element tiles: two columns (axis 0) or three rows (axis 1) each.
+        with config_override(parallel_tile_elements=24, parallel_serial_threshold=4):
+            (step,) = decompose(program).steps
+        assert isinstance(step, TiledReduceStep) and not step.combine
+        assert step.tile_axis == tile_axis and len(step.spans) > 2
+        tiled, serial = MemoryManager(), MemoryManager()
+        for memory in (tiled, serial):
+            memory.write_view(matrix, data)
+        for position in range(len(step.spans)):
+            reduce_tile(tiled, instruction, step, position)
+        NumPyInterpreter().execute(program, serial)
+        assert tiled.read_view(out).tobytes() == serial.read_view(out).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    def test_partials_fold_in_the_fixed_pairwise_order(self, count):
+        from repro.bytecode.dtypes import float32
+
+        f = np.float32
+        p = [f(1e8), f(1), f(-1e8), f(1), f(1), f(1), f(1)][:count]
+        # The tree, spelled out: neighbours pair up, an odd tail rides along.
+        expected = {
+            1: lambda: p[0],
+            2: lambda: p[0] + p[1],
+            3: lambda: (p[0] + p[1]) + p[2],
+            7: lambda: ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + p[6]),
+        }[count]()
+        builder = ProgramBuilder(dtype=float32)
+        source = builder.new_vector(count)
+        total = builder.new_vector(1)
+        builder.add_reduce(total, source, axis=0)
+        instruction = builder.build()[0]
+        memory = MemoryManager()
+        combine_partials(memory, instruction, np.array(p, dtype=f))
+        assert memory.read_view(total)[0].tobytes() == f(expected).tobytes()
+        if count == 7:
+            left_fold = p[0]
+            for value in p[1:]:
+                left_fold = left_fold + value
+            assert left_fold != expected, "values do not tell the tree from a fold"
+
+    def test_partial_tiles_feed_the_combine(self):
+        builder = ProgramBuilder()
+        vector = builder.new_vector(40)
+        total = builder.new_vector(1)
+        builder.add_reduce(total, vector, axis=0)
+        program = builder.build()
+        with config_override(parallel_tile_elements=8, parallel_serial_threshold=4):
+            (step,) = decompose(program).steps
+        assert step.combine and len(step.spans) == 5
+        memory = MemoryManager()
+        data = np.arange(40, dtype=np.float64)
+        memory.write_view(vector, data)
+        partials = [None] * 5
+        for position in range(5):
+            reduce_tile(memory, program[0], step, position, partials)
+        assert partials == [data[i : i + 8].sum() for i in range(0, 40, 8)]
+        combine_partials(memory, program[0], partials)
+        assert memory.read_view(total)[0] == data.sum()
 
 
 class TestPlanTimeTiling:
