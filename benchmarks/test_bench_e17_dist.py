@@ -93,6 +93,12 @@ def test_sharded_heat_equation_ships_descriptors_only(benchmark):
     assert stats.dist_payload_bytes == 0
     # Warm flushes recycle parked segments instead of creating fresh ones.
     assert cache["dist_segments_recycled"] > 0
+    # Only the bases a worker must address enter shared memory — the grid,
+    # and per step the interior result and the next grid; the three
+    # kernel-local bases of every fused step never do — and every fill is
+    # waived (each adopted base is written before it is read).
+    assert stats.dist_bases_adopted == 1 + 2 * ITERATIONS
+    assert stats.dist_zero_fill_bytes == 0
 
     record_table(
         benchmark,
@@ -107,6 +113,8 @@ def test_sharded_heat_equation_ships_descriptors_only(benchmark):
                 "halo_kib": stats.dist_halo_bytes / 1024,
                 "payload_bytes": stats.dist_payload_bytes,
                 "control_kib": stats.dist_control_bytes / 1024,
+                "bases_adopted": stats.dist_bases_adopted,
+                "zero_fill_bytes": stats.dist_zero_fill_bytes,
             }
         ],
         [
@@ -117,6 +125,8 @@ def test_sharded_heat_equation_ships_descriptors_only(benchmark):
             "halo_kib",
             "payload_bytes",
             "control_kib",
+            "bases_adopted",
+            "zero_fill_bytes",
         ],
     )
 

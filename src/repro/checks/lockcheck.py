@@ -8,9 +8,11 @@ rank  lock                                     where
 ====  =======================================  ==============================
 0     admission condition variable             ``AdmissionController._cond``
 1     engine in-flight latch                   ``ExecutionEngine._inflight_lock``
+1     dist flush lock (one flush per pool)     ``WorkerPool.flush_lock``
 2     plan lock                                ``ExecutionPlan.lock``
 2     backend cache lock                       ``*._cache_lock``
 2     engine backend-resolution lock           ``ExecutionEngine._backend_lock``
+2     shard-store segment table                ``ShardStore._segments_lock``
 3     LRU lock (leaf; every cache instance)    ``BoundedLRU._lock``
 3     buffer-pool lock (leaf)                  ``BufferPool._lock``
 3     codegen module lock + digest latch       ``repro.codegen.cache._lock``
@@ -64,6 +66,16 @@ ATTRIBUTE_RANKS: Dict[str, Tuple[str, int]] = {
     "_inflight_lock": ("engine-latch", 1),
     "_backend_lock": ("engine-backend", 2),
     "_cache_lock": ("backend-cache", 2),
+    "_segments_lock": ("shard-store", 2),
+}
+
+#: ``<anything>.<attr>`` locks reached through another object: the
+#: shared-plan mutation lock every ExecutionPlan carries, and the worker
+#: pool's flush lock (held across a whole distributed flush, so the cache
+#: lock and the shard store are only ever taken *under* it).
+OBJECT_LOCK_RANKS: Dict[str, Tuple[str, int]] = {
+    "lock": ("plan", 2),
+    "flush_lock": ("dist-flush", 1),
 }
 
 #: ``self._lock`` is rank-ambiguous: the class decides.
@@ -191,10 +203,9 @@ def _classify_lock(expr: ast.expr, class_name: Optional[str]) -> Optional[_Lock]
                 if entry is not None:
                     return _Lock(entry[0], entry[1])
                 return _Lock(f"{class_name or '?'}._lock", None)
-        if expr.attr == "lock":
-            # plan.lock / self.plan.lock / anything.lock: the shared-plan
-            # mutation lock every ExecutionPlan carries.
-            return _Lock("plan", 2)
+        if expr.attr in OBJECT_LOCK_RANKS:
+            kind, rank = OBJECT_LOCK_RANKS[expr.attr]
+            return _Lock(kind, rank)
         if expr.attr in ("_lock", "_cond"):
             # Some other object's private lock: recognised, unranked.
             return _Lock(f"?.{expr.attr}", None)

@@ -1,9 +1,10 @@
 """Independent soundness checks for plan-time artifacts.
 
-A cached :class:`~repro.runtime.plan.ExecutionPlan` carries three derived
+A cached :class:`~repro.runtime.plan.ExecutionPlan` carries derived
 artifacts whose corruption would execute silently wrong: the memory plan
 (slot aliasing and zero-fill waivers), the fusion schedule (a reordering of
-the byte-codes), and the tile decomposition (the parallel split).  Each was
+the byte-codes), the tile decomposition (the parallel split) and, on the
+distributed backend, the shard plan's private bases.  Each was
 computed by its own analysis; this module *re-derives the safety conditions
 from the program with separate code* and cross-checks the artifact against
 them:
@@ -20,7 +21,11 @@ them:
 * **tiling** — a tiled step must be hazard-free under an independent
   recomputation (same-shape operands, no overlapping windows of one base)
   and its spans must exactly partition the tiled axis
-  (:func:`check_tiling`).
+  (:func:`check_tiling`);
+* **dist adoption** — a base the shard plan keeps out of shared memory
+  must be touched by exactly one sharded map step, stored there before it
+  is loaded, read by no halo fetch, freed and never synced
+  (:func:`check_dist_adoption`; workers run it on ``load``).
 
 ``Backend.prepare_plan`` and ``Backend.execute_plan`` call
 :func:`maybe_check_plan` under the ``check_ir`` knob, so a corrupted plan —
@@ -44,6 +49,7 @@ __all__ = [
     "check_memory_plan",
     "check_schedule",
     "check_tiling",
+    "check_dist_adoption",
     "check_plan",
     "maybe_check_plan",
     "maybe_check_schedule",
@@ -284,6 +290,73 @@ def check_tiling(program: Program, tiling) -> None:
 
 
 # --------------------------------------------------------------------------- #
+# Dist adoption
+# --------------------------------------------------------------------------- #
+
+
+def check_dist_adoption(program: Program, dist_plan) -> None:
+    """Cross-check the bases a shard plan keeps out of shared memory.
+
+    A *private* base gets no segment and no entry in a flush's ``map``
+    frame; each worker backs its shard with uninitialised scratch that dies
+    with the launch.  That is sound only if nothing outside the one kernel
+    ever addresses the base and the kernel never reads what it did not
+    just store.
+    """
+    from repro.bytecode.opcodes import OpCode
+    from repro.dist.planner import MapShardStep
+    from repro.runtime.plan import program_base_order
+
+    order = program_base_order(program)
+    for step in dist_plan.steps:
+        if not isinstance(step, MapShardStep) or not step.private:
+            continue
+        halo_positions = {halo.base_position for halo in step.halos}
+        for position, _ in step.private:
+            if position < 0 or position >= len(order):
+                raise PlanCheckError(
+                    f"shard plan keeps base position {position} private but "
+                    f"the program only has {len(order)} base(s)"
+                )
+            base = order[position]
+            what = (
+                f"shard plan keeps base {base.name!r} (position {position}) "
+                f"out of shared memory for map step {step.index}"
+            )
+            if position in halo_positions:
+                raise PlanCheckError(f"{what}, but a halo fetch reads it")
+            freed = False
+            for index, instruction in enumerate(program):
+                touches = any(view.base is base for view in instruction.views())
+                if not touches:
+                    continue
+                if instruction.opcode is OpCode.BH_FREE:
+                    freed = True
+                elif instruction.opcode is OpCode.BH_SYNC:
+                    raise PlanCheckError(f"{what}, but instruction {index} syncs it")
+                elif index != step.index:
+                    raise PlanCheckError(
+                        f"{what}, but instruction {index} "
+                        f"({instruction.opcode}) also accesses it"
+                    )
+            if not freed:
+                raise PlanCheckError(f"{what}, but the program never frees it")
+            instruction = program[step.index]
+            inner = instruction.kernel if instruction.is_fused() else (instruction,)
+            stored: List = []
+            for payload in inner:
+                for view in payload.reads():
+                    if view.base is base and not any(
+                        view.same_view(earlier) for earlier in stored
+                    ):
+                        raise PlanCheckError(
+                            f"{what}, but the kernel loads {view!r} before "
+                            f"storing it"
+                        )
+                stored.extend(view for view in payload.writes() if view.base is base)
+
+
+# --------------------------------------------------------------------------- #
 # Plan-level entry points
 # --------------------------------------------------------------------------- #
 
@@ -305,6 +378,11 @@ def check_plan(plan, config: Optional[Config] = None) -> int:
             COUNTERS.note_plan_check()
             checked += 1
             check_tiling(plan.optimized, tiling)
+        dist_plan = getattr(plan, "dist_plan", None)
+        if dist_plan is not None:
+            COUNTERS.note_plan_check()
+            checked += 1
+            check_dist_adoption(plan.optimized, dist_plan)
     except PlanCheckError:
         COUNTERS.note_plan_failure()
         raise

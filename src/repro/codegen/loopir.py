@@ -310,38 +310,6 @@ def _lower_instruction(instruction: Instruction, refs, slot_views) -> Store:
     return Store(out_slot, Op(kind, compute, operands))
 
 
-def _expr_load_slots(expr, out: list) -> None:
-    """Collect the slots an expression loads, left-to-right."""
-    if isinstance(expr, Load):
-        out.append(expr.slot)
-    elif isinstance(expr, Cast):
-        _expr_load_slots(expr.arg, out)
-    elif isinstance(expr, Op):
-        for arg in expr.args:
-            _expr_load_slots(arg, out)
-
-
-def _elidable_slots(body: Sequence[Store], local_slots: frozenset) -> frozenset:
-    """Which instruction-local slots can skip memory entirely.
-
-    A local slot's store may be elided when its first reference in
-    statement order is a *store*: every later load then forwards from the
-    per-iteration scalar local, so memory is never read.  (A local slot
-    loaded before any store would have to read its zero-initialised
-    storage — such slots keep their memory lane.)
-    """
-    stored: set = set()
-    disqualified: set = set()
-    for statement in body:
-        loads: list = []
-        _expr_load_slots(statement.expr, loads)
-        for slot in loads:
-            if slot not in stored:
-                disqualified.add(slot)
-        stored.add(statement.slot)
-    return frozenset(local_slots & stored - disqualified)
-
-
 def lower_kernel(
     instructions: Sequence[Instruction], local_slots: frozenset = frozenset()
 ) -> LoopNest:
@@ -351,7 +319,10 @@ def lower_kernel(
     *instruction-local* (written and read only inside this kernel, freed,
     never synced — see :func:`repro.runtime.tiling.decompose`).  Stores to
     such slots stay in scalar locals and are elided from memory, which is
-    the codegen backend's main traffic win on long fused chains.
+    the codegen backend's main traffic win on long fused chains.  The
+    tiling's set is already store-first; the intersection below only keeps
+    a hand-built ``local_slots`` from eliding a slot the kernel loads first
+    (which would have to read its zero-initialised storage).
 
     Raises
     ------
@@ -361,6 +332,7 @@ def lower_kernel(
         interpreted kernel template.
     """
     from repro.runtime.kernel import _slot_walk
+    from repro.runtime.tiling import store_first_slots
 
     _, slot_views, specs = _slot_walk(instructions)
     if not slot_views:
@@ -406,7 +378,7 @@ def lower_kernel(
         rank=rank,
         slot_dtypes=tuple(view.dtype.name for view in slot_views),
         body=body,
-        elided_slots=_elidable_slots(body, frozenset(local_slots)),
+        elided_slots=frozenset(local_slots) & store_first_slots(specs),
     )
 
 

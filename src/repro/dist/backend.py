@@ -1,9 +1,12 @@
 """The distributed backend: sharded execution over worker processes.
 
-The master (this process) owns all data — base arrays are *adopted* into
-shared-memory segments from the :class:`~repro.dist.shardstore.ShardStore`
-— and sequences execution step by step over a persistent pool of spawned
-worker processes.  The hot path ships nothing but plan tokens and shard
+The master (this process) owns all data — every base a worker must
+address lives in a shared-memory segment from the
+:class:`~repro.dist.shardstore.ShardStore`, which the flush's memory plan
+draws its storage from (temporaries on one plan slot share one segment,
+kernel-local bases get none) — and sequences execution step by step over a
+persistent pool of spawned worker processes, one flush at a time per pool.
+The hot path ships nothing but plan tokens and shard
 descriptors: a cold plan is pickled to the pool once (``load``), each
 flush sends one segment-name mapping per worker (``map``) and one
 ``step``/``complete`` round trip per distributed step per participating
@@ -23,6 +26,7 @@ import atexit
 import pickle
 import threading
 import time
+from functools import partial
 from multiprocessing import connection, get_context
 from typing import Dict, List, Optional, Tuple
 
@@ -45,6 +49,7 @@ from repro.dist.protocol import (
 from repro.dist.shardstore import ShardStore
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import MemoryManager
+from repro.runtime.memplan import bind_memory_plan
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.plan import (
     fingerprint_of_key,
@@ -81,6 +86,10 @@ class WorkerPool:
         ctx = get_context("spawn")
         self.num_workers = num_workers
         self.workers: List[_WorkerHandle] = []
+        #: Held across one whole flush (binding included): the pipes carry
+        #: one conversation, and the flush's slot segments and the workers'
+        #: private scratch belong to exactly one flush at a time.
+        self.flush_lock = threading.Lock()
         #: Plan tokens every live worker has cached (cold-load bookkeeping).
         self.loaded_tokens: set = set()
         self.frames_sent = 0
@@ -227,11 +236,11 @@ def _get_pool(num_workers: int) -> WorkerPool:
         return pool
 
 
-def _discard_pool(num_workers: int) -> None:
+def _discard_pool(pool: WorkerPool) -> None:
     with _POOLS_LOCK:
-        pool = _POOLS.pop(num_workers, None)
-    if pool is not None:
-        pool.shutdown(graceful=False)
+        if _POOLS.get(pool.num_workers) is pool:
+            del _POOLS[pool.num_workers]
+    pool.shutdown(graceful=False)
 
 
 def _shutdown_all_pools() -> None:
@@ -301,38 +310,8 @@ class DistributedBackend(ParallelBackend):
     def execute_plan(self, plan, program, memory: Optional[MemoryManager] = None):
         self.prepare_plan(plan)
         memory = memory if memory is not None else MemoryManager()
-        # Slot aliasing is deliberately bypassed: segment-per-base residency
-        # is what makes the zero-payload warm path possible, and a shared
-        # slot buffer cannot be two shared-memory segments at once.  Stale
-        # directives from another backend's flush must not leak in either.
-        memory.apply_plan(None)
+        bind_memory_plan(plan, program, memory, source=_get_store())
         return self._run(program, plan, memory)
-
-    # ------------------------------------------------------------------ #
-    # Adoption: arrays become shared-memory residents
-    # ------------------------------------------------------------------ #
-
-    def _adopt(self, memory: MemoryManager, base, store: ShardStore, stats) -> str:
-        name = memory.external_token(base)
-        if name is not None:
-            return name  # already resident — the zero-copy warm path
-        if memory.is_allocated(base):
-            host = memory.allocate(base)
-            name, buffer = store.create(base.nbytes)
-            typed = buffer[: base.nbytes].view(base.dtype.np_dtype)
-            np.copyto(typed, host)
-            stats.dist_bytes_migrated += base.nbytes
-            memory.free(base)  # recycle the host buffer through the pool
-        else:
-            name, buffer = store.create(base.nbytes)
-            typed = buffer[: base.nbytes].view(base.dtype.np_dtype)
-            # Recycled segments hold a previous tenant's bytes; fresh bases
-            # carry Bohrium's zero-initialisation semantics.
-            typed.fill(0)
-        memory.adopt_external(
-            base, typed, release=lambda name=name: store.release(name), token=name
-        )
-        return name
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -340,39 +319,85 @@ class DistributedBackend(ParallelBackend):
 
     def _run(self, program, plan, memory: MemoryManager) -> ExecutionResult:
         dist_plan: DistPlan = plan.dist_plan
-        workers = dist_plan.num_workers
         stats = ExecutionStats(backend_name=self.name)
-        stats.dist_workers_used = workers
+        stats.dist_workers_used = dist_plan.num_workers
+        # Without a memory plan every base keeps a dedicated, zeroed
+        # segment: the baseline the differential axes compare against.
+        private = dist_plan.private_positions if plan.memory_plan is not None else ()
         start = time.perf_counter()
-        store = _get_store()
+        filled = memory.zero_fill_bytes
         try:
-            self._run_sharded(
-                program, plan.tiling, dist_plan, memory, stats, store, workers
-            )
-        except WorkerDiedError:
-            _discard_pool(workers)
-            raise
+            while True:
+                pool = _get_pool(dist_plan.num_workers)
+                with pool.flush_lock:
+                    if not pool.healthy():
+                        continue  # died under the previous holder: respawn
+                    try:
+                        self._run_sharded(
+                            pool, program, plan.tiling, dist_plan, private, memory, stats
+                        )
+                    except WorkerDiedError:
+                        _discard_pool(pool)
+                        raise
+                break
+        finally:
+            # Slot segments go back to the store with the flush, not with
+            # the manager's next plan; a failed flush has already unbound
+            # their occupants.
+            memory.clear_plan()
+        stats.dist_zero_fill_bytes = memory.zero_fill_bytes - filled
         stats.wall_time_seconds = time.perf_counter() - start
         with self._cache_lock:
             self._totals.merge(stats)
         return ExecutionResult(memory=memory, stats=stats)
 
+    def _bind(self, memory: MemoryManager, base_order, private, store, stats):
+        """Settle every addressable base's segment before the first step.
+
+        Returns ``position -> (segment name, nbytes)``: a resident base is
+        a token hit (the zero-copy warm path), a host-resident one migrates
+        into a dedicated segment, anything else gets the storage its
+        directive names from the store.  ``private`` positions get nothing.
+        """
+        segments = {}
+        for position, base in enumerate(base_order):
+            if position in private:
+                continue
+            name = memory.external_token(base)
+            if name is None:
+                stats.dist_bases_adopted += 1
+                if memory.is_allocated(base):
+                    host = memory.allocate(base)
+                    name, buffer = store.create(base.nbytes)
+                    typed = buffer[: base.nbytes].view(base.dtype.np_dtype)
+                    np.copyto(typed, host)
+                    stats.dist_bytes_migrated += base.nbytes
+                    memory.free(base)  # recycle the host buffer through the pool
+                    memory.adopt_external(
+                        base, typed, release=partial(store.release, name), token=name
+                    )
+                else:
+                    name = memory.reserve(base)
+            segments[position] = (name, base.nbytes)
+        return segments
+
     def _run_sharded(
-        self, program, tiling, dist_plan, memory, stats, store, workers
+        self, pool, program, tiling, dist_plan, private, memory, stats
     ) -> None:
-        pool = _get_pool(workers)
+        store = _get_store()
+        workers = dist_plan.num_workers
         base_order = program_base_order(program)
-        segments = {
-            position: (self._adopt(memory, base, store, stats), base.nbytes)
-            for position, base in enumerate(base_order)
-        }
+        private_ids = {id(base_order[position]) for position in private}
         scratch_name = None
-        if dist_plan.max_partials:
-            scratch_name, _ = store.create(
-                dist_plan.max_partials * dist_plan.partial_itemsize
-            )
+        # What a failed flush must unbind again: storage it created itself.
+        fresh = [base for base in base_order if not memory.is_allocated(base)]
         config = get_config()
         try:
+            segments = self._bind(memory, base_order, private, store, stats)
+            if dist_plan.max_partials:
+                scratch_name, _ = store.create(
+                    dist_plan.max_partials * dist_plan.partial_itemsize
+                )
             if dist_plan.token not in pool.loaded_tokens:
                 payload = pickle.dumps(
                     (program, tiling, dist_plan), protocol=pickle.HIGHEST_PROTOCOL
@@ -413,7 +438,14 @@ class DistributedBackend(ParallelBackend):
                 instruction = program[shard_step.index]
                 if isinstance(shard_step, MasterStep):
                     self._run_serial(instruction, memory, stats)
-                elif isinstance(shard_step, MapShardStep):
+                    continue
+                # Slot occupants bind (and zero-fill, unless waived) here,
+                # when the slot's previous occupant is dead; a private base
+                # has no storage to bind.
+                for view in instruction.views():
+                    if id(view.base) not in private_ids:
+                        memory.allocate(view.base)
+                if isinstance(shard_step, MapShardStep):
                     self._launch_map_shards(
                         pool, dist_plan, shard_step, instruction, stats
                     )
@@ -428,6 +460,12 @@ class DistributedBackend(ParallelBackend):
                         scratch_name,
                         stats,
                     )
+        except BaseException:
+            # A flush that dies leaves no base bound to storage it no
+            # longer owns: what it created goes back to the store with it.
+            for base in fresh:
+                memory.free(base)
+            raise
         finally:
             if scratch_name is not None:
                 store.release(scratch_name)
@@ -525,6 +563,8 @@ class DistributedBackend(ParallelBackend):
                 "dist_shard_launches": self._totals.dist_shard_launches,
                 "dist_halo_exchanges": self._totals.dist_halo_exchanges,
                 "dist_payload_bytes": self._totals.dist_payload_bytes,
+                "dist_bases_adopted": self._totals.dist_bases_adopted,
+                "dist_zero_fill_bytes": self._totals.dist_zero_fill_bytes,
                 "dist_loads_shipped": self.loads_shipped,
             }
         )

@@ -24,6 +24,16 @@ runs its boundary rows against the landing copy.  When a multi-offset base
 is *also written* by the same step, or its views don't share a clean
 row-major layout, the step falls back to serial execution on the master —
 correctness first, distribution second.
+
+Private bases
+-------------
+A base enters shared memory only if a worker must address it.  A base all
+of whose accesses sit inside one sharded map step, on slots the tiling
+lists in ``local_slots`` (last access here, freed, never synced, stored
+before loaded) and that is no halo source needs no storage outside that
+kernel: the planner records it in :attr:`MapShardStep.private`, the master
+leaves its position out of the flush's segment mapping and each worker
+backs its shard of it with recycled private scratch.
 """
 
 from __future__ import annotations
@@ -86,6 +96,10 @@ class MapShardStep:
     index: int
     shards: Tuple[TileSpan, ...]
     halos: Tuple[HaloSpec, ...] = ()
+    #: Kernel-local bases of this step, as ``(canonical base position,
+    #: template slot indices)``: positions that may stay out of the
+    #: flush's segment mapping (see the module docstring).
+    private: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,16 @@ class DistPlan:
     def distributed_steps(self) -> Tuple[object, ...]:
         return tuple(
             step for step in self.steps if not isinstance(step, MasterStep)
+        )
+
+    @property
+    def private_positions(self) -> frozenset:
+        """Base positions a flush's segment mapping may leave out."""
+        return frozenset(
+            position
+            for step in self.steps
+            if isinstance(step, MapShardStep)
+            for position, _ in step.private
         )
 
     def _with_token(self, token: str) -> "DistPlan":
@@ -220,11 +244,38 @@ def _halo_specs(
     return tuple(halos), ""
 
 
+def _private_bases(
+    index: int, slots, local_slots: frozenset, halos, positions, defuse
+) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """The bases of one sharded map step that need no shared-memory segment.
+
+    ``local_slots`` already proves the lifetime *ends* here unobserved and
+    that each slot is stored before it is loaded; a worker's private
+    scratch additionally requires that no other step touches the base (a
+    dead def elsewhere would write storage that does not exist), that
+    *every* slot of the base qualifies, and that no halo fetch reads it.
+    """
+    slots_of: Dict[int, List[int]] = {}
+    for slot, view in enumerate(slots):
+        slots_of.setdefault(id(view.base), []).append(slot)
+    halo_positions = {halo.base_position for halo in halos}
+    return tuple(
+        (positions[base_id], tuple(base_slots))
+        for base_id, base_slots in slots_of.items()
+        if positions[base_id] not in halo_positions
+        and local_slots.issuperset(base_slots)
+        and all(access.index == index for access in defuse.accesses[base_id])
+    )
+
+
 def build_dist_plan(
     program: Program, tiling: TileDecomposition, num_workers: int
 ) -> DistPlan:
     """Turn a tile decomposition into per-worker shard descriptors."""
+    from repro.core.analysis import DefUse
+
     positions = _base_positions(program)
+    defuse = None
     steps: List[object] = []
     max_partials = 0
     partial_itemsize = 0
@@ -261,7 +312,18 @@ def build_dist_plan(
                 TileSpan(start, count)
                 for start, count in partition_length(rows, num_workers)
             )
-            steps.append(MapShardStep(index=step.index, shards=shards, halos=halos))
+            private = ()
+            if step.local_slots:
+                if defuse is None:
+                    defuse = DefUse.analyze(program)
+                private = _private_bases(
+                    step.index, slots, step.local_slots, halos, positions, defuse
+                )
+            steps.append(
+                MapShardStep(
+                    index=step.index, shards=shards, halos=halos, private=private
+                )
+            )
             continue
         assert isinstance(step, TiledReduceStep)
         dealt = partition_length(len(step.spans), num_workers)
@@ -294,13 +356,18 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
 
     Workers run this before first execution of a loaded plan: step indices
     must be in range and match the tiling's step kinds, map shards must be
-    non-empty and exactly partition the step's rows, and reduce assignments
-    must cover every span exactly once.  Returns the number of checks run;
-    raises :class:`~repro.dist.protocol.ProtocolError` on violation.
+    non-empty and exactly partition the step's rows, private bases (the
+    positions a flush may leave unmapped) must name real positions once,
+    and reduce assignments must cover every span exactly once.  Returns the
+    number of checks run; raises
+    :class:`~repro.dist.protocol.ProtocolError` on violation.
     """
     from repro.dist.protocol import ProtocolError
+    from repro.runtime.plan import program_base_order
 
     checks = 0
+    num_bases = len(program_base_order(program))
+    private_seen: set = set()
     if len(plan.steps) != len(tiling.steps):
         raise ProtocolError(
             f"shard plan has {len(plan.steps)} steps, tiling has {len(tiling.steps)}"
@@ -327,6 +394,13 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
                         f"map step {shard_step.index} shards are not contiguous"
                     )
                 cursor += span.count
+            for position, _ in shard_step.private:
+                if not 0 <= position < num_bases or position in private_seen:
+                    raise ProtocolError(
+                        f"map step {shard_step.index} claims base position "
+                        f"{position} as private (of {num_bases}, each at most once)"
+                    )
+                private_seen.add(position)
         elif isinstance(shard_step, ReduceShardStep):
             dealt = sorted(
                 position

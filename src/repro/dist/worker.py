@@ -12,9 +12,14 @@ Execution model
 ---------------
 * ``load`` caches the pickled (program, tiling, shard plan) under its plan
   token and runs the plan soundness checks (structural shard validation
-  always; the ``checks`` layer's tiling check when the master says so).
+  always; the ``checks`` layer's tiling and dist-adoption checks when the
+  master says so).
 * ``map`` binds canonical base positions to shared-memory segments for the
   coming steps — the whole per-flush data plane is this name mapping.
+  Several positions may name one segment (temporaries the memory plan put
+  on one slot), and the positions the shard plan lists as *private* may be
+  missing: no other step addresses those bases, so the worker backs its
+  shard of them with scratch it recycles across steps and flushes.
 * ``step`` executes this worker's shard of one distributed step: map
   shards slice every template slot view to the shard rows; stencil shards
   first fetch their halo rows into a private landing buffer (on a
@@ -59,8 +64,9 @@ class ShardMemory:
 
     Kernel templates (and their interpreter fallback path) only need
     ``allocate``/``view_array``/``read_view``/``write_view``; storage is
-    pre-registered from the flush's segment mapping, so an unmapped base is
-    a protocol violation, never a silent host allocation.
+    pre-registered from the flush's segment mapping (private bases: from
+    worker scratch, for the duration of one launch), so an unmapped base
+    is a protocol violation, never a silent host allocation.
     """
 
     def __init__(self) -> None:
@@ -108,6 +114,8 @@ class _LoadedPlan:
         self.tiling = tiling
         self.dist_plan = dist_plan
         self.base_order = program_base_order(program)
+        #: Base positions a ``map`` frame may leave out (kernel-local bases).
+        self.private_positions = dist_plan.private_positions
         #: step index -> (slot views, compiled template)
         self.templates: Dict[int, tuple] = {}
 
@@ -121,6 +129,12 @@ class _Worker:
         self.attachments: "OrderedDict[str, tuple]" = OrderedDict()
         self.memory: Optional[ShardMemory] = None
         self.current_token: Optional[str] = None
+        #: Private base positions the current mapping left out.
+        self.unmapped: frozenset = frozenset()
+        #: Backing for unmapped private bases: one buffer per private base
+        #: of a launch, grown to the largest shard seen and kept for the
+        #: pool's lifetime (fresh pages every step would fault every step).
+        self.private_scratch: List[np.ndarray] = []
         self.scratch: Optional[np.ndarray] = None
         self.halo_mode = "overlap"
         self.mapped_names: set = set()
@@ -175,6 +189,7 @@ class _Worker:
         # Drop every view layer first so the mappings can actually close.
         self.memory = None
         self.scratch = None
+        self.private_scratch.clear()
         self.plans.clear()
         for name, (shm, buffer) in list(self.attachments.items()):
             del buffer
@@ -197,10 +212,11 @@ class _Worker:
         loaded = _LoadedPlan(program, tiling, dist_plan)
         checks = validate_dist_plan(program, tiling, dist_plan)
         if frame["check"]:
-            from repro.checks.plancheck import check_tiling
+            from repro.checks.plancheck import check_dist_adoption, check_tiling
 
             check_tiling(program, tiling)
-            checks += 1
+            check_dist_adoption(program, dist_plan)
+            checks += 2
         self.plans[token] = loaded
         self.send("loaded", token=token, plan_checks_run=checks)
 
@@ -228,6 +244,13 @@ class _Worker:
         loaded = self.plans.get(token)
         if loaded is None:
             raise ProtocolError(f"map for unloaded plan token {token}")
+        unmapped = frozenset(range(len(loaded.base_order))) - frame["segments"].keys()
+        if not unmapped <= loaded.private_positions:
+            raise ProtocolError(
+                f"map leaves non-private base positions "
+                f"{sorted(unmapped - loaded.private_positions)} unmapped"
+            )
+        self.unmapped = unmapped
         self.mapped_names = {name for name, _ in frame["segments"].values()}
         scratch_name = frame["scratch"]
         if scratch_name is not None:
@@ -288,7 +311,17 @@ class _Worker:
                 f"worker {self.worker_id} launched beyond step's {len(step.shards)} shards"
             )
         shard = step.shards[self.worker_id]
-        slots, template = self._template(loaded, step.index)
+        slots, kernel = self._template(loaded, step.index)
+        private = [
+            base_slots for position, base_slots in step.private if position in self.unmapped
+        ]
+
+        def template(memory, views) -> None:
+            views, scratch_bases = self._private_views(views, private)
+            kernel(memory, views)
+            for scratch_base in scratch_bases:
+                memory.unregister(scratch_base)
+
         if not step.halos:
             views = tuple(slice_view(view, shard) for view in slots)
             template(self.memory, views)
@@ -340,6 +373,40 @@ class _Worker:
             template(self.memory, boundary_views)
             for landing_base in landing_bases:
                 self.memory.unregister(landing_base)
+
+    def _private_views(self, views, private):
+        """``views`` with unmapped private bases redirected to worker scratch.
+
+        ``private`` lists, per base, the slot positions viewing it.  The
+        scratch covers exactly the element range this launch's views
+        address, and is *uninitialised*: the plan proved every such slot is
+        stored before it is loaded.
+        """
+        if not private:
+            return views, ()
+        views = list(views)
+        scratch_bases = []
+        for index, base_slots in enumerate(private):
+            base = views[base_slots[0]].base
+            lo = min(views[slot]._min_index() for slot in base_slots)
+            hi = max(views[slot]._max_index() for slot in base_slots)
+            nbytes = (hi - lo + 1) * base.dtype.itemsize
+            if index == len(self.private_scratch):
+                self.private_scratch.append(np.empty(nbytes, dtype=np.uint8))
+            elif self.private_scratch[index].nbytes < nbytes:
+                self.private_scratch[index] = np.empty(nbytes, dtype=np.uint8)
+            scratch_base = BaseArray(
+                hi - lo + 1, base.dtype, name=f"private:{base.name or id(base)}"
+            )
+            self.memory.register(
+                scratch_base,
+                self.private_scratch[index][:nbytes].view(base.dtype.np_dtype),
+            )
+            scratch_bases.append(scratch_base)
+            for slot in base_slots:
+                view = views[slot]
+                views[slot] = View(scratch_base, view.offset - lo, view.shape, view.strides)
+        return tuple(views), scratch_bases
 
     def _prepare_landing(self, loaded, halo: HaloSpec, shard: TileSpan, interior: int):
         """An *uninitialised* landing buffer covering the boundary window.

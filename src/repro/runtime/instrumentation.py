@@ -149,6 +149,12 @@ class ExecutionStats:
     #: segments when the backend adopted pre-existing arrays (zero on
     #: warm flushes — residency persists).
     dist_bytes_migrated: int = _stat()
+    #: Bases newly bound to a shared-memory segment this execution (warm
+    #: token hits and kernel-local bases, which get no segment, excluded).
+    dist_bases_adopted: int = _stat()
+    #: Bytes of those segments the master zero-initialised (the memory
+    #: plan waives the fill for bases written before they are read).
+    dist_zero_fill_bytes: int = _stat()
     #: Which backend produced these statistics.
     backend_name: str = ""
 

@@ -18,12 +18,18 @@ Two layers of storage reuse sit below the manager:
   any read.  Without directives every allocation is zero-initialised,
   matching Bohrium's behaviour for uninitialised operands — bit-for-bit
   the pre-pool semantics.
+
+A bound plan may also name a storage *source* other than the pool (the
+distributed backend's shared-memory segment store): slot buffers and
+dedicated buffers are then drawn from it through the same directive path,
+so slot sharing, fill waivers and byte accounting exist once, here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +64,20 @@ class BufferDirective:
     slot: Optional[int]
     slot_nbytes: int
     zero_fill: bool
+
+
+class _Owned(NamedTuple):
+    """A raw byte buffer plus how to give it back.
+
+    ``token`` is the external source's handle for the buffer (a
+    shared-memory segment name) and ``None`` for pool buffers; ``nbytes``
+    is what the manager accounts for it.
+    """
+
+    buffer: np.ndarray
+    nbytes: int
+    token: object
+    release: Callable[[], None]
 
 
 class BufferPool:
@@ -277,23 +297,24 @@ class MemoryManager:
     def __init__(self, pool: Optional[BufferPool] = None) -> None:
         self._storage: Dict[int, np.ndarray] = {}
         self._bases: Dict[int, BaseArray] = {}
-        #: Raw byte buffer backing each dedicated (non-slot) base.
-        self._buffers: Dict[int, np.ndarray] = {}
+        #: The buffer behind each dedicated (non-slot) base and its way
+        #: home: the pool, the plan's storage source, or the ``release`` of
+        #: an :meth:`adopt_external` caller.
+        self._dedicated: Dict[int, _Owned] = {}
         #: Plan directives for the current execution, keyed by id(base).
         self._directives: Dict[int, BufferDirective] = {}
+        #: Where the current plan's fresh storage comes from when not the
+        #: pool: an object with ``create(nbytes) -> (token, uint8 buffer)``
+        #: and ``release(token)`` (the distributed backend's shard store).
+        self._source = None
         #: Shared slot buffers, keyed by (plan epoch, slot id): an epoch
         #: bump on every ``apply_plan`` guarantees a new plan's slot ids
         #: can never adopt a previous plan's buffer (whose capacity the
-        #: new plan knows nothing about).
-        self._slots: Dict[tuple, np.ndarray] = {}
-        #: Accounted bytes per slot (the planned capacity, not the class).
-        self._slot_bytes: Dict[tuple, int] = {}
+        #: new plan knows nothing about).  Accounted at the planned
+        #: capacity, not the size class.
+        self._slots: Dict[tuple, _Owned] = {}
         #: Which slot key (if any) currently backs each live base.
         self._slot_of: Dict[int, tuple] = {}
-        #: Externally-owned storage (e.g. shared-memory segments adopted by
-        #: the distributed backend), keyed by id(base): ``(release, token)``.
-        #: Frees route to ``release`` instead of the buffer pool.
-        self._external: Dict[int, tuple] = {}
         self._plan_epoch = 0
         #: The pool is always present; disabling pooling means a zero byte
         #: cap (every release falls through to the host), which keeps the
@@ -309,35 +330,44 @@ class MemoryManager:
         self.window_peak_bytes = 0
         self.allocation_count = 0
         self.free_count = 0
+        #: Bytes of fresh storage zero-initialised so far (waived fills and
+        #: ``zero=False`` allocations do not count).
+        self.zero_fill_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Plan directives
     # ------------------------------------------------------------------ #
 
-    def apply_plan(self, directives: Optional[Dict[int, BufferDirective]]) -> None:
+    def apply_plan(
+        self, directives: Optional[Dict[int, BufferDirective]], source=None
+    ) -> None:
         """Install the directives of a freshly bound memory plan.
 
         Replaces any previous plan: stale directives must never outlive the
         execution they were bound for (a dead base's ``id`` can be reused by
-        a fresh one).  Slot buffers of the previous plan are recycled
-        through the pool unless a still-live base occupies them (they are
-        released once that base is freed and the next plan is applied).
+        a fresh one).  Slot buffers of the previous plan go back where they
+        came from unless a still-live base occupies them (they are released
+        once that base is freed and the next plan is applied).
+
+        With a ``source``, storage allocated while this plan is installed —
+        slot buffers and dedicated ones alike — is drawn from it instead of
+        the pool, and :meth:`external_token` names it.
         """
         self.clear_plan()
         self._plan_epoch += 1
+        self._source = source
         if directives:
             self._directives = dict(directives)
 
     def clear_plan(self) -> None:
-        """Forget the current plan's directives and release idle slot buffers."""
+        """Forget the current plan (directives, source); release idle slots."""
         self._directives = {}
+        self._source = None
         occupied = set(self._slot_of.values())
-        for slot_key, buffer in list(self._slots.items()):
-            if slot_key in occupied:
-                continue
-            del self._slots[slot_key]
-            self.bytes_allocated -= self._slot_bytes.pop(slot_key)
-            self.pool.release(buffer)
+        for slot_key in [key for key in self._slots if key not in occupied]:
+            slot = self._slots.pop(slot_key)
+            self.bytes_allocated -= slot.nbytes
+            slot.release()
 
     def pool_counters(self) -> Dict[str, int]:
         """The pool's cumulative counters."""
@@ -373,6 +403,26 @@ class MemoryManager:
         """The typed flat storage of ``base`` over the head of ``buffer``."""
         return buffer[: base.nbytes].view(base.dtype.np_dtype)
 
+    def _acquire(self, nbytes: int) -> _Owned:
+        """``nbytes`` of raw storage from the plan's source, else the pool."""
+        if self._source is not None:
+            token, buffer = self._source.create(nbytes)
+            owned = _Owned(buffer, nbytes, token, partial(self._source.release, token))
+        else:
+            buffer = self.pool.acquire(nbytes)
+            owned = _Owned(buffer, nbytes, None, partial(self.pool.release, buffer))
+        self.bytes_allocated += nbytes
+        self._note_peak()
+        return owned
+
+    def _slot(self, directive: BufferDirective) -> Tuple[tuple, _Owned]:
+        """The current plan's shared slot ``directive`` names, acquired once."""
+        slot_key = (self._plan_epoch, directive.slot)
+        slot = self._slots.get(slot_key)
+        if slot is None:
+            slot = self._slots[slot_key] = self._acquire(directive.slot_nbytes)
+        return slot_key, slot
+
     def allocate(self, base: BaseArray, zero: Optional[bool] = None) -> np.ndarray:
         """Return the flat storage for ``base``, allocating it if needed.
 
@@ -389,45 +439,49 @@ class MemoryManager:
             return existing
         directive = self._directives.get(key)
         if directive is not None and directive.slot is not None:
-            slot_key = (self._plan_epoch, directive.slot)
-            buffer = self._slots.get(slot_key)
-            if buffer is None:
-                buffer = self.pool.acquire(directive.slot_nbytes)
-                self._slots[slot_key] = buffer
-                self._slot_bytes[slot_key] = directive.slot_nbytes
-                self.bytes_allocated += directive.slot_nbytes
-                self._note_peak()
-            storage = self._carve(buffer, base)
-            self._slot_of[key] = slot_key
+            self._slot_of[key], owned = self._slot(directive)
         else:
-            buffer = self.pool.acquire(base.nbytes)
-            storage = self._carve(buffer, base)
-            self._buffers[key] = buffer
-            self.bytes_allocated += base.nbytes
-            self._note_peak()
+            owned = self._dedicated[key] = self._acquire(base.nbytes)
+        storage = self._carve(owned.buffer, base)
         if zero is None:
             zero = directive is None or directive.zero_fill
             if get_config().memory_zero_policy == "always":
                 zero = True
         if zero:
             storage.fill(0)
+            self.zero_fill_bytes += base.nbytes
         self._storage[key] = storage
         self._bases[key] = base
         self.allocation_count += 1
         return storage
 
+    def reserve(self, base: BaseArray):
+        """Settle where ``base`` will live and return that storage's token.
+
+        For callers that must name every base's storage before execution
+        starts (the distributed backend's segment map).  A base the plan
+        puts on a shared slot only has the slot acquired: its occupants
+        bind — and zero-fill — at first use, when the previous occupant is
+        dead.  Any other base is allocated outright.
+        """
+        key = id(base)
+        if key not in self._storage:
+            directive = self._directives.get(key)
+            if directive is not None and directive.slot is not None:
+                return self._slot(directive)[1].token
+            self.allocate(base)
+        return self.external_token(base)
+
     def adopt_external(self, base, storage, release, token=None) -> np.ndarray:
         """Register externally-owned ``storage`` as the backing of ``base``.
 
-        The distributed backend keeps arrays resident in shared-memory
-        segments owned by its shard store; adoption makes that storage the
-        base's storage for every ordinary path (``allocate`` returns it,
-        ``view_array`` windows it, serial interpreter steps mutate it in
-        place).  :meth:`free` calls ``release`` instead of recycling
-        through the pool — the owner decides what "freed" means (the shard
-        store parks the segment for reuse).  ``token`` is an opaque owner
-        handle returned by :meth:`external_token` so the owner can
-        recognise its own adoptions without a side table.
+        For storage the manager did not acquire itself — the distributed
+        backend migrating a host-resident base into a shared-memory
+        segment.  Adoption makes it the base's storage for every ordinary
+        path (``allocate`` returns it, ``view_array`` windows it, serial
+        interpreter steps mutate it in place); :meth:`free` calls
+        ``release`` and :meth:`external_token` returns ``token``, exactly
+        as for storage drawn from a plan's source.
         """
         key = id(base)
         if key in self._storage:
@@ -438,16 +492,18 @@ class MemoryManager:
         storage = storage[: base.nelem]
         self._storage[key] = storage
         self._bases[key] = base
-        self._external[key] = (release, token)
+        self._dedicated[key] = _Owned(storage, base.nbytes, token, release)
         self.bytes_allocated += base.nbytes
         self._note_peak()
         self.allocation_count += 1
         return storage
 
     def external_token(self, base: BaseArray):
-        """The adoption token of ``base``, or ``None`` for ordinary storage."""
-        entry = self._external.get(id(base))
-        return entry[1] if entry is not None else None
+        """The external handle of ``base``'s storage, ``None`` for pool storage."""
+        key = id(base)
+        slot_key = self._slot_of.get(key)
+        owned = self._slots[slot_key] if slot_key is not None else self._dedicated.get(key)
+        return owned.token if owned is not None else None
 
     def set_data(self, base: BaseArray, data: np.ndarray) -> None:
         """Initialise ``base`` storage from an existing NumPy array.
@@ -466,8 +522,9 @@ class MemoryManager:
     def free(self, base: BaseArray) -> None:
         """Release the storage behind ``base`` (no-op when not allocated).
 
-        Dedicated buffers are recycled through the pool; a slot-backed base
-        leaves its shared slot buffer in place for the slot's next occupant.
+        Dedicated buffers go back where they came from (the pool, the
+        plan's source, an adopter's ``release``); a slot-backed base leaves
+        its shared slot buffer in place for the slot's next occupant.
         """
         key = id(base)
         if key not in self._storage:
@@ -475,18 +532,12 @@ class MemoryManager:
         del self._storage[key]
         del self._bases[key]
         self.free_count += 1
-        external = self._external.pop(key, None)
-        if external is not None:
-            # Externally-owned storage: the owner reclaims it.
-            self.bytes_allocated -= base.nbytes
-            external[0]()
-            return
         if self._slot_of.pop(key, None) is not None:
             # Shared slot: the buffer is owned by the plan, not the base.
             return
-        buffer = self._buffers.pop(key)
-        self.bytes_allocated -= base.nbytes
-        self.pool.release(buffer)
+        owned = self._dedicated.pop(key)
+        self.bytes_allocated -= owned.nbytes
+        owned.release()
 
     def free_all(self) -> None:
         """Release every allocation (plan slots included)."""
@@ -543,13 +594,11 @@ class MemoryManager:
         other = MemoryManager()
         for key, storage in self._storage.items():
             base = self._bases[key]
-            buffer = other.pool.acquire(base.nbytes)
-            copied = other._carve(buffer, base)
+            owned = other._dedicated[key] = other._acquire(base.nbytes)
+            copied = other._carve(owned.buffer, base)
             np.copyto(copied, storage)
             other._storage[key] = copied
             other._bases[key] = base
-            other._buffers[key] = buffer
-            other.bytes_allocated += base.nbytes
         other.peak_bytes = max(self.peak_bytes, other.bytes_allocated)
         other.window_peak_bytes = other.bytes_allocated
         other.allocation_count = self.allocation_count

@@ -270,15 +270,15 @@ def attach_memory_plan(plan, config: Optional[Config] = None) -> None:
         plan.memory_signature = signature
 
 
-def bind_memory_plan(plan, program: Program, memory: MemoryManager) -> None:
+def bind_memory_plan(plan, program: Program, memory: MemoryManager, source=None) -> None:
     """Install ``plan``'s storage directives on ``memory`` for one execution.
 
     When the plan carries no memory plan the manager's directives are
     cleared instead — stale directives must never survive into an
-    execution they were not bound for.
+    execution they were not bound for.  ``source`` is where the execution's
+    fresh storage comes from when not the pool (see
+    :meth:`~repro.runtime.memory.MemoryManager.apply_plan`).
     """
     memory_plan = getattr(plan, "memory_plan", None)
-    if memory_plan is None:
-        memory.apply_plan(None)
-        return
-    memory.apply_plan(memory_plan.bind(program))
+    directives = memory_plan.bind(program) if memory_plan is not None else None
+    memory.apply_plan(directives, source)

@@ -76,15 +76,15 @@ class TiledMapStep:
     are independent.
 
     ``local_slots`` names the kernel's template slots (see
-    :func:`repro.runtime.kernel.kernel_slot_views`) whose base arrays are
-    *kernel-local*: the base's lifetime **ends** inside this instruction —
-    its last access in the whole program happens here, it is freed and
-    never synced.  Earlier accesses at other program indices are allowed
-    (they are dead defs this kernel overwrites); within-kernel soundness
-    (the first reference here must be a store) is re-checked by
-    :func:`repro.codegen.loopir._elidable_slots`.  Slot indices are
-    structural, so the set survives plan rebinding; backends that compile
-    kernels use it to keep such temporaries out of memory entirely.
+    :func:`repro.runtime.kernel.kernel_slot_views`) that need *no storage
+    outside this kernel*: the base's lifetime **ends** inside this
+    instruction — its last access in the whole program happens here, it is
+    freed and never synced — and the kernel's first reference to the slot
+    is a store (:func:`store_first_slots`), so nothing it holds on entry is
+    ever read.  Earlier accesses at other program indices are allowed (they
+    are dead defs this kernel overwrites).  Slot indices are structural, so
+    the set survives plan rebinding; native keeps such slots in registers,
+    dist keeps their bases out of shared memory.
     """
 
     index: int
@@ -211,20 +211,25 @@ def resolve_num_threads(config: Optional[Config] = None) -> int:
 
 
 def spans_for(
-    rows: int, row_elements: int, tile_elements: int, min_tiles: int = 1
+    rows: int,
+    row_elements: int,
+    tile_elements: int,
+    min_tiles: int = 1,
+    min_rows: int = 1,
 ) -> Tuple[TileSpan, ...]:
     """Split ``rows`` rows of ``row_elements`` each into cache-sized spans.
 
     The tile count is chosen so each tile holds about ``tile_elements``
     elements — but never fewer than ``min_tiles`` (the worker count, so a
-    mid-size workload still feeds every thread) nor more than ``rows``.
-    The rows are then block-distributed with the cluster layer's
+    mid-size workload still feeds every thread) nor so many that a span
+    would hold fewer than ``min_rows`` rows.  The rows are then
+    block-distributed with the cluster layer's
     :func:`~repro.cluster.partition.partition_length` so spans differ in
     size by at most one row.
     """
-    rows_per_tile = max(1, tile_elements // max(1, row_elements))
+    rows_per_tile = max(min_rows, tile_elements // max(1, row_elements))
     num_tiles = max(1, -(-rows // rows_per_tile), min_tiles)
-    num_tiles = min(num_tiles, max(1, rows))
+    num_tiles = min(num_tiles, max(1, rows // min_rows))
     return tuple(
         TileSpan(start, count)
         for start, count in partition_length(rows, num_tiles)
@@ -326,31 +331,66 @@ def _decompose_reduce(
     if len(out.shape) == 0 or out.shape[0] != rows:
         return SerialStep(index=index, reason="output not sliceable with input")
     row_elements = source.nelem // rows
+    # A tile of an axis-0 reduction that is one column wide coalesces to a
+    # 1-D slice, which NumPy sums pairwise — not bitwise the row-by-row
+    # serial reduction.  Two columns keep the column axis innermost.
+    one_column_coalesces = axis == 0 and row_elements == source.shape[0]
     spans = spans_for(
-        rows, row_elements, config.parallel_tile_elements, resolve_num_threads(config)
+        rows,
+        row_elements,
+        config.parallel_tile_elements,
+        resolve_num_threads(config),
+        min_rows=2 if one_column_coalesces else 1,
     )
+    if one_column_coalesces and len(spans) < 2:
+        return SerialStep(index=index, reason="tiles would be one column wide")
     return TiledReduceStep(index=index, spans=spans, tile_axis=tile_axis, combine=False)
 
 
-def _local_slot_indices(index: int, instruction: Instruction, defuse) -> frozenset:
-    """Template slots of one map step whose bases are kernel-local.
+def store_first_slots(specs) -> frozenset:
+    """Template slots whose first reference in the kernel is a *store*.
 
-    A base qualifies when its *last* access in the whole program happens at
-    this program index, it is explicitly freed, and it is never synced:
-    nothing after or outside the program can observe what this kernel
-    writes, so a compiled kernel may keep the value in registers and never
-    materialize the storage.  Accesses at earlier indices are permitted —
-    they are dead defs (or reads of them) this kernel's first store
-    overwrites; a kernel that instead *reads* the base before storing keeps
-    its memory lane (:func:`repro.codegen.loopir._elidable_slots` rejects
-    load-before-store slots), so earlier-produced values are never lost.
+    ``specs`` are the per-instruction operand references of the kernel's
+    :func:`repro.runtime.kernel._slot_walk` (output first, then inputs).
+
+    Every later load of such a slot reads what this kernel stored, never
+    what the storage held on entry (within one byte-code inputs are
+    consumed before the output is produced, so ``x = x + 1`` loads first).
+    This is the in-kernel half of "needs no storage outside this kernel":
+    a compiled kernel forwards the value from a scalar local, a dist
+    worker backs it with private scratch.
     """
-    from repro.runtime.kernel import kernel_slot_views
+    stored: set = set()
+    loaded_first: set = set()
+    for _, refs in specs:
+        (out_kind, out_slot), inputs = refs[0], refs[1:]
+        loaded_first.update(
+            slot for kind, slot in inputs if kind == "slot" and slot not in stored
+        )
+        if out_kind == "slot":
+            stored.add(out_slot)
+    return frozenset(stored - loaded_first)
+
+
+def _local_slot_indices(index: int, instruction: Instruction, defuse) -> frozenset:
+    """Template slots of one map step that need no storage outside it.
+
+    A slot qualifies when its base's *last* access in the whole program
+    happens at this program index, the base is explicitly freed and never
+    synced — nothing after or outside the program can observe what this
+    kernel writes — and the kernel stores the slot before loading it
+    (:func:`store_first_slots`).  Accesses at earlier indices are
+    permitted: they are dead defs (or reads of them) this kernel's first
+    store overwrites; a kernel that instead *reads* the base before storing
+    keeps its memory lane, so earlier-produced values are never lost.
+    """
+    from repro.runtime.kernel import _slot_walk
 
     instructions = instruction.kernel if instruction.is_fused() else (instruction,)
+    _, slots, specs = _slot_walk(instructions)
     local = set()
-    for position, view in enumerate(kernel_slot_views(instructions)):
-        base_id = id(view.base)
+    for position in store_first_slots(specs):
+        base_id = id(slots[position].base)
         if base_id in defuse.synced or base_id not in defuse.freed:
             continue
         accesses = defuse.accesses.get(base_id, ())

@@ -408,6 +408,8 @@ def _distributed_block(cache: dict) -> Optional[dict]:
         "halo_exchanges": cache["dist_halo_exchanges"],
         "payload_bytes": cache["dist_payload_bytes"],
         "loads_shipped": cache["dist_loads_shipped"],
+        "bases_adopted": cache["dist_bases_adopted"],
+        "zero_fill_bytes": cache["dist_zero_fill_bytes"],
         "segments_created": cache["dist_segments_created"],
         "segments_recycled": cache["dist_segments_recycled"],
         "shm_bytes_active": cache["dist_shm_bytes_active"],
@@ -601,6 +603,8 @@ def _execute_with_engine(program, pipeline, report, args, out) -> None:
             f"spawned, {cache['dist_shard_launches']} shard launch(es), "
             f"{cache['dist_halo_exchanges']} halo exchange(s), "
             f"{cache['dist_payload_bytes']} control-channel payload byte(s), "
+            f"{cache['dist_bases_adopted']} base(s) adopted "
+            f"({cache['dist_zero_fill_bytes']} byte(s) zero-filled), "
             f"{cache['dist_segments_created']} segment(s) created "
             f"({cache['dist_segments_recycled']} recycled)",
             file=out,

@@ -65,12 +65,40 @@ class TestRealTree:
         assert main([]) == 0
 
 
+    def test_a_dist_flush_holds_the_pool_s_flush_lock(self):
+        """One flush at a time per worker pool: the lock is taken in
+        ``DistributedBackend._run``, around binding and every round trip."""
+        import ast
+
+        from repro.checks.lockcheck import LockCheckReport, _FileAnalyzer
+        import repro.dist.backend as dist_backend
+
+        analyzer = _FileAnalyzer(dist_backend.__file__, LockCheckReport())
+        with open(dist_backend.__file__, encoding="utf-8") as handle:
+            analyzer.analyze(ast.parse(handle.read()))
+        runner = analyzer.summaries[("DistributedBackend", "_run")]
+        assert ("dist-flush", 1) in runner.acquires
+        under_flush_lock = {
+            call.ref
+            for class_name, call in analyzer.deferred
+            if class_name == "DistributedBackend" and ("dist-flush", 1) in call.held
+        }
+        assert ("self", "_run_sharded") in under_flush_lock
+
+
 class TestFixtures:
     def test_upward_edge_detected(self):
         report = run_lockcheck([_fixture("upward_edge.py")])
         assert not report.ok
         assert any(v.kind == "upward-edge" for v in report.violations)
         assert any("rank 2" in str(v) and "rank 3" in str(v) for v in report.violations)
+
+    def test_flush_lock_under_the_locks_it_ranks_above_detected(self):
+        report = run_lockcheck([_fixture("flush_lock_under_cache_lock.py")])
+        upward = [str(v) for v in report.violations if v.kind == "upward-edge"]
+        assert len(upward) == 2, report.summary()
+        assert any("'backend-cache'" in v and "'dist-flush'" in v for v in upward)
+        assert any("'shard-store'" in v and "'dist-flush'" in v for v in upward)
 
     def test_allocation_under_leaf_lock_detected(self):
         report = run_lockcheck([_fixture("alloc_under_leaf.py")])

@@ -9,6 +9,7 @@ import pytest
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.view import View
 from repro.checks.plancheck import (
+    check_dist_adoption,
     check_memory_plan,
     check_plan,
     check_schedule,
@@ -16,11 +17,12 @@ from repro.checks.plancheck import (
     maybe_check_plan,
 )
 from repro.core.schedule import compute_schedule
+from repro.dist.planner import HaloSpec, MapShardStep, build_dist_plan
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memory import BufferDirective
 from repro.runtime.memplan import MemoryPlan
 from repro.runtime.plan import program_base_order
-from repro.runtime.tiling import TiledMapStep
+from repro.runtime.tiling import TiledMapStep, decompose
 from repro.utils.config import config_override
 from repro.utils.errors import PlanCheckError
 from repro.workloads.generators import random_elementwise_program
@@ -210,6 +212,107 @@ class TestTiling:
         corrupted = dataclasses.replace(plan.tiling, steps=tuple(steps))
         with pytest.raises(PlanCheckError, match="only has"):
             check_tiling(plan.optimized, corrupted)
+
+
+class TestDistAdoption:
+    """A base the shard plan keeps out of shared memory must be provably
+    invisible outside its one kernel (no worker processes needed here)."""
+
+    def _plan(self, load_first=False):
+        """``a = 2; t = a * 3 (or t + a); out = t + 1``: one fused kernel."""
+        builder = ProgramBuilder()
+        a = builder.new_vector(64, name="a")
+        t = builder.new_vector(64, name="t")
+        out = builder.new_vector(64, name="out")
+        builder.identity(a, 2.0)
+        if load_first:
+            builder.add(t, t, a)
+        else:
+            builder.multiply(t, a, 3.0)
+        builder.add(out, t, 1.0)
+        builder.sync(out)
+        builder.free(t)
+        program = builder.build()
+        with config_override(**TINY_TILES):
+            scheduled = compute_schedule(program).materialize(program)
+            dist_plan = build_dist_plan(scheduled, decompose(scheduled), 2)
+        return scheduled, dist_plan
+
+    @staticmethod
+    def _claiming(dist_plan, name, program, **changes):
+        """``dist_plan`` with base ``name`` added to its map step's private set."""
+        order = program_base_order(program)
+        position = next(i for i, base in enumerate(order) if base.name == name)
+        steps = list(dist_plan.steps)
+        index = next(i for i, s in enumerate(steps) if isinstance(s, MapShardStep))
+        steps[index] = dataclasses.replace(
+            steps[index], private=((position, (0,)),), **changes
+        )
+        return dataclasses.replace(dist_plan, steps=tuple(steps)), position
+
+    def test_the_planner_output_passes_and_is_not_vacuous(self):
+        program, dist_plan = self._plan()
+        order = program_base_order(program)
+        assert [order[p].name for p in dist_plan.private_positions] == ["t"]
+        check_dist_adoption(program, dist_plan)
+
+    def test_a_synced_base_may_not_be_private(self):
+        program, dist_plan = self._plan()
+        corrupted, _ = self._claiming(dist_plan, "out", program)
+        with pytest.raises(PlanCheckError, match="syncs it"):
+            check_dist_adoption(program, corrupted)
+
+    def test_a_base_that_is_never_freed_may_not_be_private(self):
+        program, dist_plan = self._plan()
+        corrupted, _ = self._claiming(dist_plan, "a", program)
+        with pytest.raises(PlanCheckError, match="never frees it"):
+            check_dist_adoption(program, corrupted)
+
+    def test_a_base_another_instruction_touches_may_not_be_private(self):
+        builder = ProgramBuilder()
+        a = builder.new_vector(64, name="a")
+        total = builder.new_vector(1, name="total")
+        builder.identity(a, 2.0)
+        builder.add_reduce(total, a, axis=0)
+        builder.sync(total)
+        builder.free(a)
+        program = builder.build()
+        with config_override(**TINY_TILES):
+            dist_plan = build_dist_plan(program, decompose(program), 2)
+        corrupted, _ = self._claiming(dist_plan, "a", program)
+        with pytest.raises(PlanCheckError, match="also accesses it"):
+            check_dist_adoption(program, corrupted)
+
+    def test_a_base_loaded_before_it_is_stored_may_not_be_private(self):
+        program, dist_plan = self._plan(load_first=True)
+        assert not dist_plan.private_positions
+        corrupted, _ = self._claiming(dist_plan, "t", program)
+        with pytest.raises(PlanCheckError, match="before storing it"):
+            check_dist_adoption(program, corrupted)
+
+    def test_a_halo_source_may_not_be_private(self):
+        program, dist_plan = self._plan()
+        order = program_base_order(program)
+        position = next(i for i, base in enumerate(order) if base.name == "t")
+        halo = HaloSpec(
+            slot_positions=(0,),
+            base_position=position,
+            stride0=1,
+            min_row=0,
+            max_row=1,
+            row_bytes=8,
+        )
+        corrupted, _ = self._claiming(dist_plan, "t", program, halos=(halo,))
+        with pytest.raises(PlanCheckError, match="halo fetch reads it"):
+            check_dist_adoption(program, corrupted)
+
+    def test_an_out_of_range_position_is_rejected(self):
+        program, dist_plan = self._plan()
+        steps = list(dist_plan.steps)
+        index = next(i for i, s in enumerate(steps) if isinstance(s, MapShardStep))
+        steps[index] = dataclasses.replace(steps[index], private=((99, (0,)),))
+        with pytest.raises(PlanCheckError, match="only has"):
+            check_dist_adoption(program, dataclasses.replace(dist_plan, steps=tuple(steps)))
 
 
 class TestPlanGate:

@@ -1,4 +1,4 @@
-"""Fixtures for the distributed suite: hang watchdog and tiny-tile config.
+"""Fixtures for the distributed suite: the hang watchdog.
 
 Distributed tests exercise real worker processes over pipes and shared
 memory, so a protocol bug can manifest as a hang rather than a failure.
@@ -18,11 +18,6 @@ import pytest
 #: Generous per-test budget: worker spawn costs a second or two, the
 #: slowest test a few more; anything hitting this is wedged, not slow.
 WATCHDOG_SECONDS = 120
-
-#: Tiny tiles force multi-shard execution paths even on the small arrays
-#: the tests use, so coverage hits sharding rather than serial fallbacks.
-TINY_TILES = dict(parallel_tile_elements=16, parallel_serial_threshold=4)
-
 
 @pytest.fixture(autouse=True)
 def hang_watchdog():

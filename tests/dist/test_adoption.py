@@ -1,0 +1,273 @@
+"""Which bases a dist flush puts in shared memory, and with what storage.
+
+The rule under test: a base enters shared memory only if a worker must
+address it (kernel-local bases get no segment and no ``map`` entry),
+temporaries the memory plan puts on one slot share one segment, and a
+waived zero fill is skipped.  The counters are deterministic; the negative
+cases pin the three ways a candidate base must *keep* its segment.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+
+from dist_settings import TINY_TILES
+from repro.bytecode.builder import ProgramBuilder
+from repro.bytecode.view import View
+from repro.core.analysis import DefUse
+from repro.dist.backend import DistributedBackend
+from repro.dist.planner import HaloSpec, MapShardStep, _private_bases, build_dist_plan
+from repro.dist.protocol import decode_frame, make_frame
+from repro.dist.worker import _Worker
+from repro.frontend.session import Session
+from repro.runtime.engine import ExecutionEngine
+from repro.runtime.kernel import kernel_slot_views
+from repro.runtime.plan import program_base_order
+from repro.runtime.tiling import decompose
+from repro.utils.config import config_override
+from repro.utils.errors import PlanCheckError
+from repro.workloads import heat_equation
+
+GRID, ITERATIONS = 1200, 4
+#: The optimized heat program: 5 full grids, 16 interior-sized bases, of
+#: which 12 (three per fused step) are kernel-local.
+ALL_BASES, LOCAL_BASES = 21, 12
+ALL_BYTES = 5 * GRID * GRID * 8 + 16 * (GRID - 2) * (GRID - 2) * 8
+
+
+def _warm_heat_flushes(session, flushes=3):
+    out = None
+    for _ in range(flushes):
+        out = heat_equation(grid_size=GRID, iterations=ITERATIONS, session=session)
+        out = out.to_numpy()
+    return out, session.stats_history[-1]
+
+
+class TestWarmFlushCounters:
+    def test_only_addressable_bases_are_adopted_and_nothing_is_filled(self):
+        assert ALL_BYTES == 241_306_112
+        with config_override(dist_num_workers=2):
+            session = Session(backend="dist", optimize=True)
+            _warm_heat_flushes(session, flushes=2)
+            created = session.cache_stats()["dist_segments_created"]
+            out, stats = _warm_heat_flushes(session)
+            cache = session.cache_stats()
+            plan = session.engine.last_plan
+        assert stats.dist_bases_adopted == ALL_BASES - LOCAL_BASES == 9
+        assert stats.dist_zero_fill_bytes == 0
+        assert stats.dist_bytes_migrated == 0
+        assert stats.dist_payload_bytes == 0
+        # Three plan slots, the result and the previous result: everything
+        # a warm flush binds is recycled.
+        assert cache["dist_segments_created"] == created
+        assert len(plan.dist_plan.private_positions) == LOCAL_BASES
+        # A shared slot segment is accounted once.
+        assert stats.actual_peak_bytes < 6 * GRID * GRID * 8
+        reference = Session(backend="interpreter", optimize=False)
+        expected = heat_equation(
+            grid_size=GRID, iterations=ITERATIONS, session=reference
+        ).to_numpy()
+        assert np.array_equal(out, expected)
+
+    def test_a_fresh_process_would_create_at_most_six_segments(self):
+        with config_override(dist_num_workers=2):
+            session = Session(backend="dist", optimize=True)
+            before = session.cache_stats()["dist_segments_created"]
+            _warm_heat_flushes(session, flushes=4)
+            after = session.cache_stats()["dist_segments_created"]
+        assert after - before <= 6
+
+    def test_without_a_memory_plan_every_base_is_adopted_and_filled(self):
+        with config_override(dist_num_workers=2, memory_plan_enabled=False):
+            session = Session(backend="dist", optimize=True)
+            _, stats = _warm_heat_flushes(session, flushes=2)
+        assert stats.dist_bases_adopted == ALL_BASES
+        assert stats.dist_zero_fill_bytes == ALL_BYTES
+        assert stats.dist_bytes_migrated == 0
+        assert stats.dist_payload_bytes == 0
+
+    def test_zero_policy_always_fills_what_it_adopts(self):
+        with config_override(dist_num_workers=2, memory_zero_policy="always"):
+            session = Session(backend="dist", optimize=True)
+            _, stats = _warm_heat_flushes(session, flushes=2)
+        assert stats.dist_bases_adopted == ALL_BASES - LOCAL_BASES
+        adopted_bytes = 5 * GRID * GRID * 8 + 4 * (GRID - 2) * (GRID - 2) * 8
+        assert stats.dist_zero_fill_bytes == adopted_bytes
+
+
+def _run_planless(program, synced):
+    """Execute on dist without the optimizer; return values and the one plan."""
+    oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
+    with config_override(**TINY_TILES, dist_num_workers=2):
+        backend = DistributedBackend()
+        result = backend.execute(program)
+        (plan,) = backend._adhoc_plans.values()
+    for view in synced:
+        assert np.array_equal(result.value(view), oracle.value(view), equal_nan=True)
+    return result.stats, plan
+
+
+def _private_names(plan):
+    order = program_base_order(plan.optimized)
+    return {order[position].name for position in plan.dist_plan.private_positions}
+
+
+class TestWhichBasesStayPrivate:
+    LENGTH = 64
+
+    def _chain(self, prologue=None):
+        """``a = 2; t = a * 3; out = t + 1`` with ``t`` freed, ``out`` synced."""
+        builder = ProgramBuilder()
+        a = builder.new_vector(self.LENGTH, name="a")
+        t = builder.new_vector(self.LENGTH, name="t")
+        out = builder.new_vector(self.LENGTH, name="out")
+        if prologue is not None:
+            prologue(builder, t)
+        builder.identity(a, 2.0)
+        builder.multiply(t, a, 3.0)
+        builder.add(out, t, 1.0)
+        builder.free(t)
+        builder.sync(out)
+        return builder.build(), a, t, out
+
+    def test_a_store_first_kernel_local_base_gets_no_segment(self):
+        program, _, _, out = self._chain()
+        stats, plan = _run_planless(program, (out,))
+        assert _private_names(plan) == {"t"}
+        assert stats.dist_bases_adopted == 2  # a and out
+        assert stats.dist_shard_launches > 0
+
+    def test_a_slot_loaded_before_it_is_stored_keeps_its_segment(self):
+        # ``t = t + a`` reads t's zero-initialised storage first.
+        builder = ProgramBuilder()
+        a = builder.new_vector(self.LENGTH, name="a")
+        t = builder.new_vector(self.LENGTH, name="t")
+        out = builder.new_vector(self.LENGTH, name="out")
+        builder.identity(a, 2.0)
+        builder.add(t, t, a)
+        builder.add(out, t, 1.0)
+        builder.free(t)
+        builder.sync(out)
+        stats, plan = _run_planless(builder.build(), (out,))
+        assert _private_names(plan) == set()
+        assert stats.dist_bases_adopted == 3
+        for step in plan.tiling.steps:
+            assert not getattr(step, "local_slots", ())
+
+    def test_a_base_an_earlier_step_also_writes_keeps_its_segment(self):
+        # A dead def of half of t in its own (differently shaped) step:
+        # the kernel's slot is still local, the base is not private.
+        def dead_def(builder, t):
+            builder.identity(View(t.base, 0, (self.LENGTH // 2,), (1,)), 5.0)
+
+        program, _, _, out = self._chain(prologue=dead_def)
+        stats, plan = _run_planless(program, (out,))
+        assert _private_names(plan) == set()
+        assert stats.dist_bases_adopted == 3
+        assert any(getattr(step, "local_slots", ()) for step in plan.tiling.steps)
+
+    def test_a_halo_source_keeps_its_segment(self):
+        program, _, t, _ = self._chain()
+        with config_override(**TINY_TILES):
+            backend = DistributedBackend(num_workers=2)
+            backend.execute(program)
+            (plan,) = backend._adhoc_plans.values()
+        (step,) = [s for s in plan.dist_plan.steps if isinstance(s, MapShardStep) and s.private]
+        ((position, base_slots),) = step.private
+        instruction = plan.optimized[step.index]
+        slots = kernel_slot_views(instruction.kernel)
+        tile_step = plan.tiling.steps[step.index]
+        positions = {
+            id(base): index
+            for index, base in enumerate(program_base_order(plan.optimized))
+        }
+        defuse = DefUse.analyze(plan.optimized)
+        arguments = (step.index, slots, tile_step.local_slots)
+        assert _private_bases(*arguments, (), positions, defuse) == step.private
+        halo = HaloSpec(
+            slot_positions=base_slots,
+            base_position=position,
+            stride0=1,
+            min_row=0,
+            max_row=1,
+            row_bytes=8,
+        )
+        assert _private_bases(*arguments, (halo,), positions, defuse) == ()
+
+    def test_no_stencil_base_of_the_heat_program_is_private(self):
+        with config_override(
+            parallel_tile_elements=64, parallel_serial_threshold=4, dist_num_workers=2
+        ):
+            session = Session(backend="dist", optimize=True)
+            heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
+            dist_plan = session.engine.last_plan.dist_plan
+        halo_positions = {
+            halo.base_position
+            for step in dist_plan.steps
+            if isinstance(step, MapShardStep)
+            for halo in step.halos
+        }
+        assert halo_positions
+        assert dist_plan.private_positions
+        assert not halo_positions & dist_plan.private_positions
+
+
+class TestCorruptedPrivateSet:
+    """Master and workers re-derive the adoption rule under ``check_ir``."""
+
+    def _sum_program(self):
+        builder = ProgramBuilder()
+        a = builder.new_vector(64, name="a")
+        b = builder.new_vector(64, name="b")
+        out = builder.new_vector(64, name="out")
+        builder.identity(a, 2.0)
+        builder.identity(b, 3.0)
+        builder.add(out, a, b)
+        builder.sync(out)
+        return builder.build()
+
+    @staticmethod
+    def _claim_the_synced_output(plan):
+        steps = list(plan.steps)
+        index = next(i for i, step in enumerate(steps) if isinstance(step, MapShardStep))
+        steps[index] = dataclasses.replace(steps[index], private=((2, (0,)),))
+        return dataclasses.replace(plan, steps=tuple(steps))
+
+    def test_the_master_refuses_to_execute_it(self, monkeypatch):
+        from repro.dist import backend as dist_backend
+
+        genuine = dist_backend.build_dist_plan
+        monkeypatch.setattr(
+            dist_backend,
+            "build_dist_plan",
+            lambda *args: self._claim_the_synced_output(genuine(*args)),
+        )
+        with config_override(**TINY_TILES, dist_num_workers=2, check_ir=True):
+            engine = ExecutionEngine(backend="dist", optimize=False)
+            with pytest.raises(PlanCheckError, match="out of shared memory"):
+                engine.execute(self._sum_program())
+
+    def test_a_worker_refuses_to_load_it(self):
+        program = self._sum_program()
+        with config_override(**TINY_TILES):
+            tiling = decompose(program)
+            corrupted = self._claim_the_synced_output(build_dist_plan(program, tiling, 2))
+
+        class Pipe:
+            sent = []
+
+            def send_bytes(self, data):
+                self.sent.append(decode_frame(data))
+
+        worker = _Worker(0, Pipe())
+        payload = pickle.dumps((program, tiling, corrupted))
+        with pytest.raises(PlanCheckError, match="out of shared memory"):
+            worker.handle_load(make_frame("load", token="t", payload=payload, check=True))
+        assert not Pipe.sent and "t" not in worker.plans
+        # Without the knob only the structural validation runs.
+        worker.handle_load(make_frame("load", token="t", payload=payload, check=False))
+        assert Pipe.sent[-1]["kind"] == "loaded"

@@ -9,14 +9,20 @@ the master would pass every bitwise comparison.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import TINY_TILES
+from dist_settings import TINY_TILES
+from repro.bytecode.builder import ProgramBuilder
 from repro.checks import COUNTERS
+from repro.dist.backend import _get_store
 from repro.dist.shardstore import sweep_manifests
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
+from repro.runtime.tiling import TiledReduceStep
 from repro.utils.config import config_override
 from repro.utils.errors import DistributedExecutionError
 from repro.workloads import heat_equation
@@ -80,6 +86,28 @@ class TestReductions:
                 np.testing.assert_allclose(
                     actual, reference, rtol=1e-6, atol=1e-8, equal_nan=True
                 )
+
+
+    def test_axis0_reduce_shards_are_never_one_column_wide(self):
+        # 12 rows x 8 columns with 16-element tiles used to yield
+        # one-column tiles, which NumPy sums pairwise: not bitwise the
+        # row-by-row serial reduction.  The worker runs the tiling's spans.
+        builder = ProgramBuilder()
+        matrix = builder.new_matrix(12, 8)
+        out = builder.new_vector(8)
+        builder.random(matrix, seed=7)
+        builder.multiply(matrix, matrix, 1e3)
+        builder.add_reduce(out, matrix, axis=0)
+        builder.sync(out)
+        program = builder.build()
+        expected = _oracle(program, (out,))
+        values, stats, engine = _dist(program, (out,), 2)
+        (step,) = [
+            s for s in engine.last_plan.tiling.steps if isinstance(s, TiledReduceStep)
+        ]
+        assert len(step.spans) > 1 and all(span.count >= 2 for span in step.spans)
+        assert stats.dist_shard_launches > 0
+        assert values[0].tobytes() == expected[0].tobytes()
 
 
 class TestStencilHalo:
@@ -169,6 +197,16 @@ class TestWorkerSideChecks:
             assert np.array_equal(actual, reference, equal_nan=True)
 
 
+def _store_segments_on_disk():
+    """Names under /dev/shm that belong to this process's shard store."""
+    store = _get_store()
+    with store._segments_lock:
+        known = set(store._active) | {
+            name for entries in store._parked.values() for name, _, _ in entries
+        }
+    return known, {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
 class TestCrashRecovery:
     def test_mid_flush_crash_is_clean_and_recoverable(self):
         with config_override(
@@ -179,9 +217,22 @@ class TestCrashRecovery:
             session = Session(backend="dist", optimize=True)
             expected = heat_equation(grid_size=16, iterations=2, session=session).to_numpy()
             backend = session.engine.backend
+            store = _get_store()
+            active_before = store.stats()["dist_shm_bytes_active"]
+            _, on_disk_before = _store_segments_on_disk()
             backend.inject_worker_crash(0)
             with pytest.raises(DistributedExecutionError):
                 heat_equation(grid_size=16, iterations=2, session=session).to_numpy()
+            # A flush that dies leaves no base bound to storage it no
+            # longer owns: whatever is still live names an active segment,
+            # and what the flush created went back to the store with it.
+            active = set(store.active_segments())
+            for base in session.memory.live_bases():
+                token = session.memory.external_token(base)
+                assert token is None or token in active, base
+            assert store.stats()["dist_shm_bytes_active"] == active_before
+            known, on_disk = _store_segments_on_disk()
+            assert on_disk - on_disk_before <= known, "a segment leaked past the store"
             # The session survives: the pool respawns and the same
             # computation completes bitwise-identically.
             recovered = heat_equation(grid_size=16, iterations=2, session=session).to_numpy()
@@ -203,6 +254,47 @@ class TestCrashRecovery:
             # segment with it, and the master is alive, so the manifest
             # sweep has nothing to reclaim.
             assert sweep_manifests() == []
+
+
+class TestOneFlushAtATime:
+    def test_concurrent_flushes_on_one_pool_do_not_interleave(self):
+        """The pool's pipes carry one conversation: tenants take turns."""
+        threads, flushes = 4, 6
+        programs = [
+            random_elementwise_program(seed, num_instructions=12, vector_length=24)
+            for seed in (3, 11)
+        ]
+        expected = [_oracle(program, synced) for program, synced in programs]
+        failures = []
+        with config_override(**TINY_TILES, dist_num_workers=2):
+            engine = ExecutionEngine(backend="dist", optimize=True)
+            engine.execute(programs[0][0])  # spawn the pool outside the race
+            barrier = threading.Barrier(threads)
+
+            def tenant(index: int) -> None:
+                try:
+                    barrier.wait()
+                    for flush in range(flushes):
+                        which = (index + flush) % len(programs)
+                        program, synced = random_elementwise_program(
+                            (3, 11)[which], num_instructions=12, vector_length=24
+                        )
+                        result = engine.execute(program)
+                        for view, reference in zip(synced, expected[which]):
+                            if not np.array_equal(
+                                result.value(view), reference, equal_nan=True
+                            ):
+                                failures.append((index, flush, "wrong bits"))
+                        result.memory.free_all()
+                except Exception as exc:  # surfaced below, with the thread's index
+                    failures.append((index, repr(exc)))
+
+            workers = [threading.Thread(target=tenant, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        assert not failures, failures
 
 
 class TestBudget:

@@ -6,7 +6,7 @@ import pytest
 from repro.bytecode.base import BaseArray
 from repro.bytecode.dtypes import int64
 from repro.bytecode.view import View
-from repro.runtime.memory import MemoryManager
+from repro.runtime.memory import BufferDirective, MemoryManager
 from repro.utils.errors import AllocationError
 
 
@@ -220,3 +220,75 @@ class TestViewRealizationEdgeCases:
         base = BaseArray(6)
         memory.set_data(base, np.arange(6.0).reshape(2, 3))
         assert list(memory.allocate(base)) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+class _FakeSource:
+    """A plan storage source: ``create``/``release`` like the shard store."""
+
+    def __init__(self):
+        self.live = {}
+        self.released = []
+
+    def create(self, nbytes):
+        token = f"seg{len(self.live) + len(self.released)}"
+        self.live[token] = np.full(nbytes, 0xAB, dtype=np.uint8)
+        return token, self.live[token]
+
+    def release(self, token):
+        self.released.append(token)
+        del self.live[token]
+
+
+class TestPlanStorageSource:
+    """Storage a plan draws from an external source instead of the pool."""
+
+    def _plan(self, memory, source, zero_fill=False):
+        first, second, alone = BaseArray(8), BaseArray(6), BaseArray(4)
+        shared = BufferDirective(slot=0, slot_nbytes=64, zero_fill=zero_fill)
+        memory.apply_plan({id(first): shared, id(second): shared}, source)
+        return first, second, alone
+
+    def test_slot_occupants_share_one_token_and_it_is_accounted_once(self):
+        memory, source = MemoryManager(), _FakeSource()
+        first, second, _ = self._plan(memory, source)
+        assert memory.reserve(first) == memory.reserve(second) == "seg0"
+        assert not memory.is_allocated(first), "reserving must not bind"
+        assert memory.bytes_allocated == 64 and len(source.live) == 1
+        storage = memory.allocate(first)
+        assert memory.external_token(first) == "seg0"
+        assert memory.zero_fill_bytes == 0, "the waiver was honoured"
+        assert storage.view(np.uint8)[0] == 0xAB
+        assert memory.pool.misses == 0, "nothing came from the host pool"
+
+    def test_an_occupant_is_filled_when_it_binds_not_when_it_is_reserved(self):
+        memory, source = MemoryManager(), _FakeSource()
+        first, second, _ = self._plan(memory, source, zero_fill=True)
+        memory.reserve(first), memory.reserve(second)
+        memory.allocate(first)[:] = 7.0
+        memory.free(first)
+        assert memory.zero_fill_bytes == first.nbytes
+        # The second occupant binds after the first is dead, and is zeroed then.
+        assert not memory.allocate(second).any()
+        assert memory.zero_fill_bytes == first.nbytes + second.nbytes
+
+    def test_dedicated_storage_is_allocated_on_reserve_and_freed_to_the_source(self):
+        memory, source = MemoryManager(), _FakeSource()
+        _, _, alone = self._plan(memory, source)
+        token = memory.reserve(alone)
+        assert memory.is_allocated(alone) and memory.external_token(alone) == token
+        assert not memory.allocate(alone).any() and memory.zero_fill_bytes == alone.nbytes
+        memory.free(alone)
+        assert source.released == [token] and memory.bytes_allocated == 0
+
+    def test_clear_plan_returns_idle_slots_and_forgets_the_source(self):
+        memory, source = MemoryManager(), _FakeSource()
+        first, second, _ = self._plan(memory, source)
+        memory.allocate(first)
+        memory.clear_plan()
+        assert not source.released, "an occupied slot stays with its occupant"
+        memory.free(first)
+        memory.clear_plan()
+        assert source.released == ["seg0"] and memory.bytes_allocated == 0
+        # With the plan gone, storage comes from the pool again.
+        memory.allocate(second)
+        assert memory.external_token(second) is None and len(source.live) == 0

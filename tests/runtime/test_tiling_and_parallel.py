@@ -428,6 +428,41 @@ class TestSharedReduceBody:
         NumPyInterpreter().execute(program, serial)
         assert tiled.read_view(out).tobytes() == serial.read_view(out).tobytes()
 
+    @pytest.mark.parametrize("tile_elements", [4, 12, 16, 23])
+    def test_axis0_tiles_are_never_one_column_wide(self, tile_elements):
+        # tile_elements < 2 x rows used to give one-column tiles; NumPy sums
+        # the coalesced 1-D slice pairwise (>= 8 rows), which is not bitwise
+        # the row-by-row serial reduction.
+        builder = ProgramBuilder()
+        matrix = builder.new_matrix(12, 8)
+        out = builder.new_vector(8)
+        builder.add_reduce(out, matrix, axis=0)
+        program = builder.build()
+        data = np.random.default_rng(7).standard_normal((12, 8)) * 1e3
+        with config_override(
+            parallel_tile_elements=tile_elements, parallel_serial_threshold=4
+        ):
+            (step,) = decompose(program).steps
+        assert isinstance(step, TiledReduceStep) and not step.combine
+        assert all(span.count >= 2 for span in step.spans)
+        assert sum(span.count for span in step.spans) == 8
+        tiled, serial = MemoryManager(), MemoryManager()
+        for memory in (tiled, serial):
+            memory.write_view(matrix, data)
+        for position in range(len(step.spans)):
+            reduce_tile(tiled, program[0], step, position)
+        NumPyInterpreter().execute(program, serial)
+        assert tiled.read_view(out).tobytes() == serial.read_view(out).tobytes()
+
+    def test_an_axis0_reduction_too_narrow_for_two_column_tiles_runs_serially(self):
+        builder = ProgramBuilder()
+        matrix = builder.new_matrix(12, 3)
+        out = builder.new_vector(3)
+        builder.add_reduce(out, matrix, axis=0)
+        with config_override(parallel_tile_elements=4, parallel_serial_threshold=4):
+            (step,) = decompose(builder.build()).steps
+        assert isinstance(step, SerialStep) and "one column" in step.reason
+
     @pytest.mark.parametrize("count", [1, 2, 3, 7])
     def test_partials_fold_in_the_fixed_pairwise_order(self, count):
         from repro.bytecode.dtypes import float32

@@ -32,7 +32,12 @@ CONSERVED = {
         ("native_compiles", "native_disk_hits", "native_memory_hits"),
     ),
     "jit": (("kernel_cache_hits", "kernel_cache_misses"),),
-    "dist": (("dist_shard_launches",), ("dist_payload_bytes",)),
+    "dist": (
+        ("dist_shard_launches",),
+        ("dist_payload_bytes",),
+        ("dist_bases_adopted",),
+        ("dist_zero_fill_bytes",),
+    ),
 }
 
 
@@ -44,9 +49,9 @@ def test_per_flush_counters_sum_to_the_cumulative_ones(backend, thread_hammer, t
         random_elementwise_program(3, num_instructions=12, vector_length=24)[0],
         random_mixed_program(1003, num_instructions=10)[0],
     ]
-    # One worker pool's pipes carry one flush at a time, so the dist leg is
-    # admitted serially: its flushes alternate between threads, never overlap.
-    limits = dict(max_inflight=1, admission_timeout=60.0) if backend == "dist" else {}
+    # Every dist tenant is admitted at once: one worker pool's pipes carry
+    # one flush at a time, and it is the pool's flush lock that takes turns.
+    limits = dict(max_inflight=THREADS, admission_timeout=60.0) if backend == "dist" else {}
     with config_override(**TINY_TILES, codegen_cache_dir=str(tmp_path / "codegen")):
         with ArrayService(backend=backend, **limits) as service:
             sessions = [service.open_session() for _ in range(THREADS)]
