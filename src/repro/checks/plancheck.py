@@ -298,8 +298,8 @@ def check_dist_adoption(program: Program, dist_plan) -> None:
     """Cross-check the bases a shard plan keeps out of shared memory.
 
     A *private* base gets no segment and no entry in a flush's ``map``
-    frame; each worker backs its shard with uninitialised scratch that dies
-    with the launch.  That is sound only if nothing outside the one kernel
+    frame; each worker keeps its slots in the uninitialised block scratch
+    of the template launch.  That is sound only if nothing outside the one kernel
     ever addresses the base and the kernel never reads what it did not
     just store.
     """

@@ -642,6 +642,8 @@ def _tree_combine_lines(nest: "ReduceNest") -> List[str]:
 def _acc_load(nest: "ReduceNest", address: str) -> str:
     src = _CTYPE[nest.source_dtype]
     load = f"(*({src} *)({address}))"
+    if nest.source_dtype == "BH_BOOL":
+        load = f"({load} != 0)"  # a bool counts as one whatever its byte holds
     if nest.acc_dtype != nest.source_dtype:
         return f"({_CTYPE[nest.acc_dtype]}){load}"
     return load

@@ -461,7 +461,10 @@ def lower_reduction(
     source_name = _exact_dtype_name(source.dtype.np_dtype)
     out_name = _exact_dtype_name(out.dtype.np_dtype)
     source_dt = dtypes.from_name(source_name)
-    if source_dt.is_bool:
+    if source_dt.is_bool and kind != "add":
+        # add.reduce over bool is an integer count in the probed
+        # accumulator dtype below — exact and order-free; multiply / min /
+        # max over bool stay NumPy's logical and/or.
         raise LoweringError("bool reductions have NumPy-specific semantics")
     info = opcode_info(REDUCE_TO_ELEMENTWISE[instruction.opcode])
     ufunc = getattr(np, info.numpy_name)

@@ -87,8 +87,8 @@ class WorkerPool:
         self.num_workers = num_workers
         self.workers: List[_WorkerHandle] = []
         #: Held across one whole flush (binding included): the pipes carry
-        #: one conversation, and the flush's slot segments and the workers'
-        #: private scratch belong to exactly one flush at a time.
+        #: one conversation, and the flush's slot segments belong to
+        #: exactly one flush at a time.
         self.flush_lock = threading.Lock()
         #: Plan tokens every live worker has cached (cold-load bookkeeping).
         self.loaded_tokens: set = set()
@@ -270,9 +270,8 @@ class DistributedBackend(ParallelBackend):
         super().__init__()
         self._configured_workers = num_workers
         self._comm: Optional[CommunicationModel] = None
-        # Every completed flush's record, folded in under the cache lock;
-        # ``cache_stats`` reports its ``dist_*`` counters.
-        self._totals = ExecutionStats(backend_name=self.name)
+        # The inherited cumulative record takes every completed flush's
+        # record whole, folded in under the cache lock.
         self.loads_shipped = 0
 
     def num_workers(self) -> int:
@@ -535,6 +534,7 @@ class DistributedBackend(ParallelBackend):
         counters = reply["counters"]
         stats.dist_halo_exchanges += int(counters.get("halo_exchanges", 0))
         stats.dist_halo_bytes += int(counters.get("halo_bytes", 0))
+        stats.template_slots_elided += int(counters.get("template_slots_elided", 0))
         measured = float(counters.get("halo_seconds", 0.0))
         if measured:
             COMM_METER.add_measured(measured)

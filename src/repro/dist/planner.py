@@ -33,7 +33,8 @@ lists in ``local_slots`` (last access here, freed, never synced, stored
 before loaded) and that is no halo source needs no storage outside that
 kernel: the planner records it in :attr:`MapShardStep.private`, the master
 leaves its position out of the flush's segment mapping and each worker
-backs its shard of it with recycled private scratch.
+launches its slots as the template's kernel-local ones (block scratch of
+the launch, see :class:`repro.runtime.kernel.BlockedTemplateLaunch`).
 """
 
 from __future__ import annotations
@@ -250,8 +251,8 @@ def _private_bases(
     """The bases of one sharded map step that need no shared-memory segment.
 
     ``local_slots`` already proves the lifetime *ends* here unobserved and
-    that each slot is stored before it is loaded; a worker's private
-    scratch additionally requires that no other step touches the base (a
+    that each slot is stored before it is loaded; leaving the base out of
+    shared memory additionally requires that no other step touches it (a
     dead def elsewhere would write storage that does not exist), that
     *every* slot of the base qualifies, and that no halo fetch reads it.
     """

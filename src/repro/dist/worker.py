@@ -18,10 +18,12 @@ Execution model
   coming steps — the whole per-flush data plane is this name mapping.
   Several positions may name one segment (temporaries the memory plan put
   on one slot), and the positions the shard plan lists as *private* may be
-  missing: no other step addresses those bases, so the worker backs its
-  shard of them with scratch it recycles across steps and flushes.
+  missing: no other step addresses those bases, so the worker launches
+  their slots as kernel-local ones — block scratch of the template launch,
+  exactly as on the thread tier.
 * ``step`` executes this worker's shard of one distributed step: map
-  shards slice every template slot view to the shard rows; stencil shards
+  shards slice every template slot view to the shard rows and run the
+  template's blocked launch; stencil shards
   first fetch their halo rows into a private landing buffer (on a
   background thread in ``overlap`` mode, so the copy hides behind interior
   compute) and run their boundary rows against the landing copy; reduction
@@ -62,11 +64,11 @@ MAX_ATTACHMENTS = 64
 class ShardMemory:
     """Duck-typed memory manager over attached shared-memory storage.
 
-    Kernel templates (and their interpreter fallback path) only need
-    ``allocate``/``view_array``/``read_view``/``write_view``; storage is
-    pre-registered from the flush's segment mapping (private bases: from
-    worker scratch, for the duration of one launch), so an unmapped base
-    is a protocol violation, never a silent host allocation.
+    Kernel templates and the shared reduce body only need ``allocate`` /
+    ``view_array``; storage is pre-registered from the flush's segment
+    mapping (halo landing buffers: for the duration of one launch), so
+    resolving an unmapped base is a protocol violation, never a silent
+    host allocation.
     """
 
     def __init__(self) -> None:
@@ -97,12 +99,6 @@ class ShardMemory:
             writeable=True,
         )
 
-    def read_view(self, view: View) -> np.ndarray:
-        return np.array(self.view_array(view), copy=True)
-
-    def write_view(self, view: View, data) -> None:
-        np.copyto(self.view_array(view), data)
-
 
 class _LoadedPlan:
     """One plan token's unpickled artifacts, cached for the pool's lifetime."""
@@ -131,10 +127,6 @@ class _Worker:
         self.current_token: Optional[str] = None
         #: Private base positions the current mapping left out.
         self.unmapped: frozenset = frozenset()
-        #: Backing for unmapped private bases: one buffer per private base
-        #: of a launch, grown to the largest shard seen and kept for the
-        #: pool's lifetime (fresh pages every step would fault every step).
-        self.private_scratch: List[np.ndarray] = []
         self.scratch: Optional[np.ndarray] = None
         self.halo_mode = "overlap"
         self.mapped_names: set = set()
@@ -189,7 +181,6 @@ class _Worker:
         # Drop every view layer first so the mappings can actually close.
         self.memory = None
         self.scratch = None
-        self.private_scratch.clear()
         self.plans.clear()
         for name, (shm, buffer) in list(self.attachments.items()):
             del buffer
@@ -311,20 +302,20 @@ class _Worker:
                 f"worker {self.worker_id} launched beyond step's {len(step.shards)} shards"
             )
         shard = step.shards[self.worker_id]
-        slots, kernel = self._template(loaded, step.index)
-        private = [
-            base_slots for position, base_slots in step.private if position in self.unmapped
-        ]
-
-        def template(memory, views) -> None:
-            views, scratch_bases = self._private_views(views, private)
-            kernel(memory, views)
-            for scratch_base in scratch_bases:
-                memory.unregister(scratch_base)
-
+        slots, template = self._template(loaded, step.index)
+        # Slots of private bases the mapping left out are kernel-local to
+        # the launch: block scratch, no storage to resolve.
+        local = frozenset(
+            slot
+            for position, base_slots in step.private
+            if position in self.unmapped
+            for slot in base_slots
+        )
+        launch = template.blocked(local)
+        counters["template_slots_elided"] = len(local)
         if not step.halos:
             views = tuple(slice_view(view, shard) for view in slots)
-            template(self.memory, views)
+            launch(self.memory, views)
             return
         depth = max(halo.depth for halo in step.halos)
         boundary = min(depth, shard.count)
@@ -357,7 +348,7 @@ class _Worker:
             interior_views = tuple(
                 slice_view(view, TileSpan(shard.start, interior)) for view in slots
             )
-            template(self.memory, interior_views)
+            launch(self.memory, interior_views)
             fetcher.join()
         else:
             fetch()
@@ -365,48 +356,14 @@ class _Worker:
                 interior_views = tuple(
                     slice_view(view, TileSpan(shard.start, interior)) for view in slots
                 )
-                template(self.memory, interior_views)
+                launch(self.memory, interior_views)
         if boundary > 0:
             boundary_views, landing_bases = self._boundary_views(
                 step, slots, shard, interior, boundary, landings
             )
-            template(self.memory, boundary_views)
+            launch(self.memory, boundary_views)
             for landing_base in landing_bases:
                 self.memory.unregister(landing_base)
-
-    def _private_views(self, views, private):
-        """``views`` with unmapped private bases redirected to worker scratch.
-
-        ``private`` lists, per base, the slot positions viewing it.  The
-        scratch covers exactly the element range this launch's views
-        address, and is *uninitialised*: the plan proved every such slot is
-        stored before it is loaded.
-        """
-        if not private:
-            return views, ()
-        views = list(views)
-        scratch_bases = []
-        for index, base_slots in enumerate(private):
-            base = views[base_slots[0]].base
-            lo = min(views[slot]._min_index() for slot in base_slots)
-            hi = max(views[slot]._max_index() for slot in base_slots)
-            nbytes = (hi - lo + 1) * base.dtype.itemsize
-            if index == len(self.private_scratch):
-                self.private_scratch.append(np.empty(nbytes, dtype=np.uint8))
-            elif self.private_scratch[index].nbytes < nbytes:
-                self.private_scratch[index] = np.empty(nbytes, dtype=np.uint8)
-            scratch_base = BaseArray(
-                hi - lo + 1, base.dtype, name=f"private:{base.name or id(base)}"
-            )
-            self.memory.register(
-                scratch_base,
-                self.private_scratch[index][:nbytes].view(base.dtype.np_dtype),
-            )
-            scratch_bases.append(scratch_base)
-            for slot in base_slots:
-                view = views[slot]
-                views[slot] = View(scratch_base, view.offset - lo, view.shape, view.strides)
-        return tuple(views), scratch_bases
 
     def _prepare_landing(self, loaded, halo: HaloSpec, shard: TileSpan, interior: int):
         """An *uninitialised* landing buffer covering the boundary window.

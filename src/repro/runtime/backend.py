@@ -102,6 +102,15 @@ class Backend(abc.ABC):
         """
         return {}
 
+    def fallback_reasons(self) -> Dict[str, int]:
+        """Why steps left this backend's compiled path: message -> count.
+
+        Cumulative, like :meth:`cache_stats`, but kept apart from it: that
+        dict is all-numeric by contract and this one is keyed by message.
+        Only the native tier has a compiled path to leave.
+        """
+        return {}
+
 
 _BACKEND_FACTORIES: Dict[str, Callable[[], Backend]] = {}
 _DEFAULTS_REGISTERED = False

@@ -87,6 +87,14 @@ class ExecutionStats:
     #: Kernel-local slots whose storage compiled launches elided
     #: entirely this execution (counted per launched step).
     native_slots_elided: int = _stat()
+    #: Kernel-local slots interpreted template launches kept out of memory
+    #: (block scratch instead of a base allocation), counted per launched
+    #: step — on the dist backend per shard launch, as its workers report.
+    template_slots_elided: int = _stat()
+    #: Why steps left the compiled path this execution: message -> count,
+    #: one entry per ``native_fallbacks`` / ``native_reduction_fallbacks``
+    #: increment (merged like ``opcode_counts``).
+    native_fallback_reasons: Dict[str, int] = field(default_factory=dict)
     #: Number of tiles launched by the tiled parallel backend.
     tiles_executed: int = _stat()
     #: Byte-codes that executed through the tiled path (fused payload
@@ -192,8 +200,12 @@ class ExecutionStats:
         for name, _, policy in NUMERIC_STATS:
             mine, theirs = getattr(self, name), getattr(other, name)
             setattr(self, name, max(mine, theirs) if policy == "max" else mine + theirs)
-        for opcode, count in other.opcode_counts.items():
-            self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + count
+        for mine, theirs in (
+            (self.opcode_counts, other.opcode_counts),
+            (self.native_fallback_reasons, other.native_fallback_reasons),
+        ):
+            for key, count in theirs.items():
+                mine[key] = mine.get(key, 0) + count
         return self
 
     @property

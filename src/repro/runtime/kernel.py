@@ -10,6 +10,7 @@ unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -20,6 +21,7 @@ from repro.bytecode.opcodes import OpCode, opcode_info
 from repro.bytecode.operand import is_constant, is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
+from repro.runtime.interpreter import _erf
 from repro.runtime.memory import MemoryManager
 from repro.utils.errors import ExecutionError
 
@@ -149,6 +151,15 @@ class Kernel:
         return run
 
 
+#: Elements per slot a blocked template launch evaluates before moving on:
+#: all byte-codes of a fused kernel run over one block while its lanes
+#: (15 float64 slots of this size are ~2 MB) are still cache-resident.
+#: Smaller blocks pay more interpreter dispatch per element, larger ones
+#: grow every lane for no resolvable gain (measured 4 K .. 64 K, see
+#: CHANGES.md, PR 17); results never depend on it.
+TEMPLATE_BLOCK_ELEMENTS = 16384
+
+
 class KernelTemplate:
     """A compiled kernel parameterized over its operand views.
 
@@ -157,6 +168,12 @@ class KernelTemplate:
     supplies the kernel's concrete views (from :func:`kernel_slot_views`) at
     launch time.  This is what lets the JIT's kernel cache share entries
     between equivalent kernels that differ only in their temporaries.
+
+    Every launch resolves its slots to ndarrays once and hands the steps
+    those arrays.  Calling the template runs each byte-code over the whole
+    views, in order; :meth:`blocked` is for callers that proved the kernel
+    row-sliceable.  Templates are shared between threads, so a launch keeps
+    nothing on the template: block scratch belongs to the call.
     """
 
     __slots__ = ("key", "num_slots", "_steps")
@@ -167,12 +184,73 @@ class KernelTemplate:
         self._steps = tuple(steps)
 
     def __call__(self, memory: MemoryManager, views: Sequence[View]) -> None:
+        arrays = self._resolve(memory, views, ())
+        for step in self._steps:
+            step(arrays)
+
+    def blocked(self, local_slots: frozenset) -> "BlockedTemplateLaunch":
+        """This template as a row-blocked launcher eliding ``local_slots``."""
+        return BlockedTemplateLaunch(self, local_slots)
+
+    def _resolve(self, memory, views: Sequence[View], local_slots) -> list:
+        """One ndarray per slot (``None`` for a local one), resolved once."""
         if len(views) != self.num_slots:
             raise ExecutionError(
                 f"kernel template expects {self.num_slots} view(s), got {len(views)}"
             )
-        for step in self._steps:
-            step(memory, views)
+        return [
+            None if position in local_slots else memory.view_array(view)
+            for position, view in enumerate(views)
+        ]
+
+
+class BlockedTemplateLaunch:
+    """A template bound to one row-sliceable step, evaluated block by block.
+
+    Only a caller that proved the kernel row-sliceable may ask for this
+    (the tile decomposition does: every view shares the kernel's shape and
+    no written window overlaps a different one): the launch walks its rows
+    in blocks of about :data:`TEMPLATE_BLOCK_ELEMENTS` elements and runs
+    *all* byte-codes on a block before moving on, which reorders work
+    across rows but never within one.
+
+    ``elided_slots`` are the step's kernel-local slots — stored before they
+    are loaded, observed by nobody else.  As with a compiled launch, the
+    caller allocates no storage for them; each gets one block-sized,
+    uninitialised scratch lane owned by the call and reused across its
+    blocks.
+    """
+
+    __slots__ = ("_template", "elided_slots")
+
+    #: Tiles of a template feed worker threads *and* bound each task's
+    #: work; the scaffolding never collapses them into one launch.
+    single_pass = False
+
+    def __init__(self, template: KernelTemplate, local_slots: frozenset) -> None:
+        self._template = template
+        self.elided_slots = local_slots
+
+    def __call__(self, memory, views: Sequence[View]) -> None:
+        template, local = self._template, self.elided_slots
+        arrays = template._resolve(memory, views, local)
+        shape = views[0].shape
+        rows = shape[0]
+        block_rows = max(1, TEMPLATE_BLOCK_ELEMENTS // max(1, math.prod(shape[1:])))
+        lanes = {
+            position: np.empty(
+                (min(rows, block_rows),) + shape[1:], views[position].dtype.np_dtype
+            )
+            for position in local
+        }
+        for start in range(0, rows, block_rows):
+            stop = min(rows, start + block_rows)
+            block = [
+                lanes[position][: stop - start] if array is None else array[start:stop]
+                for position, array in enumerate(arrays)
+            ]
+            for step in template._steps:
+                step(block)
 
 
 def _slot_walk(instructions: Sequence[Instruction]):
@@ -272,63 +350,83 @@ def _compile_template(key: tuple, specs) -> KernelTemplate:
     return KernelTemplate(key=key, num_slots=num_slots, steps=steps)
 
 
+def _loop_produces(func, instruction: Instruction) -> bool:
+    """Whether ``func``'s NumPy loop for these operands yields the output dtype.
+
+    Asked of NumPy itself, on one-element stand-ins of the operands' dtypes
+    and ranks (constants as they are), so promotion rules are never
+    re-derived here.  A stand-in NumPy rejects answers "no": the launch then
+    raises exactly where it always did.
+    """
+    samples = [
+        operand.as_numpy()
+        if is_constant(operand)
+        else np.ones((1,) * operand.ndim, dtype=operand.dtype.np_dtype)
+        for operand in instruction.inputs
+    ]
+    try:
+        with np.errstate(all="ignore"):
+            produced = func(*samples).dtype
+    except (TypeError, ValueError):
+        return False
+    return produced == instruction.out.dtype.np_dtype
+
+
+def _inputs(sources, arrays) -> list:
+    """A step's input values: each source's array by slot, or its constant."""
+    return [value if slot is None else arrays[slot] for slot, value in sources]
+
+
 def _compile_step(instruction: Instruction, operand_refs):
-    """Compile one element-wise byte-code into a (memory, views) step."""
+    """Compile one element-wise byte-code into a step over per-slot arrays.
+
+    The step takes the launch's (or one block's) arrays by slot index;
+    constants are resolved here, once.
+    """
     info = opcode_info(instruction.opcode)
     if not info.elementwise:
         raise ExecutionError(f"cannot compile non-element-wise {instruction.opcode} into a kernel")
-    out_kind, out_ref = operand_refs[0]
+    out_kind, out_slot = operand_refs[0]
     if out_kind != "slot":
         raise ExecutionError(f"{instruction.opcode} writes to a constant operand")
-    out_slot = out_ref
-    input_refs = operand_refs[1:]
-
-    def resolve_inputs(memory: MemoryManager, views: Sequence[View]):
-        return [
-            ref.as_numpy() if kind == "const" else memory.view_array(views[ref])
-            for kind, ref in input_refs
-        ]
+    # Per input: (slot, None) for a view, (None, value) for a constant.
+    sources = tuple(
+        (None, ref.as_numpy()) if kind == "const" else (ref, None)
+        for kind, ref in operand_refs[1:]
+    )
 
     if instruction.opcode is OpCode.BH_IDENTITY:
 
-        def run_identity(memory: MemoryManager, views: Sequence[View]) -> None:
-            out = memory.view_array(views[out_slot])
-            np.copyto(out, resolve_inputs(memory, views)[0], casting="unsafe")
+        def run_identity(arrays) -> None:
+            np.copyto(arrays[out_slot], _inputs(sources, arrays)[0], casting="unsafe")
 
         return run_identity
 
-    numpy_name = info.numpy_name
-    if numpy_name is None:
-        if instruction.opcode is OpCode.BH_ERF:
+    if instruction.opcode is OpCode.BH_ERF:  # the one op-code NumPy has no ufunc for
 
-            def run_erf(memory: MemoryManager, views: Sequence[View]) -> None:
-                from repro.runtime.interpreter import _erf
+        def run_erf(arrays) -> None:
+            np.copyto(arrays[out_slot], _erf(_inputs(sources, arrays)[0]), casting="unsafe")
 
-                out = memory.view_array(views[out_slot])
-                np.copyto(out, _erf(resolve_inputs(memory, views)[0]), casting="unsafe")
+        return run_erf
 
-            return run_erf
+    func = getattr(np, info.numpy_name)
 
-        # Generic fallback: rebind the instruction's view operands to the
-        # launch-time slot views and dispatch through the interpreter.
-        def run_fallback(memory: MemoryManager, views: Sequence[View]) -> None:
-            from repro.runtime.interpreter import NumPyInterpreter
+    if _loop_produces(func, instruction):
+        # The loop's result needs no cast: write it in place — no hidden
+        # full-size temporary, no second pass.  NumPy picks the loop from
+        # the inputs alone, so each element sees the one the oracle runs.
+        def run_in_place(arrays) -> None:
+            func(*_inputs(sources, arrays), out=arrays[out_slot])
 
-            operands = [
-                ref if kind == "const" else views[ref] for kind, ref in operand_refs
-            ]
-            bound = Instruction(instruction.opcode, operands, tag=instruction.tag)
-            NumPyInterpreter()._dispatch(bound, memory)
+        return run_in_place
 
-        return run_fallback
+    def run_cast(arrays) -> None:
+        # A dtype-changing store (a comparison into a float view): compute
+        # in the loop's own dtype, then cast-copy, as the interpreter does.
+        out = arrays[out_slot]
+        np.copyto(out, func(*_inputs(sources, arrays)), casting="unsafe")
 
-    func = getattr(np, numpy_name)
-
-    def run(memory: MemoryManager, views: Sequence[View]) -> None:
-        out = memory.view_array(views[out_slot])
-        np.copyto(out, func(*resolve_inputs(memory, views)), casting="unsafe")
-
-    return run
+    return run_cast
 
 
 def partition_into_kernels(

@@ -59,11 +59,7 @@ from repro.codegen.loopir import (
     lower_reduction,
 )
 from repro.runtime.instrumentation import NUMERIC_STATS, ExecutionStats
-from repro.runtime.kernel import (
-    KERNEL_CACHE_CAPACITY,
-    cached_kernel_launch,
-    prepare_kernel_launch,
-)
+from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, prepare_kernel_launch
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
@@ -229,7 +225,10 @@ _OUTCOME_COUNTERS = {
     "memory": "native_memory_hits",
 }
 
-_MISSING = object()
+
+def _verdict(cached):
+    """A launch-cache entry as ``(launchable, None)`` or ``(None, reason)``."""
+    return (None, cached) if isinstance(cached, str) else (cached, None)
 
 
 class NativeBackend(ParallelBackend):
@@ -244,21 +243,27 @@ class NativeBackend(ParallelBackend):
     ) -> None:
         super().__init__(num_threads=num_threads, tile_elements=tile_elements)
         # Structural kernel key (+ codegen signature) → NativeKernelLaunch,
-        # or None for forms with no bitwise-safe lowering.
+        # or, for a form with no compiled launch, the message saying why.
         self._native_cache = BoundedLRU(KERNEL_CACHE_CAPACITY)
-        # The cumulative ``native_*`` counters ``cache_stats`` reports.
-        self._totals = ExecutionStats(backend_name=self.name)
         #: How this backend first obtained the kernel runtime artifact:
         #: "compiled" | "disk" | "memory", "serial" when the toolchain
         #: builds none, ``None`` until a kernel form needed it.
         self.native_runtime: Optional[str] = None
 
-    def _count(self, stats: ExecutionStats, **increments: int) -> None:
-        """Add to one flush's record and to the cumulative one, together."""
+    def _count(
+        self, stats: ExecutionStats, fallback_reason: Optional[str] = None, **increments: int
+    ) -> None:
+        """Add to one flush's record and to the cumulative one, together.
+
+        ``fallback_reason`` is the message of the fallback being counted.
+        """
         with self._cache_lock:
             for record in (stats, self._totals):
                 for counter, amount in increments.items():
                     setattr(record, counter, getattr(record, counter) + amount)
+                if fallback_reason is not None:
+                    reasons = record.native_fallback_reasons
+                    reasons[fallback_reason] = reasons.get(fallback_reason, 0) + 1
 
     @property
     def native_compiles(self) -> int:
@@ -306,16 +311,17 @@ class NativeBackend(ParallelBackend):
         return max(1, int(threads))
 
     def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
-        """The launchable cached under ``cache_key``, built on a miss.
+        """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
 
         ``lower()`` returns the form's C source and a ``bind(compiled,
-        runtime=...)`` constructor, or raises :class:`LoweringError`.  ``None``
-        — cached as such — means the form has no native lowering (or
-        compilation failed); the caller uses the interpreted path.
+        runtime=...)`` constructor, or raises :class:`LoweringError`.  A
+        form with no native lowering (or whose compilation failed) is
+        cached as the *message* saying why; the caller uses the
+        interpreted path and counts the reason.
         """
-        launch = self._native_cache.get(cache_key, _MISSING)
-        if launch is not _MISSING:
-            return launch
+        cached = self._native_cache.get(cache_key)
+        if cached is not None:
+            return _verdict(cached)
         # Lowering and compilation run outside any lock; concurrent misses
         # of one form may both walk here, but the process-wide digest memo
         # latches the actual compile to exactly one of them.
@@ -332,17 +338,18 @@ class NativeBackend(ParallelBackend):
                 use_disk=config.codegen_disk_cache_enabled,
             )
             launch = bind(compiled, runtime=runtime)
-        except (LoweringError, CodegenError):
+        except (LoweringError, CodegenError) as exc:
             # No lowering, no compiler, or a toolchain failure: degrade to
-            # the interpreted template — and remember, so the next launch
+            # the interpreted template — and remember why, so the next launch
             # of this form pays one dict lookup instead of re-diagnosing.
-            launch = None
+            # (The first line: a compiler's stderr follows it.)
+            launch = str(exc).partition("\n")[0]
         with self._cache_lock:
             if self.native_runtime is None:
                 self.native_runtime = runtime_outcome
         if outcome is not None:
             self._count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
-        return self._native_cache.setdefault(cache_key, launch)
+        return _verdict(self._native_cache.setdefault(cache_key, launch))
 
     def _native_launch(
         self,
@@ -351,8 +358,9 @@ class NativeBackend(ParallelBackend):
         instructions,
         local_slots: frozenset,
         stats: ExecutionStats,
-    ) -> Optional[NativeKernelLaunch]:
-        """Resolve a kernel form to a compiled launchable, or ``None``.
+    ):
+        """Resolve a kernel form to ``(compiled launchable, None)`` or
+        ``(None, why not)``.
 
         ``local_slots`` (plan-time liveness, part of the cache key) names
         slots whose stores the compiled kernel elides entirely; ``stats``
@@ -360,7 +368,7 @@ class NativeBackend(ParallelBackend):
         """
         config = self._effective_config()
         if not config.codegen_enabled:
-            return None
+            return None, "codegen disabled"
 
         def lower():
             nest = lower_kernel(instructions, local_slots)
@@ -390,14 +398,15 @@ class NativeBackend(ParallelBackend):
 
     def _native_reduce_launch(
         self, instruction, step: TiledReduceStep, stats: ExecutionStats
-    ) -> Optional[NativeReduceLaunch]:
-        """Resolve a tiled reduction to a compiled launchable, or ``None``.
+    ):
+        """Resolve a tiled reduction to ``(compiled launchable, None)`` or
+        ``(None, why not)``.
 
         Shares the backend LRU with map forms.
         """
         config = self._effective_config()
         if not (config.codegen_enabled and config.codegen_reductions_enabled):
-            return None
+            return None, "compiled reductions disabled"
 
         def lower():
             nest = lower_reduction(instruction, step.combine, step.tile_axis)
@@ -417,10 +426,12 @@ class NativeBackend(ParallelBackend):
     def _map_launcher(self, instructions, step, stats):
         prepared = prepare_kernel_launch(instructions)
         key, slots, _ = prepared
-        launch = self._native_launch(key, slots, instructions, step.local_slots, stats)
+        launch, reason = self._native_launch(
+            key, slots, instructions, step.local_slots, stats
+        )
         if launch is None:
-            self._count(stats, native_fallbacks=1)
-            return cached_kernel_launch(self._templates, instructions, prepared)[:2]
+            self._count(stats, fallback_reason=reason, native_fallbacks=1)
+            return super()._map_launcher(instructions, step, stats, prepared)
         self._count(
             stats,
             native_kernel_launches=1,
@@ -460,9 +471,11 @@ class NativeBackend(ParallelBackend):
         lower (or with reductions disabled) fall back to the inherited
         interpreted tiled paths, counted as reduction fallbacks.
         """
-        launch = self._native_reduce_launch(instruction, step, stats)
+        launch, reason = self._native_reduce_launch(instruction, step, stats)
         source_view = instruction.inputs[0]
-        if launch is not None and 0 not in source_view.shape:
+        if launch is not None and 0 in source_view.shape:
+            launch, reason = None, "zero-size reduction source"
+        if launch is not None:
             stats.record_launch((instruction,))
             stats.tiled_instructions += 1
             stats.tiles_executed += 1
@@ -472,7 +485,7 @@ class NativeBackend(ParallelBackend):
                 stats, native_reductions_compiled=1, native_mt_launches=int(used_mt)
             )
             return
-        self._count(stats, native_reduction_fallbacks=1)
+        self._count(stats, fallback_reason=reason, native_reduction_fallbacks=1)
         super()._run_reduce(instruction, step, memory, stats, threads)
 
     def prepare_plan(self, plan) -> None:
@@ -544,6 +557,10 @@ class NativeBackend(ParallelBackend):
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
+
+    def fallback_reasons(self) -> Dict[str, int]:
+        with self._cache_lock:
+            return dict(self._totals.native_fallback_reasons)
 
     def cache_stats(self) -> Dict[str, int]:
         stats = super().cache_stats()

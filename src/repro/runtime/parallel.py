@@ -6,7 +6,9 @@ Executes an optimized program step-by-step following a plan-time
 * tiled element-wise / fused steps launch one compiled
   :class:`~repro.runtime.kernel.KernelTemplate` per tile over row-sliced
   views — independent tiles are distributed over a persistent
-  ``ThreadPoolExecutor``, and every tile's working set is cache-sized,
+  ``ThreadPoolExecutor``; a tile is the work of one thread task, and the
+  template walks it in cache-sized blocks, all byte-codes per block, with
+  the kernel's local slots in block scratch instead of memory,
 * tiled reductions either write disjoint output slices directly (n-D
   inputs, bit-identical to the serial reduction) or tree-combine per-tile
   partial results (full 1-D reductions),
@@ -19,7 +21,7 @@ buffers, every base is allocated *before* tiles are submitted (so workers
 never mutate the memory manager), and steps are separated by a join —
 cross-step dependencies therefore never race.  NumPy releases the GIL on
 large-buffer loops, so worker threads genuinely overlap on multi-core
-hosts; on a single core the backend still wins by keeping each tile's
+hosts; on a single core the backend still wins by keeping each block's
 working set cache-resident across all fused operations instead of
 streaming full arrays once per byte-code.
 
@@ -105,9 +107,12 @@ class ParallelBackend(Backend):
         # Plans for programs handed to ``execute`` without one; reported as
         # ``tiling_cache_*``.
         self._adhoc_plans = PlanCache(max(1, get_config().plan_cache_size))
-        # Covers pool construction and the subclasses' cumulative counters:
-        # concurrent sessions sharing this instance mutate them only under it.
+        # Covers pool construction and the cumulative counters: concurrent
+        # sessions sharing this instance mutate them only under it.
         self._cache_lock = ContendedLock()
+        # The cumulative record ``cache_stats`` reports from: whatever is
+        # added to a flush's record is added here too, under the cache lock.
+        self._totals = ExecutionStats(backend_name=self.name)
 
     # ------------------------------------------------------------------ #
     # Thread pool
@@ -242,6 +247,7 @@ class ParallelBackend(Backend):
         return {
             **self._templates.stats("tile_template_"),
             **self._adhoc_plans.stats("tiling_cache_"),
+            "template_slots_elided": self._totals.template_slots_elided,
             "backend_lock_contentions": self._cache_lock.contentions,
         }
 
@@ -312,11 +318,10 @@ class ParallelBackend(Backend):
         slots, launcher = self._map_launcher(instructions, step, stats)
         # Allocate every base up front: worker threads must never mutate
         # the memory manager.  Slots the launcher elides (kernel-local
-        # temporaries a compiled kernel keeps in registers) never
-        # materialize at all.
-        elided = getattr(launcher, "elided_slots", ())
+        # temporaries: registers of a compiled kernel, block scratch of a
+        # template) never materialize at all.
         for position, view in enumerate(slots):
-            if position not in elided:
+            if position not in launcher.elided_slots:
                 memory.allocate(view.base)
         stats.tiled_instructions += len(instructions)
         self._launch_map(launcher, slots, step, memory, stats, threads)
@@ -337,7 +342,7 @@ class ParallelBackend(Backend):
         kernel into a single in-kernel-threaded call.
         """
         spans = step.spans
-        if threads <= 1 and len(spans) > 1 and getattr(launcher, "single_pass", False):
+        if threads <= 1 and len(spans) > 1 and launcher.single_pass:
             # A compiled loop nest tiles only to feed worker threads; with
             # a single worker the whole step runs as one native call,
             # skipping every per-tile view slice and marshalling round.
@@ -356,18 +361,25 @@ class ParallelBackend(Backend):
 
         self._scatter([tile_task(span) for span in spans], threads)
 
-    def _map_launcher(self, instructions, step, stats):
+    def _map_launcher(self, instructions, step, stats, prepared=None):
         """Resolve one tiled map step to ``(slot views, launcher)``.
 
         The launcher is called once per tile with the tile-sliced slot
-        views.  The native backend overrides this seam to substitute a
-        compiled loop nest when the kernel form lowers to C: ``step``
-        carries the plan-time liveness that decides which slots such a
-        kernel may keep out of memory, ``stats`` is the flush's record for
-        its launch/fallback counters (both unused by the interpreted
-        templates).
+        views and names the slots it needs no storage for
+        (``elided_slots``).  Here it is the cached interpreted template,
+        bound to the step for a blocked launch: tiling proved the kernel
+        row-sliceable, and ``step.local_slots`` is the plan-time liveness
+        that says which slots nobody outside the kernel observes.  The
+        native backend overrides this seam to substitute a compiled loop
+        nest when the kernel form lowers to C (``prepared`` is its own
+        :func:`prepare_kernel_launch` walk, so falling back here does not
+        pay a second one).
         """
-        return cached_kernel_launch(self._templates, instructions)[:2]
+        slots, template, _ = cached_kernel_launch(self._templates, instructions, prepared)
+        stats.template_slots_elided += len(step.local_slots)
+        with self._cache_lock:
+            self._totals.template_slots_elided += len(step.local_slots)
+        return slots, template.blocked(step.local_slots)
 
     def _run_reduce(
         self,

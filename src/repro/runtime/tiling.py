@@ -84,7 +84,8 @@ class TiledMapStep:
     ever read.  Earlier accesses at other program indices are allowed (they
     are dead defs this kernel overwrites).  Slot indices are structural, so
     the set survives plan rebinding; native keeps such slots in registers,
-    dist keeps their bases out of shared memory.
+    a template launch in block scratch, and dist keeps their bases out of
+    shared memory.
     """
 
     index: int
@@ -357,8 +358,8 @@ def store_first_slots(specs) -> frozenset:
     what the storage held on entry (within one byte-code inputs are
     consumed before the output is produced, so ``x = x + 1`` loads first).
     This is the in-kernel half of "needs no storage outside this kernel":
-    a compiled kernel forwards the value from a scalar local, a dist
-    worker backs it with private scratch.
+    a compiled kernel forwards the value from a scalar local, a template
+    launch (thread tier and dist worker alike) keeps it in block scratch.
     """
     stored: set = set()
     loaded_first: set = set()

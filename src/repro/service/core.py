@@ -388,7 +388,8 @@ class ArrayService:
         The shape feeds straight into ``repro-opt --stats-json``: admission
         (backpressure behaviour), the shared pool (occupancy, fairness
         discards, lock contention) and the engine's cache counters (plan
-        builds vs cross-session hits, codegen outcomes).
+        builds vs cross-session hits, codegen outcomes) — all numeric —
+        and, keyed by message, why steps left the compiled path.
         """
         with self._lock:
             open_sessions = len(self._sessions)
@@ -398,6 +399,7 @@ class ArrayService:
             "admission": self.admission.stats(),
             "pool": self.pool.stats(),
             "cache": self.engine.cache_stats(),
+            "native_fallback_reasons": self.engine.backend.fallback_reasons(),
         }
 
 

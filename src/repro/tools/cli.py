@@ -478,9 +478,10 @@ def _run_stats_json(program, pipeline, report, args, out) -> int:
         codegen = _codegen_block(cache_stats)
         if codegen is not None:
             # How the shared kernel runtime was obtained ("serial": none,
-            # threaded launches ran per tile) — not a counter, so it is
-            # not part of ``cache_stats()``.
+            # threaded launches ran per tile) and why steps fell back —
+            # not counters, so they are not part of ``cache_stats()``.
             codegen["runtime"] = getattr(engine.backend, "native_runtime", None)
+            codegen["fallback_reasons"] = engine.backend.fallback_reasons()
             execution["codegen"] = codegen
         distributed = _distributed_block(cache_stats)
         if distributed is not None:

@@ -216,6 +216,65 @@ class TestWhichBasesStayPrivate:
         assert not halo_positions & dist_plan.private_positions
 
 
+class TestPrivateBasesRideTheBlockedLaunch:
+    """A worker launches the slots of its unmapped private bases as the
+    template's kernel-local ones — block scratch of the same blocked launch
+    the thread tier runs — on the interior, boundary and no-halo paths."""
+
+    @pytest.fixture(scope="class")
+    def heat_oracle(self):
+        session = Session(backend="interpreter", optimize=False)
+        return heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
+
+    @pytest.mark.parametrize("halo_mode", ["overlap", "blocking"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bitwise_with_block_scratch_at_every_pool_size(
+        self, heat_oracle, workers, halo_mode
+    ):
+        with config_override(
+            parallel_tile_elements=64,
+            parallel_serial_threshold=4,
+            dist_num_workers=workers,
+            dist_halo_mode=halo_mode,
+        ):
+            session = Session(backend="dist", optimize=True)
+            out = heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
+            stats = session.stats_history[-1]
+            plan = session.engine.last_plan
+            dist_plan = plan.dist_plan
+        assert np.array_equal(out, heat_oracle)
+        # Still no segment for a private base, and every shard launch of a
+        # step reports the slots it kept in scratch.
+        private_slots = sum(
+            len(step.shards) * len(base_slots)
+            for step in dist_plan.steps
+            if isinstance(step, MapShardStep)
+            for _, base_slots in step.private
+        )
+        assert dist_plan.private_positions and private_slots
+        assert stats.template_slots_elided == private_slots
+        assert stats.dist_bases_adopted == len(
+            program_base_order(plan.optimized)
+        ) - len(dist_plan.private_positions)
+
+    def test_the_no_halo_path_elides_too(self):
+        builder = ProgramBuilder()
+        a, t, out = (builder.new_vector(64, name=name) for name in ("a", "t", "out"))
+        builder.identity(a, 2.0)
+        builder.log(t, a)
+        builder.add(out, t, 1.0)
+        builder.free(t)
+        builder.sync(out)
+        stats, plan = _run_planless(builder.build(), (out,))
+        assert _private_names(plan) == {"t"}
+        assert stats.template_slots_elided == stats.dist_shard_launches == 2
+
+    def test_the_worker_owns_no_scratch(self):
+        worker = _Worker(0, conn=None)
+        assert not hasattr(worker, "private_scratch")
+        assert not hasattr(worker, "_private_views")
+
+
 class TestCorruptedPrivateSet:
     """Master and workers re-derive the adoption rule under ``check_ir``."""
 

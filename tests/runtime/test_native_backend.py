@@ -160,6 +160,84 @@ class TestFallbacks:
         assert result.stats.native_reduction_fallbacks >= 1
 
 
+class TestFallbackReasons:
+    """Every step that leaves the compiled path says why, per flush and
+    cumulatively; ``cache_stats()`` stays all-numeric."""
+
+    @staticmethod
+    def _accounted(stats):
+        return stats.native_fallbacks + stats.native_reduction_fallbacks == sum(
+            stats.native_fallback_reasons.values()
+        )
+
+    @requires_compiler
+    def test_the_service_workload_s_programs_name_their_reasons(self, cache_dir):
+        from repro.frontend.session import Session
+        from repro.workloads import black_scholes, monte_carlo_pi
+
+        with config_override(codegen_cache_dir=cache_dir):
+            session = Session(backend="native", optimize=True)
+            for _ in range(2):
+                black_scholes(20_000, session=session).to_numpy()
+                prices = session.stats_history[-1]
+                monte_carlo_pi(20_000, session=session).to_numpy()
+                estimate = session.stats_history[-1]
+            cumulative = session.engine.backend.fallback_reasons()
+            cache = session.cache_stats()
+        # One BH_LOG sends black_scholes' whole fused kernel to the template.
+        assert prices.native_fallbacks == 1
+        assert prices.native_fallback_reasons == {"unsupported op-code BH_LOG": 1}
+        # monte_carlo_pi sums a bool mask: that reduction lowers now.
+        assert estimate.native_reduction_fallbacks == 0
+        assert estimate.native_reductions_compiled == 1
+        assert estimate.native_fallback_reasons == {}
+        assert cumulative == {"unsupported op-code BH_LOG": 2}
+        assert all(isinstance(value, (int, float)) for value in cache.values())
+        assert self._accounted(session.total_stats())
+
+    @requires_compiler
+    def test_bool_reductions_other_than_add_keep_their_refusal(self, cache_dir):
+        from repro.bytecode import dtypes
+        from repro.bytecode.opcodes import OpCode
+
+        builder = ProgramBuilder()
+        x = builder.new_vector(LENGTH)
+        mask = builder.new_vector(LENGTH, dtype=dtypes.bool_)
+        any_inside = builder.new_vector(1, dtype=dtypes.bool_)
+        builder.random(x, seed=5)
+        builder.emit(OpCode.BH_LESS_EQUAL, mask, x, 0.5)
+        builder.maximum_reduce(any_inside, mask, axis=0)
+        builder.sync(any_inside)
+        program = builder.build()
+        expected = _oracle(program, (any_inside,))
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            result = ExecutionEngine(backend="native", optimize=True).execute(program)
+        assert result.stats.native_reduction_fallbacks == 1
+        assert result.stats.native_fallback_reasons == {
+            "bool reductions have NumPy-specific semantics": 1
+        }
+        assert np.array_equal(result.value(any_inside), expected[0])
+
+    def test_switches_and_a_missing_compiler_are_reasons_too(self, cache_dir, monkeypatch):
+        program, _, _ = build_chain()
+        with config_override(
+            **TINY_TILES, codegen_enabled=False, codegen_cache_dir=cache_dir
+        ):
+            disabled = ExecutionEngine(backend="native", optimize=True).execute(program)
+        assert set(disabled.stats.native_fallback_reasons) == {"codegen disabled"}
+        assert self._accounted(disabled.stats)
+        monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            cold = engine.execute(program)
+            warm = engine.execute(program)
+        # The message is cached beside the failure and counted again.
+        (message,) = cold.stats.native_fallback_reasons
+        assert "compiler" in message
+        assert warm.stats.native_fallback_reasons == cold.stats.native_fallback_reasons
+        assert self._accounted(cold.stats) and self._accounted(warm.stats)
+
+
 @requires_compiler
 class TestCompileCounters:
     def test_cold_then_warm_flush_counters(self, cache_dir):
@@ -475,6 +553,30 @@ class TestCompiledReductions:
         assert np.allclose(
             result.value(s), reference.value(s), rtol=1e-6, atol=1e-8
         )
+
+    @pytest.mark.parametrize("combine", [True, False], ids=["rank-1", "axis"])
+    def test_add_reduce_over_bool_is_an_exact_count(self, cache_dir, combine):
+        """``add.reduce`` over bool accumulates in NumPy's probed ``int64``:
+        exact and order-free, so both tiled forms are bitwise."""
+        from repro.bytecode import dtypes
+        from repro.bytecode.opcodes import OpCode
+
+        builder = ProgramBuilder()
+        new = builder.new_vector if combine else builder.new_matrix
+        shape = (500,) if combine else (24, 12)
+        x, mask = new(*shape), new(*shape, dtype=dtypes.bool_)
+        count = builder.new_vector(1 if combine else 24)
+        builder.random(x, seed=9)
+        builder.emit(OpCode.BH_LESS_EQUAL, mask, x, 0.5)
+        builder.add_reduce(count, mask, axis=0 if combine else 1)
+        builder.sync(count)
+        program = builder.build()
+        expected = _oracle(program, (count,))
+        _, result = self._run(program, cache_dir, codegen_threads=4)
+        assert result.stats.native_reductions_compiled == 1
+        assert result.stats.native_reduction_fallbacks == 0
+        assert 0 < expected[0].sum() < x.nelem
+        assert np.array_equal(result.value(count), expected[0])
 
     def test_warm_plan_replays_without_reduction_fallbacks(self, cache_dir):
         builder = ProgramBuilder()

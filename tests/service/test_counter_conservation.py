@@ -10,6 +10,7 @@ by up to the thread count.)
 
 import pytest
 
+from repro.bytecode.builder import ProgramBuilder
 from repro.codegen import find_c_compiler
 from repro.service import ArrayService
 from repro.service.core import clone_program_with_fresh_bases
@@ -30,15 +31,31 @@ CONSERVED = {
         ("native_fallbacks",),
         ("native_mt_launches",),
         ("native_compiles", "native_disk_hits", "native_memory_hits"),
+        ("template_slots_elided",),
     ),
+    "parallel": (("template_slots_elided",),),
     "jit": (("kernel_cache_hits", "kernel_cache_misses"),),
     "dist": (
+        ("template_slots_elided",),
         ("dist_shard_launches",),
         ("dist_payload_bytes",),
         ("dist_bases_adopted",),
         ("dist_zero_fill_bytes",),
     ),
 }
+
+
+def _program_with_a_kernel_local_temporary():
+    """``t = log(a); out = t + 1`` with ``t`` freed: no tier lowers BH_LOG,
+    so every tiled backend launches the template with ``t`` elided."""
+    builder = ProgramBuilder()
+    a, t, out = (builder.new_vector(24) for _ in range(3))
+    builder.identity(a, 2.0)
+    builder.log(t, a)
+    builder.add(out, t, 1.0)
+    builder.free(t)
+    builder.sync(out)
+    return builder.build()
 
 
 @pytest.mark.parametrize("backend", sorted(CONSERVED))
@@ -48,6 +65,7 @@ def test_per_flush_counters_sum_to_the_cumulative_ones(backend, thread_hammer, t
     programs = [
         random_elementwise_program(3, num_instructions=12, vector_length=24)[0],
         random_mixed_program(1003, num_instructions=10)[0],
+        _program_with_a_kernel_local_temporary(),
     ]
     # Every dist tenant is admitted at once: one worker pool's pipes carry
     # one flush at a time, and it is the pool's flush lock that takes turns.
@@ -68,9 +86,18 @@ def test_per_flush_counters_sum_to_the_cumulative_ones(backend, thread_hammer, t
             thread_hammer(THREADS, tenant)
             total = service.total_stats()
             cumulative = service.engine.cache_stats()
+            reasons = service.stats()["native_fallback_reasons"]
     launched = 0
     for group in CONSERVED[backend]:
         per_flush = sum(getattr(total, counter) for counter in group)
         assert per_flush == sum(cumulative[counter] for counter in group), group
         launched += per_flush
     assert launched > 0, "no counter moved; conservation proves nothing"
+    if backend != "jit":
+        assert total.template_slots_elided > 0
+    # The fallback reasons are counted the same way, message by message,
+    # one per fallback.
+    assert reasons == total.native_fallback_reasons
+    assert sum(reasons.values()) == (
+        total.native_fallbacks + total.native_reduction_fallbacks
+    )

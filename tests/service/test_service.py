@@ -252,6 +252,11 @@ class TestServiceSessions:
             assert stats["sessions_opened"] == 2
             assert stats["admission"]["admitted"] == 2
             assert stats["cache"]["plan_builds"] == 1
+            # Messages live beside the counters, never among them.
+            assert stats["native_fallback_reasons"] == {}
+            assert all(
+                isinstance(value, (int, float)) for value in stats["cache"].values()
+            )
 
     def test_closed_service_rejects_new_sessions(self):
         service = ArrayService(backend="interpreter")

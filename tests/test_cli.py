@@ -320,6 +320,35 @@ class TestStatsJson:
         ):
             assert key in codegen, key
 
+    def test_codegen_block_says_why_a_step_fell_back(self, tmp_path):
+        import json
+
+        from repro.codegen import clear_memory_cache, find_c_compiler
+        from repro.utils.config import config_override
+
+        if find_c_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        listing = tmp_path / "log.bh"
+        listing.write_text(
+            "BH_IDENTITY a0[0:16384:1] 2\n"
+            "BH_LOG a1[0:16384:1] a0[0:16384:1]\n"
+            "BH_SYNC a1[0:16384:1]\n"
+        )
+        clear_memory_cache()
+        with config_override(codegen_cache_dir=str(tmp_path / "cache")):
+            code, output = run_cli(
+                [str(listing), "--stats-json", "--backend", "native", "--repeat", "2"]
+            )
+        assert code == 0
+        execution = json.loads(output)["execution"]
+        assert execution["codegen"]["fallbacks"] == 2
+        assert execution["codegen"]["fallback_reasons"] == {
+            "unsupported op-code BH_LOG": 2
+        }
+        assert all(
+            isinstance(value, (int, float)) for value in execution["cache"].values()
+        )
+
     def test_codegen_block_reports_compiled_reduction(self, interleaved_file, tmp_path):
         import json
 
