@@ -27,8 +27,9 @@ import warnings
 
 from repro.frontend import flush as frontend_flush
 from repro.frontend import zeros
-from repro.frontend.session import reset_session
+from repro.frontend.session import Session, reset_session
 from repro.utils.config import config_override
+from repro.workloads import heat_equation
 
 from conftest import record_table
 
@@ -187,3 +188,50 @@ def test_memory_plan_aliases_batch_temporaries(benchmark):
     assert memory_plan.num_slots >= 1
     assert memory_plan.zero_fills_waived >= 1
     assert memory_plan.planned_peak_bytes < memory_plan.unplanned_peak_bytes
+
+
+def test_a_stencil_step_writes_its_result_where_it_is_going(benchmark, tmp_path):
+    """The warm ``stencil_large`` flush holds three grids and launches ten kernels.
+
+    Store forwarding retargets each step's fused kernel at the next grid's
+    interior (no interior temporary, no second copy launch) and the
+    session frees the previous result before the flush allocates: of the
+    parent's five live arrays (57 561 632 bytes, 14 launches) the two
+    ping-pong plan slots and the result remain.  Counters only.
+    """
+    grid, steps = 1200, 4
+
+    def run():
+        with config_override(codegen_cache_dir=str(tmp_path / "codegen")):
+            session = Session(backend="native", optimize=True)
+            # The second flush is the first to free a previous result,
+            # the third replays its plan.
+            for _ in range(3):
+                out = heat_equation(grid, steps, session=session).to_numpy()
+        return out, session
+
+    out, session = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.group = "E13 memory planning"
+    stats = session.stats_history[-1]
+    forwarded = sum(
+        run.rewrites_applied for run in session.last_report.stats_for("copy_propagation")
+    )
+    record_table(
+        benchmark,
+        f"E13: warm heat_equation({grid}, {steps}) flush on native",
+        [
+            {
+                "peak_bytes": stats.actual_peak_bytes,
+                "kernel_launches": stats.kernel_launches,
+                "stores_forwarded": forwarded,
+                "byte_codes": len(session.last_report.optimized),
+            }
+        ],
+        ["peak_bytes", "kernel_launches", "stores_forwarded", "byte_codes"],
+    )
+    assert stats.plan_cache_hits == 1
+    assert forwarded == steps
+    assert stats.actual_peak_bytes == 3 * grid * grid * 8 == 34_560_000
+    assert stats.kernel_launches == 10
+    oracle = Session(backend="interpreter", optimize=False)
+    assert out.tobytes() == heat_equation(grid, steps, session=oracle).to_numpy().tobytes()

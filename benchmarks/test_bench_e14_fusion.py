@@ -49,6 +49,9 @@ def _run(scheduler: str):
             "norms": norm_values,
             "kernel_launches": launches,
             "schedule": schedule,
+            "stores_forwarded": sum(
+                run.rewrites_applied for run in plan.report.stats_for("copy_propagation")
+            ),
             "wall_s": sum(s.wall_time_seconds for s in session.stats_history),
         }
 
@@ -71,6 +74,7 @@ def test_dag_scheduler_launches_fewer_kernels(benchmark):
             {
                 "scheduler": "dag",
                 "kernel_launches": dag["kernel_launches"],
+                "stores_forwarded": dag["stores_forwarded"],
                 "reordered": dag_schedule.bytecodes_reordered,
                 "predicted_savings_us": dag_schedule.predicted_savings_seconds * 1e6,
                 "wall_s": dag["wall_s"],
@@ -78,13 +82,21 @@ def test_dag_scheduler_launches_fewer_kernels(benchmark):
             {
                 "scheduler": "consecutive",
                 "kernel_launches": consecutive["kernel_launches"],
+                "stores_forwarded": consecutive["stores_forwarded"],
                 "reordered": consecutive["schedule"].bytecodes_reordered,
                 "predicted_savings_us": consecutive["schedule"].predicted_savings_seconds
                 * 1e6,
                 "wall_s": consecutive["wall_s"],
             },
         ],
-        ["scheduler", "kernel_launches", "reordered", "predicted_savings_us", "wall_s"],
+        [
+            "scheduler",
+            "kernel_launches",
+            "stores_forwarded",
+            "reordered",
+            "predicted_savings_us",
+            "wall_s",
+        ],
     )
 
     # Acceptance: strictly fewer kernels with the scheduler on.  The
@@ -94,6 +106,9 @@ def test_dag_scheduler_launches_fewer_kernels(benchmark):
     assert (
         dag["kernel_launches"] + ITERATIONS <= consecutive["kernel_launches"]
     ), "the scheduler should recover at least one launch per stencil step"
+    # ... on top of store forwarding, which saves every step's interior
+    # copy under either policy: the inequality is the scheduler's alone.
+    assert dag["stores_forwarded"] == consecutive["stores_forwarded"] == ITERATIONS
 
     # The win must come from *non-adjacent* clustering: byte-codes moved.
     assert dag_schedule is not None

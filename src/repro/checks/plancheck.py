@@ -24,7 +24,8 @@ them:
   (:func:`check_tiling`);
 * **dist adoption** — a base the shard plan keeps out of shared memory
   must be touched by exactly one sharded map step, stored there before it
-  is loaded, read by no halo fetch, freed and never synced
+  is loaded, read by no halo fetch, freed and never synced — or be
+  touched by nothing but its ``BH_FREE``
   (:func:`check_dist_adoption`; workers run it on ``load``).
 
 ``Backend.prepare_plan`` and ``Backend.execute_plan`` call
@@ -354,6 +355,17 @@ def check_dist_adoption(program: Program, dist_plan) -> None:
                             f"storing it"
                         )
                 stored.extend(view for view in payload.writes() if view.base is base)
+    only_freed = {id(order[position]): position for position in dist_plan.free_only}
+    for index, instruction in enumerate(program):
+        if instruction.opcode is OpCode.BH_FREE:
+            continue
+        for view in instruction.views():
+            if id(view.base) in only_freed:
+                raise PlanCheckError(
+                    f"shard plan keeps base position {only_freed[id(view.base)]} "
+                    f"out of shared memory as only freed, but instruction {index} "
+                    f"({instruction.opcode}) accesses it"
+                )
 
 
 # --------------------------------------------------------------------------- #

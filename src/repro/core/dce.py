@@ -43,16 +43,30 @@ class DeadCodeEliminationPass(Pass):
         # One def-use index per sweep serves every deadness query; removals
         # invalidate it, which is why the fixed-point loop re-sweeps.
         defuse = DefUse.analyze(program)
-        keep: List[Instruction] = []
-        removed = 0
-        for index, instruction in enumerate(program):
-            if self._is_removable(defuse, index, instruction):
-                removed += 1
-                stats.rewrites_applied += 1
-                stats.note(f"removed dead {instruction.opcode.value} at {index}")
-                continue
-            keep.append(instruction)
-        return removed, Program(keep)
+        removed = {
+            index
+            for index, instruction in enumerate(program)
+            if self._is_removable(defuse, index, instruction)
+        }
+        # A base whose every access just went is no longer allocated by the
+        # program, so its BH_FREE goes too (a backend that binds storage per
+        # referenced base would otherwise allocate it only to free it).  A
+        # free that had no definition here to begin with stays: it releases
+        # what an earlier flush defined.
+        orphaned = set()
+        for index in sorted(removed):
+            instruction = program[index]
+            stats.rewrites_applied += 1
+            stats.note(f"removed dead {instruction.opcode.value} at {index}")
+            for base in instruction.bases_written():
+                if all(access.index in removed for access in defuse.accesses_of(base)):
+                    orphaned.update(defuse.freed.get(id(base), ()))
+        keep: List[Instruction] = [
+            instruction
+            for index, instruction in enumerate(program)
+            if index not in removed and index not in orphaned
+        ]
+        return len(removed), Program(keep)
 
     def _is_removable(self, defuse: DefUse, index: int, instruction: Instruction) -> bool:
         # System byte-codes, frees and syncs are control/observability points

@@ -320,9 +320,7 @@ class DistributedBackend(ParallelBackend):
         dist_plan: DistPlan = plan.dist_plan
         stats = ExecutionStats(backend_name=self.name)
         stats.dist_workers_used = dist_plan.num_workers
-        # Without a memory plan every base keeps a dedicated, zeroed
-        # segment: the baseline the differential axes compare against.
-        private = dist_plan.private_positions if plan.memory_plan is not None else ()
+        private = dist_plan.unbound_positions(plan.memory_plan is not None)
         start = time.perf_counter()
         filled = memory.zero_fill_bytes
         try:

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.cluster.partition import partition_length
 from repro.runtime.kernel import kernel_slot_views
@@ -147,6 +148,20 @@ class DistPlan:
     #: fingerprint over (program, tiling signature, worker count).  Set by
     #: the backend, which knows the cache key; "" means unkeyed.
     token: str = ""
+    #: Base positions whose only access in the program is a ``BH_FREE`` (an
+    #: earlier flush's storage going away): no step addresses them, so they
+    #: are never bound to a segment, with or without a memory plan.
+    free_only: frozenset = frozenset()
+
+    def unbound_positions(self, memory_planned: bool) -> frozenset:
+        """Base positions a flush's segment mapping leaves out.
+
+        Without a memory plan every base a step addresses keeps a dedicated,
+        zeroed segment: the baseline the differential axes compare against.
+        """
+        if not memory_planned:
+            return self.free_only
+        return self.free_only | self.private_positions
 
     @property
     def distributed_steps(self) -> Tuple[object, ...]:
@@ -156,7 +171,7 @@ class DistPlan:
 
     @property
     def private_positions(self) -> frozenset:
-        """Base positions a flush's segment mapping may leave out."""
+        """Kernel-local base positions: no segment under a memory plan."""
         return frozenset(
             position
             for step in self.steps
@@ -344,11 +359,20 @@ def build_dist_plan(
             max_partials = max(max_partials, len(step.spans))
             source_view = instruction.inputs[0]
             partial_itemsize = max(partial_itemsize, source_view.base.dtype.itemsize)
+    addressed = {
+        id(view.base)
+        for instruction in program
+        if instruction.opcode is not OpCode.BH_FREE
+        for view in instruction.views()
+    }
     return DistPlan(
         num_workers=num_workers,
         steps=tuple(steps),
         max_partials=max_partials,
         partial_itemsize=partial_itemsize,
+        free_only=frozenset(
+            position for base_id, position in positions.items() if base_id not in addressed
+        ),
     )
 
 

@@ -110,8 +110,9 @@ class _LoadedPlan:
         self.tiling = tiling
         self.dist_plan = dist_plan
         self.base_order = program_base_order(program)
-        #: Base positions a ``map`` frame may leave out (kernel-local bases).
-        self.private_positions = dist_plan.private_positions
+        #: Base positions a ``map`` frame may leave out (kernel-local bases,
+        #: bases the program only frees).
+        self.private_positions = dist_plan.unbound_positions(True)
         #: step index -> (slot views, compiled template)
         self.templates: Dict[int, tuple] = {}
 

@@ -158,6 +158,8 @@ class Session:
         which is what lets the optimizer's liveness analysis prove such
         temporaries dead (and makes the Equation 2 rewrite legal for the
         ``inv(A) @ b`` idiom, where the inverse is an unnamed temporary).
+        A base the next flush records no use of is freed at its front
+        instead (see :meth:`flush`).
         """
         key = id(base)
         count = self._base_refcounts.get(key)
@@ -188,18 +190,33 @@ class Session:
         """
         if len(self.pending) == 0 and not sync_views and not self._deferred_frees:
             return None
-        program = self.pending.copy()
+        # Garbage-collected temporaries are freed at the end of the batch so
+        # the free always follows every recorded use of the base.  A base
+        # this batch has no use of (the previous flush's result, typically)
+        # is freed at the front instead: its buffer is back in the pool
+        # before the batch's first allocation, not after its last.
+        used = {id(base) for base in self.pending.bases()}
+        used.update(id(view.base) for view in sync_views)
+        freed, self._deferred_frees = self._deferred_frees, []
+        program = Program(
+            Instruction(OpCode.BH_FREE, (View.full(base),))
+            for base in freed
+            if id(base) not in used
+        )
+        program.extend(self.pending)
         for view in sync_views:
             program.append(Instruction(OpCode.BH_SYNC, (view,)))
-        # Garbage-collected temporaries are freed at the end of the batch so
-        # the free always follows every recorded use of the base.
-        for base in self._deferred_frees:
-            program.append(Instruction(OpCode.BH_FREE, (View.full(base),)))
-        self._deferred_frees = []
+        for base in freed:
+            if id(base) in used:
+                program.append(Instruction(OpCode.BH_FREE, (View.full(base),)))
         if len(program) == 0:
             return None
         result = self.engine.execute(program, self.memory)
         self.memory = result.memory
+        # A rewrite that deletes a base's only definition deletes its free
+        # with it; storage an *earlier* flush gave such a base goes here.
+        for base in freed:
+            self.memory.free(base)
         self.stats_history.append(result.stats)
         self.flush_count += 1
         self.pending = Program()

@@ -314,6 +314,15 @@ class TestDistAdoption:
         with pytest.raises(PlanCheckError, match="only has"):
             check_dist_adoption(program, dataclasses.replace(dist_plan, steps=tuple(steps)))
 
+    def test_an_addressed_base_may_not_be_listed_as_only_freed(self):
+        program, dist_plan = self._plan()
+        assert dist_plan.free_only == frozenset()
+        order = program_base_order(program)
+        position = next(i for i, base in enumerate(order) if base.name == "a")
+        corrupted = dataclasses.replace(dist_plan, free_only=frozenset({position}))
+        with pytest.raises(PlanCheckError, match="as only freed"):
+            check_dist_adoption(program, corrupted)
+
 
 class TestPlanGate:
     def test_check_plan_counts_artifacts(self):

@@ -266,8 +266,40 @@ class TestDeadCodeElimination:
         builder.free(b)
         builder.free(a)
         result = DeadCodeEliminationPass().run(builder.build())
-        # everything is dead: only the frees remain
-        assert result.program.num_operations() == 0
+        # everything is dead, and each free goes with its base's last definition
+        assert len(result.program) == 0
+
+    def test_a_free_with_no_definition_in_the_program_stays(self):
+        # ``earlier`` was defined by a previous flush: this program only
+        # reads it (in dead code) and frees it, and the free must release it.
+        builder = ProgramBuilder()
+        earlier = builder.new_vector(4)
+        dead = builder.new_vector(4)
+        v = builder.new_vector(4)
+        builder.identity(v, 1)
+        builder.add(dead, earlier, 1)
+        builder.sync(v)
+        builder.free(dead)
+        builder.free(earlier)
+        result = DeadCodeEliminationPass().run(builder.build())
+        assert result.stats.rewrites_applied == 1
+        (free,) = [i for i in result.program if i.opcode is OpCode.BH_FREE]
+        assert free.operands[0].base is earlier.base
+
+    def test_a_free_stays_while_any_access_of_its_base_does(self):
+        from repro.bytecode.view import View
+
+        builder = ProgramBuilder()
+        v = builder.new_vector(8)
+        out = builder.new_vector(4)
+        builder.identity(v, 1)                          # dead: overwritten below
+        builder.identity(v, 2)
+        builder.add(out, View(v.base, 0, (4,)), 1)
+        builder.sync(out)
+        builder.free(v)
+        result = DeadCodeEliminationPass().run(builder.build())
+        assert result.stats.rewrites_applied == 1
+        assert result.program.count(OpCode.BH_FREE) == 1
 
     def test_system_instructions_never_removed(self):
         builder = ProgramBuilder()

@@ -343,6 +343,54 @@ def test_optimization_levels_agree_per_backend():
 EXECUTING_BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
 
 
+def _stencils(session):
+    """The three stencil workloads, every output observed."""
+    from repro.workloads import gaussian_blur, heat_equation, heat_equation_with_norm
+
+    outputs = [heat_equation(24, 3, session=session).to_numpy()]
+    grid, norms = heat_equation_with_norm(24, 3, session=session)
+    outputs += [grid.to_numpy()] + [norm.to_numpy() for norm in norms]
+    outputs.append(gaussian_blur(24, 24, 2, session=session).to_numpy())
+    return outputs
+
+
+@pytest.mark.parametrize("backend", EXECUTING_BACKENDS)
+def test_store_forwarding_axis_is_bitwise(backend, monkeypatch):
+    """Copy propagation on vs. off on the stencil idiom, per tier.
+
+    Forwarding retargets a kernel's store at a strided window of another
+    base and reorders the full copy above it; neither may move a bit on
+    any tier, against the pass-less pipeline or the unoptimized oracle.
+    (The per-step norms are one full 2-D reduction each: tile partials
+    combine in a fixed order, identical with the pass on and off.)
+    """
+    from repro.core.rules import DEFAULT_PASS_ORDER
+    from repro.frontend import random as random_module
+    from repro.frontend.session import Session
+
+    monkeypatch.setattr(random_module, "_EXPLICIT_SEED", None)
+    without = [name for name in DEFAULT_PASS_ORDER if name != "copy_propagation"]
+    oracle = _stencils(Session(backend="interpreter", optimize=False))
+    with config_override(parallel_tile_elements=64, parallel_serial_threshold=4):
+        session = Session(backend=backend, optimize=True)
+        forwarded = _stencils(session)
+        with config_override(enabled_passes=without):
+            kept = _stencils(Session(backend=backend, optimize=True))
+    fired = sum(
+        note.startswith("forwarded store")
+        for plan in session.engine.plan_cache.values()
+        for run in plan.report.stats_for("copy_propagation")
+        for note in run.notes
+    )
+    assert fired == 3 + 3 + 1, "the axis is vacuous: no store was forwarded"
+    for index, (on, off, reference) in enumerate(zip(forwarded, kept, oracle)):
+        _assert_bitwise(on, off, f"{backend} forwarding on vs off, output {index}")
+        if on.size > 1 or backend not in REASSOCIATING_BACKENDS + ("dist",):
+            _assert_bitwise(on, reference, f"{backend} vs oracle, output {index}")
+        else:
+            _assert_close(on, reference, f"{backend} vs oracle, output {index}")
+
+
 @pytest.mark.parametrize("seed", ELEMENTWISE_SEEDS[:6] + MIXED_SEEDS[:6])
 def test_launch_accounting_is_identical_on_every_tier(seed):
     """One engine-planned program, five tiers: the same launches, byte-codes,

@@ -17,12 +17,14 @@ import pytest
 
 from dist_settings import TINY_TILES
 from repro.bytecode.builder import ProgramBuilder
+from repro.bytecode.opcodes import OpCode
 from repro.bytecode.view import View
 from repro.core.analysis import DefUse
 from repro.dist.backend import DistributedBackend
 from repro.dist.planner import HaloSpec, MapShardStep, _private_bases, build_dist_plan
 from repro.dist.protocol import decode_frame, make_frame
 from repro.dist.worker import _Worker
+from repro.frontend import zeros
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.kernel import kernel_slot_views
@@ -33,10 +35,11 @@ from repro.utils.errors import PlanCheckError
 from repro.workloads import heat_equation
 
 GRID, ITERATIONS = 1200, 4
-#: The optimized heat program: 5 full grids, 16 interior-sized bases, of
-#: which 12 (three per fused step) are kernel-local.
-ALL_BASES, LOCAL_BASES = 21, 12
-ALL_BYTES = 5 * GRID * GRID * 8 + 16 * (GRID - 2) * (GRID - 2) * 8
+#: The optimized heat program: 5 full grids and 12 interior-sized bases,
+#: all 12 (three per fused step) kernel-local — each step's result is
+#: stored straight into the next grid's interior, no interior temporary.
+ALL_BASES, LOCAL_BASES = 17, 12
+ALL_BYTES = 5 * GRID * GRID * 8 + 12 * (GRID - 2) * (GRID - 2) * 8
 
 
 def _warm_heat_flushes(session, flushes=3):
@@ -49,7 +52,7 @@ def _warm_heat_flushes(session, flushes=3):
 
 class TestWarmFlushCounters:
     def test_only_addressable_bases_are_adopted_and_nothing_is_filled(self):
-        assert ALL_BYTES == 241_306_112
+        assert ALL_BYTES == 195_379_584
         with config_override(dist_num_workers=2):
             session = Session(backend="dist", optimize=True)
             _warm_heat_flushes(session, flushes=2)
@@ -57,11 +60,11 @@ class TestWarmFlushCounters:
             out, stats = _warm_heat_flushes(session)
             cache = session.cache_stats()
             plan = session.engine.last_plan
-        assert stats.dist_bases_adopted == ALL_BASES - LOCAL_BASES == 9
+        assert stats.dist_bases_adopted == ALL_BASES - LOCAL_BASES == 5
         assert stats.dist_zero_fill_bytes == 0
         assert stats.dist_bytes_migrated == 0
         assert stats.dist_payload_bytes == 0
-        # Three plan slots, the result and the previous result: everything
+        # Two plan slots, the result and the previous result: everything
         # a warm flush binds is recycled.
         assert cache["dist_segments_created"] == created
         assert len(plan.dist_plan.private_positions) == LOCAL_BASES
@@ -95,8 +98,76 @@ class TestWarmFlushCounters:
             session = Session(backend="dist", optimize=True)
             _, stats = _warm_heat_flushes(session, flushes=2)
         assert stats.dist_bases_adopted == ALL_BASES - LOCAL_BASES
-        adopted_bytes = 5 * GRID * GRID * 8 + 4 * (GRID - 2) * (GRID - 2) * 8
-        assert stats.dist_zero_fill_bytes == adopted_bytes
+        assert stats.dist_zero_fill_bytes == 5 * GRID * GRID * 8
+
+
+class TestAFreeAloneBindsNothing:
+    """A ``BH_FREE`` whose base no step addresses used to make the flush
+    adopt and zero-fill a segment only to release it."""
+
+    SHAPE = (1000, 1000)
+
+    def _dead_product(self, backend):
+        session = Session(backend=backend, optimize=True)
+        x = zeros(self.SHAPE, session=session)
+        x += 1
+        dead = x * 3
+        y = x * 2
+        del dead
+        return y.to_numpy(), session
+
+    def test_an_orphaned_free_costs_no_segment(self):
+        with config_override(dist_num_workers=2):
+            out, session = self._dead_product("dist")
+        expected, native = self._dead_product("native")
+        stats = session.stats_history[-1]
+        # DCE removed the dead product and its free with it.
+        assert session.last_report.optimized.count(OpCode.BH_FREE) == 0
+        assert stats.dist_bases_adopted == 2  # x and y
+        assert stats.actual_peak_bytes == native.stats_history[-1].actual_peak_bytes
+        assert stats.actual_peak_bytes == 2 * 8 * 1000 * 1000
+        # x alone is filled, as on native: its kernel stores it before
+        # reading it at one index, which the fill waiver does not look into.
+        assert stats.dist_zero_fill_bytes == native.memory.zero_fill_bytes == 8_000_000
+        assert np.array_equal(out, expected)
+
+    def test_a_base_the_program_only_frees_is_never_bound(self):
+        # The backend end of the same fix, no optimizer involved: ``gone``
+        # has no storage and no definition here, with and without a plan.
+        builder = ProgramBuilder()
+        a = builder.new_vector(64, name="a")
+        out = builder.new_vector(64, name="out")
+        gone = builder.new_vector(64, name="gone")
+        builder.free(gone)
+        builder.identity(a, 2.0)
+        builder.add(out, a, 1.0)
+        builder.sync(out)
+        for plan_enabled in (True, False):
+            with config_override(memory_plan_enabled=plan_enabled):
+                stats, plan = _run_planless(builder.build(), (out,))
+            order = program_base_order(plan.optimized)
+            assert [order[p].name for p in plan.dist_plan.free_only] == ["gone"]
+            assert stats.dist_bases_adopted == 2
+            # ``a`` is stored and loaded by one kernel, so its fill stays.
+            assert stats.dist_zero_fill_bytes == (1 if plan_enabled else 2) * 64 * 8
+
+    def test_a_resident_base_freed_at_the_front_is_released_not_mapped(self):
+        with config_override(dist_num_workers=2):
+            session = Session(backend="dist", optimize=True)
+            first = zeros((64, 64), session=session) + 1.0
+            first.to_numpy()
+            active = session.cache_stats()["dist_shm_bytes_active"]
+            del first
+            second = zeros((64, 64), session=session) + 2.0
+            out = second.to_numpy()
+            stats = session.stats_history[-1]
+            plan = session.engine.last_plan
+        assert session.last_report.optimized[0].opcode is OpCode.BH_FREE
+        assert plan.dist_plan.free_only == {0}
+        assert stats.dist_bases_adopted == 2  # the zeros and the sum
+        assert stats.dist_bytes_migrated == 0
+        assert session.cache_stats()["dist_shm_bytes_active"] == active
+        assert np.array_equal(out, np.full((64, 64), 2.0))
 
 
 def _run_planless(program, synced):

@@ -230,7 +230,9 @@ class TestCrashRecovery:
             for base in session.memory.live_bases():
                 token = session.memory.external_token(base)
                 assert token is None or token in active, base
-            assert store.stats()["dist_shm_bytes_active"] == active_before
+            # The dying flush had already run its leading free of the
+            # previous result (16 x 16 float64) before the crashed step.
+            assert store.stats()["dist_shm_bytes_active"] == active_before - 2048
             known, on_disk = _store_segments_on_disk()
             assert on_disk - on_disk_before <= known, "a segment leaked past the store"
             # The session survives: the pool respawns and the same

@@ -241,3 +241,81 @@ class TestFreeOnGarbageCollection:
         gc.collect()
         a += 1  # the base must still be usable
         assert np.all(a.to_numpy() == 2.0)
+
+
+class TestFreeBeforeAllocate:
+    """A deferred free leads the flush unless the flush uses the base."""
+
+    @staticmethod
+    def _opcodes(session):
+        return [instruction.opcode for instruction in session.last_report.original]
+
+    def test_an_unused_base_is_freed_at_the_front(self, session):
+        previous = bh.ones(8) + 1
+        previous.to_numpy()
+        base = previous.view.base
+        del previous
+        following = bh.ones(8) + 2
+        assert np.all(following.to_numpy() == 3.0)
+        first = session.last_report.original[0]
+        assert first.opcode is OpCode.BH_FREE and first.operands[0].base is base
+        assert not session.memory.is_allocated(base)
+
+    def test_the_previous_result_is_released_before_the_next_allocation(self, session):
+        for _ in range(3):
+            out = (bh.ones(1000) + 1).to_numpy()
+        # ones and the sum; the previous sum went back to the pool first.
+        assert session.stats_history[-1].actual_peak_bytes == 2 * 8000
+        assert np.all(out == 2.0)
+
+    def test_a_base_the_pending_program_references_keeps_its_free_at_the_end(self, session):
+        source = bh.ones(8) + 1
+        source.to_numpy()
+        base = source.view.base
+        result = source * 3  # recorded use of the base ...
+        del source  # ... then the last reference goes
+        assert np.all(result.to_numpy() == 6.0)
+        assert self._opcodes(session)[-1] is OpCode.BH_FREE
+        assert session.last_report.original[-1].operands[0].base is base
+        assert self._opcodes(session)[0] is not OpCode.BH_FREE
+        assert not session.memory.is_allocated(base)
+
+    def test_a_base_a_sync_view_references_keeps_its_free_at_the_end(self, session):
+        array = bh.ones(8) + 1
+        array.to_numpy()
+        view = array.view
+        session.release_base(view.base)  # collected while its value is awaited
+        session.flush(sync_views=(view,))
+        assert self._opcodes(session) == [OpCode.BH_SYNC, OpCode.BH_FREE]
+
+    def test_observing_a_computed_array_with_frees_pending_still_works(self, session):
+        kept = bh.ones(8) + 1
+        kept.to_numpy()
+        dropped = bh.ones(8) + 5
+        dropped.to_numpy()
+        del dropped
+        assert np.all(kept.to_numpy() == 2.0)
+        assert self._opcodes(session) == [OpCode.BH_FREE, OpCode.BH_SYNC]
+
+    def test_storage_from_an_earlier_flush_is_released_when_the_optimizer_drops_the_free(
+        self, session
+    ):
+        # ``buffer`` already holds storage when the second flush redefines
+        # it whole, forwards that definition into ``padded`` and deletes
+        # the copy and the free: the earlier storage must still go.
+        buffer = bh.ones(6)
+        buffer.to_numpy()
+        base = buffer.view.base
+        padded = bh.zeros(8)
+        padded.to_numpy()
+        buffer[:] = bh.arange(6)
+        padded[1:7] = buffer
+        del buffer
+        assert np.array_equal(padded.to_numpy(), [0, 0, 1, 2, 3, 4, 5, 0])
+        freed = [
+            instruction.operands[0].base
+            for instruction in session.last_report.optimized
+            if instruction.opcode is OpCode.BH_FREE
+        ]
+        assert base not in freed, "the scenario no longer drops the free"
+        assert not session.memory.is_allocated(base)
