@@ -23,7 +23,8 @@ the same architecture without coherence protocols:
   never correctness.
 
 The **kernel runtime artifact** (the worker pool every kernel launches
-through; :func:`resolve_runtime`) lives in the same store under the same
+through and the vector ``erf`` every interpreted ``BH_ERF`` calls;
+:func:`resolve_runtime`) lives in the same store under the same
 rules, and resolving it doubles as the toolchain probe.  A warm disk cache
 therefore serves a cold process with **zero compiler invocations** — no
 kernel compile, no runtime compile, no probe — which is the property the
@@ -47,9 +48,9 @@ from repro.codegen.compiler import (
     CodegenError,
     CompiledKernel,
     CompiledRuntime,
-    CompilerUnavailable,
     compile_flags,
     compile_shared_library,
+    compiler_unavailable,
     find_c_compiler,
 )
 from repro.codegen.emit_c import emit_runtime_source
@@ -66,10 +67,13 @@ RUNTIME_OPT_LEVEL = 2
 
 #: digest → loaded artifact (kernels and the runtime alike).
 _memory_cache: Dict[str, object] = {}
-#: (cache dir, use_disk) → (runtime or None, mode): what resolve_runtime
-#: found, so a host without a threading toolchain is probed once, not once
-#: per kernel form.  Guarded by _lock; dropped with the kernel memo.
-_runtime_memo: Dict[Tuple[str, bool], Tuple[Optional[CompiledRuntime], str]] = {}
+#: (cache dir, use_disk) → (runtime or None, mode, why there is none): what
+#: resolve_runtime found, so a host without a threading toolchain is probed
+#: once, not once per kernel form.  Guarded by _lock; dropped with the
+#: kernel memo.
+_runtime_memo: Dict[
+    Tuple[str, bool], Tuple[Optional[CompiledRuntime], str, Optional[str]]
+] = {}
 _lock = threading.Lock()
 #: Per-digest latches for compiles currently in flight; guarded by _lock.
 _inflight: Dict[str, threading.Event] = {}
@@ -297,7 +301,7 @@ def get_compiled_kernel(
                 outcome = "disk"
         if kernel is None:
             if find_c_compiler() is None:
-                raise CompilerUnavailable("no C compiler (cc/gcc/clang) found on PATH")
+                raise compiler_unavailable()
             if use_disk:
                 kernel = _compile_to_disk(
                     directory, digest, source, opt_level, mt_mode, loader
@@ -332,6 +336,7 @@ def resolve_runtime(
     if known is not None:
         return known[0], known[1], "memory" if known[0] is not None else "serial"
     found: Tuple[Optional[CompiledRuntime], str, str] = (None, "serial", "serial")
+    failure = None
     for mode in ("pthread", "openmp"):
         try:
             runtime, outcome = get_compiled_kernel(
@@ -342,10 +347,24 @@ def resolve_runtime(
                 mt_mode=mode,
                 loader=CompiledRuntime,
             )
-        except CodegenError:
+        except CodegenError as exc:
+            # The first line: a compiler's stderr follows it.
+            failure = failure or str(exc).partition("\n")[0]
             continue
-        found = (runtime, mode, outcome)
+        found, failure = (runtime, mode, outcome), None
         break
     with _lock:
-        _runtime_memo[key] = found[:2]
+        _runtime_memo[key] = found[:2] + (failure,)
     return found
+
+
+def runtime_failure(
+    cache_dir: Optional[str] = None, use_disk: bool = True
+) -> Optional[str]:
+    """Why :func:`resolve_runtime` found no runtime here: the first line of
+    its first :class:`CodegenError`; ``None`` when it found one or has not
+    looked yet."""
+    key = (resolve_cache_dir(cache_dir), bool(use_disk))
+    with _lock:
+        known = _runtime_memo.get(key)
+    return known[2] if known is not None else None

@@ -8,7 +8,11 @@ level can never pick up a stale shared library.
 ``-fwrapv`` is load-bearing for bitwise parity: NumPy's integer arithmetic
 wraps, and without the flag C signed overflow is undefined behaviour the
 optimizer may exploit.  ``-ffast-math`` is never passed for the same
-reason.
+reason, and ``-fno-builtin-erf`` keeps every ``erf`` a call into the host
+libm: gcc folds ``erf(constant)`` at compile time, correctly rounded, which
+the libm's run-time ``erf`` is not (134 of 4000 literals in [-3, 3] differ
+in the last bit) — a kernel that reaches ``erf`` through constants would
+otherwise disagree with every other tier.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ import shutil
 import subprocess
 from typing import Optional, Tuple
 
-from repro.codegen.emit_c import KERNEL_SYMBOL, MT_KERNEL_SYMBOL, RT_LAUNCH_SYMBOL
+from repro.codegen.emit_c import (
+    KERNEL_SYMBOL,
+    MT_KERNEL_SYMBOL,
+    RT_LAUNCH_SYMBOL,
+    VEC_ERF_SYMBOL,
+)
 
 
 class CodegenError(Exception):
@@ -32,6 +41,17 @@ class CompilerUnavailable(CodegenError):
 
 _COMPILER_SEARCH = ("cc", "gcc", "clang")
 _compiler_cache: Optional[Tuple[bool, Optional[str]]] = None
+_compiles_forbidden = False
+
+
+def forbid_compiles() -> None:
+    """Make this process one that loads artifacts and never builds any.
+
+    A dist worker calls this on start-up: the master populates the cache
+    directory, workers only read it.  There is no way back.
+    """
+    global _compiles_forbidden
+    _compiles_forbidden = True
 
 
 def find_c_compiler() -> Optional[str]:
@@ -39,9 +59,12 @@ def find_c_compiler() -> Optional[str]:
 
     ``REPRO_CC`` overrides the search; otherwise the first of ``cc``,
     ``gcc``, ``clang`` found on ``PATH`` wins.  The result is cached for
-    the process (compilers do not appear mid-run).
+    the process (compilers do not appear mid-run).  A process that called
+    :func:`forbid_compiles` has none.
     """
     global _compiler_cache
+    if _compiles_forbidden:
+        return None
     override = os.environ.get("REPRO_CC")
     if override:
         return override if shutil.which(override) else None
@@ -53,6 +76,15 @@ def find_c_compiler() -> Optional[str]:
                 break
         _compiler_cache = (True, found)
     return _compiler_cache[1]
+
+
+def compiler_unavailable() -> CompilerUnavailable:
+    """The error of a compile attempted where :func:`find_c_compiler` finds none."""
+    if _compiles_forbidden:
+        return CompilerUnavailable(
+            "this process only loads artifacts and the cache directory lacks this one"
+        )
+    return CompilerUnavailable("no C compiler (cc/gcc/clang) found on PATH")
 
 
 #: Extra compiler/linker flags per threading mode.  Only the kernel runtime
@@ -77,6 +109,7 @@ def compile_flags(opt_level: int, mt_mode: str = "serial") -> Tuple[str, ...]:
         "-fPIC",
         "-fwrapv",
         "-fno-strict-aliasing",
+        "-fno-builtin-erf",
     ) + _MT_FLAGS[mt_mode]
 
 
@@ -111,7 +144,7 @@ def compile_shared_library(
     """
     compiler = compiler if compiler is not None else find_c_compiler()
     if compiler is None:
-        raise CompilerUnavailable("no C compiler (cc/gcc/clang) found on PATH")
+        raise compiler_unavailable()
     command = [
         compiler,
         *compile_flags(opt_level, mt_mode),
@@ -170,15 +203,22 @@ class CompiledRuntime:
     ``launch`` is the address of its ``repro_rt_launch``, passed as the
     last argument of every ``repro_kernel_mt`` call.  The library handle is
     kept so the address outlives every launchable that captured it.
+    ``vec_erf(n, src, dst)`` is its ``repro_vec_erf``: the host libm's
+    ``erf`` over ``n`` contiguous doubles at address ``src`` into ``dst``
+    (the two may be equal) — what ``BH_ERF`` calls on every interpreted
+    tier.  Like any foreign call it releases the GIL.
     """
 
-    __slots__ = ("path", "_library", "launch")
+    __slots__ = ("path", "_library", "launch", "vec_erf")
 
     def __init__(self, path: str) -> None:
         self.path = path
         try:
             self._library = ctypes.CDLL(path)
             entry = getattr(self._library, RT_LAUNCH_SYMBOL)
+            self.vec_erf = getattr(self._library, VEC_ERF_SYMBOL)
         except (OSError, AttributeError) as exc:
             raise CodegenError(f"cannot load kernel runtime {path}: {exc}") from None
         self.launch = ctypes.cast(entry, ctypes.c_void_p)
+        self.vec_erf.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+        self.vec_erf.restype = None

@@ -73,8 +73,11 @@ KERNEL_SYMBOL = "repro_kernel"
 #: loop and calls back into the artifact's chunk function per row range.
 MT_KERNEL_SYMBOL = "repro_kernel_mt"
 
-#: The one symbol the kernel runtime artifact exports.
+#: The kernel runtime artifact's launch function ...
 RT_LAUNCH_SYMBOL = "repro_rt_launch"
+
+#: ... and its vector ``erf``, the compiled half of ``BH_ERF``'s definition.
+VEC_ERF_SYMBOL = "repro_vec_erf"
 
 #: Hard cap on in-kernel chunks; bounds the pool and the partial arrays.
 MT_MAX_PARTS = 64
@@ -125,7 +128,7 @@ _HELPERS = {
 
 #: Every ``<math.h>`` name emission can produce (the ``f``-suffixed float
 #: variants contain these as substrings).
-_MATH_TOKENS = ("fmod", "copysign", "fabs", "sqrt", "NAN", "INFINITY")
+_MATH_TOKENS = ("fmod", "copysign", "fabs", "sqrt", "erf(", "NAN", "INFINITY")
 
 _CHUNK_ARGS = "const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop"
 
@@ -248,6 +251,8 @@ def _op_c(op: Op) -> str:
     if kind == "recip":
         one = "1.0f" if op.dtype_name == "BH_FLOAT32" else "1.0"
         return f"(({one}) / ({args[0]}))"
+    if kind == "erf":  # always in double; -fno-builtin-erf keeps it a libm call
+        return f"erf({args[0]})"
     if kind == "land":
         return f"((({args[0]}) != 0) && (({args[1]}) != 0))"
     if kind == "lor":
@@ -500,18 +505,34 @@ int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
 
 _RT_BODY = {"pthread": _RT_PTHREAD, "openmp": _RT_OPENMP}
 
+#: What ``BH_ERF`` means on every tier that does not lower it into a kernel:
+#: the host libm's ``erf`` over contiguous doubles.  The interpreter, the
+#: kernel templates and the dist workers call this one loop; compiled
+#: kernels call the same ``erf`` inline; ``math.erf`` (the no-compiler
+#: fallback) is that function too, so all of them agree bit for bit.
+_RT_VEC_ERF = f"""\
+void {VEC_ERF_SYMBOL}(int64_t n, const double *src, double *dst)
+{{
+    int64_t i;
+    for (i = 0; i < n; ++i)
+        dst[i] = erf(src[i]);
+}}
+"""
+
 
 def emit_runtime_source(mt_mode: str) -> str:
     """The kernel runtime artifact for one threading mode.
 
     Compiled once per cache directory and loaded once per process; every
     kernel artifact receives its ``repro_rt_launch`` as the ``launch``
-    argument of ``repro_kernel_mt``.  There is no ``"serial"`` runtime: a
-    host whose toolchain builds neither form launches with a null pointer.
+    argument of ``repro_kernel_mt``, and ``BH_ERF`` outside compiled
+    kernels runs its ``repro_vec_erf``.  There is no ``"serial"`` runtime: a
+    host whose toolchain builds neither form launches with a null pointer
+    and computes ``BH_ERF`` with ``math.erf``.
     """
     return _assemble(
         f"/* Generated by repro.codegen; the {mt_mode} kernel runtime. */",
-        [_RT_BODY[mt_mode]],
+        [_RT_BODY[mt_mode], _RT_VEC_ERF],
     )
 
 

@@ -16,7 +16,9 @@ whatever its array sizes.
 Lowering is **bitwise-conservative**: an op-code is lowered only when the
 emitted C provably reproduces NumPy's result bit-for-bit on the supported
 dtypes (bool, int32/64, float32/64).  Everything else — transcendentals
-whose libm results differ from NumPy's SIMD kernels, bool arithmetic with
+whose libm results differ from NumPy's SIMD kernels (``BH_ERF`` is the
+exception: NumPy has no ``erf``, the host libm's *is* its definition on
+every tier, see :mod:`repro.runtime.interpreter`), bool arithmetic with
 saturating semantics, value-dependent integer ops NumPy guards specially —
 raises :class:`LoweringError` and the caller falls back to the interpreted
 kernel template.  Compute and result dtypes are not re-derived from a
@@ -147,6 +149,7 @@ _UNARY_KINDS = {
     OpCode.BH_ABSOLUTE: "abs",
     OpCode.BH_SQRT: "sqrt",
     OpCode.BH_RECIPROCAL: "recip",
+    OpCode.BH_ERF: "erf",
 }
 
 _COMPARE_KINDS = {
@@ -280,6 +283,12 @@ def _lower_instruction(instruction: Instruction, refs, slot_views) -> Store:
         # Each operand is tested != 0 in its own storage dtype; no
         # promotion is involved, exactly like NumPy's logical loops.
         return Store(out_slot, Op(_LOGICAL_KINDS[opcode], "BH_BOOL", tuple(args)))
+
+    if opcode is OpCode.BH_ERF:
+        # There is no NumPy loop to probe: BH_ERF is defined in double — the
+        # host libm's erf — whatever dtype the operand is stored in.
+        operand = _cast(args[0], "BH_FLOAT64")
+        return Store(out_slot, Op("erf", "BH_FLOAT64", (operand,)))
 
     samples = _sample_operands(input_refs, slot_views)
 

@@ -23,6 +23,7 @@ and the next flush simply respawns.
 from __future__ import annotations
 
 import atexit
+import os
 import pickle
 import threading
 import time
@@ -33,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.comm import COMM_METER, CommunicationModel
+from repro.codegen.cache import resolve_cache_dir, resolve_runtime
 from repro.dist.planner import (
     DistPlan,
     MapShardStep,
@@ -266,6 +268,10 @@ class DistributedBackend(ParallelBackend):
 
     name = "dist"
 
+    #: On the flush's record only: :meth:`_run` folds each completed flush's
+    #: record whole into the cumulative one.
+    _note_fallback = staticmethod(ExecutionStats.note_fallback)
+
     def __init__(self, num_workers: Optional[int] = None) -> None:
         super().__init__()
         self._configured_workers = num_workers
@@ -391,6 +397,20 @@ class DistributedBackend(ParallelBackend):
         config = get_config()
         try:
             segments = self._bind(memory, base_order, private, store, stats)
+            extras = {}
+            if dist_plan.shards_erf:
+                # Workers load the vector erf from a cache directory and
+                # never compile: name the one this process's runtime really
+                # lies in (a runtime already loaded serves every directory
+                # here, and is written to none).
+                use_disk = config.codegen_disk_cache_enabled
+                runtime = resolve_runtime(config.codegen_cache_dir, use_disk)[0]
+                directory = (
+                    os.path.dirname(runtime.path)
+                    if runtime is not None
+                    else resolve_cache_dir(config.codegen_cache_dir)
+                )
+                extras["codegen"] = (directory, use_disk)
             if dist_plan.max_partials:
                 scratch_name, _ = store.create(
                     dist_plan.max_partials * dist_plan.partial_itemsize
@@ -428,6 +448,7 @@ class DistributedBackend(ParallelBackend):
                 segments=segments,
                 scratch=scratch_name,
                 halo_mode=config.dist_halo_mode,
+                **extras,
             )
             for worker_id in range(workers):
                 pool.send(worker_id, map_frame, stats)
@@ -533,6 +554,7 @@ class DistributedBackend(ParallelBackend):
         stats.dist_halo_exchanges += int(counters.get("halo_exchanges", 0))
         stats.dist_halo_bytes += int(counters.get("halo_bytes", 0))
         stats.template_slots_elided += int(counters.get("template_slots_elided", 0))
+        stats.note_fallback(counters.get("erf_fallback"))
         measured = float(counters.get("halo_seconds", 0.0))
         if measured:
             COMM_METER.add_measured(measured)

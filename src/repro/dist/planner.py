@@ -152,6 +152,11 @@ class DistPlan:
     #: earlier flush's storage going away): no step addresses them, so they
     #: are never bound to a segment, with or without a memory plan.
     free_only: frozenset = frozenset()
+    #: Whether a sharded map step runs ``BH_ERF``: the master then resolves
+    #: the kernel runtime artifact (its vector ``erf``) before the flush and
+    #: names the cache directory in the ``map`` frame, for workers to load
+    #: it from — they never compile.
+    shards_erf: bool = False
 
     def unbound_positions(self, memory_planned: bool) -> frozenset:
         """Base positions a flush's segment mapping leaves out.
@@ -295,6 +300,7 @@ def build_dist_plan(
     steps: List[object] = []
     max_partials = 0
     partial_itemsize = 0
+    shards_erf = False
     for step in tiling.steps:
         instruction = program[step.index]
         if isinstance(step, SerialStep):
@@ -340,6 +346,7 @@ def build_dist_plan(
                     index=step.index, shards=shards, halos=halos, private=private
                 )
             )
+            shards_erf |= any(inner.opcode is OpCode.BH_ERF for inner in instructions)
             continue
         assert isinstance(step, TiledReduceStep)
         dealt = partition_length(len(step.spans), num_workers)
@@ -373,6 +380,7 @@ def build_dist_plan(
         free_only=frozenset(
             position for base_id, position in positions.items() if base_id not in addressed
         ),
+        shards_erf=shards_erf,
     )
 
 

@@ -18,10 +18,15 @@ Frame kinds
 ``loaded``    worker → master ack of ``load`` (plan checks run).
 ``map``       master → worker, per flush: canonical base position →
               shared-memory segment name, plus the reduction scratch
-              segment and the halo mode.
+              segment and the halo mode — and, when the plan shards
+              ``BH_ERF``, ``codegen``: the artifact cache directory (and
+              whether it is in use) the worker loads the vector ``erf``
+              from.
 ``step``      master → worker: execute one distributed step of the loaded
               plan against the current mapping.
-``complete``  worker → master ack of ``step`` with measured counters.
+``complete``  worker → master ack of ``step`` with measured counters
+              (and ``erf_fallback``: why the shard's ``BH_ERF`` ran the
+              ``math.erf`` loop, when it did).
 ``error``     worker → master: the step or load failed; payload carries
               the message and formatted traceback.
 ``crash``     master → worker, tests only: arm the worker to die

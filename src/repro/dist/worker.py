@@ -1,9 +1,12 @@
 """The worker-process side of the distributed backend.
 
 ``worker_main`` is the spawn entry point: a frame-serve loop over one
-duplex pipe.  Workers are deliberately dumb — they hold no configuration,
-never create shared-memory segments (only attach, so a worker crash cannot
-leak one) and never talk to each other; the master sequences every step
+duplex pipe.  Workers are deliberately dumb — they hold no configuration of
+their own (what a flush needs of the master's travels in its ``map``
+frame), never create shared-memory segments (only attach, so a worker
+crash cannot leak one), never run a compiler
+(:func:`~repro.codegen.compiler.forbid_compiles`) and never talk to each
+other; the master sequences every step
 through per-step ``step``/``complete`` round trips, which is what makes a
 dead worker immediately detectable (the master waits on the pipe *and* the
 process sentinel).
@@ -20,7 +23,11 @@ Execution model
   on one slot), and the positions the shard plan lists as *private* may be
   missing: no other step addresses those bases, so the worker launches
   their slots as kernel-local ones — block scratch of the template launch,
-  exactly as on the thread tier.
+  exactly as on the thread tier.  A plan that shards ``BH_ERF`` also names
+  the master's artifact cache directory: the worker adopts it as its own
+  configuration and loads the kernel runtime's vector ``erf`` from there;
+  if the directory lacks it the shard runs ``math.erf`` — the same bits —
+  and its ``complete`` frame says so.
 * ``step`` executes this worker's shard of one distributed step: map
   shards slice every template slot view to the shard rows and run the
   template's blocked launch; stencil shards
@@ -45,6 +52,7 @@ import numpy as np
 
 from repro.bytecode.base import BaseArray
 from repro.bytecode.view import View
+from repro.codegen.compiler import forbid_compiles
 from repro.dist.planner import HaloSpec, MapShardStep, ReduceShardStep
 from repro.dist.protocol import (
     ProtocolError,
@@ -53,8 +61,10 @@ from repro.dist.protocol import (
     make_frame,
 )
 from repro.dist.shardstore import _close_quietly, attach_segment
+from repro.runtime.interpreter import erf_fallback_reason
 from repro.runtime.kernel import prepare_kernel_launch
 from repro.runtime.tiling import TileSpan, reduce_tile, slice_view
+from repro.utils.config import get_config, set_config
 
 #: Worker-side attachment cache cap: segments beyond this are re-attached
 #: on demand (bounds stale attachments when the master recycles heavily).
@@ -261,6 +271,14 @@ class _Worker:
         self.current_token = token
         self.scratch = self._attach(scratch_name) if scratch_name is not None else None
         self.halo_mode = frame["halo_mode"]
+        codegen = frame.get("codegen")
+        if codegen is not None:
+            cache_dir, use_disk = codegen
+            set_config(
+                get_config().replace(
+                    codegen_cache_dir=cache_dir, codegen_disk_cache_enabled=use_disk
+                )
+            )
 
     def handle_step(self, frame) -> None:
         if self.crash_armed:
@@ -314,6 +332,8 @@ class _Worker:
         )
         launch = template.blocked(local)
         counters["template_slots_elided"] = len(local)
+        if template.uses_erf:
+            counters["erf_fallback"] = erf_fallback_reason()
         if not step.halos:
             views = tuple(slice_view(view, shard) for view in slots)
             launch(self.memory, views)
@@ -443,4 +463,5 @@ class _Worker:
 
 def worker_main(worker_id: int, conn) -> None:
     """Spawn entry point: serve frames until shutdown or master death."""
+    forbid_compiles()
     _Worker(worker_id, conn).serve()

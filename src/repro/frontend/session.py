@@ -6,7 +6,8 @@ A :class:`Session` owns:
 * the memory manager holding materialized base arrays across flushes,
 * the :class:`~repro.runtime.engine.ExecutionEngine` that fingerprints,
   plans and executes each flush (and caches plans across flushes),
-* statistics of every flush (useful for the end-to-end benchmarks).
+* statistics of its flushes: a running total of all of them and the
+  records of the most recent :data:`STATS_HISTORY_WINDOW`.
 
 A module-level default session exists so the front-end can be used like
 NumPy without explicitly threading a session object around; tests create
@@ -15,7 +16,9 @@ private sessions to stay isolated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import threading
+from collections import deque
+from typing import Deque, Dict, Optional, Sequence
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
@@ -27,6 +30,14 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import MemoryManager
 from repro.utils.config import get_config
+
+
+#: Flush records ``Session.stats_history`` keeps, newest last.  A record is
+#: ~2.4 KB, so a history of every flush is a leak at service flush rates
+#: (60 MiB after 10 000 flushes); older records live on in the running total
+#: only.  A constant, not a knob: readers use the last record or sum a
+#: short session.
+STATS_HISTORY_WINDOW = 64
 
 
 class Session:
@@ -84,7 +95,11 @@ class Session:
         self.memory = memory if memory is not None else MemoryManager()
         self.pending = Program()
         self.flush_count = 0
-        self.stats_history: List[ExecutionStats] = []
+        self.stats_history: Deque[ExecutionStats] = deque(maxlen=STATS_HISTORY_WINDOW)
+        self._total = ExecutionStats()
+        # Taken by each append and by ``total_stats``, which a service reads
+        # from other threads than the one that flushes.
+        self._stats_lock = threading.Lock()
         self._seed_counter = config.random_seed
         self._base_refcounts: dict = {}
         self._bases_by_id: dict = {}
@@ -217,17 +232,22 @@ class Session:
         # with it; storage an *earlier* flush gave such a base goes here.
         for base in freed:
             self.memory.free(base)
-        self.stats_history.append(result.stats)
-        self.flush_count += 1
+        self._record(result.stats)
         self.pending = Program()
         return result
 
+    def _record(self, stats: ExecutionStats) -> None:
+        """Keep one finished flush's record: in the window and in the total."""
+        with self._stats_lock:
+            self.stats_history.append(stats)
+            self._total.merge(stats)
+        self.flush_count += 1
+
     def total_stats(self) -> ExecutionStats:
-        """Aggregate statistics across every flush so far."""
+        """Aggregate statistics across every flush so far (a copy)."""
         total = ExecutionStats(backend_name=str(self.engine.backend_spec))
-        for stats in self.stats_history:
-            total.merge(stats)
-        return total
+        with self._stats_lock:
+            return total.merge(self._total)
 
     def cache_stats(self) -> Dict[str, int]:
         """Plan-cache and backend cache counters for this session's engine."""

@@ -103,11 +103,14 @@ class Backend(abc.ABC):
         return {}
 
     def fallback_reasons(self) -> Dict[str, int]:
-        """Why steps left this backend's compiled path: message -> count.
+        """Why work left this backend's fast path: message -> count.
 
         Cumulative, like :meth:`cache_stats`, but kept apart from it: that
         dict is all-numeric by contract and this one is keyed by message.
-        Only the native tier has a compiled path to leave.
+        The tiers that keep a cumulative record answer (parallel, native,
+        dist): steps that left native's compiled path, and launches whose
+        ``BH_ERF`` ran the ``math.erf`` loop.  Per flush, every tier
+        reports both in ``ExecutionStats.native_fallback_reasons``.
         """
         return {}
 

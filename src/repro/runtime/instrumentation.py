@@ -91,9 +91,11 @@ class ExecutionStats:
     #: (block scratch instead of a base allocation), counted per launched
     #: step — on the dist backend per shard launch, as its workers report.
     template_slots_elided: int = _stat()
-    #: Why steps left the compiled path this execution: message -> count,
-    #: one entry per ``native_fallbacks`` / ``native_reduction_fallbacks``
-    #: increment (merged like ``opcode_counts``).
+    #: Why work left its fast path this execution: message -> count, merged
+    #: like ``opcode_counts``.  One entry per ``native_fallbacks`` /
+    #: ``native_reduction_fallbacks`` increment, plus — on every tier — one
+    #: ``"erf: no compiled helper (...)"`` per launch (on the dist backend
+    #: per shard launch) whose ``BH_ERF`` ran the ``math.erf`` loop.
     native_fallback_reasons: Dict[str, int] = field(default_factory=dict)
     #: Number of tiles launched by the tiled parallel backend.
     tiles_executed: int = _stat()
@@ -195,11 +197,26 @@ class ExecutionStats:
                 if is_view(operand):
                     self.bytes_read += operand.nbytes
 
+    def note_fallback(self, reason: Optional[str]) -> None:
+        """Count one fallback for ``reason``; ``None`` (there was none) is a no-op."""
+        if reason is not None:
+            reasons = self.native_fallback_reasons
+            reasons[reason] = reasons.get(reason, 0) + 1
+
     def merge(self, other: "ExecutionStats") -> "ExecutionStats":
-        """Fold another stats record into this one (in place) and return self."""
+        """Fold another stats record into this one (in place) and return self.
+
+        Every flush of a session is folded into its running total, so this
+        walks the two instance dicts directly and skips what the other
+        record left at zero — most of one flush's statistics.
+        """
+        totals, record = vars(self), vars(other)
         for name, _, policy in NUMERIC_STATS:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            setattr(self, name, max(mine, theirs) if policy == "max" else mine + theirs)
+            value = record[name]
+            if value:
+                totals[name] = (
+                    max(totals[name], value) if policy == "max" else totals[name] + value
+                )
         for mine, theirs in (
             (self.opcode_counts, other.opcode_counts),
             (self.native_fallback_reasons, other.native_fallback_reasons),

@@ -4,6 +4,11 @@ Each byte-code is executed in program order as one NumPy operation over its
 operand views — i.e. one full traversal of the data per byte-code, which is
 exactly the cost structure the paper's transformations reduce (fewer
 byte-codes over the same views means fewer traversals).
+
+It is also where the one op-code NumPy has no loop for is defined:
+``BH_ERF`` is :func:`_erf` — the host libm's ``erf``, in double — for this
+backend, for the kernel templates of every tiled tier and for the dist
+workers; the native tier emits the same call into its loop nests.
 """
 
 from __future__ import annotations
@@ -18,38 +23,73 @@ from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode, REDUCE_TO_ELEMENTWISE
 from repro.bytecode.operand import Constant, is_constant, is_view
 from repro.bytecode.program import Program
+from repro.codegen.cache import resolve_runtime, runtime_failure
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import MemoryManager
+from repro.utils.config import get_config
 from repro.utils.errors import ExecutionError
 
 
-def _scipy_erf():
-    """Resolve scipy's vectorised erf, or ``None`` when scipy is absent.
+def _erf_helper():
+    """``(vector erf, None)``, or ``(None, why BH_ERF runs the math.erf loop)``.
 
-    Kept as a separate seam so tests can monkeypatch it (returning
-    ``None``) and exercise the pure-``math.erf`` fallback without having to
-    uninstall scipy.
+    The vector erf is ``repro_vec_erf`` of the kernel runtime artifact
+    (:func:`repro.codegen.cache.resolve_runtime`): resolved once per process
+    and cache directory, served from disk without a compiler run, never a
+    compile in anybody's counters.  Kept as a separate seam so tests can
+    patch it and exercise the fallback on a host that has a compiler.
     """
-    try:
-        from scipy.special import erf as scipy_erf
-    except ImportError:
-        return None
-    return scipy_erf
+    config = get_config()
+    where = (config.codegen_cache_dir, config.codegen_disk_cache_enabled)
+    runtime = resolve_runtime(*where)[0]
+    if runtime is None:
+        return None, f"erf: no compiled helper ({runtime_failure(*where)})"
+    return runtime.vec_erf, None
 
 
-def _erf_fallback(values: np.ndarray) -> np.ndarray:
-    """Element-by-element ``math.erf`` for hosts without scipy."""
-    vectorised = np.vectorize(math.erf)
-    return vectorised(values)
+def erf_fallback_reason() -> Optional[str]:
+    """Why a ``BH_ERF`` launched now takes the slow loop; ``None`` when it does not.
+
+    Whoever records the launch notes it on the flush's statistics, so the
+    slow path is counted instead of silent.
+    """
+    return _erf_helper()[1]
 
 
-def _erf(values: np.ndarray) -> np.ndarray:
-    """Vectorised error function (scipy when available, math.erf otherwise)."""
-    implementation = _scipy_erf()
-    if implementation is None:
-        return _erf_fallback(values)
-    return implementation(values)
+#: The no-artifact path: the same function (CPython's ``math.erf`` is the
+#: libm's), one Python call per element.  ``otypes`` keeps zero-size
+#: operands working.
+_erf_fallback = np.vectorize(math.erf, otypes=[np.float64])
+
+
+def _erf(values, out: np.ndarray) -> None:
+    """``out[...] = erf(values)`` — what ``BH_ERF`` means on every tier.
+
+    The operand converts to double, the host libm's ``erf`` runs on it, and
+    the result is stored with the interpreter's ``casting="unsafe"`` cast,
+    for every operand dtype.  Contiguous float64 source and destination of
+    one shape are computed in place; anything else (other dtypes, strided
+    or broadcast operands) goes through one contiguous double copy.
+    """
+    helper = _erf_helper()[0]
+    if helper is None:
+        np.copyto(out, _erf_fallback(values), casting="unsafe")
+        return
+    if (
+        values.dtype == out.dtype == np.float64
+        and values.shape == out.shape
+        and values.flags.c_contiguous
+        and out.flags.c_contiguous
+        # The same elements or disjoint ones: a shifted window would read
+        # what the loop has already overwritten.
+        and (values.ctypes.data == out.ctypes.data or not np.may_share_memory(values, out))
+    ):
+        helper(out.size, values.ctypes.data, out.ctypes.data)
+        return
+    lane = np.array(values, dtype=np.float64, order="C")
+    helper(lane.size, lane.ctypes.data, lane.ctypes.data)
+    np.copyto(out, lane, casting="unsafe")
 
 
 class NumPyInterpreter(Backend):
@@ -73,9 +113,17 @@ class NumPyInterpreter(Backend):
     # ------------------------------------------------------------------ #
 
     def _execute_instruction(
-        self, instruction: Instruction, memory: MemoryManager, stats: ExecutionStats
+        self,
+        instruction: Instruction,
+        memory: MemoryManager,
+        stats: ExecutionStats,
+        note_fallback=ExecutionStats.note_fallback,
     ) -> None:
-        """Execute one top-level byte-code; a fused one is a single launch."""
+        """Execute one top-level byte-code; a fused one is a single launch.
+
+        ``note_fallback(stats, reason)`` counts a launch that left its fast
+        path; a tier that also keeps a cumulative record passes its own.
+        """
         if instruction.is_system():
             stats.record_instruction(instruction.opcode)
             self._execute_system(instruction, memory)
@@ -83,6 +131,8 @@ class NumPyInterpreter(Backend):
         fused = instruction if instruction.is_fused() else None
         payload = (instruction.kernel or ()) if fused else (instruction,)
         stats.record_launch(payload, fused)
+        if any(inner.opcode is OpCode.BH_ERF for inner in payload):
+            note_fallback(stats, erf_fallback_reason())
         for inner in payload:
             try:
                 self._dispatch(inner, memory)
@@ -150,8 +200,8 @@ class NumPyInterpreter(Backend):
         raise ExecutionError(f"op-code {opcode.value} is not implemented by the interpreter")
 
     def _elementwise(self, opcode: OpCode, numpy_name, inputs, out) -> None:
-        if opcode is OpCode.BH_ERF:
-            np.copyto(out, _erf(inputs[0]), casting="unsafe")
+        if opcode is OpCode.BH_ERF:  # the one op-code NumPy has no ufunc for
+            _erf(inputs[0], out)
             return
         if numpy_name is None:
             raise ExecutionError(f"no NumPy implementation registered for {opcode.value}")

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.bytecode.program import Program
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
-from repro.runtime.interpreter import NumPyInterpreter
+from repro.runtime.interpreter import NumPyInterpreter, erf_fallback_reason
 from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, Kernel, cached_kernel_launch
 from repro.runtime.memory import MemoryManager
 from repro.utils.config import get_config
@@ -117,4 +117,6 @@ class FusingJIT(Backend):
             stats.kernel_cache_hits += 1
         else:
             stats.kernel_cache_misses += 1
+        if template.uses_erf:
+            stats.note_fallback(erf_fallback_reason())
         template(memory, slots)

@@ -176,11 +176,14 @@ class KernelTemplate:
     nothing on the template: block scratch belongs to the call.
     """
 
-    __slots__ = ("key", "num_slots", "_steps")
+    __slots__ = ("key", "num_slots", "uses_erf", "_steps")
 
-    def __init__(self, key: tuple, num_slots: int, steps) -> None:
+    def __init__(self, key: tuple, num_slots: int, steps, uses_erf: bool) -> None:
         self.key = key
         self.num_slots = num_slots
+        #: Whether a launch runs ``BH_ERF``: the launching tier then asks
+        #: :func:`~repro.runtime.interpreter.erf_fallback_reason`.
+        self.uses_erf = uses_erf
         self._steps = tuple(steps)
 
     def __call__(self, memory: MemoryManager, views: Sequence[View]) -> None:
@@ -347,7 +350,8 @@ def _compile_template(key: tuple, specs) -> KernelTemplate:
         for kind, value in refs:
             if kind == "slot":
                 num_slots = max(num_slots, value + 1)
-    return KernelTemplate(key=key, num_slots=num_slots, steps=steps)
+    uses_erf = any(instruction.opcode is OpCode.BH_ERF for instruction, _ in specs)
+    return KernelTemplate(key=key, num_slots=num_slots, steps=steps, uses_erf=uses_erf)
 
 
 def _loop_produces(func, instruction: Instruction) -> bool:
@@ -405,7 +409,7 @@ def _compile_step(instruction: Instruction, operand_refs):
     if instruction.opcode is OpCode.BH_ERF:  # the one op-code NumPy has no ufunc for
 
         def run_erf(arrays) -> None:
-            np.copyto(arrays[out_slot], _erf(_inputs(sources, arrays)[0]), casting="unsafe")
+            _erf(_inputs(sources, arrays)[0], arrays[out_slot])
 
         return run_erf
 

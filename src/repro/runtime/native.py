@@ -261,9 +261,7 @@ class NativeBackend(ParallelBackend):
             for record in (stats, self._totals):
                 for counter, amount in increments.items():
                     setattr(record, counter, getattr(record, counter) + amount)
-                if fallback_reason is not None:
-                    reasons = record.native_fallback_reasons
-                    reasons[fallback_reason] = reasons.get(fallback_reason, 0) + 1
+                record.note_fallback(fallback_reason)
 
     @property
     def native_compiles(self) -> int:
@@ -328,14 +326,16 @@ class NativeBackend(ParallelBackend):
         outcome = runtime_outcome = None
         try:
             source, bind = lower()
-            runtime, _, runtime_outcome = resolve_runtime(
-                config.codegen_cache_dir, config.codegen_disk_cache_enabled
-            )
             compiled, outcome = get_compiled_kernel(
                 source,
                 opt_level=config.codegen_opt_level,
                 cache_dir=config.codegen_cache_dir,
                 use_disk=config.codegen_disk_cache_enabled,
+            )
+            # A kernel needs the runtime only here: ``prepare_plan`` builds
+            # it beside the plan's kernels, not before them.
+            runtime, _, runtime_outcome = resolve_runtime(
+                config.codegen_cache_dir, config.codegen_disk_cache_enabled
             )
             launch = bind(compiled, runtime=runtime)
         except (LoweringError, CodegenError) as exc:
@@ -345,11 +345,28 @@ class NativeBackend(ParallelBackend):
             # (The first line: a compiler's stderr follows it.)
             launch = str(exc).partition("\n")[0]
         with self._cache_lock:
-            if self.native_runtime is None:
-                self.native_runtime = runtime_outcome
+            self._note_runtime(runtime_outcome)
         if outcome is not None:
             self._count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
         return _verdict(self._native_cache.setdefault(cache_key, launch))
+
+    def _note_runtime(self, outcome: Optional[str]) -> None:
+        """Keep how this backend obtained the runtime (cache lock held).
+
+        A resolve that found it already loaded never overwrites the one
+        that loaded it: two of a plan's jobs may race for it.
+        """
+        if outcome is not None and self.native_runtime in (None, "memory"):
+            self.native_runtime = outcome
+
+    def _resolve_runtime(self, config) -> None:
+        """``prepare_plan``'s extra job: the runtime the plan's kernels will
+        launch through, built beside them."""
+        outcome = resolve_runtime(
+            config.codegen_cache_dir, config.codegen_disk_cache_enabled
+        )[2]
+        with self._cache_lock:
+            self._note_runtime(outcome)
 
     def _native_launch(
         self,
@@ -541,8 +558,17 @@ class NativeBackend(ParallelBackend):
             # is a subprocess wait and an artifact load is hashing + dlopen,
             # both of which release the GIL.  The pool threads take only the
             # backend cache lock and the codegen latch, never the plan lock
-            # this thread holds.
-            self._scatter(list(resolvers.values()), self.num_threads())
+            # this thread holds.  Until this backend has the runtime those
+            # forms launch through, and when the pool is in play anyway, the
+            # runtime is one more job, built beside them and not before: it
+            # leads because ``_scatter`` deals contiguous blocks, the first
+            # the longest, and the runtime is the shortest compile of the
+            # lot.  (A lone form stays on this thread: a warm miss must not
+            # pay a pool round-trip for a runtime that is already loaded.)
+            jobs = list(resolvers.values())
+            if len(jobs) > 1 and self.native_runtime is None:
+                jobs.insert(0, partial(self._resolve_runtime, config))
+            self._scatter(jobs, self.num_threads())
             plan.native_signature = signature
 
     def execute_plan(self, plan, program, memory=None):
@@ -557,10 +583,6 @@ class NativeBackend(ParallelBackend):
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
-
-    def fallback_reasons(self) -> Dict[str, int]:
-        with self._cache_lock:
-            return dict(self._totals.native_fallback_reasons)
 
     def cache_stats(self) -> Dict[str, int]:
         stats = super().cache_stats()

@@ -48,7 +48,7 @@ from repro.bytecode.view import View
 from repro.cluster.partition import partition_length
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
-from repro.runtime.interpreter import NumPyInterpreter
+from repro.runtime.interpreter import NumPyInterpreter, erf_fallback_reason
 from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, cached_kernel_launch
 from repro.runtime.memory import MemoryManager
 from repro.runtime.memplan import bind_memory_plan
@@ -251,6 +251,18 @@ class ParallelBackend(Backend):
             "backend_lock_contentions": self._cache_lock.contentions,
         }
 
+    def fallback_reasons(self) -> Dict[str, int]:
+        with self._cache_lock:
+            return dict(self._totals.native_fallback_reasons)
+
+    def _note_fallback(self, stats: ExecutionStats, reason: Optional[str]) -> None:
+        """Count one fallback, if ``reason`` names one, on the flush's record
+        and the cumulative one."""
+        if reason is not None:
+            stats.note_fallback(reason)
+            with self._cache_lock:
+                self._totals.note_fallback(reason)
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -277,7 +289,9 @@ class ParallelBackend(Backend):
         """Execute one non-tiled step whole, in program order, on this thread."""
         if not instruction.is_system():
             stats.serial_fallbacks += 1
-        self._interpreter._execute_instruction(instruction, memory, stats)
+        self._interpreter._execute_instruction(
+            instruction, memory, stats, self._note_fallback
+        )
 
     def _scatter(self, tasks: List, threads: int) -> None:
         """Run thunks across the pool in contiguous blocks; serial when moot.
@@ -379,6 +393,8 @@ class ParallelBackend(Backend):
         stats.template_slots_elided += len(step.local_slots)
         with self._cache_lock:
             self._totals.template_slots_elided += len(step.local_slots)
+        if template.uses_erf:
+            self._note_fallback(stats, erf_fallback_reason())
         return slots, template.blocked(step.local_slots)
 
     def _run_reduce(

@@ -228,7 +228,7 @@ class ServiceSession(Session):
         The raw-program seam used by the stress harness and by callers that
         construct byte-code directly (e.g. from a parsed listing) instead of
         recording through the lazy front-end.  Counts as a flush: admission
-        control applies and the result lands in ``stats_history``.
+        control applies and the result lands in the session's statistics.
         """
         with self._guard:
             self._ensure_open()
@@ -238,8 +238,7 @@ class ServiceSession(Session):
             finally:
                 self.service.admission.release(self.tenant)
             self.memory = result.memory
-            self.stats_history.append(result.stats)
-            self.flush_count += 1
+            self._record(result.stats)
             return result
 
     def close(self) -> None:
@@ -302,9 +301,10 @@ class ArrayService:
         self._sessions: Dict[object, ServiceSession] = {}
         self._lock = threading.Lock()
         self._tenant_counter = itertools.count()
-        #: Stats of sessions that have been closed and dropped, so
-        #: :meth:`total_stats` never loses history to session churn.
-        self._retired_stats: List[ExecutionStats] = []
+        #: The folded totals of sessions that have been closed and dropped,
+        #: so :meth:`total_stats` never loses history to session churn — in
+        #: one record, however many sessions came and went.
+        self._retired_stats = ExecutionStats()
         self.sessions_opened = 0
         self.closed = False
 
@@ -330,9 +330,14 @@ class ArrayService:
         """Close ``session`` and retire its statistics."""
         session.close()
         with self._lock:
-            if self._sessions.get(session.tenant) is session:
-                del self._sessions[session.tenant]
-            self._retired_stats.extend(session.stats_history)
+            self._retire(session)
+
+    def _retire(self, session: ServiceSession) -> None:
+        """Move a closed session's total from the open table into the retired
+        record (service lock held) — once, however often it is asked."""
+        if self._sessions.get(session.tenant) is session:
+            del self._sessions[session.tenant]
+            self._retired_stats.merge(session.total_stats())
 
     def sessions(self) -> Tuple[ServiceSession, ...]:
         """The currently open sessions (snapshot)."""
@@ -346,10 +351,11 @@ class ArrayService:
                 return
             self.closed = True
             open_sessions = tuple(self._sessions.values())
-            self._sessions.clear()
         for session in open_sessions:
             session.close()
-            self._retired_stats.extend(session.stats_history)
+        with self._lock:
+            for session in open_sessions:
+                self._retire(session)
         backend = self.engine._backend_instance
         closer = getattr(backend, "close", None)
         if callable(closer):
@@ -368,18 +374,17 @@ class ArrayService:
     def total_stats(self) -> ExecutionStats:
         """Aggregate execution statistics across every flush of every tenant.
 
-        Merges open sessions' histories with those of closed sessions, so
-        the number is service-lifetime-cumulative regardless of churn.
+        Merges open sessions' running totals with the retired one of closed
+        sessions, so the number is service-lifetime-cumulative regardless of
+        churn.  A session is either open or retired under the service lock,
+        and each total is read under the lock its flushes append under:
+        every finished flush counts exactly once.
         """
-        with self._lock:
-            histories = [list(self._retired_stats)]
-            histories.extend(
-                list(session.stats_history) for session in self._sessions.values()
-            )
         total = ExecutionStats(backend_name=str(self.engine.backend_spec))
-        for history in histories:
-            for stats in history:
-                total.merge(stats)
+        with self._lock:
+            total.merge(self._retired_stats)
+            for session in self._sessions.values():
+                total.merge(session.total_stats())
         return total
 
     def stats(self) -> Dict[str, object]:

@@ -113,7 +113,9 @@ class Config:
         default) resolves to the ``REPRO_CODEGEN_CACHE`` environment
         variable or ``~/.cache/repro-codegen``.  Part of the plan-cache
         signature because plans pre-compile their kernels against one
-        concrete cache.
+        concrete cache.  Every backend reads it: the kernel runtime
+        artifact stored there holds the vector ``erf`` that ``BH_ERF``
+        calls on the interpreted tiers too.
     codegen_opt_level:
         C compiler optimization level (0-3) for generated kernels.  Part
         of the artifact content digest, so changing it can never reuse a

@@ -90,7 +90,7 @@ class TestUfuncs:
         assert np.allclose(bh.arccos(values).to_numpy(), np.arccos([0.0, 0.5, 1.0]))
 
     def test_erf_matches_scipy(self, session):
-        from scipy.special import erf as scipy_erf
+        scipy_erf = pytest.importorskip("scipy.special").erf
 
         values = bh.array([-1.0, 0.0, 0.5, 2.0])
         assert np.allclose(bh.erf(values).to_numpy(), scipy_erf([-1.0, 0.0, 0.5, 2.0]))

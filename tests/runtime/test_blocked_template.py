@@ -150,7 +150,9 @@ class TestBitwiseAgainstTheInterpreter:
         _assert_bitwise(oracle, blocked, inside, total, narrow, quotient, halves)
 
     def test_erf_without_scipy(self, rng, monkeypatch):
-        monkeypatch.setattr(interpreter_module, "_scipy_erf", lambda: None)
+        monkeypatch.setattr(
+            interpreter_module, "_erf_helper", lambda: (None, "erf: no compiled helper (test)")
+        )
         builder = ProgramBuilder()
         x, t, out = (builder.new_vector(19) for _ in range(3))
         builder.emit(OpCode.BH_ERF, t, x)

@@ -78,7 +78,7 @@ class TestElementwise:
         assert list(result.value(y)) == [0.0, 1.0, 8.0, 27.0, 64.0]
 
     def test_erf_against_scipy(self):
-        from scipy.special import erf as scipy_erf
+        scipy_erf = pytest.importorskip("scipy.special").erf
 
         builder = ProgramBuilder()
         x = builder.new_vector(8)
@@ -90,13 +90,15 @@ class TestElementwise:
         assert np.allclose(result.value(y), scipy_erf(np.arange(8) * 0.25))
 
     def test_erf_without_scipy_uses_math_fallback(self, monkeypatch):
-        # Simulate a scipy-less host through the resolver seam; the
-        # fallback path must keep BH_ERF working, not just importing.
+        # Simulate a host without a compiled helper through the resolver
+        # seam; the fallback path must keep BH_ERF working.
         import math
 
         from repro.runtime import interpreter as interpreter_module
 
-        monkeypatch.setattr(interpreter_module, "_scipy_erf", lambda: None)
+        monkeypatch.setattr(
+            interpreter_module, "_erf_helper", lambda: (None, "erf: no compiled helper (test)")
+        )
         builder = ProgramBuilder()
         x = builder.new_vector(8)
         y = builder.new_vector(8)
@@ -108,7 +110,9 @@ class TestElementwise:
         np.testing.assert_allclose(result.value(y), expected, rtol=1e-15)
 
     def test_erf_fallback_matches_scipy_bitwise_enough(self):
-        from scipy.special import erf as scipy_erf
+        import math
+
+        scipy_erf = pytest.importorskip("scipy.special").erf
 
         from repro.runtime.interpreter import _erf, _erf_fallback
 
@@ -116,8 +120,10 @@ class TestElementwise:
         np.testing.assert_allclose(
             _erf_fallback(values), scipy_erf(values), rtol=1e-14, atol=1e-15
         )
-        # With scipy resolvable, _erf prefers it.
-        assert np.array_equal(_erf(values), scipy_erf(values))
+        # Whichever path _erf takes on this host, the bits are math.erf's.
+        out = np.empty_like(values)
+        _erf(values, out)
+        assert np.array_equal(out, [math.erf(value) for value in values])
 
     def test_comparison_into_bool_base(self):
         builder = ProgramBuilder()
