@@ -16,13 +16,16 @@ and — most importantly — the transformation passes consult:
 * ``extension`` — compound operations registered as extension methods in
   Bohrium (``BH_MATMUL``, ``BH_MATRIX_INVERSE``, ...); these are the
   op-codes the context-aware linear-solve rewrite (Equation 2) targets.
+* ``data_operands`` — which constant operands are *data*: read only when
+  the byte-code executes, never by a pass, planner or lowering, so a plan
+  takes them as arguments instead of carrying them in its identity.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 
 class OpCode(enum.Enum):
@@ -126,6 +129,14 @@ class OpCodeInfo:
         The algebraic identity element for binary ops (0 for add, 1 for
         multiply); ``None`` when not applicable.  Used by the
         identity-simplification pass.
+    data_operands:
+        Positions (in ``Instruction.operands``) of the constant operands
+        that are pure data — the ``BH_RANDOM`` seed.  Nothing but the code
+        that executes the byte-code reads their value, so the plan
+        fingerprint encodes them by dtype only and
+        :meth:`~repro.runtime.plan.ExecutionPlan.bind` fills them in per
+        flush.  A constant a rewrite decides on (an arithmetic constant, a
+        reduction axis, an exponent) is structure and is not listed.
     """
 
     opcode: OpCode
@@ -139,6 +150,7 @@ class OpCodeInfo:
     extension: bool = False
     numpy_name: Optional[str] = None
     identity_value: Optional[float] = None
+    data_operands: Tuple[int, ...] = ()
 
     @property
     def num_operands(self) -> int:
@@ -295,7 +307,9 @@ OPCODE_INFO: Dict[OpCode, OpCodeInfo] = {
     ),
     # Generators
     OpCode.BH_RANGE: _info(opcode=OpCode.BH_RANGE, num_inputs=0, elementwise=False),
-    OpCode.BH_RANDOM: _info(opcode=OpCode.BH_RANDOM, num_inputs=1, elementwise=False),
+    OpCode.BH_RANDOM: _info(
+        opcode=OpCode.BH_RANDOM, num_inputs=1, elementwise=False, data_operands=(1,)
+    ),
     # Extension methods
     OpCode.BH_MATMUL: _info(opcode=OpCode.BH_MATMUL, num_inputs=2, extension=True),
     OpCode.BH_MATRIX_INVERSE: _info(

@@ -61,6 +61,13 @@ from repro.runtime.plan import (
 from repro.runtime.tiling import combine_partials
 from repro.utils.config import get_config
 from repro.utils.errors import DistributedExecutionError
+from repro.utils.lru import BoundedLRU
+
+#: Plan tokens a pool keeps loaded, per worker — as many as one engine's
+#: plan cache holds by default.  The master evicts the least recently
+#: flushed token beyond this and names it in the ``load`` frame that
+#: displaced it.  A constant like ``KERNEL_CACHE_CAPACITY``, not a knob.
+PLAN_TABLE_CAPACITY = 128
 
 #: Generous ceilings — the watchdog for a wedged (but alive) worker.  A
 #: *dead* worker is detected immediately through its process sentinel.
@@ -93,7 +100,11 @@ class WorkerPool:
         #: exactly one flush at a time.
         self.flush_lock = threading.Lock()
         #: Plan tokens every live worker has cached (cold-load bookkeeping).
-        self.loaded_tokens: set = set()
+        #: The policy is the master's: workers drop what this table evicts.
+        self.loaded_tokens = BoundedLRU(PLAN_TABLE_CAPACITY)
+        #: The largest plan table any worker reported in reply to the last
+        #: ``load``: the bound above, observed where the memory is.
+        self.worker_plans = 0
         self.frames_sent = 0
         self.frames_received = 0
         for worker_id in range(num_workers):
@@ -415,7 +426,7 @@ class DistributedBackend(ParallelBackend):
                 scratch_name, _ = store.create(
                     dist_plan.max_partials * dist_plan.partial_itemsize
                 )
-            if dist_plan.token not in pool.loaded_tokens:
+            if pool.loaded_tokens.get(dist_plan.token) is None:
                 payload = pickle.dumps(
                     (program, tiling, dist_plan), protocol=pickle.HIGHEST_PROTOCOL
                 )
@@ -424,7 +435,9 @@ class DistributedBackend(ParallelBackend):
                     token=dist_plan.token,
                     payload=payload,
                     check=bool(config.check_ir),
+                    evict=pool.loaded_tokens.put(dist_plan.token, True),
                 )
+                pool.worker_plans = 0
                 for worker_id in range(workers):
                     pool.send(worker_id, load, stats)
                 for worker_id in range(workers):
@@ -440,7 +453,7 @@ class DistributedBackend(ParallelBackend):
                         for _ in range(checks):
                             COUNTERS.note_plan_check()
                         stats.plan_checks_run += checks
-                pool.loaded_tokens.add(dist_plan.token)
+                    pool.worker_plans = max(pool.worker_plans, int(frame["plans"]))
                 self.loads_shipped += 1
             map_frame = make_frame(
                 "map",
@@ -540,7 +553,7 @@ class DistributedBackend(ParallelBackend):
             # Spans depend only on tiling configuration and the combine
             # order only on the span count, so the result is bitwise
             # identical at any worker count.
-            dtype = instruction.inputs[0].base.dtype.np_dtype
+            dtype = np.dtype(step.partial_dtype)
             scratch = store.buffer(scratch_name)
             partials = scratch[: len(step.spans) * dtype.itemsize].view(dtype)
             combine_partials(memory, instruction, partials)
@@ -588,4 +601,8 @@ class DistributedBackend(ParallelBackend):
                 "dist_loads_shipped": self.loads_shipped,
             }
         )
+        pool = _POOLS.get(self.num_workers())
+        if pool is not None:
+            stats.update(pool.loaded_tokens.stats("dist_plan_table_"))
+            stats["dist_worker_plans"] = pool.worker_plans
         return stats

@@ -46,12 +46,14 @@ from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.cluster.partition import partition_length
 from repro.runtime.kernel import kernel_slot_views
+from repro.runtime.plan import data_operand_positions
 from repro.runtime.tiling import (
     SerialStep,
     TileDecomposition,
     TileSpan,
     TiledMapStep,
     TiledReduceStep,
+    partial_dtype,
 )
 
 
@@ -124,6 +126,11 @@ class ReduceShardStep:
     #: Per worker: the span positions that worker reduces (empty tuples
     #: for workers beyond the span count — they are never launched).
     assignments: Tuple[Tuple[int, ...], ...]
+    #: Combine form: the dtype (NumPy ``str``) of one span's partial — what
+    #: NumPy's reduce yields for the source, see
+    #: :func:`repro.runtime.tiling.partial_dtype` — which types the shared
+    #: scratch on the worker that writes it and the master that combines it.
+    partial_dtype: str = ""
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ class DistPlan:
     steps: Tuple[object, ...]
     #: Widest combine reduction (span count) — sizes the scratch segment.
     max_partials: int = 0
-    #: Largest source itemsize among combine reductions.
+    #: Largest partial itemsize among combine reductions.
     partial_itemsize: int = 0
     #: The plan-cache token workers key their loaded-plan cache on: a
     #: fingerprint over (program, tiling signature, worker count).  Set by
@@ -186,6 +193,17 @@ class DistPlan:
 
     def _with_token(self, token: str) -> "DistPlan":
         return replace(self, token=token)
+
+
+def _reads_data_operand(instruction) -> bool:
+    """Whether a step's byte-code (or any in its kernel) has a data operand.
+
+    Such a step may only run on the master: workers keep the program of the
+    token's *first* flush, only the master's is bound to this flush's values.
+    """
+    return any(
+        data_operand_positions(inner) for inner in (instruction.kernel or (instruction,))
+    )
 
 
 def _base_positions(program: Program) -> Dict[int, int]:
@@ -306,6 +324,9 @@ def build_dist_plan(
         if isinstance(step, SerialStep):
             steps.append(MasterStep(index=step.index, reason=step.reason))
             continue
+        if _reads_data_operand(instruction):
+            steps.append(MasterStep(index=step.index, reason="reads a data operand"))
+            continue
         if isinstance(step, TiledMapStep):
             instructions = (
                 instruction.kernel if instruction.is_fused() else (instruction,)
@@ -353,6 +374,7 @@ def build_dist_plan(
         assignments = tuple(
             tuple(range(start, start + count)) for start, count in dealt
         ) + ((),) * (num_workers - len(dealt))
+        partial = partial_dtype(instruction) if step.combine else None
         steps.append(
             ReduceShardStep(
                 index=step.index,
@@ -360,12 +382,12 @@ def build_dist_plan(
                 tile_axis=step.tile_axis,
                 combine=step.combine,
                 assignments=assignments,
+                partial_dtype=partial.str if step.combine else "",
             )
         )
         if step.combine:
             max_partials = max(max_partials, len(step.spans))
-            source_view = instruction.inputs[0]
-            partial_itemsize = max(partial_itemsize, source_view.base.dtype.itemsize)
+            partial_itemsize = max(partial_itemsize, partial.itemsize)
     addressed = {
         id(view.base)
         for instruction in program
@@ -391,7 +413,9 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
     must be in range and match the tiling's step kinds, map shards must be
     non-empty and exactly partition the step's rows, private bases (the
     positions a flush may leave unmapped) must name real positions once,
-    and reduce assignments must cover every span exactly once.  Returns the
+    reduce assignments must cover every span exactly once, and no step a
+    worker executes may read a data operand (the worker's program is the
+    token's first flush's, so it would replay that flush's value).  Returns the
     number of checks run; raises
     :class:`~repro.dist.protocol.ProtocolError` on violation.
     """
@@ -413,6 +437,12 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
             )
         if shard_step.index >= len(program):
             raise ProtocolError(f"step index {shard_step.index} out of range")
+        if not isinstance(shard_step, MasterStep) and _reads_data_operand(
+            program[shard_step.index]
+        ):
+            raise ProtocolError(
+                f"distributed step {shard_step.index} reads a data operand"
+            )
         if isinstance(shard_step, MapShardStep):
             if not shard_step.shards:
                 raise ProtocolError(f"map step {shard_step.index} has no shards")

@@ -14,8 +14,13 @@ Frame kinds
 ``hello``     worker → master once at startup (worker id, pid).
 ``load``      master → worker, cold path only: the pickled (program,
               tiling, shard plan) for one plan token, plus whether the
-              worker should run plan soundness checks before executing.
-``loaded``    worker → master ack of ``load`` (plan checks run).
+              worker should run plan soundness checks before executing
+              and ``evict``: the tokens the master's bounded table dropped
+              to make room, for the worker to drop too.  The token is
+              seed-free and the program is its *first* flush's, so a worker
+              may read structure from it and nothing else.
+``loaded``    worker → master ack of ``load`` (plan checks run; ``plans``:
+              how many plans the worker now holds).
 ``map``       master → worker, per flush: canonical base position →
               shared-memory segment name, plus the reduction scratch
               segment and the halo mode — and, when the plan shards

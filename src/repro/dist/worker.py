@@ -14,9 +14,9 @@ process sentinel).
 Execution model
 ---------------
 * ``load`` caches the pickled (program, tiling, shard plan) under its plan
-  token and runs the plan soundness checks (structural shard validation
-  always; the ``checks`` layer's tiling and dist-adoption checks when the
-  master says so).
+  token, drops the tokens the frame says the master evicted, and runs the
+  plan soundness checks (structural shard validation always; the ``checks``
+  layer's tiling and dist-adoption checks when the master says so).
 * ``map`` binds canonical base positions to shared-memory segments for the
   coming steps — the whole per-flush data plane is this name mapping.
   Several positions may name one segment (temporaries the memory plan put
@@ -111,7 +111,12 @@ class ShardMemory:
 
 
 class _LoadedPlan:
-    """One plan token's unpickled artifacts, cached for the pool's lifetime."""
+    """One plan token's unpickled artifacts, cached until the master evicts it.
+
+    The program is the one the token's *first* flush bound: structure only,
+    as far as a worker is concerned (the shard plan keeps every step that
+    reads a data operand on the master).
+    """
 
     def __init__(self, program, tiling, dist_plan) -> None:
         from repro.runtime.plan import program_base_order
@@ -219,8 +224,13 @@ class _Worker:
             check_tiling(program, tiling)
             check_dist_adoption(program, dist_plan)
             checks += 2
+        # The master owns the table's bound: it names what it evicted.
+        for evicted in frame.get("evict", ()):
+            self.plans.pop(evicted, None)
+            if evicted == self.current_token:
+                self.current_token = self.memory = None
         self.plans[token] = loaded
-        self.send("loaded", token=token, plan_checks_run=checks)
+        self.send("loaded", token=token, plan_checks_run=checks, plans=len(self.plans))
 
     def _attach(self, name: str) -> np.ndarray:
         entry = self.attachments.get(name)
@@ -454,7 +464,7 @@ class _Worker:
                 raise ProtocolError(
                     "combine reduction launched without a scratch segment"
                 )
-            dtype = instruction.inputs[0].base.dtype.np_dtype
+            dtype = np.dtype(step.partial_dtype)
             partials = self.scratch[: len(step.spans) * dtype.itemsize].view(dtype)
         # The thread tier's tile body, over this worker's share of the spans.
         for position in positions:

@@ -9,6 +9,7 @@ front-end can select them with a string (``"interpreter"``, ``"jit"``,
 from __future__ import annotations
 
 import abc
+import importlib
 from typing import Callable, Dict, Optional
 
 from repro.bytecode.program import Program
@@ -115,19 +116,34 @@ class Backend(abc.ABC):
         return {}
 
 
+#: User-registered factories; consulted before the built-ins.
 _BACKEND_FACTORIES: Dict[str, Callable[[], Backend]] = {}
-_DEFAULTS_REGISTERED = False
+
+#: The built-in backends as ``"module:attribute"``: resolving one imports
+#: that module and nothing else — a ``native`` session never loads the
+#: distributed tier's ``multiprocessing`` machinery.
+_BUILTIN_BACKENDS: Dict[str, str] = {
+    "interpreter": "repro.runtime.interpreter:NumPyInterpreter",
+    "jit": "repro.runtime.jit:FusingJIT",
+    "parallel": "repro.runtime.parallel:ParallelBackend",
+    "native": "repro.runtime.native:NativeBackend",
+    "simulator": "repro.runtime.simulator:SimulatedAccelerator",
+    "cluster": "repro.cluster.executor:ClusterExecutor",
+    "dist": "repro.dist.backend:DistributedBackend",
+}
 
 
 def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register a backend factory under ``name`` (overwrites silently)."""
+    """Register a backend factory under ``name`` (overwrites silently).
+
+    A factory registered under a built-in name takes precedence over it.
+    """
     _BACKEND_FACTORIES[name] = factory
 
 
 def available_backends() -> tuple:
-    """Names of every registered backend."""
-    _ensure_default_backends()
-    return tuple(sorted(_BACKEND_FACTORIES))
+    """Names of every registered backend (imports none of them)."""
+    return tuple(sorted(set(_BACKEND_FACTORIES) | set(_BUILTIN_BACKENDS)))
 
 
 def get_backend(name_or_backend) -> Backend:
@@ -135,45 +151,14 @@ def get_backend(name_or_backend) -> Backend:
     if isinstance(name_or_backend, Backend):
         return name_or_backend
     if isinstance(name_or_backend, str):
-        _ensure_default_backends()
-        try:
-            factory = _BACKEND_FACTORIES[name_or_backend]
-        except KeyError:
-            raise ExecutionError(
-                f"unknown backend {name_or_backend!r}; available: {available_backends()}"
-            ) from None
+        factory = _BACKEND_FACTORIES.get(name_or_backend)
+        if factory is None:
+            target = _BUILTIN_BACKENDS.get(name_or_backend)
+            if target is None:
+                raise ExecutionError(
+                    f"unknown backend {name_or_backend!r}; available: {available_backends()}"
+                )
+            module, _, attribute = target.partition(":")
+            factory = getattr(importlib.import_module(module), attribute)
         return factory()
     raise TypeError(f"expected backend name or Backend, got {type(name_or_backend)!r}")
-
-
-def _ensure_default_backends() -> None:
-    """Lazily register the built-in backends (avoids import cycles).
-
-    Guarded by a dedicated flag, not registry truthiness: a user backend
-    registered before the first lookup must not suppress the built-ins.
-    """
-    global _DEFAULTS_REGISTERED
-    if _DEFAULTS_REGISTERED:
-        return
-    _DEFAULTS_REGISTERED = True
-    from repro.cluster.executor import ClusterExecutor
-    from repro.dist.backend import DistributedBackend
-    from repro.runtime.interpreter import NumPyInterpreter
-    from repro.runtime.jit import FusingJIT
-    from repro.runtime.native import NativeBackend
-    from repro.runtime.parallel import ParallelBackend
-    from repro.runtime.simulator import SimulatedAccelerator
-
-    defaults = (
-        ("interpreter", NumPyInterpreter),
-        ("jit", FusingJIT),
-        ("parallel", ParallelBackend),
-        ("native", NativeBackend),
-        ("simulator", SimulatedAccelerator),
-        ("cluster", ClusterExecutor),
-        ("dist", DistributedBackend),
-    )
-    for name, factory in defaults:
-        # setdefault: a user factory registered under a built-in name
-        # before the first lookup keeps precedence.
-        _BACKEND_FACTORIES.setdefault(name, factory)

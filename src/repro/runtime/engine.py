@@ -7,15 +7,17 @@ when the program was structurally identical to the previous flush.  The
 :class:`ExecutionEngine` turns that sequence into three explicit stages:
 
 1. **Fingerprint** — compute the canonical structural key of the program
-   (:func:`~repro.runtime.plan.canonical_program_key`), tolerant of
-   base-array identity so iterative workloads that allocate fresh
-   temporaries every round still match.
+   (:func:`~repro.runtime.plan.canonical_program_walk`), tolerant of
+   base-array identity and of data operands (the ``BH_RANDOM`` seed) so
+   iterative workloads that allocate fresh temporaries and draw fresh
+   seeds every round still match.
 2. **Plan** — look the fingerprint up in an LRU
    :class:`~repro.runtime.plan.PlanCache` (keyed additionally by backend
    name, pipeline signature and the optimization-relevant configuration).
    A hit rebinds the cached optimized program onto the new program's bases
-   in one linear pass; a miss runs the optimization pipeline and caches the
-   resulting :class:`~repro.runtime.plan.ExecutionPlan`.
+   and data values in one linear pass; a miss runs the optimization
+   pipeline and caches the resulting
+   :class:`~repro.runtime.plan.ExecutionPlan`.
 3. **Execute** — dispatch the bound program through the backend registry
    (:func:`~repro.runtime.backend.get_backend`).  The engine resolves the
    backend once and keeps the instance, so backend-local caches (the fusing
@@ -39,7 +41,7 @@ from repro.runtime.memory import MemoryManager
 from repro.runtime.plan import (
     ExecutionPlan,
     PlanCache,
-    canonical_program_key,
+    canonical_program_walk,
     config_signature,
     fingerprint_of_key,
 )
@@ -231,8 +233,8 @@ class ExecutionEngine:
             stats.planned_peak_bytes = memory_plan.planned_peak_bytes
 
     def _fingerprint(self, program: Program, backend: Backend):
-        """Stage 1: ``(fingerprint, canonical bases, plan-cache key)``."""
-        key, bases = canonical_program_key(program)
+        """Stage 1: ``(fingerprint, canonical bases, data values, plan-cache key)``."""
+        key, bases, values = canonical_program_walk(program)
         fingerprint = fingerprint_of_key(key)
         cache_key = (
             fingerprint,
@@ -240,10 +242,10 @@ class ExecutionEngine:
             self._pipeline_signature(),
             config_signature(),
         )
-        return fingerprint, bases, cache_key
+        return fingerprint, bases, values, cache_key
 
     def _publish_plan(
-        self, backend: Backend, cache_key: tuple, fingerprint: str, bases, report
+        self, backend: Backend, cache_key: tuple, fingerprint: str, bases, values, report
     ) -> ExecutionPlan:
         """Wrap ``report`` in a backend-prepared plan and cache it."""
         from repro.core.schedule import fusion_schedule_of
@@ -254,6 +256,7 @@ class ExecutionEngine:
             backend_name=backend.name,
             source_bases=bases,
             optimized=report.optimized,
+            source_values=values,
             report=report,
             fusion_schedule=fusion_schedule_of(report),
         )
@@ -271,18 +274,19 @@ class ExecutionEngine:
         is guarded by a per-cache-key in-flight latch: the first flush of a
         fingerprint claims the builder role, every concurrent flush of the
         same key waits on its latch and then replays the published plan (a
-        cross-session hit).  If the builder fails, waiters wake, find no
-        plan, and compete to build it themselves — the latch can therefore
-        never deadlock a fingerprint on one failed compile.
+        cross-session hit) with its own bases and data values — tenants whose
+        seeds differ share one build.  If the builder fails, waiters wake,
+        find no plan, and compete to build it themselves — the latch can
+        therefore never deadlock a fingerprint on one failed compile.
         """
-        fingerprint, bases, cache_key = self._fingerprint(program, backend)
+        fingerprint, bases, values, cache_key = self._fingerprint(program, backend)
         while True:
             plan = self.plan_cache.get(cache_key)
             if plan is not None:
                 self.last_plan = plan
                 report = plan.report
                 self.last_report = report.replayed() if report is not None else None
-                return plan.bind(bases), plan, True
+                return plan.bind(bases, values), plan, True
             with self._inflight_lock:
                 waiting_on = self._inflight.get(cache_key)
                 if waiting_on is None:
@@ -297,7 +301,9 @@ class ExecutionEngine:
             waiting_on.wait()
         try:
             report = self._build_pipeline().run(program)
-            plan = self._publish_plan(backend, cache_key, fingerprint, bases, report)
+            plan = self._publish_plan(
+                backend, cache_key, fingerprint, bases, values, report
+            )
         finally:
             with self._inflight_lock:
                 self._inflight.pop(cache_key, None)
@@ -316,8 +322,8 @@ class ExecutionEngine:
         structurally identical program hit it normally.
         """
         backend = self.backend
-        fingerprint, bases, cache_key = self._fingerprint(program, backend)
-        return self._publish_plan(backend, cache_key, fingerprint, bases, report)
+        fingerprint, bases, values, cache_key = self._fingerprint(program, backend)
+        return self._publish_plan(backend, cache_key, fingerprint, bases, values, report)
 
     # ------------------------------------------------------------------ #
     # Statistics

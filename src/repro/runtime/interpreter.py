@@ -188,9 +188,13 @@ class NumPyInterpreter(Backend):
             return
 
         if opcode is OpCode.BH_RANDOM:
-            seed = int(instruction.constants[0].value)
-            rng = np.random.default_rng(seed)
-            np.copyto(out, rng.random(out_view.shape), casting="unsafe")
+            rng = np.random.default_rng(int(instruction.constants[0].value))
+            if out.dtype == np.float64 and out.flags.c_contiguous and out.size:
+                # The generator's native form: the same stream, drawn
+                # straight into the destination instead of a temporary.
+                rng.random(out=out)
+            else:
+                np.copyto(out, rng.random(out_view.shape), casting="unsafe")
             return
 
         if info.extension:

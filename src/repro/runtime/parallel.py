@@ -55,7 +55,7 @@ from repro.runtime.memplan import bind_memory_plan
 from repro.runtime.plan import (
     ExecutionPlan,
     PlanCache,
-    canonical_program_key,
+    canonical_program_walk,
     fingerprint_of_key,
 )
 from repro.runtime.tiling import (
@@ -214,13 +214,14 @@ class ParallelBackend(Backend):
         and plans the scheduled program exactly as the engine plans an
         optimized one: :meth:`prepare_plan` attaches the same artifacts,
         :meth:`execute_plan` runs them.  Repeated flushes of one structure
-        pay only the linear rebind.  Concurrent first executions of one
-        fingerprint may both build; the later ``put`` wins, which is benign.
+        (whatever their seeds) pay only the linear rebind.  Concurrent first
+        executions of one fingerprint may both build; the later ``put`` wins,
+        which is benign.
         """
         from repro.core.schedule import compute_schedule, schedule_signature
 
         config = self._effective_config()
-        key, bases = canonical_program_key(program)
+        key, bases, values = canonical_program_walk(program)
         fingerprint = fingerprint_of_key(key)
         # The schedule is baked into the plan's program, so its knobs key
         # the cache; every other artifact re-validates its own signature in
@@ -236,11 +237,12 @@ class ParallelBackend(Backend):
                 backend_name=self.name,
                 source_bases=bases,
                 optimized=schedule.materialize(program),
+                source_values=values,
                 fusion_schedule=schedule,
             )
             self.prepare_plan(plan)
             self._adhoc_plans.put(cache_key, plan)
-        return self.execute_plan(plan, plan.bind(bases), memory)
+        return self.execute_plan(plan, plan.bind(bases, values), memory)
 
     def cache_stats(self) -> Dict[str, int]:
         """Tile-template and plan-less plan cache counters."""

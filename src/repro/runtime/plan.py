@@ -1,23 +1,29 @@
 """Execution plans: fingerprinted, cached artifacts of the middleware pipeline.
 
-Repeated-flush workloads (the heat-equation stencil, parameter sweeps) hand
-the runtime a *structurally identical* byte-code program hundreds of times —
-only the base-array identities differ between iterations, because the
-front-end allocates fresh temporaries each round.  Re-running the full
-optimization pipeline and kernel partitioning for every flush wastes exactly
-the middleware overhead the paper sets out to amortize.
+Repeated-flush workloads (the heat-equation stencil, parameter sweeps,
+Monte-Carlo draws) hand the runtime a *structurally identical* byte-code
+program hundreds of times — only the base-array identities differ between
+iterations, because the front-end allocates fresh temporaries each round,
+and the ``BH_RANDOM`` seeds, because the session counts them up.
+Re-running the full optimization pipeline and kernel partitioning for every
+flush wastes exactly the middleware overhead the paper sets out to amortize.
 
 This module provides the three pieces that make flushes cacheable:
 
-* :func:`canonical_program_key` / :func:`program_fingerprint` — a canonical
+* :func:`canonical_program_walk` / :func:`program_fingerprint` — a canonical
   structural encoding of a program (op-codes, operand geometry, constants)
-  that is *tolerant of base-array identity*: two programs that differ only
-  in which concrete :class:`~repro.bytecode.base.BaseArray` objects they
-  reference hash identically.
+  that is *tolerant of base-array identity and of data operands*: two
+  programs that differ only in which concrete
+  :class:`~repro.bytecode.base.BaseArray` objects they reference, and in
+  the values of the operands their op-codes declare as data
+  (:attr:`~repro.bytecode.opcodes.OpCodeInfo.data_operands` — the seed),
+  hash identically.  Every other constant is structure: a pass may decide
+  on it and a kernel bakes it in, so its value stays in the key.
 * :class:`ExecutionPlan` — the cached artifact: the optimized program, its
-  optimization report and the canonical base enumeration it was derived
-  from.  :meth:`ExecutionPlan.bind` rebinds the plan onto the base arrays of
-  a new, structurally identical program in one linear pass — no optimizer.
+  optimization report and the canonical base and value enumerations it was
+  derived from.  :meth:`ExecutionPlan.bind` rebinds the plan onto the base
+  arrays and data values of a new, structurally identical program in one
+  linear pass — no optimizer.
 * :class:`PlanCache` — the shared :class:`~repro.utils.lru.BoundedLRU`
   mapping cache keys to plans, with hit/miss/eviction counters surfaced
   through the execution statistics.
@@ -36,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode.base import BaseArray
 from repro.bytecode.instruction import Instruction
-from repro.bytecode.opcodes import OpCode
+from repro.bytecode.opcodes import OPCODE_INFO, OpCode
 from repro.bytecode.operand import Constant, is_constant, is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
@@ -50,24 +56,44 @@ from repro.utils.lru import BoundedLRU
 # --------------------------------------------------------------------------- #
 
 
-class _BaseEnumerator:
-    """Assigns dense indices to base arrays in first-use order."""
+class _Enumerator:
+    """Assigns dense indices to objects in first-use order, by identity."""
 
     def __init__(self) -> None:
-        self.order: List[BaseArray] = []
+        self.order: list = []
         self._index: Dict[int, int] = {}
 
-    def index_of(self, base: BaseArray) -> int:
-        key = id(base)
+    def index_of(self, item) -> int:
+        key = id(item)
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.order)
             self._index[key] = idx
-            self.order.append(base)
+            self.order.append(item)
         return idx
 
 
-def _encode_operand(operand, bases: _BaseEnumerator) -> tuple:
+#: Op-code name -> operand positions that are data (see
+#: :attr:`~repro.bytecode.opcodes.OpCodeInfo.data_operands`).  Keyed by name
+#: because the walk has the name in hand and an enum member hashes slowly.
+_DATA_OPERANDS: Dict[str, Tuple[int, ...]] = {
+    opcode.name: info.data_operands
+    for opcode, info in OPCODE_INFO.items()
+    if info.data_operands
+}
+
+
+def data_operand_positions(instruction: Instruction) -> Tuple[int, ...]:
+    """Positions in ``instruction.operands`` holding data constants."""
+    operands = instruction.operands
+    return tuple(
+        position
+        for position in _DATA_OPERANDS.get(instruction.opcode.name, ())
+        if position < len(operands) and is_constant(operands[position])
+    )
+
+
+def _encode_operand(operand, bases: _Enumerator) -> tuple:
     if is_view(operand):
         return (
             "v",
@@ -83,16 +109,34 @@ def _encode_operand(operand, bases: _BaseEnumerator) -> tuple:
     raise ExecutionError(f"cannot encode operand {operand!r}")
 
 
-def _encode_instruction(instruction: Instruction, bases: _BaseEnumerator) -> tuple:
-    operands = tuple(_encode_operand(op, bases) for op in instruction.operands)
+def _encode_instruction(
+    instruction: Instruction, bases: _Enumerator, values: _Enumerator
+) -> tuple:
+    # ``_name_`` is the enum's own slot behind the (much slower) ``name``
+    # property; this walk runs on every flush.
+    name = instruction.opcode._name_
+    data = _DATA_OPERANDS.get(name)
+    if data is None:
+        operands = tuple(_encode_operand(op, bases) for op in instruction.operands)
+    else:
+        # A data operand is an argument of the plan: the key keeps its dtype
+        # and which of the flush's values it is, never the value itself.
+        operands = tuple(
+            ("d", op.dtype.name, values.index_of(op))
+            if position in data and is_constant(op)
+            else _encode_operand(op, bases)
+            for position, op in enumerate(instruction.operands)
+        )
     if instruction.kernel is not None:
-        payload = tuple(_encode_instruction(inner, bases) for inner in instruction.kernel)
-        return (instruction.opcode.name, operands, payload)
-    return (instruction.opcode.name, operands)
+        payload = tuple(
+            _encode_instruction(inner, bases, values) for inner in instruction.kernel
+        )
+        return (name, operands, payload)
+    return (name, operands)
 
 
 class OperandEncoder:
-    """Stateful canonical encoder shared by program and kernel fingerprinting.
+    """Stateful canonical encoder for kernel fingerprinting.
 
     Base arrays are numbered in first-use order, so the encoding of a view
     depends only on *which* base it references relative to the walk — not on
@@ -101,7 +145,8 @@ class OperandEncoder:
     """
 
     def __init__(self) -> None:
-        self._bases = _BaseEnumerator()
+        self._bases = _Enumerator()
+        self._values = _Enumerator()
 
     def encode(self, operand) -> tuple:
         """Canonical token for a view or constant operand."""
@@ -109,7 +154,16 @@ class OperandEncoder:
 
     def encode_instruction(self, instruction: Instruction) -> tuple:
         """Canonical token for a whole instruction (kernel payload included)."""
-        return _encode_instruction(instruction, self._bases)
+        token = _encode_instruction(instruction, self._bases, self._values)
+        if self._values.order:
+            # A template (and emitted C) bakes every constant it is compiled
+            # from, and kernels are shared by key: a value the key abstracts
+            # must never reach one.
+            raise ExecutionError(
+                f"{instruction.opcode.name} carries a data operand; it cannot "
+                f"be launched through a kernel template"
+            )
+        return token
 
     @property
     def bases(self) -> Tuple[BaseArray, ...]:
@@ -117,7 +171,7 @@ class OperandEncoder:
         return tuple(self._bases.order)
 
 
-def _walk_instruction_bases(instruction: Instruction, enumerator: _BaseEnumerator) -> None:
+def _walk_instruction_bases(instruction: Instruction, enumerator: _Enumerator) -> None:
     for operand in instruction.operands:
         if is_view(operand):
             enumerator.index_of(operand.base)
@@ -135,24 +189,35 @@ def program_base_order(program: Program) -> Tuple[BaseArray, ...]:
     position in this order, so it can be rebound onto a structurally
     identical program by re-walking it the same way.
     """
-    enumerator = _BaseEnumerator()
+    enumerator = _Enumerator()
     for instruction in program:
         _walk_instruction_bases(instruction, enumerator)
     return tuple(enumerator.order)
 
 
-def canonical_program_key(program: Program) -> Tuple[tuple, Tuple[BaseArray, ...]]:
-    """Return ``(key, bases)`` for ``program``.
+def canonical_program_walk(
+    program: Program,
+) -> Tuple[tuple, Tuple[BaseArray, ...], Tuple[Constant, ...]]:
+    """Return ``(key, bases, values)`` for ``program``, from one walk.
 
     ``key`` is a hashable structural encoding in which base arrays are
-    replaced by their first-use index, so two flushes that allocate fresh
-    temporaries each iteration produce equal keys.  ``bases`` is the base
-    enumeration the key was built against, in index order — exactly what
-    :meth:`ExecutionPlan.bind` needs to map a plan onto a new program.
+    replaced by their first-use index and data operands (the ``BH_RANDOM``
+    seed, see :attr:`~repro.bytecode.opcodes.OpCodeInfo.data_operands`) by
+    their dtype and first-use slot, so two flushes that allocate fresh
+    temporaries and draw fresh seeds produce equal keys.  ``bases`` and
+    ``values`` are the enumerations the key was built against, in index
+    order — the base arrays and the data operand objects themselves (their
+    values are not read here) — exactly what :meth:`ExecutionPlan.bind`
+    needs to map a plan onto a new program.
     """
-    enumerator = _BaseEnumerator()
-    key = tuple(_encode_instruction(instr, enumerator) for instr in program)
-    return key, tuple(enumerator.order)
+    bases, values = _Enumerator(), _Enumerator()
+    key = tuple(_encode_instruction(instr, bases, values) for instr in program)
+    return key, tuple(bases.order), tuple(values.order)
+
+
+def canonical_program_key(program: Program) -> Tuple[tuple, Tuple[BaseArray, ...]]:
+    """``(key, bases)`` of :func:`canonical_program_walk`."""
+    return canonical_program_walk(program)[:2]
 
 
 def program_fingerprint(program: Program) -> str:
@@ -258,7 +323,15 @@ class ExecutionPlan:
         The source program's base arrays in canonical (first-use) order.
         Binding maps these positionally onto the new program's bases.
     optimized:
-        The optimized program, still referencing the source bases.
+        The optimized program, still referencing the source bases — and the
+        source program's data operand *objects*: the optimizer moves,
+        retargets and drops byte-codes but hands their operands through, so
+        an operand's slot (its index in ``source_values``) travels with it.
+    source_values:
+        The source program's data operands in canonical (first-use) order,
+        as returned by :func:`canonical_program_walk`; ``None`` takes the
+        optimized program's own.  Binding replaces each, wherever the
+        optimizer left it, by the new flush's operand of the same slot.
     report:
         The optimization report produced when the plan was compiled; replays
         of the plan hand out cached copies (see
@@ -284,6 +357,7 @@ class ExecutionPlan:
     backend_name: str
     source_bases: Tuple[BaseArray, ...]
     optimized: Program
+    source_values: Optional[Tuple[Constant, ...]] = None
     report: Optional[object] = None
     tiling: Optional[object] = None
     #: Tiling-relevant settings the decomposition was computed under
@@ -333,6 +407,13 @@ class ExecutionPlan:
         default_factory=threading.RLock, repr=False, compare=False
     )
     _scratch_bases: Tuple[BaseArray, ...] = field(default_factory=tuple)
+    #: ``id(instruction) -> ((operand position, value slot), ...)`` for the
+    #: byte-codes of ``optimized`` (kernel payloads included) that carry data
+    #: operands: resolved once here, by operand identity, so that ``bind``
+    #: neither searches nor guesses.
+    _value_fills: Dict[int, Tuple[Tuple[int, int], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         source_ids = {id(base) for base in self.source_bases}
@@ -343,27 +424,68 @@ class ExecutionPlan:
                 seen.add(id(base))
                 scratch.append(base)
         self._scratch_bases = tuple(scratch)
+        # A plan built without the source's values (plan-less callers that
+        # never rebind them) adopts the optimized program's own.
+        adopt = self.source_values is None
+        values = [] if adopt else list(self.source_values)
+        slots = {id(value): slot for slot, value in enumerate(values)}
+        for instruction in self.optimized:
+            self._index_data_operands(instruction, slots, values if adopt else None)
+        self.source_values = tuple(values)
 
-    def bind(self, bases: Tuple[BaseArray, ...]) -> Program:
-        """Rebind the optimized program onto a new program's base arrays.
+    def _index_data_operands(self, instruction: Instruction, slots, adopted) -> None:
+        fills = []
+        for position in data_operand_positions(instruction):
+            operand = instruction.operands[position]
+            slot = slots.get(id(operand))
+            if slot is None:
+                if adopted is None:
+                    # A pass that rebuilt the operand read (or copied) a
+                    # value that is only this flush's: replays would repeat it.
+                    raise ExecutionError(
+                        f"a data operand of {instruction.opcode.name} in the "
+                        f"optimized program is not one of the source program's"
+                    )
+                slot = slots[id(operand)] = len(adopted)
+                adopted.append(operand)
+            fills.append((position, slot))
+        if fills:
+            self._value_fills[id(instruction)] = tuple(fills)
+        if instruction.kernel is not None:
+            for inner in instruction.kernel:
+                self._index_data_operands(inner, slots, adopted)
 
-        ``bases`` is the canonical base enumeration of the new (structurally
-        identical) source program, as returned by
-        :func:`canonical_program_key`.  Views are rewritten base-for-base;
-        optimizer-introduced scratch arrays (e.g. power-expansion
-        temporaries) get a fresh allocation per bind, mirroring what a full
-        re-optimization would have produced.
+    def bind(
+        self,
+        bases: Tuple[BaseArray, ...],
+        values: Optional[Tuple[Constant, ...]] = None,
+    ) -> Program:
+        """Rebind the optimized program onto a new program's bases and values.
+
+        ``bases`` and ``values`` are the canonical enumerations of the new
+        (structurally identical) source program, as returned by
+        :func:`canonical_program_walk`; ``values`` defaults to the ones the
+        plan was built from.  Views are rewritten base-for-base and data
+        operands slot-for-slot; optimizer-introduced scratch arrays (e.g.
+        power-expansion temporaries) get a fresh allocation per bind,
+        mirroring what a full re-optimization would have produced.  The
+        plan itself is never written: concurrent flushes bind one plan.
 
         The rebind is a single linear pass over the optimized program —
         this is the whole point: a cache hit replaces the fixed-point
         optimizer run with O(plan size) pointer surgery.
         """
-        if len(bases) != len(self.source_bases):
+        if values is None:
+            values = self.source_values
+        if len(bases) != len(self.source_bases) or len(values) != len(self.source_values):
             raise ExecutionError(
-                f"cannot bind plan over {len(self.source_bases)} bases to a "
-                f"program with {len(bases)} bases"
+                f"cannot bind plan over {len(self.source_bases)} bases and "
+                f"{len(self.source_values)} values to a program with "
+                f"{len(bases)} bases and {len(values)} values"
             )
-        if all(old is new for old, new in zip(self.source_bases, bases)):
+        if all(old is new for old, new in zip(self.source_bases, bases)) and all(
+            old is new for old, new in zip(self.source_values, values)
+        ):
             # The iteration reused the same storage (arrays mutated in
             # place); the cached program is directly executable.
             return self.optimized.copy()
@@ -374,7 +496,8 @@ class ExecutionPlan:
             mapping[id(scratch)] = BaseArray(scratch.nelem, scratch.dtype)
         view_cache: Dict[int, View] = {}
         return Program(
-            self._bind_instruction(instr, mapping, view_cache) for instr in self.optimized
+            self._bind_instruction(instr, mapping, view_cache, values)
+            for instr in self.optimized
         )
 
     def _bind_instruction(
@@ -382,14 +505,17 @@ class ExecutionPlan:
         instruction: Instruction,
         mapping: Dict[int, BaseArray],
         view_cache: Dict[int, View],
+        values: Tuple[Constant, ...],
     ) -> Instruction:
-        operands = tuple(
+        operands = [
             self._bind_operand(op, mapping, view_cache) for op in instruction.operands
-        )
+        ]
+        for position, slot in self._value_fills.get(id(instruction), ()):
+            operands[position] = values[slot]
         kernel = None
         if instruction.kernel is not None:
             kernel = tuple(
-                self._bind_instruction(inner, mapping, view_cache)
+                self._bind_instruction(inner, mapping, view_cache, values)
                 for inner in instruction.kernel
             )
         return Instruction(instruction.opcode, operands, kernel=kernel, tag=instruction.tag)

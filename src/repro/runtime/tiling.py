@@ -148,6 +148,20 @@ def _reduction_ufunc(instruction: Instruction):
     return getattr(np, opcode_info(REDUCE_TO_ELEMENTWISE[instruction.opcode]).numpy_name)
 
 
+def partial_dtype(instruction: Instruction) -> np.dtype:
+    """The dtype of one span's partial of a combine reduction.
+
+    Whatever NumPy's own ``ufunc.reduce`` yields for the source dtype, asked
+    of NumPy on a size-1 sample rather than re-derived: ``add.reduce`` counts
+    bools and widens ``int32`` in the platform integer.  Any array that
+    holds partials between :func:`reduce_tile` and :func:`combine_partials`
+    (the dist tier's shared scratch) is typed and sized with this, never
+    with the source dtype.
+    """
+    sample = np.zeros(1, dtype=instruction.inputs[0].dtype.np_dtype)
+    return np.asarray(_reduction_ufunc(instruction).reduce(sample, axis=0)).dtype
+
+
 def reduce_tile(
     memory, instruction: Instruction, step, position: int, partials=None
 ) -> None:

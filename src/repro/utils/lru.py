@@ -1,10 +1,11 @@
 """The one bounded, locked, counted LRU every runtime cache is an instance of.
 
 The engine's plan cache, the tiled backends' plan-less plan cache, the
-native launch cache, the JIT's schedule cache and the cluster executor's
-pricing cache all need a capacity-bounded mapping whose recency order,
-eviction and hit/miss counters stay exact while the multi-tenant service
-multiplexes threads over one shared backend.
+native launch cache, the JIT's schedule cache, the cluster executor's
+pricing cache and the dist pool's table of loaded plan tokens all need a
+capacity-bounded mapping whose recency order, eviction and hit/miss
+counters stay exact while the multi-tenant service multiplexes threads
+over one shared backend.
 
 The lock is a leaf of the hierarchy (``docs/architecture.md`` §9): it is
 held for dict surgery only.  Values are built *outside* it and published
@@ -59,12 +60,14 @@ class BoundedLRU:
         with self._lock:
             return self._entries.get(key, default)
 
-    def put(self, key, value) -> None:
-        """Insert or replace ``key``, evicting the least recently used entries."""
+    def put(self, key, value) -> list:
+        """Insert or replace ``key``; return the keys evicted to make room
+        (least recently used first), for owners that mirror the cache
+        elsewhere."""
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            self._evict()
+            return self._evict()
 
     def setdefault(self, key, value):
         """Publish ``value`` unless ``key`` is already cached; return the winner.
@@ -77,10 +80,12 @@ class BoundedLRU:
             self._evict()
             return winner
 
-    def _evict(self) -> None:
+    def _evict(self) -> list:
+        evicted = []
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            evicted.append(self._entries.popitem(last=False)[0])
             self.evictions += 1
+        return evicted
 
     def values(self) -> list:
         """A snapshot of the cached values, least recently used first."""

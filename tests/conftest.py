@@ -9,17 +9,24 @@ import numpy as np
 import pytest
 
 from repro.checks import COUNTERS
+from repro.frontend import random as frontend_random
 from repro.frontend.session import Session, set_session
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.utils.config import Config, set_config
 
 
 @pytest.fixture(autouse=True)
-def clean_global_state():
-    """Reset global configuration, the default session and check counters."""
+def clean_global_state(monkeypatch):
+    """Reset global configuration, the default session and check counters.
+
+    And the front-end's explicit seed: ``random.seed()`` is process-wide and
+    sticky, and while one is set every session draws from it — an oracle
+    session would no longer line up with the session it is the oracle of.
+    """
     set_config(Config())
     set_session(Session())
     COUNTERS.reset()
+    monkeypatch.setattr(frontend_random, "_EXPLICIT_SEED", None)
     yield
     set_config(Config())
     set_session(Session())

@@ -214,6 +214,40 @@ class TestReductionsAndGenerators:
         assert np.array_equal(result.value(first), result.value(second))
         assert np.all((result.value(first) >= 0) & (result.value(first) < 1))
 
+    @pytest.mark.parametrize(
+        "destination",
+        ["contiguous", "two_dimensional", "strided", "float32", "zero_size"],
+    )
+    def test_random_draws_one_stream_into_any_destination(self, destination):
+        """A C-contiguous float64 destination is filled in place
+        (``Generator.random(out=...)``), any other through a temporary: the
+        stream is the same either way."""
+        from repro.bytecode.base import BaseArray
+        from repro.bytecode.dtypes import float32
+        from repro.bytecode.view import View
+
+        builder = ProgramBuilder()
+        if destination == "contiguous":
+            out = builder.new_vector(1000)
+        elif destination == "two_dimensional":
+            out = builder.new_matrix(25, 40)
+        elif destination == "strided":
+            out = View(BaseArray(2000), 1, (1000,), (2,))
+        elif destination == "float32":
+            out = builder.new_vector(1000, float32)
+        else:
+            out = View(builder.new_base(8), 0, (0,), (1,))
+        builder.random(out, seed=77)
+        value = execute(builder.build()).value(out)
+        drawn = np.random.default_rng(77).random(out.shape)
+        copied = np.zeros(out.shape, dtype=out.dtype.np_dtype)
+        np.copyto(copied, drawn, casting="unsafe")
+        assert value.dtype == copied.dtype and value.shape == copied.shape
+        assert np.array_equal(value, copied)
+        if destination == "strided":
+            # The elements between the view's stay untouched.
+            assert not np.any(execute(builder.build()).memory.allocate(out.base)[0::2])
+
 
 class TestExtensionOps:
     def test_matmul(self):

@@ -117,6 +117,15 @@ class TestBoundedLRU:
         assert lru.peek("a") == 10
         assert lru.peek("b") is None
 
+    def test_put_names_what_it_evicted(self):
+        # For owners that mirror the cache elsewhere (the dist pool tells
+        # its workers which plan tokens to drop).
+        lru = BoundedLRU(2)
+        assert lru.put("a", 1) == []
+        assert lru.put("b", 2) == []
+        assert lru.put("a", 10) == []
+        assert lru.put("c", 3) == ["b"]
+
     def test_peek_is_silent(self):
         lru = BoundedLRU(2)
         lru.put("a", 1)
