@@ -191,13 +191,14 @@ def test_memory_plan_aliases_batch_temporaries(benchmark):
 
 
 def test_a_stencil_step_writes_its_result_where_it_is_going(benchmark, tmp_path):
-    """The warm ``stencil_large`` flush holds three grids and launches ten kernels.
+    """The warm ``stencil_large`` flush holds two grids and launches ten kernels.
 
     Store forwarding retargets each step's fused kernel at the next grid's
-    interior (no interior temporary, no second copy launch) and the
-    session frees the previous result before the flush allocates: of the
-    parent's five live arrays (57 561 632 bytes, 14 launches) the two
-    ping-pong plan slots and the result remain.  Counters only.
+    interior (no interior temporary, no second copy launch), the session
+    frees the previous result before the flush allocates, and the result is
+    born in the ping-pong slot that died one step earlier: of five live
+    arrays (57 561 632 bytes, 14 launches) once, the two plan slots remain
+    and the result leaves the flush owning one of them.  Counters only.
     """
     grid, steps = 1200, 4
 
@@ -231,7 +232,10 @@ def test_a_stencil_step_writes_its_result_where_it_is_going(benchmark, tmp_path)
     )
     assert stats.plan_cache_hits == 1
     assert forwarded == steps
-    assert stats.actual_peak_bytes == 3 * grid * grid * 8 == 34_560_000
+    assert stats.actual_peak_bytes == 2 * grid * grid * 8 == 23_040_000
     assert stats.kernel_launches == 10
+    memory_plan = session.engine.last_plan.memory_plan
+    assert memory_plan.adopted_bases == 1 and memory_plan.num_slots == 2
+    assert memory_plan.planned_peak_bytes <= 160_819_584
     oracle = Session(backend="interpreter", optimize=False)
     assert out.tobytes() == heat_equation(grid, steps, session=oracle).to_numpy().tobytes()

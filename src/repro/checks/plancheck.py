@@ -9,8 +9,9 @@ computed by its own analysis; this module *re-derives the safety conditions
 from the program with separate code* and cross-checks the artifact against
 them:
 
-* **memory plan** — a shared slot's occupants must be genuine temporaries
-  with pairwise-disjoint liveness intervals, the slot must be big enough
+* **memory plan** — a shared slot's occupants must be defined in the
+  program with pairwise-disjoint liveness intervals, an observable one
+  (its *adopter*) must be the last of them, the slot must be big enough
   for each, and a zero-fill may be waived only for a base that is fully
   written before any read (:func:`check_memory_plan`);
 * **fusion schedule** — the scheduled order must be a permutation of the
@@ -97,12 +98,20 @@ def check_memory_plan(program: Program, memory_plan) -> None:
             )
         if directive.slot is None:
             continue
-        if not interval.is_temporary:
+        if not interval.defined_in_program:
             raise PlanCheckError(
                 f"memory plan aliases base {interval.base.name!r} (position "
                 f"{position}) onto shared slot {directive.slot}, but the "
-                f"base is observable (synced, not freed, or defined outside "
-                f"the program)"
+                f"base is read before its first write in the program"
+            )
+        if directive.adopts == interval.is_temporary:
+            kind = "a temporary" if interval.is_temporary else "observable"
+            raise PlanCheckError(
+                f"memory plan puts base {interval.base.name!r} (position "
+                f"{position}) on shared slot {directive.slot} with "
+                f"adopts={directive.adopts}, but the base is {kind} (synced or "
+                f"not freed means observable): exactly the observable "
+                f"occupant takes the slot's buffer with it"
             )
         if directive.slot_nbytes < interval.base.nbytes:
             raise PlanCheckError(
@@ -117,6 +126,13 @@ def check_memory_plan(program: Program, memory_plan) -> None:
     for slot, occupants in occupants_by_slot.items():
         occupants.sort(key=lambda item: item[0].start)
         for (prev, prev_pos), (nxt, nxt_pos) in zip(occupants, occupants[1:]):
+            if not prev.is_temporary:
+                raise PlanCheckError(
+                    f"shared slot {slot} hands the storage of observable base "
+                    f"{prev.base.name!r} (position {prev_pos}; synced or not "
+                    f"freed) on to {nxt.base.name!r} (position {nxt_pos}): an "
+                    f"observable base may only be a slot's last occupant"
+                )
             # The planner releases a slot after its occupant's last *use*
             # (the trailing deferred BH_FREE does not extend occupancy), so
             # disjointness means the next lifetime starts strictly later.

@@ -112,6 +112,8 @@ class CopyPropagationPass(Pass):
             return None
         if out.base is src.base:
             return None
+        if out.base.dtype != src.base.dtype:
+            return None  # a converting identity computes: its reads see other values
         return out, src
 
     # ------------------------------------------------------------------ #
@@ -119,12 +121,12 @@ class CopyPropagationPass(Pass):
     # ------------------------------------------------------------------ #
 
     def _forwardable_copy(self, instruction: Instruction) -> Optional[tuple]:
-        """``(dst, src)`` when ``instruction`` copies a whole base, dtype kept."""
+        """``(dst, src)`` when ``instruction`` copies a whole base."""
         copy = self._as_copy(instruction)
         if copy is None:
             return None
         dst, src = copy
-        if not src.covers_base() or dst.base.dtype != src.base.dtype:
+        if not src.covers_base():
             return None
         return copy
 

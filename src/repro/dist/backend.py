@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bytecode.opcodes import OpCode
 from repro.cluster.comm import COMM_METER, CommunicationModel
 from repro.codegen.cache import resolve_cache_dir, resolve_runtime
 from repro.dist.planner import (
@@ -74,6 +75,10 @@ PLAN_TABLE_CAPACITY = 128
 HELLO_TIMEOUT_SECONDS = 120.0
 STEP_TIMEOUT_SECONDS = 300.0
 
+#: The frame kinds a worker answers (``loaded``, ``complete``); ``map``,
+#: ``crash`` and ``shutdown`` are one-way.
+REPLIED_KINDS = ("load", "step")
+
 
 class WorkerDiedError(DistributedExecutionError):
     """A worker process exited while the master awaited its reply."""
@@ -107,6 +112,11 @@ class WorkerPool:
         self.worker_plans = 0
         self.frames_sent = 0
         self.frames_received = 0
+        #: Requests sent whose good reply has not been read (each spawned
+        #: worker owes a hello).  Non-zero when an exception leaves a flush
+        #: means the pipes and the bookkeeping above are out of step with
+        #: the workers: the next flush would read this one's replies.
+        self.replies_outstanding = num_workers
         for worker_id in range(num_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
@@ -136,6 +146,8 @@ class WorkerPool:
         handle = self.workers[worker_id]
         data = encode_frame(frame)
         self.frames_sent += 1
+        if frame["kind"] in REPLIED_KINDS:
+            self.replies_outstanding += 1
         if stats is not None:
             stats.dist_control_frames += 1
             stats.dist_control_bytes += len(data)
@@ -186,6 +198,7 @@ class WorkerPool:
                         f"worker {handle.worker_id} failed: {frame['message']}\n"
                         f"{frame['traceback']}"
                     )
+                self.replies_outstanding -= 1
                 return frame
             if handle.process.sentinel in ready:
                 # Drain a reply that raced the death before declaring it.
@@ -350,8 +363,9 @@ class DistributedBackend(ParallelBackend):
                         self._run_sharded(
                             pool, program, plan.tiling, dist_plan, private, memory, stats
                         )
-                    except WorkerDiedError:
-                        _discard_pool(pool)
+                    except BaseException as exc:
+                        if isinstance(exc, WorkerDiedError) or pool.replies_outstanding:
+                            _discard_pool(pool)
                         raise
                 break
         finally:
@@ -407,6 +421,14 @@ class DistributedBackend(ParallelBackend):
         fresh = [base for base in base_order if not memory.is_allocated(base)]
         config = get_config()
         try:
+            # Free before reserve, the order every other tier executes: the
+            # previous result's segment is parked where slot 0 picks it up,
+            # not held beside it (the step loop's own frees are then no-ops).
+            for instruction in program:
+                if instruction.opcode is not OpCode.BH_FREE:
+                    break
+                for view in instruction.views():
+                    memory.free(view.base)
             segments = self._bind(memory, base_order, private, store, stats)
             extras = {}
             if dist_plan.shards_erf:

@@ -13,9 +13,10 @@ Two layers of storage reuse sit below the manager:
   paying an allocation per temporary per flush, and
 * plan-directed *aliasing*: the execution plan's
   :class:`~repro.runtime.memplan.MemoryPlan` may bind several temporaries
-  with disjoint lifetimes to one shared storage slot, and may waive the
-  zero fill for bases the liveness analysis proves fully written before
-  any read.  Without directives every allocation is zero-initialised,
+  with disjoint lifetimes to one shared storage slot (whose buffer an
+  observable base may take over as the slot's final occupant), and may
+  waive the zero fill for bases the liveness analysis proves fully written
+  before any read.  Without directives every allocation is zero-initialised,
   matching Bohrium's behaviour for uninitialised operands — bit-for-bit
   the pre-pool semantics.
 
@@ -58,12 +59,14 @@ class BufferDirective:
     ``slot`` names a shared storage slot (``None`` for dedicated storage);
     ``slot_nbytes`` is the slot's capacity (the largest occupant).
     ``zero_fill`` is false only when liveness proved every element is
-    written before it can be read.
+    written before it can be read.  ``adopts`` marks the slot's final
+    occupant, an observable base: the slot's buffer becomes its own.
     """
 
     slot: Optional[int]
     slot_nbytes: int
     zero_fill: bool
+    adopts: bool = False
 
 
 class _Owned(NamedTuple):
@@ -439,7 +442,13 @@ class MemoryManager:
             return existing
         directive = self._directives.get(key)
         if directive is not None and directive.slot is not None:
-            self._slot_of[key], owned = self._slot(directive)
+            slot_key, owned = self._slot(directive)
+            if directive.adopts:
+                # The final occupant outlives the plan: the buffer leaves
+                # the plan's slots and goes home at the base's own free.
+                self._dedicated[key] = self._slots.pop(slot_key)
+            else:
+                self._slot_of[key] = slot_key
         else:
             owned = self._dedicated[key] = self._acquire(base.nbytes)
         storage = self._carve(owned.buffer, base)
@@ -502,7 +511,7 @@ class MemoryManager:
         """The external handle of ``base``'s storage, ``None`` for pool storage."""
         key = id(base)
         slot_key = self._slot_of.get(key)
-        owned = self._slots[slot_key] if slot_key is not None else self._dedicated.get(key)
+        owned = self._slots.get(slot_key) if slot_key is not None else self._dedicated.get(key)
         return owned.token if owned is not None else None
 
     def set_data(self, base: BaseArray, data: np.ndarray) -> None:

@@ -9,7 +9,9 @@ optimized program's per-base lifetime intervals
 allocator that:
 
 * assigns temporaries with provably disjoint lifetimes to shared storage
-  **slots** (one buffer, several bases over time),
+  **slots** (one buffer, several bases over time), and lets a base the
+  program defines but that outlives it (the flush's result) take a released
+  slot of its own size class as its **final occupant**,
 * records **zero-fill waivers** for bases whose every element is written
   before it can be read (a recycled buffer can be handed over unzeroed),
 * computes the **planned peak bytes** of the execution alongside the
@@ -26,9 +28,11 @@ free.
 Safety invariants, mirroring the paper's "only if we do not use the
 inverse for anything else" caveat:
 
-* **observable bases are never aliased** — anything synced, read before
-  its first in-program write (its value arrives from a previous flush or
-  ``set_data``), or not freed within the program keeps dedicated storage;
+* **an observable base is never followed in a slot** — anything synced or
+  not freed within the program may take a released slot only as its last
+  occupant (the slot is closed and its buffer becomes the base's own), and
+  a base read before its first in-program write (its value arrives from a
+  previous flush or ``set_data``) keeps dedicated storage;
 * a slot is handed to its next occupant only after the previous occupant's
   *last use* — the trailing ``BH_FREE`` the front-end emits at the end of
   a batch does not delay reuse, because liveness already proves no access
@@ -40,12 +44,12 @@ inverse for anything else" caveat:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode.program import Program
 from repro.core.analysis import BaseInterval, live_intervals
-from repro.runtime.memory import BufferDirective, MemoryManager
+from repro.runtime.memory import BufferDirective, MemoryManager, size_class
 from repro.runtime.plan import program_base_order
 from repro.utils.config import Config, get_config
 
@@ -64,8 +68,10 @@ class MemoryPlan:
     directives: Dict[int, BufferDirective] = field(default_factory=dict)
     num_bases: int = 0
     num_slots: int = 0
-    #: How many bases were folded onto shared slots.
+    #: How many temporaries were folded onto shared slots.
     aliased_bases: int = 0
+    #: How many observable bases took a released slot as its final occupant.
+    adopted_bases: int = 0
     #: Simulated peak bytes with slot sharing and last-use reclamation.
     planned_peak_bytes: int = 0
     #: Simulated peak bytes of the naive allocator (dedicated storage,
@@ -85,48 +91,63 @@ class MemoryPlan:
 
         directives: Dict[int, BufferDirective] = {}
         slots: List[_Slot] = []
+        slotted = set()  # id(base) of every slot occupant
         aliased = 0
+        adopted = 0
         waived = 0
         for interval in intervals:  # already sorted by first access
             position = position_of[id(interval.base)]
             zero_fill = not (waive_zero and interval.fully_defined_before_read)
             if not zero_fill:
                 waived += 1
-            slot_id = None
+            slot = None
             nbytes = interval.base.nbytes
             if interval.is_temporary:
                 slot = _claim_slot(slots, interval)
-                slot_id = slot.slot_id
                 slot.capacity = max(slot.capacity, nbytes)
                 slot.release_index = interval.last_use
-                slot.first_start = min(slot.first_start, interval.start)
                 slot.last_end = max(slot.last_end, interval.last_use)
                 if len(slot.occupants) > 0:
                     aliased += 1
+            elif interval.defined_in_program:
+                # Observable, but born here: it may be a released slot's
+                # final occupant.  The slot is closed — never handed on —
+                # and held until the base's own free (or past the program),
+                # so only a buffer of the size class the base would be given
+                # anyway: a scalar result must not pin a grid.
+                released = _released_slot(slots, interval)
+                if released is not None and (
+                    size_class(released.capacity) == size_class(nbytes)
+                ):
+                    slot = released
+                    slot.release_index = len(program)
+                    slot.last_end = interval.end if interval.freed else len(program)
+                    adopted += 1
+            if slot is not None:
                 slot.occupants.append(position)
-            if slot_id is None and zero_fill:
+                slotted.add(id(interval.base))
+            elif zero_fill:
                 continue  # dedicated zeroed storage is the default anyway
             directives[position] = BufferDirective(
-                slot=slot_id,
-                slot_nbytes=nbytes if slot_id is None else 0,  # patched below
+                slot=None if slot is None else slot.slot_id,
+                slot_nbytes=nbytes,  # a slot's capacity is patched below
                 zero_fill=zero_fill,
+                adopts=slot is not None and not interval.is_temporary,
             )
         # Slot capacities are only final after the scan: patch them in.
         for slot in slots:
             for position in slot.occupants:
-                directive = directives[position]
-                directives[position] = BufferDirective(
-                    slot=directive.slot,
-                    slot_nbytes=slot.capacity,
-                    zero_fill=directive.zero_fill,
+                directives[position] = replace(
+                    directives[position], slot_nbytes=slot.capacity
                 )
 
-        planned, unplanned = _simulate_peaks(intervals, slots, len(program))
+        planned, unplanned = _simulate_peaks(intervals, slotted, slots, len(program))
         return cls(
             directives=directives,
             num_bases=len(order),
             num_slots=len(slots),
             aliased_bases=aliased,
+            adopted_bases=adopted,
             planned_peak_bytes=planned,
             unplanned_peak_bytes=unplanned,
             zero_fills_waived=waived,
@@ -154,6 +175,7 @@ class MemoryPlan:
             "memory_plan_bases": self.num_bases,
             "memory_plan_slots": self.num_slots,
             "memory_plan_aliased_bases": self.aliased_bases,
+            "memory_plan_adopted_bases": self.adopted_bases,
             "memory_plan_planned_peak_bytes": self.planned_peak_bytes,
             "memory_plan_unplanned_peak_bytes": self.unplanned_peak_bytes,
             "memory_plan_zero_fills_waived": self.zero_fills_waived,
@@ -173,18 +195,35 @@ class _Slot:
     occupants: List[int] = field(default_factory=list)
 
 
-def _claim_slot(slots: List[_Slot], interval: BaseInterval) -> _Slot:
-    """The slot ``interval`` will occupy, reusing a released one when possible.
+def _released_slot(slots: List[_Slot], interval: BaseInterval) -> Optional[_Slot]:
+    """The best-fitting released slot big enough for ``interval``, if any.
 
-    Best fit first (smallest adequate capacity); otherwise the largest
-    released slot is grown — its earlier occupants simply carve a prefix of
-    the bigger buffer.  A fresh slot is opened only when every slot is
-    still occupied at ``interval.start``.
+    Best fit is the smallest adequate capacity.  A closed slot (one an
+    observable base took as its final occupant) is never released again.
     """
+    adequate = [
+        slot
+        for slot in slots
+        if slot.release_index < interval.start
+        and slot.capacity >= interval.base.nbytes
+    ]
+    if not adequate:
+        return None
+    return min(adequate, key=lambda slot: (slot.capacity, slot.slot_id))
+
+
+def _claim_slot(slots: List[_Slot], interval: BaseInterval) -> _Slot:
+    """The slot the temporary ``interval`` will occupy.
+
+    A released slot that fits first; otherwise the largest released slot
+    is grown — its earlier occupants simply carve a prefix of the bigger
+    buffer.  A fresh slot is opened only when every slot is still occupied
+    at ``interval.start``.
+    """
+    slot = _released_slot(slots, interval)
+    if slot is not None:
+        return slot
     released = [slot for slot in slots if slot.release_index < interval.start]
-    adequate = [slot for slot in released if slot.capacity >= interval.base.nbytes]
-    if adequate:
-        return min(adequate, key=lambda slot: (slot.capacity, slot.slot_id))
     if released:
         return max(released, key=lambda slot: (slot.capacity, -slot.slot_id))
     slot = _Slot(
@@ -199,14 +238,15 @@ def _claim_slot(slots: List[_Slot], interval: BaseInterval) -> _Slot:
 
 
 def _simulate_peaks(
-    intervals: List[BaseInterval], slots: List[_Slot], program_length: int
+    intervals: List[BaseInterval], slotted: set, slots: List[_Slot], program_length: int
 ) -> Tuple[int, int]:
     """Planned vs. unplanned peak bytes over the program's timeline.
 
     Unplanned models the naive allocator: every base gets dedicated
     storage at its first access and releases it at its ``BH_FREE`` (or
     never).  Planned counts each shared slot once over the union of its
-    occupants' lifetimes and dedicated bases as-is.
+    occupants' lifetimes — a final occupant holds it until its own release
+    — and every base not in ``slotted`` as-is.
     """
     horizon = program_length + 1
     planned_deltas: Dict[int, int] = {}
@@ -220,9 +260,8 @@ def _simulate_peaks(
         nbytes = interval.base.nbytes
         release = interval.end + 1 if interval.freed else horizon
         add(unplanned_deltas, interval.start, release, nbytes)
-        if interval.is_temporary:
-            continue  # temporaries are counted once per slot, below
-        add(planned_deltas, interval.start, release, nbytes)
+        if id(interval.base) not in slotted:
+            add(planned_deltas, interval.start, release, nbytes)
     for slot in slots:
         add(planned_deltas, slot.first_start, slot.last_end + 1, slot.capacity)
 

@@ -78,6 +78,12 @@ class TestMemoryPlan:
         plan = MemoryPlan.plan(program)
         check_memory_plan(program, plan)
         assert plan.aliased_bases > 0, "the chain should exercise slot sharing"
+        # The synced output takes t2's released slot as its final occupant
+        # (t3, its own operand, still holds t1's).
+        y = plan.directives[_position_of(program, program[3].out)]
+        t2 = plan.directives[_position_of(program, program[1].out)]
+        assert y.adopts and not t2.adopts and y.slot == t2.slot
+        assert plan.adopted_bases == 1
 
     def test_directive_for_unknown_position(self):
         program = _temp_chain_program()
@@ -109,12 +115,102 @@ class TestMemoryPlan:
             check_memory_plan(program, MemoryPlan(directives=directives))
 
     def test_observable_base_may_not_share_a_slot(self):
+        """... as an ordinary occupant: the plan would keep its buffer."""
         program = _temp_chain_program()
         y = program[3].out  # synced, never freed: observable
         directives = {
             _position_of(program, y): BufferDirective(0, y.base.nbytes, True)
         }
         with pytest.raises(PlanCheckError, match="observable"):
+            check_memory_plan(program, MemoryPlan(directives=directives))
+
+    def test_a_temporary_may_not_take_a_slot_away(self):
+        program = _temp_chain_program()
+        t1 = program[0].out
+        directives = {
+            _position_of(program, t1): BufferDirective(0, t1.base.nbytes, True, adopts=True)
+        }
+        with pytest.raises(PlanCheckError, match="a temporary"):
+            check_memory_plan(program, MemoryPlan(directives=directives))
+
+    def _two_results_program(self):
+        """``y1`` and ``y2`` synced with disjoint lifetimes, ``t2`` a late temporary."""
+        builder = ProgramBuilder()
+        t1, y1, y2, t2, y3 = (
+            builder.new_vector(32, name=name) for name in ("t1", "y1", "y2", "t2", "y3")
+        )
+        builder.identity(t1, 1)          # 0
+        builder.add(y1, t1, 1)           # 1
+        builder.sync(y1)                 # 2: y1 live [1, 2]
+        builder.multiply(y2, t1, 2)      # 3
+        builder.sync(y2)                 # 4: y2 live [3, 4]
+        builder.add(t2, t1, 3)           # 5: t2 live [5, 6]
+        builder.add(y3, t2, 1)           # 6
+        builder.sync(y3)                 # 7
+        builder.free(t1)
+        builder.free(t2)
+        program = builder.build()
+        return program, {i.out.base.name: i.out for i in program if i.out is not None}
+
+    def _adopter(self, view, slot=0, nbytes=None):
+        nbytes = view.base.nbytes if nbytes is None else nbytes
+        return BufferDirective(slot, nbytes, True, adopts=True)
+
+    def test_genuine_plan_of_the_two_results_program_passes(self):
+        program, _ = self._two_results_program()
+        check_memory_plan(program, MemoryPlan.plan(program))
+
+    def test_two_adopters_in_one_slot(self):
+        program, views = self._two_results_program()
+        directives = {
+            _position_of(program, views[name]): self._adopter(views[name])
+            for name in ("y1", "y2")
+        }
+        # Disjoint lifetimes are not enough: y1 is still the caller's
+        # after instruction 2, and y2's store would overwrite it.
+        with pytest.raises(PlanCheckError, match="only be a slot's last occupant"):
+            check_memory_plan(program, MemoryPlan(directives=directives))
+
+    def test_an_adopter_followed_by_a_temporary(self):
+        program, views = self._two_results_program()
+        t2 = views["t2"]
+        directives = {
+            _position_of(program, views["y1"]): self._adopter(views["y1"]),
+            _position_of(program, t2): BufferDirective(0, t2.base.nbytes, True),
+        }
+        with pytest.raises(PlanCheckError, match="only be a slot's last occupant"):
+            check_memory_plan(program, MemoryPlan(directives=directives))
+
+    def test_an_adopter_read_before_its_first_write(self):
+        builder = ProgramBuilder()
+        t = builder.new_vector(8, name="t")
+        y = builder.new_vector(8, name="y")
+        builder.identity(t, 1)
+        builder.add(y, y, t)       # y's value arrives from outside the program
+        builder.sync(y)
+        builder.free(t)
+        program = builder.build()
+        directives = {_position_of(program, y): self._adopter(y)}
+        with pytest.raises(PlanCheckError, match="read before its first write"):
+            check_memory_plan(program, MemoryPlan(directives=directives))
+
+    def test_an_adopter_larger_than_its_slot(self):
+        program, views = self._two_results_program()
+        y1 = views["y1"]
+        directives = {
+            _position_of(program, y1): self._adopter(y1, nbytes=y1.base.nbytes - 8)
+        }
+        with pytest.raises(PlanCheckError, match="needs"):
+            check_memory_plan(program, MemoryPlan(directives=directives))
+
+    def test_an_adopter_overlapping_the_occupant_before_it(self):
+        program, views = self._two_results_program()
+        t1 = views["t1"]  # live through instruction 5, y1 starts at 1
+        directives = {
+            _position_of(program, t1): BufferDirective(0, t1.base.nbytes, True),
+            _position_of(program, views["y1"]): self._adopter(views["y1"]),
+        }
+        with pytest.raises(PlanCheckError, match="overlapping lifetimes"):
             check_memory_plan(program, MemoryPlan(directives=directives))
 
     def test_zero_fill_waiver_needs_full_definition(self):

@@ -367,6 +367,13 @@ def test_stencils_forward_bitwise_with_one_shape_at_both_sizes(name, scheduler):
         for plan in plans:
             assert plan.report.verified
             assert plan.report.ir_checks_run > 0 or not plan.report.changed
+        # The plan check (check_ir) accepted every result the memory plan
+        # put on a released slot, and there was one to accept — except where
+        # each flush is a single step, which releases no slot before its
+        # result is written.
+        adopted = sum(plan.memory_plan.adopted_bases for plan in plans)
+        assert (adopted > 0) == (name != "jacobi_step")
+        assert all(plan.plan_checks_run > 0 for plan in plans)
         shapes.append([_shape(plan.optimized) for plan in plans])
     assert shapes[0] == shapes[1]
 

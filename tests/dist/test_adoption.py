@@ -64,8 +64,9 @@ class TestWarmFlushCounters:
         assert stats.dist_zero_fill_bytes == 0
         assert stats.dist_bytes_migrated == 0
         assert stats.dist_payload_bytes == 0
-        # Two plan slots, the result and the previous result: everything
-        # a warm flush binds is recycled.
+        # Two plan slots, one of them the result's from its first store on,
+        # the other the previous result's segment: everything a warm flush
+        # binds is recycled.
         assert cache["dist_segments_created"] == created
         assert len(plan.dist_plan.private_positions) == LOCAL_BASES
         # A shared slot segment is accounted once.
@@ -99,6 +100,42 @@ class TestWarmFlushCounters:
             _, stats = _warm_heat_flushes(session, flushes=2)
         assert stats.dist_bases_adopted == ALL_BASES - LOCAL_BASES
         assert stats.dist_zero_fill_bytes == 5 * GRID * GRID * 8
+
+
+class TestAWarmFlushHoldsWhatNativeHolds:
+    """The result is born in the plan slot that just died and the previous
+    result is freed before anything is reserved: two grids, two segments."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_grids_in_two_segments_and_nothing_moves(self, workers, monkeypatch):
+        from repro.dist import backend as dist_backend
+        from repro.dist.shardstore import ShardStore
+
+        native = Session(backend="native", optimize=True)
+        expected, native_stats = _warm_heat_flushes(native)
+        store = ShardStore()  # a fresh process's store: nothing parked yet
+        monkeypatch.setattr(dist_backend, "_STORE", store)
+        try:
+            with config_override(dist_num_workers=workers):
+                session = Session(backend="dist", optimize=True)
+                out, stats = _warm_heat_flushes(session)
+                cache = session.cache_stats()
+                plan = session.engine.last_plan
+            assert out.tobytes() == expected.tobytes()
+            assert stats.actual_peak_bytes == native_stats.actual_peak_bytes
+            assert stats.actual_peak_bytes == 2 * GRID * GRID * 8 == 23_040_000
+            assert plan.memory_plan.adopted_bases == 1
+            segment = 1 << 24  # the size class of one 11.52 MB grid
+            assert cache["dist_shm_bytes_active"] == segment  # the result
+            assert cache["dist_shm_bytes_parked"] == segment  # the other slot
+            assert cache["dist_segments_created"] == 2
+            assert stats.dist_bytes_migrated == 0
+            assert stats.dist_payload_bytes == 0
+            assert stats.dist_zero_fill_bytes == 0
+            session.memory.free_all()
+            assert store.stats()["dist_shm_bytes_active"] == 0
+        finally:
+            store.close()
 
 
 class TestAFreeAloneBindsNothing:

@@ -231,8 +231,12 @@ class TestCrashRecovery:
                 token = session.memory.external_token(base)
                 assert token is None or token in active, base
             # The dying flush had already run its leading free of the
-            # previous result (16 x 16 float64) before the crashed step.
+            # previous result (16 x 16 float64) — before it reserved
+            # anything, the order native executes — and nothing it bound
+            # afterwards is still bound: where a failed native flush stops.
             assert store.stats()["dist_shm_bytes_active"] == active_before - 2048
+            assert session.memory.bytes_allocated == 0
+            assert not session.memory.live_bases()
             known, on_disk = _store_segments_on_disk()
             assert on_disk - on_disk_before <= known, "a segment leaked past the store"
             # The session survives: the pool respawns and the same
@@ -256,6 +260,53 @@ class TestCrashRecovery:
             # segment with it, and the master is alive, so the manifest
             # sweep has nothing to reclaim.
             assert sweep_manifests() == []
+
+
+class TestAFailedExchangeLeavesNoReplyBehind:
+    """PR 20's finding (ii): an ``error`` frame from one worker during
+    ``load`` left the other workers' replies unread, and the next flush
+    read them as its own."""
+
+    def test_a_refused_load_costs_the_pool_not_the_next_flush(self, monkeypatch):
+        import dataclasses
+
+        from repro.dist import backend as dist_backend
+
+        genuine = dist_backend.build_dist_plan
+
+        def one_step_short(*args):
+            # validate_dist_plan refuses it on every worker.
+            plan = genuine(*args)
+            return dataclasses.replace(plan, steps=plan.steps[:-1])
+
+        monkeypatch.setattr(dist_backend, "build_dist_plan", one_step_short)
+        settings = dict(
+            parallel_tile_elements=64, parallel_serial_threshold=4, dist_num_workers=2
+        )
+        with config_override(**settings):
+            session = Session(backend="dist", optimize=True)
+            store = _get_store()
+            active_before = store.stats()["dist_shm_bytes_active"]
+            _, on_disk_before = _store_segments_on_disk()
+            pool = dist_backend._get_pool(2)
+            with pytest.raises(DistributedExecutionError, match="shard plan has") as info:
+                heat_equation(grid_size=16, iterations=2, session=session).to_numpy()
+            assert not isinstance(info.value, dist_backend.WorkerDiedError)
+            # Worker 0's error raised while worker 1's was still in the pipe.
+            assert pool.replies_outstanding > 0
+            assert dist_backend._POOLS.get(2) is not pool
+            assert store.stats()["dist_shm_bytes_active"] == active_before
+            known, on_disk = _store_segments_on_disk()
+            assert on_disk - on_disk_before <= known, "a segment leaked past the store"
+            monkeypatch.undo()
+            # A different program (a new plan, a new token) on the same
+            # session: its load acks are its own.
+            out = heat_equation(grid_size=16, iterations=3, session=session).to_numpy()
+            assert dist_backend._POOLS[2].replies_outstanding == 0
+        oracle = Session(backend="interpreter", optimize=False)
+        expected = heat_equation(grid_size=16, iterations=3, session=oracle).to_numpy()
+        assert out.tobytes() == expected.tobytes()
+        assert sweep_manifests() == []
 
 
 class TestOneFlushAtATime:

@@ -87,13 +87,82 @@ class TestMemoryPlan:
         assert plan.planned_peak_bytes < plan.unplanned_peak_bytes
 
     def test_synced_bases_never_aliased(self):
+        """An observable base is never *followed* in a slot.
+
+        ``src`` arrives from outside and keeps dedicated storage; the synced,
+        never-freed ``out`` is born here and takes a released slot — as its
+        last occupant, after every other occupant's last use.
+        """
         program, src, out, temps = _chain_program()
         plan = MemoryPlan.plan(program)
         order = program_base_order(program)
         positions = {base.name: position for position, base in enumerate(order)}
-        for name in (src.base.name, out.base.name):
-            directive = plan.directives.get(positions[name])
-            assert directive is None or directive.slot is None
+        intervals = {i.base.name: i for i in live_intervals(program)}
+        directive = plan.directives.get(positions[src.base.name])
+        assert directive is None or directive.slot is None
+        adopter = plan.directives[positions[out.base.name]]
+        assert adopter.slot is not None and adopter.adopts
+        assert adopter.slot_nbytes >= out.base.nbytes
+        assert plan.adopted_bases == plan.stats()["memory_plan_adopted_bases"] == 1
+        for position, directive in plan.directives.items():
+            if directive.slot != adopter.slot or directive is adopter:
+                continue
+            assert not directive.adopts
+            earlier = intervals[order[position].name]
+            assert earlier.last_use < intervals[out.base.name].start
+
+    def test_an_adopted_result_keeps_its_bits_and_goes_home_when_freed(self):
+        program, src, out, temps = _chain_program(length=32)
+        plan = MemoryPlan.plan(program)
+        assert plan.adopted_bases == 1
+
+        def run(directives):
+            memory = MemoryManager()
+            memory.set_data(src.base, np.arange(32.0))
+            level = memory.bytes_allocated
+            memory.apply_plan(directives)
+            from repro.runtime.interpreter import NumPyInterpreter
+
+            NumPyInterpreter().execute(program, memory)
+            memory.clear_plan()
+            return memory, level
+
+        unplanned, _ = run(None)
+        planned, level = run(plan.bind(program))
+        # Every later instruction (the trailing frees of the slot's earlier
+        # occupants, the sync) has run and the plan is gone: the result
+        # still owns its bytes.
+        assert planned.read_view(out).tobytes() == unplanned.read_view(out).tobytes()
+        assert not planned._slots and not planned._slot_of
+        assert planned.bytes_allocated == level + out.base.nbytes
+        planned.free(out.base)
+        assert planned.bytes_allocated == level
+        assert planned.pool.bytes_held > 0  # sent home, not dropped
+
+    def test_a_small_result_never_pins_a_large_slot(self):
+        """Adoption closes the slot and outlives the plan: same size class only."""
+        builder = ProgramBuilder()
+        grid = builder.new_vector(1024)
+        halved = builder.new_vector(1024)
+        norm = builder.new_vector(1)
+        out = builder.new_vector(1024)
+        builder.identity(grid, 3.0)
+        builder.multiply(halved, grid, 0.5)      # grid (8 KiB) dies here
+        builder.add_reduce(norm, halved)         # a scalar is born: not in 8 KiB
+        builder.add(out, halved, 1.0)            # a grid is born: in grid's slot
+        builder.free(grid)
+        builder.free(halved)
+        builder.sync(norm)
+        builder.sync(out)
+        program = builder.build()
+        plan = MemoryPlan.plan(program)
+        order = program_base_order(program)
+        positions = {base.name: position for position, base in enumerate(order)}
+        scalar = plan.directives.get(positions[norm.base.name])
+        assert scalar is None or scalar.slot is None
+        adopter = plan.directives[positions[out.base.name]]
+        assert adopter.adopts and adopter.slot == plan.directives[positions[grid.base.name]].slot
+        assert plan.adopted_bases == 1
 
     def test_zero_fill_waived_only_when_fully_defined(self):
         program, _, _, temps = _chain_program()
