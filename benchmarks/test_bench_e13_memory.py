@@ -239,3 +239,65 @@ def test_a_stencil_step_writes_its_result_where_it_is_going(benchmark, tmp_path)
     assert memory_plan.planned_peak_bytes <= 160_819_584
     oracle = Session(backend="interpreter", optimize=False)
     assert out.tobytes() == heat_equation(grid, steps, session=oracle).to_numpy().tobytes()
+
+
+def test_a_reduction_reads_its_producers_values(benchmark, tmp_path):
+    """Warm ``monte_carlo_pi(200 000)`` holds x, y and two scalars — no mask.
+
+    ``sum(inside * 1.0)`` closes the kernel that computes ``inside``: the
+    float64 mask (1 600 000 bytes; PR 21 had to materialise it again) and
+    the four temporaries before it live in registers, span scratch or a
+    worker's scratch, never in the memory manager or in shared memory, and
+    the reduction is no launch of its own (5 -> 4).  The peak is 3 200 016,
+    not 3 200 008: the reduction's result is now born in the kernel that
+    last reads ``x``, so it can no longer take ``x``'s slot.  Counters only.
+    """
+    from repro.workloads import monte_carlo_pi
+
+    samples = 200_000
+    tiers = [("parallel", {}), ("native", {}), ("dist", {"dist_num_workers": 1}),
+             ("dist", {"dist_num_workers": 2})]
+
+    def run():
+        rows = []
+        for backend, overrides in tiers:
+            with config_override(codegen_cache_dir=str(tmp_path / "codegen"), **overrides):
+                session = Session(backend=backend, optimize=True)
+                for _ in range(3):
+                    monte_carlo_pi(samples, session=session).to_numpy()
+                rows.append((backend, overrides, session))
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.group = "E13 memory planning"
+    table = []
+    for backend, overrides, session in rows:
+        stats = session.stats_history[-1]
+        plan = session.engine.last_plan
+        table.append(
+            {
+                "tier": backend + "".join(f" {v}w" for v in overrides.values()),
+                "peak_bytes": stats.actual_peak_bytes,
+                "kernel_launches": stats.kernel_launches,
+                "slots_elided": stats.native_slots_elided + stats.template_slots_elided,
+            }
+        )
+        assert stats.plan_cache_hits == 1
+        assert stats.actual_peak_bytes == 2 * samples * 8 + 16 == 3_200_016, backend
+        assert stats.kernel_launches == 4, backend
+        assert plan.fusion_schedule.reduction_tails == 1
+        assert stats.native_fallbacks == stats.native_reduction_fallbacks == 0
+        if backend == "native":
+            assert stats.native_reductions_compiled == 1 and stats.native_slots_elided == 5
+        if backend == "dist":
+            assert stats.dist_payload_bytes == 0
+            # Five bases — the mask among them — have no segment for the
+            # ``map`` frame to name; x, y and the two scalars do.
+            assert len(plan.dist_plan.private_positions) == 5
+            assert stats.template_slots_elided == 5 * stats.dist_shard_launches
+    record_table(
+        benchmark,
+        f"E13: warm monte_carlo_pi({samples}) flush",
+        table,
+        ["tier", "peak_bytes", "kernel_launches", "slots_elided"],
+    )

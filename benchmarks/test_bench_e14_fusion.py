@@ -49,6 +49,8 @@ def _run(scheduler: str):
             "norms": norm_values,
             "kernel_launches": launches,
             "schedule": schedule,
+            "plan": plan,
+            "peak_bytes": session.stats_history[0].actual_peak_bytes,
             "stores_forwarded": sum(
                 run.rewrites_applied for run in plan.report.stats_for("copy_propagation")
             ),
@@ -122,3 +124,33 @@ def test_dag_scheduler_launches_fewer_kernels(benchmark):
     assert len(dag["norms"]) == ITERATIONS
     for index, (a, b) in enumerate(zip(dag["norms"], consecutive["norms"])):
         assert np.array_equal(a, b), f"per-step norm {index} diverged"
+
+    # The per-step ``sum(vertical)`` is a reduction of what the stencil
+    # kernel stores, and the scheduler REFUSES to end the kernel in it: the
+    # kernel also stores ``interior`` into the next grid, which lives on,
+    # and a kernel may end in a reduction only when everything its members
+    # store dies inside it (a tail would also re-tile the stencil by columns
+    # and keep it off the dist workers).  So launches and peak stay where
+    # PR 21 left them — they may only fall.
+    assert dag_schedule.reduction_tails == 0
+    assert dict(dag_schedule.tail_refusals) == {
+        "another store of the kernel is accessed again after the kernel": ITERATIONS
+    }
+    assert consecutive["schedule"].tail_refusals == ()
+    assert dag["kernel_launches"] == 62 and consecutive["kernel_launches"] == 74
+    assert dag["peak_bytes"] == 646_376
+    # "A scalar must not inherit a grid": no one-element norm adopts a
+    # slot of another size class, however long its caller holds it.
+    from repro.runtime.memory import size_class
+    from repro.runtime.plan import program_base_order
+
+    plan = dag["plan"]
+    adopters = [
+        (base, directive)
+        for position, base in enumerate(program_base_order(plan.optimized))
+        for directive in [plan.memory_plan.directives.get(position)]
+        if directive is not None and directive.adopts
+    ]
+    assert adopters, "no observable base adopted a slot: the guard is vacuous"
+    for base, directive in adopters:
+        assert size_class(directive.slot_nbytes) == size_class(base.nbytes), base.name

@@ -7,8 +7,9 @@ single view which we also store in the output slot, matching Bohrium's
 convention that the "result" of a sync/free is the array being synced/freed.
 
 Fused kernels (``BH_FUSED``) additionally carry the list of element-wise
-instructions they replace, so backends can either execute them as one kernel
-or fall back to interpreting the payload.
+instructions they replace — the last of which may be one reduction of what
+the others store — so backends can either execute them as one kernel or
+fall back to interpreting the payload.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Instruction:
         Python scalars are coerced to :class:`Constant`.
     kernel:
         For ``BH_FUSED`` only: the element-wise instructions this kernel
-        fuses, in execution order.
+        fuses, in execution order, optionally closed by one reduction.
     tag:
         Optional free-form provenance string (which pass created the
         instruction); useful when inspecting optimized programs.

@@ -142,11 +142,16 @@ def validate_instruction(instruction: Instruction) -> None:
     if instruction.opcode is OpCode.BH_FUSED:
         if instruction.kernel is None or len(instruction.kernel) == 0:
             raise ValidationError("BH_FUSED requires a non-empty kernel payload")
-        for inner in instruction.kernel:
-            if not inner.is_elementwise():
+        last = len(instruction.kernel) - 1
+        for position, inner in enumerate(instruction.kernel):
+            # One reduction may end a kernel that has element-wise members.
+            if not inner.is_elementwise() and not (
+                inner.is_reduction() and 0 < position == last
+            ):
                 raise ValidationError(
-                    f"BH_FUSED payload may only contain element-wise instructions, "
-                    f"found {inner.opcode}"
+                    f"BH_FUSED payload may only contain element-wise instructions "
+                    f"and one closing reduction, found {inner.opcode} at "
+                    f"position {position} of {last + 1}"
                 )
             validate_instruction(inner)
         return

@@ -177,11 +177,14 @@ def check_schedule(program: Program, schedule) -> None:
         if len(item) < 2:
             continue
         for index in item:
-            if not program[index].is_elementwise():
+            # One reduction may end a cluster; nothing else joins one.
+            if not program[index].is_elementwise() and not (
+                index == item[-1] and program[index].is_reduction()
+            ):
                 raise PlanCheckError(
                     f"fusion schedule clusters instruction {index} "
                     f"({program[index].opcode}) into a kernel, but only "
-                    f"element-wise byte-codes may fuse"
+                    f"element-wise byte-codes and one closing reduction may fuse"
                 )
 
 
@@ -208,6 +211,34 @@ def _check_spans(spans, rows: int, what: str) -> None:
         )
 
 
+def _check_row_independent(inner, what: str) -> Tuple[int, ...]:
+    """The shared shape of a hazard-free element-wise byte-code list."""
+    shape = next((i.out.shape for i in inner if i.out is not None), None)
+    if shape is None or len(shape) == 0:
+        raise PlanCheckError(f"{what}: no output iteration space")
+    views = [operand for i in inner for operand in i.operands if is_view(operand)]
+    for view in views:
+        if view.shape != shape:
+            raise PlanCheckError(
+                f"{what}: operand view of {view.base.name!r} has "
+                f"shape {tuple(view.shape)}, kernel iterates "
+                f"{tuple(shape)} — rows would not be independent"
+            )
+    for i in inner:
+        for write in i.writes():
+            for other in views:
+                if other is write or other.same_view(write):
+                    continue
+                if write.overlaps(other):
+                    raise PlanCheckError(
+                        f"{what}: written view of "
+                        f"{write.base.name!r} overlaps a shifted "
+                        f"window of the same base — tiles would "
+                        f"leak across rows"
+                    )
+    return shape
+
+
 def check_tiling(program: Program, tiling) -> None:
     """Cross-check a tile decomposition against recomputed overlap hazards."""
     from repro.runtime.tiling import SerialStep, TiledMapStep, TiledReduceStep
@@ -230,44 +261,33 @@ def check_tiling(program: Program, tiling) -> None:
             inner = (
                 instruction.kernel if instruction.is_fused() else (instruction,)
             )
-            shape = next(
-                (i.out.shape for i in inner if i.out is not None), None
-            )
-            if shape is None or len(shape) == 0:
-                raise PlanCheckError(f"{what}: no output iteration space")
-            views = [
-                operand
-                for i in inner
-                for operand in i.operands
-                if is_view(operand)
-            ]
-            for view in views:
-                if view.shape != shape:
-                    raise PlanCheckError(
-                        f"{what}: operand view of {view.base.name!r} has "
-                        f"shape {tuple(view.shape)}, kernel iterates "
-                        f"{tuple(shape)} — rows would not be independent"
-                    )
-            for i in inner:
-                for write in i.writes():
-                    for other in views:
-                        if other is write or other.same_view(write):
-                            continue
-                        if write.overlaps(other):
-                            raise PlanCheckError(
-                                f"{what}: written view of "
-                                f"{write.base.name!r} overlaps a shifted "
-                                f"window of the same base — tiles would "
-                                f"leak across rows"
-                            )
+            shape = _check_row_independent(inner, what)
             _check_spans(step.spans, shape[0], what)
         elif isinstance(step, TiledReduceStep):
+            members = instruction.kernel[:-1] if instruction.is_fused() else ()
+            if instruction.is_fused():
+                instruction = instruction.kernel[-1]
             if not instruction.is_reduction():
                 raise PlanCheckError(
-                    f"{what}: tiled as a reduction but it is not one"
+                    f"{what}: tiled as a reduction but it is not (and does "
+                    f"not end in) one"
                 )
             source = instruction.inputs[0]
             out = instruction.out
+            if members:
+                # A kernel ending in the reduction: its members run span by
+                # span before it, so they must be a hazard-free map over the
+                # very view the reduction reads.
+                _check_row_independent(members, what)
+                if not any(
+                    is_view(source) and view.same_view(source)
+                    for member in members
+                    for view in member.writes()
+                ):
+                    raise PlanCheckError(
+                        f"{what}: the closing reduction reads a view no "
+                        f"member of its kernel stores"
+                    )
             if not is_view(source) or out is None:
                 raise PlanCheckError(f"{what}: malformed reduction operands")
             axis = int(instruction.constants[0].value)
@@ -321,14 +341,13 @@ def check_dist_adoption(program: Program, dist_plan) -> None:
     just store.
     """
     from repro.bytecode.opcodes import OpCode
-    from repro.dist.planner import MapShardStep
     from repro.runtime.plan import program_base_order
 
     order = program_base_order(program)
     for step in dist_plan.steps:
-        if not isinstance(step, MapShardStep) or not step.private:
+        if not step.private:
             continue
-        halo_positions = {halo.base_position for halo in step.halos}
+        halo_positions = {halo.base_position for halo in getattr(step, "halos", ())}
         for position, _ in step.private:
             if position < 0 or position >= len(order):
                 raise PlanCheckError(
@@ -338,7 +357,7 @@ def check_dist_adoption(program: Program, dist_plan) -> None:
             base = order[position]
             what = (
                 f"shard plan keeps base {base.name!r} (position {position}) "
-                f"out of shared memory for map step {step.index}"
+                f"out of shared memory for step {step.index}"
             )
             if position in halo_positions:
                 raise PlanCheckError(f"{what}, but a halo fetch reads it")

@@ -272,6 +272,36 @@ def _loads_of(expr, out: List[int]) -> None:
             _loads_of(arg, out)
 
 
+def _statement_lines(body, slot_dtypes, element, memory_stores) -> List[str]:
+    """The C statements computing one element of a statement list.
+
+    Each slot is loaded (``element(slot)`` is its lvalue) into a scalar
+    local at its first use and every store assigns that local;
+    ``memory_stores`` maps a slot to the position of the one store that also
+    writes its element back.
+    """
+    lines: List[str] = []
+    defined = set()
+    for position, statement in enumerate(body):
+        loads: List[int] = []
+        _loads_of(statement.expr, loads)
+        for slot in loads:
+            if slot in defined:
+                continue
+            defined.add(slot)
+            lines.append(f"{_CTYPE[slot_dtypes[slot]]} v{slot} = {element(slot)};")
+        out_slot = statement.slot
+        value = _cast_c(_expr_c(statement.expr), slot_dtypes[out_slot])
+        if out_slot in defined:
+            lines.append(f"v{out_slot} = {value};")
+        else:
+            defined.add(out_slot)
+            lines.append(f"{_CTYPE[slot_dtypes[out_slot]]} v{out_slot} = {value};")
+        if memory_stores.get(out_slot) == position:
+            lines.append(f"{element(out_slot)} = v{out_slot};")
+    return lines
+
+
 class _BodyEmitter:
     """Emits one loop-nest body; ``contiguous`` picks the addressing mode."""
 
@@ -332,29 +362,17 @@ class _BodyEmitter:
         return self.lines
 
     def _emit_statements(self, depth: int) -> None:
-        defined = set()
-        for position, statement in enumerate(self.nest.body):
-            loads: List[int] = []
-            _loads_of(statement.expr, loads)
-            for slot in loads:
-                if slot in defined:
-                    continue
-                defined.add(slot)
-                ctype = _CTYPE[self.nest.slot_dtypes[slot]]
-                self.line(depth, f"{ctype} v{slot} = {self._element(slot)};")
-            out_slot = statement.slot
-            value = _cast_c(_expr_c(statement.expr), self.nest.slot_dtypes[out_slot])
-            if out_slot in defined:
-                self.line(depth, f"v{out_slot} = {value};")
-            else:
-                defined.add(out_slot)
-                ctype = _CTYPE[self.nest.slot_dtypes[out_slot]]
-                self.line(depth, f"{ctype} v{out_slot} = {value};")
-            if (
-                self.last_store[out_slot] == position
-                and out_slot not in self.nest.elided_slots
-            ):
-                self.line(depth, f"{self._element(out_slot)} = v{out_slot};")
+        nest = self.nest
+        # Only the final store per slot writes memory, and never a local one.
+        memory_stores = {
+            slot: position
+            for slot, position in self.last_store.items()
+            if slot not in nest.elided_slots
+        }
+        for text in _statement_lines(
+            nest.body, nest.slot_dtypes, self._element, memory_stores
+        ):
+            self.line(depth, text)
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +678,38 @@ def _tree_combine_lines(nest: "ReduceNest") -> List[str]:
     ]
 
 
-def _acc_load(nest: "ReduceNest", address: str) -> str:
+def _value_helper(nest: "ReduceNest") -> List[str]:
+    """``repro_kernel_value``: one element of the reduction's source, computed
+    by the kernel's element-wise members from the loaded slots' elements —
+    scalar locals only, nothing written (empty for a bare reduction)."""
+    if not nest.body:
+        return []
+    params = ", ".join(f"const char *a{slot}" for slot in nest.loaded_slots)
+    statements = _statement_lines(
+        nest.body,
+        nest.slot_dtypes,
+        lambda slot: f"(*(const {_CTYPE[nest.slot_dtypes[slot]]} *)a{slot})",
+        {},
+    )
+    return [
+        f"static inline {_CTYPE[nest.source_dtype]} repro_kernel_value({params})",
+        "{",
+        *("    " + text for text in statements),
+        f"    return v{nest.source_slot};",
+        "}",
+        "",
+    ]
+
+
+def _acc_load(nest: "ReduceNest", address) -> str:
+    """The accumulator-typed value of one source element; ``address(slot)``
+    is the C address of a loaded slot's current element.  A bare reduction
+    loads it, a kernel's tail computes it from its members' operands."""
     src = _CTYPE[nest.source_dtype]
-    load = f"(*({src} *)({address}))"
+    if nest.body:
+        load = f"repro_kernel_value({', '.join(map(address, nest.loaded_slots))})"
+    else:
+        load = f"(*({src} *)({address(0)}))"
     if nest.source_dtype == "BH_BOOL":
         load = f"({load} != 0)"  # a bool counts as one whatever its byte holds
     if nest.acc_dtype != nest.source_dtype:
@@ -674,14 +721,22 @@ def _emit_reduce_combine(nest: "ReduceNest") -> List[str]:
     """A rank-1 full reduction: serial fold + partials-combining mt entry."""
     acc = _CTYPE[nest.acc_dtype]
     fold_step = _combine_c(
-        nest.kind, nest.acc_dtype, "acc", _acc_load(nest, "p0 + i * s0")
+        nest.kind, nest.acc_dtype, "acc", _acc_load(nest, "p{0} + i * s{0}".format)
     )
+    lanes = [
+        line
+        for slot in nest.loaded_slots
+        for line in (
+            f"    char * const p{slot} = ptrs[{slot}];",
+            f"    const int64_t s{slot} = strides[{slot}];",
+        )
+    ]
     return [
+        *_value_helper(nest),
         f"static REPRO_NOINLINE {acc} repro_kernel_fold({_CHUNK_ARGS})",
         "{",
-        "    char * const p0 = ptrs[0];",
-        "    const int64_t s0 = strides[0];",
-        f"    {acc} acc = {_acc_load(nest, 'p0 + row_start * s0')};",
+        *lanes,
+        f"    {acc} acc = {_acc_load(nest, 'p{0} + row_start * s{0}'.format)};",
         "    int64_t i;",
         "    (void)dims;",
         "    for (i = row_start + 1; i < row_stop; ++i)",
@@ -691,7 +746,7 @@ def _emit_reduce_combine(nest: "ReduceNest") -> List[str]:
         "",
         f"static void repro_kernel_store(char **ptrs, {acc} value)",
         "{",
-        f"    *({_CTYPE[nest.out_dtype]} *)ptrs[1] = {_cast_c('value', nest.out_dtype)};",
+        f"    *({_CTYPE[nest.out_dtype]} *)ptrs[{len(nest.slot_dtypes)}] = {_cast_c('value', nest.out_dtype)};",
         "}",
         "",
         f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
@@ -726,36 +781,40 @@ def _emit_reduce_body(nest: "ReduceNest") -> List[str]:
     rank, axis, part = nest.rank, nest.axis, nest.part_axis
     acc = _CTYPE[nest.acc_dtype]
     loop_axes = [part] + [d for d in range(rank) if d not in (part, axis)]
-    lines = [_BODY_HEAD, "{"]
+    # One pointer lane per loaded slot, then the output's (ptrs' last entry).
+    out = len(nest.slot_dtypes)
+    lanes = nest.loaded_slots + (out,)
+    lines = _value_helper(nest) + [_BODY_HEAD, "{"]
     for d in sorted(set(loop_axes[1:] + [axis])):
         lines.append(f"    const int64_t n{d} = dims[{d}];")
-    lines.append("    char * const p0 = ptrs[0];")
-    lines.append("    char * const p1 = ptrs[1];")
-    for d in range(rank):
-        lines.append(f"    const int64_t s0_{d} = strides[{d}];")
-    for d in range(rank):
-        if d == axis:
-            continue  # the reduced axis has no output lane
-        lines.append(f"    const int64_t s1_{d} = strides[{rank + d}];")
+    for lane in lanes:
+        lines.append(f"    char * const p{lane} = ptrs[{lane}];")
+    for lane in lanes:
+        for d in range(rank):
+            if lane == out and d == axis:
+                continue  # the reduced axis has no output lane
+            lines.append(f"    const int64_t s{lane}_{d} = strides[{lane * rank + d}];")
     indent = "    "
-    src_base, out_base = "p0", "p1"
+    base = {lane: f"p{lane}" for lane in lanes}
     for position, d in enumerate(loop_axes):
         low = "row_start" if position == 0 else "0"
         high = "row_stop" if position == 0 else f"n{d}"
         lines.append(f"{indent}for (int64_t i{d} = {low}; i{d} < {high}; ++i{d}) {{")
         indent += "    "
-        lines.append(f"{indent}char * const q0_{d} = {src_base} + i{d} * s0_{d};")
-        lines.append(f"{indent}char * const q1_{d} = {out_base} + i{d} * s1_{d};")
-        src_base, out_base = f"q0_{d}", f"q1_{d}"
+        for lane in lanes:
+            lines.append(
+                f"{indent}char * const q{lane}_{d} = {base[lane]} + i{d} * s{lane}_{d};"
+            )
+            base[lane] = f"q{lane}_{d}"
     fold_step = _combine_c(
         nest.kind, nest.acc_dtype, "acc",
-        _acc_load(nest, f"{src_base} + i{axis} * s0_{axis}"),
+        _acc_load(nest, lambda slot: f"{base[slot]} + i{axis} * s{slot}_{axis}"),
     )
     lines += [
-        f"{indent}{acc} acc = {_acc_load(nest, src_base)};",
+        f"{indent}{acc} acc = {_acc_load(nest, base.get)};",
         f"{indent}for (int64_t i{axis} = 1; i{axis} < n{axis}; ++i{axis})",
         f"{indent}    acc = {fold_step};",
-        f"{indent}*({_CTYPE[nest.out_dtype]} *){out_base} = {_cast_c('acc', nest.out_dtype)};",
+        f"{indent}*({_CTYPE[nest.out_dtype]} *){base[out]} = {_cast_c('acc', nest.out_dtype)};",
     ]
     for _ in loop_axes:
         indent = indent[:-4]
@@ -768,9 +827,11 @@ def emit_reduce_source(nest: ReduceNest) -> str:
     """Emit the complete, deterministic C source for one reduction nest.
 
     ABI: ``dims`` holds the *source* extents (``nest.rank`` entries);
-    ``ptrs`` is ``[source, output]``; ``strides`` holds the source's byte
-    strides (``rank`` entries) followed by the output's byte strides aligned
-    to source axes, with a zero in the reduced axis's lane.
+    ``ptrs`` is ``[slot 0, ..., slot k-1, output]`` over the nest's ``k``
+    slots — a bare reduction's one slot is its source, a stored (kernel-
+    local) slot's entry is never read; ``strides`` holds ``rank`` byte
+    strides per ``ptrs`` entry, the output's aligned to source axes with a
+    zero in the reduced axis's lane.
     """
     if nest.combine:
         lines = _emit_reduce_combine(nest)

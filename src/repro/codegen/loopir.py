@@ -420,6 +420,20 @@ class ReduceNest:
     source_dtype: str
     out_dtype: str
     acc_dtype: str
+    #: The element-wise members of a kernel that ends in this reduction, as
+    #: in a :class:`LoopNest`: each folded element is the value of
+    #: ``source_slot`` after ``body`` ran on that element.  Every slot the
+    #: body stores is kernel-local, so the body writes no memory.  A bare
+    #: reduction is the degenerate nest: one slot, loaded, no body.
+    slot_dtypes: Tuple[str, ...] = ()
+    body: Tuple[Store, ...] = ()
+    source_slot: int = 0
+
+    @property
+    def loaded_slots(self) -> Tuple[int, ...]:
+        """Slots that have a memory lane: those the body does not store."""
+        stored = {statement.slot for statement in self.body}
+        return tuple(s for s in range(len(self.slot_dtypes)) if s not in stored)
 
 
 _REDUCE_KINDS = {
@@ -431,13 +445,20 @@ _REDUCE_KINDS = {
 
 
 def lower_reduction(
-    instruction: Instruction, combine: bool, part_axis: int
+    instruction: Instruction,
+    combine: bool,
+    part_axis: int,
+    members: Sequence[Instruction] = (),
+    local_slots: frozenset = frozenset(),
 ) -> ReduceNest:
     """Lower one reduction byte-code to a :class:`ReduceNest`.
 
     ``combine`` and ``part_axis`` come from the plan-time tile analysis
     (:func:`repro.runtime.tiling.decompose`): they are structural, so the
     nest — and therefore the compiled artifact — is shared across rebinds.
+    ``members`` are the element-wise byte-codes of the kernel the reduction
+    ends and ``local_slots`` that step's kernel-local slots: the nest folds
+    the members' expression of each element instead of a loaded one.
 
     Raises
     ------
@@ -486,6 +507,20 @@ def lower_reduction(
         raise
     except Exception as exc:
         raise LoweringError(f"NumPy rejects this reduction probe: {exc}") from None
+    slot_dtypes, body, source_slot = (source_name,), (), 0
+    if members:
+        from repro.runtime.kernel import kernel_slot_views
+
+        producers = lower_kernel(members, local_slots)
+        stored = {statement.slot for statement in producers.body}
+        if not stored <= producers.elided_slots:
+            raise LoweringError("a producer of the reduction stores to memory")
+        slot_dtypes, body = producers.slot_dtypes, producers.body
+        source_slot = next(
+            slot
+            for slot, view in enumerate(kernel_slot_views(members))
+            if view.same_view(source)
+        )
     return ReduceNest(
         rank=rank,
         axis=axis,
@@ -495,4 +530,7 @@ def lower_reduction(
         source_dtype=source_name,
         out_dtype=out_name,
         acc_dtype=acc_name,
+        slot_dtypes=slot_dtypes,
+        body=body,
+        source_slot=source_slot,
     )

@@ -6,9 +6,10 @@ that contraction at the IR level through the shared scheduling seam
 (:func:`repro.core.schedule.compute_schedule`): under the default
 ``"dag"`` scheduler it builds the program's data-dependency graph, legally
 reorders *non-adjacent* fusable element-wise byte-codes next to each other
-and wraps each cost-accepted cluster into a single ``BH_FUSED``
-instruction; under ``"consecutive"`` it restores the low-end policy of
-maximal adjacent runs (:func:`repro.runtime.kernel.partition_into_kernels`).
+and wraps each cost-accepted cluster — which may end in one reduction of
+its own store — into a single ``BH_FUSED`` instruction; under
+``"consecutive"`` it restores the low-end policy of maximal adjacent runs
+(:func:`repro.runtime.kernel.partition_into_kernels`, no reductions).
 
 Because the pass bakes the *scheduled order* into the optimized program,
 every downstream consumer sees it: a backend launches one kernel per
@@ -70,10 +71,18 @@ class FusionPass(Pass):
             if len(item) > 1:
                 fused_any = True
                 stats.rewrites_applied += 1
+                tail = program[item[-1]] if program[item[-1]].is_reduction() else None
                 stats.note(
-                    f"fused {len(item)} element-wise byte-codes into one kernel"
-                    + ("" if _is_contiguous(item) else " (non-adjacent)")
+                    f"fused {len(item) - (tail is not None)} element-wise byte-codes "
+                    "into one kernel" + ("" if _is_contiguous(item) else " (non-adjacent)")
                 )
+                if tail is not None:
+                    # Its own rewrite: the reduction stops being a launch and
+                    # its source stops being an array.
+                    stats.rewrites_applied += 1
+                    stats.note(f"closed the kernel with the {tail.opcode} of its result")
+        for reason, count in schedule.tail_refusals:
+            stats.note(f"left {count} reduction(s) of a kernel's store unfused: {reason}")
         reordered = not schedule.is_identity_order
         if reordered and not fused_any:
             # The scheduler moved byte-codes in service of clusters that

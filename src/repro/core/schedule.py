@@ -31,7 +31,9 @@ Legality rules (what an edge in the DAG means):
 
 Reads never conflict with reads, so two windows of one base that are only
 read can reorder freely — which is exactly what lets the scheduler hoist an
-element-wise chain past an interleaved reduction.
+element-wise chain past an interleaved reduction.  A reduction of what a
+kernel just stored may then *end* that kernel (:func:`_tail_refusal`): it
+reads its producer's values, and the array between them never exists.
 
 The result is a :class:`FusionSchedule`.  Like the tile decomposition and
 the memory plan it is **structural**: items reference byte-codes by program
@@ -48,14 +50,15 @@ programs through the same function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.core.analysis import DefUse
 from repro.core.cost import CostModel
-from repro.runtime.kernel import Kernel, partition_into_kernels
+from repro.runtime.kernel import Kernel, _slot_walk, partition_into_kernels
+from repro.runtime.tiling import store_first_slots, tail_serial_reason
 from repro.utils.config import Config, get_config
 from repro.utils.errors import ExecutionError
 
@@ -155,6 +158,12 @@ class FusionSchedule:
     #: Cost-model seconds the accepted merges are predicted to save
     #: (launch overhead plus re-streamed shared operands).
     predicted_savings_seconds: float
+    #: Kernels that end in a reduction of what they just stored (the
+    #: reduction's source then needs no storage outside the kernel).
+    reduction_tails: int = 0
+    #: Why a reduction of a kernel's store stayed a launch of its own:
+    #: ``(reason, count)`` pairs, sorted.
+    tail_refusals: Tuple[Tuple[str, int], ...] = ()
 
     @property
     def order(self) -> Tuple[int, ...]:
@@ -183,9 +192,9 @@ class FusionSchedule:
         result: List[Instruction] = []
         for item in self.items:
             instructions = [program[index] for index in item]
-            if len(instructions) >= min_kernel_size and all(
-                instruction.is_elementwise() for instruction in instructions
-            ):
+            # (A cluster opens with an element-wise byte-code; one reduction
+            # may close it.  A lone reduction or system byte-code stays bare.)
+            if len(instructions) >= min_kernel_size and instructions[0].is_elementwise():
                 result.append(
                     Instruction(OpCode.BH_FUSED, (), kernel=instructions, tag=tag)
                 )
@@ -224,6 +233,8 @@ class FusionSchedule:
             "fusion_clusters": self.num_clusters,
             "fusion_bytecodes_reordered": self.bytecodes_reordered,
             "fusion_predicted_savings_seconds": self.predicted_savings_seconds,
+            "fusion_reduction_tails": self.reduction_tails,
+            "fusion_tail_refusals": dict(self.tail_refusals),
         }
 
 
@@ -257,6 +268,11 @@ def fusion_schedule_of(report) -> Optional[FusionSchedule]:
         predicted_savings_seconds=sum(
             s.predicted_savings_seconds for s in schedules
         ),
+        # A later run sees the fused program: the tails are inside its
+        # BH_FUSED byte-codes and the refused reductions have no kernel left
+        # to ask, so both are the first run's.
+        reduction_tails=schedules[0].reduction_tails,
+        tail_refusals=schedules[0].tail_refusals,
     )
 
 
@@ -294,8 +310,9 @@ def compute_schedule(
         max_kernel_size if max_kernel_size is not None else config.fusion_max_kernel_size
     )
     model = CostModel(SCHEDULER_PROFILE)
+    refusals: Dict[str, int] = {}
     if scheduler == "dag":
-        items, item_savings = _dag_schedule(program, config, max_size, model)
+        items, item_savings = _dag_schedule(program, config, max_size, model, refusals)
     else:
         items, item_savings = _consecutive_schedule(program, max_size, model)
     if min_kernel_size > 1:
@@ -325,6 +342,10 @@ def compute_schedule(
         ),
         bytecodes_reordered=_count_reordered(items),
         predicted_savings_seconds=savings,
+        reduction_tails=sum(
+            1 for item in items if len(item) > 1 and program[item[-1]].is_reduction()
+        ),
+        tail_refusals=tuple(sorted(refusals.items())),
     )
     if config.check_ir:
         # This seam is the one place the schedule's indices still refer to
@@ -335,6 +356,42 @@ def compute_schedule(
 
         maybe_check_schedule(program, schedule, config)
     return schedule
+
+
+def _tail_refusal(
+    kernel: Kernel, reduction: Instruction, index: int, defuse: DefUse, scheduled
+) -> Optional[str]:
+    """Why ``reduction`` (program index ``index``) may not end ``kernel``.
+
+    ``None`` when it may; ``""`` when the kernel does not write the
+    reduction's source at all, so there is nothing to refuse.  Legal means:
+    the tiling would run the kernel tile by tile with the bare reduction's
+    spans (:func:`~repro.runtime.tiling.tail_serial_reason` — run whole, a
+    rank-1 reduction is not bitwise the tiled one it replaces), and every
+    base the members store dies inside the kernel — freed, never synced, no
+    access by a byte-code not yet scheduled, stored before loaded — so the
+    tiling's kernel-local rule gives none of them storage.
+    """
+    source = reduction.inputs[0]
+    stores = kernel.output_views()
+    if not any(view.base is source.base for view in stores):
+        return ""
+    # Liveness first: it is the cheap test and the common refusal.
+    for base in {id(view.base): view.base for view in stores}.values():
+        what = "reduction source" if base is source.base else "another store of the kernel"
+        if id(base) in defuse.synced:
+            return f"{what} is synced"
+        if id(base) not in defuse.freed:
+            return f"{what} is not freed"
+        if any(
+            not scheduled[access.index] and access.index != index
+            for access in defuse.accesses[id(base)]
+        ):
+            return f"{what} is accessed again after the kernel"
+    specs = _slot_walk(kernel.instructions)[2]
+    if store_first_slots(specs) != {refs[0][1] for _, refs in specs}:
+        return "kernel updates a base in place"
+    return tail_serial_reason(kernel.instructions, reduction)
 
 
 def _count_reordered(items: Sequence[Tuple[int, ...]]) -> int:
@@ -387,7 +444,11 @@ def _consecutive_schedule(
 
 
 def _dag_schedule(
-    program: Program, config: Config, max_size: int, model: CostModel
+    program: Program,
+    config: Config,
+    max_size: int,
+    model: CostModel,
+    refusals: Dict[str, int],
 ) -> Tuple[List[Tuple[int, ...]], float]:
     """Greedy topological list scheduling with cost-guided clustering.
 
@@ -402,17 +463,24 @@ def _dag_schedule(
     ``fusion_cost_threshold``.  Absorbing a byte-code releases its
     dependents, so whole dependent chains fall into one kernel even when a
     reduction or system byte-code sat between them in program order.
+
+    A kernel that can absorb no more may then take **one reduction as its
+    tail** (:func:`_tail_refusal` is the legality rule; the reasons of the
+    refused ones are counted into ``refusals``).
     """
     import bisect
 
     n = len(program)
-    successors, predecessors = dependency_graph(program)
+    defuse = DefUse.analyze(program)
+    successors, predecessors = dependency_graph(program, defuse)
     ready: List[int] = sorted(i for i in range(n) if predecessors[i] == 0)
     items: List[Tuple[int, ...]] = []
     item_savings: List[float] = []
     threshold = config.fusion_cost_threshold
+    scheduled = [False] * n
 
     def release(index: int) -> None:
+        scheduled[index] = True
         for successor in sorted(successors[index]):
             predecessors[successor] -= 1
             if predecessors[successor] == 0:
@@ -453,6 +521,23 @@ def _dag_schedule(
             streamed_keys.update(model.view_key(view) for view in candidate.views())
             cluster_saving += saving
             release(candidate_index)
+        # The closed kernel may end in one reduction of what it just stored.
+        for candidate_index in ready if kernel.size < max_size else ():
+            candidate = program[candidate_index]
+            if not candidate.is_reduction():
+                continue
+            saving = model.fusion_merge_saving_for_keys(streamed_keys, candidate)
+            if saving <= threshold:
+                continue
+            reason = _tail_refusal(kernel, candidate, candidate_index, defuse, scheduled)
+            if reason is None:
+                ready.remove(candidate_index)
+                cluster.append(candidate_index)
+                cluster_saving += saving
+                release(candidate_index)
+                break
+            if reason:
+                refusals[reason] = refusals.get(reason, 0) + 1
         items.append(tuple(cluster))
         item_savings.append(cluster_saving)
 

@@ -18,11 +18,12 @@ import numpy as np
 
 from repro.bytecode.base import BaseArray
 from repro.bytecode.program import Program
+from repro.bytecode.validate import validate_program
 from repro.bytecode.view import View
 from repro.core.analysis import DefUse, observable_views
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.memory import MemoryManager
-from repro.utils.errors import RewriteError
+from repro.utils.errors import RewriteError, ValidationError
 
 
 class VerificationError(RewriteError):
@@ -118,6 +119,12 @@ class SemanticVerifier:
         so extra missing internals on its side are only an error when the
         original exposes them.
         """
+        try:
+            # The interpreter would run a malformed kernel payload (a
+            # reduction anywhere but last) member by member without complaint.
+            validate_program(optimized)
+        except ValidationError as exc:
+            raise VerificationError(f"optimized program is malformed: {exc}") from None
         bases = self._all_bases(original, optimized)
         original_outputs = self.outputs(original, self._prepare_memory(bases))
         optimized_outputs = self.outputs(optimized, self._prepare_memory(bases))

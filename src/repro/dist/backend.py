@@ -59,7 +59,7 @@ from repro.runtime.plan import (
     program_base_order,
     program_fingerprint,
 )
-from repro.runtime.tiling import combine_partials
+from repro.runtime.tiling import TiledReduceStep, combine_partials
 from repro.utils.config import get_config
 from repro.utils.errors import DistributedExecutionError
 from repro.utils.lru import BoundedLRU
@@ -487,10 +487,16 @@ class DistributedBackend(ParallelBackend):
             )
             for worker_id in range(workers):
                 pool.send(worker_id, map_frame, stats)
-            for shard_step in dist_plan.steps:
+            for shard_step, tile_step in zip(dist_plan.steps, tiling.steps):
                 instruction = program[shard_step.index]
                 if isinstance(shard_step, MasterStep):
-                    self._run_serial(instruction, memory, stats)
+                    if isinstance(tile_step, TiledReduceStep):
+                        # Kept here by the shard planner, counted; the spans
+                        # and combine tree stay the tiling's, so do the bits.
+                        stats.note_fallback(f"dist: {shard_step.reason}")
+                        self._run_reduce(instruction, tile_step, memory, stats, 1)
+                    else:
+                        self._run_serial(instruction, memory, stats)
                     continue
                 # Slot occupants bind (and zero-fill, unless waived) here,
                 # when the slot's previous occupant is dead; a private base
@@ -556,7 +562,9 @@ class DistributedBackend(ParallelBackend):
         scratch_name,
         stats,
     ) -> None:
-        stats.record_launch((instruction,))
+        fused = instruction if instruction.is_fused() else None
+        instructions = instruction.kernel if fused else (instruction,)
+        stats.record_launch(instructions, fused)
         participants = [
             worker_id
             for worker_id, assignment in enumerate(step.assignments)
@@ -567,7 +575,7 @@ class DistributedBackend(ParallelBackend):
             pool.send(worker_id, frame, stats)
         stats.dist_shard_launches += len(participants)
         stats.tiles_executed += len(step.spans)
-        stats.tiled_instructions += 1
+        stats.tiled_instructions += len(instructions)
         for worker_id in participants:
             reply = pool.recv(worker_id, stats)
             self._fold_complete(reply, step.index, stats)
@@ -578,7 +586,7 @@ class DistributedBackend(ParallelBackend):
             dtype = np.dtype(step.partial_dtype)
             scratch = store.buffer(scratch_name)
             partials = scratch[: len(step.spans) * dtype.itemsize].view(dtype)
-            combine_partials(memory, instruction, partials)
+            combine_partials(memory, instructions[-1], partials)
 
     def _fold_complete(self, reply: dict, step_index: int, stats) -> None:
         if reply["kind"] != "complete" or reply["step"] != step_index:

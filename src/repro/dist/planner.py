@@ -28,7 +28,8 @@ correctness first, distribution second.
 Private bases
 -------------
 A base enters shared memory only if a worker must address it.  A base all
-of whose accesses sit inside one sharded map step, on slots the tiling
+of whose accesses sit inside one sharded step (a map step, or the reduce
+step of a kernel that ends in the reduction), on slots the tiling
 lists in ``local_slots`` (last access here, freed, never synced, stored
 before loaded) and that is no halo source needs no storage outside that
 kernel: the planner records it in :attr:`MapShardStep.private`, the master
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.cluster.partition import partition_length
-from repro.runtime.kernel import kernel_slot_views
+from repro.runtime.kernel import kernel_slot_views, split_tail
 from repro.runtime.plan import data_operand_positions
 from repro.runtime.tiling import (
     SerialStep,
@@ -131,14 +132,22 @@ class ReduceShardStep:
     #: :func:`repro.runtime.tiling.partial_dtype` — which types the shared
     #: scratch on the worker that writes it and the master that combines it.
     partial_dtype: str = ""
+    #: As :attr:`MapShardStep.private`, for a kernel that ends in the
+    #: reduction: the bases its element-wise members store (the reduction's
+    #: source among them), computed per span in the worker's scratch.
+    private: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
 class MasterStep:
-    """A step the master executes serially (with the reason recorded)."""
+    """A step the master executes itself (with the reason recorded): whole,
+    or — a tiled reduction the planner kept here — over the tiling's spans
+    with the thread tier's code, so its bits are the sharded reduction's."""
 
     index: int
     reason: str
+    #: As :attr:`MapShardStep.private`, for a kept kernel's local bases.
+    private: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -184,12 +193,7 @@ class DistPlan:
     @property
     def private_positions(self) -> frozenset:
         """Kernel-local base positions: no segment under a memory plan."""
-        return frozenset(
-            position
-            for step in self.steps
-            if isinstance(step, MapShardStep)
-            for position, _ in step.private
-        )
+        return frozenset(position for step in self.steps for position, _ in step.private)
 
     def _with_token(self, token: str) -> "DistPlan":
         return replace(self, token=token)
@@ -327,10 +331,8 @@ def build_dist_plan(
         if _reads_data_operand(instruction):
             steps.append(MasterStep(index=step.index, reason="reads a data operand"))
             continue
+        instructions = instruction.kernel if instruction.is_fused() else (instruction,)
         if isinstance(step, TiledMapStep):
-            instructions = (
-                instruction.kernel if instruction.is_fused() else (instruction,)
-            )
             slots = kernel_slot_views(instructions)
             rows = slots[0].shape[0]
             halos, reason = _halo_specs(instructions, slots)
@@ -370,11 +372,28 @@ def build_dist_plan(
             shards_erf |= any(inner.opcode is OpCode.BH_ERF for inner in instructions)
             continue
         assert isinstance(step, TiledReduceStep)
+        members, tail = split_tail(instructions)
+        private = ()
+        if members:
+            # The members run per span on whichever worker was dealt it, on
+            # that span's rows only: a shifted window would need its
+            # neighbour's.
+            slots = kernel_slot_views(members)
+            if defuse is None:
+                defuse = DefUse.analyze(program)
+            private = _private_bases(
+                step.index, slots, step.local_slots, (), positions, defuse
+            )
+            if _halo_specs(members, slots)[0] != ():
+                reason = "map-reduce producer needs a halo"
+                steps.append(MasterStep(step.index, reason, private))
+                continue
+            shards_erf |= any(inner.opcode is OpCode.BH_ERF for inner in members)
         dealt = partition_length(len(step.spans), num_workers)
         assignments = tuple(
             tuple(range(start, start + count)) for start, count in dealt
         ) + ((),) * (num_workers - len(dealt))
-        partial = partial_dtype(instruction) if step.combine else None
+        partial = partial_dtype(tail) if step.combine else None
         steps.append(
             ReduceShardStep(
                 index=step.index,
@@ -383,6 +402,7 @@ def build_dist_plan(
                 combine=step.combine,
                 assignments=assignments,
                 partial_dtype=partial.str if step.combine else "",
+                private=private,
             )
         )
         if step.combine:
@@ -443,6 +463,13 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
             raise ProtocolError(
                 f"distributed step {shard_step.index} reads a data operand"
             )
+        for position, _ in shard_step.private:
+            if not 0 <= position < num_bases or position in private_seen:
+                raise ProtocolError(
+                    f"step {shard_step.index} claims base position "
+                    f"{position} as private (of {num_bases}, each at most once)"
+                )
+            private_seen.add(position)
         if isinstance(shard_step, MapShardStep):
             if not shard_step.shards:
                 raise ProtocolError(f"map step {shard_step.index} has no shards")
@@ -457,13 +484,6 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
                         f"map step {shard_step.index} shards are not contiguous"
                     )
                 cursor += span.count
-            for position, _ in shard_step.private:
-                if not 0 <= position < num_bases or position in private_seen:
-                    raise ProtocolError(
-                        f"map step {shard_step.index} claims base position "
-                        f"{position} as private (of {num_bases}, each at most once)"
-                    )
-                private_seen.add(position)
         elif isinstance(shard_step, ReduceShardStep):
             dealt = sorted(
                 position

@@ -34,8 +34,10 @@ Execution model
   first fetch their halo rows into a private landing buffer (on a
   background thread in ``overlap`` mode, so the copy hides behind interior
   compute) and run their boundary rows against the landing copy; reduction
-  shards reduce their assigned spans, combine forms writing partials into
-  the shared scratch segment for the master's fixed pairwise combine.
+  shards reduce their assigned spans — of a kernel that ends in the
+  reduction, after its members computed the span in scratch — combine forms
+  writing partials into the shared scratch segment for the master's fixed
+  pairwise combine.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from repro.dist.protocol import (
 )
 from repro.dist.shardstore import _close_quietly, attach_segment
 from repro.runtime.interpreter import erf_fallback_reason
-from repro.runtime.kernel import prepare_kernel_launch
-from repro.runtime.tiling import TileSpan, reduce_tile, slice_view
+from repro.runtime.kernel import prepare_kernel_launch, split_tail
+from repro.runtime.tiling import TileSpan, reduce_tile, slice_view, span_producer
 from repro.utils.config import get_config, set_config
 
 #: Worker-side attachment cache cap: segments beyond this are re-attached
@@ -304,7 +306,7 @@ class _Worker:
         if isinstance(step, MapShardStep):
             self._run_map_shard(loaded, step, counters)
         elif isinstance(step, ReduceShardStep):
-            self._run_reduce_shard(loaded, step)
+            self._run_reduce_shard(loaded, step, counters)
         else:
             raise ProtocolError(f"step {frame['step']} is not distributed")
         self.send("complete", step=frame["step"], counters=counters)
@@ -317,13 +319,31 @@ class _Worker:
         cached = loaded.templates.get(step_index)
         if cached is None:
             instruction = loaded.program[step_index]
-            instructions = (
-                instruction.kernel if instruction.is_fused() else (instruction,)
-            )
-            _, slots, make_template = prepare_kernel_launch(instructions)
+            # The element-wise byte-codes: a closing reduction is not a step
+            # of the template but what consumes its result.
+            members = split_tail(instruction.kernel or (instruction,))[0]
+            _, slots, make_template = prepare_kernel_launch(members)
             cached = (slots, make_template())
             loaded.templates[step_index] = cached
         return cached
+
+    def _launch_template(self, loaded, step, counters):
+        """``(slot views, template, local slots)`` for one launch of a step.
+
+        Slots of private bases the mapping left out are kernel-local to the
+        launch: scratch of the call, no storage to resolve.
+        """
+        slots, template = self._template(loaded, step.index)
+        local = frozenset(
+            slot
+            for position, base_slots in step.private
+            if position in self.unmapped
+            for slot in base_slots
+        )
+        counters["template_slots_elided"] = len(local)
+        if template.uses_erf:
+            counters["erf_fallback"] = erf_fallback_reason()
+        return slots, template, local
 
     def _run_map_shard(self, loaded, step: MapShardStep, counters) -> None:
         if self.worker_id >= len(step.shards):
@@ -331,19 +351,8 @@ class _Worker:
                 f"worker {self.worker_id} launched beyond step's {len(step.shards)} shards"
             )
         shard = step.shards[self.worker_id]
-        slots, template = self._template(loaded, step.index)
-        # Slots of private bases the mapping left out are kernel-local to
-        # the launch: block scratch, no storage to resolve.
-        local = frozenset(
-            slot
-            for position, base_slots in step.private
-            if position in self.unmapped
-            for slot in base_slots
-        )
+        slots, template, local = self._launch_template(loaded, step, counters)
         launch = template.blocked(local)
-        counters["template_slots_elided"] = len(local)
-        if template.uses_erf:
-            counters["erf_fallback"] = erf_fallback_reason()
         if not step.halos:
             views = tuple(slice_view(view, shard) for view in slots)
             launch(self.memory, views)
@@ -451,13 +460,20 @@ class _Worker:
     # Reduction shards
     # ------------------------------------------------------------------ #
 
-    def _run_reduce_shard(self, loaded, step: ReduceShardStep) -> None:
+    def _run_reduce_shard(self, loaded, step: ReduceShardStep, counters) -> None:
         positions = step.assignments[self.worker_id]
         if not positions:
             raise ProtocolError(
                 f"worker {self.worker_id} launched for reduce step with no spans"
             )
         instruction = loaded.program[step.index]
+        producer = None
+        if instruction.is_fused():
+            # A kernel that ends in the reduction: its members produce each
+            # span's source here, in scratch, as on the thread tier.
+            slots, template, local = self._launch_template(loaded, step, counters)
+            instruction = instruction.kernel[-1]
+            producer = span_producer(template, slots, local, instruction.inputs[0])
         partials = None
         if step.combine:
             if self.scratch is None:
@@ -468,7 +484,7 @@ class _Worker:
             partials = self.scratch[: len(step.spans) * dtype.itemsize].view(dtype)
         # The thread tier's tile body, over this worker's share of the spans.
         for position in positions:
-            reduce_tile(self.memory, instruction, step, position, partials)
+            reduce_tile(self.memory, instruction, step, position, partials, producer)
 
 
 def worker_main(worker_id: int, conn) -> None:

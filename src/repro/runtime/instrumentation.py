@@ -68,7 +68,8 @@ class ExecutionStats:
     #: in-process loaded-kernel cache.
     native_disk_hits: int = _stat()
     native_memory_hits: int = _stat()
-    #: Tiled map steps that executed through compiled native loops.
+    #: Tiled map steps that executed through compiled native loops (the
+    #: members of a kernel that ends in a compiled reduction are one).
     native_kernel_launches: int = _stat()
     #: Tiled map steps that fell back to interpreted kernel templates
     #: (unsupported op-codes/dtypes, aliasing hazards, compile failure or

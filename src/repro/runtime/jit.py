@@ -27,7 +27,12 @@ from repro.bytecode.program import Program
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.interpreter import NumPyInterpreter, erf_fallback_reason
-from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, Kernel, cached_kernel_launch
+from repro.runtime.kernel import (
+    KERNEL_CACHE_CAPACITY,
+    Kernel,
+    cached_kernel_launch,
+    split_tail,
+)
 from repro.runtime.memory import MemoryManager
 from repro.utils.config import get_config
 from repro.utils.lru import BoundedLRU
@@ -112,7 +117,8 @@ class FusingJIT(Backend):
         # A kernel that unwraps a pre-fused byte-code is accounted exactly
         # like interpreting it (BH_FUSED + payload).
         stats.record_launch(kernel.instructions, kernel.source)
-        slots, template, hit = cached_kernel_launch(self._kernels, kernel.instructions)
+        members, tail = split_tail(kernel.instructions)
+        slots, template, hit = cached_kernel_launch(self._kernels, members)
         if hit:
             stats.kernel_cache_hits += 1
         else:
@@ -120,3 +126,5 @@ class FusingJIT(Backend):
         if template.uses_erf:
             stats.note_fallback(erf_fallback_reason())
         template(memory, slots)
+        if tail is not None:  # the kernel's closing reduction, over the whole array
+            self._interpreter._dispatch(tail, memory)

@@ -195,6 +195,22 @@ class KernelTemplate:
         """This template as a row-blocked launcher eliding ``local_slots``."""
         return BlockedTemplateLaunch(self, local_slots)
 
+    def evaluate(self, memory, views: Sequence[View], local_slots, result: int):
+        """Run every byte-code once over ``views``; return slot ``result``'s array.
+
+        For the producers of a reduction tail: ``views`` are one tile span's
+        slices and each local slot gets one uninitialised, span-sized lane
+        owned by the call — not blocks: the reduction that consumes the
+        returned array must see the span it sees when the array is real.
+        """
+        arrays = self._resolve(memory, views, local_slots)
+        for position in local_slots:
+            view = views[position]
+            arrays[position] = np.empty(view.shape, view.dtype.np_dtype)
+        for step in self._steps:
+            step(arrays)
+        return arrays[result]
+
     def _resolve(self, memory, views: Sequence[View], local_slots) -> list:
         """One ndarray per slot (``None`` for a local one), resolved once."""
         if len(views) != self.num_slots:
@@ -254,6 +270,17 @@ class BlockedTemplateLaunch:
             ]
             for step in template._steps:
                 step(block)
+
+
+def split_tail(instructions: Sequence[Instruction]):
+    """``(element-wise members, reduction tail or None)`` of a launch unit.
+
+    A kernel may end in one reduction (:mod:`repro.core.schedule`); a bare
+    reduction is the kernel with no members.
+    """
+    if instructions and instructions[-1].is_reduction():
+        return tuple(instructions[:-1]), instructions[-1]
+    return tuple(instructions), None
 
 
 def _slot_walk(instructions: Sequence[Instruction]):

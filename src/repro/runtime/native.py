@@ -1,9 +1,11 @@
 """The native backend: tiled execution through compiled C loop nests.
 
-Subclasses the tiled parallel backend and replaces exactly one seam —
-:meth:`~repro.runtime.parallel.ParallelBackend._map_launcher` — so the
-plan-time tile decomposition, the memory planning, the reduction paths and
-the serial interpreter fallbacks are *identical* to the parallel backend.
+Subclasses the tiled parallel backend and replaces its launch seams —
+:meth:`~repro.runtime.parallel.ParallelBackend._map_launcher` and, for
+reductions with or without a producing kernel, ``_run_reduce`` — so the
+plan-time tile decomposition, the memory planning, the interpreted
+reduction path and the serial fallbacks are *identical* to the parallel
+backend.
 What changes is what runs per tile: when a kernel form lowers bitwise-safely
 (:mod:`repro.codegen.loopir`), each tile calls into one compiled C function
 instead of per-instruction NumPy dispatch; otherwise the step falls back to
@@ -59,7 +61,7 @@ from repro.codegen.loopir import (
     lower_reduction,
 )
 from repro.runtime.instrumentation import NUMERIC_STATS, ExecutionStats
-from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, prepare_kernel_launch
+from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, prepare_kernel_launch, split_tail
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
@@ -153,9 +155,11 @@ class NativeReduceLaunch:
     """A compiled reduction kernel bound to its geometry mapping.
 
     ABI (see :func:`repro.codegen.emit_c.emit_reduce_source`): ``dims`` are
-    the *source* extents, ``ptrs`` is ``[source, output]``, and ``strides``
-    carries the source byte strides followed by the output byte strides
-    aligned to source axes with a zero lane at the reduced axis.
+    the *source* extents, ``ptrs`` is the nest's slots then the output — a
+    bare reduction's one slot is its source, the slots a kernel's members
+    store have no storage and pass null — and ``strides`` carries each
+    entry's byte strides, the output's aligned to source axes with a zero
+    lane at the reduced axis.
     """
 
     __slots__ = (
@@ -164,6 +168,7 @@ class NativeReduceLaunch:
         "_runtime",
         "_rank",
         "_axis",
+        "_loaded",
         "_dims_type",
         "_ptrs_type",
         "_strides_type",
@@ -175,9 +180,11 @@ class NativeReduceLaunch:
         self._runtime = runtime
         self._rank = nest.rank
         self._axis = nest.axis
+        self._loaded = frozenset(nest.loaded_slots)
+        entries = len(nest.slot_dtypes) + 1
         self._dims_type = ctypes.c_int64 * nest.rank
-        self._ptrs_type = ctypes.c_void_p * 2
-        self._strides_type = ctypes.c_int64 * (2 * nest.rank)
+        self._ptrs_type = ctypes.c_void_p * entries
+        self._strides_type = ctypes.c_int64 * (entries * nest.rank)
 
     @property
     def supports_mt(self) -> bool:
@@ -186,21 +193,27 @@ class NativeReduceLaunch:
     def __call__(
         self,
         memory: MemoryManager,
-        source_view: View,
+        slots: Sequence[View],
         out_view: View,
         nthreads: int,
     ) -> bool:
         """Run the reduction; returns True when the chunked entry fired."""
-        src_item = source_view.dtype.itemsize
         out_item = out_view.dtype.itemsize
-        dims = self._dims_type(*source_view.shape)
-        src_storage = memory.allocate(source_view.base)
+        dims = self._dims_type(*slots[0].shape)
+        pointers = []
+        strides = []
+        for position, view in enumerate(slots):
+            if position not in self._loaded:
+                pointers.append(0)
+                strides.extend((0,) * self._rank)
+                continue
+            itemsize = view.dtype.itemsize
+            storage = memory.allocate(view.base)
+            pointers.append(storage.ctypes.data + view.offset * itemsize)
+            strides.extend(stride * itemsize for stride in view.strides)
         out_storage = memory.allocate(out_view.base)
-        pointers = self._ptrs_type(
-            src_storage.ctypes.data + source_view.offset * src_item,
-            out_storage.ctypes.data + out_view.offset * out_item,
-        )
-        strides = [stride * src_item for stride in source_view.strides]
+        pointers.append(out_storage.ctypes.data + out_view.offset * out_item)
+        pointers = self._ptrs_type(*pointers)
         out_position = 0
         for dim in range(self._rank):
             if dim == self._axis:
@@ -397,43 +410,55 @@ class NativeBackend(ParallelBackend):
         return self._cached_launch(cache_key, config, lower, stats)
 
     @staticmethod
-    def _reduce_key(instruction, step: TiledReduceStep) -> tuple:
-        """Structural key of a tiled reduction (opcode, dtypes, rank, axis,
-        tiling shape): one artifact serves every rebind and every array
-        size of the same canonical reduction."""
-        source = instruction.inputs[0]
-        return (
+    def _reduce_form(members, tail, step: TiledReduceStep):
+        """``(slot views, structural key)`` of a tiled reduction ``tail``
+        after the element-wise ``members`` of the kernel it ends (none: a
+        bare reduction, whose one slot is its source).
+
+        The key — opcode, dtypes, rank, axis, tiling shape, the members'
+        form and which of their slots is reduced — names one artifact for
+        every rebind and every array size of the same canonical map-reduce.
+        """
+        source = tail.inputs[0]
+        slots, producers = (source,), ()
+        if members:
+            key, slots, _ = prepare_kernel_launch(members)
+            producers = (key, next(i for i, v in enumerate(slots) if v.same_view(source)))
+        return slots, (
             "reduce",
-            instruction.opcode,
+            tail.opcode,
             source.dtype.name,
-            instruction.out.dtype.name,
+            tail.out.dtype.name,
             len(source.shape),
-            int(instruction.constants[0].value),
+            int(tail.constants[0].value),
             step.combine,
             step.tile_axis,
+            producers,
         )
 
     def _native_reduce_launch(
-        self, instruction, step: TiledReduceStep, stats: ExecutionStats
+        self, members, tail, step: TiledReduceStep, form: tuple, stats: ExecutionStats
     ):
-        """Resolve a tiled reduction to ``(compiled launchable, None)`` or
-        ``(None, why not)``.
+        """Resolve a tiled reduction of structural key ``form`` to
+        ``(compiled launchable, None)`` or ``(None, why not)``.
 
         Shares the backend LRU with map forms.
         """
+        if 0 in tail.inputs[0].shape:
+            # Geometry first, here and at plan time: a launch that would be
+            # thrown away costs no compiler run and no cache entry.
+            return None, "zero-size reduction source"
         config = self._effective_config()
         if not (config.codegen_enabled and config.codegen_reductions_enabled):
             return None, "compiled reductions disabled"
 
         def lower():
-            nest = lower_reduction(instruction, step.combine, step.tile_axis)
+            nest = lower_reduction(
+                tail, step.combine, step.tile_axis, members, step.local_slots
+            )
             return emit_reduce_source(nest), partial(NativeReduceLaunch, nest=nest)
 
-        cache_key = (
-            self._reduce_key(instruction, step),
-            frozenset(),
-            self._codegen_signature(config),
-        )
+        cache_key = (form, step.local_slots, self._codegen_signature(config))
         return self._cached_launch(cache_key, config, lower, stats)
 
     # ------------------------------------------------------------------ #
@@ -488,21 +513,32 @@ class NativeBackend(ParallelBackend):
         lower (or with reductions disabled) fall back to the inherited
         interpreted tiled paths, counted as reduction fallbacks.
         """
-        launch, reason = self._native_reduce_launch(instruction, step, stats)
-        source_view = instruction.inputs[0]
-        if launch is not None and 0 in source_view.shape:
-            launch, reason = None, "zero-size reduction source"
+        fused = instruction if instruction.is_fused() else None
+        instructions = instruction.kernel if fused else (instruction,)
+        members, tail = split_tail(instructions)
+        slots, form = self._reduce_form(members, tail, step)
+        launch, reason = self._native_reduce_launch(members, tail, step, form, stats)
         if launch is not None:
-            stats.record_launch((instruction,))
-            stats.tiled_instructions += 1
+            stats.record_launch(instructions, fused)
+            stats.tiled_instructions += len(instructions)
             stats.tiles_executed += 1
             nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
-            used_mt = launch(memory, source_view, instruction.out, nthreads)
+            used_mt = launch(memory, slots, tail.out, nthreads)
+            # A kernel's members ran compiled too: one kernel launch.
             self._count(
-                stats, native_reductions_compiled=1, native_mt_launches=int(used_mt)
+                stats,
+                native_reductions_compiled=1,
+                native_kernel_launches=int(bool(members)),
+                native_mt_launches=int(used_mt),
+                native_slots_elided=len(step.local_slots),
             )
             return
-        self._count(stats, fallback_reason=reason, native_reduction_fallbacks=1)
+        self._count(
+            stats,
+            fallback_reason=reason,
+            native_reduction_fallbacks=1,
+            native_fallbacks=int(bool(members)),
+        )
         super()._run_reduce(instruction, step, memory, stats, threads)
 
     def prepare_plan(self, plan) -> None:
@@ -532,15 +568,17 @@ class NativeBackend(ParallelBackend):
             resolvers: Dict[tuple, Callable] = {}
             for step in plan.tiling.steps:
                 instruction = plan.optimized[step.index]
+                instructions = (
+                    instruction.kernel if instruction.is_fused() else (instruction,)
+                )
                 if isinstance(step, TiledReduceStep):
-                    form = self._reduce_key(instruction, step)
+                    members, tail = split_tail(instructions)
+                    form = self._reduce_form(members, tail, step)[1]
                     resolve = partial(
-                        self._native_reduce_launch, instruction, step, parked
+                        self._native_reduce_launch, members, tail, step, form, parked
                     )
+                    form = (form, step.local_slots)
                 elif isinstance(step, TiledMapStep):
-                    instructions = (
-                        instruction.kernel if instruction.is_fused() else (instruction,)
-                    )
                     key, slots, _ = prepare_kernel_launch(instructions)
                     form = (key, step.local_slots)
                     resolve = partial(

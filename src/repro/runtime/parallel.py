@@ -49,7 +49,7 @@ from repro.cluster.partition import partition_length
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.interpreter import NumPyInterpreter, erf_fallback_reason
-from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, cached_kernel_launch
+from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, cached_kernel_launch, split_tail
 from repro.runtime.memory import MemoryManager
 from repro.runtime.memplan import bind_memory_plan
 from repro.runtime.plan import (
@@ -69,6 +69,7 @@ from repro.runtime.tiling import (
     reduce_tile,
     resolve_num_threads,
     slice_view,
+    span_producer,
 )
 from repro.utils.config import get_config
 from repro.utils.locking import ContendedLock
@@ -391,13 +392,19 @@ class ParallelBackend(Backend):
         :func:`prepare_kernel_launch` walk, so falling back here does not
         pay a second one).
         """
+        slots, template = self._template(instructions, step, stats, prepared)
+        return slots, template.blocked(step.local_slots)
+
+    def _template(self, instructions, step, stats, prepared=None):
+        """``(slot views, cached interpreted template)`` of a step's
+        element-wise byte-codes, its local slots counted as elided."""
         slots, template, _ = cached_kernel_launch(self._templates, instructions, prepared)
         stats.template_slots_elided += len(step.local_slots)
         with self._cache_lock:
             self._totals.template_slots_elided += len(step.local_slots)
         if template.uses_erf:
             self._note_fallback(stats, erf_fallback_reason())
-        return slots, template.blocked(step.local_slots)
+        return slots, template
 
     def _run_reduce(
         self,
@@ -407,20 +414,32 @@ class ParallelBackend(Backend):
         stats: ExecutionStats,
         threads: int,
     ) -> None:
-        stats.record_launch((instruction,))
-        memory.allocate(instruction.inputs[0].base)
-        memory.allocate(instruction.out.base)
+        fused = instruction if instruction.is_fused() else None
+        instructions = instruction.kernel if fused else (instruction,)
+        members, tail = split_tail(instructions)
+        stats.record_launch(instructions, fused)
+        # A kernel that ends in the reduction computes each span's source
+        # with its members' template, local slots in span-sized scratch; as
+        # for a map step, no worker thread may mutate the memory manager.
+        producer = None
+        slots = (tail.inputs[0],)
+        if members:
+            slots, template = self._template(members, step, stats)
+            producer = span_producer(template, slots, step.local_slots, tail.inputs[0])
+        for position, view in enumerate(slots + (tail.out,)):
+            if position not in step.local_slots:
+                memory.allocate(view.base)
         tiles = len(step.spans)
         stats.tiles_executed += tiles
-        stats.tiled_instructions += 1
+        stats.tiled_instructions += len(instructions)
         # Full 1-D reductions yield one partial per tile, tree-combined.
         partials = [None] * tiles if step.combine else None
         self._scatter(
             [
-                partial(reduce_tile, memory, instruction, step, position, partials)
+                partial(reduce_tile, memory, tail, step, position, partials, producer)
                 for position in range(tiles)
             ],
             threads,
         )
         if step.combine:
-            combine_partials(memory, instruction, partials)
+            combine_partials(memory, tail, partials)

@@ -26,7 +26,8 @@ Splittability rules (serial fallback otherwise):
 * reductions: n-D inputs are tiled along a non-reduced axis, so every tile
   writes a disjoint slice of the output and results are bit-identical to
   the serial reduction.  Full 1-D reductions produce one partial per tile,
-  tree-combined by the backend.
+  tree-combined by the backend.  A fused kernel that *ends* in a reduction
+  gets that reduction's step, its members computing each tile's source.
 * everything else — generators (``BH_RANDOM``, ``BH_RANGE``), extension
   methods (dense linear algebra), system directives — is serial, mirroring
   the splittable-versus-serial split of :mod:`repro.cluster.partition`,
@@ -37,7 +38,7 @@ Splittability rules (serial fallback otherwise):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,12 +103,18 @@ class TiledReduceStep:
     (bit-identical to the serial reduction).  It is true for full 1-D
     reductions, where each tile yields one partial result and the backend
     tree-combines the partials.
+
+    The step of a kernel that *ends* in the reduction is the step the bare
+    reduction gets — same spans, axis and combine tree, hence the same bits
+    — plus the kernel's ``local_slots`` (see :class:`TiledMapStep`): every
+    slot its element-wise members store, the reduction's source included.
     """
 
     index: int
     spans: Tuple[TileSpan, ...]
     tile_axis: int
     combine: bool
+    local_slots: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,7 @@ def partial_dtype(instruction: Instruction) -> np.dtype:
 
 
 def reduce_tile(
-    memory, instruction: Instruction, step, position: int, partials=None
+    memory, instruction: Instruction, step, position: int, partials=None, producer=None
 ) -> None:
     """Reduce tile ``position`` of a tiled reduction (thread or worker process).
 
@@ -173,18 +180,42 @@ def reduce_tile(
     bit-identical.  Partial form (full 1-D reductions): the tile's span
     folds to one value stored at ``partials[position]`` for
     :func:`combine_partials`.
+
+    ``producer`` (:func:`span_producer`) computes the span's source values
+    when the reduction ends a kernel; without one they are read from memory.
     """
     source_view, axis_constant = instruction.inputs
     ufunc = _reduction_ufunc(instruction)
     span = step.spans[position]
+    if producer is not None:
+        source = producer(memory, span, step.tile_axis)
+    else:
+        source = memory.view_array(slice_view(source_view, span, axis=step.tile_axis))
     if step.combine:
-        source = memory.view_array(slice_view(source_view, span))
         partials[position] = ufunc.reduce(source, axis=0)
         return
-    source = memory.view_array(slice_view(source_view, span, axis=step.tile_axis))
     out = memory.view_array(slice_view(instruction.out, span, axis=0))
     reduced = ufunc.reduce(source, axis=int(axis_constant.value))
     np.copyto(out, np.asarray(reduced).reshape(out.shape), casting="unsafe")
+
+
+def span_producer(template, slots: Sequence[View], local_slots: frozenset, source: View):
+    """:func:`reduce_tile`'s ``producer`` for a kernel that ends in a reduction.
+
+    ``template`` and ``slots`` are the compiled element-wise members and
+    their slot views; per span the members run once over the span's slice of
+    every slot — ``local_slots`` in scratch of that size — and the array of
+    the slot the reduction reads (``source``) is what the tile reduces.
+    """
+    result = next(
+        position for position, view in enumerate(slots) if view.same_view(source)
+    )
+
+    def produce(memory, span: TileSpan, axis: int):
+        views = tuple(slice_view(view, span, axis) for view in slots)
+        return template.evaluate(memory, views, local_slots, result)
+
+    return produce
 
 
 def combine_partials(memory, instruction: Instruction, partials) -> None:
@@ -257,12 +288,13 @@ def spans_for(
 # --------------------------------------------------------------------------- #
 
 
-def _map_serial_reason(
-    instructions: Sequence[Instruction], config: Config
+def map_serial_reason(
+    instructions: Sequence[Instruction], config: Optional[Config] = None
 ) -> Optional[str]:
     """Why a (fused) element-wise instruction list cannot be row-tiled.
 
-    Returns ``None`` when tiling is safe.
+    Returns ``None`` when tiling is safe.  Without a ``config`` only the
+    structure is judged, not the size.
     """
     shape = None
     for instruction in instructions:
@@ -280,13 +312,14 @@ def _map_serial_reason(
     for view in views:
         if view.shape != shape:
             return "operand shape differs from kernel shape"
-    nelem = 1
-    for dim in shape:
-        nelem *= dim
-    if nelem < config.parallel_serial_threshold:
-        return "below serial threshold"
-    if shape[0] < 2:
-        return "single row"
+    if config is not None:
+        nelem = 1
+        for dim in shape:
+            nelem *= dim
+        if nelem < config.parallel_serial_threshold:
+            return "below serial threshold"
+        if shape[0] < 2:
+            return "single row"
     writes = [v for instruction in instructions for v in instruction.writes()]
     for write in writes:
         for other in views:
@@ -301,7 +334,7 @@ def _decompose_map(
     index: int, instruction: Instruction, config: Config
 ) -> object:
     instructions = instruction.kernel if instruction.is_fused() else (instruction,)
-    reason = _map_serial_reason(instructions, config)
+    reason = map_serial_reason(instructions, config)
     if reason is not None:
         return SerialStep(index=index, reason=reason)
     out_shape = next(i.out.shape for i in instructions if i.out is not None)
@@ -315,13 +348,35 @@ def _decompose_map(
     return TiledMapStep(index=index, spans=spans)
 
 
+def tail_serial_reason(
+    members: Sequence[Instruction], tail: Instruction, config: Optional[Config] = None
+) -> Optional[str]:
+    """Why a kernel ending in reduction ``tail`` runs whole (its byte-codes
+    in order, every intermediate in memory) instead of tile by tile."""
+    source, out = tail.inputs[0], tail.out
+    if not any(view.same_view(source) for member in members for view in member.writes()):
+        return "reduction reads no store of its kernel"
+    if any(view.overlaps(out) for member in members for view in member.views()):
+        return "reduction output aliases a kernel operand"
+    strides = [abs(s) for s, dim in zip(source.strides, source.shape) if dim > 1]
+    if strides != sorted(strides, reverse=True):
+        # NumPy folds in the order the strides suggest: a row-major scratch
+        # span would be folded differently from the array it stands for.
+        return "reduction source is not row-major"
+    return map_serial_reason(members, config)
+
+
 def _decompose_reduce(
-    index: int, instruction: Instruction, config: Config
+    index: int, instruction: Instruction, config: Config, members=()
 ) -> object:
     source = instruction.inputs[0]
     out = instruction.out
     if not is_view(source) or out is None:
         return SerialStep(index=index, reason="malformed reduction")
+    if members:
+        reason = tail_serial_reason(members, instruction, config)
+        if reason is not None:
+            return SerialStep(index=index, reason=reason)
     axis = int(instruction.constants[0].value)
     if source.nelem < config.parallel_serial_threshold:
         return SerialStep(index=index, reason="below serial threshold")
@@ -424,26 +479,35 @@ def decompose(program: Program, config: Optional[Config] = None) -> TileDecompos
     because slot indices and liveness are structural, not identity-bound.
     """
     from repro.core.analysis import DefUse
+    from repro.runtime.kernel import _slot_walk, split_tail
 
     config = config if config is not None else get_config()
     defuse = None
     steps = []
     for index, instruction in enumerate(program):
+        members, tail = split_tail(instruction.kernel or (instruction,))
         if instruction.is_system():
             steps.append(SerialStep(index=index, reason="system"))
+        elif tail is not None:
+            step = _decompose_reduce(index, tail, config, members)
+            if members and isinstance(step, TiledReduceStep):
+                if defuse is None:
+                    defuse = DefUse.analyze(program)
+                local = _local_slot_indices(index, instruction, defuse)
+                if local.issuperset(refs[0][1] for _, refs in _slot_walk(members)[2]):
+                    step = replace(step, local_slots=local)
+                else:
+                    step = SerialStep(index=index, reason="kernel keeps a store")
+            steps.append(step)
         elif instruction.is_fused() or instruction.is_elementwise():
             step = _decompose_map(index, instruction, config)
             if isinstance(step, TiledMapStep):
                 if defuse is None:
                     defuse = DefUse.analyze(program)
-                step = TiledMapStep(
-                    index=step.index,
-                    spans=step.spans,
-                    local_slots=_local_slot_indices(index, instruction, defuse),
+                step = replace(
+                    step, local_slots=_local_slot_indices(index, instruction, defuse)
                 )
             steps.append(step)
-        elif instruction.is_reduction():
-            steps.append(_decompose_reduce(index, instruction, config))
         elif instruction.is_extension():
             steps.append(SerialStep(index=index, reason="extension"))
         else:

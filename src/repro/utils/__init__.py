@@ -1,4 +1,4 @@
-"""Shared utilities: configuration, errors, logging and timing helpers."""
+"""Shared utilities: configuration, errors, locking and the bounded LRU."""
 
 from repro.utils.errors import (
     ReproError,
@@ -12,7 +12,6 @@ from repro.utils.errors import (
 )
 from repro.utils.config import Config, get_config, set_config, config_override
 from repro.utils.locking import ContendedLock, SingleOwner
-from repro.utils.timing import Timer, StopWatch
 
 __all__ = [
     "ReproError",
@@ -29,6 +28,4 @@ __all__ = [
     "config_override",
     "ContendedLock",
     "SingleOwner",
-    "Timer",
-    "StopWatch",
 ]

@@ -137,6 +137,15 @@ class TestInstructionValidation:
         with pytest.raises(ValidationError):
             validate_instruction(Instruction(OpCode.BH_FUSED, (), kernel=[reduction]))
 
+    def test_a_reduction_may_only_close_a_fused_payload(self):
+        out = vec(4)
+        store = Instruction(OpCode.BH_ADD, (out, vec(4), 1))
+        reduction = Instruction(OpCode.BH_ADD_REDUCE, (vec(1), out, 0))
+        validate_instruction(Instruction(OpCode.BH_FUSED, (), kernel=[store, reduction]))
+        for payload in ([reduction, store], [store, reduction, store], [store, reduction, reduction]):
+            with pytest.raises(ValidationError, match="one closing reduction"):
+                validate_instruction(Instruction(OpCode.BH_FUSED, (), kernel=payload))
+
     def test_system_arity(self):
         out = vec(4)
         validate_instruction(Instruction(OpCode.BH_SYNC, (out,)))

@@ -107,6 +107,21 @@ class TestViolations:
         with pytest.raises(IRCheckError, match="escapes base"):
             check_program(program)
 
+    def test_a_reduction_anywhere_but_last_in_a_kernel(self):
+        from repro.bytecode.instruction import Instruction
+
+        builder = ProgramBuilder()
+        t = builder.new_vector(8, name="t")
+        total = builder.new_vector(1, name="total")
+        builder.identity(t, 1)
+        builder.add_reduce(total, t)
+        store, reduction = builder.build()
+        closing = Program([Instruction(OpCode.BH_FUSED, (), kernel=[store, reduction])])
+        check_program(closing, reference=reference_facts(closing))
+        opening = Program([Instruction(OpCode.BH_FUSED, (), kernel=[reduction, store])])
+        with pytest.raises(IRCheckError, match="instruction 0.*one closing reduction"):
+            check_program(opening)
+
     def test_error_names_the_instruction(self):
         program = _temp_chain_program()
         reference = reference_facts(program)

@@ -260,10 +260,10 @@ class TestSchedule:
         builder.sync(s)
         program = builder.build()
         schedule = compute_schedule(program)
-        # Claim the reduction fused with the store: illegal cluster.
-        corrupted = dataclasses.replace(
-            schedule, items=((0, 1), (2,)) if len(program) == 3 else schedule.items
-        )
+        # A reduction may close a kernel of element-wise byte-codes ...
+        check_schedule(program, dataclasses.replace(schedule, items=((0, 1), (2,))))
+        # ... but it never opens one, and a system byte-code never joins.
+        corrupted = dataclasses.replace(schedule, items=((0,), (1, 2)))
         with pytest.raises(PlanCheckError, match="only .*element-wise"):
             check_schedule(program, corrupted)
 

@@ -86,3 +86,77 @@ def thread_hammer():
 def run_program(program, memory=None):
     """Execute a program on the reference interpreter (test helper)."""
     return NumPyInterpreter().execute(program, memory)
+
+
+@pytest.fixture(scope="session")
+def map_reduce_program():
+    """The program builder of the map-reduce differential axis."""
+    return _map_reduce_program
+
+
+def _map_reduce_program(dtype, reduction, shape, axis=0, convert=None):
+    """``out = reduce(f(random), axis)`` with ``f``'s chain stored in ``dtype``.
+
+    The shape the map-reduce differential axis is built from: a producer
+    chain of element-wise byte-codes whose last store — in ``dtype``, or a
+    converting ``BH_IDENTITY`` of it into ``convert`` — is read by exactly
+    one ``BH_<reduction>_REDUCE`` and then freed, so the ``dag`` scheduler
+    may end the kernel in the reduction.  Values are chosen so every
+    element matters to every reduction: odd integers (a wrapped product
+    never collapses to zero), floats within 1e-4 of one (a product neither
+    under- nor overflows, in float32 either).  Returns ``(program, out)``.
+    """
+    import math
+
+    from repro.bytecode import dtypes
+    from repro.bytecode.builder import ProgramBuilder
+    from repro.bytecode.opcodes import OpCode
+    from repro.bytecode.view import View
+
+    builder = ProgramBuilder()
+
+    def new(element_dtype, name):
+        base = builder.new_base(math.prod(shape), element_dtype, name=name)
+        return View.full(base, tuple(shape))
+
+    draw = new(dtypes.float64, "draw")
+    builder.random(draw, 20260422)
+    temporaries = [draw]
+    if dtype is dtypes.bool_:
+        shifted = new(dtypes.float64, "shifted")
+        builder.subtract(shifted, draw, 0.25)
+        source = new(dtype, "values")
+        builder.emit_binary(OpCode.BH_GREATER, source, shifted, 0.25)
+        temporaries.append(shifted)
+    elif dtype.is_integer:
+        scaled = new(dtypes.float64, "scaled")
+        builder.multiply(scaled, draw, 4.0)
+        values = new(dtype, "values")
+        builder.identity(values, scaled)  # converting: truncates to 0..3
+        doubled = new(dtype, "doubled")
+        builder.multiply(doubled, values, 2)
+        source = new(dtype, "odd")
+        builder.add(source, doubled, 1)
+        temporaries += [scaled, values, doubled]
+    else:
+        values = new(dtype, "values")
+        builder.multiply(values, draw, 0.0002)
+        source = new(dtype, "near_one")
+        builder.add(source, values, 0.9999)
+        temporaries.append(values)
+    if convert is not None:
+        temporaries.append(source)
+        converted = new(convert, "converted")
+        builder.identity(converted, source)
+        source = converted
+    ufunc = {"add": np.add, "multiply": np.multiply, "maximum": np.maximum, "minimum": np.minimum}
+    reduced = ufunc[reduction].reduce(np.ones(1, source.dtype.np_dtype)).dtype
+    kept = tuple(dim for index, dim in enumerate(shape) if index != axis) or (1,)
+    out = View.full(
+        builder.new_base(math.prod(kept), dtypes.from_numpy(reduced), name="out"), kept
+    )
+    builder.emit(OpCode[f"BH_{reduction.upper()}_REDUCE"], out, source, axis)
+    for view in temporaries + [source]:
+        builder.free(view)
+    builder.sync(out)
+    return builder.build(), out

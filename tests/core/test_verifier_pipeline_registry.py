@@ -44,6 +44,24 @@ class TestSemanticVerifier:
         with pytest.raises(VerificationError, match="differs"):
             SemanticVerifier().check(program, broken)
 
+    def test_a_kernel_with_a_reduction_before_its_last_member_is_rejected(self):
+        from repro.bytecode.instruction import Instruction
+
+        builder = ProgramBuilder()
+        t = builder.new_vector(8, name="t")
+        total = builder.new_vector(1, name="total")
+        builder.identity(t, 1)
+        builder.add_reduce(total, t)
+        builder.sync(total)
+        program = builder.build()
+        store, reduction, sync = program
+        closing = Program([Instruction(OpCode.BH_FUSED, (), kernel=[store, reduction]), sync])
+        SemanticVerifier().check(program, closing)  # must not raise
+        opening = Program([store, Instruction(OpCode.BH_FUSED, (), kernel=[reduction, store]), sync])
+        # The interpreter would run it and the values would even agree.
+        with pytest.raises(VerificationError, match="malformed.*one closing reduction"):
+            SemanticVerifier().check(program, opening)
+
     def test_shape_change_detected(self):
         builder = ProgramBuilder()
         v = builder.new_vector(8)

@@ -41,6 +41,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bytecode import dtypes
+from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
@@ -485,3 +487,273 @@ def test_planless_execution_is_the_planned_path(backend_name, seed, monkeypatch)
         assert calls["lower_kernel"] >= 2
     cache = backend.cache_stats()
     assert (cache["tiling_cache_misses"], cache["tiling_cache_hits"]) == (1, 1)
+
+
+# --------------------------------------------------------------------------- #
+# The map-reduce axis: a kernel may end in a reduction
+# --------------------------------------------------------------------------- #
+
+#: Thresholds scaled down 128x: sizes below sit on both sides of the serial
+#: threshold and of one span, at 2-D shapes that stay cheap.
+SMALL_TILES = dict(parallel_tile_elements=512, parallel_serial_threshold=64)
+
+PRODUCER_DTYPES = {
+    "bool": dtypes.bool_,
+    "int32": dtypes.int32,
+    "int64": dtypes.int64,
+    "float32": dtypes.float32,
+    "float64": dtypes.float64,
+}
+REDUCTIONS = ("add", "multiply", "maximum", "minimum")
+
+#: ``id -> (shape, axis)``: rank-1 below the threshold (serial), inside one
+#: span and across several; 2-D along each axis; one-wide dims.
+GEOMETRIES = {
+    "rank1_serial": ((63,), 0),
+    "rank1_one_span": ((500,), 0),
+    "rank1_spans": ((1700,), 0),
+    "rows_axis0": ((30, 40), 0),
+    "rows_axis1": ((30, 40), 1),
+    "one_column_axis0": ((600, 1), 0),
+    "one_row_axis0": ((1, 600), 0),
+    "one_row_axis1": ((1, 600), 1),
+}
+#: Every reduction where the fold is tiled; a sum and a maximum elsewhere.
+FULL_CROSS = ("rank1_spans", "rows_axis0", "rows_axis1")
+
+
+def _map_reduce_cell(build, backend, planned, **config):
+    """One cell of the axis: ``(tail-fused, tail-free, oracle, tails)`` of
+    the program ``build()`` returns, on ``backend``."""
+    program, out = build()
+    oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
+    values = {}
+    tails = 0
+    for scheduler in ("dag", "consecutive"):
+        with config_override(**config, fusion_scheduler=scheduler):
+            if planned:
+                engine = ExecutionEngine(backend=backend, optimize=True)
+                values[scheduler] = engine.execute(program).value(out)
+                tails += engine.last_plan.fusion_schedule.reduction_tails
+            else:
+                values[scheduler] = get_backend(backend).execute(program).value(out)
+    return values["dag"], values["consecutive"], oracle.value(out), tails
+
+
+def _assert_map_reduce_cell(cell, elements, context):
+    fused, unfused, oracle, _ = cell
+    assert fused.dtype == unfused.dtype == oracle.dtype, context
+    # The tail keeps the bare reduction's spans and combine tree: same bits
+    # as the tail-free schedule on the same tier, whatever the dtype.
+    assert fused.tobytes() == unfused.tobytes(), (context, fused, unfused)
+    if oracle.dtype.kind != "f":
+        assert fused.tobytes() == oracle.tobytes(), (context, fused, oracle)
+    else:
+        # Tiled tiers reassociate: the harness's tolerance, or the dtype's
+        # rounding over the reduced elements (float32 accumulates in float32).
+        rtol = max(RTOL, elements * float(np.finfo(oracle.dtype).eps))
+        np.testing.assert_allclose(fused, oracle, rtol=rtol, err_msg=context)
+
+
+#: (A plan-less interpreter schedules nothing: there is no tail to compare;
+#: the other plan-less cells cross the tiled geometries only.)
+TEMPLATE_TIER_CELLS = [
+    pytest.param(
+        geometry, backend, planned, id=f"{geometry}-{backend}" + ("" if planned else "-planless")
+    )
+    for geometry in sorted(GEOMETRIES)
+    for backend, planned in (
+        ("interpreter", True), ("jit", True), ("parallel", True), ("jit", False), ("parallel", False)
+    )
+    if planned or geometry in FULL_CROSS
+]
+
+
+@pytest.mark.parametrize("geometry,backend,planned", TEMPLATE_TIER_CELLS)
+@pytest.mark.parametrize("dtype", sorted(PRODUCER_DTYPES))
+def test_map_reduce_axis_template_tiers(dtype, geometry, backend, planned, map_reduce_program):
+    """Producer dtype x geometry x tier x plan/plan-less x reduction."""
+    shape, axis = GEOMETRIES[geometry]
+    reductions = REDUCTIONS if geometry in FULL_CROSS else ("add", "maximum")
+    tails = 0
+    for reduction in reductions:
+        cell = _map_reduce_cell(
+            lambda: map_reduce_program(PRODUCER_DTYPES[dtype], reduction, shape, axis),
+            backend,
+            planned,
+            **SMALL_TILES,
+        )
+        _assert_map_reduce_cell(cell, shape[axis], f"{backend} {dtype} {reduction} {geometry}")
+        tails += cell[3]
+    assert tails == (len(reductions) if planned else 0), "the axis is vacuous: no tail"
+
+
+#: The compiled tier pays one ``cc`` run per canonical map-reduce form, so
+#: it crosses fewer cells: every dtype with a sum, every reduction on
+#: float64 and int32, each 2-D axis, a one-wide dim.
+NATIVE_CELLS = (
+    [(dtype, "add", "rank1_spans") for dtype in sorted(PRODUCER_DTYPES)]
+    + [(dtype, reduction, "rank1_spans") for dtype in ("float64", "int32") for reduction in REDUCTIONS[1:]]
+    + [("bool", "maximum", "rank1_spans")]  # no compiled form: the counted fallback
+    + [(dtype, "add", geometry) for dtype in ("float64", "bool") for geometry in ("rows_axis0", "rows_axis1")]
+    + [("float32", "maximum", "rows_axis0"), ("int64", "add", "one_column_axis0")]
+    + [("float64", "add", "rank1_serial"), ("float64", "add", "rank1_one_span")]
+)
+
+
+@pytest.mark.parametrize("planned", [True, False], ids=["plan", "planless"])
+@pytest.mark.parametrize("dtype,reduction,geometry", NATIVE_CELLS)
+def test_map_reduce_axis_native(dtype, reduction, geometry, planned, map_reduce_program):
+    shape, axis = GEOMETRIES[geometry]
+    for threads in (1, 4):
+        cell = _map_reduce_cell(
+            lambda: map_reduce_program(PRODUCER_DTYPES[dtype], reduction, shape, axis),
+            "native",
+            planned,
+            **SMALL_TILES,
+            codegen_threads=threads,
+        )
+        _assert_map_reduce_cell(
+            cell, shape[axis], f"native({threads}) {dtype} {reduction} {geometry}"
+        )
+
+
+@pytest.mark.parametrize("backend", ("parallel", "native"))
+@pytest.mark.parametrize(
+    "length,threads,tiled",
+    [(8191, 2, False), (8192, 2, True), (65536, 1, False), (65537, 1, True)],
+)
+def test_map_reduce_axis_at_the_default_thresholds(
+    length, threads, tiled, backend, map_reduce_program
+):
+    """Both sides of ``parallel_serial_threshold`` and of one
+    ``parallel_tile_elements`` span, nothing scaled down: the kernel's step
+    is the bare reduction's step — tiled exactly when that one is."""
+    from repro.runtime.tiling import TiledReduceStep
+
+    for dtype in ("bool", "float64"):
+        program, out = map_reduce_program(PRODUCER_DTYPES[dtype], "add", (length,))
+        oracle, _ = _execute(program, [out], "interpreter", optimize=False)
+        values, steps = {}, {}
+        for scheduler in ("dag", "consecutive"):
+            with config_override(parallel_num_threads=threads, fusion_scheduler=scheduler):
+                engine = ExecutionEngine(backend=backend, optimize=True)
+                values[scheduler] = engine.execute(program).value(out)
+                steps[scheduler] = [
+                    step for step in engine.last_plan.tiling.steps
+                    if isinstance(step, TiledReduceStep)
+                ]
+        assert len(steps["dag"]) == len(steps["consecutive"]) == int(tiled)
+        if tiled:
+            (fused,), (bare,) = steps["dag"], steps["consecutive"]
+            assert (fused.spans, fused.tile_axis, fused.combine) == (
+                bare.spans, bare.tile_axis, bare.combine
+            )
+            assert fused.local_slots and not bare.local_slots
+        _assert_map_reduce_cell(
+            (values["dag"], values["consecutive"], oracle[0], 1), length, f"{backend} {dtype}"
+        )
+
+
+REFUSAL_LENGTH = 1700
+
+
+def _refusal_program(name):
+    """``(program, observed views)``: a reduction of a kernel's store that
+    must stay a launch of its own, one program per legality condition."""
+    from repro.bytecode.builder import ProgramBuilder
+    from repro.bytecode.view import View
+
+    n = REFUSAL_LENGTH
+    builder = ProgramBuilder()
+    draw = builder.new_vector(n + 1, name="draw")
+    builder.random(draw, 7)
+    head = View(draw.base, 0, (n,), (1,))
+    total = builder.new_vector(1, name="total")
+    observed = [total]
+    frees = [draw]
+    if name == "output_aliases_an_input":
+        product = builder.new_vector(n, name="product")
+        builder.multiply(product, head, 2.0)
+        total = View(draw.base, 0, (1,), (1,))  # a window the kernel reads
+        builder.add_reduce(total, product)
+        observed, frees = [View.full(draw.base)], [product]
+    elif name == "producer_stores_a_sub_view":
+        product = builder.new_vector(n, name="product")
+        half = View(product.base, 0, (n // 2,), (1,))
+        builder.multiply(half, View(draw.base, 0, (n // 2,), (1,)), 2.0)
+        builder.add_reduce(total, product)  # the stored half and the zeros beside it
+        frees.append(product)
+    elif name == "source_updated_in_place":
+        builder.multiply(head, head, 2.0)
+        builder.add_reduce(total, head)
+    elif name == "producer_shifts_its_own_window":
+        tail = View(draw.base, 1, (n,), (1,))
+        builder.multiply(tail, head, 0.5)  # serial semantics: reads before it writes
+        builder.add_reduce(total, tail)
+    else:
+        product = builder.new_vector(n, name="product")
+        builder.multiply(product, head, 2.0)
+        if name == "another_store_is_observed":
+            shifted = builder.new_vector(n, name="shifted")
+            builder.add(shifted, product, 1.0)
+            builder.add_reduce(total, shifted)
+            observed.append(product)
+            frees.append(shifted)
+        else:
+            builder.add_reduce(total, product)
+        if name == "source_synced":
+            observed.append(product)
+        if name == "source_read_again":
+            largest = builder.new_vector(1, name="largest")
+            builder.maximum_reduce(largest, product)
+            observed.append(largest)
+        if name in ("source_read_again",):  # the observed ones stay readable
+            frees.append(product)
+    for view in observed:
+        builder.sync(view)
+    for view in frees:
+        builder.free(view)
+    return builder.build(), observed
+
+
+#: Program -> the reason ``FusionSchedule.stats()`` must give for it.
+REFUSALS = {
+    "source_synced": "reduction source is synced",
+    "source_read_again": "reduction source is accessed again after the kernel",
+    "source_not_freed": "reduction source is not freed",
+    "output_aliases_an_input": "reduction output aliases a kernel operand",
+    "producer_stores_a_sub_view": "reduction reads no store of its kernel",
+    "source_updated_in_place": "kernel updates a base in place",
+    "producer_shifts_its_own_window": "overlapping windows of one base",
+    "another_store_is_observed": "another store of the kernel is synced",
+}
+
+
+@pytest.mark.parametrize("backend", EXECUTING_BACKENDS)
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_a_refused_reduction_stays_unfused_and_correct(name, backend):
+    """One program per legality condition of a reduction tail: the scheduler
+    says why it refused, no kernel ends in the reduction, and every tier
+    still answers what the tail-free schedule and the oracle answer."""
+    program, observed = _refusal_program(name)
+    oracle, _ = _execute(program, observed, "interpreter", optimize=False)
+    values = {}
+    for scheduler in ("dag", "consecutive"):
+        with config_override(**SMALL_TILES, fusion_scheduler=scheduler):
+            engine = ExecutionEngine(backend=backend, optimize=True)
+            result = engine.execute(program)
+            values[scheduler] = [result.value(view) for view in observed]
+            if scheduler == "dag":
+                schedule = engine.last_plan.fusion_schedule.stats()
+                assert schedule["fusion_reduction_tails"] == 0
+                assert schedule["fusion_tail_refusals"].get(REFUSALS[name]), schedule
+                assert not any(
+                    instruction.is_fused() and instruction.kernel[-1].is_reduction()
+                    for instruction in engine.last_plan.optimized
+                )
+    for index, (fused, unfused, reference) in enumerate(
+        zip(values["dag"], values["consecutive"], oracle)
+    ):
+        _assert_bitwise(fused, unfused, f"{backend} {name}, output {index}")
+        _assert_close(fused, reference, f"{backend} {name} vs oracle, output {index}")

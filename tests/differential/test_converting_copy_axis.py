@@ -94,3 +94,43 @@ def test_no_tier_reads_through_a_converting_identity(name, backend, optimize):
         actual = _run(program, out, backend, optimize)
     assert actual.dtype == oracle.dtype
     assert actual.tobytes() == oracle.tobytes(), (actual, oracle)
+
+
+#: PR 21's class on the map-reduce axis: the converting copy is the last
+#: member of the kernel and the reduction that closes it reads the
+#: *converted* values — ``(stored dtype, converted dtype)``.
+CONVERTING_PRODUCERS = {
+    "float64_to_int32": (float64, int32),
+    "int64_to_int32": (int64, int32),
+    "bool_to_float64": (bool_, float64),
+    "float64_to_float32": (float64, float32),
+    "int32_to_bool": (int32, bool_),
+}
+
+
+@pytest.mark.parametrize("backend", EXECUTING_BACKENDS)
+@pytest.mark.parametrize("reduction", ("add", "multiply", "maximum", "minimum"))
+@pytest.mark.parametrize("name", sorted(CONVERTING_PRODUCERS))
+def test_a_reduction_closing_the_kernel_reads_the_converted_values(
+    name, reduction, backend, map_reduce_program
+):
+    """Every reduction, every tier: bitwise the tail-free schedule of the
+    same tier; the oracle's bits where the arithmetic is exact."""
+    stored, converted = CONVERTING_PRODUCERS[name]
+    program, out = map_reduce_program(stored, reduction, (LENGTH,), convert=converted)
+    oracle = _run(program, out, "interpreter", optimize=False)
+    values = {}
+    for scheduler in ("dag", "consecutive"):
+        with config_override(
+            parallel_tile_elements=64, parallel_serial_threshold=4, fusion_scheduler=scheduler
+        ):
+            engine = ExecutionEngine(backend=backend, optimize=True)
+            values[scheduler] = engine.execute(program).value(out)
+            if scheduler == "dag":
+                assert engine.last_plan.fusion_schedule.reduction_tails == 1
+    assert values["dag"].dtype == oracle.dtype
+    assert values["dag"].tobytes() == values["consecutive"].tobytes()
+    if converted is float32:  # the one inexact fold here: float32 rounding per element
+        np.testing.assert_allclose(values["dag"], oracle, rtol=LENGTH * 6e-8)
+    else:  # integers, bools, and the floats 0.0 / 1.0
+        assert values["dag"].tobytes() == oracle.tobytes(), (values["dag"], oracle)

@@ -243,3 +243,171 @@ def test_axis_is_not_vacuous():
         heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
         stencil_stats = session.stats_history[-1]
     assert stencil_stats.dist_halo_exchanges >= 1, "no halo exchange fired"
+
+
+# --------------------------------------------------------------------------- #
+# The map-reduce axis on worker processes
+# --------------------------------------------------------------------------- #
+
+#: ``(producer dtype, reduction, shape, axis, converted dtype)``: sizes on
+#: both sides of the shard threshold (64 below) and of one span (512), both
+#: 2-D axes, a one-wide dim, and PR 20's class — a bool and an int32 sum at
+#: a sharded size.
+DIST_MAP_REDUCE_CELLS = {
+    "bool_count": ("bool", "add", (1700,), 0, None),
+    "bool_any": ("bool", "maximum", (1700,), 0, None),
+    "int32_sum": ("int32", "add", (1700,), 0, None),
+    "int64_product": ("int64", "multiply", (1700,), 0, None),
+    "float32_sum": ("float32", "add", (1700,), 0, None),
+    "float64_sum": ("float64", "add", (1700,), 0, None),
+    "float64_min": ("float64", "minimum", (1700,), 0, None),
+    "float64_sum_below_threshold": ("float64", "add", (63,), 0, None),
+    "float64_sum_one_span": ("float64", "add", (500,), 0, None),
+    "float64_rows_axis0": ("float64", "add", (30, 40), 0, None),
+    "float64_rows_axis1": ("float64", "maximum", (30, 40), 1, None),
+    "bool_rows_axis0": ("bool", "add", (30, 40), 0, None),
+    "int32_one_column": ("int32", "add", (600, 1), 0, None),
+    "converting_float64_to_int32": ("float64", "add", (1700,), 0, "int32"),
+    "converting_bool_to_float64": ("bool", "add", (1700,), 0, "float64"),
+}
+
+
+MASTER_CELLS = ("float64_sum_below_threshold", "int32_one_column")
+
+
+@pytest.mark.parametrize("planned", [True, False], ids=["plan", "planless"])
+@pytest.mark.parametrize("name", sorted(DIST_MAP_REDUCE_CELLS))
+def test_map_reduce_axis_on_workers(name, planned, map_reduce_program):
+    """A kernel ending in a reduction, sharded: per worker count bitwise the
+    tail-free schedule, bitwise across worker counts, the oracle's bits or
+    the reduction tolerance — and the producers' bases never mapped."""
+    from repro.bytecode import dtypes
+    from repro.runtime.backend import get_backend
+
+    dtype, reduction, shape, axis, convert = DIST_MAP_REDUCE_CELLS[name]
+
+    def build():
+        return map_reduce_program(
+            dtypes.from_name(f"BH_{dtype.upper()}"),
+            reduction,
+            shape,
+            axis,
+            dtypes.from_name(f"BH_{convert.upper()}") if convert else None,
+        )
+
+    program, out = build()
+    oracle = _oracle(program, [out])[0]
+    per_workers = {}
+    for workers in WORKER_COUNTS:
+        values = {}
+        for scheduler in ("dag", "consecutive"):
+            program, out = build()
+            with config_override(
+                parallel_tile_elements=512,
+                parallel_serial_threshold=64,
+                dist_num_workers=workers,
+                fusion_scheduler=scheduler,
+            ):
+                if planned:
+                    engine = ExecutionEngine(backend="dist", optimize=True)
+                    result = engine.execute(program)
+                    plan = engine.last_plan
+                else:
+                    result = get_backend("dist").execute(program)
+                values[scheduler] = result.value(out)
+            assert result.stats.dist_payload_bytes == 0
+            if planned and scheduler == "dag":
+                assert plan.fusion_schedule.reduction_tails == 1
+                sharded = [
+                    step for step in plan.dist_plan.distributed_steps if step.private
+                ]
+                # Below the threshold, or one row to tile: the master's.  Else
+                # every base the members store stays out of shared memory.
+                assert len(sharded) == (name not in MASTER_CELLS), name
+                assert all(len(step.private) >= 2 for step in sharded), name
+        assert values["dag"].tobytes() == values["consecutive"].tobytes(), (name, workers)
+        per_workers[workers] = values["dag"]
+    for workers in WORKER_COUNTS[1:]:
+        assert per_workers[workers].tobytes() == per_workers[1].tobytes(), (name, workers)
+    if oracle.dtype.kind == "f":
+        rtol = max(RTOL, shape[axis] * float(np.finfo(oracle.dtype).eps))
+        np.testing.assert_allclose(per_workers[2], oracle, rtol=rtol, err_msg=name)
+    else:
+        assert per_workers[2].tobytes() == oracle.tobytes(), (name, per_workers[2], oracle)
+
+
+@pytest.mark.parametrize("length,sharded", [(8191, False), (8192, True)])
+def test_map_reduce_at_the_default_shard_threshold(length, sharded, map_reduce_program):
+    """Nothing scaled down: one element decides master or workers, for the
+    kernel that ends in the reduction as for the bare reduction."""
+    from repro.bytecode import dtypes
+    from repro.dist.planner import ReduceShardStep
+
+    program, out = map_reduce_program(dtypes.bool_, "add", (length,))
+    oracle = _oracle(program, [out])[0]
+    for scheduler in ("dag", "consecutive"):
+        with config_override(dist_num_workers=2, fusion_scheduler=scheduler):
+            engine = ExecutionEngine(backend="dist", optimize=True)
+            actual = engine.execute(program).value(out)
+        shards = [
+            step for step in engine.last_plan.dist_plan.steps
+            if isinstance(step, ReduceShardStep)
+        ]
+        assert len(shards) == int(sharded), scheduler
+        assert actual.tobytes() == oracle.tobytes(), scheduler
+
+
+def test_a_producer_with_a_shifted_window_keeps_its_tail_on_the_master():
+    """``sum(g[:-1] + g[1:])``: the kernel may end in the reduction (the
+    thread tiers run it span by span), but a span on a worker would need its
+    neighbour's rows — the shard planner keeps the step, with a counted
+    reason, and the answer is the tail-free schedule's at every count."""
+    from repro.bytecode.builder import ProgramBuilder
+    from repro.dist.planner import MasterStep
+
+    def build():
+        builder = ProgramBuilder()
+        grid = builder.new_vector(1701, name="grid")
+        builder.random(grid, 5)
+        pairs = builder.new_vector(1700, name="pairs")
+        builder.add(
+            pairs, View(grid.base, 0, (1700,), (1,)), View(grid.base, 1, (1700,), (1,))
+        )
+        total = builder.new_vector(1, name="total")
+        builder.add_reduce(total, pairs)
+        builder.free(pairs)
+        builder.free(grid)
+        builder.sync(total)
+        return builder.build(), total
+
+    program, total = build()
+    oracle = _oracle(program, [total])[0]
+    reason = "map-reduce producer needs a halo"
+    for workers in WORKER_COUNTS:
+        values = {}
+        for scheduler in ("dag", "consecutive"):
+            program, total = build()
+            with config_override(
+                parallel_tile_elements=512,
+                parallel_serial_threshold=64,
+                dist_num_workers=workers,
+                fusion_scheduler=scheduler,
+            ):
+                engine = ExecutionEngine(backend="dist", optimize=True)
+                result = engine.execute(program)
+                values[scheduler] = result.value(total)
+            if scheduler == "dag":
+                plan = engine.last_plan
+                assert plan.fusion_schedule.reduction_tails == 1
+                (kept,) = [
+                    step
+                    for step in plan.dist_plan.steps
+                    if isinstance(step, MasterStep) and step.reason == reason
+                ]
+                assert plan.optimized[kept.index].kernel[-1].is_reduction()
+                assert result.stats.native_fallback_reasons == {f"dist: {reason}": 1}
+                assert kept.private, "the producer's base took a segment after all"
+        # The master runs the tiling's spans and combine tree itself: the
+        # bits of the sharded, tail-free sum.
+        assert values["dag"].tobytes() == values["consecutive"].tobytes(), workers
+        np.testing.assert_allclose(values["dag"], oracle, rtol=RTOL)

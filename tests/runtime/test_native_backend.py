@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
+from repro.bytecode.view import View
 from repro.codegen import clear_memory_cache, find_c_compiler
 from repro.codegen.cache import get_compiled_kernel
 from repro.codegen.compiler import CodegenError, CompiledRuntime
@@ -26,7 +27,7 @@ from repro.codegen.emit_c import emit_runtime_source
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.native import NativeBackend
-from repro.runtime.tiling import TiledMapStep
+from repro.runtime.tiling import TiledMapStep, TiledReduceStep
 from repro.utils.config import config_override
 
 requires_compiler = pytest.mark.skipif(
@@ -469,7 +470,7 @@ class TestCompiledReductions:
 
     def _run(self, program, cache_dir, **overrides):
         with config_override(
-            **TINY_TILES, codegen_cache_dir=cache_dir, **overrides
+            **{**TINY_TILES, "codegen_cache_dir": cache_dir, **overrides}
         ):
             engine = ExecutionEngine(backend="native", optimize=True)
             return engine, engine.execute(program)
@@ -553,6 +554,64 @@ class TestCompiledReductions:
         assert np.allclose(
             result.value(s), reference.value(s), rtol=1e-6, atol=1e-8
         )
+
+    @requires_compiler
+    @pytest.mark.parametrize("tail", [False, True], ids=["bare", "closing_a_kernel"])
+    def test_a_zero_size_reduction_costs_no_compiler_run(self, cache_dir, tail):
+        """Geometry is tested before the artifact is resolved, at plan time
+        and at launch: no ``cc`` run, no launch-cache entry, a counted reason."""
+        builder = ProgramBuilder()
+        source = View(builder.new_base(8), 0, (4, 0), (0, 1))  # four empty rows
+        out = builder.new_vector(4)
+        if tail:
+            empty, source = source, View(builder.new_base(8), 0, (4, 0), (0, 1))
+            builder.multiply(source, empty, 2.0)
+        builder.add_reduce(out, source, axis=1)
+        if tail:
+            builder.free(source)
+        builder.sync(out)
+        program = builder.build()
+        # (Fusion only: DCE would drop a store of no elements.)
+        engine, result = self._run(
+            program, cache_dir, parallel_serial_threshold=0, enabled_passes=["fusion"]
+        )
+        (step,) = [s for s in engine.last_plan.tiling.steps if isinstance(s, TiledReduceStep)]
+        assert bool(step.local_slots) == tail
+        assert result.stats.native_compiles == 0
+        assert engine.backend.cache_stats()["native_cache_size"] == 0
+        assert result.stats.native_reductions_compiled == 0
+        assert result.stats.native_fallback_reasons == {"zero-size reduction source": 1}
+        assert result.value(out).tolist() == [0.0] * 4
+
+    @requires_compiler
+    def test_a_kernel_ending_in_the_reduction_is_one_artifact(self, cache_dir):
+        """``sum(x * y)``: one map-reduce artifact instead of a map artifact
+        plus a reduce artifact, nothing stored, the unfused program's bits."""
+        def build():
+            builder = ProgramBuilder()
+            x, y, product = (builder.new_vector(500) for _ in range(3))
+            total = builder.new_vector(1)
+            builder.random(x, seed=3)
+            builder.random(y, seed=4)
+            builder.multiply(product, x, y)
+            builder.add_reduce(total, product)
+            builder.free(product)
+            builder.sync(total)
+            return builder.build(), total
+
+        results = {}
+        for scheduler in ("dag", "consecutive"):
+            program, total = build()
+            _, result = self._run(
+                program, cache_dir + scheduler, fusion_scheduler=scheduler, codegen_threads=4
+            )
+            results[scheduler] = (result.value(total), result.stats)
+        fused, unfused = results["dag"][1], results["consecutive"][1]
+        assert (fused.native_compiles, unfused.native_compiles) == (1, 2)
+        assert (fused.kernel_launches, unfused.kernel_launches) == (3, 4)
+        assert fused.native_reductions_compiled == 1 and fused.native_slots_elided == 1
+        assert fused.native_fallbacks == fused.native_reduction_fallbacks == 0
+        assert results["dag"][0].tobytes() == results["consecutive"][0].tobytes()
 
     @pytest.mark.parametrize("combine", [True, False], ids=["rank-1", "axis"])
     def test_add_reduce_over_bool_is_an_exact_count(self, cache_dir, combine):

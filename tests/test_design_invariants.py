@@ -125,6 +125,21 @@ GUARDS = (
         {"src/repro/runtime/memory.py": 1},
         lives_there=True,
     ),
+    Guard(
+        "one_tiled_reduce_body",
+        r"\.reduce\(",
+        ("src/repro",),
+        "partial = np.add.reduce(span)",
+        "every tiled tier's reduce body, with or without a producer, is "
+        "tiling.reduce_tile (thread tile and dist shard alike); the interpreter "
+        "reduces whole arrays and loopir only probes the accumulator dtype",
+        {
+            "src/repro/runtime/tiling.py": None,
+            "src/repro/runtime/interpreter.py": 1,
+            "src/repro/codegen/loopir.py": 1,
+        },
+        lives_there=True,
+    ),
 )
 
 

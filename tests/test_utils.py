@@ -1,6 +1,4 @@
-"""Tests for configuration, timing helpers, the shared LRU and the error hierarchy."""
-
-import time
+"""Tests for configuration, the shared LRU and the error hierarchy."""
 
 import pytest
 
@@ -9,8 +7,6 @@ from repro.utils import (
     ExecutionError,
     ReproError,
     RewriteError,
-    StopWatch,
-    Timer,
     ValidationError,
     config_override,
     get_config,
@@ -63,37 +59,6 @@ class TestConfig:
             with config_override(optimize=False):
                 raise RuntimeError("boom")
         assert get_config().optimize is True
-
-
-class TestTimers:
-    def test_timer_measures_elapsed_time(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.01
-
-    def test_timer_without_run_is_zero(self):
-        assert Timer().elapsed == 0.0
-
-    def test_stopwatch_accumulates_segments(self):
-        watch = StopWatch()
-        watch.start("phase")
-        time.sleep(0.005)
-        first = watch.stop("phase")
-        watch.add("phase", 0.1)
-        assert watch.segments["phase"] == pytest.approx(first + 0.1)
-        assert watch.counts["phase"] == 2
-        assert watch.total() == pytest.approx(watch.segments["phase"])
-
-    def test_stopwatch_stop_without_start(self):
-        assert StopWatch().stop("missing") == 0.0
-
-    def test_stopwatch_merge(self):
-        first, second = StopWatch(), StopWatch()
-        first.add("a", 1.0)
-        second.add("a", 2.0)
-        second.add("b", 3.0)
-        first.merge(second)
-        assert first.segments == {"a": 3.0, "b": 3.0}
 
 
 class TestBoundedLRU:
