@@ -31,6 +31,10 @@ Assertions are layered by flakiness, as everywhere in this harness:
   ``REPRO_BENCH_STRICT=1`` (it warns otherwise).
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -205,6 +209,76 @@ def test_default_cache_directory_serves_every_launch_without_fallbacks():
     assert np.array_equal(
         grid, heat_equation(grid_size=256, iterations=4, session=oracle).to_numpy()
     )
+
+
+#: ``y = x * c + d`` for eight ``(c, d)``: one kernel form, eight programs.
+SWEEP = [(1.5 + index, 0.25 * (index + 1)) for index in range(8)]
+
+_SWEEP_TILES = dict(parallel_tile_elements=512, parallel_serial_threshold=64)
+
+
+def _run_sweep(cache_dir):
+    """Execute the sweep on one fresh ``native`` engine; its counters, bitwise
+    agreement with the unoptimized interpreter, and what the directory holds."""
+    clear_memory_cache()
+    bitwise = True
+    with config_override(**_SWEEP_TILES, codegen_cache_dir=str(cache_dir)):
+        engine = ExecutionEngine(backend="native", optimize=True)
+        oracle = ExecutionEngine(backend="interpreter", optimize=False)
+        for c, d in SWEEP:
+            builder = ProgramBuilder()
+            x, y = builder.new_vector(4096), builder.new_vector(4096)
+            builder.random(x, seed=15)
+            builder.multiply(y, x, c)
+            builder.add(y, y, d)
+            builder.sync(y)
+            program = builder.build()
+            got, want = engine.execute(program).value(y), oracle.execute(program).value(y)
+            bitwise = bitwise and got.tobytes() == want.tobytes()
+        counters = engine.backend.cache_stats()
+    kernels = [
+        name
+        for name in os.listdir(cache_dir)
+        if name.endswith(".c") and "repro_rt_launch" not in open(os.path.join(cache_dir, name)).read()
+    ]
+    return {
+        "bitwise": bitwise,
+        "kernels": len(kernels),
+        **{key: counters[key] for key in (
+            "native_compiles", "native_disk_hits", "native_memory_hits",
+            "native_fallbacks", "native_kernel_launches",
+        )},
+    }
+
+
+@requires_compiler
+def test_a_constant_sweep_compiles_once(tmp_path):
+    """A kernel artifact is named by its form, not by its numbers: eight
+    ``(c, d)`` pairs are one ``cc`` run and seven memo hits in the process
+    that starts cold, and no ``cc`` run at all in the next process."""
+    cold = _run_sweep(tmp_path)
+    assert cold == {
+        "bitwise": True,
+        "kernels": 1,
+        "native_compiles": 1,
+        "native_disk_hits": 0,
+        "native_memory_hits": len(SWEEP) - 1,
+        "native_fallbacks": 0,
+        "native_kernel_launches": len(SWEEP),
+    }
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{os.path.join(root, 'src')!r}, {os.path.join(root, 'benchmarks')!r}]\n"
+        "from test_bench_e15_codegen import _run_sweep\n"
+        f"print(json.dumps(_run_sweep({str(tmp_path)!r})))\n"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=180
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    warm = json.loads(fresh.stdout.strip().splitlines()[-1])
+    assert warm == dict(cold, native_compiles=0, native_disk_hits=1)
 
 
 def _build_chain():

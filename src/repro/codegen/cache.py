@@ -57,10 +57,10 @@ from repro.codegen.emit_c import emit_runtime_source
 
 #: Bump to invalidate every cached artifact when the ABI of generated
 #: kernels changes (argument layout, symbol name, helper semantics).
-#: Schema 3: ``repro_kernel_mt`` takes the runtime's launch function as a
-#: fifth argument and no kernel artifact embeds a worker pool — a schema-2
-#: artifact called under this ABI would ignore it and spawn its own.
-ARTIFACT_SCHEMA = 3
+#: Schema 4: float literals are launch operands read through ``ptrs`` — a
+#: schema-3 artifact launched under this ABI would compute with the numbers
+#: of whichever kernel it was compiled from.
+ARTIFACT_SCHEMA = 4
 
 #: The runtime is a fixed 100-line translation unit; -O2 is plenty.
 RUNTIME_OPT_LEVEL = 2

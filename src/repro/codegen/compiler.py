@@ -99,6 +99,10 @@ _MT_FLAGS = {
 
 MT_MODES = tuple(_MT_FLAGS)
 
+#: How long one compiler run may take before the flush stops waiting for it
+#: and falls back (a kernel compiles in well under a second).
+COMPILE_TIMEOUT_S = 120.0
+
 
 def compile_flags(opt_level: int, mt_mode: str = "serial") -> Tuple[str, ...]:
     """The compiler flags for one artifact; part of the artifact digest."""
@@ -140,7 +144,8 @@ def compile_shared_library(
     CompilerUnavailable
         When no compiler exists on the host.
     CodegenError
-        When the compiler exits non-zero (its stderr is included).
+        When the compiler exits non-zero (its stderr is included, decoded
+        leniently: it is a diagnostic) or outlives ``COMPILE_TIMEOUT_S``.
     """
     compiler = compiler if compiler is not None else find_c_compiler()
     if compiler is None:
@@ -153,12 +158,21 @@ def compile_shared_library(
         source_path,
         "-lm",
     ]
-    proc = subprocess.run(
-        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
-    )
-    if proc.returncode != 0:
+    try:
+        proc = subprocess.run(
+            command,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            timeout=COMPILE_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
         raise CodegenError(
-            f"{compiler} failed ({proc.returncode}) for {source_path}:\n{proc.stderr}"
+            f"{compiler} did not finish {source_path} within {COMPILE_TIMEOUT_S:g} s"
+        ) from None
+    if proc.returncode != 0:
+        stderr = proc.stderr.decode("utf-8", errors="replace")
+        raise CodegenError(
+            f"{compiler} failed ({proc.returncode}) for {source_path}:\n{stderr}"
         )
 
 

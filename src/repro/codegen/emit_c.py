@@ -3,9 +3,9 @@
 One :class:`~repro.codegen.loopir.LoopNest` becomes one C translation unit
 exporting two symbols::
 
-    void repro_kernel(const int64_t *dims,   /* rank extents          */
-                      char **ptrs,          /* one base ptr per slot  */
-                      const int64_t *strides /* slot-major, in bytes  */)
+    void repro_kernel(const int64_t *dims,   /* rank extents            */
+                      char **ptrs,          /* slots..., float literals */
+                      const int64_t *strides /* slot-major, in bytes    */)
 
     void repro_kernel_mt(const int64_t *dims, char **ptrs,
                          const int64_t *strides, int32_t nthreads,
@@ -15,7 +15,12 @@ Geometry is entirely runtime: the artifact is compiled once per canonical
 kernel *form* and launched with whatever extents, pointers and strides the
 current tile supplies.  ``ptrs[i]`` already includes the view's element
 offset; ``strides[i * rank + d]`` is slot ``i``'s byte stride along loop
-dimension ``d``.
+dimension ``d``.  So are the numbers: a float32/float64 literal is a
+``const`` local ``k<j>`` loaded once, above the loop nest, from the address
+in ``ptrs[slots + j]`` (:func:`repro.codegen.loopir.float_literals` fixes
+``j``), so kernels that differ only in float constants are one source, one
+digest, one compile.  Integer and bool literals — counts, indices, masks —
+and ``+0.0`` stay text (:func:`repro.codegen.loopir.is_operand`).
 
 ``repro_kernel_mt`` is the chunked entry point: it clamps ``nthreads`` to
 the row count and hands the artifact's chunk function to ``launch`` — the
@@ -56,13 +61,19 @@ coherent.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
-import numpy as np
-
 from repro.bytecode import dtypes
-from repro.codegen.loopir import Cast, Literal, Load, LoopNest, Op, ReduceNest, Store
+from repro.codegen.loopir import (
+    Cast,
+    Literal,
+    Load,
+    LoopNest,
+    Op,
+    ReduceNest,
+    float_literals,
+    is_operand,
+)
 
 #: Exported symbol name of every generated kernel.
 KERNEL_SYMBOL = "repro_kernel"
@@ -126,9 +137,22 @@ _HELPERS = {
     "repro_mod_i32": _INT_MOD.format(t="int32_t", tag="i32"),
 }
 
-#: Every ``<math.h>`` name emission can produce (the ``f``-suffixed float
-#: variants contain these as substrings).
-_MATH_TOKENS = ("fmod", "copysign", "fabs", "sqrt", "erf(", "NAN", "INFINITY")
+#: The prototype of every libm function emission can call.
+_LIBM = {
+    f"{name}{f}": f"{t} {name}{f}({', '.join([t] * arity)});"
+    for name, arity in (("fmod", 2), ("copysign", 2), ("fabs", 1), ("sqrt", 1))
+    for f, t in (("", "double"), ("f", "float"))
+}
+_LIBM["erf"] = "double erf(double);"
+
+#: A translation unit declares what it calls: parsing ``<stdint.h>`` and
+#: ``<math.h>`` was 2-9 ms of a ~55 ms kernel compile, for the same machine
+#: code.  gcc and clang predefine the exact-width types; others include.
+_DECLARE_IF = """\
+#if defined(__INT64_TYPE__) && defined(__INT32_TYPE__) && defined(__INTPTR_TYPE__)
+typedef __INT64_TYPE__ int64_t;
+typedef __INT32_TYPE__ int32_t;
+typedef __INTPTR_TYPE__ intptr_t;"""
 
 _CHUNK_ARGS = "const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop"
 
@@ -152,13 +176,15 @@ _NOINLINE_DEFINE = """\
 
 
 def _assemble(banner: str, code: List[str]) -> str:
-    """Prefix ``code`` with exactly the headers and helpers it references."""
+    """Prefix ``code`` with exactly the declarations and helpers it references."""
     text = "\n".join(code)
     helpers = [body for name, body in _HELPERS.items() if name in text]
-    lines = [banner, "#include <stdint.h>"]
-    if any(token in part for part in [text] + helpers for token in _MATH_TOKENS):
+    calls = "\n".join([text] + helpers)
+    protos = [proto for name, proto in _LIBM.items() if f"{name}(" in calls]
+    lines = [banner, _DECLARE_IF, *protos, "#else", "#include <stdint.h>"]
+    if protos:
         lines.append("#include <math.h>")
-    lines += [""] + helpers + [_MT_DEFINE, _NOINLINE_DEFINE, _ABI_TYPES, "", text]
+    lines += ["#endif", ""] + helpers + [_MT_DEFINE, _NOINLINE_DEFINE, _ABI_TYPES, "", text]
     return "\n".join(lines) + "\n"
 
 
@@ -169,33 +195,40 @@ _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _COMPARE_SYMBOL = {"gt": ">", "ge": ">=", "lt": "<", "le": "<=", "eq": "==", "ne": "!="}
 
 
-def _float_literal(value: float, suffix: str, ctype: str) -> str:
-    if math.isnan(value):
-        return f"(({ctype})NAN)"
-    if math.isinf(value):
-        sign = "-" if value < 0 else ""
-        return f"({sign}({ctype})INFINITY)"
-    text = float(value).hex()
-    if text.startswith("-"):
-        return f"(-{text[1:]}{suffix})"
-    return f"({text}{suffix})"
+def _literal_names(body) -> Dict[int, str]:
+    """``id(literal) -> k<i>`` for a statement list's float literals: they
+    are launch operands (see :func:`repro.codegen.loopir.float_literals`),
+    so no float constant ever reaches the C text."""
+    return {id(literal): f"k{index}" for index, literal in enumerate(float_literals(body))}
 
 
-def _literal_c(literal: Literal) -> str:
+def _literal_loads(nest, first: int) -> List[str]:
+    """The ``const`` locals ``k<i>`` of a nest's float literals, each loaded
+    once — above the loop nest — through the ``ptrs`` entries from ``first``."""
+    return [
+        f"    const {_CTYPE[literal.dtype_name]} k{index} = "
+        f"*(const {_CTYPE[literal.dtype_name]} *)ptrs[{first + index}];"
+        for index, literal in enumerate(float_literals(nest.body))
+    ]
+
+
+def _literal_c(literal: Literal, names: Dict[int, str]) -> str:
     name = literal.dtype_name
     value = literal.value
+    if is_operand(literal):
+        return names[id(literal)]
+    if name == "BH_FLOAT32":
+        return "0.0f"
+    if name == "BH_FLOAT64":
+        return "0.0"
     if name == "BH_BOOL":
         return "1" if bool(value) else "0"
     if name == "BH_INT32":
         return f"({int(value)})"
-    if name == "BH_INT64":
-        ivalue = int(value)
-        if ivalue == -(2**63):
-            return "(-9223372036854775807LL - 1)"
-        return f"({ivalue}LL)"
-    if name == "BH_FLOAT32":
-        return _float_literal(float(np.float32(value)), "f", "float")
-    return _float_literal(float(value), "", "double")
+    ivalue = int(value)
+    if ivalue == -(2**63):
+        return "(-9223372036854775807LL - 1)"
+    return f"({ivalue}LL)"
 
 
 def _cast_c(expr_c: str, dtype_name: str) -> str:
@@ -205,15 +238,15 @@ def _cast_c(expr_c: str, dtype_name: str) -> str:
     return f"({_CTYPE[dtype_name]})({expr_c})"
 
 
-def _expr_c(expr) -> str:
+def _expr_c(expr, names: Dict[int, str]) -> str:
     if isinstance(expr, Load):
         return f"v{expr.slot}"
     if isinstance(expr, Literal):
-        return _literal_c(expr)
+        return _literal_c(expr, names)
     if isinstance(expr, Cast):
-        return _cast_c(_expr_c(expr.arg), expr.dtype_name)
+        return _cast_c(_expr_c(expr.arg, names), expr.dtype_name)
     if isinstance(expr, Op):
-        return _op_c(expr)
+        return _op_c(expr, names)
     raise TypeError(f"unknown IR expression {expr!r}")
 
 
@@ -224,8 +257,8 @@ def _minmax_c(kind: str, dtype_name: str, a: str, b: str) -> str:
     return f"((({a}) {symbol} ({b})) ? ({a}) : ({b}))"
 
 
-def _op_c(op: Op) -> str:
-    args = [_expr_c(arg) for arg in op.args]
+def _op_c(op: Op, names: Dict[int, str]) -> str:
+    args = [_expr_c(arg, names) for arg in op.args]
     kind = op.kind
     if kind in _BINARY_SYMBOL:
         return f"(({args[0]}) {_BINARY_SYMBOL[kind]} ({args[1]}))"
@@ -282,6 +315,7 @@ def _statement_lines(body, slot_dtypes, element, memory_stores) -> List[str]:
     """
     lines: List[str] = []
     defined = set()
+    names = _literal_names(body)
     for position, statement in enumerate(body):
         loads: List[int] = []
         _loads_of(statement.expr, loads)
@@ -291,7 +325,7 @@ def _statement_lines(body, slot_dtypes, element, memory_stores) -> List[str]:
             defined.add(slot)
             lines.append(f"{_CTYPE[slot_dtypes[slot]]} v{slot} = {element(slot)};")
         out_slot = statement.slot
-        value = _cast_c(_expr_c(statement.expr), slot_dtypes[out_slot])
+        value = _cast_c(_expr_c(statement.expr, names), slot_dtypes[out_slot])
         if out_slot in defined:
             lines.append(f"v{out_slot} = {value};")
         else:
@@ -620,6 +654,7 @@ def emit_kernel_source(nest: LoopNest) -> str:
             lines.append(
                 f"    const int64_t s{slot}_{depth} = strides[{slot * rank + depth}];"
             )
+    lines += _literal_loads(nest, num_slots)
     unit = " && ".join(
         f"s{slot}_{rank - 1} == {itemsizes[slot]}"
         for slot in range(num_slots)
@@ -680,11 +715,18 @@ def _tree_combine_lines(nest: "ReduceNest") -> List[str]:
 
 def _value_helper(nest: "ReduceNest") -> List[str]:
     """``repro_kernel_value``: one element of the reduction's source, computed
-    by the kernel's element-wise members from the loaded slots' elements —
-    scalar locals only, nothing written (empty for a bare reduction)."""
+    by the kernel's element-wise members from the loaded slots' elements and
+    the float literals (by value) — scalar locals only, nothing written
+    (empty for a bare reduction)."""
     if not nest.body:
         return []
-    params = ", ".join(f"const char *a{slot}" for slot in nest.loaded_slots)
+    params = ", ".join(
+        [f"const char *a{slot}" for slot in nest.loaded_slots]
+        + [
+            f"const {_CTYPE[literal.dtype_name]} k{index}"
+            for index, literal in enumerate(float_literals(nest.body))
+        ]
+    )
     statements = _statement_lines(
         nest.body,
         nest.slot_dtypes,
@@ -707,7 +749,9 @@ def _acc_load(nest: "ReduceNest", address) -> str:
     loads it, a kernel's tail computes it from its members' operands."""
     src = _CTYPE[nest.source_dtype]
     if nest.body:
-        load = f"repro_kernel_value({', '.join(map(address, nest.loaded_slots))})"
+        operands = [address(slot) for slot in nest.loaded_slots]
+        operands += [f"k{index}" for index in range(len(float_literals(nest.body)))]
+        load = f"repro_kernel_value({', '.join(operands)})"
     else:
         load = f"(*({src} *)({address(0)}))"
     if nest.source_dtype == "BH_BOOL":
@@ -736,6 +780,7 @@ def _emit_reduce_combine(nest: "ReduceNest") -> List[str]:
         f"static REPRO_NOINLINE {acc} repro_kernel_fold({_CHUNK_ARGS})",
         "{",
         *lanes,
+        *_literal_loads(nest, len(nest.slot_dtypes) + 1),
         f"    {acc} acc = {_acc_load(nest, 'p{0} + row_start * s{0}'.format)};",
         "    int64_t i;",
         "    (void)dims;",
@@ -789,6 +834,7 @@ def _emit_reduce_body(nest: "ReduceNest") -> List[str]:
         lines.append(f"    const int64_t n{d} = dims[{d}];")
     for lane in lanes:
         lines.append(f"    char * const p{lane} = ptrs[{lane}];")
+    lines += _literal_loads(nest, out + 1)
     for lane in lanes:
         for d in range(rank):
             if lane == out and d == axis:
@@ -827,11 +873,11 @@ def emit_reduce_source(nest: ReduceNest) -> str:
     """Emit the complete, deterministic C source for one reduction nest.
 
     ABI: ``dims`` holds the *source* extents (``nest.rank`` entries);
-    ``ptrs`` is ``[slot 0, ..., slot k-1, output]`` over the nest's ``k``
-    slots — a bare reduction's one slot is its source, a stored (kernel-
-    local) slot's entry is never read; ``strides`` holds ``rank`` byte
-    strides per ``ptrs`` entry, the output's aligned to source axes with a
-    zero in the reduced axis's lane.
+    ``ptrs`` is ``[slot 0, ..., slot k-1, output, float literals...]`` over
+    the nest's ``k`` slots — a bare reduction's one slot is its source, a
+    stored (kernel-local) slot's entry is never read; ``strides`` holds
+    ``rank`` byte strides per slot and output entry, the output's aligned
+    to source axes with a zero in the reduced axis's lane.
     """
     if nest.combine:
         lines = _emit_reduce_combine(nest)

@@ -100,6 +100,42 @@ class Store:
     expr: object
 
 
+def is_operand(literal: Literal) -> bool:
+    """Whether a literal is a launch operand of the compiled kernel and not
+    part of its text: a float32/float64 that is not ``+0.0``.  Integer and
+    bool literals count, index and mask, and zero is what the C compiler
+    strength-reduces on — a zero fill is a ``memset`` only if it can see it
+    (as an operand it cost ``stencil_large`` 5 % of its CPU per op)."""
+    return literal.dtype_name in ("BH_FLOAT32", "BH_FLOAT64") and (
+        literal.value != 0 or bool(np.signbit(literal.value))
+    )
+
+
+def float_literals(body: Sequence[Store]) -> Tuple[Literal, ...]:
+    """The operand literals of a statement list, one entry per occurrence, in
+    expression order (statement by statement, arguments left to right).
+
+    This order is the artifact's ABI: literal ``i`` is the kernel's ``k<i>``
+    and the ``i``-th literal entry of ``ptrs``, so two bodies that differ
+    only in these values emit the same C and share one artifact.
+    """
+    found = []
+
+    def walk(expr) -> None:
+        if isinstance(expr, Literal):
+            if is_operand(expr):
+                found.append(expr)
+        elif isinstance(expr, Cast):
+            walk(expr.arg)
+        elif isinstance(expr, Op):
+            for arg in expr.args:
+                walk(arg)
+
+    for statement in body:
+        walk(statement.expr)
+    return tuple(found)
+
+
 @dataclass(frozen=True)
 class LoopNest:
     """A rank-R element-wise loop nest over slot views.
@@ -126,6 +162,7 @@ class LoopNest:
     @property
     def num_slots(self) -> int:
         return len(self.slot_dtypes)
+
 
 
 # --------------------------------------------------------------------------- #
@@ -226,10 +263,19 @@ def _write_is_injective(view: View) -> bool:
     return True
 
 
-def _ref_expr(kind: str, ref, slot_views) -> object:
+def _operand(kind: str, ref, slot_views, known):
+    """``(expression, NumPy stand-in)`` of one input, for lowering and for
+    probing NumPy: a constant is its typed scalar, a slot a zero-size array
+    of its dtype — or, when the kernel just stored a constant there
+    (``known``), that constant as a one-element array."""
     if kind == "const":
-        return Literal(ref.as_numpy(), ref.dtype.name)
-    return Load(ref, slot_views[ref].dtype.name)
+        value = ref.as_numpy()
+        return Literal(value, ref.dtype.name), value
+    literal = known.get(ref)
+    if literal is not None:
+        return literal, np.full(1, literal.value)
+    dtype = slot_views[ref].dtype
+    return Load(ref, dtype.name), np.zeros(0, dtype=dtype.np_dtype)
 
 
 def _cast(expr, dtype_name: str):
@@ -243,37 +289,25 @@ def _cast(expr, dtype_name: str):
     return Cast(expr, dtype_name)
 
 
-def _sample_operands(input_refs, slot_views):
-    """Zero-size stand-ins with the operands' exact dtypes, for NumPy probing."""
-    samples = []
-    for kind, ref in input_refs:
-        if kind == "const":
-            samples.append(ref.as_numpy())
-        else:
-            samples.append(np.zeros(0, dtype=slot_views[ref].dtype.np_dtype))
-    return samples
-
-
-def _probe_result_dtype(instruction: Instruction, samples) -> str:
-    """Ask NumPy itself what dtype this step produces on these operands."""
+def _probe(instruction: Instruction, samples) -> np.ndarray:
+    """Ask NumPy itself what this step produces on these operands."""
     info = opcode_info(instruction.opcode)
     func = getattr(np, info.numpy_name)
     try:
-        result = func(*samples)
+        with np.errstate(all="ignore"):  # constants may overflow or divide by zero
+            return np.asarray(func(*samples))
     except Exception as exc:
         raise LoweringError(
             f"NumPy rejects {instruction.opcode} on these operand dtypes: {exc}"
         ) from None
-    return _exact_dtype_name(np.asarray(result).dtype)
 
 
-def _lower_instruction(instruction: Instruction, refs, slot_views) -> Store:
+def _lower_instruction(instruction: Instruction, refs, slot_views, known) -> Store:
     opcode = instruction.opcode
     out_kind, out_slot = refs[0]
     if out_kind != "slot":
         raise LoweringError(f"{opcode} writes to a constant operand")
-    input_refs = refs[1:]
-    args = [_ref_expr(kind, ref, slot_views) for kind, ref in input_refs]
+    args, samples = zip(*(_operand(kind, ref, slot_views, known) for kind, ref in refs[1:]))
 
     if opcode is OpCode.BH_IDENTITY:
         # Pure copy; the store-side cast reproduces copyto(..., "unsafe").
@@ -290,8 +324,6 @@ def _lower_instruction(instruction: Instruction, refs, slot_views) -> Store:
         operand = _cast(args[0], "BH_FLOAT64")
         return Store(out_slot, Op("erf", "BH_FLOAT64", (operand,)))
 
-    samples = _sample_operands(input_refs, slot_views)
-
     if opcode in _COMPARE_KINDS:
         try:
             compute = _exact_dtype_name(np.result_type(*samples))
@@ -305,7 +337,8 @@ def _lower_instruction(instruction: Instruction, refs, slot_views) -> Store:
     kind = _ARITH_KINDS.get(opcode) or _UNARY_KINDS.get(opcode)
     if kind is None:
         raise LoweringError(f"no bitwise-safe lowering for {opcode}")
-    compute = _probe_result_dtype(instruction, samples)
+    probed = _probe(instruction, samples)
+    compute = _exact_dtype_name(probed.dtype)
     compute_dt = dtypes.from_name(compute)
     if compute_dt.is_bool and kind in _BOOL_UNSAFE_KINDS:
         raise LoweringError(f"{opcode} on bools has NumPy-specific semantics")
@@ -315,6 +348,11 @@ def _lower_instruction(instruction: Instruction, refs, slot_views) -> Store:
         # BH_DIVIDE is true division; NumPy always promotes it to float, so
         # an integer compute dtype here means the probe model broke.
         raise LoweringError("non-float true division cannot be lowered")
+    if all(isinstance(arg, Literal) for arg in args):
+        # Constants only: NumPy computed the value while it was asked for the
+        # dtype.  A loop-invariant chain is one literal, not a loop the C
+        # compiler has to hoist (it cannot fold what it is not shown).
+        return Store(out_slot, Literal(probed.ravel()[0], compute))
     operands = tuple(_cast(arg, compute) for arg in args)
     return Store(out_slot, Op(kind, compute, operands))
 
@@ -379,14 +417,19 @@ def lower_kernel(
             if index != out_slot and view.overlaps(out_view):
                 raise LoweringError("written view overlaps another operand window")
 
-    body = tuple(
-        _lower_instruction(instruction, refs, slot_views)
-        for instruction, refs in specs
-    )
+    body = []
+    known = {}  # slot -> the Literal it holds, in its storage dtype
+    for instruction, refs in specs:
+        store = _lower_instruction(instruction, refs, slot_views, known)
+        body.append(store)
+        if isinstance(store.expr, Literal):
+            known[store.slot] = _cast(store.expr, slot_views[store.slot].dtype.name)
+        else:
+            known.pop(store.slot, None)
     return LoopNest(
         rank=rank,
         slot_dtypes=tuple(view.dtype.name for view in slot_views),
-        body=body,
+        body=tuple(body),
         elided_slots=frozenset(local_slots) & store_first_slots(specs),
     )
 
@@ -434,6 +477,7 @@ class ReduceNest:
         """Slots that have a memory lane: those the body does not store."""
         stored = {statement.slot for statement in self.body}
         return tuple(s for s in range(len(self.slot_dtypes)) if s not in stored)
+
 
 
 _REDUCE_KINDS = {

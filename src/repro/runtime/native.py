@@ -57,6 +57,7 @@ from repro.codegen.loopir import (
     LoopNest,
     LoweringError,
     ReduceNest,
+    float_literals,
     lower_kernel,
     lower_reduction,
 )
@@ -66,6 +67,19 @@ from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
 from repro.utils.lru import BoundedLRU
+
+
+def _literal_operands(literals):
+    """``(buffer, addresses)`` of a nest's float literals: one 8-byte lane per
+    literal holding the NumPy scalar's own bytes, and the lanes' addresses —
+    the ``ptrs`` entries a launch appends.  The buffer is the launchable's,
+    written here and never again: launchables of different constants share
+    one compiled artifact, concurrently."""
+    raw = b"".join(literal.value.tobytes().ljust(8, b"\0") for literal in literals)
+    buffer = (ctypes.c_double * len(literals))()
+    ctypes.memmove(buffer, raw, len(raw))
+    base = ctypes.addressof(buffer)
+    return buffer, tuple(base + 8 * index for index in range(len(literals)))
 
 
 class NativeKernelLaunch:
@@ -87,6 +101,8 @@ class NativeKernelLaunch:
         "_dims_type",
         "_ptrs_type",
         "_strides_type",
+        "_literals",
+        "_literal_ptrs",
         "elided_slots",
     )
 
@@ -111,8 +127,9 @@ class NativeKernelLaunch:
         #: allocation too — see ``ParallelBackend._run_map``).
         self.elided_slots = nest.elided_slots
         num_slots = len(self._itemsizes)
+        self._literals, self._literal_ptrs = _literal_operands(float_literals(nest.body))
         self._dims_type = ctypes.c_int64 * nest.rank
-        self._ptrs_type = ctypes.c_void_p * num_slots
+        self._ptrs_type = ctypes.c_void_p * (num_slots + len(self._literal_ptrs))
         self._strides_type = ctypes.c_int64 * (num_slots * nest.rank)
 
     @property
@@ -134,7 +151,11 @@ class NativeKernelLaunch:
             pointers.append(storage.ctypes.data + view.offset * itemsize)
             for stride in view.strides:
                 strides.append(stride * itemsize)
-        return dims, self._ptrs_type(*pointers), self._strides_type(*strides)
+        return (
+            dims,
+            self._ptrs_type(*pointers, *self._literal_ptrs),
+            self._strides_type(*strides),
+        )
 
     def __call__(self, memory: MemoryManager, views: Sequence[View]) -> None:
         dims, pointers, strides = self._marshal(memory, views)
@@ -155,11 +176,11 @@ class NativeReduceLaunch:
     """A compiled reduction kernel bound to its geometry mapping.
 
     ABI (see :func:`repro.codegen.emit_c.emit_reduce_source`): ``dims`` are
-    the *source* extents, ``ptrs`` is the nest's slots then the output — a
-    bare reduction's one slot is its source, the slots a kernel's members
-    store have no storage and pass null — and ``strides`` carries each
-    entry's byte strides, the output's aligned to source axes with a zero
-    lane at the reduced axis.
+    the *source* extents, ``ptrs`` is the nest's slots, the output, then the
+    members' float literals — a bare reduction's one slot is its source, the
+    slots a kernel's members store have no storage and pass null — and
+    ``strides`` carries each slot's and the output's byte strides, the
+    output's aligned to source axes with a zero lane at the reduced axis.
     """
 
     __slots__ = (
@@ -169,6 +190,8 @@ class NativeReduceLaunch:
         "_rank",
         "_axis",
         "_loaded",
+        "_literals",
+        "_literal_ptrs",
         "_dims_type",
         "_ptrs_type",
         "_strides_type",
@@ -182,8 +205,9 @@ class NativeReduceLaunch:
         self._axis = nest.axis
         self._loaded = frozenset(nest.loaded_slots)
         entries = len(nest.slot_dtypes) + 1
+        self._literals, self._literal_ptrs = _literal_operands(float_literals(nest.body))
         self._dims_type = ctypes.c_int64 * nest.rank
-        self._ptrs_type = ctypes.c_void_p * entries
+        self._ptrs_type = ctypes.c_void_p * (entries + len(self._literal_ptrs))
         self._strides_type = ctypes.c_int64 * (entries * nest.rank)
 
     @property
@@ -213,7 +237,7 @@ class NativeReduceLaunch:
             strides.extend(stride * itemsize for stride in view.strides)
         out_storage = memory.allocate(out_view.base)
         pointers.append(out_storage.ctypes.data + out_view.offset * out_item)
-        pointers = self._ptrs_type(*pointers)
+        pointers = self._ptrs_type(*pointers, *self._literal_ptrs)
         out_position = 0
         for dim in range(self._rank):
             if dim == self._axis:
@@ -598,11 +622,14 @@ class NativeBackend(ParallelBackend):
             # backend cache lock and the codegen latch, never the plan lock
             # this thread holds.  Until this backend has the runtime those
             # forms launch through, and when the pool is in play anyway, the
-            # runtime is one more job, built beside them and not before: it
-            # leads because ``_scatter`` deals contiguous blocks, the first
-            # the longest, and the runtime is the shortest compile of the
-            # lot.  (A lone form stays on this thread: a warm miss must not
-            # pay a pool round-trip for a runtime that is already loaded.)
+            # runtime is one more job, built beside them and not before.  It
+            # leads because every kernel's resolve ends by binding to it: a
+            # runtime started late is built, in series, by whichever kernel
+            # finishes first — and it is the longest compile of the lot
+            # (``<pthread.h>``; cold ``flush_storm_small``: 78-135 ms against
+            # 50-125 ms per kernel).  (A lone form stays on this thread: a
+            # warm miss must not pay a pool round-trip for a runtime that is
+            # already loaded.)
             jobs = list(resolvers.values())
             if len(jobs) > 1 and self.native_runtime is None:
                 jobs.insert(0, partial(self._resolve_runtime, config))

@@ -32,6 +32,7 @@ from repro.codegen.compiler import (
     select_mt_mode,
 )
 from repro.codegen.emit_c import emit_runtime_source
+from repro.codegen.loopir import float_literals
 
 requires_compiler = pytest.mark.skipif(
     find_c_compiler() is None, reason="no C compiler on this host"
@@ -287,6 +288,24 @@ class TestCorruption:
 
         self._damaged_reload(tmp_path, kind, "schema", bump)
 
+    def _older_schema_is_discarded(self, tmp_path, kind, schema):
+        assert schema < ARTIFACT_SCHEMA
+
+        def downgrade(so_path, meta_path, c_path):
+            meta = json.loads(open(meta_path).read())
+            meta["schema"] = schema
+            with open(meta_path, "w") as handle:
+                json.dump(meta, handle)
+
+        loads = []
+        self._damaged_reload(tmp_path, kind, "oldschema", downgrade, loads)
+        # Exactly one library reached the loader, and only after the older
+        # sidecar had been replaced by a freshly published one.
+        assert len(loads) == 1
+        digest = kind.digest(kind.source("oldschema"))
+        _, meta_path, _ = _artifact_paths(str(tmp_path), digest)
+        assert json.loads(open(meta_path).read())["schema"] == ARTIFACT_SCHEMA
+
     def test_schema_2_artifacts_are_discarded_never_loaded(self, tmp_path, kind):
         """A store restored from before the shared runtime must fully recompile.
 
@@ -296,22 +315,14 @@ class TestCorruption:
         treats a schema-2 sidecar — even next to a perfectly valid library
         — exactly like corruption: discard, recompile, republish.
         """
-        assert ARTIFACT_SCHEMA == 3
+        self._older_schema_is_discarded(tmp_path, kind, 2)
 
-        def downgrade(so_path, meta_path, c_path):
-            meta = json.loads(open(meta_path).read())
-            meta["schema"] = 2
-            with open(meta_path, "w") as handle:
-                json.dump(meta, handle)
-
-        loads = []
-        self._damaged_reload(tmp_path, kind, "oldschema", downgrade, loads)
-        # Exactly one library reached the loader, and only after the
-        # schema-2 sidecar had been replaced by a freshly published one.
-        assert len(loads) == 1
-        digest = kind.digest(kind.source("oldschema"))
-        _, meta_path, _ = _artifact_paths(str(tmp_path), digest)
-        assert json.loads(open(meta_path).read())["schema"] == ARTIFACT_SCHEMA
+    def test_schema_3_artifacts_are_discarded_never_loaded(self, tmp_path, kind):
+        """A schema-3 kernel has its float constants compiled in and reads no
+        literal entry of ``ptrs``: launched under the current ABI it would
+        compute with the numbers of whichever program built it."""
+        assert ARTIFACT_SCHEMA == 4
+        self._older_schema_is_discarded(tmp_path, kind, 3)
 
     def test_discarded_artifacts_are_removed(self, tmp_path):
         source = _source("removal")
@@ -324,6 +335,119 @@ class TestCorruption:
         _compile(source, tmp_path)  # recompiles and republishes
         assert os.path.isfile(so_path)
         assert json.loads(open(meta_path).read())["schema"] == ARTIFACT_SCHEMA
+
+
+class TestArtifactIdentity:
+    """What names an artifact: the kernel's form.  Float constants are launch
+    operands (no ``cc`` run per value); integer constants are text, by design
+    (they count, index and mask, and ``% 7`` is worth its strength reduction)."""
+
+    @staticmethod
+    def _sources(dtype, constants, reduce=False):
+        from repro.bytecode.builder import ProgramBuilder
+        from repro.bytecode.opcodes import OpCode
+        from repro.codegen.emit_c import emit_kernel_source, emit_reduce_source
+        from repro.codegen.loopir import lower_kernel, lower_reduction
+
+        sources = []
+        for constant in constants:
+            builder = ProgramBuilder()
+            x = builder.new_vector(64, dtype=dtype)
+            y = builder.new_vector(64, dtype=dtype)
+            out = builder.new_vector(1, dtype=dtype)
+            builder.emit(OpCode.BH_MOD, y, x, constant)
+            builder.add(y, y, constant)
+            if reduce:
+                builder.maximum_reduce(out, y, axis=0)
+            *members, last = builder.build()
+            if reduce:
+                nest = lower_reduction(last, True, 0, members, frozenset({0}))
+                sources.append((emit_reduce_source(nest), nest))
+            else:
+                nest = lower_kernel(members + [last])
+                sources.append((emit_kernel_source(nest), nest))
+        return sources
+
+    @pytest.mark.parametrize("reduce", [False, True], ids=["map", "map_reduce"])
+    def test_float_constants_do_not_reach_the_source(self, reduce):
+        from repro.bytecode import dtypes
+
+        values = (2.5, -0.0, float("nan"), float("-inf"), 5e-324)
+        (first, nest), *others = self._sources(dtypes.float64, values, reduce)
+        assert all(source == first for source, _ in others)
+        assert len({artifact_digest(source, 2) for source, _ in [(first, nest)] + others}) == 1
+        # Two occurrences, two operands, after the slots (and the output).
+        assert [literal.value for literal in float_literals(nest.body)] == [2.5, 2.5]
+        base = 3 if reduce else 2
+        for index in (0, 1):
+            assert f"const double k{index} = *(const double *)ptrs[{base + index}];" in first
+        assert "0x" not in first and "NAN" not in first and "INFINITY" not in first
+
+    def test_positive_zero_stays_text(self):
+        """``zeros()`` must stay a fill the C compiler can turn into
+        ``memset``; ``-0.0`` is a number like any other."""
+        from repro.bytecode.builder import ProgramBuilder
+        from repro.codegen.emit_c import emit_kernel_source
+        from repro.codegen.loopir import lower_kernel
+
+        sources = []
+        for value in (0.0, -0.0, 2.5):
+            builder = ProgramBuilder()
+            builder.identity(builder.new_vector(64), value)
+            sources.append(emit_kernel_source(lower_kernel(builder.build())))
+        zero, negative_zero, other = sources
+        assert "double v0 = (double)(0.0);" in zero and "k0" not in zero
+        assert negative_zero == other and "double v0 = (double)(k0);" in other
+
+    def test_integer_constants_stay_text(self):
+        from repro.bytecode import dtypes
+
+        (seven, nest), (nine, _) = self._sources(dtypes.int64, (7, 9))
+        assert seven != nine and artifact_digest(seven, 2) != artifact_digest(nine, 2)
+        assert "(7LL)" in seven and "(9LL)" in nine
+        assert float_literals(nest.body) == () and "k0" not in seven
+
+    def test_a_chain_of_constants_is_folded_at_lowering(self):
+        """NumPy's dtype probe already computed a constants-only step: the
+        kernel gets the value, not a loop-invariant chain to hoist — until
+        the slot is stored something that varies."""
+        import numpy as np
+
+        from repro.bytecode.builder import ProgramBuilder
+        from repro.bytecode.opcodes import OpCode
+        from repro.codegen.emit_c import emit_kernel_source
+        from repro.codegen.loopir import Literal, lower_kernel
+
+        builder = ProgramBuilder()
+        x, a, b, y = (builder.new_vector(64) for _ in range(4))
+        builder.identity(a, 2)
+        builder.emit(OpCode.BH_SQRT, b, a)
+        builder.multiply(y, x, b)  # y = x * sqrt(2): one literal
+        builder.add(a, a, x)  # a varies from here on
+        builder.multiply(b, a, 3.0)
+        nest = lower_kernel(builder.build())
+        assert [type(statement.expr) is Literal for statement in nest.body] == [
+            True, True, False, False, False,
+        ]
+        assert [literal.value for literal in float_literals(nest.body)] == [
+            np.sqrt(np.float64(2)), np.sqrt(np.float64(2)), 2.0, 3.0,
+        ]
+        source = emit_kernel_source(nest)
+        assert "sqrt" not in source and "(2LL)" in source
+
+    def test_a_unit_declares_what_it_calls(self):
+        from repro.bytecode import dtypes
+
+        ((source, _),) = self._sources(dtypes.float64, (2.5,))
+        declared, _, rest = source.partition("#else\n")
+        fallback, _, body = rest.partition("#endif\n")
+        assert "double fmod(double, double);" in declared
+        assert "double copysign(double, double);" in declared
+        assert "sqrt" not in declared and "erf" not in declared
+        assert fallback == "#include <stdint.h>\n#include <math.h>\n"
+        assert "#include" not in declared + body
+        ((source, _),) = self._sources(dtypes.int64, (7,))
+        assert "#include <math.h>" not in source and "fmod" not in source
 
 
 #: Worker script: compile one kernel form into a shared cache dir and print

@@ -160,3 +160,79 @@ def _map_reduce_program(dtype, reduction, shape, axis=0, convert=None):
         builder.free(view)
     builder.sync(out)
     return builder.build(), out
+
+
+@pytest.fixture(scope="session")
+def literal_program():
+    """The program builder of the float-literal differential axis."""
+    return _literal_program
+
+
+#: kind -> shape of the literal axis's programs (sizes for ``SMALL_TILES``).
+LITERAL_KINDS = {"map": (1700,), "fill": (1700,), "tail": (1700,), "axis": (30, 40)}
+
+
+def _literal_program(kind, dtype, constant):
+    """One kernel of ``LITERAL_KINDS`` that computes with ``constant``.
+
+    ``map``: ``out = minimum(x / c, c)``; ``fill``: ``out = identity(c)``;
+    ``tail`` and ``axis``: ``maximum_reduce(x / c)`` of a vector and along
+    axis 1 of a matrix, the quotient kernel-local so the reduction may end
+    its kernel.  The optimizer rewrites none of these whatever ``c`` is (it
+    drops ``+ 0`` and folds ``* 0``, signed zeros included) and a maximum
+    does not depend on its order, so every tier owes the oracle's bits —
+    and a zero's sign shows: ``x / -0.0`` is ``-inf``.  ``x`` is uniform in
+    [0, 1), stored in ``dtype``.  Returns ``(program, out)``.
+    """
+    import math
+
+    from repro.bytecode import dtypes
+    from repro.bytecode.builder import ProgramBuilder
+    from repro.bytecode.view import View
+
+    shape = LITERAL_KINDS[kind]
+    builder = ProgramBuilder()
+
+    def new(element_dtype, dims, name):
+        return View.full(builder.new_base(math.prod(dims), element_dtype, name=name), dims)
+
+    if kind == "fill":
+        out = new(dtype, shape, "out")
+        builder.identity(out, constant)
+        builder.sync(out)
+        return builder.build(), out
+    draw = new(dtypes.float64, shape, "draw")
+    builder.random(draw, 20261004)
+    x = new(dtype, shape, "x")
+    builder.identity(x, draw)
+    quotient = new(dtype, shape, "quotient")
+    builder.divide(quotient, x, constant)
+    if kind == "map":
+        out = new(dtype, shape, "out")
+        builder.minimum(out, quotient, constant)
+    else:
+        out = new(dtype, shape[:-1] or (1,), "out")
+        builder.maximum_reduce(out, quotient, axis=len(shape) - 1)
+    for view in (draw, x, quotient):
+        builder.free(view)
+    builder.sync(out)
+    return builder.build(), out
+
+
+@pytest.fixture
+def watchdog():
+    """Fail, with every thread's stack, instead of hanging (60 s ``SIGALRM``)."""
+    import faulthandler
+    import signal
+
+    def fire(signum, frame):
+        faulthandler.dump_traceback()
+        raise RuntimeError("test exceeded its 60 s watchdog")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

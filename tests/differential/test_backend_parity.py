@@ -655,6 +655,94 @@ def test_map_reduce_axis_at_the_default_thresholds(
         )
 
 
+# --------------------------------------------------------------------------- #
+# The literal axis: a float constant is a launch operand of the artifact
+# --------------------------------------------------------------------------- #
+
+#: Values a kernel must compute with, not merely print: the ones C spells
+#: specially (or cannot spell), both ends of the range, a float32 constant
+#: that is not its own float64 neighbour, an integer NumPy promotes.
+LITERALS = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "neg_inf": float("-inf"),
+    "neg_zero": -0.0,
+    "denormal": 5e-324,
+    "dbl_max": float(np.finfo(np.float64).max),
+    "float32_inexact": np.float32(0.1),
+    "int": 3,
+}
+
+#: tier -> (backend, planned, codegen_threads)
+LITERAL_TIERS = {
+    "interpreter": ("interpreter", True, None),
+    "parallel": ("parallel", True, None),
+    "parallel-planless": ("parallel", False, None),
+    "native1": ("native", True, 1),
+    "native2": ("native", True, 2),
+    "native1-planless": ("native", False, 1),
+    "native2-planless": ("native", False, 2),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow and x / 0 notes
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+@pytest.mark.parametrize("kind", ("map", "fill", "tail", "axis"))
+@pytest.mark.parametrize("literal", sorted(LITERALS))
+def test_literal_axis_is_bitwise(literal, kind, dtype, literal_program):
+    """Value x kernel kind x dtype x tier x plan/plan-less, every cell the
+    unoptimized interpreter's bits — and on ``native`` a compiled launch."""
+    program, out = literal_program(kind, PRODUCER_DTYPES[dtype], LITERALS[literal])
+    oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program).value(out)
+    for tier, (backend, planned, threads) in LITERAL_TIERS.items():
+        with config_override(**SMALL_TILES, codegen_threads=threads):
+            if planned:
+                result = ExecutionEngine(backend=backend, optimize=True).execute(program)
+            else:
+                result = get_backend(backend).execute(program)
+        value, stats = result.value(out), result.stats
+        context = f"{tier} {kind} {dtype} {literal}"
+        assert value.dtype == oracle.dtype, context
+        assert value.tobytes() == oracle.tobytes(), (context, value, oracle)
+        if backend == "native":
+            assert stats.native_kernel_launches + stats.native_reductions_compiled > 0, context
+            assert stats.native_fallbacks + stats.native_reduction_fallbacks == 0, (
+                context,
+                stats.native_fallback_reasons,
+            )
+
+
+def test_launches_of_one_artifact_keep_their_own_literals(
+    thread_hammer, literal_program, tmp_path
+):
+    """Four threads, each launching its own ``minimum(x / c, c)`` through its own
+    engine 200 times: one compiled artifact between them (the numbers are
+    operands of the launch, not state of the artifact), every result its own."""
+    from repro.codegen import clear_memory_cache, find_c_compiler
+
+    if find_c_compiler() is None:
+        pytest.skip("no C compiler on this host")
+    clear_memory_cache()
+    constants = (1.5, -2.25, 1e300, float("nan"))
+    cells = []
+    for constant in constants:
+        program, out = literal_program("map", dtypes.float64, constant)
+        oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
+        cells.append((program, out, oracle.value(out).tobytes()))
+    assert len({expected for _, _, expected in cells}) == len(cells)
+    engines = [ExecutionEngine(backend="native", optimize=True) for _ in cells]
+
+    def body(index):
+        program, out, expected = cells[index]
+        for _ in range(200):
+            assert engines[index].execute(program).value(out).tobytes() == expected, index
+
+    with config_override(**SMALL_TILES, codegen_threads=2, codegen_cache_dir=str(tmp_path)):
+        thread_hammer(len(cells), body)
+    compiles = [engine.backend.native_compiles for engine in engines]
+    assert sum(compiles) == 1, f"the axis is vacuous: {compiles} artifacts, not one shared"
+
+
 REFUSAL_LENGTH = 1700
 
 

@@ -136,6 +136,37 @@ class TestFallbacks:
         cache = engine.backend.cache_stats()
         assert cache["native_cache_hits"] > 0
 
+    @requires_compiler
+    @pytest.mark.parametrize(
+        "shim,reason",
+        [
+            ("printf '\\351 na\\357ve diagnostic\\n' >&2\nexit 1", "failed (1)"),
+            ("exec sleep 30", "did not finish"),
+        ],
+        ids=["non_utf8_stderr", "never_returns"],
+    )
+    def test_a_compiler_that_misbehaves_is_a_counted_fallback(
+        self, shim, reason, cache_dir, tmp_path, monkeypatch, watchdog
+    ):
+        """A compiler that prints bytes that are no UTF-8, or never returns,
+        costs the compiled path, not the flush."""
+        script = tmp_path / "broken-cc"
+        script.write_text(f"#!/bin/sh\n{shim}\n")
+        script.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(script))
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_TIMEOUT_S", 0.3)
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            result = engine.execute(program)
+        assert np.array_equal(result.value(a), expected[0])
+        assert np.array_equal(result.value(b), expected[1])
+        assert result.stats.native_compiles == 0
+        assert result.stats.native_fallbacks > 0
+        assert all(reason in message for message in result.stats.native_fallback_reasons)
+        assert engine.backend.native_runtime in (None, "serial")
+
     def test_reductions_disabled_fall_back_to_tiled_paths(self, cache_dir):
         # With compiled reductions off, a tiled reduction runs on the
         # interpreted parallel paths (counted as a fallback); a serial

@@ -140,6 +140,17 @@ GUARDS = (
         },
         lives_there=True,
     ),
+    Guard(
+        "a_unit_declares_what_it_calls",
+        r"#include <",
+        ("src/repro",),
+        "#include <math.h>",
+        "generated C parses no header a declaration can replace: only the "
+        "runtime's <pthread.h> (ABI-specific types) and the two includes of "
+        "_assemble's #else branch for compilers without __INT64_TYPE__",
+        {"src/repro/codegen/emit_c.py": 3},
+        lives_there=True,
+    ),
 )
 
 
