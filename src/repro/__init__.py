@@ -31,74 +31,51 @@ Quickstart (the paper's Listing 1):
 array([3., 3., 3., 3., 3., 3., 3., 3., 3., 3.])
 """
 
-from repro import bytecode, core, linalg, runtime, utils
-from repro.bytecode import (
-    BaseArray,
-    Constant,
-    Instruction,
-    OpCode,
-    Program,
-    ProgramBuilder,
-    View,
-    format_program,
-    parse_program,
-    validate_program,
-)
-from repro.core import CostModel, OptimizationReport, Pipeline, default_pipeline, optimize
-from repro.runtime import (
-    ExecutionEngine,
-    ExecutionPlan,
-    ExecutionResult,
-    ExecutionStats,
-    FusingJIT,
-    MemoryManager,
-    NumPyInterpreter,
-    PlanCache,
-    SimulatedAccelerator,
-    get_backend,
-    program_fingerprint,
-    register_backend,
-)
-from repro.utils import Config, config_override, get_config, set_config
+from repro._exports import export_on_demand
 
 __version__ = "1.0.0"
+__all__ = ["__version__"]  # joined by every name of the table below
 
-__all__ = [
-    "bytecode",
-    "core",
-    "linalg",
-    "runtime",
-    "utils",
-    "BaseArray",
-    "Constant",
-    "Instruction",
-    "OpCode",
-    "Program",
-    "ProgramBuilder",
-    "View",
-    "format_program",
-    "parse_program",
-    "validate_program",
-    "CostModel",
-    "OptimizationReport",
-    "Pipeline",
-    "default_pipeline",
-    "optimize",
-    "ExecutionEngine",
-    "ExecutionPlan",
-    "ExecutionResult",
-    "ExecutionStats",
-    "FusingJIT",
-    "MemoryManager",
-    "NumPyInterpreter",
-    "PlanCache",
-    "SimulatedAccelerator",
-    "get_backend",
-    "register_backend",
-    "program_fingerprint",
-    "Config",
-    "config_override",
-    "get_config",
-    "set_config",
-    "__version__",
-]
+export_on_demand(
+    globals(),
+    {
+        "repro.bytecode": (
+            "bytecode",
+            "BaseArray",
+            "Constant",
+            "Instruction",
+            "OpCode",
+            "Program",
+            "ProgramBuilder",
+            "View",
+            "format_program",
+            "parse_program",
+            "validate_program",
+        ),
+        "repro.core": (
+            "core",
+            "CostModel",
+            "OptimizationReport",
+            "Pipeline",
+            "default_pipeline",
+            "optimize",
+        ),
+        "repro.linalg": ("linalg",),
+        "repro.runtime": (
+            "runtime",
+            "ExecutionEngine",
+            "ExecutionPlan",
+            "ExecutionResult",
+            "ExecutionStats",
+            "FusingJIT",
+            "MemoryManager",
+            "NumPyInterpreter",
+            "PlanCache",
+            "SimulatedAccelerator",
+            "get_backend",
+            "register_backend",
+            "program_fingerprint",
+        ),
+        "repro.utils": ("utils", "Config", "config_override", "get_config", "set_config"),
+    },
+)

@@ -19,43 +19,29 @@ The main entry points are:
 * :func:`validate_program` — structural validation.
 """
 
-from repro.bytecode.dtypes import DType, float64, float32, int64, int32, bool_, promote
-from repro.bytecode.base import BaseArray
-from repro.bytecode.view import View
-from repro.bytecode.operand import Constant, Operand, is_constant, is_view
-from repro.bytecode.opcodes import OpCode, OpCodeInfo, OPCODE_INFO, opcode_info
-from repro.bytecode.instruction import Instruction
-from repro.bytecode.program import Program
-from repro.bytecode.builder import ProgramBuilder
-from repro.bytecode.printer import format_instruction, format_program
-from repro.bytecode.parser import parse_program, parse_instruction
-from repro.bytecode.validate import validate_program, validate_instruction
+from repro._exports import export_on_demand
 
-__all__ = [
-    "DType",
-    "float64",
-    "float32",
-    "int64",
-    "int32",
-    "bool_",
-    "promote",
-    "BaseArray",
-    "View",
-    "Constant",
-    "Operand",
-    "is_constant",
-    "is_view",
-    "OpCode",
-    "OpCodeInfo",
-    "OPCODE_INFO",
-    "opcode_info",
-    "Instruction",
-    "Program",
-    "ProgramBuilder",
-    "format_instruction",
-    "format_program",
-    "parse_program",
-    "parse_instruction",
-    "validate_program",
-    "validate_instruction",
-]
+export_on_demand(
+    globals(),
+    {
+        "repro.bytecode.dtypes": (
+            "DType",
+            "float64",
+            "float32",
+            "int64",
+            "int32",
+            "bool_",
+            "promote",
+        ),
+        "repro.bytecode.base": ("BaseArray",),
+        "repro.bytecode.view": ("View",),
+        "repro.bytecode.operand": ("Constant", "Operand", "is_constant", "is_view"),
+        "repro.bytecode.opcodes": ("OpCode", "OpCodeInfo", "OPCODE_INFO", "opcode_info"),
+        "repro.bytecode.instruction": ("Instruction",),
+        "repro.bytecode.program": ("Program",),
+        "repro.bytecode.builder": ("ProgramBuilder",),
+        "repro.bytecode.printer": ("format_instruction", "format_program"),
+        "repro.bytecode.parser": ("parse_program", "parse_instruction"),
+        "repro.bytecode.validate": ("validate_program", "validate_instruction"),
+    },
+)

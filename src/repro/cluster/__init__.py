@@ -16,14 +16,13 @@ removes a round of per-worker kernel launches, and every fused kernel
 removes synchronisation points.
 """
 
-from repro.cluster.comm import CommunicationModel
-from repro.cluster.partition import partition_length, partition_view
-from repro.cluster.executor import ClusterExecutor, ClusterStats
+from repro._exports import export_on_demand
 
-__all__ = [
-    "CommunicationModel",
-    "partition_length",
-    "partition_view",
-    "ClusterExecutor",
-    "ClusterStats",
-]
+export_on_demand(
+    globals(),
+    {
+        "repro.cluster.comm": ("CommunicationModel",),
+        "repro.cluster.partition": ("partition_length", "partition_view"),
+        "repro.cluster.executor": ("ClusterExecutor", "ClusterStats"),
+    },
+)

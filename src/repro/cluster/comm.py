@@ -6,7 +6,7 @@ pieces that keep the model honest now that a real distributed backend exists:
 * :func:`measured_comm_model` — a one-shot, per-process-cached calibration
   probe that derives latency and bandwidth from actual shared-memory copy
   timings instead of hardcoded constants.  The distributed backend moves
-  halo rows by copying between ``multiprocessing.shared_memory`` segments,
+  halo rows by copying between POSIX shared-memory segments,
   so a memory-copy probe is the right proxy for its transport.
 * :data:`COMM_METER` — a process-wide accumulator of *priced* (model
   prediction) versus *measured* (worker-timed) communication seconds,

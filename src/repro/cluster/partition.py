@@ -2,37 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.bytecode.view import View
-from repro.utils.errors import ClusterError
-
-
-def partition_length(length: int, num_workers: int) -> List[Tuple[int, int]]:
-    """Split ``length`` elements into contiguous (start, count) chunks.
-
-    The chunk count is clamped to ``min(num_workers, length)`` so every
-    returned chunk is non-empty — consumers that launch real work per chunk
-    (the distributed backend ships one shard per chunk to a worker process)
-    must never be handed a zero-length shard.  A ``length`` of zero therefore
-    yields no chunks at all.  Within the clamped count the first
-    ``length % parts`` chunks get one extra element, the standard block
-    distribution.
-    """
-    if num_workers < 1:
-        raise ClusterError(f"need at least one worker, got {num_workers}")
-    parts = min(num_workers, length)
-    if parts == 0:
-        return []
-    base = length // parts
-    remainder = length % parts
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for worker in range(parts):
-        count = base + (1 if worker < remainder else 0)
-        chunks.append((start, count))
-        start += count
-    return chunks
+# The block distribution lives with the tiling, whose spans it computes: a
+# dist worker needs it without the simulated cluster.
+from repro.runtime.tiling import partition_length
 
 
 def partition_view(view: View, num_workers: int) -> List[View]:

@@ -11,25 +11,19 @@ runtime artifact whose worker pool every threaded launch goes through
 drives it; everything here is backend-agnostic and free of runtime state.
 """
 
-from repro.codegen.loopir import LoweringError, lower_kernel
-from repro.codegen.emit_c import emit_kernel_source
-from repro.codegen.compiler import CodegenError, CompilerUnavailable, find_c_compiler
-from repro.codegen.cache import (
-    artifact_digest,
-    clear_memory_cache,
-    get_compiled_kernel,
-    resolve_cache_dir,
-)
+from repro._exports import export_on_demand
 
-__all__ = [
-    "LoweringError",
-    "lower_kernel",
-    "emit_kernel_source",
-    "CodegenError",
-    "CompilerUnavailable",
-    "find_c_compiler",
-    "artifact_digest",
-    "clear_memory_cache",
-    "get_compiled_kernel",
-    "resolve_cache_dir",
-]
+export_on_demand(
+    globals(),
+    {
+        "repro.codegen.loopir": ("LoweringError", "lower_kernel"),
+        "repro.codegen.emit_c": ("emit_kernel_source",),
+        "repro.codegen.compiler": ("CodegenError", "CompilerUnavailable", "find_c_compiler"),
+        "repro.codegen.cache": (
+            "artifact_digest",
+            "clear_memory_cache",
+            "get_compiled_kernel",
+            "resolve_cache_dir",
+        ),
+    },
+)

@@ -23,12 +23,20 @@ import shutil
 import subprocess
 from typing import Optional, Tuple
 
-from repro.codegen.emit_c import (
-    KERNEL_SYMBOL,
-    MT_KERNEL_SYMBOL,
-    RT_LAUNCH_SYMBOL,
-    VEC_ERF_SYMBOL,
-)
+#: Exported symbol name of every generated kernel.
+KERNEL_SYMBOL = "repro_kernel"
+
+#: Exported chunked entry point: same geometry arguments plus a runtime
+#: thread count and the runtime artifact's launch function.  One call
+#: covers the whole step; the runtime partitions the outermost splittable
+#: loop and calls back into the artifact's chunk function per row range.
+MT_KERNEL_SYMBOL = "repro_kernel_mt"
+
+#: The kernel runtime artifact's launch function ...
+RT_LAUNCH_SYMBOL = "repro_rt_launch"
+
+#: ... and its vector ``erf``, the compiled half of ``BH_ERF``'s definition.
+VEC_ERF_SYMBOL = "repro_vec_erf"
 
 
 class CodegenError(Exception):

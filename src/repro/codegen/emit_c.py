@@ -64,6 +64,14 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.bytecode import dtypes
+# The artifact symbol names live with the loader, which a process that
+# only loads artifacts imports without the emitter.
+from repro.codegen.compiler import (
+    KERNEL_SYMBOL,
+    MT_KERNEL_SYMBOL,
+    RT_LAUNCH_SYMBOL,
+    VEC_ERF_SYMBOL,
+)
 from repro.codegen.loopir import (
     Cast,
     Literal,
@@ -74,21 +82,6 @@ from repro.codegen.loopir import (
     float_literals,
     is_operand,
 )
-
-#: Exported symbol name of every generated kernel.
-KERNEL_SYMBOL = "repro_kernel"
-
-#: Exported chunked entry point: same geometry arguments plus a runtime
-#: thread count and the runtime artifact's launch function.  One call
-#: covers the whole step; the runtime partitions the outermost splittable
-#: loop and calls back into the artifact's chunk function per row range.
-MT_KERNEL_SYMBOL = "repro_kernel_mt"
-
-#: The kernel runtime artifact's launch function ...
-RT_LAUNCH_SYMBOL = "repro_rt_launch"
-
-#: ... and its vector ``erf``, the compiled half of ``BH_ERF``'s definition.
-VEC_ERF_SYMBOL = "repro_vec_erf"
 
 #: Hard cap on in-kernel chunks; bounds the pool and the partial arrays.
 MT_MAX_PARTS = 64

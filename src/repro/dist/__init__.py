@@ -3,13 +3,18 @@
 The ``dist`` package is the real counterpart of the simulated
 :mod:`repro.cluster` executor: a :class:`~repro.dist.backend.DistributedBackend`
 (registered as ``"dist"``) that executes plans across a persistent pool of
-worker *processes*.  Arrays live in ``multiprocessing.shared_memory``
+worker *processes*.  Arrays live in POSIX shared-memory
 segments managed by a :class:`~repro.dist.shardstore.ShardStore`; the
 control channel (:mod:`repro.dist.protocol`) ships only plan fingerprints
 and shard descriptors — never array payloads.
 """
 
-from repro.dist.backend import DistributedBackend
-from repro.dist.shardstore import ShardStore, sweep_manifests
+from repro._exports import export_on_demand
 
-__all__ = ["DistributedBackend", "ShardStore", "sweep_manifests"]
+export_on_demand(
+    globals(),
+    {
+        "repro.dist.backend": ("DistributedBackend",),
+        "repro.dist.shardstore": ("ShardStore", "sweep_manifests"),
+    },
+)

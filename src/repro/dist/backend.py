@@ -117,23 +117,28 @@ class WorkerPool:
         #: means the pipes and the bookkeeping above are out of step with
         #: the workers: the next flush would read this one's replies.
         self.replies_outstanding = num_workers
-        for worker_id in range(num_workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=worker_main,
-                args=(worker_id, child_conn),
-                name=f"repro-dist-worker-{worker_id}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self.workers.append(_WorkerHandle(worker_id, process, parent_conn))
-        for handle in self.workers:
-            frame = self._recv_handle(handle, HELLO_TIMEOUT_SECONDS, None)
-            if frame["kind"] != "hello":
-                raise DistributedExecutionError(
-                    f"worker {handle.worker_id} spoke {frame['kind']!r} before hello"
+        try:
+            for worker_id in range(num_workers):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                process = ctx.Process(
+                    target=worker_main,
+                    args=(worker_id, child_conn),
+                    name=f"repro-dist-worker-{worker_id}",
+                    daemon=True,
                 )
+                process.start()
+                child_conn.close()
+                self.workers.append(_WorkerHandle(worker_id, process, parent_conn))
+            for handle in self.workers:
+                frame = self._recv_handle(handle, HELLO_TIMEOUT_SECONDS, None)
+                if frame["kind"] != "hello":
+                    raise DistributedExecutionError(
+                        f"worker {handle.worker_id} spoke {frame['kind']!r} before hello"
+                    )
+        except BaseException:
+            # No pool object escapes to shut them down later.
+            self.shutdown(graceful=False)
+            raise
 
     def healthy(self) -> bool:
         return all(handle.process.is_alive() for handle in self.workers)
@@ -211,20 +216,18 @@ class WorkerPool:
 
     def shutdown(self, graceful: bool = True) -> None:
         for handle in self.workers:
-            if graceful and handle.process.is_alive():
-                try:
+            try:
+                if graceful and handle.process.is_alive():
                     handle.conn.send_bytes(encode_frame(make_frame("shutdown")))
-                except (BrokenPipeError, OSError):
-                    pass
+                # Either way the worker's next read ends its serve loop.
+                handle.conn.close()
+            except OSError:
+                pass
         for handle in self.workers:
             handle.process.join(timeout=5.0)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
         self.loaded_tokens.clear()
 
 

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
-from repro.cluster.partition import partition_length
 from repro.runtime.kernel import kernel_slot_views, split_tail
 from repro.runtime.plan import data_operand_positions
 from repro.runtime.tiling import (
@@ -55,6 +54,7 @@ from repro.runtime.tiling import (
     TiledMapStep,
     TiledReduceStep,
     partial_dtype,
+    partition_length,
 )
 
 

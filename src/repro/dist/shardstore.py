@@ -1,19 +1,29 @@
 """Shared-memory segment registry for the distributed backend.
 
-The :class:`ShardStore` owns every ``multiprocessing.shared_memory``
-segment the master process creates: it hands out segments for adopted base
-arrays and reduction scratch, parks released segments on a size-classed
-free list for recycling (mirroring the buffer pool's policy), enforces the
+The :class:`ShardStore` owns every shared-memory segment the master
+process creates: it hands out segments for adopted base arrays and
+reduction scratch, parks released segments on a size-classed free list for
+recycling (mirroring the buffer pool's policy), enforces the
 ``dist_shm_max_bytes`` budget, and keeps an on-disk *manifest* of live
 segment names so a crashed master can never leak ``/dev/shm`` entries:
 :func:`sweep_manifests` unlinks every segment whose owning pid is dead.
 
+Segments
+--------
+A segment is a POSIX shared-memory object named ``psm_<8 hex digits>``
+(the prefix ``multiprocessing.shared_memory`` uses, so leak guards that
+look for ``psm_`` entries see these too) and mapped with :mod:`mmap`:
+:func:`create_segment`, :func:`attach_segment` and :func:`unlink_segment`
+make the same ``shm_open``/``shm_unlink`` calls ``SharedMemory`` makes,
+minus its registration with the resource tracker.  Nothing here ever
+registers a segment, so no process's exit unlinks one and no tracker
+cache is shared between master and workers; lifetime is the store's alone.
+A mapping unmaps when its last NumPy view dies.
+
 Ownership rules
 ---------------
-* Only the master creates and unlinks segments.  Workers *attach* (via
-  :func:`attach_segment`, which suppresses the resource tracker so a worker
-  exit cannot unlink a segment out from under the master) and therefore can
-  never leak one by crashing.
+* Only the master creates and unlinks segments.  Workers *attach* and
+  therefore can never leak one, neither by exiting nor by crashing.
 * A released segment is parked, not unlinked — the recycling free list is
   what keeps warm flushes allocation-free — but parked bytes still count
   against the budget and are unlinked first when it tightens.
@@ -21,12 +31,13 @@ Ownership rules
 
 from __future__ import annotations
 
+import _posixshmem
 import atexit
 import json
+import mmap
 import os
 import tempfile
 import threading
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,37 +49,7 @@ from repro.utils.errors import DistributedExecutionError
 #: Manifests live in one well-known temp subdirectory, named ``<pid>.json``.
 MANIFEST_DIRNAME = "repro-dist-manifests"
 
-_TRACKER_LOCK = threading.Lock()
-
-
-class _tracker_suppressed:
-    """Keep a shared-memory operation out of the resource tracker.
-
-    The store manages segment lifetime itself — ``atexit`` close on clean
-    exit, the pid manifest plus :func:`sweep_manifests` after a crash — so
-    its segments must never enter the interpreter's resource tracker:
-    tracker accounting is per-*name* but shared across the worker pool, so
-    a second registrant (or an unlink of an unregistered name) corrupts the
-    tracker cache and spams ``KeyError`` tracebacks at exit.  Python 3.13's
-    ``track=False`` covers attach but not create/unlink on older versions,
-    hence the scoped monkeypatch (serialised by a lock)."""
-
-    def __enter__(self):
-        from multiprocessing import resource_tracker
-
-        _TRACKER_LOCK.acquire()
-        self._tracker = resource_tracker
-        self._register = resource_tracker.register
-        self._unregister = resource_tracker.unregister
-        resource_tracker.register = lambda name, rtype: None
-        resource_tracker.unregister = lambda name, rtype: None
-        return self
-
-    def __exit__(self, *exc):
-        self._tracker.register = self._register
-        self._tracker.unregister = self._unregister
-        _TRACKER_LOCK.release()
-        return False
+SEGMENT_PREFIX = "psm_"
 
 
 def manifest_dir() -> Path:
@@ -77,45 +58,44 @@ def manifest_dir() -> Path:
     return path
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without adopting unlink responsibility.
-
-    Python < 3.13 registers *attachments* with the resource tracker, which
-    unlinks the segment when the attaching process exits — exactly wrong
-    for workers that merely borrow the master's segments.  3.13 grew
-    ``track=False``; older versions need the registration suppressed (the
-    register/unregister-later dance is not equivalent: the tracker cache is
-    shared across the pool, so a worker's unregister erases the *master's*
-    registration and the eventual unlink trips a tracker KeyError).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        with _tracker_suppressed():
-            return shared_memory.SharedMemory(name=name)
+def _segment_name() -> str:
+    return SEGMENT_PREFIX + os.urandom(4).hex()
 
 
-def _unlink_untracked(shm: shared_memory.SharedMemory) -> None:
-    """Unlink a segment the tracker never knew about (see above)."""
-    with _tracker_suppressed():
+def create_segment(size: int) -> Tuple[str, mmap.mmap]:
+    """A new segment of ``size`` bytes: ``(name, mapping)``."""
+    while True:
+        name = _segment_name()
         try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
+            fd = _posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
+        except FileExistsError:
+            continue  # the name is taken: draw another
+        try:
+            os.ftruncate(fd, size)
+            return name, mmap.mmap(fd, size)
+        except OSError:
+            unlink_segment(name)
+            raise
+        finally:
+            os.close(fd)
 
 
-def _close_quietly(shm: shared_memory.SharedMemory) -> None:
-    """Close a segment's mapping, tolerating live NumPy views.
-
-    ``mmap.close`` raises ``BufferError`` while exported views exist; at
-    teardown the views die with the process, so unlinking is what matters.
-    Disarming ``close`` afterwards keeps ``SharedMemory.__del__``'s retry
-    from printing "Exception ignored" noise at interpreter shutdown.
-    """
+def attach_segment(name: str) -> mmap.mmap:
+    """Map an existing segment without taking over its lifetime."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR, 0o600)
     try:
-        shm.close()
-    except BufferError:
-        shm.close = lambda: None
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
+def unlink_segment(name: str) -> bool:
+    """Remove a segment's name; ``False`` when it was already gone."""
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        return False
+    return True
 
 
 class ShardStore:
@@ -134,10 +114,10 @@ class ShardStore:
             max_bytes = lambda: get_config().dist_shm_max_bytes  # noqa: E731
         self._max_bytes = max_bytes
         self._directory = directory if directory is not None else manifest_dir()
-        #: name -> (segment, size class, uint8 buffer view); live segments.
-        self._active: Dict[str, Tuple[shared_memory.SharedMemory, int, np.ndarray]] = {}
-        #: size class -> parked (name, segment, buffer) entries for reuse.
-        self._parked: Dict[int, List[Tuple[str, shared_memory.SharedMemory, np.ndarray]]] = {}
+        #: name -> (size class, uint8 buffer over the mapping); live segments.
+        self._active: Dict[str, Tuple[int, np.ndarray]] = {}
+        #: size class -> parked (name, buffer) entries for reuse.
+        self._parked: Dict[int, List[Tuple[str, np.ndarray]]] = {}
         self._segments_lock = threading.Lock()
         self.segments_created = 0
         self.segments_recycled = 0
@@ -149,7 +129,7 @@ class ShardStore:
     # ------------------------------------------------------------------ #
 
     def _active_bytes(self) -> int:
-        return sum(cls for _, cls, _ in self._active.values())
+        return sum(cls for cls, _ in self._active.values())
 
     def _parked_bytes(self) -> int:
         return sum(cls * len(entries) for cls, entries in self._parked.items())
@@ -160,9 +140,7 @@ class ShardStore:
         for cls in sorted(self._parked, reverse=True):
             entries = self._parked[cls]
             while entries and self._active_bytes() + self._parked_bytes() + needed > budget:
-                name, shm, _ = entries.pop()
-                _close_quietly(shm)
-                _unlink_untracked(shm)
+                unlink_segment(entries.pop()[0])
             if not entries:
                 del self._parked[cls]
         self._write_manifest()
@@ -186,11 +164,11 @@ class ShardStore:
                 raise DistributedExecutionError("shard store is closed")
             entries = self._parked.get(cls)
             if entries:
-                name, shm, buffer = entries.pop()
+                name, buffer = entries.pop()
                 if not entries:
                     del self._parked[cls]
                 self.segments_recycled += 1
-                self._active[name] = (shm, cls, buffer)
+                self._active[name] = (cls, buffer)
                 return name, buffer
             if self._active_bytes() + self._parked_bytes() + cls > self._max_bytes():
                 self._evict_parked(cls)
@@ -200,13 +178,12 @@ class ShardStore:
                     f"{self._max_bytes()} (dist_shm_max_bytes) with "
                     f"{self._active_bytes()} active"
                 )
-            with _tracker_suppressed():
-                shm = shared_memory.SharedMemory(create=True, size=cls)
-            buffer = np.frombuffer(shm.buf, dtype=np.uint8, count=cls)
+            name, mapping = create_segment(cls)
+            buffer = np.frombuffer(mapping, dtype=np.uint8, count=cls)
             self.segments_created += 1
-            self._active[shm.name] = (shm, cls, buffer)
+            self._active[name] = (cls, buffer)
             self._write_manifest()
-            return shm.name, buffer
+            return name, buffer
 
     def release(self, name: str) -> None:
         """Park an active segment on the free list for recycling."""
@@ -214,18 +191,18 @@ class ShardStore:
             entry = self._active.pop(name, None)
             if entry is None:
                 return
-            shm, cls, buffer = entry
-            self._parked.setdefault(cls, []).append((name, shm, buffer))
+            cls, buffer = entry
+            self._parked.setdefault(cls, []).append((name, buffer))
 
     def buffer(self, name: str) -> np.ndarray:
         """The uint8 buffer of an active segment."""
         with self._segments_lock:
-            return self._active[name][2]
+            return self._active[name][1]
 
     def nbytes(self, name: str) -> int:
         """The capacity (size class) of an active segment."""
         with self._segments_lock:
-            return self._active[name][1]
+            return self._active[name][0]
 
     def active_segments(self) -> Tuple[str, ...]:
         with self._segments_lock:
@@ -247,14 +224,12 @@ class ShardStore:
             if self._closed:
                 return
             self._closed = True
-            for name, (shm, _, _) in list(self._active.items()):
-                _close_quietly(shm)
-                _unlink_untracked(shm)
+            for name in self._active:
+                unlink_segment(name)
             self._active.clear()
             for entries in self._parked.values():
-                for _, shm, _ in entries:
-                    _close_quietly(shm)
-                    _unlink_untracked(shm)
+                for name, _ in entries:
+                    unlink_segment(name)
             self._parked.clear()
             try:
                 self._manifest_path().unlink()
@@ -271,7 +246,7 @@ class ShardStore:
     def _write_manifest(self) -> None:
         """Record every live segment name under this pid (crash insurance)."""
         names = sorted(self._active) + sorted(
-            name for entries in self._parked.values() for name, _, _ in entries
+            name for entries in self._parked.values() for name, _ in entries
         )
         payload = {"pid": os.getpid(), "segments": names}
         try:
@@ -296,8 +271,8 @@ def sweep_manifests(directory: Optional[Path] = None) -> List[str]:
     """Unlink segments whose owning process died without cleanup.
 
     Scans the manifest directory; for every manifest whose pid is no longer
-    alive, unlinks each recorded segment that still exists and removes the
-    manifest.  Returns the names actually unlinked.  Safe to run any time —
+    alive, unlinks each recorded segment that still exists (by name: nothing
+    is mapped) and removes the manifest.  Returns the names actually unlinked.  Safe to run any time —
     live owners' manifests are left alone.
     """
     directory = directory if directory is not None else manifest_dir()
@@ -311,14 +286,7 @@ def sweep_manifests(directory: Optional[Path] = None) -> List[str]:
             continue
         if _pid_alive(pid):
             continue
-        for name in segments:
-            try:
-                shm = attach_segment(name)
-            except FileNotFoundError:
-                continue
-            _close_quietly(shm)
-            _unlink_untracked(shm)
-            swept.append(name)
+        swept.extend(name for name in segments if unlink_segment(name))
         try:
             path.unlink()
         except OSError:

@@ -62,7 +62,7 @@ from repro.dist.protocol import (
     encode_frame,
     make_frame,
 )
-from repro.dist.shardstore import _close_quietly, attach_segment
+from repro.dist.shardstore import attach_segment
 from repro.runtime.interpreter import erf_fallback_reason
 from repro.runtime.kernel import prepare_kernel_launch, split_tail
 from repro.runtime.tiling import TileSpan, reduce_tile, slice_view, span_producer
@@ -139,8 +139,8 @@ class _Worker:
         self.worker_id = worker_id
         self.conn = conn
         self.plans: Dict[str, _LoadedPlan] = {}
-        #: segment name -> (shm, uint8 buffer); LRU, capped.
-        self.attachments: "OrderedDict[str, tuple]" = OrderedDict()
+        #: segment name -> uint8 buffer over its mapping; LRU, capped.
+        self.attachments: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.memory: Optional[ShardMemory] = None
         self.current_token: Optional[str] = None
         #: Private base positions the current mapping left out.
@@ -196,13 +196,10 @@ class _Worker:
         self.close()
 
     def close(self) -> None:
-        # Drop every view layer first so the mappings can actually close.
+        # A mapping unmaps with its last view; segments are the master's.
         self.memory = None
         self.scratch = None
         self.plans.clear()
-        for name, (shm, buffer) in list(self.attachments.items()):
-            del buffer
-            _close_quietly(shm)
         self.attachments.clear()
         try:
             self.conn.close()
@@ -235,10 +232,10 @@ class _Worker:
         self.send("loaded", token=token, plan_checks_run=checks, plans=len(self.plans))
 
     def _attach(self, name: str) -> np.ndarray:
-        entry = self.attachments.get(name)
-        if entry is not None:
+        buffer = self.attachments.get(name)
+        if buffer is not None:
             self.attachments.move_to_end(name)
-            return entry[1]
+            return buffer
         while len(self.attachments) >= MAX_ATTACHMENTS:
             stale = next(
                 (key for key in self.attachments if key not in self.mapped_names),
@@ -246,11 +243,9 @@ class _Worker:
             )
             if stale is None:
                 break
-            shm, _ = self.attachments.pop(stale)
-            _close_quietly(shm)
-        shm = attach_segment(name)
-        buffer = np.frombuffer(shm.buf, dtype=np.uint8, count=shm.size)
-        self.attachments[name] = (shm, buffer)
+            del self.attachments[stale]
+        buffer = np.frombuffer(attach_segment(name), dtype=np.uint8)
+        self.attachments[name] = buffer
         return buffer
 
     def handle_map(self, frame) -> None:

@@ -29,84 +29,52 @@ and an :class:`ExecutionStats` record (kernel launches, elements traversed,
 bytes moved, wall-clock and simulated time, plan/kernel cache outcomes).
 """
 
-from repro.runtime.memory import BufferDirective, BufferPool, MemoryManager
-from repro.runtime.instrumentation import ExecutionStats, ExecutionResult
-from repro.runtime.backend import Backend, get_backend, register_backend, available_backends
-from repro.runtime.interpreter import NumPyInterpreter
-from repro.runtime.kernel import (
-    Kernel,
-    KernelTemplate,
-    compile_kernel_template,
-    kernel_slot_views,
-    kernel_structural_key,
-    partition_into_kernels,
-)
-from repro.runtime.jit import FusingJIT
-from repro.runtime.parallel import ParallelBackend
-from repro.runtime.simulator import SimulatedAccelerator, DeviceProfile, DEVICE_PROFILES
-from repro.runtime.tiling import (
-    SerialStep,
-    TileDecomposition,
-    TiledMapStep,
-    TiledReduceStep,
-    TileSpan,
-    decompose,
-    resolve_num_threads,
-    slice_view,
-)
-from repro.runtime.plan import (
-    ExecutionPlan,
-    PlanCache,
-    canonical_program_key,
-    config_signature,
-    merge_batches,
-    program_base_order,
-    program_fingerprint,
-    split_into_batches,
-)
-from repro.runtime.memplan import MemoryPlan, attach_memory_plan, bind_memory_plan
-from repro.runtime.engine import ExecutionEngine
+from repro._exports import export_on_demand
 
-__all__ = [
-    "MemoryManager",
-    "BufferPool",
-    "BufferDirective",
-    "MemoryPlan",
-    "attach_memory_plan",
-    "bind_memory_plan",
-    "ExecutionStats",
-    "ExecutionResult",
-    "Backend",
-    "get_backend",
-    "register_backend",
-    "available_backends",
-    "NumPyInterpreter",
-    "Kernel",
-    "KernelTemplate",
-    "compile_kernel_template",
-    "kernel_slot_views",
-    "kernel_structural_key",
-    "partition_into_kernels",
-    "FusingJIT",
-    "ParallelBackend",
-    "SerialStep",
-    "TileDecomposition",
-    "TiledMapStep",
-    "TiledReduceStep",
-    "TileSpan",
-    "decompose",
-    "resolve_num_threads",
-    "slice_view",
-    "SimulatedAccelerator",
-    "DeviceProfile",
-    "DEVICE_PROFILES",
-    "ExecutionPlan",
-    "PlanCache",
-    "ExecutionEngine",
-    "canonical_program_key",
-    "config_signature",
-    "program_base_order",
-    "program_fingerprint",
-    "split_into_batches",
-    "merge_batches",
-]
+export_on_demand(
+    globals(),
+    {
+        "repro.runtime.memory": ("MemoryManager", "BufferPool", "BufferDirective"),
+        "repro.runtime.memplan": ("MemoryPlan", "attach_memory_plan", "bind_memory_plan"),
+        "repro.runtime.instrumentation": ("ExecutionStats", "ExecutionResult"),
+        "repro.runtime.backend": (
+            "Backend",
+            "get_backend",
+            "register_backend",
+            "available_backends",
+        ),
+        "repro.runtime.interpreter": ("NumPyInterpreter",),
+        "repro.runtime.kernel": (
+            "Kernel",
+            "KernelTemplate",
+            "compile_kernel_template",
+            "kernel_slot_views",
+            "kernel_structural_key",
+            "partition_into_kernels",
+        ),
+        "repro.runtime.jit": ("FusingJIT",),
+        "repro.runtime.parallel": ("ParallelBackend",),
+        "repro.runtime.tiling": (
+            "SerialStep",
+            "TileDecomposition",
+            "TiledMapStep",
+            "TiledReduceStep",
+            "TileSpan",
+            "decompose",
+            "resolve_num_threads",
+            "slice_view",
+        ),
+        "repro.runtime.simulator": ("SimulatedAccelerator", "DeviceProfile", "DEVICE_PROFILES"),
+        "repro.runtime.plan": (
+            "ExecutionPlan",
+            "PlanCache",
+            "canonical_program_key",
+            "config_signature",
+            "program_base_order",
+            "program_fingerprint",
+            "split_into_batches",
+            "merge_batches",
+        ),
+        "repro.runtime.engine": ("ExecutionEngine",),
+    },
+)

@@ -23,7 +23,6 @@ from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode, REDUCE_TO_ELEMENTWISE
 from repro.bytecode.operand import Constant, is_constant, is_view
 from repro.bytecode.program import Program
-from repro.codegen.cache import resolve_runtime, runtime_failure
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import MemoryManager
@@ -39,7 +38,10 @@ def _erf_helper():
     and cache directory, served from disk without a compiler run, never a
     compile in anybody's counters.  Kept as a separate seam so tests can
     patch it and exercise the fallback on a host that has a compiler.
+    Imported here: only an erf launch needs the artifact cache.
     """
+    from repro.codegen.cache import resolve_runtime, runtime_failure
+
     config = get_config()
     where = (config.codegen_cache_dir, config.codegen_disk_cache_enabled)
     runtime = resolve_runtime(*where)[0]

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
-from repro.cluster.partition import partition_length
 from repro.runtime.backend import Backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.interpreter import NumPyInterpreter, erf_fallback_reason
@@ -66,6 +65,7 @@ from repro.runtime.tiling import (
     TileSpan,
     combine_partials,
     decompose,
+    partition_length,
     reduce_tile,
     resolve_num_threads,
     slice_view,

@@ -35,7 +35,6 @@ get to see" is a planning decision.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -228,6 +227,8 @@ def program_fingerprint(program: Program) -> str:
 
 def fingerprint_of_key(key: tuple) -> str:
     """Hash a canonical key (from :func:`canonical_program_key`) to hex."""
+    import hashlib  # here: a dist worker imports this module and never hashes
+
     return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()
 
 

@@ -31,15 +31,14 @@ Splittability rules (serial fallback otherwise):
 * everything else — generators (``BH_RANDOM``, ``BH_RANGE``), extension
   methods (dense linear algebra), system directives — is serial, mirroring
   the splittable-versus-serial split of :mod:`repro.cluster.partition`,
-  whose block distribution (:func:`~repro.cluster.partition.partition_length`)
-  also computes the tile spans here.
+  which shares this module's block distribution (:func:`partition_length`).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +47,35 @@ from repro.bytecode.opcodes import REDUCE_TO_ELEMENTWISE, opcode_info
 from repro.bytecode.operand import is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
-from repro.cluster.partition import partition_length
 from repro.utils.config import Config, get_config
+from repro.utils.errors import ClusterError
+
+
+def partition_length(length: int, num_workers: int) -> List[Tuple[int, int]]:
+    """Split ``length`` elements into contiguous (start, count) chunks.
+
+    The chunk count is clamped to ``min(num_workers, length)`` so every
+    returned chunk is non-empty — consumers that launch real work per chunk
+    (the distributed backend ships one shard per chunk to a worker process)
+    must never be handed a zero-length shard.  A ``length`` of zero therefore
+    yields no chunks at all.  Within the clamped count the first
+    ``length % parts`` chunks get one extra element, the standard block
+    distribution.
+    """
+    if num_workers < 1:
+        raise ClusterError(f"need at least one worker, got {num_workers}")
+    parts = min(num_workers, length)
+    if parts == 0:
+        return []
+    base = length // parts
+    remainder = length % parts
+    chunks: List[Tuple[int, int]] = []
+    start = 0
+    for worker in range(parts):
+        count = base + (1 if worker < remainder else 0)
+        chunks.append((start, count))
+        start += count
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -270,7 +296,7 @@ def spans_for(
     mid-size workload still feeds every thread) nor so many that a span
     would hold fewer than ``min_rows`` rows.  The rows are then
     block-distributed with the cluster layer's
-    :func:`~repro.cluster.partition.partition_length` so spans differ in
+    :func:`partition_length` so spans differ in
     size by at most one row.
     """
     rows_per_tile = max(min_rows, tile_elements // max(1, row_elements))

@@ -169,7 +169,7 @@ class Config:
         compute, ``"blocking"`` fetches first and computes after.  Results
         are bitwise identical either way.
     dist_shm_max_bytes:
-        Byte cap on live ``multiprocessing.shared_memory`` segments (active
+        Byte cap on live POSIX shared-memory segments (active
         arrays plus the recycling free list) owned by the distributed
         backend's shard store.  Exceeding it raises
         :class:`~repro.utils.errors.DistributedExecutionError` instead of

@@ -9,6 +9,7 @@ the master would pass every bitwise comparison.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 
@@ -18,7 +19,8 @@ import pytest
 from dist_settings import TINY_TILES
 from repro.bytecode.builder import ProgramBuilder
 from repro.checks import COUNTERS
-from repro.dist.backend import _get_store
+from repro.dist import worker as worker_module
+from repro.dist.backend import WorkerPool, _get_store, _shutdown_all_pools
 from repro.dist.shardstore import sweep_manifests
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
@@ -202,12 +204,27 @@ def _store_segments_on_disk():
     store = _get_store()
     with store._segments_lock:
         known = set(store._active) | {
-            name for entries in store._parked.values() for name, _, _ in entries
+            name for entries in store._parked.values() for name, _ in entries
         }
     return known, {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
+def _first_worker_dies_before_hello(worker_id, conn):
+    """A spawn target: worker 0 exits at once, the others serve normally."""
+    if worker_id == 0:
+        os._exit(3)
+    worker_module.worker_main(worker_id, conn)
+
+
 class TestCrashRecovery:
+    def test_a_worker_dying_before_hello_takes_the_started_ones_down(self, monkeypatch):
+        _shutdown_all_pools()
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(worker_module, "worker_main", _first_worker_dies_before_hello)
+        with pytest.raises(DistributedExecutionError, match="worker 0"):
+            WorkerPool(3)
+        assert multiprocessing.active_children() == []
+
     def test_mid_flush_crash_is_clean_and_recoverable(self):
         with config_override(
             parallel_tile_elements=64,

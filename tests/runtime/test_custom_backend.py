@@ -1,14 +1,8 @@
 """Tests for extending the backend registry with user-defined backends."""
 
-import os
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
 
-import repro
 from repro.bytecode.builder import ProgramBuilder
 from repro.runtime.backend import Backend, get_backend, register_backend
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
@@ -94,42 +88,3 @@ class TestTheRegistryResolvesOnDemand:
 
         with pytest.raises(ExecutionError, match="dist"):
             get_backend("no-such-backend")
-
-    def test_resolving_a_backend_imports_that_backend_only(self, tmp_path):
-        """In a fresh process: a ``native`` flush loads nothing of the
-        distributed tier; a ``dist`` flush does."""
-        # A file with a main guard: spawned dist workers re-import it.
-        probe = tmp_path / "probe.py"
-        probe.write_text(
-            textwrap.dedent(
-                """
-                import sys
-                from repro.frontend.session import Session
-                from repro.runtime.backend import available_backends
-                from repro.workloads import monte_carlo_pi
-
-                WATCHED = ("repro.dist.backend", "multiprocessing.shared_memory")
-
-                def main():
-                    assert len(available_backends()) >= 7
-                    assert not any(name in sys.modules for name in WATCHED), "listing imported"
-                    monte_carlo_pi(20_000, session=Session(backend="native")).to_numpy()
-                    assert not any(name in sys.modules for name in WATCHED), "native imported dist"
-                    monte_carlo_pi(20_000, session=Session(backend="dist")).to_numpy()
-                    assert all(name in sys.modules for name in WATCHED), "dist did not"
-                    print("ok")
-
-                if __name__ == "__main__":
-                    main()
-                """
-            )
-        )
-        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        done = subprocess.run(
-            [sys.executable, str(probe)],
-            env=dict(os.environ, PYTHONPATH=source),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

@@ -47,7 +47,7 @@ GUARDS = (
         ("src/repro",),
         "from collections import OrderedDict",
         "every bounded cache is a repro.utils.lru.BoundedLRU; dist/worker.py keeps "
-        "its handle-closing attachment table",
+        "its attachment table, whose eviction skips the segments the current map names",
         {"src/repro/dist/worker.py": None, "src/repro/utils/lru.py": None},
         lives_there=True,
     ),
