@@ -16,7 +16,6 @@ from repro.core.cost import CostModel
 from repro.core.fusion import FusionPass
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.jit import FusingJIT
-from repro.runtime.simulator import SimulatedAccelerator
 from repro.workloads import elementwise_chain
 
 from conftest import record_table
@@ -86,11 +85,11 @@ def test_fusing_jit_backend(benchmark, length):
 
 
 def test_simulated_speedup_vs_chain_length(benchmark):
-    """Simulated-accelerator speedup curve as the fusable chain grows."""
+    """Modelled GPU speedup curve as the fusable chain grows."""
 
     def sweep():
         rows = []
-        accelerator = SimulatedAccelerator("gpu")
+        model = CostModel("gpu")
         for length in (2, 4, 8, 16, 32):
             program, _ = elementwise_chain(10_000, length=length)
             # raise the kernel-size cap so the longest chain still fuses into
@@ -101,8 +100,8 @@ def test_simulated_speedup_vs_chain_length(benchmark):
                     "chain_length": length,
                     "kernels_before": program.num_kernels(),
                     "kernels_after": fused.num_kernels(),
-                    "simulated_speedup": accelerator.estimate(program)
-                    / accelerator.estimate(fused),
+                    "simulated_speedup": model.program_cost(program)
+                    / model.program_cost(fused),
                 }
             )
         return rows

@@ -1,17 +1,15 @@
-"""E8 — simulated cluster/multicore scaling (paper Section 1 context).
+"""E8 — modelled cluster/multicore scaling (paper Section 1 context).
 
-Bohrium's pitch includes clusters; we cannot run one, so the partitioned
-executor prices programs under an explicit latency/bandwidth model.
+Bohrium's pitch includes clusters; we cannot run one, so the cost model
+prices programs block-distributed over workers under an explicit
+latency/bandwidth model (``CostModel.partitioned_cost``).
 Expected shape: simulated time falls with worker count but sub-linearly
 (communication and launch overheads), and the byte-code optimizer improves
 every point of the curve because each removed byte-code removes a round of
 per-worker work and each fused kernel removes synchronisation.
 """
 
-import numpy as np
-import pytest
-
-from repro.cluster import ClusterExecutor, CommunicationModel
+from repro.core.cost import CommunicationModel, CostModel
 from repro.core.pipeline import optimize
 from repro.workloads import elementwise_chain, linear_solve_program, repeated_constant_add
 
@@ -21,29 +19,17 @@ WORKER_COUNTS = (1, 2, 4, 8, 16)
 SIZE = 1_000_000
 
 
-@pytest.mark.parametrize("workers", (1, 4, 16))
-def test_cluster_execution(benchmark, workers):
-    """Wall-clock of the (correctness) execution path plus pricing, per worker count."""
-    program, out = elementwise_chain(100_000, length=8)
-
-    def run():
-        executor = ClusterExecutor(num_workers=workers, profile="single_core")
-        return executor.execute(program).value(out)
-
-    values = benchmark(run)
-    benchmark.group = "E8 cluster execution"
-    assert np.isfinite(values).all()
-
-
 def test_scaling_curve_unoptimized_vs_optimized(benchmark):
     """The headline scaling table: simulated seconds vs workers, before/after optimization."""
 
     def sweep():
         program, _ = elementwise_chain(SIZE, length=16)
         optimized = optimize(program).optimized
-        executor = ClusterExecutor(num_workers=1, profile="single_core")
-        before = executor.scaling_curve(program, WORKER_COUNTS)
-        after = executor.scaling_curve(optimized, WORKER_COUNTS)
+        model = CostModel("single_core")
+        before, after = (
+            {w: model.partitioned_cost(p, w).total_seconds for w in WORKER_COUNTS}
+            for p in (program, optimized)
+        )
         rows = []
         for workers in WORKER_COUNTS:
             rows.append(
@@ -83,12 +69,14 @@ def test_communication_sensitivity(benchmark):
             (50e-6, 1e9, "slow ethernet"),
         ):
             comm = CommunicationModel(latency_s=latency, bytes_per_second=bandwidth)
-            executor = ClusterExecutor(num_workers=8, profile="single_core", comm=comm)
+            model = CostModel("single_core")
             rows.append(
                 {
                     "interconnect": label,
-                    "unoptimized_ms": executor.estimate(program).total_seconds * 1e3,
-                    "optimized_ms": executor.estimate(optimized).total_seconds * 1e3,
+                    "unoptimized_ms": model.partitioned_cost(program, 8, comm).total_seconds
+                    * 1e3,
+                    "optimized_ms": model.partitioned_cost(optimized, 8, comm).total_seconds
+                    * 1e3,
                 }
             )
         return rows
@@ -111,10 +99,10 @@ def test_extension_heavy_program_on_cluster(benchmark):
     def sweep():
         program, _, _ = linear_solve_program(128)
         optimized = optimize(program).optimized
-        executor = ClusterExecutor(num_workers=8, profile="single_core")
+        model = CostModel("single_core")
         return {
-            "unoptimized": executor.estimate(program),
-            "optimized": executor.estimate(optimized),
+            "unoptimized": model.partitioned_cost(program, 8),
+            "optimized": model.partitioned_cost(optimized, 8),
         }
 
     stats = benchmark(sweep)

@@ -1,9 +1,9 @@
-"""Simulated cluster scaling of an optimized vs unoptimized workload.
+"""Modelled cluster scaling of an optimized vs unoptimized workload.
 
 Bohrium's pitch is running unchanged NumPy code on multicore machines and
-clusters.  This example prices a long element-wise chain on the simulated
-partitioned executor for 1..16 workers, with and without the byte-code
-optimizer, and prints the scaling curve: the optimizer removes byte-codes
+clusters.  This example prices a long element-wise chain block-distributed
+over 1..16 workers (``CostModel.partitioned_cost``), with and without the
+byte-code optimizer, and prints the scaling curve: the optimizer removes byte-codes
 (and therefore whole per-worker kernel rounds and synchronisations), so the
 optimized curve sits below the unoptimized one at every worker count.
 
@@ -13,7 +13,7 @@ Run with::
 """
 
 from repro import optimize
-from repro.cluster import ClusterExecutor
+from repro.core.cost import CostModel
 from repro.workloads import elementwise_chain, repeated_constant_add
 
 
@@ -23,9 +23,12 @@ def main() -> None:
     optimized = optimize(program).optimized
 
     worker_counts = (1, 2, 4, 8, 16)
-    executor = ClusterExecutor(num_workers=1, profile="single_core")
-    curve_before = executor.scaling_curve(program, worker_counts)
-    curve_after = executor.scaling_curve(optimized, worker_counts)
+    model = CostModel("single_core")
+
+    def curve(priced):
+        return {w: model.partitioned_cost(priced, w).total_seconds for w in worker_counts}
+
+    curve_before, curve_after = curve(program), curve(optimized)
 
     print(f"element-wise chain of {chain_length} byte-codes over {size} elements")
     print(f"{'workers':>8} {'unoptimized':>14} {'optimized':>14} {'speedup':>9}")
@@ -40,8 +43,7 @@ def main() -> None:
     print()
     program, _ = repeated_constant_add(size, repeats=8)
     optimized = optimize(program).optimized
-    curve_before = executor.scaling_curve(program, worker_counts)
-    curve_after = executor.scaling_curve(optimized, worker_counts)
+    curve_before, curve_after = curve(program), curve(optimized)
     print(f"repeated constant add (8 additions) over {size} elements")
     print(f"{'workers':>8} {'unoptimized':>14} {'optimized':>14} {'speedup':>9}")
     for workers in worker_counts:

@@ -6,7 +6,8 @@ The package implements a Bohrium-like stack in pure Python:
 * :mod:`repro.bytecode` — the descriptive vector byte-code IR (op-codes,
   views, programs, the textual listing format).
 * :mod:`repro.runtime` — execution backends: a NumPy reference interpreter,
-  a fusing JIT and a simulated accelerator with a roofline cost model.
+  a fusing JIT, a tiled thread-parallel backend and compiled native
+  kernels.
 * :mod:`repro.core` — the paper's contribution: the algebraic
   transformation engine (constant merging, power expansion via addition
   chains, the context-aware linear-solve rewrite, fusion, clean-up passes,
@@ -16,7 +17,7 @@ The package implements a Bohrium-like stack in pure Python:
 * :mod:`repro.frontend` — a lazy NumPy-like array front-end that records
   byte-code instead of computing eagerly ("change the import, keep the
   code").
-* :mod:`repro.cluster` — a simulated partitioned multi-worker executor.
+* :mod:`repro.dist` — sharded execution over a pool of worker processes.
 * :mod:`repro.workloads` — workload generators used by the examples and the
   benchmark harness.
 
@@ -71,7 +72,6 @@ export_on_demand(
             "MemoryManager",
             "NumPyInterpreter",
             "PlanCache",
-            "SimulatedAccelerator",
             "get_backend",
             "register_backend",
             "program_fingerprint",

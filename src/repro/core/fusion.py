@@ -13,8 +13,8 @@ its own store — into a single ``BH_FUSED`` instruction; under
 
 Because the pass bakes the *scheduled order* into the optimized program,
 every downstream consumer sees it: a backend launches one kernel per
-cluster (and, under the simulated accelerator's cost model, streams each
-operand once), the tiled parallel backend decomposes the fused kernels, and
+cluster (and, under the cost model, streams each operand once), the tiled
+parallel backend decomposes the fused kernels, and
 the memory planner observes the fusion-shortened lifetimes when it aliases
 buffers.  The computed :class:`~repro.core.schedule.FusionSchedule` is
 recorded in the pass statistics so the execution engine can attach it to

@@ -41,8 +41,8 @@ index, never by base identity, so the schedule computed once per plan-cache
 miss replays against every rebound flush.  One seam —
 :func:`compute_schedule` — serves every consumer: the optimizer's
 :class:`~repro.core.fusion.FusionPass` bakes the scheduled order into the
-optimized program (which the simulated accelerator prices and the memory
-planner consumes, so fusion-shortened lifetimes improve buffer aliasing),
+optimized program (which the cost model prices and the memory planner
+consumes, so fusion-shortened lifetimes improve buffer aliasing),
 and the fusing JIT and the tiled parallel backend schedule plan-less
 programs through the same function.
 """

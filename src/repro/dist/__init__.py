@@ -1,9 +1,9 @@
 """Multi-process sharded execution over shared memory.
 
-The ``dist`` package is the real counterpart of the simulated
-:mod:`repro.cluster` executor: a :class:`~repro.dist.backend.DistributedBackend`
+The ``dist`` package is a :class:`~repro.dist.backend.DistributedBackend`
 (registered as ``"dist"``) that executes plans across a persistent pool of
-worker *processes*.  Arrays live in POSIX shared-memory
+worker *processes*; :meth:`repro.core.cost.CostModel.partitioned_cost`
+prices the same block distribution.  Arrays live in POSIX shared-memory
 segments managed by a :class:`~repro.dist.shardstore.ShardStore`; the
 control channel (:mod:`repro.dist.protocol`) ships only plan fingerprints
 and shard descriptors — never array payloads.

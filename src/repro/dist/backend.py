@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bytecode.opcodes import OpCode
-from repro.cluster.comm import COMM_METER, CommunicationModel
 from repro.codegen.cache import resolve_cache_dir, resolve_runtime
+from repro.core.cost import CommunicationModel
 from repro.dist.planner import (
     DistPlan,
     MapShardStep,
@@ -82,6 +82,47 @@ REPLIED_KINDS = ("load", "step")
 
 class WorkerDiedError(DistributedExecutionError):
     """A worker process exited while the master awaited its reply."""
+
+
+class CommMeter:
+    """Process-wide accumulator of priced vs measured communication time.
+
+    The master *prices* every halo exchange with the communication model at
+    launch time and adds the *measured* copy seconds its workers report.
+    Keeping both on one meter makes the cost model auditable: a growing gap
+    means the alpha-beta constants no longer describe the machine.
+    """
+
+    def __init__(self) -> None:
+        self._meter_lock = threading.Lock()
+        self._priced_seconds = 0.0
+        self._measured_seconds = 0.0
+
+    def add_priced(self, seconds: float) -> None:
+        with self._meter_lock:
+            self._priced_seconds += seconds
+
+    def add_measured(self, seconds: float) -> None:
+        with self._meter_lock:
+            self._measured_seconds += seconds
+
+    def snapshot_us(self) -> Dict[str, int]:
+        """Both accumulators in integer microseconds (cache_stats is int-valued)."""
+        with self._meter_lock:
+            return {
+                "comm_priced_us": int(self._priced_seconds * 1e6),
+                "comm_measured_us": int(self._measured_seconds * 1e6),
+            }
+
+    def reset(self) -> None:
+        with self._meter_lock:
+            self._priced_seconds = 0.0
+            self._measured_seconds = 0.0
+
+
+#: The process-wide meter: every dist backend instance feeds it and reports
+#: it in ``cache_stats()``.
+COMM_METER = CommMeter()
 
 
 class _WorkerHandle:
@@ -485,7 +526,6 @@ class DistributedBackend(ParallelBackend):
                 token=dist_plan.token,
                 segments=segments,
                 scratch=scratch_name,
-                halo_mode=config.dist_halo_mode,
                 **extras,
             )
             for worker_id in range(workers):

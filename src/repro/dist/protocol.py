@@ -23,7 +23,7 @@ Frame kinds
               how many plans the worker now holds).
 ``map``       master → worker, per flush: canonical base position →
               shared-memory segment name, plus the reduction scratch
-              segment and the halo mode — and, when the plan shards
+              segment — and, when the plan shards
               ``BH_ERF``, ``codegen``: the artifact cache directory (and
               whether it is in use) the worker loads the vector ``erf``
               from.
@@ -57,7 +57,7 @@ FRAME_FIELDS: Dict[str, tuple] = {
     "hello": ("worker", "pid"),
     "load": ("token", "payload", "check"),
     "loaded": ("token", "plan_checks_run"),
-    "map": ("token", "segments", "scratch", "halo_mode"),
+    "map": ("token", "segments", "scratch"),
     "step": ("token", "step"),
     "complete": ("step", "counters"),
     "error": ("message", "traceback"),

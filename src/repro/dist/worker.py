@@ -32,9 +32,9 @@ Execution model
   shards slice every template slot view to the shard rows and run the
   template's blocked launch; stencil shards
   first fetch their halo rows into a private landing buffer (on a
-  background thread in ``overlap`` mode, so the copy hides behind interior
-  compute) and run their boundary rows against the landing copy; reduction
-  shards reduce their assigned spans — of a kernel that ends in the
+  background thread while interior rows compute, so the copy hides behind
+  them; inline when the shard has no interior) and run their boundary rows
+  against the landing copy; reduction shards reduce their assigned spans — of a kernel that ends in the
   reduction, after its members computed the span in scratch — combine forms
   writing partials into the shared scratch segment for the master's fixed
   pairwise combine.
@@ -146,7 +146,6 @@ class _Worker:
         #: Private base positions the current mapping left out.
         self.unmapped: frozenset = frozenset()
         self.scratch: Optional[np.ndarray] = None
-        self.halo_mode = "overlap"
         self.mapped_names: set = set()
         self.crash_armed = False
 
@@ -277,7 +276,6 @@ class _Worker:
         self.memory = memory
         self.current_token = token
         self.scratch = self._attach(scratch_name) if scratch_name is not None else None
-        self.halo_mode = frame["halo_mode"]
         codegen = frame.get("codegen")
         if codegen is not None:
             cache_dir, use_disk = codegen
@@ -374,7 +372,7 @@ class _Worker:
                 counters["halo_bytes"] += halo.depth * halo.row_bytes
             counters["halo_seconds"] += time.perf_counter() - begin
 
-        if self.halo_mode == "overlap" and interior > 0:
+        if interior > 0:
             # Communication hides behind interior compute: the landing
             # buffers fill on a background thread while this thread runs
             # the rows that need no foreign data.
@@ -387,11 +385,6 @@ class _Worker:
             fetcher.join()
         else:
             fetch()
-            if interior > 0:
-                interior_views = tuple(
-                    slice_view(view, TileSpan(shard.start, interior)) for view in slots
-                )
-                launch(self.memory, interior_views)
         if boundary > 0:
             boundary_views, landing_bases = self._boundary_views(
                 step, slots, shard, interior, boundary, landings

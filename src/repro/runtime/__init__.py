@@ -1,7 +1,7 @@
 """Execution backends for byte-code programs.
 
 Bohrium dispatches its byte-code to *vector engines* (OpenMP, OpenCL, CUDA).
-We provide three Python equivalents:
+We provide Python equivalents:
 
 * :class:`NumPyInterpreter` — the reference backend: executes one byte-code
   at a time on NumPy storage.  Used for correctness and for wall-clock
@@ -14,10 +14,13 @@ We provide three Python equivalents:
   the execution plan) and executes independent tiles across a persistent
   thread pool, with tree-combined reduction partials and serial fallback
   for non-splittable byte-codes.
-* :class:`SimulatedAccelerator` — executes via the interpreter for
-  correctness but additionally *prices* the program with an explicit device
-  cost model (kernel-launch latency, per-element cost, memory bandwidth),
-  standing in for the GPU the paper targets.
+* ``NativeBackend`` (``"native"``) — the tiled backend whose map and
+  reduce steps run as compiled C kernels.
+* ``DistributedBackend`` (``"dist"``, :mod:`repro.dist`) — the tiled
+  backend whose steps run as shards on a pool of worker processes.
+
+Pricing a program against a device profile is a report, not a backend:
+:class:`~repro.core.cost.CostModel`.
 
 Backends are selected through a registry (:func:`register_backend` /
 :func:`get_backend`); the :class:`ExecutionEngine` sits on top of the
@@ -26,7 +29,7 @@ repeated flushes skip the optimizer and kernel partitioning entirely.
 
 All backends return an :class:`ExecutionResult` carrying the output arrays
 and an :class:`ExecutionStats` record (kernel launches, elements traversed,
-bytes moved, wall-clock and simulated time, plan/kernel cache outcomes).
+bytes moved, wall-clock time, plan/kernel cache outcomes).
 """
 
 from repro._exports import export_on_demand
@@ -64,7 +67,6 @@ export_on_demand(
             "resolve_num_threads",
             "slice_view",
         ),
-        "repro.runtime.simulator": ("SimulatedAccelerator", "DeviceProfile", "DEVICE_PROFILES"),
         "repro.runtime.plan": (
             "ExecutionPlan",
             "PlanCache",

@@ -3,7 +3,8 @@
 A backend turns a byte-code :class:`~repro.bytecode.program.Program` into
 results.  Backends are registered by name so configuration and the lazy
 front-end can select them with a string (``"interpreter"``, ``"jit"``,
-``"parallel"``, ``"native"``, ``"simulator"``, ``"cluster"``, ``"dist"``).
+``"parallel"``, ``"native"``, ``"dist"``).  Pricing a program is not a
+backend: :class:`~repro.core.cost.CostModel` reports it.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Backend(abc.ABC):
         memory directives (slot aliasing, zero-fill waivers) on the
         memory manager and delegates to :meth:`execute`; it covers every
         backend whose execution itself is plan-agnostic (interpreter,
-        fusing JIT, cluster, simulator).
+        fusing JIT).
 
         The ``check_ir``-gated plan check runs here too — per execution,
         not just per compilation — so a plan corrupted *after* caching can
@@ -98,7 +99,7 @@ class Backend(abc.ABC):
         """Counters of any backend-local caches (compiled kernels, plans).
 
         The default backend has no caches; backends that do (the fusing JIT's
-        compiled-kernel cache, the cluster executor's pricing plans) override
+        compiled-kernel cache, the tiled backends' plan artifacts) override
         this so the execution engine and the CLI can report them.
         """
         return {}
@@ -127,8 +128,6 @@ _BUILTIN_BACKENDS: Dict[str, str] = {
     "jit": "repro.runtime.jit:FusingJIT",
     "parallel": "repro.runtime.parallel:ParallelBackend",
     "native": "repro.runtime.native:NativeBackend",
-    "simulator": "repro.runtime.simulator:SimulatedAccelerator",
-    "cluster": "repro.cluster.executor:ClusterExecutor",
     "dist": "repro.dist.backend:DistributedBackend",
 }
 

@@ -47,8 +47,6 @@ class ExecutionStats:
     opcode_counts: Dict[OpCode, int] = field(default_factory=dict)
     #: Measured wall-clock execution time.
     wall_time_seconds: float = _stat(0.0, export="wall_time_s")
-    #: Device-model time (only filled in by the simulated backend).
-    simulated_time_seconds: float = _stat(0.0, export="simulated_time_s")
     #: Middleware overhead of the flush: fingerprinting plus either the
     #: optimization pipeline (plan-cache miss) or the plan rebind (hit).
     plan_time_seconds: float = _stat(0.0, export="plan_time_s")

@@ -280,10 +280,8 @@ _CONFIG_SIGNATURE_FIELDS = (
     # Distributed knobs: shard plans (one shard per worker, halo depths,
     # reduction span assignments) are attached to plans at prepare time and
     # the shared-memory budget bounds what an execution may allocate, so a
-    # plan prepared under one worker count or halo mode must not replay
-    # under another.
+    # plan prepared under one worker count must not replay under another.
     "dist_num_workers",
-    "dist_halo_mode",
     "dist_shm_max_bytes",
 )
 

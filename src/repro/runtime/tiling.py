@@ -29,9 +29,9 @@ Splittability rules (serial fallback otherwise):
   tree-combined by the backend.  A fused kernel that *ends* in a reduction
   gets that reduction's step, its members computing each tile's source.
 * everything else — generators (``BH_RANDOM``, ``BH_RANGE``), extension
-  methods (dense linear algebra), system directives — is serial, mirroring
-  the splittable-versus-serial split of :mod:`repro.cluster.partition`,
-  which shares this module's block distribution (:func:`partition_length`).
+  methods (dense linear algebra), system directives — is serial, the same
+  splittable-versus-serial split
+  :meth:`repro.core.cost.CostModel.partitioned_cost` prices.
 """
 
 from __future__ import annotations
@@ -168,9 +168,8 @@ class TileDecomposition:
 def slice_view(view: View, span: TileSpan, axis: int = 0) -> View:
     """The sub-view addressing ``span`` along ``axis`` of ``view``.
 
-    Same windowing arithmetic as :func:`repro.cluster.partition.partition_view`,
-    generalized to any axis: the offset advances by whole strides, shape
-    shrinks along the axis, strides are unchanged.
+    The offset advances by whole strides, shape shrinks along the axis,
+    strides are unchanged.
     """
     offset = view.offset + span.start * view.strides[axis]
     shape = view.shape[:axis] + (span.count,) + view.shape[axis + 1 :]
@@ -295,8 +294,7 @@ def spans_for(
     elements — but never fewer than ``min_tiles`` (the worker count, so a
     mid-size workload still feeds every thread) nor so many that a span
     would hold fewer than ``min_rows`` rows.  The rows are then
-    block-distributed with the cluster layer's
-    :func:`partition_length` so spans differ in
+    block-distributed with :func:`partition_length` so spans differ in
     size by at most one row.
     """
     rows_per_tile = max(min_rows, tile_elements // max(1, row_elements))

@@ -24,13 +24,12 @@ from typing import List, Optional, Sequence
 
 from repro.bytecode.parser import parse_program
 from repro.bytecode.printer import format_program
-from repro.core.cost import CostModel
+from repro.core.cost import DEVICE_PROFILES, CostModel
 from repro.core.pipeline import default_pipeline
 from repro.core.schedule import fusion_schedule_of
 from repro.core.rules import DEFAULT_PASS_ORDER, EXTENDED_PASS_ORDER, available_passes
 from repro.core.verifier import SemanticVerifier
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.simulator import DEVICE_PROFILES
 from repro.utils.config import config_override
 from repro.utils.errors import ReproError
 
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help="execute the listing through the execution engine on this "
-        "registered backend (e.g. interpreter, jit, parallel, simulator, dist) "
+        "registered backend (e.g. interpreter, jit, parallel, native, dist) "
         "and print execution plus plan/kernel cache statistics",
     )
     parser.add_argument(

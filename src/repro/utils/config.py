@@ -30,7 +30,7 @@ class Config:
         Name of the backend the front-end uses when none is given: any
         name registered in :mod:`repro.runtime.backend` (built in:
         ``"interpreter"``, ``"jit"``, ``"parallel"``, ``"native"``,
-        ``"simulator"``, ``"cluster"``, ``"dist"``).
+        ``"dist"``).
     optimize:
         Whether the front-end runs the optimization pipeline before
         executing a flushed program.
@@ -163,11 +163,6 @@ class Config:
         persistent pool.  Shard plans depend on it, so it is signed into
         the plan signature; pools are shared process-wide per worker
         count.
-    dist_halo_mode:
-        How stencil shards fetch their halo rows: ``"overlap"`` runs the
-        exchange on a background thread while the shard's interior rows
-        compute, ``"blocking"`` fetches first and computes after.  Results
-        are bitwise identical either way.
     dist_shm_max_bytes:
         Byte cap on live POSIX shared-memory segments (active
         arrays plus the recycling free list) owned by the distributed
@@ -211,7 +206,6 @@ class Config:
     service_pool_max_bytes: int = 1 << 28  # 256 MiB
     service_fairness: str = "shared"
     dist_num_workers: int = 2
-    dist_halo_mode: str = "overlap"
     dist_shm_max_bytes: int = 1 << 30  # 1 GiB
     enabled_passes: Optional[List[str]] = None
     random_seed: int = 0x5EED

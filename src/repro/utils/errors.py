@@ -96,7 +96,7 @@ class CostModelError(ReproError):
 
 
 class ClusterError(ReproError):
-    """The simulated cluster executor hit an invalid configuration."""
+    """A partitioned computation was asked for fewer than one worker."""
 
 
 class ConcurrencyError(ReproError):

@@ -5,12 +5,11 @@ import pytest
 
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.opcodes import OpCode
-from repro.core.cost import CostModel
+from repro.core.cost import DEVICE_PROFILES, CostModel, DeviceProfile
 from repro.core.fusion import FusionPass
 from repro.core.pipeline import optimize
 from repro.core.verifier import SemanticVerifier
 from repro.runtime.interpreter import NumPyInterpreter
-from repro.runtime.simulator import DEVICE_PROFILES
 from repro.utils.errors import CostModelError
 from repro.workloads import elementwise_chain, repeated_constant_add
 
@@ -104,8 +103,6 @@ class TestCostModel:
         assert gpu < single
 
     def test_custom_profile_accepted(self):
-        from repro.runtime.simulator import DeviceProfile
-
         profile = DeviceProfile("laptop", 1e-6, 1e10, 1e10)
         model = CostModel(profile)
         program, _ = repeated_constant_add(100, repeats=1)

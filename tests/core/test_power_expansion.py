@@ -160,7 +160,7 @@ class TestPowerExpansionPass:
     def test_cost_model_can_refuse_expansion(self):
         # On a memory-bound device with enormous launch cost relative to
         # compute, many multiplies are worse than one pow kernel.
-        from repro.runtime.simulator import DeviceProfile
+        from repro.core.cost import DeviceProfile
 
         expensive_launch = DeviceProfile(
             name="expensive-launch",

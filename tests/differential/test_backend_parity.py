@@ -3,8 +3,8 @@
 A second *real* execution backend multiplies the ways results can diverge:
 tiling can mis-slice a view, a rebound plan can alias the wrong base, an
 optimization pass can interact badly with a backend-specific execution
-strategy.  This harness pits every registered real backend — interpreter,
-fusing JIT, tiled parallel, native codegen, simulated cluster — and both
+strategy.  This harness pits every in-process backend — interpreter,
+fusing JIT, tiled parallel, native codegen — and both
 optimization levels against a single oracle on randomly generated programs.
 
 The native backend runs compiled C loop nests for every kernel form that
@@ -47,9 +47,8 @@ from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
 
-#: Every backend the harness checks.  All execute for real (the cluster
-#: backend computes via the interpreter and only *prices* in simulation).
-BACKENDS = ("interpreter", "jit", "parallel", "native", "cluster")
+#: Every backend the harness checks.
+BACKENDS = ("interpreter", "jit", "parallel", "native")
 
 #: Backends allowed to reassociate floating-point reductions (tree-combined
 #: tile partials); they get tolerance instead of bitwise comparison on
@@ -130,7 +129,7 @@ def test_elementwise_program_parity(seed):
         _check_program(
             program,
             synced,
-            bitwise_backends=("jit", "parallel", "native", "cluster"),
+            bitwise_backends=("jit", "parallel", "native"),
             close_backends=(),
         )
 
@@ -143,7 +142,7 @@ def test_mixed_program_parity(seed):
         _check_program(
             program,
             synced,
-            bitwise_backends=("jit", "cluster"),
+            bitwise_backends=("jit",),
             close_backends=REASSOCIATING_BACKENDS,
         )
 

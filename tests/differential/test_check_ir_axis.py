@@ -25,7 +25,7 @@ from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
 
-BACKENDS = ("interpreter", "jit", "parallel", "native", "cluster")
+BACKENDS = ("interpreter", "jit", "parallel", "native")
 
 #: Tiny tiles force the tiled/planned code paths (and therefore the tiling
 #: and memory-plan checkers) even on the generator's small arrays.

@@ -194,8 +194,7 @@ def test_memory_binding_axes_are_bitwise(plan_enabled, zero_policy):
 
 
 @pytest.mark.parametrize("plan_enabled, zero_policy", MEMORY_BINDINGS)
-@pytest.mark.parametrize("halo_mode", ["overlap", "blocking"])
-def test_stencil_memory_binding_axes_are_bitwise(plan_enabled, zero_policy, halo_mode):
+def test_stencil_memory_binding_axes_are_bitwise(plan_enabled, zero_policy):
     session = Session(backend="interpreter", optimize=False)
     expected = heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
     for workers in WORKER_COUNTS:
@@ -203,7 +202,6 @@ def test_stencil_memory_binding_axes_are_bitwise(plan_enabled, zero_policy, halo
             parallel_tile_elements=64,
             parallel_serial_threshold=4,
             dist_num_workers=workers,
-            dist_halo_mode=halo_mode,
             memory_plan_enabled=plan_enabled,
             memory_zero_policy=zero_policy,
         ):
@@ -213,7 +211,7 @@ def test_stencil_memory_binding_axes_are_bitwise(plan_enabled, zero_policy, halo
                     grid_size=24, iterations=3, session=dist_session
                 ).to_numpy()
                 assert np.array_equal(actual, expected), (
-                    f"stencil, {workers} workers, {halo_mode}, plan "
+                    f"stencil, {workers} workers, plan "
                     f"{plan_enabled}, zero policy {zero_policy}"
                 )
             stats = dist_session.stats_history[-1]

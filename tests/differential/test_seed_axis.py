@@ -47,9 +47,8 @@ from repro.utils.errors import ExecutionError
 from repro.workloads import black_scholes, gaussian_blur, monte_carlo_pi
 from repro.workloads.generators import random_mixed_program
 
-#: Every backend that computes results (the cluster backend executes via
-#: the interpreter and only *prices* in simulation).
-BACKENDS = ("interpreter", "jit", "parallel", "native", "cluster", "dist")
+#: Every backend that computes results.
+BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
 
 #: Same relaxation the other axes give reassociated reductions.
 RTOL, ATOL = 1e-6, 1e-8
@@ -146,7 +145,6 @@ def _builds(engine) -> tuple:
         stats["plan_builds"],
         stats.get("tiling_cache_misses", 0),
         stats.get("schedule_cache_misses", 0),
-        stats.get("pricing_plan_misses", 0),
         stats.get("dist_loads_shipped", 0),
     )
 

@@ -334,16 +334,12 @@ class TestPrivateBasesRideTheBlockedLaunch:
         session = Session(backend="interpreter", optimize=False)
         return heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
 
-    @pytest.mark.parametrize("halo_mode", ["overlap", "blocking"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_bitwise_with_block_scratch_at_every_pool_size(
-        self, heat_oracle, workers, halo_mode
-    ):
+    def test_bitwise_with_block_scratch_at_every_pool_size(self, heat_oracle, workers):
         with config_override(
             parallel_tile_elements=64,
             parallel_serial_threshold=4,
             dist_num_workers=workers,
-            dist_halo_mode=halo_mode,
         ):
             session = Session(backend="dist", optimize=True)
             out = heat_equation(grid_size=24, iterations=3, session=session).to_numpy()

@@ -20,7 +20,14 @@ from dist_settings import TINY_TILES
 from repro.bytecode.builder import ProgramBuilder
 from repro.checks import COUNTERS
 from repro.dist import worker as worker_module
-from repro.dist.backend import WorkerPool, _get_store, _shutdown_all_pools
+from repro.dist.backend import (
+    COMM_METER,
+    CommMeter,
+    DistributedBackend,
+    WorkerPool,
+    _get_store,
+    _shutdown_all_pools,
+)
 from repro.dist.shardstore import sweep_manifests
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
@@ -113,12 +120,11 @@ class TestReductions:
 
 
 class TestStencilHalo:
-    def _run_heat(self, workers, halo_mode, grid=24, iterations=3):
+    def _run_heat(self, workers, grid=24, iterations=3):
         with config_override(
             parallel_tile_elements=64,
             parallel_serial_threshold=4,
             dist_num_workers=workers,
-            dist_halo_mode=halo_mode,
         ):
             session = Session(backend="dist", optimize=True)
             out = heat_equation(
@@ -133,7 +139,7 @@ class TestStencilHalo:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bitwise_vs_oracle(self, heat_oracle, workers):
-        out, stats = self._run_heat(workers, "overlap")
+        out, stats = self._run_heat(workers)
         assert np.array_equal(out, heat_oracle)
         if workers > 1:
             # The exchange must actually fire: landing buffers start
@@ -142,15 +148,46 @@ class TestStencilHalo:
             assert stats.dist_halo_exchanges > 0
             assert stats.dist_halo_bytes > 0
 
-    def test_blocking_mode_matches_overlap(self, heat_oracle):
-        blocking, stats = self._run_heat(2, "blocking")
-        assert np.array_equal(blocking, heat_oracle)
+    def test_a_shard_without_interior_fetches_before_it_computes(self):
+        # 6x6 grid, 4 workers: the 4 stencil rows shard one per worker, so
+        # every shard is all boundary (depth 1) and fetches inline.
+        session = Session(backend="interpreter", optimize=False)
+        expected = heat_equation(grid_size=6, iterations=3, session=session).to_numpy()
+        out, stats = self._run_heat(4, grid=6)
+        assert np.array_equal(out, expected)
         assert stats.dist_halo_exchanges > 0
 
     def test_no_array_payload_ever_crosses_the_channel(self, heat_oracle):
-        out, stats = self._run_heat(2, "overlap")
+        out, stats = self._run_heat(2)
         assert np.array_equal(out, heat_oracle)
         assert stats.dist_payload_bytes == 0
+
+
+class TestCommMeter:
+    def test_priced_and_measured_accumulate_separately(self):
+        meter = CommMeter()
+        meter.add_priced(1e-3)
+        meter.add_priced(2e-3)
+        meter.add_measured(5e-4)
+        snapshot = meter.snapshot_us()
+        assert snapshot["comm_priced_us"] == 3000
+        assert snapshot["comm_measured_us"] == 500
+
+    def test_reset(self):
+        meter = CommMeter()
+        meter.add_priced(1.0)
+        meter.reset()
+        assert meter.snapshot_us() == {"comm_priced_us": 0, "comm_measured_us": 0}
+
+    def test_module_singleton_snapshot_shape(self):
+        snapshot = COMM_METER.snapshot_us()
+        assert set(snapshot) == {"comm_priced_us", "comm_measured_us"}
+        assert all(isinstance(value, int) for value in snapshot.values())
+
+    def test_the_dist_backend_reports_the_meter(self):
+        stats = DistributedBackend().cache_stats()
+        reported = {key: stats[key] for key in ("comm_priced_us", "comm_measured_us")}
+        assert reported == COMM_METER.snapshot_us()
 
 
 class TestShardLegality:

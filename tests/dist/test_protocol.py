@@ -30,7 +30,7 @@ class TestFraming:
             "hello": dict(worker=0, pid=123),
             "load": dict(token="t", payload=b"pickled", check=False),
             "loaded": dict(token="t", plan_checks_run=2),
-            "map": dict(token="t", segments={0: ("psm_x", 64)}, scratch=None, halo_mode="overlap"),
+            "map": dict(token="t", segments={0: ("psm_x", 64)}, scratch=None),
             "step": dict(token="t", step=0),
             "complete": dict(step=0, counters={"halo_exchanges": 1}),
             "error": dict(message="boom", traceback="tb"),
@@ -80,9 +80,7 @@ class TestValidation:
 
 class TestPayloadDetection:
     def test_clean_frames_measure_zero(self):
-        frame = make_frame(
-            "map", token="t", segments={0: ("psm_x", 64)}, scratch="psm_s", halo_mode="overlap"
-        )
+        frame = make_frame("map", token="t", segments={0: ("psm_x", 64)}, scratch="psm_s")
         assert array_payload_nbytes(frame) == 0
 
     def test_array_anywhere_is_counted(self):

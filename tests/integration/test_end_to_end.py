@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro import frontend as bh
-from repro.cluster import ClusterExecutor
 from repro.core.pipeline import optimize
 from repro.core.verifier import SemanticVerifier
 from repro.frontend.session import reset_session
-from repro.runtime import FusingJIT, NumPyInterpreter, SimulatedAccelerator
+from repro.runtime import FusingJIT, NumPyInterpreter
 from repro.utils.config import config_override
 from repro.workloads import (
     elementwise_chain,
@@ -18,7 +17,7 @@ from repro.workloads import (
     random_elementwise_program,
 )
 
-ALL_BACKENDS = [NumPyInterpreter, FusingJIT, SimulatedAccelerator]
+ALL_BACKENDS = [NumPyInterpreter, FusingJIT]
 
 
 class TestBackendsAgree:
@@ -34,13 +33,6 @@ class TestBackendsAgree:
         optimized = optimize(program).optimized
         reference = NumPyInterpreter().execute(program).value(out)
         assert np.allclose(backend_cls().execute(optimized).value(out), reference)
-
-    def test_cluster_agrees_with_interpreter_on_optimized_program(self):
-        program, out, memory = power_program(512, 9)
-        optimized = optimize(program).optimized
-        reference = NumPyInterpreter().execute(program, memory.clone()).value(out)
-        clustered = ClusterExecutor(num_workers=4).execute(optimized, memory.clone()).value(out)
-        assert np.allclose(reference, clustered)
 
     @pytest.mark.parametrize("seed", [1, 17, 99])
     def test_random_programs_agree_across_backends(self, seed):
@@ -93,7 +85,7 @@ class TestOptimizerEndToEnd:
 
 
 class TestFrontendAcrossBackends:
-    @pytest.mark.parametrize("backend_name", ["interpreter", "jit", "simulator"])
+    @pytest.mark.parametrize("backend_name", ["interpreter", "jit"])
     def test_same_script_same_answer(self, backend_name):
         reset_session(backend=backend_name, optimize=True)
         bh.random.seed(31)

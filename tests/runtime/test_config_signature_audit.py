@@ -112,7 +112,6 @@ def test_signature_value_changes_with_each_signed_field():
         "codegen_threads": 3,
         "codegen_reductions_enabled": False,
         "dist_num_workers": 3,
-        "dist_halo_mode": "blocking",
         "dist_shm_max_bytes": 1 << 20,
     }
     assert set(perturbed) == set(_CONFIG_SIGNATURE_FIELDS)

@@ -69,9 +69,9 @@ class TestCustomBackend:
 
 
 class TestTheRegistryResolvesOnDemand:
-    BUILT_INS = {"interpreter", "jit", "parallel", "native", "simulator", "cluster", "dist"}
+    BUILT_INS = {"interpreter", "jit", "parallel", "native", "dist"}
 
-    def test_all_seven_are_listed(self):
+    def test_all_five_are_listed(self):
         from repro.runtime.backend import available_backends
 
         assert self.BUILT_INS <= set(available_backends())

@@ -220,7 +220,7 @@ class TestTheFallbackIsCounted:
         builder.sync(out)
         return builder.build(), out
 
-    @pytest.mark.parametrize("backend", ["interpreter", "jit", "parallel", "native", "cluster"])
+    @pytest.mark.parametrize("backend", ["interpreter", "jit", "parallel", "native"])
     @pytest.mark.parametrize("tiled", [False, True], ids=["serial", "tiled"])
     def test_per_flush_and_cumulatively(self, backend, tiled, monkeypatch):
         program, out = self._program()

@@ -19,7 +19,7 @@ def test_every_numeric_field_declares_a_merge_policy():
     a numeric field without a policy fails here, and a field with one is
     merged and exported by construction."""
     numeric = _numeric_fields()
-    assert len(numeric) == 44
+    assert len(numeric) == 43
     undeclared = [spec.name for spec in numeric if "merge" not in spec.metadata]
     assert not undeclared, f"declare these with _stat(...): {undeclared}"
     assert {spec.metadata["merge"] for spec in numeric} == {"sum", "max"}
@@ -52,7 +52,6 @@ def test_exported_names_and_max_policies_are_stable():
         "kernel_launches": "kernels",
         "elements_processed": "elements",
         "wall_time_seconds": "wall_time_s",
-        "simulated_time_seconds": "simulated_time_s",
         "plan_time_seconds": "plan_time_s",
     }
     assert {name for name, _, policy in NUMERIC_STATS if policy == "max"} == {

@@ -24,11 +24,13 @@ from repro.runtime.tiling import (
     TileSpan,
     combine_partials,
     decompose,
+    partition_length,
     reduce_tile,
     slice_view,
     spans_for,
 )
 from repro.utils.config import config_override, get_config
+from repro.utils.errors import ClusterError
 
 _SRC_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -90,6 +92,41 @@ class TestSpansAndSlicing:
         part = slice_view(matrix, TileSpan(1, 2), axis=1)
         assert part.offset == matrix.offset + 1 * matrix.strides[1]
         assert part.shape == (6, 2)
+
+
+class TestPartitionLength:
+    def test_even_split(self):
+        assert partition_length(12, 4) == [(0, 3), (3, 3), (6, 3), (9, 3)]
+
+    def test_remainder_goes_to_first_workers(self):
+        assert partition_length(10, 4) == [(0, 3), (3, 3), (6, 2), (8, 2)]
+
+    def test_more_workers_than_rows(self):
+        # Regression: the old behavior padded with zero-count chunks
+        # ((2, 0), (2, 0)), which the distributed backend would have
+        # launched as empty shards.  Excess workers get no chunk at all.
+        chunks = partition_length(2, 4)
+        assert chunks == [(0, 1), (1, 1)]
+
+    def test_no_chunk_is_ever_empty(self):
+        # The dist planner's shard legality rests on this invariant.
+        for length in range(0, 9):
+            for workers in range(1, 9):
+                chunks = partition_length(length, workers)
+                assert all(count > 0 for _, count in chunks), (length, workers)
+                covered = [
+                    index
+                    for start, count in chunks
+                    for index in range(start, start + count)
+                ]
+                assert covered == list(range(length)), (length, workers)
+
+    def test_zero_length_yields_no_chunks(self):
+        assert partition_length(0, 4) == []
+
+    def test_invalid_worker_count(self):
+        with pytest.raises(ClusterError):
+            partition_length(10, 0)
 
 
 class TestDecomposition:

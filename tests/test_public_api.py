@@ -53,7 +53,6 @@ class TestTopLevelExports:
             "CostModel",
             "NumPyInterpreter",
             "FusingJIT",
-            "SimulatedAccelerator",
             "MemoryManager",
             "format_program",
             "parse_program",
@@ -73,7 +72,6 @@ class TestTopLevelExports:
             "repro.runtime",
             "repro.linalg",
             "repro.frontend",
-            "repro.cluster",
             "repro.workloads",
             "repro.utils",
             "repro.tools",
@@ -87,7 +85,6 @@ class TestTopLevelExports:
             "repro.runtime",
             "repro.linalg",
             "repro.frontend",
-            "repro.cluster",
             "repro.workloads",
             "repro.utils",
         ):
@@ -105,7 +102,6 @@ class TestExportsOnDemand:
             "repro",
             "repro.runtime",
             "repro.dist",
-            "repro.cluster",
             "repro.codegen",
             "repro.bytecode",
         ],
