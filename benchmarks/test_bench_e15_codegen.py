@@ -45,6 +45,7 @@ from repro.bytecode.builder import ProgramBuilder
 from repro.codegen import clear_memory_cache, find_c_compiler
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
+from repro.runtime.memory import MemoryManager
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
@@ -282,11 +283,16 @@ def test_a_constant_sweep_compiles_once(tmp_path):
 
 
 def _build_chain():
-    """The E12 workload: two vectors through a 24-op fused chain."""
+    """The E12 workload: two vectors through a 24-op fused chain.
+
+    ``a`` is an input, uniform in [0, 1) in the returned memory (execute on
+    a clone): over constants alone lowering folds the chain to a fill, and
+    the comparison would time one NumPy assignment against 24 interpreted
+    passes.  Returns ``(program, a, b, inputs)``.
+    """
     builder = ProgramBuilder()
     a = builder.new_vector(VECTOR_LENGTH)
     b = builder.new_vector(VECTOR_LENGTH)
-    builder.identity(a, 0.5)
     builder.identity(b, 1.5)
     for i in range(CHAIN_OPS):
         if i % 3 == 0:
@@ -297,29 +303,34 @@ def _build_chain():
             builder.maximum(b, b, a)
     builder.sync(a)
     builder.sync(b)
-    return builder.build(), a, b
+    inputs = MemoryManager()
+    inputs.set_data(a.base, np.random.default_rng(15).random(VECTOR_LENGTH))
+    return builder.build(), a, b, inputs
 
 
-def _best_engine_time(engine, program, rounds=ROUNDS):
-    return min(engine.execute(program).stats.wall_time_seconds for _ in range(rounds))
+def _best_engine_time(engine, program, inputs, rounds=ROUNDS):
+    return min(
+        engine.execute(program, inputs.clone()).stats.wall_time_seconds
+        for _ in range(rounds)
+    )
 
 
 @requires_compiler
 def test_native_backend_beats_parallel_on_elementwise_chain(benchmark, tmp_path):
-    program, a, b = _build_chain()
+    program, a, b, inputs = _build_chain()
     with config_override(codegen_cache_dir=str(tmp_path)):
         clear_memory_cache()
 
         parallel = ExecutionEngine(backend="parallel", optimize=True)
         native = ExecutionEngine(backend="native", optimize=True)
-        reference = parallel.execute(program)
+        reference = parallel.execute(program, inputs.clone())
 
-        cold = native.execute(program)
+        cold = native.execute(program, inputs.clone())
         assert cold.stats.native_compiles >= 1
         assert cold.stats.native_disk_hits == 0
         assert cold.stats.native_fallbacks == 0
 
-        warm = native.execute(program)
+        warm = native.execute(program, inputs.clone())
         assert warm.stats.plan_cache_hits == 1
         assert warm.stats.native_compiles == 0
         assert warm.stats.native_fallbacks == 0
@@ -331,8 +342,8 @@ def test_native_backend_beats_parallel_on_elementwise_chain(benchmark, tmp_path)
 
         def measure():
             return (
-                _best_engine_time(parallel, program),
-                _best_engine_time(native, program),
+                _best_engine_time(parallel, program, inputs),
+                _best_engine_time(native, program, inputs),
             )
 
         parallel_seconds, native_seconds = benchmark.pedantic(

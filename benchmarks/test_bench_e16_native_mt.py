@@ -158,12 +158,14 @@ def test_threaded_native_beats_single_thread_on_heat_equation(benchmark, tmp_pat
 
 
 def _two_kernel_program():
-    """Two differently-shaped fused chains → two distinct tiled map steps."""
+    """Two differently-shaped fused chains → two distinct tiled map steps,
+    each over a random draw (over a constant it would fold to a fill, which
+    is no ``repro_kernel_mt`` call)."""
     builder = ProgramBuilder()
     a = builder.new_vector(VECTOR_LENGTH)
     b = builder.new_vector(VECTOR_LENGTH // 2)
-    builder.identity(a, 0.5)
-    builder.identity(b, 1.5)
+    builder.random(a, 16)
+    builder.random(b, 17)
     for _ in range(6):
         builder.multiply(a, a, 1.0009765625)
         builder.add(a, a, 0.25)

@@ -20,7 +20,7 @@ dimension ``d``.  So are the numbers: a float32/float64 literal is a
 in ``ptrs[slots + j]`` (:func:`repro.codegen.loopir.float_literals` fixes
 ``j``), so kernels that differ only in float constants are one source, one
 digest, one compile.  Integer and bool literals — counts, indices, masks —
-and ``+0.0`` stay text (:func:`repro.codegen.loopir.is_operand`).
+stay text (:func:`repro.codegen.loopir.is_operand`).
 
 ``repro_kernel_mt`` is the chunked entry point: it clamps ``nthreads`` to
 the row count and hands the artifact's chunk function to ``launch`` — the
@@ -210,10 +210,6 @@ def _literal_c(literal: Literal, names: Dict[int, str]) -> str:
     value = literal.value
     if is_operand(literal):
         return names[id(literal)]
-    if name == "BH_FLOAT32":
-        return "0.0f"
-    if name == "BH_FLOAT64":
-        return "0.0"
     if name == "BH_BOOL":
         return "1" if bool(value) else "0"
     if name == "BH_INT32":

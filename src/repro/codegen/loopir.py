@@ -102,13 +102,11 @@ class Store:
 
 def is_operand(literal: Literal) -> bool:
     """Whether a literal is a launch operand of the compiled kernel and not
-    part of its text: a float32/float64 that is not ``+0.0``.  Integer and
-    bool literals count, index and mask, and zero is what the C compiler
-    strength-reduces on — a zero fill is a ``memset`` only if it can see it
-    (as an operand it cost ``stencil_large`` 5 % of its CPU per op)."""
-    return literal.dtype_name in ("BH_FLOAT32", "BH_FLOAT64") and (
-        literal.value != 0 or bool(np.signbit(literal.value))
-    )
+    part of its text: any float32/float64, so that kernels differing only in
+    a float are one artifact.  Integer and bool literals count, index and
+    mask, and stay text.  (A nest that stores nothing but literals is never
+    compiled: the native backend writes it as a fill.)"""
+    return literal.dtype_name in ("BH_FLOAT32", "BH_FLOAT64")
 
 
 def float_literals(body: Sequence[Store]) -> Tuple[Literal, ...]:

@@ -10,7 +10,10 @@ What changes is what runs per tile: when a kernel form lowers bitwise-safely
 (:mod:`repro.codegen.loopir`), each tile calls into one compiled C function
 instead of per-instruction NumPy dispatch; otherwise the step falls back to
 the interpreted :class:`~repro.runtime.kernel.KernelTemplate`, making every
-program executable regardless of codegen coverage.
+program executable regardless of codegen coverage.  A form that lowers to
+nothing but literal stores computes nothing: it runs as a
+:class:`NativeFill`, one NumPy assignment per step, and never reaches the
+C compiler.
 
 Caching is three-layered:
 
@@ -54,9 +57,11 @@ from repro.codegen.cache import (
 from repro.codegen.compiler import CodegenError
 from repro.codegen.emit_c import emit_kernel_source, emit_reduce_source
 from repro.codegen.loopir import (
+    Literal,
     LoopNest,
     LoweringError,
     ReduceNest,
+    _cast,
     float_literals,
     lower_kernel,
     lower_reduction,
@@ -170,6 +175,46 @@ class NativeKernelLaunch:
         self._fn_mt(
             dims, pointers, strides, ctypes.c_int32(nthreads), self._runtime.launch
         )
+
+
+class NativeFill:
+    """A nest of literal stores, written by NumPy: it computes nothing, so
+    it is never compiled, loaded or marshalled.
+
+    Each stored slot that is not elided gets its *last* store's value, cast
+    to the slot's storage dtype by NumPy's unsafe cast — the interpreter's
+    ``copyto(..., casting="unsafe")`` — in one assignment over the whole
+    step's view.  Legality is the lowering's: written views are injective
+    and overlap no other slot.
+    """
+
+    __slots__ = ("_values", "elided_slots")
+
+    def __init__(self, nest: LoopNest) -> None:
+        self.elided_slots = nest.elided_slots
+        last = {statement.slot: statement.expr for statement in nest.body}
+        self._values = tuple(
+            (slot, _cast(expr, nest.slot_dtypes[slot]).value)
+            for slot, expr in last.items()
+            if slot not in self.elided_slots
+        )
+
+    def __call__(self, memory: MemoryManager, views: Sequence[View]) -> None:
+        for slot, value in self._values:
+            memory.view_array(views[slot])[...] = value
+
+
+def _lower_map(instructions, local_slots: frozenset, slots: Sequence[View]):
+    """A map form's ``(C source, bind)``, or ``(None, launch)`` when nothing
+    is compiled: a :class:`NativeFill`, or the message saying why the form
+    does not lower."""
+    try:
+        nest = lower_kernel(instructions, local_slots)
+    except LoweringError as exc:
+        return None, str(exc)
+    if all(isinstance(statement.expr, Literal) for statement in nest.body):
+        return None, NativeFill(nest)
+    return emit_kernel_source(nest), partial(NativeKernelLaunch, nest=nest, slots=slots)
 
 
 class NativeReduceLaunch:
@@ -349,10 +394,12 @@ class NativeBackend(ParallelBackend):
         """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
 
         ``lower()`` returns the form's C source and a ``bind(compiled,
-        runtime=...)`` constructor, or raises :class:`LoweringError`.  A
-        form with no native lowering (or whose compilation failed) is
-        cached as the *message* saying why; the caller uses the
-        interpreted path and counts the reason.
+        runtime=...)`` constructor, or raises :class:`LoweringError`; with
+        no source, the second item is the launch itself (a fill) or why
+        there is none, and no compiler or runtime is asked for.  A form
+        with no native lowering (or whose compilation failed) is cached as
+        the *message* saying why; the caller uses the interpreted path and
+        counts the reason.
         """
         cached = self._native_cache.get(cache_key)
         if cached is not None:
@@ -362,19 +409,20 @@ class NativeBackend(ParallelBackend):
         # latches the actual compile to exactly one of them.
         outcome = runtime_outcome = None
         try:
-            source, bind = lower()
-            compiled, outcome = get_compiled_kernel(
-                source,
-                opt_level=config.codegen_opt_level,
-                cache_dir=config.codegen_cache_dir,
-                use_disk=config.codegen_disk_cache_enabled,
-            )
-            # A kernel needs the runtime only here: ``prepare_plan`` builds
-            # it beside the plan's kernels, not before them.
-            runtime, _, runtime_outcome = resolve_runtime(
-                config.codegen_cache_dir, config.codegen_disk_cache_enabled
-            )
-            launch = bind(compiled, runtime=runtime)
+            source, launch = lower()
+            if source is not None:
+                compiled, outcome = get_compiled_kernel(
+                    source,
+                    opt_level=config.codegen_opt_level,
+                    cache_dir=config.codegen_cache_dir,
+                    use_disk=config.codegen_disk_cache_enabled,
+                )
+                # A kernel needs the runtime only here: ``prepare_plan``
+                # builds it beside the plan's kernels, not before them.
+                runtime, _, runtime_outcome = resolve_runtime(
+                    config.codegen_cache_dir, config.codegen_disk_cache_enabled
+                )
+                launch = launch(compiled, runtime=runtime)
         except (LoweringError, CodegenError) as exc:
             # No lowering, no compiler, or a toolchain failure: degrade to
             # the interpreted template — and remember why, so the next launch
@@ -412,24 +460,22 @@ class NativeBackend(ParallelBackend):
         instructions,
         local_slots: frozenset,
         stats: ExecutionStats,
+        lowered: Optional[tuple] = None,
     ):
-        """Resolve a kernel form to ``(compiled launchable, None)`` or
-        ``(None, why not)``.
+        """Resolve a kernel form to ``(launchable, None)`` — compiled, or a
+        :class:`NativeFill` — or ``(None, why not)``.
 
         ``local_slots`` (plan-time liveness, part of the cache key) names
-        slots whose stores the compiled kernel elides entirely; ``stats``
-        receives the compile/cache outcome of a launch-cache miss.
+        slots whose stores the kernel elides entirely; ``stats`` receives
+        the compile/cache outcome of a launch-cache miss; ``lowered`` is
+        the form's :func:`_lower_map`, when the caller already has it.
         """
         config = self._effective_config()
         if not config.codegen_enabled:
             return None, "codegen disabled"
-
-        def lower():
-            nest = lower_kernel(instructions, local_slots)
-            return emit_kernel_source(nest), partial(
-                NativeKernelLaunch, nest=nest, slots=slots
-            )
-
+        lower = (lambda: lowered) if lowered else partial(
+            _lower_map, instructions, local_slots, slots
+        )
         cache_key = (key, local_slots, self._codegen_signature(config))
         return self._cached_launch(cache_key, config, lower, stats)
 
@@ -498,11 +544,12 @@ class NativeBackend(ParallelBackend):
         if launch is None:
             self._count(stats, fallback_reason=reason, native_fallbacks=1)
             return super()._map_launcher(instructions, step, stats, prepared)
-        self._count(
-            stats,
-            native_kernel_launches=1,
-            native_slots_elided=len(launch.elided_slots),
-        )
+        if isinstance(launch, NativeKernelLaunch):
+            self._count(
+                stats,
+                native_kernel_launches=1,
+                native_slots_elided=len(launch.elided_slots),
+            )
         return slots, launch
 
     def _launch_map(self, launcher, slots, step, memory, stats, threads) -> None:
@@ -516,8 +563,13 @@ class NativeBackend(ParallelBackend):
         nests become :class:`TiledMapStep`s, and serial-hazard nests never
         reach this seam.  Interpreted templates, launchables bound without
         a runtime and single-thread launches keep the inherited per-tile
-        machinery.
+        machinery.  A fill is one NumPy assignment per step at any thread
+        count.
         """
+        if isinstance(launcher, NativeFill):
+            stats.tiles_executed += 1
+            launcher(memory, slots)
+            return
         if isinstance(launcher, NativeKernelLaunch) and launcher.supports_mt:
             nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
             if nthreads > 1:
@@ -590,6 +642,7 @@ class NativeBackend(ParallelBackend):
                 plan.native_prepare_stats = ExecutionStats()
             parked = plan.native_prepare_stats
             resolvers: Dict[tuple, Callable] = {}
+            compiles = False  # whether any form may need an artifact
             for step in plan.tiling.steps:
                 instruction = plan.optimized[step.index]
                 instructions = (
@@ -601,10 +654,18 @@ class NativeBackend(ParallelBackend):
                     resolve = partial(
                         self._native_reduce_launch, members, tail, step, form, parked
                     )
-                    form = (form, step.local_slots)
+                    form, compiles = (form, step.local_slots), True
                 elif isinstance(step, TiledMapStep):
                     key, slots, _ = prepare_kernel_launch(instructions)
                     form = (key, step.local_slots)
+                    if form in resolvers:
+                        continue
+                    # Lowered here, not on the pool (it holds the GIL
+                    # anyway), so that a plan of fills asks for no runtime.
+                    lowered = None
+                    if self._native_cache.peek(form + signature[:1]) is None:
+                        lowered = _lower_map(instructions, step.local_slots, slots)
+                        compiles = compiles or lowered[0] is not None
                     resolve = partial(
                         self._native_launch,
                         key,
@@ -612,6 +673,7 @@ class NativeBackend(ParallelBackend):
                         instructions,
                         step.local_slots,
                         parked,
+                        lowered,
                     )
                 else:
                     continue
@@ -621,7 +683,8 @@ class NativeBackend(ParallelBackend):
             # both of which release the GIL.  The pool threads take only the
             # backend cache lock and the codegen latch, never the plan lock
             # this thread holds.  Until this backend has the runtime those
-            # forms launch through, and when the pool is in play anyway, the
+            # forms launch through, when one of them may compile (a fill
+            # never does), and when the pool is in play anyway, the
             # runtime is one more job, built beside them and not before.  It
             # leads because every kernel's resolve ends by binding to it: a
             # runtime started late is built, in series, by whichever kernel
@@ -631,7 +694,7 @@ class NativeBackend(ParallelBackend):
             # warm miss must not pay a pool round-trip for a runtime that is
             # already loaded.)
             jobs = list(resolvers.values())
-            if len(jobs) > 1 and self.native_runtime is None:
+            if compiles and len(jobs) > 1 and self.native_runtime is None:
                 jobs.insert(0, partial(self._resolve_runtime, config))
             self._scatter(jobs, self.num_threads())
             plan.native_signature = signature

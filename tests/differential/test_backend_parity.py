@@ -42,6 +42,9 @@ import numpy as np
 import pytest
 
 from repro.bytecode import dtypes
+from repro.bytecode.instruction import Instruction
+from repro.bytecode.opcodes import OpCode
+from repro.bytecode.program import Program
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
@@ -65,6 +68,26 @@ TINY_TILES = dict(parallel_tile_elements=16, parallel_serial_threshold=4)
 
 ELEMENTWISE_SEEDS = tuple(range(60))
 MIXED_SEEDS = tuple(range(1000, 1040))
+
+
+def elementwise_program(seed, num_instructions=12, vector_length=16):
+    """:func:`random_elementwise_program` over inputs that are not constants.
+
+    The generator starts each of its three vectors with a constant, and
+    lowering folds every step computed from constants alone: on those
+    inputs the native column ran fills and compiled no arithmetic.  Here
+    each vector starts as its own ``BH_RANDOM`` draw, uniform in [0, 1).
+    """
+    program, synced = random_elementwise_program(
+        seed, num_instructions=num_instructions, vector_length=vector_length
+    )
+    head, rest = list(program)[:3], list(program)[3:]
+    assert all(step.opcode is OpCode.BH_IDENTITY for step in head)
+    draws = [
+        Instruction(OpCode.BH_RANDOM, (step.out, 1000 * seed + index))
+        for index, step in enumerate(head)
+    ]
+    return Program(draws + rest), synced
 
 
 def _execute(program, views, backend, optimize):
@@ -122,7 +145,7 @@ def _check_program(program, synced, bitwise_backends, close_backends):
 @pytest.mark.parametrize("seed", ELEMENTWISE_SEEDS)
 def test_elementwise_program_parity(seed):
     """Element-wise programs: every backend bit-identical to the others."""
-    program, synced = random_elementwise_program(
+    program, synced = elementwise_program(
         seed, num_instructions=12, vector_length=24
     )
     with config_override(**TINY_TILES):
@@ -157,7 +180,7 @@ def test_memory_planning_is_bitwise_invisible(backend):
     be read uninitialised, so even bit patterns must match.
     """
     for seed in (3, 11, 1003, 1011):
-        generator = random_elementwise_program if seed < 1000 else random_mixed_program
+        generator = elementwise_program if seed < 1000 else random_mixed_program
         program, synced = generator(seed)
         with config_override(**TINY_TILES, memory_plan_enabled=True):
             planned, _ = _execute(program, synced, backend, optimize=True)
@@ -243,7 +266,7 @@ def test_native_backend_actually_compiles_kernels():
     native_launches = 0
     fallbacks = 0
     for seed in ELEMENTWISE_SEEDS[:8]:
-        program, synced = random_elementwise_program(
+        program, synced = elementwise_program(
             seed, num_instructions=12, vector_length=24
         )
         with config_override(**TINY_TILES):
@@ -266,7 +289,7 @@ def test_native_thread_axis_elementwise_bitwise(seed):
     the threads=4 run compares bitwise against the threads=1 run (and both
     against the oracle via the main parity axis).
     """
-    program, synced = random_elementwise_program(
+    program, synced = elementwise_program(
         seed, num_instructions=12, vector_length=24
     )
     results = {}
@@ -315,7 +338,7 @@ def test_native_mt_entry_point_actually_fired():
         pytest.skip("toolchain supports neither -pthread nor OpenMP")
     mt_launches = 0
     for seed in ELEMENTWISE_SEEDS[:8]:
-        program, synced = random_elementwise_program(
+        program, synced = elementwise_program(
             seed, num_instructions=12, vector_length=24
         )
         with config_override(**TINY_TILES, codegen_threads=4):
@@ -327,7 +350,7 @@ def test_native_mt_entry_point_actually_fired():
 def test_optimization_levels_agree_per_backend():
     """Optimized and unoptimized pipelines agree within tolerance per backend."""
     for seed in (7, 21, 1007):
-        generator = random_elementwise_program if seed < 1000 else random_mixed_program
+        generator = elementwise_program if seed < 1000 else random_mixed_program
         program, synced = generator(seed)
         with config_override(**TINY_TILES):
             for backend in BACKENDS:
@@ -398,7 +421,7 @@ def test_launch_accounting_is_identical_on_every_tier(seed):
     elements and traffic, and the same op-code histogram — how a tier runs a
     launch (template, tiles, compiled loop, worker shards) never changes what
     the launch is counted as."""
-    generator = random_elementwise_program if seed < 1000 else random_mixed_program
+    generator = elementwise_program if seed < 1000 else random_mixed_program
     program, _ = generator(seed)
     records = {}
     with config_override(**TINY_TILES):
@@ -445,7 +468,7 @@ def test_planless_execution_is_the_planned_path(backend_name, seed, monkeypatch)
     nothing (no tiling, no shard planning, no lowering)."""
     from repro.runtime.backend import get_backend
 
-    generator = random_elementwise_program if seed < 1000 else random_mixed_program
+    generator = elementwise_program if seed < 1000 else random_mixed_program
     calls: dict = {}
     for target in (
         "repro.runtime.parallel.decompose",
@@ -684,31 +707,122 @@ LITERAL_TIERS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow and x / 0 notes
-@pytest.mark.parametrize("dtype", ("float32", "float64"))
-@pytest.mark.parametrize("kind", ("map", "fill", "tail", "axis"))
-@pytest.mark.parametrize("literal", sorted(LITERALS))
-def test_literal_axis_is_bitwise(literal, kind, dtype, literal_program):
-    """Value x kernel kind x dtype x tier x plan/plan-less, every cell the
-    unoptimized interpreter's bits — and on ``native`` a compiled launch."""
-    program, out = literal_program(kind, PRODUCER_DTYPES[dtype], LITERALS[literal])
+#: ``(kind, storage dtype)`` cells: a fill stores into every dtype, the
+#: kinds that divide by the literal into the float ones.
+LITERAL_CELLS = [
+    (kind, dtype) for kind in ("map", "tail", "axis") for dtype in ("float32", "float64")
+] + [("fill", dtype) for dtype in sorted(PRODUCER_DTYPES)]
+
+
+def _literal_tiers(program, out, **settings):
+    """Yield ``(tier, backend, value, stats)`` of ``out`` on every literal
+    tier, after checking its bits against the unoptimized interpreter's."""
     oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program).value(out)
     for tier, (backend, planned, threads) in LITERAL_TIERS.items():
-        with config_override(**SMALL_TILES, codegen_threads=threads):
+        with config_override(**SMALL_TILES, **settings, codegen_threads=threads):
             if planned:
                 result = ExecutionEngine(backend=backend, optimize=True).execute(program)
             else:
                 result = get_backend(backend).execute(program)
-        value, stats = result.value(out), result.stats
+        value = result.value(out)
+        assert value.dtype == oracle.dtype, tier
+        assert value.tobytes() == oracle.tobytes(), (tier, value, oracle)
+        yield tier, backend, value, result.stats
+
+
+def _assert_fill(stats, context):
+    """A native fill: no artifact resolved, no compiled launch, no fallback."""
+    resolved = stats.native_compiles + stats.native_disk_hits + stats.native_memory_hits
+    assert resolved == stats.native_kernel_launches == 0, context
+    assert stats.native_fallbacks == 0, (context, stats.native_fallback_reasons)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow and x / 0 notes
+@pytest.mark.parametrize("kind,dtype", LITERAL_CELLS)
+@pytest.mark.parametrize("literal", sorted(LITERALS))
+def test_literal_axis_is_bitwise(literal, kind, dtype, literal_program):
+    """Value x kernel kind x dtype x tier x plan/plan-less, every cell the
+    unoptimized interpreter's bits — and on ``native`` a compiled launch,
+    except for a fill, which is written by NumPy and resolves no artifact."""
+    program, out = literal_program(kind, PRODUCER_DTYPES[dtype], LITERALS[literal])
+    for tier, backend, _, stats in _literal_tiers(program, out):
+        if backend != "native":
+            continue
         context = f"{tier} {kind} {dtype} {literal}"
-        assert value.dtype == oracle.dtype, context
-        assert value.tobytes() == oracle.tobytes(), (context, value, oracle)
+        if kind == "fill":
+            _assert_fill(stats, context)
+            continue
+        assert stats.native_kernel_launches + stats.native_reductions_compiled > 0, context
+        assert stats.native_fallbacks + stats.native_reduction_fallbacks == 0, (
+            context,
+            stats.native_fallback_reasons,
+        )
+
+
+#: A float64 NaN whose payload is not the default quiet NaN's, in bits a
+#: float32 keeps too.
+NAN_PAYLOAD = np.frombuffer((0x7FF8_1234_5000_0000).to_bytes(8, "little"), np.float64)[0]
+
+
+def _fill_case(case):
+    """``(program, observed view)`` of one fill the literal axis does not
+    build, run with only the fusion pass so each store stays in the kernel."""
+    from repro.bytecode.builder import ProgramBuilder
+    from repro.bytecode.view import View
+
+    n = 1700
+    builder = ProgramBuilder()
+    if case == "stored_twice":
+        out = builder.new_vector(n, dtypes.int32)
+        builder.identity(out, 2.75)
+        builder.identity(out, -7.5)  # the last store wins, cast unsafely
+    elif case == "beside_an_elided_slot":
+        local = builder.new_vector(n)
+        out = builder.new_vector(n)
+        builder.identity(local, 2.0)
+        builder.multiply(out, local, 1.5)
+        builder.free(local)
+    elif case == "zero_size":
+        out = View(builder.new_base(n), 0, (0, 17), (17, 1))
+        builder.identity(out, 1.5)
+    elif case == "negative_stride":
+        out = View.full(builder.new_base(2 * n))
+        builder.identity(View(out.base, 2 * n - 1, (n,), (-2,)), -0.0)
+    else:  # "bits-<dtype>": a NaN payload beside a signed zero
+        out = View.full(builder.new_base(2 * n, PRODUCER_DTYPES[case[5:]]))
+        builder.identity(View(out.base, 0, (n,), (2,)), NAN_PAYLOAD)
+        builder.identity(View(out.base, 1, (n,), (2,)), -0.0)
+    builder.sync(out)
+    return builder.build(), out
+
+
+@pytest.mark.parametrize(
+    "case",
+    (
+        "stored_twice",
+        "beside_an_elided_slot",
+        "zero_size",
+        "negative_stride",
+        "bits-float32",
+        "bits-float64",
+    ),
+)
+def test_fill_cases_are_bitwise(case):
+    program, out = _fill_case(case)
+    fills = 0
+    for tier, backend, value, stats in _literal_tiers(program, out, enabled_passes=["fusion"]):
         if backend == "native":
-            assert stats.native_kernel_launches + stats.native_reductions_compiled > 0, context
-            assert stats.native_fallbacks + stats.native_reduction_fallbacks == 0, (
-                context,
-                stats.native_fallback_reasons,
-            )
+            _assert_fill(stats, f"{tier} {case}")
+            # Nothing but the observed output was ever allocated: an elided
+            # local slot of a fill has no storage either.
+            assert stats.actual_peak_bytes <= out.base.nbytes, tier
+            fills += stats.kernel_launches
+    if case.startswith("bits"):
+        payload = NAN_PAYLOAD.astype(value.dtype)
+        assert payload.tobytes() != np.array(np.nan, value.dtype).tobytes()
+        assert np.signbit(value[1::2]).all()
+        assert value[::2].tobytes() == payload.tobytes() * (out.nelem // 2)
+    assert fills or case == "zero_size", "the case is vacuous: no step was launched"
 
 
 def test_launches_of_one_artifact_keep_their_own_literals(

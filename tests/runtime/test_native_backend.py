@@ -52,10 +52,14 @@ def cache_dir(tmp_path):
 
 
 def build_chain(length=LENGTH, ops=6):
+    """``ops`` alternating ``a *= b`` / ``b += a``, ``a`` drawn uniform in
+    [0, 1): one input that is not a constant, so the fused chain computes
+    (over constants alone lowering folds it to a fill, which is not
+    compiled)."""
     builder = ProgramBuilder()
     a = builder.new_vector(length)
     b = builder.new_vector(length)
-    builder.identity(a, 0.5)
+    builder.random(a, 11)
     builder.identity(b, 1.5)
     for i in range(ops):
         if i % 2 == 0:
@@ -70,13 +74,14 @@ def build_chain(length=LENGTH, ops=6):
 def build_distinct_forms(count):
     """``count`` map steps that lower to ``count`` different kernel forms:
     different lengths keep them from fusing, different chain lengths make
-    their loop bodies differ."""
+    their loop bodies differ, and each chain reads a random draw, so that
+    none of them folds to a fill."""
     builder = ProgramBuilder()
     outputs = []
     for index in range(count):
         vector = builder.new_vector(LENGTH + 16 * index)
         other = builder.new_vector(LENGTH + 16 * index)
-        builder.identity(vector, 0.5)
+        builder.random(vector, index)
         builder.identity(other, 1.25)
         for step in range(index + 1):
             if step % 2 == 0:
@@ -447,13 +452,14 @@ class TestExecutionStrategies:
 
         The tiling analysis marks its slot instruction-local; the compiled
         kernel receives no pointer for it and its stores never reach
-        memory — results must be identical anyway.
+        memory — results must be identical anyway.  (``a`` is a random
+        draw: over a constant the kernel folds to a fill.)
         """
         builder = ProgramBuilder()
         a = builder.new_vector(LENGTH)
         t = builder.new_vector(LENGTH)
         out = builder.new_vector(LENGTH)
-        builder.identity(a, 2.0)
+        builder.random(a, 5)
         builder.multiply(t, a, 3.0)
         builder.add(out, t, 1.0)
         builder.free(t)
@@ -991,3 +997,81 @@ class TestSharedRuntime:
         assert any(name.startswith("repro-tile") for name in resolving_threads)
         for view, want in zip(outputs, expected):
             assert np.array_equal(result.value(view), want)
+
+
+def build_fills():
+    """Two map steps that store nothing but constants (their lengths keep
+    them apart): two fills, two distinct forms."""
+    builder = ProgramBuilder()
+    outputs = []
+    for index in range(2):
+        vector = builder.new_vector(LENGTH + 16 * index)
+        builder.identity(vector, 0.5 + index)
+        builder.multiply(vector, vector, 3.0)
+        builder.sync(vector)
+        outputs.append(vector)
+    return builder.build(), outputs
+
+
+class TestFills:
+    """A nest of literal stores is written by NumPy, never compiled."""
+
+    @pytest.mark.parametrize("toolchain", ["failing-cc", "no-cc"])
+    def test_a_fill_only_plan_needs_no_compiler_and_no_runtime(
+        self, toolchain, cache_dir, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "cc.log"
+        if toolchain == "no-cc":
+            monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
+        else:
+            shim = tmp_path / "failing-cc"
+            shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
+            shim.chmod(0o755)
+            monkeypatch.setenv("REPRO_CC", str(shim))
+        program, outputs = build_fills()
+        expected = _oracle(program, outputs)
+        with config_override(
+            **TINY_TILES,
+            parallel_num_threads=2,
+            codegen_threads=2,
+            codegen_cache_dir=cache_dir,
+        ):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            results = [engine.execute(program) for _ in range(2)]
+        steps = [s for s in engine.last_plan.tiling.steps if isinstance(s, TiledMapStep)]
+        assert len(steps) == 2 and all(len(step.spans) > 1 for step in steps)
+        for result in results:
+            stats = result.stats
+            assert stats.native_fallbacks == stats.native_kernel_launches == 0
+            assert stats.native_compiles == stats.native_disk_hits == 0
+            assert stats.native_memory_hits == stats.native_mt_launches == 0
+            # One assignment per step, not one per tile.
+            assert stats.tiles_executed == stats.kernel_launches == 2
+            for view, want in zip(outputs, expected):
+                assert np.array_equal(result.value(view), want)
+        assert engine.backend.native_runtime is None
+        assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
+        assert not os.path.exists(cache_dir) or not os.listdir(cache_dir)
+
+    def test_a_fill_of_a_zero_size_or_reversed_view(self):
+        """The fill itself, on the views a plan never tiles: nothing to write,
+        or every other element written backwards."""
+        from repro.bytecode.instruction import Instruction
+        from repro.bytecode.opcodes import OpCode
+        from repro.codegen.loopir import lower_kernel
+        from repro.runtime.memory import MemoryManager
+        from repro.runtime.native import NativeFill
+
+        builder = ProgramBuilder()
+        base = builder.new_base(10)
+        for view, written in (
+            (View(base, 0, (0, 3), (3, 1)), []),
+            (View(base, 9, (5,), (-2,)), [1, 3, 5, 7, 9]),
+        ):
+            fill = NativeFill(lower_kernel([Instruction(OpCode.BH_IDENTITY, (view, -0.0))]))
+            memory = MemoryManager()
+            memory.allocate(base)[:] = 1.0
+            fill(memory, [view])
+            storage = memory.allocate(base)
+            assert [i for i in range(10) if np.signbit(storage[i])] == written
+            assert (storage[[i for i in range(10) if i not in written]] == 1.0).all()

@@ -201,7 +201,7 @@ class TestBackendExecution:
         assert "compile(s)" in output
         assert "fallback(s)" in output
 
-    def test_native_backend_executes_compiled_kernels(self, large_listing_file, tmp_path):
+    def test_native_backend_executes_compiled_kernels(self, tmp_path):
         import re
 
         from repro.codegen import clear_memory_cache, find_c_compiler
@@ -209,9 +209,15 @@ class TestBackendExecution:
 
         if find_c_compiler() is None:
             pytest.skip("no C compiler on this host")
+        # Listing 2 from ``BH_RANGE`` instead of a constant: over a constant
+        # the chain folds to a fill, which is no compiled launch.
+        path = tmp_path / "range_listing.bh"
+        path.write_text(
+            LARGE_LISTING.replace("BH_IDENTITY a0[0:16384:1] 0", "BH_RANGE a0[0:16384:1]")
+        )
         clear_memory_cache()
         with config_override(codegen_cache_dir=str(tmp_path / "cache")):
-            code, output = run_cli([large_listing_file, "--backend", "native"])
+            code, output = run_cli([str(path), "--backend", "native"])
         assert code == 0
         match = re.search(r"(\d+) native launch\(es\)", output)
         assert match and int(match.group(1)) > 0
