@@ -63,7 +63,7 @@ def _run_iterations(backend, optimize):
     return session, per_flush, checksum
 
 
-@pytest.mark.parametrize("backend", ("interpreter", "jit"))
+@pytest.mark.parametrize("backend", ("interpreter", "parallel"))
 def test_plan_cache_amortizes_middleware_overhead(benchmark, backend):
     """50 heat-equation flushes: steady-state planning must be >= 2x cheaper."""
 
@@ -120,18 +120,19 @@ def test_plan_cache_amortizes_middleware_overhead(benchmark, backend):
 
 
 def test_kernel_cache_shares_templates_across_iterations(benchmark):
-    """The JIT compiles each structurally distinct kernel once per session."""
+    """The tiled backend compiles each structurally distinct kernel once per
+    session."""
 
     def run():
-        return _run_iterations("jit", optimize=True)
+        return _run_iterations("parallel", optimize=True)
 
     session, _, _ = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.group = "E11 kernel cache"
     cache = session.cache_stats()
-    assert cache["kernel_cache_hits"] > cache["kernel_cache_misses"]
+    assert cache["tile_template_hits"] > cache["tile_template_misses"]
     record_table(
         benchmark,
-        "E11: compiled-kernel cache over 50 iterations",
+        "E11: tile-template cache over 50 iterations",
         [cache],
-        ["kernel_cache_hits", "kernel_cache_misses", "kernel_cache_size"],
+        ["tile_template_hits", "tile_template_misses", "tile_template_size"],
     )

@@ -6,8 +6,7 @@ The package implements a Bohrium-like stack in pure Python:
 * :mod:`repro.bytecode` — the descriptive vector byte-code IR (op-codes,
   views, programs, the textual listing format).
 * :mod:`repro.runtime` — execution backends: a NumPy reference interpreter,
-  a fusing JIT, a tiled thread-parallel backend and compiled native
-  kernels.
+  a tiled thread-parallel backend and compiled native kernels.
 * :mod:`repro.core` — the paper's contribution: the algebraic
   transformation engine (constant merging, power expansion via addition
   chains, the context-aware linear-solve rewrite, fusion, clean-up passes,
@@ -68,7 +67,6 @@ export_on_demand(
             "ExecutionPlan",
             "ExecutionResult",
             "ExecutionStats",
-            "FusingJIT",
             "MemoryManager",
             "NumPyInterpreter",
             "PlanCache",

@@ -93,8 +93,6 @@ KNOWN_CALL_RANKS: Dict[str, Tuple[str, int]] = {
     "_adhoc_plans": ("lru", LEAF_RANK),
     "_native_cache": ("lru", LEAF_RANK),
     "_templates": ("lru", LEAF_RANK),
-    "_kernels": ("lru", LEAF_RANK),
-    "_schedule_cache": ("lru", LEAF_RANK),
     # template lookup through the LRU the caller passes in
     "cached_kernel_launch": ("lru", LEAF_RANK),
     # codegen artifact lookup -> module lock + per-digest latch

@@ -456,7 +456,7 @@ def maybe_check_schedule(program: Program, schedule, config: Optional[Config] = 
     """Run :func:`check_schedule` when the ``check_ir`` knob is on.
 
     Called from :func:`~repro.core.schedule.compute_schedule` — the one seam
-    every schedule consumer (fusion pass, JIT, parallel backend) goes
+    every schedule consumer (fusion pass, plan-less parallel backend) goes
     through, and the only place the schedule's indices still refer to the
     program they were computed from.
     """

@@ -15,8 +15,7 @@ fusable element-wise byte-codes by legal topological reordering.  Each merge
 is accepted greedily by the :class:`~repro.core.cost.CostModel`: fusing a
 byte-code into an existing kernel saves its kernel launch plus the memory
 traffic of every operand the kernel already streams, and the merge goes
-ahead only when that predicted saving clears the configured
-``fusion_cost_threshold``.
+ahead only when that predicted saving is positive.
 
 Legality rules (what an edge in the DAG means):
 
@@ -43,8 +42,8 @@ miss replays against every rebound flush.  One seam —
 :class:`~repro.core.fusion.FusionPass` bakes the scheduled order into the
 optimized program (which the cost model prices and the memory planner
 consumes, so fusion-shortened lifetimes improve buffer aliasing),
-and the fusing JIT and the tiled parallel backend schedule plan-less
-programs through the same function.
+and the tiled parallel backend schedules plan-less programs through the
+same function.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ def schedule_signature(config: Optional[Config] = None) -> tuple:
     config = config if config is not None else get_config()
     return (
         config.fusion_scheduler,
-        config.fusion_cost_threshold,
         config.fusion_max_kernel_size,
     )
 
@@ -202,28 +200,6 @@ class FusionSchedule:
                 result.extend(instructions)
         return Program(result)
 
-    def partition(self, program: Program) -> List[object]:
-        """Launch units for a backend: :class:`Kernel` or bare instructions.
-
-        Single element-wise byte-codes become one-step kernels (they compile
-        to cached templates), pre-existing ``BH_FUSED`` byte-codes unwrap
-        into kernels carrying their provenance, and everything else stays a
-        bare instruction executed individually.
-        """
-        units: List[object] = []
-        for item in self.items:
-            if len(item) > 1:
-                units.append(Kernel([program[index] for index in item]))
-                continue
-            instruction = program[item[0]]
-            if instruction.is_fused():
-                units.append(Kernel(list(instruction.kernel), source=instruction))
-            elif instruction.is_elementwise():
-                units.append(Kernel([instruction]))
-            else:
-                units.append(instruction)
-        return units
-
     def stats(self) -> dict:
         """Scheduler counters for reports, the CLI and ``--stats-json``."""
         return {
@@ -290,10 +266,10 @@ def compute_schedule(
     """Compute the fusion schedule of ``program`` under ``config``.
 
     This is the single partitioning seam shared by the optimizer's fusion
-    pass, the fusing JIT and the tiled parallel backend.  The policy is the
-    configuration's ``fusion_scheduler``: ``"dag"`` reorders and clusters
-    over the dependency graph, ``"consecutive"`` reproduces the adjacent
-    runs of :func:`~repro.runtime.kernel.partition_into_kernels`.
+    pass and the tiled parallel backend's plan-less execution.  The policy
+    is the configuration's ``fusion_scheduler``: ``"dag"`` reorders and
+    clusters over the dependency graph, ``"consecutive"`` reproduces the
+    adjacent runs of :func:`~repro.runtime.kernel.partition_into_kernels`.
 
     Clusters smaller than ``min_kernel_size`` are broken back into
     singletons (in cluster order), so the schedule's launch counts describe
@@ -312,7 +288,7 @@ def compute_schedule(
     model = CostModel(SCHEDULER_PROFILE)
     refusals: Dict[str, int] = {}
     if scheduler == "dag":
-        items, item_savings = _dag_schedule(program, config, max_size, model, refusals)
+        items, item_savings = _dag_schedule(program, max_size, model, refusals)
     else:
         items, item_savings = _consecutive_schedule(program, max_size, model)
     if min_kernel_size > 1:
@@ -445,7 +421,6 @@ def _consecutive_schedule(
 
 def _dag_schedule(
     program: Program,
-    config: Config,
     max_size: int,
     model: CostModel,
     refusals: Dict[str, int],
@@ -459,10 +434,10 @@ def _dag_schedule(
     byte-code the kernel accepts — compatibility via
     :meth:`~repro.runtime.kernel.Kernel.can_accept` (shared iteration
     space, loop-fusion legality) and profitability via
-    :meth:`~repro.core.cost.CostModel.fusion_merge_saving` against the
-    ``fusion_cost_threshold``.  Absorbing a byte-code releases its
-    dependents, so whole dependent chains fall into one kernel even when a
-    reduction or system byte-code sat between them in program order.
+    :meth:`~repro.core.cost.CostModel.fusion_merge_saving` (a merge must
+    save something).  Absorbing a byte-code releases its dependents, so
+    whole dependent chains fall into one kernel even when a reduction or
+    system byte-code sat between them in program order.
 
     A kernel that can absorb no more may then take **one reduction as its
     tail** (:func:`_tail_refusal` is the legality rule; the reasons of the
@@ -476,7 +451,6 @@ def _dag_schedule(
     ready: List[int] = sorted(i for i in range(n) if predecessors[i] == 0)
     items: List[Tuple[int, ...]] = []
     item_savings: List[float] = []
-    threshold = config.fusion_cost_threshold
     scheduled = [False] * n
 
     def release(index: int) -> None:
@@ -508,7 +482,7 @@ def _dag_schedule(
                 if not kernel.can_accept(candidate, max_size):
                     continue
                 saving = model.fusion_merge_saving_for_keys(streamed_keys, candidate)
-                if saving > threshold:
+                if saving > 0.0:
                     chosen = (candidate_index, saving)
                     break
             if chosen is None:
@@ -527,7 +501,7 @@ def _dag_schedule(
             if not candidate.is_reduction():
                 continue
             saving = model.fusion_merge_saving_for_keys(streamed_keys, candidate)
-            if saving <= threshold:
+            if saving <= 0.0:
                 continue
             reason = _tail_refusal(kernel, candidate, candidate_index, defuse, scheduled)
             if reason is None:

@@ -55,8 +55,8 @@ class Session:
         Parameters
         ----------
         backend:
-            Backend instance or registered backend name (``"interpreter"``,
-            ``"jit"``, ``"parallel"``, ``"native"``, ``"dist"``); defaults
+            Backend instance or registered backend name (see
+            :func:`~repro.runtime.backend.available_backends`); defaults
             to the configuration's ``default_backend``.
             ``Session(backend="parallel")`` executes flushes on the tiled
             multi-threaded backend.

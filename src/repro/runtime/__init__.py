@@ -3,17 +3,16 @@
 Bohrium dispatches its byte-code to *vector engines* (OpenMP, OpenCL, CUDA).
 We provide Python equivalents:
 
-* :class:`NumPyInterpreter` — the reference backend: executes one byte-code
-  at a time on NumPy storage.  Used for correctness and for wall-clock
-  benchmarks where "one byte-code = one full-array traversal" holds, exactly
-  the cost structure the paper's transformations attack.
-* :class:`FusingJIT` — clusters consecutive element-wise byte-codes into
-  kernels before executing them, mimicking Bohrium's JIT fuser.
-* :class:`ParallelBackend` — splits fused kernels and reductions into
-  cache-sized contiguous tiles (decomposed once at plan time, cached with
-  the execution plan) and executes independent tiles across a persistent
-  thread pool, with tree-combined reduction partials and serial fallback
-  for non-splittable byte-codes.
+* :class:`NumPyInterpreter` (``"interpreter"``) — the reference backend:
+  executes one byte-code at a time on NumPy storage.  Used for correctness
+  and for wall-clock benchmarks where "one byte-code = one full-array
+  traversal" holds, exactly the cost structure the paper's transformations
+  attack.
+* :class:`ParallelBackend` (``"parallel"``) — splits fused kernels and
+  reductions into cache-sized contiguous tiles (decomposed once at plan
+  time, cached with the execution plan) and executes independent tiles
+  across a persistent thread pool, with tree-combined reduction partials
+  and serial fallback for non-splittable byte-codes.
 * ``NativeBackend`` (``"native"``) — the tiled backend whose map and
   reduce steps run as compiled C kernels.
 * ``DistributedBackend`` (``"dist"``, :mod:`repro.dist`) — the tiled
@@ -29,7 +28,7 @@ repeated flushes skip the optimizer and kernel partitioning entirely.
 
 All backends return an :class:`ExecutionResult` carrying the output arrays
 and an :class:`ExecutionStats` record (kernel launches, elements traversed,
-bytes moved, wall-clock time, plan/kernel cache outcomes).
+bytes moved, wall-clock time, plan/template cache outcomes).
 """
 
 from repro._exports import export_on_demand
@@ -55,7 +54,6 @@ export_on_demand(
             "kernel_structural_key",
             "partition_into_kernels",
         ),
-        "repro.runtime.jit": ("FusingJIT",),
         "repro.runtime.parallel": ("ParallelBackend",),
         "repro.runtime.tiling": (
             "SerialStep",

@@ -2,9 +2,9 @@
 
 A backend turns a byte-code :class:`~repro.bytecode.program.Program` into
 results.  Backends are registered by name so configuration and the lazy
-front-end can select them with a string (``"interpreter"``, ``"jit"``,
-``"parallel"``, ``"native"``, ``"dist"``).  Pricing a program is not a
-backend: :class:`~repro.core.cost.CostModel` reports it.
+front-end can select them with a string (:func:`available_backends` lists
+the names).  Pricing a program is not a backend:
+:class:`~repro.core.cost.CostModel` reports it.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class Backend(abc.ABC):
         :meth:`prepare_plan` attached.  The default installs the plan's
         memory directives (slot aliasing, zero-fill waivers) on the
         memory manager and delegates to :meth:`execute`; it covers every
-        backend whose execution itself is plan-agnostic (interpreter,
-        fusing JIT).
+        backend whose execution itself is plan-agnostic (the
+        interpreter).
 
         The ``check_ir``-gated plan check runs here too — per execution,
         not just per compilation — so a plan corrupted *after* caching can
@@ -98,8 +98,8 @@ class Backend(abc.ABC):
     def cache_stats(self) -> Dict[str, int]:
         """Counters of any backend-local caches (compiled kernels, plans).
 
-        The default backend has no caches; backends that do (the fusing JIT's
-        compiled-kernel cache, the tiled backends' plan artifacts) override
+        The default backend has no caches; backends that do (the tiled
+        backends' templates, plan artifacts and compiled kernels) override
         this so the execution engine and the CLI can report them.
         """
         return {}
@@ -125,7 +125,6 @@ _BACKEND_FACTORIES: Dict[str, Callable[[], Backend]] = {}
 #: distributed tier's ``multiprocessing`` machinery.
 _BUILTIN_BACKENDS: Dict[str, str] = {
     "interpreter": "repro.runtime.interpreter:NumPyInterpreter",
-    "jit": "repro.runtime.jit:FusingJIT",
     "parallel": "repro.runtime.parallel:ParallelBackend",
     "native": "repro.runtime.native:NativeBackend",
     "dist": "repro.dist.backend:DistributedBackend",

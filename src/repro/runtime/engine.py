@@ -20,8 +20,8 @@ when the program was structurally identical to the previous flush.  The
    :class:`~repro.runtime.plan.ExecutionPlan`.
 3. **Execute** — dispatch the bound program through the backend registry
    (:func:`~repro.runtime.backend.get_backend`).  The engine resolves the
-   backend once and keeps the instance, so backend-local caches (the fusing
-   JIT's kernel cache) persist across flushes.
+   backend once and keeps the instance, so backend-local caches (kernel
+   templates, compiled kernels) persist across flushes.
 
 Every result's :class:`~repro.runtime.instrumentation.ExecutionStats`
 carries the plan-cache hit/miss outcome and the middleware overhead
@@ -108,8 +108,8 @@ class ExecutionEngine:
         """The resolved backend instance (resolved once, then kept).
 
         Keeping the instance is load-bearing: backend-local caches such as
-        the fusing JIT's compiled-kernel cache only amortize anything if the
-        same backend object serves every flush.  Resolution is
+        the tiled backends' template and compiled-kernel caches only
+        amortize anything if the same backend object serves every flush.  Resolution is
         double-checked under a lock so concurrent first flushes share one
         instance instead of racing two into existence (and leaking one
         backend's worker pool).

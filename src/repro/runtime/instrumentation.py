@@ -55,10 +55,6 @@ class ExecutionStats:
     #: under :meth:`merge`).
     plan_cache_hits: int = _stat()
     plan_cache_misses: int = _stat()
-    #: Compiled-kernel cache outcomes during this execution (filled in by
-    #: the fusing JIT).
-    kernel_cache_hits: int = _stat()
-    kernel_cache_misses: int = _stat()
     #: C compiler invocations during this execution (native backend; a
     #: warm artifact cache keeps this at zero).
     native_compiles: int = _stat()

@@ -3,16 +3,16 @@
 Bohrium's JIT fuses consecutive element-wise byte-codes that iterate over
 the same index space into a single generated OpenCL/OpenMP kernel, so the
 data is traversed once instead of once per byte-code.  We reproduce the
-clustering logic and provide a "compiled" Python closure per kernel so the
-:class:`~repro.runtime.jit.FusingJIT` backend can launch each cluster as a
-unit.
+clustering logic (:class:`Kernel`, :func:`partition_into_kernels`) and
+compile each kernel form once into a :class:`KernelTemplate` the tiled
+backends launch per tile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.bytecode.operand import is_constant, is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.runtime.interpreter import _erf
-from repro.runtime.memory import MemoryManager
 from repro.utils.errors import ExecutionError
 
 
@@ -34,14 +33,9 @@ class Kernel:
     ----------
     instructions:
         The element-wise byte-codes in execution order.
-    source:
-        The pre-existing ``BH_FUSED`` instruction this kernel unwraps, when
-        it was built from one (backends keep their statistics faithful by
-        recording the fused op-code alongside the payload).
     """
 
     instructions: List[Instruction] = field(default_factory=list)
-    source: Optional[Instruction] = None
 
     @property
     def size(self) -> int:
@@ -117,39 +111,6 @@ class Kernel:
         """Wrap the cluster into a single ``BH_FUSED`` byte-code."""
         return Instruction(OpCode.BH_FUSED, (), kernel=self.instructions, tag=tag)
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-
-    def structural_key(self) -> tuple:
-        """Canonical, base-identity-tolerant key for this kernel.
-
-        Two kernels that perform the same operations over the same geometry
-        — even on *different* base arrays (e.g. the fresh temporaries of two
-        loop iterations) — share one key, and therefore one compiled
-        template in the JIT's kernel cache.
-        """
-        return kernel_structural_key(self.instructions)
-
-    def slot_views(self) -> Tuple[View, ...]:
-        """This kernel's concrete views, in template slot order."""
-        return kernel_slot_views(self.instructions)
-
-    def compile(self) -> Callable[[MemoryManager], None]:
-        """Return a closure that executes the whole kernel on a memory manager.
-
-        The closure evaluates each fused byte-code with NumPy but is built
-        once per kernel, mirroring how Bohrium compiles a fused kernel once
-        and launches it many times.
-        """
-        key, slots, specs = _slot_walk(self.instructions)
-        template = _compile_template(key, specs)
-
-        def run(memory: MemoryManager) -> None:
-            template(memory, slots)
-
-        return run
-
 
 #: Elements per slot a blocked template launch evaluates before moving on:
 #: all byte-codes of a fused kernel run over one block while its lanes
@@ -166,14 +127,14 @@ class KernelTemplate:
     A template closes over *slot indices* instead of concrete views, so one
     compiled artifact serves every structurally identical kernel: the caller
     supplies the kernel's concrete views (from :func:`kernel_slot_views`) at
-    launch time.  This is what lets the JIT's kernel cache share entries
-    between equivalent kernels that differ only in their temporaries.
+    launch time.  This is what lets a template cache share entries between
+    equivalent kernels that differ only in their temporaries.
 
     Every launch resolves its slots to ndarrays once and hands the steps
-    those arrays.  Calling the template runs each byte-code over the whole
-    views, in order; :meth:`blocked` is for callers that proved the kernel
-    row-sliceable.  Templates are shared between threads, so a launch keeps
-    nothing on the template: block scratch belongs to the call.
+    those arrays.  There are two: :meth:`blocked` for a map step tiling
+    proved row-sliceable, :meth:`evaluate` for the producers of a reduction
+    tail.  Templates are shared between threads, so a launch keeps nothing
+    on the template: block scratch belongs to the call.
     """
 
     __slots__ = ("key", "num_slots", "uses_erf", "_steps")
@@ -185,11 +146,6 @@ class KernelTemplate:
         #: :func:`~repro.runtime.interpreter.erf_fallback_reason`.
         self.uses_erf = uses_erf
         self._steps = tuple(steps)
-
-    def __call__(self, memory: MemoryManager, views: Sequence[View]) -> None:
-        arrays = self._resolve(memory, views, ())
-        for step in self._steps:
-            step(arrays)
 
     def blocked(self, local_slots: frozenset) -> "BlockedTemplateLaunch":
         """This template as a row-blocked launcher eliding ``local_slots``."""
@@ -347,13 +303,13 @@ def prepare_kernel_launch(instructions: Sequence[Instruction]):
     return key, slots, lambda: _compile_template(key, specs)
 
 
-#: Entries every kernel-form cache holds (the JIT's and the tiled backends'
-#: template caches, the native launch cache).
+#: Entries every kernel-form cache holds (the tiled backends' template
+#: caches, the native launch cache).
 KERNEL_CACHE_CAPACITY = 256
 
 
 def cached_kernel_launch(cache, instructions: Sequence[Instruction], prepared=None):
-    """``(slot views, template, hit)`` for one launch through ``cache``.
+    """``(slot views, template)`` for one launch through ``cache``.
 
     ``cache`` is the caller's :class:`~repro.utils.lru.BoundedLRU` of
     templates by structural key.  ``prepared`` is the caller's own
@@ -362,12 +318,11 @@ def cached_kernel_launch(cache, instructions: Sequence[Instruction], prepared=No
     """
     key, slots, make_template = prepared or prepare_kernel_launch(instructions)
     template = cache.get(key)
-    hit = template is not None
-    if not hit:
+    if template is None:
         # Built outside the cache's lock; a concurrent miss of the same
         # form adopts whichever template was published first.
         template = cache.setdefault(key, make_template())
-    return slots, template, hit
+    return slots, template
 
 
 def _compile_template(key: tuple, specs) -> KernelTemplate:

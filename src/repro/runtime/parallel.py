@@ -99,8 +99,10 @@ class ParallelBackend(Backend):
         """
         self._configured_threads = num_threads
         self._configured_tile_elements = tile_elements
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_size = 0
+        # One persistent pool per thread count a flush asked for: a flush
+        # holding one pool may still be submitting to it when another asks
+        # for a different count, so no pool is shut down before ``close``.
+        self._pools: Dict[int, ThreadPoolExecutor] = {}
         self._interpreter = NumPyInterpreter()
         # Interpreted kernel templates by structural key; reported as
         # ``tile_template_*``.
@@ -126,22 +128,20 @@ class ParallelBackend(Backend):
         return resolve_num_threads()
 
     def _executor(self, threads: int) -> ThreadPoolExecutor:
-        """The persistent pool, rebuilt only when the thread count changes."""
+        """The persistent pool of ``threads`` workers, made on first use."""
         with self._cache_lock:
-            if self._pool is None or self._pool_size != threads:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=True)
-                self._pool = ThreadPoolExecutor(
+            pool = self._pools.get(threads)
+            if pool is None:
+                pool = self._pools[threads] = ThreadPoolExecutor(
                     max_workers=threads, thread_name_prefix="repro-tile"
                 )
-                self._pool_size = threads
-            return self._pool
+            return pool
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; a new one is made on demand)."""
+        """Shut down every worker pool (idempotent; new ones are made on demand)."""
         with self._cache_lock:
-            pool, self._pool, self._pool_size = self._pool, None, 0
-        if pool is not None:
+            pools, self._pools = self._pools, {}
+        for pool in pools.values():
             pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
@@ -398,7 +398,7 @@ class ParallelBackend(Backend):
     def _template(self, instructions, step, stats, prepared=None):
         """``(slot views, cached interpreted template)`` of a step's
         element-wise byte-codes, its local slots counted as elided."""
-        slots, template, _ = cached_kernel_launch(self._templates, instructions, prepared)
+        slots, template = cached_kernel_launch(self._templates, instructions, prepared)
         stats.template_slots_elided += len(step.local_slots)
         with self._cache_lock:
             self._totals.template_slots_elided += len(step.local_slots)

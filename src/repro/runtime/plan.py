@@ -239,11 +239,10 @@ _CONFIG_SIGNATURE_FIELDS = (
     "max_constant_merge_window",
     "power_expansion_limit",
     "fusion_max_kernel_size",
-    # Fusion-scheduler knobs: the schedule (clustering and byte-code order)
+    # The fusion scheduler: the schedule (clustering and byte-code order)
     # is baked into a plan's optimized program, so switching the scheduling
-    # policy or the merge-acceptance threshold must compile a fresh plan.
+    # policy must compile a fresh plan.
     "fusion_scheduler",
-    "fusion_cost_threshold",
     "fixed_point_max_iterations",
     "verify_rewrites",
     "random_seed",

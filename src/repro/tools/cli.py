@@ -29,6 +29,7 @@ from repro.core.pipeline import default_pipeline
 from repro.core.schedule import fusion_schedule_of
 from repro.core.rules import DEFAULT_PASS_ORDER, EXTENDED_PASS_ORDER, available_passes
 from repro.core.verifier import SemanticVerifier
+from repro.runtime.backend import available_backends
 from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
 from repro.utils.errors import ReproError
@@ -98,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help="execute the listing through the execution engine on this "
-        "registered backend (e.g. interpreter, jit, parallel, native, dist) "
-        "and print execution plus plan/kernel cache statistics",
+        f"registered backend ({', '.join(available_backends())}) "
+        "and print execution plus plan/template cache statistics",
     )
     parser.add_argument(
         "--repeat",
@@ -566,13 +567,6 @@ def _execute_with_engine(program, pipeline, report, args, out) -> None:
         f"{cache['plan_cache_size']} plan(s) cached",
         file=out,
     )
-    if "kernel_cache_hits" in cache:
-        print(
-            f"  kernel cache: {cache['kernel_cache_hits']} hit(s), "
-            f"{cache['kernel_cache_misses']} miss(es), "
-            f"{cache.get('kernel_cache_size', 0)} kernel(s) cached",
-            file=out,
-        )
     if "tile_template_hits" in cache:
         print(
             f"  tile templates: {cache['tile_template_hits']} hit(s), "

@@ -28,9 +28,8 @@ class Config:
     ----------
     default_backend:
         Name of the backend the front-end uses when none is given: any
-        name registered in :mod:`repro.runtime.backend` (built in:
-        ``"interpreter"``, ``"jit"``, ``"parallel"``, ``"native"``,
-        ``"dist"``).
+        name registered in :mod:`repro.runtime.backend` (see
+        :func:`~repro.runtime.backend.available_backends`).
     optimize:
         Whether the front-end runs the optimization pipeline before
         executing a flushed program.
@@ -63,12 +62,6 @@ class Config:
         with the cost model; ``"consecutive"`` restores the low-end policy
         of maximal runs of adjacent element-wise byte-codes.  Part of the
         plan-cache signature, so toggling it re-plans.
-    fusion_cost_threshold:
-        Minimum predicted saving (simulated seconds: one kernel launch plus
-        re-streamed shared operands) a merge must clear before the
-        dependency-graph scheduler accepts it.  ``0.0`` accepts every legal
-        merge; a large value disables merging without disabling the
-        scheduler's analysis.
     fixed_point_max_iterations:
         Safety bound on the pipeline's iterate-to-fixed-point loop.
     plan_cache_size:
@@ -185,7 +178,6 @@ class Config:
     power_expansion_limit: int = 64
     fusion_max_kernel_size: int = 32
     fusion_scheduler: str = "dag"
-    fusion_cost_threshold: float = 0.0
     fixed_point_max_iterations: int = 16
     plan_cache_size: int = 128
     parallel_num_threads: Optional[int] = None

@@ -1,11 +1,10 @@
 """The one bounded, locked, counted LRU every runtime cache is an instance of.
 
-The engine's plan cache, the tiled backends' plan-less plan cache, the
-native launch cache, the JIT's schedule cache and the dist pool's table
-of loaded plan tokens all need a
-capacity-bounded mapping whose recency order, eviction and hit/miss
-counters stay exact while the multi-tenant service multiplexes threads
-over one shared backend.
+The engine's plan cache, the tiled backends' plan-less plan cache and
+template cache, the native launch cache and the dist pool's table of
+loaded plan tokens all need a capacity-bounded mapping whose recency
+order, eviction and hit/miss counters stay exact while the multi-tenant
+service multiplexes threads over one shared backend.
 
 The lock is a leaf of the hierarchy (``docs/architecture.md`` §9): it is
 held for dict surgery only.  Values are built *outside* it and published

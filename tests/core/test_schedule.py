@@ -103,13 +103,6 @@ class TestDagScheduling:
         assert (0,) in schedule.items
         assert (2, 3) in schedule.items
 
-    def test_cost_threshold_disables_merging(self):
-        program, _ = interleaved_program()
-        with config_override(fusion_cost_threshold=1.0):
-            schedule = compute_schedule(program)
-        assert schedule.num_clusters == 0
-        assert schedule.is_identity_order
-
     def test_max_kernel_size_bounds_clusters(self):
         builder = ProgramBuilder()
         v = builder.new_vector(8)
@@ -229,8 +222,6 @@ class TestSignatures:
     def test_scheduler_knobs_are_in_the_plan_cache_signature(self):
         baseline = config_signature()
         with config_override(fusion_scheduler="consecutive"):
-            assert config_signature() != baseline
-        with config_override(fusion_cost_threshold=0.5):
             assert config_signature() != baseline
 
     def test_schedule_signature_tracks_the_knobs(self):

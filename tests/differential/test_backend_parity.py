@@ -4,8 +4,9 @@ A second *real* execution backend multiplies the ways results can diverge:
 tiling can mis-slice a view, a rebound plan can alias the wrong base, an
 optimization pass can interact badly with a backend-specific execution
 strategy.  This harness pits every in-process backend — interpreter,
-fusing JIT, tiled parallel, native codegen — and both
-optimization levels against a single oracle on randomly generated programs.
+tiled parallel (at the host's thread count and with four pooled tile
+workers, see ``tests/tiers.py``), native codegen — and both optimization
+levels against a single oracle on randomly generated programs.
 
 The native backend runs compiled C loop nests for every kernel form that
 lowers bitwise-safely and silently degrades to the parallel backend's
@@ -49,15 +50,16 @@ from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
+from tests.tiers import on_tier
 
-#: Every backend the harness checks.
-BACKENDS = ("interpreter", "jit", "parallel", "native")
+#: Every tier the harness checks (a backend name, or a tier of ``tests/tiers.py``).
+BACKENDS = ("interpreter", "parallel", "parallel4", "native")
 
 #: Backends allowed to reassociate floating-point reductions (tree-combined
 #: tile partials); they get tolerance instead of bitwise comparison on
 #: programs containing full 1-D reductions.  The native backend inherits
 #: the parallel backend's reduction paths unchanged.
-REASSOCIATING_BACKENDS = ("parallel", "native")
+REASSOCIATING_BACKENDS = ("parallel", "parallel4", "native")
 
 #: Tolerances matching the semantic verifier's defaults.
 RTOL, ATOL = 1e-6, 1e-8
@@ -90,9 +92,9 @@ def elementwise_program(seed, num_instructions=12, vector_length=16):
     return Program(draws + rest), synced
 
 
-def _execute(program, views, backend, optimize):
-    engine = ExecutionEngine(backend=backend, optimize=optimize)
-    result = engine.execute(program)
+def _execute(program, views, tier, optimize):
+    with on_tier(tier) as backend:
+        result = ExecutionEngine(backend=backend, optimize=optimize).execute(program)
     return [result.value(view) for view in views], result.stats
 
 
@@ -152,7 +154,7 @@ def test_elementwise_program_parity(seed):
         _check_program(
             program,
             synced,
-            bitwise_backends=("jit", "parallel", "native"),
+            bitwise_backends=("parallel", "parallel4", "native"),
             close_backends=(),
         )
 
@@ -165,7 +167,7 @@ def test_mixed_program_parity(seed):
         _check_program(
             program,
             synced,
-            bitwise_backends=("jit",),
+            bitwise_backends=(),
             close_backends=REASSOCIATING_BACKENDS,
         )
 
@@ -213,9 +215,7 @@ def test_fusion_scheduler_parity(seed):
     for scheduler in ("dag", "consecutive"):
         with config_override(**TINY_TILES, fusion_scheduler=scheduler):
             for backend in BACKENDS:
-                engine = ExecutionEngine(backend=backend, optimize=True)
-                result = engine.execute(program)
-                values = [result.value(view) for view in synced]
+                values, _ = _execute(program, synced, backend, optimize=True)
                 per_backend.setdefault(backend, {})[scheduler] = values
     for backend, by_scheduler in per_backend.items():
         for index, (actual, expected) in enumerate(
@@ -364,7 +364,7 @@ def test_optimization_levels_agree_per_backend():
 
 #: Every tier that executes for real; all of them count a launch through
 #: ``ExecutionStats.record_launch``.
-EXECUTING_BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
+EXECUTING_BACKENDS = ("interpreter", "parallel", "parallel4", "native", "dist")
 
 
 def _stencils(session):
@@ -396,10 +396,11 @@ def test_store_forwarding_axis_is_bitwise(backend, monkeypatch):
     without = [name for name in DEFAULT_PASS_ORDER if name != "copy_propagation"]
     oracle = _stencils(Session(backend="interpreter", optimize=False))
     with config_override(parallel_tile_elements=64, parallel_serial_threshold=4):
-        session = Session(backend=backend, optimize=True)
-        forwarded = _stencils(session)
-        with config_override(enabled_passes=without):
-            kept = _stencils(Session(backend=backend, optimize=True))
+        with on_tier(backend) as name:
+            session = Session(backend=name, optimize=True)
+            forwarded = _stencils(session)
+            with config_override(enabled_passes=without):
+                kept = _stencils(Session(backend=name, optimize=True))
     fired = sum(
         note.startswith("forwarded store")
         for plan in session.engine.plan_cache.values()
@@ -426,7 +427,7 @@ def test_launch_accounting_is_identical_on_every_tier(seed):
     records = {}
     with config_override(**TINY_TILES):
         for backend in EXECUTING_BACKENDS:
-            stats = ExecutionEngine(backend=backend, optimize=True).execute(program).stats
+            _, stats = _execute(program, [], backend, optimize=True)
             records[backend] = (
                 stats.instructions_executed,
                 stats.kernel_launches,
@@ -552,13 +553,13 @@ def _map_reduce_cell(build, backend, planned, **config):
     values = {}
     tails = 0
     for scheduler in ("dag", "consecutive"):
-        with config_override(**config, fusion_scheduler=scheduler):
+        with config_override(**config, fusion_scheduler=scheduler), on_tier(backend) as name:
             if planned:
-                engine = ExecutionEngine(backend=backend, optimize=True)
+                engine = ExecutionEngine(backend=name, optimize=True)
                 values[scheduler] = engine.execute(program).value(out)
                 tails += engine.last_plan.fusion_schedule.reduction_tails
             else:
-                values[scheduler] = get_backend(backend).execute(program).value(out)
+                values[scheduler] = get_backend(name).execute(program).value(out)
     return values["dag"], values["consecutive"], oracle.value(out), tails
 
 
@@ -585,7 +586,11 @@ TEMPLATE_TIER_CELLS = [
     )
     for geometry in sorted(GEOMETRIES)
     for backend, planned in (
-        ("interpreter", True), ("jit", True), ("parallel", True), ("jit", False), ("parallel", False)
+        ("interpreter", True),
+        ("parallel", True),
+        ("parallel4", True),
+        ("parallel", False),
+        ("parallel4", False),
     )
     if planned or geometry in FULL_CROSS
 ]
@@ -941,8 +946,8 @@ def test_a_refused_reduction_stays_unfused_and_correct(name, backend):
     oracle, _ = _execute(program, observed, "interpreter", optimize=False)
     values = {}
     for scheduler in ("dag", "consecutive"):
-        with config_override(**SMALL_TILES, fusion_scheduler=scheduler):
-            engine = ExecutionEngine(backend=backend, optimize=True)
+        with config_override(**SMALL_TILES, fusion_scheduler=scheduler), on_tier(backend) as tier:
+            engine = ExecutionEngine(backend=tier, optimize=True)
             result = engine.execute(program)
             values[scheduler] = [result.value(view) for view in observed]
             if scheduler == "dag":

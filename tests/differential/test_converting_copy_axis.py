@@ -17,8 +17,10 @@ from repro.bytecode.dtypes import bool_, float32, float64, int32, int64
 from repro.bytecode.opcodes import OpCode
 from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override
+from tests.tiers import on_tier
 
-EXECUTING_BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
+#: Every tier that executes for real (``parallel4``: see ``tests/tiers.py``).
+EXECUTING_BACKENDS = ("interpreter", "parallel", "parallel4", "native", "dist")
 LENGTH = 1000
 SEED = 42
 
@@ -64,8 +66,9 @@ CONVERSIONS = {
 }
 
 
-def _run(program, out, backend, optimize):
-    return ExecutionEngine(backend=backend, optimize=optimize).execute(program).value(out)
+def _run(program, out, tier, optimize):
+    with on_tier(tier) as backend:
+        return ExecutionEngine(backend=backend, optimize=optimize).execute(program).value(out)
 
 
 def test_the_reported_program_sums_the_truncated_values():
@@ -123,8 +126,8 @@ def test_a_reduction_closing_the_kernel_reads_the_converted_values(
     for scheduler in ("dag", "consecutive"):
         with config_override(
             parallel_tile_elements=64, parallel_serial_threshold=4, fusion_scheduler=scheduler
-        ):
-            engine = ExecutionEngine(backend=backend, optimize=True)
+        ), on_tier(backend) as tier:
+            engine = ExecutionEngine(backend=tier, optimize=True)
             values[scheduler] = engine.execute(program).value(out)
             if scheduler == "dag":
                 assert engine.last_plan.fusion_schedule.reduction_tails == 1

@@ -33,9 +33,10 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.interpreter import erf_fallback_reason
 from repro.runtime.memory import MemoryManager
 from repro.utils.config import config_override
+from tests.tiers import on_tier
 
-#: Every tier that executes for real.
-EXECUTING_BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
+#: Every tier that executes for real (``parallel4``: see ``tests/tiers.py``).
+EXECUTING_BACKENDS = ("interpreter", "parallel", "parallel4", "native", "dist")
 
 #: Force tiled, sharded and compiled paths on the small arrays used here.
 TINY_TILES = dict(parallel_tile_elements=16, parallel_serial_threshold=4)
@@ -208,11 +209,12 @@ def _toolchain_works() -> bool:
     return find_c_compiler() is not None and erf_fallback_reason() is None
 
 
-def _run(program, synced, inputs, backend, optimize):
+def _run(program, synced, inputs, tier, optimize):
     memory = MemoryManager()
     for view, data in inputs.items():
         memory.write_view(view, data)
-    result = ExecutionEngine(backend=backend, optimize=optimize).execute(program, memory)
+    with on_tier(tier) as backend:
+        result = ExecutionEngine(backend=backend, optimize=optimize).execute(program, memory)
     return [result.value(view) for view in synced], result.stats
 
 

@@ -46,9 +46,10 @@ from repro.utils.config import config_override
 from repro.utils.errors import ExecutionError
 from repro.workloads import black_scholes, gaussian_blur, monte_carlo_pi
 from repro.workloads.generators import random_mixed_program
+from tests.tiers import on_tier
 
-#: Every backend that computes results.
-BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
+#: Every backend that computes results (and ``parallel4``, see ``tests/tiers.py``).
+BACKENDS = ("interpreter", "parallel", "parallel4", "native", "dist")
 
 #: Same relaxation the other axes give reassociated reductions.
 RTOL, ATOL = 1e-6, 1e-8
@@ -169,7 +170,8 @@ def test_every_flush_draws_its_own_seeds_from_one_plan(name, backend, optimize):
     case, exact = CASES[name]
     with config_override(**SETTINGS):
         expected, _ = _three_flushes(case, "interpreter", optimize=False)
-        actual, builds = _three_flushes(case, backend, optimize)
+        with on_tier(backend) as tier:
+            actual, builds = _three_flushes(case, tier, optimize)
     for flush, (values, references) in enumerate(zip(actual, expected)):
         for index, (value, reference) in enumerate(zip(values, references)):
             context = f"{name} on {backend}, flush {flush}, output {index}"

@@ -86,9 +86,9 @@ class TestLazyRecording:
         assert get_session() is replacement
 
     def test_backend_selected_from_config(self):
-        with config_override(default_backend="jit"):
+        with config_override(default_backend="parallel"):
             session = Session()
-            assert session.backend.name == "jit"
+            assert session.backend.name == "parallel"
 
 
 class TestArithmetic:

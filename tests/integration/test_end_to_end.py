@@ -7,7 +7,7 @@ from repro import frontend as bh
 from repro.core.pipeline import optimize
 from repro.core.verifier import SemanticVerifier
 from repro.frontend.session import reset_session
-from repro.runtime import FusingJIT, NumPyInterpreter
+from repro.runtime import NumPyInterpreter, ParallelBackend
 from repro.utils.config import config_override
 from repro.workloads import (
     elementwise_chain,
@@ -17,7 +17,7 @@ from repro.workloads import (
     random_elementwise_program,
 )
 
-ALL_BACKENDS = [NumPyInterpreter, FusingJIT]
+ALL_BACKENDS = [NumPyInterpreter, ParallelBackend]
 
 
 class TestBackendsAgree:
@@ -85,7 +85,7 @@ class TestOptimizerEndToEnd:
 
 
 class TestFrontendAcrossBackends:
-    @pytest.mark.parametrize("backend_name", ["interpreter", "jit"])
+    @pytest.mark.parametrize("backend_name", ["interpreter", "parallel"])
     def test_same_script_same_answer(self, backend_name):
         reset_session(backend=backend_name, optimize=True)
         bh.random.seed(31)
@@ -99,7 +99,7 @@ class TestFrontendAcrossBackends:
         assert total == pytest.approx(float(y_ref.sum()), rel=1e-9)
 
     def test_multi_flush_session_consistency(self):
-        session = reset_session(backend="jit", optimize=True)
+        session = reset_session(backend="parallel", optimize=True)
         a = bh.zeros(64)
         a += 1
         first = a.to_numpy()

@@ -160,7 +160,7 @@ class TestBitwiseAgainstTheInterpreter:
         oracle, blocked = _run_both(builder, {x: rng.random(19) * 4 - 2}, local=(t,))
         _assert_bitwise(oracle, blocked, out)
 
-    def test_the_whole_view_launch_is_the_same_steps_in_one_block(self, rng):
+    def test_evaluate_is_the_same_steps_in_one_block(self, rng):
         builder = ProgramBuilder()
         x, out = builder.new_vector(27), builder.new_vector(27)
         builder.exp(out, x)
@@ -169,7 +169,11 @@ class TestBitwiseAgainstTheInterpreter:
         oracle, _ = _run_both(builder, {x: rng.random(27)})
         whole = MemoryManager()
         whole.write_view(x, oracle.read_view(x))
-        compile_kernel_template(instructions)(whole, kernel_slot_views(instructions))
+        slots = kernel_slot_views(instructions)
+        result = compile_kernel_template(instructions).evaluate(
+            whole, slots, frozenset(), slots.index(out)
+        )
+        assert result.tobytes() == oracle.read_view(out).tobytes()
         _assert_bitwise(oracle, whole, out)
 
 

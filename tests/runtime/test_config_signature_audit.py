@@ -95,7 +95,6 @@ def test_signature_value_changes_with_each_signed_field():
         "power_expansion_limit": 3,
         "fusion_max_kernel_size": 2,
         "fusion_scheduler": "consecutive",
-        "fusion_cost_threshold": 1.0,
         "fixed_point_max_iterations": 1,
         "verify_rewrites": True,
         "random_seed": 1234,

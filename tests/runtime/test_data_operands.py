@@ -220,7 +220,7 @@ class TestBind:
 
 
 class TestTheEngine:
-    @pytest.mark.parametrize("backend", ["interpreter", "jit", "parallel", "native"])
+    @pytest.mark.parametrize("backend", ["interpreter", "parallel", "native"])
     def test_seeded_flushes_hit_one_plan(self, backend):
         engine = ExecutionEngine(backend=backend, optimize=True)
         for flush, seeds in enumerate(((1, 2), (3, 4), (1, 2))):

@@ -11,8 +11,8 @@ from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.core.pipeline import default_pipeline
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.jit import FusingJIT
 from repro.runtime.kernel import Kernel, kernel_structural_key, partition_into_kernels
+from repro.runtime.parallel import ParallelBackend
 from repro.runtime.plan import (
     ExecutionPlan,
     PlanCache,
@@ -100,7 +100,7 @@ class TestConfigSignature:
 
     def test_ignores_backend_selection(self):
         baseline = config_signature()
-        with config_override(default_backend="jit"):
+        with config_override(default_backend="parallel"):
             assert config_signature() == baseline
 
 
@@ -273,9 +273,6 @@ class TestExecutionEngine:
             result = engine.execute(chain_program()[0])
             assert result.stats.plan_cache_misses == 1
             assert engine.last_plan.fusion_schedule.scheduler == "consecutive"
-        with config_override(fusion_cost_threshold=2.0):
-            result = engine.execute(chain_program()[0])
-            assert result.stats.plan_cache_misses == 1
         # Back to the original configuration: the original plan still hits.
         result = engine.execute(chain_program()[0])
         assert result.stats.plan_cache_hits == 1
@@ -301,7 +298,7 @@ class TestExecutionEngine:
         assert engine.cache_stats()["plan_cache_misses"] == 0
 
     def test_backend_instance_is_kept_across_executions(self):
-        engine = ExecutionEngine(backend="jit", optimize=True)
+        engine = ExecutionEngine(backend="parallel", optimize=True)
         first = engine.backend
         engine.execute(chain_program()[0])
         assert engine.backend is first
@@ -309,8 +306,8 @@ class TestExecutionEngine:
     def test_set_backend_switches_and_keeps_plans_separate(self):
         engine = ExecutionEngine(backend="interpreter", optimize=True)
         engine.execute(chain_program()[0])
-        engine.set_backend("jit")
-        assert isinstance(engine.backend, FusingJIT)
+        engine.set_backend("parallel")
+        assert isinstance(engine.backend, ParallelBackend)
         result = engine.execute(chain_program()[0])
         assert result.stats.plan_cache_misses == 1  # plans are keyed per backend
 
@@ -342,20 +339,21 @@ class TestSessionPlanReuse:
 
 class TestKernelStructuralCache:
     def test_equivalent_kernels_share_compiled_entries(self):
-        jit = FusingJIT()
+        backend = ParallelBackend(num_threads=1, tile_elements=4)
         first, out_a = chain_program(adds=4)
         second, out_b = chain_program(adds=4)
-        result_a = jit.execute(first)
-        misses_after_first = jit.cache_misses
-        result_b = jit.execute(second)
+        with config_override(parallel_serial_threshold=4):
+            result_a = backend.execute(first)
+            after_first = backend.cache_stats()
+            result_b = backend.execute(second)
+        after_second = backend.cache_stats()
         assert np.all(result_a.value(out_a) == result_b.value(out_b))
         # The second program compiled nothing new: different temporaries,
         # same canonical structural form.
-        assert jit.cache_misses == misses_after_first
-        assert jit.cache_hits >= 1
-        assert result_b.stats.kernel_cache_hits >= 1
-        assert result_b.stats.kernel_cache_misses == 0
-        assert jit.cache_stats()["kernel_cache_size"] == 1
+        assert after_first["tile_template_misses"] >= 1
+        assert after_second["tile_template_misses"] == after_first["tile_template_misses"]
+        assert after_second["tile_template_hits"] >= after_first["tile_template_hits"] + 1
+        assert after_second["tile_template_size"] == 1
 
     def test_structural_key_distinguishes_aliasing(self):
         x, y, z = BaseArray(8), BaseArray(8), BaseArray(8)
@@ -368,7 +366,9 @@ class TestKernelStructuralCache:
         second, _ = chain_program(adds=2)
         kernels_a = [k for k in partition_into_kernels(first) if isinstance(k, Kernel)]
         kernels_b = [k for k in partition_into_kernels(second) if isinstance(k, Kernel)]
-        assert kernels_a[0].structural_key() == kernels_b[0].structural_key()
+        assert kernel_structural_key(kernels_a[0].instructions) == kernel_structural_key(
+            kernels_b[0].instructions
+        )
 
     def test_custom_pipeline_plans_share_when_signature_matches(self):
         pipeline = default_pipeline(enabled_passes=["constant_merge"])

@@ -28,6 +28,7 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.interpreter import _erf
 from repro.utils.config import config_override
 from repro.utils.errors import ExecutionError
+from tests.tiers import on_tier
 
 requires_helper = pytest.mark.skipif(
     find_c_compiler() is None or interpreter_module.erf_fallback_reason() is not None,
@@ -220,16 +221,16 @@ class TestTheFallbackIsCounted:
         builder.sync(out)
         return builder.build(), out
 
-    @pytest.mark.parametrize("backend", ["interpreter", "jit", "parallel", "native"])
+    @pytest.mark.parametrize("tier", ["interpreter", "parallel", "parallel4", "native"])
     @pytest.mark.parametrize("tiled", [False, True], ids=["serial", "tiled"])
-    def test_per_flush_and_cumulatively(self, backend, tiled, monkeypatch):
+    def test_per_flush_and_cumulatively(self, tier, tiled, monkeypatch):
         program, out = self._program()
         expected = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
         monkeypatch.setattr(interpreter_module, "_erf_helper", lambda: (None, self.REASON))
         # On native the kernel must leave the compiled path for the
         # template's erf to run at all.
         tiles = dict(parallel_tile_elements=16, parallel_serial_threshold=4) if tiled else {}
-        with config_override(codegen_enabled=False, **tiles):
+        with config_override(codegen_enabled=False, **tiles), on_tier(tier) as backend:
             engine = ExecutionEngine(backend=backend, optimize=True)
             first = engine.execute(program)
             second = engine.execute(program)

@@ -19,7 +19,7 @@ def test_every_numeric_field_declares_a_merge_policy():
     a numeric field without a policy fails here, and a field with one is
     merged and exported by construction."""
     numeric = _numeric_fields()
-    assert len(numeric) == 43
+    assert len(numeric) == 41
     undeclared = [spec.name for spec in numeric if "merge" not in spec.metadata]
     assert not undeclared, f"declare these with _stat(...): {undeclared}"
     assert {spec.metadata["merge"] for spec in numeric} == {"sum", "max"}
@@ -118,7 +118,7 @@ def test_record_launch_counts_a_fused_kernel_as_one_launch():
         OpCode.BH_ADD: 1,
         OpCode.BH_MULTIPLY: 1,
     }
-    # Without the wrapper (a cluster the JIT formed itself) only it is missing.
+    # Without the wrapper (a payload recorded bare) only it is missing.
     bare = ExecutionStats()
     bare.record_launch(fused.kernel)
     assert bare.instructions_executed == 2 and OpCode.BH_FUSED not in bare.opcode_counts

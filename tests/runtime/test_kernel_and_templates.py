@@ -1,7 +1,6 @@
-"""Tests for kernel clustering, kernel compilation and the fusing JIT backend."""
+"""Tests for kernel clustering, kernel templates and plan-less fused execution."""
 
 import numpy as np
-import pytest
 
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.instruction import Instruction
@@ -9,9 +8,14 @@ from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.runtime.interpreter import NumPyInterpreter
-from repro.runtime.jit import FusingJIT
-from repro.runtime.kernel import Kernel, partition_into_kernels
+from repro.runtime.kernel import (
+    Kernel,
+    compile_kernel_template,
+    kernel_slot_views,
+    partition_into_kernels,
+)
 from repro.runtime.memory import MemoryManager
+from repro.runtime.parallel import ParallelBackend
 from repro.utils.config import config_override
 
 
@@ -165,10 +169,11 @@ class TestCanAcceptIterationSpaces:
         builder.sync(out)
         program = builder.build()
         reference = NumPyInterpreter().execute(program)
-        jit = FusingJIT().execute(program)
-        assert np.array_equal(reference.value(out), jit.value(out))
+        with config_override(parallel_serial_threshold=2):
+            tiled = ParallelBackend(num_threads=1, tile_elements=4).execute(program)
+        assert np.array_equal(reference.value(out), tiled.value(out))
         assert np.array_equal(
-            reference.value(View.full(base)), jit.value(View.full(base))
+            reference.value(View.full(base)), tiled.value(View.full(base))
         )
 
 
@@ -177,7 +182,8 @@ class TestKernelCompilation:
         program, vector = chain_program(length=4)
         kernel = [item for item in partition_into_kernels(program) if isinstance(item, Kernel)][0]
         memory = MemoryManager()
-        kernel.compile()(memory)
+        template = compile_kernel_template(kernel.instructions)
+        template.blocked(frozenset())(memory, kernel_slot_views(kernel.instructions))
         assert np.all(memory.read_view(vector) == 5.0)
 
     def test_as_instruction_wraps_payload(self):
@@ -188,28 +194,37 @@ class TestKernelCompilation:
         assert len(fused.kernel) == kernel.size
 
 
-class TestFusingJIT:
+#: Tiles of four elements: the 16-element chains launch templates per tile.
+TINY_TILES = dict(parallel_tile_elements=4, parallel_serial_threshold=4)
+
+
+class TestPlanLessFusedExecution:
+    """``ParallelBackend().execute`` schedules an unfused program itself."""
+
     def test_results_match_interpreter(self):
         program, vector = chain_program(length=7)
         reference = NumPyInterpreter().execute(program).value(vector)
-        jit_result = FusingJIT().execute(program).value(vector)
-        assert np.array_equal(reference, jit_result)
+        with config_override(**TINY_TILES):
+            tiled = ParallelBackend().execute(program).value(vector)
+        assert np.array_equal(reference, tiled)
 
     def test_fewer_kernel_launches_than_interpreter(self):
         program, _ = chain_program(length=7)
         interpreter_launches = NumPyInterpreter().execute(program).stats.kernel_launches
-        jit_launches = FusingJIT().execute(program).stats.kernel_launches
+        with config_override(**TINY_TILES):
+            fused_launches = ParallelBackend().execute(program).stats.kernel_launches
         assert interpreter_launches == 8
-        assert jit_launches == 1
+        assert fused_launches == 1
 
-    def test_kernel_cache_hits_on_repeated_execution(self):
+    def test_template_cache_hits_on_repeated_execution(self):
         program, _ = chain_program(length=5)
-        jit = FusingJIT()
-        jit.execute(program)
-        assert jit.cache_misses >= 1
-        before_hits = jit.cache_hits
-        jit.execute(program)
-        assert jit.cache_hits > before_hits
+        backend = ParallelBackend()
+        with config_override(**TINY_TILES):
+            backend.execute(program)
+            assert backend.cache_stats()["tile_template_misses"] >= 1
+            before_hits = backend.cache_stats()["tile_template_hits"]
+            backend.execute(program)
+        assert backend.cache_stats()["tile_template_hits"] > before_hits
 
     def test_mixed_program_with_reduction(self):
         builder = ProgramBuilder()
@@ -220,32 +235,31 @@ class TestFusingJIT:
         builder.multiply(vector, vector, 2)
         builder.add_reduce(total, vector, axis=0)
         program = builder.build()
-        result = FusingJIT().execute(program)
+        with config_override(parallel_tile_elements=2, parallel_serial_threshold=2):
+            result = ParallelBackend().execute(program)
         assert result.scalar(total) == float(sum((i + 1) * 2 for i in range(6)))
 
     def test_schedules_are_cached_across_repeated_executions(self):
-        # Warm flushes hand the JIT a structurally identical program every
-        # round; the dependency-graph analysis must not be re-paid.
-        jit = FusingJIT()
-        jit.execute(chain_program(length=5)[0])
-        assert jit.cache_stats()["schedule_cache_size"] == 1
-        jit.execute(chain_program(length=5)[0])  # fresh bases, same structure
-        stats = jit.cache_stats()
-        assert stats["schedule_cache_size"] == 1
-        assert stats["schedule_cache_hits"] == 1
-        jit.execute(chain_program(length=7)[0])
-        assert jit.cache_stats()["schedule_cache_size"] == 2
+        # Repeated plan-less executions of one structure replay one ad-hoc
+        # plan; the dependency-graph analysis must not be re-paid.
+        backend = ParallelBackend()
+        backend.execute(chain_program(length=5)[0])
+        assert backend.cache_stats()["tiling_cache_size"] == 1
+        backend.execute(chain_program(length=5)[0])  # fresh bases, same structure
+        stats = backend.cache_stats()
+        assert stats["tiling_cache_size"] == 1
+        assert stats["tiling_cache_hits"] == 1
+        backend.execute(chain_program(length=7)[0])
+        assert backend.cache_stats()["tiling_cache_size"] == 2
 
-    @pytest.mark.parametrize(
-        "backend, prefix", [("jit", "kernel_cache_"), ("parallel", "tile_template_")]
-    )
-    def test_template_caches_are_bounded(self, backend, prefix):
+    def test_template_caches_are_bounded(self):
         """Kernel forms carry their constants, so a loop over ``x * i + 1.5``
         is a new form every flush: the template cache must evict, not grow
         with the flush count."""
         from repro.runtime.engine import ExecutionEngine
 
-        engine = ExecutionEngine(backend=backend, optimize=True)
+        engine = ExecutionEngine(backend="parallel", optimize=True)
+        prefix = "tile_template_"
         with config_override(parallel_tile_elements=16, parallel_serial_threshold=4):
             for index in range(400):
                 builder = ProgramBuilder()
@@ -266,6 +280,7 @@ class TestFusingJIT:
         program, vector = chain_program(length=3)
         kernel = [item for item in partition_into_kernels(program) if isinstance(item, Kernel)][0]
         wrapped = Program([kernel.as_instruction(), program[-1]])
-        result = FusingJIT().execute(wrapped)
+        with config_override(**TINY_TILES):
+            result = ParallelBackend().execute(wrapped)
         assert np.all(result.value(vector) == 4.0)
         assert result.stats.kernel_launches == 1

@@ -324,7 +324,7 @@ class TestEngineIntegration:
     def test_all_backends_agree_with_planning(self):
         program, _, out, _ = self._program()
         results = {}
-        for backend in ("interpreter", "jit", "parallel"):
+        for backend in ("interpreter", "parallel"):
             engine = ExecutionEngine(backend=backend, optimize=True)
             results[backend] = engine.execute(program).value(out)
         reference = results["interpreter"]

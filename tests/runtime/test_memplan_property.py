@@ -32,8 +32,10 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memory import MemoryManager
 from repro.utils.config import config_override
 from repro.workloads.generators import random_mixed_program
+from tests.tiers import on_tier
 
-EXECUTING_BACKENDS = ("interpreter", "jit", "parallel", "native", "dist")
+#: Every tier that executes for real (``parallel4``: see ``tests/tiers.py``).
+EXECUTING_BACKENDS = ("interpreter", "parallel", "parallel4", "native", "dist")
 ROWS, COLS = 8, 6
 FATES = ("sync", "free", "leave")
 TINY_TILES = dict(parallel_tile_elements=16, parallel_serial_threshold=4, dist_num_workers=2)
@@ -84,11 +86,13 @@ def _two_flushes(seed, fates, sync_result, free_kept):
     return Program(body + list(first.build(validate=False))), second.build(validate=False)
 
 
-def _run(backend, programs, planned):
+def _run(tier, programs, planned):
     """Both flushes on one manager; per-flush snapshots of every live base."""
     memory = MemoryManager()
     snapshots, adopted = [], 0
-    with config_override(**TINY_TILES, memory_plan_enabled=planned, check_ir=planned):
+    with config_override(
+        **TINY_TILES, memory_plan_enabled=planned, check_ir=planned
+    ), on_tier(tier) as backend:
         engine = ExecutionEngine(backend=backend, optimize=True)
         for program in programs:
             result = engine.execute(program, memory)

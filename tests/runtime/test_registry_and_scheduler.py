@@ -11,7 +11,7 @@ from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.plan import merge_batches, split_into_batches
 from repro.utils.errors import ExecutionError
 
-BUILT_INS = ("dist", "interpreter", "jit", "native", "parallel")
+BUILT_INS = ("dist", "interpreter", "native", "parallel")
 
 
 def simple_program(size=1000, adds=3):
@@ -26,6 +26,9 @@ def simple_program(size=1000, adds=3):
 
 class TestBackendRegistry:
     def test_available_backends(self):
+        from repro.runtime.backend import _BUILTIN_BACKENDS
+
+        assert tuple(sorted(_BUILTIN_BACKENDS)) == BUILT_INS
         assert set(BUILT_INS) <= set(available_backends())
 
     def test_get_backend_by_name(self):
@@ -48,6 +51,21 @@ class TestBackendRegistry:
         with pytest.raises(ExecutionError):
             Session(backend=name).backend
         assert all(repr(builtin) in str(raised.value) for builtin in BUILT_INS)
+
+
+    def test_jit_is_not_a_backend(self):
+        # The template tier without tiles is ``parallel``'s plan-less
+        # ``execute``; the retired name is unknown, on every entry point.
+        import repro.runtime
+
+        with pytest.raises(ExecutionError) as raised:
+            get_backend("jit")
+        with pytest.raises(ExecutionError):
+            Session(backend="jit").backend
+        available = str(raised.value).partition("available:")[2]
+        assert all(repr(builtin) in available for builtin in BUILT_INS)
+        assert "'jit'" not in available
+        assert not hasattr(repro.runtime, "FusingJIT")
 
 
 class TestScheduler:

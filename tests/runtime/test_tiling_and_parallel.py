@@ -425,9 +425,9 @@ class TestParallelExecution:
         program, _ = elementwise_program(length=4096)
         with config_override(parallel_tile_elements=512, parallel_serial_threshold=16):
             engine.execute(program)
-        assert backend._pool is not None
+        assert backend._pools
         engine.set_backend("interpreter")
-        assert backend._pool is None  # worker threads released eagerly
+        assert not backend._pools  # worker threads released eagerly
 
     def test_pool_is_persistent_and_resizes_on_config_change(self):
         backend = ParallelBackend()
@@ -435,8 +435,10 @@ class TestParallelExecution:
         assert backend._executor(2) is pool_a
         pool_b = backend._executor(3)
         assert pool_b is not pool_a
+        # A resize leaves the first pool open for a flush still using it.
+        assert pool_a.submit(int, 7).result() == 7
         backend.close()
-        assert backend._pool is None
+        assert not backend._pools
 
 
 class TestSharedReduceBody:

@@ -1,4 +1,5 @@
-"""Regression tests for BufferPool recycle/stats races and fairness.
+"""Regression tests for BufferPool recycle/stats races and fairness, and for
+the tiled backends' worker-thread pools.
 
 Before the pool lock, concurrent sessions recycling through one shared
 pool could pop the same parked buffer twice (two tenants writing through
@@ -6,14 +7,23 @@ one storage block) and lose counter increments to read-modify-write
 interleavings.  These tests hammer the pool from many threads and assert
 the invariants the service depends on: no double-hand-out, a byte cap
 that is never exceeded, and counters that add up exactly.
+
+A tiled backend's thread pool has the same shape of hazard: a flush
+resolves the pool for its thread count and then submits its tile blocks
+to it, so a flush on the same instance that asks for a different count
+must never shut that pool down under it.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.bytecode.builder import ProgramBuilder
 from repro.runtime.memory import BufferPool, TenantPoolView, size_class
+from repro.runtime.parallel import ParallelBackend
+from repro.utils.config import get_config, set_config
 
 
 class TestPoolRaces:
@@ -160,3 +170,54 @@ class TestTenantFairness:
     def test_unknown_fairness_policy_rejected(self):
         with pytest.raises(ValueError):
             BufferPool(max_bytes=1024, fairness="roulette")
+
+
+class TestThreadPoolResize:
+    #: Elements per vector: several default-sized tiles, so every flush submits.
+    LENGTH = 400_000
+    #: How long the flushers and the thread-count toggler race.
+    RACE_SECONDS = 3.0
+
+    def _program(self):
+        builder = ProgramBuilder()
+        x, out = builder.new_vector(self.LENGTH), builder.new_vector(self.LENGTH)
+        builder.arange(x)
+        builder.multiply(out, x, 2.0)
+        builder.add(out, out, 1.0)
+        builder.sync(out)
+        return builder.build(), out
+
+    def test_a_thread_count_change_does_not_kill_a_concurrent_flush(self, thread_hammer):
+        """Two flushes on one backend while a third thread alternates
+        ``parallel_num_threads`` 2/3 (``native`` and ``dist`` inherit the
+        pools); fails within a second when a resize shuts a pool down."""
+        backend = ParallelBackend()
+        program, out = self._program()
+        expected = np.arange(self.LENGTH, dtype=np.float64) * 2.0 + 1.0
+        stop = threading.Event()
+        flushes = [0, 0]
+        base = get_config()
+
+        def body(index):
+            if index == 2:  # the toggler: the next flush asks for another count
+                deadline = time.monotonic() + self.RACE_SECONDS
+                threads = 2
+                while time.monotonic() < deadline and not stop.is_set():
+                    set_config(base.replace(parallel_num_threads=threads))
+                    threads = 5 - threads  # 2, 3, 2, ...
+                    time.sleep(0.001)
+                stop.set()
+                return
+            try:
+                while not stop.is_set():
+                    result = backend.execute(program)
+                    assert np.array_equal(result.value(out), expected)
+                    flushes[index] += 1
+            finally:
+                stop.set()
+
+        try:
+            thread_hammer(3, body)
+        finally:
+            backend.close()
+        assert min(flushes) > 0, flushes

@@ -41,7 +41,7 @@ def _one_flush(session, step):
 
 
 def test_the_window_is_bounded_and_the_total_is_every_flush():
-    session = Session(backend="jit", optimize=True)
+    session = Session(backend="parallel", optimize=True)
     kept_aside = []
     for step in range(3 * STATS_HISTORY_WINDOW):
         _one_flush(session, step)
@@ -130,7 +130,7 @@ def test_a_reader_never_sees_a_half_folded_total(thread_hammer):
     had."""
     program = chain_program()
     flushes, tenants = 150, 4
-    with ArrayService(backend="jit", max_inflight=tenants) as service:
+    with ArrayService(backend="parallel", max_inflight=tenants) as service:
         sessions = [service.open_session() for _ in range(tenants)]
         snapshots = []
 

@@ -164,10 +164,10 @@ class TestBackendExecution:
         assert code == 0
         assert "plan cache: 5 hit(s), 0 miss(es), 1 plan(s) cached" in output
 
-    def test_jit_backend_reports_kernel_cache(self, listing_file):
-        code, output = run_cli([listing_file, "--backend", "jit", "--repeat", "2"])
+    def test_parallel_backend_reports_template_cache(self, listing_file):
+        code, output = run_cli([listing_file, "--backend", "parallel", "--repeat", "2"])
         assert code == 0
-        assert "kernel cache:" in output
+        assert "tile templates:" in output
 
     def test_no_backend_no_execution_section(self, listing_file):
         code, output = run_cli([listing_file])
@@ -176,6 +176,20 @@ class TestBackendExecution:
 
     def test_unknown_backend_is_an_error(self, listing_file):
         assert main([listing_file, "--backend", "tpu"]) == 1
+
+    def test_removed_jit_backend_names_the_registered_ones(self, listing_file, capsys):
+        assert main([listing_file, "--backend", "jit"]) == 1
+        error = capsys.readouterr().err
+        assert "unknown backend 'jit'" in error
+        available = error.partition("available:")[2]
+        assert all(repr(name) in available for name in ("dist", "interpreter", "native", "parallel"))
+        assert "'jit'" not in available
+
+    def test_backend_help_lists_the_registry(self):
+        from repro.runtime.backend import available_backends
+
+        help_text = build_parser().format_help()
+        assert ", ".join(available_backends()) in " ".join(help_text.split())
 
     def test_invalid_repeat_is_an_error(self, listing_file):
         assert main([listing_file, "--backend", "interpreter", "--repeat", "0"]) == 1
@@ -390,7 +404,7 @@ class TestStatsJson:
         import json
 
         code, output = run_cli(
-            [interleaved_file, "--stats-json", "--backend", "jit", "--repeat", "2"]
+            [interleaved_file, "--stats-json", "--backend", "parallel", "--repeat", "2"]
         )
         assert code == 0
         payload = json.loads(output)
@@ -467,3 +481,24 @@ class TestErrorHandling:
     def test_main_happy_path(self, listing_file, capsys):
         assert main([listing_file, "--quiet"]) == 0
         assert "BH_" in capsys.readouterr().out
+
+
+def test_running_the_module_prints_nothing_to_stderr(listing_file):
+    """``python -m repro.tools.cli`` loads the module once: no runpy warning."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.tools.cli", listing_file, "--quiet"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "BH_SYNC" in done.stdout

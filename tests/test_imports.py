@@ -61,7 +61,7 @@ def flushes(session):
 def main():
     with config_override(dist_num_workers=2):
         before = set(sys.modules)
-        assert available_backends() == ("dist", "interpreter", "jit", "native", "parallel")
+        assert available_backends() == ("dist", "interpreter", "native", "parallel")
         values = flushes(Session(backend={backend!r}))
         added = sorted(set(sys.modules) - before)
         reference = flushes(Session(backend="interpreter", optimize=False))
@@ -140,7 +140,6 @@ WORKER_DENIED = (
     "repro.runtime.engine",
     "repro.runtime.parallel",
     "repro.runtime.native",
-    "repro.runtime.jit",
     "repro.runtime.memplan",
     "repro.dist.backend",
     "repro.codegen.emit_c",

@@ -52,7 +52,6 @@ class TestTopLevelExports:
             "default_pipeline",
             "CostModel",
             "NumPyInterpreter",
-            "FusingJIT",
             "MemoryManager",
             "format_program",
             "parse_program",
@@ -104,6 +103,7 @@ class TestExportsOnDemand:
             "repro.dist",
             "repro.codegen",
             "repro.bytecode",
+            "repro.tools",
         ],
     )
     def test_every_export_resolves_to_its_defining_object(self, package):

@@ -25,13 +25,13 @@ class TestConfig:
         assert config.power_expansion_limit == 64
 
     def test_global_get_set(self):
-        custom = Config(default_backend="jit")
+        custom = Config(default_backend="parallel")
         set_config(custom)
-        assert get_config().default_backend == "jit"
+        assert get_config().default_backend == "parallel"
 
     def test_set_config_type_checked(self):
         with pytest.raises(TypeError):
-            set_config({"default_backend": "jit"})
+            set_config({"default_backend": "parallel"})
 
     def test_replace_returns_new_object(self):
         config = Config()
