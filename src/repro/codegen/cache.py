@@ -64,6 +64,9 @@ ARTIFACT_SCHEMA = 4
 
 #: The runtime is a fixed 100-line translation unit; -O2 is plenty.
 RUNTIME_OPT_LEVEL = 2
+#: Generated kernels are the hot loops: -O3.  Part of every kernel's
+#: artifact digest, so changing it never reuses a library built otherwise.
+KERNEL_OPT_LEVEL = 3
 
 #: digest → loaded artifact (kernels and the runtime alike).
 _memory_cache: Dict[str, object] = {}

@@ -36,10 +36,12 @@ from repro.bytecode.operand import Constant, is_constant, is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.core.rules import Pass, PassResult
-from repro.utils.config import get_config
 
 _ADDITIVE = (OpCode.BH_ADD, OpCode.BH_SUBTRACT)
 _MULTIPLICATIVE = (OpCode.BH_MULTIPLY, OpCode.BH_DIVIDE)
+
+#: Most consecutive constant operations one merge contracts.
+MAX_MERGE_WINDOW = 1024
 
 
 @dataclass
@@ -91,10 +93,8 @@ class ConstantMergePass(Pass):
 
     name = "constant_merge"
 
-    def __init__(self, max_window: Optional[int] = None) -> None:
-        self.max_window = (
-            max_window if max_window is not None else get_config().max_constant_merge_window
-        )
+    def __init__(self, max_window: int = MAX_MERGE_WINDOW) -> None:
+        self.max_window = max_window
 
     def run(self, program: Program) -> PassResult:
         stats = self._new_stats(program)

@@ -23,12 +23,10 @@ the cached :class:`~repro.runtime.plan.ExecutionPlan`.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.bytecode.program import Program
 from repro.core.rules import Pass, PassResult
 from repro.core.schedule import compute_schedule
-from repro.utils.config import get_config
+from repro.runtime.kernel import MAX_KERNEL_SIZE
 
 
 class FusionPass(Pass):
@@ -36,22 +34,18 @@ class FusionPass(Pass):
 
     name = "fusion"
 
-    def __init__(self, max_kernel_size: Optional[int] = None, min_kernel_size: int = 2) -> None:
+    def __init__(self, max_kernel_size: int = MAX_KERNEL_SIZE, min_kernel_size: int = 2) -> None:
         """
         Parameters
         ----------
         max_kernel_size:
-            Largest number of byte-codes per fused kernel (defaults to the
-            library configuration).
+            Largest number of byte-codes per fused kernel (default
+            :data:`~repro.runtime.kernel.MAX_KERNEL_SIZE`).
         min_kernel_size:
             Clusters smaller than this are left alone — fusing a single
             byte-code only adds wrapper overhead.
         """
-        self.max_kernel_size = (
-            max_kernel_size
-            if max_kernel_size is not None
-            else get_config().fusion_max_kernel_size
-        )
+        self.max_kernel_size = max_kernel_size
         self.min_kernel_size = min_kernel_size
 
     def run(self, program: Program) -> PassResult:

@@ -26,6 +26,9 @@ from repro.core.verifier import SemanticVerifier
 from repro.utils.config import get_config
 from repro.utils.errors import IRCheckError
 
+#: Safety bound on a pipeline's iterate-to-fixed-point loop.
+MAX_ITERATIONS = 16
+
 
 @dataclass
 class OptimizationReport:
@@ -126,8 +129,8 @@ class Pipeline:
         self,
         passes: Sequence[Union[str, Pass]],
         fixed_point: bool = True,
-        max_iterations: Optional[int] = None,
-        verify: Optional[bool] = None,
+        max_iterations: int = MAX_ITERATIONS,
+        verify: bool = False,
         validate: bool = True,
     ) -> None:
         """
@@ -139,10 +142,11 @@ class Pipeline:
             Re-run the whole pass list until no pass reports a rewrite (or
             ``max_iterations`` is hit).
         max_iterations:
-            Bound on fixed-point iterations; defaults to the configuration.
+            Bound on fixed-point iterations (default :data:`MAX_ITERATIONS`).
         verify:
-            Run the semantic verifier on the final result; defaults to the
-            configuration (``verify_rewrites``).
+            Re-execute the original and the optimized program on the same
+            inputs and compare them (:class:`SemanticVerifier`).  Expensive;
+            meant for tests and debugging.
         validate:
             Structurally validate the input and output programs.
         """
@@ -150,12 +154,8 @@ class Pipeline:
             create_pass(item) if isinstance(item, str) else item for item in passes
         ]
         self.fixed_point = fixed_point
-        self.max_iterations = (
-            max_iterations
-            if max_iterations is not None
-            else get_config().fixed_point_max_iterations
-        )
-        self.verify = verify if verify is not None else get_config().verify_rewrites
+        self.max_iterations = max_iterations
+        self.verify = verify
         self.validate = validate
 
     def pass_names(self) -> List[str]:
@@ -227,7 +227,7 @@ class Pipeline:
         if self.validate:
             validate_program(current)
         if self.verify:
-            verifier = SemanticVerifier(seed=get_config().random_seed)
+            verifier = SemanticVerifier()
             report.verified = verifier.equivalent(report.original, report.optimized)
         return report
 
@@ -235,7 +235,7 @@ class Pipeline:
 def default_pipeline(
     enabled_passes: Optional[Iterable[str]] = None,
     fixed_point: bool = True,
-    verify: Optional[bool] = None,
+    verify: bool = False,
     extended: bool = False,
     **pass_kwargs,
 ) -> Pipeline:
@@ -275,7 +275,7 @@ def optimize(
     program: Program,
     enabled_passes: Optional[Iterable[str]] = None,
     fixed_point: bool = True,
-    verify: Optional[bool] = None,
+    verify: bool = False,
     extended: bool = False,
     **pass_kwargs,
 ) -> OptimizationReport:

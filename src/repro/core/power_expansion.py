@@ -28,7 +28,10 @@ from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.core.addition_chains import AdditionChain, chain_for
 from repro.core.rules import Pass, PassResult
-from repro.utils.config import get_config
+
+#: Largest integer exponent expanded into multiplications; above it the
+#: ``BH_POWER`` op-code is kept.
+EXPANSION_LIMIT = 64
 
 
 def _natural_exponent(constant: Constant) -> Optional[int]:
@@ -160,7 +163,7 @@ class PowerExpansionPass(Pass):
     def __init__(
         self,
         strategy: str = "power_of_two",
-        limit: Optional[int] = None,
+        limit: int = EXPANSION_LIMIT,
         allow_temporaries: bool = False,
         cost_model=None,
     ) -> None:
@@ -172,8 +175,7 @@ class PowerExpansionPass(Pass):
             ``"power_of_two"`` (Listing 5, the default — it is what the
             paper describes Bohrium doing), ``"binary"`` or ``"optimal"``.
         limit:
-            Largest exponent to expand; defaults to the library
-            configuration (``power_expansion_limit``).
+            Largest exponent to expand (default :data:`EXPANSION_LIMIT`).
         allow_temporaries:
             Permit chains that need scratch tensors (only relevant for the
             ``"optimal"`` strategy).
@@ -183,7 +185,7 @@ class PowerExpansionPass(Pass):
             the original ``BH_POWER``.
         """
         self.strategy = strategy
-        self.limit = limit if limit is not None else get_config().power_expansion_limit
+        self.limit = limit
         self.allow_temporaries = allow_temporaries
         self.cost_model = cost_model
 

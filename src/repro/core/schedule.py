@@ -56,7 +56,7 @@ from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.core.analysis import DefUse
 from repro.core.cost import CostModel
-from repro.runtime.kernel import Kernel, _slot_walk, partition_into_kernels
+from repro.runtime.kernel import MAX_KERNEL_SIZE, Kernel, _slot_walk, partition_into_kernels
 from repro.runtime.tiling import store_first_slots, tail_serial_reason
 from repro.utils.config import Config, get_config
 from repro.utils.errors import ExecutionError
@@ -73,10 +73,7 @@ SCHEDULERS = ("dag", "consecutive")
 def schedule_signature(config: Optional[Config] = None) -> tuple:
     """The configuration slice a computed :class:`FusionSchedule` depends on."""
     config = config if config is not None else get_config()
-    return (
-        config.fusion_scheduler,
-        config.fusion_max_kernel_size,
-    )
+    return (config.fusion_scheduler,)
 
 
 # --------------------------------------------------------------------------- #
@@ -260,7 +257,7 @@ def fusion_schedule_of(report) -> Optional[FusionSchedule]:
 def compute_schedule(
     program: Program,
     config: Optional[Config] = None,
-    max_kernel_size: Optional[int] = None,
+    max_kernel_size: int = MAX_KERNEL_SIZE,
     min_kernel_size: int = 1,
 ) -> FusionSchedule:
     """Compute the fusion schedule of ``program`` under ``config``.
@@ -282,15 +279,12 @@ def compute_schedule(
         raise ExecutionError(
             f"unknown fusion scheduler {scheduler!r}; available: {SCHEDULERS}"
         )
-    max_size = (
-        max_kernel_size if max_kernel_size is not None else config.fusion_max_kernel_size
-    )
     model = CostModel(SCHEDULER_PROFILE)
     refusals: Dict[str, int] = {}
     if scheduler == "dag":
-        items, item_savings = _dag_schedule(program, max_size, model, refusals)
+        items, item_savings = _dag_schedule(program, max_kernel_size, model, refusals)
     else:
-        items, item_savings = _consecutive_schedule(program, max_size, model)
+        items, item_savings = _consecutive_schedule(program, max_kernel_size, model)
     if min_kernel_size > 1:
         # Sub-threshold clusters are undone — and so are their accepted
         # merges, so their savings must not be reported.

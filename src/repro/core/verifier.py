@@ -5,7 +5,7 @@ same values.  The verifier executes the original and the optimized program
 from identical randomised initial states on the reference interpreter and
 compares every observable view (synced views plus surviving written bases).
 
-The pipeline runs the verifier when ``Config.verify_rewrites`` is enabled;
+The pipeline runs the verifier when built with ``verify=True``;
 the test suite uses it directly (including property-based tests that feed
 random programs through the optimizer).
 """
@@ -26,6 +26,11 @@ from repro.runtime.memory import MemoryManager
 from repro.utils.errors import RewriteError, ValidationError
 
 
+#: Seed of the verifier's random inputs and the base of a session's
+#: ``BH_RANDOM`` seeds.
+DEFAULT_SEED = 0x5EED
+
+
 class VerificationError(RewriteError):
     """The optimized program disagrees with the original program."""
 
@@ -37,7 +42,7 @@ class SemanticVerifier:
         self,
         rtol: float = 1e-6,
         atol: float = 1e-8,
-        seed: int = 0x5EED,
+        seed: int = DEFAULT_SEED,
         initial_values: Optional[Dict[BaseArray, np.ndarray]] = None,
     ) -> None:
         """

@@ -25,11 +25,11 @@ from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.core.pipeline import OptimizationReport
+from repro.core.verifier import DEFAULT_SEED
 from repro.runtime.backend import Backend
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import MemoryManager
-from repro.utils.config import get_config
 
 
 #: Flush records ``Session.stats_history`` keeps, newest last.  A record is
@@ -79,7 +79,6 @@ class Session:
             per-tenant view over the shared pool.  Defaults to a private
             manager.
         """
-        config = get_config()
         if engine is not None:
             if backend is not None or optimize is not None or pipeline is not None:
                 raise ValueError(
@@ -99,7 +98,7 @@ class Session:
         # Taken by each append and by ``total_stats``, which a service reads
         # from other threads than the one that flushes.
         self._stats_lock = threading.Lock()
-        self._seed_counter = config.random_seed
+        self._seed_counter = DEFAULT_SEED
         self._base_refcounts: dict = {}
         self._bases_by_id: dict = {}
         self._deferred_frees: list = []

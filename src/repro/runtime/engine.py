@@ -39,6 +39,7 @@ from repro.runtime.backend import Backend, get_backend
 from repro.runtime.instrumentation import ExecutionResult
 from repro.runtime.memory import MemoryManager
 from repro.runtime.plan import (
+    PLAN_CACHE_SIZE,
     ExecutionPlan,
     PlanCache,
     canonical_program_walk,
@@ -64,8 +65,8 @@ class ExecutionEngine:
         canonical pipeline (rebuilt lazily so configuration changes are
         honoured).
     plan_cache_size:
-        Capacity of the LRU plan cache; defaults to the configuration's
-        ``plan_cache_size``.
+        Capacity of the LRU plan cache (default
+        :data:`~repro.runtime.plan.PLAN_CACHE_SIZE`, 128 plans).
     """
 
     def __init__(
@@ -73,7 +74,7 @@ class ExecutionEngine:
         backend: Optional[object] = None,
         optimize: Optional[bool] = None,
         pipeline=None,
-        plan_cache_size: Optional[int] = None,
+        plan_cache_size: int = PLAN_CACHE_SIZE,
     ) -> None:
         config = get_config()
         self._backend_spec = backend if backend is not None else config.default_backend

@@ -66,8 +66,8 @@ class ExecutionStats:
     #: members of a kernel that ends in a compiled reduction are one).
     native_kernel_launches: int = _stat()
     #: Tiled map steps that fell back to interpreted kernel templates
-    #: (unsupported op-codes/dtypes, aliasing hazards, compile failure or
-    #: codegen disabled).
+    #: (unsupported op-codes/dtypes, aliasing hazards, no compiler or a
+    #: compile failure).
     native_fallbacks: int = _stat()
     #: Map steps (and compiled reductions) that ran as ONE
     #: ``repro_kernel_mt`` call, with the thread split performed inside
@@ -76,8 +76,8 @@ class ExecutionStats:
     #: Tiled reductions that executed through a compiled reduction kernel.
     native_reductions_compiled: int = _stat()
     #: Tiled reductions that ran on the interpreted tiled paths instead
-    #: (no lowering for the form, compile failure, or
-    #: ``codegen_reductions_enabled`` off).
+    #: (no lowering for the form, no compiler, a compile failure, or a
+    #: zero-size source).
     native_reduction_fallbacks: int = _stat()
     #: Kernel-local slots whose storage compiled launches elided
     #: entirely this execution (counted per launched step).

@@ -415,8 +415,12 @@ def _compile_step(instruction: Instruction, operand_refs):
     return run_cast
 
 
+#: Most element-wise byte-codes fused into one kernel.
+MAX_KERNEL_SIZE = 32
+
+
 def partition_into_kernels(
-    program: Program, max_kernel_size: Optional[int] = None
+    program: Program, max_kernel_size: int = MAX_KERNEL_SIZE
 ) -> List[object]:
     """Greedy fusion clustering of a program.
 
@@ -428,16 +432,11 @@ def partition_into_kernels(
     The clustering is the same "consecutive, same shape" policy Bohrium's
     simple fuser applies; a kernel is cut whenever the next instruction is
     not element-wise, has a different iteration space, or the kernel reached
-    ``max_kernel_size`` (defaulting to the configuration's
-    ``fusion_max_kernel_size``, so bare calls honour the knob).  The
+    ``max_kernel_size`` (default :data:`MAX_KERNEL_SIZE`).  The
     dependency-graph scheduler (:mod:`repro.core.schedule`) supersedes this
     policy behind the shared partitioning seam; this walk remains the
     ``"consecutive"`` mode and the low-level clustering primitive.
     """
-    if max_kernel_size is None:
-        from repro.utils.config import get_config
-
-        max_kernel_size = get_config().fusion_max_kernel_size
     partition: List[object] = []
     current: Optional[Kernel] = None
     for instruction in program:

@@ -49,6 +49,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.bytecode.view import View
 from repro.codegen.cache import (
+    KERNEL_OPT_LEVEL,
     get_compiled_kernel,
     memory_cache_size,
     resolve_cache_dir,
@@ -71,6 +72,7 @@ from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, prepare_kernel_launch, s
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
+from repro.utils.errors import ExecutionError
 from repro.utils.lru import BoundedLRU
 
 
@@ -364,11 +366,8 @@ class NativeBackend(ParallelBackend):
         # threading mode nor the thread count is here: kernels are
         # mode-agnostic and a launchable keeps the runtime it captured.
         return (
-            config.codegen_enabled,
             resolve_cache_dir(config.codegen_cache_dir),
-            int(config.codegen_opt_level),
             config.codegen_disk_cache_enabled,
-            config.codegen_reductions_enabled,
         )
 
     def _resolve_codegen_threads(self, config, fallback: int) -> int:
@@ -376,7 +375,8 @@ class NativeBackend(ParallelBackend):
 
         ``codegen_threads`` > ``REPRO_CODEGEN_THREADS`` env var > the
         parallel worker count.  Purely runtime: changing it never touches
-        plan tilings or compiled artifacts.
+        plan tilings or compiled artifacts.  An environment value that is
+        not a positive integer raises :class:`ExecutionError`.
         """
         threads = config.codegen_threads
         if threads is None:
@@ -385,7 +385,11 @@ class NativeBackend(ParallelBackend):
                 try:
                     threads = int(env)
                 except ValueError:
-                    threads = None
+                    threads = 0
+                if threads < 1:
+                    raise ExecutionError(
+                        f"REPRO_CODEGEN_THREADS={env!r} is not a positive integer"
+                    )
         if threads is None:
             threads = fallback
         return max(1, int(threads))
@@ -413,7 +417,7 @@ class NativeBackend(ParallelBackend):
             if source is not None:
                 compiled, outcome = get_compiled_kernel(
                     source,
-                    opt_level=config.codegen_opt_level,
+                    opt_level=KERNEL_OPT_LEVEL,
                     cache_dir=config.codegen_cache_dir,
                     use_disk=config.codegen_disk_cache_enabled,
                 )
@@ -471,8 +475,6 @@ class NativeBackend(ParallelBackend):
         the form's :func:`_lower_map`, when the caller already has it.
         """
         config = self._effective_config()
-        if not config.codegen_enabled:
-            return None, "codegen disabled"
         lower = (lambda: lowered) if lowered else partial(
             _lower_map, instructions, local_slots, slots
         )
@@ -519,8 +521,6 @@ class NativeBackend(ParallelBackend):
             # thrown away costs no compiler run and no cache entry.
             return None, "zero-size reduction source"
         config = self._effective_config()
-        if not (config.codegen_enabled and config.codegen_reductions_enabled):
-            return None, "compiled reductions disabled"
 
         def lower():
             nest = lower_reduction(
@@ -586,8 +586,8 @@ class NativeBackend(ParallelBackend):
         partition axis into disjoint output slices; rank-1 combine forms
         collect per-chunk partials and tree-combine them inside the
         artifact in the tiled backend's fixed order.  Forms that do not
-        lower (or with reductions disabled) fall back to the inherited
-        interpreted tiled paths, counted as reduction fallbacks.
+        lower fall back to the inherited interpreted tiled paths, counted
+        as reduction fallbacks.
         """
         fused = instruction if instruction.is_fused() else None
         instructions = instruction.kernel if fused else (instruction,)
@@ -595,10 +595,10 @@ class NativeBackend(ParallelBackend):
         slots, form = self._reduce_form(members, tail, step)
         launch, reason = self._native_reduce_launch(members, tail, step, form, stats)
         if launch is not None:
+            nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
             stats.record_launch(instructions, fused)
             stats.tiled_instructions += len(instructions)
             stats.tiles_executed += 1
-            nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
             used_mt = launch(memory, slots, tail.out, nthreads)
             # A kernel's members ran compiled too: one kernel launch.
             self._count(
@@ -632,7 +632,7 @@ class NativeBackend(ParallelBackend):
         super().prepare_plan(plan)
         config = self._effective_config()
         with plan.lock:
-            if not config.codegen_enabled or plan.tiling is None:
+            if plan.tiling is None:
                 plan.native_signature = None
                 return
             signature = (self._codegen_signature(config), plan.tiling_signature)

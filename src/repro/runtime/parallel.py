@@ -109,7 +109,7 @@ class ParallelBackend(Backend):
         self._templates = BoundedLRU(KERNEL_CACHE_CAPACITY)
         # Plans for programs handed to ``execute`` without one; reported as
         # ``tiling_cache_*``.
-        self._adhoc_plans = PlanCache(max(1, get_config().plan_cache_size))
+        self._adhoc_plans = PlanCache()
         # Covers pool construction and the cumulative counters: concurrent
         # sessions sharing this instance mutate them only under it.
         self._cache_lock = ContendedLock()

@@ -236,16 +236,10 @@ def fingerprint_of_key(key: tuple) -> str:
 #: compiled under one combination must not be replayed under another.
 _CONFIG_SIGNATURE_FIELDS = (
     "enabled_passes",
-    "max_constant_merge_window",
-    "power_expansion_limit",
-    "fusion_max_kernel_size",
     # The fusion scheduler: the schedule (clustering and byte-code order)
     # is baked into a plan's optimized program, so switching the scheduling
     # policy must compile a fresh plan.
     "fusion_scheduler",
-    "fixed_point_max_iterations",
-    "verify_rewrites",
-    "random_seed",
     # Tiling knobs: plans carry their tile decomposition (and the thread
     # count shapes how a plan is executed), so any change must miss the
     # cache and re-plan rather than replay a stale decomposition.
@@ -261,21 +255,15 @@ _CONFIG_SIGNATURE_FIELDS = (
     "memory_pool_max_bytes",
     "memory_zero_policy",
     # Codegen knobs: the native backend pre-compiles a plan's kernels at
-    # plan time, so a plan prepared with codegen off (all interpreted
-    # templates) or against a different artifact cache must not replay as
-    # if it were prepared under the current settings.
-    "codegen_enabled",
+    # plan time, so a plan prepared against a different artifact cache
+    # must not replay as if it were prepared under the current settings.
     "codegen_cache_dir",
-    "codegen_opt_level",
     "codegen_disk_cache_enabled",
     # codegen_threads is a *runtime* argument of compiled artifacts (the
     # chunked entry point takes it per call), but plans pre-resolve their
     # launchables and stamp the resolution signature, so the thread knob is
-    # signed here to keep "which plan ran with which knobs" auditable;
-    # reductions-enabled flips steps between compiled and interpreted
-    # execution paths at prepare time.
+    # signed here to keep "which plan ran with which knobs" auditable.
     "codegen_threads",
-    "codegen_reductions_enabled",
     # Distributed knobs: shard plans (one shard per worker, halo depths,
     # reduction span assignments) are attached to plans at prepare time and
     # the shared-memory budget bounds what an execution may allocate, so a
@@ -539,6 +527,10 @@ class ExecutionPlan:
 # --------------------------------------------------------------------------- #
 
 
+#: Plans an engine's (or a tiled backend's plan-less) LRU holds by default.
+PLAN_CACHE_SIZE = 128
+
+
 class PlanCache(BoundedLRU):
     """A bounded LRU cache of :class:`ExecutionPlan` objects.
 
@@ -552,10 +544,8 @@ class PlanCache(BoundedLRU):
     per-plan reuse and names the statistics.
     """
 
-    def __init__(self, max_plans: Optional[int] = None) -> None:
-        super().__init__(
-            max_plans if max_plans is not None else get_config().plan_cache_size
-        )
+    def __init__(self, max_plans: int = PLAN_CACHE_SIZE) -> None:
+        super().__init__(max_plans)
 
     def get(self, key) -> Optional[ExecutionPlan]:
         """Look up a plan, counting the hit/miss and refreshing recency."""

@@ -40,10 +40,15 @@ from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import BufferPool, MemoryManager, TenantPoolView
-from repro.runtime.plan import program_base_order
-from repro.utils.config import get_config
+from repro.runtime.plan import PLAN_CACHE_SIZE, program_base_order
 from repro.utils.errors import ExecutionError, ServiceOverloadError
 from repro.utils.locking import SingleOwner
+
+#: Default admission limits and shared-pool cap of an :class:`ArrayService`.
+MAX_INFLIGHT = 16
+TENANT_MAX_INFLIGHT = 4
+ADMISSION_TIMEOUT_SECONDS = 5.0
+SERVICE_POOL_MAX_BYTES = 1 << 28  # 256 MiB
 
 
 class AdmissionController:
@@ -66,24 +71,13 @@ class AdmissionController:
 
     def __init__(
         self,
-        max_inflight: Optional[int] = None,
-        tenant_max_inflight: Optional[int] = None,
-        timeout_seconds: Optional[float] = None,
+        max_inflight: int = MAX_INFLIGHT,
+        tenant_max_inflight: int = TENANT_MAX_INFLIGHT,
+        timeout_seconds: float = ADMISSION_TIMEOUT_SECONDS,
     ) -> None:
-        config = get_config()
-        self.max_inflight = (
-            max_inflight if max_inflight is not None else config.service_max_inflight
-        )
-        self.tenant_max_inflight = (
-            tenant_max_inflight
-            if tenant_max_inflight is not None
-            else config.service_tenant_max_inflight
-        )
-        self.timeout_seconds = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else config.service_admission_timeout_seconds
-        )
+        self.max_inflight = max_inflight
+        self.tenant_max_inflight = tenant_max_inflight
+        self.timeout_seconds = timeout_seconds
         if self.max_inflight < 1:
             raise ValueError(
                 f"service needs at least one in-flight slot, got {self.max_inflight}"
@@ -259,11 +253,33 @@ class ServiceSession(Session):
 class ArrayService:
     """Owns the shared engine, pool and admission control; vends sessions.
 
-    Parameters mirror the ``service_*`` configuration knobs; passing any
-    explicitly overrides the configuration for this service instance.  The
-    service is itself thread-safe: sessions may be opened, closed and
+    The service is itself thread-safe: sessions may be opened, closed and
     flushed from many threads concurrently (each individual session still
     belongs to one thread at a time).
+
+    Parameters
+    ----------
+    backend, optimize, pipeline:
+        Forwarded to the shared :class:`~repro.runtime.engine.ExecutionEngine`.
+    plan_cache_size:
+        Capacity of the shared plan cache (default 128 plans).
+    max_inflight:
+        Flushes executing at once across all tenants (default 16); more
+        wait for a slot.
+    tenant_max_inflight:
+        Flushes one tenant may have executing or waiting (default 4); one
+        more is rejected at once.
+    admission_timeout:
+        Seconds a flush waits for a slot before it is rejected with
+        :class:`~repro.utils.errors.ServiceOverloadError` (default 5).
+    pool_max_bytes:
+        Byte cap of the buffer pool every tenant session shares (default
+        256 MiB), independent of ``Config.memory_pool_max_bytes``, which
+        caps a stand-alone session's private pool.
+    fairness:
+        ``"shared"`` (the default) lets any tenant park freed buffers up
+        to the cap; ``"fair"`` caps each tenant's parked bytes at an equal
+        share of it.
     """
 
     def __init__(
@@ -271,28 +287,20 @@ class ArrayService:
         backend: Optional[object] = None,
         optimize: Optional[bool] = None,
         pipeline=None,
-        plan_cache_size: Optional[int] = None,
-        max_inflight: Optional[int] = None,
-        tenant_max_inflight: Optional[int] = None,
-        admission_timeout: Optional[float] = None,
-        pool_max_bytes: Optional[int] = None,
-        fairness: Optional[str] = None,
+        plan_cache_size: int = PLAN_CACHE_SIZE,
+        max_inflight: int = MAX_INFLIGHT,
+        tenant_max_inflight: int = TENANT_MAX_INFLIGHT,
+        admission_timeout: float = ADMISSION_TIMEOUT_SECONDS,
+        pool_max_bytes: int = SERVICE_POOL_MAX_BYTES,
+        fairness: str = "shared",
     ) -> None:
-        config = get_config()
         self.engine = ExecutionEngine(
             backend=backend,
             optimize=optimize,
             pipeline=pipeline,
             plan_cache_size=plan_cache_size,
         )
-        self.pool = BufferPool(
-            max_bytes=(
-                pool_max_bytes
-                if pool_max_bytes is not None
-                else config.service_pool_max_bytes
-            ),
-            fairness=fairness if fairness is not None else config.service_fairness,
-        )
+        self.pool = BufferPool(max_bytes=pool_max_bytes, fairness=fairness)
         self.admission = AdmissionController(
             max_inflight=max_inflight,
             tenant_max_inflight=tenant_max_inflight,

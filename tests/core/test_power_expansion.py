@@ -8,7 +8,7 @@ from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.core.cost import CostModel
-from repro.core.power_expansion import PowerExpansionPass, expand_power
+from repro.core.power_expansion import EXPANSION_LIMIT, PowerExpansionPass, expand_power
 from repro.core.verifier import SemanticVerifier
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.memory import MemoryManager
@@ -149,12 +149,11 @@ class TestPowerExpansionPass:
         assert not result.changed
         assert result.program.count(OpCode.BH_POWER) == 1
 
-    def test_default_limit_comes_from_config(self):
-        from repro.utils.config import config_override
-
+    def test_default_limit_is_the_expansion_limit(self):
         program, _, _ = power_program(16, 40)
-        with config_override(power_expansion_limit=8):
-            result = PowerExpansionPass().run(program)
+        assert PowerExpansionPass().limit == EXPANSION_LIMIT
+        assert PowerExpansionPass().run(program).changed
+        result = PowerExpansionPass(limit=8).run(program)
         assert not result.changed
 
     def test_cost_model_can_refuse_expansion(self):

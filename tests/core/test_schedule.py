@@ -224,8 +224,8 @@ class TestSignatures:
         with config_override(fusion_scheduler="consecutive"):
             assert config_signature() != baseline
 
-    def test_schedule_signature_tracks_the_knobs(self):
+    def test_schedule_signature_tracks_the_scheduler(self):
         baseline = schedule_signature()
-        assert baseline[0] == get_config().fusion_scheduler
-        with config_override(fusion_max_kernel_size=4):
+        assert baseline == (get_config().fusion_scheduler,)
+        with config_override(fusion_scheduler="consecutive"):
             assert schedule_signature() != baseline

@@ -353,8 +353,10 @@ def test_stencils_forward_bitwise_with_one_shape_at_both_sizes(name, scheduler):
     build, expected_forwards = STENCILS[name]
     shapes = []
     for size in (8, 256):
-        with config_override(fusion_scheduler=scheduler, check_ir=True, verify_rewrites=True):
-            session = Session(backend="interpreter", optimize=True)
+        with config_override(fusion_scheduler=scheduler, check_ir=True):
+            session = Session(
+                backend="interpreter", optimize=True, pipeline=default_pipeline(verify=True)
+            )
             out, extras = build(size, session)
             values = [out.to_numpy()] + [extra.to_numpy() for extra in extras]
             plans = session.engine.plan_cache.values()

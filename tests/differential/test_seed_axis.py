@@ -242,7 +242,7 @@ def _poisoned(program: Program) -> Program:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_build_reads_no_data_operand(name, backend):
     capture = _Capture()
-    with config_override(**SETTINGS, verify_rewrites=False):
+    with config_override(**SETTINGS):
         keep = CASES[name][0](Session(backend=capture, optimize=False))
         program = _poisoned(capture.programs[-1])
         poisoned = canonical_program_walk(program)[2]

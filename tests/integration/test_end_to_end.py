@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro import frontend as bh
-from repro.core.pipeline import optimize
+from repro.core.pipeline import default_pipeline, optimize
 from repro.core.verifier import SemanticVerifier
 from repro.frontend.session import reset_session
 from repro.runtime import NumPyInterpreter, ParallelBackend
-from repro.utils.config import config_override
+from repro.runtime.engine import ExecutionEngine
 from repro.workloads import (
     elementwise_chain,
     linear_solve_program,
@@ -77,11 +77,13 @@ class TestOptimizerEndToEnd:
 
         assert report.optimized.count(OpCode.BH_POWER, include_fused=True) == 0
 
-    def test_verification_flag_in_config(self):
+    def test_verification_through_an_engine_pipeline(self):
         program, _ = repeated_constant_add(32, repeats=3)
-        with config_override(verify_rewrites=True):
-            report = optimize(program)
-        assert report.verified is True
+        engine = ExecutionEngine(
+            backend="interpreter", optimize=True, pipeline=default_pipeline(verify=True)
+        )
+        engine.execute(program)
+        assert engine.last_report.verified is True
 
 
 class TestFrontendAcrossBackends:

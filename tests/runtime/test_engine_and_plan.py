@@ -92,7 +92,7 @@ class TestProgramFingerprint:
 class TestConfigSignature:
     def test_changes_with_optimization_settings(self):
         baseline = config_signature()
-        with config_override(power_expansion_limit=2):
+        with config_override(parallel_tile_elements=1024):
             assert config_signature() != baseline
         with config_override(enabled_passes=["constant_merge"]):
             assert config_signature() != baseline
@@ -406,7 +406,7 @@ class TestPlanCacheInvalidationEdgeCases:
         baseline = get_config()
         # Mutate the *global* configuration mid-session (no context
         # manager): cached plans must stop matching immediately.
-        set_config(baseline.replace(power_expansion_limit=2))
+        set_config(baseline.replace(parallel_tile_elements=1024))
         try:
             changed = engine.execute(chain_program()[0])
             assert changed.stats.plan_cache_misses == 1

@@ -223,14 +223,16 @@ class TestTheFallbackIsCounted:
 
     @pytest.mark.parametrize("tier", ["interpreter", "parallel", "parallel4", "native"])
     @pytest.mark.parametrize("tiled", [False, True], ids=["serial", "tiled"])
-    def test_per_flush_and_cumulatively(self, tier, tiled, monkeypatch):
+    def test_per_flush_and_cumulatively(self, tier, tiled, monkeypatch, tmp_path):
         program, out = self._program()
         expected = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
         monkeypatch.setattr(interpreter_module, "_erf_helper", lambda: (None, self.REASON))
         # On native the kernel must leave the compiled path for the
-        # template's erf to run at all.
+        # template's erf to run at all: no compiler, and no artifact to load.
+        monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
+        clear_memory_cache()
         tiles = dict(parallel_tile_elements=16, parallel_serial_threshold=4) if tiled else {}
-        with config_override(codegen_enabled=False, **tiles), on_tier(tier) as backend:
+        with config_override(codegen_cache_dir=str(tmp_path), **tiles), on_tier(tier) as backend:
             engine = ExecutionEngine(backend=backend, optimize=True)
             first = engine.execute(program)
             second = engine.execute(program)
@@ -239,6 +241,12 @@ class TestTheFallbackIsCounted:
             assert result.stats.native_fallback_reasons.get(self.REASON) == 1
         if backend in ("parallel", "native"):
             assert engine.backend.fallback_reasons()[self.REASON] == 2
+        if tiled and backend != "interpreter":
+            assert first.stats.tiles_executed > 0
+        if tiled and backend == "native":
+            assert first.stats.native_kernel_launches == 0
+            assert first.stats.native_fallbacks == 1
+            assert any("compiler" in reason for reason in first.stats.native_fallback_reasons)
 
     @requires_helper
     def test_a_compiled_kernel_needs_no_helper(self, monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.kernel import (
+    MAX_KERNEL_SIZE,
     Kernel,
     compile_kernel_template,
     kernel_slot_views,
@@ -75,18 +76,19 @@ class TestPartitioning:
         assert vector in kernel.output_views()
         assert vector in kernel.input_views()
 
-    def test_bare_call_honours_the_config_knob(self):
-        # Regression: the default used to be a hardcoded 32, silently
-        # ignoring Config.fusion_max_kernel_size for bare calls.
+    def test_bare_call_takes_the_size_argument(self):
         program, _ = chain_program(length=9)  # 10 element-wise byte-codes
-        with config_override(fusion_max_kernel_size=4):
-            partition = partition_into_kernels(program)
+        partition = partition_into_kernels(program, 4)
         kernels = [item for item in partition if isinstance(item, Kernel)]
         assert [k.size for k in kernels] == [4, 4, 2]
-        with config_override(fusion_max_kernel_size=3):
-            partition = partition_into_kernels(program)
+        partition = partition_into_kernels(program, 3)
         kernels = [item for item in partition if isinstance(item, Kernel)]
         assert [k.size for k in kernels] == [3, 3, 3, 1]
+
+    def test_bare_call_defaults_to_max_kernel_size(self):
+        program, _ = chain_program(length=MAX_KERNEL_SIZE + 4)
+        kernels = [item for item in partition_into_kernels(program) if isinstance(item, Kernel)]
+        assert [k.size for k in kernels] == [MAX_KERNEL_SIZE, 5]
 
 
 class TestCanAcceptIterationSpaces:

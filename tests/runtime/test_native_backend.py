@@ -1,7 +1,7 @@
 """Unit tests for the native codegen backend.
 
 The differential harness establishes *parity*; these tests pin the
-backend's mechanics: fallback behaviour with codegen off or no compiler,
+backend's mechanics: fallback behaviour with no compiler,
 compile/cache counter windows, plan-time pre-compilation, the single-pass
 whole-step launch, and instruction-local slot elision.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -28,7 +29,8 @@ from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.native import NativeBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
+from repro.utils.errors import ExecutionError
 
 requires_compiler = pytest.mark.skipif(
     find_c_compiler() is None, reason="no C compiler on this host"
@@ -104,27 +106,33 @@ def test_registered_in_backend_registry():
     assert backend.name == "native"
 
 
+def no_compiler(monkeypatch):
+    """A host without cc: lowering succeeds but compilation raises
+    CompilerUnavailable."""
+    monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
+
+
 class TestFallbacks:
-    def test_codegen_disabled_runs_interpreted_templates(self, cache_dir):
+    def test_no_compiler_runs_interpreted_templates(self, cache_dir, monkeypatch):
+        no_compiler(monkeypatch)
         program, a, b = build_chain()
         expected = _oracle(program, (a, b))
-        with config_override(
-            **TINY_TILES, codegen_enabled=False, codegen_cache_dir=cache_dir
-        ):
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
             result = engine.execute(program)
         assert np.array_equal(result.value(a), expected[0])
         assert np.array_equal(result.value(b), expected[1])
         assert result.stats.native_kernel_launches == 0
         assert result.stats.native_compiles == 0
-        # With codegen off the backend is the parallel backend: it still
-        # tiles, it just never resolves a compiled launchable.
+        # Without a compiled launchable the backend is the parallel
+        # backend: it still tiles, through the interpreted templates.
         assert result.stats.tiles_executed > 0
+        assert result.stats.native_fallbacks > 0
+        assert all("compiler" in reason for reason in result.stats.native_fallback_reasons)
 
     def test_no_compiler_degrades_to_fallbacks(self, cache_dir, monkeypatch):
-        # A host without cc: lowering succeeds but compilation raises
-        # CompilerUnavailable, which the backend caches as "no native form".
-        monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
+        # The backend caches CompilerUnavailable as "no native form".
+        no_compiler(monkeypatch)
         program, a, b = build_chain()
         expected = _oracle(program, (a, b))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
@@ -172,11 +180,12 @@ class TestFallbacks:
         assert all(reason in message for message in result.stats.native_fallback_reasons)
         assert engine.backend.native_runtime in (None, "serial")
 
-    def test_reductions_disabled_fall_back_to_tiled_paths(self, cache_dir):
-        # With compiled reductions off, a tiled reduction runs on the
-        # interpreted parallel paths (counted as a fallback); a serial
+    def test_uncompiled_reductions_fall_back_to_tiled_paths(self, cache_dir, monkeypatch):
+        # With no compiler, a tiled reduction runs on the interpreted
+        # parallel paths (counted as a fallback, with its reason); a serial
         # generator step runs the interpreter.  Everything still matches
         # the oracle.
+        no_compiler(monkeypatch)
         builder = ProgramBuilder()
         matrix = builder.new_matrix(32, 16)
         out = builder.new_vector(32)
@@ -185,16 +194,14 @@ class TestFallbacks:
         builder.sync(out)
         program = builder.build()
         expected = _oracle(program, (out,))
-        with config_override(
-            **TINY_TILES,
-            codegen_cache_dir=cache_dir,
-            codegen_reductions_enabled=False,
-        ):
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             result = ExecutionEngine(backend="native", optimize=True).execute(program)
         assert np.allclose(result.value(out), expected[0])
         assert result.stats.native_compiles == 0
         assert result.stats.native_reductions_compiled == 0
         assert result.stats.native_reduction_fallbacks >= 1
+        assert result.stats.tiles_executed > 0
+        assert all("compiler" in reason for reason in result.stats.native_fallback_reasons)
 
 
 class TestFallbackReasons:
@@ -255,15 +262,9 @@ class TestFallbackReasons:
         }
         assert np.array_equal(result.value(any_inside), expected[0])
 
-    def test_switches_and_a_missing_compiler_are_reasons_too(self, cache_dir, monkeypatch):
+    def test_a_missing_compiler_is_a_reason_too(self, cache_dir, monkeypatch):
         program, _, _ = build_chain()
-        with config_override(
-            **TINY_TILES, codegen_enabled=False, codegen_cache_dir=cache_dir
-        ):
-            disabled = ExecutionEngine(backend="native", optimize=True).execute(program)
-        assert set(disabled.stats.native_fallback_reasons) == {"codegen disabled"}
-        assert self._accounted(disabled.stats)
-        monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
+        no_compiler(monkeypatch)
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
             cold = engine.execute(program)
@@ -273,6 +274,33 @@ class TestFallbackReasons:
         assert "compiler" in message
         assert warm.stats.native_fallback_reasons == cold.stats.native_fallback_reasons
         assert self._accounted(cold.stats) and self._accounted(warm.stats)
+
+
+class TestCodegenThreadsVariable:
+    """``REPRO_CODEGEN_THREADS`` is a positive integer or an error."""
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+    def test_a_malformed_value_names_itself(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_CODEGEN_THREADS", value)
+        with pytest.raises(ExecutionError, match=re.escape(f"REPRO_CODEGEN_THREADS={value!r}")):
+            NativeBackend()._resolve_codegen_threads(get_config(), 2)
+
+    def test_a_positive_value_overrides_the_worker_count(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CODEGEN_THREADS", "3")
+        assert NativeBackend()._resolve_codegen_threads(get_config(), 2) == 3
+        with config_override(codegen_threads=5):
+            assert NativeBackend()._resolve_codegen_threads(get_config(), 2) == 5
+
+    @requires_compiler
+    def test_a_flush_with_a_malformed_value_fails(self, cache_dir, monkeypatch):
+        monkeypatch.setenv("REPRO_CODEGEN_THREADS", "two")
+        program, _, _ = build_chain()
+        with config_override(
+            **TINY_TILES, parallel_num_threads=2, codegen_cache_dir=cache_dir
+        ):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            with pytest.raises(ExecutionError, match="REPRO_CODEGEN_THREADS"):
+                engine.execute(program)
 
 
 @requires_compiler
@@ -737,19 +765,6 @@ class TestPlanInteraction:
         assert [getattr(unrelated, name) for name in outcomes] == [0, 0, 0]
         assert first.plan_cache_hits == 1 and first.native_compiles == primed
         assert [getattr(second, name) for name in outcomes] == [0, 0, 0]
-
-    def test_codegen_toggle_misses_the_plan_cache(self, cache_dir):
-        # codegen_enabled is in the config signature: flipping it must
-        # compile a fresh plan, not replay one prepared under the other
-        # setting.
-        program, a, b = build_chain()
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
-            engine = ExecutionEngine(backend="native", optimize=True)
-            engine.execute(program)
-            with config_override(codegen_enabled=False):
-                toggled = engine.execute(program)
-        assert toggled.stats.plan_cache_hits == 0
-        assert toggled.stats.native_kernel_launches == 0
 
     def test_failed_execution_resets_the_stats_window(self, cache_dir):
         program, a, b = build_chain()

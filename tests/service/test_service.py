@@ -12,7 +12,6 @@ from repro.service import (
     ArrayService,
     clone_program_with_fresh_bases,
 )
-from repro.utils.config import config_override
 from repro.utils.errors import (
     ConcurrencyError,
     ExecutionError,
@@ -264,15 +263,11 @@ class TestServiceSessions:
         with pytest.raises(ExecutionError):
             service.open_session()
 
-    def test_service_config_knobs_are_honoured(self):
-        with config_override(
-            service_max_inflight=3,
-            service_tenant_max_inflight=2,
-            service_pool_max_bytes=1 << 16,
-            service_fairness="fair",
-        ):
-            with ArrayService(backend="interpreter") as service:
-                assert service.admission.max_inflight == 3
-                assert service.admission.tenant_max_inflight == 2
-                assert service.pool.max_bytes == 1 << 16
-                assert service.pool.fairness == "fair"
+    def test_defaults_are_the_documented_ones(self):
+        with ArrayService(backend="interpreter") as service:
+            assert service.admission.max_inflight == 16
+            assert service.admission.tenant_max_inflight == 4
+            assert service.admission.timeout_seconds == 5.0
+            assert service.pool.max_bytes == 1 << 28
+            assert service.pool.fairness == "shared"
+            assert service.engine.plan_cache.capacity == 128

@@ -21,8 +21,8 @@ class TestConfig:
         config = Config()
         assert config.default_backend == "interpreter"
         assert config.optimize is True
-        assert config.verify_rewrites is False
-        assert config.power_expansion_limit == 64
+        assert config.check_ir is False
+        assert config.parallel_tile_elements == 65536
 
     def test_global_get_set(self):
         custom = Config(default_backend="parallel")
@@ -48,10 +48,10 @@ class TestConfig:
 
     def test_config_override_restores_previous(self):
         baseline = get_config()
-        with config_override(optimize=False, power_expansion_limit=4) as overridden:
+        with config_override(optimize=False, parallel_tile_elements=4) as overridden:
             assert get_config() is overridden
             assert get_config().optimize is False
-            assert get_config().power_expansion_limit == 4
+            assert get_config().parallel_tile_elements == 4
         assert get_config().optimize is baseline.optimize
 
     def test_config_override_restores_on_exception(self):
@@ -59,6 +59,38 @@ class TestConfig:
             with config_override(optimize=False):
                 raise RuntimeError("boom")
         assert get_config().optimize is True
+
+
+#: Former fields whose values are now constructor defaults or constants
+#: (``PowerExpansionPass(limit=)``, ``ArrayService(max_inflight=)``,
+#: ``KERNEL_OPT_LEVEL`` ...); native without codegen is the parallel backend.
+REMOVED_FIELDS = (
+    "verify_rewrites",
+    "max_constant_merge_window",
+    "power_expansion_limit",
+    "fusion_max_kernel_size",
+    "fixed_point_max_iterations",
+    "random_seed",
+    "plan_cache_size",
+    "service_max_inflight",
+    "service_tenant_max_inflight",
+    "service_admission_timeout_seconds",
+    "service_pool_max_bytes",
+    "service_fairness",
+    "codegen_opt_level",
+    "codegen_enabled",
+    "codegen_reductions_enabled",
+)
+
+
+@pytest.mark.parametrize("name", REMOVED_FIELDS)
+def test_a_removed_field_cannot_be_set(name):
+    with pytest.raises(TypeError):
+        Config(**{name: 1})
+    with pytest.raises(TypeError):
+        with config_override(**{name: 1}):
+            pass  # pragma: no cover - the override itself raises
+    assert not hasattr(get_config(), name)
 
 
 class TestBoundedLRU:
