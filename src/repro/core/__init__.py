@@ -23,7 +23,8 @@ objects into cheaper but semantically equivalent programs.  Its pieces:
   - :class:`IdentitySimplifyPass`, :class:`CopyPropagationPass`,
     :class:`DeadCodeEliminationPass`: supporting clean-up rules.
 
-* :mod:`repro.core.cost` — the cost model that gates rewrites.
+* :mod:`repro.core.cost` — the cost model that prices programs for
+  reports; no pass or schedule decision reads it.
 * :mod:`repro.core.pipeline` — the pass manager (ordering, fixed point,
   verification) and the top-level :func:`optimize` entry point.
 """

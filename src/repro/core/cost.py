@@ -2,11 +2,9 @@
 
 The paper's Section 4 observes that power expansion is only enabled because
 "benchmarks have shown that for values close to a power of 2, multiplying
-multiple times is faster than doing an actual BH_POWER" — i.e. the rewrite
-decision is a *cost* decision, not a purely algebraic one.  The
-:class:`CostModel` prices individual byte-codes and whole programs against a
-device profile, so passes can ask "is the rewritten sequence actually
-cheaper on this device?".
+multiple times is faster than doing an actual BH_POWER".  The
+:class:`CostModel` prices whole programs against a device profile, so a
+report can say what a rewrite is predicted to save on a modelled device.
 
 Two models live here and nowhere else:
 
@@ -22,7 +20,10 @@ Two models live here and nowhere else:
   workers, and which the distributed backend prices its halo exchanges
   with.
 
-Pricing is a report: no backend executes through it.
+Pricing is a report: no backend executes through it and no optimizer
+decision reads it.  The fusion scheduler and the passes decide by legality
+and by their limits; the CLI's ``--profile``, the benchmarks and the
+examples price what they decided.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.operand import is_view
 from repro.bytecode.program import Program
-from repro.bytecode.view import View
 from repro.utils.errors import ClusterError, CostModelError
 
 
@@ -393,20 +393,6 @@ class CostModel:
                     f"unknown device profile {profile!r}; available: {tuple(DEVICE_PROFILES)}"
                 ) from None
 
-    # ------------------------------------------------------------------ #
-    # Pricing
-    # ------------------------------------------------------------------ #
-
-    def instruction_cost(self, instruction: Instruction) -> float:
-        """Modelled seconds for one byte-code (launch overhead included)."""
-        if instruction.is_system():
-            return 0.0
-        flops = instruction_flops(instruction)
-        bytes_moved = instruction_bytes(instruction)
-        return self.profile.kernel_launch_overhead_s + self.profile.roofline_time(
-            flops, bytes_moved
-        )
-
     def program_cost(self, program: Program) -> float:
         """Modelled seconds for a whole program."""
         return simulate_program_time(program, self.profile)
@@ -495,61 +481,3 @@ class CostModel:
                     )
                     stats.sync_rounds += 1
         return stats
-
-    @staticmethod
-    def view_key(view: View) -> tuple:
-        """Identity of a streamed operand (base plus exact window)."""
-        return (id(view.base), view.offset, view.shape, view.strides)
-
-    def fusion_merge_saving(
-        self, kernel_views: Iterable[View], instruction: Instruction
-    ) -> float:
-        """Predicted seconds saved by fusing ``instruction`` into a kernel.
-
-        ``kernel_views`` are the views the kernel already streams (its
-        template slot views).  Fusing saves the candidate's own kernel
-        launch, plus the memory traffic of every candidate operand the
-        kernel streams anyway — a fused kernel reads/writes each distinct
-        view once, not once per byte-code.  This is the acceptance criterion
-        the dependency-graph fusion scheduler evaluates per merge.
-        """
-        return self.fusion_merge_saving_for_keys(
-            {self.view_key(view) for view in kernel_views}, instruction
-        )
-
-    def fusion_merge_saving_for_keys(
-        self, streamed_keys, instruction: Instruction
-    ) -> float:
-        """:meth:`fusion_merge_saving` against a precomputed key set.
-
-        Callers that evaluate many candidates against one growing kernel
-        (the dependency-graph scheduler's absorb loop) maintain the set of
-        :meth:`view_key` tokens incrementally instead of rebuilding it per
-        candidate.
-        """
-        saving = self.profile.kernel_launch_overhead_s
-        if not self.profile.bytes_per_second:
-            return saving
-        shared_bytes = 0
-        seen = set()
-        for view in instruction.views():
-            key = self.view_key(view)
-            if key in streamed_keys and key not in seen:
-                seen.add(key)
-                shared_bytes += view.nbytes
-        return saving + shared_bytes / self.profile.bytes_per_second
-
-    # ------------------------------------------------------------------ #
-    # Decisions
-    # ------------------------------------------------------------------ #
-
-    def is_improvement(self, before: Program, after: Program) -> bool:
-        """Does ``after`` cost strictly less than ``before`` on this device?"""
-        return self.program_cost(after) < self.program_cost(before)
-
-    def speedup(self, before: Program, after: Program) -> float:
-        """Predicted speedup factor of ``after`` relative to ``before``."""
-        after_cost = self.program_cost(after)
-        if after_cost == 0.0:
-            return float("inf")
-        return self.program_cost(before) / after_cost

@@ -6,14 +6,14 @@ that contraction at the IR level through the shared scheduling seam
 (:func:`repro.core.schedule.compute_schedule`): under the default
 ``"dag"`` scheduler it builds the program's data-dependency graph, legally
 reorders *non-adjacent* fusable element-wise byte-codes next to each other
-and wraps each cost-accepted cluster — which may end in one reduction of
+and wraps each legal cluster — which may end in one reduction of
 its own store — into a single ``BH_FUSED`` instruction; under
 ``"consecutive"`` it restores the low-end policy of maximal adjacent runs
 (:func:`repro.runtime.kernel.partition_into_kernels`, no reductions).
 
 Because the pass bakes the *scheduled order* into the optimized program,
 every downstream consumer sees it: a backend launches one kernel per
-cluster (and, under the cost model, streams each operand once), the tiled
+cluster (streaming each distinct operand once), the tiled
 parallel backend decomposes the fused kernels, and
 the memory planner observes the fusion-shortened lifetimes when it aliases
 buffers.  The computed :class:`~repro.core.schedule.FusionSchedule` is

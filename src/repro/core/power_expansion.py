@@ -12,8 +12,10 @@ is twofold:
   large tensors".
 
 Bohrium enables this rewrite by default because a chain of cheap multiplies
-beats the transcendental ``pow`` kernel for exponents near a power of two —
-our cost model (and benchmark E4) reproduces that crossover.
+beats the transcendental ``pow`` kernel for exponents near a power of two.
+Here the pass decides by one limit: every natural exponent up to
+:data:`EXPANSION_LIMIT` is expanded.  Benchmark E4 measures the crossover
+and prices it with the cost model, which reports and decides nothing.
 """
 
 from __future__ import annotations
@@ -165,7 +167,6 @@ class PowerExpansionPass(Pass):
         strategy: str = "power_of_two",
         limit: int = EXPANSION_LIMIT,
         allow_temporaries: bool = False,
-        cost_model=None,
     ) -> None:
         """
         Parameters
@@ -179,15 +180,10 @@ class PowerExpansionPass(Pass):
         allow_temporaries:
             Permit chains that need scratch tensors (only relevant for the
             ``"optimal"`` strategy).
-        cost_model:
-            Optional :class:`repro.core.cost.CostModel`; when given, a power
-            is only expanded if the model prices the expansion cheaper than
-            the original ``BH_POWER``.
         """
         self.strategy = strategy
         self.limit = limit
         self.allow_temporaries = allow_temporaries
-        self.cost_model = cost_model
 
     def run(self, program: Program) -> PassResult:
         stats = self._new_stats(program)
@@ -215,14 +211,6 @@ class PowerExpansionPass(Pass):
         exponent = _natural_exponent(inputs[1])
         if exponent is None or exponent > self.limit:
             return None
-        replacement = expand_power(
+        return expand_power(
             instruction, strategy=self.strategy, allow_temporaries=self.allow_temporaries
         )
-        if replacement is None:
-            return None
-        if self.cost_model is not None:
-            before = self.cost_model.instruction_cost(instruction)
-            after = sum(self.cost_model.instruction_cost(instr) for instr in replacement)
-            if after >= before:
-                return None
-        return replacement

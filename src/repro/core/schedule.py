@@ -1,4 +1,4 @@
-"""Dependency-graph fusion scheduling: cost-guided clustering of byte-codes.
+"""Dependency-graph fusion scheduling: legal clustering of byte-codes.
 
 The paper frames byte-code fusion as a *spectrum* of transformations.  The
 low end — maximal runs of consecutive element-wise byte-codes — is what
@@ -11,11 +11,10 @@ requires.
 This module implements the next rung: a **dependency-graph fusion
 scheduler**.  It builds a data-dependency DAG over the program (reusing the
 :class:`~repro.core.analysis.DefUse` index), then clusters *non-adjacent*
-fusable element-wise byte-codes by legal topological reordering.  Each merge
-is accepted greedily by the :class:`~repro.core.cost.CostModel`: fusing a
-byte-code into an existing kernel saves its kernel launch plus the memory
-traffic of every operand the kernel already streams, and the merge goes
-ahead only when that predicted saving is positive.
+fusable element-wise byte-codes by legal topological reordering.  Every
+merge that is legal and fits the kernel-size limit is taken: fusing a
+byte-code into a kernel always saves its launch, so there is nothing to
+price.  What a schedule saves is ``kernels_before - kernels_after``.
 
 Legality rules (what an edge in the DAG means):
 
@@ -40,8 +39,8 @@ index, never by base identity, so the schedule computed once per plan-cache
 miss replays against every rebound flush.  One seam —
 :func:`compute_schedule` — serves every consumer: the optimizer's
 :class:`~repro.core.fusion.FusionPass` bakes the scheduled order into the
-optimized program (which the cost model prices and the memory planner
-consumes, so fusion-shortened lifetimes improve buffer aliasing),
+optimized program (which the memory planner consumes, so
+fusion-shortened lifetimes improve buffer aliasing),
 and the tiled parallel backend schedules plan-less programs through the
 same function.
 """
@@ -55,16 +54,10 @@ from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.core.analysis import DefUse
-from repro.core.cost import CostModel
 from repro.runtime.kernel import MAX_KERNEL_SIZE, Kernel, _slot_walk, partition_into_kernels
 from repro.runtime.tiling import store_first_slots, tail_serial_reason
 from repro.utils.config import Config, get_config
 from repro.utils.errors import ExecutionError
-
-#: Device profile the scheduler prices merges against.  The GPU profile has
-#: the largest launch overhead, which matches the paper's motivation: the
-#: scheduler exists to amortize kernel launches.
-SCHEDULER_PROFILE = "gpu"
 
 #: Recognised ``fusion_scheduler`` configuration values.
 SCHEDULERS = ("dag", "consecutive")
@@ -150,9 +143,6 @@ class FusionSchedule:
     #: Byte-codes that execute at a different relative position than in the
     #: source program (non-adjacent clustering moved them).
     bytecodes_reordered: int
-    #: Cost-model seconds the accepted merges are predicted to save
-    #: (launch overhead plus re-streamed shared operands).
-    predicted_savings_seconds: float
     #: Kernels that end in a reduction of what they just stored (the
     #: reduction's source then needs no storage outside the kernel).
     reduction_tails: int = 0
@@ -205,7 +195,6 @@ class FusionSchedule:
             "fusion_kernels_after": self.kernels_after,
             "fusion_clusters": self.num_clusters,
             "fusion_bytecodes_reordered": self.bytecodes_reordered,
-            "fusion_predicted_savings_seconds": self.predicted_savings_seconds,
             "fusion_reduction_tails": self.reduction_tails,
             "fusion_tail_refusals": dict(self.tail_refusals),
         }
@@ -219,7 +208,7 @@ def fusion_schedule_of(report) -> Optional[FusionSchedule]:
     schedule it to itself.  The returned schedule carries the *final*
     clustering structure with the transformation counters aggregated across
     runs: launches before scheduling from the first run, launches after
-    from the last, reorders and predicted savings summed.
+    from the last, reorders summed.
     """
     if report is None:
         return None
@@ -238,9 +227,6 @@ def fusion_schedule_of(report) -> Optional[FusionSchedule]:
         kernels_before=schedules[0].kernels_before,
         kernels_after=schedules[-1].kernels_after,
         bytecodes_reordered=sum(s.bytecodes_reordered for s in schedules),
-        predicted_savings_seconds=sum(
-            s.predicted_savings_seconds for s in schedules
-        ),
         # A later run sees the fused program: the tails are inside its
         # BH_FUSED byte-codes and the refused reductions have no kernel left
         # to ask, so both are the first run's.
@@ -279,26 +265,19 @@ def compute_schedule(
         raise ExecutionError(
             f"unknown fusion scheduler {scheduler!r}; available: {SCHEDULERS}"
         )
-    model = CostModel(SCHEDULER_PROFILE)
     refusals: Dict[str, int] = {}
     if scheduler == "dag":
-        items, item_savings = _dag_schedule(program, max_kernel_size, model, refusals)
+        items = _dag_schedule(program, max_kernel_size, refusals)
     else:
-        items, item_savings = _consecutive_schedule(program, max_kernel_size, model)
+        items = _consecutive_schedule(program, max_kernel_size)
     if min_kernel_size > 1:
-        # Sub-threshold clusters are undone — and so are their accepted
-        # merges, so their savings must not be reported.
         split_items: List[Tuple[int, ...]] = []
-        split_savings: List[float] = []
-        for item, saving in zip(items, item_savings):
+        for item in items:
             if len(item) == 1 or len(item) >= min_kernel_size:
                 split_items.append(item)
-                split_savings.append(saving)
             else:
                 split_items.extend((index,) for index in item)
-                split_savings.extend(0.0 for _ in item)
-        items, item_savings = split_items, split_savings
-    savings = sum(item_savings)
+        items = split_items
     schedule = FusionSchedule(
         scheduler=scheduler,
         items=tuple(items),
@@ -311,7 +290,6 @@ def compute_schedule(
             if any(not program[index].is_system() for index in item)
         ),
         bytecodes_reordered=_count_reordered(items),
-        predicted_savings_seconds=savings,
         reduction_tails=sum(
             1 for item in items if len(item) > 1 and program[item[-1]].is_reduction()
         ),
@@ -377,61 +355,39 @@ def _count_reordered(items: Sequence[Tuple[int, ...]]) -> int:
     return moved
 
 
-def _consecutive_schedule(
-    program: Program, max_size: int, model: CostModel
-) -> Tuple[List[Tuple[int, ...]], float]:
+def _consecutive_schedule(program: Program, max_size: int) -> List[Tuple[int, ...]]:
     """The low-end policy: maximal runs of adjacent fusable byte-codes.
 
     Delegates the clustering itself to
     :func:`~repro.runtime.kernel.partition_into_kernels` — the two must
     never drift apart — and only derives the index items (consecutive
     clustering preserves program order, so indices are assigned by walking
-    the items in sequence) plus the cost model's predicted per-item savings.
+    the items in sequence).
     """
     items: List[Tuple[int, ...]] = []
-    item_savings: List[float] = []
     index = 0
     for item in partition_into_kernels(program, max_size):
-        if not isinstance(item, Kernel):
-            items.append((index,))
-            item_savings.append(0.0)
-            index += 1
-            continue
-        items.append(tuple(range(index, index + item.size)))
-        index += item.size
-        saving = 0.0
-        streamed_keys: Set[tuple] = set()
-        for instruction in item.instructions:
-            if streamed_keys:
-                saving += model.fusion_merge_saving_for_keys(
-                    streamed_keys, instruction
-                )
-            streamed_keys.update(
-                model.view_key(view) for view in instruction.views()
-            )
-        item_savings.append(saving)
-    return items, item_savings
+        size = item.size if isinstance(item, Kernel) else 1
+        items.append(tuple(range(index, index + size)))
+        index += size
+    return items
 
 
 def _dag_schedule(
-    program: Program,
-    max_size: int,
-    model: CostModel,
-    refusals: Dict[str, int],
-) -> Tuple[List[Tuple[int, ...]], float]:
-    """Greedy topological list scheduling with cost-guided clustering.
+    program: Program, max_size: int, refusals: Dict[str, int]
+) -> List[Tuple[int, ...]]:
+    """Greedy topological list scheduling with legality-driven clustering.
 
     Ready byte-codes are consumed in program-index order (a stable
     tie-break: a program already in scheduled form re-schedules to
     itself).  Whenever an element-wise byte-code is scheduled it opens a
     cluster, and the scheduler keeps absorbing the lowest-indexed ready
-    byte-code the kernel accepts — compatibility via
-    :meth:`~repro.runtime.kernel.Kernel.can_accept` (shared iteration
-    space, loop-fusion legality) and profitability via
-    :meth:`~repro.core.cost.CostModel.fusion_merge_saving` (a merge must
-    save something).  Absorbing a byte-code releases its dependents, so
-    whole dependent chains fall into one kernel even when a reduction or
-    system byte-code sat between them in program order.
+    byte-code the kernel accepts
+    (:meth:`~repro.runtime.kernel.Kernel.can_accept`: shared iteration
+    space, loop-fusion legality, the size limit).  Absorbing a byte-code
+    releases its dependents, so whole dependent chains fall into one kernel
+    even when a reduction or system byte-code sat between them in program
+    order.
 
     A kernel that can absorb no more may then take **one reduction as its
     tail** (:func:`_tail_refusal` is the legality rule; the reasons of the
@@ -444,7 +400,6 @@ def _dag_schedule(
     successors, predecessors = dependency_graph(program, defuse)
     ready: List[int] = sorted(i for i in range(n) if predecessors[i] == 0)
     items: List[Tuple[int, ...]] = []
-    item_savings: List[float] = []
     scheduled = [False] * n
 
     def release(index: int) -> None:
@@ -459,55 +414,35 @@ def _dag_schedule(
         instruction = program[index]
         if not instruction.is_elementwise():
             items.append((index,))
-            item_savings.append(0.0)
             release(index)
             continue
         kernel = Kernel([instruction])
         cluster = [index]
-        cluster_saving = 0.0
-        streamed_keys: Set[tuple] = {
-            model.view_key(view) for view in instruction.views()
-        }
         release(index)
         while kernel.size < max_size:
-            chosen = None
-            for candidate_index in ready:
-                candidate = program[candidate_index]
-                if not kernel.can_accept(candidate, max_size):
-                    continue
-                saving = model.fusion_merge_saving_for_keys(streamed_keys, candidate)
-                if saving > 0.0:
-                    chosen = (candidate_index, saving)
-                    break
+            chosen = next(
+                (i for i in ready if kernel.can_accept(program[i], max_size)), None
+            )
             if chosen is None:
                 break
-            candidate_index, saving = chosen
-            ready.remove(candidate_index)
-            candidate = program[candidate_index]
-            kernel.append(candidate)
-            cluster.append(candidate_index)
-            streamed_keys.update(model.view_key(view) for view in candidate.views())
-            cluster_saving += saving
-            release(candidate_index)
+            ready.remove(chosen)
+            kernel.append(program[chosen])
+            cluster.append(chosen)
+            release(chosen)
         # The closed kernel may end in one reduction of what it just stored.
         for candidate_index in ready if kernel.size < max_size else ():
             candidate = program[candidate_index]
             if not candidate.is_reduction():
                 continue
-            saving = model.fusion_merge_saving_for_keys(streamed_keys, candidate)
-            if saving <= 0.0:
-                continue
             reason = _tail_refusal(kernel, candidate, candidate_index, defuse, scheduled)
             if reason is None:
                 ready.remove(candidate_index)
                 cluster.append(candidate_index)
-                cluster_saving += saving
                 release(candidate_index)
                 break
             if reason:
                 refusals[reason] = refusals.get(reason, 0) + 1
         items.append(tuple(cluster))
-        item_savings.append(cluster_saving)
 
     scheduled = sum(len(item) for item in items)
     if scheduled != n:
@@ -515,4 +450,4 @@ def _dag_schedule(
             f"fusion scheduler covered {scheduled} of {n} byte-codes; "
             "the dependency graph is not acyclic"
         )
-    return items, item_savings
+    return items

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json",
         action="store_true",
         help="emit a machine-readable JSON document instead of the human "
-        "report: optimization summary, cost model, and (with --backend) "
+        "report: optimization summary, pricing, and (with --backend) "
         "the per-run execution-statistics trajectory plus cache counters",
     )
     parser.add_argument(
@@ -423,9 +423,7 @@ def _format_schedule(schedule) -> str:
     return (
         f"fusion scheduler ({schedule.scheduler}): "
         f"kernels {schedule.kernels_before} -> {schedule.kernels_after}, "
-        f"{schedule.bytecodes_reordered} byte-code(s) reordered, "
-        f"predicted streaming savings "
-        f"{schedule.predicted_savings_seconds * 1e6:.2f} us"
+        f"{schedule.bytecodes_reordered} byte-code(s) reordered"
     )
 
 
@@ -445,7 +443,7 @@ def _run_stats_json(program, pipeline, report, args, out) -> int:
             "rewrites": report.total_rewrites,
             "rewrites_per_pass": passes,
         },
-        "cost_model": {
+        "pricing": {
             "profile": args.profile,
             "kernels_before": before.kernel_launches,
             "kernels_after": after.kernel_launches,

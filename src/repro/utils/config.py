@@ -52,10 +52,11 @@ class Config:
     fusion_scheduler:
         Clustering policy behind kernel fusion.  ``"dag"`` (the default)
         builds a data-dependency graph and clusters *non-adjacent* fusable
-        byte-codes via legal topological reordering, accepting each merge
-        with the cost model; ``"consecutive"`` restores the low-end policy
-        of maximal runs of adjacent element-wise byte-codes.  Part of the
-        plan-cache signature, so toggling it re-plans.
+        byte-codes via legal topological reordering, taking every merge
+        that is legal and fits the kernel-size limit; ``"consecutive"``
+        restores the low-end policy of maximal runs of adjacent
+        element-wise byte-codes.  Part of the plan-cache signature, so
+        toggling it re-plans.
     parallel_num_threads:
         Worker-thread count used by the tiled parallel backend.  ``None``
         (the default) resolves at execution time to the number of CPUs the

@@ -7,7 +7,6 @@ from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
-from repro.core.cost import CostModel
 from repro.core.power_expansion import EXPANSION_LIMIT, PowerExpansionPass, expand_power
 from repro.core.verifier import SemanticVerifier
 from repro.runtime.interpreter import NumPyInterpreter
@@ -155,31 +154,6 @@ class TestPowerExpansionPass:
         assert PowerExpansionPass().run(program).changed
         result = PowerExpansionPass(limit=8).run(program)
         assert not result.changed
-
-    def test_cost_model_can_refuse_expansion(self):
-        # On a memory-bound device with enormous launch cost relative to
-        # compute, many multiplies are worse than one pow kernel.
-        from repro.core.cost import DeviceProfile
-
-        expensive_launch = DeviceProfile(
-            name="expensive-launch",
-            kernel_launch_overhead_s=1.0,
-            flops_per_second=1e15,
-            bytes_per_second=1e15,
-        )
-        program, _, _ = power_program(16, 10)
-        gated = PowerExpansionPass(cost_model=CostModel(expensive_launch)).run(program)
-        assert not gated.changed
-        ungated = PowerExpansionPass().run(program)
-        assert ungated.changed
-
-    def test_cost_model_allows_profitable_expansion(self):
-        # On a compute-bound device (single core, modest flop rate) a large
-        # power-of-two exponent expands into a handful of cheap multiplies,
-        # which the cost model prices below the expensive pow kernel.
-        program, _, _ = power_program(100_000, 8)
-        result = PowerExpansionPass(cost_model=CostModel("single_core")).run(program)
-        assert result.changed
 
     def test_semantics_preserved_through_full_pass(self):
         program, out, memory = power_program(64, 13)

@@ -151,6 +151,22 @@ GUARDS = (
         {"src/repro/codegen/emit_c.py": 3},
         lives_there=True,
     ),
+    Guard(
+        "pricing_is_a_report",
+        r"repro\.core\.cost import|cost_model",
+        (
+            "src/repro/core",
+            "src/repro/runtime",
+            "src/repro/codegen",
+            "src/repro/frontend",
+            "src/repro/service",
+            "src/repro/checks",
+        ),
+        "from repro.core.cost import CostModel",
+        "no optimizer, plan or execution decision reads the cost model: the scheduler "
+        "and the passes decide by legality and limits; core/__init__.py re-exports it",
+        {"src/repro/core/__init__.py": 1},
+    ),
 )
 
 
