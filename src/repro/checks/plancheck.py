@@ -37,13 +37,13 @@ Violations raise :class:`~repro.utils.errors.PlanCheckError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bytecode.operand import is_view
 from repro.bytecode.program import Program
 from repro.checks import COUNTERS
 from repro.core.analysis import BaseInterval, live_intervals
-from repro.utils.config import Config, get_config
+from repro.utils.config import Config
 from repro.utils.errors import PlanCheckError
 
 __all__ = [
@@ -408,7 +408,7 @@ def check_dist_adoption(program: Program, dist_plan) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def check_plan(plan, config: Optional[Config] = None) -> int:
+def check_plan(plan) -> int:
     """Check every artifact attached to ``plan``; returns artifacts checked.
 
     Raises :class:`PlanCheckError` on the first violation.
@@ -436,31 +436,29 @@ def check_plan(plan, config: Optional[Config] = None) -> int:
     return checked
 
 
-def maybe_check_plan(plan, config: Optional[Config] = None) -> None:
-    """Run :func:`check_plan` when the ``check_ir`` knob is on.
+def maybe_check_plan(plan, config: Config) -> None:
+    """Run :func:`check_plan` when ``config``'s ``check_ir`` knob is on.
 
     The per-plan ``plan_checks_run`` counter feeds the engine's per-flush
     statistics; it is bumped under the plan lock because cached plans are
     shared across sessions.
     """
-    config = config if config is not None else get_config()
     if not config.check_ir:
         return
-    checked = check_plan(plan, config)
+    checked = check_plan(plan)
     if checked:
         with plan.lock:
             plan.plan_checks_run += checked
 
 
-def maybe_check_schedule(program: Program, schedule, config: Optional[Config] = None) -> None:
-    """Run :func:`check_schedule` when the ``check_ir`` knob is on.
+def maybe_check_schedule(program: Program, schedule, config: Config) -> None:
+    """Run :func:`check_schedule` when ``config``'s ``check_ir`` knob is on.
 
     Called from :func:`~repro.core.schedule.compute_schedule` — the one seam
     every schedule consumer (fusion pass, plan-less parallel backend) goes
     through, and the only place the schedule's indices still refer to the
     program they were computed from.
     """
-    config = config if config is not None else get_config()
     if not config.check_ir:
         return
     COUNTERS.note_plan_check()

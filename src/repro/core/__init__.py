@@ -72,7 +72,6 @@ from repro.core.schedule import (
     compute_schedule,
     dependency_graph,
     fusion_schedule_of,
-    schedule_signature,
 )
 from repro.core.verifier import SemanticVerifier, VerificationError
 from repro.core.pipeline import (
@@ -122,7 +121,6 @@ __all__ = [
     "compute_schedule",
     "dependency_graph",
     "fusion_schedule_of",
-    "schedule_signature",
     "SemanticVerifier",
     "VerificationError",
     "OptimizationReport",

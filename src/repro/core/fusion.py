@@ -27,6 +27,7 @@ from repro.bytecode.program import Program
 from repro.core.rules import Pass, PassResult
 from repro.core.schedule import compute_schedule
 from repro.runtime.kernel import MAX_KERNEL_SIZE
+from repro.utils.config import Config
 
 
 class FusionPass(Pass):
@@ -34,7 +35,9 @@ class FusionPass(Pass):
 
     name = "fusion"
 
-    def __init__(self, max_kernel_size: int = MAX_KERNEL_SIZE, min_kernel_size: int = 2) -> None:
+    def __init__(
+        self, max_kernel_size: int = MAX_KERNEL_SIZE, min_kernel_size: int = 2, config=Config()
+    ) -> None:
         """
         Parameters
         ----------
@@ -44,9 +47,13 @@ class FusionPass(Pass):
         min_kernel_size:
             Clusters smaller than this are left alone — fusing a single
             byte-code only adds wrapper overhead.
+        config:
+            What the schedule is computed under (``fusion_scheduler``,
+            ``check_ir``): a pipeline passes its own; default the defaults.
         """
         self.max_kernel_size = max_kernel_size
         self.min_kernel_size = min_kernel_size
+        self.config = config
 
     def run(self, program: Program) -> PassResult:
         stats = self._new_stats(program)
@@ -56,6 +63,7 @@ class FusionPass(Pass):
         # already broken back into singletons.
         schedule = compute_schedule(
             program,
+            self.config,
             max_kernel_size=self.max_kernel_size,
             min_kernel_size=self.min_kernel_size,
         )

@@ -23,7 +23,7 @@ from repro.bytecode.program import Program
 from repro.bytecode.validate import validate_program
 from repro.core.rules import DEFAULT_PASS_ORDER, EXTENDED_PASS_ORDER, Pass, PassStats, create_pass
 from repro.core.verifier import SemanticVerifier
-from repro.utils.config import get_config
+from repro.utils.config import Config, get_config
 from repro.utils.errors import IRCheckError
 
 #: Safety bound on a pipeline's iterate-to-fixed-point loop.
@@ -132,12 +132,14 @@ class Pipeline:
         max_iterations: int = MAX_ITERATIONS,
         verify: bool = False,
         validate: bool = True,
+        config: Optional[Config] = None,
     ) -> None:
         """
         Parameters
         ----------
         passes:
             Pass instances or registered pass names, in execution order.
+            A name is built under ``config``.
         fixed_point:
             Re-run the whole pass list until no pass reports a rewrite (or
             ``max_iterations`` is hit).
@@ -149,9 +151,14 @@ class Pipeline:
             meant for tests and debugging.
         validate:
             Structurally validate the input and output programs.
+        config:
+            The configuration the pipeline runs under (its ``check_ir``);
+            defaults to the one live when the pipeline is built.
         """
+        self.config = config if config is not None else get_config()
         self.passes: List[Pass] = [
-            create_pass(item) if isinstance(item, str) else item for item in passes
+            _create_pass(item, self.config) if isinstance(item, str) else item
+            for item in passes
         ]
         self.fixed_point = fixed_point
         self.max_iterations = max_iterations
@@ -181,7 +188,7 @@ class Pipeline:
     def run(self, program: Program) -> OptimizationReport:
         """Optimize ``program`` and return the full report.
 
-        Under the ``check_ir`` configuration knob the flow-sensitive IR
+        Under the pipeline configuration's ``check_ir`` the flow-sensitive IR
         checker (:mod:`repro.checks.ircheck`) runs on every pass's output
         against facts computed from the pipeline's *input* program — those
         facts (def-before-use, synced outputs) are invariant under every
@@ -193,7 +200,7 @@ class Pipeline:
         report = OptimizationReport(original=program.copy(), optimized=program.copy())
         current = program.copy()
         reference = None
-        if get_config().check_ir:
+        if self.config.check_ir:
             from repro.checks.ircheck import check_program, reference_facts
 
             reference = reference_facts(current)
@@ -232,11 +239,19 @@ class Pipeline:
         return report
 
 
+def _create_pass(name: str, config: Config, **kwargs) -> Pass:
+    """:func:`create_pass`, the fusion pass scheduling under ``config``."""
+    if name == "fusion":
+        kwargs = {"config": config, **kwargs}
+    return create_pass(name, **kwargs)
+
+
 def default_pipeline(
     enabled_passes: Optional[Iterable[str]] = None,
     fixed_point: bool = True,
     verify: bool = False,
     extended: bool = False,
+    config: Optional[Config] = None,
     **pass_kwargs,
 ) -> Pipeline:
     """Build the canonical pipeline.
@@ -246,8 +261,11 @@ def default_pipeline(
     enabled_passes:
         Subset of pass names to include (order is always the canonical
         :data:`~repro.core.rules.DEFAULT_PASS_ORDER`, or the extended order
-        when ``extended`` is true).  ``None`` uses the configuration, which
-        itself defaults to "all".
+        when ``extended`` is true).  ``None`` uses the configuration's,
+        which itself defaults to "all".
+    config:
+        The configuration the pipeline is built and run under; defaults
+        to the one live now.
     fixed_point / verify:
         Forwarded to :class:`Pipeline`.
     extended:
@@ -258,17 +276,18 @@ def default_pipeline(
         Per-pass constructor overrides keyed by pass name, e.g.
         ``power_expansion={"strategy": "binary"}``.
     """
+    config = config if config is not None else get_config()
     canonical_order = EXTENDED_PASS_ORDER if extended else DEFAULT_PASS_ORDER
     if enabled_passes is None:
-        enabled_passes = get_config().enabled_passes
+        enabled_passes = config.enabled_passes
     if enabled_passes is None:
         names = list(canonical_order)
     else:
         requested = set(enabled_passes)
         order = EXTENDED_PASS_ORDER if extended or requested - set(DEFAULT_PASS_ORDER) else canonical_order
         names = [name for name in order if name in requested]
-    passes = [create_pass(name, **pass_kwargs.get(name, {})) for name in names]
-    return Pipeline(passes, fixed_point=fixed_point, verify=verify)
+    passes = [_create_pass(name, config, **pass_kwargs.get(name, {})) for name in names]
+    return Pipeline(passes, fixed_point=fixed_point, verify=verify, config=config)
 
 
 def optimize(

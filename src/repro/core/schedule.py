@@ -56,17 +56,11 @@ from repro.bytecode.program import Program
 from repro.core.analysis import DefUse
 from repro.runtime.kernel import MAX_KERNEL_SIZE, Kernel, _slot_walk, partition_into_kernels
 from repro.runtime.tiling import store_first_slots, tail_serial_reason
-from repro.utils.config import Config, get_config
+from repro.utils.config import Config
 from repro.utils.errors import ExecutionError
 
 #: Recognised ``fusion_scheduler`` configuration values.
 SCHEDULERS = ("dag", "consecutive")
-
-
-def schedule_signature(config: Optional[Config] = None) -> tuple:
-    """The configuration slice a computed :class:`FusionSchedule` depends on."""
-    config = config if config is not None else get_config()
-    return (config.fusion_scheduler,)
 
 
 # --------------------------------------------------------------------------- #
@@ -242,7 +236,7 @@ def fusion_schedule_of(report) -> Optional[FusionSchedule]:
 
 def compute_schedule(
     program: Program,
-    config: Optional[Config] = None,
+    config: Config,
     max_kernel_size: int = MAX_KERNEL_SIZE,
     min_kernel_size: int = 1,
 ) -> FusionSchedule:
@@ -259,7 +253,6 @@ def compute_schedule(
     exactly what :meth:`FusionSchedule.materialize` will emit for a caller
     with the same threshold.
     """
-    config = config if config is not None else get_config()
     scheduler = config.fusion_scheduler
     if scheduler not in SCHEDULERS:
         raise ExecutionError(

@@ -29,6 +29,7 @@ import threading
 import time
 from functools import partial
 from multiprocessing import connection, get_context
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,17 +51,18 @@ from repro.dist.protocol import (
     make_frame,
 )
 from repro.dist.shardstore import ShardStore
+from repro.runtime.backend import fresh_memory
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import MemoryManager
 from repro.runtime.memplan import bind_memory_plan
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.plan import (
+    config_signature,
     fingerprint_of_key,
     program_base_order,
     program_fingerprint,
 )
 from repro.runtime.tiling import TiledReduceStep, combine_partials
-from repro.utils.config import get_config
 from repro.utils.errors import DistributedExecutionError
 from repro.utils.lru import BoundedLRU
 
@@ -342,16 +344,16 @@ class DistributedBackend(ParallelBackend):
 
     def __init__(self, num_workers: Optional[int] = None) -> None:
         super().__init__()
-        self._configured_workers = num_workers
+        if num_workers is not None:
+            self._overrides["dist_num_workers"] = num_workers
         self._comm: Optional[CommunicationModel] = None
         # The inherited cumulative record takes every completed flush's
         # record whole, folded in under the cache lock.
         self.loads_shipped = 0
 
     def num_workers(self) -> int:
-        if self._configured_workers is not None:
-            return max(1, int(self._configured_workers))
-        return max(1, int(get_config().dist_num_workers))
+        """The worker count a flush of the live configuration uses."""
+        return self.flush_config().dist_num_workers
 
     def _comm_model(self) -> CommunicationModel:
         if self._comm is None:
@@ -362,28 +364,28 @@ class DistributedBackend(ParallelBackend):
     # Plan integration
     # ------------------------------------------------------------------ #
 
-    def _dist_signature(self) -> tuple:
-        return self._tiling_signature() + (self.num_workers(),)
-
     def prepare_plan(self, plan) -> None:
-        """Attach tiling (parent) plus the shard plan, once per signature."""
+        """Attach tiling (parent) plus the shard plan."""
         super().prepare_plan(plan)
-        signature = self._dist_signature()
-        with plan.lock:
-            if plan.dist_plan is None or plan.dist_signature != signature:
-                workers = self.num_workers()
-                token = fingerprint_of_key(
-                    (program_fingerprint(plan.optimized),) + signature
-                )
-                plan.dist_plan = build_dist_plan(
-                    plan.optimized, plan.tiling, workers
-                )._with_token(token)
-                plan.dist_signature = signature
+        config = plan.config
+        # The token names what a worker loads: the program and the
+        # configuration its tiling, sharding and vector erf derive from.
+        token = fingerprint_of_key(
+            (program_fingerprint(plan.optimized), config_signature(config))
+        )
+        plan.dist_plan = build_dist_plan(
+            plan.optimized, plan.tiling, config.dist_num_workers
+        )._with_token(token)
 
     def execute_plan(self, plan, program, memory: Optional[MemoryManager] = None):
-        self.prepare_plan(plan)
-        memory = memory if memory is not None else MemoryManager()
-        bind_memory_plan(plan, program, memory, source=_get_store())
+        memory = memory if memory is not None else fresh_memory(plan.config)
+        store = _get_store()
+        # The store as this flush's storage source, under its budget.
+        source = SimpleNamespace(
+            create=partial(store.create, max_bytes=plan.config.dist_shm_max_bytes),
+            release=store.release,
+        )
+        bind_memory_plan(plan, program, memory, source=source)
         return self._run(program, plan, memory)
 
     # ------------------------------------------------------------------ #
@@ -405,7 +407,7 @@ class DistributedBackend(ParallelBackend):
                         continue  # died under the previous holder: respawn
                     try:
                         self._run_sharded(
-                            pool, program, plan.tiling, dist_plan, private, memory, stats
+                            pool, program, plan, private, memory, stats
                         )
                     except BaseException as exc:
                         if isinstance(exc, WorkerDiedError) or pool.replies_outstanding:
@@ -423,7 +425,7 @@ class DistributedBackend(ParallelBackend):
             self._totals.merge(stats)
         return ExecutionResult(memory=memory, stats=stats)
 
-    def _bind(self, memory: MemoryManager, base_order, private, store, stats):
+    def _bind(self, memory: MemoryManager, base_order, private, store, budget, stats):
         """Settle every addressable base's segment before the first step.
 
         Returns ``position -> (segment name, nbytes)``: a resident base is
@@ -440,7 +442,7 @@ class DistributedBackend(ParallelBackend):
                 stats.dist_bases_adopted += 1
                 if memory.is_allocated(base):
                     host = memory.allocate(base)
-                    name, buffer = store.create(base.nbytes)
+                    name, buffer = store.create(base.nbytes, budget)
                     typed = buffer[: base.nbytes].view(base.dtype.np_dtype)
                     np.copyto(typed, host)
                     stats.dist_bytes_migrated += base.nbytes
@@ -453,9 +455,9 @@ class DistributedBackend(ParallelBackend):
             segments[position] = (name, base.nbytes)
         return segments
 
-    def _run_sharded(
-        self, pool, program, tiling, dist_plan, private, memory, stats
-    ) -> None:
+    def _run_sharded(self, pool, program, plan, private, memory, stats) -> None:
+        tiling, dist_plan, config = plan.tiling, plan.dist_plan, plan.config
+        budget = config.dist_shm_max_bytes
         store = _get_store()
         workers = dist_plan.num_workers
         base_order = program_base_order(program)
@@ -463,7 +465,6 @@ class DistributedBackend(ParallelBackend):
         scratch_name = None
         # What a failed flush must unbind again: storage it created itself.
         fresh = [base for base in base_order if not memory.is_allocated(base)]
-        config = get_config()
         try:
             # Free before reserve, the order every other tier executes: the
             # previous result's segment is parked where slot 0 picks it up,
@@ -473,26 +474,26 @@ class DistributedBackend(ParallelBackend):
                     break
                 for view in instruction.views():
                     memory.free(view.base)
-            segments = self._bind(memory, base_order, private, store, stats)
-            extras = {}
-            if dist_plan.shards_erf:
-                # Workers load the vector erf from a cache directory and
-                # never compile: name the one this process's runtime really
-                # lies in (a runtime already loaded serves every directory
-                # here, and is written to none).
-                use_disk = config.codegen_disk_cache_enabled
-                runtime = resolve_runtime(config.codegen_cache_dir, use_disk)[0]
-                directory = (
-                    os.path.dirname(runtime.path)
-                    if runtime is not None
-                    else resolve_cache_dir(config.codegen_cache_dir)
-                )
-                extras["codegen"] = (directory, use_disk)
+            segments = self._bind(memory, base_order, private, store, budget, stats)
             if dist_plan.max_partials:
                 scratch_name, _ = store.create(
-                    dist_plan.max_partials * dist_plan.partial_itemsize
+                    dist_plan.max_partials * dist_plan.partial_itemsize, budget
                 )
             if pool.loaded_tokens.get(dist_plan.token) is None:
+                extras = {}
+                if dist_plan.shards_erf:
+                    # Workers load the vector erf from a cache directory and
+                    # never compile: name the one this process's runtime
+                    # really lies in (a runtime already loaded serves every
+                    # directory here, and is written to none).
+                    use_disk = config.codegen_disk_cache_enabled
+                    runtime = resolve_runtime(config.codegen_cache_dir, use_disk)[0]
+                    directory = (
+                        os.path.dirname(runtime.path)
+                        if runtime is not None
+                        else resolve_cache_dir(config.codegen_cache_dir)
+                    )
+                    extras["codegen"] = (directory, use_disk)
                 payload = pickle.dumps(
                     (program, tiling, dist_plan), protocol=pickle.HIGHEST_PROTOCOL
                 )
@@ -502,6 +503,7 @@ class DistributedBackend(ParallelBackend):
                     payload=payload,
                     check=bool(config.check_ir),
                     evict=pool.loaded_tokens.put(dist_plan.token, True),
+                    **extras,
                 )
                 pool.worker_plans = 0
                 for worker_id in range(workers):
@@ -526,7 +528,6 @@ class DistributedBackend(ParallelBackend):
                 token=dist_plan.token,
                 segments=segments,
                 scratch=scratch_name,
-                **extras,
             )
             for worker_id in range(workers):
                 pool.send(worker_id, map_frame, stats)
@@ -537,9 +538,10 @@ class DistributedBackend(ParallelBackend):
                         # Kept here by the shard planner, counted; the spans
                         # and combine tree stay the tiling's, so do the bits.
                         stats.note_fallback(f"dist: {shard_step.reason}")
-                        self._run_reduce(instruction, tile_step, memory, stats, 1)
+                        serial = config.replace(parallel_num_threads=1)
+                        self._run_reduce(instruction, tile_step, memory, stats, serial)
                     else:
-                        self._run_serial(instruction, memory, stats)
+                        self._run_serial(instruction, memory, stats, config)
                     continue
                 # Slot occupants bind (and zero-fill, unless waived) here,
                 # when the slot's previous occupant is dead; a private base

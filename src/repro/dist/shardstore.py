@@ -39,7 +39,7 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,18 +101,7 @@ def unlink_segment(name: str) -> bool:
 class ShardStore:
     """Registry, recycler and budget-keeper for shared-memory segments."""
 
-    def __init__(
-        self,
-        max_bytes: Optional[Callable[[], int]] = None,
-        directory: Optional[Path] = None,
-    ) -> None:
-        #: Budget provider — read per create so ``config_override`` in
-        #: tests (and CLI flag changes) take effect without a new store.
-        if max_bytes is None:
-            from repro.utils.config import get_config
-
-            max_bytes = lambda: get_config().dist_shm_max_bytes  # noqa: E731
-        self._max_bytes = max_bytes
+    def __init__(self, directory: Optional[Path] = None) -> None:
         self._directory = directory if directory is not None else manifest_dir()
         #: name -> (size class, uint8 buffer over the mapping); live segments.
         self._active: Dict[str, Tuple[int, np.ndarray]] = {}
@@ -134,9 +123,8 @@ class ShardStore:
     def _parked_bytes(self) -> int:
         return sum(cls * len(entries) for cls, entries in self._parked.items())
 
-    def _evict_parked(self, needed: int) -> None:
-        """Unlink parked segments until ``needed`` bytes fit in the budget."""
-        budget = self._max_bytes()
+    def _evict_parked(self, needed: int, budget: int) -> None:
+        """Unlink parked segments until ``needed`` bytes fit in ``budget``."""
         for cls in sorted(self._parked, reverse=True):
             entries = self._parked[cls]
             while entries and self._active_bytes() + self._parked_bytes() + needed > budget:
@@ -149,14 +137,15 @@ class ShardStore:
     # Segment lifecycle
     # ------------------------------------------------------------------ #
 
-    def create(self, nbytes: int) -> Tuple[str, np.ndarray]:
+    def create(self, nbytes: int, max_bytes: int) -> Tuple[str, np.ndarray]:
         """A segment with at least ``nbytes`` capacity: ``(name, uint8 buffer)``.
 
         Recycles a parked segment of the same size class when one exists
         (its contents are stale — callers zero or overwrite), otherwise
-        creates a fresh one, evicting parked segments if the budget needs
-        the room.  The buffer may still hold data from a previous owner;
-        never hand it out un-initialised.
+        creates a fresh one, evicting parked segments if the budget —
+        ``max_bytes`` of live segments, active and parked, the flush's
+        ``dist_shm_max_bytes`` — needs the room.  The buffer may still hold
+        data from a previous owner; never hand it out un-initialised.
         """
         cls = size_class(max(int(nbytes), 1))
         with self._segments_lock:
@@ -170,12 +159,12 @@ class ShardStore:
                 self.segments_recycled += 1
                 self._active[name] = (cls, buffer)
                 return name, buffer
-            if self._active_bytes() + self._parked_bytes() + cls > self._max_bytes():
-                self._evict_parked(cls)
-            if self._active_bytes() + self._parked_bytes() + cls > self._max_bytes():
+            if self._active_bytes() + self._parked_bytes() + cls > max_bytes:
+                self._evict_parked(cls, max_bytes)
+            if self._active_bytes() + self._parked_bytes() + cls > max_bytes:
                 raise DistributedExecutionError(
                     f"shared-memory budget exhausted: {cls} more bytes over "
-                    f"{self._max_bytes()} (dist_shm_max_bytes) with "
+                    f"{max_bytes} (dist_shm_max_bytes) with "
                     f"{self._active_bytes()} active"
                 )
             name, mapping = create_segment(cls)

@@ -2,7 +2,7 @@
 
 ``worker_main`` is the spawn entry point: a frame-serve loop over one
 duplex pipe.  Workers are deliberately dumb — they hold no configuration of
-their own (what a flush needs of the master's travels in its ``map``
+their own (what a plan needs of the master's travels in its ``load``
 frame), never create shared-memory segments (only attach, so a worker
 crash cannot leak one), never run a compiler
 (:func:`~repro.codegen.compiler.forbid_compiles`) and never talk to each
@@ -16,18 +16,18 @@ Execution model
 * ``load`` caches the pickled (program, tiling, shard plan) under its plan
   token, drops the tokens the frame says the master evicted, and runs the
   plan soundness checks (structural shard validation always; the ``checks``
-  layer's tiling and dist-adoption checks when the master says so).
+  layer's tiling and dist-adoption checks when the master says so).  A
+  plan that shards ``BH_ERF`` also names the master's artifact cache
+  directory: the worker keeps it with the plan and loads the kernel
+  runtime's vector ``erf`` from there; if the directory lacks it the shard
+  runs ``math.erf`` — the same bits — and its ``complete`` frame says so.
 * ``map`` binds canonical base positions to shared-memory segments for the
   coming steps — the whole per-flush data plane is this name mapping.
   Several positions may name one segment (temporaries the memory plan put
   on one slot), and the positions the shard plan lists as *private* may be
   missing: no other step addresses those bases, so the worker launches
   their slots as kernel-local ones — block scratch of the template launch,
-  exactly as on the thread tier.  A plan that shards ``BH_ERF`` also names
-  the master's artifact cache directory: the worker adopts it as its own
-  configuration and loads the kernel runtime's vector ``erf`` from there;
-  if the directory lacks it the shard runs ``math.erf`` — the same bits —
-  and its ``complete`` frame says so.
+  exactly as on the thread tier.
 * ``step`` executes this worker's shard of one distributed step: map
   shards slice every template slot view to the shard rows and run the
   template's blocked launch; stencil shards
@@ -63,10 +63,10 @@ from repro.dist.protocol import (
     make_frame,
 )
 from repro.dist.shardstore import attach_segment
-from repro.runtime.interpreter import erf_fallback_reason
+from repro.runtime import interpreter
 from repro.runtime.kernel import prepare_kernel_launch, split_tail
 from repro.runtime.tiling import TileSpan, reduce_tile, slice_view, span_producer
-from repro.utils.config import get_config, set_config
+from repro.utils.config import Config
 
 #: Worker-side attachment cache cap: segments beyond this are re-attached
 #: on demand (bounds stale attachments when the master recycles heavily).
@@ -120,12 +120,15 @@ class _LoadedPlan:
     reads a data operand on the master).
     """
 
-    def __init__(self, program, tiling, dist_plan) -> None:
+    def __init__(self, program, tiling, dist_plan, config: Config) -> None:
         from repro.runtime.plan import program_base_order
 
         self.program = program
         self.tiling = tiling
         self.dist_plan = dist_plan
+        #: Where the plan's vector ``erf`` comes from (the master's codegen
+        #: settings; the defaults when the plan shards no ``BH_ERF``).
+        self.config = config
         self.base_order = program_base_order(program)
         #: Base positions a ``map`` frame may leave out (kernel-local bases,
         #: bases the program only frees).
@@ -214,7 +217,12 @@ class _Worker:
 
         token = frame["token"]
         program, tiling, dist_plan = pickle.loads(frame["payload"])
-        loaded = _LoadedPlan(program, tiling, dist_plan)
+        codegen = frame.get("codegen")
+        config = Config()
+        if codegen is not None:
+            cache_dir, use_disk = codegen
+            config = Config(codegen_cache_dir=cache_dir, codegen_disk_cache_enabled=use_disk)
+        loaded = _LoadedPlan(program, tiling, dist_plan, config)
         checks = validate_dist_plan(program, tiling, dist_plan)
         if frame["check"]:
             from repro.checks.plancheck import check_dist_adoption, check_tiling
@@ -276,14 +284,6 @@ class _Worker:
         self.memory = memory
         self.current_token = token
         self.scratch = self._attach(scratch_name) if scratch_name is not None else None
-        codegen = frame.get("codegen")
-        if codegen is not None:
-            cache_dir, use_disk = codegen
-            set_config(
-                get_config().replace(
-                    codegen_cache_dir=cache_dir, codegen_disk_cache_enabled=use_disk
-                )
-            )
 
     def handle_step(self, frame) -> None:
         if self.crash_armed:
@@ -321,7 +321,8 @@ class _Worker:
         return cached
 
     def _launch_template(self, loaded, step, counters):
-        """``(slot views, template, local slots)`` for one launch of a step.
+        """``(slot views, template, local slots, vector erf)`` for one launch
+        of a step.
 
         Slots of private bases the mapping left out are kernel-local to the
         launch: scratch of the call, no storage to resolve.
@@ -334,9 +335,10 @@ class _Worker:
             for slot in base_slots
         )
         counters["template_slots_elided"] = len(local)
+        erf = None
         if template.uses_erf:
-            counters["erf_fallback"] = erf_fallback_reason()
-        return slots, template, local
+            erf, counters["erf_fallback"] = interpreter.erf_helper(loaded.config)
+        return slots, template, local, erf
 
     def _run_map_shard(self, loaded, step: MapShardStep, counters) -> None:
         if self.worker_id >= len(step.shards):
@@ -344,8 +346,8 @@ class _Worker:
                 f"worker {self.worker_id} launched beyond step's {len(step.shards)} shards"
             )
         shard = step.shards[self.worker_id]
-        slots, template, local = self._launch_template(loaded, step, counters)
-        launch = template.blocked(local)
+        slots, template, local, erf = self._launch_template(loaded, step, counters)
+        launch = template.blocked(local, erf)
         if not step.halos:
             views = tuple(slice_view(view, shard) for view in slots)
             launch(self.memory, views)
@@ -459,9 +461,9 @@ class _Worker:
         if instruction.is_fused():
             # A kernel that ends in the reduction: its members produce each
             # span's source here, in scratch, as on the thread tier.
-            slots, template, local = self._launch_template(loaded, step, counters)
+            slots, template, local, erf = self._launch_template(loaded, step, counters)
             instruction = instruction.kernel[-1]
-            producer = span_producer(template, slots, local, instruction.inputs[0])
+            producer = span_producer(template, slots, local, instruction.inputs[0], erf)
         partials = None
         if step.combine:
             if self.scratch is None:

@@ -15,8 +15,16 @@ from typing import Callable, Dict, Optional
 
 from repro.bytecode.program import Program
 from repro.runtime.instrumentation import ExecutionResult
-from repro.runtime.memory import MemoryManager
+from repro.runtime.memory import BufferPool, MemoryManager
+from repro.runtime.tiling import resolve_num_threads
+from repro.utils.config import Config, get_config
 from repro.utils.errors import ExecutionError
+from repro.utils.lru import BoundedLRU
+
+
+def fresh_memory(config: Config) -> MemoryManager:
+    """The zero-initialised manager a flush handed no memory runs on."""
+    return MemoryManager(BufferPool(config.memory_pool_max_bytes))
 
 
 class Backend(abc.ABC):
@@ -44,54 +52,71 @@ class Backend(abc.ABC):
         """Alias of :meth:`execute` kept for readability at call sites."""
         return self.execute(program, memory)
 
+    def resolve_config(self, config: Config) -> Config:
+        """The snapshot a flush under ``config`` runs under: every value this
+        backend reads made concrete.  Memoised per configuration value (16
+        of them), so a warm flush reads neither the affinity mask nor the
+        environment.
+        """
+        memo = self.__dict__.get("_resolved_configs")
+        if memo is None:  # made here: subclasses need not call ``__init__``
+            memo = self.__dict__.setdefault("_resolved_configs", BoundedLRU(16))
+        resolved = memo.get(config)
+        if resolved is None:
+            resolved = memo.setdefault(config, self._resolve_config(config))
+        return resolved
+
+    def _resolve_config(self, config: Config) -> Config:
+        """The uncached resolution; backends extend it with their own values."""
+        from repro.codegen.cache import resolve_cache_dir
+
+        return config.replace(
+            parallel_num_threads=resolve_num_threads(config),
+            codegen_cache_dir=resolve_cache_dir(config.codegen_cache_dir),
+            dist_num_workers=max(1, int(config.dist_num_workers)),
+        )
+
+    def flush_config(self) -> Config:
+        """The resolved live configuration: what a plan-less :meth:`execute`
+        of a built-in backend reads once per flush and hands down."""
+        return self.resolve_config(get_config())
+
     def prepare_plan(self, plan) -> None:
         """Hook: attach backend-specific artifacts to a freshly compiled plan.
 
         The execution engine calls this once per plan-cache miss (and per
         :meth:`~repro.runtime.engine.ExecutionEngine.prime`), inside the
-        plan stage.  The base implementation attaches the liveness-driven
-        :class:`~repro.runtime.memplan.MemoryPlan` — slot aliasing and
-        zero-fill waivers are backend-independent, so every backend gets
-        them for free.  Backends that precompute further per-program
-        artifacts (the parallel backend's tile decomposition) override
-        this, call ``super().prepare_plan(plan)`` and store their own
-        artifacts alongside, so replays of the plan never recompute
-        either.
-
-        Under the ``check_ir`` knob the freshly attached artifacts are
-        cross-checked (:mod:`repro.checks.plancheck`) before the plan can
-        be cached; overriding backends re-invoke the check after attaching
-        their own artifacts.
+        plan stage, under the configuration the plan carries
+        (``plan.config``).  The base implementation attaches the
+        liveness-driven :class:`~repro.runtime.memplan.MemoryPlan` — slot
+        aliasing and zero-fill waivers are backend-independent, so every
+        backend gets them for free.  Backends that precompute further
+        per-program artifacts (the parallel backend's tile decomposition)
+        override this, call ``super().prepare_plan(plan)`` and store their
+        own artifacts alongside, so replays of the plan never recompute
+        either.  Whoever executes the plan checks its artifacts first
+        (:func:`~repro.checks.plancheck.maybe_check_plan`, under
+        ``check_ir``).
         """
-        from repro.checks.plancheck import maybe_check_plan
         from repro.runtime.memplan import attach_memory_plan
 
         attach_memory_plan(plan)
-        maybe_check_plan(plan)
 
     def execute_plan(
         self, plan, program: Program, memory: Optional[MemoryManager] = None
     ) -> ExecutionResult:
-        """Execute a program that was bound from ``plan``.
+        """Execute a program that was bound from a prepared ``plan``.
 
         ``program`` is the plan's optimized program rebound onto the
         current flush's base arrays; ``plan`` carries whatever
         :meth:`prepare_plan` attached.  The default installs the plan's
         memory directives (slot aliasing, zero-fill waivers) on the
         memory manager and delegates to :meth:`execute`; it covers every
-        backend whose execution itself is plan-agnostic (the
-        interpreter).
-
-        The ``check_ir``-gated plan check runs here too — per execution,
-        not just per compilation — so a plan corrupted *after* caching can
-        never execute.
+        backend whose execution itself is plan-agnostic.
         """
-        from repro.checks.plancheck import maybe_check_plan
-        from repro.runtime.memplan import attach_memory_plan, bind_memory_plan
+        from repro.runtime.memplan import bind_memory_plan
 
-        attach_memory_plan(plan)
-        maybe_check_plan(plan)
-        memory = memory if memory is not None else MemoryManager()
+        memory = memory if memory is not None else fresh_memory(plan.config)
         bind_memory_plan(plan, program, memory)
         return self.execute(program, memory)
 

@@ -13,7 +13,10 @@ when the program was structurally identical to the previous flush.  The
    seeds every round still match.
 2. **Plan** — look the fingerprint up in an LRU
    :class:`~repro.runtime.plan.PlanCache` (keyed additionally by backend
-   name, pipeline signature and the optimization-relevant configuration).
+   name, pipeline signature and the signature of the flush's configuration
+   snapshot: the live configuration, read once per flush and resolved by
+   :meth:`~repro.runtime.backend.Backend.resolve_config`, which every
+   stage below receives as an argument).
    A hit rebinds the cached optimized program onto the new program's bases
    and data values in one linear pass; a miss runs the optimization
    pipeline and caches the resulting
@@ -43,10 +46,11 @@ from repro.runtime.plan import (
     ExecutionPlan,
     PlanCache,
     canonical_program_walk,
+    config_report,
     config_signature,
     fingerprint_of_key,
 )
-from repro.utils.config import get_config
+from repro.utils.config import Config, get_config
 
 
 class ExecutionEngine:
@@ -61,9 +65,9 @@ class ExecutionEngine:
         Whether programs run through the transformation pipeline before
         execution; defaults to the configuration's ``optimize`` flag.
     pipeline:
-        Custom :class:`~repro.core.pipeline.Pipeline`; defaults to the
-        canonical pipeline (rebuilt lazily so configuration changes are
-        honoured).
+        Custom :class:`~repro.core.pipeline.Pipeline` (it runs under the
+        configuration it was built with); defaults to the canonical
+        pipeline, built per plan-cache miss under the flush's snapshot.
     plan_cache_size:
         Capacity of the LRU plan cache (default
         :data:`~repro.runtime.plan.PLAN_CACHE_SIZE`, 128 plans).
@@ -153,12 +157,12 @@ class ExecutionEngine:
             return ("default",)
         return self._pipeline.signature()
 
-    def _build_pipeline(self):
+    def _build_pipeline(self, config: Config):
         if self._pipeline is not None:
             return self._pipeline
         from repro.core.pipeline import default_pipeline
 
-        return default_pipeline()
+        return default_pipeline(config=config)
 
     def execute(
         self, program: Program, memory: Optional[MemoryManager] = None
@@ -168,12 +172,15 @@ class ExecutionEngine:
         Returns the backend's :class:`ExecutionResult` with the plan-stage
         statistics (cache outcome, middleware overhead) filled in.
         """
+        from repro.checks.plancheck import maybe_check_plan
+
         backend = self.backend
         plan_started = time.perf_counter()
         hit = False
         plan = None
         if self.optimize_enabled:
-            executable, plan, hit = self._plan(program, backend)
+            config = backend.resolve_config(get_config())
+            executable, plan, hit = self._plan(program, backend, config)
         else:
             # The direct path: the differential oracle runs here, so the
             # reference never depends on the plan machinery it checks.
@@ -194,6 +201,9 @@ class ExecutionEngine:
         if memory is not None:
             memory.reset_peak_window()
         if plan is not None:
+            # Per execution, not just per build, and under this flush's
+            # ``check_ir``: a plan corrupted after caching never executes.
+            maybe_check_plan(plan, config)
             result = backend.execute_plan(plan, executable, memory)
         else:
             if memory is not None:
@@ -233,24 +243,26 @@ class ExecutionEngine:
         if memory_plan is not None:
             stats.planned_peak_bytes = memory_plan.planned_peak_bytes
 
-    def _fingerprint(self, program: Program, backend: Backend):
-        """Stage 1: ``(fingerprint, canonical bases, data values, plan-cache key)``."""
+    def _fingerprint(self, program: Program, backend: Backend, config: Config):
+        """Stage 1: ``(canonical bases, data values, plan-cache key)``; the
+        key leads with the fingerprint."""
         key, bases, values = canonical_program_walk(program)
         fingerprint = fingerprint_of_key(key)
         cache_key = (
             fingerprint,
             backend.name,
             self._pipeline_signature(),
-            config_signature(),
+            config_signature(config),
         )
-        return fingerprint, bases, values, cache_key
+        return bases, values, cache_key
 
     def _publish_plan(
-        self, backend: Backend, cache_key: tuple, fingerprint: str, bases, values, report
+        self, backend: Backend, config: Config, cache_key: tuple, bases, values, report
     ) -> ExecutionPlan:
         """Wrap ``report`` in a backend-prepared plan and cache it."""
         from repro.core.schedule import fusion_schedule_of
 
+        fingerprint = cache_key[0]
         report.fingerprint = fingerprint
         plan = ExecutionPlan(
             fingerprint=fingerprint,
@@ -259,6 +271,7 @@ class ExecutionEngine:
             optimized=report.optimized,
             source_values=values,
             report=report,
+            config=config,
             fusion_schedule=fusion_schedule_of(report),
         )
         # Plan-time backend preparation (e.g. tile decomposition): paid
@@ -268,8 +281,8 @@ class ExecutionEngine:
         self.plans_built += 1
         return plan
 
-    def _plan(self, program: Program, backend: Backend):
-        """Stage 2: resolve an execution plan for ``program``.
+    def _plan(self, program: Program, backend: Backend, config: Config):
+        """Stage 2: resolve an execution plan for ``program`` under ``config``.
 
         Returns ``(executable program, plan, hit)``.  Lookup-or-build
         is guarded by a per-cache-key in-flight latch: the first flush of a
@@ -280,7 +293,7 @@ class ExecutionEngine:
         find no plan, and compete to build it themselves — the latch can
         therefore never deadlock a fingerprint on one failed compile.
         """
-        fingerprint, bases, values, cache_key = self._fingerprint(program, backend)
+        bases, values, cache_key = self._fingerprint(program, backend, config)
         while True:
             plan = self.plan_cache.get(cache_key)
             if plan is not None:
@@ -301,10 +314,8 @@ class ExecutionEngine:
             self.plan_waits += 1
             waiting_on.wait()
         try:
-            report = self._build_pipeline().run(program)
-            plan = self._publish_plan(
-                backend, cache_key, fingerprint, bases, values, report
-            )
+            report = self._build_pipeline(config).run(program)
+            plan = self._publish_plan(backend, config, cache_key, bases, values, report)
         finally:
             with self._inflight_lock:
                 self._inflight.pop(cache_key, None)
@@ -323,12 +334,19 @@ class ExecutionEngine:
         structurally identical program hit it normally.
         """
         backend = self.backend
-        fingerprint, bases, values, cache_key = self._fingerprint(program, backend)
-        return self._publish_plan(backend, cache_key, fingerprint, bases, values, report)
+        config = backend.resolve_config(get_config())
+        bases, values, cache_key = self._fingerprint(program, backend, config)
+        return self._publish_plan(backend, config, cache_key, bases, values, report)
 
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
+
+    def config_stats(self) -> Optional[Dict[str, object]]:
+        """The resolved configuration the most recent planned flush ran under
+        (:func:`~repro.runtime.plan.config_report`); ``None`` before one."""
+        plan = self.last_plan
+        return config_report(plan.config) if plan is not None else None
 
     def cache_stats(self) -> Dict[str, int]:
         """Plan-cache counters plus whatever the backend's caches report.

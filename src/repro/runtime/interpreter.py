@@ -23,40 +23,33 @@ from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode, REDUCE_TO_ELEMENTWISE
 from repro.bytecode.operand import Constant, is_constant, is_view
 from repro.bytecode.program import Program
-from repro.runtime.backend import Backend
+from repro.runtime.backend import Backend, fresh_memory
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
 from repro.runtime.memory import MemoryManager
-from repro.utils.config import get_config
+from repro.utils.config import Config
 from repro.utils.errors import ExecutionError
 
 
-def _erf_helper():
-    """``(vector erf, None)``, or ``(None, why BH_ERF runs the math.erf loop)``.
+def erf_helper(config: Config):
+    """``(vector erf, None)``, or ``(None, why BH_ERF runs the math.erf loop)``,
+    for a ``BH_ERF`` launched under ``config``.
 
     The vector erf is ``repro_vec_erf`` of the kernel runtime artifact
-    (:func:`repro.codegen.cache.resolve_runtime`): resolved once per process
-    and cache directory, served from disk without a compiler run, never a
-    compile in anybody's counters.  Kept as a separate seam so tests can
-    patch it and exercise the fallback on a host that has a compiler.
-    Imported here: only an erf launch needs the artifact cache.
+    (:func:`repro.codegen.cache.resolve_runtime`) in ``config``'s artifact
+    directory: resolved once per process and directory, served from disk
+    without a compiler run, never a compile in anybody's counters.  Whoever
+    records the launch notes the reason on the flush's statistics.  Callers
+    look it up on this module, so tests can patch it and exercise the
+    fallback on a host that has a compiler.  Imported here: only an erf
+    launch needs the artifact cache.
     """
     from repro.codegen.cache import resolve_runtime, runtime_failure
 
-    config = get_config()
     where = (config.codegen_cache_dir, config.codegen_disk_cache_enabled)
     runtime = resolve_runtime(*where)[0]
     if runtime is None:
         return None, f"erf: no compiled helper ({runtime_failure(*where)})"
     return runtime.vec_erf, None
-
-
-def erf_fallback_reason() -> Optional[str]:
-    """Why a ``BH_ERF`` launched now takes the slow loop; ``None`` when it does not.
-
-    Whoever records the launch notes it on the flush's statistics, so the
-    slow path is counted instead of silent.
-    """
-    return _erf_helper()[1]
 
 
 #: The no-artifact path: the same function (CPython's ``math.erf`` is the
@@ -65,16 +58,17 @@ def erf_fallback_reason() -> Optional[str]:
 _erf_fallback = np.vectorize(math.erf, otypes=[np.float64])
 
 
-def _erf(values, out: np.ndarray) -> None:
+def _erf(values, out: np.ndarray, helper=None) -> None:
     """``out[...] = erf(values)`` — what ``BH_ERF`` means on every tier.
 
     The operand converts to double, the host libm's ``erf`` runs on it, and
     the result is stored with the interpreter's ``casting="unsafe"`` cast,
-    for every operand dtype.  Contiguous float64 source and destination of
-    one shape are computed in place; anything else (other dtypes, strided
-    or broadcast operands) goes through one contiguous double copy.
+    for every operand dtype.  ``helper`` is the vector erf of
+    :func:`erf_helper`; without one the ``math.erf`` loop runs.
+    Contiguous float64 source and destination of one shape are computed in
+    place; anything else (other dtypes, strided or broadcast operands) goes
+    through one contiguous double copy.
     """
-    helper = _erf_helper()[0]
     if helper is None:
         np.copyto(out, _erf_fallback(values), casting="unsafe")
         return
@@ -102,11 +96,12 @@ class NumPyInterpreter(Backend):
     def execute(
         self, program: Program, memory: Optional[MemoryManager] = None
     ) -> ExecutionResult:
-        memory = memory if memory is not None else MemoryManager()
+        config = self.flush_config()
+        memory = memory if memory is not None else fresh_memory(config)
         stats = ExecutionStats(backend_name=self.name)
         start = time.perf_counter()
         for instruction in program:
-            self._execute_instruction(instruction, memory, stats)
+            self._execute_instruction(instruction, memory, stats, config)
         stats.wall_time_seconds = time.perf_counter() - start
         return ExecutionResult(memory=memory, stats=stats)
 
@@ -119,9 +114,11 @@ class NumPyInterpreter(Backend):
         instruction: Instruction,
         memory: MemoryManager,
         stats: ExecutionStats,
+        config: Config,
         note_fallback=ExecutionStats.note_fallback,
     ) -> None:
-        """Execute one top-level byte-code; a fused one is a single launch.
+        """Execute one top-level byte-code under ``config``; a fused one is
+        a single launch.
 
         ``note_fallback(stats, reason)`` counts a launch that left its fast
         path; a tier that also keeps a cumulative record passes its own.
@@ -133,11 +130,13 @@ class NumPyInterpreter(Backend):
         fused = instruction if instruction.is_fused() else None
         payload = (instruction.kernel or ()) if fused else (instruction,)
         stats.record_launch(payload, fused)
+        erf = None
         if any(inner.opcode is OpCode.BH_ERF for inner in payload):
-            note_fallback(stats, erf_fallback_reason())
+            erf, reason = erf_helper(config)
+            note_fallback(stats, reason)
         for inner in payload:
             try:
-                self._dispatch(inner, memory)
+                self._dispatch(inner, memory, erf)
             except ExecutionError:
                 raise
             except Exception as exc:
@@ -165,7 +164,7 @@ class NumPyInterpreter(Backend):
             return operand.as_numpy()
         raise ExecutionError(f"unsupported operand {operand!r}")
 
-    def _dispatch(self, instruction: Instruction, memory: MemoryManager) -> None:
+    def _dispatch(self, instruction: Instruction, memory: MemoryManager, erf=None) -> None:
         opcode = instruction.opcode
         info = instruction.info
         out_view = instruction.out
@@ -178,7 +177,7 @@ class NumPyInterpreter(Backend):
 
         if info.elementwise:
             inputs = [self._operand_value(op, memory) for op in instruction.inputs]
-            self._elementwise(opcode, info.numpy_name, inputs, out)
+            self._elementwise(opcode, info.numpy_name, inputs, out, erf)
             return
 
         if info.reduction:
@@ -205,9 +204,9 @@ class NumPyInterpreter(Backend):
 
         raise ExecutionError(f"op-code {opcode.value} is not implemented by the interpreter")
 
-    def _elementwise(self, opcode: OpCode, numpy_name, inputs, out) -> None:
+    def _elementwise(self, opcode: OpCode, numpy_name, inputs, out, erf=None) -> None:
         if opcode is OpCode.BH_ERF:  # the one op-code NumPy has no ufunc for
-            _erf(inputs[0], out)
+            _erf(inputs[0], out, erf)
             return
         if numpy_name is None:
             raise ExecutionError(f"no NumPy implementation registered for {opcode.value}")

@@ -143,15 +143,16 @@ class KernelTemplate:
         self.key = key
         self.num_slots = num_slots
         #: Whether a launch runs ``BH_ERF``: the launching tier then asks
-        #: :func:`~repro.runtime.interpreter.erf_fallback_reason`.
+        #: :func:`~repro.runtime.interpreter.erf_helper`.
         self.uses_erf = uses_erf
         self._steps = tuple(steps)
 
-    def blocked(self, local_slots: frozenset) -> "BlockedTemplateLaunch":
-        """This template as a row-blocked launcher eliding ``local_slots``."""
-        return BlockedTemplateLaunch(self, local_slots)
+    def blocked(self, local_slots: frozenset, erf=None) -> "BlockedTemplateLaunch":
+        """This template as a row-blocked launcher eliding ``local_slots``,
+        its ``BH_ERF`` steps calling the vector ``erf`` (``None``: the loop)."""
+        return BlockedTemplateLaunch(self, local_slots, erf)
 
-    def evaluate(self, memory, views: Sequence[View], local_slots, result: int):
+    def evaluate(self, memory, views: Sequence[View], local_slots, result: int, erf=None):
         """Run every byte-code once over ``views``; return slot ``result``'s array.
 
         For the producers of a reduction tail: ``views`` are one tile span's
@@ -164,7 +165,7 @@ class KernelTemplate:
             view = views[position]
             arrays[position] = np.empty(view.shape, view.dtype.np_dtype)
         for step in self._steps:
-            step(arrays)
+            step(arrays, erf)
         return arrays[result]
 
     def _resolve(self, memory, views: Sequence[View], local_slots) -> list:
@@ -196,15 +197,16 @@ class BlockedTemplateLaunch:
     blocks.
     """
 
-    __slots__ = ("_template", "elided_slots")
+    __slots__ = ("_template", "elided_slots", "_erf")
 
     #: Tiles of a template feed worker threads *and* bound each task's
     #: work; the scaffolding never collapses them into one launch.
     single_pass = False
 
-    def __init__(self, template: KernelTemplate, local_slots: frozenset) -> None:
+    def __init__(self, template: KernelTemplate, local_slots: frozenset, erf=None) -> None:
         self._template = template
         self.elided_slots = local_slots
+        self._erf = erf
 
     def __call__(self, memory, views: Sequence[View]) -> None:
         template, local = self._template, self.elided_slots
@@ -225,7 +227,7 @@ class BlockedTemplateLaunch:
                 for position, array in enumerate(arrays)
             ]
             for step in template._steps:
-                step(block)
+                step(block, self._erf)
 
 
 def split_tail(instructions: Sequence[Instruction]):
@@ -366,8 +368,8 @@ def _inputs(sources, arrays) -> list:
 def _compile_step(instruction: Instruction, operand_refs):
     """Compile one element-wise byte-code into a step over per-slot arrays.
 
-    The step takes the launch's (or one block's) arrays by slot index;
-    constants are resolved here, once.
+    The step takes the launch's (or one block's) arrays by slot index and
+    the launch's vector erf; constants are resolved here, once.
     """
     info = opcode_info(instruction.opcode)
     if not info.elementwise:
@@ -383,15 +385,15 @@ def _compile_step(instruction: Instruction, operand_refs):
 
     if instruction.opcode is OpCode.BH_IDENTITY:
 
-        def run_identity(arrays) -> None:
+        def run_identity(arrays, erf) -> None:
             np.copyto(arrays[out_slot], _inputs(sources, arrays)[0], casting="unsafe")
 
         return run_identity
 
     if instruction.opcode is OpCode.BH_ERF:  # the one op-code NumPy has no ufunc for
 
-        def run_erf(arrays) -> None:
-            _erf(_inputs(sources, arrays)[0], arrays[out_slot])
+        def run_erf(arrays, erf) -> None:
+            _erf(_inputs(sources, arrays)[0], arrays[out_slot], erf)
 
         return run_erf
 
@@ -401,12 +403,12 @@ def _compile_step(instruction: Instruction, operand_refs):
         # The loop's result needs no cast: write it in place — no hidden
         # full-size temporary, no second pass.  NumPy picks the loop from
         # the inputs alone, so each element sees the one the oracle runs.
-        def run_in_place(arrays) -> None:
+        def run_in_place(arrays, erf) -> None:
             func(*_inputs(sources, arrays), out=arrays[out_slot])
 
         return run_in_place
 
-    def run_cast(arrays) -> None:
+    def run_cast(arrays, erf) -> None:
         # A dtype-changing store (a comparison into a float view): compute
         # in the loop's own dtype, then cast-copy, as the interpreter does.
         out = arrays[out_slot]

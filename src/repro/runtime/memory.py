@@ -432,9 +432,9 @@ class MemoryManager:
         Fresh allocations are zero-initialised, matching Bohrium's behaviour
         for uninitialised operands — unless the current plan's directive for
         ``base`` waives the fill (liveness proved every element is written
-        before it is read) and the zero policy is ``"auto"``, or the caller
-        passes ``zero=False`` because it immediately overwrites the whole
-        buffer (:meth:`set_data`).
+        before it is read; a plan built under the ``"always"`` zero policy
+        waives none), or the caller passes ``zero=False`` because it
+        immediately overwrites the whole buffer (:meth:`set_data`).
         """
         key = id(base)
         existing = self._storage.get(key)
@@ -454,8 +454,6 @@ class MemoryManager:
         storage = self._carve(owned.buffer, base)
         if zero is None:
             zero = directive is None or directive.zero_fill
-            if get_config().memory_zero_policy == "always":
-                zero = True
         if zero:
             storage.fill(0)
             self.zero_fill_bytes += base.nbytes

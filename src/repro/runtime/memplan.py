@@ -51,7 +51,7 @@ from repro.bytecode.program import Program
 from repro.core.analysis import BaseInterval, live_intervals
 from repro.runtime.memory import BufferDirective, MemoryManager, size_class
 from repro.runtime.plan import program_base_order
-from repro.utils.config import Config, get_config
+from repro.utils.config import Config
 
 
 @dataclass
@@ -81,9 +81,8 @@ class MemoryPlan:
     zero_fills_waived: int = 0
 
     @classmethod
-    def plan(cls, program: Program, config: Optional[Config] = None) -> "MemoryPlan":
+    def plan(cls, program: Program, config: Config) -> "MemoryPlan":
         """Compute the storage layout for ``program`` (one linear scan)."""
-        config = config if config is not None else get_config()
         order = program_base_order(program)
         position_of = {id(base): position for position, base in enumerate(order)}
         intervals = live_intervals(program)
@@ -281,32 +280,17 @@ def _simulate_peaks(
 # --------------------------------------------------------------------------- #
 
 
-def memory_plan_signature(config: Optional[Config] = None) -> tuple:
-    """The settings a computed :class:`MemoryPlan` depends on."""
-    config = config if config is not None else get_config()
-    return (config.memory_plan_enabled, config.memory_zero_policy)
-
-
-def attach_memory_plan(plan, config: Optional[Config] = None) -> None:
-    """Compute and cache the memory plan on ``plan`` (idempotent per signature).
+def attach_memory_plan(plan) -> None:
+    """Compute the memory plan of ``plan`` under ``plan.config`` and store it.
 
     Called from :meth:`~repro.runtime.backend.Backend.prepare_plan` on
-    every plan-cache miss; replays of the plan skip straight to
-    :func:`bind_memory_plan`.
+    every plan-cache miss, before the plan is published; replays of the
+    plan skip straight to :func:`bind_memory_plan`.
     """
-    config = config if config is not None else get_config()
-    signature = memory_plan_signature(config)
-    # Shared-plan safety: concurrent replays of one cached plan may both
-    # notice a stale signature; the plan lock makes the (check, compute,
-    # store) sequence atomic so no replay observes a half-swapped plan.
-    with plan.lock:
-        if plan.memory_signature == signature:
-            return
-        if config.memory_plan_enabled:
-            plan.memory_plan = MemoryPlan.plan(plan.optimized, config)
-        else:
-            plan.memory_plan = None
-        plan.memory_signature = signature
+    config = plan.config
+    plan.memory_plan = (
+        MemoryPlan.plan(plan.optimized, config) if config.memory_plan_enabled else None
+    )
 
 
 def bind_memory_plan(plan, program: Program, memory: MemoryManager, source=None) -> None:

@@ -72,6 +72,7 @@ from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, prepare_kernel_launch, s
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
+from repro.utils.config import Config
 from repro.utils.errors import ExecutionError
 from repro.utils.lru import BoundedLRU
 
@@ -370,14 +371,16 @@ class NativeBackend(ParallelBackend):
             config.codegen_disk_cache_enabled,
         )
 
-    def _resolve_codegen_threads(self, config, fallback: int) -> int:
-        """The thread count handed to ``repro_kernel_mt`` launches.
+    def _resolve_config(self, config: Config) -> Config:
+        """Also resolve the thread count handed to ``repro_kernel_mt`` launches.
 
         ``codegen_threads`` > ``REPRO_CODEGEN_THREADS`` env var > the
         parallel worker count.  Purely runtime: changing it never touches
         plan tilings or compiled artifacts.  An environment value that is
-        not a positive integer raises :class:`ExecutionError`.
+        not a positive integer raises :class:`ExecutionError` — before the
+        flush that resolves it runs any step.
         """
+        config = super()._resolve_config(config)
         threads = config.codegen_threads
         if threads is None:
             env = os.environ.get("REPRO_CODEGEN_THREADS")
@@ -390,9 +393,9 @@ class NativeBackend(ParallelBackend):
                     raise ExecutionError(
                         f"REPRO_CODEGEN_THREADS={env!r} is not a positive integer"
                     )
-        if threads is None:
-            threads = fallback
-        return max(1, int(threads))
+            else:
+                threads = config.parallel_num_threads
+        return config.replace(codegen_threads=max(1, int(threads)))
 
     def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
         """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
@@ -464,6 +467,7 @@ class NativeBackend(ParallelBackend):
         instructions,
         local_slots: frozenset,
         stats: ExecutionStats,
+        config: Config,
         lowered: Optional[tuple] = None,
     ):
         """Resolve a kernel form to ``(launchable, None)`` — compiled, or a
@@ -474,7 +478,6 @@ class NativeBackend(ParallelBackend):
         the compile/cache outcome of a launch-cache miss; ``lowered`` is
         the form's :func:`_lower_map`, when the caller already has it.
         """
-        config = self._effective_config()
         lower = (lambda: lowered) if lowered else partial(
             _lower_map, instructions, local_slots, slots
         )
@@ -509,7 +512,7 @@ class NativeBackend(ParallelBackend):
         )
 
     def _native_reduce_launch(
-        self, members, tail, step: TiledReduceStep, form: tuple, stats: ExecutionStats
+        self, members, tail, step: TiledReduceStep, form: tuple, stats: ExecutionStats, config
     ):
         """Resolve a tiled reduction of structural key ``form`` to
         ``(compiled launchable, None)`` or ``(None, why not)``.
@@ -520,7 +523,6 @@ class NativeBackend(ParallelBackend):
             # Geometry first, here and at plan time: a launch that would be
             # thrown away costs no compiler run and no cache entry.
             return None, "zero-size reduction source"
-        config = self._effective_config()
 
         def lower():
             nest = lower_reduction(
@@ -535,15 +537,15 @@ class NativeBackend(ParallelBackend):
     # Parallel-backend seams
     # ------------------------------------------------------------------ #
 
-    def _map_launcher(self, instructions, step, stats):
+    def _map_launcher(self, instructions, step, stats, config):
         prepared = prepare_kernel_launch(instructions)
         key, slots, _ = prepared
         launch, reason = self._native_launch(
-            key, slots, instructions, step.local_slots, stats
+            key, slots, instructions, step.local_slots, stats, config
         )
         if launch is None:
             self._count(stats, fallback_reason=reason, native_fallbacks=1)
-            return super()._map_launcher(instructions, step, stats, prepared)
+            return super()._map_launcher(instructions, step, stats, config, prepared)
         if isinstance(launch, NativeKernelLaunch):
             self._count(
                 stats,
@@ -552,7 +554,7 @@ class NativeBackend(ParallelBackend):
             )
         return slots, launch
 
-    def _launch_map(self, launcher, slots, step, memory, stats, threads) -> None:
+    def _launch_map(self, launcher, slots, step, memory, stats, config) -> None:
         """Collapse a multi-thread launch of a chunk-capable compiled
         kernel into ONE ``repro_kernel_mt`` call.
 
@@ -571,15 +573,15 @@ class NativeBackend(ParallelBackend):
             launcher(memory, slots)
             return
         if isinstance(launcher, NativeKernelLaunch) and launcher.supports_mt:
-            nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
+            nthreads = config.codegen_threads or config.parallel_num_threads
             if nthreads > 1:
                 stats.tiles_executed += 1
                 launcher.launch_mt(memory, slots, nthreads)
                 self._count(stats, native_mt_launches=1)
                 return
-        super()._launch_map(launcher, slots, step, memory, stats, threads)
+        super()._launch_map(launcher, slots, step, memory, stats, config)
 
-    def _run_reduce(self, instruction, step, memory, stats, threads) -> None:
+    def _run_reduce(self, instruction, step, memory, stats, config) -> None:
         """Run a tiled reduction through a compiled kernel when one exists.
 
         The compiled path is one foreign call: n-D forms chunk the
@@ -593,9 +595,9 @@ class NativeBackend(ParallelBackend):
         instructions = instruction.kernel if fused else (instruction,)
         members, tail = split_tail(instructions)
         slots, form = self._reduce_form(members, tail, step)
-        launch, reason = self._native_reduce_launch(members, tail, step, form, stats)
+        launch, reason = self._native_reduce_launch(members, tail, step, form, stats, config)
         if launch is not None:
-            nthreads = self._resolve_codegen_threads(self._effective_config(), threads)
+            nthreads = config.codegen_threads or config.parallel_num_threads
             stats.record_launch(instructions, fused)
             stats.tiled_instructions += len(instructions)
             stats.tiles_executed += 1
@@ -615,29 +617,23 @@ class NativeBackend(ParallelBackend):
             native_reduction_fallbacks=1,
             native_fallbacks=int(bool(members)),
         )
-        super()._run_reduce(instruction, step, memory, stats, threads)
+        super()._run_reduce(instruction, step, memory, stats, config)
 
     def prepare_plan(self, plan) -> None:
         """Tile (inherited) and pre-compile the plan's kernel forms.
 
         Pre-compilation at plan time means a warm plan replay launches
-        straight into cached artifacts; the ``native_signature`` stamp
-        makes the warm path skip even the per-step slot walks.  A form that
-        occurs twice is resolved once here and hits the LRU at launch.
+        straight into cached artifacts.  A form that occurs twice is
+        resolved once here and hits the LRU at launch.
 
         No flush exists yet, so the resolution outcomes — counted
         cumulatively as they happen — are parked on the plan for its first
         execution to report.
         """
         super().prepare_plan(plan)
-        config = self._effective_config()
+        config = plan.config
+        codegen = self._codegen_signature(config)
         with plan.lock:
-            if plan.tiling is None:
-                plan.native_signature = None
-                return
-            signature = (self._codegen_signature(config), plan.tiling_signature)
-            if plan.native_signature == signature:
-                return
             if plan.native_prepare_stats is None:
                 plan.native_prepare_stats = ExecutionStats()
             parked = plan.native_prepare_stats
@@ -652,7 +648,7 @@ class NativeBackend(ParallelBackend):
                     members, tail = split_tail(instructions)
                     form = self._reduce_form(members, tail, step)[1]
                     resolve = partial(
-                        self._native_reduce_launch, members, tail, step, form, parked
+                        self._native_reduce_launch, members, tail, step, form, parked, config
                     )
                     form, compiles = (form, step.local_slots), True
                 elif isinstance(step, TiledMapStep):
@@ -663,7 +659,7 @@ class NativeBackend(ParallelBackend):
                     # Lowered here, not on the pool (it holds the GIL
                     # anyway), so that a plan of fills asks for no runtime.
                     lowered = None
-                    if self._native_cache.peek(form + signature[:1]) is None:
+                    if self._native_cache.peek(form + (codegen,)) is None:
                         lowered = _lower_map(instructions, step.local_slots, slots)
                         compiles = compiles or lowered[0] is not None
                     resolve = partial(
@@ -673,6 +669,7 @@ class NativeBackend(ParallelBackend):
                         instructions,
                         step.local_slots,
                         parked,
+                        config,
                         lowered,
                     )
                 else:
@@ -696,8 +693,7 @@ class NativeBackend(ParallelBackend):
             jobs = list(resolvers.values())
             if compiles and len(jobs) > 1 and self.native_runtime is None:
                 jobs.insert(0, partial(self._resolve_runtime, config))
-            self._scatter(jobs, self.num_threads())
-            plan.native_signature = signature
+            self._scatter(jobs, config.parallel_num_threads)
 
     def execute_plan(self, plan, program, memory=None):
         """Execute (inherited) and report any parked plan-stage outcomes."""

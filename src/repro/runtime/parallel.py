@@ -45,9 +45,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
-from repro.runtime.backend import Backend
+from repro.runtime.backend import Backend, fresh_memory
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
-from repro.runtime.interpreter import NumPyInterpreter, erf_fallback_reason
+from repro.runtime import interpreter
 from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, cached_kernel_launch, split_tail
 from repro.runtime.memory import MemoryManager
 from repro.runtime.memplan import bind_memory_plan
@@ -55,11 +55,11 @@ from repro.runtime.plan import (
     ExecutionPlan,
     PlanCache,
     canonical_program_walk,
+    config_signature,
     fingerprint_of_key,
 )
 from repro.runtime.tiling import (
     SerialStep,
-    TileDecomposition,
     TiledMapStep,
     TiledReduceStep,
     TileSpan,
@@ -67,11 +67,10 @@ from repro.runtime.tiling import (
     decompose,
     partition_length,
     reduce_tile,
-    resolve_num_threads,
     slice_view,
     span_producer,
 )
-from repro.utils.config import get_config
+from repro.utils.config import Config
 from repro.utils.locking import ContendedLock
 from repro.utils.lru import BoundedLRU
 
@@ -97,13 +96,20 @@ class ParallelBackend(Backend):
             Target elements per tile; defaults to the configuration's
             ``parallel_tile_elements``.
         """
-        self._configured_threads = num_threads
-        self._configured_tile_elements = tile_elements
+        #: What the constructor set: it wins over the configuration's value.
+        self._overrides = {
+            name: value
+            for name, value in (
+                ("parallel_num_threads", num_threads),
+                ("parallel_tile_elements", tile_elements),
+            )
+            if value is not None
+        }
         # One persistent pool per thread count a flush asked for: a flush
         # holding one pool may still be submitting to it when another asks
         # for a different count, so no pool is shut down before ``close``.
         self._pools: Dict[int, ThreadPoolExecutor] = {}
-        self._interpreter = NumPyInterpreter()
+        self._interpreter = interpreter.NumPyInterpreter()
         # Interpreted kernel templates by structural key; reported as
         # ``tile_template_*``.
         self._templates = BoundedLRU(KERNEL_CACHE_CAPACITY)
@@ -122,10 +128,8 @@ class ParallelBackend(Backend):
     # ------------------------------------------------------------------ #
 
     def num_threads(self) -> int:
-        """The effective worker-thread count for the next execution."""
-        if self._configured_threads is not None:
-            return max(1, int(self._configured_threads))
-        return resolve_num_threads()
+        """The worker-thread count a flush of the live configuration uses."""
+        return self.flush_config().parallel_num_threads
 
     def _executor(self, threads: int) -> ThreadPoolExecutor:
         """The persistent pool of ``threads`` workers, made on first use."""
@@ -148,60 +152,26 @@ class ParallelBackend(Backend):
     # Plan integration
     # ------------------------------------------------------------------ #
 
-    def _effective_config(self):
-        """The global configuration with this instance's overrides applied."""
-        config = get_config()
-        overrides = {}
-        if self._configured_tile_elements is not None:
-            overrides["parallel_tile_elements"] = self._configured_tile_elements
-        if self._configured_threads is not None:
-            overrides["parallel_num_threads"] = self._configured_threads
-        return config.replace(**overrides) if overrides else config
-
-    def _tiling_signature(self) -> tuple:
-        """The tiling-relevant settings a decomposition depends on."""
-        config = self._effective_config()
-        return (
-            config.parallel_tile_elements,
-            config.parallel_serial_threshold,
-            resolve_num_threads(config),
-        )
-
-    def _decompose(self, program: Program) -> TileDecomposition:
-        return decompose(program, self._effective_config())
+    def _resolve_config(self, config: Config) -> Config:
+        return super()._resolve_config(config.replace(**self._overrides))
 
     def prepare_plan(self, plan) -> None:
         """Compute the tile decomposition once, at plan time.
 
         The engine calls this when a plan is compiled (or primed); the
         decomposition is structural, so it stays valid for every rebound
-        replay of the plan — warm flushes skip re-tiling entirely.  The
-        signature check covers instances with *constructor* overrides,
-        which the engine's config-signature cache key cannot see: a plan
-        tiled by a differently-configured instance is re-tiled, never
-        replayed stale.
+        replay of the plan — warm flushes skip re-tiling entirely.  It is
+        computed under ``plan.config``, which carries this instance's
+        constructor overrides: the engine keys the plan by it.
         """
         super().prepare_plan(plan)  # liveness-driven memory plan
-        signature = self._tiling_signature()
-        with plan.lock:
-            if (
-                getattr(plan, "tiling", None) is None
-                or plan.tiling_signature != signature
-            ):
-                plan.tiling = self._decompose(plan.optimized)
-                plan.tiling_signature = signature
-        # The base class checked the plan before the tiling existed;
-        # re-check now that it does (no-op unless ``check_ir`` is on).
-        from repro.checks.plancheck import maybe_check_plan
-
-        maybe_check_plan(plan)
+        plan.tiling = decompose(plan.optimized, plan.config)
 
     def execute_plan(
         self, plan, program: Program, memory: Optional[MemoryManager] = None
     ) -> ExecutionResult:
-        """Execute a bound program with its plan's cached decomposition."""
-        self.prepare_plan(plan)
-        memory = memory if memory is not None else MemoryManager()
+        """Execute a bound program with its plan's decomposition and config."""
+        memory = memory if memory is not None else fresh_memory(plan.config)
         bind_memory_plan(plan, program, memory)
         return self._run(program, plan, memory)
 
@@ -217,19 +187,16 @@ class ParallelBackend(Backend):
         :meth:`execute_plan` runs them.  Repeated flushes of one structure
         (whatever their seeds) pay only the linear rebind.  Concurrent first
         executions of one fingerprint may both build; the later ``put`` wins,
-        which is benign.
+        which is benign.  The live configuration is read once, here, and
+        keys the plan exactly as the engine keys its own.
         """
-        from repro.core.schedule import compute_schedule, schedule_signature
+        from repro.checks.plancheck import maybe_check_plan
+        from repro.core.schedule import compute_schedule
 
-        config = self._effective_config()
+        config = self.flush_config()
         key, bases, values = canonical_program_walk(program)
         fingerprint = fingerprint_of_key(key)
-        # The schedule is baked into the plan's program, so its knobs key
-        # the cache; every other artifact re-validates its own signature in
-        # ``prepare_plan``.
-        cache_key = (
-            (fingerprint,) + self._tiling_signature() + schedule_signature(config)
-        )
+        cache_key = (fingerprint,) + config_signature(config)
         plan = self._adhoc_plans.get(cache_key)
         if plan is None:
             schedule = compute_schedule(program, config)
@@ -239,10 +206,12 @@ class ParallelBackend(Backend):
                 source_bases=bases,
                 optimized=schedule.materialize(program),
                 source_values=values,
+                config=config,
                 fusion_schedule=schedule,
             )
             self.prepare_plan(plan)
             self._adhoc_plans.put(cache_key, plan)
+        maybe_check_plan(plan, config)  # every execution, as the engine does
         return self.execute_plan(plan, plan.bind(bases, values), memory)
 
     def cache_stats(self) -> Dict[str, int]:
@@ -272,28 +241,26 @@ class ParallelBackend(Backend):
 
     def _run(self, program: Program, plan, memory: MemoryManager) -> ExecutionResult:
         stats = ExecutionStats(backend_name=self.name)
-        threads = self.num_threads()
-        stats.threads_used = threads
+        config = plan.config
+        stats.threads_used = config.parallel_num_threads
         start = time.perf_counter()
         for step in plan.tiling.steps:
             instruction = program[step.index]
             if isinstance(step, SerialStep):
-                self._run_serial(instruction, memory, stats)
+                self._run_serial(instruction, memory, stats, config)
             elif isinstance(step, TiledMapStep):
-                self._run_map(instruction, step, memory, stats, threads)
+                self._run_map(instruction, step, memory, stats, config)
             else:
-                self._run_reduce(instruction, step, memory, stats, threads)
+                self._run_reduce(instruction, step, memory, stats, config)
         stats.wall_time_seconds = time.perf_counter() - start
         return ExecutionResult(memory=memory, stats=stats)
 
-    def _run_serial(
-        self, instruction: Instruction, memory: MemoryManager, stats: ExecutionStats
-    ) -> None:
+    def _run_serial(self, instruction: Instruction, memory, stats, config: Config) -> None:
         """Execute one non-tiled step whole, in program order, on this thread."""
         if not instruction.is_system():
             stats.serial_fallbacks += 1
         self._interpreter._execute_instruction(
-            instruction, memory, stats, self._note_fallback
+            instruction, memory, stats, config, self._note_fallback
         )
 
     def _scatter(self, tasks: List, threads: int) -> None:
@@ -327,12 +294,12 @@ class ParallelBackend(Backend):
         step: TiledMapStep,
         memory: MemoryManager,
         stats: ExecutionStats,
-        threads: int,
+        config: Config,
     ) -> None:
         fused = instruction if instruction.is_fused() else None
         instructions = instruction.kernel if fused else (instruction,)
         stats.record_launch(instructions, fused)
-        slots, launcher = self._map_launcher(instructions, step, stats)
+        slots, launcher = self._map_launcher(instructions, step, stats, config)
         # Allocate every base up front: worker threads must never mutate
         # the memory manager.  Slots the launcher elides (kernel-local
         # temporaries: registers of a compiled kernel, block scratch of a
@@ -341,7 +308,7 @@ class ParallelBackend(Backend):
             if position not in launcher.elided_slots:
                 memory.allocate(view.base)
         stats.tiled_instructions += len(instructions)
-        self._launch_map(launcher, slots, step, memory, stats, threads)
+        self._launch_map(launcher, slots, step, memory, stats, config)
 
     def _launch_map(
         self,
@@ -350,7 +317,7 @@ class ParallelBackend(Backend):
         step: TiledMapStep,
         memory: MemoryManager,
         stats: ExecutionStats,
-        threads: int,
+        config: Config,
     ) -> None:
         """Run one resolved map step over its tile spans (the launch seam).
 
@@ -358,6 +325,7 @@ class ParallelBackend(Backend):
         to collapse a multi-thread launch of a chunk-capable compiled
         kernel into a single in-kernel-threaded call.
         """
+        threads = config.parallel_num_threads
         spans = step.spans
         if threads <= 1 and len(spans) > 1 and launcher.single_pass:
             # A compiled loop nest tiles only to feed worker threads; with
@@ -378,7 +346,7 @@ class ParallelBackend(Backend):
 
         self._scatter([tile_task(span) for span in spans], threads)
 
-    def _map_launcher(self, instructions, step, stats, prepared=None):
+    def _map_launcher(self, instructions, step, stats, config, prepared=None):
         """Resolve one tiled map step to ``(slot views, launcher)``.
 
         The launcher is called once per tile with the tile-sliced slot
@@ -392,19 +360,21 @@ class ParallelBackend(Backend):
         :func:`prepare_kernel_launch` walk, so falling back here does not
         pay a second one).
         """
-        slots, template = self._template(instructions, step, stats, prepared)
-        return slots, template.blocked(step.local_slots)
+        slots, template, erf = self._template(instructions, step, stats, config, prepared)
+        return slots, template.blocked(step.local_slots, erf)
 
-    def _template(self, instructions, step, stats, prepared=None):
-        """``(slot views, cached interpreted template)`` of a step's
-        element-wise byte-codes, its local slots counted as elided."""
+    def _template(self, instructions, step, stats, config, prepared=None):
+        """``(slot views, cached interpreted template, vector erf)`` of a
+        step's element-wise byte-codes, its local slots counted as elided."""
         slots, template = cached_kernel_launch(self._templates, instructions, prepared)
         stats.template_slots_elided += len(step.local_slots)
         with self._cache_lock:
             self._totals.template_slots_elided += len(step.local_slots)
+        erf = None
         if template.uses_erf:
-            self._note_fallback(stats, erf_fallback_reason())
-        return slots, template
+            erf, reason = interpreter.erf_helper(config)
+            self._note_fallback(stats, reason)
+        return slots, template, erf
 
     def _run_reduce(
         self,
@@ -412,7 +382,7 @@ class ParallelBackend(Backend):
         step: TiledReduceStep,
         memory: MemoryManager,
         stats: ExecutionStats,
-        threads: int,
+        config: Config,
     ) -> None:
         fused = instruction if instruction.is_fused() else None
         instructions = instruction.kernel if fused else (instruction,)
@@ -424,8 +394,10 @@ class ParallelBackend(Backend):
         producer = None
         slots = (tail.inputs[0],)
         if members:
-            slots, template = self._template(members, step, stats)
-            producer = span_producer(template, slots, step.local_slots, tail.inputs[0])
+            slots, template, erf = self._template(members, step, stats, config)
+            producer = span_producer(
+                template, slots, step.local_slots, tail.inputs[0], erf
+            )
         for position, view in enumerate(slots + (tail.out,)):
             if position not in step.local_slots:
                 memory.allocate(view.base)
@@ -439,7 +411,7 @@ class ParallelBackend(Backend):
                 partial(reduce_tile, memory, tail, step, position, partials, producer)
                 for position in range(tiles)
             ],
-            threads,
+            config.parallel_num_threads,
         )
         if step.combine:
             combine_partials(memory, tail, partials)

@@ -36,7 +36,7 @@ get to see" is a planning decision.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode.base import BaseArray
@@ -45,7 +45,7 @@ from repro.bytecode.opcodes import OPCODE_INFO, OpCode
 from repro.bytecode.operand import Constant, is_constant, is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
-from repro.utils.config import Config, get_config
+from repro.utils.config import Config
 from repro.utils.errors import ExecutionError
 from repro.utils.lru import BoundedLRU
 
@@ -232,61 +232,38 @@ def fingerprint_of_key(key: tuple) -> str:
     return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()
 
 
-#: Configuration fields that change what the optimizer produces; a plan
-#: compiled under one combination must not be replayed under another.
-_CONFIG_SIGNATURE_FIELDS = (
-    "enabled_passes",
-    # The fusion scheduler: the schedule (clustering and byte-code order)
-    # is baked into a plan's optimized program, so switching the scheduling
-    # policy must compile a fresh plan.
-    "fusion_scheduler",
-    # Tiling knobs: plans carry their tile decomposition (and the thread
-    # count shapes how a plan is executed), so any change must miss the
-    # cache and re-plan rather than replay a stale decomposition.
-    "parallel_num_threads",
-    "parallel_tile_elements",
-    "parallel_serial_threshold",
-    # Memory-planning knobs: plans carry their slot assignments and
-    # zero-fill waivers, so toggling the planner or the zero policy must
-    # compile a fresh plan rather than replay directives computed under
-    # the other setting.  The pool cap is included because it bounds how
-    # much recycled storage a planned execution may park.
-    "memory_plan_enabled",
-    "memory_pool_max_bytes",
-    "memory_zero_policy",
-    # Codegen knobs: the native backend pre-compiles a plan's kernels at
-    # plan time, so a plan prepared against a different artifact cache
-    # must not replay as if it were prepared under the current settings.
-    "codegen_cache_dir",
-    "codegen_disk_cache_enabled",
-    # codegen_threads is a *runtime* argument of compiled artifacts (the
-    # chunked entry point takes it per call), but plans pre-resolve their
-    # launchables and stamp the resolution signature, so the thread knob is
-    # signed here to keep "which plan ran with which knobs" auditable.
-    "codegen_threads",
-    # Distributed knobs: shard plans (one shard per worker, halo depths,
-    # reduction span assignments) are attached to plans at prepare time and
-    # the shared-memory budget bounds what an execution may allocate, so a
-    # plan prepared under one worker count must not replay under another.
-    "dist_num_workers",
-    "dist_shm_max_bytes",
+#: Fields every plan artifact is the same under, whatever their value: the
+#: front-end's backend choice and optimize switch (plans are keyed by
+#: backend; unoptimized flushes have none) and the read-only checks.
+_UNSIGNED_FIELDS = ("default_backend", "optimize", "check_ir")
+
+#: Every other field shapes a plan — its optimized program, schedule,
+#: tiling, memory plan, kernels or shards — or how it runs, so a plan built
+#: under one combination must not be replayed under another.  The engine
+#: signs a resolved snapshot: no ``None`` stands for "whatever the host has".
+_CONFIG_SIGNATURE_FIELDS = tuple(
+    knob.name for knob in fields(Config) if knob.name not in _UNSIGNED_FIELDS
 )
 
 
-def config_signature(config: Optional[Config] = None) -> tuple:
-    """The optimization-relevant slice of the configuration, as a cache key.
+def config_signature(config: Config) -> tuple:
+    """The optimization-relevant slice of ``config``, as a cache key.
 
     Any change to these fields invalidates cached plans (the cache key no
     longer matches); unrelated fields such as ``default_backend`` do not.
     """
-    config = config if config is not None else get_config()
-    values = []
-    for name in _CONFIG_SIGNATURE_FIELDS:
-        value = getattr(config, name)
-        if isinstance(value, list):
-            value = tuple(value)
-        values.append((name, value))
-    return tuple(values)
+    return tuple((name, getattr(config, name)) for name in _CONFIG_SIGNATURE_FIELDS)
+
+
+def config_report(config: Config) -> Dict[str, object]:
+    """What a resolved snapshot made concrete, and the digest of its signature."""
+    return {
+        "threads": config.parallel_num_threads,
+        "codegen_threads": config.codegen_threads,
+        "cache_dir": config.codegen_cache_dir,
+        "dist_workers": config.dist_num_workers,
+        "plan_signature": fingerprint_of_key(config_signature(config)),
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -322,6 +299,12 @@ class ExecutionPlan:
         The optimization report produced when the plan was compiled; replays
         of the plan hand out cached copies (see
         :meth:`~repro.core.pipeline.OptimizationReport.replayed`).
+    config:
+        The resolved configuration snapshot the plan was built under (see
+        :meth:`~repro.runtime.backend.Backend.resolve_config`).  Every
+        artifact below is computed from it and every execution of the plan
+        runs under it; the cache key signs it, so a replay's own snapshot
+        has the same signature.
     tiling:
         Backend-attached tile decomposition (see
         :meth:`~repro.runtime.backend.Backend.prepare_plan` and
@@ -345,15 +328,9 @@ class ExecutionPlan:
     optimized: Program
     source_values: Optional[Tuple[Constant, ...]] = None
     report: Optional[object] = None
+    config: Config = field(default_factory=Config)
     tiling: Optional[object] = None
-    #: Tiling-relevant settings the decomposition was computed under
-    #: (tile size, serial threshold, resolved thread count); backends
-    #: re-tile when their effective settings no longer match.
-    tiling_signature: Optional[tuple] = None
     memory_plan: Optional[object] = None
-    #: Memory-planning settings the plan was computed under (enabled flag
-    #: and zero policy); re-planned when the effective settings change.
-    memory_signature: Optional[tuple] = None
     #: The :class:`~repro.core.schedule.FusionSchedule` the optimizer's
     #: fusion pass computed for this plan (``None`` when the pipeline ran
     #: without the fusion pass).  Purely structural — byte-code indices and
@@ -361,10 +338,6 @@ class ExecutionPlan:
     #: unchanged for every rebound flush; its clustering and byte-code
     #: order are already baked into ``optimized``.
     fusion_schedule: Optional[object] = None
-    #: Codegen settings (plus the tiling signature) the native backend last
-    #: pre-compiled this plan's kernels under; lets warm replays skip the
-    #: per-step kernel-form walks entirely.
-    native_signature: Optional[tuple] = None
     #: Compile/disk/memory outcomes of plan-stage kernel resolution that no
     #: flush has reported yet (an ``ExecutionStats``); parked under ``lock``
     #: for the first execution of this plan to take.
@@ -375,20 +348,14 @@ class ExecutionPlan:
     #: positions, never base identities or segment names — so rebound
     #: replays reuse it unchanged.
     dist_plan: Optional[object] = None
-    #: Settings (tiling signature plus worker count) ``dist_plan`` was
-    #: computed under; re-planned when they drift.
-    dist_signature: Optional[tuple] = None
     hits: int = 0
     #: Plan-artifact soundness checks run against this plan (cumulative
     #: over preparations and executions; non-zero only under ``check_ir``).
     #: Bumped under ``lock`` because cached plans are shared.
     plan_checks_run: int = 0
-    #: Serializes backend re-preparation of a *shared* plan: concurrent
-    #: flushes replaying one cached plan may both notice a stale tiling or
-    #: codegen signature and re-attach artifacts; the lock makes each
-    #: (signature check, artifact store) pair atomic so a replay can never
-    #: observe a decomposition mid-swap.  Reentrant, because backends
-    #: chain ``super().prepare_plan`` under it.
+    #: Guards what changes on a *shared* plan after it is published: the
+    #: check counter and the parked plan-stage outcomes.  Reentrant, so a
+    #: backend preparing a plan may hold it across its own calls.
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )

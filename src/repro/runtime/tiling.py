@@ -47,7 +47,7 @@ from repro.bytecode.opcodes import REDUCE_TO_ELEMENTWISE, opcode_info
 from repro.bytecode.operand import is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
-from repro.utils.config import Config, get_config
+from repro.utils.config import Config
 from repro.utils.errors import ClusterError
 
 
@@ -224,13 +224,14 @@ def reduce_tile(
     np.copyto(out, np.asarray(reduced).reshape(out.shape), casting="unsafe")
 
 
-def span_producer(template, slots: Sequence[View], local_slots: frozenset, source: View):
+def span_producer(template, slots: Sequence[View], local_slots: frozenset, source: View, erf):
     """:func:`reduce_tile`'s ``producer`` for a kernel that ends in a reduction.
 
     ``template`` and ``slots`` are the compiled element-wise members and
     their slot views; per span the members run once over the span's slice of
     every slot — ``local_slots`` in scratch of that size — and the array of
     the slot the reduction reads (``source``) is what the tile reduces.
+    ``erf`` is the launch's vector erf.
     """
     result = next(
         position for position, view in enumerate(slots) if view.same_view(source)
@@ -238,7 +239,7 @@ def span_producer(template, slots: Sequence[View], local_slots: frozenset, sourc
 
     def produce(memory, span: TileSpan, axis: int):
         views = tuple(slice_view(view, span, axis) for view in slots)
-        return template.evaluate(memory, views, local_slots, result)
+        return template.evaluate(memory, views, local_slots, result, erf)
 
     return produce
 
@@ -263,15 +264,15 @@ def combine_partials(memory, instruction: Instruction, partials) -> None:
     np.copyto(out, np.asarray(values[0]).reshape(out.shape), casting="unsafe")
 
 
-def resolve_num_threads(config: Optional[Config] = None) -> int:
+def resolve_num_threads(config: Config) -> int:
     """The effective parallel worker count for ``config``.
 
     ``parallel_num_threads`` when set, otherwise the number of CPUs this
     process may run on — the scheduler affinity mask where the platform has
     one (a container or ``taskset`` restricted to 2 of 64 CPUs gets 2
-    threads), ``os.cpu_count()`` elsewhere.
+    threads), ``os.cpu_count()`` elsewhere.  A flush's resolved snapshot
+    already holds the answer (:meth:`~repro.runtime.backend.Backend.resolve_config`).
     """
-    config = config if config is not None else get_config()
     threads = config.parallel_num_threads
     if threads is None:
         if hasattr(os, "sched_getaffinity"):
@@ -493,19 +494,19 @@ def _local_slot_indices(index: int, instruction: Instruction, defuse) -> frozens
     return frozenset(local)
 
 
-def decompose(program: Program, config: Optional[Config] = None) -> TileDecomposition:
-    """Compute the tile decomposition of ``program``.
+def decompose(program: Program, config: Config = Config()) -> TileDecomposition:
+    """Compute the tile decomposition of ``program`` under ``config``.
 
     This is the plan-time analysis: one walk classifying every instruction
     as tiled or serial and fixing the tile spans.  The result applies to
     any program with the same canonical structural key (see module
     docstring), so plans cache it across rebinds — ``local_slots`` included,
     because slot indices and liveness are structural, not identity-bound.
+    ``config`` defaults to the library defaults, not the live configuration.
     """
     from repro.core.analysis import DefUse
     from repro.runtime.kernel import _slot_walk, split_tail
 
-    config = config if config is not None else get_config()
     defuse = None
     steps = []
     for index, instruction in enumerate(program):

@@ -402,7 +402,8 @@ class ArrayService:
         (backpressure behaviour), the shared pool (occupancy, fairness
         discards, lock contention) and the engine's cache counters (plan
         builds vs cross-session hits, codegen outcomes) — all numeric —
-        and, keyed by message, why steps left the compiled path.
+        and, keyed by message, why steps left the compiled path, and the
+        resolved configuration the latest flush ran under.
         """
         with self._lock:
             open_sessions = len(self._sessions)
@@ -413,6 +414,7 @@ class ArrayService:
             "pool": self.pool.stats(),
             "cache": self.engine.cache_stats(),
             "native_fallback_reasons": self.engine.backend.fallback_reasons(),
+            "config": self.engine.config_stats(),
         }
 
 

@@ -472,6 +472,7 @@ def _run_stats_json(program, pipeline, report, args, out) -> int:
             "runs": args.repeat,
             "per_run": [stats.as_dict() for stats in trajectory],
             "cache": cache_stats,
+            "config": engine.config_stats(),
         }
         codegen = _codegen_block(cache_stats)
         if codegen is not None:

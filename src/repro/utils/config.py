@@ -1,4 +1,4 @@
-"""Global library configuration.
+"""Global library configuration, read once per flush.
 
 The configuration holds what a caller chooses: which optimization passes
 run by default, the default execution backend of the lazy front-end, the
@@ -10,24 +10,39 @@ and the C optimization level are not here: each is the default of the
 constructor that takes it (for example ``PowerExpansionPass(limit=)``,
 ``Pipeline(verify=)``, ``ArrayService(max_inflight=)``).
 
-The configuration is intentionally a plain dataclass with module-level
-accessors (:func:`get_config`, :func:`set_config`, :func:`config_override`)
-rather than environment-variable magic, following the "explicit is better
-than implicit" rule.
+A :class:`Config` is a frozen value; :func:`set_config` and
+:func:`config_override` swap which one is live.  Only the engine boundary
+reads it: ``ExecutionEngine.execute`` (and a backend's plan-less
+``execute``) calls :func:`get_config` once per flush and resolves the
+value through ``Backend.resolve_config`` into a snapshot, memoised per
+configuration value, with what the backend reads made concrete — the
+thread count from the affinity mask, the artifact directory from
+``REPRO_CODEGEN_CACHE`` or the home directory, the backend's constructor
+overrides and, on ``native``, the codegen thread count from
+``REPRO_CODEGEN_THREADS``.  The snapshot keys the flush's plan and is the
+argument of everything below: optimizer, schedule, memory plan, tiling,
+plan checks and launches.  A change therefore applies from the next flush;
+one issued while a flush runs does not reach it.  Constructors that default
+to a configured value (``ExecutionEngine``, ``MemoryManager``'s pool cap,
+``Pipeline``, ``default_pipeline``) read it when called.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional, Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Library-wide configuration knobs.
+    """Library-wide configuration knobs (a frozen, hashable value).
+
+    Every field but ``default_backend``, ``optimize`` and ``check_ir`` is
+    part of the plan-cache signature
+    (:func:`~repro.runtime.plan.config_signature`): changing one re-plans
+    instead of replaying a plan built under the other value.
 
     Attributes
     ----------
@@ -43,25 +58,23 @@ class Config:
         When true, the static checking layer (:mod:`repro.checks`) runs
         between every optimization pass (flow-sensitive program invariant
         checks, :class:`~repro.utils.errors.IRCheckError` naming the first
-        offending pass) and on every plan preparation/execution
-        (memory-plan, schedule and tiling soundness,
+        offending pass) and before every plan execution (memory-plan,
+        schedule and tiling soundness,
         :class:`~repro.utils.errors.PlanCheckError`).  Purely read-only:
         plans built with checks on are byte-identical to plans built with
-        checks off, so the knob is deliberately *not* part of the
-        plan-cache signature.  Default ``False``.
+        checks off.  Default ``False``.
     fusion_scheduler:
         Clustering policy behind kernel fusion.  ``"dag"`` (the default)
         builds a data-dependency graph and clusters *non-adjacent* fusable
         byte-codes via legal topological reordering, taking every merge
         that is legal and fits the kernel-size limit; ``"consecutive"``
         restores the low-end policy of maximal runs of adjacent
-        element-wise byte-codes.  Part of the plan-cache signature, so
-        toggling it re-plans.
+        element-wise byte-codes.
     parallel_num_threads:
         Worker-thread count used by the tiled parallel backend.  ``None``
-        (the default) resolves at execution time to the number of CPUs the
-        process may run on: ``len(os.sched_getaffinity(0))`` where the
-        platform has it, ``os.cpu_count()`` otherwise.
+        (the default) is resolved in the flush's snapshot to the number of
+        CPUs the process may run on: ``len(os.sched_getaffinity(0))``
+        where the platform has it, ``os.cpu_count()`` otherwise.
     parallel_tile_elements:
         Target number of elements per tile when the parallel backend splits
         a fused kernel or reduction into cache-sized contiguous tiles.
@@ -74,9 +87,7 @@ class Config:
         Whether plan compilation additionally runs the liveness-driven
         memory planner (:mod:`repro.runtime.memplan`): temporaries with
         disjoint lifetimes share storage slots and provably
-        fully-initialised buffers skip their zero fill.  Part of the plan
-        cache key, so toggling it re-plans instead of replaying a plan
-        built under the other setting.  Default ``True``.
+        fully-initialised buffers skip their zero fill.  Default ``True``.
     memory_pool_max_bytes:
         Byte cap of the size-class buffer pool each
         :class:`~repro.runtime.memory.MemoryManager` recycles freed
@@ -91,12 +102,11 @@ class Config:
         unsoundness).
     codegen_cache_dir:
         Directory of the on-disk compiled-artifact cache.  ``None`` (the
-        default) resolves to the ``REPRO_CODEGEN_CACHE`` environment
-        variable or ``~/.cache/repro-codegen``.  Part of the plan-cache
-        signature because plans pre-compile their kernels against one
-        concrete cache.  Every backend reads it: the kernel runtime
-        artifact stored there holds the vector ``erf`` that ``BH_ERF``
-        calls on the interpreted tiers too.
+        default) is resolved in the flush's snapshot to the
+        ``REPRO_CODEGEN_CACHE`` environment variable or
+        ``~/.cache/repro-codegen``.  Every backend reads it: the kernel
+        runtime artifact stored there holds the vector ``erf`` that
+        ``BH_ERF`` calls on the interpreted tiers too.
     codegen_disk_cache_enabled:
         Whether compiled artifacts persist on disk.  When off, kernels
         compile into a process-private temporary directory and only the
@@ -104,16 +114,16 @@ class Config:
     codegen_threads:
         Thread count passed to compiled kernels' ``repro_kernel_mt`` entry
         point (chunking across the process's one persistent worker pool,
-        the kernel runtime artifact's).  ``None`` (the default) defers to
-        the ``REPRO_CODEGEN_THREADS`` environment variable (a positive
-        integer) and then to the parallel worker count.  This is a
-        *runtime* argument of the artifact — changing it never recompiles
-        or invalidates cached kernels.
+        the kernel runtime artifact's).  ``None`` (the default) is resolved
+        in a ``native`` flush's snapshot to the ``REPRO_CODEGEN_THREADS``
+        environment variable (a positive integer; anything else fails the
+        flush before its first step) and then to the parallel worker
+        count.  A *runtime* argument of the artifact — changing it never
+        recompiles cached kernels.
     dist_num_workers:
         Worker-process count of the distributed (``"dist"``) backend's
-        persistent pool.  Shard plans depend on it, so it is signed into
-        the plan signature; pools are shared process-wide per worker
-        count.  Default 2.
+        persistent pool; pools are shared process-wide per worker count.
+        Default 2.
     dist_shm_max_bytes:
         Byte cap on live POSIX shared-memory segments (active
         arrays plus the recycling free list) owned by the distributed
@@ -121,8 +131,9 @@ class Config:
         :class:`~repro.utils.errors.DistributedExecutionError` instead of
         exhausting ``/dev/shm``.  Default 1 GiB.
     enabled_passes:
-        Names of passes that the default pipeline should include.  ``None``
-        (the default) means "all registered default passes".
+        Names of passes that the default pipeline should include, held as
+        a tuple (any iterable is accepted).  ``None`` (the default) means
+        "all registered default passes".
     """
 
     default_backend: str = "interpreter"
@@ -140,15 +151,14 @@ class Config:
     codegen_threads: Optional[int] = None
     dist_num_workers: int = 2
     dist_shm_max_bytes: int = 1 << 30  # 1 GiB
-    enabled_passes: Optional[List[str]] = None
+    enabled_passes: Optional[Tuple[str, ...]] = None
 
-    def copy(self) -> "Config":
-        """Return a deep copy of this configuration."""
-        return copy.deepcopy(self)
+    def __post_init__(self) -> None:
+        if self.enabled_passes is not None:
+            object.__setattr__(self, "enabled_passes", tuple(self.enabled_passes))
 
-    def replace(self, **changes) -> "Config":
-        """Return a new configuration with ``changes`` applied."""
-        return dataclasses.replace(self.copy(), **changes)
+    #: ``config.replace(**changes)``: a new configuration with ``changes``.
+    replace = dataclasses.replace
 
 
 _CONFIG = Config()

@@ -11,7 +11,7 @@ from repro.checks import COUNTERS
 from repro.checks.ircheck import check_program, reference_facts
 from repro.core.pipeline import Pipeline, default_pipeline
 from repro.core.rules import Pass
-from repro.utils.config import config_override
+from repro.utils.config import Config, config_override
 from repro.utils.errors import IRCheckError
 from repro.workloads import repeated_constant_add
 
@@ -158,17 +158,16 @@ class TestPipelineIntegration:
         """The acceptance scenario: a live-store-dropping pass is rejected
         by the between-pass check, and the error names the pass."""
         program = _temp_chain_program()
-        pipeline = Pipeline([_StoreDroppingPass()])
-        with config_override(check_ir=True):
-            with pytest.raises(IRCheckError, match="store_dropper.*broke the IR"):
-                pipeline.run(program)
+        pipeline = Pipeline([_StoreDroppingPass()], config=Config(check_ir=True))
+        with pytest.raises(IRCheckError, match="store_dropper.*broke the IR"):
+            pipeline.run(program)
 
     def test_error_carries_pass_name_and_index(self):
         program = _temp_chain_program()
-        pipeline = Pipeline([_StoreDroppingPass()])
         with config_override(check_ir=True):
-            with pytest.raises(IRCheckError) as excinfo:
-                pipeline.run(program)
+            pipeline = Pipeline([_StoreDroppingPass()])  # the live knob, read here
+        with pytest.raises(IRCheckError) as excinfo:
+            pipeline.run(program)
         assert excinfo.value.pass_name == "store_dropper"
         assert excinfo.value.index is not None
 

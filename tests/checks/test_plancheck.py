@@ -23,7 +23,7 @@ from repro.runtime.memory import BufferDirective
 from repro.runtime.memplan import MemoryPlan
 from repro.runtime.plan import program_base_order
 from repro.runtime.tiling import TiledMapStep, decompose
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 from repro.utils.errors import PlanCheckError
 from repro.workloads.generators import random_elementwise_program
 
@@ -75,7 +75,7 @@ class TestMemoryPlan:
 
     def test_planner_output_on_temp_chain_passes(self):
         program = _temp_chain_program()
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         check_memory_plan(program, plan)
         assert plan.aliased_bases > 0, "the chain should exercise slot sharing"
         # The synced output takes t2's released slot as its final occupant
@@ -87,7 +87,7 @@ class TestMemoryPlan:
 
     def test_directive_for_unknown_position(self):
         program = _temp_chain_program()
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         plan.directives[999] = BufferDirective(slot=None, slot_nbytes=0, zero_fill=True)
         with pytest.raises(PlanCheckError, match="position 999"):
             check_memory_plan(program, plan)
@@ -158,7 +158,7 @@ class TestMemoryPlan:
 
     def test_genuine_plan_of_the_two_results_program_passes(self):
         program, _ = self._two_results_program()
-        check_memory_plan(program, MemoryPlan.plan(program))
+        check_memory_plan(program, MemoryPlan.plan(program, get_config()))
 
     def test_two_adopters_in_one_slot(self):
         program, views = self._two_results_program()
@@ -233,12 +233,12 @@ class TestMemoryPlan:
 class TestSchedule:
     def test_real_schedule_passes(self):
         program = _temp_chain_program()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         check_schedule(program, schedule)
 
     def test_reversed_order_violates_edges(self):
         program = _temp_chain_program()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         reversed_items = tuple(reversed(schedule.items))
         corrupted = dataclasses.replace(schedule, items=reversed_items)
         with pytest.raises(PlanCheckError, match="dependency edge"):
@@ -246,7 +246,7 @@ class TestSchedule:
 
     def test_non_permutation_rejected(self):
         program = _temp_chain_program()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         corrupted = dataclasses.replace(schedule, items=schedule.items[:-1])
         with pytest.raises(PlanCheckError, match="not a permutation"):
             check_schedule(program, corrupted)
@@ -259,7 +259,7 @@ class TestSchedule:
         builder.add_reduce(s, v, 0)
         builder.sync(s)
         program = builder.build()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         # A reduction may close a kernel of element-wise byte-codes ...
         check_schedule(program, dataclasses.replace(schedule, items=((0, 1), (2,))))
         # ... but it never opens one, and a system byte-code never joins.
@@ -330,8 +330,8 @@ class TestDistAdoption:
         builder.free(t)
         program = builder.build()
         with config_override(**TINY_TILES):
-            scheduled = compute_schedule(program).materialize(program)
-            dist_plan = build_dist_plan(scheduled, decompose(scheduled), 2)
+            scheduled = compute_schedule(program, get_config()).materialize(program)
+            dist_plan = build_dist_plan(scheduled, decompose(scheduled, get_config()), 2)
         return scheduled, dist_plan
 
     @staticmethod
@@ -374,7 +374,7 @@ class TestDistAdoption:
         builder.free(a)
         program = builder.build()
         with config_override(**TINY_TILES):
-            dist_plan = build_dist_plan(program, decompose(program), 2)
+            dist_plan = build_dist_plan(program, decompose(program, get_config()), 2)
         corrupted, _ = self._claiming(dist_plan, "a", program)
         with pytest.raises(PlanCheckError, match="also accesses it"):
             check_dist_adoption(program, corrupted)
@@ -429,10 +429,10 @@ class TestPlanGate:
     def test_maybe_check_plan_respects_the_knob(self):
         plan = _real_plan()
         before = plan.plan_checks_run
-        maybe_check_plan(plan)  # knob off: must not touch the plan
+        maybe_check_plan(plan, get_config())  # knob off: must not touch the plan
         assert plan.plan_checks_run == before
         with config_override(check_ir=True):
-            maybe_check_plan(plan)
+            maybe_check_plan(plan, get_config())
         assert plan.plan_checks_run > before
 
     def test_corrupted_cached_plan_cannot_execute(self):

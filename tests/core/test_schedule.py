@@ -13,7 +13,6 @@ from repro.core.schedule import (
     compute_schedule,
     dependency_graph,
     fusion_schedule_of,
-    schedule_signature,
 )
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.plan import config_signature
@@ -85,7 +84,7 @@ class TestDependencyGraph:
 class TestDagScheduling:
     def test_clusters_across_an_interleaved_reduction(self):
         program, _ = interleaved_program()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         assert schedule.scheduler == "dag"
         # 0, 2, 3 fuse into one kernel; the reduction executes after it
         # (v is not freed, so it cannot be the kernel's tail).
@@ -96,7 +95,7 @@ class TestDagScheduling:
     def test_consecutive_mode_does_not_reorder(self):
         program, _ = interleaved_program()
         with config_override(fusion_scheduler="consecutive"):
-            schedule = compute_schedule(program)
+            schedule = compute_schedule(program, get_config())
         assert schedule.is_identity_order
         assert schedule.bytecodes_reordered == 0
         # The interleaved reduction cuts the chain: 0 stays a singleton.
@@ -110,15 +109,15 @@ class TestDagScheduling:
         for _ in range(7):
             builder.add(v, v, 1)
         program = builder.build()
-        schedule = compute_schedule(program, max_kernel_size=3)
+        schedule = compute_schedule(program, get_config(), max_kernel_size=3)
         assert all(len(item) <= 3 for item in schedule.items)
         assert schedule.num_clusters == 3  # 8 byte-codes in 3+3+2
 
     def test_rescheduling_the_materialized_program_is_identity(self):
         program, _ = interleaved_program()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         fused = schedule.materialize(program)
-        again = compute_schedule(fused)
+        again = compute_schedule(fused, get_config())
         assert again.is_identity_order
         assert again.num_clusters == 0
 
@@ -133,7 +132,7 @@ class TestDagScheduling:
         builder.sync(v)
         builder.sync(total)
         program = builder.build()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         order = schedule.order
         assert order.index(2) > order.index(1)
         # And the executed result matches the original program bitwise.
@@ -151,7 +150,7 @@ class TestDagScheduling:
         builder.identity(v, 1)
         builder.add(v, v, 1)
         program = builder.build()
-        schedule = compute_schedule(program, min_kernel_size=3)
+        schedule = compute_schedule(program, get_config(), min_kernel_size=3)
         assert schedule.num_clusters == 0
         assert schedule.kernels_after == 2
         assert len(schedule.materialize(program, min_kernel_size=3)) == 2
@@ -161,7 +160,7 @@ class TestDagScheduling:
 
         program, _ = interleaved_program()
         with config_override(fusion_scheduler="consecutive"):
-            schedule = compute_schedule(program)
+            schedule = compute_schedule(program, get_config())
         sizes = [
             item.size if isinstance(item, Kernel) else 1
             for item in partition_into_kernels(program)
@@ -172,11 +171,11 @@ class TestDagScheduling:
         program, _ = interleaved_program()
         with config_override(fusion_scheduler="telepathic"):
             with pytest.raises(ExecutionError, match="unknown fusion scheduler"):
-                compute_schedule(program)
+                compute_schedule(program, get_config())
 
     def test_every_bytecode_scheduled_exactly_once(self):
         program, _ = interleaved_program()
-        schedule = compute_schedule(program)
+        schedule = compute_schedule(program, get_config())
         assert sorted(schedule.order) == list(range(len(program)))
 
 
@@ -218,12 +217,14 @@ class TestFusionPassIntegration:
 
 class TestSignatures:
     def test_scheduler_knobs_are_in_the_plan_cache_signature(self):
-        baseline = config_signature()
+        baseline = config_signature(get_config())
         with config_override(fusion_scheduler="consecutive"):
-            assert config_signature() != baseline
+            assert config_signature(get_config()) != baseline
 
-    def test_schedule_signature_tracks_the_scheduler(self):
-        baseline = schedule_signature()
-        assert baseline == (get_config().fusion_scheduler,)
+    def test_fusion_pass_schedules_under_its_configuration(self):
+        program, _ = interleaved_program()
+        assert FusionPass().config.fusion_scheduler == "dag"
         with config_override(fusion_scheduler="consecutive"):
-            assert schedule_signature() != baseline
+            consecutive = FusionPass(config=get_config()).run(program)
+        schedule = consecutive.stats.artifacts["fusion_schedule"]
+        assert schedule.scheduler == "consecutive" and schedule.is_identity_order

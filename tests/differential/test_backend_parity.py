@@ -48,7 +48,7 @@ from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
 from tests.tiers import on_tier
 
@@ -239,7 +239,7 @@ def test_fusion_scheduler_exercises_non_adjacent_clustering():
         with config_override(fusion_scheduler="dag"):
             from repro.core.schedule import compute_schedule
 
-            schedule = compute_schedule(program)
+            schedule = compute_schedule(program, get_config())
         reordered += schedule.bytecodes_reordered
         clustered_non_adjacent += sum(
             1

@@ -30,9 +30,9 @@ from repro.bytecode.opcodes import OpCode
 from repro.bytecode.view import View
 from repro.codegen import find_c_compiler
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.interpreter import erf_fallback_reason
+from repro.runtime.interpreter import erf_helper
 from repro.runtime.memory import MemoryManager
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 from tests.tiers import on_tier
 
 #: Every tier that executes for real (``parallel4``: see ``tests/tiers.py``).
@@ -206,7 +206,7 @@ def _toolchain_works() -> bool:
     """A compiler that builds: the kernel runtime artifact resolved.  (CI also
     runs this file under a ``REPRO_CC`` that is found and only fails: the
     bits must hold on the ``math.erf`` loop; the compiled-path asserts go.)"""
-    return find_c_compiler() is not None and erf_fallback_reason() is None
+    return find_c_compiler() is not None and erf_helper(get_config())[1] is None
 
 
 def _run(program, synced, inputs, tier, optimize):

@@ -30,7 +30,7 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.kernel import kernel_slot_views
 from repro.runtime.plan import program_base_order
 from repro.runtime.tiling import decompose
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 from repro.utils.errors import PlanCheckError
 from repro.workloads import heat_equation
 
@@ -417,7 +417,7 @@ class TestCorruptedPrivateSet:
     def test_a_worker_refuses_to_load_it(self):
         program = self._sum_program()
         with config_override(**TINY_TILES):
-            tiling = decompose(program)
+            tiling = decompose(program, get_config())
             corrupted = self._claim_the_synced_output(build_dist_plan(program, tiling, 2))
 
         class Pipe:

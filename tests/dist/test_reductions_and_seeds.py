@@ -27,7 +27,7 @@ from repro.dist.planner import MasterStep, ReduceShardStep, build_dist_plan
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.tiling import TileDecomposition, TileSpan, TiledMapStep, decompose
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 from repro.workloads import monte_carlo_pi
 
 WORKER_COUNTS = (1, 2, 4)
@@ -125,7 +125,7 @@ def test_a_step_that_reads_a_data_operand_stays_on_the_master():
     builder.random(noise, 11)
     builder.sync(noise)
     program = builder.build()
-    tiling = decompose(program)
+    tiling = decompose(program, get_config())
     assert isinstance(build_dist_plan(program, tiling, 2).steps[0], MasterStep)
     # Even a tiling that (wrongly) called the generator splittable.
     forged = TileDecomposition(

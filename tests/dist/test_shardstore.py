@@ -25,10 +25,13 @@ from repro.utils.errors import DistributedExecutionError
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
+#: The shared-memory budget the tests create segments under.
+BUDGET = 1 << 20
+
 
 @pytest.fixture
 def store(tmp_path):
-    store = ShardStore(max_bytes=lambda: 1 << 20, directory=tmp_path)
+    store = ShardStore(directory=tmp_path)
     yield store
     store.close()
 
@@ -65,7 +68,7 @@ def _dead_pid() -> int:
 
 class TestLifecycle:
     def test_create_returns_writable_buffer(self, store):
-        name, buffer = store.create(256)
+        name, buffer = store.create(256, BUDGET)
         assert buffer.nbytes >= 256
         buffer[:256] = 7
         # Another attachment observes the same bytes: it really is shared.
@@ -74,7 +77,7 @@ class TestLifecycle:
         other.close()
 
     def test_created_names_carry_the_psm_prefix(self, store):
-        names = [store.create(1 << shift)[0] for shift in (6, 12, 16)]
+        names = [store.create(1 << shift, BUDGET)[0] for shift in (6, 12, 16)]
         assert all(name.startswith(SEGMENT_PREFIX) for name in names), names
         assert SEGMENT_PREFIX == "psm_"
 
@@ -84,7 +87,7 @@ class TestLifecycle:
             mapping[:3] = b"old"
             draws = iter([taken, taken, SEGMENT_PREFIX + "0fresh00"])
             monkeypatch.setattr(shardstore, "_segment_name", lambda: next(draws))
-            name, buffer = store.create(64)
+            name, buffer = store.create(64, BUDGET)
             assert name == SEGMENT_PREFIX + "0fresh00"
             buffer[:3] = 1
             # O_EXCL: the existing segment was neither reused nor truncated.
@@ -93,21 +96,21 @@ class TestLifecycle:
             unlink_segment(taken)
 
     def test_release_parks_and_create_recycles(self, store):
-        name, _ = store.create(256)
+        name, _ = store.create(256, BUDGET)
         store.release(name)
-        again, _ = store.create(256)
+        again, _ = store.create(256, BUDGET)
         assert again == name
         assert store.segments_created == 1
         assert store.segments_recycled == 1
 
     def test_different_size_classes_do_not_recycle(self, store):
-        name, _ = store.create(256)
+        name, _ = store.create(256, BUDGET)
         store.release(name)
-        other, _ = store.create(1 << 16)
+        other, _ = store.create(1 << 16, BUDGET)
         assert other != name
 
     def test_stats_shape(self, store):
-        store.create(256)
+        store.create(256, BUDGET)
         stats = store.stats()
         assert stats["dist_segments_created"] == 1
         assert stats["dist_segments_active"] == 1
@@ -115,9 +118,9 @@ class TestLifecycle:
         assert stats["dist_shm_bytes_parked"] == 0
 
     def test_close_unlinks_everything(self, tmp_path):
-        store = ShardStore(max_bytes=lambda: 1 << 20, directory=tmp_path)
-        active, _ = store.create(256)
-        parked, _ = store.create(1 << 14)
+        store = ShardStore(directory=tmp_path)
+        active, _ = store.create(256, BUDGET)
+        parked, _ = store.create(1 << 14, BUDGET)
         store.release(parked)
         store.close()
         assert not _segment_exists(active)
@@ -126,7 +129,7 @@ class TestLifecycle:
     def test_create_after_close_raises(self, store):
         store.close()
         with pytest.raises(DistributedExecutionError, match="closed"):
-            store.create(64)
+            store.create(64, BUDGET)
 
     def test_close_with_a_live_view_is_silent(self):
         """The view keeps the mapping until it dies at interpreter shutdown."""
@@ -135,8 +138,8 @@ class TestLifecycle:
             import sys, tempfile
             from pathlib import Path
             from repro.dist.shardstore import ShardStore
-            store = ShardStore(max_bytes=lambda: 1 << 20, directory=Path(tempfile.mkdtemp()))
-            name, buffer = store.create(256)
+            store = ShardStore(directory=Path(tempfile.mkdtemp()))
+            name, buffer = store.create(256, 1 << 20)
             view = buffer[:64].view("float64")
             view[:] = 1.5
             store.close()
@@ -152,22 +155,22 @@ class TestLifecycle:
 
 class TestBudget:
     def test_budget_exhaustion_raises_cleanly(self, tmp_path):
-        store = ShardStore(max_bytes=lambda: 1 << 12, directory=tmp_path)
+        store = ShardStore(directory=tmp_path)
         try:
-            store.create(1 << 10)
+            store.create(1 << 10, 1 << 12)
             with pytest.raises(DistributedExecutionError, match="budget"):
-                store.create(1 << 12)
+                store.create(1 << 12, 1 << 12)
         finally:
             store.close()
 
     def test_parked_segments_are_evicted_for_fresh_ones(self, tmp_path):
-        store = ShardStore(max_bytes=lambda: 1 << 12, directory=tmp_path)
+        store = ShardStore(directory=tmp_path)
         try:
-            parked, _ = store.create(1 << 11)
+            parked, _ = store.create(1 << 11, 1 << 12)
             store.release(parked)
             # A differently-sized request cannot recycle the parked segment
             # and the budget cannot hold both: the parked one must go.
-            fresh, _ = store.create((1 << 12) - 2)
+            fresh, _ = store.create((1 << 12) - 2, 1 << 12)
             assert fresh != parked
             assert not _segment_exists(parked)
         finally:
@@ -176,13 +179,13 @@ class TestBudget:
 
 class TestManifest:
     def test_manifest_tracks_live_segments(self, store, tmp_path):
-        name, _ = store.create(256)
+        name, _ = store.create(256, BUDGET)
         manifest = json.loads((tmp_path / f"{os.getpid()}.json").read_text())
         assert manifest["pid"] == os.getpid()
         assert name in manifest["segments"]
 
     def test_sweep_leaves_live_owners_alone(self, store, tmp_path):
-        name, _ = store.create(256)
+        name, _ = store.create(256, BUDGET)
         assert sweep_manifests(tmp_path) == []
         assert _segment_exists(name)
 
@@ -193,8 +196,8 @@ class TestManifest:
             import os, sys
             from pathlib import Path
             from repro.dist.shardstore import ShardStore
-            store = ShardStore(max_bytes=lambda: 1 << 20, directory=Path(sys.argv[1]))
-            name, _ = store.create(4096)
+            store = ShardStore(directory=Path(sys.argv[1]))
+            name, _ = store.create(4096, 1 << 20)
             print(name, flush=True)
             os._exit(9)  # die like a crash: no atexit, no close, manifest left behind
             """,
@@ -226,7 +229,7 @@ class TestManifest:
 
 class TestAttachment:
     def test_attach_does_not_adopt_unlink_responsibility(self, store):
-        name, buffer = store.create(128)
+        name, buffer = store.create(128, BUDGET)
         buffer[:4] = 42
         mapping = attach_segment(name)
         mapping.close()
@@ -236,7 +239,7 @@ class TestAttachment:
     @pytest.mark.parametrize("exit_call", ["sys.exit(0)", "os._exit(9)"])
     def test_an_attached_process_exit_leaves_the_segment(self, store, exit_call):
         """A worker's clean exit and its crash alike: the segment stays, with its bytes."""
-        name, buffer = store.create(128)
+        name, buffer = store.create(128, BUDGET)
         done = _python(
             f"""
             import os, sys

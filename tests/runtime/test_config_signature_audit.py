@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.runtime.plan import _CONFIG_SIGNATURE_FIELDS, config_signature
-from repro.utils.config import Config, config_override
+from repro.utils.config import Config, config_override, get_config
 
 #: Fields that may change without invalidating a cached plan.  A knob
 #: belongs here only when the plan's contents (optimized program, tiling,
@@ -98,6 +98,6 @@ def test_signature_value_changes_with_each_signed_field():
             f"perturbation for {name!r} equals the default; pick another value"
         )
         with config_override(**{name: value}):
-            assert config_signature() != baseline, (
+            assert config_signature(get_config()) != baseline, (
                 f"changing {name!r} did not change the config signature"
             )

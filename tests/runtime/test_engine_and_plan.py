@@ -20,7 +20,7 @@ from repro.runtime.plan import (
     config_signature,
     program_fingerprint,
 )
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 from repro.utils.errors import ExecutionError
 
 
@@ -91,17 +91,17 @@ class TestProgramFingerprint:
 
 class TestConfigSignature:
     def test_changes_with_optimization_settings(self):
-        baseline = config_signature()
+        baseline = config_signature(get_config())
         with config_override(parallel_tile_elements=1024):
-            assert config_signature() != baseline
+            assert config_signature(get_config()) != baseline
         with config_override(enabled_passes=["constant_merge"]):
-            assert config_signature() != baseline
-        assert config_signature() == baseline
+            assert config_signature(get_config()) != baseline
+        assert config_signature(get_config()) == baseline
 
     def test_ignores_backend_selection(self):
-        baseline = config_signature()
+        baseline = config_signature(get_config())
         with config_override(default_backend="parallel"):
-            assert config_signature() == baseline
+            assert config_signature(get_config()) == baseline
 
 
 class TestPlanCache:
@@ -419,13 +419,13 @@ class TestPlanCacheInvalidationEdgeCases:
             set_config(baseline)
 
     def test_parallel_tiling_config_is_part_of_the_signature(self):
-        baseline = config_signature()
+        baseline = config_signature(get_config())
         with config_override(parallel_tile_elements=1024):
-            assert config_signature() != baseline
+            assert config_signature(get_config()) != baseline
         with config_override(parallel_num_threads=2):
-            assert config_signature() != baseline
+            assert config_signature(get_config()) != baseline
         with config_override(parallel_serial_threshold=1):
-            assert config_signature() != baseline
+            assert config_signature(get_config()) != baseline
 
     def test_rebinding_onto_different_shape_misses(self):
         engine = ExecutionEngine(backend="interpreter", optimize=True)

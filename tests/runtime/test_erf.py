@@ -26,16 +26,21 @@ from repro.codegen import clear_memory_cache, find_c_compiler
 from repro.runtime import interpreter as interpreter_module
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.interpreter import _erf
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 from repro.utils.errors import ExecutionError
 from tests.tiers import on_tier
 
 requires_helper = pytest.mark.skipif(
-    find_c_compiler() is None or interpreter_module.erf_fallback_reason() is not None,
+    find_c_compiler() is None or interpreter_module.erf_helper(get_config())[1] is not None,
     reason="no compiled erf helper on this host (no compiler, or a serial-only toolchain)",
 )
 
 NO_HELPER = (None, "erf: no compiled helper (test)")
+
+
+def _compiled():
+    """The vector erf the live configuration's artifact directory holds."""
+    return interpreter_module.erf_helper(get_config())[0]
 
 SPECIALS = np.array(
     [
@@ -68,14 +73,11 @@ def _bits(array) -> tuple:
 def _both_paths(values, out_dtype=np.float64, out=None):
     """``_erf(values)`` through the compiled helper and through the fallback."""
     results = []
-    for helper in (None, NO_HELPER):
+    for helper in (_compiled(), None):
         target = (
             np.full(np.shape(values), 7, dtype=out_dtype) if out is None else out.copy()
         )
-        with pytest.MonkeyPatch.context() as patch:
-            if helper is not None:
-                patch.setattr(interpreter_module, "_erf_helper", lambda: helper)
-            _erf(values, target)
+        _erf(values, target, helper)
         results.append(target)
     return results
 
@@ -88,7 +90,7 @@ class TestCompiledHelper:
             [rng.uniform(-6.5, 6.5, 9000), rng.standard_normal(1000) * 1e-3, SPECIALS]
         )
         out = np.empty_like(values)
-        _erf(values, out)
+        _erf(values, out, _compiled())
         expected = np.array([math.erf(value) for value in values])
         assert _bits(out) == _bits(expected)
 
@@ -96,7 +98,7 @@ class TestCompiledHelper:
         scipy_erf = pytest.importorskip("scipy.special").erf
         values = np.random.default_rng(3).uniform(-6.5, 6.5, 10_000)
         out = np.empty_like(values)
-        _erf(values, out)
+        _erf(values, out, _compiled())
         np.testing.assert_allclose(out, scipy_erf(values), rtol=1e-14, atol=0)
 
     def test_contiguous_float64_is_computed_in_place(self, monkeypatch):
@@ -104,11 +106,12 @@ class TestCompiledHelper:
         # full-size temporary, no copy pass.
         copies = []
         real_array = np.array
+        helper = _compiled()
         monkeypatch.setattr(np, "array", lambda *a, **k: copies.append(a) or real_array(*a, **k))
         values = np.linspace(-3, 3, 101)
         out = np.empty_like(values)
-        _erf(values, out)  # disjoint
-        _erf(out, out)  # the same elements
+        _erf(values, out, helper)  # disjoint
+        _erf(out, out, helper)  # the same elements
         assert not copies
         expected = [math.erf(math.erf(value)) for value in values]
         assert _bits(out) == _bits(np.array(expected))
@@ -116,7 +119,7 @@ class TestCompiledHelper:
     def test_a_shifted_window_of_the_destination_is_not_read_after_it_is_written(self):
         buffer = np.linspace(-2, 2, 33)
         expected = np.array([math.erf(value) for value in buffer[:-1]])
-        _erf(buffer[:-1], buffer[1:])
+        _erf(buffer[:-1], buffer[1:], _compiled())
         assert _bits(buffer[1:]) == _bits(expected)
 
 
@@ -197,7 +200,7 @@ def test_erf_over_a_zero_size_view_executes(helper, monkeypatch):
     # np.vectorize without otypes raised on size 0: an ExecutionError on a
     # host without scipy.
     if helper is not None:
-        monkeypatch.setattr(interpreter_module, "_erf_helper", lambda: helper)
+        monkeypatch.setattr(interpreter_module, "erf_helper", lambda config: helper)
     try:
         ExecutionEngine(backend="interpreter", optimize=False).execute(
             _erf_of_a_zero_size_view()
@@ -226,7 +229,7 @@ class TestTheFallbackIsCounted:
     def test_per_flush_and_cumulatively(self, tier, tiled, monkeypatch, tmp_path):
         program, out = self._program()
         expected = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
-        monkeypatch.setattr(interpreter_module, "_erf_helper", lambda: (None, self.REASON))
+        monkeypatch.setattr(interpreter_module, "erf_helper", lambda config: (None, self.REASON))
         # On native the kernel must leave the compiled path for the
         # template's erf to run at all: no compiler, and no artifact to load.
         monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
@@ -251,7 +254,7 @@ class TestTheFallbackIsCounted:
     @requires_helper
     def test_a_compiled_kernel_needs_no_helper(self, monkeypatch, tmp_path):
         program, out = self._program()
-        monkeypatch.setattr(interpreter_module, "_erf_helper", lambda: (None, self.REASON))
+        monkeypatch.setattr(interpreter_module, "erf_helper", lambda config: (None, self.REASON))
         with config_override(
             codegen_cache_dir=str(tmp_path), parallel_tile_elements=16, parallel_serial_threshold=4
         ):
@@ -282,7 +285,7 @@ sys.path.insert(0, {src!r})
 
 def main():
     from repro.frontend.session import Session
-    from repro.utils.config import config_override
+    from repro.utils.config import config_override, get_config
     from repro.workloads import black_scholes
 
     sizes, tiers = {sizes!r}, {tiers!r}
@@ -350,7 +353,7 @@ def test_black_scholes_is_the_same_bits_with_and_without_the_helper(tmp_path):
             key,
             reasons,
         )
-    if interpreter_module.erf_fallback_reason() is None:  # not a serial-only toolchain
+    if interpreter_module.erf_helper(get_config())[1] is None:  # not a serial-only toolchain
         for key, reasons in with_helper["reasons"].items():
             assert not any(reason.startswith("erf:") for reason in reasons), (key, reasons)
     # Every compiler run was the master's: a worker loads or falls back.

@@ -97,7 +97,7 @@ class TestElementwise:
         from repro.runtime import interpreter as interpreter_module
 
         monkeypatch.setattr(
-            interpreter_module, "_erf_helper", lambda: (None, "erf: no compiled helper (test)")
+            interpreter_module, "erf_helper", lambda config: (None, "erf: no compiled helper (test)")
         )
         builder = ProgramBuilder()
         x = builder.new_vector(8)

@@ -13,10 +13,9 @@ from repro.runtime.memplan import (
     MemoryPlan,
     attach_memory_plan,
     bind_memory_plan,
-    memory_plan_signature,
 )
 from repro.runtime.plan import program_base_order
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
 
 
 def _chain_program(length=16, temporaries=3):
@@ -81,7 +80,7 @@ class TestLiveIntervals:
 class TestMemoryPlan:
     def test_disjoint_temporaries_share_a_slot(self):
         program, _, _, temps = _chain_program(temporaries=4)
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         assert plan.aliased_bases >= 1
         assert plan.num_slots < len(temps)
         assert plan.planned_peak_bytes < plan.unplanned_peak_bytes
@@ -94,7 +93,7 @@ class TestMemoryPlan:
         last occupant, after every other occupant's last use.
         """
         program, src, out, temps = _chain_program()
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         order = program_base_order(program)
         positions = {base.name: position for position, base in enumerate(order)}
         intervals = {i.base.name: i for i in live_intervals(program)}
@@ -113,7 +112,7 @@ class TestMemoryPlan:
 
     def test_an_adopted_result_keeps_its_bits_and_goes_home_when_freed(self):
         program, src, out, temps = _chain_program(length=32)
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         assert plan.adopted_bases == 1
 
         def run(directives):
@@ -155,7 +154,7 @@ class TestMemoryPlan:
         builder.sync(norm)
         builder.sync(out)
         program = builder.build()
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         order = program_base_order(program)
         positions = {base.name: position for position, base in enumerate(order)}
         scalar = plan.directives.get(positions[norm.base.name])
@@ -166,7 +165,7 @@ class TestMemoryPlan:
 
     def test_zero_fill_waived_only_when_fully_defined(self):
         program, _, _, temps = _chain_program()
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         order = program_base_order(program)
         positions = {base.name: position for position, base in enumerate(order)}
         for temp in temps:
@@ -176,13 +175,13 @@ class TestMemoryPlan:
     def test_always_policy_disables_waivers(self):
         program, _, _, _ = _chain_program()
         with config_override(memory_zero_policy="always"):
-            plan = MemoryPlan.plan(program)
+            plan = MemoryPlan.plan(program, get_config())
         assert plan.zero_fills_waived == 0
         assert all(d.zero_fill for d in plan.directives.values())
 
     def test_bind_maps_positionally_onto_fresh_bases(self):
         program, _, _, _ = _chain_program()
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         bound = plan.bind(program)
         order = program_base_order(program)
         for position, directive in plan.directives.items():
@@ -190,7 +189,7 @@ class TestMemoryPlan:
 
     def test_execution_with_aliasing_matches_unplanned(self):
         program, src, out, _ = _chain_program(length=32, temporaries=5)
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         assert plan.aliased_bases >= 1
 
         def run(directives):
@@ -219,7 +218,7 @@ class TestMemoryPlan:
         builder.free(big)
         builder.sync(sink)
         program = builder.build(validate=False)
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         slotted = [d for d in plan.directives.values() if d.slot is not None]
         if len({d.slot for d in slotted}) == 1 and len(slotted) == 2:
             # Both temporaries share the grown slot: capacity fits the big one.
@@ -349,14 +348,13 @@ class TestEngineIntegration:
         plan = engine.last_plan
         memory_plan = plan.memory_plan
         attach_memory_plan(plan)
-        assert plan.memory_plan is memory_plan
-        assert plan.memory_signature == memory_plan_signature()
+        assert plan.memory_plan == memory_plan
 
 
 class TestManagerPlanDirectives:
     def test_aliased_bases_share_storage_sequentially(self):
         program, _, _, temps = _chain_program(length=16, temporaries=4)
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         memory = MemoryManager()
         memory.apply_plan(plan.bind(program))
         shared = [
@@ -403,7 +401,7 @@ class TestManagerPlanDirectives:
 
     def test_apply_plan_releases_previous_slots_to_pool(self):
         program, _, _, _ = _chain_program(length=16, temporaries=4)
-        plan = MemoryPlan.plan(program)
+        plan = MemoryPlan.plan(program, get_config())
         memory = MemoryManager(pool=BufferPool(max_bytes=1 << 20))
         directives = plan.bind(program)
         memory.apply_plan(directives)

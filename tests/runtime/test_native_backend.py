@@ -27,9 +27,10 @@ from repro.codegen.compiler import CodegenError, CompiledRuntime
 from repro.codegen.emit_c import emit_runtime_source
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
+from repro.runtime.memory import MemoryManager
 from repro.runtime.native import NativeBackend
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
-from repro.utils.config import config_override, get_config
+from repro.utils.config import Config, config_override
 from repro.utils.errors import ExecutionError
 
 requires_compiler = pytest.mark.skipif(
@@ -283,13 +284,16 @@ class TestCodegenThreadsVariable:
     def test_a_malformed_value_names_itself(self, value, monkeypatch):
         monkeypatch.setenv("REPRO_CODEGEN_THREADS", value)
         with pytest.raises(ExecutionError, match=re.escape(f"REPRO_CODEGEN_THREADS={value!r}")):
-            NativeBackend()._resolve_codegen_threads(get_config(), 2)
+            NativeBackend().resolve_config(Config(parallel_num_threads=2))
 
     def test_a_positive_value_overrides_the_worker_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_CODEGEN_THREADS", "3")
-        assert NativeBackend()._resolve_codegen_threads(get_config(), 2) == 3
-        with config_override(codegen_threads=5):
-            assert NativeBackend()._resolve_codegen_threads(get_config(), 2) == 5
+        resolved = NativeBackend().resolve_config(Config(parallel_num_threads=2))
+        assert resolved.codegen_threads == 3
+        resolved = NativeBackend().resolve_config(
+            Config(parallel_num_threads=2, codegen_threads=5)
+        )
+        assert resolved.codegen_threads == 5
 
     @requires_compiler
     def test_a_flush_with_a_malformed_value_fails(self, cache_dir, monkeypatch):
@@ -299,8 +303,13 @@ class TestCodegenThreadsVariable:
             **TINY_TILES, parallel_num_threads=2, codegen_cache_dir=cache_dir
         ):
             engine = ExecutionEngine(backend="native", optimize=True)
+            memory = MemoryManager()
             with pytest.raises(ExecutionError, match="REPRO_CODEGEN_THREADS"):
-                engine.execute(program)
+                engine.execute(program, memory)
+        # The snapshot is resolved before the plan stage: no step ran.
+        assert memory.allocation_count == 0
+        assert engine.plans_built == 0
+        assert engine.backend.cache_stats()["native_kernel_launches"] == 0
 
 
 @requires_compiler
@@ -730,13 +739,11 @@ class TestPlanInteraction:
             result = engine.execute(program)
             backend = engine.backend
             plan = engine.last_plan
-            # The plan carries its codegen stamp: every kernel form was
-            # resolved at plan time, so execution itself compiled nothing
-            # beyond what prepare_plan already did.
-            assert plan.native_signature is not None
+            # Every kernel form was resolved at plan time, so execution
+            # itself compiled nothing beyond what prepare_plan already did.
             assert result.stats.native_compiles == backend.native_compiles
-            # Re-preparing the same plan under the same signature is a
-            # no-op: zero new lookups, zero new compiles.
+            # Re-preparing the same plan finds every form in the launch
+            # cache: zero new misses, zero new compiles.
             misses = backend.native_cache_misses
             compiles = backend.native_compiles
             backend.prepare_plan(plan)

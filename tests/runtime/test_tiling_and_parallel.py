@@ -137,7 +137,7 @@ class TestDecomposition:
             parallel_serial_threshold=8,
             parallel_num_threads=1,  # pin: tile counts must not vary per host
         ):
-            tiling = decompose(program)
+            tiling = decompose(program, get_config())
         maps = [s for s in tiling.steps if isinstance(s, TiledMapStep)]
         assert maps, "expected at least one tiled map step"
         assert all(len(step.spans) == 4 for step in maps)
@@ -145,17 +145,17 @@ class TestDecomposition:
     def test_below_threshold_is_serial(self):
         program, _ = elementwise_program(length=64)
         with config_override(parallel_tile_elements=16, parallel_serial_threshold=1000):
-            tiling = decompose(program)
+            tiling = decompose(program, get_config())
         assert not tiling.tiled_steps
         assert any(s.reason == "below serial threshold" for s in tiling.serial_steps)
 
     def test_fused_kernel_is_tiled_as_one_step(self):
         program, _ = elementwise_program(length=64, ops=6)
-        report = ExecutionEngine(backend="interpreter")._build_pipeline().run(program)
+        report = ExecutionEngine(backend="interpreter")._build_pipeline(get_config()).run(program)
         fused = report.optimized
         assert fused.count(OpCode.BH_FUSED, include_fused=False) >= 1
         with config_override(parallel_tile_elements=16, parallel_serial_threshold=8):
-            tiling = decompose(fused)
+            tiling = decompose(fused, get_config())
         fused_indices = [
             i for i, instr in enumerate(fused) if instr.opcode is OpCode.BH_FUSED
         ]
@@ -172,7 +172,7 @@ class TestDecomposition:
         builder.emit(OpCode.BH_ADD, lo, hi, 1.0)
         program = builder.build()
         with config_override(parallel_tile_elements=8, parallel_serial_threshold=4):
-            tiling = decompose(program)
+            tiling = decompose(program, get_config())
         assert isinstance(tiling.steps[0], SerialStep)
         assert tiling.steps[0].reason == "overlapping windows of one base"
 
@@ -199,7 +199,7 @@ class TestDecomposition:
             ]
         )
         with config_override(parallel_tile_elements=8, parallel_serial_threshold=4):
-            tiling = decompose(program)
+            tiling = decompose(program, get_config())
             assert isinstance(tiling.steps[1], SerialStep)
             assert tiling.steps[1].reason == "overlapping windows of one base"
             # The serial fallback must agree with the interpreter oracle
@@ -217,7 +217,7 @@ class TestDecomposition:
         row = builder.new_vector(8)
         builder.emit(OpCode.BH_ADD, matrix, matrix, row)  # broadcast-style read
         with config_override(parallel_tile_elements=8, parallel_serial_threshold=4):
-            tiling = decompose(builder.build())
+            tiling = decompose(builder.build(), get_config())
         assert isinstance(tiling.steps[0], SerialStep)
 
     def test_reduction_modes(self):
@@ -235,7 +235,7 @@ class TestDecomposition:
             parallel_serial_threshold=4,
             parallel_num_threads=1,  # pin: tile counts must not vary per host
         ):
-            tiling = decompose(builder.build())
+            tiling = decompose(builder.build(), get_config())
         axis0, axis1, full = tiling.steps
         # axis-0 reduce tiles along input columns (bit-identical slices).
         assert isinstance(axis0, TiledReduceStep) and not axis0.combine
@@ -255,7 +255,7 @@ class TestDecomposition:
         builder.matrix_inverse(inverse, matrix)
         builder.sync(inverse)
         with config_override(parallel_serial_threshold=4):
-            tiling = decompose(builder.build())
+            tiling = decompose(builder.build(), get_config())
         assert [step.reason for step in tiling.steps] == [
             "generator",
             "extension",
@@ -411,7 +411,8 @@ class TestParallelExecution:
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from repro.runtime.parallel import ParallelBackend\n"
             "from repro.runtime.tiling import resolve_num_threads\n"
-            "print(resolve_num_threads(), ParallelBackend().num_threads())\n"
+            "from repro.utils.config import get_config\n"
+            "print(resolve_num_threads(get_config()), ParallelBackend().num_threads())\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
@@ -456,7 +457,7 @@ class TestSharedReduceBody:
         data = np.random.default_rng(7).standard_normal((12, 8)) * 1e3
         # 24-element tiles: two columns (axis 0) or three rows (axis 1) each.
         with config_override(parallel_tile_elements=24, parallel_serial_threshold=4):
-            (step,) = decompose(program).steps
+            (step,) = decompose(program, get_config()).steps
         assert isinstance(step, TiledReduceStep) and not step.combine
         assert step.tile_axis == tile_axis and len(step.spans) > 2
         tiled, serial = MemoryManager(), MemoryManager()
@@ -481,7 +482,7 @@ class TestSharedReduceBody:
         with config_override(
             parallel_tile_elements=tile_elements, parallel_serial_threshold=4
         ):
-            (step,) = decompose(program).steps
+            (step,) = decompose(program, get_config()).steps
         assert isinstance(step, TiledReduceStep) and not step.combine
         assert all(span.count >= 2 for span in step.spans)
         assert sum(span.count for span in step.spans) == 8
@@ -499,7 +500,7 @@ class TestSharedReduceBody:
         out = builder.new_vector(3)
         builder.add_reduce(out, matrix, axis=0)
         with config_override(parallel_tile_elements=4, parallel_serial_threshold=4):
-            (step,) = decompose(builder.build()).steps
+            (step,) = decompose(builder.build(), get_config()).steps
         assert isinstance(step, SerialStep) and "one column" in step.reason
 
     @pytest.mark.parametrize("count", [1, 2, 3, 7])
@@ -536,7 +537,7 @@ class TestSharedReduceBody:
         builder.add_reduce(total, vector, axis=0)
         program = builder.build()
         with config_override(parallel_tile_elements=8, parallel_serial_threshold=4):
-            (step,) = decompose(program).steps
+            (step,) = decompose(program, get_config()).steps
         assert step.combine and len(step.spans) == 5
         memory = MemoryManager()
         data = np.arange(40, dtype=np.float64)
@@ -592,10 +593,10 @@ class TestPlanTimeTiling:
             assert fine.stats.tiles_executed == 2 * coarse.stats.tiles_executed
 
     def test_differently_configured_instance_retiles_cached_plan(self):
-        # Constructor overrides are invisible to the engine's plan-cache
-        # key (same backend name, same global config), so the plan *hits* —
-        # but the new instance must re-tile, never replay the stale
-        # decomposition computed under the old tile size.
+        # Constructor overrides are part of the resolved snapshot that keys
+        # the plan (same backend name, same global config, another tile
+        # size): the new instance plans and tiles afresh, never replaying
+        # the decomposition computed under the old tile size.
         with config_override(parallel_serial_threshold=8, parallel_num_threads=1):
             engine = ExecutionEngine(
                 backend=ParallelBackend(tile_elements=256), optimize=True
@@ -604,7 +605,7 @@ class TestPlanTimeTiling:
             assert coarse.stats.tiles_executed == 2
             engine.set_backend(ParallelBackend(tile_elements=64))
             fine = engine.execute(elementwise_program(length=512)[0])
-            assert fine.stats.plan_cache_hits == 1
+            assert fine.stats.plan_cache_misses == 1
             assert fine.stats.tiles_executed == 8
 
     def test_planless_executions_cache_decompositions(self):

@@ -253,6 +253,9 @@ class TestServiceSessions:
             assert stats["cache"]["plan_builds"] == 1
             # Messages live beside the counters, never among them.
             assert stats["native_fallback_reasons"] == {}
+            # So does the resolved configuration the flushes ran under.
+            assert stats["config"]["threads"] >= 1
+            assert stats["config"]["cache_dir"]
             assert all(
                 isinstance(value, (int, float)) for value in stats["cache"].values()
             )

@@ -294,6 +294,22 @@ class TestStatsJson:
         assert code == 0
         assert "checks" not in json.loads(output)
 
+    def test_config_block_reports_the_resolved_snapshot(self, listing_file, tmp_path):
+        import json
+
+        from repro.utils.config import config_override
+
+        cache = str(tmp_path / "cache")
+        with config_override(codegen_cache_dir=cache, dist_num_workers=3):
+            code, output = run_cli(
+                [listing_file, "--stats-json", "--backend", "parallel", "--threads", "2"]
+            )
+        assert code == 0
+        config = json.loads(output)["execution"]["config"]
+        assert config["threads"] == 2 and config["codegen_threads"] is None
+        assert config["cache_dir"] == cache and config["dist_workers"] == 3
+        assert len(config["plan_signature"]) == 32
+
     def test_native_counters_in_stats_json(self, large_listing_file, tmp_path):
         import json
 

@@ -167,6 +167,30 @@ GUARDS = (
         "and the passes decide by legality and limits; core/__init__.py re-exports it",
         {"src/repro/core/__init__.py": 1},
     ),
+    Guard(
+        "config_read_at_the_boundary",
+        r"(?<!def )get_config\(\)",
+        ("src/repro",),
+        "threads = get_config().parallel_num_threads",
+        "a flush reads the live configuration once, where it enters (the engine, a "
+        "backend's plan-less execute); everything below gets the resolved snapshot "
+        "as an argument, and only constructors default to the live value",
+        {
+            "src/repro/runtime/engine.py": 3,
+            "src/repro/runtime/backend.py": 1,
+            "src/repro/runtime/memory.py": 1,
+            "src/repro/core/pipeline.py": 2,
+        },
+        lives_there=True,
+    ),
+    Guard(
+        "workers_keep_no_configuration",
+        r"set_config",
+        ("src/repro/dist",),
+        "set_config(get_config().replace(codegen_cache_dir=directory))",
+        "what a worker needs of the master's configuration travels in the load "
+        "frame and stays with the loaded plan",
+    ),
 )
 
 

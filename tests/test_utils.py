@@ -1,5 +1,7 @@
 """Tests for configuration, the shared LRU and the error hierarchy."""
 
+import dataclasses
+
 import pytest
 
 from repro.utils import (
@@ -40,11 +42,12 @@ class TestConfig:
         assert changed.optimize is False
         assert config.optimize is True
 
-    def test_copy_is_deep(self):
+    def test_a_config_is_frozen(self):
         config = Config(enabled_passes=["dce"])
-        copied = config.copy()
-        copied.enabled_passes.append("fusion")
-        assert config.enabled_passes == ["dce"]
+        assert config.enabled_passes == ("dce",)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.optimize = False
+        assert hash(config) == hash(Config(enabled_passes=("dce",)))
 
     def test_config_override_restores_previous(self):
         baseline = get_config()
