@@ -24,9 +24,9 @@ them:
   and its spans must exactly partition the tiled axis
   (:func:`check_tiling`);
 * **dist adoption** — a base the shard plan keeps out of shared memory
-  must be touched by exactly one sharded map step, stored there before it
-  is loaded, read by no halo fetch, freed and never synced — or be
-  touched by nothing but its ``BH_FREE``
+  must be touched by exactly one sharded step, stored there before it
+  is loaded, freed and never synced — or be touched by nothing but its
+  ``BH_FREE``
   (:func:`check_dist_adoption`; workers run it on ``load``).
 
 ``Backend.prepare_plan`` and ``Backend.execute_plan`` call
@@ -344,10 +344,9 @@ def check_dist_adoption(program: Program, dist_plan) -> None:
     from repro.runtime.plan import program_base_order
 
     order = program_base_order(program)
-    for step in dist_plan.steps:
+    for step in dist_plan.distributed_steps:
         if not step.private:
             continue
-        halo_positions = {halo.base_position for halo in getattr(step, "halos", ())}
         for position, _ in step.private:
             if position < 0 or position >= len(order):
                 raise PlanCheckError(
@@ -359,8 +358,6 @@ def check_dist_adoption(program: Program, dist_plan) -> None:
                 f"shard plan keeps base {base.name!r} (position {position}) "
                 f"out of shared memory for step {step.index}"
             )
-            if position in halo_positions:
-                raise PlanCheckError(f"{what}, but a halo fetch reads it")
             freed = False
             for index, instruction in enumerate(program):
                 touches = any(view.base is base for view in instruction.views())

@@ -17,8 +17,7 @@ Two models live here and nowhere else:
   calibrated once per process from shared-memory copy timings by
   :func:`measured_comm_model`), which :meth:`CostModel.partitioned_cost`
   combines with the roofline to price a program block-distributed over
-  workers, and which the distributed backend prices its halo exchanges
-  with.
+  workers.
 
 Pricing is a report: no backend executes through it and no optimizer
 decision reads it.  The fusion scheduler and the passes decide by legality
@@ -306,10 +305,10 @@ def _best_copy_seconds(nbytes: int, repeats: int = _PROBE_REPEATS) -> float:
 def measured_comm_model() -> CommunicationModel:
     """Calibrate a :class:`CommunicationModel` from shared-memory copy timings.
 
-    The distributed backend moves halo rows by copying between POSIX
-    shared-memory segments, so a memory-copy probe is the right proxy for
-    its transport.  Bandwidth comes from a 1 MiB copy; latency is the fixed
-    cost left over in a 64-byte copy after subtracting its bandwidth share.
+    The distributed backend's workers share POSIX shared-memory segments,
+    so a memory copy is the transport this probe takes as its proxy.
+    Bandwidth comes from a 1 MiB copy; latency is the fixed cost left over
+    in a 64-byte copy after subtracting its bandwidth share.
     The result is cached for the lifetime of the process — calibration is a
     one-shot probe, not a per-estimate cost.
     """

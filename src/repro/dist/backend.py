@@ -11,7 +11,9 @@ descriptors: a cold plan is pickled to the pool once (``load``), each
 flush sends one segment-name mapping per worker (``map``) and one
 ``step``/``complete`` round trip per distributed step per participating
 worker.  Array payloads never cross the control channel; the counters
-prove it rather than assume it.
+prove it rather than assume it.  Nor do rows move between workers: each
+``map`` frame names the same segments to every worker, so a shard whose
+views reach past its rows reads its neighbours' where they lie.
 
 Pools are process-wide singletons per worker count: every session/engine
 constructs its own backend instance, and respawning interpreters per
@@ -30,13 +32,12 @@ import time
 from functools import partial
 from multiprocessing import connection, get_context
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.bytecode.opcodes import OpCode
 from repro.codegen.cache import resolve_cache_dir, resolve_runtime
-from repro.core.cost import CommunicationModel
 from repro.dist.planner import (
     DistPlan,
     MapShardStep,
@@ -84,47 +85,6 @@ REPLIED_KINDS = ("load", "step")
 
 class WorkerDiedError(DistributedExecutionError):
     """A worker process exited while the master awaited its reply."""
-
-
-class CommMeter:
-    """Process-wide accumulator of priced vs measured communication time.
-
-    The master *prices* every halo exchange with the communication model at
-    launch time and adds the *measured* copy seconds its workers report.
-    Keeping both on one meter makes the cost model auditable: a growing gap
-    means the alpha-beta constants no longer describe the machine.
-    """
-
-    def __init__(self) -> None:
-        self._meter_lock = threading.Lock()
-        self._priced_seconds = 0.0
-        self._measured_seconds = 0.0
-
-    def add_priced(self, seconds: float) -> None:
-        with self._meter_lock:
-            self._priced_seconds += seconds
-
-    def add_measured(self, seconds: float) -> None:
-        with self._meter_lock:
-            self._measured_seconds += seconds
-
-    def snapshot_us(self) -> Dict[str, int]:
-        """Both accumulators in integer microseconds (cache_stats is int-valued)."""
-        with self._meter_lock:
-            return {
-                "comm_priced_us": int(self._priced_seconds * 1e6),
-                "comm_measured_us": int(self._measured_seconds * 1e6),
-            }
-
-    def reset(self) -> None:
-        with self._meter_lock:
-            self._priced_seconds = 0.0
-            self._measured_seconds = 0.0
-
-
-#: The process-wide meter: every dist backend instance feeds it and reports
-#: it in ``cache_stats()``.
-COMM_METER = CommMeter()
 
 
 class _WorkerHandle:
@@ -346,7 +306,6 @@ class DistributedBackend(ParallelBackend):
         super().__init__()
         if num_workers is not None:
             self._overrides["dist_num_workers"] = num_workers
-        self._comm: Optional[CommunicationModel] = None
         # The inherited cumulative record takes every completed flush's
         # record whole, folded in under the cache lock.
         self.loads_shipped = 0
@@ -354,11 +313,6 @@ class DistributedBackend(ParallelBackend):
     def num_workers(self) -> int:
         """The worker count a flush of the live configuration uses."""
         return self.flush_config().dist_num_workers
-
-    def _comm_model(self) -> CommunicationModel:
-        if self._comm is None:
-            self._comm = CommunicationModel.calibrated()
-        return self._comm
 
     # ------------------------------------------------------------------ #
     # Plan integration
@@ -582,11 +536,6 @@ class DistributedBackend(ParallelBackend):
         stats.record_launch(instructions, fused)
         stats.tiled_instructions += len(instructions)
         participants = len(step.shards)
-        comm = self._comm_model()
-        for halo in step.halos:
-            COMM_METER.add_priced(
-                participants * comm.point_to_point(halo.depth * halo.row_bytes)
-            )
         frame = make_frame("step", token=dist_plan.token, step=step.index)
         for worker_id in range(participants):
             pool.send(worker_id, frame, stats)
@@ -639,13 +588,8 @@ class DistributedBackend(ParallelBackend):
                 f"out-of-order reply {reply['kind']!r} for step {step_index}"
             )
         counters = reply["counters"]
-        stats.dist_halo_exchanges += int(counters.get("halo_exchanges", 0))
-        stats.dist_halo_bytes += int(counters.get("halo_bytes", 0))
         stats.template_slots_elided += int(counters.get("template_slots_elided", 0))
         stats.note_fallback(counters.get("erf_fallback"))
-        measured = float(counters.get("halo_seconds", 0.0))
-        if measured:
-            COMM_METER.add_measured(measured)
 
     # ------------------------------------------------------------------ #
     # Fault injection and statistics
@@ -664,12 +608,10 @@ class DistributedBackend(ParallelBackend):
     def cache_stats(self) -> Dict[str, int]:
         stats = super().cache_stats()
         stats.update(_get_store().stats())
-        stats.update(COMM_METER.snapshot_us())
         stats.update(
             {
                 "dist_workers_spawned": _WORKERS_SPAWNED,
                 "dist_shard_launches": self._totals.dist_shard_launches,
-                "dist_halo_exchanges": self._totals.dist_halo_exchanges,
                 "dist_payload_bytes": self._totals.dist_payload_bytes,
                 "dist_bases_adopted": self._totals.dist_bases_adopted,
                 "dist_zero_fill_bytes": self._totals.dist_zero_fill_bytes,

@@ -3,27 +3,22 @@
 The planner turns a plan's tile decomposition (:mod:`repro.runtime.tiling`
 already proved which steps may split along their first axis without
 overlap hazards) into *shard descriptors*: one contiguous row shard per
-worker process for map steps, span assignments for reductions, and — the
-load-bearing part — explicit halo specifications for stencil shards.
+worker process for map steps and span assignments for reductions.  A
+tiled step becomes a shard step unless it reads a data operand.
 
 Everything here is structural (step indices, row spans, template slot
 positions, canonical base positions) so one shard plan serves every
 rebound replay of its execution plan and pickles cheaply to workers.
 
-Halo analysis
--------------
+Reads beyond a shard
+--------------------
 A fused stencil kernel reads one base through several views at different
-row offsets (the heat-equation kernel reads its grid at row offsets
-``{0, 1, 2}``).  Tiling's hazard analysis already guarantees the *written*
-rows of worker shards are disjoint, but a shard's reads of such a base
-reach up to ``H = max_offset - min_offset`` rows past its own block — rows
-owned by the next worker.  The planner detects those bases per step and
-records a :class:`HaloSpec`; at execution the worker copies the foreign
-rows into a private landing buffer (overlapped with interior compute) and
-runs its boundary rows against the landing copy.  When a multi-offset base
-is *also written* by the same step, or its views don't share a clean
-row-major layout, the step falls back to serial execution on the master —
-correctness first, distribution second.
+row offsets, so a shard's reads reach rows of the next worker's block.
+The shard reads them where they lie: every worker maps every base that is
+not private, steps are sequenced by ``step``/``complete`` round trips (no
+base a step reads is written while it runs), and tiling refuses any
+written view that overlaps a different window of its base — the rule the
+thread tier's tiles rely on for the same reads.
 
 Private bases
 -------------
@@ -31,17 +26,17 @@ A base enters shared memory only if a worker must address it.  A base all
 of whose accesses sit inside one sharded step (a map step, or the reduce
 step of a kernel that ends in the reduction), on slots the tiling
 lists in ``local_slots`` (last access here, freed, never synced, stored
-before loaded) and that is no halo source needs no storage outside that
-kernel: the planner records it in :attr:`MapShardStep.private`, the master
-leaves its position out of the flush's segment mapping and each worker
-launches its slots as the template's kernel-local ones (block scratch of
-the launch, see :class:`repro.runtime.kernel.BlockedTemplateLaunch`).
+before loaded), needs no storage outside that kernel: the planner
+records it in :attr:`MapShardStep.private`, the master leaves its
+position out of the flush's segment mapping and each worker launches its
+slots as the template's kernel-local ones (block scratch of the launch,
+see :class:`repro.runtime.kernel.BlockedTemplateLaunch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
@@ -59,48 +54,11 @@ from repro.runtime.tiling import (
 
 
 @dataclass(frozen=True)
-class HaloSpec:
-    """One stencil base of a sharded map step.
-
-    Attributes
-    ----------
-    slot_positions:
-        Template slot indices (see
-        :func:`repro.runtime.kernel.kernel_slot_views`) whose views read
-        this base; at the boundary rows the worker redirects exactly these
-        slots into its landing buffer.
-    base_position:
-        The base's canonical position (:func:`program_base_order`), which
-        is also its key in the per-flush segment mapping.
-    stride0:
-        Element stride between consecutive rows — shared by every reading
-        view (the planner rejects mismatches).
-    min_row / max_row:
-        Smallest and largest view row offset into the base; the halo depth
-        is ``max_row - min_row``.
-    row_bytes:
-        Bytes one fetched base row occupies in the landing buffer.
-    """
-
-    slot_positions: Tuple[int, ...]
-    base_position: int
-    stride0: int
-    min_row: int
-    max_row: int
-    row_bytes: int
-
-    @property
-    def depth(self) -> int:
-        return self.max_row - self.min_row
-
-
-@dataclass(frozen=True)
 class MapShardStep:
     """A tiled map step sharded across workers: shard ``k`` → worker ``k``."""
 
     index: int
     shards: Tuple[TileSpan, ...]
-    halos: Tuple[HaloSpec, ...] = ()
     #: Kernel-local bases of this step, as ``(canonical base position,
     #: template slot indices)``: positions that may stay out of the
     #: flush's segment mapping (see the module docstring).
@@ -146,8 +104,6 @@ class MasterStep:
 
     index: int
     reason: str
-    #: As :attr:`MapShardStep.private`, for a kept kernel's local bases.
-    private: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -193,7 +149,9 @@ class DistPlan:
     @property
     def private_positions(self) -> frozenset:
         """Kernel-local base positions: no segment under a memory plan."""
-        return frozenset(position for step in self.steps for position, _ in step.private)
+        return frozenset(
+            position for step in self.distributed_steps for position, _ in step.private
+        )
 
     def _with_token(self, token: str) -> "DistPlan":
         return replace(self, token=token)
@@ -216,97 +174,24 @@ def _base_positions(program: Program) -> Dict[int, int]:
     return {id(base): pos for pos, base in enumerate(program_base_order(program))}
 
 
-def _halo_specs(
-    instructions, slots
-) -> Tuple[Optional[Tuple[HaloSpec, ...]], str]:
-    """Halo specifications for one map step, or a fallback reason.
-
-    Returns ``(halos, "")`` when the step can shard — possibly with no
-    halos at all — and ``(None, reason)`` when a multi-offset base defeats
-    the analysis and the step must run serially on the master.
-    """
-    written_bases = set()
-    read_slots: Dict[int, List[int]] = {}
-    for position, slot_view in enumerate(slots):
-        is_written = any(
-            slot_view.same_view(view)
-            for instruction in instructions
-            for view in instruction.writes()
-        )
-        is_read = any(
-            slot_view.same_view(view)
-            for instruction in instructions
-            for view in instruction.reads()
-        )
-        if is_written:
-            written_bases.add(id(slot_view.base))
-        if is_read:
-            read_slots.setdefault(id(slot_view.base), []).append(position)
-    halos: List[HaloSpec] = []
-    for base_key, positions in read_slots.items():
-        views = [slots[position] for position in positions]
-        base = views[0].base
-        stride0 = views[0].strides[0]
-        clean = stride0 > 0 and all(view.strides[0] == stride0 for view in views)
-        if not clean:
-            # With one distinct (offset, strides) signature per base the
-            # reads translate uniformly with the shard and need no halo;
-            # several signatures without a common positive row stride defeat
-            # the row arithmetic — run the step on the master instead.
-            if len({(view.offset, view.strides) for view in views}) < 2:
-                continue
-            return None, "stencil views disagree on the row stride"
-        offsets = {view.offset // stride0 for view in views}
-        if len(offsets) < 2:
-            continue  # single row offset: the shard's own rows suffice
-        if base_key in written_bases:
-            return None, "stencil base is also written in the same step"
-        for view in views:
-            # Containment: everything a logical row addresses (column
-            # remainder plus the extent of the remaining axes) must fit
-            # inside one row stride, otherwise "fetch H rows" is not a
-            # well-defined halo.
-            extent = sum(
-                (dim - 1) * stride
-                for dim, stride in zip(view.shape[1:], view.strides[1:])
-            )
-            if any(stride < 0 for stride in view.strides):
-                return None, "stencil view has negative strides"
-            if view.offset % stride0 + extent + 1 > stride0:
-                return None, "stencil view rows are not contained in the row stride"
-        halos.append(
-            HaloSpec(
-                slot_positions=tuple(positions),
-                base_position=-1,  # patched by the caller, which knows the order
-                stride0=stride0,
-                min_row=min(view.offset // stride0 for view in views),
-                max_row=max(view.offset // stride0 for view in views),
-                row_bytes=stride0 * base.dtype.itemsize,
-            )
-        )
-    return tuple(halos), ""
-
-
 def _private_bases(
-    index: int, slots, local_slots: frozenset, halos, positions, defuse
+    index: int, slots, local_slots: frozenset, positions, defuse
 ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """The bases of one sharded map step that need no shared-memory segment.
 
     ``local_slots`` already proves the lifetime *ends* here unobserved and
     that each slot is stored before it is loaded; leaving the base out of
     shared memory additionally requires that no other step touches it (a
-    dead def elsewhere would write storage that does not exist), that
-    *every* slot of the base qualifies, and that no halo fetch reads it.
+    dead def elsewhere would write storage that does not exist) and that
+    *every* slot of the base qualifies.
     """
     slots_of: Dict[int, List[int]] = {}
     for slot, view in enumerate(slots):
         slots_of.setdefault(id(view.base), []).append(slot)
-    halo_positions = {halo.base_position for halo in halos}
     return tuple(
         (positions[base_id], tuple(base_slots))
         for base_id, base_slots in slots_of.items()
-        if positions[base_id] not in halo_positions
-        and local_slots.issuperset(base_slots)
+        if local_slots.issuperset(base_slots)
         and all(access.index == index for access in defuse.accesses[base_id])
     )
 
@@ -332,63 +217,25 @@ def build_dist_plan(
             steps.append(MasterStep(index=step.index, reason="reads a data operand"))
             continue
         instructions = instruction.kernel if instruction.is_fused() else (instruction,)
+        members, tail = split_tail(instructions)
+        slots = kernel_slot_views(members) if members else ()
+        private = ()
+        if step.local_slots:
+            if defuse is None:
+                defuse = DefUse.analyze(program)
+            private = _private_bases(step.index, slots, step.local_slots, positions, defuse)
+        shards_erf |= any(inner.opcode is OpCode.BH_ERF for inner in members)
         if isinstance(step, TiledMapStep):
-            slots = kernel_slot_views(instructions)
-            rows = slots[0].shape[0]
-            halos, reason = _halo_specs(instructions, slots)
-            if halos is None:
-                steps.append(MasterStep(index=step.index, reason=reason))
-                continue
-            halos = tuple(
-                HaloSpec(
-                    slot_positions=halo.slot_positions,
-                    base_position=positions[id(slots[halo.slot_positions[0]].base)],
-                    stride0=halo.stride0,
-                    min_row=halo.min_row,
-                    max_row=halo.max_row,
-                    row_bytes=halo.row_bytes,
-                )
-                for halo in halos
-            )
             # partition_length clamps to min(workers, rows): every shard
             # is non-empty by construction, workers beyond the clamp are
             # simply not launched for this step.
             shards = tuple(
                 TileSpan(start, count)
-                for start, count in partition_length(rows, num_workers)
+                for start, count in partition_length(slots[0].shape[0], num_workers)
             )
-            private = ()
-            if step.local_slots:
-                if defuse is None:
-                    defuse = DefUse.analyze(program)
-                private = _private_bases(
-                    step.index, slots, step.local_slots, halos, positions, defuse
-                )
-            steps.append(
-                MapShardStep(
-                    index=step.index, shards=shards, halos=halos, private=private
-                )
-            )
-            shards_erf |= any(inner.opcode is OpCode.BH_ERF for inner in instructions)
+            steps.append(MapShardStep(index=step.index, shards=shards, private=private))
             continue
         assert isinstance(step, TiledReduceStep)
-        members, tail = split_tail(instructions)
-        private = ()
-        if members:
-            # The members run per span on whichever worker was dealt it, on
-            # that span's rows only: a shifted window would need its
-            # neighbour's.
-            slots = kernel_slot_views(members)
-            if defuse is None:
-                defuse = DefUse.analyze(program)
-            private = _private_bases(
-                step.index, slots, step.local_slots, (), positions, defuse
-            )
-            if _halo_specs(members, slots)[0] != ():
-                reason = "map-reduce producer needs a halo"
-                steps.append(MasterStep(step.index, reason, private))
-                continue
-            shards_erf |= any(inner.opcode is OpCode.BH_ERF for inner in members)
         dealt = partition_length(len(step.spans), num_workers)
         assignments = tuple(
             tuple(range(start, start + count)) for start, count in dealt
@@ -457,9 +304,9 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
             )
         if shard_step.index >= len(program):
             raise ProtocolError(f"step index {shard_step.index} out of range")
-        if not isinstance(shard_step, MasterStep) and _reads_data_operand(
-            program[shard_step.index]
-        ):
+        if isinstance(shard_step, MasterStep):
+            continue
+        if _reads_data_operand(program[shard_step.index]):
             raise ProtocolError(
                 f"distributed step {shard_step.index} reads a data operand"
             )

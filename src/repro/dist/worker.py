@@ -30,32 +30,28 @@ Execution model
   exactly as on the thread tier.
 * ``step`` executes this worker's shard of one distributed step: map
   shards slice every template slot view to the shard rows and run the
-  template's blocked launch; stencil shards
-  first fetch their halo rows into a private landing buffer (on a
-  background thread while interior rows compute, so the copy hides behind
-  them; inline when the shard has no interior) and run their boundary rows
-  against the landing copy; reduction shards reduce their assigned spans — of a kernel that ends in the
-  reduction, after its members computed the span in scratch — combine forms
-  writing partials into the shared scratch segment for the master's fixed
-  pairwise combine.
+  template's blocked launch once — a stencil view reaching past the shard
+  reads its neighbour's rows in place, in the segment every worker maps;
+  reduction shards reduce their assigned spans — of a kernel that ends in
+  the reduction, after its members computed the span in scratch — combine
+  forms writing partials into the shared scratch segment for the master's
+  fixed pairwise combine.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
-import time
 import traceback
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.bytecode.base import BaseArray
 from repro.bytecode.view import View
 from repro.codegen.compiler import forbid_compiles
-from repro.dist.planner import HaloSpec, MapShardStep, ReduceShardStep
+from repro.dist.planner import MapShardStep, ReduceShardStep
 from repro.dist.protocol import (
     ProtocolError,
     decode_frame,
@@ -65,7 +61,7 @@ from repro.dist.protocol import (
 from repro.dist.shardstore import attach_segment
 from repro.runtime import interpreter
 from repro.runtime.kernel import prepare_kernel_launch, split_tail
-from repro.runtime.tiling import TileSpan, reduce_tile, slice_view, span_producer
+from repro.runtime.tiling import reduce_tile, slice_view, span_producer
 from repro.utils.config import Config
 
 #: Worker-side attachment cache cap: segments beyond this are re-attached
@@ -78,9 +74,8 @@ class ShardMemory:
 
     Kernel templates and the shared reduce body only need ``allocate`` /
     ``view_array``; storage is pre-registered from the flush's segment
-    mapping (halo landing buffers: for the duration of one launch), so
-    resolving an unmapped base is a protocol violation, never a silent
-    host allocation.
+    mapping, so resolving an unmapped base is a protocol violation, never a
+    silent host allocation.
     """
 
     def __init__(self) -> None:
@@ -88,9 +83,6 @@ class ShardMemory:
 
     def register(self, base: BaseArray, storage: np.ndarray) -> None:
         self._storage[id(base)] = storage
-
-    def unregister(self, base: BaseArray) -> None:
-        self._storage.pop(id(base), None)
 
     def allocate(self, base: BaseArray, zero: Optional[bool] = None) -> np.ndarray:
         try:
@@ -295,7 +287,7 @@ class _Worker:
             raise ProtocolError("step frame without a current segment mapping")
         loaded = self.plans[token]
         step = loaded.dist_plan.steps[frame["step"]]
-        counters = {"halo_exchanges": 0, "halo_bytes": 0, "halo_seconds": 0.0}
+        counters = {}
         if isinstance(step, MapShardStep):
             self._run_map_shard(loaded, step, counters)
         elif isinstance(step, ReduceShardStep):
@@ -305,7 +297,7 @@ class _Worker:
         self.send("complete", step=frame["step"], counters=counters)
 
     # ------------------------------------------------------------------ #
-    # Map shards (with halo exchange)
+    # Map shards
     # ------------------------------------------------------------------ #
 
     def _template(self, loaded: _LoadedPlan, step_index: int):
@@ -347,104 +339,8 @@ class _Worker:
             )
         shard = step.shards[self.worker_id]
         slots, template, local, erf = self._launch_template(loaded, step, counters)
-        launch = template.blocked(local, erf)
-        if not step.halos:
-            views = tuple(slice_view(view, shard) for view in slots)
-            launch(self.memory, views)
-            return
-        depth = max(halo.depth for halo in step.halos)
-        boundary = min(depth, shard.count)
-        interior = shard.count - boundary
-        landings = [
-            self._prepare_landing(loaded, halo, shard, interior) for halo in step.halos
-        ]
-
-        def fetch() -> None:
-            begin = time.perf_counter()
-            for halo, (landing, base_lo) in zip(step.halos, landings):
-                source = self.memory.allocate(loaded.base_order[halo.base_position])
-                lo = base_lo * halo.stride0
-                hi = lo + landing.size
-                if hi > source.size:
-                    raise ProtocolError(
-                        f"halo fetch [{lo}, {hi}) exceeds base of {source.size} elements"
-                    )
-                np.copyto(landing, source[lo:hi])
-                counters["halo_exchanges"] += 1
-                counters["halo_bytes"] += halo.depth * halo.row_bytes
-            counters["halo_seconds"] += time.perf_counter() - begin
-
-        if interior > 0:
-            # Communication hides behind interior compute: the landing
-            # buffers fill on a background thread while this thread runs
-            # the rows that need no foreign data.
-            fetcher = threading.Thread(target=fetch, name="repro-dist-halo")
-            fetcher.start()
-            interior_views = tuple(
-                slice_view(view, TileSpan(shard.start, interior)) for view in slots
-            )
-            launch(self.memory, interior_views)
-            fetcher.join()
-        else:
-            fetch()
-        if boundary > 0:
-            boundary_views, landing_bases = self._boundary_views(
-                step, slots, shard, interior, boundary, landings
-            )
-            launch(self.memory, boundary_views)
-            for landing_base in landing_bases:
-                self.memory.unregister(landing_base)
-
-    def _prepare_landing(self, loaded, halo: HaloSpec, shard: TileSpan, interior: int):
-        """An *uninitialised* landing buffer covering the boundary window.
-
-        ``np.empty`` is deliberate: if the halo fetch were skipped the
-        boundary rows would compute on garbage, so a passing bitwise check
-        proves the exchange actually carried the data.
-        """
-        boundary = shard.count - interior
-        base_lo = shard.start + interior + halo.min_row
-        rows = boundary + halo.depth
-        dtype = loaded.base_order[halo.base_position].dtype.np_dtype
-        landing = np.empty(rows * halo.stride0, dtype=dtype)
-        return landing, base_lo
-
-    def _boundary_views(
-        self, step, slots, shard: TileSpan, interior: int, boundary: int, landings
-    ):
-        """Slot views for the boundary rows, stencil slots redirected to landings."""
-        landing_of: Dict[int, tuple] = {}
-        landing_base_of: Dict[int, BaseArray] = {}
-        for halo, (landing, base_lo) in zip(step.halos, landings):
-            base = slots[halo.slot_positions[0]].base
-            landing_base = BaseArray(
-                landing.size, base.dtype, name=f"halo:{base.name or id(base)}"
-            )
-            self.memory.register(landing_base, landing)
-            landing_base_of[id(landing_base)] = landing_base
-            for position in halo.slot_positions:
-                landing_of[position] = (halo, landing_base)
-        views: List[View] = []
-        boundary_span = TileSpan(shard.start + interior, boundary)
-        for position, slot_view in enumerate(slots):
-            redirect = landing_of.get(position)
-            if redirect is None:
-                views.append(slice_view(slot_view, boundary_span))
-                continue
-            halo, landing_base = redirect
-            # Landing row 0 holds base row (shard.start + interior +
-            # min_row); a view reading the base at row offset r therefore
-            # starts at landing row (r - min_row).
-            offset = slot_view.offset - halo.min_row * halo.stride0
-            views.append(
-                View(
-                    landing_base,
-                    offset,
-                    (boundary,) + slot_view.shape[1:],
-                    slot_view.strides,
-                )
-            )
-        return tuple(views), list(landing_base_of.values())
+        views = tuple(slice_view(view, shard) for view in slots)
+        template.blocked(local, erf)(self.memory, views)
 
     # ------------------------------------------------------------------ #
     # Reduction shards

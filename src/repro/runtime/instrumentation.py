@@ -135,10 +135,9 @@ class ExecutionStats:
     #: Shard launch frames sent to worker processes (one per participating
     #: worker per distributed step; never an empty shard).
     dist_shard_launches: int = _stat()
-    #: Halo fetches stencil shards performed (one per stencil base per
-    #: participating worker per launch).
+    #: Always 0: a shard reads its neighbours' rows in place.  Both stay
+    #: declared because ``bench/layers.py`` reads them.
     dist_halo_exchanges: int = _stat()
-    #: Bytes those halo fetches copied between shared-memory regions.
     dist_halo_bytes: int = _stat()
     #: Control-channel traffic this execution: every frame exchanged with
     #: the pool and its pickled size.  This is the *entire* wire cost of

@@ -96,7 +96,21 @@ class NumPyInterpreter(Backend):
     def execute(
         self, program: Program, memory: Optional[MemoryManager] = None
     ) -> ExecutionResult:
-        config = self.flush_config()
+        return self._run(program, memory, self.flush_config())
+
+    def execute_plan(
+        self, plan, program: Program, memory: Optional[MemoryManager] = None
+    ) -> ExecutionResult:
+        """Bind the plan's memory directives and run under ``plan.config``."""
+        from repro.runtime.memplan import bind_memory_plan
+
+        memory = memory if memory is not None else fresh_memory(plan.config)
+        bind_memory_plan(plan, program, memory)
+        return self._run(program, memory, plan.config)
+
+    def _run(
+        self, program: Program, memory: Optional[MemoryManager], config: Config
+    ) -> ExecutionResult:
         memory = memory if memory is not None else fresh_memory(config)
         stats = ExecutionStats(backend_name=self.name)
         start = time.perf_counter()

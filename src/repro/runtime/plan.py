@@ -342,7 +342,7 @@ class ExecutionPlan:
     #: flush has reported yet (an ``ExecutionStats``); parked under ``lock``
     #: for the first execution of this plan to take.
     native_prepare_stats: Optional[object] = None
-    #: Shard descriptors (per-step worker shards, halo specifications and
+    #: Shard descriptors (per-step worker shards, private bases and
     #: reduction span assignments) the distributed backend planned for this
     #: plan.  Structural like ``tiling`` — spans and canonical base
     #: positions, never base identities or segment names — so rebound

@@ -19,10 +19,12 @@ Splittability rules (serial fallback otherwise):
 
 * element-wise instructions and fused kernels: every view operand must
   share the kernel's shape, the iteration space must clear the configured
-  serial threshold, and no written view may overlap a differently-shaped
-  window of the same base (row-aligned dependencies — an instruction
-  reading exactly the view another wrote — stay inside a tile and are
-  safe; shifted/overlapping windows would leak across tiles).
+  serial threshold, and no written view may overlap a different window of
+  the same base (row-aligned dependencies — an instruction reading exactly
+  the view another wrote — stay inside a tile and are safe; a write into a
+  shifted window would leak across tiles).  A read of a shifted window
+  that no write overlaps may reach past its tile's rows: a thread tile and
+  a dist shard both read those rows where they lie.
 * reductions: n-D inputs are tiled along a non-reduced axis, so every tile
   writes a disjoint slice of the output and results are bit-identical to
   the serial reduction.  Full 1-D reductions produce one partial per tile,

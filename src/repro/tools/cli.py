@@ -405,7 +405,6 @@ def _distributed_block(cache: dict) -> Optional[dict]:
     return {
         "workers_spawned": cache["dist_workers_spawned"],
         "shard_launches": cache["dist_shard_launches"],
-        "halo_exchanges": cache["dist_halo_exchanges"],
         "payload_bytes": cache["dist_payload_bytes"],
         "loads_shipped": cache["dist_loads_shipped"],
         "bases_adopted": cache["dist_bases_adopted"],
@@ -413,8 +412,6 @@ def _distributed_block(cache: dict) -> Optional[dict]:
         "segments_created": cache["dist_segments_created"],
         "segments_recycled": cache["dist_segments_recycled"],
         "shm_bytes_active": cache["dist_shm_bytes_active"],
-        "comm_priced_us": cache["comm_priced_us"],
-        "comm_measured_us": cache["comm_measured_us"],
     }
 
 
@@ -594,7 +591,6 @@ def _execute_with_engine(program, pipeline, report, args, out) -> None:
         print(
             f"  distributed: {cache['dist_workers_spawned']} worker(s) "
             f"spawned, {cache['dist_shard_launches']} shard launch(es), "
-            f"{cache['dist_halo_exchanges']} halo exchange(s), "
             f"{cache['dist_payload_bytes']} control-channel payload byte(s), "
             f"{cache['dist_bases_adopted']} base(s) adopted "
             f"({cache['dist_zero_fill_bytes']} byte(s) zero-filled), "

@@ -7,6 +7,9 @@ import dataclasses
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
+from repro.bytecode.instruction import Instruction
+from repro.bytecode.opcodes import OpCode
+from repro.bytecode.program import Program
 from repro.bytecode.view import View
 from repro.checks.plancheck import (
     check_dist_adoption,
@@ -17,12 +20,12 @@ from repro.checks.plancheck import (
     maybe_check_plan,
 )
 from repro.core.schedule import compute_schedule
-from repro.dist.planner import HaloSpec, MapShardStep, build_dist_plan
+from repro.dist.planner import DistPlan, MapShardStep, MasterStep, build_dist_plan
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memory import BufferDirective
 from repro.runtime.memplan import MemoryPlan
 from repro.runtime.plan import program_base_order
-from repro.runtime.tiling import TiledMapStep, decompose
+from repro.runtime.tiling import TileSpan, TiledMapStep, decompose
 from repro.utils.config import config_override, get_config
 from repro.utils.errors import PlanCheckError
 from repro.workloads.generators import random_elementwise_program
@@ -386,21 +389,35 @@ class TestDistAdoption:
         with pytest.raises(PlanCheckError, match="before storing it"):
             check_dist_adoption(program, corrupted)
 
-    def test_a_halo_source_may_not_be_private(self):
-        program, dist_plan = self._plan()
-        order = program_base_order(program)
-        position = next(i for i, base in enumerate(order) if base.name == "t")
-        halo = HaloSpec(
-            slot_positions=(0,),
-            base_position=position,
-            stride0=1,
-            min_row=0,
-            max_row=1,
-            row_bytes=8,
+    def test_a_private_base_read_through_a_shifted_window_is_rejected(self):
+        # ``t[0:64] = a * 3; out = t[1:65] + 1`` as one kernel: the second
+        # byte-code loads a window of t the first did not store.
+        builder = ProgramBuilder()
+        a = builder.new_vector(64, name="a")
+        t = builder.new_vector(65, name="t")
+        out = builder.new_vector(64, name="out")
+        builder.multiply(View(t.base, 0, (64,), (1,)), a, 3.0)
+        builder.add(out, View(t.base, 1, (64,), (1,)), 1.0)
+        builder.sync(out)
+        builder.free(t)
+        store, load, sync, free = builder.build()
+        program = Program(
+            [Instruction(OpCode.BH_FUSED, (), kernel=(store, load)), sync, free]
         )
-        corrupted, _ = self._claiming(dist_plan, "t", program, halos=(halo,))
-        with pytest.raises(PlanCheckError, match="halo fetch reads it"):
-            check_dist_adoption(program, corrupted)
+        position = next(
+            i for i, base in enumerate(program_base_order(program)) if base.name == "t"
+        )
+        shards = (TileSpan(0, 32), TileSpan(32, 32))
+        claimed = DistPlan(
+            num_workers=2,
+            steps=(
+                MapShardStep(index=0, shards=shards, private=((position, (0, 3)),)),
+                MasterStep(index=1, reason="system"),
+                MasterStep(index=2, reason="system"),
+            ),
+        )
+        with pytest.raises(PlanCheckError, match="before storing it"):
+            check_dist_adoption(program, claimed)
 
     def test_an_out_of_range_position_is_rejected(self):
         program, dist_plan = self._plan()

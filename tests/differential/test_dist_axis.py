@@ -3,16 +3,17 @@
 The sixth backend axis.  The dist backend executes across worker
 *processes* over shared memory, which multiplies the ways results can
 diverge beyond what the in-process backends exercise: a shard descriptor
-can mis-slice, a halo exchange can fetch the wrong rows (or not fire at
-all), a recycled segment can leak a previous tenant's bytes, combine
-partials can be dealt to workers in an order that changes the reduction
-tree.  The comparison discipline matches the in-process harness exactly:
+can mis-slice, a shard can read its neighbours' rows from the wrong place,
+a recycled segment can leak a previous tenant's bytes, combine partials
+can be dealt to workers in an order that changes the reduction tree.  The comparison discipline matches the in-process harness exactly:
 
 * element-wise programs must be **bitwise** identical to the unoptimized
   reference interpreter at 1, 2 and 4 workers — sharding slices rows but
   never reorders arithmetic;
-* the stencil workload (halo exchange on every iteration) must be bitwise
-  at every worker count;
+* the stencil workload (every shard reads rows beyond its own on every
+  iteration) must be bitwise at every worker count, and so must the
+  steps whose views reverse rows, stride columns, or write one window of
+  the base they read;
 * mixed programs with full 1-D reductions get the same tolerance as the
   parallel backend (tree-combined partials reassociate) and **no looser**
   — and because the shard plan keeps the *plan's* span set at any worker
@@ -22,11 +23,12 @@ tree.  The comparison discipline matches the in-process harness exactly:
 The memory-binding axes ride along: slot-shared segments, worker-private
 scratch and waived zero fills (memory plan on, zero policy ``auto``) must be
 bitwise what dedicated, zero-filled segments produce (plan off / policy
-``always``) at every worker count and in both halo modes.
+``always``) at every worker count.
 
-Non-vacuity is asserted separately: multi-process shard launches and at
-least one halo exchange must actually have happened, otherwise a backend
-that silently ran everything on the master would pass every comparison.
+Non-vacuity is asserted separately: multi-process shard launches must
+actually have happened and the stencil steps must be shard steps,
+otherwise a backend that silently ran everything on the master would pass
+every comparison.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.view import View
+from repro.dist.planner import MapShardStep, MasterStep, ReduceShardStep
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.plan import program_base_order
@@ -226,7 +230,7 @@ def test_stencil_memory_binding_axes_are_bitwise(plan_enabled, zero_policy):
 
 
 def test_axis_is_not_vacuous():
-    """Multi-process shard launches and halo exchanges actually happened."""
+    """Multi-process shard launches actually happened, stencil steps too."""
     program, synced = random_elementwise_program(3, num_instructions=12, vector_length=24)
     _, stats = _dist(program, synced, 2)
     assert stats.dist_workers_used == 2
@@ -239,8 +243,14 @@ def test_axis_is_not_vacuous():
     ):
         session = Session(backend="dist", optimize=True)
         heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
-        stencil_stats = session.stats_history[-1]
-    assert stencil_stats.dist_halo_exchanges >= 1, "no halo exchange fired"
+        plan = session.engine.last_plan
+    fused = [
+        step for step in plan.dist_plan.steps if plan.optimized[step.index].is_fused()
+    ]
+    assert fused, "the stencil has no fused step"
+    assert all(
+        isinstance(step, MapShardStep) and len(step.shards) == 2 for step in fused
+    ), "a stencil step stayed on the master"
 
 
 # --------------------------------------------------------------------------- #
@@ -355,57 +365,109 @@ def test_map_reduce_at_the_default_shard_threshold(length, sharded, map_reduce_p
         assert actual.tobytes() == oracle.tobytes(), scheduler
 
 
-def test_a_producer_with_a_shifted_window_keeps_its_tail_on_the_master():
-    """``sum(g[:-1] + g[1:])``: the kernel may end in the reduction (the
-    thread tiers run it span by span), but a span on a worker would need its
-    neighbour's rows — the shard planner keeps the step, with a counted
-    reason, and the answer is the tail-free schedule's at every count."""
-    from repro.bytecode.builder import ProgramBuilder
-    from repro.dist.planner import MasterStep
+def _row_reversed(builder):
+    """``out = g + g[::-1]``: two views of g with opposite row strides."""
+    grid = builder.new_matrix(12, 8, name="grid")
+    builder.random(grid, 5)
+    out = builder.new_matrix(12, 8, name="out")
+    builder.add(out, grid, View(grid.base, 11 * 8, (12, 8), (-8, 1)))
+    return out
+
+
+def _column_strided(builder):
+    """``out = g.T[:-1] + g.T[1:]``: rows one element apart, columns a
+    whole row of g apart."""
+    grid = builder.new_matrix(12, 12, name="grid")
+    builder.random(grid, 5)
+    out = builder.new_matrix(11, 12, name="out")
+    builder.add(
+        out, View(grid.base, 0, (11, 12), (1, 12)), View(grid.base, 1, (11, 12), (1, 12))
+    )
+    return out
+
+
+def _written_beside_its_reads(builder):
+    """``g[128:192] = g[0:64] + g[1:65]``: one base, written and read
+    through disjoint windows in one step."""
+    grid = builder.new_vector(192, name="grid")
+    builder.random(grid, 5)
+    builder.add(
+        View(grid.base, 128, (64,), (1,)),
+        View(grid.base, 0, (64,), (1,)),
+        View(grid.base, 1, (64,), (1,)),
+    )
+    return grid
+
+
+def _shifted_producer(builder):
+    """``sum(g[:-1] + g[1:])``: a kernel that ends in the reduction, its
+    producer reading two windows of one base."""
+    grid = builder.new_vector(1701, name="grid")
+    builder.random(grid, 5)
+    pairs = builder.new_vector(1700, name="pairs")
+    builder.add(pairs, View(grid.base, 0, (1700,), (1,)), View(grid.base, 1, (1700,), (1,)))
+    total = builder.new_vector(1, name="total")
+    builder.add_reduce(total, pairs)
+    builder.free(pairs)
+    builder.free(grid)
+    return total
+
+
+#: name -> (program body returning the synced view, tile settings).
+READS_IN_PLACE = {
+    "row_reversed": (_row_reversed, TINY_TILES),
+    "column_strided": (_column_strided, TINY_TILES),
+    "written_beside_its_reads": (_written_beside_its_reads, TINY_TILES),
+    "shifted_producer": (
+        _shifted_producer,
+        dict(parallel_tile_elements=512, parallel_serial_threshold=64),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READS_IN_PLACE))
+def test_a_shard_reads_beyond_its_rows_in_place(name):
+    """Steps whose views reach past a shard's rows — reversed, strided,
+    beside a write of their base, feeding a reduction — are shard steps at
+    every worker count, with no ``dist:`` fallback reason, and their bits
+    are the oracle's (a reduction: the tail-free schedule's, within the
+    reduction tolerance of the oracle)."""
+    body, tiles = READS_IN_PLACE[name]
 
     def build():
         builder = ProgramBuilder()
-        grid = builder.new_vector(1701, name="grid")
-        builder.random(grid, 5)
-        pairs = builder.new_vector(1700, name="pairs")
-        builder.add(
-            pairs, View(grid.base, 0, (1700,), (1,)), View(grid.base, 1, (1700,), (1,))
-        )
-        total = builder.new_vector(1, name="total")
-        builder.add_reduce(total, pairs)
-        builder.free(pairs)
-        builder.free(grid)
-        builder.sync(total)
-        return builder.build(), total
+        out = body(builder)
+        builder.sync(out)
+        return builder.build(), out
 
-    program, total = build()
-    oracle = _oracle(program, [total])[0]
-    reason = "map-reduce producer needs a halo"
+    program, out = build()
+    oracle = _oracle(program, [out])[0]
     for workers in WORKER_COUNTS:
         values = {}
         for scheduler in ("dag", "consecutive"):
-            program, total = build()
-            with config_override(
-                parallel_tile_elements=512,
-                parallel_serial_threshold=64,
-                dist_num_workers=workers,
-                fusion_scheduler=scheduler,
-            ):
+            program, out = build()
+            with config_override(**tiles, dist_num_workers=workers, fusion_scheduler=scheduler):
                 engine = ExecutionEngine(backend="dist", optimize=True)
                 result = engine.execute(program)
-                values[scheduler] = result.value(total)
+                values[scheduler] = result.value(out)
+            plan = engine.last_plan
+            kept = [
+                step.reason
+                for step in plan.dist_plan.steps
+                if isinstance(step, MasterStep) and step.reason not in ("system", "generator")
+            ]
+            assert kept == [], (name, workers, scheduler)
             if scheduler == "dag":
-                plan = engine.last_plan
-                assert plan.fusion_schedule.reduction_tails == 1
-                (kept,) = [
-                    step
-                    for step in plan.dist_plan.steps
-                    if isinstance(step, MasterStep) and step.reason == reason
-                ]
-                assert plan.optimized[kept.index].kernel[-1].is_reduction()
-                assert result.stats.native_fallback_reasons == {f"dist: {reason}": 1}
-                assert kept.private, "the producer's base took a segment after all"
-        # The master runs the tiling's spans and combine tree itself: the
-        # bits of the sharded, tail-free sum.
-        assert values["dag"].tobytes() == values["consecutive"].tobytes(), workers
-        np.testing.assert_allclose(values["dag"], oracle, rtol=RTOL)
+                # One step reads the windows: the shifted producer's kernel
+                # ends in its reduction.
+                kind = ReduceShardStep if name == "shifted_producer" else MapShardStep
+                sharded = [type(step) for step in plan.dist_plan.distributed_steps]
+                assert sharded == [kind], (name, workers)
+            assert not any(
+                reason.startswith("dist:") for reason in result.stats.native_fallback_reasons
+            ), (name, workers, scheduler)
+        assert values["dag"].tobytes() == values["consecutive"].tobytes(), (name, workers)
+        if name == "shifted_producer":
+            np.testing.assert_allclose(values["dag"], oracle, rtol=RTOL)
+        else:
+            assert values["dag"].tobytes() == oracle.tobytes(), (name, workers)

@@ -15,19 +15,17 @@ import pickle
 import numpy as np
 import pytest
 
-from dist_settings import TINY_TILES
+from dist_settings import TINY_TILES, shifted_bases
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.view import View
-from repro.core.analysis import DefUse
 from repro.dist.backend import DistributedBackend
-from repro.dist.planner import HaloSpec, MapShardStep, _private_bases, build_dist_plan
+from repro.dist.planner import MapShardStep, build_dist_plan
 from repro.dist.protocol import decode_frame, make_frame
 from repro.dist.worker import _Worker
 from repro.frontend import zeros
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.kernel import kernel_slot_views
 from repro.runtime.plan import program_base_order
 from repro.runtime.tiling import decompose
 from repro.utils.config import config_override, get_config
@@ -278,56 +276,32 @@ class TestWhichBasesStayPrivate:
         assert stats.dist_bases_adopted == 3
         assert any(getattr(step, "local_slots", ()) for step in plan.tiling.steps)
 
-    def test_a_halo_source_keeps_its_segment(self):
-        program, _, t, _ = self._chain()
-        with config_override(**TINY_TILES):
-            backend = DistributedBackend(num_workers=2)
-            backend.execute(program)
-            (plan,) = backend._adhoc_plans.values()
-        (step,) = [s for s in plan.dist_plan.steps if isinstance(s, MapShardStep) and s.private]
-        ((position, base_slots),) = step.private
-        instruction = plan.optimized[step.index]
-        slots = kernel_slot_views(instruction.kernel)
-        tile_step = plan.tiling.steps[step.index]
-        positions = {
-            id(base): index
-            for index, base in enumerate(program_base_order(plan.optimized))
-        }
-        defuse = DefUse.analyze(plan.optimized)
-        arguments = (step.index, slots, tile_step.local_slots)
-        assert _private_bases(*arguments, (), positions, defuse) == step.private
-        halo = HaloSpec(
-            slot_positions=base_slots,
-            base_position=position,
-            stride0=1,
-            min_row=0,
-            max_row=1,
-            row_bytes=8,
-        )
-        assert _private_bases(*arguments, (halo,), positions, defuse) == ()
-
-    def test_no_stencil_base_of_the_heat_program_is_private(self):
+    def test_a_base_read_through_a_shifted_window_keeps_its_segment(self):
+        # The heat kernel reads its grid at several offsets: the grid
+        # keeps its segment, for every shard reads rows beyond its own.
         with config_override(
             parallel_tile_elements=64, parallel_serial_threshold=4, dist_num_workers=2
         ):
             session = Session(backend="dist", optimize=True)
             heat_equation(grid_size=24, iterations=3, session=session).to_numpy()
-            dist_plan = session.engine.last_plan.dist_plan
-        halo_positions = {
-            halo.base_position
-            for step in dist_plan.steps
-            if isinstance(step, MapShardStep)
-            for halo in step.halos
+            plan = session.engine.last_plan
+        positions = {
+            id(base): index for index, base in enumerate(program_base_order(plan.optimized))
         }
-        assert halo_positions
-        assert dist_plan.private_positions
-        assert not halo_positions & dist_plan.private_positions
+        shifted = {
+            positions[id(base)]
+            for step in plan.dist_plan.steps
+            for base in shifted_bases(plan.optimized[step.index])
+        }
+        assert shifted
+        assert plan.dist_plan.private_positions
+        assert not shifted & plan.dist_plan.private_positions
 
 
 class TestPrivateBasesRideTheBlockedLaunch:
     """A worker launches the slots of its unmapped private bases as the
     template's kernel-local ones — block scratch of the same blocked launch
-    the thread tier runs — on the interior, boundary and no-halo paths."""
+    the thread tier runs — on stencil and element-wise steps alike."""
 
     @pytest.fixture(scope="class")
     def heat_oracle(self):
@@ -361,7 +335,7 @@ class TestPrivateBasesRideTheBlockedLaunch:
             program_base_order(plan.optimized)
         ) - len(dist_plan.private_positions)
 
-    def test_the_no_halo_path_elides_too(self):
+    def test_an_element_wise_chain_elides_too(self):
         builder = ProgramBuilder()
         a, t, out = (builder.new_vector(64, name=name) for name in ("a", "t", "out"))
         builder.identity(a, 2.0)

@@ -2,7 +2,7 @@
 
 Everything here runs real worker processes over real shared memory; the
 oracle is always the unoptimized reference interpreter.  The non-vacuity
-assertions (shard launches, halo exchanges, zero payload bytes) are as
+assertions (shard launches, shard steps, zero payload bytes) are as
 important as the value checks — a dist backend that silently fell back to
 the master would pass every bitwise comparison.
 """
@@ -16,18 +16,17 @@ import threading
 import numpy as np
 import pytest
 
-from dist_settings import TINY_TILES
+from dist_settings import TINY_TILES, stencil_steps
 from repro.bytecode.builder import ProgramBuilder
 from repro.checks import COUNTERS
 from repro.dist import worker as worker_module
 from repro.dist.backend import (
-    COMM_METER,
-    CommMeter,
     DistributedBackend,
     WorkerPool,
     _get_store,
     _shutdown_all_pools,
 )
+from repro.dist.planner import MapShardStep, ReduceShardStep
 from repro.dist.shardstore import sweep_manifests
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
@@ -119,7 +118,7 @@ class TestReductions:
         assert values[0].tobytes() == expected[0].tobytes()
 
 
-class TestStencilHalo:
+class TestStencilShards:
     def _run_heat(self, workers, grid=24, iterations=3):
         with config_override(
             parallel_tile_elements=64,
@@ -130,7 +129,26 @@ class TestStencilHalo:
             out = heat_equation(
                 grid_size=grid, iterations=iterations, session=session
             ).to_numpy()
-            return out, session.stats_history[-1]
+            stats = session.stats_history[-1]
+            self._assert_sharded(session.engine.last_plan, stats, workers)
+            return out, stats
+
+    @staticmethod
+    def _assert_sharded(plan, stats, workers):
+        """Every stencil step ran as one shard per worker, and the flush
+        launched exactly the shards its plan holds."""
+        stencils = stencil_steps(plan)
+        assert stencils
+        for step in stencils:
+            assert isinstance(step, MapShardStep) and len(step.shards) == workers
+        launches = sum(
+            len(step.shards)
+            if isinstance(step, MapShardStep)
+            else sum(1 for assignment in step.assignments if assignment)
+            for step in plan.dist_plan.steps
+            if isinstance(step, (MapShardStep, ReduceShardStep))
+        )
+        assert stats.dist_shard_launches == launches
 
     @pytest.fixture(scope="class")
     def heat_oracle(self):
@@ -139,55 +157,21 @@ class TestStencilHalo:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bitwise_vs_oracle(self, heat_oracle, workers):
-        out, stats = self._run_heat(workers)
+        out, _ = self._run_heat(workers)
         assert np.array_equal(out, heat_oracle)
-        if workers > 1:
-            # The exchange must actually fire: landing buffers start
-            # uninitialised (np.empty), so a skipped fetch could not pass
-            # the bitwise check above by luck.
-            assert stats.dist_halo_exchanges > 0
-            assert stats.dist_halo_bytes > 0
 
-    def test_a_shard_without_interior_fetches_before_it_computes(self):
+    def test_a_one_row_shard_reads_its_neighbours_rows_in_place(self):
         # 6x6 grid, 4 workers: the 4 stencil rows shard one per worker, so
-        # every shard is all boundary (depth 1) and fetches inline.
+        # every row a shard reads above or below it is another worker's.
         session = Session(backend="interpreter", optimize=False)
         expected = heat_equation(grid_size=6, iterations=3, session=session).to_numpy()
-        out, stats = self._run_heat(4, grid=6)
+        out, _ = self._run_heat(4, grid=6)
         assert np.array_equal(out, expected)
-        assert stats.dist_halo_exchanges > 0
 
     def test_no_array_payload_ever_crosses_the_channel(self, heat_oracle):
         out, stats = self._run_heat(2)
         assert np.array_equal(out, heat_oracle)
         assert stats.dist_payload_bytes == 0
-
-
-class TestCommMeter:
-    def test_priced_and_measured_accumulate_separately(self):
-        meter = CommMeter()
-        meter.add_priced(1e-3)
-        meter.add_priced(2e-3)
-        meter.add_measured(5e-4)
-        snapshot = meter.snapshot_us()
-        assert snapshot["comm_priced_us"] == 3000
-        assert snapshot["comm_measured_us"] == 500
-
-    def test_reset(self):
-        meter = CommMeter()
-        meter.add_priced(1.0)
-        meter.reset()
-        assert meter.snapshot_us() == {"comm_priced_us": 0, "comm_measured_us": 0}
-
-    def test_module_singleton_snapshot_shape(self):
-        snapshot = COMM_METER.snapshot_us()
-        assert set(snapshot) == {"comm_priced_us", "comm_measured_us"}
-        assert all(isinstance(value, int) for value in snapshot.values())
-
-    def test_the_dist_backend_reports_the_meter(self):
-        stats = DistributedBackend().cache_stats()
-        reported = {key: stats[key] for key in ("comm_priced_us", "comm_measured_us")}
-        assert reported == COMM_METER.snapshot_us()
 
 
 class TestShardLegality:

@@ -32,7 +32,7 @@ class TestFraming:
             "loaded": dict(token="t", plan_checks_run=2),
             "map": dict(token="t", segments={0: ("psm_x", 64)}, scratch=None),
             "step": dict(token="t", step=0),
-            "complete": dict(step=0, counters={"halo_exchanges": 1}),
+            "complete": dict(step=0, counters={"template_slots_elided": 1}),
             "error": dict(message="boom", traceback="tb"),
             "crash": {},
             "shutdown": {},

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
+from repro.bytecode.opcodes import OpCode
 from repro.frontend import zeros
 from repro.frontend.session import Session
+from repro.runtime import interpreter as interpreter_module
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.native import NativeBackend
 from repro.runtime.parallel import ParallelBackend
@@ -89,6 +91,35 @@ def test_a_change_mid_flush_does_not_reach_that_flush(monkeypatch):
     assert engine.last_plan.memory_plan is None
     with config_override(**ENTRY):
         assert engine.execute(_interleaved()).stats.plan_cache_hits == 1
+
+
+def test_the_interpreter_plan_path_runs_under_the_plan_configuration(monkeypatch, tmp_path):
+    builder = ProgramBuilder()
+    x, out = builder.new_vector(64), builder.new_vector(64)
+    builder.arange(x)
+    builder.emit_unary(OpCode.BH_ERF, out, x)
+    builder.sync(out)
+    fingerprint = ExecutionEngine._fingerprint
+
+    def fingerprint_then_change(self, *args):
+        found = fingerprint(self, *args)
+        set_config(get_config().replace(codegen_cache_dir=str(tmp_path / "mid-flush")))
+        return found
+
+    received = []
+    monkeypatch.setattr(
+        interpreter_module,
+        "erf_helper",
+        lambda config: received.append(config) or (None, "erf: no compiled helper (test)"),
+    )
+    with config_override(codegen_cache_dir=str(tmp_path / "entry")) as entry:
+        engine = ExecutionEngine(backend="interpreter", optimize=True)
+        monkeypatch.setattr(ExecutionEngine, "_fingerprint", fingerprint_then_change)
+        engine.execute(builder.build())
+        monkeypatch.undo()
+    snapshot = engine.backend.resolve_config(entry)
+    assert engine.last_plan.config == snapshot
+    assert [config.codegen_cache_dir for config in received] == [snapshot.codegen_cache_dir]
 
 
 def test_constructor_overrides_are_part_of_the_snapshot():

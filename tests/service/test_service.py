@@ -30,9 +30,9 @@ class SlowInterpreter(NumPyInterpreter):
         super().__init__()
         self.delay = delay
 
-    def execute(self, program, memory=None):
+    def execute_plan(self, plan, program, memory=None):
         time.sleep(self.delay)
-        return super().execute(program, memory)
+        return super().execute_plan(plan, program, memory)
 
 
 class TestAdmissionController:

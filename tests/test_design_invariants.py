@@ -184,6 +184,17 @@ GUARDS = (
         lives_there=True,
     ),
     Guard(
+        "shards_read_in_place",
+        r"[Hh]alo|CommMeter|COMM_METER",
+        ("src/repro",),
+        "halos = _halo_specs(instructions, slots)",
+        "every worker maps every base that is not private, so a shard reads its "
+        "neighbours' rows where they lie; only the two ExecutionStats fields "
+        "bench/layers.py reads stay declared, always 0",
+        {"src/repro/runtime/instrumentation.py": 2},
+        lives_there=True,
+    ),
+    Guard(
         "workers_keep_no_configuration",
         r"set_config",
         ("src/repro/dist",),
