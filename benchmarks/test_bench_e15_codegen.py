@@ -17,13 +17,17 @@ Two workloads, both dominated by fused element-wise kernels:
 
 Assertions are layered by flakiness, as everywhere in this harness:
 
-* **deterministic, hard** — compile/cache counters: the cold flush compiles
-  (into a per-test temporary cache dir), every warm flush performs **zero**
-  compiler invocations and zero fallbacks, and a fresh backend in the same
-  process restores every artifact from the on-disk cache without invoking
-  the compiler once — the acceptance criterion for warm services.  Results
-  are bit-identical to the parallel backend (same tiling, same plans, the
-  loop nest lowering is bitwise-safe by construction).
+* **deterministic, hard** — compile/cache counters, pinned exactly for
+  the first, second and third launch: a kernel form is compiled (into a
+  per-test temporary cache dir) once it is known to run twice — the
+  stencil's forms recur in its plan and compile on the cold flush, the
+  chain's one form runs its template first and compiles on its second
+  flush — every warm flush performs **zero** compiler invocations and zero
+  fallbacks, and a fresh backend restores every artifact from the on-disk
+  cache on its first launch without invoking the compiler once — the
+  acceptance criterion for warm services.  Results are bit-identical to
+  the parallel backend (same tiling, same plans, the loop nest lowering is
+  bitwise-safe by construction).
 * **wall-clock, soft** — the acceptance target is >= 5x over the parallel
   backend on warm flushes (measured ~5-10x single-core).  Missing the
   target warns loudly instead of flaking CI; the 1.5x floor guards against
@@ -46,6 +50,7 @@ from repro.codegen import clear_memory_cache, find_c_compiler
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memory import MemoryManager
+from repro.runtime.native import FIRST_LAUNCH
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
@@ -99,13 +104,14 @@ def test_native_backend_beats_parallel_on_heat_equation(benchmark, tmp_path):
         cold = native.stats_history[-1]
 
         # ---------------- deterministic assertions (hard) ----------------- #
-        # Cold flush against an empty cache dir: the compiler ran, the disk
-        # had nothing to offer, and compiled kernels (not fallbacks) did the
-        # work.
-        assert cold.native_compiles >= 1
+        # Cold flush against an empty cache dir: each of the two forms (an
+        # iteration's two steps) recurs in the plan, so the compiler ran
+        # for both, the disk had nothing to offer, and compiled kernels (not
+        # fallbacks) did the work.
+        assert cold.native_compiles == 2
         assert cold.native_disk_hits == 0
         assert cold.native_fallbacks == 0
-        assert cold.native_kernel_launches > 0
+        assert cold.native_kernel_launches == 2 * ITERATIONS
 
         def measure():
             parallel_seconds, parallel_out = _best_stencil_time(parallel)
@@ -126,7 +132,7 @@ def test_native_backend_beats_parallel_on_heat_equation(benchmark, tmp_path):
         assert warm.native_disk_hits == 0
         assert warm.native_memory_hits == 0
         assert warm.native_fallbacks == 0
-        assert warm.native_kernel_launches > 0
+        assert warm.native_kernel_launches == 2 * ITERATIONS
 
         # Bit-identical to the parallel backend: same plans, same tiling,
         # and only bitwise-safe kernel forms are lowered.
@@ -145,6 +151,7 @@ def test_native_backend_beats_parallel_on_heat_equation(benchmark, tmp_path):
         assert disk.native_compiles == 0
         assert disk.native_disk_hits == cold.native_compiles
         assert disk.native_fallbacks == 0
+        assert disk.native_kernel_launches == 2 * ITERATIONS
         assert np.array_equal(restored_grid, native_out)
 
     # ---------------- wall-clock comparison (soft) -------------------- #
@@ -218,15 +225,25 @@ SWEEP = [(1.5 + index, 0.25 * (index + 1)) for index in range(8)]
 _SWEEP_TILES = dict(parallel_tile_elements=512, parallel_serial_threshold=64)
 
 
+#: The counters of one launch that ``_run_sweep`` reports.
+_LAUNCH_COUNTERS = (
+    "native_compiles", "native_disk_hits", "native_memory_hits",
+    "native_fallbacks", "native_kernel_launches",
+)
+
+
 def _run_sweep(cache_dir):
-    """Execute the sweep on one fresh ``native`` engine; its counters, bitwise
-    agreement with the unoptimized interpreter, and what the directory holds."""
+    """Execute the sweep on one fresh ``native`` engine — its first pair
+    twice, so that the form runs a second time — and return its counters,
+    those of its first three launches, bitwise agreement with the
+    unoptimized interpreter, and what the directory holds."""
     clear_memory_cache()
     bitwise = True
+    launches = []
     with config_override(**_SWEEP_TILES, codegen_cache_dir=str(cache_dir)):
         engine = ExecutionEngine(backend="native", optimize=True)
         oracle = ExecutionEngine(backend="interpreter", optimize=False)
-        for c, d in SWEEP:
+        for c, d in SWEEP[:1] + SWEEP:
             builder = ProgramBuilder()
             x, y = builder.new_vector(4096), builder.new_vector(4096)
             builder.random(x, seed=15)
@@ -234,8 +251,10 @@ def _run_sweep(cache_dir):
             builder.add(y, y, d)
             builder.sync(y)
             program = builder.build()
-            got, want = engine.execute(program).value(y), oracle.execute(program).value(y)
+            result = engine.execute(program)
+            got, want = result.value(y), oracle.execute(program).value(y)
             bitwise = bitwise and got.tobytes() == want.tobytes()
+            launches.append([getattr(result.stats, key) for key in _LAUNCH_COUNTERS])
         counters = engine.backend.cache_stats()
     kernels = [
         name
@@ -245,10 +264,8 @@ def _run_sweep(cache_dir):
     return {
         "bitwise": bitwise,
         "kernels": len(kernels),
-        **{key: counters[key] for key in (
-            "native_compiles", "native_disk_hits", "native_memory_hits",
-            "native_fallbacks", "native_kernel_launches",
-        )},
+        "first_launches": launches[:3],
+        **{key: counters[key] for key in _LAUNCH_COUNTERS},
     }
 
 
@@ -256,15 +273,22 @@ def _run_sweep(cache_dir):
 def test_a_constant_sweep_compiles_once(tmp_path):
     """A kernel artifact is named by its form, not by its numbers: eight
     ``(c, d)`` pairs are one ``cc`` run and seven memo hits in the process
-    that starts cold, and no ``cc`` run at all in the next process."""
+    that starts cold, and no ``cc`` run at all in the next process.
+
+    Launch by launch (compiles, disk hits, memo hits, fallbacks, compiled
+    launches): in the cold process the first pair's first launch runs the
+    template, its second compiles, and the next pair's first launch loads
+    that artifact from the memo; in the next process the first launch is a
+    disk hit, not a template."""
     cold = _run_sweep(tmp_path)
     assert cold == {
         "bitwise": True,
         "kernels": 1,
+        "first_launches": [[0, 0, 0, 1, 0], [1, 0, 0, 0, 1], [0, 0, 1, 0, 1]],
         "native_compiles": 1,
         "native_disk_hits": 0,
         "native_memory_hits": len(SWEEP) - 1,
-        "native_fallbacks": 0,
+        "native_fallbacks": 1,
         "native_kernel_launches": len(SWEEP),
     }
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -279,7 +303,14 @@ def test_a_constant_sweep_compiles_once(tmp_path):
     )
     assert fresh.returncode == 0, fresh.stderr
     warm = json.loads(fresh.stdout.strip().splitlines()[-1])
-    assert warm == dict(cold, native_compiles=0, native_disk_hits=1)
+    assert warm == dict(
+        cold,
+        first_launches=[[0, 1, 0, 0, 1], [0, 0, 0, 0, 1], [0, 0, 1, 0, 1]],
+        native_compiles=0,
+        native_disk_hits=1,
+        native_fallbacks=0,
+        native_kernel_launches=len(SWEEP) + 1,
+    )
 
 
 def _build_chain():
@@ -325,20 +356,30 @@ def test_native_backend_beats_parallel_on_elementwise_chain(benchmark, tmp_path)
         native = ExecutionEngine(backend="native", optimize=True)
         reference = parallel.execute(program, inputs.clone())
 
+        # The chain is one kernel form in one step: its first launch runs
+        # the template, its second compiles it, its third is warm.
+        first = native.execute(program, inputs.clone())
+        assert first.stats.native_compiles == first.stats.native_kernel_launches == 0
+        assert first.stats.native_fallbacks == 1
+        assert first.stats.native_fallback_reasons == {FIRST_LAUNCH: 1}
+
         cold = native.execute(program, inputs.clone())
-        assert cold.stats.native_compiles >= 1
+        assert cold.stats.native_compiles == 1
         assert cold.stats.native_disk_hits == 0
         assert cold.stats.native_fallbacks == 0
+        assert cold.stats.native_kernel_launches == 1
 
         warm = native.execute(program, inputs.clone())
         assert warm.stats.plan_cache_hits == 1
         assert warm.stats.native_compiles == 0
         assert warm.stats.native_fallbacks == 0
-        assert warm.stats.native_kernel_launches > 0
+        assert warm.stats.native_kernel_launches == 1
 
-        # The whole chain is one fused kernel: bit-identical outputs.
-        assert np.array_equal(reference.value(a), warm.value(a))
-        assert np.array_equal(reference.value(b), warm.value(b))
+        # The whole chain is one fused kernel: bit-identical outputs, from
+        # the template and from the compiled loop alike.
+        for result in (first, warm):
+            assert np.array_equal(reference.value(a), result.value(a))
+            assert np.array_equal(reference.value(b), result.value(b))
 
         def measure():
             return (

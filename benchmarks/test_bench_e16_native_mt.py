@@ -37,6 +37,7 @@ from repro.codegen import clear_memory_cache, find_c_compiler
 from repro.codegen.compiler import select_mt_mode
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
+from repro.runtime.native import FIRST_LAUNCH
 from repro.runtime.tiling import TiledMapStep
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
@@ -189,7 +190,10 @@ def test_one_ctypes_launch_per_fused_map_step(benchmark, tmp_path):
     with config_override(codegen_cache_dir=str(tmp_path), codegen_threads=THREADS):
         clear_memory_cache()
         engine = ExecutionEngine(backend="native", optimize=True)
-        engine.execute(program)
+        # Each form occurs in one step: its first launch runs the template,
+        # its second compiles it, and the third is the warm flush.
+        first = engine.execute(program)
+        cold = engine.execute(program)
 
         def measure():
             return engine.execute(program)
@@ -197,6 +201,10 @@ def test_one_ctypes_launch_per_fused_map_step(benchmark, tmp_path):
         warm = benchmark.pedantic(measure, rounds=1, iterations=1)
         benchmark.group = "E16 in-kernel threading"
 
+    assert first.stats.native_compiles == first.stats.native_mt_launches == 0
+    assert first.stats.native_fallback_reasons == {FIRST_LAUNCH: 2}
+    assert cold.stats.native_compiles == 2 and cold.stats.native_fallbacks == 0
+    assert warm.stats.native_compiles == 0
     map_steps = [
         step
         for step in engine.last_plan.tiling.steps
@@ -262,6 +270,9 @@ def test_compiled_reduction_workload(benchmark, tmp_path):
     ):
         clear_memory_cache()
         engine = ExecutionEngine(backend="native", optimize=True)
+        # Each reduction form occurs once in the plan: its first launch runs
+        # the interpreted tiled path, its second compiles it.
+        first = engine.execute(program)
         cold = engine.execute(program)
 
         def measure():
@@ -270,10 +281,15 @@ def test_compiled_reduction_workload(benchmark, tmp_path):
         warm = benchmark.pedantic(measure, rounds=1, iterations=1)
         benchmark.group = "E16 in-kernel threading"
 
+    assert first.stats.native_reductions_compiled == first.stats.native_compiles == 0
+    assert first.stats.native_reduction_fallbacks == 2
+    assert first.stats.native_fallback_reasons == {FIRST_LAUNCH: 2}
     # Both reduction forms (n-D slice and 1-D combine) compiled; the
-    # interpreted tiled reduction path never ran — cold or warm.
+    # interpreted tiled reduction path never ran once they had — cold or
+    # warm.
     assert cold.stats.native_reductions_compiled == 2
     assert cold.stats.native_reduction_fallbacks == 0
+    assert cold.stats.native_compiles == 2
     assert warm.stats.native_reductions_compiled == 2
     assert warm.stats.native_reduction_fallbacks == 0
     assert warm.stats.native_compiles == 0

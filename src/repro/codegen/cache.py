@@ -261,11 +261,13 @@ def get_compiled_kernel(
     use_disk: bool = True,
     mt_mode: str = "serial",
     loader: Callable = CompiledKernel,
-) -> Tuple[object, str]:
+    load_only: bool = False,
+) -> Tuple[object, Optional[str]]:
     """Resolve source to a loaded artifact: memory → disk → compile.
 
     Returns ``(kernel, outcome)`` with ``outcome`` one of ``"memory"``,
-    ``"disk"`` or ``"compiled"`` so callers can maintain honest counters.
+    ``"disk"`` or ``"compiled"`` so callers can maintain honest counters;
+    ``load_only`` stops before the compile and returns ``(None, None)``.
     ``loader`` turns a verified ``.so`` path into the loaded object
     (:class:`CompiledKernel`, or :class:`CompiledRuntime` for the runtime
     artifact); ``mt_mode`` adds that artifact's threading flags.
@@ -303,6 +305,8 @@ def get_compiled_kernel(
             if kernel is not None:
                 outcome = "disk"
         if kernel is None:
+            if load_only:
+                return None, None
             if find_c_compiler() is None:
                 raise compiler_unavailable()
             if use_disk:
@@ -321,8 +325,8 @@ def get_compiled_kernel(
 
 
 def resolve_runtime(
-    cache_dir: Optional[str] = None, use_disk: bool = True
-) -> Tuple[Optional[CompiledRuntime], str, str]:
+    cache_dir: Optional[str] = None, use_disk: bool = True, load_only: bool = False
+) -> Tuple[Optional[CompiledRuntime], str, Optional[str]]:
     """The process's kernel runtime: ``(runtime, mode, outcome)``.
 
     The first of ``pthread`` → ``openmp`` whose runtime artifact resolves
@@ -331,7 +335,9 @@ def resolve_runtime(
     ``outcome`` is that resolve's ``"compiled" | "disk" | "memory"``.  When
     neither resolves — no compiler and nothing on disk, or a toolchain that
     builds neither form — the result is ``(None, "serial", "serial")`` and
-    kernels run their chunked entry point on the caller.
+    kernels run their chunked entry point on the caller.  ``load_only``
+    compiles nothing and remembers nothing when nothing loads: it returns
+    ``(None, "serial", None)``.
     """
     key = (resolve_cache_dir(cache_dir), bool(use_disk))
     with _lock:
@@ -349,13 +355,18 @@ def resolve_runtime(
                 use_disk=use_disk,
                 mt_mode=mode,
                 loader=CompiledRuntime,
+                load_only=load_only,
             )
         except CodegenError as exc:
             # The first line: a compiler's stderr follows it.
             failure = failure or str(exc).partition("\n")[0]
             continue
+        if runtime is None:
+            continue
         found, failure = (runtime, mode, outcome), None
         break
+    if load_only and found[0] is None:
+        return None, "serial", None
     with _lock:
         _runtime_memo[key] = found[:2] + (failure,)
     return found

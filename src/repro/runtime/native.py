@@ -23,7 +23,11 @@ Caching is three-layered:
    (content digest → ``CompiledKernel``), shared across backend instances,
 3. the on-disk ``.so`` store, shared across processes and sessions.
 
-Plans pre-compile their tiled map steps at plan time
+A kernel form is compiled only once it is known to run twice: when it
+recurs in one plan, or on its second launch by this backend.  Until then
+it launches an artifact that is already loaded or verified on disk, and
+with none it runs the interpreted template — a one-shot program never
+waits for the compiler.  Plans resolve their recurring forms at plan time
 (:meth:`prepare_plan`, distinct forms concurrently), so a warm plan-cache
 flush performs **zero** lowering walks and zero compiler invocations.
 Every ``native_*`` counter increment lands, at the site it happens, on the
@@ -303,6 +307,11 @@ class NativeReduceLaunch:
         return False
 
 
+#: The launch-cache entry of a form launched once with no artifact to load:
+#: it ran the template, and its next launch compiles it.  Also the reason
+#: that template launch counts.
+FIRST_LAUNCH = "first launch of this form"
+
 #: ``get_compiled_kernel`` outcome -> the counter it bumps.
 _OUTCOME_COUNTERS = {
     "compiled": "native_compiles",
@@ -340,13 +349,17 @@ class NativeBackend(ParallelBackend):
     ) -> None:
         """Add to one flush's record and to the cumulative one, together.
 
-        ``fallback_reason`` is the message of the fallback being counted.
+        ``fallback_reason`` is the message of the fallbacks being counted,
+        noted once per ``native_fallbacks`` and ``native_reduction_fallbacks``.
         """
+        fallbacks = increments.get("native_fallbacks", 0)
+        fallbacks += increments.get("native_reduction_fallbacks", 0)
         with self._cache_lock:
             for record in (stats, self._totals):
                 for counter, amount in increments.items():
                     setattr(record, counter, getattr(record, counter) + amount)
-                record.note_fallback(fallback_reason)
+                for _ in range(fallbacks):
+                    record.note_fallback(fallback_reason)
 
     @property
     def native_compiles(self) -> int:
@@ -397,7 +410,7 @@ class NativeBackend(ParallelBackend):
                 threads = config.parallel_num_threads
         return config.replace(codegen_threads=max(1, int(threads)))
 
-    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
+    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats, recurs=False):
         """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
 
         ``lower()`` returns the form's C source and a ``bind(compiled,
@@ -407,14 +420,22 @@ class NativeBackend(ParallelBackend):
         with no native lowering (or whose compilation failed) is cached as
         the *message* saying why; the caller uses the interpreted path and
         counts the reason.
+
+        The compiler runs only for a form that ``recurs`` in the plan being
+        prepared or whose entry is the :data:`FIRST_LAUNCH` marker of an
+        earlier launch.  Any other form binds an artifact (and runtime)
+        already loaded or verified on disk; with none, the marker is cached
+        and returned as the reason.  A marker lookup is a launch-cache miss,
+        and the launchable replaces it.
         """
-        cached = self._native_cache.get(cache_key)
-        if cached is not None:
+        cached = self._native_cache.get(cache_key, marker=FIRST_LAUNCH)
+        if cached is not None and cached is not FIRST_LAUNCH:
             return _verdict(cached)
+        load_only = cached is None and not recurs
         # Lowering and compilation run outside any lock; concurrent misses
         # of one form may both walk here, but the process-wide digest memo
         # latches the actual compile to exactly one of them.
-        outcome = runtime_outcome = None
+        outcome = runtime_outcome = runtime = None
         try:
             source, launch = lower()
             if source is not None:
@@ -423,13 +444,17 @@ class NativeBackend(ParallelBackend):
                     opt_level=KERNEL_OPT_LEVEL,
                     cache_dir=config.codegen_cache_dir,
                     use_disk=config.codegen_disk_cache_enabled,
+                    load_only=load_only,
                 )
                 # A kernel needs the runtime only here: ``prepare_plan``
                 # builds it beside the plan's kernels, not before them.
-                runtime, _, runtime_outcome = resolve_runtime(
-                    config.codegen_cache_dir, config.codegen_disk_cache_enabled
-                )
-                launch = launch(compiled, runtime=runtime)
+                if compiled is not None:
+                    runtime, _, runtime_outcome = resolve_runtime(
+                        config.codegen_cache_dir,
+                        config.codegen_disk_cache_enabled,
+                        load_only,
+                    )
+                launch = launch(compiled, runtime=runtime) if runtime_outcome else FIRST_LAUNCH
         except (LoweringError, CodegenError) as exc:
             # No lowering, no compiler, or a toolchain failure: degrade to
             # the interpreted template — and remember why, so the next launch
@@ -440,7 +465,9 @@ class NativeBackend(ParallelBackend):
             self._note_runtime(runtime_outcome)
         if outcome is not None:
             self._count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
-        return _verdict(self._native_cache.setdefault(cache_key, launch))
+        return _verdict(
+            self._native_cache.setdefault(cache_key, launch, marker=FIRST_LAUNCH)
+        )
 
     def _note_runtime(self, outcome: Optional[str]) -> None:
         """Keep how this backend obtained the runtime (cache lock held).
@@ -469,6 +496,7 @@ class NativeBackend(ParallelBackend):
         stats: ExecutionStats,
         config: Config,
         lowered: Optional[tuple] = None,
+        recurs=False,
     ):
         """Resolve a kernel form to ``(launchable, None)`` — compiled, or a
         :class:`NativeFill` — or ``(None, why not)``.
@@ -476,13 +504,14 @@ class NativeBackend(ParallelBackend):
         ``local_slots`` (plan-time liveness, part of the cache key) names
         slots whose stores the kernel elides entirely; ``stats`` receives
         the compile/cache outcome of a launch-cache miss; ``lowered`` is
-        the form's :func:`_lower_map`, when the caller already has it.
+        the form's :func:`_lower_map`, when the caller already has it;
+        ``recurs`` as in :meth:`_cached_launch`.
         """
         lower = (lambda: lowered) if lowered else partial(
             _lower_map, instructions, local_slots, slots
         )
         cache_key = (key, local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats)
+        return self._cached_launch(cache_key, config, lower, stats, recurs)
 
     @staticmethod
     def _reduce_form(members, tail, step: TiledReduceStep):
@@ -512,7 +541,7 @@ class NativeBackend(ParallelBackend):
         )
 
     def _native_reduce_launch(
-        self, members, tail, step: TiledReduceStep, form: tuple, stats: ExecutionStats, config
+        self, members, tail, step: TiledReduceStep, form: tuple, stats, config, recurs=False
     ):
         """Resolve a tiled reduction of structural key ``form`` to
         ``(compiled launchable, None)`` or ``(None, why not)``.
@@ -531,7 +560,7 @@ class NativeBackend(ParallelBackend):
             return emit_reduce_source(nest), partial(NativeReduceLaunch, nest=nest)
 
         cache_key = (form, step.local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats)
+        return self._cached_launch(cache_key, config, lower, stats, recurs)
 
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
@@ -620,11 +649,15 @@ class NativeBackend(ParallelBackend):
         super()._run_reduce(instruction, step, memory, stats, config)
 
     def prepare_plan(self, plan) -> None:
-        """Tile (inherited) and pre-compile the plan's kernel forms.
+        """Tile (inherited) and resolve the plan's kernel forms that are
+        known to run twice: those that occur in two or more of its steps,
+        compiled here if need be, and those this backend launched before.
 
-        Pre-compilation at plan time means a warm plan replay launches
-        straight into cached artifacts.  A form that occurs twice is
-        resolved once here and hits the LRU at launch.
+        A form of one step that this backend never launched is left to
+        its launch (see :meth:`_cached_launch`), so a one-shot plan never
+        waits for the compiler.  A form resolved here hits the launch cache
+        at launch, and a warm plan replay launches straight into bound
+        artifacts.
 
         No flush exists yet, so the resolution outcomes — counted
         cumulatively as they happen — are parked on the plan for its first
@@ -637,8 +670,8 @@ class NativeBackend(ParallelBackend):
             if plan.native_prepare_stats is None:
                 plan.native_prepare_stats = ExecutionStats()
             parked = plan.native_prepare_stats
-            resolvers: Dict[tuple, Callable] = {}
-            compiles = False  # whether any form may need an artifact
+            #: (structural key, local slots) -> [steps, resolve, map lowering]
+            forms: Dict[tuple, list] = {}
             for step in plan.tiling.steps:
                 instruction = plan.optimized[step.index]
                 instructions = (
@@ -646,22 +679,13 @@ class NativeBackend(ParallelBackend):
                 )
                 if isinstance(step, TiledReduceStep):
                     members, tail = split_tail(instructions)
-                    form = self._reduce_form(members, tail, step)[1]
+                    key = self._reduce_form(members, tail, step)[1]
                     resolve = partial(
-                        self._native_reduce_launch, members, tail, step, form, parked, config
+                        self._native_reduce_launch, members, tail, step, key, parked, config
                     )
-                    form, compiles = (form, step.local_slots), True
+                    lower = None
                 elif isinstance(step, TiledMapStep):
                     key, slots, _ = prepare_kernel_launch(instructions)
-                    form = (key, step.local_slots)
-                    if form in resolvers:
-                        continue
-                    # Lowered here, not on the pool (it holds the GIL
-                    # anyway), so that a plan of fills asks for no runtime.
-                    lowered = None
-                    if self._native_cache.peek(form + (codegen,)) is None:
-                        lowered = _lower_map(instructions, step.local_slots, slots)
-                        compiles = compiles or lowered[0] is not None
                     resolve = partial(
                         self._native_launch,
                         key,
@@ -670,11 +694,27 @@ class NativeBackend(ParallelBackend):
                         step.local_slots,
                         parked,
                         config,
-                        lowered,
                     )
+                    lower = partial(_lower_map, instructions, step.local_slots, slots)
                 else:
                     continue
-                resolvers.setdefault(form, resolve)
+                forms.setdefault((key, step.local_slots), [0, resolve, lower])[0] += 1
+            jobs = []
+            compiles = False  # whether any form may need an artifact
+            for form, (steps, resolve, lower) in forms.items():
+                cached = self._native_cache.peek(form + (codegen,))
+                if steps == 1 and cached is None:
+                    continue
+                if cached is None or cached is FIRST_LAUNCH:
+                    # Lowered here, not on the pool (it holds the GIL
+                    # anyway), so that a plan of fills asks for no runtime.
+                    if lower is None:
+                        compiles = True
+                    else:
+                        lowered = lower()
+                        compiles = compiles or lowered[0] is not None
+                        resolve = partial(resolve, lowered=lowered)
+                jobs.append(partial(resolve, recurs=steps > 1))
             # Distinct forms resolve concurrently on the tile pool: a compile
             # is a subprocess wait and an artifact load is hashing + dlopen,
             # both of which release the GIL.  The pool threads take only the
@@ -690,7 +730,6 @@ class NativeBackend(ParallelBackend):
             # 50-125 ms per kernel).  (A lone form stays on this thread: a
             # warm miss must not pay a pool round-trip for a runtime that is
             # already loaded.)
-            jobs = list(resolvers.values())
             if compiles and len(jobs) > 1 and self.native_runtime is None:
                 jobs.insert(0, partial(self._resolve_runtime, config))
             self._scatter(jobs, config.parallel_num_threads)

@@ -39,17 +39,18 @@ class BoundedLRU:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key, default=None):
+    def get(self, key, default=None, marker=_ABSENT):
         """Look ``key`` up, counting the hit/miss and refreshing recency.
 
         A cached ``None`` is a hit; pass a sentinel ``default`` to tell it
-        from a miss.
+        from a miss.  A cached ``marker`` holds a key's place, not a value:
+        it is returned, and counted as a miss.
         """
         with self._lock:
             value = self._entries.get(key, _ABSENT)
-            if value is _ABSENT:
+            if value is _ABSENT or value is marker:
                 self.misses += 1
-                return default
+                return default if value is _ABSENT else value
             self._entries.move_to_end(key)
             self.hits += 1
             return value
@@ -68,14 +69,17 @@ class BoundedLRU:
             self._entries.move_to_end(key)
             return self._evict()
 
-    def setdefault(self, key, value):
+    def setdefault(self, key, value, marker=_ABSENT):
         """Publish ``value`` unless ``key`` is already cached; return the winner.
 
         Concurrent builders of one key all launch through the first
-        published value.
+        published value.  A cached ``marker`` is no winner: ``value``
+        replaces it.
         """
         with self._lock:
-            winner = self._entries.setdefault(key, value)
+            winner = self._entries.get(key, _ABSENT)
+            if winner is _ABSENT or winner is marker:
+                self._entries[key] = winner = value
             self._evict()
             return winner
 

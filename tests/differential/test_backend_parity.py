@@ -50,7 +50,7 @@ from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.utils.config import config_override, get_config
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
-from tests.tiers import on_tier
+from tests.tiers import on_tier, runs
 
 #: Every tier the harness checks (a backend name, or a tier of ``tests/tiers.py``).
 BACKENDS = ("interpreter", "parallel", "parallel4", "native")
@@ -93,9 +93,21 @@ def elementwise_program(seed, num_instructions=12, vector_length=16):
 
 
 def _execute(program, views, tier, optimize):
+    """``(values, stats)`` of the last of the tier's :func:`runs` on one
+    engine.  Every earlier run's values are bitwise the last one's — within
+    the tolerance for a program with a reduction: a first run templates a
+    reduction the process holds no artifact for, and a compiled fold may
+    reassociate against the template's."""
     with on_tier(tier) as backend:
-        result = ExecutionEngine(backend=backend, optimize=optimize).execute(program)
-    return [result.value(view) for view in views], result.stats
+        engine = ExecutionEngine(backend=backend, optimize=optimize)
+        results = [engine.execute(program) for _ in range(runs(tier))]
+    values = [[result.value(view) for view in views] for result in results]
+    reduces = any(instruction.is_reduction() for instruction in program)
+    same = _assert_close if reduces else _assert_bitwise
+    for earlier in values[:-1]:
+        for index, (actual, expected) in enumerate(zip(earlier, values[-1])):
+            same(actual, expected, f"{tier} first run vs last, output {index}")
+    return values[-1], results[-1].stats
 
 
 def _assert_close(actual, expected, context):
@@ -394,26 +406,32 @@ def test_store_forwarding_axis_is_bitwise(backend, monkeypatch):
 
     monkeypatch.setattr(random_module, "_EXPLICIT_SEED", None)
     without = [name for name in DEFAULT_PASS_ORDER if name != "copy_propagation"]
-    oracle = _stencils(Session(backend="interpreter", optimize=False))
+    # A session's next run draws the blur's next input: one oracle per run.
+    reference = Session(backend="interpreter", optimize=False)
+    oracles = [_stencils(reference) for _ in range(runs(backend))]
     with config_override(parallel_tile_elements=64, parallel_serial_threshold=4):
         with on_tier(backend) as name:
             session = Session(backend=name, optimize=True)
-            forwarded = _stencils(session)
+            forwarded = [_stencils(session)]
+            fired = sum(
+                note.startswith("forwarded store")
+                for plan in session.engine.plan_cache.values()
+                for run in plan.report.stats_for("copy_propagation")
+                for note in run.notes
+            )
+            forwarded += [_stencils(session) for _ in range(runs(backend) - 1)]
             with config_override(enabled_passes=without):
-                kept = _stencils(Session(backend=name, optimize=True))
-    fired = sum(
-        note.startswith("forwarded store")
-        for plan in session.engine.plan_cache.values()
-        for run in plan.report.stats_for("copy_propagation")
-        for note in run.notes
-    )
+                pass_less = Session(backend=name, optimize=True)
+                kept = [_stencils(pass_less) for _ in range(runs(backend))]
     assert fired == 3 + 3 + 1, "the axis is vacuous: no store was forwarded"
-    for index, (on, off, reference) in enumerate(zip(forwarded, kept, oracle)):
+    for index, (on, off) in enumerate(zip(forwarded[-1], kept[-1])):
         _assert_bitwise(on, off, f"{backend} forwarding on vs off, output {index}")
-        if on.size > 1 or backend not in REASSOCIATING_BACKENDS + ("dist",):
-            _assert_bitwise(on, reference, f"{backend} vs oracle, output {index}")
-        else:
-            _assert_close(on, reference, f"{backend} vs oracle, output {index}")
+    for forwarded_run, oracle in zip(forwarded + kept, oracles * 2):
+        for index, (on, expected) in enumerate(zip(forwarded_run, oracle)):
+            if on.size > 1 or backend not in REASSOCIATING_BACKENDS + ("dist",):
+                _assert_bitwise(on, expected, f"{backend} vs oracle, output {index}")
+            else:
+                _assert_close(on, expected, f"{backend} vs oracle, output {index}")
 
 
 @pytest.mark.parametrize("seed", ELEMENTWISE_SEEDS[:6] + MIXED_SEEDS[:6])
@@ -480,27 +498,32 @@ def test_planless_execution_is_the_planned_path(backend_name, seed, monkeypatch)
         _count_calls(monkeypatch, target, calls)
     # With only the fusion pass enabled the engine plans exactly the program
     # the backend schedules for itself.
+    # On ``native`` the first run of a one-step kernel form runs its
+    # template and the second compiles it: both sides run the tier's runs,
+    # and the plan-less call after them is the one that derives nothing.
     with config_override(**TINY_TILES, enabled_passes=["fusion"]):
         program, synced = generator(seed)
-        planned = ExecutionEngine(backend=backend_name, optimize=True).execute(program)
+        engine = ExecutionEngine(backend=backend_name, optimize=True)
+        for _ in range(runs(backend_name)):
+            planned = engine.execute(program)
         expected = [planned.value(view) for view in synced]
 
         backend = get_backend(backend_name)
         results = []
-        for _ in range(2):
+        for _ in range(runs(backend_name) + 1):
             program, synced = generator(seed)  # fresh bases, same structure
-            after_first = dict(calls)
+            after_previous = dict(calls)
             result = backend.execute(program)
             results.append(result)
             for index, (view, reference) in enumerate(zip(synced, expected)):
                 _assert_bitwise(
                     result.value(view), reference, f"{backend_name} plan-less, output {index}"
                 )
-    for result in results:
+    for result in results[runs(backend_name) - 1 :]:
         for counter in ("tiles_executed", "native_kernel_launches", "dist_shard_launches"):
             assert getattr(result.stats, counter) == getattr(planned.stats, counter), counter
     assert planned.stats.tiles_executed > 0, "nothing tiled; the comparison is vacuous"
-    assert calls == after_first, "the second plan-less call re-derived plan artifacts"
+    assert calls == after_previous, "the last plan-less call re-derived plan artifacts"
     # Non-vacuity: the planned flush and the first plan-less call each did
     # derive them, once.
     assert calls["decompose"] == 2
@@ -509,7 +532,7 @@ def test_planless_execution_is_the_planned_path(backend_name, seed, monkeypatch)
     if backend_name == "native":
         assert calls["lower_kernel"] >= 2
     cache = backend.cache_stats()
-    assert (cache["tiling_cache_misses"], cache["tiling_cache_hits"]) == (1, 1)
+    assert (cache["tiling_cache_misses"], cache["tiling_cache_hits"]) == (1, runs(backend_name))
 
 
 # --------------------------------------------------------------------------- #
@@ -547,7 +570,8 @@ FULL_CROSS = ("rank1_spans", "rows_axis0", "rows_axis1")
 
 def _map_reduce_cell(build, backend, planned, **config):
     """One cell of the axis: ``(tail-fused, tail-free, oracle, tails)`` of
-    the program ``build()`` returns, on ``backend``."""
+    the program ``build()`` returns, on ``backend``, once per run of the
+    tier (:func:`runs`)."""
     program, out = build()
     oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
     values = {}
@@ -556,26 +580,36 @@ def _map_reduce_cell(build, backend, planned, **config):
         with config_override(**config, fusion_scheduler=scheduler), on_tier(backend) as name:
             if planned:
                 engine = ExecutionEngine(backend=name, optimize=True)
-                values[scheduler] = engine.execute(program).value(out)
-                tails += engine.last_plan.fusion_schedule.reduction_tails
+                execute = engine.execute
             else:
-                values[scheduler] = get_backend(name).execute(program).value(out)
-    return values["dag"], values["consecutive"], oracle.value(out), tails
+                execute = get_backend(name).execute
+            values[scheduler] = [execute(program).value(out) for _ in range(runs(backend))]
+            if planned:
+                tails += engine.last_plan.fusion_schedule.reduction_tails
+    return [
+        (fused, unfused, oracle.value(out), tails)
+        for fused, unfused in zip(values["dag"], values["consecutive"])
+    ]
 
 
-def _assert_map_reduce_cell(cell, elements, context):
+def _assert_map_reduce_cell(cell, elements, context, last_run=True):
+    """``last_run=False``: an earlier run of a ``native`` cell, where either
+    schedule may template a form the other one finds compiled — the oracle
+    holds each of them, the shared bits only the last run."""
     fused, unfused, oracle, _ = cell
     assert fused.dtype == unfused.dtype == oracle.dtype, context
     # The tail keeps the bare reduction's spans and combine tree: same bits
     # as the tail-free schedule on the same tier, whatever the dtype.
-    assert fused.tobytes() == unfused.tobytes(), (context, fused, unfused)
-    if oracle.dtype.kind != "f":
-        assert fused.tobytes() == oracle.tobytes(), (context, fused, oracle)
-    else:
-        # Tiled tiers reassociate: the harness's tolerance, or the dtype's
-        # rounding over the reduced elements (float32 accumulates in float32).
-        rtol = max(RTOL, elements * float(np.finfo(oracle.dtype).eps))
-        np.testing.assert_allclose(fused, oracle, rtol=rtol, err_msg=context)
+    if last_run:
+        assert fused.tobytes() == unfused.tobytes(), (context, fused, unfused)
+    for value in (fused, unfused):
+        if oracle.dtype.kind != "f":
+            assert value.tobytes() == oracle.tobytes(), (context, value, oracle)
+        else:
+            # Tiled tiers reassociate: the harness's tolerance, or the dtype's
+            # rounding over the reduced elements (float32 accumulates in float32).
+            rtol = max(RTOL, elements * float(np.finfo(oracle.dtype).eps))
+            np.testing.assert_allclose(value, oracle, rtol=rtol, err_msg=context)
 
 
 #: (A plan-less interpreter schedules nothing: there is no tail to compare;
@@ -604,7 +638,7 @@ def test_map_reduce_axis_template_tiers(dtype, geometry, backend, planned, map_r
     reductions = REDUCTIONS if geometry in FULL_CROSS else ("add", "maximum")
     tails = 0
     for reduction in reductions:
-        cell = _map_reduce_cell(
+        (cell,) = _map_reduce_cell(
             lambda: map_reduce_program(PRODUCER_DTYPES[dtype], reduction, shape, axis),
             backend,
             planned,
@@ -633,16 +667,20 @@ NATIVE_CELLS = (
 def test_map_reduce_axis_native(dtype, reduction, geometry, planned, map_reduce_program):
     shape, axis = GEOMETRIES[geometry]
     for threads in (1, 4):
-        cell = _map_reduce_cell(
+        cells = _map_reduce_cell(
             lambda: map_reduce_program(PRODUCER_DTYPES[dtype], reduction, shape, axis),
             "native",
             planned,
             **SMALL_TILES,
             codegen_threads=threads,
         )
-        _assert_map_reduce_cell(
-            cell, shape[axis], f"native({threads}) {dtype} {reduction} {geometry}"
-        )
+        for run, cell in enumerate(cells, 1):
+            _assert_map_reduce_cell(
+                cell,
+                shape[axis],
+                f"native({threads}) run {run} {dtype} {reduction} {geometry}",
+                last_run=run == len(cells),
+            )
 
 
 @pytest.mark.parametrize("backend", ("parallel", "native"))
@@ -665,7 +703,9 @@ def test_map_reduce_axis_at_the_default_thresholds(
         for scheduler in ("dag", "consecutive"):
             with config_override(parallel_num_threads=threads, fusion_scheduler=scheduler):
                 engine = ExecutionEngine(backend=backend, optimize=True)
-                values[scheduler] = engine.execute(program).value(out)
+                values[scheduler] = [
+                    engine.execute(program).value(out) for _ in range(runs(backend))
+                ]
                 steps[scheduler] = [
                     step for step in engine.last_plan.tiling.steps
                     if isinstance(step, TiledReduceStep)
@@ -677,9 +717,13 @@ def test_map_reduce_axis_at_the_default_thresholds(
                 bare.spans, bare.tile_axis, bare.combine
             )
             assert fused.local_slots and not bare.local_slots
-        _assert_map_reduce_cell(
-            (values["dag"], values["consecutive"], oracle[0], 1), length, f"{backend} {dtype}"
-        )
+        for run, (fused, unfused) in enumerate(zip(values["dag"], values["consecutive"]), 1):
+            _assert_map_reduce_cell(
+                (fused, unfused, oracle[0], 1),
+                length,
+                f"{backend} run {run} {dtype}",
+                last_run=run == len(values["dag"]),
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -721,17 +765,20 @@ LITERAL_CELLS = [
 
 def _literal_tiers(program, out, **settings):
     """Yield ``(tier, backend, value, stats)`` of ``out`` on every literal
-    tier, after checking its bits against the unoptimized interpreter's."""
+    tier's last run, after checking every run's bits against the
+    unoptimized interpreter's."""
     oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program).value(out)
     for tier, (backend, planned, threads) in LITERAL_TIERS.items():
         with config_override(**SMALL_TILES, **settings, codegen_threads=threads):
             if planned:
-                result = ExecutionEngine(backend=backend, optimize=True).execute(program)
+                execute = ExecutionEngine(backend=backend, optimize=True).execute
             else:
-                result = get_backend(backend).execute(program)
-        value = result.value(out)
-        assert value.dtype == oracle.dtype, tier
-        assert value.tobytes() == oracle.tobytes(), (tier, value, oracle)
+                execute = get_backend(backend).execute
+            results = [execute(program) for _ in range(runs(backend))]
+        for result in results:
+            value = result.value(out)
+            assert value.dtype == oracle.dtype, tier
+            assert value.tobytes() == oracle.tobytes(), (tier, value, oracle)
         yield tier, backend, value, result.stats
 
 
@@ -948,8 +995,10 @@ def test_a_refused_reduction_stays_unfused_and_correct(name, backend):
     for scheduler in ("dag", "consecutive"):
         with config_override(**SMALL_TILES, fusion_scheduler=scheduler), on_tier(backend) as tier:
             engine = ExecutionEngine(backend=tier, optimize=True)
-            result = engine.execute(program)
-            values[scheduler] = [result.value(view) for view in observed]
+            values[scheduler] = [
+                [result.value(view) for view in observed]
+                for result in [engine.execute(program) for _ in range(runs(backend))]
+            ]
             if scheduler == "dag":
                 schedule = engine.last_plan.fusion_schedule.stats()
                 assert schedule["fusion_reduction_tails"] == 0
@@ -958,8 +1007,10 @@ def test_a_refused_reduction_stays_unfused_and_correct(name, backend):
                     instruction.is_fused() and instruction.kernel[-1].is_reduction()
                     for instruction in engine.last_plan.optimized
                 )
-    for index, (fused, unfused, reference) in enumerate(
-        zip(values["dag"], values["consecutive"], oracle)
-    ):
+    # Every run meets the oracle; the two schedules share their bits on the
+    # last run (an earlier native run may template what the other compiled).
+    for index, (fused, unfused) in enumerate(zip(values["dag"][-1], values["consecutive"][-1])):
         _assert_bitwise(fused, unfused, f"{backend} {name}, output {index}")
-        _assert_close(fused, reference, f"{backend} {name} vs oracle, output {index}")
+    for run in values["dag"] + values["consecutive"]:
+        for index, (value, reference) in enumerate(zip(run, oracle)):
+            _assert_close(value, reference, f"{backend} {name} vs oracle, output {index}")

@@ -4,6 +4,11 @@ The differential harness establishes *parity*; these tests pin the
 backend's mechanics: fallback behaviour with no compiler,
 compile/cache counter windows, plan-time pre-compilation, the single-pass
 whole-step launch, and instruction-local slot elision.
+
+A kernel form that occurs in one step of a plan is compiled on its second
+launch (its first runs the template), so a test about compiled code runs
+its program twice on one engine (:func:`second_run`) and asserts on the
+second result.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.codegen.emit_c import emit_runtime_source
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memory import MemoryManager
-from repro.runtime.native import NativeBackend
+from repro.runtime.native import FIRST_LAUNCH, NativeBackend, NativeKernelLaunch
 from repro.runtime.tiling import TiledMapStep, TiledReduceStep
 from repro.utils.config import Config, config_override
 from repro.utils.errors import ExecutionError
@@ -96,6 +101,37 @@ def build_distinct_forms(count):
     return builder.build(), outputs
 
 
+def build_recurring_forms(count):
+    """``count`` (at most 2) kernel forms, each in two steps of one plan:
+    ``dst[1:-1] = src[:-2] op src[2:]`` over two random vectors, then
+    back, with ``op`` add for the first form and multiply for the second.
+    The second sweep reads the first one's shifted output, so the two
+    steps stay apart."""
+    builder = ProgramBuilder()
+    outputs = []
+    for index in range(count):
+        length = LENGTH + 16 * index
+        a, b = builder.new_vector(length), builder.new_vector(length)
+        builder.random(a, index)
+        builder.random(b, index + count)
+        for src, dst in ((a, b), (b, a)):
+            (builder.add, builder.multiply)[index](
+                View(dst.base, 1, (length - 2,), (1,)),
+                View(src.base, 0, (length - 2,), (1,)),
+                View(src.base, 2, (length - 2,), (1,)),
+            )
+        builder.sync(a)
+        outputs.append(a)
+    return builder.build(), outputs
+
+
+def second_run(engine, program):
+    """Execute ``program`` twice on ``engine`` and return the second result:
+    the one whose single-step kernel forms are compiled."""
+    engine.execute(program)
+    return engine.execute(program)
+
+
 def _oracle(program, views):
     result = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
     return [result.value(view) for view in views]
@@ -120,7 +156,7 @@ class TestFallbacks:
         expected = _oracle(program, (a, b))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
-            result = engine.execute(program)
+            result = second_run(engine, program)
         assert np.array_equal(result.value(a), expected[0])
         assert np.array_equal(result.value(b), expected[1])
         assert result.stats.native_kernel_launches == 0
@@ -132,12 +168,14 @@ class TestFallbacks:
         assert all("compiler" in reason for reason in result.stats.native_fallback_reasons)
 
     def test_no_compiler_degrades_to_fallbacks(self, cache_dir, monkeypatch):
-        # The backend caches CompilerUnavailable as "no native form".
+        # The backend caches CompilerUnavailable as "no native form" on the
+        # launch that tries to compile: the second.
         no_compiler(monkeypatch)
         program, a, b = build_chain()
         expected = _oracle(program, (a, b))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
+            engine.execute(program)
             first = engine.execute(program)
             second = engine.execute(program)
         for result in (first, second):
@@ -173,7 +211,7 @@ class TestFallbacks:
         expected = _oracle(program, (a, b))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
-            result = engine.execute(program)
+            result = second_run(engine, program)
         assert np.array_equal(result.value(a), expected[0])
         assert np.array_equal(result.value(b), expected[1])
         assert result.stats.native_compiles == 0
@@ -196,7 +234,7 @@ class TestFallbacks:
         program = builder.build()
         expected = _oracle(program, (out,))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
-            result = ExecutionEngine(backend="native", optimize=True).execute(program)
+            result = second_run(ExecutionEngine(backend="native", optimize=True), program)
         assert np.allclose(result.value(out), expected[0])
         assert result.stats.native_compiles == 0
         assert result.stats.native_reductions_compiled == 0
@@ -236,7 +274,9 @@ class TestFallbackReasons:
         assert estimate.native_reduction_fallbacks == 0
         assert estimate.native_reductions_compiled == 1
         assert estimate.native_fallback_reasons == {}
-        assert cumulative == {"unsupported op-code BH_LOG": 2}
+        # The kernel ending in the bool-mask sum ran the template on its
+        # first launch: one reason for its members, one for its reduction.
+        assert cumulative == {"unsupported op-code BH_LOG": 2, FIRST_LAUNCH: 2}
         assert all(isinstance(value, (int, float)) for value in cache.values())
         assert self._accounted(session.total_stats())
 
@@ -256,7 +296,7 @@ class TestFallbackReasons:
         program = builder.build()
         expected = _oracle(program, (any_inside,))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
-            result = ExecutionEngine(backend="native", optimize=True).execute(program)
+            result = second_run(ExecutionEngine(backend="native", optimize=True), program)
         assert result.stats.native_reduction_fallbacks == 1
         assert result.stats.native_fallback_reasons == {
             "bool reductions have NumPy-specific semantics": 1
@@ -268,7 +308,8 @@ class TestFallbackReasons:
         no_compiler(monkeypatch)
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
-            cold = engine.execute(program)
+            engine.execute(program)
+            cold = engine.execute(program)  # the launch that compiles
             warm = engine.execute(program)
         # The message is cached beside the failure and counted again.
         (message,) = cold.stats.native_fallback_reasons
@@ -318,8 +359,13 @@ class TestCompileCounters:
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
+            first = engine.execute(program)
             cold = engine.execute(program)
             warm = engine.execute(program)
+        # A one-step form's first launch runs the template; its second
+        # compiles it.
+        assert first.stats.native_compiles == first.stats.native_kernel_launches == 0
+        assert first.stats.native_fallback_reasons == {FIRST_LAUNCH: 1}
         assert cold.stats.native_compiles >= 1
         assert cold.stats.native_disk_hits == 0
         assert cold.stats.native_kernel_launches > 0
@@ -330,15 +376,22 @@ class TestCompileCounters:
         assert warm.stats.native_disk_hits == 0
         assert warm.stats.native_memory_hits == 0
         assert warm.stats.native_kernel_launches > 0
+        # The marker's lookup is a miss, as is the form's first; only the
+        # warm launch is served from the launch cache.
+        cache = engine.backend.cache_stats()
+        assert (cache["native_cache_misses"], cache["native_cache_hits"]) == (2, 1)
 
     def test_fresh_backend_restores_from_disk(self, cache_dir):
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             first = ExecutionEngine(backend="native", optimize=True)
-            cold = first.execute(program)
+            cold = second_run(first, program)
             clear_memory_cache()
             second = ExecutionEngine(backend="native", optimize=True)
             restored = second.execute(program)
+        assert cold.stats.native_compiles >= 1
+        # A form on disk is loaded on its first launch, not templated.
+        assert restored.stats.native_fallbacks == 0
         assert restored.stats.native_compiles == 0
         assert restored.stats.native_disk_hits == cold.stats.native_compiles
         assert np.array_equal(restored.value(a), cold.value(a))
@@ -346,7 +399,7 @@ class TestCompileCounters:
     def test_fresh_backend_same_process_hits_artifact_memo(self, cache_dir):
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
-            ExecutionEngine(backend="native", optimize=True).execute(program)
+            second_run(ExecutionEngine(backend="native", optimize=True), program)
             result = ExecutionEngine(backend="native", optimize=True).execute(program)
         assert result.stats.native_compiles == 0
         assert result.stats.native_memory_hits >= 1
@@ -360,7 +413,7 @@ class TestCompileCounters:
             codegen_cache_dir=cache_dir,
             codegen_disk_cache_enabled=False,
         ):
-            result = ExecutionEngine(backend="native", optimize=True).execute(program)
+            result = second_run(ExecutionEngine(backend="native", optimize=True), program)
         assert result.stats.native_compiles >= 1
         assert result.stats.native_kernel_launches > 0
         assert not os.path.exists(cache_dir) or not os.listdir(cache_dir)
@@ -371,6 +424,7 @@ class TestCompileCounters:
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             backend = get_backend("native")
+            backend.execute(program)
             result = backend.execute(program)
         assert result.stats.native_compiles >= 1
         assert result.stats.native_kernel_launches > 0
@@ -379,7 +433,7 @@ class TestCompileCounters:
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
-            engine.execute(program)
+            second_run(engine, program)
         cache = engine.backend.cache_stats()
         for key in (
             "native_compiles",
@@ -412,7 +466,7 @@ class TestExecutionStrategies:
         ):
             native = ExecutionEngine(backend="native", optimize=True)
             parallel = ExecutionEngine(backend="parallel", optimize=True)
-            native_result = native.execute(program)
+            native_result = second_run(native, program)
             parallel_result = parallel.execute(program)
         plan = native.last_plan
         step = next(
@@ -443,7 +497,7 @@ class TestExecutionStrategies:
             codegen_cache_dir=cache_dir,
         ):
             native = ExecutionEngine(backend="native", optimize=True)
-            result = native.execute(program)
+            result = second_run(native, program)
         step = next(
             s for s in native.last_plan.tiling.steps if isinstance(s, TiledMapStep)
         )
@@ -479,7 +533,7 @@ class TestExecutionStrategies:
             codegen_cache_dir=cache_dir,
         ):
             native = ExecutionEngine(backend="native", optimize=True)
-            result = native.execute(program)
+            result = second_run(native, program)
         assert result.stats.native_mt_launches >= 1
         assert np.array_equal(result.value(a), expected[0])
         assert np.array_equal(result.value(b), expected[1])
@@ -505,7 +559,7 @@ class TestExecutionStrategies:
         expected = _oracle(program, (out,))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
-            result = engine.execute(program)
+            result = second_run(engine, program)
         local = [
             step.local_slots
             for step in engine.last_plan.tiling.steps
@@ -547,7 +601,7 @@ class TestCompiledReductions:
             **{**TINY_TILES, "codegen_cache_dir": cache_dir, **overrides}
         ):
             engine = ExecutionEngine(backend="native", optimize=True)
-            return engine, engine.execute(program)
+            return engine, second_run(engine, program)
 
     def test_combine_sum_compiles_and_matches(self, cache_dir):
         builder = ProgramBuilder()
@@ -619,7 +673,7 @@ class TestCompiledReductions:
             **TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=4
         ):
             native = ExecutionEngine(backend="native", optimize=True)
-            result = native.execute(program)
+            result = second_run(native, program)
         with config_override(**TINY_TILES):
             parallel = ExecutionEngine(backend="parallel", optimize=True)
             reference = parallel.execute(program)
@@ -654,7 +708,8 @@ class TestCompiledReductions:
         assert result.stats.native_compiles == 0
         assert engine.backend.cache_stats()["native_cache_size"] == 0
         assert result.stats.native_reductions_compiled == 0
-        assert result.stats.native_fallback_reasons == {"zero-size reduction source": 1}
+        # One reason per fallback counted: the members' and the reduction's.
+        assert result.stats.native_fallback_reasons == {"zero-size reduction source": 1 + tail}
         assert result.value(out).tolist() == [0.0] * 4
 
     @requires_compiler
@@ -721,6 +776,7 @@ class TestCompiledReductions:
         program = builder.build()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
+            engine.execute(program)
             cold = engine.execute(program)
             warm = engine.execute(program)
         assert cold.stats.native_reductions_compiled == 1
@@ -731,12 +787,78 @@ class TestCompiledReductions:
 
 
 @requires_compiler
+class TestFirstLaunch:
+    def test_threads_launching_an_unseen_form_compile_it_once(
+        self, cache_dir, thread_hammer
+    ):
+        """Four threads run one program whose form the backend never saw,
+        three times each on one engine: first launches run the template
+        and leave the marker, a later launch compiles — once, behind the
+        digest latch — and the launchable replaces the marker."""
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        results = [[] for _ in range(4)]
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            engine = ExecutionEngine(backend="native", optimize=True)
+
+            def body(index):
+                for _ in range(3):
+                    results[index].append(engine.execute(program))
+
+            thread_hammer(4, body)
+        backend = engine.backend
+        cache = backend.cache_stats()
+        assert backend.native_compiles == 1
+        (entry,) = backend._native_cache.values()
+        assert isinstance(entry, NativeKernelLaunch), "a marker was left behind"
+        # Every launch ran compiled or counted its first-launch fallback,
+        # and no marker lookup was served as a launch-cache hit.
+        launched = cache["native_kernel_launches"]
+        assert launched + cache["native_fallbacks"] == 12
+        assert backend.fallback_reasons() == {FIRST_LAUNCH: cache["native_fallbacks"]}
+        resolved = cache["native_compiles"] + cache["native_memory_hits"]
+        assert cache["native_cache_hits"] <= launched - resolved
+        for result in (result for runs in results for result in runs):
+            assert np.array_equal(result.value(a), expected[0])
+            assert np.array_equal(result.value(b), expected[1])
+
+    def test_a_first_launch_never_compiles_the_runtime(self, cache_dir, tmp_path, monkeypatch):
+        """A kernel on disk whose runtime is not: binding it would take a
+        compile, so the form's first launch runs the template and no
+        compiler is spawned."""
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            second_run(engine, program)
+        if engine.backend.native_runtime == "serial":
+            pytest.skip("toolchain builds no kernel runtime")
+        for name in os.listdir(cache_dir):
+            if name.endswith(".c") and "repro_rt_launch" in open(os.path.join(cache_dir, name)).read():
+                for suffix in (".c", ".so", ".json"):
+                    os.unlink(os.path.join(cache_dir, name[:-2] + suffix))
+        clear_memory_cache()
+        log = tmp_path / "cc.log"
+        shim = tmp_path / "failing-cc"
+        shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
+        shim.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(shim))
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            result = ExecutionEngine(backend="native", optimize=True).execute(program)
+        assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
+        assert result.stats.native_fallback_reasons == {FIRST_LAUNCH: 1}
+        assert result.stats.native_compiles == result.stats.native_kernel_launches == 0
+        assert np.array_equal(result.value(a), expected[0])
+        assert np.array_equal(result.value(b), expected[1])
+
+
+@requires_compiler
 class TestPlanInteraction:
     def test_prepare_plan_precompiles_and_is_idempotent(self, cache_dir):
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
-            result = engine.execute(program)
+            result = second_run(engine, program)
             backend = engine.backend
             plan = engine.last_plan
             # Every kernel form was resolved at plan time, so execution
@@ -758,17 +880,17 @@ class TestPlanInteraction:
 
         outcomes = ("native_compiles", "native_disk_hits", "native_memory_hits")
         chain, _, _ = build_chain()
-        other = build_distinct_forms(2)[0]
+        other = build_recurring_forms(2)[0]
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
-            engine.execute(chain)
+            second_run(engine, chain)
             before = engine.backend.native_compiles
             engine.prime(other, default_pipeline().run(other))  # prepare_plan, no flush
             primed = engine.backend.native_compiles - before
             assert primed >= 1, "priming compiled nothing; the test is vacuous"
             unrelated = engine.execute(build_chain()[0]).stats
             first = engine.execute(other).stats
-            second = engine.execute(build_distinct_forms(2)[0]).stats
+            second = engine.execute(build_recurring_forms(2)[0]).stats
         assert [getattr(unrelated, name) for name in outcomes] == [0, 0, 0]
         assert first.plan_cache_hits == 1 and first.native_compiles == primed
         assert [getattr(second, name) for name in outcomes] == [0, 0, 0]
@@ -779,13 +901,15 @@ class TestPlanInteraction:
             backend = get_backend("native")
             with pytest.raises(Exception):
                 backend.execute_plan(object(), program)  # malformed plan
-            # There is no window to reset any more: the next run's record
-            # is exactly what that run did, which is all the backend did.
+            # There is no window to reset any more: each run's record is
+            # exactly what that run did, and the two are all the backend did.
+            first = backend.execute(program)
             result = backend.execute(program)
             cumulative = backend.cache_stats()
         assert result.stats.native_kernel_launches > 0
         for counter in ("native_kernel_launches", "native_compiles", "native_fallbacks"):
-            assert getattr(result.stats, counter) == cumulative[counter], counter
+            both = getattr(first.stats, counter) + getattr(result.stats, counter)
+            assert both == cumulative[counter], counter
 
 
 def _process_threads() -> int:
@@ -799,7 +923,7 @@ def _process_threads() -> int:
 def _force_runtime_mode(monkeypatch, mode):
     """Make the backend resolve the ``mode`` runtime whatever the host prefers."""
 
-    def forced(cache_dir=None, use_disk=True):
+    def forced(cache_dir=None, use_disk=True, load_only=False):
         if mode == "serial":
             return None, "serial", "serial"
         try:
@@ -809,16 +933,17 @@ def _force_runtime_mode(monkeypatch, mode):
                 use_disk=use_disk,
                 mt_mode=mode,
                 loader=CompiledRuntime,
+                load_only=load_only,
             )
         except CodegenError:
             pytest.skip(f"toolchain cannot build the {mode} runtime")
-        return runtime, mode, outcome
+        return runtime, mode if runtime else "serial", outcome
 
     monkeypatch.setattr("repro.runtime.native.resolve_runtime", forced)
 
 
-#: Runs one threaded native flush against ``cache_dir`` in a cold process
-#: and prints what the backend counted.
+#: Runs ``runs`` threaded native flushes against ``cache_dir`` in a cold
+#: process and prints what the backend counted in the last one.
 _FLUSH_SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -830,7 +955,8 @@ from repro.utils.config import config_override
 program, a, b = build_chain()
 with config_override(**TINY_TILES, codegen_cache_dir={cache_dir!r}, codegen_threads=2):
     engine = ExecutionEngine(backend="native", optimize=True)
-    stats = engine.execute(program).stats
+    for _ in range({runs}):
+        stats = engine.execute(program).stats
 print(json.dumps({{
     "compiles": stats.native_compiles,
     "disk_hits": stats.native_disk_hits,
@@ -843,11 +969,12 @@ print(json.dumps({{
 _TESTS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _flush_in_subprocess(cache_dir, **env):
+def _flush_in_subprocess(cache_dir, runs=1, **env):
     script = _FLUSH_SCRIPT.format(
         src=os.path.join(os.path.dirname(_TESTS_ROOT), "src"),
         tests=_TESTS_ROOT,
         cache_dir=cache_dir,
+        runs=runs,
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -869,8 +996,9 @@ class TestSharedRuntime:
     ):
         """A second process over a populated cache forks no ``cc`` at all —
         no kernel compile, no runtime compile, no toolchain probe — and still
-        launches threaded."""
-        cold = _flush_in_subprocess(cache_dir)
+        launches threaded: its first launch loads what the cold process
+        compiled on its second."""
+        cold = _flush_in_subprocess(cache_dir, runs=2)
         if cold["runtime"] == "serial":
             pytest.skip("toolchain builds no kernel runtime")
         assert cold["runtime"] == "compiled" and cold["compiles"] >= 1
@@ -898,7 +1026,7 @@ class TestSharedRuntime:
             codegen_cache_dir=cache_dir,
         ):
             engine = ExecutionEngine(backend="native", optimize=True)
-            result = engine.execute(program)
+            result = second_run(engine, program)
             if engine.backend.native_runtime == "serial":
                 pytest.skip("toolchain builds no kernel runtime")
         assert result.stats.native_compiles >= 8
@@ -924,7 +1052,7 @@ class TestSharedRuntime:
                 **TINY_TILES, codegen_cache_dir=str(directory), codegen_threads=3
             ):
                 engine = ExecutionEngine(backend="native", optimize=True)
-                result = engine.execute(program)
+                result = second_run(engine, program)
             assert result.stats.native_fallbacks == 0
             assert (result.stats.native_mt_launches > 0) == (mode != "serial")
             assert np.array_equal(result.value(a), expected[0])
@@ -961,7 +1089,7 @@ class TestSharedRuntime:
             codegen_cache_dir=cache_dir,
         ):
             engine = ExecutionEngine(backend="native", optimize=True)
-            result = engine.execute(program)
+            result = second_run(engine, program)
         step = next(
             s for s in engine.last_plan.tiling.steps if isinstance(s, TiledMapStep)
         )
@@ -976,7 +1104,7 @@ class TestSharedRuntime:
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             first = ExecutionEngine(backend="native", optimize=True)
-            cold = first.execute(program)
+            cold = second_run(first, program)
             clear_memory_cache()
             second = ExecutionEngine(backend="native", optimize=True)
             disk = second.execute(program)
@@ -993,8 +1121,9 @@ class TestSharedRuntime:
         assert disk.stats.native_disk_hits == cold.stats.native_compiles
 
     def test_distinct_forms_of_one_plan_resolve_concurrently(self, cache_dir, monkeypatch):
-        """prepare_plan hands a plan's distinct kernel forms to the tile
-        pool: two resolves must be inside the artifact cache at once."""
+        """prepare_plan hands a plan's distinct recurring kernel forms to
+        the tile pool: two resolves must be inside the artifact cache at
+        once."""
         import repro.runtime.native as native_module
 
         barrier = threading.Barrier(2, timeout=30)
@@ -1006,7 +1135,7 @@ class TestSharedRuntime:
             barrier.wait()  # BrokenBarrierError here = the resolves were serial
             return real(source, **kwargs)
 
-        program, outputs = build_distinct_forms(2)
+        program, outputs = build_recurring_forms(2)
         expected = _oracle(program, outputs)
         with config_override(
             **TINY_TILES, parallel_num_threads=2, codegen_cache_dir=cache_dir

@@ -229,8 +229,9 @@ class TestBackendExecution:
             LARGE_LISTING.replace("BH_IDENTITY a0[0:16384:1] 0", "BH_RANGE a0[0:16384:1]")
         )
         clear_memory_cache()
+        # Two runs: a kernel form of one step compiles on its second launch.
         with config_override(codegen_cache_dir=str(tmp_path / "cache")):
-            code, output = run_cli([str(path), "--backend", "native"])
+            code, output = run_cli([str(path), "--backend", "native", "--repeat", "2"])
         assert code == 0
         match = re.search(r"(\d+) native launch\(es\)", output)
         assert match and int(match.group(1)) > 0
@@ -399,12 +400,44 @@ class TestStatsJson:
             parallel_serial_threshold=4,
         ):
             code, output = run_cli(
-                [interleaved_file, "--stats-json", "--backend", "native"]
+                [interleaved_file, "--stats-json", "--backend", "native", "--repeat", "2"]
             )
         assert code == 0
-        codegen = json.loads(output)["execution"]["codegen"]
+        execution = json.loads(output)["execution"]
+        codegen, (first, second) = execution["codegen"], execution["per_run"]
         assert codegen["reductions_compiled"] >= 1
-        assert codegen["reduction_fallbacks"] == 0
+        # The first run templates its reductions; the second compiles them.
+        assert second["native_reduction_fallbacks"] == 0
+        assert codegen["reduction_fallbacks"] == first["native_reduction_fallbacks"]
+
+    def test_a_one_shot_run_says_why_it_was_not_compiled(self, interleaved_file, tmp_path):
+        """The first launch of a kernel form runs its template and says so;
+        a second run of the program in the same process compiles it and
+        adds no such reason."""
+        import json
+
+        from repro.codegen import clear_memory_cache
+        from repro.runtime.native import FIRST_LAUNCH
+        from repro.utils.config import config_override
+
+        clear_memory_cache()
+        with config_override(
+            codegen_cache_dir=str(tmp_path / "cache"),
+            parallel_tile_elements=16,
+            parallel_serial_threshold=4,
+        ):
+            once = json.loads(
+                run_cli([interleaved_file, "--stats-json", "--backend", "native"])[1]
+            )["execution"]
+            twice = json.loads(
+                run_cli([interleaved_file, "--stats-json", "--backend", "native", "--repeat", "2"])[1]
+            )["execution"]
+        reasons = once["codegen"]["fallback_reasons"]
+        assert reasons.get(FIRST_LAUNCH, 0) > 0
+        # The reasons are cumulative: the second run added none.
+        assert twice["codegen"]["fallback_reasons"] == reasons
+        second = twice["per_run"][1]
+        assert second["native_fallbacks"] == second["native_reduction_fallbacks"] == 0
 
     def test_codegen_block_absent_without_native_counters(self, listing_file):
         import json
@@ -434,6 +467,28 @@ class TestStatsJson:
 
 
 class TestServeStress:
+    def test_service_stats_say_why_a_one_shot_flush_was_not_compiled(self, tmp_path):
+        """``service.stats()`` names the first launch of a kernel form; a
+        second flush of the program compiles it and names nothing new."""
+        from repro.codegen import clear_memory_cache
+        from repro.runtime.native import FIRST_LAUNCH
+        from repro.service import ArrayService
+        from repro.utils.config import config_override
+        from repro.workloads import monte_carlo_pi
+
+        clear_memory_cache()
+        with config_override(codegen_cache_dir=str(tmp_path / "cache")):
+            with ArrayService(backend="native") as service:
+                session = service.open_session()
+                monte_carlo_pi(20_000, session=session).to_numpy()
+                once = service.stats()["native_fallback_reasons"]
+                monte_carlo_pi(20_000, session=session).to_numpy()
+                twice = service.stats()["native_fallback_reasons"]
+                second = session.stats_history[-1]
+        assert once.get(FIRST_LAUNCH, 0) > 0
+        assert FIRST_LAUNCH not in second.native_fallback_reasons
+        assert twice == once
+
     def test_serve_stress_reports_native_counters(self, large_listing_file, tmp_path):
         from repro.codegen import clear_memory_cache
         from repro.utils.config import config_override

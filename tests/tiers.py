@@ -6,6 +6,11 @@ runs as many workers as the host has CPUs — one on a single-CPU runner,
 where no tile ever leaves the calling thread — so ``parallel4`` is the
 column that always crosses the pooled path (blocks submitted to the
 persistent pool, partials produced on worker threads).
+
+A ``native`` cell runs its program twice on one backend (:func:`runs`): a
+kernel form that occurs in one step of a plan is compiled on its second
+launch, so the second run is the one that proves the compiled path, and
+the first one the template path it takes until then.
 """
 
 from __future__ import annotations
@@ -28,3 +33,9 @@ def on_tier(name: str) -> Iterator[str]:
     backend, settings = TIERS.get(name, (name, {}))
     with config_override(**settings):
         yield backend
+
+
+def runs(name: str) -> int:
+    """How many times a cell of tier ``name`` executes its program on one
+    backend: twice on ``native``, once elsewhere."""
+    return 2 if TIERS.get(name, (name, {}))[0] == "native" else 1
