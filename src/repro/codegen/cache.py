@@ -336,8 +336,7 @@ def resolve_runtime(
     neither resolves — no compiler and nothing on disk, or a toolchain that
     builds neither form — the result is ``(None, "serial", "serial")`` and
     kernels run their chunked entry point on the caller.  ``load_only``
-    compiles nothing and remembers nothing when nothing loads: it returns
-    ``(None, "serial", None)``.
+    never compiles, and with nothing to load it memoises nothing: outcome ``None``.
     """
     key = (resolve_cache_dir(cache_dir), bool(use_disk))
     with _lock:
@@ -361,10 +360,9 @@ def resolve_runtime(
             # The first line: a compiler's stderr follows it.
             failure = failure or str(exc).partition("\n")[0]
             continue
-        if runtime is None:
-            continue
-        found, failure = (runtime, mode, outcome), None
-        break
+        if runtime is not None:
+            found, failure = (runtime, mode, outcome), None
+            break
     if load_only and found[0] is None:
         return None, "serial", None
     with _lock:

@@ -23,11 +23,10 @@ Caching is three-layered:
    (content digest → ``CompiledKernel``), shared across backend instances,
 3. the on-disk ``.so`` store, shared across processes and sessions.
 
-A kernel form is compiled only once it is known to run twice: when it
-recurs in one plan, or on its second launch by this backend.  Until then
-it launches an artifact that is already loaded or verified on disk, and
-with none it runs the interpreted template — a one-shot program never
-waits for the compiler.  Plans resolve their recurring forms at plan time
+A kernel form is compiled once it is known to run twice — it recurs in
+one plan, or this backend launched it before; until then it binds an
+artifact already loaded or on disk, or runs the interpreted template, so a
+one-shot program never waits for the compiler.  Plans resolve those forms
 (:meth:`prepare_plan`, distinct forms concurrently), so a warm plan-cache
 flush performs **zero** lowering walks and zero compiler invocations.
 Every ``native_*`` counter increment lands, at the site it happens, on the
@@ -307,9 +306,8 @@ class NativeReduceLaunch:
         return False
 
 
-#: The launch-cache entry of a form launched once with no artifact to load:
-#: it ran the template, and its next launch compiles it.  Also the reason
-#: that template launch counts.
+#: The launch-cache entry of a form known to run again, with no artifact yet
+#: (its next resolve compiles it), and the reason its template launch counts.
 FIRST_LAUNCH = "first launch of this form"
 
 #: ``get_compiled_kernel`` outcome -> the counter it bumps.
@@ -349,16 +347,15 @@ class NativeBackend(ParallelBackend):
     ) -> None:
         """Add to one flush's record and to the cumulative one, together.
 
-        ``fallback_reason`` is the message of the fallbacks being counted,
-        noted once per ``native_fallbacks`` and ``native_reduction_fallbacks``.
+        ``fallback_reason`` is the message noted per fallback being counted.
         """
-        fallbacks = increments.get("native_fallbacks", 0)
-        fallbacks += increments.get("native_reduction_fallbacks", 0)
+        notes = increments.get("native_fallbacks", 0)
+        notes += increments.get("native_reduction_fallbacks", 0)
         with self._cache_lock:
             for record in (stats, self._totals):
                 for counter, amount in increments.items():
                     setattr(record, counter, getattr(record, counter) + amount)
-                for _ in range(fallbacks):
+                for _ in range(notes):
                     record.note_fallback(fallback_reason)
 
     @property
@@ -410,7 +407,7 @@ class NativeBackend(ParallelBackend):
                 threads = config.parallel_num_threads
         return config.replace(codegen_threads=max(1, int(threads)))
 
-    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats, recurs=False):
+    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
         """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
 
         ``lower()`` returns the form's C source and a ``bind(compiled,
@@ -421,17 +418,14 @@ class NativeBackend(ParallelBackend):
         the *message* saying why; the caller uses the interpreted path and
         counts the reason.
 
-        The compiler runs only for a form that ``recurs`` in the plan being
-        prepared or whose entry is the :data:`FIRST_LAUNCH` marker of an
-        earlier launch.  Any other form binds an artifact (and runtime)
-        already loaded or verified on disk; with none, the marker is cached
-        and returned as the reason.  A marker lookup is a launch-cache miss,
-        and the launchable replaces it.
+        Only a :data:`FIRST_LAUNCH` entry (a miss) compiles; any other miss
+        binds an artifact and runtime already loaded or on disk, and with
+        none caches and returns the marker.
         """
         cached = self._native_cache.get(cache_key, marker=FIRST_LAUNCH)
         if cached is not None and cached is not FIRST_LAUNCH:
             return _verdict(cached)
-        load_only = cached is None and not recurs
+        load_only = cached is None
         # Lowering and compilation run outside any lock; concurrent misses
         # of one form may both walk here, but the process-wide digest memo
         # latches the actual compile to exactly one of them.
@@ -450,9 +444,7 @@ class NativeBackend(ParallelBackend):
                 # builds it beside the plan's kernels, not before them.
                 if compiled is not None:
                     runtime, _, runtime_outcome = resolve_runtime(
-                        config.codegen_cache_dir,
-                        config.codegen_disk_cache_enabled,
-                        load_only,
+                        config.codegen_cache_dir, config.codegen_disk_cache_enabled, load_only
                     )
                 launch = launch(compiled, runtime=runtime) if runtime_outcome else FIRST_LAUNCH
         except (LoweringError, CodegenError) as exc:
@@ -465,9 +457,7 @@ class NativeBackend(ParallelBackend):
             self._note_runtime(runtime_outcome)
         if outcome is not None:
             self._count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
-        return _verdict(
-            self._native_cache.setdefault(cache_key, launch, marker=FIRST_LAUNCH)
-        )
+        return _verdict(self._native_cache.setdefault(cache_key, launch, marker=FIRST_LAUNCH))
 
     def _note_runtime(self, outcome: Optional[str]) -> None:
         """Keep how this backend obtained the runtime (cache lock held).
@@ -496,7 +486,6 @@ class NativeBackend(ParallelBackend):
         stats: ExecutionStats,
         config: Config,
         lowered: Optional[tuple] = None,
-        recurs=False,
     ):
         """Resolve a kernel form to ``(launchable, None)`` — compiled, or a
         :class:`NativeFill` — or ``(None, why not)``.
@@ -504,14 +493,13 @@ class NativeBackend(ParallelBackend):
         ``local_slots`` (plan-time liveness, part of the cache key) names
         slots whose stores the kernel elides entirely; ``stats`` receives
         the compile/cache outcome of a launch-cache miss; ``lowered`` is
-        the form's :func:`_lower_map`, when the caller already has it;
-        ``recurs`` as in :meth:`_cached_launch`.
+        the form's :func:`_lower_map`, when the caller already has it.
         """
         lower = (lambda: lowered) if lowered else partial(
             _lower_map, instructions, local_slots, slots
         )
         cache_key = (key, local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats, recurs)
+        return self._cached_launch(cache_key, config, lower, stats)
 
     @staticmethod
     def _reduce_form(members, tail, step: TiledReduceStep):
@@ -541,7 +529,7 @@ class NativeBackend(ParallelBackend):
         )
 
     def _native_reduce_launch(
-        self, members, tail, step: TiledReduceStep, form: tuple, stats, config, recurs=False
+        self, members, tail, step: TiledReduceStep, form: tuple, stats: ExecutionStats, config
     ):
         """Resolve a tiled reduction of structural key ``form`` to
         ``(compiled launchable, None)`` or ``(None, why not)``.
@@ -560,7 +548,7 @@ class NativeBackend(ParallelBackend):
             return emit_reduce_source(nest), partial(NativeReduceLaunch, nest=nest)
 
         cache_key = (form, step.local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats, recurs)
+        return self._cached_launch(cache_key, config, lower, stats)
 
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
@@ -649,15 +637,11 @@ class NativeBackend(ParallelBackend):
         super()._run_reduce(instruction, step, memory, stats, config)
 
     def prepare_plan(self, plan) -> None:
-        """Tile (inherited) and resolve the plan's kernel forms that are
-        known to run twice: those that occur in two or more of its steps,
-        compiled here if need be, and those this backend launched before.
+        """Tile (inherited) and resolve the plan's kernel forms known to
+        run twice: in two or more of its steps, or launched before.
 
-        A form of one step that this backend never launched is left to
-        its launch (see :meth:`_cached_launch`), so a one-shot plan never
-        waits for the compiler.  A form resolved here hits the launch cache
-        at launch, and a warm plan replay launches straight into bound
-        artifacts.
+        A warm plan replay launches straight into cached artifacts; a form
+        of one step never launched is left to :meth:`_cached_launch`.
 
         No flush exists yet, so the resolution outcomes — counted
         cumulatively as they happen — are parked on the plan for its first
@@ -670,8 +654,7 @@ class NativeBackend(ParallelBackend):
             if plan.native_prepare_stats is None:
                 plan.native_prepare_stats = ExecutionStats()
             parked = plan.native_prepare_stats
-            #: (structural key, local slots) -> [steps, resolve, map lowering]
-            forms: Dict[tuple, list] = {}
+            resolvers: Dict[tuple, tuple] = {}  # form -> (resolve, map lowering)
             for step in plan.tiling.steps:
                 instruction = plan.optimized[step.index]
                 instructions = (
@@ -679,13 +662,14 @@ class NativeBackend(ParallelBackend):
                 )
                 if isinstance(step, TiledReduceStep):
                     members, tail = split_tail(instructions)
-                    key = self._reduce_form(members, tail, step)[1]
+                    form = self._reduce_form(members, tail, step)[1]
                     resolve = partial(
-                        self._native_reduce_launch, members, tail, step, key, parked, config
+                        self._native_reduce_launch, members, tail, step, form, parked, config
                     )
-                    lower = None
+                    form, lower = (form, step.local_slots), None
                 elif isinstance(step, TiledMapStep):
                     key, slots, _ = prepare_kernel_launch(instructions)
+                    form = (key, step.local_slots)
                     resolve = partial(
                         self._native_launch,
                         key,
@@ -698,23 +682,24 @@ class NativeBackend(ParallelBackend):
                     lower = partial(_lower_map, instructions, step.local_slots, slots)
                 else:
                     continue
-                forms.setdefault((key, step.local_slots), [0, resolve, lower])[0] += 1
+                if form in resolvers:  # it recurs, so it is known to run twice
+                    self._native_cache.setdefault(form + (codegen,), FIRST_LAUNCH)
+                resolvers.setdefault(form, (resolve, lower))
             jobs = []
             compiles = False  # whether any form may need an artifact
-            for form, (steps, resolve, lower) in forms.items():
+            for form, (resolve, lower) in resolvers.items():
                 cached = self._native_cache.peek(form + (codegen,))
-                if steps == 1 and cached is None:
-                    continue
-                if cached is None or cached is FIRST_LAUNCH:
+                if cached is None:
+                    continue  # one step, never launched: left to its launch
+                if cached is FIRST_LAUNCH and lower is None:
+                    compiles = True
+                elif cached is FIRST_LAUNCH:
                     # Lowered here, not on the pool (it holds the GIL
                     # anyway), so that a plan of fills asks for no runtime.
-                    if lower is None:
-                        compiles = True
-                    else:
-                        lowered = lower()
-                        compiles = compiles or lowered[0] is not None
-                        resolve = partial(resolve, lowered=lowered)
-                jobs.append(partial(resolve, recurs=steps > 1))
+                    lowered = lower()
+                    compiles = compiles or lowered[0] is not None
+                    resolve = partial(resolve, lowered=lowered)
+                jobs.append(resolve)
             # Distinct forms resolve concurrently on the tile pool: a compile
             # is a subprocess wait and an artifact load is hashing + dlopen,
             # both of which release the GIL.  The pool threads take only the

@@ -43,8 +43,7 @@ class BoundedLRU:
         """Look ``key`` up, counting the hit/miss and refreshing recency.
 
         A cached ``None`` is a hit; pass a sentinel ``default`` to tell it
-        from a miss.  A cached ``marker`` holds a key's place, not a value:
-        it is returned, and counted as a miss.
+        from a miss.  A cached ``marker`` is returned but counted as a miss.
         """
         with self._lock:
             value = self._entries.get(key, _ABSENT)
@@ -73,8 +72,7 @@ class BoundedLRU:
         """Publish ``value`` unless ``key`` is already cached; return the winner.
 
         Concurrent builders of one key all launch through the first
-        published value.  A cached ``marker`` is no winner: ``value``
-        replaces it.
+        published value; a cached ``marker`` is no winner and is replaced.
         """
         with self._lock:
             winner = self._entries.get(key, _ABSENT)
