@@ -2,8 +2,9 @@
 
 PR 8 moved the thread split into the compiled artifact; this experiment
 measures moving the *process* split into a worker pool.  The ``dist``
-backend executes each tiled step as row shards across spawned worker
-processes; array bytes live in ``multiprocessing.shared_memory`` segments
+backend executes each tiled step as row shards: the master runs shard 0
+itself and spawned worker processes the others (N shards, N − 1
+processes); array bytes live in ``multiprocessing.shared_memory`` segments
 both sides map, and the pipe control channel carries only plan tokens and
 shard descriptors.  In the stencil workload every shard's boundary rows
 read a neighbour's block on every iteration, in place: every worker maps
@@ -15,7 +16,9 @@ Assertions are layered by flakiness, as everywhere in this harness:
   oracle and across worker counts (sharding slices rows, never reorders
   arithmetic; reduction combine trees are dealt from the plan's spans, so
   they don't depend on the pool size).  Every stencil step is a shard
-  step, one shard per worker, shards actually launched multi-process, and
+  step, one shard per worker, shards actually launched multi-process, a
+  flush sends one ``map`` and one ``step``/``complete`` pair per step to
+  each worker process and none to the master's shard, and
   ``dist_payload_bytes`` is
   **zero** — the "descriptors only, never array payloads" claim is a
   counter, not a code-reading exercise.
@@ -103,6 +106,7 @@ def test_sharded_heat_equation_ships_descriptors_only(benchmark):
         # shipped per run — the zero-payload and recycling counters are
         # what distinguish warm from cold here, not load counts.)
         _run_heat(session)
+        loads_before = session.engine.cache_stats()["dist_loads_shipped"]
 
         def measure():
             return _run_heat(session)
@@ -119,6 +123,12 @@ def test_sharded_heat_equation_ships_descriptors_only(benchmark):
     _assert_stencils_shard(session, stats, WORKERS)
     # The standing claim: the control channel never carries array payloads.
     assert stats.dist_payload_bytes == 0
+    # Control frames per flush: each of the WORKERS - 1 processes gets a
+    # load/loaded pair per plan shipped, one map, and a step/complete pair
+    # per distributed step; shard 0 is the master's own and costs none.
+    sharded = session.engine.last_plan.dist_plan.distributed_steps
+    loads = cache["dist_loads_shipped"] - loads_before
+    assert stats.dist_control_frames == (WORKERS - 1) * (2 * loads + 1 + 2 * len(sharded))
     # Warm flushes recycle parked segments instead of creating fresh ones.
     assert cache["dist_segments_recycled"] > 0
     # Only the bases a worker must address enter shared memory — the grid,
@@ -139,6 +149,7 @@ def test_sharded_heat_equation_ships_descriptors_only(benchmark):
                 "warm_ms": seconds * 1e3,
                 "shard_launches": stats.dist_shard_launches,
                 "payload_bytes": stats.dist_payload_bytes,
+                "control_frames": stats.dist_control_frames,
                 "control_kib": stats.dist_control_bytes / 1024,
                 "bases_adopted": stats.dist_bases_adopted,
                 "zero_fill_bytes": stats.dist_zero_fill_bytes,
@@ -149,6 +160,7 @@ def test_sharded_heat_equation_ships_descriptors_only(benchmark):
             "warm_ms",
             "shard_launches",
             "payload_bytes",
+            "control_frames",
             "control_kib",
             "bases_adopted",
             "zero_fill_bytes",

@@ -1,14 +1,16 @@
 """The distributed backend: sharded execution over worker processes.
 
-The master (this process) owns all data — every base a worker must
+The master (this process) owns all data — every base a shard must
 address lives in a shared-memory segment from the
 :class:`~repro.dist.shardstore.ShardStore`, which the flush's memory plan
 draws its storage from (temporaries on one plan slot share one segment,
 kernel-local bases get none) — and sequences execution step by step over a
 persistent pool of spawned worker processes, one flush at a time per pool.
-The hot path ships nothing but plan tokens and shard
-descriptors: a cold plan is pickled to the pool once (``load``), each
-flush sends one segment-name mapping per worker (``map``) and one
+A flush of N shards runs shard 0 on the master, with the worker's own
+shard code (:meth:`repro.dist.worker.LoadedPlan.run_shard`), and shards 1 … N − 1 in
+N − 1 worker processes.  The hot path ships nothing but plan tokens and
+shard descriptors: a cold plan is pickled to the pool once (``load``),
+each flush sends one segment-name mapping per worker (``map``) and one
 ``step``/``complete`` round trip per distributed step per participating
 worker.  Array payloads never cross the control channel; the counters
 prove it rather than assume it.  Nor do rows move between workers: each
@@ -32,7 +34,7 @@ import time
 from functools import partial
 from multiprocessing import connection, get_context
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from repro.dist.planner import (
     MasterStep,
     ReduceShardStep,
     build_dist_plan,
+    validate_dist_plan,
 )
 from repro.dist.protocol import (
     array_payload_nbytes,
@@ -95,14 +98,16 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """A persistent pool of spawned workers behind duplex pipes."""
+    """A persistent pool of spawned workers behind duplex pipes: for flushes
+    of ``num_workers`` shards, workers 1 … ``num_workers`` − 1 — the master
+    runs shard 0 itself, so one shard spawns nothing."""
 
     def __init__(self, num_workers: int) -> None:
         from repro.dist.worker import worker_main
 
         ctx = get_context("spawn")
         self.num_workers = num_workers
-        self.workers: List[_WorkerHandle] = []
+        self.workers: Dict[int, _WorkerHandle] = {}
         #: Held across one whole flush (binding included): the pipes carry
         #: one conversation, and the flush's slot segments belong to
         #: exactly one flush at a time.
@@ -119,9 +124,9 @@ class WorkerPool:
         #: worker owes a hello).  Non-zero when an exception leaves a flush
         #: means the pipes and the bookkeeping above are out of step with
         #: the workers: the next flush would read this one's replies.
-        self.replies_outstanding = num_workers
+        self.replies_outstanding = num_workers - 1
         try:
-            for worker_id in range(num_workers):
+            for worker_id in range(1, num_workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 process = ctx.Process(
                     target=worker_main,
@@ -131,8 +136,8 @@ class WorkerPool:
                 )
                 process.start()
                 child_conn.close()
-                self.workers.append(_WorkerHandle(worker_id, process, parent_conn))
-            for handle in self.workers:
+                self.workers[worker_id] = _WorkerHandle(worker_id, process, parent_conn)
+            for handle in self.workers.values():
                 frame = self._recv_handle(handle, HELLO_TIMEOUT_SECONDS, None)
                 if frame["kind"] != "hello":
                     raise DistributedExecutionError(
@@ -144,7 +149,7 @@ class WorkerPool:
             raise
 
     def healthy(self) -> bool:
-        return all(handle.process.is_alive() for handle in self.workers)
+        return all(handle.process.is_alive() for handle in self.workers.values())
 
     # ------------------------------------------------------------------ #
     # Framed, metered channel
@@ -218,7 +223,7 @@ class WorkerPool:
                 )
 
     def shutdown(self, graceful: bool = True) -> None:
-        for handle in self.workers:
+        for handle in self.workers.values():
             try:
                 if graceful and handle.process.is_alive():
                     handle.conn.send_bytes(encode_frame(make_frame("shutdown")))
@@ -226,7 +231,7 @@ class WorkerPool:
                 handle.conn.close()
             except OSError:
                 pass
-        for handle in self.workers:
+        for handle in self.workers.values():
             handle.process.join(timeout=5.0)
             if handle.process.is_alive():
                 handle.process.terminate()
@@ -263,7 +268,7 @@ def _get_pool(num_workers: int) -> WorkerPool:
         if pool is not None:
             pool.shutdown(graceful=False)
         pool = WorkerPool(num_workers)
-        _WORKERS_SPAWNED += num_workers
+        _WORKERS_SPAWNED += len(pool.workers)
         _POOLS[num_workers] = pool
         return pool
 
@@ -291,9 +296,10 @@ class DistributedBackend(ParallelBackend):
 
     Subclasses the tiled parallel backend for its plan integration (tile
     decomposition at prepare time, plan-less programs wrapped in ordinary
-    plans) and replaces the launch layer: tiled steps go to worker
-    processes over the control channel instead of to threads, serial steps
-    run on the master against the same shared-memory storage.
+    plans) and replaces the launch layer: tiled steps run as row shards —
+    shard 0 on the master, the others in worker processes over the control
+    channel — instead of as tiles on threads; serial steps run on the
+    master against the same shared-memory storage.
     """
 
     name = "dist"
@@ -319,7 +325,7 @@ class DistributedBackend(ParallelBackend):
     # ------------------------------------------------------------------ #
 
     def prepare_plan(self, plan) -> None:
-        """Attach tiling (parent) plus the shard plan."""
+        """Attach tiling (parent), the shard plan and the master's shard 0."""
         super().prepare_plan(plan)
         config = plan.config
         # The token names what a worker loads: the program and the
@@ -327,9 +333,25 @@ class DistributedBackend(ParallelBackend):
         token = fingerprint_of_key(
             (program_fingerprint(plan.optimized), config_signature(config))
         )
-        plan.dist_plan = build_dist_plan(
+        dist_plan = build_dist_plan(
             plan.optimized, plan.tiling, config.dist_num_workers
         )._with_token(token)
+        if config.dist_num_workers == 1:
+            # No worker loads this plan, so none checks it: the master does,
+            # once, and charges the checks to the plan like its own.
+            from repro.checks import COUNTERS
+
+            checks = validate_dist_plan(
+                plan.optimized, plan.tiling, dist_plan, config.check_ir
+            )
+            COUNTERS.note_plan_check(checks)
+            with plan.lock:
+                plan.plan_checks_run += checks
+        # The shard code, imported with the first plan that runs it.
+        from repro.dist.worker import LoadedPlan
+
+        plan.dist_plan = dist_plan
+        plan.dist_loaded = LoadedPlan(plan.optimized, dist_plan, config)
 
     def execute_plan(self, plan, program, memory: Optional[MemoryManager] = None):
         memory = memory if memory is not None else fresh_memory(plan.config)
@@ -411,9 +433,10 @@ class DistributedBackend(ParallelBackend):
 
     def _run_sharded(self, pool, program, plan, private, memory, stats) -> None:
         tiling, dist_plan, config = plan.tiling, plan.dist_plan, plan.config
+        loaded = plan.dist_loaded
         budget = config.dist_shm_max_bytes
         store = _get_store()
-        workers = dist_plan.num_workers
+        workers = range(1, dist_plan.num_workers)
         base_order = program_base_order(program)
         private_ids = {id(base_order[position]) for position in private}
         scratch_name = None
@@ -433,7 +456,10 @@ class DistributedBackend(ParallelBackend):
                 scratch_name, _ = store.create(
                     dist_plan.max_partials * dist_plan.partial_itemsize, budget
                 )
-            if pool.loaded_tokens.get(dist_plan.token) is None:
+            # Shard 0's storage: the segments just bound, as this process
+            # already maps them, under the contract a worker's ``map`` obeys.
+            shard_memory = loaded.map_segments(segments, scratch_name, store.buffer)
+            if workers and pool.loaded_tokens.get(dist_plan.token) is None:
                 extras = {}
                 if dist_plan.shards_erf:
                     # Workers load the vector erf from a cache directory and
@@ -460,9 +486,9 @@ class DistributedBackend(ParallelBackend):
                     **extras,
                 )
                 pool.worker_plans = 0
-                for worker_id in range(workers):
+                for worker_id in workers:
                     pool.send(worker_id, load, stats)
-                for worker_id in range(workers):
+                for worker_id in workers:
                     frame = pool.recv(worker_id, stats)
                     if frame["kind"] != "loaded":
                         raise DistributedExecutionError(
@@ -472,8 +498,7 @@ class DistributedBackend(ParallelBackend):
                     if checks:
                         from repro.checks import COUNTERS
 
-                        for _ in range(checks):
-                            COUNTERS.note_plan_check()
+                        COUNTERS.note_plan_check(checks)
                         stats.plan_checks_run += checks
                     pool.worker_plans = max(pool.worker_plans, int(frame["plans"]))
                 self.loads_shipped += 1
@@ -483,7 +508,7 @@ class DistributedBackend(ParallelBackend):
                 segments=segments,
                 scratch=scratch_name,
             )
-            for worker_id in range(workers):
+            for worker_id in workers:
                 pool.send(worker_id, map_frame, stats)
             for shard_step, tile_step in zip(dist_plan.steps, tiling.steps):
                 instruction = program[shard_step.index]
@@ -503,21 +528,9 @@ class DistributedBackend(ParallelBackend):
                 for view in instruction.views():
                     if id(view.base) not in private_ids:
                         memory.allocate(view.base)
-                if isinstance(shard_step, MapShardStep):
-                    self._launch_map_shards(
-                        pool, dist_plan, shard_step, instruction, stats
-                    )
-                else:
-                    self._launch_reduce_shards(
-                        pool,
-                        dist_plan,
-                        shard_step,
-                        instruction,
-                        memory,
-                        store,
-                        scratch_name,
-                        stats,
-                    )
+                self._launch_shards(
+                    pool, loaded, shard_step, instruction, memory, shard_memory, stats
+                )
         except BaseException:
             # A flush that dies leaves no base bound to storage it no
             # longer owns: what it created goes back to the store with it.
@@ -528,66 +541,52 @@ class DistributedBackend(ParallelBackend):
             if scratch_name is not None:
                 store.release(scratch_name)
 
-    def _launch_map_shards(
-        self, pool, dist_plan, step: MapShardStep, instruction, stats
+    def _launch_shards(
+        self, pool, loaded, step, instruction, memory, shard_memory, stats
     ) -> None:
+        """Run one distributed step: send it to the workers' shards, run
+        shard 0 here on the flushing thread, then collect the replies."""
         fused = instruction if instruction.is_fused() else None
         instructions = instruction.kernel if fused else (instruction,)
         stats.record_launch(instructions, fused)
         stats.tiled_instructions += len(instructions)
-        participants = len(step.shards)
-        frame = make_frame("step", token=dist_plan.token, step=step.index)
-        for worker_id in range(participants):
+        if isinstance(step, MapShardStep):
+            shards = range(len(step.shards))
+            stats.tiles_executed += len(step.shards)
+        else:
+            shards = [shard for shard, spans in enumerate(step.assignments) if spans]
+            stats.tiles_executed += len(step.spans)
+        stats.dist_shard_launches += len(shards)
+        frame = make_frame("step", token=loaded.dist_plan.token, step=step.index)
+        for worker_id in shards[1:]:
             pool.send(worker_id, frame, stats)
-        stats.dist_shard_launches += participants
-        stats.tiles_executed += participants
-        for worker_id in range(participants):
+        try:
+            self._fold(loaded.run_shard(step, 0, shard_memory), stats)
+        except DistributedExecutionError:
+            raise
+        except Exception as exc:
+            raise DistributedExecutionError(
+                f"shard 0 failed on the master: {type(exc).__name__}: {exc}"
+            ) from exc
+        for worker_id in shards[1:]:
             reply = pool.recv(worker_id, stats)
-            self._fold_complete(reply, step.index, stats)
-
-    def _launch_reduce_shards(
-        self,
-        pool,
-        dist_plan,
-        step: ReduceShardStep,
-        instruction,
-        memory,
-        store,
-        scratch_name,
-        stats,
-    ) -> None:
-        fused = instruction if instruction.is_fused() else None
-        instructions = instruction.kernel if fused else (instruction,)
-        stats.record_launch(instructions, fused)
-        participants = [
-            worker_id
-            for worker_id, assignment in enumerate(step.assignments)
-            if assignment
-        ]
-        frame = make_frame("step", token=dist_plan.token, step=step.index)
-        for worker_id in participants:
-            pool.send(worker_id, frame, stats)
-        stats.dist_shard_launches += len(participants)
-        stats.tiles_executed += len(step.spans)
-        stats.tiled_instructions += len(instructions)
-        for worker_id in participants:
-            reply = pool.recv(worker_id, stats)
-            self._fold_complete(reply, step.index, stats)
-        if step.combine:
+            if reply["kind"] != "complete" or reply["step"] != step.index:
+                raise DistributedExecutionError(
+                    f"out-of-order reply {reply['kind']!r} for step {step.index}"
+                )
+            self._fold(reply["counters"], stats)
+        if isinstance(step, ReduceShardStep) and step.combine:
             # Spans depend only on tiling configuration and the combine
             # order only on the span count, so the result is bitwise
             # identical at any worker count.
             dtype = np.dtype(step.partial_dtype)
-            scratch = store.buffer(scratch_name)
-            partials = scratch[: len(step.spans) * dtype.itemsize].view(dtype)
-            combine_partials(memory, instructions[-1], partials)
+            scratch = shard_memory.scratch[: len(step.spans) * dtype.itemsize]
+            combine_partials(memory, instructions[-1], scratch.view(dtype))
 
-    def _fold_complete(self, reply: dict, step_index: int, stats) -> None:
-        if reply["kind"] != "complete" or reply["step"] != step_index:
-            raise DistributedExecutionError(
-                f"out-of-order reply {reply['kind']!r} for step {step_index}"
-            )
-        counters = reply["counters"]
+    @staticmethod
+    def _fold(counters: dict, stats) -> None:
+        """Note what a shard reports — a worker's ``complete`` frame or
+        shard 0's counters — on the flush's record."""
         stats.template_slots_elided += int(counters.get("template_slots_elided", 0))
         stats.note_fallback(counters.get("erf_fallback"))
 
@@ -595,8 +594,9 @@ class DistributedBackend(ParallelBackend):
     # Fault injection and statistics
     # ------------------------------------------------------------------ #
 
-    def inject_worker_crash(self, worker_id: int = 0) -> None:
-        """Queue a crash frame for one worker (tests: deterministic death).
+    def inject_worker_crash(self, worker_id: int = 1) -> None:
+        """Queue a crash frame for one worker (tests: deterministic death);
+        workers are numbered from 1, by the shard they run.
 
         The worker dies when it *processes* the frame — before any later
         queued work — so a flush sent immediately afterwards observes a

@@ -273,17 +273,22 @@ def build_dist_plan(
     )
 
 
-def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
-    """Structural soundness of a shard plan against its program (worker-side).
+def validate_dist_plan(
+    program: Program, tiling, plan: DistPlan, check: bool = False
+) -> int:
+    """Structural soundness of a shard plan against its program.
 
-    Workers run this before first execution of a loaded plan: step indices
+    Whoever executes shards checks a plan once before its first execution —
+    each worker on ``load``, the master in ``prepare_plan`` when no worker
+    will load it (one shard).  With ``check`` (the ``check_ir`` knob) the
+    tiling and dist-adoption checks run too.  Step indices
     must be in range and match the tiling's step kinds, map shards must be
     non-empty and exactly partition the step's rows, private bases (the
     positions a flush may leave unmapped) must name real positions once,
     reduce assignments must cover every span exactly once, and no step a
     worker executes may read a data operand (the worker's program is the
     token's first flush's, so it would replay that flush's value).  Returns the
-    number of checks run; raises
+    number of checks run (one per step, plus two with ``check``); raises
     :class:`~repro.dist.protocol.ProtocolError` on violation.
     """
     from repro.dist.protocol import ProtocolError
@@ -342,4 +347,10 @@ def validate_dist_plan(program: Program, tiling, plan: DistPlan) -> int:
                     f"reduce step {shard_step.index} assignments do not cover "
                     f"its spans exactly once"
                 )
+    if check:
+        from repro.checks.plancheck import check_dist_adoption, check_tiling
+
+        check_tiling(program, tiling)
+        check_dist_adoption(program, plan)
+        checks += 2
     return checks

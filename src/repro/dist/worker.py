@@ -28,7 +28,9 @@ Execution model
   missing: no other step addresses those bases, so the worker launches
   their slots as kernel-local ones — block scratch of the template launch,
   exactly as on the thread tier.
-* ``step`` executes this worker's shard of one distributed step: map
+* ``step`` executes this worker's shard of one distributed step through
+  :meth:`LoadedPlan.run_shard`, which the master calls for shard 0 (over a
+  :class:`ShardMemory` of the segments it bound itself): map
   shards slice every template slot view to the shard rows and run the
   template's blocked launch once — a stencil view reaching past the shard
   reads its neighbour's rows in place, in the segment every worker maps;
@@ -70,16 +72,19 @@ MAX_ATTACHMENTS = 64
 
 
 class ShardMemory:
-    """Duck-typed memory manager over attached shared-memory storage.
+    """Duck-typed memory manager over one flush's shared-memory storage.
 
     Kernel templates and the shared reduce body only need ``allocate`` /
     ``view_array``; storage is pre-registered from the flush's segment
     mapping, so resolving an unmapped base is a protocol violation, never a
-    silent host allocation.
+    silent host allocation.  ``unmapped`` holds the private base positions
+    the mapping left out, ``scratch`` the reduction scratch segment's bytes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, unmapped: frozenset, scratch: Optional[np.ndarray]) -> None:
         self._storage: Dict[int, np.ndarray] = {}
+        self.unmapped = unmapped
+        self.scratch = scratch
 
     def register(self, base: BaseArray, storage: np.ndarray) -> None:
         self._storage[id(base)] = storage
@@ -89,7 +94,7 @@ class ShardMemory:
             return self._storage[id(base)]
         except KeyError:
             raise ProtocolError(
-                f"worker asked to materialize unmapped base {base.name or id(base)}"
+                f"shard asked to materialize unmapped base {base.name or id(base)}"
             ) from None
 
     def view_array(self, view: View) -> np.ndarray:
@@ -104,19 +109,19 @@ class ShardMemory:
         )
 
 
-class _LoadedPlan:
-    """One plan token's unpickled artifacts, cached until the master evicts it.
+class LoadedPlan:
+    """One plan as a shard executes it: a worker keeps one per loaded token
+    (until the master evicts it), the master one per execution plan.
 
     The program is the one the token's *first* flush bound: structure only,
-    as far as a worker is concerned (the shard plan keeps every step that
+    as far as a shard is concerned (the shard plan keeps every step that
     reads a data operand on the master).
     """
 
-    def __init__(self, program, tiling, dist_plan, config: Config) -> None:
+    def __init__(self, program, dist_plan, config: Config) -> None:
         from repro.runtime.plan import program_base_order
 
         self.program = program
-        self.tiling = tiling
         self.dist_plan = dist_plan
         #: Where the plan's vector ``erf`` comes from (the master's codegen
         #: settings; the defaults when the plan shards no ``BH_ERF``).
@@ -128,19 +133,55 @@ class _LoadedPlan:
         #: step index -> (slot views, compiled template)
         self.templates: Dict[int, tuple] = {}
 
+    def map_segments(self, segments, scratch_name, buffer_of) -> ShardMemory:
+        """One flush's storage: ``segments`` maps canonical base positions
+        to ``(segment name, nbytes)`` and ``buffer_of`` resolves a segment
+        name to its bytes — a worker attaches, the master reads the mapping
+        its store already holds."""
+        unmapped = frozenset(range(len(self.base_order))) - segments.keys()
+        if not unmapped <= self.private_positions:
+            raise ProtocolError(
+                f"map leaves non-private base positions "
+                f"{sorted(unmapped - self.private_positions)} unmapped"
+            )
+        scratch = buffer_of(scratch_name) if scratch_name is not None else None
+        memory = ShardMemory(unmapped, scratch)
+        for position, (name, _) in segments.items():
+            base = self.base_order[position]
+            buffer = buffer_of(name)
+            if base.nbytes > buffer.nbytes:
+                raise ProtocolError(
+                    f"segment {name} ({buffer.nbytes} B) too small for base "
+                    f"at position {position} ({base.nbytes} B)"
+                )
+            memory.register(base, buffer[: base.nbytes].view(base.dtype.np_dtype))
+        return memory
+
+    def run_shard(self, step, shard: int, memory: ShardMemory) -> dict:
+        """Execute shard ``shard`` of one distributed step against ``memory``.
+
+        A worker runs the shard its id names, the master shard 0.  Returns
+        the counters a ``complete`` frame carries.
+        """
+        counters: dict = {}
+        if isinstance(step, MapShardStep):
+            _run_map_shard(self, step, shard, memory, counters)
+        elif isinstance(step, ReduceShardStep):
+            _run_reduce_shard(self, step, shard, memory, counters)
+        else:
+            raise ProtocolError(f"step {step.index} is not distributed")
+        return counters
+
 
 class _Worker:
     def __init__(self, worker_id: int, conn) -> None:
         self.worker_id = worker_id
         self.conn = conn
-        self.plans: Dict[str, _LoadedPlan] = {}
+        self.plans: Dict[str, LoadedPlan] = {}
         #: segment name -> uint8 buffer over its mapping; LRU, capped.
         self.attachments: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.memory: Optional[ShardMemory] = None
         self.current_token: Optional[str] = None
-        #: Private base positions the current mapping left out.
-        self.unmapped: frozenset = frozenset()
-        self.scratch: Optional[np.ndarray] = None
         self.mapped_names: set = set()
         self.crash_armed = False
 
@@ -192,7 +233,6 @@ class _Worker:
     def close(self) -> None:
         # A mapping unmaps with its last view; segments are the master's.
         self.memory = None
-        self.scratch = None
         self.plans.clear()
         self.attachments.clear()
         try:
@@ -214,14 +254,8 @@ class _Worker:
         if codegen is not None:
             cache_dir, use_disk = codegen
             config = Config(codegen_cache_dir=cache_dir, codegen_disk_cache_enabled=use_disk)
-        loaded = _LoadedPlan(program, tiling, dist_plan, config)
-        checks = validate_dist_plan(program, tiling, dist_plan)
-        if frame["check"]:
-            from repro.checks.plancheck import check_dist_adoption, check_tiling
-
-            check_tiling(program, tiling)
-            check_dist_adoption(program, dist_plan)
-            checks += 2
+        loaded = LoadedPlan(program, dist_plan, config)
+        checks = validate_dist_plan(program, tiling, dist_plan, frame["check"])
         # The master owns the table's bound: it names what it evicted.
         for evicted in frame.get("evict", ()):
             self.plans.pop(evicted, None)
@@ -252,30 +286,13 @@ class _Worker:
         loaded = self.plans.get(token)
         if loaded is None:
             raise ProtocolError(f"map for unloaded plan token {token}")
-        unmapped = frozenset(range(len(loaded.base_order))) - frame["segments"].keys()
-        if not unmapped <= loaded.private_positions:
-            raise ProtocolError(
-                f"map leaves non-private base positions "
-                f"{sorted(unmapped - loaded.private_positions)} unmapped"
-            )
-        self.unmapped = unmapped
         self.mapped_names = {name for name, _ in frame["segments"].values()}
-        scratch_name = frame["scratch"]
-        if scratch_name is not None:
-            self.mapped_names.add(scratch_name)
-        memory = ShardMemory()
-        for position, (name, _) in frame["segments"].items():
-            base = loaded.base_order[position]
-            buffer = self._attach(name)
-            if base.nbytes > buffer.nbytes:
-                raise ProtocolError(
-                    f"segment {name} ({buffer.nbytes} B) too small for base "
-                    f"at position {position} ({base.nbytes} B)"
-                )
-            memory.register(base, buffer[: base.nbytes].view(base.dtype.np_dtype))
-        self.memory = memory
+        if frame["scratch"] is not None:
+            self.mapped_names.add(frame["scratch"])
+        self.memory = loaded.map_segments(
+            frame["segments"], frame["scratch"], self._attach
+        )
         self.current_token = token
-        self.scratch = self._attach(scratch_name) if scratch_name is not None else None
 
     def handle_step(self, frame) -> None:
         if self.crash_armed:
@@ -287,90 +304,82 @@ class _Worker:
             raise ProtocolError("step frame without a current segment mapping")
         loaded = self.plans[token]
         step = loaded.dist_plan.steps[frame["step"]]
-        counters = {}
-        if isinstance(step, MapShardStep):
-            self._run_map_shard(loaded, step, counters)
-        elif isinstance(step, ReduceShardStep):
-            self._run_reduce_shard(loaded, step, counters)
-        else:
-            raise ProtocolError(f"step {frame['step']} is not distributed")
+        counters = loaded.run_shard(step, self.worker_id, self.memory)
         self.send("complete", step=frame["step"], counters=counters)
 
-    # ------------------------------------------------------------------ #
-    # Map shards
-    # ------------------------------------------------------------------ #
 
-    def _template(self, loaded: _LoadedPlan, step_index: int):
-        cached = loaded.templates.get(step_index)
-        if cached is None:
-            instruction = loaded.program[step_index]
-            # The element-wise byte-codes: a closing reduction is not a step
-            # of the template but what consumes its result.
-            members = split_tail(instruction.kernel or (instruction,))[0]
-            _, slots, make_template = prepare_kernel_launch(members)
-            cached = (slots, make_template())
-            loaded.templates[step_index] = cached
-        return cached
+# --------------------------------------------------------------------------- #
+# Shard execution: the body of LoadedPlan.run_shard
+# --------------------------------------------------------------------------- #
 
-    def _launch_template(self, loaded, step, counters):
-        """``(slot views, template, local slots, vector erf)`` for one launch
-        of a step.
 
-        Slots of private bases the mapping left out are kernel-local to the
-        launch: scratch of the call, no storage to resolve.
-        """
-        slots, template = self._template(loaded, step.index)
-        local = frozenset(
-            slot
-            for position, base_slots in step.private
-            if position in self.unmapped
-            for slot in base_slots
+def _template(loaded: LoadedPlan, step_index: int):
+    cached = loaded.templates.get(step_index)
+    if cached is None:
+        instruction = loaded.program[step_index]
+        # The element-wise byte-codes: a closing reduction is not a step
+        # of the template but what consumes its result.
+        members = split_tail(instruction.kernel or (instruction,))[0]
+        _, slots, make_template = prepare_kernel_launch(members)
+        cached = (slots, make_template())
+        loaded.templates[step_index] = cached
+    return cached
+
+
+def _launch_template(loaded, step, memory: ShardMemory, counters):
+    """``(slot views, template, local slots, vector erf)`` for one launch
+    of a step.
+
+    Slots of private bases the mapping left out are kernel-local to the
+    launch: scratch of the call, no storage to resolve.
+    """
+    slots, template = _template(loaded, step.index)
+    local = frozenset(
+        slot
+        for position, base_slots in step.private
+        if position in memory.unmapped
+        for slot in base_slots
+    )
+    counters["template_slots_elided"] = len(local)
+    erf = None
+    if template.uses_erf:
+        erf, counters["erf_fallback"] = interpreter.erf_helper(loaded.config)
+    return slots, template, local, erf
+
+
+def _run_map_shard(loaded, step: MapShardStep, shard: int, memory, counters) -> None:
+    if shard >= len(step.shards):
+        raise ProtocolError(
+            f"shard {shard} launched beyond step's {len(step.shards)} shards"
         )
-        counters["template_slots_elided"] = len(local)
-        erf = None
-        if template.uses_erf:
-            erf, counters["erf_fallback"] = interpreter.erf_helper(loaded.config)
-        return slots, template, local, erf
+    slots, template, local, erf = _launch_template(loaded, step, memory, counters)
+    views = tuple(slice_view(view, step.shards[shard]) for view in slots)
+    template.blocked(local, erf)(memory, views)
 
-    def _run_map_shard(self, loaded, step: MapShardStep, counters) -> None:
-        if self.worker_id >= len(step.shards):
-            raise ProtocolError(
-                f"worker {self.worker_id} launched beyond step's {len(step.shards)} shards"
-            )
-        shard = step.shards[self.worker_id]
-        slots, template, local, erf = self._launch_template(loaded, step, counters)
-        views = tuple(slice_view(view, shard) for view in slots)
-        template.blocked(local, erf)(self.memory, views)
 
-    # ------------------------------------------------------------------ #
-    # Reduction shards
-    # ------------------------------------------------------------------ #
-
-    def _run_reduce_shard(self, loaded, step: ReduceShardStep, counters) -> None:
-        positions = step.assignments[self.worker_id]
-        if not positions:
-            raise ProtocolError(
-                f"worker {self.worker_id} launched for reduce step with no spans"
-            )
-        instruction = loaded.program[step.index]
-        producer = None
-        if instruction.is_fused():
-            # A kernel that ends in the reduction: its members produce each
-            # span's source here, in scratch, as on the thread tier.
-            slots, template, local, erf = self._launch_template(loaded, step, counters)
-            instruction = instruction.kernel[-1]
-            producer = span_producer(template, slots, local, instruction.inputs[0], erf)
-        partials = None
-        if step.combine:
-            if self.scratch is None:
-                raise ProtocolError(
-                    "combine reduction launched without a scratch segment"
-                )
-            dtype = np.dtype(step.partial_dtype)
-            partials = self.scratch[: len(step.spans) * dtype.itemsize].view(dtype)
-        # The thread tier's tile body, over this worker's share of the spans.
-        for position in positions:
-            reduce_tile(self.memory, instruction, step, position, partials, producer)
+def _run_reduce_shard(
+    loaded, step: ReduceShardStep, shard: int, memory, counters
+) -> None:
+    positions = step.assignments[shard]
+    if not positions:
+        raise ProtocolError(f"shard {shard} launched for reduce step with no spans")
+    instruction = loaded.program[step.index]
+    producer = None
+    if instruction.is_fused():
+        # A kernel that ends in the reduction: its members produce each
+        # span's source here, in scratch, as on the thread tier.
+        slots, template, local, erf = _launch_template(loaded, step, memory, counters)
+        instruction = instruction.kernel[-1]
+        producer = span_producer(template, slots, local, instruction.inputs[0], erf)
+    partials = None
+    if step.combine:
+        if memory.scratch is None:
+            raise ProtocolError("combine reduction launched without a scratch segment")
+        dtype = np.dtype(step.partial_dtype)
+        partials = memory.scratch[: len(step.spans) * dtype.itemsize].view(dtype)
+    # The thread tier's tile body, over this shard's share of the spans.
+    for position in positions:
+        reduce_tile(memory, instruction, step, position, partials, producer)
 
 
 def worker_main(worker_id: int, conn) -> None:

@@ -126,11 +126,13 @@ class ExecutionStats:
     #: the field exists so merged/serialized stats share one schema with
     #: the process-wide counters in ``cache_stats()``.
     ir_check_failures: int = _stat()
-    #: Plan-artifact soundness checks (memory plan, tiling) run for this
-    #: flush (filled in by the engine; non-zero only under ``check_ir``).
+    #: Plan-artifact soundness checks run for this flush: the engine's
+    #: (memory plan, tiling, shard plan; under ``check_ir``) plus, when a
+    #: ``dist`` flush meets a plan cold, each validator's shard-plan checks
+    #: — every worker's ``load``, or the master's when there is one shard.
     plan_checks_run: int = _stat()
-    #: Worker-process count of the distributed backend for this execution
-    #: (zero for other backends).
+    #: Shard count of the distributed backend for this execution: the
+    #: master and its worker processes (zero for other backends).
     dist_workers_used: int = _stat(merge="max")
     #: Shard launch frames sent to worker processes (one per participating
     #: worker per distributed step; never an empty shard).

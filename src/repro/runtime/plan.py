@@ -348,9 +348,13 @@ class ExecutionPlan:
     #: positions, never base identities or segment names — so rebound
     #: replays reuse it unchanged.
     dist_plan: Optional[object] = None
+    #: The master's :class:`~repro.dist.worker.LoadedPlan` of ``dist_plan``:
+    #: the templates of the shard it runs itself, built once per plan.
+    dist_loaded: Optional[object] = None
     hits: int = 0
     #: Plan-artifact soundness checks run against this plan (cumulative
-    #: over preparations and executions; non-zero only under ``check_ir``).
+    #: over preparations and executions: the ``check_ir`` gate's, and a
+    #: one-shard ``dist`` plan's shard-plan validation).
     #: Bumped under ``lock`` because cached plans are shared.
     plan_checks_run: int = 0
     #: Guards what changes on a *shared* plan after it is published: the

@@ -121,9 +121,10 @@ class Config:
         count.  A *runtime* argument of the artifact — changing it never
         recompiles cached kernels.
     dist_num_workers:
-        Worker-process count of the distributed (``"dist"``) backend's
-        persistent pool; pools are shared process-wide per worker count.
-        Default 2.
+        Shard count of the distributed (``"dist"``) backend: the master,
+        which runs shard 0 of every distributed step, plus
+        ``dist_num_workers − 1`` worker processes in a persistent pool
+        (shared process-wide per count; 1 spawns none).  Default 2.
     dist_shm_max_bytes:
         Byte cap on live POSIX shared-memory segments (active
         arrays plus the recycling free list) owned by the distributed

@@ -231,8 +231,9 @@ def _store_segments_on_disk():
 
 
 def _first_worker_dies_before_hello(worker_id, conn):
-    """A spawn target: worker 0 exits at once, the others serve normally."""
-    if worker_id == 0:
+    """A spawn target: worker 1 (the first process; the master runs shard 0)
+    exits at once, the others serve normally."""
+    if worker_id == 1:
         os._exit(3)
     worker_module.worker_main(worker_id, conn)
 
@@ -242,7 +243,7 @@ class TestCrashRecovery:
         _shutdown_all_pools()
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(worker_module, "worker_main", _first_worker_dies_before_hello)
-        with pytest.raises(DistributedExecutionError, match="worker 0"):
+        with pytest.raises(DistributedExecutionError, match="worker 1"):
             WorkerPool(3)
         assert multiprocessing.active_children() == []
 
@@ -258,7 +259,7 @@ class TestCrashRecovery:
             store = _get_store()
             active_before = store.stats()["dist_shm_bytes_active"]
             _, on_disk_before = _store_segments_on_disk()
-            backend.inject_worker_crash(0)
+            backend.inject_worker_crash(1)
             with pytest.raises(DistributedExecutionError):
                 heat_equation(grid_size=16, iterations=2, session=session).to_numpy()
             # A flush that dies leaves no base bound to storage it no
