@@ -6,18 +6,13 @@ multiple times is faster than doing an actual BH_POWER".  The
 :class:`CostModel` prices whole programs against a device profile, so a
 report can say what a rewrite is predicted to save on a modelled device.
 
-Two models live here and nowhere else:
+The **roofline** model of one device lives here and nowhere else: each
+kernel costs::
 
-* the **roofline** model of one device — each kernel costs::
+    launch_overhead + max(flops / flop_rate, bytes / bandwidth)
 
-      launch_overhead + max(flops / flop_rate, bytes / bandwidth)
-
-  (:class:`DeviceProfile`, :func:`simulate_program_time`);
-* the **alpha-beta** model of an interconnect (:class:`CommunicationModel`,
-  calibrated once per process from shared-memory copy timings by
-  :func:`measured_comm_model`), which :meth:`CostModel.partitioned_cost`
-  combines with the roofline to price a program block-distributed over
-  workers.
+(:class:`DeviceProfile`, :func:`simulate_program_time`).  How work scales
+over several processes is not modelled: the ``dist`` backend runs it.
 
 Pricing is a report: no backend executes through it and no optimizer
 decision reads it.  The fusion scheduler and the passes decide by legality
@@ -27,19 +22,14 @@ examples price what they decided.
 
 from __future__ import annotations
 
-import math
-import threading
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
-
-import numpy as np
+from typing import Dict, Union
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.operand import is_view
 from repro.bytecode.program import Program
-from repro.utils.errors import ClusterError, CostModelError
+from repro.utils.errors import CostModelError
 
 
 #: Approximate floating-point operations per output element for each
@@ -218,114 +208,6 @@ def simulate_program_time(program: Program, profile: DeviceProfile) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# Interconnect
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class CommunicationModel:
-    """Latency/bandwidth (alpha-beta) model of the interconnect.
-
-    Attributes
-    ----------
-    latency_s:
-        Fixed per-message latency (alpha).
-    bytes_per_second:
-        Point-to-point bandwidth (1/beta).
-
-    The class defaults are a documented fallback (5 µs / 10 GB/s, a
-    plausible commodity interconnect); callers should prefer
-    :meth:`calibrated`, which replaces them with numbers measured on the
-    host the model is about to price work for.
-    """
-
-    latency_s: float = 5e-6
-    bytes_per_second: float = 10e9
-
-    @classmethod
-    def calibrated(cls) -> "CommunicationModel":
-        """A model whose constants come from the shared-memory copy probe.
-
-        The probe runs once per process and is cached; constructing
-        calibrated models afterwards is free.
-        """
-        return measured_comm_model()
-
-    def point_to_point(self, nbytes: float) -> float:
-        """Seconds to send one message of ``nbytes``."""
-        return self.latency_s + nbytes / self.bytes_per_second
-
-    def gather(self, num_workers: int, nbytes_per_worker: float) -> float:
-        """Gather one block from every worker to the master (serialised receives)."""
-        if num_workers <= 1:
-            return 0.0
-        return (num_workers - 1) * self.point_to_point(nbytes_per_worker)
-
-    def scatter(self, num_workers: int, nbytes_per_worker: float) -> float:
-        """Scatter one block from the master to every worker."""
-        return self.gather(num_workers, nbytes_per_worker)
-
-    def broadcast(self, num_workers: int, nbytes: float) -> float:
-        """Binomial-tree broadcast of ``nbytes`` to every worker."""
-        if num_workers <= 1:
-            return 0.0
-        rounds = math.ceil(math.log2(num_workers))
-        return rounds * self.point_to_point(nbytes)
-
-    def allreduce(self, num_workers: int, nbytes: float) -> float:
-        """Reduce-then-broadcast estimate for an all-reduce of ``nbytes``."""
-        if num_workers <= 1:
-            return 0.0
-        rounds = math.ceil(math.log2(num_workers))
-        return 2 * rounds * self.point_to_point(nbytes)
-
-
-#: Probe sizes: the small copy is latency-dominated, the large one
-#: bandwidth-dominated.  Both complete in well under a millisecond.
-_PROBE_SMALL_BYTES = 64
-_PROBE_LARGE_BYTES = 1 << 20
-_PROBE_REPEATS = 5
-
-_calibrated_model: Optional[CommunicationModel] = None
-_calibration_lock = threading.Lock()
-
-
-def _best_copy_seconds(nbytes: int, repeats: int = _PROBE_REPEATS) -> float:
-    """Minimum observed wall time to copy ``nbytes`` between two buffers."""
-    source = np.zeros(nbytes, dtype=np.uint8)
-    sink = np.empty_like(source)
-    best = math.inf
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        np.copyto(sink, source)
-        best = min(best, time.perf_counter() - begin)
-    return best
-
-
-def measured_comm_model() -> CommunicationModel:
-    """Calibrate a :class:`CommunicationModel` from shared-memory copy timings.
-
-    The distributed backend's workers share POSIX shared-memory segments,
-    so a memory copy is the transport this probe takes as its proxy.
-    Bandwidth comes from a 1 MiB copy; latency is the fixed cost left over
-    in a 64-byte copy after subtracting its bandwidth share.
-    The result is cached for the lifetime of the process — calibration is a
-    one-shot probe, not a per-estimate cost.
-    """
-    global _calibrated_model
-    with _calibration_lock:
-        if _calibrated_model is None:
-            large = _best_copy_seconds(_PROBE_LARGE_BYTES)
-            small = _best_copy_seconds(_PROBE_SMALL_BYTES)
-            bytes_per_second = _PROBE_LARGE_BYTES / max(large, 1e-9)
-            latency = max(small - _PROBE_SMALL_BYTES / bytes_per_second, 1e-9)
-            _calibrated_model = CommunicationModel(
-                latency_s=latency, bytes_per_second=bytes_per_second
-            )
-        return _calibrated_model
-
-
-# --------------------------------------------------------------------------- #
 # Reports
 # --------------------------------------------------------------------------- #
 
@@ -338,44 +220,6 @@ class CostBreakdown:
     flops: float
     bytes_moved: float
     seconds: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for reports and benchmark tables."""
-        return {
-            "kernel_launches": self.kernel_launches,
-            "flops": self.flops,
-            "bytes_moved": self.bytes_moved,
-            "seconds": self.seconds,
-        }
-
-
-@dataclass
-class PartitionedCost:
-    """Per-phase breakdown of a program's modelled time over workers."""
-
-    num_workers: int
-    compute_seconds: float = 0.0
-    communication_seconds: float = 0.0
-    launch_seconds: float = 0.0
-    sync_rounds: int = 0
-    serial_instructions: int = 0
-    parallel_instructions: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        """Total modelled wall-clock seconds."""
-        return self.compute_seconds + self.communication_seconds + self.launch_seconds
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for benchmark tables."""
-        return {
-            "workers": self.num_workers,
-            "compute_s": self.compute_seconds,
-            "communication_s": self.communication_seconds,
-            "launch_s": self.launch_seconds,
-            "total_s": self.total_seconds,
-            "sync_rounds": self.sync_rounds,
-        }
 
 
 class CostModel:
@@ -413,70 +257,3 @@ class CostModel:
             bytes_moved=bytes_moved,
             seconds=self.program_cost(program),
         )
-
-    def partitioned_cost(
-        self,
-        program: Program,
-        workers: int,
-        comm: Optional[CommunicationModel] = None,
-    ) -> PartitionedCost:
-        """Price ``program`` block-distributed over ``workers`` along axis 0.
-
-        Element-wise byte-codes (and fused kernels) are assumed perfectly
-        partitionable: every worker processes its block, so the
-        per-instruction time is the single-device roofline time divided by
-        the number of workers — plus one kernel launch per worker round.
-        Reductions compute worker-local partials and pay a gather of the
-        partial results.  Extension methods (dense linear algebra) run on
-        the master only, paying a gather of their inputs first — which is
-        exactly why removing a ``BH_MATRIX_INVERSE`` via the paper's
-        Equation 2 rewrite helps even more in the distributed setting.
-        ``BH_SYNC`` gathers the synced view to the master.
-
-        ``comm=None`` prices communication with the calibrated model
-        (:func:`measured_comm_model`).
-        """
-        if workers < 1:
-            raise ClusterError(f"need at least one worker, got {workers}")
-        comm = comm if comm is not None else measured_comm_model()
-        profile = self.profile
-        stats = PartitionedCost(num_workers=workers)
-        for instruction in program:
-            opcode = instruction.opcode
-            if opcode is OpCode.BH_NONE or opcode is OpCode.BH_FREE:
-                continue
-            if opcode is OpCode.BH_SYNC:
-                synced_bytes = sum(view.nbytes for view in instruction.views())
-                stats.communication_seconds += comm.gather(workers, synced_bytes / workers)
-                stats.sync_rounds += 1
-                continue
-            flops = instruction_flops(instruction)
-            bytes_moved = instruction_bytes(instruction)
-            stats.launch_seconds += profile.kernel_launch_overhead_s
-            if instruction.is_elementwise() or instruction.is_fused():
-                stats.parallel_instructions += 1
-                stats.compute_seconds += profile.roofline_time(
-                    flops / workers, bytes_moved / workers
-                )
-            elif instruction.is_reduction():
-                stats.parallel_instructions += 1
-                stats.compute_seconds += profile.roofline_time(
-                    flops / workers, bytes_moved / workers
-                )
-                # Partial results (one block of the output per worker) are
-                # gathered and combined on the master.
-                out = instruction.out
-                partial_bytes = out.nbytes if out is not None else 0
-                stats.communication_seconds += comm.gather(workers, partial_bytes)
-                stats.sync_rounds += 1
-            else:
-                # Extension methods and generators run serially on the master.
-                stats.serial_instructions += 1
-                stats.compute_seconds += profile.roofline_time(flops, bytes_moved)
-                if instruction.is_extension():
-                    input_bytes = sum(view.nbytes for view in instruction.input_views)
-                    stats.communication_seconds += comm.gather(
-                        workers, input_bytes / workers
-                    )
-                    stats.sync_rounds += 1
-        return stats

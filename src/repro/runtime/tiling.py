@@ -31,9 +31,7 @@ Splittability rules (serial fallback otherwise):
   tree-combined by the backend.  A fused kernel that *ends* in a reduction
   gets that reduction's step, its members computing each tile's source.
 * everything else — generators (``BH_RANDOM``, ``BH_RANGE``), extension
-  methods (dense linear algebra), system directives — is serial, the same
-  splittable-versus-serial split
-  :meth:`repro.core.cost.CostModel.partitioned_cost` prices.
+  methods (dense linear algebra), system directives — is serial.
 """
 
 from __future__ import annotations

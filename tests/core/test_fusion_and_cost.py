@@ -85,7 +85,6 @@ class TestCostModel:
         assert breakdown.flops == pytest.approx(3000.0)
         assert breakdown.bytes_moved > 0
         assert breakdown.seconds > 0
-        assert set(breakdown.as_dict()) == {"kernel_launches", "flops", "bytes_moved", "seconds"}
 
     def test_one_bytecode_program_includes_launch_overhead(self):
         program, _ = repeated_constant_add(8, repeats=1)

@@ -6,8 +6,11 @@ example parameters where needed — the point is that the code paths run, not
 that they run long.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -67,8 +70,20 @@ class TestExamplesRun:
         optimized = module.run(32, 32, 2, optimize=True)
         assert baseline["foreground"] == pytest.approx(optimized["foreground"], abs=1e-12)
 
-    def test_cluster_scaling(self, capsys):
-        load_example("cluster_scaling").main()
-        output = capsys.readouterr().out
-        assert "workers" in output
-        assert "speedup" in output
+
+def loaded_example_names(test_class) -> set:
+    """The example names ``test_class``'s methods pass to :func:`load_example`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(test_class)))
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "load_example"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_every_example_has_a_smoke_test():
+    scripts = {path.stem for path in EXAMPLES_DIR.glob("*.py")}
+    assert scripts == loaded_example_names(TestExamplesRun)
