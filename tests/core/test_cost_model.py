@@ -1,15 +1,18 @@
 """Tests for the cost model's roofline pricing.
 
-The pinned table at the end was captured from the device-model backend
-before pricing became a report of :class:`~repro.core.cost.CostModel`; the
-arithmetic moved, it was not rewritten, so it holds with ``==``.
+``GPU_CHAINS`` was captured from the device-model backend before pricing
+became a report of :class:`~repro.core.cost.CostModel`; the arithmetic
+moved, it was not rewritten, so it holds with ``==``.  ``PRICES`` and
+``BREAKDOWNS`` pin every op-code's price and each device profile's report
+the same way.
 """
 
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.instruction import Instruction
-from repro.bytecode.opcodes import OpCode
+from repro.bytecode.opcodes import OPCODE_INFO, OpCode
+from repro.bytecode.operand import Constant
 from repro.core.cost import (
     DEVICE_PROFILES,
     CostModel,
@@ -20,7 +23,7 @@ from repro.core.cost import (
 )
 from repro.core.fusion import FusionPass
 from repro.runtime.kernel import Kernel, partition_into_kernels
-from repro.workloads import elementwise_chain
+from repro.workloads import elementwise_chain, linear_solve_program, repeated_constant_add
 
 
 def simple_program(size=1000, adds=3):
@@ -146,3 +149,136 @@ def test_program_prices_are_pinned(length):
     fused = FusionPass(max_kernel_size=64).run(program).program
     model = CostModel("gpu")
     assert (model.program_cost(program), model.program_cost(fused)) == GPU_CHAINS[length]
+
+
+# --------------------------------------------------------------------------- #
+# Every op-code has a price
+# --------------------------------------------------------------------------- #
+
+
+def _sample(opcode):
+    """One byte-code of ``opcode`` over 100-element float64 operands."""
+    builder = ProgramBuilder()
+    info = OPCODE_INFO[opcode]
+    if opcode is OpCode.BH_NONE:
+        return Instruction(opcode, ())
+    if info.system:
+        return Instruction(opcode, (builder.new_vector(100),))
+    if opcode is OpCode.BH_FUSED:
+        program, _ = simple_program(size=100, adds=3)
+        kernel = [k for k in partition_into_kernels(program) if isinstance(k, Kernel)][0]
+        return kernel.as_instruction()
+    if info.reduction:
+        operands = (builder.new_vector(10), builder.new_matrix(10, 10), Constant(1))
+    elif opcode is OpCode.BH_RANGE:
+        operands = (builder.new_vector(100),)
+    elif opcode is OpCode.BH_RANDOM:
+        operands = (builder.new_vector(100), Constant(7))
+    elif opcode is OpCode.BH_LU_SOLVE:
+        operands = (builder.new_vector(10), builder.new_matrix(10, 10), builder.new_vector(10))
+    elif info.extension:
+        operands = tuple(builder.new_matrix(10, 10) for _ in range(info.num_operands))
+    else:
+        operands = tuple(builder.new_vector(100) for _ in range(info.num_operands))
+    return Instruction(opcode, operands)
+
+
+#: (flops, bytes) of :func:`_sample` for every op-code.  The flop column is
+#: ``FLOP_WEIGHTS`` (or the extension's closed form) at 100 output elements,
+#: so a changed weight shows here and in the CLI's ``--profile`` report.
+PRICES = {
+    OpCode.BH_IDENTITY: (0.0, 1600.0),
+    OpCode.BH_ADD: (100.0, 2400.0),
+    OpCode.BH_SUBTRACT: (100.0, 2400.0),
+    OpCode.BH_MULTIPLY: (100.0, 2400.0),
+    OpCode.BH_DIVIDE: (400.0, 2400.0),
+    OpCode.BH_POWER: (15000.0, 2400.0),
+    OpCode.BH_MOD: (400.0, 2400.0),
+    OpCode.BH_NEGATIVE: (100.0, 1600.0),
+    OpCode.BH_ABSOLUTE: (100.0, 1600.0),
+    OpCode.BH_RECIPROCAL: (400.0, 1600.0),
+    OpCode.BH_SQRT: (800.0, 1600.0),
+    OpCode.BH_EXP: (2000.0, 1600.0),
+    OpCode.BH_LOG: (2000.0, 1600.0),
+    OpCode.BH_SIN: (2000.0, 1600.0),
+    OpCode.BH_COS: (2000.0, 1600.0),
+    OpCode.BH_TAN: (2400.0, 1600.0),
+    OpCode.BH_ARCSIN: (2400.0, 1600.0),
+    OpCode.BH_ARCCOS: (2400.0, 1600.0),
+    OpCode.BH_ARCTAN: (2400.0, 1600.0),
+    OpCode.BH_ERF: (3000.0, 1600.0),
+    OpCode.BH_MAXIMUM: (100.0, 2400.0),
+    OpCode.BH_MINIMUM: (100.0, 2400.0),
+    OpCode.BH_GREATER: (100.0, 2400.0),
+    OpCode.BH_GREATER_EQUAL: (100.0, 2400.0),
+    OpCode.BH_LESS: (100.0, 2400.0),
+    OpCode.BH_LESS_EQUAL: (100.0, 2400.0),
+    OpCode.BH_EQUAL: (100.0, 2400.0),
+    OpCode.BH_NOT_EQUAL: (100.0, 2400.0),
+    OpCode.BH_LOGICAL_AND: (100.0, 2400.0),
+    OpCode.BH_LOGICAL_OR: (100.0, 2400.0),
+    OpCode.BH_LOGICAL_NOT: (100.0, 1600.0),
+    OpCode.BH_ADD_REDUCE: (10.0, 880.0),
+    OpCode.BH_MULTIPLY_REDUCE: (10.0, 880.0),
+    OpCode.BH_MAXIMUM_REDUCE: (10.0, 880.0),
+    OpCode.BH_MINIMUM_REDUCE: (10.0, 880.0),
+    OpCode.BH_RANGE: (100.0, 800.0),
+    OpCode.BH_RANDOM: (1000.0, 800.0),
+    OpCode.BH_MATMUL: (2000.0, 2400.0),
+    OpCode.BH_MATRIX_INVERSE: (2000.0, 1600.0),
+    OpCode.BH_LU: (666.6666666666666, 1600.0),
+    OpCode.BH_LU_SOLVE: (866.6666666666666, 960.0),
+    OpCode.BH_TRANSPOSE: (0.0, 1600.0),
+    OpCode.BH_FUSED: (300.0, 800.0),
+    OpCode.BH_SYNC: (0.0, 0.0),
+    OpCode.BH_FREE: (0.0, 0.0),
+    OpCode.BH_NONE: (0.0, 0.0),
+}
+
+
+def test_the_price_table_covers_every_opcode():
+    assert set(PRICES) == set(OpCode)
+
+
+@pytest.mark.parametrize("opcode", sorted(PRICES, key=lambda op: op.value), ids=lambda op: op.value)
+def test_every_opcode_is_priced(opcode):
+    instruction = _sample(opcode)
+    assert (instruction_flops(instruction), instruction_bytes(instruction)) == PRICES[opcode]
+
+
+# --------------------------------------------------------------------------- #
+# Pinned breakdowns, one per device profile
+# --------------------------------------------------------------------------- #
+
+#: ``CostModel(profile).breakdown(program)`` of three programs on each
+#: built-in profile: (kernel_launches, flops, bytes_moved, seconds).
+BREAKDOWNS = {
+    ('gpu', 'chain16'): (17, 16000000.0, 264000000.0, 0.00105),
+    ('gpu', 'constant_add8'): (9, 8000000.0, 136000000.0, 0.0005433333333333333),
+    ('gpu', 'linear_solve128'): (2, 4227072.0, 395264.0, 2.1492309333333335e-05),
+    ('multicore', 'chain16'): (17, 16000000.0, 264000000.0, 0.0066339999999999975),
+    ('multicore', 'constant_add8'): (9, 8000000.0, 136000000.0, 0.003418),
+    ('multicore', 'linear_solve128'): (2, 4227072.0, 395264.0, 2.829952e-05),
+    ('single_core', 'chain16'): (17, 16000000.0, 264000000.0, 0.013208499999999995),
+    ('single_core', 'constant_add8'): (9, 8000000.0, 136000000.0, 0.0068045),
+    ('single_core', 'linear_solve128'): (2, 4227072.0, 395264.0, 0.00014746613333333335),
+}
+
+
+def _breakdown_program(name):
+    if name == "chain16":
+        return elementwise_chain(1_000_000, length=16)[0]
+    if name == "constant_add8":
+        return repeated_constant_add(1_000_000, repeats=8)[0]
+    return linear_solve_program(128)[0]
+
+
+@pytest.mark.parametrize("profile, name", sorted(BREAKDOWNS))
+def test_profile_breakdowns_are_pinned(profile, name):
+    breakdown = CostModel(profile).breakdown(_breakdown_program(name))
+    assert (
+        breakdown.kernel_launches,
+        breakdown.flops,
+        breakdown.bytes_moved,
+        breakdown.seconds,
+    ) == BREAKDOWNS[(profile, name)]
