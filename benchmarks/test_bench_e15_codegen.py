@@ -104,14 +104,14 @@ def test_native_backend_beats_parallel_on_heat_equation(benchmark, tmp_path):
         cold = native.stats_history[-1]
 
         # ---------------- deterministic assertions (hard) ----------------- #
-        # Cold flush against an empty cache dir: each of the two forms (an
-        # iteration's two steps) recurs in the plan, so the compiler ran
-        # for both, the disk had nothing to offer, and compiled kernels (not
-        # fallbacks) did the work.
-        assert cold.native_compiles == 2
+        # Cold flush against an empty cache dir: of an iteration's two
+        # steps, the grid copy is written by NumPy and the stencil form
+        # recurs in the plan, so the compiler ran once, the disk had nothing
+        # to offer, and compiled kernels (not fallbacks) did the work.
+        assert cold.native_compiles == 1
         assert cold.native_disk_hits == 0
         assert cold.native_fallbacks == 0
-        assert cold.native_kernel_launches == 2 * ITERATIONS
+        assert cold.native_kernel_launches == ITERATIONS
 
         def measure():
             parallel_seconds, parallel_out = _best_stencil_time(parallel)
@@ -132,7 +132,7 @@ def test_native_backend_beats_parallel_on_heat_equation(benchmark, tmp_path):
         assert warm.native_disk_hits == 0
         assert warm.native_memory_hits == 0
         assert warm.native_fallbacks == 0
-        assert warm.native_kernel_launches == 2 * ITERATIONS
+        assert warm.native_kernel_launches == ITERATIONS
 
         # Bit-identical to the parallel backend: same plans, same tiling,
         # and only bitwise-safe kernel forms are lowered.
@@ -151,7 +151,7 @@ def test_native_backend_beats_parallel_on_heat_equation(benchmark, tmp_path):
         assert disk.native_compiles == 0
         assert disk.native_disk_hits == cold.native_compiles
         assert disk.native_fallbacks == 0
-        assert disk.native_kernel_launches == 2 * ITERATIONS
+        assert disk.native_kernel_launches == ITERATIONS
         assert np.array_equal(restored_grid, native_out)
 
     # ---------------- wall-clock comparison (soft) -------------------- #
@@ -199,12 +199,14 @@ def test_default_cache_directory_serves_every_launch_without_fallbacks():
     restores between runs.  After any earlier run has populated it, a fresh
     process — even one whose compiler exits 1 on every call — must find the
     kernels *and* the kernel runtime there: zero fallbacks, and threaded
-    launches wherever a runtime exists.  Deterministic asserts only.
+    launches wherever a runtime exists.  The grid is large enough for the
+    stencil to thread (two tiles of ``parallel_tile_elements`` or more),
+    or no runtime would be asked for.  Deterministic asserts only.
     """
     clear_memory_cache()
     with config_override(codegen_threads=2):
         native = Session(backend="native", optimize=True)
-        grid = heat_equation(grid_size=256, iterations=4, session=native).to_numpy()
+        grid = heat_equation(grid_size=512, iterations=4, session=native).to_numpy()
         stats = native.stats_history[-1]
         runtime = native.engine.backend.native_runtime
     oracle = Session(backend="parallel", optimize=True)
@@ -215,7 +217,7 @@ def test_default_cache_directory_serves_every_launch_without_fallbacks():
     if runtime != "serial":
         assert stats.native_mt_launches > 0
     assert np.array_equal(
-        grid, heat_equation(grid_size=256, iterations=4, session=oracle).to_numpy()
+        grid, heat_equation(grid_size=512, iterations=4, session=oracle).to_numpy()
     )
 
 

@@ -224,7 +224,7 @@ class CompiledRuntime:
 
     ``launch`` is the address of its ``repro_rt_launch``, passed as the
     last argument of every ``repro_kernel_mt`` call.  The library handle is
-    kept so the address outlives every launchable that captured it.
+    kept so the address outlives every launch that looked it up.
     ``vec_erf(n, src, dst)`` is its ``repro_vec_erf``: the host libm's
     ``erf`` over ``n`` contiguous doubles at address ``src`` into ``dst``
     (the two may be equal) — what ``BH_ERF`` calls on every interpreted

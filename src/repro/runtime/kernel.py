@@ -199,10 +199,6 @@ class BlockedTemplateLaunch:
 
     __slots__ = ("_template", "elided_slots", "_erf")
 
-    #: Tiles of a template feed worker threads *and* bound each task's
-    #: work; the scaffolding never collapses them into one launch.
-    single_pass = False
-
     def __init__(self, template: KernelTemplate, local_slots: frozenset, erf=None) -> None:
         self._template = template
         self.elided_slots = local_slots

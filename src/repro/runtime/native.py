@@ -6,14 +6,14 @@ reductions with or without a producing kernel, ``_run_reduce`` — so the
 plan-time tile decomposition, the memory planning, the interpreted
 reduction path and the serial fallbacks are *identical* to the parallel
 backend.
-What changes is what runs per tile: when a kernel form lowers bitwise-safely
-(:mod:`repro.codegen.loopir`), each tile calls into one compiled C function
-instead of per-instruction NumPy dispatch; otherwise the step falls back to
-the interpreted :class:`~repro.runtime.kernel.KernelTemplate`, making every
-program executable regardless of codegen coverage.  A form that lowers to
-nothing but literal stores computes nothing: it runs as a
-:class:`NativeFill`, one NumPy assignment per step, and never reaches the
-C compiler.
+What changes is what runs per step: when a kernel form lowers bitwise-safely
+(:mod:`repro.codegen.loopir`), the step is one call into a compiled C
+function instead of per-instruction NumPy dispatch; otherwise the step falls
+back to the interpreted :class:`~repro.runtime.kernel.KernelTemplate`, making
+every program executable regardless of codegen coverage.  A form that
+computes nothing — every store a literal (a fill) or a same-dtype load of a
+slot it does not write (a copy) — runs as a :class:`NumPyAssign`, one NumPy
+call per step, and never reaches the C compiler.
 
 Caching is three-layered:
 
@@ -35,20 +35,27 @@ backend's cumulative record and on exactly one flush's
 resolution has no flush yet, so its outcomes are parked on the plan for the
 first execution of that plan to report.
 
-Threaded launches go through the process's one **kernel runtime artifact**
-(:func:`repro.codegen.cache.resolve_runtime`): every launchable captures
-its ``repro_rt_launch`` and passes it to the kernel's ``repro_kernel_mt``,
-so all kernel forms share one worker pool and one launch mutex.  How the
-runtime was obtained is ``NativeBackend.native_runtime``; it is not a
-kernel and never counts as a compile or a disk hit.
+A compiled step threads only when threads are asked for (``codegen_threads``,
+default one) and each gets a tile: it runs in :func:`launch_parts` parts,
+``min(threads, elements // parallel_tile_elements)``; one part is one
+serial ``repro_kernel`` call.
+Two or more go through the process's one **kernel runtime artifact**
+(:func:`repro.codegen.cache.resolve_runtime`), which a threaded launch looks
+up and never builds: a plan with such a step builds it beside its kernels,
+and a plan without one never builds it or waits for it.  How the runtime was
+obtained is ``NativeBackend.native_runtime``; it is not a kernel and never
+counts as a compile or a disk hit.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from functools import partial
 from typing import Callable, Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.bytecode.view import View
 from repro.codegen.cache import (
@@ -62,6 +69,7 @@ from repro.codegen.compiler import CodegenError
 from repro.codegen.emit_c import emit_kernel_source, emit_reduce_source
 from repro.codegen.loopir import (
     Literal,
+    Load,
     LoopNest,
     LoweringError,
     ReduceNest,
@@ -106,7 +114,6 @@ class NativeKernelLaunch:
     __slots__ = (
         "_fn",
         "_fn_mt",
-        "_runtime",
         "_rank",
         "_itemsizes",
         "_dims_type",
@@ -117,20 +124,9 @@ class NativeKernelLaunch:
         "elided_slots",
     )
 
-    #: A compiled loop nest covers any geometry in one call, so the tiled
-    #: scaffolding may run a whole map step as a single launch when no
-    #: worker threads would consume the tiles (see ``_run_map``).
-    single_pass = True
-
-    def __init__(
-        self, compiled, nest: LoopNest, slots: Sequence[View], runtime=None
-    ) -> None:
+    def __init__(self, compiled, nest: LoopNest, slots: Sequence[View]) -> None:
         self._fn = compiled.fn
-        # The chunked entry point threads only through a runtime's launch
-        # function; without one (serial toolchain) it would run the nest on
-        # the caller, so multi-thread launches keep the per-tile path.
-        self._fn_mt = compiled.fn_mt if runtime is not None else None
-        self._runtime = runtime
+        self._fn_mt = compiled.fn_mt
         self._rank = nest.rank
         self._itemsizes = tuple(view.dtype.itemsize for view in slots)
         #: Slots the compiled kernel keeps in registers: no storage is
@@ -142,11 +138,6 @@ class NativeKernelLaunch:
         self._dims_type = ctypes.c_int64 * nest.rank
         self._ptrs_type = ctypes.c_void_p * (num_slots + len(self._literal_ptrs))
         self._strides_type = ctypes.c_int64 * (num_slots * nest.rank)
-
-    @property
-    def supports_mt(self) -> bool:
-        """Whether one call can split the outer loop across in-kernel threads."""
-        return self._fn_mt is not None
 
     def _marshal(self, memory: MemoryManager, views: Sequence[View]):
         rank = self._rank
@@ -173,54 +164,92 @@ class NativeKernelLaunch:
         self._fn(dims, pointers, strides)
 
     def launch_mt(
-        self, memory: MemoryManager, views: Sequence[View], nthreads: int
+        self, memory: MemoryManager, views: Sequence[View], parts: int, runtime
     ) -> None:
-        """Run the whole step as ONE foreign call; the runtime splits the
-        outermost loop across the process's persistent worker pool."""
+        """Run the whole step as ONE foreign call; ``runtime`` splits the
+        outermost loop into ``parts`` across the process's worker pool."""
         dims, pointers, strides = self._marshal(memory, views)
-        self._fn_mt(
-            dims, pointers, strides, ctypes.c_int32(nthreads), self._runtime.launch
-        )
+        self._fn_mt(dims, pointers, strides, ctypes.c_int32(parts), runtime.launch)
 
 
-class NativeFill:
-    """A nest of literal stores, written by NumPy: it computes nothing, so
-    it is never compiled, loaded or marshalled.
+class NumPyAssign:
+    """A nest that computes nothing, written by NumPy: it is never compiled,
+    loaded or marshalled.
 
-    Each stored slot that is not elided gets its *last* store's value, cast
-    to the slot's storage dtype by NumPy's unsafe cast — the interpreter's
-    ``copyto(..., casting="unsafe")`` — in one assignment over the whole
-    step's view.  Legality is the lowering's: written views are injective
-    and overlap no other slot.
+    Every store is a literal or a same-dtype load of a slot the nest does not
+    write (a fill, a copy).  Each stored slot that is not elided gets its
+    *last* store, in one NumPy call over the whole step's view: a literal
+    cast to the slot's storage dtype by NumPy's unsafe cast — the
+    interpreter's ``copyto(..., casting="unsafe")`` — or ``np.copyto`` from
+    the loaded slot's view, whose bits it moves unchanged.  Legality is the
+    lowering's: written views are injective and overlap no other slot, so
+    no store can see another's result.
     """
 
-    __slots__ = ("_values", "elided_slots")
+    __slots__ = ("_stores", "elided_slots")
 
     def __init__(self, nest: LoopNest) -> None:
         self.elided_slots = nest.elided_slots
         last = {statement.slot: statement.expr for statement in nest.body}
-        self._values = tuple(
-            (slot, _cast(expr, nest.slot_dtypes[slot]).value)
+        #: ``(slot, loaded slot or None, literal value or None)`` per store.
+        self._stores = tuple(
+            (slot, expr.slot, None)
+            if isinstance(expr, Load)
+            else (slot, None, _cast(expr, nest.slot_dtypes[slot]).value)
             for slot, expr in last.items()
             if slot not in self.elided_slots
         )
 
+    @staticmethod
+    def covers(nest: LoopNest) -> bool:
+        """Whether every store of ``nest`` is a literal or a same-dtype load
+        of a slot the nest does not write."""
+        written = {statement.slot for statement in nest.body}
+        return all(
+            isinstance(statement.expr, Literal)
+            or (
+                isinstance(statement.expr, Load)
+                and statement.expr.slot not in written
+                and statement.expr.dtype_name == nest.slot_dtypes[statement.slot]
+            )
+            for statement in nest.body
+        )
+
     def __call__(self, memory: MemoryManager, views: Sequence[View]) -> None:
-        for slot, value in self._values:
-            memory.view_array(views[slot])[...] = value
+        for slot, source, value in self._stores:
+            target = memory.view_array(views[slot])
+            if source is None:
+                target[...] = value
+            else:
+                np.copyto(target, memory.view_array(views[source]))
 
 
 def _lower_map(instructions, local_slots: frozenset, slots: Sequence[View]):
     """A map form's ``(C source, bind)``, or ``(None, launch)`` when nothing
-    is compiled: a :class:`NativeFill`, or the message saying why the form
+    is compiled: a :class:`NumPyAssign`, or the message saying why the form
     does not lower."""
     try:
         nest = lower_kernel(instructions, local_slots)
     except LoweringError as exc:
         return None, str(exc)
-    if all(isinstance(statement.expr, Literal) for statement in nest.body):
-        return None, NativeFill(nest)
+    if NumPyAssign.covers(nest):
+        return None, NumPyAssign(nest)
     return emit_kernel_source(nest), partial(NativeKernelLaunch, nest=nest, slots=slots)
+
+
+def launch_parts(slots: Sequence[View], config: Config, combine: bool = False) -> int:
+    """How many parts a compiled step over ``slots`` (its first slot has the
+    step's shape) runs in: one per ``parallel_tile_elements`` elements,
+    at most the codegen thread count and at least one — one part is one
+    serial call.  A combining reduction keeps one part per thread: its
+    partials, and so its bits, follow the part count.  The thread count is
+    1 unless asked for: a 2-part launch lost to the serial call at every
+    size measured (8 836 to 4 Mi elements) on a 2-CPU host."""
+    threads = config.codegen_threads or 1
+    if combine:
+        return threads
+    elements = math.prod(slots[0].shape)
+    return max(1, min(threads, elements // config.parallel_tile_elements))
 
 
 class NativeReduceLaunch:
@@ -237,7 +266,6 @@ class NativeReduceLaunch:
     __slots__ = (
         "_fn",
         "_fn_mt",
-        "_runtime",
         "_rank",
         "_axis",
         "_loaded",
@@ -248,10 +276,9 @@ class NativeReduceLaunch:
         "_strides_type",
     )
 
-    def __init__(self, compiled, nest: ReduceNest, runtime=None) -> None:
+    def __init__(self, compiled, nest: ReduceNest) -> None:
         self._fn = compiled.fn
-        self._fn_mt = compiled.fn_mt if runtime is not None else None
-        self._runtime = runtime
+        self._fn_mt = compiled.fn_mt
         self._rank = nest.rank
         self._axis = nest.axis
         self._loaded = frozenset(nest.loaded_slots)
@@ -261,18 +288,16 @@ class NativeReduceLaunch:
         self._ptrs_type = ctypes.c_void_p * (entries + len(self._literal_ptrs))
         self._strides_type = ctypes.c_int64 * (entries * nest.rank)
 
-    @property
-    def supports_mt(self) -> bool:
-        return self._fn_mt is not None
-
     def __call__(
         self,
         memory: MemoryManager,
         slots: Sequence[View],
         out_view: View,
-        nthreads: int,
+        parts: int,
+        runtime,
     ) -> bool:
-        """Run the reduction; returns True when the chunked entry fired."""
+        """Run the reduction in ``parts`` through ``runtime`` (one serial
+        call without one); returns True when the chunked entry fired."""
         out_item = out_view.dtype.itemsize
         dims = self._dims_type(*slots[0].shape)
         pointers = []
@@ -297,10 +322,8 @@ class NativeReduceLaunch:
                 strides.append(out_view.strides[out_position] * out_item)
                 out_position += 1
         packed = self._strides_type(*strides)
-        if self._fn_mt is not None and nthreads > 1:
-            self._fn_mt(
-                dims, pointers, packed, ctypes.c_int32(nthreads), self._runtime.launch
-            )
+        if runtime is not None and parts > 1:
+            self._fn_mt(dims, pointers, packed, ctypes.c_int32(parts), runtime.launch)
             return True
         self._fn(dims, pointers, packed)
         return False
@@ -375,7 +398,7 @@ class NativeBackend(ParallelBackend):
     def _codegen_signature(self, config) -> tuple:
         # Everything a launchable's artifacts depend on.  Neither the
         # threading mode nor the thread count is here: kernels are
-        # mode-agnostic and a launchable keeps the runtime it captured.
+        # mode-agnostic and a threaded launch looks the runtime up.
         return (
             resolve_cache_dir(config.codegen_cache_dir),
             config.codegen_disk_cache_enabled,
@@ -384,8 +407,8 @@ class NativeBackend(ParallelBackend):
     def _resolve_config(self, config: Config) -> Config:
         """Also resolve the thread count handed to ``repro_kernel_mt`` launches.
 
-        ``codegen_threads`` > ``REPRO_CODEGEN_THREADS`` env var > the
-        parallel worker count.  Purely runtime: changing it never touches
+        ``codegen_threads`` > ``REPRO_CODEGEN_THREADS`` env var > 1 (see
+        :func:`launch_parts`).  Purely runtime: changing it never touches
         plan tilings or compiled artifacts.  An environment value that is
         not a positive integer raises :class:`ExecutionError` — before the
         flush that resolves it runs any step.
@@ -404,23 +427,25 @@ class NativeBackend(ParallelBackend):
                         f"REPRO_CODEGEN_THREADS={env!r} is not a positive integer"
                     )
             else:
-                threads = config.parallel_num_threads
+                threads = 1
         return config.replace(codegen_threads=max(1, int(threads)))
 
-    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
+    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats, threaded: bool):
         """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
 
-        ``lower()`` returns the form's C source and a ``bind(compiled,
-        runtime=...)`` constructor, or raises :class:`LoweringError`; with
-        no source, the second item is the launch itself (a fill) or why
+        ``lower()`` returns the form's C source and a ``bind(compiled)``
+        constructor, or raises :class:`LoweringError`; with no source, the
+        second item is the launch itself (a :class:`NumPyAssign`) or why
         there is none, and no compiler or runtime is asked for.  A form
         with no native lowering (or whose compilation failed) is cached as
         the *message* saying why; the caller uses the interpreted path and
         counts the reason.
 
         Only a :data:`FIRST_LAUNCH` entry (a miss) compiles; any other miss
-        binds an artifact and runtime already loaded or on disk, and with
-        none caches and returns the marker.
+        binds an artifact already loaded or on disk, and with none caches
+        and returns the marker.  A ``threaded`` form binds only once the
+        runtime its launches look up is there: built with its kernel, or
+        loaded beside it — a load-only bind never compiles it.
         """
         cached = self._native_cache.get(cache_key, marker=FIRST_LAUNCH)
         if cached is not None and cached is not FIRST_LAUNCH:
@@ -429,24 +454,28 @@ class NativeBackend(ParallelBackend):
         # Lowering and compilation run outside any lock; concurrent misses
         # of one form may both walk here, but the process-wide digest memo
         # latches the actual compile to exactly one of them.
-        outcome = runtime_outcome = runtime = None
+        outcome = runtime_outcome = compiled = None
+        where = (config.codegen_cache_dir, config.codegen_disk_cache_enabled)
         try:
             source, launch = lower()
             if source is not None:
-                compiled, outcome = get_compiled_kernel(
-                    source,
-                    opt_level=KERNEL_OPT_LEVEL,
-                    cache_dir=config.codegen_cache_dir,
-                    use_disk=config.codegen_disk_cache_enabled,
-                    load_only=load_only,
-                )
-                # A kernel needs the runtime only here: ``prepare_plan``
-                # builds it beside the plan's kernels, not before them.
-                if compiled is not None:
-                    runtime, _, runtime_outcome = resolve_runtime(
-                        config.codegen_cache_dir, config.codegen_disk_cache_enabled, load_only
+                # A load-only bind looks the runtime up first: it must not
+                # count a kernel it cannot bind (while another thread
+                # builds the runtime, say).  A compiling one builds it after.
+                if threaded and load_only:
+                    runtime_outcome = resolve_runtime(*where, load_only=True)[2]
+                if runtime_outcome or not (threaded and load_only):
+                    compiled, outcome = get_compiled_kernel(
+                        source,
+                        opt_level=KERNEL_OPT_LEVEL,
+                        cache_dir=config.codegen_cache_dir,
+                        use_disk=config.codegen_disk_cache_enabled,
+                        load_only=load_only,
                     )
-                launch = launch(compiled, runtime=runtime) if runtime_outcome else FIRST_LAUNCH
+                if threaded and not load_only:
+                    runtime_outcome = resolve_runtime(*where)[2]
+                bound = compiled is not None and (runtime_outcome or not threaded)
+                launch = launch(compiled) if bound else FIRST_LAUNCH
         except (LoweringError, CodegenError) as exc:
             # No lowering, no compiler, or a toolchain failure: degrade to
             # the interpreted template — and remember why, so the next launch
@@ -469,13 +498,23 @@ class NativeBackend(ParallelBackend):
             self.native_runtime = outcome
 
     def _resolve_runtime(self, config) -> None:
-        """``prepare_plan``'s extra job: the runtime the plan's kernels will
-        launch through, built beside them."""
+        """``prepare_plan``'s extra job: the runtime the plan's threaded
+        steps will launch through, built beside their kernels."""
         outcome = resolve_runtime(
             config.codegen_cache_dir, config.codegen_disk_cache_enabled
         )[2]
         with self._cache_lock:
             self._note_runtime(outcome)
+
+    @staticmethod
+    def _launch_runtime(parts: int, config):
+        """The runtime a compiled launch of ``parts`` goes through: looked up
+        (loaded at most, never built), and none for a single part."""
+        if parts < 2:
+            return None
+        return resolve_runtime(
+            config.codegen_cache_dir, config.codegen_disk_cache_enabled, load_only=True
+        )[0]
 
     def _native_launch(
         self,
@@ -485,21 +524,23 @@ class NativeBackend(ParallelBackend):
         local_slots: frozenset,
         stats: ExecutionStats,
         config: Config,
+        threaded: bool,
         lowered: Optional[tuple] = None,
     ):
         """Resolve a kernel form to ``(launchable, None)`` — compiled, or a
-        :class:`NativeFill` — or ``(None, why not)``.
+        :class:`NumPyAssign` — or ``(None, why not)``.
 
         ``local_slots`` (plan-time liveness, part of the cache key) names
         slots whose stores the kernel elides entirely; ``stats`` receives
-        the compile/cache outcome of a launch-cache miss; ``lowered`` is
-        the form's :func:`_lower_map`, when the caller already has it.
+        the compile/cache outcome of a launch-cache miss; ``threaded`` says
+        whether a launch of the form will thread; ``lowered`` is the form's
+        :func:`_lower_map`, when the caller already has it.
         """
         lower = (lambda: lowered) if lowered else partial(
             _lower_map, instructions, local_slots, slots
         )
         cache_key = (key, local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats)
+        return self._cached_launch(cache_key, config, lower, stats, threaded)
 
     @staticmethod
     def _reduce_form(members, tail, step: TiledReduceStep):
@@ -529,7 +570,7 @@ class NativeBackend(ParallelBackend):
         )
 
     def _native_reduce_launch(
-        self, members, tail, step: TiledReduceStep, form: tuple, stats: ExecutionStats, config
+        self, members, tail, step: TiledReduceStep, form: tuple, stats, config, threaded: bool
     ):
         """Resolve a tiled reduction of structural key ``form`` to
         ``(compiled launchable, None)`` or ``(None, why not)``.
@@ -548,7 +589,7 @@ class NativeBackend(ParallelBackend):
             return emit_reduce_source(nest), partial(NativeReduceLaunch, nest=nest)
 
         cache_key = (form, step.local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats)
+        return self._cached_launch(cache_key, config, lower, stats, threaded)
 
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
@@ -557,8 +598,9 @@ class NativeBackend(ParallelBackend):
     def _map_launcher(self, instructions, step, stats, config):
         prepared = prepare_kernel_launch(instructions)
         key, slots, _ = prepared
+        threaded = launch_parts(slots, config) > 1
         launch, reason = self._native_launch(
-            key, slots, instructions, step.local_slots, stats, config
+            key, slots, instructions, step.local_slots, stats, config, threaded
         )
         if launch is None:
             self._count(stats, fallback_reason=reason, native_fallbacks=1)
@@ -572,30 +614,33 @@ class NativeBackend(ParallelBackend):
         return slots, launch
 
     def _launch_map(self, launcher, slots, step, memory, stats, config) -> None:
-        """Collapse a multi-thread launch of a chunk-capable compiled
-        kernel into ONE ``repro_kernel_mt`` call.
+        """Run a compiled map step as ONE foreign call, threaded or not.
 
-        The runtime block-partitions the outermost loop over the process's
-        persistent worker pool, so the whole fused step costs a single
-        ctypes round (which releases the GIL) regardless of thread count.
-        Hazard analysis already happened at plan time: only splittable
-        nests become :class:`TiledMapStep`s, and serial-hazard nests never
-        reach this seam.  Interpreted templates, launchables bound without
-        a runtime and single-thread launches keep the inherited per-tile
-        machinery.  A fill is one NumPy assignment per step at any thread
-        count.
+        A step of two or more parts (:func:`launch_parts`) is one
+        ``repro_kernel_mt`` call: the runtime block-partitions the outermost
+        loop over the process's persistent worker pool, a single ctypes
+        round (which releases the GIL) whatever the thread count.  A step
+        of one part is one serial ``repro_kernel`` call, and so is any step
+        when no worker thread would take a tile.  Hazard analysis already
+        happened at plan time: only splittable nests become
+        :class:`TiledMapStep`s.  Interpreted templates, and threaded steps
+        with no runtime to launch through, keep the inherited per-tile
+        machinery.  A :class:`NumPyAssign` is one NumPy call per step.
         """
-        if isinstance(launcher, NativeFill):
+        whole = isinstance(launcher, NumPyAssign)
+        if isinstance(launcher, NativeKernelLaunch):
+            parts = launch_parts(slots, config)
+            runtime = self._launch_runtime(parts, config)
+            if runtime is not None:
+                stats.tiles_executed += 1
+                launcher.launch_mt(memory, slots, parts, runtime)
+                self._count(stats, native_mt_launches=1)
+                return
+            whole = parts == 1 or config.parallel_num_threads == 1
+        if whole:
             stats.tiles_executed += 1
             launcher(memory, slots)
             return
-        if isinstance(launcher, NativeKernelLaunch) and launcher.supports_mt:
-            nthreads = config.codegen_threads or config.parallel_num_threads
-            if nthreads > 1:
-                stats.tiles_executed += 1
-                launcher.launch_mt(memory, slots, nthreads)
-                self._count(stats, native_mt_launches=1)
-                return
         super()._launch_map(launcher, slots, step, memory, stats, config)
 
     def _run_reduce(self, instruction, step, memory, stats, config) -> None:
@@ -612,13 +657,16 @@ class NativeBackend(ParallelBackend):
         instructions = instruction.kernel if fused else (instruction,)
         members, tail = split_tail(instructions)
         slots, form = self._reduce_form(members, tail, step)
-        launch, reason = self._native_reduce_launch(members, tail, step, form, stats, config)
+        parts = launch_parts(slots, config, step.combine)
+        launch, reason = self._native_reduce_launch(
+            members, tail, step, form, stats, config, parts > 1
+        )
         if launch is not None:
-            nthreads = config.codegen_threads or config.parallel_num_threads
             stats.record_launch(instructions, fused)
             stats.tiled_instructions += len(instructions)
             stats.tiles_executed += 1
-            used_mt = launch(memory, slots, tail.out, nthreads)
+            runtime = self._launch_runtime(parts, config)
+            used_mt = launch(memory, slots, tail.out, parts, runtime)
             # A kernel's members ran compiled too: one kernel launch.
             self._count(
                 stats,
@@ -641,7 +689,10 @@ class NativeBackend(ParallelBackend):
         run twice: in two or more of its steps, or launched before.
 
         A warm plan replay launches straight into cached artifacts; a form
-        of one step never launched is left to :meth:`_cached_launch`.
+        of one step never launched is left to :meth:`_cached_launch`.  The
+        kernel runtime is resolved only for a plan with a compiled step of
+        two or more parts (:func:`launch_parts`): a plan of serial calls,
+        fills and copies never builds it or waits for it.
 
         No flush exists yet, so the resolution outcomes — counted
         cumulatively as they happen — are parked on the plan for its first
@@ -655,6 +706,7 @@ class NativeBackend(ParallelBackend):
                 plan.native_prepare_stats = ExecutionStats()
             parked = plan.native_prepare_stats
             resolvers: Dict[tuple, tuple] = {}  # form -> (resolve, map lowering)
+            threaded = set()  # forms with a step of two or more parts
             for step in plan.tiling.steps:
                 instruction = plan.optimized[step.index]
                 instructions = (
@@ -662,61 +714,59 @@ class NativeBackend(ParallelBackend):
                 )
                 if isinstance(step, TiledReduceStep):
                     members, tail = split_tail(instructions)
-                    form = self._reduce_form(members, tail, step)[1]
+                    slots, form = self._reduce_form(members, tail, step)
                     resolve = partial(
                         self._native_reduce_launch, members, tail, step, form, parked, config
                     )
-                    form, lower = (form, step.local_slots), None
+                    form, lower, combine = (form, step.local_slots), None, step.combine
                 elif isinstance(step, TiledMapStep):
                     key, slots, _ = prepare_kernel_launch(instructions)
-                    form = (key, step.local_slots)
+                    local = step.local_slots
+                    form = (key, local)
                     resolve = partial(
-                        self._native_launch,
-                        key,
-                        slots,
-                        instructions,
-                        step.local_slots,
-                        parked,
-                        config,
+                        self._native_launch, key, slots, instructions, local, parked, config
                     )
-                    lower = partial(_lower_map, instructions, step.local_slots, slots)
+                    lower = partial(_lower_map, instructions, local, slots)
+                    combine = False
                 else:
                     continue
+                if launch_parts(slots, config, combine) > 1:
+                    threaded.add(form)
                 if form in resolvers:  # it recurs, so it is known to run twice
                     self._native_cache.setdefault(form + (codegen,), FIRST_LAUNCH)
                 resolvers.setdefault(form, (resolve, lower))
             jobs = []
-            compiles = False  # whether any form may need an artifact
+            runtime = False  # whether a kernel of the plan launches threaded
+            binds = 0  # forms whose job compiles or loads a kernel
             for form, (resolve, lower) in resolvers.items():
                 cached = self._native_cache.peek(form + (codegen,))
                 if cached is None:
                     continue  # one step, never launched: left to its launch
-                if cached is FIRST_LAUNCH and lower is None:
-                    compiles = True
-                elif cached is FIRST_LAUNCH:
+                bound = not isinstance(cached, (str, NumPyAssign))
+                compiled = cached is FIRST_LAUNCH
+                if compiled and lower is not None:
                     # Lowered here, not on the pool (it holds the GIL
-                    # anyway), so that a plan of fills asks for no runtime.
+                    # anyway), so that fills and copies ask for no runtime.
                     lowered = lower()
-                    compiles = compiles or lowered[0] is not None
+                    compiled = lowered[0] is not None
                     resolve = partial(resolve, lowered=lowered)
-                jobs.append(resolve)
+                binds += compiled
+                runtime = runtime or ((compiled or bound) and form in threaded)
+                jobs.append(partial(resolve, threaded=form in threaded))
             # Distinct forms resolve concurrently on the tile pool: a compile
             # is a subprocess wait and an artifact load is hashing + dlopen,
             # both of which release the GIL.  The pool threads take only the
             # backend cache lock and the codegen latch, never the plan lock
-            # this thread holds.  Until this backend has the runtime those
-            # forms launch through, when one of them may compile (a fill
-            # never does), and when the pool is in play anyway, the
-            # runtime is one more job, built beside them and not before.  It
-            # leads because every kernel's resolve ends by binding to it: a
-            # runtime started late is built, in series, by whichever kernel
-            # finishes first — and it is the longest compile of the lot
-            # (``<pthread.h>``; cold ``flush_storm_small``: 78-135 ms against
-            # 50-125 ms per kernel).  (A lone form stays on this thread: a
-            # warm miss must not pay a pool round-trip for a runtime that is
-            # already loaded.)
-            if compiles and len(jobs) > 1 and self.native_runtime is None:
-                jobs.insert(0, partial(self._resolve_runtime, config))
+            # this thread holds.  The runtime a threaded step launches
+            # through is one more job, beside the kernels and not after
+            # them, until this backend has it; a lone form resolves it
+            # itself, and with none to bind (kernels bound at another
+            # thread count) this thread does, without a pool round-trip.
+            if runtime and self.native_runtime is None:
+                if not binds:
+                    self._resolve_runtime(config)
+                elif len(jobs) > 1:
+                    jobs.insert(0, partial(self._resolve_runtime, config))
             self._scatter(jobs, config.parallel_num_threads)
 
     def execute_plan(self, plan, program, memory=None):

@@ -322,18 +322,9 @@ class ParallelBackend(Backend):
         """Run one resolved map step over its tile spans (the launch seam).
 
         All bases are already allocated.  The native backend overrides this
-        to collapse a multi-thread launch of a chunk-capable compiled
-        kernel into a single in-kernel-threaded call.
+        to run a compiled kernel's whole step as one call.
         """
-        threads = config.parallel_num_threads
         spans = step.spans
-        if threads <= 1 and len(spans) > 1 and launcher.single_pass:
-            # A compiled loop nest tiles only to feed worker threads; with
-            # a single worker the whole step runs as one native call,
-            # skipping every per-tile view slice and marshalling round.
-            stats.tiles_executed += 1
-            launcher(memory, slots)
-            return
         stats.tiles_executed += len(spans)
 
         def tile_task(span: TileSpan):
@@ -344,7 +335,7 @@ class ParallelBackend(Backend):
 
             return run
 
-        self._scatter([tile_task(span) for span in spans], threads)
+        self._scatter([tile_task(span) for span in spans], config.parallel_num_threads)
 
     def _map_launcher(self, instructions, step, stats, config, prepared=None):
         """Resolve one tiled map step to ``(slot views, launcher)``.

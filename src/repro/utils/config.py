@@ -77,8 +77,10 @@ class Config:
         where the platform has it, ``os.cpu_count()`` otherwise.
     parallel_tile_elements:
         Target number of elements per tile when the parallel backend splits
-        a fused kernel or reduction into cache-sized contiguous tiles.
-        Default 65 536.
+        a fused kernel or reduction into cache-sized contiguous tiles, and
+        the least work a thread of a compiled ``native`` step gets: such a
+        step runs in ``min(codegen_threads, elements // this)`` parts, one
+        part being one serial call.  Default 65 536.
     parallel_serial_threshold:
         Operations over fewer elements than this run serially in the
         parallel backend: below it, tiling overhead exceeds the win.
@@ -112,14 +114,15 @@ class Config:
         compile into a process-private temporary directory and only the
         in-process cache amortizes them.  Default ``True``.
     codegen_threads:
-        Thread count passed to compiled kernels' ``repro_kernel_mt`` entry
-        point (chunking across the process's one persistent worker pool,
-        the kernel runtime artifact's).  ``None`` (the default) is resolved
+        Most threads a compiled kernel's ``repro_kernel_mt`` entry point
+        is given (chunking across the process's one persistent worker pool,
+        the kernel runtime artifact's; see ``parallel_tile_elements``).
+        ``None`` (the default) is resolved
         in a ``native`` flush's snapshot to the ``REPRO_CODEGEN_THREADS``
         environment variable (a positive integer; anything else fails the
-        flush before its first step) and then to the parallel worker
-        count.  A *runtime* argument of the artifact — changing it never
-        recompiles cached kernels.
+        flush before its first step) and then to 1: threads are asked for,
+        not inferred from the CPU count.  A *runtime* argument of the
+        artifact — changing it never recompiles cached kernels.
     dist_num_workers:
         Shard count of the distributed (``"dist"``) backend: the master,
         which runs shard 0 of every distributed step, plus

@@ -67,6 +67,10 @@ RTOL, ATOL = 1e-6, 1e-8
 #: Force multi-tile execution paths even on the small arrays the generator
 #: produces, so parity covers tiling rather than serial fallbacks.
 TINY_TILES = dict(parallel_tile_elements=16, parallel_serial_threshold=4)
+#: Vector length of the thread axis: four of ``TINY_TILES``' tiles, so a
+#: compiled step runs in four parts at four threads (a step threads with one
+#: part per tile at most; at 24 elements it would be one serial call).
+THREADED_LENGTH = 64
 
 ELEMENTWISE_SEEDS = tuple(range(60))
 MIXED_SEEDS = tuple(range(1000, 1040))
@@ -302,7 +306,7 @@ def test_native_thread_axis_elementwise_bitwise(seed):
     against the oracle via the main parity axis).
     """
     program, synced = elementwise_program(
-        seed, num_instructions=12, vector_length=24
+        seed, num_instructions=12, vector_length=THREADED_LENGTH
     )
     results = {}
     for threads in (1, 4):
@@ -351,7 +355,7 @@ def test_native_mt_entry_point_actually_fired():
     mt_launches = 0
     for seed in ELEMENTWISE_SEEDS[:8]:
         program, synced = elementwise_program(
-            seed, num_instructions=12, vector_length=24
+            seed, num_instructions=12, vector_length=THREADED_LENGTH
         )
         with config_override(**TINY_TILES, codegen_threads=4):
             _, stats = _execute(program, synced, "native", optimize=True)

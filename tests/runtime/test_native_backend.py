@@ -798,7 +798,7 @@ class TestFirstLaunch:
         program, a, b = build_chain()
         expected = _oracle(program, (a, b))
         results = [[] for _ in range(4)]
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
             engine = ExecutionEngine(backend="native", optimize=True)
 
             def body(index):
@@ -828,7 +828,7 @@ class TestFirstLaunch:
         compiler is spawned."""
         program, a, b = build_chain()
         expected = _oracle(program, (a, b))
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
             engine = ExecutionEngine(backend="native", optimize=True)
             second_run(engine, program)
         if engine.backend.native_runtime == "serial":
@@ -843,7 +843,7 @@ class TestFirstLaunch:
         shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
         shim.chmod(0o755)
         monkeypatch.setenv("REPRO_CC", str(shim))
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
             result = ExecutionEngine(backend="native", optimize=True).execute(program)
         assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
         assert result.stats.native_fallback_reasons == {FIRST_LAUNCH: 1}
@@ -1102,7 +1102,7 @@ class TestSharedRuntime:
 
     def test_runtime_outcome_is_reported_and_never_counted_as_a_kernel(self, cache_dir):
         program, a, b = build_chain()
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
             first = ExecutionEngine(backend="native", optimize=True)
             cold = second_run(first, program)
             clear_memory_cache()
@@ -1204,25 +1204,30 @@ class TestFills:
         assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
         assert not os.path.exists(cache_dir) or not os.listdir(cache_dir)
 
-    def test_a_fill_of_a_zero_size_or_reversed_view(self):
-        """The fill itself, on the views a plan never tiles: nothing to write,
-        or every other element written backwards."""
+    def test_a_fill_or_copy_of_a_zero_size_or_reversed_view(self):
+        """The fill and the copy themselves, on the views a plan never tiles:
+        nothing to write, or every other element written backwards."""
         from repro.bytecode.instruction import Instruction
         from repro.bytecode.opcodes import OpCode
         from repro.codegen.loopir import lower_kernel
         from repro.runtime.memory import MemoryManager
-        from repro.runtime.native import NativeFill
+        from repro.runtime.native import NumPyAssign
 
         builder = ProgramBuilder()
         base = builder.new_base(10)
+        source = builder.new_base(10)
         for view, written in (
             (View(base, 0, (0, 3), (3, 1)), []),
             (View(base, 9, (5,), (-2,)), [1, 3, 5, 7, 9]),
         ):
-            fill = NativeFill(lower_kernel([Instruction(OpCode.BH_IDENTITY, (view, -0.0))]))
-            memory = MemoryManager()
-            memory.allocate(base)[:] = 1.0
-            fill(memory, [view])
-            storage = memory.allocate(base)
-            assert [i for i in range(10) if np.signbit(storage[i])] == written
-            assert (storage[[i for i in range(10) if i not in written]] == 1.0).all()
+            copied = View(source, 0, view.shape, tuple(abs(s) for s in view.strides))
+            for operand in (-0.0, copied):
+                nest = lower_kernel([Instruction(OpCode.BH_IDENTITY, (view, operand))])
+                assert NumPyAssign.covers(nest)
+                memory = MemoryManager()
+                memory.allocate(base)[:] = 1.0
+                memory.allocate(source)[:] = -0.0
+                NumPyAssign(nest)(memory, [view] if isinstance(operand, float) else [view, copied])
+                storage = memory.allocate(base)
+                assert [i for i in range(10) if np.signbit(storage[i])] == written
+                assert (storage[[i for i in range(10) if i not in written]] == 1.0).all()
