@@ -286,9 +286,11 @@ def test_a_reduction_reads_its_producers_values(benchmark, tmp_path):
         assert stats.actual_peak_bytes == 2 * samples * 8 + 16 == 3_200_016, backend
         assert stats.kernel_launches == 4, backend
         assert plan.fusion_schedule.reduction_tails == 1
-        assert stats.native_fallbacks == stats.native_reduction_fallbacks == 0
+        assert stats.native_fallbacks == 0
         if backend == "native":
-            assert stats.native_reductions_compiled == 1 and stats.native_slots_elided == 5
+            # The kernel's members are one compiled map form; NumPy folds
+            # the mask it stores in span scratch.
+            assert stats.native_kernel_launches == 1 and stats.native_slots_elided == 5
         if backend == "dist":
             assert stats.dist_payload_bytes == 0
             # Five bases — the mask among them — have no segment for the

@@ -5,19 +5,15 @@ moving the *thread split* into the compiled artifact.  With
 ``codegen_threads=N`` a whole fused map step is ONE ``repro_kernel_mt``
 ctypes call — the artifact block-partitions its outermost loop across a
 persistent in-kernel pthread pool — instead of one Python-side launch per
-tile.  Tiled reductions, which previously always ran on the interpreted
-parallel paths, now lower to compiled kernels whose per-chunk partials
-tree-combine in the parallel backend's fixed order.
+tile.  Reductions are not part of it: every tier folds them with NumPy
+over the plan's spans, so no artifact folds.
 
 Assertions are layered by flakiness, as everywhere in this harness:
 
 * **deterministic, hard** — launch accounting: on a threading-capable
   toolchain every fused map step of the warm flush is exactly one
-  ``repro_kernel_mt`` call (no per-tile launches), and the reduction
-  workload compiles its reductions with **zero** interpreter fallbacks.
-  Element-wise results are bit-identical across thread counts and to the
-  unoptimized oracle; reduction results stay within the established
-  reduction contract (tree combines legitimately reassociate).
+  ``repro_kernel_mt`` call (no per-tile launches).  Element-wise results
+  are bit-identical across thread counts and to the unoptimized oracle.
 * **wall-clock, soft** — on a multi-core host, warm threaded-native must
   beat warm single-thread native by >= 1.3x (a failure under
   ``REPRO_BENCH_STRICT=1``, a warning otherwise; the soft target 2.5x
@@ -47,12 +43,10 @@ from conftest import record_table, wall_clock_floor
 GRID = 1200
 ITERATIONS = 20
 VECTOR_LENGTH = 1 << 22
-MATRIX_ROWS, MATRIX_COLS = 2048, 1024
 THREADS = 4
 HARD_FLOOR = 1.3
 SOFT_TARGET = 2.5
 ROUNDS = 3
-RTOL, ATOL = 1e-6, 1e-8
 
 requires_compiler = pytest.mark.skipif(
     find_c_compiler() is None,
@@ -235,89 +229,4 @@ def test_one_ctypes_launch_per_fused_map_step(benchmark, tmp_path):
             }
         ],
         ["map_steps", "mt_launches", "tiles_executed", "spans_total"],
-    )
-
-
-def _reduction_program():
-    """Matrix chain → row sums → scalar total: n-D and 1-D combine forms."""
-    builder = ProgramBuilder()
-    matrix = builder.new_matrix(MATRIX_ROWS, MATRIX_COLS)
-    rows = builder.new_vector(MATRIX_ROWS)
-    total = builder.new_vector(1)
-    builder.identity(matrix, 0.001953125)
-    builder.multiply(matrix, matrix, 1.5)
-    builder.add(matrix, matrix, 0.0625)
-    builder.add_reduce(rows, matrix, axis=1)
-    builder.add_reduce(total, rows, axis=0)
-    builder.sync(rows)
-    builder.sync(total)
-    return builder.build(), rows, total
-
-
-@requires_compiler
-def test_compiled_reduction_workload(benchmark, tmp_path):
-    program, rows, total = _reduction_program()
-    oracle = ExecutionEngine(backend="interpreter", optimize=False).execute(program)
-    with config_override(
-        codegen_cache_dir=str(tmp_path),
-        codegen_threads=THREADS,
-        # Let the 1-D scalar reduction tile too (its source is only
-        # MATRIX_ROWS elements), so BOTH reduction forms run compiled.
-        # Tile geometry is irrelevant to the compiled paths — every map
-        # and reduction below is one foreign call regardless of spans.
-        parallel_serial_threshold=512,
-        parallel_tile_elements=1024,
-    ):
-        clear_memory_cache()
-        engine = ExecutionEngine(backend="native", optimize=True)
-        # Each reduction form occurs once in the plan: its first launch runs
-        # the interpreted tiled path, its second compiles it.
-        first = engine.execute(program)
-        cold = engine.execute(program)
-
-        def measure():
-            return engine.execute(program)
-
-        warm = benchmark.pedantic(measure, rounds=1, iterations=1)
-        benchmark.group = "E16 in-kernel threading"
-
-    assert first.stats.native_reductions_compiled == first.stats.native_compiles == 0
-    assert first.stats.native_reduction_fallbacks == 2
-    assert first.stats.native_fallback_reasons == {FIRST_LAUNCH: 2}
-    # Both reduction forms (n-D slice and 1-D combine) compiled; the
-    # interpreted tiled reduction path never ran once they had — cold or
-    # warm.
-    assert cold.stats.native_reductions_compiled == 2
-    assert cold.stats.native_reduction_fallbacks == 0
-    assert cold.stats.native_compiles == 2
-    assert warm.stats.native_reductions_compiled == 2
-    assert warm.stats.native_reduction_fallbacks == 0
-    assert warm.stats.native_compiles == 0
-
-    # Within the established reduction contract versus the unoptimized
-    # oracle (chunked partials legitimately reassociate float adds).
-    np.testing.assert_allclose(
-        warm.value(rows), oracle.value(rows), rtol=RTOL, atol=ATOL
-    )
-    np.testing.assert_allclose(
-        warm.value(total), oracle.value(total), rtol=RTOL, atol=ATOL
-    )
-
-    record_table(
-        benchmark,
-        f"E16: compiled reductions, {MATRIX_ROWS}x{MATRIX_COLS} matrix (warm flush)",
-        [
-            {
-                "reductions_compiled": warm.stats.native_reductions_compiled,
-                "reduction_fallbacks": warm.stats.native_reduction_fallbacks,
-                "mt_launches": warm.stats.native_mt_launches,
-                "compiles_cold": cold.stats.native_compiles,
-            }
-        ],
-        [
-            "reductions_compiled",
-            "reduction_fallbacks",
-            "mt_launches",
-            "compiles_cold",
-        ],
     )

@@ -212,9 +212,11 @@ class View:
 
         Returns ``False`` only when the views provably touch disjoint
         elements.  Views on different bases never overlap.  For views on the
-        same base we first compare bounding index ranges; if those intersect
-        and either view is small we fall back to exact element-set
-        intersection, otherwise we conservatively report an overlap.
+        same base we first compare bounding index ranges.  If those
+        intersect, the answer is exact without enumerating when it is the
+        same view or both are C-contiguous (each then covers its whole
+        range); otherwise, when both views are small we fall back to exact
+        element-set intersection, and else conservatively report an overlap.
         """
         if self.base is not other.base:
             return False
@@ -224,6 +226,8 @@ class View:
         lo_b, hi_b = other._min_index(), other._max_index()
         if hi_a < lo_b or hi_b < lo_a:
             return False
+        if self.same_view(other) or (self.is_contiguous() and other.is_contiguous()):
+            return True
         exact_limit = 4096
         if self.nelem <= exact_limit and other.nelem <= exact_limit:
             return bool(set(self.element_indices()) & set(other.element_indices()))

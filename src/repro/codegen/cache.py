@@ -57,10 +57,10 @@ from repro.codegen.emit_c import emit_runtime_source
 
 #: Bump to invalidate every cached artifact when the ABI of generated
 #: kernels changes (argument layout, symbol name, helper semantics).
-#: Schema 4: float literals are launch operands read through ``ptrs`` — a
-#: schema-3 artifact launched under this ABI would compute with the numbers
-#: of whichever kernel it was compiled from.
-ARTIFACT_SCHEMA = 4
+#: Schema 5: chunk functions and ``repro_rt_launch`` carry no scratch lane
+#: — a schema-4 reduction chunk launched by a schema-5 runtime would store
+#: its partial through an uninitialised pointer.
+ARTIFACT_SCHEMA = 5
 
 #: The runtime is a fixed 100-line translation unit; -O2 is plenty.
 RUNTIME_OPT_LEVEL = 2

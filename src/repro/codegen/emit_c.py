@@ -32,11 +32,9 @@ nest on the caller.  Kernel artifacts therefore contain no threading code,
 no ``<pthread.h>`` and no undefined symbol: they are the same source, the
 same flags and the same digest under every threading mode, and one
 compiled artifact serves every thread count.
-:class:`~repro.codegen.loopir.ReduceNest` forms get their own translation
-unit via :func:`emit_reduce_source` with the same two-symbol ABI; threaded
-reductions collect per-chunk partials through the launch's scratch lane and
-tree-combine them pairwise, inside the artifact, in the tiled parallel
-backend's fixed order.
+No artifact folds: a reduction is NumPy's ``ufunc.reduce`` on every tier,
+and a kernel that ends in one compiles only its element-wise members (see
+:mod:`repro.runtime.native`).
 
 Two emission decisions carry the performance win:
 
@@ -78,12 +76,11 @@ from repro.codegen.loopir import (
     Load,
     LoopNest,
     Op,
-    ReduceNest,
     float_literals,
     is_operand,
 )
 
-#: Hard cap on in-kernel chunks; bounds the pool and the partial arrays.
+#: Hard cap on in-kernel chunks; bounds the runtime's pool.
 MT_MAX_PARTS = 64
 
 _CTYPE = {
@@ -150,11 +147,10 @@ typedef __INTPTR_TYPE__ intptr_t;"""
 _CHUNK_ARGS = "const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop"
 
 #: The launch ABI shared by kernel artifacts and the runtime artifact: the
-#: runtime calls ``run`` once per row range; ``scratch`` is that chunk's
-#: lane of the caller's scratch array (how reductions collect partials).
+#: runtime calls ``run`` once per row range.
 _ABI_TYPES = f"""\
-typedef void (*repro_chunk_fn)({_CHUNK_ARGS}, void *scratch);
-typedef int (*repro_launch_fn)(repro_chunk_fn run, const int64_t *dims, char **ptrs, const int64_t *strides, int64_t rows, int parts, void *scratch, int64_t scratch_stride);"""
+typedef void (*repro_chunk_fn)({_CHUNK_ARGS});
+typedef int (*repro_launch_fn)(repro_chunk_fn run, const int64_t *dims, char **ptrs, const int64_t *strides, int64_t rows, int parts);"""
 
 _MT_DEFINE = f"#define REPRO_MT_MAX_PARTS {MT_MAX_PARTS}"
 
@@ -420,7 +416,6 @@ typedef struct {
     const int64_t *strides;
     int64_t start;
     int64_t stop;
-    void *scratch;
 } repro_rt_task;
 
 static pthread_mutex_t repro_rt_launch_mu = PTHREAD_MUTEX_INITIALIZER;
@@ -450,7 +445,7 @@ static void *repro_rt_worker(void *arg)
         pthread_mutex_unlock(&repro_rt_mu);
         if (!armed)
             continue;
-        task.run(task.dims, task.ptrs, task.strides, task.start, task.stop, task.scratch);
+        task.run(task.dims, task.ptrs, task.strides, task.start, task.stop);
         pthread_mutex_lock(&repro_rt_mu);
         if (--repro_rt_pending == 0)
             pthread_cond_signal(&repro_rt_done);
@@ -462,13 +457,11 @@ static void *repro_rt_worker(void *arg)
 /* Block-partition rows [0, rows) into `parts` chunks -- the first
  * rows % parts chunks get one extra row, matching the middleware's
  * partition_length -- then run chunk 0 on the calling thread and the rest
- * on pool workers.  When scratch is non-null, chunk i receives the address
- * scratch + i * scratch_stride (how reductions collect partials).  Returns
+ * on pool workers.  Returns
  * the number of chunks actually run: thread creation can fall short on a
  * constrained host, in which case the split shrinks to what exists. */
 int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
-                    const int64_t *strides, int64_t rows, int parts,
-                    void *scratch, int64_t scratch_stride)
+                    const int64_t *strides, int64_t rows, int parts)
 {
     repro_rt_task own;
     int64_t chunk, extra, cursor;
@@ -505,8 +498,6 @@ int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
         task->strides = strides;
         task->start = cursor;
         task->stop = cursor + count;
-        task->scratch =
-            scratch == 0 ? 0 : (char *)scratch + (int64_t)index * scratch_stride;
         cursor += count;
     }
     repro_rt_armed = parts - 1;
@@ -514,7 +505,7 @@ int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
     repro_rt_generation++;
     pthread_cond_broadcast(&repro_rt_wake);
     pthread_mutex_unlock(&repro_rt_mu);
-    run(dims, ptrs, strides, own.start, own.stop, own.scratch);
+    run(dims, ptrs, strides, own.start, own.stop);
     pthread_mutex_lock(&repro_rt_mu);
     while (repro_rt_pending != 0)
         pthread_cond_wait(&repro_rt_done, &repro_rt_mu);
@@ -527,8 +518,7 @@ int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
 #: The OpenMP-mode runtime: the same partition, one parallel-for.
 _RT_OPENMP = """\
 int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
-                    const int64_t *strides, int64_t rows, int parts,
-                    void *scratch, int64_t scratch_stride)
+                    const int64_t *strides, int64_t rows, int parts)
 {
     const int64_t chunk = rows / parts;
     const int64_t extra = rows % parts;
@@ -537,8 +527,7 @@ int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
     for (index = 0; index < parts; ++index) {
         const int64_t start = (int64_t)index * chunk + (index < extra ? index : extra);
         const int64_t stop = start + chunk + (index < extra ? 1 : 0);
-        run(dims, ptrs, strides, start, stop,
-            scratch == 0 ? 0 : (char *)scratch + (int64_t)index * scratch_stride);
+        run(dims, ptrs, strides, start, stop);
     }
     return parts;
 }
@@ -589,40 +578,27 @@ _MT_ENTRY_HEAD = (
 )
 
 
-def _mt_clamp_lines(part_dim: int) -> List[str]:
-    return [
-        f"    const int64_t rows = dims[{part_dim}];",
-        "    int parts = (int)nthreads;",
-        "    if (parts > REPRO_MT_MAX_PARTS) parts = REPRO_MT_MAX_PARTS;",
-        "    if ((int64_t)parts > rows) parts = (int)rows;",
-    ]
-
-
-def _body_entries(part_dim: int) -> List[str]:
-    """Both entry points of a body-style kernel (maps and axis reductions):
-    the serial one runs ``repro_kernel_body`` over every row of
-    ``dims[part_dim]``, the chunked one hands it to ``launch`` per row range."""
-    return [
-        f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
-        "{",
-        f"    repro_kernel_body(dims, ptrs, strides, 0, dims[{part_dim}]);",
-        "}",
-        "",
-        f"static void repro_kernel_chunk({_CHUNK_ARGS}, void *scratch)",
-        "{",
-        "    (void)scratch;",
-        "    repro_kernel_body(dims, ptrs, strides, row_start, row_stop);",
-        "}",
-        "",
-        _MT_ENTRY_HEAD,
-        "{",
-        *_mt_clamp_lines(part_dim),
-        "    if (parts <= 1 || launch == 0)",
-        "        repro_kernel_body(dims, ptrs, strides, 0, rows);",
-        "    else",
-        "        launch(repro_kernel_chunk, dims, ptrs, strides, rows, parts, 0, 0);",
-        "}",
-    ]
+#: Both entry points of a kernel: the serial one runs ``repro_kernel_body``
+#: over every row of ``dims[0]``, the chunked one hands the body to
+#: ``launch`` per row range.
+_ENTRIES = [
+    f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
+    "{",
+    "    repro_kernel_body(dims, ptrs, strides, 0, dims[0]);",
+    "}",
+    "",
+    _MT_ENTRY_HEAD,
+    "{",
+    "    const int64_t rows = dims[0];",
+    "    int parts = (int)nthreads;",
+    "    if (parts > REPRO_MT_MAX_PARTS) parts = REPRO_MT_MAX_PARTS;",
+    "    if ((int64_t)parts > rows) parts = (int)rows;",
+    "    if (parts <= 1 || launch == 0)",
+    "        repro_kernel_body(dims, ptrs, strides, 0, rows);",
+    "    else",
+    "        launch(repro_kernel_body, dims, ptrs, strides, rows, parts);",
+    "}",
+]
 
 
 def emit_kernel_source(nest: LoopNest) -> str:
@@ -655,224 +631,8 @@ def emit_kernel_source(nest: LoopNest) -> str:
     lines.extend("    " + text for text in _BodyEmitter(nest, contiguous=False).emit())
     lines.append("    }")
     lines += ["}", ""]
-    lines += _body_entries(0)
+    lines += _ENTRIES
     return _assemble(
         "/* Generated by repro.codegen; one artifact per canonical kernel form. */",
-        lines,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Reduction emission
-# ---------------------------------------------------------------------------
-
-
-def _combine_c(kind: str, dtype_name: str, a: str, b: str) -> str:
-    """One scalar combine step; mirrors the element-wise emission exactly so
-    compiled reductions and compiled maps agree on every operator corner."""
-    if kind == "add":
-        return f"(({a}) + ({b}))"
-    if kind == "mul":
-        return f"(({a}) * ({b}))"
-    return _minmax_c(kind, dtype_name, a, b)
-
-
-_TREE_COMBINE_COMMENT = (
-    "        /* Pairwise tree combine in the tiled backend's fixed order:\n"
-    "         * adjacent pairs, halving, odd tail carried -- so a threaded\n"
-    "         * native reduction lands inside the exact relaxation contract\n"
-    "         * the parallel backend already established. */"
-)
-
-
-def _tree_combine_lines(nest: "ReduceNest") -> List[str]:
-    step = _combine_c(nest.kind, nest.acc_dtype, "partials[i]", "partials[i + 1]")
-    return [
-        _TREE_COMBINE_COMMENT,
-        "        while (count > 1) {",
-        "            int merged = 0;",
-        "            int i;",
-        "            for (i = 0; i + 1 < count; i += 2)",
-        f"                partials[merged++] = {step};",
-        "            if (count % 2)",
-        "                partials[merged++] = partials[count - 1];",
-        "            count = merged;",
-        "        }",
-        "        repro_kernel_store(ptrs, partials[0]);",
-    ]
-
-
-def _value_helper(nest: "ReduceNest") -> List[str]:
-    """``repro_kernel_value``: one element of the reduction's source, computed
-    by the kernel's element-wise members from the loaded slots' elements and
-    the float literals (by value) — scalar locals only, nothing written
-    (empty for a bare reduction)."""
-    if not nest.body:
-        return []
-    params = ", ".join(
-        [f"const char *a{slot}" for slot in nest.loaded_slots]
-        + [
-            f"const {_CTYPE[literal.dtype_name]} k{index}"
-            for index, literal in enumerate(float_literals(nest.body))
-        ]
-    )
-    statements = _statement_lines(
-        nest.body,
-        nest.slot_dtypes,
-        lambda slot: f"(*(const {_CTYPE[nest.slot_dtypes[slot]]} *)a{slot})",
-        {},
-    )
-    return [
-        f"static inline {_CTYPE[nest.source_dtype]} repro_kernel_value({params})",
-        "{",
-        *("    " + text for text in statements),
-        f"    return v{nest.source_slot};",
-        "}",
-        "",
-    ]
-
-
-def _acc_load(nest: "ReduceNest", address) -> str:
-    """The accumulator-typed value of one source element; ``address(slot)``
-    is the C address of a loaded slot's current element.  A bare reduction
-    loads it, a kernel's tail computes it from its members' operands."""
-    src = _CTYPE[nest.source_dtype]
-    if nest.body:
-        operands = [address(slot) for slot in nest.loaded_slots]
-        operands += [f"k{index}" for index in range(len(float_literals(nest.body)))]
-        load = f"repro_kernel_value({', '.join(operands)})"
-    else:
-        load = f"(*({src} *)({address(0)}))"
-    if nest.source_dtype == "BH_BOOL":
-        load = f"({load} != 0)"  # a bool counts as one whatever its byte holds
-    if nest.acc_dtype != nest.source_dtype:
-        return f"({_CTYPE[nest.acc_dtype]}){load}"
-    return load
-
-
-def _emit_reduce_combine(nest: "ReduceNest") -> List[str]:
-    """A rank-1 full reduction: serial fold + partials-combining mt entry."""
-    acc = _CTYPE[nest.acc_dtype]
-    fold_step = _combine_c(
-        nest.kind, nest.acc_dtype, "acc", _acc_load(nest, "p{0} + i * s{0}".format)
-    )
-    lanes = [
-        line
-        for slot in nest.loaded_slots
-        for line in (
-            f"    char * const p{slot} = ptrs[{slot}];",
-            f"    const int64_t s{slot} = strides[{slot}];",
-        )
-    ]
-    return [
-        *_value_helper(nest),
-        f"static REPRO_NOINLINE {acc} repro_kernel_fold({_CHUNK_ARGS})",
-        "{",
-        *lanes,
-        *_literal_loads(nest, len(nest.slot_dtypes) + 1),
-        f"    {acc} acc = {_acc_load(nest, 'p{0} + row_start * s{0}'.format)};",
-        "    int64_t i;",
-        "    (void)dims;",
-        "    for (i = row_start + 1; i < row_stop; ++i)",
-        f"        acc = {fold_step};",
-        "    return acc;",
-        "}",
-        "",
-        f"static void repro_kernel_store(char **ptrs, {acc} value)",
-        "{",
-        f"    *({_CTYPE[nest.out_dtype]} *)ptrs[{len(nest.slot_dtypes)}] = {_cast_c('value', nest.out_dtype)};",
-        "}",
-        "",
-        f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
-        "{",
-        "    repro_kernel_store(ptrs, repro_kernel_fold(dims, ptrs, strides, 0, dims[0]));",
-        "}",
-        "",
-        f"static void repro_kernel_chunk({_CHUNK_ARGS}, void *scratch)",
-        "{",
-        f"    *({acc} *)scratch = repro_kernel_fold(dims, ptrs, strides, row_start, row_stop);",
-        "}",
-        "",
-        _MT_ENTRY_HEAD,
-        "{",
-        *_mt_clamp_lines(0),
-        "    if (parts <= 1 || launch == 0) {",
-        f"        {KERNEL_SYMBOL}(dims, ptrs, strides);",
-        "        return;",
-        "    }",
-        "    {",
-        f"        {acc} partials[REPRO_MT_MAX_PARTS];",
-        f"        int count = launch(repro_kernel_chunk, dims, ptrs, strides, rows, parts, partials, (int64_t)sizeof({acc}));",
-        *_tree_combine_lines(nest),
-        "    }",
-        "}",
-    ]
-
-
-def _emit_reduce_body(nest: "ReduceNest") -> List[str]:
-    """The n-D axis-reduction body: partition axis outermost (row-ranged),
-    remaining kept axes ascending, reduced-axis fold innermost."""
-    rank, axis, part = nest.rank, nest.axis, nest.part_axis
-    acc = _CTYPE[nest.acc_dtype]
-    loop_axes = [part] + [d for d in range(rank) if d not in (part, axis)]
-    # One pointer lane per loaded slot, then the output's (ptrs' last entry).
-    out = len(nest.slot_dtypes)
-    lanes = nest.loaded_slots + (out,)
-    lines = _value_helper(nest) + [_BODY_HEAD, "{"]
-    for d in sorted(set(loop_axes[1:] + [axis])):
-        lines.append(f"    const int64_t n{d} = dims[{d}];")
-    for lane in lanes:
-        lines.append(f"    char * const p{lane} = ptrs[{lane}];")
-    lines += _literal_loads(nest, out + 1)
-    for lane in lanes:
-        for d in range(rank):
-            if lane == out and d == axis:
-                continue  # the reduced axis has no output lane
-            lines.append(f"    const int64_t s{lane}_{d} = strides[{lane * rank + d}];")
-    indent = "    "
-    base = {lane: f"p{lane}" for lane in lanes}
-    for position, d in enumerate(loop_axes):
-        low = "row_start" if position == 0 else "0"
-        high = "row_stop" if position == 0 else f"n{d}"
-        lines.append(f"{indent}for (int64_t i{d} = {low}; i{d} < {high}; ++i{d}) {{")
-        indent += "    "
-        for lane in lanes:
-            lines.append(
-                f"{indent}char * const q{lane}_{d} = {base[lane]} + i{d} * s{lane}_{d};"
-            )
-            base[lane] = f"q{lane}_{d}"
-    fold_step = _combine_c(
-        nest.kind, nest.acc_dtype, "acc",
-        _acc_load(nest, lambda slot: f"{base[slot]} + i{axis} * s{slot}_{axis}"),
-    )
-    lines += [
-        f"{indent}{acc} acc = {_acc_load(nest, base.get)};",
-        f"{indent}for (int64_t i{axis} = 1; i{axis} < n{axis}; ++i{axis})",
-        f"{indent}    acc = {fold_step};",
-        f"{indent}*({_CTYPE[nest.out_dtype]} *){base[out]} = {_cast_c('acc', nest.out_dtype)};",
-    ]
-    for _ in loop_axes:
-        indent = indent[:-4]
-        lines.append(f"{indent}}}")
-    lines.append("}")
-    return lines
-
-
-def emit_reduce_source(nest: ReduceNest) -> str:
-    """Emit the complete, deterministic C source for one reduction nest.
-
-    ABI: ``dims`` holds the *source* extents (``nest.rank`` entries);
-    ``ptrs`` is ``[slot 0, ..., slot k-1, output, float literals...]`` over
-    the nest's ``k`` slots — a bare reduction's one slot is its source, a
-    stored (kernel-local) slot's entry is never read; ``strides`` holds
-    ``rank`` byte strides per slot and output entry, the output's aligned
-    to source axes with a zero in the reduced axis's lane.
-    """
-    if nest.combine:
-        lines = _emit_reduce_combine(nest)
-    else:
-        lines = _emit_reduce_body(nest) + [""] + _body_entries(nest.part_axis)
-    return _assemble(
-        "/* Generated by repro.codegen; one artifact per canonical reduction form. */",
         lines,
     )

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.bytecode import dtypes
 from repro.bytecode.instruction import Instruction
-from repro.bytecode.opcodes import REDUCE_TO_ELEMENTWISE, OpCode, opcode_info
+from repro.bytecode.opcodes import OpCode, opcode_info
 from repro.bytecode.view import View
 
 
@@ -429,150 +429,4 @@ def lower_kernel(
         slot_dtypes=tuple(view.dtype.name for view in slot_views),
         body=tuple(body),
         elided_slots=frozenset(local_slots) & store_first_slots(specs),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Reduction lowering
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class ReduceNest:
-    """A lowered axis reduction: fold ``kind`` along ``axis`` of the source.
-
-    Like :class:`LoopNest` the form is geometry-generic — extents, pointers
-    and strides are runtime arguments — so one artifact serves every shape
-    of the same canonical reduction.  ``combine`` mirrors
-    :class:`repro.runtime.tiling.TiledReduceStep`: true for rank-1 full
-    reductions (threaded launches collect per-chunk partials and
-    tree-combine them in the tiled backend's fixed order), false for n-D
-    axis reductions (chunks along ``part_axis`` write disjoint output
-    slices).  The accumulator dtype is *probed* from NumPy's own
-    ``ufunc.reduce`` promotion (``np.add.reduce`` widens int32 sums to the
-    platform int, for example) instead of re-derived from a table.
-    """
-
-    rank: int
-    axis: int
-    part_axis: int
-    combine: bool
-    kind: str  # "add" | "mul" | "max" | "min"
-    source_dtype: str
-    out_dtype: str
-    acc_dtype: str
-    #: The element-wise members of a kernel that ends in this reduction, as
-    #: in a :class:`LoopNest`: each folded element is the value of
-    #: ``source_slot`` after ``body`` ran on that element.  Every slot the
-    #: body stores is kernel-local, so the body writes no memory.  A bare
-    #: reduction is the degenerate nest: one slot, loaded, no body.
-    slot_dtypes: Tuple[str, ...] = ()
-    body: Tuple[Store, ...] = ()
-    source_slot: int = 0
-
-    @property
-    def loaded_slots(self) -> Tuple[int, ...]:
-        """Slots that have a memory lane: those the body does not store."""
-        stored = {statement.slot for statement in self.body}
-        return tuple(s for s in range(len(self.slot_dtypes)) if s not in stored)
-
-
-
-_REDUCE_KINDS = {
-    OpCode.BH_ADD_REDUCE: "add",
-    OpCode.BH_MULTIPLY_REDUCE: "mul",
-    OpCode.BH_MAXIMUM_REDUCE: "max",
-    OpCode.BH_MINIMUM_REDUCE: "min",
-}
-
-
-def lower_reduction(
-    instruction: Instruction,
-    combine: bool,
-    part_axis: int,
-    members: Sequence[Instruction] = (),
-    local_slots: frozenset = frozenset(),
-) -> ReduceNest:
-    """Lower one reduction byte-code to a :class:`ReduceNest`.
-
-    ``combine`` and ``part_axis`` come from the plan-time tile analysis
-    (:func:`repro.runtime.tiling.decompose`): they are structural, so the
-    nest — and therefore the compiled artifact — is shared across rebinds.
-    ``members`` are the element-wise byte-codes of the kernel the reduction
-    ends and ``local_slots`` that step's kernel-local slots: the nest folds
-    the members' expression of each element instead of a loaded one.
-
-    Raises
-    ------
-    LoweringError
-        When the op-code, dtypes or geometry have no native lowering within
-        the established numeric contract; the caller falls back to the
-        tiled interpreted reduction.
-    """
-    kind = _REDUCE_KINDS.get(instruction.opcode)
-    if kind is None:
-        raise LoweringError(f"no native lowering for reduction {instruction.opcode}")
-    source = instruction.inputs[0]
-    out = instruction.out
-    if not isinstance(source, View) or out is None:
-        raise LoweringError("malformed reduction operands")
-    rank = len(source.shape)
-    if rank < 1 or rank > MAX_RANK:
-        raise LoweringError(f"rank {rank} outside the emitter's 1..{MAX_RANK} range")
-    axis = int(instruction.constants[0].value)
-    if not 0 <= axis < rank:
-        raise LoweringError(f"reduction axis {axis} out of range for rank {rank}")
-    if combine:
-        if rank != 1 or out.nelem != 1:
-            raise LoweringError("combining reductions must be rank-1 to one value")
-    else:
-        if rank < 2 or part_axis == axis or not 0 <= part_axis < rank:
-            raise LoweringError("axis reductions need a distinct partition axis")
-        if len(out.shape) != rank - 1:
-            raise LoweringError("output rank does not match an axis reduction")
-    source_name = _exact_dtype_name(source.dtype.np_dtype)
-    out_name = _exact_dtype_name(out.dtype.np_dtype)
-    source_dt = dtypes.from_name(source_name)
-    if source_dt.is_bool and kind != "add":
-        # add.reduce over bool is an integer count in the probed
-        # accumulator dtype below — exact and order-free; multiply / min /
-        # max over bool stay NumPy's logical and/or.
-        raise LoweringError("bool reductions have NumPy-specific semantics")
-    info = opcode_info(REDUCE_TO_ELEMENTWISE[instruction.opcode])
-    ufunc = getattr(np, info.numpy_name)
-    # Probe the accumulator dtype on a size-1 sample (maximum.reduce raises
-    # on empty input) so NEP-50 promotion changes can never skew the C.
-    sample = np.zeros(1, dtype=source_dt.np_dtype)
-    try:
-        acc_name = _exact_dtype_name(np.asarray(ufunc.reduce(sample, axis=0)).dtype)
-    except LoweringError:
-        raise
-    except Exception as exc:
-        raise LoweringError(f"NumPy rejects this reduction probe: {exc}") from None
-    slot_dtypes, body, source_slot = (source_name,), (), 0
-    if members:
-        from repro.runtime.kernel import kernel_slot_views
-
-        producers = lower_kernel(members, local_slots)
-        stored = {statement.slot for statement in producers.body}
-        if not stored <= producers.elided_slots:
-            raise LoweringError("a producer of the reduction stores to memory")
-        slot_dtypes, body = producers.slot_dtypes, producers.body
-        source_slot = next(
-            slot
-            for slot, view in enumerate(kernel_slot_views(members))
-            if view.same_view(source)
-        )
-    return ReduceNest(
-        rank=rank,
-        axis=axis,
-        part_axis=0 if combine else part_axis,
-        combine=combine,
-        kind=kind,
-        source_dtype=source_name,
-        out_dtype=out_name,
-        acc_dtype=acc_name,
-        slot_dtypes=slot_dtypes,
-        body=body,
-        source_slot=source_slot,
     )

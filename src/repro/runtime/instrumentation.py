@@ -62,22 +62,19 @@ class ExecutionStats:
     #: in-process loaded-kernel cache.
     native_disk_hits: int = _stat()
     native_memory_hits: int = _stat()
-    #: Tiled map steps that executed through compiled native loops (the
-    #: members of a kernel that ends in a compiled reduction are one).
+    #: Tiled map steps that executed through compiled native loops (so do
+    #: the members of a kernel that ends in a reduction: one per step).
     native_kernel_launches: int = _stat()
     #: Tiled map steps that fell back to interpreted kernel templates
     #: (unsupported op-codes/dtypes, aliasing hazards, no compiler or a
     #: compile failure).
     native_fallbacks: int = _stat()
-    #: Map steps (and compiled reductions) that ran as ONE
+    #: Map steps that ran as ONE
     #: ``repro_kernel_mt`` call, with the thread split performed inside
     #: the compiled artifact instead of by per-tile Python launches.
     native_mt_launches: int = _stat()
-    #: Tiled reductions that executed through a compiled reduction kernel.
-    native_reductions_compiled: int = _stat()
-    #: Tiled reductions that ran on the interpreted tiled paths instead
-    #: (no lowering for the form, no compiler, a compile failure, or a
-    #: zero-size source).
+    #: Always 0: no tier compiles a fold, so no reduction falls back from
+    #: one.  Declared for readers of the field (``bench/layers.py``).
     native_reduction_fallbacks: int = _stat()
     #: Kernel-local slots whose storage compiled launches elided
     #: entirely this execution (counted per launched step).
@@ -87,8 +84,8 @@ class ExecutionStats:
     #: step — on the dist backend per shard launch, as its workers report.
     template_slots_elided: int = _stat()
     #: Why work left its fast path this execution: message -> count, merged
-    #: like ``opcode_counts``.  One entry per ``native_fallbacks`` /
-    #: ``native_reduction_fallbacks`` increment, plus — on every tier — one
+    #: like ``opcode_counts``.  One entry per ``native_fallbacks``
+    #: increment, plus — on every tier — one
     #: ``"erf: no compiled helper (...)"`` per launch (on the dist backend
     #: per shard launch) whose ``BH_ERF`` ran the ``math.erf`` loop.
     native_fallback_reasons: Dict[str, int] = field(default_factory=dict)

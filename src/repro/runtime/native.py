@@ -1,11 +1,16 @@
 """The native backend: tiled execution through compiled C loop nests.
 
 Subclasses the tiled parallel backend and replaces its launch seams —
-:meth:`~repro.runtime.parallel.ParallelBackend._map_launcher` and, for
-reductions with or without a producing kernel, ``_run_reduce`` — so the
-plan-time tile decomposition, the memory planning, the interpreted
-reduction path and the serial fallbacks are *identical* to the parallel
-backend.
+:meth:`~repro.runtime.parallel.ParallelBackend._map_launcher`,
+``_launch_map`` and ``_span_producer`` — so the plan-time tile
+decomposition, the memory planning, the serial fallbacks and every
+reduction's fold are *identical* to the parallel backend's: a reduction
+is NumPy's ``ufunc.reduce`` over the plan's spans on both, combined by
+:func:`~repro.runtime.tiling.combine_partials`, so its bits never depend
+on what this backend has compiled.  A bare reduction is no kernel; a
+kernel that ends in one compiles only its members, as a map form that
+stores the reduced slot into span-sized scratch
+(:meth:`NativeKernelLaunch.evaluate`).
 What changes is what runs per step: when a kernel form lowers bitwise-safely
 (:mod:`repro.codegen.loopir`), the step is one call into a compiled C
 function instead of per-instruction NumPy dispatch; otherwise the step falls
@@ -66,23 +71,21 @@ from repro.codegen.cache import (
     resolve_runtime,
 )
 from repro.codegen.compiler import CodegenError
-from repro.codegen.emit_c import emit_kernel_source, emit_reduce_source
+from repro.codegen.emit_c import emit_kernel_source
 from repro.codegen.loopir import (
     Literal,
     Load,
     LoopNest,
     LoweringError,
-    ReduceNest,
     _cast,
     float_literals,
     lower_kernel,
-    lower_reduction,
 )
 from repro.runtime.instrumentation import NUMERIC_STATS, ExecutionStats
 from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, prepare_kernel_launch, split_tail
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
-from repro.runtime.tiling import TiledMapStep, TiledReduceStep
+from repro.runtime.tiling import TiledMapStep, TiledReduceStep, span_producer
 from repro.utils.config import Config
 from repro.utils.errors import ExecutionError
 from repro.utils.lru import BoundedLRU
@@ -139,7 +142,9 @@ class NativeKernelLaunch:
         self._ptrs_type = ctypes.c_void_p * (num_slots + len(self._literal_ptrs))
         self._strides_type = ctypes.c_int64 * (num_slots * nest.rank)
 
-    def _marshal(self, memory: MemoryManager, views: Sequence[View]):
+    def _marshal(self, memory: MemoryManager, views: Sequence[View], scratch=None):
+        """The call's ``(dims, ptrs, strides)``; a slot in ``scratch`` (slot ->
+        array) is that array, not its view's storage."""
         rank = self._rank
         dims = self._dims_type(*views[0].shape)
         pointers = []
@@ -148,6 +153,10 @@ class NativeKernelLaunch:
             if position in self.elided_slots:
                 pointers.append(0)
                 strides.extend((0,) * rank)
+                continue
+            if scratch and position in scratch:
+                pointers.append(scratch[position].ctypes.data)
+                strides.extend(scratch[position].strides)
                 continue
             storage = memory.allocate(view.base)
             pointers.append(storage.ctypes.data + view.offset * itemsize)
@@ -162,6 +171,19 @@ class NativeKernelLaunch:
     def __call__(self, memory: MemoryManager, views: Sequence[View]) -> None:
         dims, pointers, strides = self._marshal(memory, views)
         self._fn(dims, pointers, strides)
+
+    def evaluate(self, memory, views: Sequence[View], local_slots, result: int, erf=None):
+        """:meth:`KernelTemplate.evaluate <repro.runtime.kernel.KernelTemplate.evaluate>`
+        as one serial call: each of ``local_slots`` the nest does not keep in
+        registers gets one uninitialised array of its view's shape, and slot
+        ``result``'s is returned.  ``erf`` is unused: the nest calls libm's."""
+        scratch = {
+            position: np.empty(views[position].shape, views[position].dtype.np_dtype)
+            for position in local_slots
+            if position not in self.elided_slots
+        }
+        self._fn(*self._marshal(memory, views, scratch))
+        return scratch[result]
 
     def launch_mt(
         self, memory: MemoryManager, views: Sequence[View], parts: int, runtime
@@ -237,96 +259,26 @@ def _lower_map(instructions, local_slots: frozenset, slots: Sequence[View]):
     return emit_kernel_source(nest), partial(NativeKernelLaunch, nest=nest, slots=slots)
 
 
-def launch_parts(slots: Sequence[View], config: Config, combine: bool = False) -> int:
+def _producer_form(members, source: View, step: TiledReduceStep):
+    """``(prepare_kernel_launch walk, local slots)`` of the element-wise
+    ``members`` of a kernel whose reduction reads ``source``, as a map form:
+    every kernel-local slot of the ``step`` but the reduced one lives in
+    registers, and the reduced one is stored into span-sized scratch."""
+    prepared = prepare_kernel_launch(members)
+    result = next(p for p, view in enumerate(prepared[1]) if view.same_view(source))
+    return prepared, step.local_slots - {result}
+
+
+def launch_parts(slots: Sequence[View], config: Config) -> int:
     """How many parts a compiled step over ``slots`` (its first slot has the
     step's shape) runs in: one per ``parallel_tile_elements`` elements,
     at most the codegen thread count and at least one — one part is one
-    serial call.  A combining reduction keeps one part per thread: its
-    partials, and so its bits, follow the part count.  The thread count is
-    1 unless asked for: a 2-part launch lost to the serial call at every
-    size measured (8 836 to 4 Mi elements) on a 2-CPU host."""
+    serial call.  The thread count is 1 unless asked for: a 2-part launch
+    lost to the serial call at every size measured (8 836 to 4 Mi
+    elements) on a 2-CPU host."""
     threads = config.codegen_threads or 1
-    if combine:
-        return threads
     elements = math.prod(slots[0].shape)
     return max(1, min(threads, elements // config.parallel_tile_elements))
-
-
-class NativeReduceLaunch:
-    """A compiled reduction kernel bound to its geometry mapping.
-
-    ABI (see :func:`repro.codegen.emit_c.emit_reduce_source`): ``dims`` are
-    the *source* extents, ``ptrs`` is the nest's slots, the output, then the
-    members' float literals — a bare reduction's one slot is its source, the
-    slots a kernel's members store have no storage and pass null — and
-    ``strides`` carries each slot's and the output's byte strides, the
-    output's aligned to source axes with a zero lane at the reduced axis.
-    """
-
-    __slots__ = (
-        "_fn",
-        "_fn_mt",
-        "_rank",
-        "_axis",
-        "_loaded",
-        "_literals",
-        "_literal_ptrs",
-        "_dims_type",
-        "_ptrs_type",
-        "_strides_type",
-    )
-
-    def __init__(self, compiled, nest: ReduceNest) -> None:
-        self._fn = compiled.fn
-        self._fn_mt = compiled.fn_mt
-        self._rank = nest.rank
-        self._axis = nest.axis
-        self._loaded = frozenset(nest.loaded_slots)
-        entries = len(nest.slot_dtypes) + 1
-        self._literals, self._literal_ptrs = _literal_operands(float_literals(nest.body))
-        self._dims_type = ctypes.c_int64 * nest.rank
-        self._ptrs_type = ctypes.c_void_p * (entries + len(self._literal_ptrs))
-        self._strides_type = ctypes.c_int64 * (entries * nest.rank)
-
-    def __call__(
-        self,
-        memory: MemoryManager,
-        slots: Sequence[View],
-        out_view: View,
-        parts: int,
-        runtime,
-    ) -> bool:
-        """Run the reduction in ``parts`` through ``runtime`` (one serial
-        call without one); returns True when the chunked entry fired."""
-        out_item = out_view.dtype.itemsize
-        dims = self._dims_type(*slots[0].shape)
-        pointers = []
-        strides = []
-        for position, view in enumerate(slots):
-            if position not in self._loaded:
-                pointers.append(0)
-                strides.extend((0,) * self._rank)
-                continue
-            itemsize = view.dtype.itemsize
-            storage = memory.allocate(view.base)
-            pointers.append(storage.ctypes.data + view.offset * itemsize)
-            strides.extend(stride * itemsize for stride in view.strides)
-        out_storage = memory.allocate(out_view.base)
-        pointers.append(out_storage.ctypes.data + out_view.offset * out_item)
-        pointers = self._ptrs_type(*pointers, *self._literal_ptrs)
-        out_position = 0
-        for dim in range(self._rank):
-            if dim == self._axis:
-                strides.append(0)
-            else:
-                strides.append(out_view.strides[out_position] * out_item)
-                out_position += 1
-        packed = self._strides_type(*strides)
-        if runtime is not None and parts > 1:
-            self._fn_mt(dims, pointers, packed, ctypes.c_int32(parts), runtime.launch)
-            return True
-        self._fn(dims, pointers, packed)
-        return False
 
 
 #: The launch-cache entry of a form known to run again, with no artifact yet
@@ -373,7 +325,6 @@ class NativeBackend(ParallelBackend):
         ``fallback_reason`` is the message noted per fallback being counted.
         """
         notes = increments.get("native_fallbacks", 0)
-        notes += increments.get("native_reduction_fallbacks", 0)
         with self._cache_lock:
             for record in (stats, self._totals):
                 for counter, amount in increments.items():
@@ -542,55 +493,6 @@ class NativeBackend(ParallelBackend):
         cache_key = (key, local_slots, self._codegen_signature(config))
         return self._cached_launch(cache_key, config, lower, stats, threaded)
 
-    @staticmethod
-    def _reduce_form(members, tail, step: TiledReduceStep):
-        """``(slot views, structural key)`` of a tiled reduction ``tail``
-        after the element-wise ``members`` of the kernel it ends (none: a
-        bare reduction, whose one slot is its source).
-
-        The key — opcode, dtypes, rank, axis, tiling shape, the members'
-        form and which of their slots is reduced — names one artifact for
-        every rebind and every array size of the same canonical map-reduce.
-        """
-        source = tail.inputs[0]
-        slots, producers = (source,), ()
-        if members:
-            key, slots, _ = prepare_kernel_launch(members)
-            producers = (key, next(i for i, v in enumerate(slots) if v.same_view(source)))
-        return slots, (
-            "reduce",
-            tail.opcode,
-            source.dtype.name,
-            tail.out.dtype.name,
-            len(source.shape),
-            int(tail.constants[0].value),
-            step.combine,
-            step.tile_axis,
-            producers,
-        )
-
-    def _native_reduce_launch(
-        self, members, tail, step: TiledReduceStep, form: tuple, stats, config, threaded: bool
-    ):
-        """Resolve a tiled reduction of structural key ``form`` to
-        ``(compiled launchable, None)`` or ``(None, why not)``.
-
-        Shares the backend LRU with map forms.
-        """
-        if 0 in tail.inputs[0].shape:
-            # Geometry first, here and at plan time: a launch that would be
-            # thrown away costs no compiler run and no cache entry.
-            return None, "zero-size reduction source"
-
-        def lower():
-            nest = lower_reduction(
-                tail, step.combine, step.tile_axis, members, step.local_slots
-            )
-            return emit_reduce_source(nest), partial(NativeReduceLaunch, nest=nest)
-
-        cache_key = (form, step.local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats, threaded)
-
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
     # ------------------------------------------------------------------ #
@@ -643,50 +545,30 @@ class NativeBackend(ParallelBackend):
             return
         super()._launch_map(launcher, slots, step, memory, stats, config)
 
-    def _run_reduce(self, instruction, step, memory, stats, config) -> None:
-        """Run a tiled reduction through a compiled kernel when one exists.
-
-        The compiled path is one foreign call: n-D forms chunk the
-        partition axis into disjoint output slices; rank-1 combine forms
-        collect per-chunk partials and tree-combine them inside the
-        artifact in the tiled backend's fixed order.  Forms that do not
-        lower fall back to the inherited interpreted tiled paths, counted
-        as reduction fallbacks.
+    def _span_producer(self, members, source, step, stats, config):
+        """The members of a kernel that ends in a reduction, as an ordinary
+        compiled map form (:func:`_producer_form`) evaluated once per span
+        (:meth:`NativeKernelLaunch.evaluate`); NumPy folds what it stores.
+        A form with no compiled launch runs the inherited template — counted
+        as a fallback with its reason, unless it is a :class:`NumPyAssign`.
         """
-        fused = instruction if instruction.is_fused() else None
-        instructions = instruction.kernel if fused else (instruction,)
-        members, tail = split_tail(instructions)
-        slots, form = self._reduce_form(members, tail, step)
-        parts = launch_parts(slots, config, step.combine)
-        launch, reason = self._native_reduce_launch(
-            members, tail, step, form, stats, config, parts > 1
-        )
-        if launch is not None:
-            stats.record_launch(instructions, fused)
-            stats.tiled_instructions += len(instructions)
-            stats.tiles_executed += 1
-            runtime = self._launch_runtime(parts, config)
-            used_mt = launch(memory, slots, tail.out, parts, runtime)
-            # A kernel's members ran compiled too: one kernel launch.
+        prepared, local = _producer_form(members, source, step)
+        key, slots, _ = prepared
+        launch, reason = self._native_launch(key, slots, members, local, stats, config, False)
+        if isinstance(launch, NativeKernelLaunch):
             self._count(
-                stats,
-                native_reductions_compiled=1,
-                native_kernel_launches=int(bool(members)),
-                native_mt_launches=int(used_mt),
-                native_slots_elided=len(step.local_slots),
+                stats, native_kernel_launches=1, native_slots_elided=len(step.local_slots)
             )
-            return
-        self._count(
-            stats,
-            fallback_reason=reason,
-            native_reduction_fallbacks=1,
-            native_fallbacks=int(bool(members)),
-        )
-        super()._run_reduce(instruction, step, memory, stats, config)
+            return slots, span_producer(launch, slots, step.local_slots, source, None)
+        if launch is None:
+            self._count(stats, fallback_reason=reason, native_fallbacks=1)
+        return super()._span_producer(members, source, step, stats, config, prepared)
 
     def prepare_plan(self, plan) -> None:
         """Tile (inherited) and resolve the plan's kernel forms known to
-        run twice: in two or more of its steps, or launched before.
+        run twice: in two or more of its steps, or launched before.  A
+        bare reduction has no form; a kernel that ends in one has its
+        members' map form (:func:`_producer_form`).
 
         A warm plan replay launches straight into cached artifacts; a form
         of one step never launched is left to :meth:`_cached_launch`.  The
@@ -713,25 +595,22 @@ class NativeBackend(ParallelBackend):
                     instruction.kernel if instruction.is_fused() else (instruction,)
                 )
                 if isinstance(step, TiledReduceStep):
-                    members, tail = split_tail(instructions)
-                    slots, form = self._reduce_form(members, tail, step)
-                    resolve = partial(
-                        self._native_reduce_launch, members, tail, step, form, parked, config
-                    )
-                    form, lower, combine = (form, step.local_slots), None, step.combine
+                    instructions, tail = split_tail(instructions)
+                    if not instructions:
+                        continue  # a bare reduction is NumPy's: nothing to resolve
+                    (key, slots, _), local = _producer_form(instructions, tail.inputs[0], step)
                 elif isinstance(step, TiledMapStep):
                     key, slots, _ = prepare_kernel_launch(instructions)
                     local = step.local_slots
-                    form = (key, local)
-                    resolve = partial(
-                        self._native_launch, key, slots, instructions, local, parked, config
-                    )
-                    lower = partial(_lower_map, instructions, local, slots)
-                    combine = False
+                    if launch_parts(slots, config) > 1:
+                        threaded.add((key, local))
                 else:
                     continue
-                if launch_parts(slots, config, combine) > 1:
-                    threaded.add(form)
+                form = (key, local)
+                resolve = partial(
+                    self._native_launch, key, slots, instructions, local, parked, config
+                )
+                lower = partial(_lower_map, instructions, local, slots)
                 if form in resolvers:  # it recurs, so it is known to run twice
                     self._native_cache.setdefault(form + (codegen,), FIRST_LAUNCH)
                 resolvers.setdefault(form, (resolve, lower))
@@ -744,7 +623,7 @@ class NativeBackend(ParallelBackend):
                     continue  # one step, never launched: left to its launch
                 bound = not isinstance(cached, (str, NumPyAssign))
                 compiled = cached is FIRST_LAUNCH
-                if compiled and lower is not None:
+                if compiled:
                     # Lowered here, not on the pool (it holds the GIL
                     # anyway), so that fills and copies ask for no runtime.
                     lowered = lower()

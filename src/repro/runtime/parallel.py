@@ -367,6 +367,14 @@ class ParallelBackend(Backend):
             self._note_fallback(stats, reason)
         return slots, template, erf
 
+    def _span_producer(self, members, source, step, stats, config, prepared=None):
+        """``(slot views, producer)`` computing each span's ``source`` for
+        :func:`reduce_tile` when the reduction ends a kernel: here the
+        members' interpreted template, local slots in span-sized scratch.
+        The native backend overrides this seam with a compiled map form."""
+        slots, template, erf = self._template(members, step, stats, config, prepared)
+        return slots, span_producer(template, slots, step.local_slots, source, erf)
+
     def _run_reduce(
         self,
         instruction: Instruction,
@@ -380,14 +388,13 @@ class ParallelBackend(Backend):
         members, tail = split_tail(instructions)
         stats.record_launch(instructions, fused)
         # A kernel that ends in the reduction computes each span's source
-        # with its members' template, local slots in span-sized scratch; as
-        # for a map step, no worker thread may mutate the memory manager.
+        # with its members; as for a map step, no worker thread may mutate
+        # the memory manager.
         producer = None
         slots = (tail.inputs[0],)
         if members:
-            slots, template, erf = self._template(members, step, stats, config)
-            producer = span_producer(
-                template, slots, step.local_slots, tail.inputs[0], erf
+            slots, producer = self._span_producer(
+                members, tail.inputs[0], step, stats, config
             )
         for position, view in enumerate(slots + (tail.out,)):
             if position not in step.local_slots:

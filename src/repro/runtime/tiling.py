@@ -227,11 +227,12 @@ def reduce_tile(
 def span_producer(template, slots: Sequence[View], local_slots: frozenset, source: View, erf):
     """:func:`reduce_tile`'s ``producer`` for a kernel that ends in a reduction.
 
-    ``template`` and ``slots`` are the compiled element-wise members and
-    their slot views; per span the members run once over the span's slice of
-    every slot — ``local_slots`` in scratch of that size — and the array of
-    the slot the reduction reads (``source``) is what the tile reduces.
-    ``erf`` is the launch's vector erf.
+    ``template`` is the element-wise members' kernel template, or anything
+    with its ``evaluate`` (the native tier's compiled map form), and
+    ``slots`` their slot views; per span the members run once over the
+    span's slice of every slot — ``local_slots`` in scratch of that size —
+    and the array of the slot the reduction reads (``source``) is what the
+    tile reduces.  ``erf`` is the launch's vector erf.
     """
     result = next(
         position for position, view in enumerate(slots) if view.same_view(source)

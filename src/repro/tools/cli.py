@@ -354,9 +354,7 @@ def _serve_stress(program, args, out) -> int:
     if "native_mt_launches" in cache:
         print(
             f"  native: {cache['native_mt_launches']} in-kernel mt "
-            f"launch(es), {cache['native_reductions_compiled']} compiled "
-            f"reduction(s), {cache['native_reduction_fallbacks']} reduction "
-            f"fallback(s), {cache['native_slots_elided']} slot(s) elided",
+            f"launch(es), {cache['native_slots_elided']} slot(s) elided",
             file=out,
         )
     if report["ok"]:
@@ -382,8 +380,6 @@ def _codegen_block(cache: dict) -> Optional[dict]:
         return None
     return {
         "mt_launches": cache["native_mt_launches"],
-        "reductions_compiled": cache["native_reductions_compiled"],
-        "reduction_fallbacks": cache["native_reduction_fallbacks"],
         "slots_elided": cache["native_slots_elided"],
         "compiles": cache["native_compiles"],
         "kernel_launches": cache["native_kernel_launches"],
@@ -582,9 +578,7 @@ def _execute_with_engine(program, pipeline, report, args, out) -> None:
     if "native_mt_launches" in cache:
         print(
             f"  native threading: {cache['native_mt_launches']} in-kernel "
-            f"mt launch(es), {cache['native_reductions_compiled']} compiled "
-            f"reduction(s), {cache['native_reduction_fallbacks']} reduction "
-            f"fallback(s), {cache['native_slots_elided']} slot(s) elided",
+            f"mt launch(es), {cache['native_slots_elided']} slot(s) elided",
             file=out,
         )
     if "dist_workers_spawned" in cache:

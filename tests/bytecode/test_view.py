@@ -1,6 +1,8 @@
 """Tests for View geometry, equality, overlap and reshaping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bytecode.base import BaseArray
 from repro.bytecode.view import View, contiguous_strides
@@ -126,6 +128,57 @@ class TestRelations:
         base = BaseArray(4)
         empty = View(base, 0, (0,))
         assert not empty.overlaps(View.full(base))
+
+    def test_an_exact_answer_enumerates_nothing(self, monkeypatch):
+        """A view and itself, and two C-contiguous views whose ranges meet
+        (each is an interval), are answered without building element sets."""
+
+        def refuse(view):
+            raise AssertionError(f"enumerated {view}")
+
+        monkeypatch.setattr(View, "element_indices", refuse)
+        base = BaseArray(64 * 64)
+        rows, next_rows = View(base, 0, (2, 64)), View(base, 64, (2, 64))
+        column = View(base, 5, (64,), (64,))
+        assert rows.overlaps(next_rows) and next_rows.overlaps(rows)
+        assert column.overlaps(column)
+        assert not rows.overlaps(View(base, 128, (2, 64)))
+
+
+#: A base the drawn views live in: small enough to enumerate every view.
+_BASE_ELEMENTS = 96
+
+
+@st.composite
+def _views_of(draw, base):
+    """A view of ``base``: a rank-1..3 shape of small extents (zero
+    included), strides in -6..6 (zero included), or a C-contiguous one; its
+    offset drawn so that every element it touches lies in the base."""
+    shape = tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        strides = contiguous_strides(shape)
+    else:
+        strides = tuple(draw(st.integers(-6, 6)) for _ in shape)
+    low = sum((dim - 1) * stride for dim, stride in zip(shape, strides) if dim and stride < 0)
+    high = sum((dim - 1) * stride for dim, stride in zip(shape, strides) if dim and stride > 0)
+    if high - low >= base.nelem:
+        shape, strides, low, high = (1,), (1,), 0, 0
+    offset = draw(st.integers(-low, base.nelem - 1 - high))
+    return View(base, offset, shape, strides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_overlaps_is_element_set_intersection(data):
+    """On views small enough to enumerate, ``overlaps`` answers exactly:
+    the two views share an element — including a view and itself, and two
+    contiguous views whose ranges meet."""
+    base = BaseArray(_BASE_ELEMENTS)
+    first = data.draw(_views_of(base))
+    second = first if data.draw(st.booleans()) else data.draw(_views_of(base))
+    shared = set(first.element_indices()) & set(second.element_indices())
+    assert first.overlaps(second) == bool(shared)
+    assert second.overlaps(first) == bool(shared)
 
 
 class TestReshape:

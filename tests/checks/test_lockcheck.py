@@ -49,7 +49,6 @@ class TestRealTree:
             if class_name == "NativeBackend" and ("plan", 2) in call.held
         }
         assert ("self", "_native_launch") in under_plan_lock
-        assert ("self", "_native_reduce_launch") in under_plan_lock
         assert ("self", "_scatter") in under_plan_lock
         # ...and what those thunks take is ranked: the backend cache lock
         # (counters) and the launch cache's LRU leaf, both below the plan lock.

@@ -321,8 +321,14 @@ class TestCorruption:
         """A schema-3 kernel has its float constants compiled in and reads no
         literal entry of ``ptrs``: launched under the current ABI it would
         compute with the numbers of whichever program built it."""
-        assert ARTIFACT_SCHEMA == 4
         self._older_schema_is_discarded(tmp_path, kind, 3)
+
+    def test_schema_4_artifacts_are_discarded_never_loaded(self, tmp_path, kind):
+        """A schema-4 runtime hands each chunk a scratch lane and a schema-4
+        chunk takes one: neither matches the current launch ABI, in which
+        no artifact folds a reduction."""
+        assert ARTIFACT_SCHEMA == 5
+        self._older_schema_is_discarded(tmp_path, kind, 4)
 
     def test_discarded_artifacts_are_removed(self, tmp_path):
         source = _source("removal")
@@ -343,44 +349,34 @@ class TestArtifactIdentity:
     (they count, index and mask, and ``% 7`` is worth its strength reduction)."""
 
     @staticmethod
-    def _sources(dtype, constants, reduce=False):
+    def _sources(dtype, constants):
         from repro.bytecode.builder import ProgramBuilder
         from repro.bytecode.opcodes import OpCode
-        from repro.codegen.emit_c import emit_kernel_source, emit_reduce_source
-        from repro.codegen.loopir import lower_kernel, lower_reduction
+        from repro.codegen.emit_c import emit_kernel_source
+        from repro.codegen.loopir import lower_kernel
 
         sources = []
         for constant in constants:
             builder = ProgramBuilder()
             x = builder.new_vector(64, dtype=dtype)
             y = builder.new_vector(64, dtype=dtype)
-            out = builder.new_vector(1, dtype=dtype)
             builder.emit(OpCode.BH_MOD, y, x, constant)
             builder.add(y, y, constant)
-            if reduce:
-                builder.maximum_reduce(out, y, axis=0)
-            *members, last = builder.build()
-            if reduce:
-                nest = lower_reduction(last, True, 0, members, frozenset({0}))
-                sources.append((emit_reduce_source(nest), nest))
-            else:
-                nest = lower_kernel(members + [last])
-                sources.append((emit_kernel_source(nest), nest))
+            nest = lower_kernel(builder.build())
+            sources.append((emit_kernel_source(nest), nest))
         return sources
 
-    @pytest.mark.parametrize("reduce", [False, True], ids=["map", "map_reduce"])
-    def test_float_constants_do_not_reach_the_source(self, reduce):
+    def test_float_constants_do_not_reach_the_source(self):
         from repro.bytecode import dtypes
 
         values = (2.5, -0.0, float("nan"), float("-inf"), 5e-324)
-        (first, nest), *others = self._sources(dtypes.float64, values, reduce)
+        (first, nest), *others = self._sources(dtypes.float64, values)
         assert all(source == first for source, _ in others)
         assert len({artifact_digest(source, 2) for source, _ in [(first, nest)] + others}) == 1
-        # Two occurrences, two operands, after the slots (and the output).
+        # Two occurrences, two operands, after the slots.
         assert [literal.value for literal in float_literals(nest.body)] == [2.5, 2.5]
-        base = 3 if reduce else 2
         for index in (0, 1):
-            assert f"const double k{index} = *(const double *)ptrs[{base + index}];" in first
+            assert f"const double k{index} = *(const double *)ptrs[{2 + index}];" in first
         assert "0x" not in first and "NAN" not in first and "INFINITY" not in first
 
     def test_positive_zero_is_an_operand_too(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 
@@ -13,6 +14,28 @@ from repro.frontend import random as frontend_random
 from repro.frontend.session import Session, set_session
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.utils.config import Config, set_config
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_codegen_cache(tmp_path_factory):
+    """Point the compiled-artifact cache at a fresh directory for the session.
+
+    What a native flush launches depends on what the cache holds (a form
+    on disk binds on its first launch, one that is not runs its template),
+    so a suite that read ``~/.cache/repro-codegen`` would test whatever an
+    earlier run left there.  A ``REPRO_CODEGEN_CACHE`` set by the caller
+    wins: a run that means a warm cache names it.  Subprocesses and dist
+    workers inherit the choice through the environment.
+    """
+    if os.environ.get("REPRO_CODEGEN_CACHE"):
+        yield os.environ["REPRO_CODEGEN_CACHE"]
+        return
+    directory = str(tmp_path_factory.mktemp("codegen-cache"))
+    os.environ["REPRO_CODEGEN_CACHE"] = directory
+    try:
+        yield directory
+    finally:
+        os.environ.pop("REPRO_CODEGEN_CACHE", None)
 
 
 @pytest.fixture(autouse=True)

@@ -47,6 +47,7 @@ from repro.runtime.plan import program_base_order
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
+from tests.tiers import runs
 
 #: Same relaxation the parallel backend gets for reassociated reductions.
 RTOL, ATOL = 1e-6, 1e-8
@@ -286,9 +287,10 @@ MASTER_CELLS = ("float64_sum_below_threshold", "int32_one_column")
 @pytest.mark.parametrize("planned", [True, False], ids=["plan", "planless"])
 @pytest.mark.parametrize("name", sorted(DIST_MAP_REDUCE_CELLS))
 def test_map_reduce_axis_on_workers(name, planned, map_reduce_program):
-    """A kernel ending in a reduction, sharded: per worker count bitwise the
-    tail-free schedule, bitwise across worker counts, the oracle's bits or
-    the reduction tolerance — and the producers' bases never mapped."""
+    """A kernel ending in a reduction, sharded: per worker count and flush
+    bitwise the tail-free schedule, bitwise across worker counts and flushes
+    (:func:`runs`), the oracle's bits or the reduction tolerance — and the
+    producers' bases never mapped."""
     from repro.bytecode import dtypes
     from repro.runtime.backend import get_backend
 
@@ -318,10 +320,15 @@ def test_map_reduce_axis_on_workers(name, planned, map_reduce_program):
             ):
                 if planned:
                     engine = ExecutionEngine(backend="dist", optimize=True)
-                    result = engine.execute(program)
-                    plan = engine.last_plan
+                    execute = engine.execute
                 else:
-                    result = get_backend("dist").execute(program)
+                    execute = get_backend("dist").execute
+                flushes = [execute(program) for _ in range(runs("dist"))]
+                result = flushes[-1]
+                if planned:
+                    plan = engine.last_plan
+                for flush in flushes:
+                    assert flush.value(out).tobytes() == result.value(out).tobytes(), name
                 values[scheduler] = result.value(out)
             assert result.stats.dist_payload_bytes == 0
             if planned and scheduler == "dag":

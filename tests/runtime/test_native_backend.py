@@ -219,11 +219,10 @@ class TestFallbacks:
         assert all(reason in message for message in result.stats.native_fallback_reasons)
         assert engine.backend.native_runtime in (None, "serial")
 
-    def test_uncompiled_reductions_fall_back_to_tiled_paths(self, cache_dir, monkeypatch):
-        # With no compiler, a tiled reduction runs on the interpreted
-        # parallel paths (counted as a fallback, with its reason); a serial
-        # generator step runs the interpreter.  Everything still matches
-        # the oracle.
+    def test_a_bare_reduction_needs_no_compiler(self, cache_dir, monkeypatch):
+        # With no compiler, a tiled reduction runs the inherited NumPy fold
+        # — as it does with one, so nothing falls back and no reason is
+        # counted; a serial generator step runs the interpreter.
         no_compiler(monkeypatch)
         builder = ProgramBuilder()
         matrix = builder.new_matrix(32, 16)
@@ -235,12 +234,10 @@ class TestFallbacks:
         expected = _oracle(program, (out,))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             result = second_run(ExecutionEngine(backend="native", optimize=True), program)
-        assert np.allclose(result.value(out), expected[0])
-        assert result.stats.native_compiles == 0
-        assert result.stats.native_reductions_compiled == 0
-        assert result.stats.native_reduction_fallbacks >= 1
+        assert np.array_equal(result.value(out), expected[0])
+        assert result.stats.native_compiles == result.stats.native_fallbacks == 0
+        assert result.stats.native_fallback_reasons == {}
         assert result.stats.tiles_executed > 0
-        assert all("compiler" in reason for reason in result.stats.native_fallback_reasons)
 
 
 class TestFallbackReasons:
@@ -249,9 +246,7 @@ class TestFallbackReasons:
 
     @staticmethod
     def _accounted(stats):
-        return stats.native_fallbacks + stats.native_reduction_fallbacks == sum(
-            stats.native_fallback_reasons.values()
-        )
+        return stats.native_fallbacks == sum(stats.native_fallback_reasons.values())
 
     @requires_compiler
     def test_the_service_workload_s_programs_name_their_reasons(self, cache_dir):
@@ -270,18 +265,17 @@ class TestFallbackReasons:
         # One BH_LOG sends black_scholes' whole fused kernel to the template.
         assert prices.native_fallbacks == 1
         assert prices.native_fallback_reasons == {"unsupported op-code BH_LOG": 1}
-        # monte_carlo_pi sums a bool mask: that reduction lowers now.
-        assert estimate.native_reduction_fallbacks == 0
-        assert estimate.native_reductions_compiled == 1
+        # monte_carlo_pi's kernel ends in the sum of a mask: its members
+        # run compiled, and NumPy folds what they store.
+        assert estimate.native_kernel_launches >= 1
         assert estimate.native_fallback_reasons == {}
-        # The kernel ending in the bool-mask sum ran the template on its
-        # first launch: one reason for its members, one for its reduction.
-        assert cumulative == {"unsupported op-code BH_LOG": 2, FIRST_LAUNCH: 2}
+        # That kernel ran the template on its first launch: one reason.
+        assert cumulative == {"unsupported op-code BH_LOG": 2, FIRST_LAUNCH: 1}
         assert all(isinstance(value, (int, float)) for value in cache.values())
         assert self._accounted(session.total_stats())
 
     @requires_compiler
-    def test_bool_reductions_other_than_add_keep_their_refusal(self, cache_dir):
+    def test_a_bool_reduction_is_numpy_s_and_no_fallback(self, cache_dir):
         from repro.bytecode import dtypes
         from repro.bytecode.opcodes import OpCode
 
@@ -297,10 +291,8 @@ class TestFallbackReasons:
         expected = _oracle(program, (any_inside,))
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             result = second_run(ExecutionEngine(backend="native", optimize=True), program)
-        assert result.stats.native_reduction_fallbacks == 1
-        assert result.stats.native_fallback_reasons == {
-            "bool reductions have NumPy-specific semantics": 1
-        }
+        assert result.stats.native_fallbacks == 0
+        assert result.stats.native_fallback_reasons == {}
         assert np.array_equal(result.value(any_inside), expected[0])
 
     def test_a_missing_compiler_is_a_reason_too(self, cache_dir, monkeypatch):
@@ -592,102 +584,57 @@ class TestExecutionStrategies:
         assert np.array_equal(result.value(out), expected[1])
 
 
+def _reduction_program(reduction, shape, axis):
+    """``out = reduction(random, axis)``: a bare reduction of drawn values."""
+    builder = ProgramBuilder()
+    new = builder.new_vector if len(shape) == 1 else builder.new_matrix
+    source = new(*shape)
+    out = builder.new_vector(1 if len(shape) == 1 else shape[1 - axis])
+    builder.random(source, seed=3)
+    getattr(builder, f"{reduction}_reduce")(out, source, axis=axis)
+    builder.sync(out)
+    return builder.build(), out
+
+
 @requires_compiler
-class TestCompiledReductions:
-    """Tiled reductions executing through compiled C kernels."""
+class TestReductions:
+    """A reduction folds with NumPy on ``native`` as on ``parallel``: a bare
+    one compiles nothing, and a kernel that ends in one compiles only its
+    members, as a map form whose stored slot NumPy folds."""
 
     def _run(self, program, cache_dir, **overrides):
         with config_override(
             **{**TINY_TILES, "codegen_cache_dir": cache_dir, **overrides}
         ):
             engine = ExecutionEngine(backend="native", optimize=True)
-            return engine, second_run(engine, program)
+            return engine, [engine.execute(program) for _ in range(3)]
 
-    def test_combine_sum_compiles_and_matches(self, cache_dir):
-        builder = ProgramBuilder()
-        x = builder.new_vector(500)
-        s = builder.new_vector(1)
-        builder.identity(x, 1.25)
-        builder.add(x, x, 0.5)
-        builder.add_reduce(s, x, axis=0)
-        builder.sync(s)
-        program = builder.build()
-        expected = _oracle(program, (s,))
-        _, result = self._run(program, cache_dir)
-        assert result.stats.native_reductions_compiled == 1
-        assert result.stats.native_reduction_fallbacks == 0
-        assert np.allclose(result.value(s), expected[0], rtol=1e-6, atol=1e-8)
-
-    def test_nd_reduction_all_axes_compile(self, cache_dir):
-        for axis in (0, 1):
-            builder = ProgramBuilder()
-            matrix = builder.new_matrix(24, 12)
-            out = builder.new_vector(12 if axis == 0 else 24)
-            builder.identity(matrix, 0.75)
-            builder.add(matrix, matrix, 2.0)
-            builder.add_reduce(out, matrix, axis=axis)
-            builder.sync(out)
-            program = builder.build()
-            expected = _oracle(program, (out,))
-            _, result = self._run(program, cache_dir)
-            assert result.stats.native_reductions_compiled == 1, f"axis={axis}"
-            assert result.stats.native_reduction_fallbacks == 0, f"axis={axis}"
-            assert np.allclose(
-                result.value(out), expected[0], rtol=1e-6, atol=1e-8
-            ), f"axis={axis}"
-
-    def test_maximum_reduce_is_bitwise(self, cache_dir):
-        # min/max reductions are order-insensitive: the compiled result
-        # must be bit-identical regardless of chunking or thread count.
-        builder = ProgramBuilder()
-        matrix = builder.new_matrix(16, 32)
-        out = builder.new_vector(16)
-        builder.random(matrix, seed=3)
-        builder.maximum_reduce(out, matrix, axis=1)
-        builder.sync(out)
-        program = builder.build()
-        expected = _oracle(program, (out,))
-        _, result = self._run(program, cache_dir, codegen_threads=4)
-        assert result.stats.native_reductions_compiled == 1
-        assert np.array_equal(result.value(out), expected[0])
-
-    def test_mt_reduction_matches_parallel_combine_order(self, cache_dir):
-        """Threaded combine reduction stays within the reduction contract.
-
-        The artifact's per-chunk partials tree-combine in the tiled
-        backend's fixed pairwise order; the result must agree with the
-        parallel backend (same relaxation the differential suite uses).
-        """
-        from repro.codegen.compiler import select_mt_mode
-
-        if select_mt_mode() == "serial":
-            pytest.skip("toolchain builds serial-mode artifacts only")
-        builder = ProgramBuilder()
-        x = builder.new_vector(4096)
-        s = builder.new_vector(1)
-        builder.random(x, seed=11)
-        builder.add_reduce(s, x, axis=0)
-        builder.sync(s)
-        program = builder.build()
-        with config_override(
-            **TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=4
-        ):
-            native = ExecutionEngine(backend="native", optimize=True)
-            result = second_run(native, program)
+    @pytest.mark.parametrize(
+        "reduction, shape, axis",
+        [("add", (4096,), 0), ("add", (24, 12), 0), ("add", (24, 12), 1),
+         ("maximum", (16, 32), 1)],
+        ids=["sum-rank-1", "sum-axis-0", "sum-axis-1", "max-axis-1"],
+    )
+    def test_a_bare_reduction_compiles_nothing(self, cache_dir, reduction, shape, axis):
+        """No ``cc`` run, no launch-cache entry, no fallback, and every flush
+        — threads asked for or not — has the parallel tier's bits."""
+        program, out = _reduction_program(reduction, shape, axis)
         with config_override(**TINY_TILES):
-            parallel = ExecutionEngine(backend="parallel", optimize=True)
-            reference = parallel.execute(program)
-        assert result.stats.native_reductions_compiled == 1
-        assert result.stats.native_mt_launches >= 1
-        assert np.allclose(
-            result.value(s), reference.value(s), rtol=1e-6, atol=1e-8
-        )
+            reference = ExecutionEngine(backend="parallel", optimize=True).execute(program)
+        engine, results = self._run(program, cache_dir, codegen_threads=4)
+        steps = engine.last_plan.tiling.steps
+        assert any(isinstance(step, TiledReduceStep) for step in steps)
+        assert engine.backend.cache_stats()["native_cache_size"] == 0
+        assert engine.backend.native_runtime is None
+        for result in results:
+            assert result.stats.native_compiles == result.stats.native_fallbacks == 0
+            assert result.stats.native_kernel_launches == result.stats.native_mt_launches == 0
+            assert result.value(out).tobytes() == reference.value(out).tobytes()
 
-    @requires_compiler
     @pytest.mark.parametrize("tail", [False, True], ids=["bare", "closing_a_kernel"])
-    def test_a_zero_size_reduction_costs_no_compiler_run(self, cache_dir, tail):
-        """Geometry is tested before the artifact is resolved, at plan time
-        and at launch: no ``cc`` run, no launch-cache entry, a counted reason."""
+    def test_a_zero_size_reduction(self, cache_dir, tail):
+        """A bare reduction of no elements costs nothing; one that closes a
+        kernel is its members' map form, like any other."""
         builder = ProgramBuilder()
         source = View(builder.new_base(8), 0, (4, 0), (0, 1))  # four empty rows
         out = builder.new_vector(4)
@@ -700,22 +647,25 @@ class TestCompiledReductions:
         builder.sync(out)
         program = builder.build()
         # (Fusion only: DCE would drop a store of no elements.)
-        engine, result = self._run(
+        engine, results = self._run(
             program, cache_dir, parallel_serial_threshold=0, enabled_passes=["fusion"]
         )
         (step,) = [s for s in engine.last_plan.tiling.steps if isinstance(s, TiledReduceStep)]
         assert bool(step.local_slots) == tail
-        assert result.stats.native_compiles == 0
-        assert engine.backend.cache_stats()["native_cache_size"] == 0
-        assert result.stats.native_reductions_compiled == 0
-        # One reason per fallback counted: the members' and the reduction's.
-        assert result.stats.native_fallback_reasons == {"zero-size reduction source": 1 + tail}
-        assert result.value(out).tolist() == [0.0] * 4
+        if not tail:
+            assert engine.backend.cache_stats()["native_cache_size"] == 0
+            assert sum(result.stats.native_compiles for result in results) == 0
+            assert results[-1].stats.native_fallback_reasons == {}
+        for result in results:
+            assert result.value(out).tolist() == [0.0] * 4
 
-    @requires_compiler
-    def test_a_kernel_ending_in_the_reduction_is_one_artifact(self, cache_dir):
-        """``sum(x * y)``: one map-reduce artifact instead of a map artifact
-        plus a reduce artifact, nothing stored, the unfused program's bits."""
+    def test_a_kernel_ending_in_the_reduction_compiles_its_members_map_form(
+        self, cache_dir
+    ):
+        """``sum(x * y)``: the members are the map form the unfused program's
+        ``x * y`` step is — one artifact, compiled by the fused program and
+        found in memory by the unfused one — with the product stored in span
+        scratch, never in the memory manager, and the unfused program's bits."""
         def build():
             builder = ProgramBuilder()
             x, y, product = (builder.new_vector(500) for _ in range(3))
@@ -731,21 +681,25 @@ class TestCompiledReductions:
         results = {}
         for scheduler in ("dag", "consecutive"):
             program, total = build()
-            _, result = self._run(
+            _, runs = self._run(
                 program, cache_dir + scheduler, fusion_scheduler=scheduler, codegen_threads=4
             )
-            results[scheduler] = (result.value(total), result.stats)
+            results[scheduler] = (
+                [result.value(total).tobytes() for result in runs],
+                runs[1].stats,
+            )
         fused, unfused = results["dag"][1], results["consecutive"][1]
-        assert (fused.native_compiles, unfused.native_compiles) == (1, 2)
+        assert (fused.native_compiles, unfused.native_compiles) == (1, 0)
+        assert unfused.native_memory_hits == 1
         assert (fused.kernel_launches, unfused.kernel_launches) == (3, 4)
-        assert fused.native_reductions_compiled == 1 and fused.native_slots_elided == 1
-        assert fused.native_fallbacks == fused.native_reduction_fallbacks == 0
-        assert results["dag"][0].tobytes() == results["consecutive"][0].tobytes()
+        assert fused.native_kernel_launches == unfused.native_kernel_launches == 1
+        assert fused.native_slots_elided == 1 and fused.native_fallbacks == 0
+        assert fused.actual_peak_bytes < unfused.actual_peak_bytes
+        assert len(set(results["dag"][0] + results["consecutive"][0])) == 1
 
     @pytest.mark.parametrize("combine", [True, False], ids=["rank-1", "axis"])
     def test_add_reduce_over_bool_is_an_exact_count(self, cache_dir, combine):
-        """``add.reduce`` over bool accumulates in NumPy's probed ``int64``:
-        exact and order-free, so both tiled forms are bitwise."""
+        """``add.reduce`` over bool counts in NumPy's ``int64``, on every tier."""
         from repro.bytecode import dtypes
         from repro.bytecode.opcodes import OpCode
 
@@ -760,30 +714,11 @@ class TestCompiledReductions:
         builder.sync(count)
         program = builder.build()
         expected = _oracle(program, (count,))
-        _, result = self._run(program, cache_dir, codegen_threads=4)
-        assert result.stats.native_reductions_compiled == 1
-        assert result.stats.native_reduction_fallbacks == 0
+        _, results = self._run(program, cache_dir, codegen_threads=4)
+        assert results[-1].stats.native_fallbacks == 0
         assert 0 < expected[0].sum() < x.nelem
-        assert np.array_equal(result.value(count), expected[0])
-
-    def test_warm_plan_replays_without_reduction_fallbacks(self, cache_dir):
-        builder = ProgramBuilder()
-        matrix = builder.new_matrix(24, 12)
-        out = builder.new_vector(24)
-        builder.identity(matrix, 1.5)
-        builder.add_reduce(out, matrix, axis=1)
-        builder.sync(out)
-        program = builder.build()
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
-            engine = ExecutionEngine(backend="native", optimize=True)
-            engine.execute(program)
-            cold = engine.execute(program)
-            warm = engine.execute(program)
-        assert cold.stats.native_reductions_compiled == 1
-        assert warm.stats.plan_cache_hits == 1
-        assert warm.stats.native_compiles == 0
-        assert warm.stats.native_reductions_compiled == 1
-        assert warm.stats.native_reduction_fallbacks == 0
+        for result in results:
+            assert np.array_equal(result.value(count), expected[0])
 
 
 @requires_compiler

@@ -72,7 +72,6 @@ class TestServiceStress:
         cache = report["stats"]["cache"]
         for key in (
             "native_mt_launches",
-            "native_reductions_compiled",
             "native_reduction_fallbacks",
             "native_slots_elided",
         ):

@@ -41,6 +41,15 @@ def interleaved_file(tmp_path):
 
 
 @pytest.fixture
+def drawn_file(tmp_path):
+    """The interleaved listing over a drawn input: its maps compute, so the
+    native backend compiles them (over constants they are fills)."""
+    path = tmp_path / "drawn.bh"
+    path.write_text(INTERLEAVED_LISTING.replace("BH_IDENTITY a0[0:32:1] 1", "BH_RANDOM a0[0:32:1] 7"))
+    return str(path)
+
+
+@pytest.fixture
 def listing_file(tmp_path):
     path = tmp_path / "listing2.bh"
     path.write_text(LISTING_2)
@@ -346,8 +355,6 @@ class TestStatsJson:
         codegen = json.loads(output)["execution"]["codegen"]
         for key in (
             "mt_launches",
-            "reductions_compiled",
-            "reduction_fallbacks",
             "slots_elided",
             "compiles",
             "kernel_launches",
@@ -385,7 +392,9 @@ class TestStatsJson:
             isinstance(value, (int, float)) for value in execution["cache"].values()
         )
 
-    def test_codegen_block_reports_compiled_reduction(self, interleaved_file, tmp_path):
+    def test_codegen_block_counts_no_reduction_as_compiled(self, drawn_file, tmp_path):
+        """No tier compiles a fold: the block has no reduction counters, and
+        the second run, its element-wise forms compiled, falls back nowhere."""
         import json
 
         from repro.codegen import clear_memory_cache, find_c_compiler
@@ -400,17 +409,16 @@ class TestStatsJson:
             parallel_serial_threshold=4,
         ):
             code, output = run_cli(
-                [interleaved_file, "--stats-json", "--backend", "native", "--repeat", "2"]
+                [drawn_file, "--stats-json", "--backend", "native", "--repeat", "2"]
             )
         assert code == 0
         execution = json.loads(output)["execution"]
-        codegen, (first, second) = execution["codegen"], execution["per_run"]
-        assert codegen["reductions_compiled"] >= 1
-        # The first run templates its reductions; the second compiles them.
-        assert second["native_reduction_fallbacks"] == 0
-        assert codegen["reduction_fallbacks"] == first["native_reduction_fallbacks"]
+        codegen, (_, second) = execution["codegen"], execution["per_run"]
+        assert not [key for key in codegen if "reduction" in key]
+        assert codegen["compiles"] >= 1
+        assert second["native_fallbacks"] == 0
 
-    def test_a_one_shot_run_says_why_it_was_not_compiled(self, interleaved_file, tmp_path):
+    def test_a_one_shot_run_says_why_it_was_not_compiled(self, drawn_file, tmp_path):
         """The first launch of a kernel form runs its template and says so;
         a second run of the program in the same process compiles it and
         adds no such reason."""
@@ -427,17 +435,17 @@ class TestStatsJson:
             parallel_serial_threshold=4,
         ):
             once = json.loads(
-                run_cli([interleaved_file, "--stats-json", "--backend", "native"])[1]
+                run_cli([drawn_file, "--stats-json", "--backend", "native"])[1]
             )["execution"]
             twice = json.loads(
-                run_cli([interleaved_file, "--stats-json", "--backend", "native", "--repeat", "2"])[1]
+                run_cli([drawn_file, "--stats-json", "--backend", "native", "--repeat", "2"])[1]
             )["execution"]
         reasons = once["codegen"]["fallback_reasons"]
         assert reasons.get(FIRST_LAUNCH, 0) > 0
         # The reasons are cumulative: the second run added none.
         assert twice["codegen"]["fallback_reasons"] == reasons
         second = twice["per_run"][1]
-        assert second["native_fallbacks"] == second["native_reduction_fallbacks"] == 0
+        assert second["native_fallbacks"] == 0
 
     def test_codegen_block_absent_without_native_counters(self, listing_file):
         import json
@@ -501,7 +509,7 @@ class TestServeStress:
         assert code == 0
         assert "native:" in output
         assert "in-kernel mt launch(es)" in output
-        assert "compiled reduction(s)" in output
+        assert "slot(s) elided" in output
 
     def test_serve_stress_json_includes_native_counters(
         self, large_listing_file, tmp_path

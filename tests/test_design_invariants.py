@@ -131,14 +131,23 @@ GUARDS = (
         ("src/repro",),
         "partial = np.add.reduce(span)",
         "every tiled tier's reduce body, with or without a producer, is "
-        "tiling.reduce_tile (thread tile and dist shard alike); the interpreter "
-        "reduces whole arrays and loopir only probes the accumulator dtype",
+        "tiling.reduce_tile (thread tile, native step and dist shard alike); the "
+        "interpreter reduces whole arrays",
         {
             "src/repro/runtime/tiling.py": None,
             "src/repro/runtime/interpreter.py": 1,
-            "src/repro/codegen/loopir.py": 1,
         },
         lives_there=True,
+    ),
+    Guard(
+        "no_compiled_fold",
+        r"lower_reduction|ReduceNest|emit_reduce_source|repro_kernel_fold",
+        ("src/repro",),
+        "nest = lower_reduction(tail, step.combine, step.tile_axis)",
+        "a reduction folds with NumPy's ufunc.reduce over the plan's spans on every "
+        "tier and tiling.combine_partials combines them, so a tier's bits do not "
+        "depend on whether a form was compiled yet; no tier lowers, emits or "
+        "compiles a fold",
     ),
     Guard(
         "a_unit_declares_what_it_calls",

@@ -7,10 +7,12 @@ where no tile ever leaves the calling thread — so ``parallel4`` is the
 column that always crosses the pooled path (blocks submitted to the
 persistent pool, partials produced on worker threads).
 
-A ``native`` cell runs its program twice on one backend (:func:`runs`): a
-kernel form that occurs in one step of a plan is compiled on its second
-launch, so the second run is the one that proves the compiled path, and
-the first one the template path it takes until then.
+A ``native`` or ``dist`` cell runs its program three times on one backend
+(:func:`runs`): a kernel form that occurs in one step of a plan is compiled
+on its second launch, so the first run takes the template path, the second
+proves the compiled one and the third replays it warm; a dist plan ships
+on its first flush and replays after.  A tier's bits are a function of the
+program and the resolved configuration, so every run must give the same.
 """
 
 from __future__ import annotations
@@ -37,5 +39,5 @@ def on_tier(name: str) -> Iterator[str]:
 
 def runs(name: str) -> int:
     """How many times a cell of tier ``name`` executes its program on one
-    backend: twice on ``native``, once elsewhere."""
-    return 2 if TIERS.get(name, (name, {}))[0] == "native" else 1
+    backend: three times on ``native`` and ``dist``, once elsewhere."""
+    return 3 if TIERS.get(name, (name, {}))[0] in ("native", "dist") else 1
