@@ -1,24 +1,24 @@
-"""E16 — in-kernel multithreading for the native C tier.
+"""E16 — threaded compiled steps on the native C tier.
 
-PR 5 made warm element-wise flushes compile to C; this experiment measures
-moving the *thread split* into the compiled artifact.  With
-``codegen_threads=N`` a whole fused map step is ONE ``repro_kernel_mt``
-ctypes call — the artifact block-partitions its outermost loop across a
-persistent in-kernel pthread pool — instead of one Python-side launch per
-tile.  Reductions are not part of it: every tier folds them with NumPy
-over the plan's spans, so no artifact folds.
+Warm element-wise flushes run compiled C; this experiment measures
+splitting a compiled step across threads.  With ``codegen_threads=N`` a
+fused map step runs in ``native.launch_parts`` parts: the step's one
+``repro_kernel`` called once per contiguous row block, the blocks on the
+backend's tile pool of N workers — the middleware splits the work and
+every part runs the same kernel.  Reductions are not part of it: every
+tier folds them with NumPy over the plan's spans, so no artifact folds.
 
 Assertions are layered by flakiness, as everywhere in this harness:
 
-* **deterministic, hard** — launch accounting: on a threading-capable
-  toolchain every fused map step of the warm flush is exactly one
-  ``repro_kernel_mt`` call (no per-tile launches).  Element-wise results
-  are bit-identical across thread counts and to the unoptimized oracle.
+* **deterministic, hard** — launch accounting: every fused map step of
+  the warm flush is ``launch_parts`` pool calls (one row block each, not
+  one per plan tile).  Element-wise results are bit-identical across
+  thread counts and to the unoptimized oracle.
 * **wall-clock, soft** — on a multi-core host, warm threaded-native must
   beat warm single-thread native by >= 1.3x (a failure under
   ``REPRO_BENCH_STRICT=1``, a warning otherwise; the soft target 2.5x
   always warns).  The comparison is skipped on single-core
-  hosts, where an in-kernel thread split cannot win by construction.
+  hosts, where a thread split cannot win by construction.
 """
 
 import os
@@ -30,10 +30,10 @@ import pytest
 
 from repro.bytecode.builder import ProgramBuilder
 from repro.codegen import clear_memory_cache, find_c_compiler
-from repro.codegen.compiler import select_mt_mode
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.native import FIRST_LAUNCH
+from repro.runtime.kernel import prepare_kernel_launch
+from repro.runtime.native import FIRST_LAUNCH, launch_parts
 from repro.runtime.tiling import TiledMapStep
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
@@ -53,14 +53,9 @@ requires_compiler = pytest.mark.skipif(
     reason="no C compiler on this host; the native backend would only run fallbacks",
 )
 
-requires_mt_toolchain = pytest.mark.skipif(
-    find_c_compiler() is None or select_mt_mode() == "serial",
-    reason="toolchain supports neither -pthread nor OpenMP; artifacts are serial-mode",
-)
-
 requires_multicore = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2,
-    reason="single-core host: an in-kernel thread split cannot win wall-clock",
+    reason="single-core host: a thread split cannot win wall-clock",
 )
 
 
@@ -75,16 +70,16 @@ def _best_stencil_time(session, rounds=ROUNDS):
     return best, out
 
 
-@requires_mt_toolchain
+@requires_compiler
 @requires_multicore
 def test_threaded_native_beats_single_thread_on_heat_equation(benchmark, tmp_path):
     with config_override(codegen_cache_dir=str(tmp_path)):
         clear_memory_cache()
 
         # Warm both configurations fully before measuring.  The artifact is
-        # the SAME compiled library in both columns (nthreads is a runtime
-        # argument, never a digest input), so the single-thread warmup also
-        # compiled everything the threaded run launches.
+        # the SAME compiled library in both columns (the thread count only
+        # picks how many row blocks call it), so the single-thread warmup
+        # also compiled everything the threaded run launches.
         with config_override(codegen_threads=1):
             single = Session(backend="native", optimize=True)
             heat_equation(
@@ -110,9 +105,9 @@ def test_threaded_native_beats_single_thread_on_heat_equation(benchmark, tmp_pat
         single_seconds, single_out, threaded_seconds, threaded_out = benchmark.pedantic(
             measure, rounds=1, iterations=1
         )
-        benchmark.group = "E16 in-kernel threading"
+        benchmark.group = "E16 threaded compiled steps"
 
-    # Element-wise stencil: the in-kernel block partition may not move a bit.
+    # Element-wise stencil: the row-block partition may not move a bit.
     assert np.array_equal(single_out, threaded_out)
 
     speedup = single_seconds / threaded_seconds if threaded_seconds else float("inf")
@@ -138,7 +133,7 @@ def test_threaded_native_beats_single_thread_on_heat_equation(benchmark, tmp_pat
     )
     if speedup < SOFT_TARGET:
         warnings.warn(
-            f"E16 soft target missed: in-kernel threading speedup {speedup:.2f}x "
+            f"E16 soft target missed: threaded speedup {speedup:.2f}x "
             f"< {SOFT_TARGET}x over single-thread native on the stencil "
             "(few cores? noisy host?)",
             stacklevel=1,
@@ -155,7 +150,7 @@ def test_threaded_native_beats_single_thread_on_heat_equation(benchmark, tmp_pat
 def _two_kernel_program():
     """Two differently-shaped fused chains → two distinct tiled map steps,
     each over a random draw (over a constant it would fold to a fill, which
-    is no ``repro_kernel_mt`` call)."""
+    is no kernel call)."""
     builder = ProgramBuilder()
     a = builder.new_vector(VECTOR_LENGTH)
     b = builder.new_vector(VECTOR_LENGTH // 2)
@@ -172,9 +167,9 @@ def _two_kernel_program():
     return builder.build(), a, b
 
 
-@requires_mt_toolchain
-def test_one_ctypes_launch_per_fused_map_step(benchmark, tmp_path):
-    """Hard accounting: a fused map step is ONE repro_kernel_mt call.
+@requires_compiler
+def test_each_fused_map_step_is_launch_parts_pool_calls(benchmark, tmp_path):
+    """Hard accounting: a fused map step is ``launch_parts`` pool calls.
 
     Valid on any core count — the counter contract is about how many
     foreign calls the warm flush makes, not about wall-clock.
@@ -193,7 +188,7 @@ def test_one_ctypes_launch_per_fused_map_step(benchmark, tmp_path):
             return engine.execute(program)
 
         warm = benchmark.pedantic(measure, rounds=1, iterations=1)
-        benchmark.group = "E16 in-kernel threading"
+        benchmark.group = "E16 threaded compiled steps"
 
     assert first.stats.native_compiles == first.stats.native_mt_launches == 0
     assert first.stats.native_fallback_reasons == {FIRST_LAUNCH: 2}
@@ -205,13 +200,21 @@ def test_one_ctypes_launch_per_fused_map_step(benchmark, tmp_path):
         if isinstance(step, TiledMapStep)
     ]
     assert len(map_steps) >= 2, "workload must decompose into several map steps"
-    assert any(len(step.spans) > 1 for step in map_steps), (
-        "no step tiled; the one-launch assert would be vacuous"
+    steps = [engine.last_plan.optimized[step.index] for step in map_steps]
+    parts = [
+        launch_parts(
+            prepare_kernel_launch(step.kernel if step.is_fused() else (step,))[1],
+            engine.last_plan.config,
+        )
+        for step in steps
+    ]
+    assert all(len(step.spans) > count > 1 for step, count in zip(map_steps, parts)), (
+        "a step did not tile past its part count; the row-block assert would be vacuous"
     )
-    # Exactly one ctypes launch per fused map step — the per-tile path
-    # never ran, and every launch went through the chunked entry point.
+    # Each fused map step is launch_parts row-block calls on the pool —
+    # not one call per plan tile, and every step was split.
     assert warm.stats.native_mt_launches == len(map_steps)
-    assert warm.stats.tiles_executed == len(map_steps)
+    assert warm.stats.tiles_executed == sum(parts)
     assert warm.stats.native_fallbacks == 0
     # Bit-identical to the unoptimized oracle (element-wise program).
     assert np.array_equal(warm.value(a), oracle.value(a))

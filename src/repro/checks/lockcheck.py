@@ -16,12 +16,7 @@ rank  lock                                     where
 3     LRU lock (leaf; every cache instance)    ``BoundedLRU._lock``
 3     buffer-pool lock (leaf)                  ``BufferPool._lock``
 3     codegen module lock + digest latch       ``repro.codegen.cache._lock``
-4     kernel-runtime launch mutex (C, leaf)    ``repro_rt_launch_mu``
 ====  =======================================  ==============================
-
-(The last row lives in generated C — the process-wide worker pool's launch
-mutex, taken inside one GIL-releasing foreign call that takes nothing else
-— so it is documented here but out of an AST lint's sight.)
 
 This module machine-checks that discipline instead of trusting prose.  It
 parses every file under ``src/repro``, extracts the static lock-acquisition

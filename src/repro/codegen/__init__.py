@@ -6,9 +6,11 @@ loop-nest IR (:mod:`repro.codegen.loopir`), emits portable C99 from it
 compiler (:mod:`repro.codegen.compiler`) and caches one shared library per
 *canonical kernel form* both in-process and on disk
 (:mod:`repro.codegen.cache`) — plus, once per process, the one kernel
-runtime artifact whose worker pool every threaded launch goes through
-(:func:`repro.codegen.cache.resolve_runtime`).  The :class:`~repro.runtime.native.NativeBackend`
-drives it; everything here is backend-agnostic and free of runtime state.
+runtime artifact, whose vector ``erf`` every interpreted ``BH_ERF`` calls
+(:func:`repro.codegen.cache.resolve_runtime`).  The
+:class:`~repro.runtime.native.NativeBackend` drives it and threads a step
+by calling one kernel per row block; everything here is backend-agnostic,
+single-threaded and free of runtime state.
 """
 
 from repro._exports import export_on_demand

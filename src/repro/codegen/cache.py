@@ -22,13 +22,11 @@ the same architecture without coherence protocols:
   artifact is discarded and recompiled — corruption can cost a compile,
   never correctness.
 
-The **kernel runtime artifact** (the worker pool every kernel launches
-through and the vector ``erf`` every interpreted ``BH_ERF`` calls;
-:func:`resolve_runtime`) lives in the same store under the same
-rules, and resolving it doubles as the toolchain probe.  A warm disk cache
-therefore serves a cold process with **zero compiler invocations** — no
-kernel compile, no runtime compile, no probe — which is the property the
-E15 benchmark asserts.
+The **kernel runtime artifact** (the vector ``erf`` every interpreted
+``BH_ERF`` calls; :func:`resolve_runtime`) lives in the same store under
+the same rules.  A warm disk cache therefore serves a cold process with
+**zero compiler invocations**, which is the property the E15 benchmark
+asserts.
 """
 
 from __future__ import annotations
@@ -57,12 +55,11 @@ from repro.codegen.emit_c import emit_runtime_source
 
 #: Bump to invalidate every cached artifact when the ABI of generated
 #: kernels changes (argument layout, symbol name, helper semantics).
-#: Schema 5: chunk functions and ``repro_rt_launch`` carry no scratch lane
-#: — a schema-4 reduction chunk launched by a schema-5 runtime would store
-#: its partial through an uninitialised pointer.
+#: Schema 5: no artifact takes a scratch lane — a schema-4 reduction chunk
+#: stored its partial through one.
 ARTIFACT_SCHEMA = 5
 
-#: The runtime is a fixed 100-line translation unit; -O2 is plenty.
+#: The runtime is one fixed loop; -O2 is plenty.
 RUNTIME_OPT_LEVEL = 2
 #: Generated kernels are the hot loops: -O3.  Part of every kernel's
 #: artifact digest, so changing it never reuses a library built otherwise.
@@ -70,13 +67,10 @@ KERNEL_OPT_LEVEL = 3
 
 #: digest → loaded artifact (kernels and the runtime alike).
 _memory_cache: Dict[str, object] = {}
-#: (cache dir, use_disk) → (runtime or None, mode, why there is none): what
-#: resolve_runtime found, so a host without a threading toolchain is probed
-#: once, not once per kernel form.  Guarded by _lock; dropped with the
-#: kernel memo.
-_runtime_memo: Dict[
-    Tuple[str, bool], Tuple[Optional[CompiledRuntime], str, Optional[str]]
-] = {}
+#: (cache dir, use_disk) → (runtime or None, why there is none): what
+#: resolve_runtime found, so a host that cannot build it is asked once, not
+#: once per erf launch.  Guarded by _lock; dropped with the kernel memo.
+_runtime_memo: Dict[Tuple[str, bool], Tuple[Optional[CompiledRuntime], Optional[str]]] = {}
 _lock = threading.Lock()
 #: Per-digest latches for compiles currently in flight; guarded by _lock.
 _inflight: Dict[str, threading.Event] = {}
@@ -93,17 +87,14 @@ def resolve_cache_dir(configured: Optional[str] = None) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-codegen")
 
 
-def artifact_digest(source: str, opt_level: int, mt_mode: str = "serial") -> str:
+def artifact_digest(source: str, opt_level: int) -> str:
     """Content digest identifying one compiled artifact.
 
-    Covers the generated source, the compiler flags (including the runtime
-    artifact's ``-pthread``/``-fopenmp``) and the host ABI (platform +
-    machine + pointer width), so a shared cache directory can never serve
-    an artifact compiled for a different target or under different
-    semantics-relevant flags.  Kernel artifacts always digest as
-    ``"serial"``: neither the threading mode nor the thread *count* (an
-    argument of ``repro_kernel_mt``) reaches their source or flags, so one
-    artifact serves every mode and every count.
+    Covers the generated source, the compiler flags and the host ABI
+    (platform + machine + pointer width), so a shared cache directory can
+    never serve an artifact compiled for a different target or under
+    different semantics-relevant flags.  The thread count reaches neither
+    source nor flags, so one artifact serves every count.
     """
     hasher = hashlib.blake2b(digest_size=20)
     abi = (
@@ -111,7 +102,7 @@ def artifact_digest(source: str, opt_level: int, mt_mode: str = "serial") -> str
         sys.platform,
         platform.machine(),
         64 if sys.maxsize > 2**32 else 32,
-        compile_flags(opt_level, mt_mode),
+        compile_flags(opt_level),
     )
     hasher.update(repr(abi).encode("utf-8"))
     hasher.update(source.encode("utf-8"))
@@ -198,7 +189,6 @@ def _compile_to_disk(
     digest: str,
     source: str,
     opt_level: int,
-    mt_mode: str = "serial",
     loader: Callable = CompiledKernel,
 ):
     os.makedirs(cache_dir, exist_ok=True)
@@ -209,7 +199,7 @@ def _compile_to_disk(
     try:
         with open(temp_c, "w", encoding="utf-8") as handle:
             handle.write(source)
-        compile_shared_library(temp_c, temp_so, opt_level, mt_mode=mt_mode)
+        compile_shared_library(temp_c, temp_so, opt_level)
         sha = _sha256_file(temp_so)
         # Publication order matters for racing readers: the library first,
         # its checksum last — a reader that sees a sidecar always sees a
@@ -233,12 +223,7 @@ def _compile_to_disk(
     return loader(so_path)
 
 
-def _compile_in_memory(
-    source: str,
-    opt_level: int,
-    mt_mode: str = "serial",
-    loader: Callable = CompiledKernel,
-):
+def _compile_in_memory(source: str, opt_level: int, loader: Callable = CompiledKernel):
     """Compile without touching the cache dir (``codegen_disk_cache_enabled=False``)."""
     workdir = tempfile.mkdtemp(prefix="repro-codegen-")
     try:
@@ -246,7 +231,7 @@ def _compile_in_memory(
         so_path = os.path.join(workdir, "kernel.so")
         with open(c_path, "w", encoding="utf-8") as handle:
             handle.write(source)
-        compile_shared_library(c_path, so_path, opt_level, mt_mode=mt_mode)
+        compile_shared_library(c_path, so_path, opt_level)
         return loader(so_path)
     finally:
         # The dynamic loader keeps the mapping alive after unlink (POSIX),
@@ -259,7 +244,6 @@ def get_compiled_kernel(
     opt_level: int = 2,
     cache_dir: Optional[str] = None,
     use_disk: bool = True,
-    mt_mode: str = "serial",
     loader: Callable = CompiledKernel,
     load_only: bool = False,
 ) -> Tuple[object, Optional[str]]:
@@ -270,7 +254,7 @@ def get_compiled_kernel(
     ``load_only`` stops before the compile and returns ``(None, None)``.
     ``loader`` turns a verified ``.so`` path into the loaded object
     (:class:`CompiledKernel`, or :class:`CompiledRuntime` for the runtime
-    artifact); ``mt_mode`` adds that artifact's threading flags.
+    artifact).
 
     Raises
     ------
@@ -279,7 +263,7 @@ def get_compiled_kernel(
     CodegenError
         When the compiler rejects the generated source.
     """
-    digest = artifact_digest(source, opt_level, mt_mode)
+    digest = artifact_digest(source, opt_level)
     directory = resolve_cache_dir(cache_dir)
     # Claim the builder role for this digest, or wait behind whoever holds
     # it.  A waiter that wakes re-checks the memo: served means outcome
@@ -310,11 +294,9 @@ def get_compiled_kernel(
             if find_c_compiler() is None:
                 raise compiler_unavailable()
             if use_disk:
-                kernel = _compile_to_disk(
-                    directory, digest, source, opt_level, mt_mode, loader
-                )
+                kernel = _compile_to_disk(directory, digest, source, opt_level, loader)
             else:
-                kernel = _compile_in_memory(source, opt_level, mt_mode, loader)
+                kernel = _compile_in_memory(source, opt_level, loader)
         with _lock:
             _memory_cache[digest] = kernel
         return kernel, outcome
@@ -325,49 +307,37 @@ def get_compiled_kernel(
 
 
 def resolve_runtime(
-    cache_dir: Optional[str] = None, use_disk: bool = True, load_only: bool = False
-) -> Tuple[Optional[CompiledRuntime], str, Optional[str]]:
-    """The process's kernel runtime: ``(runtime, mode, outcome)``.
+    cache_dir: Optional[str] = None, use_disk: bool = True
+) -> Tuple[Optional[CompiledRuntime], Optional[str]]:
+    """The process's kernel runtime: ``(runtime, outcome)``.
 
-    The first of ``pthread`` → ``openmp`` whose runtime artifact resolves
-    through :func:`get_compiled_kernel` (same digest, sidecar, atomic
-    publication, verify-on-read and compile-once latch as any kernel) wins;
-    ``outcome`` is that resolve's ``"compiled" | "disk" | "memory"``.  When
-    neither resolves — no compiler and nothing on disk, or a toolchain that
-    builds neither form — the result is ``(None, "serial", "serial")`` and
-    kernels run their chunked entry point on the caller.  ``load_only``
-    never compiles, and with nothing to load it memoises nothing: outcome ``None``.
+    It resolves through :func:`get_compiled_kernel` (same digest, sidecar,
+    atomic publication, verify-on-read and compile-once latch as any
+    kernel), and ``outcome`` is that resolve's ``"compiled" | "disk" |
+    "memory"``.  When it does not resolve — no compiler and nothing on
+    disk, or a toolchain that fails to build it — the result is
+    ``(None, None)``, remembered for the directory, and
+    :func:`runtime_failure` says why.
     """
     key = (resolve_cache_dir(cache_dir), bool(use_disk))
     with _lock:
         known = _runtime_memo.get(key)
     if known is not None:
-        return known[0], known[1], "memory" if known[0] is not None else "serial"
-    found: Tuple[Optional[CompiledRuntime], str, str] = (None, "serial", "serial")
-    failure = None
-    for mode in ("pthread", "openmp"):
-        try:
-            runtime, outcome = get_compiled_kernel(
-                emit_runtime_source(mode),
-                opt_level=RUNTIME_OPT_LEVEL,
-                cache_dir=cache_dir,
-                use_disk=use_disk,
-                mt_mode=mode,
-                loader=CompiledRuntime,
-                load_only=load_only,
-            )
-        except CodegenError as exc:
-            # The first line: a compiler's stderr follows it.
-            failure = failure or str(exc).partition("\n")[0]
-            continue
-        if runtime is not None:
-            found, failure = (runtime, mode, outcome), None
-            break
-    if load_only and found[0] is None:
-        return None, "serial", None
+        return known[0], "memory" if known[0] is not None else None
+    runtime = outcome = failure = None
+    try:
+        runtime, outcome = get_compiled_kernel(
+            emit_runtime_source(),
+            opt_level=RUNTIME_OPT_LEVEL,
+            cache_dir=cache_dir,
+            use_disk=use_disk,
+            loader=CompiledRuntime,
+        )
+    except CodegenError as exc:
+        failure = str(exc).partition("\n")[0]  # a compiler's stderr follows
     with _lock:
-        _runtime_memo[key] = found[:2] + (failure,)
-    return found
+        _runtime_memo[key] = (runtime, failure)
+    return runtime, outcome
 
 
 def runtime_failure(
@@ -379,4 +349,4 @@ def runtime_failure(
     key = (resolve_cache_dir(cache_dir), bool(use_disk))
     with _lock:
         known = _runtime_memo.get(key)
-    return known[2] if known is not None else None
+    return known[1] if known is not None else None

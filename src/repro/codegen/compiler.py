@@ -26,16 +26,8 @@ from typing import Optional, Tuple
 #: Exported symbol name of every generated kernel.
 KERNEL_SYMBOL = "repro_kernel"
 
-#: Exported chunked entry point: same geometry arguments plus a runtime
-#: thread count and the runtime artifact's launch function.  One call
-#: covers the whole step; the runtime partitions the outermost splittable
-#: loop and calls back into the artifact's chunk function per row range.
-MT_KERNEL_SYMBOL = "repro_kernel_mt"
-
-#: The kernel runtime artifact's launch function ...
-RT_LAUNCH_SYMBOL = "repro_rt_launch"
-
-#: ... and its vector ``erf``, the compiled half of ``BH_ERF``'s definition.
+#: The kernel runtime artifact's one export: its vector ``erf``, the
+#: compiled half of ``BH_ERF``'s definition.
 VEC_ERF_SYMBOL = "repro_vec_erf"
 
 
@@ -95,24 +87,12 @@ def compiler_unavailable() -> CompilerUnavailable:
     return CompilerUnavailable("no C compiler (cc/gcc/clang) found on PATH")
 
 
-#: Extra compiler/linker flags per threading mode.  Only the kernel runtime
-#: artifact is ever compiled under ``pthread`` (its persistent worker pool)
-#: or ``openmp`` (the fallback for toolchains without ``-pthread``); kernel
-#: artifacts contain no threading code and always compile as ``serial``.
-_MT_FLAGS = {
-    "pthread": ("-pthread",),
-    "openmp": ("-fopenmp",),
-    "serial": (),
-}
-
-MT_MODES = tuple(_MT_FLAGS)
-
 #: How long one compiler run may take before the flush stops waiting for it
 #: and falls back (a kernel compiles in well under a second).
 COMPILE_TIMEOUT_S = 120.0
 
 
-def compile_flags(opt_level: int, mt_mode: str = "serial") -> Tuple[str, ...]:
+def compile_flags(opt_level: int) -> Tuple[str, ...]:
     """The compiler flags for one artifact; part of the artifact digest."""
     level = min(3, max(0, int(opt_level)))
     return (
@@ -122,20 +102,7 @@ def compile_flags(opt_level: int, mt_mode: str = "serial") -> Tuple[str, ...]:
         "-fwrapv",
         "-fno-strict-aliasing",
         "-fno-builtin-erf",
-    ) + _MT_FLAGS[mt_mode]
-
-
-def select_mt_mode(cache_dir: Optional[str] = None, use_disk: bool = True) -> str:
-    """The in-kernel threading mode of this process's kernel runtime.
-
-    ``pthread`` when the pthread runtime artifact resolves, else ``openmp``
-    when the OpenMP one does, else ``serial``.  Resolving the runtime *is*
-    the toolchain probe: a process over a warm cache directory reads the
-    mode from a verified disk artifact and spawns no compiler.
-    """
-    from repro.codegen.cache import resolve_runtime  # cache imports this module
-
-    return resolve_runtime(cache_dir, use_disk)[1]
+    )
 
 
 def compile_shared_library(
@@ -143,7 +110,6 @@ def compile_shared_library(
     output_path: str,
     opt_level: int,
     compiler: Optional[str] = None,
-    mt_mode: str = "serial",
 ) -> None:
     """Compile one generated C file into a shared library.
 
@@ -160,7 +126,7 @@ def compile_shared_library(
         raise compiler_unavailable()
     command = [
         compiler,
-        *compile_flags(opt_level, mt_mode),
+        *compile_flags(opt_level),
         "-o",
         output_path,
         source_path,
@@ -187,12 +153,12 @@ def compile_shared_library(
 class CompiledKernel:
     """A loaded native kernel: the shared library plus its typed entry point.
 
-    ctypes releases the GIL around foreign calls, so tiles of one step
-    genuinely overlap when the parallel scaffolding launches compiled
-    kernels from worker threads.
+    ctypes releases the GIL around foreign calls, so the row blocks of one
+    step genuinely overlap when the tile pool launches them from worker
+    threads.
     """
 
-    __slots__ = ("path", "_library", "fn", "fn_mt")
+    __slots__ = ("path", "_library", "fn")
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -207,40 +173,25 @@ class CompiledKernel:
             ctypes.POINTER(ctypes.c_int64),
         )
         self.fn.restype = None
-        # Every generated artifact exports the chunked entry point; hand-fed
-        # sources (tests) may not, so its absence merely disables the
-        # one-call multi-thread launch path for this kernel.
-        self.fn_mt = getattr(self._library, MT_KERNEL_SYMBOL, None)
-        if self.fn_mt is not None:
-            self.fn_mt.argtypes = self.fn.argtypes + (
-                ctypes.c_int32,
-                ctypes.c_void_p,  # the runtime's launch function, or null
-            )
-            self.fn_mt.restype = None
 
 
 class CompiledRuntime:
-    """The loaded kernel runtime artifact: the process's one worker pool.
+    """The loaded kernel runtime artifact.
 
-    ``launch`` is the address of its ``repro_rt_launch``, passed as the
-    last argument of every ``repro_kernel_mt`` call.  The library handle is
-    kept so the address outlives every launch that looked it up.
     ``vec_erf(n, src, dst)`` is its ``repro_vec_erf``: the host libm's
     ``erf`` over ``n`` contiguous doubles at address ``src`` into ``dst``
     (the two may be equal) — what ``BH_ERF`` calls on every interpreted
     tier.  Like any foreign call it releases the GIL.
     """
 
-    __slots__ = ("path", "_library", "launch", "vec_erf")
+    __slots__ = ("path", "_library", "vec_erf")
 
     def __init__(self, path: str) -> None:
         self.path = path
         try:
             self._library = ctypes.CDLL(path)
-            entry = getattr(self._library, RT_LAUNCH_SYMBOL)
             self.vec_erf = getattr(self._library, VEC_ERF_SYMBOL)
         except (OSError, AttributeError) as exc:
             raise CodegenError(f"cannot load kernel runtime {path}: {exc}") from None
-        self.launch = ctypes.cast(entry, ctypes.c_void_p)
         self.vec_erf.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
         self.vec_erf.restype = None

@@ -1,19 +1,15 @@
 """C99 emission from the loop-nest IR.
 
 One :class:`~repro.codegen.loopir.LoopNest` becomes one C translation unit
-exporting two symbols::
+exporting one symbol::
 
     void repro_kernel(const int64_t *dims,   /* rank extents            */
                       char **ptrs,          /* slots..., float literals */
                       const int64_t *strides /* slot-major, in bytes    */)
 
-    void repro_kernel_mt(const int64_t *dims, char **ptrs,
-                         const int64_t *strides, int32_t nthreads,
-                         repro_launch_fn launch)
-
 Geometry is entirely runtime: the artifact is compiled once per canonical
 kernel *form* and launched with whatever extents, pointers and strides the
-current tile supplies.  ``ptrs[i]`` already includes the view's element
+current call supplies.  ``ptrs[i]`` already includes the view's element
 offset; ``strides[i * rank + d]`` is slot ``i``'s byte stride along loop
 dimension ``d``.  So are the numbers: a float32/float64 literal is a
 ``const`` local ``k<j>`` loaded once, above the loop nest, from the address
@@ -22,19 +18,13 @@ in ``ptrs[slots + j]`` (:func:`repro.codegen.loopir.float_literals` fixes
 digest, one compile.  Integer and bool literals — counts, indices, masks —
 stay text (:func:`repro.codegen.loopir.is_operand`).
 
-``repro_kernel_mt`` is the chunked entry point: it clamps ``nthreads`` to
-the row count and hands the artifact's chunk function to ``launch`` — the
-``repro_rt_launch`` of the process's one **kernel runtime artifact**
-(:func:`emit_runtime_source`), which block-partitions the outermost loop
-and runs the row ranges on its persistent pthread pool (``"pthread"``) or
-an OpenMP parallel-for (``"openmp"``).  A null ``launch`` runs the whole
-nest on the caller.  Kernel artifacts therefore contain no threading code,
-no ``<pthread.h>`` and no undefined symbol: they are the same source, the
-same flags and the same digest under every threading mode, and one
-compiled artifact serves every thread count.
+A kernel contains no threading code: a step split into row blocks is one
+``repro_kernel`` call per block, made by the middleware's tile pool
+(:mod:`repro.runtime.native`), so one artifact serves every thread count.
 No artifact folds: a reduction is NumPy's ``ufunc.reduce`` on every tier,
 and a kernel that ends in one compiles only its element-wise members (see
-:mod:`repro.runtime.native`).
+:mod:`repro.runtime.native`).  The one other artifact,
+:func:`emit_runtime_source`, holds the vector ``erf`` of ``BH_ERF``.
 
 Two emission decisions carry the performance win:
 
@@ -64,12 +54,7 @@ from typing import Dict, List
 from repro.bytecode import dtypes
 # The artifact symbol names live with the loader, which a process that
 # only loads artifacts imports without the emitter.
-from repro.codegen.compiler import (
-    KERNEL_SYMBOL,
-    MT_KERNEL_SYMBOL,
-    RT_LAUNCH_SYMBOL,
-    VEC_ERF_SYMBOL,
-)
+from repro.codegen.compiler import KERNEL_SYMBOL, VEC_ERF_SYMBOL
 from repro.codegen.loopir import (
     Cast,
     Literal,
@@ -79,9 +64,6 @@ from repro.codegen.loopir import (
     float_literals,
     is_operand,
 )
-
-#: Hard cap on in-kernel chunks; bounds the runtime's pool.
-MT_MAX_PARTS = 64
 
 _CTYPE = {
     "BH_BOOL": "unsigned char",
@@ -139,29 +121,9 @@ _LIBM["erf"] = "double erf(double);"
 #: ``<math.h>`` was 2-9 ms of a ~55 ms kernel compile, for the same machine
 #: code.  gcc and clang predefine the exact-width types; others include.
 _DECLARE_IF = """\
-#if defined(__INT64_TYPE__) && defined(__INT32_TYPE__) && defined(__INTPTR_TYPE__)
+#if defined(__INT64_TYPE__) && defined(__INT32_TYPE__)
 typedef __INT64_TYPE__ int64_t;
-typedef __INT32_TYPE__ int32_t;
-typedef __INTPTR_TYPE__ intptr_t;"""
-
-_CHUNK_ARGS = "const int64_t *dims, char **ptrs, const int64_t *strides, int64_t row_start, int64_t row_stop"
-
-#: The launch ABI shared by kernel artifacts and the runtime artifact: the
-#: runtime calls ``run`` once per row range.
-_ABI_TYPES = f"""\
-typedef void (*repro_chunk_fn)({_CHUNK_ARGS});
-typedef int (*repro_launch_fn)(repro_chunk_fn run, const int64_t *dims, char **ptrs, const int64_t *strides, int64_t rows, int parts);"""
-
-_MT_DEFINE = f"#define REPRO_MT_MAX_PARTS {MT_MAX_PARTS}"
-
-#: The loop nest is optimised once: inlined, -O3 vectorised it again in
-#: every entry point that calls it, which was most of a kernel's compile.
-_NOINLINE_DEFINE = """\
-#if defined(__GNUC__)
-#define REPRO_NOINLINE __attribute__((noinline))
-#else
-#define REPRO_NOINLINE
-#endif"""
+typedef __INT32_TYPE__ int32_t;"""
 
 
 def _assemble(banner: str, code: List[str]) -> str:
@@ -173,7 +135,7 @@ def _assemble(banner: str, code: List[str]) -> str:
     lines = [banner, _DECLARE_IF, *protos, "#else", "#include <stdint.h>"]
     if protos:
         lines.append("#include <math.h>")
-    lines += ["#endif", ""] + helpers + [_MT_DEFINE, _NOINLINE_DEFINE, _ABI_TYPES, "", text]
+    lines += ["#endif", ""] + helpers + ["", text]
     return "\n".join(lines) + "\n"
 
 
@@ -353,11 +315,7 @@ class _BodyEmitter:
         return f"(*({ctype} *)({base} + {index} * s{slot}_{rank - 1}))"
 
     def _loop_header(self, depth: int) -> str:
-        # Depth 0 runs over the caller-supplied row range so the same body
-        # serves both the serial entry (0..dims[0]) and one mt chunk.
-        low = "row_start" if depth == 0 else "0"
-        high = "row_stop" if depth == 0 else f"n{depth}"
-        return f"for (int64_t i{depth} = {low}; i{depth} < {high}; ++i{depth}) {{"
+        return f"for (int64_t i{depth} = 0; i{depth} < n{depth}; ++i{depth}) {{"
 
     def emit(self) -> List[str]:
         rank = self.nest.rank
@@ -398,143 +356,6 @@ class _BodyEmitter:
 # The kernel runtime artifact
 # ---------------------------------------------------------------------------
 
-#: Persistent worker pool of the pthread-mode runtime.  The pool's threads
-#: are detached and live for the process: launches after the first pay no
-#: thread start-up, and because every kernel artifact launches through this
-#: one pool a process holds at most ``nthreads - 1`` of them however many
-#: kernel forms it has compiled.  ``repro_rt_launch_mu`` serializes whole
-#: launches process-wide, so concurrent callers queue up rather than
-#: interleave task generations; the inner mutex + generation counter is the
-#: arm/ack handshake with the workers.
-_RT_PTHREAD = """\
-#include <pthread.h>
-
-typedef struct {
-    repro_chunk_fn run;
-    const int64_t *dims;
-    char **ptrs;
-    const int64_t *strides;
-    int64_t start;
-    int64_t stop;
-} repro_rt_task;
-
-static pthread_mutex_t repro_rt_launch_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_mutex_t repro_rt_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t repro_rt_wake = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t repro_rt_done = PTHREAD_COND_INITIALIZER;
-static repro_rt_task repro_rt_tasks[REPRO_MT_MAX_PARTS];
-static unsigned long repro_rt_generation = 0;
-static int repro_rt_workers = 0;
-static int repro_rt_armed = 0;
-static int repro_rt_pending = 0;
-
-static void *repro_rt_worker(void *arg)
-{
-    const int slot = (int)(intptr_t)arg;
-    unsigned long seen = 0;
-    for (;;) {
-        repro_rt_task task;
-        int armed;
-        pthread_mutex_lock(&repro_rt_mu);
-        while (repro_rt_generation == seen)
-            pthread_cond_wait(&repro_rt_wake, &repro_rt_mu);
-        seen = repro_rt_generation;
-        armed = slot < repro_rt_armed;
-        if (armed)
-            task = repro_rt_tasks[slot];
-        pthread_mutex_unlock(&repro_rt_mu);
-        if (!armed)
-            continue;
-        task.run(task.dims, task.ptrs, task.strides, task.start, task.stop);
-        pthread_mutex_lock(&repro_rt_mu);
-        if (--repro_rt_pending == 0)
-            pthread_cond_signal(&repro_rt_done);
-        pthread_mutex_unlock(&repro_rt_mu);
-    }
-    return 0;
-}
-
-/* Block-partition rows [0, rows) into `parts` chunks -- the first
- * rows % parts chunks get one extra row, matching the middleware's
- * partition_length -- then run chunk 0 on the calling thread and the rest
- * on pool workers.  Returns
- * the number of chunks actually run: thread creation can fall short on a
- * constrained host, in which case the split shrinks to what exists. */
-int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
-                    const int64_t *strides, int64_t rows, int parts)
-{
-    repro_rt_task own;
-    int64_t chunk, extra, cursor;
-    int index;
-    if (parts > REPRO_MT_MAX_PARTS)
-        parts = REPRO_MT_MAX_PARTS;
-    pthread_mutex_lock(&repro_rt_launch_mu);
-    pthread_mutex_lock(&repro_rt_mu);
-    while (repro_rt_workers < parts - 1) {
-        pthread_t tid;
-        pthread_attr_t attr;
-        if (pthread_attr_init(&attr) != 0)
-            break;
-        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
-        if (pthread_create(&tid, &attr, repro_rt_worker,
-                           (void *)(intptr_t)repro_rt_workers) != 0) {
-            pthread_attr_destroy(&attr);
-            break;
-        }
-        pthread_attr_destroy(&attr);
-        repro_rt_workers++;
-    }
-    if (parts - 1 > repro_rt_workers)
-        parts = repro_rt_workers + 1;
-    chunk = rows / parts;
-    extra = rows % parts;
-    cursor = 0;
-    for (index = 0; index < parts; ++index) {
-        const int64_t count = chunk + (index < extra ? 1 : 0);
-        repro_rt_task *task = index == 0 ? &own : &repro_rt_tasks[index - 1];
-        task->run = run;
-        task->dims = dims;
-        task->ptrs = ptrs;
-        task->strides = strides;
-        task->start = cursor;
-        task->stop = cursor + count;
-        cursor += count;
-    }
-    repro_rt_armed = parts - 1;
-    repro_rt_pending = parts - 1;
-    repro_rt_generation++;
-    pthread_cond_broadcast(&repro_rt_wake);
-    pthread_mutex_unlock(&repro_rt_mu);
-    run(dims, ptrs, strides, own.start, own.stop);
-    pthread_mutex_lock(&repro_rt_mu);
-    while (repro_rt_pending != 0)
-        pthread_cond_wait(&repro_rt_done, &repro_rt_mu);
-    pthread_mutex_unlock(&repro_rt_mu);
-    pthread_mutex_unlock(&repro_rt_launch_mu);
-    return parts;
-}
-"""
-
-#: The OpenMP-mode runtime: the same partition, one parallel-for.
-_RT_OPENMP = """\
-int repro_rt_launch(repro_chunk_fn run, const int64_t *dims, char **ptrs,
-                    const int64_t *strides, int64_t rows, int parts)
-{
-    const int64_t chunk = rows / parts;
-    const int64_t extra = rows % parts;
-    int index;
-#pragma omp parallel for schedule(static) num_threads(parts)
-    for (index = 0; index < parts; ++index) {
-        const int64_t start = (int64_t)index * chunk + (index < extra ? index : extra);
-        const int64_t stop = start + chunk + (index < extra ? 1 : 0);
-        run(dims, ptrs, strides, start, stop);
-    }
-    return parts;
-}
-"""
-
-_RT_BODY = {"pthread": _RT_PTHREAD, "openmp": _RT_OPENMP}
-
 #: What ``BH_ERF`` means on every tier that does not lower it into a kernel:
 #: the host libm's ``erf`` over contiguous doubles.  The interpreter, the
 #: kernel templates and the dist workers call this one loop; compiled
@@ -550,55 +371,14 @@ void {VEC_ERF_SYMBOL}(int64_t n, const double *src, double *dst)
 """
 
 
-def emit_runtime_source(mt_mode: str) -> str:
-    """The kernel runtime artifact for one threading mode.
+def emit_runtime_source() -> str:
+    """The kernel runtime artifact: ``BH_ERF``'s vector ``erf``.
 
-    Compiled once per cache directory and loaded once per process; every
-    kernel artifact receives its ``repro_rt_launch`` as the ``launch``
-    argument of ``repro_kernel_mt``, and ``BH_ERF`` outside compiled
-    kernels runs its ``repro_vec_erf``.  There is no ``"serial"`` runtime: a
-    host whose toolchain builds neither form launches with a null pointer
-    and computes ``BH_ERF`` with ``math.erf``.
+    Compiled once per cache directory and loaded once per process;
+    ``BH_ERF`` outside compiled kernels runs its ``repro_vec_erf``.  A host
+    that builds no runtime computes ``BH_ERF`` with ``math.erf``.
     """
-    return _assemble(
-        f"/* Generated by repro.codegen; the {mt_mode} kernel runtime. */",
-        [_RT_BODY[mt_mode], _RT_VEC_ERF],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Kernel entry points
-# ---------------------------------------------------------------------------
-
-_BODY_HEAD = f"static REPRO_NOINLINE void repro_kernel_body({_CHUNK_ARGS})"
-
-_MT_ENTRY_HEAD = (
-    f"void {MT_KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, "
-    "const int64_t *strides, int32_t nthreads, repro_launch_fn launch)"
-)
-
-
-#: Both entry points of a kernel: the serial one runs ``repro_kernel_body``
-#: over every row of ``dims[0]``, the chunked one hands the body to
-#: ``launch`` per row range.
-_ENTRIES = [
-    f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
-    "{",
-    "    repro_kernel_body(dims, ptrs, strides, 0, dims[0]);",
-    "}",
-    "",
-    _MT_ENTRY_HEAD,
-    "{",
-    "    const int64_t rows = dims[0];",
-    "    int parts = (int)nthreads;",
-    "    if (parts > REPRO_MT_MAX_PARTS) parts = REPRO_MT_MAX_PARTS;",
-    "    if ((int64_t)parts > rows) parts = (int)rows;",
-    "    if (parts <= 1 || launch == 0)",
-    "        repro_kernel_body(dims, ptrs, strides, 0, rows);",
-    "    else",
-    "        launch(repro_kernel_body, dims, ptrs, strides, rows, parts);",
-    "}",
-]
+    return _assemble("/* Generated by repro.codegen; the kernel runtime. */", [_RT_VEC_ERF])
 
 
 def emit_kernel_source(nest: LoopNest) -> str:
@@ -606,10 +386,11 @@ def emit_kernel_source(nest: LoopNest) -> str:
     rank = nest.rank
     num_slots = nest.num_slots
     itemsizes = [dtypes.from_name(name).itemsize for name in nest.slot_dtypes]
-    lines = [_BODY_HEAD, "{"]
-    if rank == 1:
-        lines.append("    (void)dims;")
-    for depth in range(1, rank):
+    lines = [
+        f"void {KERNEL_SYMBOL}(const int64_t *dims, char **ptrs, const int64_t *strides)",
+        "{",
+    ]
+    for depth in range(rank):
         lines.append(f"    const int64_t n{depth} = dims[{depth}];")
     for slot in range(num_slots):
         if slot in nest.elided_slots:
@@ -630,8 +411,7 @@ def emit_kernel_source(nest: LoopNest) -> str:
     lines.append("    } else {")
     lines.extend("    " + text for text in _BodyEmitter(nest, contiguous=False).emit())
     lines.append("    }")
-    lines += ["}", ""]
-    lines += _ENTRIES
+    lines.append("}")
     return _assemble(
         "/* Generated by repro.codegen; one artifact per canonical kernel form. */",
         lines,

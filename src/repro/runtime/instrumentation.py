@@ -69,9 +69,8 @@ class ExecutionStats:
     #: (unsupported op-codes/dtypes, aliasing hazards, no compiler or a
     #: compile failure).
     native_fallbacks: int = _stat()
-    #: Map steps that ran as ONE
-    #: ``repro_kernel_mt`` call, with the thread split performed inside
-    #: the compiled artifact instead of by per-tile Python launches.
+    #: Compiled map steps launched in two or more parts: one serial kernel
+    #: call per row block, the blocks on the tile pool.
     native_mt_launches: int = _stat()
     #: Always 0: no tier compiles a fold, so no reduction falls back from
     #: one.  Declared for readers of the field (``bench/layers.py``).

@@ -43,13 +43,12 @@ first execution of that plan to report.
 A compiled step threads only when threads are asked for (``codegen_threads``,
 default one) and each gets a tile: it runs in :func:`launch_parts` parts,
 ``min(threads, elements // parallel_tile_elements)``; one part is one
-serial ``repro_kernel`` call.
-Two or more go through the process's one **kernel runtime artifact**
-(:func:`repro.codegen.cache.resolve_runtime`), which a threaded launch looks
-up and never builds: a plan with such a step builds it beside its kernels,
-and a plan without one never builds it or waits for it.  How the runtime was
-obtained is ``NativeBackend.native_runtime``; it is not a kernel and never
-counts as a compile or a disk hit.
+serial ``repro_kernel`` call.  Two or more are the same kernel called once
+per contiguous block of the step's rows, the blocks scattered on the
+backend's tile pool: the middleware splits the work, and one artifact
+serves every thread count.  No kernel needs the kernel runtime artifact
+(the vector ``erf`` of interpreted ``BH_ERF``), so this backend never
+resolves it.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from repro.codegen.cache import (
     get_compiled_kernel,
     memory_cache_size,
     resolve_cache_dir,
-    resolve_runtime,
 )
 from repro.codegen.compiler import CodegenError
 from repro.codegen.emit_c import emit_kernel_source
@@ -85,7 +83,14 @@ from repro.runtime.instrumentation import NUMERIC_STATS, ExecutionStats
 from repro.runtime.kernel import KERNEL_CACHE_CAPACITY, prepare_kernel_launch, split_tail
 from repro.runtime.memory import MemoryManager
 from repro.runtime.parallel import ParallelBackend
-from repro.runtime.tiling import TiledMapStep, TiledReduceStep, span_producer
+from repro.runtime.tiling import (
+    TiledMapStep,
+    TiledReduceStep,
+    TileSpan,
+    partition_length,
+    slice_view,
+    span_producer,
+)
 from repro.utils.config import Config
 from repro.utils.errors import ExecutionError
 from repro.utils.lru import BoundedLRU
@@ -111,12 +116,11 @@ class NativeKernelLaunch:
     — ``(memory, views)`` with tile-sliced slot views — so the parallel
     scaffolding treats both interchangeably.  Geometry is marshalled per
     call (extents, byte strides, offset-folded base pointers); the foreign
-    call releases the GIL, so tiles overlap on worker threads.
+    call releases the GIL, so row blocks overlap on worker threads.
     """
 
     __slots__ = (
         "_fn",
-        "_fn_mt",
         "_rank",
         "_itemsizes",
         "_dims_type",
@@ -129,7 +133,6 @@ class NativeKernelLaunch:
 
     def __init__(self, compiled, nest: LoopNest, slots: Sequence[View]) -> None:
         self._fn = compiled.fn
-        self._fn_mt = compiled.fn_mt
         self._rank = nest.rank
         self._itemsizes = tuple(view.dtype.itemsize for view in slots)
         #: Slots the compiled kernel keeps in registers: no storage is
@@ -184,14 +187,6 @@ class NativeKernelLaunch:
         }
         self._fn(*self._marshal(memory, views, scratch))
         return scratch[result]
-
-    def launch_mt(
-        self, memory: MemoryManager, views: Sequence[View], parts: int, runtime
-    ) -> None:
-        """Run the whole step as ONE foreign call; ``runtime`` splits the
-        outermost loop into ``parts`` across the process's worker pool."""
-        dims, pointers, strides = self._marshal(memory, views)
-        self._fn_mt(dims, pointers, strides, ctypes.c_int32(parts), runtime.launch)
 
 
 class NumPyAssign:
@@ -312,10 +307,6 @@ class NativeBackend(ParallelBackend):
         # Structural kernel key (+ codegen signature) → NativeKernelLaunch,
         # or, for a form with no compiled launch, the message saying why.
         self._native_cache = BoundedLRU(KERNEL_CACHE_CAPACITY)
-        #: How this backend first obtained the kernel runtime artifact:
-        #: "compiled" | "disk" | "memory", "serial" when the toolchain
-        #: builds none, ``None`` until a kernel form needed it.
-        self.native_runtime: Optional[str] = None
 
     def _count(
         self, stats: ExecutionStats, fallback_reason: Optional[str] = None, **increments: int
@@ -347,16 +338,15 @@ class NativeBackend(ParallelBackend):
     # ------------------------------------------------------------------ #
 
     def _codegen_signature(self, config) -> tuple:
-        # Everything a launchable's artifacts depend on.  Neither the
-        # threading mode nor the thread count is here: kernels are
-        # mode-agnostic and a threaded launch looks the runtime up.
+        # Everything a launchable's artifacts depend on.  The thread count
+        # is not here: a threaded launch calls the same kernel per row block.
         return (
             resolve_cache_dir(config.codegen_cache_dir),
             config.codegen_disk_cache_enabled,
         )
 
     def _resolve_config(self, config: Config) -> Config:
-        """Also resolve the thread count handed to ``repro_kernel_mt`` launches.
+        """Also resolve the thread count a compiled step is split over.
 
         ``codegen_threads`` > ``REPRO_CODEGEN_THREADS`` env var > 1 (see
         :func:`launch_parts`).  Purely runtime: changing it never touches
@@ -381,91 +371,48 @@ class NativeBackend(ParallelBackend):
                 threads = 1
         return config.replace(codegen_threads=max(1, int(threads)))
 
-    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats, threaded: bool):
+    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
         """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
 
         ``lower()`` returns the form's C source and a ``bind(compiled)``
         constructor, or raises :class:`LoweringError`; with no source, the
         second item is the launch itself (a :class:`NumPyAssign`) or why
-        there is none, and no compiler or runtime is asked for.  A form
-        with no native lowering (or whose compilation failed) is cached as
-        the *message* saying why; the caller uses the interpreted path and
-        counts the reason.
+        there is none, and no compiler is asked for.  A form with no native
+        lowering (or whose compilation failed) is cached as the *message*
+        saying why; the caller uses the interpreted path and counts the
+        reason.
 
         Only a :data:`FIRST_LAUNCH` entry (a miss) compiles; any other miss
         binds an artifact already loaded or on disk, and with none caches
-        and returns the marker.  A ``threaded`` form binds only once the
-        runtime its launches look up is there: built with its kernel, or
-        loaded beside it — a load-only bind never compiles it.
+        and returns the marker.
         """
         cached = self._native_cache.get(cache_key, marker=FIRST_LAUNCH)
         if cached is not None and cached is not FIRST_LAUNCH:
             return _verdict(cached)
-        load_only = cached is None
         # Lowering and compilation run outside any lock; concurrent misses
         # of one form may both walk here, but the process-wide digest memo
         # latches the actual compile to exactly one of them.
-        outcome = runtime_outcome = compiled = None
-        where = (config.codegen_cache_dir, config.codegen_disk_cache_enabled)
+        outcome = None
         try:
             source, launch = lower()
             if source is not None:
-                # A load-only bind looks the runtime up first: it must not
-                # count a kernel it cannot bind (while another thread
-                # builds the runtime, say).  A compiling one builds it after.
-                if threaded and load_only:
-                    runtime_outcome = resolve_runtime(*where, load_only=True)[2]
-                if runtime_outcome or not (threaded and load_only):
-                    compiled, outcome = get_compiled_kernel(
-                        source,
-                        opt_level=KERNEL_OPT_LEVEL,
-                        cache_dir=config.codegen_cache_dir,
-                        use_disk=config.codegen_disk_cache_enabled,
-                        load_only=load_only,
-                    )
-                if threaded and not load_only:
-                    runtime_outcome = resolve_runtime(*where)[2]
-                bound = compiled is not None and (runtime_outcome or not threaded)
-                launch = launch(compiled) if bound else FIRST_LAUNCH
+                compiled, outcome = get_compiled_kernel(
+                    source,
+                    opt_level=KERNEL_OPT_LEVEL,
+                    cache_dir=config.codegen_cache_dir,
+                    use_disk=config.codegen_disk_cache_enabled,
+                    load_only=cached is None,
+                )
+                launch = launch(compiled) if compiled is not None else FIRST_LAUNCH
         except (LoweringError, CodegenError) as exc:
             # No lowering, no compiler, or a toolchain failure: degrade to
             # the interpreted template — and remember why, so the next launch
             # of this form pays one dict lookup instead of re-diagnosing.
             # (The first line: a compiler's stderr follows it.)
             launch = str(exc).partition("\n")[0]
-        with self._cache_lock:
-            self._note_runtime(runtime_outcome)
         if outcome is not None:
             self._count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
         return _verdict(self._native_cache.setdefault(cache_key, launch, marker=FIRST_LAUNCH))
-
-    def _note_runtime(self, outcome: Optional[str]) -> None:
-        """Keep how this backend obtained the runtime (cache lock held).
-
-        A resolve that found it already loaded never overwrites the one
-        that loaded it: two of a plan's jobs may race for it.
-        """
-        if outcome is not None and self.native_runtime in (None, "memory"):
-            self.native_runtime = outcome
-
-    def _resolve_runtime(self, config) -> None:
-        """``prepare_plan``'s extra job: the runtime the plan's threaded
-        steps will launch through, built beside their kernels."""
-        outcome = resolve_runtime(
-            config.codegen_cache_dir, config.codegen_disk_cache_enabled
-        )[2]
-        with self._cache_lock:
-            self._note_runtime(outcome)
-
-    @staticmethod
-    def _launch_runtime(parts: int, config):
-        """The runtime a compiled launch of ``parts`` goes through: looked up
-        (loaded at most, never built), and none for a single part."""
-        if parts < 2:
-            return None
-        return resolve_runtime(
-            config.codegen_cache_dir, config.codegen_disk_cache_enabled, load_only=True
-        )[0]
 
     def _native_launch(
         self,
@@ -475,23 +422,17 @@ class NativeBackend(ParallelBackend):
         local_slots: frozenset,
         stats: ExecutionStats,
         config: Config,
-        threaded: bool,
-        lowered: Optional[tuple] = None,
     ):
         """Resolve a kernel form to ``(launchable, None)`` — compiled, or a
         :class:`NumPyAssign` — or ``(None, why not)``.
 
         ``local_slots`` (plan-time liveness, part of the cache key) names
         slots whose stores the kernel elides entirely; ``stats`` receives
-        the compile/cache outcome of a launch-cache miss; ``threaded`` says
-        whether a launch of the form will thread; ``lowered`` is the form's
-        :func:`_lower_map`, when the caller already has it.
+        the compile/cache outcome of a launch-cache miss.
         """
-        lower = (lambda: lowered) if lowered else partial(
-            _lower_map, instructions, local_slots, slots
-        )
+        lower = partial(_lower_map, instructions, local_slots, slots)
         cache_key = (key, local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats, threaded)
+        return self._cached_launch(cache_key, config, lower, stats)
 
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
@@ -500,9 +441,8 @@ class NativeBackend(ParallelBackend):
     def _map_launcher(self, instructions, step, stats, config):
         prepared = prepare_kernel_launch(instructions)
         key, slots, _ = prepared
-        threaded = launch_parts(slots, config) > 1
         launch, reason = self._native_launch(
-            key, slots, instructions, step.local_slots, stats, config, threaded
+            key, slots, instructions, step.local_slots, stats, config
         )
         if launch is None:
             self._count(stats, fallback_reason=reason, native_fallbacks=1)
@@ -516,34 +456,37 @@ class NativeBackend(ParallelBackend):
         return slots, launch
 
     def _launch_map(self, launcher, slots, step, memory, stats, config) -> None:
-        """Run a compiled map step as ONE foreign call, threaded or not.
+        """Run a compiled map step as one serial call, or one call per row block.
 
-        A step of two or more parts (:func:`launch_parts`) is one
-        ``repro_kernel_mt`` call: the runtime block-partitions the outermost
-        loop over the process's persistent worker pool, a single ctypes
-        round (which releases the GIL) whatever the thread count.  A step
-        of one part is one serial ``repro_kernel`` call, and so is any step
-        when no worker thread would take a tile.  Hazard analysis already
-        happened at plan time: only splittable nests become
-        :class:`TiledMapStep`s.  Interpreted templates, and threaded steps
-        with no runtime to launch through, keep the inherited per-tile
-        machinery.  A :class:`NumPyAssign` is one NumPy call per step.
+        A step of one part (:func:`launch_parts`) is one serial
+        ``repro_kernel`` call.  A step of two or more calls the same kernel
+        once per contiguous block of its rows — :func:`partition_length`, so
+        a step with fewer rows than parts runs one block per row — and the
+        blocks run on the tile pool of ``codegen_threads`` workers.  Hazard
+        analysis already happened at plan time: only splittable nests become
+        :class:`TiledMapStep`s.  A :class:`NumPyAssign` is one NumPy call
+        per step; interpreted templates keep the inherited per-tile
+        machinery.
         """
-        whole = isinstance(launcher, NumPyAssign)
-        if isinstance(launcher, NativeKernelLaunch):
-            parts = launch_parts(slots, config)
-            runtime = self._launch_runtime(parts, config)
-            if runtime is not None:
-                stats.tiles_executed += 1
-                launcher.launch_mt(memory, slots, parts, runtime)
+        compiled = isinstance(launcher, NativeKernelLaunch)
+        parts = launch_parts(slots, config) if compiled else 1
+        if parts > 1:
+            spans = [TileSpan(*block) for block in partition_length(slots[0].shape[0], parts)]
+            stats.tiles_executed += len(spans)
+            if len(spans) > 1:
                 self._count(stats, native_mt_launches=1)
-                return
-            whole = parts == 1 or config.parallel_num_threads == 1
-        if whole:
+            self._scatter(
+                [
+                    partial(launcher, memory, tuple(slice_view(view, span) for view in slots))
+                    for span in spans
+                ],
+                config.codegen_threads,
+            )
+        elif compiled or isinstance(launcher, NumPyAssign):
             stats.tiles_executed += 1
             launcher(memory, slots)
-            return
-        super()._launch_map(launcher, slots, step, memory, stats, config)
+        else:
+            super()._launch_map(launcher, slots, step, memory, stats, config)
 
     def _span_producer(self, members, source, step, stats, config):
         """The members of a kernel that ends in a reduction, as an ordinary
@@ -554,7 +497,7 @@ class NativeBackend(ParallelBackend):
         """
         prepared, local = _producer_form(members, source, step)
         key, slots, _ = prepared
-        launch, reason = self._native_launch(key, slots, members, local, stats, config, False)
+        launch, reason = self._native_launch(key, slots, members, local, stats, config)
         if isinstance(launch, NativeKernelLaunch):
             self._count(
                 stats, native_kernel_launches=1, native_slots_elided=len(step.local_slots)
@@ -571,10 +514,7 @@ class NativeBackend(ParallelBackend):
         members' map form (:func:`_producer_form`).
 
         A warm plan replay launches straight into cached artifacts; a form
-        of one step never launched is left to :meth:`_cached_launch`.  The
-        kernel runtime is resolved only for a plan with a compiled step of
-        two or more parts (:func:`launch_parts`): a plan of serial calls,
-        fills and copies never builds it or waits for it.
+        of one step never launched is left to :meth:`_cached_launch`.
 
         No flush exists yet, so the resolution outcomes — counted
         cumulatively as they happen — are parked on the plan for its first
@@ -587,8 +527,7 @@ class NativeBackend(ParallelBackend):
             if plan.native_prepare_stats is None:
                 plan.native_prepare_stats = ExecutionStats()
             parked = plan.native_prepare_stats
-            resolvers: Dict[tuple, tuple] = {}  # form -> (resolve, map lowering)
-            threaded = set()  # forms with a step of two or more parts
+            resolvers: Dict[tuple, Callable] = {}
             for step in plan.tiling.steps:
                 instruction = plan.optimized[step.index]
                 instructions = (
@@ -602,50 +541,26 @@ class NativeBackend(ParallelBackend):
                 elif isinstance(step, TiledMapStep):
                     key, slots, _ = prepare_kernel_launch(instructions)
                     local = step.local_slots
-                    if launch_parts(slots, config) > 1:
-                        threaded.add((key, local))
                 else:
                     continue
                 form = (key, local)
-                resolve = partial(
-                    self._native_launch, key, slots, instructions, local, parked, config
-                )
-                lower = partial(_lower_map, instructions, local, slots)
                 if form in resolvers:  # it recurs, so it is known to run twice
                     self._native_cache.setdefault(form + (codegen,), FIRST_LAUNCH)
-                resolvers.setdefault(form, (resolve, lower))
-            jobs = []
-            runtime = False  # whether a kernel of the plan launches threaded
-            binds = 0  # forms whose job compiles or loads a kernel
-            for form, (resolve, lower) in resolvers.items():
-                cached = self._native_cache.peek(form + (codegen,))
-                if cached is None:
-                    continue  # one step, never launched: left to its launch
-                bound = not isinstance(cached, (str, NumPyAssign))
-                compiled = cached is FIRST_LAUNCH
-                if compiled:
-                    # Lowered here, not on the pool (it holds the GIL
-                    # anyway), so that fills and copies ask for no runtime.
-                    lowered = lower()
-                    compiled = lowered[0] is not None
-                    resolve = partial(resolve, lowered=lowered)
-                binds += compiled
-                runtime = runtime or ((compiled or bound) and form in threaded)
-                jobs.append(partial(resolve, threaded=form in threaded))
+                resolvers.setdefault(
+                    form,
+                    partial(self._native_launch, key, slots, instructions, local, parked, config),
+                )
             # Distinct forms resolve concurrently on the tile pool: a compile
             # is a subprocess wait and an artifact load is hashing + dlopen,
             # both of which release the GIL.  The pool threads take only the
             # backend cache lock and the codegen latch, never the plan lock
-            # this thread holds.  The runtime a threaded step launches
-            # through is one more job, beside the kernels and not after
-            # them, until this backend has it; a lone form resolves it
-            # itself, and with none to bind (kernels bound at another
-            # thread count) this thread does, without a pool round-trip.
-            if runtime and self.native_runtime is None:
-                if not binds:
-                    self._resolve_runtime(config)
-                elif len(jobs) > 1:
-                    jobs.insert(0, partial(self._resolve_runtime, config))
+            # this thread holds.  A form of one step never launched is left
+            # to its launch.
+            jobs = [
+                resolve
+                for form, resolve in resolvers.items()
+                if self._native_cache.peek(form + (codegen,)) is not None
+            ]
             self._scatter(jobs, config.parallel_num_threads)
 
     def execute_plan(self, plan, program, memory=None):

@@ -322,7 +322,7 @@ class ParallelBackend(Backend):
         """Run one resolved map step over its tile spans (the launch seam).
 
         All bases are already allocated.  The native backend overrides this
-        to run a compiled kernel's whole step as one call.
+        to call a compiled kernel once per step, or once per row block.
         """
         spans = step.spans
         stats.tiles_executed += len(spans)

@@ -353,7 +353,7 @@ def _serve_stress(program, args, out) -> int:
     )
     if "native_mt_launches" in cache:
         print(
-            f"  native: {cache['native_mt_launches']} in-kernel mt "
+            f"  native: {cache['native_mt_launches']} threaded "
             f"launch(es), {cache['native_slots_elided']} slot(s) elided",
             file=out,
         )
@@ -469,10 +469,8 @@ def _run_stats_json(program, pipeline, report, args, out) -> int:
         }
         codegen = _codegen_block(cache_stats)
         if codegen is not None:
-            # How the shared kernel runtime was obtained ("serial": none,
-            # threaded launches ran per tile) and why steps fell back —
-            # not counters, so they are not part of ``cache_stats()``.
-            codegen["runtime"] = getattr(engine.backend, "native_runtime", None)
+            # Why steps fell back — not counters, so they are not part of
+            # ``cache_stats()``.
             codegen["fallback_reasons"] = engine.backend.fallback_reasons()
             execution["codegen"] = codegen
         distributed = _distributed_block(cache_stats)
@@ -577,8 +575,8 @@ def _execute_with_engine(program, pipeline, report, args, out) -> None:
         )
     if "native_mt_launches" in cache:
         print(
-            f"  native threading: {cache['native_mt_launches']} in-kernel "
-            f"mt launch(es), {cache['native_slots_elided']} slot(s) elided",
+            f"  native threading: {cache['native_mt_launches']} threaded "
+            f"launch(es), {cache['native_slots_elided']} slot(s) elided",
             file=out,
         )
     if "dist_workers_spawned" in cache:

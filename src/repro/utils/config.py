@@ -114,15 +114,15 @@ class Config:
         compile into a process-private temporary directory and only the
         in-process cache amortizes them.  Default ``True``.
     codegen_threads:
-        Most threads a compiled kernel's ``repro_kernel_mt`` entry point
-        is given (chunking across the process's one persistent worker pool,
-        the kernel runtime artifact's; see ``parallel_tile_elements``).
-        ``None`` (the default) is resolved
+        Most parts a compiled map step is split into: one call of the
+        step's kernel per contiguous row block, on the tile pool of this
+        many threads (a part gets at least ``parallel_tile_elements``
+        elements).  ``None`` (the default) is resolved
         in a ``native`` flush's snapshot to the ``REPRO_CODEGEN_THREADS``
         environment variable (a positive integer; anything else fails the
         flush before its first step) and then to 1: threads are asked for,
-        not inferred from the CPU count.  A *runtime* argument of the
-        artifact — changing it never recompiles cached kernels.
+        not inferred from the CPU count.  Changing it never recompiles
+        cached kernels: every part calls the same artifact.
     dist_num_workers:
         Shard count of the distributed (``"dist"``) backend: the master,
         which runs shard 0 of every distributed step, plus

@@ -50,10 +50,11 @@ class TestRealTree:
         }
         assert ("self", "_native_launch") in under_plan_lock
         assert ("self", "_scatter") in under_plan_lock
-        # ...and what those thunks take is ranked: the backend cache lock
-        # (counters) and the launch cache's LRU leaf, both below the plan lock.
+        # ...and what those thunks take is ranked: the launch cache's LRU
+        # leaf, and through ``_count`` the backend cache lock (counters),
+        # both below the plan lock.
         resolver = analyzer.summaries[("NativeBackend", "_cached_launch")]
-        assert {("backend-cache", 2), ("lru", 3)} <= resolver.acquires
+        assert ("lru", 3) in resolver.acquires
         # The outcome those thunks park on the plan is added under the
         # backend cache lock, by the one method that counts anything.
         counter = analyzer.summaries[("NativeBackend", "_count")]

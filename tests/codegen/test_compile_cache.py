@@ -25,12 +25,7 @@ from repro.codegen.cache import (
     get_compiled_kernel,
     memory_cache_size,
 )
-from repro.codegen.compiler import (
-    CompiledKernel,
-    CompiledRuntime,
-    CompilerUnavailable,
-    select_mt_mode,
-)
+from repro.codegen.compiler import CompiledKernel, CompiledRuntime, CompilerUnavailable
 from repro.codegen.emit_c import emit_runtime_source
 from repro.codegen.loopir import float_literals
 
@@ -58,38 +53,31 @@ class _Kind:
     and race tests below run over both.
     """
 
-    def __init__(self, make_source, mt_mode, loader):
+    def __init__(self, make_source, loader):
         self.source = make_source
-        self.mt_mode = mt_mode
         self.loader = loader
 
     @property
     def resolve_args(self):
-        return {"mt_mode": self.mt_mode, "loader": self.loader}
+        return {"loader": self.loader}
 
     def digest(self, source):
-        return artifact_digest(source, 2, mt_mode=self.mt_mode)
+        return artifact_digest(source, 2)
 
 
-_KERNEL = _Kind(_source, "serial", CompiledKernel)
+_KERNEL = _Kind(_source, CompiledKernel)
 
-
-def _runtime_kind():
-    mode = select_mt_mode()
-    if mode == "serial":
-        pytest.skip("toolchain builds no kernel runtime")
-    # A trailing comment gives each test its own digest, as ``tag`` does
-    # for kernels.
-    return _Kind(
-        lambda tag: emit_runtime_source(mode) + f"/* cache-test runtime: {tag} */\n",
-        mode,
-        CompiledRuntime,
-    )
+#: A trailing comment gives each test its own digest, as ``tag`` does for
+#: kernels.
+_RUNTIME = _Kind(
+    lambda tag: emit_runtime_source() + f"/* cache-test runtime: {tag} */\n",
+    CompiledRuntime,
+)
 
 
 @pytest.fixture(params=["kernel", "runtime"])
 def kind(request):
-    return _KERNEL if request.param == "kernel" else _runtime_kind()
+    return _KERNEL if request.param == "kernel" else _RUNTIME
 
 
 @pytest.fixture(autouse=True)
@@ -133,56 +121,6 @@ class TestCacheLifecycle:
         source = _source("optlevel")
         assert artifact_digest(source, 0) != artifact_digest(source, 2)
 
-    def test_runtime_mode_changes_the_digest(self):
-        # The runtime's threading mode changes its source and its compile
-        # flags (-pthread/-fopenmp), so runtimes built under different
-        # modes may never alias.
-        digests = {
-            mode: artifact_digest(emit_runtime_source(mode), 2, mt_mode=mode)
-            for mode in ("pthread", "openmp")
-        }
-        assert len(set(digests.values())) == 2
-        source = _source("mtmode")
-        assert artifact_digest(source, 2, mt_mode="pthread") != artifact_digest(source, 2)
-
-    def test_mt_symbol_binding_is_optional(self, tmp_path):
-        # Hand-written kernels without the chunked symbol load fine; fn_mt
-        # is simply absent.
-        kernel, _ = _compile(_source("nomtsymbol"), tmp_path)
-        assert kernel.fn is not None
-        assert kernel.fn_mt is None
-
-    def test_mt_symbol_binds_and_calls_the_launch_it_is_given(self, tmp_path):
-        import ctypes
-
-        source = (
-            "#include <stdint.h>\n"
-            "typedef int (*launch_fn)(int64_t);\n"
-            "void repro_kernel(const int64_t *dims, char **ptrs,\n"
-            "                  const int64_t *strides) {\n"
-            "    (void)dims; (void)ptrs; (void)strides;\n"
-            "}\n"
-            "void repro_kernel_mt(const int64_t *dims, char **ptrs,\n"
-            "                     const int64_t *strides, int32_t nthreads,\n"
-            "                     launch_fn launch) {\n"
-            "    (void)ptrs; (void)strides;\n"
-            "    if (launch != 0) launch(dims[0] + nthreads);\n"
-            "}\n"
-        )
-        kernel, _ = _compile(source, tmp_path)
-        assert kernel.fn is not None
-        assert kernel.fn_mt is not None
-        seen = []
-        callback = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64)(
-            lambda value: seen.append(value) or 0
-        )
-        dims = (ctypes.c_int64 * 1)(40)
-        no_ptrs = (ctypes.c_void_p * 1)()
-        no_strides = (ctypes.c_int64 * 1)()
-        kernel.fn_mt(dims, no_ptrs, no_strides, 2, ctypes.cast(callback, ctypes.c_void_p))
-        kernel.fn_mt(dims, no_ptrs, no_strides, 2, None)  # null launch: no call
-        assert seen == [42]
-
     def test_disk_cache_disabled_writes_nothing(self, tmp_path):
         _, outcome = _compile(_source("nodisk"), tmp_path, use_disk=False)
         assert outcome == "compiled"
@@ -218,9 +156,7 @@ class TestCorruption:
                 loads.append(path)
                 return kind.loader(path)
 
-        artifact, outcome = _compile(
-            source, tmp_path, mt_mode=kind.mt_mode, loader=loader
-        )
+        artifact, outcome = _compile(source, tmp_path, loader=loader)
         assert outcome == "compiled", "damaged artifact must recompile, not load"
         assert isinstance(artifact, kind.loader)
         # The store healed: a cold reader now gets a verified disk hit.
@@ -307,11 +243,10 @@ class TestCorruption:
         assert json.loads(open(meta_path).read())["schema"] == ARTIFACT_SCHEMA
 
     def test_schema_2_artifacts_are_discarded_never_loaded(self, tmp_path, kind):
-        """A store restored from before the shared runtime must fully recompile.
+        """A store restored from an old schema must fully recompile.
 
-        A schema-2 kernel embeds its own worker pool and takes a four
-        argument ``repro_kernel_mt``; dlopen'ing one under the current ABI
-        would silently spawn a pool per kernel again.  The version gate
+        A schema-2 kernel embeds its own C worker pool; dlopen'ing one
+        would start threads the middleware does not know about.  The version gate
         treats a schema-2 sidecar — even next to a perfectly valid library
         — exactly like corruption: discard, recompile, republish.
         """
@@ -324,9 +259,8 @@ class TestCorruption:
         self._older_schema_is_discarded(tmp_path, kind, 3)
 
     def test_schema_4_artifacts_are_discarded_never_loaded(self, tmp_path, kind):
-        """A schema-4 runtime hands each chunk a scratch lane and a schema-4
-        chunk takes one: neither matches the current launch ABI, in which
-        no artifact folds a reduction."""
+        """A schema-4 chunk takes a scratch lane for its fold: no current
+        artifact folds a reduction or takes one."""
         assert ARTIFACT_SCHEMA == 5
         self._older_schema_is_discarded(tmp_path, kind, 4)
 
@@ -460,7 +394,6 @@ source = open({source_path!r}).read()
 artifact, outcome = cache.get_compiled_kernel(
     source,
     cache_dir={cache_dir!r},
-    mt_mode={mt_mode!r},
     loader=getattr(cache, {loader!r}),
 )
 assert isinstance(artifact, getattr(cache, {loader!r}))
@@ -477,7 +410,6 @@ def _racer_script(source_path, cache_dir, kind) -> str:
         src=_SRC_ROOT,
         source_path=str(source_path),
         cache_dir=str(cache_dir),
-        mt_mode=kind.mt_mode,
         loader=kind.loader.__name__,
     )
 

@@ -69,8 +69,14 @@ RTOL, ATOL = 1e-6, 1e-8
 TINY_TILES = dict(parallel_tile_elements=16, parallel_serial_threshold=4)
 #: Vector length of the thread axis: four of ``TINY_TILES``' tiles, so a
 #: compiled step runs in four parts at four threads (a step threads with one
-#: part per tile at most; at 24 elements it would be one serial call).
+#: part per tile at most; at 24 elements it would be one serial call), and
+#: in three row blocks of 22, 21 and 21 at three.
 THREADED_LENGTH = 64
+#: The thread axis' codegen thread counts; 1 is the serial call.
+THREAD_COUNTS = (1, 2, 3, 4)
+#: Rows of the thread axis' matrix column: fewer than three or four threads,
+#: so the part count clamps to one block per row.
+FEW_ROWS = 2
 
 ELEMENTWISE_SEEDS = tuple(range(60))
 MIXED_SEEDS = tuple(range(1000, 1040))
@@ -299,26 +305,56 @@ def test_native_backend_actually_compiles_kernels():
     )
 
 
+def _as_rows(program, rows):
+    """``program`` with every vector view of ``THREADED_LENGTH`` elements
+    read as a ``rows``-row matrix of the same base: the same element-wise
+    arithmetic over a step whose outermost loop has ``rows`` iterations."""
+    from repro.bytecode.view import View
+
+    def reshape(operand):
+        if isinstance(operand, View) and operand.shape == (THREADED_LENGTH,):
+            columns = THREADED_LENGTH // rows
+            return View(operand.base, operand.offset, (rows, columns), (columns, 1))
+        return operand
+
+    return Program(
+        [
+            Instruction(instruction.opcode, tuple(reshape(op) for op in instruction.operands))
+            for instruction in program
+        ]
+    )
+
+
 @pytest.mark.parametrize("seed", ELEMENTWISE_SEEDS[:20])
 def test_native_thread_axis_elementwise_bitwise(seed):
-    """native × threads∈{1,4}: in-kernel threading may not move a bit.
+    """native × threads∈{1,2,3,4}: splitting a step into row blocks may not
+    move a bit.
 
-    Element-wise kernels compute each output element independently, so the
-    block partition performed inside ``repro_kernel_mt`` must be invisible:
-    the threads=4 run compares bitwise against the threads=1 run (and both
-    against the oracle via the main parity axis).
+    Element-wise kernels compute each output element independently, so
+    calling the kernel once per row block must be invisible: every thread
+    count compares bitwise against the serial call and against the
+    interpreter running the same optimized program (the unoptimized oracle
+    is the main parity axis' business: power expansion reassociates) —
+    over 64 rows (three threads give blocks of 22, 21 and 21) and over 2
+    rows of 32, where three and four threads clamp to two blocks.
     """
     program, synced = elementwise_program(
         seed, num_instructions=12, vector_length=THREADED_LENGTH
     )
-    results = {}
-    for threads in (1, 4):
-        with config_override(**TINY_TILES, codegen_threads=threads):
-            results[threads], _ = _execute(program, synced, "native", optimize=True)
-    for index, (actual, expected) in enumerate(zip(results[4], results[1])):
-        _assert_bitwise(
-            actual, expected, f"native threads=4 vs threads=1 (seed {seed}), output {index}"
-        )
+    for rows in (THREADED_LENGTH, FEW_ROWS):
+        if rows != THREADED_LENGTH:
+            program = _as_rows(program, rows)
+        oracle, _ = _execute(program, synced, "interpreter", optimize=True)
+        results = {}
+        for threads in THREAD_COUNTS:
+            with config_override(**TINY_TILES, codegen_threads=threads):
+                results[threads], _ = _execute(program, synced, "native", optimize=True)
+            for index, (actual, serial, expected) in enumerate(
+                zip(results[threads], results[1], oracle)
+            ):
+                context = f"native threads={threads} (seed {seed}, {rows} rows), output {index}"
+                _assert_bitwise(actual, serial, context + " vs threads=1")
+                _assert_bitwise(actual.ravel(), expected.ravel(), context + " vs oracle")
 
 
 @pytest.mark.parametrize("seed", MIXED_SEEDS[:20])
@@ -341,28 +377,34 @@ def test_native_thread_axis_mixed_is_bitwise(seed):
 
 
 def test_native_mt_entry_point_actually_fired():
-    """The thread axis must not pass vacuously on the single-thread path.
+    """The thread axis must not pass vacuously on the serial path.
 
-    With a threading-capable toolchain, the threads=4 column above must
-    have routed launches through ``repro_kernel_mt``; if every launch took
-    the per-tile path the axis would compare the serial path to itself.
+    At four threads the column above must have split compiled steps into
+    row blocks: ``native_mt_launches`` counts steps launched in two or more
+    parts, and ``tiles_executed`` is the summed part count — four row
+    blocks per compiled step of 64 rows, one call per NumPy fill or copy.
     """
     from repro.codegen import find_c_compiler
-    from repro.codegen.compiler import select_mt_mode
+    from repro.runtime.tiling import TiledMapStep
 
     if find_c_compiler() is None:
         pytest.skip("no C compiler on this host; native backend runs fallbacks only")
-    if select_mt_mode() == "serial":
-        pytest.skip("toolchain supports neither -pthread nor OpenMP")
     mt_launches = 0
     for seed in ELEMENTWISE_SEEDS[:8]:
-        program, synced = elementwise_program(
+        program, _ = elementwise_program(
             seed, num_instructions=12, vector_length=THREADED_LENGTH
         )
         with config_override(**TINY_TILES, codegen_threads=4):
-            _, stats = _execute(program, synced, "native", optimize=True)
+            engine = ExecutionEngine(backend="native", optimize=True)
+            stats = [engine.execute(program) for _ in range(runs("native"))][-1].stats
+        map_steps = sum(
+            isinstance(step, TiledMapStep) for step in engine.last_plan.tiling.steps
+        )
+        compiled = stats.native_kernel_launches
+        assert stats.native_fallbacks == 0 and compiled > 0, f"seed {seed}"
+        assert stats.tiles_executed == 4 * compiled + (map_steps - compiled), f"seed {seed}"
         mt_launches += stats.native_mt_launches
-    assert mt_launches > 0, "repro_kernel_mt never fired; the thread axis is vacuous"
+    assert mt_launches > 0, "no compiled step was split; the thread axis is vacuous"
 
 
 def test_optimization_levels_agree_per_backend():

@@ -27,9 +27,6 @@ import pytest
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.view import View
 from repro.codegen import clear_memory_cache, find_c_compiler
-from repro.codegen.cache import get_compiled_kernel
-from repro.codegen.compiler import CodegenError, CompiledRuntime
-from repro.codegen.emit_c import emit_runtime_source
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memory import MemoryManager
@@ -217,7 +214,6 @@ class TestFallbacks:
         assert result.stats.native_compiles == 0
         assert result.stats.native_fallbacks > 0
         assert all(reason in message for message in result.stats.native_fallback_reasons)
-        assert engine.backend.native_runtime in (None, "serial")
 
     def test_a_bare_reduction_needs_no_compiler(self, cache_dir, monkeypatch):
         # With no compiler, a tiled reduction runs the inherited NumPy fold
@@ -470,17 +466,10 @@ class TestExecutionStrategies:
         assert native_result.stats.native_kernel_launches == 1
         assert np.array_equal(native_result.value(a), parallel_result.value(a))
 
-    def test_multi_thread_collapses_to_one_mt_launch(self, cache_dir):
-        """With threads>1, a multi-tile map step is ONE repro_kernel_mt call.
-
-        The thread split happens inside the compiled artifact's worker
-        pool; Python never slices tiles or marshals per-tile arguments.
-        On hosts whose toolchain supports neither pthreads nor OpenMP the
-        artifact is serial-mode and the inherited per-tile path runs — the
-        counter assert is gated on the probed mode.
-        """
-        from repro.codegen.compiler import select_mt_mode
-
+    def test_multi_thread_calls_the_kernel_once_per_row_block(self, cache_dir):
+        """With threads>1, a multi-tile map step is one ``repro_kernel`` call
+        per row block: 64 rows at two threads are two blocks of 32 (not the
+        plan's four tiles), launched on the tile pool."""
         program, a, b = build_chain()
         with config_override(
             **TINY_TILES,
@@ -493,29 +482,22 @@ class TestExecutionStrategies:
         step = next(
             s for s in native.last_plan.tiling.steps if isinstance(s, TiledMapStep)
         )
-        assert len(step.spans) > 1  # the decomposition did tile
+        assert len(step.spans) == 4  # the decomposition did tile
         assert result.stats.native_kernel_launches == 1  # one resolved launchable
+        assert result.stats.native_mt_launches == 1
+        assert result.stats.tiles_executed == 2
         expected = _oracle(program, (a, b))
         assert np.array_equal(result.value(a), expected[0])
         assert np.array_equal(result.value(b), expected[1])
-        if select_mt_mode() != "serial":
-            assert result.stats.tiles_executed == 1
-            assert result.stats.native_mt_launches == 1
-        else:
-            assert result.stats.tiles_executed == len(step.spans)
-            assert result.stats.native_mt_launches == 0
 
     def test_codegen_threads_knob_overrides_parallel_threads(self, cache_dir):
-        """codegen_threads>1 fires the in-kernel path even at one worker.
+        """codegen_threads>1 splits a compiled step even at one worker.
 
-        The knob is the runtime thread count of the artifact's pool — it
-        must not depend on how many Python-side workers the tiled backend
-        would have used (on a 1-CPU host that resolves to one).
+        The knob is the part count of a compiled step and the size of the
+        pool its row blocks run on — it must not depend on how many
+        Python-side workers the tiled backend would have used (on a 1-CPU
+        host that resolves to one).
         """
-        from repro.codegen.compiler import select_mt_mode
-
-        if select_mt_mode() == "serial":
-            pytest.skip("toolchain builds serial-mode artifacts only")
         program, a, b = build_chain()
         expected = _oracle(program, (a, b))
         with config_override(
@@ -526,7 +508,8 @@ class TestExecutionStrategies:
         ):
             native = ExecutionEngine(backend="native", optimize=True)
             result = second_run(native, program)
-        assert result.stats.native_mt_launches >= 1
+        assert result.stats.native_mt_launches == 1
+        assert result.stats.tiles_executed == 4
         assert np.array_equal(result.value(a), expected[0])
         assert np.array_equal(result.value(b), expected[1])
 
@@ -625,7 +608,6 @@ class TestReductions:
         steps = engine.last_plan.tiling.steps
         assert any(isinstance(step, TiledReduceStep) for step in steps)
         assert engine.backend.cache_stats()["native_cache_size"] == 0
-        assert engine.backend.native_runtime is None
         for result in results:
             assert result.stats.native_compiles == result.stats.native_fallbacks == 0
             assert result.stats.native_kernel_launches == result.stats.native_mt_launches == 0
@@ -678,7 +660,7 @@ class TestReductions:
             builder.sync(total)
             return builder.build(), total
 
-        results = {}
+        results, memory_hits = {}, {}
         for scheduler in ("dag", "consecutive"):
             program, total = build()
             _, runs = self._run(
@@ -688,9 +670,11 @@ class TestReductions:
                 [result.value(total).tobytes() for result in runs],
                 runs[1].stats,
             )
+            memory_hits[scheduler] = [result.stats.native_memory_hits for result in runs]
         fused, unfused = results["dag"][1], results["consecutive"][1]
         assert (fused.native_compiles, unfused.native_compiles) == (1, 0)
-        assert unfused.native_memory_hits == 1
+        # The unfused map step binds the loaded artifact on its first launch.
+        assert memory_hits["consecutive"] == [1, 0, 0]
         assert (fused.kernel_launches, unfused.kernel_launches) == (3, 4)
         assert fused.native_kernel_launches == unfused.native_kernel_launches == 1
         assert fused.native_slots_elided == 1 and fused.native_fallbacks == 0
@@ -757,35 +741,6 @@ class TestFirstLaunch:
             assert np.array_equal(result.value(a), expected[0])
             assert np.array_equal(result.value(b), expected[1])
 
-    def test_a_first_launch_never_compiles_the_runtime(self, cache_dir, tmp_path, monkeypatch):
-        """A kernel on disk whose runtime is not: binding it would take a
-        compile, so the form's first launch runs the template and no
-        compiler is spawned."""
-        program, a, b = build_chain()
-        expected = _oracle(program, (a, b))
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
-            engine = ExecutionEngine(backend="native", optimize=True)
-            second_run(engine, program)
-        if engine.backend.native_runtime == "serial":
-            pytest.skip("toolchain builds no kernel runtime")
-        for name in os.listdir(cache_dir):
-            if name.endswith(".c") and "repro_rt_launch" in open(os.path.join(cache_dir, name)).read():
-                for suffix in (".c", ".so", ".json"):
-                    os.unlink(os.path.join(cache_dir, name[:-2] + suffix))
-        clear_memory_cache()
-        log = tmp_path / "cc.log"
-        shim = tmp_path / "failing-cc"
-        shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
-        shim.chmod(0o755)
-        monkeypatch.setenv("REPRO_CC", str(shim))
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
-            result = ExecutionEngine(backend="native", optimize=True).execute(program)
-        assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
-        assert result.stats.native_fallback_reasons == {FIRST_LAUNCH: 1}
-        assert result.stats.native_compiles == result.stats.native_kernel_launches == 0
-        assert np.array_equal(result.value(a), expected[0])
-        assert np.array_equal(result.value(b), expected[1])
-
 
 @requires_compiler
 class TestPlanInteraction:
@@ -830,231 +785,6 @@ class TestPlanInteraction:
         assert first.plan_cache_hits == 1 and first.native_compiles == primed
         assert [getattr(second, name) for name in outcomes] == [0, 0, 0]
 
-    def test_failed_execution_resets_the_stats_window(self, cache_dir):
-        program, a, b = build_chain()
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
-            backend = get_backend("native")
-            with pytest.raises(Exception):
-                backend.execute_plan(object(), program)  # malformed plan
-            # There is no window to reset any more: each run's record is
-            # exactly what that run did, and the two are all the backend did.
-            first = backend.execute(program)
-            result = backend.execute(program)
-            cumulative = backend.cache_stats()
-        assert result.stats.native_kernel_launches > 0
-        for counter in ("native_kernel_launches", "native_compiles", "native_fallbacks"):
-            both = getattr(first.stats, counter) + getattr(result.stats, counter)
-            assert both == cumulative[counter], counter
-
-
-def _process_threads() -> int:
-    with open("/proc/self/status") as handle:
-        for line in handle:
-            if line.startswith("Threads:"):
-                return int(line.split()[1])
-    pytest.skip("no Threads: line in /proc/self/status")
-
-
-def _force_runtime_mode(monkeypatch, mode):
-    """Make the backend resolve the ``mode`` runtime whatever the host prefers."""
-
-    def forced(cache_dir=None, use_disk=True, load_only=False):
-        if mode == "serial":
-            return None, "serial", "serial"
-        try:
-            runtime, outcome = get_compiled_kernel(
-                emit_runtime_source(mode),
-                cache_dir=cache_dir,
-                use_disk=use_disk,
-                mt_mode=mode,
-                loader=CompiledRuntime,
-                load_only=load_only,
-            )
-        except CodegenError:
-            pytest.skip(f"toolchain cannot build the {mode} runtime")
-        return runtime, mode if runtime else "serial", outcome
-
-    monkeypatch.setattr("repro.runtime.native.resolve_runtime", forced)
-
-
-#: Runs ``runs`` threaded native flushes against ``cache_dir`` in a cold
-#: process and prints what the backend counted in the last one.
-_FLUSH_SCRIPT = """
-import json, sys
-sys.path.insert(0, {src!r})
-sys.path.insert(0, {tests!r})
-from runtime.test_native_backend import TINY_TILES, build_chain
-from repro.runtime.engine import ExecutionEngine
-from repro.utils.config import config_override
-
-program, a, b = build_chain()
-with config_override(**TINY_TILES, codegen_cache_dir={cache_dir!r}, codegen_threads=2):
-    engine = ExecutionEngine(backend="native", optimize=True)
-    for _ in range({runs}):
-        stats = engine.execute(program).stats
-print(json.dumps({{
-    "compiles": stats.native_compiles,
-    "disk_hits": stats.native_disk_hits,
-    "fallbacks": stats.native_fallbacks,
-    "mt_launches": stats.native_mt_launches,
-    "runtime": engine.backend.native_runtime,
-}}))
-"""
-
-_TESTS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _flush_in_subprocess(cache_dir, runs=1, **env):
-    script = _FLUSH_SCRIPT.format(
-        src=os.path.join(os.path.dirname(_TESTS_ROOT), "src"),
-        tests=_TESTS_ROOT,
-        cache_dir=cache_dir,
-        runs=runs,
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=180,
-        env=dict(os.environ, **env),
-    )
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
-
-
-@requires_compiler
-class TestSharedRuntime:
-    """One kernel runtime artifact per process: pool, probe and ABI."""
-
-    def test_warm_cache_directory_serves_a_process_without_a_compiler(
-        self, cache_dir, tmp_path
-    ):
-        """A second process over a populated cache forks no ``cc`` at all —
-        no kernel compile, no runtime compile, no toolchain probe — and still
-        launches threaded: its first launch loads what the cold process
-        compiled on its second."""
-        cold = _flush_in_subprocess(cache_dir, runs=2)
-        if cold["runtime"] == "serial":
-            pytest.skip("toolchain builds no kernel runtime")
-        assert cold["runtime"] == "compiled" and cold["compiles"] >= 1
-        log = tmp_path / "cc.log"
-        shim = tmp_path / "failing-cc"
-        shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
-        shim.chmod(0o755)
-        warm = _flush_in_subprocess(cache_dir, REPRO_CC=str(shim))
-        assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
-        assert warm["compiles"] == 0
-        assert warm["disk_hits"] == cold["compiles"]
-        assert warm["fallbacks"] == 0
-        assert warm["mt_launches"] > 0
-        assert warm["runtime"] == "disk"
-
-    def test_pool_threads_are_bounded_per_process_not_per_kernel(self, cache_dir):
-        """K kernel forms launched at n threads hold n - 1 pool threads."""
-        program, outputs = build_distinct_forms(8)
-        expected = _oracle(program, outputs)
-        before = _process_threads()
-        with config_override(
-            **TINY_TILES,
-            parallel_num_threads=1,  # no Python-side tile pool in the count
-            codegen_threads=4,
-            codegen_cache_dir=cache_dir,
-        ):
-            engine = ExecutionEngine(backend="native", optimize=True)
-            result = second_run(engine, program)
-            if engine.backend.native_runtime == "serial":
-                pytest.skip("toolchain builds no kernel runtime")
-        assert result.stats.native_compiles >= 8
-        assert result.stats.native_mt_launches >= 8
-        assert _process_threads() - before <= 3
-        for view, want in zip(outputs, expected):
-            assert np.array_equal(result.value(view), want)
-
-    def test_kernel_artifacts_are_the_same_under_every_threading_mode(
-        self, tmp_path, monkeypatch
-    ):
-        """Same kernel digests and sources whichever runtime launches them;
-        only the runtime artifact differs, and a kernel library links
-        against no threading runtime."""
-        program, a, b = build_chain()
-        expected = _oracle(program, (a, b))
-        kernels = {}
-        for mode in ("pthread", "openmp", "serial"):
-            clear_memory_cache()
-            _force_runtime_mode(monkeypatch, mode)
-            directory = tmp_path / mode
-            with config_override(
-                **TINY_TILES, codegen_cache_dir=str(directory), codegen_threads=3
-            ):
-                engine = ExecutionEngine(backend="native", optimize=True)
-                result = second_run(engine, program)
-            assert result.stats.native_fallbacks == 0
-            assert (result.stats.native_mt_launches > 0) == (mode != "serial")
-            assert np.array_equal(result.value(a), expected[0])
-            assert np.array_equal(result.value(b), expected[1])
-            kernels[mode] = {
-                name: (directory / name).read_text()
-                for name in os.listdir(directory)
-                if name.endswith(".c") and "repro_rt_launch" not in (directory / name).read_text()
-            }
-            assert kernels[mode], "no kernel artifact was written"
-            assert len(os.listdir(directory)) == 3 * (len(kernels[mode]) + (mode != "serial"))
-        assert kernels["pthread"] == kernels["openmp"] == kernels["serial"]
-        for name, text in kernels["pthread"].items():
-            assert "pthread" not in text and "omp" not in text
-            if shutil.which("nm"):
-                undefined = subprocess.run(
-                    ["nm", "-D", "--undefined-only", str(tmp_path / "pthread" / name[:-2]) + ".so"],
-                    capture_output=True,
-                    text=True,
-                    check=True,
-                ).stdout
-                assert "pthread_" not in undefined and "GOMP" not in undefined
-
-    def test_without_a_runtime_threaded_launches_keep_the_per_tile_path(
-        self, cache_dir, monkeypatch
-    ):
-        _force_runtime_mode(monkeypatch, "serial")
-        program, a, b = build_chain()
-        expected = _oracle(program, (a, b))
-        with config_override(
-            **TINY_TILES,
-            parallel_num_threads=2,
-            codegen_threads=4,
-            codegen_cache_dir=cache_dir,
-        ):
-            engine = ExecutionEngine(backend="native", optimize=True)
-            result = second_run(engine, program)
-        step = next(
-            s for s in engine.last_plan.tiling.steps if isinstance(s, TiledMapStep)
-        )
-        assert engine.backend.native_runtime == "serial"
-        assert result.stats.native_mt_launches == 0
-        assert result.stats.native_fallbacks == 0
-        assert result.stats.tiles_executed == len(step.spans)
-        assert np.array_equal(result.value(a), expected[0])
-        assert np.array_equal(result.value(b), expected[1])
-
-    def test_runtime_outcome_is_reported_and_never_counted_as_a_kernel(self, cache_dir):
-        program, a, b = build_chain()
-        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
-            first = ExecutionEngine(backend="native", optimize=True)
-            cold = second_run(first, program)
-            clear_memory_cache()
-            second = ExecutionEngine(backend="native", optimize=True)
-            disk = second.execute(program)
-            third = ExecutionEngine(backend="native", optimize=True)
-            third.execute(program)
-        if first.backend.native_runtime == "serial":
-            pytest.skip("toolchain builds no kernel runtime")
-        assert first.backend.native_runtime == "compiled"
-        assert second.backend.native_runtime == "disk"
-        assert third.backend.native_runtime == "memory"
-        # The runtime is in neither count: a disk-warm engine restores
-        # exactly the kernels the cold one compiled.
-        assert disk.stats.native_compiles == 0
-        assert disk.stats.native_disk_hits == cold.stats.native_compiles
-
     def test_distinct_forms_of_one_plan_resolve_concurrently(self, cache_dir, monkeypatch):
         """prepare_plan hands a plan's distinct recurring kernel forms to
         the tile pool: two resolves must be inside the artifact cache at
@@ -1083,6 +813,157 @@ class TestSharedRuntime:
         assert any(name.startswith("repro-tile") for name in resolving_threads)
         for view, want in zip(outputs, expected):
             assert np.array_equal(result.value(view), want)
+
+    def test_failed_execution_resets_the_stats_window(self, cache_dir):
+        program, a, b = build_chain()
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            backend = get_backend("native")
+            with pytest.raises(Exception):
+                backend.execute_plan(object(), program)  # malformed plan
+            # There is no window to reset any more: each run's record is
+            # exactly what that run did, and the two are all the backend did.
+            first = backend.execute(program)
+            result = backend.execute(program)
+            cumulative = backend.cache_stats()
+        assert result.stats.native_kernel_launches > 0
+        for counter in ("native_kernel_launches", "native_compiles", "native_fallbacks"):
+            both = getattr(first.stats, counter) + getattr(result.stats, counter)
+            assert both == cumulative[counter], counter
+
+
+def _process_threads() -> int:
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    pytest.skip("no Threads: line in /proc/self/status")
+
+
+#: Runs ``runs`` threaded native flushes against ``cache_dir`` in a cold
+#: process and prints what the backend counted in the last one.
+_FLUSH_SCRIPT = """
+import json, sys
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {tests!r})
+from runtime.test_native_backend import TINY_TILES, build_chain
+from repro.runtime.engine import ExecutionEngine
+from repro.utils.config import config_override
+
+program, a, b = build_chain()
+with config_override(**TINY_TILES, codegen_cache_dir={cache_dir!r}, codegen_threads=2):
+    engine = ExecutionEngine(backend="native", optimize=True)
+    for _ in range({runs}):
+        stats = engine.execute(program).stats
+print(json.dumps({{
+    "compiles": stats.native_compiles,
+    "disk_hits": stats.native_disk_hits,
+    "fallbacks": stats.native_fallbacks,
+    "mt_launches": stats.native_mt_launches,
+}}))
+"""
+
+_TESTS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _flush_in_subprocess(cache_dir, runs=1, **env):
+    script = _FLUSH_SCRIPT.format(
+        src=os.path.join(os.path.dirname(_TESTS_ROOT), "src"),
+        tests=_TESTS_ROOT,
+        cache_dir=cache_dir,
+        runs=runs,
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=180,
+        env=dict(os.environ, **env),
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+@requires_compiler
+class TestThreadedLaunch:
+    """A threaded compiled step is the ordinary kernel called once per row
+    block on the tile pool: no second entry point, no C pool, no runtime."""
+
+    def test_warm_cache_directory_serves_a_process_without_a_compiler(
+        self, cache_dir, tmp_path
+    ):
+        """A second process over a populated cache forks no ``cc`` at all
+        and still launches threaded: its first launch loads what the cold
+        process compiled on its second."""
+        cold = _flush_in_subprocess(cache_dir, runs=2)
+        assert cold["compiles"] >= 1
+        log = tmp_path / "cc.log"
+        shim = tmp_path / "failing-cc"
+        shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
+        shim.chmod(0o755)
+        warm = _flush_in_subprocess(cache_dir, REPRO_CC=str(shim))
+        assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
+        assert warm["compiles"] == 0
+        assert warm["disk_hits"] == cold["compiles"]
+        assert warm["fallbacks"] == 0
+        assert warm["mt_launches"] > 0
+
+    def test_row_blocks_run_on_one_pool_per_thread_count(self, cache_dir):
+        """K kernel forms launched at n threads hold at most n pool
+        threads: the blocks of every step share the tile pool of
+        ``codegen_threads`` workers, not a pool per kernel or part count."""
+        program, outputs = build_distinct_forms(8)
+        expected = _oracle(program, outputs)
+        before = _process_threads()
+        with config_override(
+            **TINY_TILES,
+            parallel_num_threads=1,  # no Python-side tile pool in the count
+            codegen_threads=4,
+            codegen_cache_dir=cache_dir,
+        ):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            result = second_run(engine, program)
+        assert result.stats.native_compiles >= 8
+        assert result.stats.native_mt_launches >= 8
+        assert _process_threads() - before <= 4
+        for view, want in zip(outputs, expected):
+            assert np.array_equal(result.value(view), want)
+
+    def test_kernel_artifacts_are_the_same_at_every_thread_count(self, tmp_path):
+        """Same kernel sources whichever thread count launches them, and a
+        kernel library links against no threading runtime."""
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        kernels = {}
+        for threads in (1, 3):
+            clear_memory_cache()
+            directory = tmp_path / str(threads)
+            with config_override(
+                **TINY_TILES, codegen_cache_dir=str(directory), codegen_threads=threads
+            ):
+                engine = ExecutionEngine(backend="native", optimize=True)
+                result = second_run(engine, program)
+            assert result.stats.native_fallbacks == 0
+            assert (result.stats.native_mt_launches > 0) == (threads > 1)
+            assert np.array_equal(result.value(a), expected[0])
+            assert np.array_equal(result.value(b), expected[1])
+            kernels[threads] = {
+                name: (directory / name).read_text()
+                for name in os.listdir(directory)
+                if name.endswith(".c")
+            }
+            assert kernels[threads], "no kernel artifact was written"
+            assert len(os.listdir(directory)) == 3 * len(kernels[threads])
+        assert kernels[1] == kernels[3]
+        for name, text in kernels[3].items():
+            assert "pthread" not in text and "omp" not in text
+            if shutil.which("nm"):
+                undefined = subprocess.run(
+                    ["nm", "-D", "--undefined-only", str(tmp_path / "3" / name[:-2]) + ".so"],
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+                assert "pthread_" not in undefined and "GOMP" not in undefined
 
 
 def build_fills():
@@ -1135,7 +1016,6 @@ class TestFills:
             assert stats.tiles_executed == stats.kernel_launches == 2
             for view, want in zip(outputs, expected):
                 assert np.array_equal(result.value(view), want)
-        assert engine.backend.native_runtime is None
         assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
         assert not os.path.exists(cache_dir) or not os.listdir(cache_dir)
 

@@ -3,14 +3,17 @@
 A copy (every store a same-dtype load of a slot the nest does not write)
 is written by NumPy, like a fill, and a compiled step threads only when
 threads are asked for (``codegen_threads``; the default is one) and each
-thread gets at least one tile (``parallel_tile_elements`` elements), so
-the kernel runtime is built only for a plan with such a step.  Each test
-runs over an empty artifact directory with a ``REPRO_CC`` that logs its
-arguments and then compiles, and counts the log's lines: a kernel
-compile, or a runtime compile (the one artifact built with ``-pthread``).
+thread gets at least one tile (``parallel_tile_elements`` elements) — by
+calling its one kernel per row block, so threading compiles nothing more.
+Each test runs over an empty artifact directory with a ``REPRO_CC`` that
+logs its arguments and then compiles, and counts the log's lines: one per
+compile.  None of these programs calls ``erf``, so none may build the
+kernel runtime (the artifact that holds the vector ``erf``).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.bytecode import dtypes
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.view import View
 from repro.codegen import clear_memory_cache, find_c_compiler
-from repro.codegen.cache import resolve_runtime
+from repro.codegen.compiler import VEC_ERF_SYMBOL
 from repro.frontend import zeros
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
@@ -31,7 +34,7 @@ pytestmark = pytest.mark.skipif(find_c_compiler() is None, reason="no C compiler
 
 
 class CompilerLog:
-    """The compiler runs a logging ``REPRO_CC`` saw, split by artifact."""
+    """The compiler runs a logging ``REPRO_CC`` saw, and what they left."""
 
     def __init__(self, path, directory) -> None:
         self.path = path
@@ -41,10 +44,15 @@ class CompilerLog:
         return self.path.read_text().splitlines() if self.path.exists() else []
 
     def runtimes(self):
-        return [line for line in self.lines() if "-pthread" in line or "-fopenmp" in line]
-
-    def kernels(self):
-        return [line for line in self.lines() if line not in self.runtimes()]
+        """The kernel runtime sources in the artifact directory."""
+        if not os.path.isdir(self.directory):
+            return []
+        return [
+            name
+            for name in os.listdir(self.directory)
+            if name.endswith(".c")
+            and VEC_ERF_SYMBOL in open(os.path.join(self.directory, name)).read()
+        ]
 
 
 @pytest.fixture
@@ -90,7 +98,7 @@ def _jacobi_reference(size, steps):
 
 def test_a_small_jacobi_session_compiles_its_stencil_and_nothing_else(cc_log):
     """96x96 is 9 216 elements, under one tile: the stencil is one serial
-    call, the copy a NumPy copy, and no runtime is built or waited for."""
+    call, the copy a NumPy copy, and nothing else is built."""
     session = Session(backend="native")
     grid = zeros((96, 96), session=session)
     grid[0, :] = 100.0
@@ -101,19 +109,17 @@ def test_a_small_jacobi_session_compiles_its_stencil_and_nothing_else(cc_log):
     last = session.stats_history[-1]
     assert last.native_kernel_launches == 1 and last.native_mt_launches == 0
     assert np.array_equal(grid.to_numpy(), _jacobi_reference(96, 8))
-    assert len(cc_log.kernels()) == 1, cc_log.lines()
+    assert len(cc_log.lines()) == 1, cc_log.lines()
     assert cc_log.runtimes() == []
-    assert session.engine.backend.native_runtime is None
 
 
 def test_a_large_stencil_is_one_serial_call_unless_threads_are_asked_for(cc_log):
     """1200x1200 is 21 tiles, but no thread count was asked for: the
     stencil is one serial call and the grid copy a NumPy copy, so the
-    only compiler run is the stencil's and no runtime is built."""
+    only compiler run is the stencil's."""
     session = Session(backend="native")
     grid = heat_equation(grid_size=1200, iterations=4, session=session).to_numpy()
     assert len(cc_log.lines()) == 1 and cc_log.runtimes() == [], cc_log.lines()
-    assert session.engine.backend.native_runtime is None
     stats = session.stats_history[-1]
     assert stats.native_compiles == 1
     assert stats.native_kernel_launches == 4 and stats.native_mt_launches == 0
@@ -121,16 +127,14 @@ def test_a_large_stencil_is_one_serial_call_unless_threads_are_asked_for(cc_log)
     assert np.array_equal(grid, heat_equation(1200, 4, session=oracle).to_numpy())
 
 
-def test_a_large_stencil_compiles_the_runtime_and_its_stencil(cc_log):
-    """At two threads, 1200x1200 (21 tiles) threads in two parts through
-    the runtime, and the grid copy is still written by NumPy."""
+def test_a_threaded_stencil_compiles_only_its_stencil(cc_log):
+    """At two threads, 1200x1200 (21 tiles) runs each stencil step as two
+    calls of the one stencil kernel, one per row block, and the grid copy
+    is still written by NumPy: one compiler run, as at one thread."""
     with config_override(codegen_threads=2):
         session = Session(backend="native")
         grid = heat_equation(grid_size=1200, iterations=4, session=session).to_numpy()
-    if resolve_runtime(cc_log.directory)[1] != "pthread":
-        pytest.skip("the runtime count is pinned for a -pthread toolchain")
-    assert len(cc_log.kernels()) == 1, cc_log.lines()
-    assert len(cc_log.runtimes()) == 1, cc_log.lines()
+    assert len(cc_log.lines()) == 1 and cc_log.runtimes() == [], cc_log.lines()
     stats = session.stats_history[-1]
     assert stats.native_compiles == 1
     assert stats.native_kernel_launches == stats.native_mt_launches == 4
@@ -151,9 +155,9 @@ def _one_shot_program(index, length=100_000):
 
 def test_a_program_run_once_never_waits_for_cc(cc_log):
     """Three distinct one-step programs: run once each, they spawn no
-    compiler; run twice each on a fresh engine, one ``cc`` per form and no
-    runtime — at two threads, 100 000 elements is one tile of 65 536, so a
-    serial call."""
+    compiler; run twice each on a fresh engine, one ``cc`` per form — at
+    two threads, 100 000 elements is one tile of 65 536, so a serial
+    call."""
     programs = [_one_shot_program(index) for index in range(3)]
     with config_override(codegen_threads=2):
         once = ExecutionEngine(backend="native", optimize=True)
@@ -170,27 +174,24 @@ def test_a_program_run_once_never_waits_for_cc(cc_log):
             assert np.array_equal(
                 twice.execute(program).value(x), oracle.execute(program).value(x)
             )
-    assert len(cc_log.kernels()) == 3, cc_log.lines()
+    assert len(cc_log.lines()) == 3, cc_log.lines()
     assert cc_log.runtimes() == []
-    assert twice.backend.native_runtime is None
 
 
 def test_a_kernel_bound_at_one_thread_threads_once_two_are_asked_for(cc_log):
     """Raising the thread count re-plans onto a kernel already bound: it is
-    not compiled again, but the runtime is built for it, so its 200 000
-    elements (three tiles) run as one threaded call, not per tile."""
+    not compiled again, and its 200 000 elements (three tiles) run as two
+    calls of it, one per row block — nothing else is built."""
     program, x = _one_shot_program(0, length=200_000)
     engine = ExecutionEngine(backend="native", optimize=True)
     for _ in range(2):
         engine.execute(program)
-    assert engine.backend.native_runtime is None
     with config_override(codegen_threads=2):
         result = engine.execute(program)
-    if resolve_runtime(cc_log.directory)[1] != "pthread":
-        pytest.skip("the runtime count is pinned for a -pthread toolchain")
-    assert len(cc_log.kernels()) == 1 and len(cc_log.runtimes()) == 1, cc_log.lines()
+    assert len(cc_log.lines()) == 1 and cc_log.runtimes() == [], cc_log.lines()
     assert result.stats.native_compiles == 0
     assert result.stats.native_kernel_launches == result.stats.native_mt_launches == 1
+    assert result.stats.tiles_executed == 2
     oracle = ExecutionEngine(backend="interpreter", optimize=False)
     assert np.array_equal(result.value(x), oracle.execute(program).value(x))
 

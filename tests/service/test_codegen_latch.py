@@ -5,9 +5,9 @@ Three properties, all load-bearing for the multi-tenant service:
 * **Compile-once per digest**: concurrent resolvers of the same generated
   source dedupe to exactly one compiler invocation; the losers wait on the
   per-digest latch and report a ``"memory"`` outcome.
-* **One runtime per process**: the kernel runtime artifact goes through the
-  same latch, so tenants whose first kernels arrive together build (or
-  load) the shared worker pool exactly once.
+* **One runtime per process**: the kernel runtime artifact (the vector
+  ``erf``) goes through the same latch, so tenants whose first erf launches
+  arrive together build (or load) it exactly once.
 * **No cross-digest serialization**: the module lock is held only for dict
   surgery, never across a compile — resolvers of *distinct* digests run
   their compilers concurrently.  (The naive fix — holding the module lock
@@ -56,7 +56,7 @@ class TestCompileOnceLatch:
         started = threading.Event()
         release = threading.Event()
 
-        def fake_compile(source, opt_level, mt_mode, loader):
+        def fake_compile(source, opt_level, loader):
             with compile_lock:
                 compiles.append(source)
             started.set()
@@ -93,13 +93,13 @@ class TestCompileOnceLatch:
         assert all(kernel is kernels[0] for kernel in kernels)
 
     def test_concurrent_tenants_resolve_one_runtime(self, fresh_cache, monkeypatch):
-        # Four first-kernel resolves at once: one runtime compile, and every
-        # caller is handed the same loaded runtime (one pool per process).
+        # Four first resolves at once: one runtime compile, and every caller
+        # is handed the same loaded runtime.
         compiles = []
         release = threading.Event()
 
-        def fake_compile(source, opt_level, mt_mode, loader):
-            compiles.append((mt_mode, loader))
+        def fake_compile(source, opt_level, loader):
+            compiles.append(loader)
             release.wait()
             return FakeCompiled(source)
 
@@ -121,27 +121,27 @@ class TestCompileOnceLatch:
             thread.join(timeout=30)
         release_timer.join()
 
-        assert compiles == [("pthread", cache.CompiledRuntime)]
+        assert compiles == [cache.CompiledRuntime]
         assert len(found) == 4
-        assert all(runtime is found[0][0] for runtime, _, _ in found)
-        assert {mode for _, mode, _ in found} == {"pthread"}
-        assert sorted(outcome for _, _, outcome in found).count("compiled") == 1
+        assert all(runtime is found[0][0] for runtime, _ in found)
+        assert sorted(outcome for _, outcome in found).count("compiled") == 1
         # Served from the memo from now on, and dropped with it.
-        assert cache.resolve_runtime(use_disk=False)[2] == "memory"
+        assert cache.resolve_runtime(use_disk=False)[1] == "memory"
         cache.clear_memory_cache()
-        assert cache.resolve_runtime(use_disk=False)[2] == "compiled"
+        assert cache.resolve_runtime(use_disk=False)[1] == "compiled"
 
     def test_unbuildable_runtime_is_probed_once(self, fresh_cache, monkeypatch):
         attempts = []
 
-        def failing_compile(source, opt_level, mt_mode, loader):
-            attempts.append(mt_mode)
-            raise CodegenError("toolchain builds no threading runtime")
+        def failing_compile(source, opt_level, loader):
+            attempts.append(loader)
+            raise CodegenError("toolchain builds no runtime\nits stderr")
 
         monkeypatch.setattr(cache, "_compile_in_memory", failing_compile)
-        assert cache.resolve_runtime(use_disk=False) == (None, "serial", "serial")
-        assert cache.resolve_runtime(use_disk=False) == (None, "serial", "serial")
-        assert attempts == ["pthread", "openmp"]
+        assert cache.resolve_runtime(use_disk=False) == (None, None)
+        assert cache.resolve_runtime(use_disk=False) == (None, None)
+        assert attempts == [cache.CompiledRuntime]
+        assert cache.runtime_failure(use_disk=False) == "toolchain builds no runtime"
 
     def test_distinct_digests_compile_concurrently(self, fresh_cache, monkeypatch):
         # Both compilers must be inside their invocation at the same time.
@@ -150,7 +150,7 @@ class TestCompileOnceLatch:
         # times out, and this test fails instead of deadlocking.
         barrier = threading.Barrier(2, timeout=10)
 
-        def fake_compile(source, opt_level, mt_mode, loader):
+        def fake_compile(source, opt_level, loader):
             barrier.wait()
             return FakeCompiled(source)
 
@@ -185,7 +185,7 @@ class TestCompileOnceLatch:
         fail_first = threading.Event()
         fail_first.set()
 
-        def flaky_compile(source, opt_level, mt_mode, loader):
+        def flaky_compile(source, opt_level, loader):
             with attempt_lock:
                 attempts.append(source)
                 should_fail = fail_first.is_set()
@@ -228,7 +228,7 @@ class TestCompileOnceLatch:
         monkeypatch.setattr(
             cache,
             "_compile_in_memory",
-            lambda source, opt_level, mt_mode, loader: FakeCompiled(source),
+            lambda source, opt_level, loader: FakeCompiled(source),
         )
         source = unique_source("lifecycle")
         kernel, outcome = cache.get_compiled_kernel(source, use_disk=False)

@@ -359,9 +359,9 @@ class TestStatsJson:
             "compiles",
             "kernel_launches",
             "fallbacks",
-            "runtime",
         ):
             assert key in codegen, key
+        assert "runtime" not in codegen  # no kernel needs the kernel runtime
 
     def test_codegen_block_says_why_a_step_fell_back(self, tmp_path):
         import json
@@ -508,7 +508,7 @@ class TestServeStress:
             )
         assert code == 0
         assert "native:" in output
-        assert "in-kernel mt launch(es)" in output
+        assert "threaded launch(es)" in output
         assert "slot(s) elided" in output
 
     def test_serve_stress_json_includes_native_counters(
@@ -541,7 +541,7 @@ class TestServeStress:
             [listing_file, "--serve-stress", "2x2x1", "--backend", "interpreter"]
         )
         assert code == 0
-        assert "in-kernel mt launch(es)" not in output
+        assert "threaded launch(es)" not in output
 
 
 class TestErrorHandling:

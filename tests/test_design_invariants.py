@@ -154,11 +154,19 @@ GUARDS = (
         r"#include <",
         ("src/repro",),
         "#include <math.h>",
-        "generated C parses no header a declaration can replace: only the "
-        "runtime's <pthread.h> (ABI-specific types) and the two includes of "
-        "_assemble's #else branch for compilers without __INT64_TYPE__",
-        {"src/repro/codegen/emit_c.py": 3},
+        "generated C parses no header a declaration can replace: only the two "
+        "includes of _assemble's #else branch for compilers without __INT64_TYPE__",
+        {"src/repro/codegen/emit_c.py": 2},
         lives_there=True,
+    ),
+    Guard(
+        "one_thread_pool",
+        r"repro_kernel_mt|repro_rt_launch|pthread_create|omp parallel|-fopenmp",
+        ("src/repro",),
+        "    pthread_create(&tid, &attr, repro_rt_worker, 0);",
+        "a compiled step runs in parts as one serial repro_kernel call per row block "
+        "on the backend's tile pool; no artifact carries a second entry point or a "
+        "thread pool of its own",
     ),
     Guard(
         "pricing_is_a_report",
