@@ -47,8 +47,8 @@ serial ``repro_kernel`` call.  Two or more are the same kernel called once
 per contiguous block of the step's rows, the blocks scattered on the
 backend's tile pool: the middleware splits the work, and one artifact
 serves every thread count.  No kernel needs the kernel runtime artifact
-(the vector ``erf`` of interpreted ``BH_ERF``), so this backend never
-resolves it.
+(the vector ``erf`` of interpreted ``BH_ERF``), so no compiled launch
+resolves it; only an erf form's interpreted first launch does.
 """
 
 from __future__ import annotations

@@ -121,6 +121,23 @@ class TestCacheLifecycle:
         source = _source("optlevel")
         assert artifact_digest(source, 0) != artifact_digest(source, 2)
 
+    def test_mt_symbol_binding_is_optional(self, tmp_path):
+        # A kernel binds ``repro_kernel`` and nothing else: a library
+        # without a ``repro_kernel_mt`` loads, and one that still carries
+        # that retired entry point loads the same way, its extra symbol
+        # never bound.
+        extra = (
+            "void repro_kernel_mt(const int64_t *dims, char **ptrs,\n"
+            "                     const int64_t *strides) {\n"
+            "    (void)dims; (void)ptrs; (void)strides;\n"
+            "}\n"
+        )
+        for source in (_source("nomtsymbol"), _source("stalemtsymbol") + extra):
+            kernel, outcome = _compile(source, tmp_path)
+            assert outcome == "compiled"
+            assert kernel.fn is not None
+            assert not hasattr(kernel, "fn_mt")
+
     def test_disk_cache_disabled_writes_nothing(self, tmp_path):
         _, outcome = _compile(_source("nodisk"), tmp_path, use_disk=False)
         assert outcome == "compiled"

@@ -25,8 +25,11 @@ import numpy as np
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
+from repro.bytecode.opcodes import OpCode
 from repro.bytecode.view import View
 from repro.codegen import clear_memory_cache, find_c_compiler
+from repro.codegen.cache import resolve_runtime
+from repro.codegen.compiler import VEC_ERF_SYMBOL
 from repro.runtime.backend import get_backend
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.memory import MemoryManager
@@ -741,6 +744,38 @@ class TestFirstLaunch:
             assert np.array_equal(result.value(a), expected[0])
             assert np.array_equal(result.value(b), expected[1])
 
+    def test_a_first_launch_never_compiles_the_runtime(self, cache_dir, tmp_path, monkeypatch):
+        """A kernel on disk and no runtime there: a threaded first launch
+        binds the kernel from disk and runs its row blocks; nothing asks
+        for the runtime, so no compiler is spawned."""
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
+            second_run(ExecutionEngine(backend="native", optimize=True), program)
+        sources = [name for name in os.listdir(cache_dir) if name.endswith(".c")]
+        assert len(sources) == 1
+        assert not any(_is_runtime(os.path.join(cache_dir, name)) for name in sources)
+        clear_memory_cache()
+        log = tmp_path / "cc.log"
+        shim = tmp_path / "failing-cc"
+        shim.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
+        shim.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(shim))
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir, codegen_threads=2):
+            result = ExecutionEngine(backend="native", optimize=True).execute(program)
+        assert not log.exists(), f"a compiler was spawned: {log.read_text()}"
+        assert result.stats.native_fallbacks == result.stats.native_compiles == 0
+        assert result.stats.native_disk_hits == result.stats.native_kernel_launches == 1
+        assert result.stats.native_mt_launches == 1
+        assert np.array_equal(result.value(a), expected[0])
+        assert np.array_equal(result.value(b), expected[1])
+
+
+def _is_runtime(c_path) -> bool:
+    """Whether the artifact source at ``c_path`` is the kernel runtime's."""
+    with open(c_path) as handle:
+        return VEC_ERF_SYMBOL in handle.read()
+
 
 @requires_compiler
 class TestPlanInteraction:
@@ -964,6 +999,109 @@ class TestThreadedLaunch:
                     check=True,
                 ).stdout
                 assert "pthread_" not in undefined and "GOMP" not in undefined
+
+
+def build_erf_chain(length=LENGTH):
+    """``t = erf(a * 0.5)`` over a random ``a``: one erf-bearing kernel
+    form, whose first launch runs the interpreted template."""
+    builder = ProgramBuilder()
+    a = builder.new_vector(length)
+    t = builder.new_vector(length)
+    builder.random(a, 5)
+    builder.multiply(t, a, 0.5)
+    builder.emit_unary(OpCode.BH_ERF, t, t)
+    builder.sync(t)
+    return builder.build(), t
+
+
+def _record_runtime_resolves(monkeypatch, replacement=None):
+    """Patch ``resolve_runtime`` to log each call's outcome; ``replacement``
+    stands in for the real resolve when given."""
+    import repro.codegen.cache as cache_module
+
+    outcomes = []
+    resolve = replacement or cache_module.resolve_runtime
+
+    def recording(*args, **kwargs):
+        runtime, outcome = resolve(*args, **kwargs)
+        outcomes.append(outcome)
+        return runtime, outcome
+
+    monkeypatch.setattr(cache_module, "resolve_runtime", recording)
+    return outcomes
+
+
+@requires_compiler
+class TestSharedRuntime:
+    """One kernel runtime artifact per process and directory: the vector
+    ``erf`` that interpreted ``BH_ERF`` calls.  A compiled kernel calls
+    libm's ``erf`` itself, so no kernel launch, serial or threaded, needs
+    the runtime."""
+
+    def test_runtime_outcome_is_reported_and_never_counted_as_a_kernel(
+        self, cache_dir, monkeypatch
+    ):
+        program, t = build_erf_chain()
+        expected = _oracle(program, (t,))
+        # The oracle's erf resolved the runtime in the session's directory,
+        # and the artifact memo would serve that one here.
+        clear_memory_cache()
+        outcomes = _record_runtime_resolves(monkeypatch)
+        with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
+            first = ExecutionEngine(backend="native", optimize=True)
+            template = first.execute(program)
+            if outcomes[0] is None:
+                pytest.skip("toolchain builds no kernel runtime")
+            resolved = len(outcomes)
+            cold = first.execute(program)
+            clear_memory_cache()
+            disk = ExecutionEngine(backend="native", optimize=True).execute(program)
+        # The template's erf resolved the runtime, compiled once and then
+        # served from the process memo; compiled launches never looked.
+        assert outcomes[0] == "compiled"
+        assert set(outcomes[1:]) <= {"memory"}
+        assert len(outcomes) == resolved
+        # The runtime is in no kernel count: its compile is not the
+        # template flush's, and a disk-warm engine restores exactly the
+        # kernels the cold one compiled while the store holds one more.
+        assert template.stats.native_compiles == 0
+        assert cold.stats.native_compiles == 1
+        assert disk.stats.native_compiles == 0
+        assert disk.stats.native_disk_hits == cold.stats.native_compiles
+        sources = [name for name in os.listdir(cache_dir) if name.endswith(".c")]
+        assert sorted(_is_runtime(os.path.join(cache_dir, name)) for name in sources) == [
+            False,
+            True,
+        ]
+        assert resolve_runtime(cache_dir)[1] == "disk"
+        for result in (template, cold, disk):
+            assert np.array_equal(result.value(t), expected[0])
+
+    def test_without_a_runtime_threaded_launches_keep_the_per_tile_path(
+        self, cache_dir, monkeypatch
+    ):
+        """With no runtime to be had, a threaded step still runs its row
+        blocks on the tile pool, one tile each, and never asks for one."""
+        outcomes = _record_runtime_resolves(monkeypatch, lambda *args, **kwargs: (None, None))
+        program, a, b = build_chain()
+        expected = _oracle(program, (a, b))
+        with config_override(
+            **TINY_TILES,
+            parallel_num_threads=2,
+            codegen_threads=4,
+            codegen_cache_dir=cache_dir,
+        ):
+            engine = ExecutionEngine(backend="native", optimize=True)
+            result = second_run(engine, program)
+        step = next(
+            s for s in engine.last_plan.tiling.steps if isinstance(s, TiledMapStep)
+        )
+        assert outcomes == []
+        assert result.stats.native_mt_launches == 1
+        assert result.stats.native_fallbacks == 0
+        assert result.stats.tiles_executed == len(step.spans)
+        assert np.array_equal(result.value(a), expected[0])
+        assert np.array_equal(result.value(b), expected[1])
 
 
 def build_fills():
