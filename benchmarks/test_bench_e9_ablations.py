@@ -115,19 +115,19 @@ def test_chain_strategy_ablation(benchmark):
 def test_safety_analysis_ablation(benchmark):
     """How often would the Equation 2 rewrite mis-fire without liveness checks?
 
-    We measure the number of rewrite opportunities the pattern matcher sees
+    We measure the number of rewrite opportunities the idiom matcher sees
     versus the number the safety analysis admits, over programs where the
     inverse is reused — the admitted count must be zero.
     """
 
     def sweep():
-        from repro.core.linear_solve import LinearSolveRewritePass, _solve_pattern
+        from repro.core.linear_solve import LinearSolveRewritePass, _idiom_pairs
 
         unsafe_sites = 0
         admitted = 0
         for n in (8, 16, 32):
             program, _, _ = linear_solve_program(n, reuse_inverse=True, seed=n)
-            unsafe_sites += len(_solve_pattern().find_all(program))
+            unsafe_sites += len(_idiom_pairs(program))
             admitted += LinearSolveRewritePass().run(program).stats.rewrites_applied
         return {"pattern_matches": unsafe_sites, "admitted_rewrites": admitted}
 

@@ -1,6 +1,7 @@
 """Static checking layer: machine-checked invariants for programs and plans.
 
-Three analyzers, all purely static (no program is ever executed):
+Two analyzers, both purely static (no program is ever executed), each
+imported only once ``check_ir`` is on:
 
 * :mod:`repro.checks.ircheck` — flow-sensitive program invariant checker
   run by the optimization pipeline *between passes* under the ``check_ir``
@@ -10,11 +11,9 @@ Three analyzers, all purely static (no program is ever executed):
   plan-time artifacts (memory plan, fusion schedule, tiling decomposition)
   run by ``Backend.prepare_plan`` under the same knob, so a corrupted
   cached plan can never execute.
-* :mod:`repro.checks.lockcheck` — an AST lint over ``src/repro/**`` that
-  extracts static lock-acquisition nesting and fails on any edge pointing
-  *upward* in the documented lock hierarchy, or on forbidden work (host
-  allocation, compiler invocation, disk IO) under a leaf lock.  Runnable
-  as ``python -m repro.checks.lockcheck`` and as a pytest.
+
+The lock-hierarchy lint is not a runtime check: it lives with the tests,
+as ``tests/lockcheck.py``.
 
 The module-level :class:`CheckCounters` singleton aggregates how often the
 runtime checkers actually fired; the engine snapshots it into

@@ -7,8 +7,6 @@ objects into cheaper but semantically equivalent programs.  Its pieces:
   context-aware rules need.
 * :mod:`repro.core.rules` — the :class:`Pass` protocol, pass registry and
   result/statistics records.
-* :mod:`repro.core.pattern` — declarative instruction patterns used by the
-  idiom-detecting rules.
 * Concrete passes:
 
   - :class:`ConstantMergePass` (Listings 1-3): contract repeated
@@ -29,16 +27,7 @@ objects into cheaper but semantically equivalent programs.  Its pieces:
   verification) and the top-level :func:`optimize` entry point.
 """
 
-from repro.core.analysis import (
-    BaseInterval,
-    DefUse,
-    base_read_between,
-    base_written_between,
-    is_dead_after,
-    live_intervals,
-    reads_of_base,
-    writes_to_base,
-)
+from repro.core.analysis import BaseInterval, DefUse, live_intervals
 from repro.core.rules import (
     Pass,
     PassResult,
@@ -47,7 +36,6 @@ from repro.core.rules import (
     create_pass,
     register_pass,
 )
-from repro.core.pattern import InstructionPattern, MatchResult, SequencePattern
 from repro.core.constant_merge import ConstantMergePass
 from repro.core.addition_chains import (
     AdditionChain,
@@ -85,20 +73,12 @@ __all__ = [
     "DefUse",
     "BaseInterval",
     "live_intervals",
-    "base_read_between",
-    "base_written_between",
-    "is_dead_after",
-    "reads_of_base",
-    "writes_to_base",
     "Pass",
     "PassResult",
     "PassStats",
     "available_passes",
     "create_pass",
     "register_pass",
-    "InstructionPattern",
-    "MatchResult",
-    "SequencePattern",
     "ConstantMergePass",
     "AdditionChain",
     "binary_chain",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -58,45 +58,6 @@ class AdditionChain:
     def num_multiplies(self) -> int:
         """Number of ``BH_MULTIPLY`` byte-codes needed to realise the chain."""
         return len(self.steps)
-
-    def is_valid(self) -> bool:
-        """Check the chain really is an addition chain ending at ``target``."""
-        if not self.values or self.values[0] != 1:
-            return False
-        if self.values[-1] != self.target:
-            return False
-        if len(self.steps) != len(self.values) - 1:
-            return False
-        for position, (i, j) in enumerate(self.steps):
-            if i > position or j > position:
-                return False
-            if self.values[i] + self.values[j] != self.values[position + 1]:
-                return False
-        return True
-
-    def max_live_temporaries(self) -> int:
-        """How many chain values (besides ``x`` itself) must be alive at once.
-
-        A value is live from the step that produces it until the last step
-        that consumes it.  The paper's two-register constraint corresponds
-        to chains where this number never exceeds 1 (only the running
-        result is kept).
-        """
-        last_use: Dict[int, int] = {}
-        for step_index, (i, j) in enumerate(self.steps):
-            last_use[i] = step_index
-            last_use[j] = step_index
-        live_counts = []
-        for step_index in range(len(self.steps)):
-            live = 0
-            for value_index in range(1, len(self.values)):
-                born = value_index - 1  # produced by step value_index - 1
-                if born > step_index:
-                    continue
-                if last_use.get(value_index, -1) >= step_index or value_index == len(self.values) - 1:
-                    live += 1
-            live_counts.append(live)
-        return max(live_counts) if live_counts else 0
 
     def fits_two_registers(self) -> bool:
         """True when every step only uses ``x`` (index 0) or the previous value.

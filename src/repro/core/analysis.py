@@ -100,29 +100,16 @@ class DefUse:
         """True when ``base`` is the target of any ``BH_SYNC``."""
         return id(base) in self.synced
 
-    def sync_indices(self, base: BaseArray) -> Tuple[int, ...]:
-        """Positions of the ``BH_SYNC`` instructions targeting ``base``."""
-        return tuple(self.synced.get(id(base), ()))
-
     def is_freed(self, base: BaseArray) -> bool:
         """True when ``base`` is explicitly freed."""
         return id(base) in self.freed
 
-    def read_indices_after(self, base: BaseArray, index: int) -> Tuple[int, ...]:
-        """Indices of instructions after ``index`` that read ``base``."""
-        return tuple(a.index for a in self.reads_of(base) if a.index > index)
-
-    def write_indices_after(self, base: BaseArray, index: int) -> Tuple[int, ...]:
-        """Indices of instructions after ``index`` that write ``base``."""
-        return tuple(a.index for a in self.writes_of(base) if a.index > index)
-
     # ------------------------------------------------------------------ #
-    # Indexed interference / liveness queries
+    # Interference / liveness queries
     #
-    # These answer the same questions as the stand-alone helpers below, but
-    # against the prebuilt access index: a pass that asks many queries per
-    # run builds one DefUse and pays O(accesses of base) per query instead
-    # of rescanning the whole program every time.
+    # Answered against the prebuilt access index: a pass that asks many
+    # queries per run builds one DefUse and pays O(accesses of base) per
+    # query instead of rescanning the whole program every time.
     # ------------------------------------------------------------------ #
 
     def written_between(
@@ -139,26 +126,26 @@ class DefUse:
                 return True
         return False
 
-    def read_between(
-        self, base: BaseArray, start: int, stop: int, within: Optional[View] = None
-    ) -> bool:
-        """Is ``base`` read (SYNC included) in the open index range (start, stop)?"""
-        for access in self.accesses.get(id(base), ()):
-            if access.is_write or not start < access.index < stop:
-                continue
-            if within is None or access.view.overlaps(within):
-                return True
-        return False
-
     def value_dead_after(
         self, index: int, view: View, observable_at_end: bool = True
     ) -> bool:
-        """Index-backed equivalent of :func:`is_dead_after`.
+        """Is the value held by ``view`` unobservable after instruction ``index``?
 
-        The value held by ``view`` is dead after instruction ``index`` when
-        no later instruction can observe it: every later event on the
-        view's base, in program order, is either a complete overwrite or a
-        free before any overlapping read or sync.
+        The value is dead when no later instruction can observe it: every
+        later event on the view's base, in program order, is either a
+        complete overwrite or a free before any overlapping read or sync.
+        This is the safety condition behind both the paper's Equation 2
+        rewrite ("only faster if we do not use the inverse for anything
+        else") and dead-code elimination.
+
+        ``observable_at_end`` says how to treat a value that survives to
+        the end of the program without being freed.  The front-end may
+        still hold a handle to such a base and observe it in a *later*
+        flush, so the default is the conservative answer ("still live").
+        Bohrium frees a base when the owning Python object is garbage
+        collected, and our front-end does the same, so truly temporary
+        values do end in ``BH_FREE`` and are correctly recognised as dead.
+        Pass ``False`` only for whole-program (closed-world) analyses.
         """
         base = view.base
         events = []
@@ -288,84 +275,6 @@ def _covered_before_reads(base: BaseArray, accesses: Sequence[Access]) -> bool:
         if not access.is_write and access.index <= covered_from:
             return False
     return True
-
-
-# ---------------------------------------------------------------------- #
-# Stand-alone query helpers (operate directly on a program)
-#
-# Thin wrappers over :class:`DefUse` kept for call sites that ask a single
-# question about a program; passes that query repeatedly build one DefUse
-# and use its indexed methods instead.
-# ---------------------------------------------------------------------- #
-
-
-def reads_of_base(program: Program, base: BaseArray) -> List[int]:
-    """Indices of instructions that read ``base`` (SYNC counts as a read)."""
-    indices = []
-    for access in DefUse.analyze(program).reads_of(base):
-        if not indices or indices[-1] != access.index:
-            indices.append(access.index)
-    return indices
-
-
-def writes_to_base(program: Program, base: BaseArray) -> List[int]:
-    """Indices of instructions that write ``base``."""
-    indices = []
-    for access in DefUse.analyze(program).writes_of(base):
-        if not indices or indices[-1] != access.index:
-            indices.append(access.index)
-    return indices
-
-
-def base_read_between(
-    program: Program, base: BaseArray, start: int, stop: int, within: Optional[View] = None
-) -> bool:
-    """Is ``base`` read by any instruction with index in the open range (start, stop)?
-
-    When ``within`` is given, only reads whose view may overlap ``within``
-    count.
-    """
-    return DefUse.analyze(program).read_between(base, start, stop, within=within)
-
-
-def base_written_between(
-    program: Program, base: BaseArray, start: int, stop: int, within: Optional[View] = None
-) -> bool:
-    """Is ``base`` written by any instruction with index in the open range (start, stop)?"""
-    return DefUse.analyze(program).written_between(base, start, stop, within=within)
-
-
-def is_dead_after(
-    program: Program,
-    index: int,
-    view: View,
-    observable_at_end: bool = True,
-) -> bool:
-    """Is the value held by ``view`` unobservable after instruction ``index``?
-
-    The value is *dead* when no later instruction reads the view's base (in a
-    possibly-overlapping region) before the base is either completely
-    overwritten or freed, and the base is never synced after ``index``.
-
-    This is the safety condition behind both the paper's Equation 2 rewrite
-    ("only faster if we do not use the inverse for anything else") and
-    dead-code elimination.
-
-    Parameters
-    ----------
-    observable_at_end:
-        How to treat a value that survives to the end of the program without
-        being freed.  The front-end may still hold a handle to such a base
-        and observe it in a *later* flush, so the default is the
-        conservative answer ("still live").  Bohrium frees a base when the
-        owning Python object is garbage collected, and our front-end does
-        the same, so truly temporary values do end in ``BH_FREE`` and are
-        correctly recognised as dead.  Pass ``False`` only for whole-program
-        (closed-world) analyses.
-    """
-    return DefUse.analyze(program).value_dead_after(
-        index, view, observable_at_end=observable_at_end
-    )
 
 
 def _covers(writer: View, target: View) -> bool:

@@ -23,7 +23,7 @@ and stops at anything that reads or writes an overlapping view in between.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode

@@ -27,7 +27,7 @@ the operation's identity element the whole run disappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.bytecode.dtypes import promote
 from repro.bytecode.instruction import Instruction

@@ -25,7 +25,7 @@ Safety conditions for treating instruction *j* as a repeat of instruction
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode

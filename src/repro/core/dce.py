@@ -15,10 +15,13 @@ from __future__ import annotations
 from typing import List
 
 from repro.bytecode.instruction import Instruction
-from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.core.analysis import DefUse
 from repro.core.rules import Pass, PassResult
+
+
+#: Bound on removal sweeps per run.
+MAX_SWEEPS = 8
 
 
 class DeadCodeEliminationPass(Pass):
@@ -26,13 +29,10 @@ class DeadCodeEliminationPass(Pass):
 
     name = "dce"
 
-    def __init__(self, max_iterations: int = 8) -> None:
-        self.max_iterations = max_iterations
-
     def run(self, program: Program) -> PassResult:
         stats = self._new_stats(program)
         current = program
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_SWEEPS):
             removed, current = self._sweep(current, stats)
             if removed == 0:
                 break

@@ -17,7 +17,7 @@ loop-fusion-like contractions" end of the paper's transformation spectrum.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode

@@ -29,29 +29,65 @@ this negative case.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Tuple
 
 from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
+from repro.bytecode.operand import is_view
 from repro.bytecode.program import Program
 from repro.core.analysis import DefUse
-from repro.core.pattern import Capture, InstructionPattern, IsView, SequencePattern
 from repro.core.rules import Pass, PassResult
 
 
-def _solve_pattern() -> SequencePattern:
-    """The two-instruction idiom, tolerant of unrelated byte-codes in between."""
-    inverse = InstructionPattern(
-        opcodes=(OpCode.BH_MATRIX_INVERSE,),
-        output="inverse",
-        inputs=(IsView("matrix"),),
+def _is_inverse(instruction: Instruction) -> bool:
+    """``BH_MATRIX_INVERSE t, A`` with a view output and a view input."""
+    inputs = instruction.inputs
+    return (
+        instruction.opcode is OpCode.BH_MATRIX_INVERSE
+        and instruction.out is not None
+        and len(inputs) == 1
+        and is_view(inputs[0])
     )
-    matmul = InstructionPattern(
-        opcodes=(OpCode.BH_MATMUL,),
-        output="solution",
-        inputs=(Capture("inverse"), IsView("rhs")),
+
+
+def _multiplies_inverse(instruction: Instruction, inverse: Instruction) -> bool:
+    """``BH_MATMUL x, t, b`` where ``t`` is exactly ``inverse``'s output view."""
+    inputs = instruction.inputs
+    return (
+        instruction.opcode is OpCode.BH_MATMUL
+        and instruction.out is not None
+        and len(inputs) == 2
+        and is_view(inputs[0])
+        and inputs[0].same_view(inverse.out)
+        and is_view(inputs[1])
     )
-    return SequencePattern(steps=(inverse, matmul), allow_gaps=True)
+
+
+def _idiom_pairs(program: Program) -> List[Tuple[int, int]]:
+    """``(inverse index, matmul index)`` of every idiom, left to right.
+
+    Each inverse pairs with the first later matmul of its output, whatever
+    sits in between; a matmul an earlier inverse already took drops the
+    later inverse instead of sending it on to the next matmul.
+    """
+    pairs = []
+    taken = set()
+    for inverse_index, inverse in enumerate(program):
+        if not _is_inverse(inverse):
+            continue
+        matmul_index = next(
+            (
+                index
+                for index in range(inverse_index + 1, len(program))
+                if _multiplies_inverse(program[index], inverse)
+            ),
+            None,
+        )
+        if matmul_index is None or matmul_index in taken:
+            continue
+        taken.add(matmul_index)
+        pairs.append((inverse_index, matmul_index))
+    return pairs
 
 
 class LinearSolveRewritePass(Pass):
@@ -61,20 +97,19 @@ class LinearSolveRewritePass(Pass):
 
     def run(self, program: Program) -> PassResult:
         stats = self._new_stats(program)
-        matches = _solve_pattern().find_all(program)
-        if not matches:
+        pairs = _idiom_pairs(program)
+        if not pairs:
             return self._finish(program.copy(), stats)
 
         defuse = DefUse.analyze(program)
         to_remove = set()
         replacements = {}
-        for match in matches:
-            inverse_index, matmul_index = match.indices
-            if not self._is_safe(program, defuse, match, inverse_index, matmul_index):
+        for inverse_index, matmul_index in pairs:
+            inverse, matmul = program[inverse_index], program[matmul_index]
+            if not self._is_safe(defuse, inverse, matmul, inverse_index, matmul_index):
                 continue
-            matrix = match.view("matrix")
-            rhs = match.view("rhs")
-            solution = match.view("solution")
+            matrix = inverse.inputs[0]
+            solution, rhs = matmul.out, matmul.inputs[1]
             replacements[matmul_index] = Instruction(
                 OpCode.BH_LU_SOLVE, (solution, matrix, rhs), tag=self.name
             )
@@ -100,15 +135,15 @@ class LinearSolveRewritePass(Pass):
 
     def _is_safe(
         self,
-        program: Program,
         defuse: DefUse,
-        match,
+        inverse: Instruction,
+        matmul: Instruction,
         inverse_index: int,
         matmul_index: int,
     ) -> bool:
-        inverse_view = match.view("inverse")
-        matrix_view = match.view("matrix")
-        rhs_view = match.view("rhs")
+        inverse_view = inverse.out
+        matrix_view = inverse.inputs[0]
+        rhs_view = matmul.inputs[1]
         inverse_base = inverse_view.base
 
         # The inverse must not be a program output.
@@ -139,7 +174,7 @@ class LinearSolveRewritePass(Pass):
 
         # The solution must not alias A or b in a way the combined solve
         # could corrupt (the fused LU_SOLVE reads both of them fully).
-        solution = match.view("solution")
+        solution = matmul.out
         if solution.overlaps(matrix_view) or solution.overlaps(rhs_view):
             return False
         return True

@@ -11,7 +11,6 @@ The top-level convenience function is :func:`optimize`:
 >>> report = optimize(program)
 >>> report.optimized            # the rewritten program
 >>> report.total_rewrites       # how many rewrite sites fired
->>> report.instructions_removed # net byte-code count change
 """
 
 from __future__ import annotations
@@ -91,11 +90,6 @@ class OptimizationReport:
         """Instruction count of the optimized program."""
         return len(self.optimized)
 
-    @property
-    def instructions_removed(self) -> int:
-        """Net instruction-count reduction (negative when code was added)."""
-        return self.instructions_before - self.instructions_after
-
     def stats_for(self, pass_name: str) -> List[PassStats]:
         """All stats records produced by a given pass (one per iteration)."""
         return [stats for stats in self.pass_stats if stats.pass_name == pass_name]
@@ -129,7 +123,6 @@ class Pipeline:
         self,
         passes: Sequence[Union[str, Pass]],
         fixed_point: bool = True,
-        max_iterations: int = MAX_ITERATIONS,
         verify: bool = False,
         validate: bool = True,
         config: Optional[Config] = None,
@@ -142,9 +135,7 @@ class Pipeline:
             A name is built under ``config``.
         fixed_point:
             Re-run the whole pass list until no pass reports a rewrite (or
-            ``max_iterations`` is hit).
-        max_iterations:
-            Bound on fixed-point iterations (default :data:`MAX_ITERATIONS`).
+            :data:`MAX_ITERATIONS` is hit).
         verify:
             Re-execute the original and the optimized program on the same
             inputs and compare them (:class:`SemanticVerifier`).  Expensive;
@@ -161,7 +152,6 @@ class Pipeline:
             for item in passes
         ]
         self.fixed_point = fixed_point
-        self.max_iterations = max_iterations
         self.verify = verify
         self.validate = validate
 
@@ -180,7 +170,6 @@ class Pipeline:
         return (
             tuple(self.pass_names()),
             self.fixed_point,
-            self.max_iterations,
             bool(self.verify),
             self.validate,
         )
@@ -227,7 +216,7 @@ class Pipeline:
                             ) from None
             if not self.fixed_point or not changed_this_round:
                 break
-            if iterations >= self.max_iterations:
+            if iterations >= MAX_ITERATIONS:
                 break
         report.iterations = iterations
         report.optimized = current

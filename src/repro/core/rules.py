@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.bytecode.program import Program
 
@@ -46,11 +46,6 @@ class PassStats:
     instructions_after: int = 0
     notes: List[str] = field(default_factory=list)
     artifacts: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def instructions_removed(self) -> int:
-        """Net change in instruction count (negative when the pass adds code)."""
-        return self.instructions_before - self.instructions_after
 
     def note(self, message: str) -> None:
         """Record a free-form note about one rewrite."""

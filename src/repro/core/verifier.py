@@ -19,7 +19,6 @@ import numpy as np
 from repro.bytecode.base import BaseArray
 from repro.bytecode.program import Program
 from repro.bytecode.validate import validate_program
-from repro.bytecode.view import View
 from repro.core.analysis import DefUse, observable_views
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.memory import MemoryManager

@@ -172,8 +172,6 @@ class ExecutionEngine:
         Returns the backend's :class:`ExecutionResult` with the plan-stage
         statistics (cache outcome, middleware overhead) filled in.
         """
-        from repro.checks.plancheck import maybe_check_plan
-
         backend = self.backend
         plan_started = time.perf_counter()
         hit = False
@@ -203,7 +201,10 @@ class ExecutionEngine:
         if plan is not None:
             # Per execution, not just per build, and under this flush's
             # ``check_ir``: a plan corrupted after caching never executes.
-            maybe_check_plan(plan, config)
+            if config.check_ir:
+                from repro.checks.plancheck import maybe_check_plan
+
+                maybe_check_plan(plan, config)
             result = backend.execute_plan(plan, executable, memory)
         else:
             if memory is not None:

@@ -190,7 +190,6 @@ class ParallelBackend(Backend):
         which is benign.  The live configuration is read once, here, and
         keys the plan exactly as the engine keys its own.
         """
-        from repro.checks.plancheck import maybe_check_plan
         from repro.core.schedule import compute_schedule
 
         config = self.flush_config()
@@ -211,7 +210,10 @@ class ParallelBackend(Backend):
             )
             self.prepare_plan(plan)
             self._adhoc_plans.put(cache_key, plan)
-        maybe_check_plan(plan, config)  # every execution, as the engine does
+        if config.check_ir:  # every execution, as the engine does
+            from repro.checks.plancheck import maybe_check_plan
+
+            maybe_check_plan(plan, config)
         return self.execute_plan(plan, plan.bind(bases, values), memory)
 
     def cache_stats(self) -> Dict[str, int]:

@@ -1,4 +1,4 @@
-"""Tests for the lock-hierarchy lint (`repro.checks.lockcheck`)."""
+"""Tests for the lock-hierarchy lint (`tests/lockcheck.py`)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from repro.checks.lockcheck import main, run_lockcheck
+from tests import lockcheck
+from tests.lockcheck import main, run_lockcheck
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -37,7 +38,7 @@ class TestRealTree:
         above the plan lock)."""
         import ast
 
-        from repro.checks.lockcheck import LockCheckReport, _FileAnalyzer
+        from tests.lockcheck import LockCheckReport, _FileAnalyzer
         import repro.runtime.native as native
 
         analyzer = _FileAnalyzer(native.__file__, LockCheckReport())
@@ -70,7 +71,7 @@ class TestRealTree:
         ``DistributedBackend._run``, around binding and every round trip."""
         import ast
 
-        from repro.checks.lockcheck import LockCheckReport, _FileAnalyzer
+        from tests.lockcheck import LockCheckReport, _FileAnalyzer
         import repro.dist.backend as dist_backend
 
         analyzer = _FileAnalyzer(dist_backend.__file__, LockCheckReport())
@@ -145,16 +146,12 @@ class TestCli:
         assert "upward-edge" in out
 
     def test_module_entry_point(self):
-        """`python -m repro.checks.lockcheck <fixture>` exits non-zero —
-        the exact invocation CI uses."""
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(FIXTURES), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        """`python tests/lockcheck.py <fixture>` exits non-zero — the exact
+        invocation CI uses."""
         completed = subprocess.run(
-            [sys.executable, "-m", "repro.checks.lockcheck", _fixture("upward_edge.py")],
+            [sys.executable, lockcheck.__file__, _fixture("upward_edge.py")],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert completed.returncode == 1
         assert "upward-edge" in completed.stdout

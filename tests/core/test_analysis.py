@@ -8,15 +8,7 @@ from repro.bytecode.instruction import Instruction
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
-from repro.core.analysis import (
-    DefUse,
-    base_read_between,
-    base_written_between,
-    is_dead_after,
-    observable_views,
-    reads_of_base,
-    writes_to_base,
-)
+from repro.core.analysis import DefUse, observable_views
 
 
 def sample_program():
@@ -49,31 +41,15 @@ class TestDefUse:
         assert not defuse.is_synced(a.base)
         assert defuse.is_freed(a.base)
         assert not defuse.is_freed(c.base)
-        assert defuse.sync_indices(c.base) == (4,)
+        assert defuse.synced[id(c.base)] == [4]
 
-    def test_indices_after(self):
+
+class TestInterference:
+    def test_written_between(self):
         program, a, b, c = sample_program()
         defuse = DefUse.analyze(program)
-        assert defuse.read_indices_after(c.base, 2) == (3, 4)
-        assert defuse.read_indices_after(c.base, 4) == ()
-        assert defuse.write_indices_after(c.base, 2) == (3,)
-
-
-class TestStandaloneQueries:
-    def test_reads_and_writes_to_base(self):
-        program, a, b, c = sample_program()
-        assert reads_of_base(program, a.base) == [2]
-        assert writes_to_base(program, c.base) == [2, 3]
-
-    def test_base_read_between(self):
-        program, a, b, c = sample_program()
-        assert base_read_between(program, a.base, 0, 3)
-        assert not base_read_between(program, a.base, 2, 5)
-
-    def test_base_written_between(self):
-        program, a, b, c = sample_program()
-        assert base_written_between(program, c.base, 2, 4)
-        assert not base_written_between(program, a.base, 0, 5)
+        assert defuse.written_between(c.base, 2, 4)
+        assert not defuse.written_between(a.base, 0, 5)
 
     def test_within_view_restriction(self):
         base = BaseArray(10)
@@ -88,29 +64,34 @@ class TestStandaloneQueries:
         )
         # Between 0 and 2 the base is written (index 1) but only in the
         # right half, so a query restricted to the left half sees nothing.
-        assert base_written_between(program, base, 0, 2)
-        assert not base_written_between(program, base, 0, 2, within=left)
+        defuse = DefUse.analyze(program)
+        assert defuse.written_between(base, 0, 2)
+        assert not defuse.written_between(base, 0, 2, within=left)
+
+
+def _dead_after(program, index, view, **kwargs):
+    return DefUse.analyze(program).value_dead_after(index, view, **kwargs)
 
 
 class TestLiveness:
     def test_value_read_later_is_live(self):
         program, a, b, c = sample_program()
-        assert not is_dead_after(program, 0, a)  # a is read at 2
+        assert not _dead_after(program, 0, a)  # a is read at 2
 
     def test_value_freed_without_read_is_dead(self):
         program, a, b, c = sample_program()
-        assert is_dead_after(program, 2, a)  # after the add, a is only freed
+        assert _dead_after(program, 2, a)  # after the add, a is only freed
 
     def test_synced_value_is_live(self):
         program, a, b, c = sample_program()
-        assert not is_dead_after(program, 3, c)
+        assert not _dead_after(program, 3, c)
 
     def test_unfreed_value_at_end_is_conservatively_live(self):
         program, a, b, c = sample_program()
         # After the add (index 2) nothing reads b again, but b is never
         # freed either: the front-end may still observe it in a later flush.
-        assert not is_dead_after(program, 2, b)
-        assert is_dead_after(program, 2, b, observable_at_end=False)
+        assert not _dead_after(program, 2, b)
+        assert _dead_after(program, 2, b, observable_at_end=False)
 
     def test_complete_overwrite_kills_value(self):
         builder = ProgramBuilder()
@@ -119,7 +100,7 @@ class TestLiveness:
         builder.identity(v, 2)
         builder.sync(v)
         program = builder.build()
-        assert is_dead_after(program, 0, v)
+        assert _dead_after(program, 0, v)
 
     def test_partial_overwrite_does_not_kill_value(self):
         base = BaseArray(8)
@@ -132,7 +113,7 @@ class TestLiveness:
                 Instruction(OpCode.BH_SYNC, (full,)),
             ]
         )
-        assert not is_dead_after(program, 0, full)
+        assert not _dead_after(program, 0, full)
 
 
 class TestObservableViews:
@@ -152,9 +133,8 @@ class TestObservableViews:
         assert {view.base for view in observable_views(program)} == {used.base}
 
 
-# Independent scan-based reference implementations (the pre-index helpers):
-# the library's stand-alone functions are now thin wrappers over DefUse, so
-# comparing against *them* would be tautological.
+# Independent scan-based reference implementations: they rescan the
+# program per query instead of walking DefUse's access index.
 
 
 def _scan_written_between(program, base, start, stop, within=None):
@@ -162,22 +142,6 @@ def _scan_written_between(program, base, start, stop, within=None):
         if index < 0 or index >= len(program):
             continue
         for view in program[index].writes():
-            if view.base is base and (within is None or view.overlaps(within)):
-                return True
-    return False
-
-
-def _scan_read_between(program, base, start, stop, within=None):
-    for index in range(start + 1, stop):
-        if index < 0 or index >= len(program):
-            continue
-        instruction = program[index]
-        views = (
-            instruction.views()
-            if instruction.opcode is OpCode.BH_SYNC
-            else instruction.reads()
-        )
-        for view in views:
             if view.base is base and (within is None or view.overlaps(within)):
                 return True
     return False
@@ -207,7 +171,7 @@ def _scan_is_dead_after(program, index, view, observable_at_end=True):
 
 
 class TestIndexedQueries:
-    """DefUse methods and wrapper helpers must agree with independent scans."""
+    """DefUse's indexed queries must agree with independent scans."""
 
     def test_written_between_matches_scan(self):
         program, a, b, c = sample_program()
@@ -217,17 +181,6 @@ class TestIndexedQueries:
                 for stop in range(start, len(program) + 1):
                     expected = _scan_written_between(program, base, start, stop)
                     assert defuse.written_between(base, start, stop) == expected
-                    assert base_written_between(program, base, start, stop) == expected
-
-    def test_read_between_matches_scan(self):
-        program, a, b, c = sample_program()
-        defuse = DefUse.analyze(program)
-        for base in (a.base, b.base, c.base):
-            for start in range(-1, len(program)):
-                for stop in range(start, len(program) + 1):
-                    expected = _scan_read_between(program, base, start, stop)
-                    assert defuse.read_between(base, start, stop) == expected
-                    assert base_read_between(program, base, start, stop) == expected
 
     def test_written_between_respects_window(self):
         builder = ProgramBuilder()
@@ -252,9 +205,6 @@ class TestIndexedQueries:
                     )
                     assert defuse.value_dead_after(
                         index, view, observable_at_end=observable
-                    ) == expected
-                    assert is_dead_after(
-                        program, index, view, observable_at_end=observable
                     ) == expected
 
     def test_value_dead_after_overwrite_then_sync(self):

@@ -269,6 +269,25 @@ class TestDeadCodeElimination:
         # everything is dead, and each free goes with its base's last definition
         assert len(result.program) == 0
 
+    def test_sweeps_are_bounded(self, monkeypatch):
+        # The chain above needs three sweeps; one removes only its tail.
+        monkeypatch.setattr("repro.core.dce.MAX_SWEEPS", 1)
+        builder = ProgramBuilder()
+        a = builder.new_vector(4)
+        b = builder.new_vector(4)
+        c = builder.new_vector(4)
+        builder.identity(a, 1)
+        builder.add(b, a, 1)
+        builder.add(c, b, 1)
+        builder.free(c)
+        builder.free(b)
+        builder.free(a)
+        result = DeadCodeEliminationPass().run(builder.build())
+        assert result.stats.rewrites_applied == 1
+        assert [i.opcode for i in result.program] == [
+            OpCode.BH_IDENTITY, OpCode.BH_ADD, OpCode.BH_FREE, OpCode.BH_FREE,
+        ]
+
     def test_a_free_with_no_definition_in_the_program_stays(self):
         # ``earlier`` was defined by a previous flush: this program only
         # reads it (in dead code) and frees it, and the free must release it.

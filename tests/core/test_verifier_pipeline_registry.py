@@ -6,6 +6,7 @@ import pytest
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.opcodes import OpCode
 from repro.bytecode.program import Program
+from repro.core.dce import DeadCodeEliminationPass
 from repro.core.pipeline import OptimizationReport, Pipeline, default_pipeline, optimize
 from repro.core.rules import (
     DEFAULT_PASS_ORDER,
@@ -248,12 +249,17 @@ class TestPipeline:
         assert report.optimized.count(OpCode.BH_MULTIPLY, include_fused=True) == 0
         assert report.optimized.count(OpCode.BH_ADD, include_fused=True) == 1
 
-    def test_fixed_point_max_iterations_bound(self):
+    def test_fixed_point_max_iterations_bound(self, monkeypatch):
         program, _ = repeated_constant_add(16, repeats=3)
-        pipeline = default_pipeline()
-        pipeline.max_iterations = 1
-        report = pipeline.run(program)
+        monkeypatch.setattr("repro.core.pipeline.MAX_ITERATIONS", 1)
+        report = default_pipeline().run(program)
         assert report.iterations == 1
+
+    def test_iteration_bounds_are_constants_not_options(self):
+        with pytest.raises(TypeError):
+            Pipeline([], max_iterations=1)
+        with pytest.raises(TypeError):
+            DeadCodeEliminationPass(max_iterations=1)
 
     def test_single_pass_mode(self):
         program, _ = repeated_constant_add(16, repeats=3)

@@ -19,6 +19,7 @@ rank  lock                                     where
 ====  =======================================  ==============================
 
 This module machine-checks that discipline instead of trusting prose.  It
+lives with the tests because no runtime path needs it.  It
 parses every file under ``src/repro``, extracts the static lock-acquisition
 nesting graph (``with`` statements over recognised lock expressions,
 ``.acquire()`` calls, plus one level of interprocedural summary
@@ -38,8 +39,8 @@ recorded but unranked: they produce no edges and no violations, so the
 lint cannot false-positive on helper locks like
 :class:`~repro.utils.locking.SingleOwner`'s internal mutex.
 
-Runnable as ``python -m repro.checks.lockcheck [paths...]`` (exit status 1
-on violations) and as a pytest via :func:`run_lockcheck`.
+Runnable as ``python tests/lockcheck.py [paths...]`` (exit status 1 on
+violations) and as a pytest via :func:`run_lockcheck`.
 """
 
 from __future__ import annotations
@@ -466,8 +467,8 @@ def _resolve_summaries(
 
 
 def _default_root() -> str:
-    """The installed ``repro`` package directory (``src/repro``)."""
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    """The ``repro`` package directory of this checkout (``src/repro``)."""
+    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro")
 
 
 def _python_files(paths: Sequence[str]) -> List[str]:
@@ -484,7 +485,7 @@ def _python_files(paths: Sequence[str]) -> List[str]:
 
 
 def run_lockcheck(paths: Optional[Sequence[str]] = None) -> LockCheckReport:
-    """Lint ``paths`` (default: the installed ``repro`` package tree)."""
+    """Lint ``paths`` (default: this checkout's ``src/repro`` tree)."""
     if not paths:
         paths = [_default_root()]
     report = LockCheckReport()

@@ -9,6 +9,9 @@
   the import ``spawn`` performs — loads the repro modules a shard runs and
   nothing of the optimizer, the other backends, the emitter or hashing.
 * After a real heat flush no worker has OpenSSL's ``libcrypto`` mapped.
+* A default flush imports no checker, on any backend:
+  ``repro.checks.plancheck`` and ``repro.checks.ircheck`` load only once
+  ``check_ir`` is on, and then run.
 """
 
 from __future__ import annotations
@@ -214,3 +217,46 @@ def test_no_worker_maps_libcrypto(tmp_path):
     assert len(maps) == 2 - 1, maps
     for pid, files in maps.items():
         assert not [path for path in files if "libcrypto" in path], (pid, files)
+
+
+# --------------------------------------------------------------------------- #
+# (d) A default flush imports no checker
+# --------------------------------------------------------------------------- #
+
+_CHECKERS = ("repro.checks.plancheck", "repro.checks.ircheck")
+
+_CHECKED_FLUSH = """
+import json, sys
+from repro.frontend.session import Session
+from repro.utils.config import config_override
+from repro.workloads import heat_equation, monte_carlo_pi
+
+def flush(session):
+    heat_equation(32, 2, session=session).to_numpy()
+    monte_carlo_pi(4_096, session=session).to_numpy()
+    stats = session.total_stats()
+    return {{"ir": stats.ir_checks_run, "plan": stats.plan_checks_run}}
+
+def main():
+    checkers = {checkers!r}
+    default = flush(Session(backend={backend!r}))
+    loaded_by_default = [name for name in checkers if name in sys.modules]
+    with config_override(check_ir=True):
+        checked = flush(Session(backend={backend!r}))
+    loaded_when_checked = [name for name in checkers if name in sys.modules]
+    print(json.dumps({{"default": default, "loaded_by_default": loaded_by_default,
+                      "checked": checked, "loaded_when_checked": loaded_when_checked}}))
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+@pytest.mark.parametrize("backend", ["interpreter", "parallel", "native", "dist"])
+def test_a_default_flush_imports_no_checker(backend, tmp_path):
+    report = _run(_CHECKED_FLUSH.format(backend=backend, checkers=_CHECKERS), tmp_path)
+    assert report["loaded_by_default"] == []
+    assert report["loaded_when_checked"] == list(_CHECKERS)
+    assert report["default"]["ir"] == 0 < report["checked"]["ir"]
+    if backend != "dist":  # dist counts its shard planner's own validation as plan checks
+        assert report["default"]["plan"] == 0 < report["checked"]["plan"]
