@@ -25,7 +25,7 @@ from repro.core.verifier import SemanticVerifier
 from repro.frontend.session import reset_session
 from repro.workloads import elementwise_chain, repeated_constant_add
 
-from conftest import record_table
+from bench_report import record_table
 
 
 def _duplicate_expression_program(size=10_000):

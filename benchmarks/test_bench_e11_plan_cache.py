@@ -23,7 +23,7 @@ from repro.frontend import flush as frontend_flush
 from repro.frontend import zeros
 from repro.frontend.session import reset_session
 
-from conftest import record_table
+from bench_report import record_table
 
 GRID = 96
 ITERATIONS = 50

@@ -30,7 +30,7 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.tiling import resolve_num_threads
 from repro.utils.config import get_config
 
-from conftest import record_table
+from bench_report import record_table
 
 VECTOR_LENGTH = 1 << 22  # 4M float64 elements = 32 MiB per vector
 CHAIN_OPS = 24

@@ -31,7 +31,7 @@ from repro.frontend.session import Session, reset_session
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
-from conftest import record_table
+from bench_report import record_table
 
 GRID = 64
 STEPS_PER_FLUSH = 6

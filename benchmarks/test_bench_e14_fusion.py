@@ -25,7 +25,7 @@ from repro.frontend.session import Session
 from repro.utils.config import config_override
 from repro.workloads import heat_equation_with_norm
 
-from conftest import record_table
+from bench_report import record_table
 
 GRID = 48
 ITERATIONS = 12

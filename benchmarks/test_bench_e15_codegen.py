@@ -54,7 +54,7 @@ from repro.runtime.native import FIRST_LAUNCH
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
-from conftest import record_table, wall_clock_floor
+from bench_report import record_table, wall_clock_floor
 
 GRID = 1200
 ITERATIONS = 20

@@ -41,7 +41,7 @@ from repro.frontend.session import Session
 from repro.utils.config import config_override
 from repro.workloads import heat_equation
 
-from conftest import record_table, wall_clock_floor
+from bench_report import record_table, wall_clock_floor
 
 GRID = 512
 ITERATIONS = 10

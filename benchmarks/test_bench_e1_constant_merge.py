@@ -16,7 +16,7 @@ from repro.core.pipeline import optimize
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.workloads import repeated_constant_add
 
-from conftest import record_table
+from bench_report import record_table
 
 SIZE = 1_000_000
 REPEATS = (3, 8, 16)

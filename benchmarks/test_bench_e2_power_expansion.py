@@ -18,7 +18,7 @@ from repro.core.power_expansion import expand_power
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.workloads import power_program
 
-from conftest import record_table
+from bench_report import record_table
 
 SIZE = 1_000_000
 EXPONENT = 10

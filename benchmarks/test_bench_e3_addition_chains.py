@@ -17,7 +17,7 @@ from repro.core.addition_chains import (
     power_of_two_chain,
 )
 
-from conftest import record_table
+from bench_report import record_table
 
 EXPONENTS = tuple(range(2, 65))
 

@@ -23,7 +23,7 @@ from repro.core.power_expansion import expand_power
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.workloads import power_program
 
-from conftest import record_table
+from bench_report import record_table
 
 SIZE = 500_000
 SWEEP = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)

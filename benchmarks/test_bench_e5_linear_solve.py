@@ -16,7 +16,7 @@ from repro.core.pipeline import optimize
 from repro.runtime.interpreter import NumPyInterpreter
 from repro.workloads import linear_solve_program
 
-from conftest import record_table
+from bench_report import record_table
 
 SIZES = (64, 128, 256)
 

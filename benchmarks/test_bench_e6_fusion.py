@@ -19,7 +19,7 @@ from repro.runtime.interpreter import NumPyInterpreter
 from repro.runtime.parallel import ParallelBackend
 from repro.workloads import elementwise_chain
 
-from conftest import record_table
+from bench_report import record_table
 
 SIZE = 500_000
 CHAIN_LENGTHS = (4, 16)

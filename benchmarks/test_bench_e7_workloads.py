@@ -23,7 +23,7 @@ from repro.workloads import (
     polynomial_evaluation,
 )
 
-from conftest import record_table
+from bench_report import record_table
 
 WORKLOADS = {
     "heat_equation": lambda: heat_equation(grid_size=96, iterations=10),

@@ -26,7 +26,7 @@ from repro.workloads import (
     repeated_constant_add,
 )
 
-from conftest import record_table
+from bench_report import record_table
 
 
 def test_fixed_point_vs_single_pass(benchmark):

@@ -126,9 +126,7 @@ class DefUse:
                 return True
         return False
 
-    def value_dead_after(
-        self, index: int, view: View, observable_at_end: bool = True
-    ) -> bool:
+    def value_dead_after(self, index: int, view: View) -> bool:
         """Is the value held by ``view`` unobservable after instruction ``index``?
 
         The value is dead when no later instruction can observe it: every
@@ -138,14 +136,12 @@ class DefUse:
         rewrite ("only faster if we do not use the inverse for anything
         else") and dead-code elimination.
 
-        ``observable_at_end`` says how to treat a value that survives to
-        the end of the program without being freed.  The front-end may
-        still hold a handle to such a base and observe it in a *later*
-        flush, so the default is the conservative answer ("still live").
-        Bohrium frees a base when the owning Python object is garbage
-        collected, and our front-end does the same, so truly temporary
-        values do end in ``BH_FREE`` and are correctly recognised as dead.
-        Pass ``False`` only for whole-program (closed-world) analyses.
+        A value that survives to the end of the program without being
+        freed is live: the front-end may still hold a handle to its base
+        and observe it in a *later* flush.  Bohrium frees a base when the
+        owning Python object is garbage collected, and our front-end does
+        the same, so truly temporary values do end in ``BH_FREE`` and are
+        correctly recognised as dead.
         """
         base = view.base
         events = []
@@ -172,7 +168,7 @@ class DefUse:
                 continue
             if _covers(access.view, view):
                 return True
-        return not observable_at_end
+        return False
 
 
 # ---------------------------------------------------------------------- #

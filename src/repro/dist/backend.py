@@ -304,16 +304,10 @@ class DistributedBackend(ParallelBackend):
 
     name = "dist"
 
-    #: On the flush's record only: :meth:`_run` folds each completed flush's
-    #: record whole into the cumulative one.
-    _note_fallback = staticmethod(ExecutionStats.note_fallback)
-
     def __init__(self, num_workers: Optional[int] = None) -> None:
         super().__init__()
         if num_workers is not None:
             self._overrides["dist_num_workers"] = num_workers
-        # The inherited cumulative record takes every completed flush's
-        # record whole, folded in under the cache lock.
         self.loads_shipped = 0
 
     def num_workers(self) -> int:
@@ -395,10 +389,10 @@ class DistributedBackend(ParallelBackend):
             # the manager's next plan; a failed flush has already unbound
             # their occupants.
             memory.clear_plan()
-        stats.dist_zero_fill_bytes = memory.zero_fill_bytes - filled
-        stats.wall_time_seconds = time.perf_counter() - start
-        with self._cache_lock:
-            self._totals.merge(stats)
+            stats.dist_zero_fill_bytes = memory.zero_fill_bytes - filled
+            stats.wall_time_seconds = time.perf_counter() - start
+            with self._cache_lock:
+                self._totals.merge(stats)
         return ExecutionResult(memory=memory, stats=stats)
 
     def _bind(self, memory: MemoryManager, base_order, private, store, budget, stats):

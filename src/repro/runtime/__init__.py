@@ -72,8 +72,6 @@ export_on_demand(
             "config_signature",
             "program_base_order",
             "program_fingerprint",
-            "split_into_batches",
-            "merge_batches",
         ),
         "repro.runtime.engine": ("ExecutionEngine",),
     },

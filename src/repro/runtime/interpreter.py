@@ -129,14 +129,9 @@ class NumPyInterpreter(Backend):
         memory: MemoryManager,
         stats: ExecutionStats,
         config: Config,
-        note_fallback=ExecutionStats.note_fallback,
     ) -> None:
         """Execute one top-level byte-code under ``config``; a fused one is
-        a single launch.
-
-        ``note_fallback(stats, reason)`` counts a launch that left its fast
-        path; a tier that also keeps a cumulative record passes its own.
-        """
+        a single launch."""
         if instruction.is_system():
             stats.record_instruction(instruction.opcode)
             self._execute_system(instruction, memory)
@@ -147,7 +142,7 @@ class NumPyInterpreter(Backend):
         erf = None
         if any(inner.opcode is OpCode.BH_ERF for inner in payload):
             erf, reason = erf_helper(config)
-            note_fallback(stats, reason)
+            stats.note_fallback(reason)
         for inner in payload:
             try:
                 self._dispatch(inner, memory, erf)

@@ -31,14 +31,14 @@ Caching is three-layered:
 A kernel form is compiled once it is known to run twice — it recurs in
 one plan, or this backend launched it before; until then it binds an
 artifact already loaded or on disk, or runs the interpreted template, so a
-one-shot program never waits for the compiler.  Plans resolve those forms
-(:meth:`prepare_plan`, distinct forms concurrently), so a warm plan-cache
-flush performs **zero** lowering walks and zero compiler invocations.
-Every ``native_*`` counter increment lands, at the site it happens, on the
-backend's cumulative record and on exactly one flush's
-:class:`~repro.runtime.instrumentation.ExecutionStats`; plan-stage
-resolution has no flush yet, so its outcomes are parked on the plan for the
-first execution of that plan to report.
+one-shot program never waits for the compiler.  A form is resolved where
+it launches, on the flushing thread (:meth:`_native_launch`);
+:meth:`prepare_plan` only marks the forms that recur in a plan, so the
+first launch of one compiles it.  A warm plan-cache flush performs **zero**
+lowering walks and zero compiler invocations: one launch-cache lookup per
+step.  Every ``native_*`` counter lands on the flushing
+:class:`~repro.runtime.instrumentation.ExecutionStats` only; the backend
+adds that record to its cumulative one once, when the flush ends.
 
 A compiled step threads only when threads are asked for (``codegen_threads``,
 default one) and each gets a tile: it runs in :func:`launch_parts` parts,
@@ -57,7 +57,7 @@ import ctypes
 import math
 import os
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -288,6 +288,15 @@ _OUTCOME_COUNTERS = {
 }
 
 
+def _count(stats: ExecutionStats, fallback_reason: Optional[str] = None, **increments: int):
+    """Add to one flush's record; ``fallback_reason`` is the message noted
+    per fallback being counted."""
+    for counter, amount in increments.items():
+        setattr(stats, counter, getattr(stats, counter) + amount)
+    for _ in range(increments.get("native_fallbacks", 0)):
+        stats.note_fallback(fallback_reason)
+
+
 def _verdict(cached):
     """A launch-cache entry as ``(launchable, None)`` or ``(None, reason)``."""
     return (None, cached) if isinstance(cached, str) else (cached, None)
@@ -307,21 +316,6 @@ class NativeBackend(ParallelBackend):
         # Structural kernel key (+ codegen signature) → NativeKernelLaunch,
         # or, for a form with no compiled launch, the message saying why.
         self._native_cache = BoundedLRU(KERNEL_CACHE_CAPACITY)
-
-    def _count(
-        self, stats: ExecutionStats, fallback_reason: Optional[str] = None, **increments: int
-    ) -> None:
-        """Add to one flush's record and to the cumulative one, together.
-
-        ``fallback_reason`` is the message noted per fallback being counted.
-        """
-        notes = increments.get("native_fallbacks", 0)
-        with self._cache_lock:
-            for record in (stats, self._totals):
-                for counter, amount in increments.items():
-                    setattr(record, counter, getattr(record, counter) + amount)
-                for _ in range(notes):
-                    record.note_fallback(fallback_reason)
 
     @property
     def native_compiles(self) -> int:
@@ -371,49 +365,6 @@ class NativeBackend(ParallelBackend):
                 threads = 1
         return config.replace(codegen_threads=max(1, int(threads)))
 
-    def _cached_launch(self, cache_key: tuple, config, lower: Callable, stats):
-        """``(launchable, None)`` or ``(None, reason)`` for ``cache_key``.
-
-        ``lower()`` returns the form's C source and a ``bind(compiled)``
-        constructor, or raises :class:`LoweringError`; with no source, the
-        second item is the launch itself (a :class:`NumPyAssign`) or why
-        there is none, and no compiler is asked for.  A form with no native
-        lowering (or whose compilation failed) is cached as the *message*
-        saying why; the caller uses the interpreted path and counts the
-        reason.
-
-        Only a :data:`FIRST_LAUNCH` entry (a miss) compiles; any other miss
-        binds an artifact already loaded or on disk, and with none caches
-        and returns the marker.
-        """
-        cached = self._native_cache.get(cache_key, marker=FIRST_LAUNCH)
-        if cached is not None and cached is not FIRST_LAUNCH:
-            return _verdict(cached)
-        # Lowering and compilation run outside any lock; concurrent misses
-        # of one form may both walk here, but the process-wide digest memo
-        # latches the actual compile to exactly one of them.
-        outcome = None
-        try:
-            source, launch = lower()
-            if source is not None:
-                compiled, outcome = get_compiled_kernel(
-                    source,
-                    opt_level=KERNEL_OPT_LEVEL,
-                    cache_dir=config.codegen_cache_dir,
-                    use_disk=config.codegen_disk_cache_enabled,
-                    load_only=cached is None,
-                )
-                launch = launch(compiled) if compiled is not None else FIRST_LAUNCH
-        except (LoweringError, CodegenError) as exc:
-            # No lowering, no compiler, or a toolchain failure: degrade to
-            # the interpreted template — and remember why, so the next launch
-            # of this form pays one dict lookup instead of re-diagnosing.
-            # (The first line: a compiler's stderr follows it.)
-            launch = str(exc).partition("\n")[0]
-        if outcome is not None:
-            self._count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
-        return _verdict(self._native_cache.setdefault(cache_key, launch, marker=FIRST_LAUNCH))
-
     def _native_launch(
         self,
         key: tuple,
@@ -424,15 +375,46 @@ class NativeBackend(ParallelBackend):
         config: Config,
     ):
         """Resolve a kernel form to ``(launchable, None)`` — compiled, or a
-        :class:`NumPyAssign` — or ``(None, why not)``.
+        :class:`NumPyAssign` — or ``(None, why not)``, on the flushing thread.
 
         ``local_slots`` (plan-time liveness, part of the cache key) names
         slots whose stores the kernel elides entirely; ``stats`` receives
-        the compile/cache outcome of a launch-cache miss.
+        the compile/cache outcome of a launch-cache miss.  A form with no
+        native lowering (or whose compilation failed) is cached as the
+        *message* saying why; the caller uses the interpreted path and
+        counts the reason.
+
+        Only a :data:`FIRST_LAUNCH` entry (a miss) compiles; any other miss
+        binds an artifact already loaded or on disk, and with none caches
+        and returns the marker.
         """
-        lower = partial(_lower_map, instructions, local_slots, slots)
         cache_key = (key, local_slots, self._codegen_signature(config))
-        return self._cached_launch(cache_key, config, lower, stats)
+        cached = self._native_cache.get(cache_key, marker=FIRST_LAUNCH)
+        if cached is not None and cached is not FIRST_LAUNCH:
+            return _verdict(cached)
+        # Lowering and compilation run outside any lock; concurrent misses
+        # of one form may both walk here, but the process-wide digest memo
+        # latches the actual compile to exactly one of them.
+        try:
+            source, launch = _lower_map(instructions, local_slots, slots)
+            if source is not None:
+                compiled, outcome = get_compiled_kernel(
+                    source,
+                    opt_level=KERNEL_OPT_LEVEL,
+                    cache_dir=config.codegen_cache_dir,
+                    use_disk=config.codegen_disk_cache_enabled,
+                    load_only=cached is None,
+                )
+                if outcome is not None:
+                    _count(stats, **{_OUTCOME_COUNTERS[outcome]: 1})
+                launch = launch(compiled) if compiled is not None else FIRST_LAUNCH
+        except (LoweringError, CodegenError) as exc:
+            # No lowering, no compiler, or a toolchain failure: degrade to
+            # the interpreted template — and remember why, so the next launch
+            # of this form pays one dict lookup instead of re-diagnosing.
+            # (The first line: a compiler's stderr follows it.)
+            launch = str(exc).partition("\n")[0]
+        return _verdict(self._native_cache.setdefault(cache_key, launch, marker=FIRST_LAUNCH))
 
     # ------------------------------------------------------------------ #
     # Parallel-backend seams
@@ -445,10 +427,10 @@ class NativeBackend(ParallelBackend):
             key, slots, instructions, step.local_slots, stats, config
         )
         if launch is None:
-            self._count(stats, fallback_reason=reason, native_fallbacks=1)
+            _count(stats, fallback_reason=reason, native_fallbacks=1)
             return super()._map_launcher(instructions, step, stats, config, prepared)
         if isinstance(launch, NativeKernelLaunch):
-            self._count(
+            _count(
                 stats,
                 native_kernel_launches=1,
                 native_slots_elided=len(launch.elided_slots),
@@ -474,7 +456,7 @@ class NativeBackend(ParallelBackend):
             spans = [TileSpan(*block) for block in partition_length(slots[0].shape[0], parts)]
             stats.tiles_executed += len(spans)
             if len(spans) > 1:
-                self._count(stats, native_mt_launches=1)
+                stats.native_mt_launches += 1
             self._scatter(
                 [
                     partial(launcher, memory, tuple(slice_view(view, span) for view in slots))
@@ -499,78 +481,38 @@ class NativeBackend(ParallelBackend):
         key, slots, _ = prepared
         launch, reason = self._native_launch(key, slots, members, local, stats, config)
         if isinstance(launch, NativeKernelLaunch):
-            self._count(
-                stats, native_kernel_launches=1, native_slots_elided=len(step.local_slots)
-            )
+            _count(stats, native_kernel_launches=1, native_slots_elided=len(step.local_slots))
             return slots, span_producer(launch, slots, step.local_slots, source, None)
         if launch is None:
-            self._count(stats, fallback_reason=reason, native_fallbacks=1)
+            _count(stats, fallback_reason=reason, native_fallbacks=1)
         return super()._span_producer(members, source, step, stats, config, prepared)
 
     def prepare_plan(self, plan) -> None:
-        """Tile (inherited) and resolve the plan's kernel forms known to
-        run twice: in two or more of its steps, or launched before.  A
-        bare reduction has no form; a kernel that ends in one has its
-        members' map form (:func:`_producer_form`).
-
-        A warm plan replay launches straight into cached artifacts; a form
-        of one step never launched is left to :meth:`_cached_launch`.
-
-        No flush exists yet, so the resolution outcomes — counted
-        cumulatively as they happen — are parked on the plan for its first
-        execution to report.
+        """Tile (inherited), and mark each kernel form that occurs in two or
+        more of the plan's steps :data:`FIRST_LAUNCH`, so its first launch
+        compiles it: it is known to run twice.  A bare reduction has no
+        form; a kernel that ends in one has its members' map form
+        (:func:`_producer_form`).  Nothing is lowered or compiled here.
         """
         super().prepare_plan(plan)
-        config = plan.config
-        codegen = self._codegen_signature(config)
-        with plan.lock:
-            if plan.native_prepare_stats is None:
-                plan.native_prepare_stats = ExecutionStats()
-            parked = plan.native_prepare_stats
-            resolvers: Dict[tuple, Callable] = {}
-            for step in plan.tiling.steps:
-                instruction = plan.optimized[step.index]
-                instructions = (
-                    instruction.kernel if instruction.is_fused() else (instruction,)
-                )
-                if isinstance(step, TiledReduceStep):
-                    instructions, tail = split_tail(instructions)
-                    if not instructions:
-                        continue  # a bare reduction is NumPy's: nothing to resolve
-                    (key, slots, _), local = _producer_form(instructions, tail.inputs[0], step)
-                elif isinstance(step, TiledMapStep):
-                    key, slots, _ = prepare_kernel_launch(instructions)
-                    local = step.local_slots
-                else:
-                    continue
-                form = (key, local)
-                if form in resolvers:  # it recurs, so it is known to run twice
-                    self._native_cache.setdefault(form + (codegen,), FIRST_LAUNCH)
-                resolvers.setdefault(
-                    form,
-                    partial(self._native_launch, key, slots, instructions, local, parked, config),
-                )
-            # Distinct forms resolve concurrently on the tile pool: a compile
-            # is a subprocess wait and an artifact load is hashing + dlopen,
-            # both of which release the GIL.  The pool threads take only the
-            # backend cache lock and the codegen latch, never the plan lock
-            # this thread holds.  A form of one step never launched is left
-            # to its launch.
-            jobs = [
-                resolve
-                for form, resolve in resolvers.items()
-                if self._native_cache.peek(form + (codegen,)) is not None
-            ]
-            self._scatter(jobs, config.parallel_num_threads)
-
-    def execute_plan(self, plan, program, memory=None):
-        """Execute (inherited) and report any parked plan-stage outcomes."""
-        result = super().execute_plan(plan, program, memory)
-        with plan.lock:
-            parked, plan.native_prepare_stats = plan.native_prepare_stats, None
-        if parked is not None:
-            result.stats.merge(parked)
-        return result
+        codegen = self._codegen_signature(plan.config)
+        forms = set()
+        for step in plan.tiling.steps:
+            instruction = plan.optimized[step.index]
+            instructions = instruction.kernel if instruction.is_fused() else (instruction,)
+            if isinstance(step, TiledReduceStep):
+                instructions, tail = split_tail(instructions)
+                if not instructions:
+                    continue  # a bare reduction is NumPy's: no form
+                (key, _, _), local = _producer_form(instructions, tail.inputs[0], step)
+            elif isinstance(step, TiledMapStep):
+                key, local = prepare_kernel_launch(instructions)[0], step.local_slots
+            else:
+                continue
+            form = (key, local, codegen)
+            if form in forms:
+                self._native_cache.setdefault(form, FIRST_LAUNCH)
+            forms.add(form)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -119,8 +119,9 @@ class ParallelBackend(Backend):
         # Covers pool construction and the cumulative counters: concurrent
         # sessions sharing this instance mutate them only under it.
         self._cache_lock = ContendedLock()
-        # The cumulative record ``cache_stats`` reports from: whatever is
-        # added to a flush's record is added here too, under the cache lock.
+        # The cumulative record ``cache_stats`` reports from: every flush's
+        # record is added to it once, under the cache lock, when the flush
+        # ends — also when it raises.
         self._totals = ExecutionStats(backend_name=self.name)
 
     # ------------------------------------------------------------------ #
@@ -229,14 +230,6 @@ class ParallelBackend(Backend):
         with self._cache_lock:
             return dict(self._totals.native_fallback_reasons)
 
-    def _note_fallback(self, stats: ExecutionStats, reason: Optional[str]) -> None:
-        """Count one fallback, if ``reason`` names one, on the flush's record
-        and the cumulative one."""
-        if reason is not None:
-            stats.note_fallback(reason)
-            with self._cache_lock:
-                self._totals.note_fallback(reason)
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -246,24 +239,26 @@ class ParallelBackend(Backend):
         config = plan.config
         stats.threads_used = config.parallel_num_threads
         start = time.perf_counter()
-        for step in plan.tiling.steps:
-            instruction = program[step.index]
-            if isinstance(step, SerialStep):
-                self._run_serial(instruction, memory, stats, config)
-            elif isinstance(step, TiledMapStep):
-                self._run_map(instruction, step, memory, stats, config)
-            else:
-                self._run_reduce(instruction, step, memory, stats, config)
-        stats.wall_time_seconds = time.perf_counter() - start
+        try:
+            for step in plan.tiling.steps:
+                instruction = program[step.index]
+                if isinstance(step, SerialStep):
+                    self._run_serial(instruction, memory, stats, config)
+                elif isinstance(step, TiledMapStep):
+                    self._run_map(instruction, step, memory, stats, config)
+                else:
+                    self._run_reduce(instruction, step, memory, stats, config)
+        finally:
+            stats.wall_time_seconds = time.perf_counter() - start
+            with self._cache_lock:
+                self._totals.merge(stats)
         return ExecutionResult(memory=memory, stats=stats)
 
     def _run_serial(self, instruction: Instruction, memory, stats, config: Config) -> None:
         """Execute one non-tiled step whole, in program order, on this thread."""
         if not instruction.is_system():
             stats.serial_fallbacks += 1
-        self._interpreter._execute_instruction(
-            instruction, memory, stats, config, self._note_fallback
-        )
+        self._interpreter._execute_instruction(instruction, memory, stats, config)
 
     def _scatter(self, tasks: List, threads: int) -> None:
         """Run thunks across the pool in contiguous blocks; serial when moot.
@@ -361,12 +356,10 @@ class ParallelBackend(Backend):
         step's element-wise byte-codes, its local slots counted as elided."""
         slots, template = cached_kernel_launch(self._templates, instructions, prepared)
         stats.template_slots_elided += len(step.local_slots)
-        with self._cache_lock:
-            self._totals.template_slots_elided += len(step.local_slots)
         erf = None
         if template.uses_erf:
             erf, reason = interpreter.erf_helper(config)
-            self._note_fallback(stats, reason)
+            stats.note_fallback(reason)
         return slots, template, erf
 
     def _span_producer(self, members, source, step, stats, config, prepared=None):

@@ -27,21 +27,17 @@ This module provides the three pieces that make flushes cacheable:
 * :class:`PlanCache` — the shared :class:`~repro.utils.lru.BoundedLRU`
   mapping cache keys to plans, with hit/miss/eviction counters surfaced
   through the execution statistics.
-
-Batch splitting (formerly ``repro.runtime.scheduler``) also lives here: a
-flush batch is the unit a plan describes, so "how much program does a plan
-get to see" is a planning decision.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bytecode.base import BaseArray
 from repro.bytecode.instruction import Instruction
-from repro.bytecode.opcodes import OPCODE_INFO, OpCode
+from repro.bytecode.opcodes import OPCODE_INFO
 from repro.bytecode.operand import Constant, is_constant, is_view
 from repro.bytecode.program import Program
 from repro.bytecode.view import View
@@ -338,10 +334,6 @@ class ExecutionPlan:
     #: unchanged for every rebound flush; its clustering and byte-code
     #: order are already baked into ``optimized``.
     fusion_schedule: Optional[object] = None
-    #: Compile/disk/memory outcomes of plan-stage kernel resolution that no
-    #: flush has reported yet (an ``ExecutionStats``); parked under ``lock``
-    #: for the first execution of this plan to take.
-    native_prepare_stats: Optional[object] = None
     #: Shard descriptors (per-step worker shards, private bases and
     #: reduction span assignments) the distributed backend planned for this
     #: plan.  Structural like ``tiling`` — spans and canonical base
@@ -358,10 +350,9 @@ class ExecutionPlan:
     #: Bumped under ``lock`` because cached plans are shared.
     plan_checks_run: int = 0
     #: Guards what changes on a *shared* plan after it is published: the
-    #: check counter and the parked plan-stage outcomes.  Reentrant, so a
-    #: backend preparing a plan may hold it across its own calls.
-    lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
+    #: check counter.
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
     )
     _scratch_bases: Tuple[BaseArray, ...] = field(default_factory=tuple)
     #: ``id(instruction) -> ((operand position, value slot), ...)`` for the
@@ -529,40 +520,3 @@ class PlanCache(BoundedLRU):
     def stats(self, prefix: str = "plan_cache_") -> Dict[str, int]:
         """Counters for reporting: hits, misses, evictions, size, capacity."""
         return super().stats(prefix)
-
-
-# --------------------------------------------------------------------------- #
-# Batch splitting (absorbed from the former repro.runtime.scheduler)
-# --------------------------------------------------------------------------- #
-
-
-def split_into_batches(program: Program, split_on_sync: bool = True) -> List[Program]:
-    """Split ``program`` into flush batches.
-
-    Bohrium buffers byte-codes until a *flush point* — a ``BH_SYNC`` (the
-    Python program observes a value) or the end of the program — and hands
-    each batch to the vector engine.  Each batch ends right after a
-    ``BH_SYNC`` instruction (inclusive) when ``split_on_sync`` is true;
-    otherwise the whole program is one batch.  Empty batches are never
-    produced.  A batch is the unit an :class:`ExecutionPlan` describes.
-    """
-    if not split_on_sync:
-        return [program.copy()] if len(program) else []
-    batches: List[Program] = []
-    current = Program()
-    for instruction in program:
-        current.append(instruction)
-        if instruction.opcode is OpCode.BH_SYNC:
-            batches.append(current)
-            current = Program()
-    if len(current):
-        batches.append(current)
-    return batches
-
-
-def merge_batches(batches: List[Program]) -> Program:
-    """Concatenate batches back into a single program."""
-    merged = Program()
-    for batch in batches:
-        merged.extend(batch)
-    return merged

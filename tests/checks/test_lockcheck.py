@@ -19,6 +19,23 @@ def _fixture(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def _scatters_under_lock(path: str) -> list:
+    """``(line, held ranked locks)`` of each ``self._scatter`` call in the
+    file at ``path`` made while a ranked lock is held."""
+    import ast
+
+    from tests.lockcheck import LockCheckReport, _FileAnalyzer
+
+    analyzer = _FileAnalyzer(path, LockCheckReport())
+    with open(path, encoding="utf-8") as handle:
+        analyzer.analyze(ast.parse(handle.read()))
+    return [
+        (call.line, call.held)
+        for _, call in analyzer.deferred
+        if call.ref == ("self", "_scatter")
+    ]
+
+
 class TestRealTree:
     def test_package_tree_is_clean(self):
         """The shipped code obeys the documented hierarchy — the lint's
@@ -31,36 +48,18 @@ class TestRealTree:
             "the code and a clean report proves nothing"
         )
 
-    def test_concurrent_prepare_plan_is_in_the_lint_s_sight(self):
-        """The plan lock is held while pool threads resolve kernel forms;
-        the lint must follow those thunks into the locks they take (the
-        backend cache lock and the codegen latch — never anything ranked
-        above the plan lock)."""
-        import ast
-
-        from tests.lockcheck import LockCheckReport, _FileAnalyzer
+    def test_no_backend_hands_thunks_to_the_pool_under_a_ranked_lock(self):
+        """Every ``_scatter`` hand-off of a backend runs with no ranked lock
+        held: a thunk on a pool thread may then take any lock it needs
+        without waiting on the thread that handed it over."""
+        import repro.dist.backend as dist_backend
         import repro.runtime.native as native
+        import repro.runtime.parallel as parallel
 
-        analyzer = _FileAnalyzer(native.__file__, LockCheckReport())
-        with open(native.__file__, encoding="utf-8") as handle:
-            analyzer.analyze(ast.parse(handle.read()))
-        under_plan_lock = {
-            call.ref
-            for class_name, call in analyzer.deferred
-            if class_name == "NativeBackend" and ("plan", 2) in call.held
-        }
-        assert ("self", "_native_launch") in under_plan_lock
-        assert ("self", "_scatter") in under_plan_lock
-        # ...and what those thunks take is ranked: the launch cache's LRU
-        # leaf, and through ``_count`` the backend cache lock (counters),
-        # both below the plan lock.
-        resolver = analyzer.summaries[("NativeBackend", "_cached_launch")]
-        assert ("lru", 3) in resolver.acquires
-        # The outcome those thunks park on the plan is added under the
-        # backend cache lock, by the one method that counts anything.
-        counter = analyzer.summaries[("NativeBackend", "_count")]
-        assert counter.acquires == {("backend-cache", 2)}
-        assert ("self", "_count") in resolver.calls
+        for module in (parallel, native, dist_backend):
+            assert _scatters_under_lock(module.__file__) == [], module.__name__
+        # The row sees a hand-off under a lock where there is one.
+        assert _scatters_under_lock(_fixture("thunk_under_lock.py"))
 
     def test_cli_exits_zero_on_the_real_tree(self):
         assert main([]) == 0
@@ -116,8 +115,8 @@ class TestFixtures:
         )
 
     def test_edge_through_a_thunk_handed_to_a_pool_detected(self):
-        # The shape of NativeBackend.prepare_plan: resolvers are wrapped in
-        # functools.partial and scattered while the caller holds a lock.
+        # Thunks wrapped in functools.partial and scattered while the
+        # caller holds a lock.
         report = run_lockcheck([_fixture("thunk_under_lock.py")])
         assert not report.ok
         assert any(

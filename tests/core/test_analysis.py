@@ -69,8 +69,8 @@ class TestInterference:
         assert not defuse.written_between(base, 0, 2, within=left)
 
 
-def _dead_after(program, index, view, **kwargs):
-    return DefUse.analyze(program).value_dead_after(index, view, **kwargs)
+def _dead_after(program, index, view):
+    return DefUse.analyze(program).value_dead_after(index, view)
 
 
 class TestLiveness:
@@ -91,7 +91,6 @@ class TestLiveness:
         # After the add (index 2) nothing reads b again, but b is never
         # freed either: the front-end may still observe it in a later flush.
         assert not _dead_after(program, 2, b)
-        assert _dead_after(program, 2, b, observable_at_end=False)
 
     def test_complete_overwrite_kills_value(self):
         builder = ProgramBuilder()
@@ -147,7 +146,7 @@ def _scan_written_between(program, base, start, stop, within=None):
     return False
 
 
-def _scan_is_dead_after(program, index, view, observable_at_end=True):
+def _scan_is_dead_after(program, index, view):
     base = view.base
     for later in range(index + 1, len(program)):
         instruction = program[later]
@@ -167,7 +166,7 @@ def _scan_is_dead_after(program, index, view, observable_at_end=True):
                 write_view.same_view(view) or write_view.covers_base()
             ):
                 return True
-    return not observable_at_end
+    return False
 
 
 class TestIndexedQueries:
@@ -199,13 +198,8 @@ class TestIndexedQueries:
         defuse = DefUse.analyze(program)
         for view in (a, b, c):
             for index in range(len(program)):
-                for observable in (True, False):
-                    expected = _scan_is_dead_after(
-                        program, index, view, observable_at_end=observable
-                    )
-                    assert defuse.value_dead_after(
-                        index, view, observable_at_end=observable
-                    ) == expected
+                expected = _scan_is_dead_after(program, index, view)
+                assert defuse.value_dead_after(index, view) == expected
 
     def test_value_dead_after_overwrite_then_sync(self):
         builder = ProgramBuilder()

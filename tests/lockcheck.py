@@ -24,8 +24,8 @@ parses every file under ``src/repro``, extracts the static lock-acquisition
 nesting graph (``with`` statements over recognised lock expressions,
 ``.acquire()`` calls, plus one level of interprocedural summary
 propagation for same-class/same-module calls — including methods handed to
-another call as a thunk, such as the resolvers ``prepare_plan`` gives the
-tile pool while it holds the plan lock), and reports:
+another call as a thunk, such as the tasks a backend gives its tile pool),
+and reports:
 
 * **upward edges** — acquiring a lock of *smaller* rank while holding a
   larger one (sibling, equal-rank nesting is allowed; the hierarchy only

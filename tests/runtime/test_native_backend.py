@@ -2,7 +2,7 @@
 
 The differential harness establishes *parity*; these tests pin the
 backend's mechanics: fallback behaviour with no compiler,
-compile/cache counter windows, plan-time pre-compilation, the single-pass
+compile/cache counter windows, compiles at launch, the single-pass
 whole-step launch, and instruction-local slot elision.
 
 A kernel form that occurs in one step of a plan is compiled on its second
@@ -779,28 +779,30 @@ def _is_runtime(c_path) -> bool:
 
 @requires_compiler
 class TestPlanInteraction:
-    def test_prepare_plan_precompiles_and_is_idempotent(self, cache_dir):
+    def test_prepare_plan_is_idempotent(self, cache_dir):
         program, a, b = build_chain()
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
             result = second_run(engine, program)
             backend = engine.backend
             plan = engine.last_plan
-            # Every kernel form was resolved at plan time, so execution
-            # itself compiled nothing beyond what prepare_plan already did.
+            # Every compile of the backend happened in a flush, and the
+            # second one reports it.
             assert result.stats.native_compiles == backend.native_compiles
-            # Re-preparing the same plan finds every form in the launch
-            # cache: zero new misses, zero new compiles.
+            # Re-preparing the same plan looks nothing up and compiles
+            # nothing: zero new misses, zero new compiles.
             misses = backend.native_cache_misses
             compiles = backend.native_compiles
             backend.prepare_plan(plan)
         assert backend.native_cache_misses == misses
         assert backend.native_compiles == compiles
 
-    def test_bare_prepare_plan_attributes_nothing_to_an_unrelated_flush(self, cache_dir):
-        """Plan-stage compiles are cumulative at once and reported by the
-        first execution of *that plan* — not by whatever this thread
-        flushes next."""
+    def test_prime_compiles_nothing_and_the_first_flush_reports_its_compiles(
+        self, cache_dir
+    ):
+        """Priming a plan lowers and compiles nothing; its recurring forms
+        compile at their first launch, on that flush's record and on no
+        other flush's."""
         from repro.core.pipeline import default_pipeline
 
         outcomes = ("native_compiles", "native_disk_hits", "native_memory_hits")
@@ -809,30 +811,33 @@ class TestPlanInteraction:
         with config_override(**TINY_TILES, codegen_cache_dir=cache_dir):
             engine = ExecutionEngine(backend="native", optimize=True)
             second_run(engine, chain)
-            before = engine.backend.native_compiles
+            before = engine.backend.cache_stats()
             engine.prime(other, default_pipeline().run(other))  # prepare_plan, no flush
-            primed = engine.backend.native_compiles - before
-            assert primed >= 1, "priming compiled nothing; the test is vacuous"
+            primed = engine.backend.cache_stats()
             unrelated = engine.execute(build_chain()[0]).stats
             first = engine.execute(other).stats
             second = engine.execute(build_recurring_forms(2)[0]).stats
+            after = engine.backend.cache_stats()
+        for name in outcomes + ("native_cache_misses",):
+            assert primed[name] == before[name], name
         assert [getattr(unrelated, name) for name in outcomes] == [0, 0, 0]
-        assert first.plan_cache_hits == 1 and first.native_compiles == primed
+        assert first.plan_cache_hits == 1
+        assert first.native_compiles == 2 and first.native_fallbacks == 0
+        assert after["native_compiles"] - before["native_compiles"] == 2
         assert [getattr(second, name) for name in outcomes] == [0, 0, 0]
 
-    def test_distinct_forms_of_one_plan_resolve_concurrently(self, cache_dir, monkeypatch):
-        """prepare_plan hands a plan's distinct recurring kernel forms to
-        the tile pool: two resolves must be inside the artifact cache at
-        once."""
+    def test_a_recurring_form_compiles_at_its_first_launch_on_the_flushing_thread(
+        self, cache_dir, monkeypatch
+    ):
+        """A form in two steps of one cold plan is compiled by the flush
+        that launches it first — no template fallback, no pool thread."""
         import repro.runtime.native as native_module
 
-        barrier = threading.Barrier(2, timeout=30)
-        resolving_threads = set()
+        compiling_threads = set()
         real = native_module.get_compiled_kernel
 
-        def rendezvous(source, **kwargs):
-            resolving_threads.add(threading.current_thread().name)
-            barrier.wait()  # BrokenBarrierError here = the resolves were serial
+        def record(source, **kwargs):
+            compiling_threads.add(threading.current_thread().name)
             return real(source, **kwargs)
 
         program, outputs = build_recurring_forms(2)
@@ -841,11 +846,12 @@ class TestPlanInteraction:
             **TINY_TILES, parallel_num_threads=2, codegen_cache_dir=cache_dir
         ):
             engine = ExecutionEngine(backend="native", optimize=True)
-            monkeypatch.setattr(native_module, "get_compiled_kernel", rendezvous)
+            monkeypatch.setattr(native_module, "get_compiled_kernel", record)
             result = engine.execute(program)
         assert result.stats.native_compiles == 2
         assert result.stats.native_fallbacks == 0
-        assert any(name.startswith("repro-tile") for name in resolving_threads)
+        assert result.stats.native_kernel_launches == 4
+        assert compiling_threads == {threading.current_thread().name}
         for view, want in zip(outputs, expected):
             assert np.array_equal(result.value(view), want)
 

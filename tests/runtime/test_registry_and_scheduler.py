@@ -1,14 +1,11 @@
-"""Tests for the backend registry and the sync-batch scheduler."""
+"""Tests for the backend registry."""
 
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
-from repro.bytecode.opcodes import OpCode
-from repro.bytecode.program import Program
 from repro.frontend.session import Session
 from repro.runtime.backend import available_backends, get_backend
 from repro.runtime.interpreter import NumPyInterpreter
-from repro.runtime.plan import merge_batches, split_into_batches
 from repro.utils.errors import ExecutionError
 
 BUILT_INS = ("dist", "interpreter", "native", "parallel")
@@ -66,40 +63,3 @@ class TestBackendRegistry:
         assert all(repr(builtin) in available for builtin in BUILT_INS)
         assert "'jit'" not in available
         assert not hasattr(repro.runtime, "FusingJIT")
-
-
-class TestScheduler:
-    def test_split_on_sync(self):
-        builder = ProgramBuilder()
-        a = builder.new_vector(4)
-        b = builder.new_vector(4)
-        builder.identity(a, 1)
-        builder.sync(a)
-        builder.identity(b, 2)
-        builder.sync(b)
-        batches = split_into_batches(builder.build())
-        assert len(batches) == 2
-        assert all(batch[-1].opcode is OpCode.BH_SYNC for batch in batches)
-
-    def test_trailing_instructions_form_final_batch(self):
-        builder = ProgramBuilder()
-        a = builder.new_vector(4)
-        builder.identity(a, 1)
-        builder.sync(a)
-        builder.add(a, a, 1)
-        batches = split_into_batches(builder.build())
-        assert len(batches) == 2
-        assert len(batches[1]) == 1
-
-    def test_no_split(self):
-        program, _ = simple_program()
-        batches = split_into_batches(program, split_on_sync=False)
-        assert len(batches) == 1
-        assert len(batches[0]) == len(program)
-
-    def test_merge_round_trip(self):
-        program, _ = simple_program()
-        assert merge_batches(split_into_batches(program)) == program
-
-    def test_empty_program(self):
-        assert split_into_batches(Program()) == []

@@ -1,20 +1,25 @@
 """Per-flush backend counters are conserved under threads.
 
 Every increment of a backend counter lands on exactly one flush's
-``ExecutionStats`` and on the backend's cumulative record, so over any set
-of completed flushes ``sum(per-flush) == cache_stats()`` — no matter how the
-tenants' threads interleave.  (A snapshot-and-subtract window over a shared
+``ExecutionStats``, and the backend adds that record to its cumulative one
+once, when the flush ends — also when it raises — so over any set of
+flushes ``sum(per-flush) == cache_stats()`` no matter how the tenants'
+threads interleave.  (A snapshot-and-subtract window over a shared
 cumulative counter absorbs the other threads' increments and over-reports
 by up to the thread count.)
 """
 
+import numpy as np
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
 from repro.codegen import find_c_compiler
+from repro.runtime.backend import fresh_memory
+from repro.runtime.engine import ExecutionEngine
 from repro.service import ArrayService
 from repro.service.core import clone_program_with_fresh_bases
-from repro.utils.config import config_override
+from repro.utils.config import config_override, get_config
+from repro.utils.errors import ExecutionError
 from repro.workloads.generators import random_elementwise_program, random_mixed_program
 from tests.tiers import on_tier
 
@@ -103,3 +108,47 @@ def test_per_flush_counters_sum_to_the_cumulative_ones(backend, thread_hammer, t
     assert sum(reasons.values()) == (
         total.native_fallbacks + total.native_reduction_fallbacks
     )
+
+
+def _template_launch_then_an_inverse():
+    """``t = log(a); out = t + 1`` with ``t`` freed, then ``inv = m^-1`` of
+    an input ``m``: the template launch is counted before the inverse runs,
+    and a singular ``m`` makes the flush raise there."""
+    builder = ProgramBuilder()
+    a, t, out = (builder.new_vector(24) for _ in range(3))
+    m, inv = builder.new_matrix(4, 4), builder.new_matrix(4, 4)
+    builder.identity(a, 2.0)
+    builder.log(t, a)
+    builder.add(out, t, 1.0)
+    builder.free(t)
+    builder.matrix_inverse(inv, m)
+    builder.sync(out)
+    builder.sync(inv)
+    return builder.build(), m
+
+
+@pytest.mark.parametrize("backend", sorted(CONSERVED))
+def test_a_flush_that_raises_is_counted_too(backend, tmp_path):
+    """A flush that raises after counting adds what it counted to
+    ``cache_stats()``, exactly as the same flush does when it completes."""
+    program, m = _template_launch_then_an_inverse()
+    counters = [counter for group in CONSERVED[backend] for counter in group]
+    with config_override(**TINY_TILES, codegen_cache_dir=str(tmp_path / "codegen")):
+        with on_tier(backend) as name:
+            engines = [ExecutionEngine(backend=name, optimize=True) for _ in range(2)]
+
+            def flush(engine, matrix):
+                memory = fresh_memory(get_config())
+                memory.write_view(m, matrix)
+                return engine.execute(program, memory).stats
+
+            completed = flush(engines[0], np.eye(4))
+            with pytest.raises(ExecutionError, match="singular"):
+                flush(engines[1], np.zeros((4, 4)))
+            cumulative = engines[1].cache_stats()
+            reasons = engines[1].backend.fallback_reasons()
+    assert completed.template_slots_elided > 0, "nothing was counted before the raise"
+    assert {c: cumulative[c] for c in counters} == {
+        c: getattr(completed, c) for c in counters
+    }
+    assert reasons == completed.native_fallback_reasons
