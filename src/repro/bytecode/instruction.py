@@ -150,10 +150,6 @@ class Instruction:
         out = self.out
         return (out,) if out is not None else ()
 
-    def bases_read(self):
-        """Base arrays read by this instruction."""
-        return tuple(view.base for view in self.reads())
-
     def bases_written(self):
         """Base arrays written by this instruction."""
         return tuple(view.base for view in self.writes())

@@ -203,10 +203,6 @@ class View:
             and self.strides == other.strides
         )
 
-    def same_base(self, other: "View") -> bool:
-        """True when both views are windows over the same base array."""
-        return self.base is other.base
-
     def overlaps(self, other: "View") -> bool:
         """Conservative overlap test between two views.
 

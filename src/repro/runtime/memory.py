@@ -74,13 +74,14 @@ class _Owned(NamedTuple):
 
     ``token`` is the external source's handle for the buffer (a
     shared-memory segment name) and ``None`` for pool buffers; ``nbytes``
-    is what the manager accounts for it.
+    is what the manager accounts for it.  ``release`` of a pool buffer is
+    the pool's own, which returns False when the full pool drops it.
     """
 
     buffer: np.ndarray
     nbytes: int
     token: object
-    release: Callable[[], None]
+    release: Callable[[], Optional[bool]]
 
 
 class BufferPool:
@@ -96,30 +97,17 @@ class BufferPool:
     multi-tenant service) can never double-hand-out a recycled buffer or
     lose counter updates to interleaved ``acquire``/``release`` calls.
     Host allocation itself happens outside the lock — only bin surgery is
-    serialized.
-
-    Parked buffers optionally carry the *owner* (tenant) that released
-    them, which enables two things: per-tenant parked-bytes accounting,
-    and the ``"fair"`` fairness policy, under which one tenant may park at
-    most an equal share (``max_bytes / registered owners``) of the pool —
-    a burst of large frees from one tenant then falls through to the host
-    instead of monopolizing the recycling budget.  Ownership never
-    restricts *acquisition*: any tenant may reuse any parked buffer,
-    which is the point of sharing the pool.
+    serialized.  Any session may reuse any parked buffer, which is the
+    point of sharing the pool; each :class:`MemoryManager` counts its own
+    hits and misses from the flags :meth:`acquire` and :meth:`release`
+    return.
     """
 
-    def __init__(
-        self, max_bytes: Optional[int] = None, fairness: str = "shared"
-    ) -> None:
-        if fairness not in ("shared", "fair"):
-            raise ValueError(f"unknown fairness policy {fairness!r}")
+    def __init__(self, max_bytes: Optional[int] = None) -> None:
         self.max_bytes = (
             max_bytes if max_bytes is not None else get_config().memory_pool_max_bytes
         )
-        self.fairness = fairness
-        self._bins: Dict[int, List[Tuple[Optional[object], np.ndarray]]] = {}
-        self._parked_by_owner: Dict[object, int] = {}
-        self._owners: set = set()
+        self._bins: Dict[int, List[np.ndarray]] = {}
         self._lock = ContendedLock()
         self.bytes_held = 0
         self.peak_bytes_held = 0
@@ -128,50 +116,19 @@ class BufferPool:
         self.bytes_reused = 0
         self.discards = 0
 
-    # ------------------------------------------------------------------ #
-    # Tenant registration (fair-share accounting)
-    # ------------------------------------------------------------------ #
+    def acquire(self, nbytes: int) -> Tuple[np.ndarray, bool]:
+        """A raw ``uint8`` buffer of ``size_class(nbytes)`` bytes and whether
+        it was recycled.
 
-    def register_owner(self, owner: object) -> None:
-        """Enroll a tenant for fair-share accounting (idempotent)."""
-        with self._lock:
-            self._owners.add(owner)
-
-    def unregister_owner(self, owner: object) -> None:
-        """Drop a tenant; its still-parked buffers stay reusable by others."""
-        with self._lock:
-            self._owners.discard(owner)
-            self._parked_by_owner.pop(owner, None)
-
-    def fair_share_bytes(self) -> int:
-        """The per-tenant parked-bytes cap under the ``"fair"`` policy."""
-        with self._lock:
-            if not self._owners:
-                return self.max_bytes
-            return self.max_bytes // len(self._owners)
-
-    def parked_bytes_of(self, owner: object) -> int:
-        """Bytes currently parked that ``owner`` released."""
-        with self._lock:
-            return self._parked_by_owner.get(owner, 0)
-
-    # ------------------------------------------------------------------ #
-    # Acquire / release
-    # ------------------------------------------------------------------ #
-
-    def _acquire(
-        self, nbytes: int, owner: Optional[object] = None
-    ) -> Tuple[np.ndarray, bool]:
-        """Acquire plus a ``reused`` flag (per-tenant views need to know)."""
+        The contents of a recycled buffer are whatever its previous owner
+        left there — the caller decides whether a zero fill is needed.
+        """
         cls = size_class(nbytes)
         with self._lock:
             bin_ = self._bins.get(cls)
             if bin_:
-                parked_owner, buffer = bin_.pop()
+                buffer = bin_.pop()
                 self.bytes_held -= cls
-                if parked_owner is not None:
-                    remaining = self._parked_by_owner.get(parked_owner, cls) - cls
-                    self._parked_by_owner[parked_owner] = max(0, remaining)
                 self.hits += 1
                 self.bytes_reused += int(nbytes)
                 return buffer, True
@@ -181,44 +138,22 @@ class BufferPool:
         except MemoryError as exc:  # pragma: no cover - depends on host
             raise AllocationError(f"cannot allocate {cls} bytes") from exc
 
-    def acquire(self, nbytes: int) -> np.ndarray:
-        """A raw ``uint8`` buffer of ``size_class(nbytes)`` bytes, recycled if possible.
-
-        The contents of a recycled buffer are whatever its previous owner
-        left there — the caller decides whether a zero fill is needed.
-        """
-        return self._acquire(nbytes)[0]
-
-    def _release(self, buffer: np.ndarray, owner: Optional[object] = None) -> bool:
-        """Park ``buffer`` (returns True) or drop it (cap or fairness)."""
+    def release(self, buffer: np.ndarray) -> bool:
+        """Park ``buffer`` for reuse (True), or drop it when the pool is full."""
         cls = buffer.nbytes
         with self._lock:
             if self.bytes_held + cls > self.max_bytes:
                 self.discards += 1
                 return False
-            if self.fairness == "fair" and owner is not None and self._owners:
-                share = self.max_bytes // len(self._owners)
-                if self._parked_by_owner.get(owner, 0) + cls > share:
-                    self.discards += 1
-                    return False
-            self._bins.setdefault(cls, []).append((owner, buffer))
+            self._bins.setdefault(cls, []).append(buffer)
             self.bytes_held += cls
             self.peak_bytes_held = max(self.peak_bytes_held, self.bytes_held)
-            if owner is not None:
-                self._parked_by_owner[owner] = (
-                    self._parked_by_owner.get(owner, 0) + cls
-                )
             return True
-
-    def release(self, buffer: np.ndarray) -> None:
-        """Park ``buffer`` for reuse, or drop it when the pool is full."""
-        self._release(buffer)
 
     def clear(self) -> None:
         """Drop every parked buffer (counters are preserved)."""
         with self._lock:
             self._bins.clear()
-            self._parked_by_owner.clear()
             self.bytes_held = 0
 
     def stats(self) -> Dict[str, int]:
@@ -233,65 +168,6 @@ class BufferPool:
                 "pool_discards": self.discards,
                 "pool_lock_contentions": self._lock.contentions,
             }
-
-
-class TenantPoolView:
-    """A per-tenant window onto a shared :class:`BufferPool`.
-
-    A :class:`MemoryManager` built over this view recycles through the
-    *shared* pool (any tenant's freed buffer serves any tenant's next
-    allocation) while its ``pool_counters()`` stay tenant-local — so the
-    engine's per-flush counter deltas report this tenant's hits and
-    misses, not the whole service's.  The view also tags every release
-    with the tenant, which is what the pool's fairness policy and
-    per-tenant parked-bytes accounting key on.
-    """
-
-    def __init__(self, pool: BufferPool, owner: object) -> None:
-        self.shared = pool
-        self.owner = owner
-        self.hits = 0
-        self.misses = 0
-        self.bytes_reused = 0
-        self.discards = 0
-        pool.register_owner(owner)
-
-    @property
-    def max_bytes(self) -> int:
-        return self.shared.max_bytes
-
-    @property
-    def bytes_held(self) -> int:
-        return self.shared.bytes_held
-
-    def acquire(self, nbytes: int) -> np.ndarray:
-        buffer, reused = self.shared._acquire(nbytes, owner=self.owner)
-        if reused:
-            self.hits += 1
-            self.bytes_reused += int(nbytes)
-        else:
-            self.misses += 1
-        return buffer
-
-    def release(self, buffer: np.ndarray) -> None:
-        if not self.shared._release(buffer, owner=self.owner):
-            self.discards += 1
-
-    def clear(self) -> None:
-        """Clearing through a tenant view clears the shared pool."""
-        self.shared.clear()
-
-    def stats(self) -> Dict[str, int]:
-        """Tenant-local counters plus the shared pool's occupancy."""
-        return {
-            "pool_hits": self.hits,
-            "pool_misses": self.misses,
-            "pool_bytes_reused": self.bytes_reused,
-            "pool_bytes_held": self.shared.bytes_held,
-            "pool_peak_bytes_held": self.shared.peak_bytes_held,
-            "pool_discards": self.discards,
-            "pool_lock_contentions": self.shared._lock.contentions,
-        }
 
 
 class MemoryManager:
@@ -322,9 +198,14 @@ class MemoryManager:
         #: The pool is always present; disabling pooling means a zero byte
         #: cap (every release falls through to the host), which keeps the
         #: allocation path single and the miss counter authoritative.  A
-        #: service-owned session passes a :class:`TenantPoolView` here, so
-        #: recycling is shared while the counters stay tenant-local.
+        #: service-owned session passes the service's shared pool here.
         self.pool: BufferPool = pool if pool is not None else BufferPool()
+        #: This manager's own traffic through the pool, so the counters
+        #: stay per session when the pool is shared.
+        self.pool_hits = 0
+        self.pool_misses = 0
+        self.pool_bytes_reused = 0
+        self.pool_discards = 0
         self.bytes_allocated = 0
         self.peak_bytes = 0
         #: High-water mark since :meth:`reset_peak_window` (the engine
@@ -368,23 +249,26 @@ class MemoryManager:
         self._source = None
         occupied = set(self._slot_of.values())
         for slot_key in [key for key in self._slots if key not in occupied]:
-            slot = self._slots.pop(slot_key)
-            self.bytes_allocated -= slot.nbytes
-            slot.release()
+            self._give_back(self._slots.pop(slot_key))
 
     def pool_counters(self) -> Dict[str, int]:
-        """The pool's cumulative counters."""
-        return self.pool.stats()
+        """This manager's cumulative pool counters."""
+        return {
+            "pool_hits": self.pool_hits,
+            "pool_misses": self.pool_misses,
+            "pool_bytes_reused": self.pool_bytes_reused,
+            "pool_discards": self.pool_discards,
+        }
 
     @property
     def host_allocations(self) -> int:
-        """Buffers actually requested from the host allocator (``np.empty``).
+        """Buffers this manager requested from the host allocator (``np.empty``).
 
         Every allocation path goes through the pool, so this is exactly the
-        pool's miss count; pool hits and slot reuse keep it flat on warm
-        flushes.
+        manager's pool miss count; pool hits and slot reuse keep it flat on
+        warm flushes.
         """
-        return self.pool.misses
+        return self.pool_misses
 
     def reset_peak_window(self) -> None:
         """Start a fresh per-execution peak window at the current level."""
@@ -412,11 +296,22 @@ class MemoryManager:
             token, buffer = self._source.create(nbytes)
             owned = _Owned(buffer, nbytes, token, partial(self._source.release, token))
         else:
-            buffer = self.pool.acquire(nbytes)
+            buffer, reused = self.pool.acquire(nbytes)
+            if reused:
+                self.pool_hits += 1
+                self.pool_bytes_reused += nbytes
+            else:
+                self.pool_misses += 1
             owned = _Owned(buffer, nbytes, None, partial(self.pool.release, buffer))
         self.bytes_allocated += nbytes
         self._note_peak()
         return owned
+
+    def _give_back(self, owned: _Owned) -> None:
+        """Send ``owned`` home, counting a pool buffer the full pool drops."""
+        self.bytes_allocated -= owned.nbytes
+        if owned.release() is False:
+            self.pool_discards += 1
 
     def _slot(self, directive: BufferDirective) -> Tuple[tuple, _Owned]:
         """The current plan's shared slot ``directive`` names, acquired once."""
@@ -542,9 +437,7 @@ class MemoryManager:
         if self._slot_of.pop(key, None) is not None:
             # Shared slot: the buffer is owned by the plan, not the base.
             return
-        owned = self._dedicated.pop(key)
-        self.bytes_allocated -= owned.nbytes
-        owned.release()
+        self._give_back(self._dedicated.pop(key))
 
     def free_all(self) -> None:
         """Release every allocation (plan slots included)."""

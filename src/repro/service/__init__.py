@@ -10,10 +10,12 @@ native kernels amortize across the whole fleet instead of per session.
 * :class:`ArrayService` — owns the shared engine, the shared byte-capped
   :class:`~repro.runtime.memory.BufferPool`, and admission control.
 * :class:`ServiceSession` — a per-tenant session handle: isolated
-  :class:`~repro.runtime.memory.MemoryManager` over a per-tenant view of
-  the shared pool, flushes gated by admission control.
+  :class:`~repro.runtime.memory.MemoryManager` over the shared pool,
+  flushes gated by admission control.  A tenant has one open session,
+  driven by one thread at a time, so at most one flush per tenant is
+  admitted or waiting.
 * :class:`AdmissionController` — bounded in-flight flushes with
-  backpressure, per-tenant queue caps and timeout-with-clean-rejection
+  backpressure and timeout-with-clean-rejection
   (:class:`~repro.utils.errors.ServiceOverloadError`).
 * :func:`run_service_stress` — the deterministic N-threads × M-sessions
   hammer used by the stress suite and ``repro-opt --serve-stress``.

@@ -11,12 +11,13 @@ is every tenant's cache hit) and a single byte-capped
 statistics stay fully isolated.
 
 Admission control keeps the shared engine from being overrun: flushes are
-admitted against a global in-flight cap (backpressure: excess flushes wait),
-a per-tenant cap (one tenant cannot occupy the whole service; excess
-submissions from an already-saturated tenant are rejected immediately), and
-a timeout (a flush that cannot be admitted in time fails with a clean
+admitted against a global in-flight cap (backpressure: excess flushes wait)
+and a timeout (a flush that cannot be admitted in time fails with a clean
 :class:`~repro.utils.errors.ServiceOverloadError` — nothing executed, the
-session still usable).
+session still usable).  No tenant can occupy more than one slot: a tenant
+has one open session, a session is driven by one thread at a time, and a
+flush never re-enters itself, so a tenant has at most one flush admitted
+or waiting.
 
 Lock ordering (see ``docs/architecture.md`` §9): admission is decided
 before any engine lock is taken and released after all are dropped, so the
@@ -39,14 +40,13 @@ from repro.bytecode.operand import is_constant
 from repro.frontend.session import Session
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.instrumentation import ExecutionResult, ExecutionStats
-from repro.runtime.memory import BufferPool, MemoryManager, TenantPoolView
+from repro.runtime.memory import BufferPool, MemoryManager
 from repro.runtime.plan import PLAN_CACHE_SIZE, program_base_order
 from repro.utils.errors import ExecutionError, ServiceOverloadError
 from repro.utils.locking import SingleOwner
 
 #: Default admission limits and shared-pool cap of an :class:`ArrayService`.
 MAX_INFLIGHT = 16
-TENANT_MAX_INFLIGHT = 4
 ADMISSION_TIMEOUT_SECONDS = 5.0
 SERVICE_POOL_MAX_BYTES = 1 << 28  # 256 MiB
 
@@ -54,16 +54,17 @@ SERVICE_POOL_MAX_BYTES = 1 << 28  # 256 MiB
 class AdmissionController:
     """Bounded admission of flushes into the shared engine.
 
-    Three policies compose, all over one condition variable:
+    Two policies compose over one condition variable:
 
     * **Global cap** (``max_inflight``): at most this many flushes execute
       concurrently; further arrivals block (backpressure) until a slot
       frees or the timeout expires.
-    * **Per-tenant cap** (``tenant_max_inflight``): a tenant with this many
-      flushes already admitted-or-waiting is rejected *immediately* — a
-      runaway tenant queues against itself, not against the fleet.
     * **Timeout** (``timeout_seconds``): a waiter that cannot be admitted
       in time is rejected with :class:`ServiceOverloadError`.
+
+    There is no per-tenant cap: through :class:`ArrayService` a tenant
+    never has more than one flush admitted or waiting (one open session
+    per tenant, one thread per session).
 
     Rejections are clean by construction: they happen strictly before the
     engine sees the program, so no partial execution ever needs undoing.
@@ -72,43 +73,24 @@ class AdmissionController:
     def __init__(
         self,
         max_inflight: int = MAX_INFLIGHT,
-        tenant_max_inflight: int = TENANT_MAX_INFLIGHT,
         timeout_seconds: float = ADMISSION_TIMEOUT_SECONDS,
     ) -> None:
         self.max_inflight = max_inflight
-        self.tenant_max_inflight = tenant_max_inflight
         self.timeout_seconds = timeout_seconds
         if self.max_inflight < 1:
             raise ValueError(
                 f"service needs at least one in-flight slot, got {self.max_inflight}"
             )
-        if self.tenant_max_inflight < 1:
-            raise ValueError(
-                "each tenant needs at least one in-flight slot, "
-                f"got {self.tenant_max_inflight}"
-            )
         self._cond = threading.Condition()
         self._inflight = 0
-        #: Admitted-or-waiting flushes per tenant (the per-tenant queue cap
-        #: counts waiters too, so a stuck tenant cannot pile up waiters).
-        self._pending: Dict[object, int] = {}
         self.admitted = 0
-        self.rejected_tenant_cap = 0
         self.rejected_timeout = 0
         self.waits = 0
         self.peak_inflight = 0
 
-    def admit(self, tenant: object) -> None:
-        """Block until ``tenant`` may flush, or raise :class:`ServiceOverloadError`."""
+    def admit(self) -> None:
+        """Block until a flush may run, or raise :class:`ServiceOverloadError`."""
         with self._cond:
-            pending = self._pending.get(tenant, 0)
-            if pending >= self.tenant_max_inflight:
-                self.rejected_tenant_cap += 1
-                raise ServiceOverloadError(
-                    f"tenant {tenant!r} already has {pending} flush(es) "
-                    f"in flight or queued (cap {self.tenant_max_inflight})"
-                )
-            self._pending[tenant] = pending + 1
             # The deadline is fixed up front on the monotonic clock, so
             # repeated wakeups (other tenants winning the freed slot) can
             # never stretch one admission beyond the configured timeout.
@@ -122,7 +104,6 @@ class AdmissionController:
                 if remaining <= 0 or not self._cond.wait(timeout=remaining):
                     if self._inflight < self.max_inflight:
                         break
-                    self._uncount(tenant)
                     self.rejected_timeout += 1
                     raise ServiceOverloadError(
                         f"no in-flight slot freed within {self.timeout_seconds}s "
@@ -132,33 +113,27 @@ class AdmissionController:
             self.peak_inflight = max(self.peak_inflight, self._inflight)
             self.admitted += 1
 
-    def release(self, tenant: object) -> None:
-        """Return ``tenant``'s in-flight slot and wake one waiter."""
+    def release(self) -> None:
+        """Return an in-flight slot and wake one waiter."""
         with self._cond:
             self._inflight -= 1
-            self._uncount(tenant)
             self._cond.notify()
 
-    def _uncount(self, tenant: object) -> None:
-        """Drop one pending count for ``tenant`` (caller holds the lock)."""
-        remaining = self._pending.get(tenant, 1) - 1
-        if remaining > 0:
-            self._pending[tenant] = remaining
-        else:
-            self._pending.pop(tenant, None)
-
     def stats(self) -> Dict[str, int]:
-        """Admission counters for the service's statistics report."""
+        """Admission counters for the service's statistics report.
+
+        ``rejected_tenant_cap`` always reads 0 (there is no per-tenant cap);
+        the key stays for readers of the report that still sum it.
+        """
         with self._cond:
             return {
                 "admitted": self.admitted,
-                "rejected_tenant_cap": self.rejected_tenant_cap,
+                "rejected_tenant_cap": 0,
                 "rejected_timeout": self.rejected_timeout,
                 "waits": self.waits,
                 "inflight": self._inflight,
                 "peak_inflight": self.peak_inflight,
                 "max_inflight": self.max_inflight,
-                "tenant_max_inflight": self.tenant_max_inflight,
             }
 
 
@@ -166,11 +141,12 @@ class ServiceSession(Session):
     """One tenant's handle onto a shared :class:`ArrayService`.
 
     A thin :class:`~repro.frontend.session.Session` whose engine is the
-    service's shared engine and whose memory manager recycles through a
-    per-tenant view of the shared buffer pool.  Everything tenant-visible —
-    pending byte-code, live base arrays, flush statistics — lives on this
-    object and never leaks across tenants; everything expensive — plans,
-    compiled kernels, parked buffers — is shared underneath.
+    service's shared engine and whose memory manager recycles through the
+    shared buffer pool.  Everything tenant-visible — pending byte-code,
+    live base arrays, flush statistics, the manager's pool counters —
+    lives on this object and never leaks across tenants; everything
+    expensive — plans, compiled kernels, parked buffers — is shared
+    underneath.
 
     Each session is contractually single-threaded (one tenant, one driver
     thread at a time); a :class:`~repro.utils.locking.SingleOwner` guard
@@ -182,7 +158,7 @@ class ServiceSession(Session):
     def __init__(self, service: "ArrayService", tenant: object) -> None:
         super().__init__(
             engine=service.engine,
-            memory=MemoryManager(pool=TenantPoolView(service.pool, tenant)),
+            memory=MemoryManager(pool=service.pool),
         )
         self.service = service
         self.tenant = tenant
@@ -210,11 +186,11 @@ class ServiceSession(Session):
                 and not self._deferred_frees
             ):
                 return None
-            self.service.admission.admit(self.tenant)
+            self.service.admission.admit()
             try:
                 return super().flush(sync_views)
             finally:
-                self.service.admission.release(self.tenant)
+                self.service.admission.release()
 
     def execute(self, program: Program) -> ExecutionResult:
         """Run an already-built byte-code program through the shared engine.
@@ -226,11 +202,11 @@ class ServiceSession(Session):
         """
         with self._guard:
             self._ensure_open()
-            self.service.admission.admit(self.tenant)
+            self.service.admission.admit()
             try:
                 result = self.engine.execute(program, self.memory)
             finally:
-                self.service.admission.release(self.tenant)
+                self.service.admission.release()
             self.memory = result.memory
             self._record(result.stats)
             return result
@@ -247,7 +223,6 @@ class ServiceSession(Session):
                 return
             self.closed = True
             self.memory.free_all()
-            self.service.pool.unregister_owner(self.tenant)
 
 
 class ArrayService:
@@ -265,21 +240,16 @@ class ArrayService:
         Capacity of the shared plan cache (default 128 plans).
     max_inflight:
         Flushes executing at once across all tenants (default 16); more
-        wait for a slot.
-    tenant_max_inflight:
-        Flushes one tenant may have executing or waiting (default 4); one
-        more is rejected at once.
+        wait for a slot.  A tenant has one open session driven by one
+        thread, so it never has more than one flush executing or waiting.
     admission_timeout:
         Seconds a flush waits for a slot before it is rejected with
         :class:`~repro.utils.errors.ServiceOverloadError` (default 5).
     pool_max_bytes:
         Byte cap of the buffer pool every tenant session shares (default
         256 MiB), independent of ``Config.memory_pool_max_bytes``, which
-        caps a stand-alone session's private pool.
-    fairness:
-        ``"shared"`` (the default) lets any tenant park freed buffers up
-        to the cap; ``"fair"`` caps each tenant's parked bytes at an equal
-        share of it.
+        caps a stand-alone session's private pool.  Any tenant parks
+        freed buffers up to the cap and reuses any parked buffer.
     """
 
     def __init__(
@@ -289,10 +259,8 @@ class ArrayService:
         pipeline=None,
         plan_cache_size: int = PLAN_CACHE_SIZE,
         max_inflight: int = MAX_INFLIGHT,
-        tenant_max_inflight: int = TENANT_MAX_INFLIGHT,
         admission_timeout: float = ADMISSION_TIMEOUT_SECONDS,
         pool_max_bytes: int = SERVICE_POOL_MAX_BYTES,
-        fairness: str = "shared",
     ) -> None:
         self.engine = ExecutionEngine(
             backend=backend,
@@ -300,11 +268,9 @@ class ArrayService:
             pipeline=pipeline,
             plan_cache_size=plan_cache_size,
         )
-        self.pool = BufferPool(max_bytes=pool_max_bytes, fairness=fairness)
+        self.pool = BufferPool(max_bytes=pool_max_bytes)
         self.admission = AdmissionController(
-            max_inflight=max_inflight,
-            tenant_max_inflight=tenant_max_inflight,
-            timeout_seconds=admission_timeout,
+            max_inflight=max_inflight, timeout_seconds=admission_timeout
         )
         self._sessions: Dict[object, ServiceSession] = {}
         self._lock = threading.Lock()
@@ -399,8 +365,8 @@ class ArrayService:
         """One nested dict with every shared-structure counter.
 
         The shape feeds straight into ``repro-opt --stats-json``: admission
-        (backpressure behaviour), the shared pool (occupancy, fairness
-        discards, lock contention) and the engine's cache counters (plan
+        (backpressure behaviour), the shared pool (occupancy, discards,
+        lock contention) and the engine's cache counters (plan
         builds vs cross-session hits, codegen outcomes) — all numeric —
         and, keyed by message, why steps left the compiled path, and the
         resolved configuration the latest flush ran under.

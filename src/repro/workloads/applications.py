@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from repro.frontend import creation, linalg, random as bh_random, reductions, ufuncs
+from repro.frontend import creation, random as bh_random, reductions, ufuncs
 from repro.frontend.array import BhArray
 from repro.frontend.session import Session
 
@@ -178,25 +178,3 @@ def polynomial_evaluation(
     result += 1
     return result
 
-
-def linear_system_solution(
-    n: int = 64,
-    reuse_inverse: bool = False,
-    session: Optional[Session] = None,
-) -> Tuple[BhArray, Optional[BhArray]]:
-    """Solve a random well-conditioned system via the ``inv(A) @ b`` idiom.
-
-    Returns ``(x, extra)`` where ``extra`` is the reuse of the inverse (its
-    row sums) when ``reuse_inverse`` is true, else ``None``.
-    """
-    import numpy as np
-
-    from repro.frontend.creation import array
-    from repro.linalg.util import random_well_conditioned
-
-    matrix = array(random_well_conditioned(n, seed=n), session=session)
-    rhs = array(np.random.default_rng(n).standard_normal(n), session=session)
-    inverse = linalg.inv(matrix)
-    solution = inverse @ rhs
-    extra = reductions.sum(inverse, axis=0) if reuse_inverse else None
-    return solution, extra

@@ -1,5 +1,8 @@
 """Tests for the memory manager."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,20 @@ class TestAllocation:
         memory.free_all()
         assert memory.bytes_allocated == 0
         assert list(memory.live_bases()) == []
+
+    def test_a_dropped_manager_is_freed_without_the_cycle_collector(self):
+        """No reference cycle keeps a manager (and every buffer it holds)
+        alive until the next collection: a benchmark op that drops one
+        per flush would hold their storage in the meantime."""
+        gc.disable()
+        try:
+            memory = MemoryManager()
+            memory.allocate(BaseArray(1000))
+            dropped = weakref.ref(memory)
+            del memory
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_set_data_copies(self):
         memory = MemoryManager()

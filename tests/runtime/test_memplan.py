@@ -234,9 +234,9 @@ class TestBufferPool:
 
     def test_acquire_release_recycles(self):
         pool = BufferPool(max_bytes=1 << 20)
-        first = pool.acquire(100)
+        first = pool.acquire(100)[0]
         pool.release(first)
-        second = pool.acquire(100)
+        second = pool.acquire(100)[0]
         assert second is first
         assert pool.hits == 1
         assert pool.misses == 1
@@ -244,7 +244,7 @@ class TestBufferPool:
 
     def test_byte_cap_discards(self):
         pool = BufferPool(max_bytes=128)
-        buffer = pool.acquire(1024)  # class 1024 > cap
+        buffer = pool.acquire(1024)[0]  # class 1024 > cap
         pool.release(buffer)
         assert pool.bytes_held == 0
         assert pool.discards == 1

@@ -40,9 +40,10 @@ def test_two_tenants_hold_adopted_results_while_the_other_flushes():
             assert len(session.memory.live_bases()) == 1
             assert session.memory.bytes_allocated == GRID * GRID * 8
         # Tenant-local pool counters add up to the shared pool's.
-        views = [session.memory.pool for session in sessions]
         shared = service.pool.stats()
         for counter in ("pool_hits", "pool_misses", "pool_bytes_reused", "pool_discards"):
-            assert sum(view.stats()[counter] for view in views) == shared[counter], counter
+            assert sum(
+                session.memory.pool_counters()[counter] for session in sessions
+            ) == shared[counter], counter
         assert shared["pool_hits"] > 0
         held.clear()

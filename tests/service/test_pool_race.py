@@ -1,5 +1,5 @@
-"""Regression tests for BufferPool recycle/stats races and fairness, and for
-the tiled backends' worker-thread pools.
+"""Regression tests for BufferPool recycle/stats races, for tenants sharing
+one pool, and for the tiled backends' worker-thread pools.
 
 Before the pool lock, concurrent sessions recycling through one shared
 pool could pop the same parked buffer twice (two tenants writing through
@@ -18,11 +18,12 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
+from repro.bytecode.base import BaseArray
 from repro.bytecode.builder import ProgramBuilder
-from repro.runtime.memory import BufferPool, TenantPoolView, size_class
+from repro.runtime.memory import BufferPool, MemoryManager, size_class
 from repro.runtime.parallel import ParallelBackend
+from repro.service import ArrayService, clone_program_with_fresh_bases
 from repro.utils.config import get_config, set_config
 
 
@@ -37,7 +38,7 @@ class TestPoolRaces:
 
         def worker():
             for _ in range(rounds):
-                buffer = pool.acquire(nbytes)
+                buffer = pool.acquire(nbytes)[0]
                 with held_lock:
                     if id(buffer) in held_ids:
                         double_hand_outs.append(id(buffer))
@@ -67,7 +68,7 @@ class TestPoolRaces:
         pool = BufferPool(max_bytes=4 * cls)
 
         def worker():
-            buffers = [pool.acquire(4096) for _ in range(6)]
+            buffers = [pool.acquire(4096)[0] for _ in range(6)]
             for buffer in buffers:
                 pool.release(buffer)
 
@@ -91,7 +92,7 @@ class TestPoolRaces:
         def worker():
             local = []
             for index in range(rounds):
-                local.append(pool.acquire(1024 * (1 + index % 3)))
+                local.append(pool.acquire(1024 * (1 + index % 3))[0])
                 if len(local) >= 4:
                     pool.release(local.pop(0))
             for buffer in local:
@@ -108,68 +109,51 @@ class TestPoolRaces:
         assert stats["pool_bytes_held"] == pool.bytes_held
 
 
-class TestTenantFairness:
-    def test_fair_policy_caps_one_tenant_parked_bytes(self):
-        cls = size_class(8192)
-        pool = BufferPool(max_bytes=8 * cls, fairness="fair")
-        hog = TenantPoolView(pool, "hog")
-        meek = TenantPoolView(pool, "meek")
-        share = pool.fair_share_bytes()
-        assert share == 4 * cls
-
-        # The hog floods releases far beyond its share.
-        buffers = [hog.acquire(8192) for _ in range(10)]
-        for buffer in buffers:
-            hog.release(buffer)
-        assert pool.parked_bytes_of("hog") <= share
-        assert hog.discards > 0
-        # The meek tenant still has its full share of parking available.
-        parked_before = pool.parked_bytes_of("meek")
-        meek_buffers = [meek.acquire(8192) for _ in range(4)]
-        for buffer in meek_buffers:
-            meek.release(buffer)
-        assert pool.parked_bytes_of("meek") >= parked_before
-
-    def test_shared_policy_has_no_per_tenant_cap(self):
-        cls = size_class(8192)
-        pool = BufferPool(max_bytes=8 * cls, fairness="shared")
-        hog = TenantPoolView(pool, "hog")
-        TenantPoolView(pool, "other")
-        buffers = [hog.acquire(8192) for _ in range(8)]
-        for buffer in buffers:
-            hog.release(buffer)
-        # Under "shared", first-come-first-parked up to the global cap.
-        assert pool.parked_bytes_of("hog") == 8 * cls
-
+class TestSharedPoolTenants:
     def test_any_tenant_may_reuse_any_parked_buffer(self):
         pool = BufferPool(max_bytes=1 << 20)
-        a = TenantPoolView(pool, "a")
-        b = TenantPoolView(pool, "b")
-        buffer = a.acquire(2048)
-        marker = np.arange(16, dtype=np.uint8)
-        buffer[:16] = marker
-        a.release(buffer)
-        recycled = b.acquire(2048)
-        assert recycled is buffer, "the shared pool should recycle across tenants"
-        assert b.hits == 1
-        assert a.hits == 0, "tenant counters must stay tenant-local"
-        # Owner accounting moved with the buffer.
-        assert pool.parked_bytes_of("a") == 0
+        a, b = MemoryManager(pool=pool), MemoryManager(pool=pool)
+        first, second = BaseArray(256), BaseArray(256)
+        buffer = a.allocate(first)
+        a.free(first)
+        recycled = b.allocate(second)
+        assert np.shares_memory(recycled, buffer), "the shared pool should recycle across tenants"
+        assert b.pool_counters()["pool_hits"] == 1
+        assert b.host_allocations == 0
+        assert a.pool_counters()["pool_hits"] == 0, "tenant counters must stay tenant-local"
+        assert a.host_allocations == 1
+        assert pool.hits == 1 and pool.misses == 1
 
-    def test_view_counters_are_tenant_local(self):
-        pool = BufferPool(max_bytes=1 << 20)
-        a = TenantPoolView(pool, "a")
-        b = TenantPoolView(pool, "b")
-        a.acquire(512)
-        a.acquire(512)
-        assert a.misses == 2
-        assert b.misses == 0
-        assert b.stats()["pool_misses"] == 0
-        assert pool.misses == 2
-
-    def test_unknown_fairness_policy_rejected(self):
-        with pytest.raises(ValueError):
-            BufferPool(max_bytes=1024, fairness="roulette")
+    def test_per_flush_counters_are_the_tenants_own(self, program):
+        """Each session's per-flush pool counters count only its own
+        allocations, and they add up to the shared pool's totals."""
+        with ArrayService(backend="interpreter") as service:
+            alice, bob = service.open_session("alice"), service.open_session("bob")
+            clone, bases = clone_program_with_fresh_bases(program)
+            first = alice.execute(clone)
+            for base in bases:
+                first.memory.free(base)
+            parked = service.pool.bytes_held
+            assert parked > 0
+            # Bob's flush recycles what Alice parked; Alice's record and
+            # counters do not see it.
+            bob.execute(clone_program_with_fresh_bases(program)[0])
+            alice_flush, bob_flush = alice.stats_history[-1], bob.stats_history[-1]
+            assert alice_flush.pool_hits == 0
+            assert alice_flush.pool_misses > 0
+            assert bob_flush.pool_hits > 0
+            assert bob_flush.pool_misses == 0
+            assert bob_flush.pool_bytes_reused > 0
+            assert alice.memory.pool_counters()["pool_hits"] == 0
+            shared = service.pool.stats()
+            for counter in ("pool_hits", "pool_misses", "pool_bytes_reused"):
+                assert sum(
+                    getattr(session.total_stats(), counter) for session in (alice, bob)
+                ) == shared[counter], counter
+            assert (
+                alice.memory.host_allocations + bob.memory.host_allocations
+                == shared["pool_misses"]
+            )
 
 
 class TestThreadPoolResize:

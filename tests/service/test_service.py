@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.interpreter import NumPyInterpreter
+from repro.runtime.memory import BufferPool
 from repro.service import (
     AdmissionController,
     ArrayService,
@@ -36,59 +37,36 @@ class SlowInterpreter(NumPyInterpreter):
 
 
 class TestAdmissionController:
-    def test_tenant_cap_rejects_immediately(self):
-        admission = AdmissionController(
-            max_inflight=8, tenant_max_inflight=2, timeout_seconds=5.0
-        )
-        admission.admit("t")
-        admission.admit("t")
-        started = time.monotonic()
-        with pytest.raises(ServiceOverloadError):
-            admission.admit("t")
-        # Per-tenant cap violations reject without consuming the timeout.
-        assert time.monotonic() - started < 1.0
-        assert admission.rejected_tenant_cap == 1
-        # Another tenant is unaffected.
-        admission.admit("u")
-        for tenant in ("t", "t", "u"):
-            admission.release(tenant)
-        # Slots fully returned: the tenant may flush again.
-        admission.admit("t")
-        admission.release("t")
-
     def test_global_cap_times_out_with_clean_rejection(self):
-        admission = AdmissionController(
-            max_inflight=1, tenant_max_inflight=4, timeout_seconds=0.1
-        )
-        admission.admit("holder")
+        admission = AdmissionController(max_inflight=1, timeout_seconds=0.1)
+        admission.admit()
         with pytest.raises(ServiceOverloadError):
-            admission.admit("waiter")
+            admission.admit()
         assert admission.rejected_timeout == 1
         stats = admission.stats()
         assert stats["inflight"] == 1
-        admission.release("holder")
+        assert stats["rejected_tenant_cap"] == 0
+        admission.release()
         # The rejected waiter left no residue: it can be admitted now.
-        admission.admit("waiter")
-        admission.release("waiter")
+        admission.admit()
+        admission.release()
         assert admission.stats()["inflight"] == 0
 
     def test_backpressure_wait_until_slot_frees(self):
-        admission = AdmissionController(
-            max_inflight=1, tenant_max_inflight=4, timeout_seconds=10.0
-        )
-        admission.admit("holder")
+        admission = AdmissionController(max_inflight=1, timeout_seconds=10.0)
+        admission.admit()
         admitted = threading.Event()
 
         def waiter():
-            admission.admit("waiter")
+            admission.admit()
             admitted.set()
-            admission.release("waiter")
+            admission.release()
 
         thread = threading.Thread(target=waiter)
         thread.start()
         time.sleep(0.05)
         assert not admitted.is_set(), "the waiter should be blocked on backpressure"
-        admission.release("holder")
+        admission.release()
         thread.join()
         assert admitted.is_set()
         stats = admission.stats()
@@ -99,8 +77,6 @@ class TestAdmissionController:
     def test_invalid_caps_rejected(self):
         with pytest.raises(ValueError):
             AdmissionController(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionController(tenant_max_inflight=0)
 
 
 class TestServiceSessions:
@@ -110,8 +86,7 @@ class TestServiceSessions:
             b = service.open_session("bob")
             assert a.engine is b.engine is service.engine
             assert a.memory is not b.memory
-            assert a.memory.pool.shared is service.pool
-            assert b.memory.pool.shared is service.pool
+            assert a.memory.pool is b.memory.pool is service.pool
 
             clone_a, bases_a = clone_program_with_fresh_bases(program)
             clone_b, bases_b = clone_program_with_fresh_bases(program)
@@ -269,8 +244,25 @@ class TestServiceSessions:
     def test_defaults_are_the_documented_ones(self):
         with ArrayService(backend="interpreter") as service:
             assert service.admission.max_inflight == 16
-            assert service.admission.tenant_max_inflight == 4
             assert service.admission.timeout_seconds == 5.0
             assert service.pool.max_bytes == 1 << 28
-            assert service.pool.fairness == "shared"
             assert service.engine.plan_cache.capacity == 128
+
+
+#: Options of the per-tenant admission cap and the pool's fairness policy,
+#: both gone: a tenant has one open session driven by one thread, so it
+#: never has more than one flush admitted or waiting.
+REMOVED_OPTIONS = (
+    (ArrayService, "fairness"),
+    (ArrayService, "tenant_max_inflight"),
+    (AdmissionController, "tenant_max_inflight"),
+    (BufferPool, "fairness"),
+)
+
+
+@pytest.mark.parametrize(
+    "owner, name", REMOVED_OPTIONS, ids=[f"{o.__name__}-{n}" for o, n in REMOVED_OPTIONS]
+)
+def test_a_removed_option_cannot_be_passed(owner, name):
+    with pytest.raises(TypeError):
+        owner(**{name: 1})

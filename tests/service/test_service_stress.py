@@ -94,10 +94,11 @@ class TestServiceStress:
             # fingerprint; the first one stayed cached and untouched.
             assert second["plan_builds"] == 2
 
-    def test_tiny_pool_cap_is_never_exceeded_under_churn(self, program):
-        with ArrayService(
-            backend="interpreter", pool_max_bytes=2048, fairness="fair"
-        ) as service:
+    def test_tiny_pool_cap_is_never_exceeded_under_churn(self):
+        # Each flush frees two 2 KiB buffers (256 float64 elements each)
+        # into a pool that parks one.
+        program = chain_program(size=256)
+        with ArrayService(backend="interpreter", pool_max_bytes=2048) as service:
             report = run_service_stress(
                 program, threads=8, sessions=16, repeats=2, service=service
             )
@@ -116,7 +117,6 @@ class TestServiceStress:
         with ArrayService(
             backend="interpreter",
             max_inflight=1,
-            tenant_max_inflight=1,
             admission_timeout=0.0,
         ) as service:
             report = run_service_stress(
