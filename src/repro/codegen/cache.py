@@ -36,9 +36,7 @@ import itertools
 import json
 import os
 import platform
-import shutil
 import sys
-import tempfile
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
@@ -67,10 +65,10 @@ KERNEL_OPT_LEVEL = 3
 
 #: digest → loaded artifact (kernels and the runtime alike).
 _memory_cache: Dict[str, object] = {}
-#: (cache dir, use_disk) → (runtime or None, why there is none): what
-#: resolve_runtime found, so a host that cannot build it is asked once, not
-#: once per erf launch.  Guarded by _lock; dropped with the kernel memo.
-_runtime_memo: Dict[Tuple[str, bool], Tuple[Optional[CompiledRuntime], Optional[str]]] = {}
+#: cache dir → (runtime or None, why there is none): what resolve_runtime
+#: found, so a host that cannot build it is asked once, not once per erf
+#: launch.  Guarded by _lock; dropped with the kernel memo.
+_runtime_memo: Dict[str, Tuple[Optional[CompiledRuntime], Optional[str]]] = {}
 _lock = threading.Lock()
 #: Per-digest latches for compiles currently in flight; guarded by _lock.
 _inflight: Dict[str, threading.Event] = {}
@@ -223,27 +221,10 @@ def _compile_to_disk(
     return loader(so_path)
 
 
-def _compile_in_memory(source: str, opt_level: int, loader: Callable = CompiledKernel):
-    """Compile without touching the cache dir (``codegen_disk_cache_enabled=False``)."""
-    workdir = tempfile.mkdtemp(prefix="repro-codegen-")
-    try:
-        c_path = os.path.join(workdir, "kernel.c")
-        so_path = os.path.join(workdir, "kernel.so")
-        with open(c_path, "w", encoding="utf-8") as handle:
-            handle.write(source)
-        compile_shared_library(c_path, so_path, opt_level)
-        return loader(so_path)
-    finally:
-        # The dynamic loader keeps the mapping alive after unlink (POSIX),
-        # so the working directory can go away immediately.
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 def get_compiled_kernel(
     source: str,
     opt_level: int = 2,
     cache_dir: Optional[str] = None,
-    use_disk: bool = True,
     loader: Callable = CompiledKernel,
     load_only: bool = False,
 ) -> Tuple[object, Optional[str]]:
@@ -282,21 +263,15 @@ def get_compiled_kernel(
                 break
         waiting_on.wait()
     try:
-        kernel = None
-        outcome = "compiled"
-        if use_disk:
-            kernel = _load_from_disk(directory, digest, loader)
-            if kernel is not None:
-                outcome = "disk"
+        kernel = _load_from_disk(directory, digest, loader)
+        outcome = "disk"
         if kernel is None:
             if load_only:
                 return None, None
             if find_c_compiler() is None:
                 raise compiler_unavailable()
-            if use_disk:
-                kernel = _compile_to_disk(directory, digest, source, opt_level, loader)
-            else:
-                kernel = _compile_in_memory(source, opt_level, loader)
+            kernel = _compile_to_disk(directory, digest, source, opt_level, loader)
+            outcome = "compiled"
         with _lock:
             _memory_cache[digest] = kernel
         return kernel, outcome
@@ -307,7 +282,7 @@ def get_compiled_kernel(
 
 
 def resolve_runtime(
-    cache_dir: Optional[str] = None, use_disk: bool = True
+    cache_dir: Optional[str] = None,
 ) -> Tuple[Optional[CompiledRuntime], Optional[str]]:
     """The process's kernel runtime: ``(runtime, outcome)``.
 
@@ -319,7 +294,7 @@ def resolve_runtime(
     ``(None, None)``, remembered for the directory, and
     :func:`runtime_failure` says why.
     """
-    key = (resolve_cache_dir(cache_dir), bool(use_disk))
+    key = resolve_cache_dir(cache_dir)
     with _lock:
         known = _runtime_memo.get(key)
     if known is not None:
@@ -330,7 +305,6 @@ def resolve_runtime(
             emit_runtime_source(),
             opt_level=RUNTIME_OPT_LEVEL,
             cache_dir=cache_dir,
-            use_disk=use_disk,
             loader=CompiledRuntime,
         )
     except CodegenError as exc:
@@ -340,13 +314,10 @@ def resolve_runtime(
     return runtime, outcome
 
 
-def runtime_failure(
-    cache_dir: Optional[str] = None, use_disk: bool = True
-) -> Optional[str]:
+def runtime_failure(cache_dir: Optional[str] = None) -> Optional[str]:
     """Why :func:`resolve_runtime` found no runtime here: the first line of
     its first :class:`CodegenError`; ``None`` when it found one or has not
     looked yet."""
-    key = (resolve_cache_dir(cache_dir), bool(use_disk))
     with _lock:
-        known = _runtime_memo.get(key)
+        known = _runtime_memo.get(resolve_cache_dir(cache_dir))
     return known[1] if known is not None else None

@@ -304,15 +304,9 @@ class DistributedBackend(ParallelBackend):
 
     name = "dist"
 
-    def __init__(self, num_workers: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if num_workers is not None:
-            self._overrides["dist_num_workers"] = num_workers
         self.loads_shipped = 0
-
-    def num_workers(self) -> int:
-        """The worker count a flush of the live configuration uses."""
-        return self.flush_config().dist_num_workers
 
     # ------------------------------------------------------------------ #
     # Plan integration
@@ -460,14 +454,12 @@ class DistributedBackend(ParallelBackend):
                     # never compile: name the one this process's runtime
                     # really lies in (a runtime already loaded serves every
                     # directory here, and is written to none).
-                    use_disk = config.codegen_disk_cache_enabled
-                    runtime = resolve_runtime(config.codegen_cache_dir, use_disk)[0]
-                    directory = (
+                    runtime = resolve_runtime(config.codegen_cache_dir)[0]
+                    extras["codegen"] = (
                         os.path.dirname(runtime.path)
                         if runtime is not None
                         else resolve_cache_dir(config.codegen_cache_dir)
                     )
-                    extras["codegen"] = (directory, use_disk)
                 payload = pickle.dumps(
                     (program, tiling, dist_plan), protocol=pickle.HIGHEST_PROTOCOL
                 )
@@ -596,7 +588,7 @@ class DistributedBackend(ParallelBackend):
         queued work — so a flush sent immediately afterwards observes a
         mid-flush death.
         """
-        pool = _get_pool(self.num_workers())
+        pool = _get_pool(self.flush_config().dist_num_workers)
         pool.send(worker_id, make_frame("crash"), None)
 
     def cache_stats(self) -> Dict[str, int]:
@@ -612,7 +604,7 @@ class DistributedBackend(ParallelBackend):
                 "dist_loads_shipped": self.loads_shipped,
             }
         )
-        pool = _POOLS.get(self.num_workers())
+        pool = _POOLS.get(self.flush_config().dist_num_workers)
         if pool is not None:
             stats.update(pool.loaded_tokens.stats("dist_plan_table_"))
             stats["dist_worker_plans"] = pool.worker_plans

@@ -18,10 +18,9 @@ Frame kinds
               and ``evict``: the tokens the master's bounded table dropped
               to make room, for the worker to drop too — and, when the plan
               shards ``BH_ERF``, ``codegen``: the artifact cache directory
-              (and whether it is in use) the worker loads the vector
-              ``erf`` from.  The token is seed-free and the program is its
-              *first* flush's, so a worker may read structure from it and
-              nothing else.
+              the worker loads the vector ``erf`` from.  The token is
+              seed-free and the program is its *first* flush's, so a
+              worker may read structure from it and nothing else.
 ``loaded``    worker → master ack of ``load`` (plan checks run; ``plans``:
               how many plans the worker now holds).
 ``map``       master → worker, per flush: canonical base position →

@@ -123,8 +123,8 @@ class LoadedPlan:
 
         self.program = program
         self.dist_plan = dist_plan
-        #: Where the plan's vector ``erf`` comes from (the master's codegen
-        #: settings; the defaults when the plan shards no ``BH_ERF``).
+        #: Where the plan's vector ``erf`` comes from (the master's artifact
+        #: directory; the default when the plan shards no ``BH_ERF``).
         self.config = config
         self.base_order = program_base_order(program)
         #: Base positions a ``map`` frame may leave out (kernel-local bases,
@@ -249,11 +249,8 @@ class _Worker:
 
         token = frame["token"]
         program, tiling, dist_plan = pickle.loads(frame["payload"])
-        codegen = frame.get("codegen")
-        config = Config()
-        if codegen is not None:
-            cache_dir, use_disk = codegen
-            config = Config(codegen_cache_dir=cache_dir, codegen_disk_cache_enabled=use_disk)
+        # The master names the directory its vector erf lies in, if any.
+        config = Config(codegen_cache_dir=frame.get("codegen"))
         loaded = LoadedPlan(program, dist_plan, config)
         checks = validate_dist_plan(program, tiling, dist_plan, frame["check"])
         # The master owns the table's bound: it names what it evicted.

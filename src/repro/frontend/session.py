@@ -46,7 +46,7 @@ class Session:
     def __init__(
         self,
         backend: Optional[object] = None,
-        optimize: Optional[bool] = None,
+        optimize: bool = True,
         pipeline=None,
         engine: Optional[ExecutionEngine] = None,
         memory: Optional[MemoryManager] = None,
@@ -61,8 +61,8 @@ class Session:
             ``Session(backend="parallel")`` executes flushes on the tiled
             multi-threaded backend.
         optimize:
-            Whether flushes run the transformation pipeline first; defaults
-            to the configuration's ``optimize`` flag.
+            Whether flushes run the transformation pipeline first (default
+            ``True``).
         pipeline:
             Custom :class:`~repro.core.pipeline.Pipeline`; defaults to the
             canonical pipeline.
@@ -71,8 +71,9 @@ class Session:
             through instead of constructing a private one.  This is how the
             multi-tenant :class:`~repro.service.ArrayService` multiplexes
             many sessions onto one thread-safe plan/kernel cache; when
-            given, ``backend``/``optimize``/``pipeline`` must be ``None``
-            (they describe an engine this session would otherwise build).
+            given, ``backend``/``pipeline`` must be ``None`` and ``optimize``
+            left on (they describe an engine this session would otherwise
+            build).
         memory:
             An existing :class:`MemoryManager` holding this session's base
             arrays — the service passes one whose buffer pool is a
@@ -80,7 +81,7 @@ class Session:
             manager.
         """
         if engine is not None:
-            if backend is not None or optimize is not None or pipeline is not None:
+            if backend is not None or not optimize or pipeline is not None:
                 raise ValueError(
                     "pass either a shared engine or backend/optimize/pipeline "
                     "settings for a private one, not both"
@@ -111,15 +112,6 @@ class Session:
     def backend(self) -> Backend:
         """The resolved backend instance (owned by the engine)."""
         return self.engine.backend
-
-    @property
-    def optimize_enabled(self) -> bool:
-        """Whether flushes run the optimization/planning stage."""
-        return self.engine.optimize_enabled
-
-    @optimize_enabled.setter
-    def optimize_enabled(self, enabled: bool) -> None:
-        self.engine.optimize_enabled = enabled
 
     @property
     def last_report(self) -> Optional[OptimizationReport]:
@@ -272,7 +264,7 @@ def set_session(session: Session) -> Session:
 
 def reset_session(
     backend: Optional[object] = None,
-    optimize: Optional[bool] = None,
+    optimize: bool = True,
     pipeline=None,
 ) -> Session:
     """Discard any recorded state and start a fresh default session."""

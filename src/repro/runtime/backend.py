@@ -48,10 +48,6 @@ class Backend(abc.ABC):
             omitted a fresh, zero-initialised manager is created.
         """
 
-    def run(self, program: Program, memory: Optional[MemoryManager] = None) -> ExecutionResult:
-        """Alias of :meth:`execute` kept for readability at call sites."""
-        return self.execute(program, memory)
-
     def resolve_config(self, config: Config) -> Config:
         """The snapshot a flush under ``config`` runs under: every value this
         backend reads made concrete.  Memoised per configuration value (16

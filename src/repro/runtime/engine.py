@@ -63,7 +63,7 @@ class ExecutionEngine:
         configuration's ``default_backend``.
     optimize:
         Whether programs run through the transformation pipeline before
-        execution; defaults to the configuration's ``optimize`` flag.
+        execution (default ``True``).
     pipeline:
         Custom :class:`~repro.core.pipeline.Pipeline` (it runs under the
         configuration it was built with); defaults to the canonical
@@ -76,14 +76,13 @@ class ExecutionEngine:
     def __init__(
         self,
         backend: Optional[object] = None,
-        optimize: Optional[bool] = None,
+        optimize: bool = True,
         pipeline=None,
         plan_cache_size: int = PLAN_CACHE_SIZE,
     ) -> None:
-        config = get_config()
-        self._backend_spec = backend if backend is not None else config.default_backend
+        self._backend_spec = backend if backend is not None else get_config().default_backend
         self._backend_instance: Optional[Backend] = None
-        self.optimize_enabled = optimize if optimize is not None else config.optimize
+        self.optimize = optimize
         self._pipeline = pipeline
         self.plan_cache = PlanCache(plan_cache_size)
         #: Per-cache-key build latches: when several sessions first-flush
@@ -176,7 +175,7 @@ class ExecutionEngine:
         plan_started = time.perf_counter()
         hit = False
         plan = None
-        if self.optimize_enabled:
+        if self.optimize:
             config = backend.resolve_config(get_config())
             executable, plan, hit = self._plan(program, backend, config)
         else:

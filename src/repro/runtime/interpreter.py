@@ -45,10 +45,10 @@ def erf_helper(config: Config):
     """
     from repro.codegen.cache import resolve_runtime, runtime_failure
 
-    where = (config.codegen_cache_dir, config.codegen_disk_cache_enabled)
-    runtime = resolve_runtime(*where)[0]
+    directory = config.codegen_cache_dir
+    runtime = resolve_runtime(directory)[0]
     if runtime is None:
-        return None, f"erf: no compiled helper ({runtime_failure(*where)})"
+        return None, f"erf: no compiled helper ({runtime_failure(directory)})"
     return runtime.vec_erf, None
 
 

@@ -307,12 +307,8 @@ class NativeBackend(ParallelBackend):
 
     name = "native"
 
-    def __init__(
-        self,
-        num_threads: Optional[int] = None,
-        tile_elements: Optional[int] = None,
-    ) -> None:
-        super().__init__(num_threads=num_threads, tile_elements=tile_elements)
+    def __init__(self) -> None:
+        super().__init__()
         # Structural kernel key (+ codegen signature) → NativeKernelLaunch,
         # or, for a form with no compiled launch, the message saying why.
         self._native_cache = BoundedLRU(KERNEL_CACHE_CAPACITY)
@@ -331,13 +327,11 @@ class NativeBackend(ParallelBackend):
     # Codegen resolution
     # ------------------------------------------------------------------ #
 
-    def _codegen_signature(self, config) -> tuple:
-        # Everything a launchable's artifacts depend on.  The thread count
-        # is not here: a threaded launch calls the same kernel per row block.
-        return (
-            resolve_cache_dir(config.codegen_cache_dir),
-            config.codegen_disk_cache_enabled,
-        )
+    def _codegen_signature(self, config) -> str:
+        # Everything a launchable's artifacts depend on: the directory they
+        # live in.  The thread count is not here: a threaded launch calls
+        # the same kernel per row block.
+        return resolve_cache_dir(config.codegen_cache_dir)
 
     def _resolve_config(self, config: Config) -> Config:
         """Also resolve the thread count a compiled step is split over.
@@ -402,7 +396,6 @@ class NativeBackend(ParallelBackend):
                     source,
                     opt_level=KERNEL_OPT_LEVEL,
                     cache_dir=config.codegen_cache_dir,
-                    use_disk=config.codegen_disk_cache_enabled,
                     load_only=cached is None,
                 )
                 if outcome is not None:

@@ -80,31 +80,7 @@ class ParallelBackend(Backend):
 
     name = "parallel"
 
-    def __init__(
-        self,
-        num_threads: Optional[int] = None,
-        tile_elements: Optional[int] = None,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        num_threads:
-            Worker-thread count; defaults to the configuration's
-            ``parallel_num_threads`` (itself defaulting to the host's CPU
-            count).
-        tile_elements:
-            Target elements per tile; defaults to the configuration's
-            ``parallel_tile_elements``.
-        """
-        #: What the constructor set: it wins over the configuration's value.
-        self._overrides = {
-            name: value
-            for name, value in (
-                ("parallel_num_threads", num_threads),
-                ("parallel_tile_elements", tile_elements),
-            )
-            if value is not None
-        }
+    def __init__(self) -> None:
         # One persistent pool per thread count a flush asked for: a flush
         # holding one pool may still be submitting to it when another asks
         # for a different count, so no pool is shut down before ``close``.
@@ -128,10 +104,6 @@ class ParallelBackend(Backend):
     # Thread pool
     # ------------------------------------------------------------------ #
 
-    def num_threads(self) -> int:
-        """The worker-thread count a flush of the live configuration uses."""
-        return self.flush_config().parallel_num_threads
-
     def _executor(self, threads: int) -> ThreadPoolExecutor:
         """The persistent pool of ``threads`` workers, made on first use."""
         with self._cache_lock:
@@ -153,17 +125,13 @@ class ParallelBackend(Backend):
     # Plan integration
     # ------------------------------------------------------------------ #
 
-    def _resolve_config(self, config: Config) -> Config:
-        return super()._resolve_config(config.replace(**self._overrides))
-
     def prepare_plan(self, plan) -> None:
         """Compute the tile decomposition once, at plan time.
 
         The engine calls this when a plan is compiled (or primed); the
         decomposition is structural, so it stays valid for every rebound
         replay of the plan — warm flushes skip re-tiling entirely.  It is
-        computed under ``plan.config``, which carries this instance's
-        constructor overrides: the engine keys the plan by it.
+        computed under ``plan.config``: the engine keys the plan by it.
         """
         super().prepare_plan(plan)  # liveness-driven memory plan
         plan.tiling = decompose(plan.optimized, plan.config)

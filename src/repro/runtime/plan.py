@@ -229,9 +229,9 @@ def fingerprint_of_key(key: tuple) -> str:
 
 
 #: Fields every plan artifact is the same under, whatever their value: the
-#: front-end's backend choice and optimize switch (plans are keyed by
-#: backend; unoptimized flushes have none) and the read-only checks.
-_UNSIGNED_FIELDS = ("default_backend", "optimize", "check_ir")
+#: front-end's backend choice (plans are keyed by backend) and the
+#: read-only checks.
+_UNSIGNED_FIELDS = ("default_backend", "check_ir")
 
 #: Every other field shapes a plan — its optimized program, schedule,
 #: tiling, memory plan, kernels or shards — or how it runs, so a plan built

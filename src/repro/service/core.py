@@ -255,7 +255,7 @@ class ArrayService:
     def __init__(
         self,
         backend: Optional[object] = None,
-        optimize: Optional[bool] = None,
+        optimize: bool = True,
         pipeline=None,
         plan_cache_size: int = PLAN_CACHE_SIZE,
         max_inflight: int = MAX_INFLIGHT,
@@ -470,9 +470,7 @@ def run_service_stress(
         raise ValueError("threads, sessions and repeats must all be at least 1")
 
     # Serial reference on a private engine: same backend spec, no sharing.
-    reference_engine = ExecutionEngine(
-        backend=backend, optimize=True, pipeline=pipeline
-    )
+    reference_engine = ExecutionEngine(backend=backend, pipeline=pipeline)
     reference_clone, reference_bases = clone_program_with_fresh_bases(program)
     reference_result = reference_engine.execute(reference_clone, MemoryManager())
     reference = _snapshot(reference_bases, reference_result.memory)

@@ -258,7 +258,7 @@ def _engine_trajectory(program, pipeline, report, args):
         raise ReproError(f"--repeat must be at least 1, got {args.repeat}")
 
     def execute():
-        engine = ExecutionEngine(backend=args.backend, optimize=True, pipeline=pipeline)
+        engine = ExecutionEngine(backend=args.backend, pipeline=pipeline)
         # The pipeline already ran once to print the report above — seed the
         # plan cache with it so the first execution replays instead of
         # re-optimizing.

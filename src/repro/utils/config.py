@@ -8,7 +8,9 @@ and where compiled artifacts live.  Design constants of the optimizer
 the verifier's seed), the capacities of caches and of the array service,
 and the C optimization level are not here: each is the default of the
 constructor that takes it (for example ``PowerExpansionPass(limit=)``,
-``Pipeline(verify=)``, ``ArrayService(max_inflight=)``).
+``Pipeline(verify=)``, ``ArrayService(max_inflight=)``).  Nor is whether
+a flush is optimized at all: that is the ``optimize=`` argument of
+``ExecutionEngine``, ``Session`` and ``ArrayService`` (default ``True``).
 
 A :class:`Config` is a frozen value; :func:`set_config` and
 :func:`config_override` swap which one is live.  Only the engine boundary
@@ -17,9 +19,8 @@ reads it: ``ExecutionEngine.execute`` (and a backend's plan-less
 value through ``Backend.resolve_config`` into a snapshot, memoised per
 configuration value, with what the backend reads made concrete — the
 thread count from the affinity mask, the artifact directory from
-``REPRO_CODEGEN_CACHE`` or the home directory, the backend's constructor
-overrides and, on ``native``, the codegen thread count from
-``REPRO_CODEGEN_THREADS``.  The snapshot keys the flush's plan and is the
+``REPRO_CODEGEN_CACHE`` or the home directory and, on ``native``, the
+codegen thread count from ``REPRO_CODEGEN_THREADS``.  The snapshot keys the flush's plan and is the
 argument of everything below: optimizer, schedule, memory plan, tiling,
 plan checks and launches.  A change therefore applies from the next flush;
 one issued while a flush runs does not reach it.  Constructors that default
@@ -39,8 +40,8 @@ from typing import Iterator, Optional, Tuple
 class Config:
     """Library-wide configuration knobs (a frozen, hashable value).
 
-    Every field but ``default_backend``, ``optimize`` and ``check_ir`` is
-    part of the plan-cache signature
+    Every field but ``default_backend`` and ``check_ir`` is part of the
+    plan-cache signature
     (:func:`~repro.runtime.plan.config_signature`): changing one re-plans
     instead of replaying a plan built under the other value.
 
@@ -51,9 +52,6 @@ class Config:
         name registered in :mod:`repro.runtime.backend` (see
         :func:`~repro.runtime.backend.available_backends`).  Default
         ``"interpreter"``.
-    optimize:
-        Whether the front-end runs the optimization pipeline before
-        executing a flushed program.  Default ``True``.
     check_ir:
         When true, the static checking layer (:mod:`repro.checks`) runs
         between every optimization pass (flow-sensitive program invariant
@@ -109,10 +107,6 @@ class Config:
         ``~/.cache/repro-codegen``.  Every backend reads it: the kernel
         runtime artifact stored there holds the vector ``erf`` that
         ``BH_ERF`` calls on the interpreted tiers too.
-    codegen_disk_cache_enabled:
-        Whether compiled artifacts persist on disk.  When off, kernels
-        compile into a process-private temporary directory and only the
-        in-process cache amortizes them.  Default ``True``.
     codegen_threads:
         Most parts a compiled map step is split into: one call of the
         step's kernel per contiguous row block, on the tile pool of this
@@ -141,7 +135,6 @@ class Config:
     """
 
     default_backend: str = "interpreter"
-    optimize: bool = True
     check_ir: bool = False
     fusion_scheduler: str = "dag"
     parallel_num_threads: Optional[int] = None
@@ -151,7 +144,6 @@ class Config:
     memory_pool_max_bytes: int = 1 << 26  # 64 MiB
     memory_zero_policy: str = "auto"
     codegen_cache_dir: Optional[str] = None
-    codegen_disk_cache_enabled: bool = True
     codegen_threads: Optional[int] = None
     dist_num_workers: int = 2
     dist_shm_max_bytes: int = 1 << 30  # 1 GiB
@@ -187,8 +179,8 @@ def config_override(**changes) -> Iterator[Config]:
 
     Example
     -------
-    >>> with config_override(optimize=False):
-    ...     ...  # front-end flushes run unoptimized here
+    >>> with config_override(check_ir=True):
+    ...     ...  # flushes run the static checks here
     """
     global _CONFIG
     previous = _CONFIG

@@ -138,11 +138,6 @@ class TestCacheLifecycle:
             assert kernel.fn is not None
             assert not hasattr(kernel, "fn_mt")
 
-    def test_disk_cache_disabled_writes_nothing(self, tmp_path):
-        _, outcome = _compile(_source("nodisk"), tmp_path, use_disk=False)
-        assert outcome == "compiled"
-        assert not os.path.exists(tmp_path) or not os.listdir(tmp_path)
-
     def test_compiler_unavailable_raises(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.codegen.cache.find_c_compiler", lambda: None)
         with pytest.raises(CompilerUnavailable):

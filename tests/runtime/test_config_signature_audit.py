@@ -31,9 +31,6 @@ EXEMPT_FIELDS = {
     # Selects which backend the front-end asks for; each backend keeps its
     # own plans (the backend name is part of the plan-cache key already).
     "default_backend",
-    # Toggles whether the pipeline runs at all; unoptimized flushes bypass
-    # the plan cache entirely rather than reading stale optimized plans.
-    "optimize",
     # The static checking layer is read-only: the IR verifier and the
     # plan-artifact checks inspect programs and plans but never rewrite
     # them, so a plan built with checks off is byte-identical to one built
@@ -87,7 +84,6 @@ def test_signature_value_changes_with_each_signed_field():
         "memory_pool_max_bytes": 0,
         "memory_zero_policy": "always",
         "codegen_cache_dir": "/tmp/elsewhere",
-        "codegen_disk_cache_enabled": False,
         "codegen_threads": 3,
         "dist_num_workers": 3,
         "dist_shm_max_bytes": 1 << 20,

@@ -21,10 +21,9 @@ from repro.frontend.session import Session
 from repro.runtime import interpreter as interpreter_module
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.native import NativeBackend
-from repro.runtime.parallel import ParallelBackend
 from repro.runtime.plan import config_signature
 from repro.runtime.tiling import TiledMapStep, decompose
-from repro.utils.config import Config, config_override, get_config, set_config
+from repro.utils.config import config_override, get_config, set_config
 
 ENTRY = dict(
     fusion_scheduler="dag",
@@ -122,15 +121,6 @@ def test_the_interpreter_plan_path_runs_under_the_plan_configuration(monkeypatch
     assert [config.codegen_cache_dir for config in received] == [snapshot.codegen_cache_dir]
 
 
-def test_constructor_overrides_are_part_of_the_snapshot():
-    backend = ParallelBackend(num_threads=3, tile_elements=128)
-    snapshot = backend.resolve_config(Config(parallel_num_threads=5))
-    assert (snapshot.parallel_num_threads, snapshot.parallel_tile_elements) == (3, 128)
-    assert snapshot.codegen_cache_dir is not None
-    # Memoised per configuration value.
-    assert backend.resolve_config(Config(parallel_num_threads=5)) is snapshot
-
-
 def _jacobi_step(work):
     interior = (work[0:-2, 1:-1] + work[2:, 1:-1] + work[1:-1, 0:-2] + work[1:-1, 2:]) * 0.25
     following = work.copy()
@@ -163,9 +153,8 @@ class _CallCounter:
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
 def test_a_warm_native_flush_reads_the_configuration_once(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CODEGEN_THREADS", "2")
-    with config_override(codegen_cache_dir=str(tmp_path)):
-        # Constructor overrides used to cost a Config copy per read.
-        session = Session(backend=NativeBackend(num_threads=2))
+    with config_override(codegen_cache_dir=str(tmp_path), parallel_num_threads=2):
+        session = Session(backend=NativeBackend())
         grid = zeros((96, 96), session=session)
         grid[0, :] = 100.0
         grid[-1, :] = 100.0

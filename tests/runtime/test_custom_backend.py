@@ -58,11 +58,11 @@ class TestCustomBackend:
         assert np.all(a.to_numpy() == 3.0)
         assert counting_backend.executions >= 1
 
-    def test_run_alias(self, counting_backend):
+    def test_execute_returns_a_result(self, counting_backend):
         builder = ProgramBuilder()
         v = builder.new_vector(4)
         builder.identity(v, 1)
-        result = counting_backend.run(builder.build())
+        result = counting_backend.execute(builder.build())
         assert isinstance(result, ExecutionResult)
         assert isinstance(result.stats, ExecutionStats)
         assert isinstance(result.memory, MemoryManager)

@@ -339,10 +339,12 @@ class TestSessionPlanReuse:
 
 class TestKernelStructuralCache:
     def test_equivalent_kernels_share_compiled_entries(self):
-        backend = ParallelBackend(num_threads=1, tile_elements=4)
+        backend = ParallelBackend()
         first, out_a = chain_program(adds=4)
         second, out_b = chain_program(adds=4)
-        with config_override(parallel_serial_threshold=4):
+        with config_override(
+            parallel_serial_threshold=4, parallel_num_threads=1, parallel_tile_elements=4
+        ):
             result_a = backend.execute(first)
             after_first = backend.cache_stats()
             result_b = backend.execute(second)

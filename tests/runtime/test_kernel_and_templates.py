@@ -171,8 +171,10 @@ class TestCanAcceptIterationSpaces:
         builder.sync(out)
         program = builder.build()
         reference = NumPyInterpreter().execute(program)
-        with config_override(parallel_serial_threshold=2):
-            tiled = ParallelBackend(num_threads=1, tile_elements=4).execute(program)
+        with config_override(
+            parallel_serial_threshold=2, parallel_num_threads=1, parallel_tile_elements=4
+        ):
+            tiled = ParallelBackend().execute(program)
         assert np.array_equal(reference.value(out), tiled.value(out))
         assert np.array_equal(
             reference.value(View.full(base)), tiled.value(View.full(base))

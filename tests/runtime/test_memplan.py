@@ -336,7 +336,7 @@ class TestEngineIntegration:
         memory = MemoryManager()
         engine.execute(program, memory)
         assert memory._directives  # the planned flush installed directives
-        engine.optimize_enabled = False
+        engine.optimize = False
         engine.execute(program, memory)
         # The plan-less flush must have cleared the previous directives.
         assert memory._directives == {}

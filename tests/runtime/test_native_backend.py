@@ -395,20 +395,6 @@ class TestCompileCounters:
         assert result.stats.native_compiles == 0
         assert result.stats.native_memory_hits >= 1
 
-    def test_disk_cache_disabled_compiles_in_memory(self, cache_dir, tmp_path):
-        import os
-
-        program, a, b = build_chain()
-        with config_override(
-            **TINY_TILES,
-            codegen_cache_dir=cache_dir,
-            codegen_disk_cache_enabled=False,
-        ):
-            result = second_run(ExecutionEngine(backend="native", optimize=True), program)
-        assert result.stats.native_compiles >= 1
-        assert result.stats.native_kernel_launches > 0
-        assert not os.path.exists(cache_dir) or not os.listdir(cache_dir)
-
     def test_direct_execute_without_engine_windows_stats(self, cache_dir):
         # Backend.execute without the engine's prepare_plan stage must
         # still report its own plan-stage compiles.

@@ -205,7 +205,8 @@ class TestDecomposition:
             # The serial fallback must agree with the interpreter oracle
             # bit for bit.
             reference = NumPyInterpreter().execute(program)
-            result = ParallelBackend(num_threads=4).execute(program)
+            with config_override(parallel_num_threads=4):
+                result = ParallelBackend().execute(program)
         assert np.array_equal(reference.value(out), result.value(out))
         assert np.array_equal(
             reference.value(View.full(base)), result.value(View.full(base))
@@ -391,12 +392,10 @@ class TestParallelExecution:
         assert result.stats.serial_fallbacks > 0
 
     def test_num_threads_resolution_order(self):
-        backend = ParallelBackend(num_threads=3)
-        assert backend.num_threads() == 3
         backend = ParallelBackend()
         with config_override(parallel_num_threads=5):
-            assert backend.num_threads() == 5
-        assert ParallelBackend().num_threads() >= 1
+            assert backend.flush_config().parallel_num_threads == 5
+        assert backend.flush_config().parallel_num_threads >= 1
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no affinity mask on this platform"
@@ -412,7 +411,8 @@ class TestParallelExecution:
             "from repro.runtime.parallel import ParallelBackend\n"
             "from repro.runtime.tiling import resolve_num_threads\n"
             "from repro.utils.config import get_config\n"
-            "print(resolve_num_threads(get_config()), ParallelBackend().num_threads())\n"
+            "print(resolve_num_threads(get_config()),"
+            " ParallelBackend().flush_config().parallel_num_threads)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
@@ -421,10 +421,12 @@ class TestParallelExecution:
         assert result.stdout.split() == ["1", "1"]
 
     def test_set_backend_releases_the_previous_pool(self):
-        backend = ParallelBackend(num_threads=2)
+        backend = ParallelBackend()
         engine = ExecutionEngine(backend=backend, optimize=True)
         program, _ = elementwise_program(length=4096)
-        with config_override(parallel_tile_elements=512, parallel_serial_threshold=16):
+        with config_override(
+            parallel_num_threads=2, parallel_tile_elements=512, parallel_serial_threshold=16
+        ):
             engine.execute(program)
         assert backend._pools
         engine.set_backend("interpreter")
@@ -593,18 +595,18 @@ class TestPlanTimeTiling:
             assert fine.stats.tiles_executed == 2 * coarse.stats.tiles_executed
 
     def test_differently_configured_instance_retiles_cached_plan(self):
-        # Constructor overrides are part of the resolved snapshot that keys
-        # the plan (same backend name, same global config, another tile
-        # size): the new instance plans and tiles afresh, never replaying
-        # the decomposition computed under the old tile size.
+        # The tile size is part of the resolved snapshot that keys the plan
+        # (same backend name, another tile size): a new instance under it
+        # plans and tiles afresh, never replaying the decomposition
+        # computed under the old tile size.
         with config_override(parallel_serial_threshold=8, parallel_num_threads=1):
-            engine = ExecutionEngine(
-                backend=ParallelBackend(tile_elements=256), optimize=True
-            )
-            coarse = engine.execute(elementwise_program(length=512)[0])
+            engine = ExecutionEngine(backend=ParallelBackend(), optimize=True)
+            with config_override(parallel_tile_elements=256):
+                coarse = engine.execute(elementwise_program(length=512)[0])
             assert coarse.stats.tiles_executed == 2
-            engine.set_backend(ParallelBackend(tile_elements=64))
-            fine = engine.execute(elementwise_program(length=512)[0])
+            engine.set_backend(ParallelBackend())
+            with config_override(parallel_tile_elements=64):
+                fine = engine.execute(elementwise_program(length=512)[0])
             assert fine.stats.plan_cache_misses == 1
             assert fine.stats.tiles_executed == 8
 

@@ -41,9 +41,11 @@ class FakeCompiled:
 
 
 @pytest.fixture
-def fresh_cache(monkeypatch):
-    """Empty in-process memo, compiler 'available', compiles faked."""
+def fresh_cache(monkeypatch, tmp_path):
+    """Empty in-process memo over an empty cache directory, compiler
+    'available', compiles faked (they write nothing to the directory)."""
     cache.clear_memory_cache()
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
     monkeypatch.setattr(cache, "find_c_compiler", lambda: "cc")
     yield
     cache.clear_memory_cache()
@@ -56,21 +58,21 @@ class TestCompileOnceLatch:
         started = threading.Event()
         release = threading.Event()
 
-        def fake_compile(source, opt_level, loader):
+        def fake_compile(cache_dir, digest, source, opt_level, loader):
             with compile_lock:
                 compiles.append(source)
             started.set()
             release.wait()  # hold the latch while the other threads arrive
             return FakeCompiled(source)
 
-        monkeypatch.setattr(cache, "_compile_in_memory", fake_compile)
+        monkeypatch.setattr(cache, "_compile_to_disk", fake_compile)
         source = unique_source("same-digest")
         outcomes = []
         kernels = []
         record = threading.Lock()
 
         def resolve():
-            kernel, outcome = cache.get_compiled_kernel(source, use_disk=False)
+            kernel, outcome = cache.get_compiled_kernel(source)
             with record:
                 outcomes.append(outcome)
                 kernels.append(kernel)
@@ -98,17 +100,17 @@ class TestCompileOnceLatch:
         compiles = []
         release = threading.Event()
 
-        def fake_compile(source, opt_level, loader):
+        def fake_compile(cache_dir, digest, source, opt_level, loader):
             compiles.append(loader)
             release.wait()
             return FakeCompiled(source)
 
-        monkeypatch.setattr(cache, "_compile_in_memory", fake_compile)
+        monkeypatch.setattr(cache, "_compile_to_disk", fake_compile)
         found = []
         record = threading.Lock()
 
         def resolve():
-            result = cache.resolve_runtime(use_disk=False)
+            result = cache.resolve_runtime()
             with record:
                 found.append(result)
 
@@ -126,22 +128,22 @@ class TestCompileOnceLatch:
         assert all(runtime is found[0][0] for runtime, _ in found)
         assert sorted(outcome for _, outcome in found).count("compiled") == 1
         # Served from the memo from now on, and dropped with it.
-        assert cache.resolve_runtime(use_disk=False)[1] == "memory"
+        assert cache.resolve_runtime()[1] == "memory"
         cache.clear_memory_cache()
-        assert cache.resolve_runtime(use_disk=False)[1] == "compiled"
+        assert cache.resolve_runtime()[1] == "compiled"
 
     def test_unbuildable_runtime_is_probed_once(self, fresh_cache, monkeypatch):
         attempts = []
 
-        def failing_compile(source, opt_level, loader):
+        def failing_compile(cache_dir, digest, source, opt_level, loader):
             attempts.append(loader)
             raise CodegenError("toolchain builds no runtime\nits stderr")
 
-        monkeypatch.setattr(cache, "_compile_in_memory", failing_compile)
-        assert cache.resolve_runtime(use_disk=False) == (None, None)
-        assert cache.resolve_runtime(use_disk=False) == (None, None)
+        monkeypatch.setattr(cache, "_compile_to_disk", failing_compile)
+        assert cache.resolve_runtime() == (None, None)
+        assert cache.resolve_runtime() == (None, None)
         assert attempts == [cache.CompiledRuntime]
-        assert cache.runtime_failure(use_disk=False) == "toolchain builds no runtime"
+        assert cache.runtime_failure() == "toolchain builds no runtime"
 
     def test_distinct_digests_compile_concurrently(self, fresh_cache, monkeypatch):
         # Both compilers must be inside their invocation at the same time.
@@ -150,11 +152,11 @@ class TestCompileOnceLatch:
         # times out, and this test fails instead of deadlocking.
         barrier = threading.Barrier(2, timeout=10)
 
-        def fake_compile(source, opt_level, loader):
+        def fake_compile(cache_dir, digest, source, opt_level, loader):
             barrier.wait()
             return FakeCompiled(source)
 
-        monkeypatch.setattr(cache, "_compile_in_memory", fake_compile)
+        monkeypatch.setattr(cache, "_compile_to_disk", fake_compile)
         sources = [unique_source("distinct-a"), unique_source("distinct-b")]
         outcomes = []
         record = threading.Lock()
@@ -162,7 +164,7 @@ class TestCompileOnceLatch:
 
         def resolve(source):
             try:
-                _, outcome = cache.get_compiled_kernel(source, use_disk=False)
+                _, outcome = cache.get_compiled_kernel(source)
                 with record:
                     outcomes.append(outcome)
             except threading.BrokenBarrierError:  # pragma: no cover - the bug
@@ -185,7 +187,7 @@ class TestCompileOnceLatch:
         fail_first = threading.Event()
         fail_first.set()
 
-        def flaky_compile(source, opt_level, loader):
+        def flaky_compile(cache_dir, digest, source, opt_level, loader):
             with attempt_lock:
                 attempts.append(source)
                 should_fail = fail_first.is_set()
@@ -195,13 +197,13 @@ class TestCompileOnceLatch:
                 raise CodegenError("injected compiler failure")
             return FakeCompiled(source)
 
-        monkeypatch.setattr(cache, "_compile_in_memory", flaky_compile)
+        monkeypatch.setattr(cache, "_compile_to_disk", flaky_compile)
         source = unique_source("flaky")
         results = {}
 
         def resolve(name):
             try:
-                kernel, outcome = cache.get_compiled_kernel(source, use_disk=False)
+                kernel, outcome = cache.get_compiled_kernel(source)
                 results[name] = outcome
             except CodegenError:
                 results[name] = "raised"
@@ -221,24 +223,24 @@ class TestCompileOnceLatch:
         assert results["second"] == "compiled"
         assert len(attempts) == 2
         # And the digest now serves from memory like any healthy entry.
-        _, outcome = cache.get_compiled_kernel(source, use_disk=False)
+        _, outcome = cache.get_compiled_kernel(source)
         assert outcome == "memory"
 
     def test_lifecycle_memory_hit_then_cold_start(self, fresh_cache, monkeypatch):
         monkeypatch.setattr(
             cache,
-            "_compile_in_memory",
-            lambda source, opt_level, loader: FakeCompiled(source),
+            "_compile_to_disk",
+            lambda cache_dir, digest, source, opt_level, loader: FakeCompiled(source),
         )
         source = unique_source("lifecycle")
-        kernel, outcome = cache.get_compiled_kernel(source, use_disk=False)
+        kernel, outcome = cache.get_compiled_kernel(source)
         assert outcome == "compiled"
-        again, outcome = cache.get_compiled_kernel(source, use_disk=False)
+        again, outcome = cache.get_compiled_kernel(source)
         assert outcome == "memory"
         assert again is kernel
         # Cold start: dropping the memo forces a recompile, and the
         # in-flight table must be empty (no leaked latches).
         assert cache._inflight == {}
         cache.clear_memory_cache()
-        _, outcome = cache.get_compiled_kernel(source, use_disk=False)
+        _, outcome = cache.get_compiled_kernel(source)
         assert outcome == "compiled"

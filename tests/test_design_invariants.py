@@ -20,7 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = "src/repro/utils/config.py"
-MAX_CONFIG_FIELDS = 16
+MAX_CONFIG_FIELDS = 14
 
 
 @dataclass(frozen=True)

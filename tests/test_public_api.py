@@ -193,3 +193,48 @@ class TestReadmeQuickstartSnippets:
 
         for obj in (repro, core, runtime, repro.ProgramBuilder, repro.Program, repro.CostModel):
             assert obj.__doc__ and obj.__doc__.strip()
+
+
+def _call(path, **options):
+    module, _, name = path.rpartition(".")
+    return getattr(importlib.import_module(module), name)(**options)
+
+
+#: Each setting has one way in: the thread, tile and worker counts are the
+#: configuration's ``parallel_num_threads``, ``parallel_tile_elements`` and
+#: ``dist_num_workers``, and every artifact goes through the cache
+#: directory.  (The former ``Config`` fields are in ``tests/test_utils.py``.)
+REMOVED_OPTIONS = (
+    ("repro.runtime.parallel.ParallelBackend", {"num_threads": 1}),
+    ("repro.runtime.parallel.ParallelBackend", {"tile_elements": 64}),
+    ("repro.runtime.native.NativeBackend", {"num_threads": 1}),
+    ("repro.runtime.native.NativeBackend", {"tile_elements": 64}),
+    ("repro.dist.backend.DistributedBackend", {"num_workers": 2}),
+    (
+        "repro.codegen.cache.get_compiled_kernel",
+        {"source": "void repro_kernel(void) {}", "use_disk": False},
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "path, options",
+    REMOVED_OPTIONS,
+    ids=[f"{path.rpartition('.')[2]}-{list(options)[-1]}" for path, options in REMOVED_OPTIONS],
+)
+def test_a_removed_option_cannot_be_passed(path, options):
+    with pytest.raises(TypeError):
+        _call(path, **options)
+
+
+def test_a_session_has_no_optimize_switch_of_its_own():
+    from repro.frontend.session import Session
+
+    session = Session(backend="interpreter")
+    with pytest.raises(AttributeError):
+        session.optimize_enabled
+    # ``optimize=`` is the one switch: an assignment makes a plain
+    # attribute and leaves the engine, which a service's tenants share, as
+    # it was built.
+    session.optimize_enabled = False
+    assert session.engine.optimize is True

@@ -22,7 +22,6 @@ class TestConfig:
     def test_defaults(self):
         config = Config()
         assert config.default_backend == "interpreter"
-        assert config.optimize is True
         assert config.check_ir is False
         assert config.parallel_tile_elements == 65536
 
@@ -37,36 +36,38 @@ class TestConfig:
 
     def test_replace_returns_new_object(self):
         config = Config()
-        changed = config.replace(optimize=False)
+        changed = config.replace(check_ir=True)
         assert changed is not config
-        assert changed.optimize is False
-        assert config.optimize is True
+        assert changed.check_ir is True
+        assert config.check_ir is False
 
     def test_a_config_is_frozen(self):
         config = Config(enabled_passes=["dce"])
         assert config.enabled_passes == ("dce",)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.optimize = False
+            config.check_ir = True
         assert hash(config) == hash(Config(enabled_passes=("dce",)))
 
     def test_config_override_restores_previous(self):
         baseline = get_config()
-        with config_override(optimize=False, parallel_tile_elements=4) as overridden:
+        with config_override(check_ir=True, parallel_tile_elements=4) as overridden:
             assert get_config() is overridden
-            assert get_config().optimize is False
+            assert get_config().check_ir is True
             assert get_config().parallel_tile_elements == 4
-        assert get_config().optimize is baseline.optimize
+        assert get_config().check_ir is baseline.check_ir
 
     def test_config_override_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with config_override(optimize=False):
+            with config_override(check_ir=True):
                 raise RuntimeError("boom")
-        assert get_config().optimize is True
+        assert get_config().check_ir is False
 
 
-#: Former fields whose values are now constructor defaults or constants
-#: (``PowerExpansionPass(limit=)``, ``ArrayService(max_inflight=)``,
-#: ``KERNEL_OPT_LEVEL`` ...); native without codegen is the parallel backend.
+#: Former fields whose values are now constructor arguments, defaults or
+#: constants (``ExecutionEngine(optimize=)``, ``PowerExpansionPass(limit=)``,
+#: ``ArrayService(max_inflight=)``, ``KERNEL_OPT_LEVEL`` ...); native without
+#: codegen is the parallel backend, and every artifact goes through the
+#: cache directory.
 REMOVED_FIELDS = (
     "verify_rewrites",
     "max_constant_merge_window",
@@ -83,6 +84,8 @@ REMOVED_FIELDS = (
     "codegen_opt_level",
     "codegen_enabled",
     "codegen_reductions_enabled",
+    "optimize",
+    "codegen_disk_cache_enabled",
 )
 
 
